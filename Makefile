@@ -16,10 +16,14 @@ fmt:
 test:
 	go test ./...
 
-# The simulation is single-goroutine per cluster by design; the race run
-# guards the few places real goroutines meet (env driver, queues).
+# One goroutine runs at a time per cluster by design; the race run guards
+# the places control changes goroutines: every coroutine switch between the
+# kernel and a proc, and Group workers resuming the same partition's procs
+# from different goroutines in successive windows (repeated, since which
+# worker picks up which partition varies from run to run).
 test-race:
 	go test -race ./...
+	go test -race -count=10 -run 'TestGroup|TestShutdown|TestProcPanic' ./internal/sim
 
 race: test-race
 

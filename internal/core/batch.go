@@ -251,7 +251,7 @@ func (px *Proxy) flushBatch(p *sim.Proc) {
 	}
 	// Settle accounting when the engine finishes; the batcher keeps
 	// accumulating the next batch meanwhile (staging/transfer overlap).
-	px.env.Spawn(fmt.Sprintf("proxy-batch-dma:%d", batchID), func(sp *sim.Proc) {
+	px.env.SpawnID("proxy-batch-dma:", batchID, func(sp *sim.Proc) {
 		sp.SetThread(px.thBatch)
 		t.Done.Wait(sp)
 		px.batchInflight--

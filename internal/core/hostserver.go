@@ -354,7 +354,7 @@ func (hs *HostServer) commit(p *sim.Proc, rt *readyTxn) {
 	reqID := rt.reqID
 	silent := rt.silent
 	span := rt.span
-	hs.env.Spawn(fmt.Sprintf("host-commit:%d", reqID), func(cp *sim.Proc) {
+	hs.env.SpawnID("host-commit:", reqID, func(cp *sim.Proc) {
 		cp.SetThread(hs.thPoll)
 		res.Done.Wait(cp)
 		hs.tr.Finish(span)
@@ -385,7 +385,7 @@ func (hs *HostServer) notifyTxnDone(reqID uint64, code uint16, hostWriteNanos in
 		sh.cond.Broadcast()
 		return
 	}
-	hs.env.Spawn(fmt.Sprintf("host-notify:%d", reqID), func(p *sim.Proc) {
+	hs.env.SpawnID("host-notify:", reqID, func(p *sim.Proc) {
 		p.SetThread(hs.thPoll)
 		hs.rpc.Notify(p, opTxnDone, encodeTxnDone(reqID, code, hostWriteNanos))
 	})
@@ -413,7 +413,7 @@ func (hs *HostServer) onBatchFallback(p *sim.Proc, req *rpcchan.Request,
 // serveRead executes a read and DMAs the data back to the DPU in <=2 MB
 // segments through host-side staging buffers.
 func (hs *HostServer) serveRead(req *readReq) {
-	hs.env.Spawn(fmt.Sprintf("host-read:%d", req.ReqID), func(p *sim.Proc) {
+	hs.env.SpawnID("host-read:", req.ReqID, func(p *sim.Proc) {
 		p.SetThread(hs.thPoll)
 		bl, err := hs.store.Read(p, req.Coll, req.Object, req.Off, req.Length)
 		if err != nil || bl.Length() == 0 {
@@ -447,7 +447,7 @@ func (hs *HostServer) serveRead(req *readReq) {
 				return
 			}
 			buf := hs.readBuf
-			hs.env.Spawn(fmt.Sprintf("host-read-seg:%d/%d", req.ReqID, i), func(sp *sim.Proc) {
+			hs.env.SpawnSub("host-read-seg:", req.ReqID, i, func(sp *sim.Proc) {
 				t.Done.Wait(sp)
 				buf.Release()
 			})
@@ -560,7 +560,7 @@ func (hs *HostServer) onReadFallback(p *sim.Proc, req *rpcchan.Request,
 		respond(nil, rcIO)
 		return
 	}
-	hs.env.Spawn(fmt.Sprintf("host-read-rpc:%d", rr.ReqID), func(rp *sim.Proc) {
+	hs.env.SpawnID("host-read-rpc:", rr.ReqID, func(rp *sim.Proc) {
 		rp.SetThread(hs.thPoll)
 		bl, rerr := hs.store.Read(rp, rr.Coll, rr.Object, rr.Off, rr.Length)
 		if rerr != nil {

@@ -445,7 +445,7 @@ func (px *Proxy) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objst
 		// Small op: hand it to the batcher, which ships it coalesced with
 		// its neighbours; completion still arrives per op.
 		px.enqueueBatch(p, &batchOp{reqID: reqID, txnSeq: txnSeq, payload: payload, ctx: ctx})
-		px.env.Spawn(fmt.Sprintf("proxy-tx:%d", reqID), func(tp *sim.Proc) {
+		px.env.SpawnID("proxy-tx:", reqID, func(tp *sim.Proc) {
 			tp.SetThread(px.thProxy)
 			px.awaitTxn(tp, reqID, pt, res)
 		})
@@ -459,7 +459,7 @@ func (px *Proxy) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objst
 		px.stats.FallbackTxns++
 	}
 	streamReuse := txn.StreamReuse
-	px.env.Spawn(fmt.Sprintf("proxy-tx:%d", reqID), func(tp *sim.Proc) {
+	px.env.SpawnID("proxy-tx:", reqID, func(tp *sim.Proc) {
 		tp.SetThread(px.thProxy)
 		if useDMA {
 			px.shipViaDMA(tp, reqID, txnSeq, payload, ctx, streamReuse)
@@ -592,7 +592,7 @@ func (px *Proxy) shipViaDMA(p *sim.Proc, reqID, txnSeq uint64, payload *wire.Buf
 		if !px.cfg.DisablePipeline {
 			// Release the buffer when the engine finishes with it; keep
 			// staging the next segment meanwhile.
-			px.env.Spawn(fmt.Sprintf("proxy-seg:%d/%d", reqID, i), func(sp *sim.Proc) {
+			px.env.SpawnSub("proxy-seg:", reqID, i, func(sp *sim.Proc) {
 				st.t.Done.Wait(sp)
 				px.tr.Finish(st.span)
 				px.dev.Buffers.Release()

@@ -194,11 +194,13 @@ type OSD struct {
 	name string
 	// completerName/repCompleterName are the precomputed proc names for the
 	// per-op completion goroutines, spawned on every write — building them
-	// with Sprintf per op was a measurable allocation cost.
-	completerName    string
-	repCompleterName string
-	msgr             *messenger.Messenger
-	store            objstore.Store
+	// with Sprintf per op was a measurable allocation cost. pushCompleterPrefix
+	// is completed by the push's tid (sim.SpawnID).
+	completerName       string
+	repCompleterName    string
+	pushCompleterPrefix string
+	msgr                *messenger.Messenger
+	store               objstore.Store
 
 	curMap *osdmap.Map
 	// opqs are the op-queue shards (one with OpShards=1, the seed shape);
@@ -304,6 +306,7 @@ func New(env *sim.Env, cpu *sim.CPU, id int32, msgr *messenger.Messenger,
 	}
 	o.completerName = "completer:" + o.name
 	o.repCompleterName = "rep-completer:" + o.name
+	o.pushCompleterPrefix = "push-completer:" + o.name + "/"
 	if o.cfg.RecoveryMaxPGs > 0 {
 		o.recovSem = sim.NewSemaphore(env, o.cfg.RecoveryMaxPGs)
 	}

@@ -220,7 +220,7 @@ func (o *OSD) handlePGPush(p *sim.Proc, src string, m *cephmsg.MPGPush) {
 	res := o.store.QueueTransaction(p, txn)
 	lock.Release(1)
 	o.stats.PushesServed++
-	o.env.Spawn(fmt.Sprintf("push-completer:%s/%d", o.name, m.Tid), func(cp *sim.Proc) {
+	o.env.SpawnID(o.pushCompleterPrefix, m.Tid, func(cp *sim.Proc) {
 		cp.SetThread(o.thFin)
 		res.Done.Wait(cp)
 		o.cpu.Exec(cp, o.thFin, o.cfg.FinishCycles)

@@ -89,9 +89,13 @@ type Stats struct {
 type Endpoint struct {
 	env  *sim.Env
 	name string
-	cpu  *sim.CPU
-	th   *sim.Thread
-	cfg  Config
+	// wireName and respPrefix name the per-message procs ("rpc-wire:<name>",
+	// "rpc-resp:<name>/<reqID>"); built once, not per message.
+	wireName, respPrefix string
+
+	cpu *sim.CPU
+	th  *sim.Thread
+	cfg Config
 
 	peer     *Endpoint
 	inq      *sim.Queue[envelope]
@@ -142,6 +146,7 @@ func New(env *sim.Env, nameA string, cpuA *sim.CPU, thA *sim.Thread,
 func newEndpoint(env *sim.Env, name string, cpu *sim.CPU, th *sim.Thread, cfg Config) *Endpoint {
 	e := &Endpoint{
 		env: env, name: name, cpu: cpu, th: th, cfg: cfg,
+		wireName: "rpc-wire:" + name, respPrefix: "rpc-resp:" + name + "/",
 		inq:      sim.NewQueue[envelope](env),
 		handlers: make(map[uint16]Handler),
 		pending:  make(map[uint64]*pendingCall),
@@ -201,7 +206,7 @@ func (e *Endpoint) send(p *sim.Proc, env envelope) {
 	arrive := start.Add(ser + e.cfg.Latency)
 	e.sendFree = start.Add(ser)
 	peer := e.peer
-	e.env.Spawn(fmt.Sprintf("rpc-wire:%s", e.name), func(cp *sim.Proc) {
+	e.env.Spawn(e.wireName, func(cp *sim.Proc) {
 		cp.WaitUntil(arrive)
 		peer.inq.Push(env)
 	})
@@ -263,7 +268,7 @@ func (e *Endpoint) sendFromAny(payload *wire.Bufferlist, errCode uint16, reqID u
 	}
 	e.stats.BytesSent += env.bytes
 	peer := e.peer
-	e.env.Spawn(fmt.Sprintf("rpc-resp:%s/%d", e.name, reqID), func(cp *sim.Proc) {
+	e.env.SpawnID(e.respPrefix, reqID, func(cp *sim.Proc) {
 		e.cpu.Exec(cp, e.th, e.cfg.FixedCycles+int64(float64(env.bytes)*e.cfg.PerByteCycles))
 		e.cpu.NoteSwitches(e.th, e.cfg.SwitchesPerMsg)
 		ser := sim.Duration(float64(env.bytes) / e.cfg.BytesPerSec * float64(sim.Second))

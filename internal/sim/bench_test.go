@@ -2,9 +2,12 @@ package sim
 
 import "testing"
 
-// BenchmarkKernelEventThroughput measures raw event-processing rate: two
-// processes ping-ponging through a queue.
-func BenchmarkKernelEventThroughput(b *testing.B) {
+// BenchmarkCrossProcSwitch measures the cost of an event whose owner is not
+// the proc that was running: two processes ping-ponging through a pair of
+// queues, so every one of the two events per iteration switches coroutines
+// (proc -> kernel -> proc). The same-proc fast path (BenchmarkCPUExec, the
+// benchmark ledger's sim.event_ns) never switches and cannot see this cost.
+func BenchmarkCrossProcSwitch(b *testing.B) {
 	env := NewEnv(1)
 	q := NewQueue[int](env)
 	r := NewQueue[int](env)

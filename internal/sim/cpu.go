@@ -191,6 +191,7 @@ func (c *CPU) acquire(p *Proc) int {
 func (c *CPU) release(core int) {
 	for len(c.waiters) > 0 {
 		w := c.waiters[0]
+		c.waiters[0] = cpuWaiter{}
 		c.waiters = c.waiters[1:]
 		if w.tok.spent {
 			c.env.dropRef(w.tok)

@@ -3,9 +3,10 @@
 //
 // The kernel is process-oriented: every simulated thread of control (a Ceph
 // messenger worker, an OSD op thread, a DMA polling loop, a benchmark client)
-// is a goroutine wrapped in a Proc. Exactly one Proc executes at any moment;
-// control is handed between the kernel and processes through per-process
-// channels, and pending wakeups are ordered by (virtual time, sequence
+// is a runtime coroutine (iter.Pull) wrapped in a Proc. Exactly one Proc
+// executes at any moment; the kernel resumes the owner of the next pending
+// wakeup with a coroutine switch and the process switches back when it
+// blocks, and pending wakeups are ordered by (virtual time, sequence
 // number). Runs are therefore bit-deterministic for a given seed regardless
 // of GOMAXPROCS, and safe under the race detector.
 //

@@ -1,9 +1,13 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -18,10 +22,18 @@ import (
 // site that drops a registration calls Env.dropRef; a spent token whose last
 // registration is dropped returns to the free list. A token may therefore
 // never be recycled while any waiter list can still observe it.
+//
+// inHeap counts the heap entries alone. When a token is spent its remaining
+// heap entries are dead (typically the timeout that lost the race against a
+// push or a fire); Env.dead totals them so the heap can be compacted instead
+// of carrying them until their virtual deadline. A token has at most a
+// handful of registrations, so the counts are 16-bit to keep it in the
+// 16-byte size class.
 type wakeToken struct {
-	p     *Proc
-	spent bool
-	refs  int32
+	p      *Proc
+	spent  bool
+	refs   int16
+	inHeap int16
 }
 
 type event struct {
@@ -66,18 +78,24 @@ func (h *eventHeap) pop() event {
 	last := len(a) - 1
 	a[0] = a[last]
 	a[last] = event{} // release the token pointer
-	a = a[:last]
-	h.a = a
-	i := 0
+	h.a = a[:last]
+	h.down(0)
+	return min
+}
+
+// down restores the heap property below index i.
+func (h *eventHeap) down(i int) {
+	a := h.a
+	n := len(a)
 	for {
 		first := i<<2 + 1
-		if first >= last {
+		if first >= n {
 			break
 		}
 		m := first
 		end := first + 4
-		if end > last {
-			end = last
+		if end > n {
+			end = n
 		}
 		for c := first + 1; c < end; c++ {
 			if a[c].before(a[m]) {
@@ -90,49 +108,65 @@ func (h *eventHeap) pop() event {
 		a[i], a[m] = a[m], a[i]
 		i = m
 	}
-	return min
 }
 
-type resumeMsg struct {
-	kill bool
-}
-
-type procState int
+type procState uint8
 
 const (
 	stateNew procState = iota
 	stateRunning
 	stateBlocked
+	// stateDone also covers a proc whose body has returned and whose
+	// coroutine is suspended in the reuse pool awaiting the next Spawn.
 	stateDone
-	// stateFree marks a proc whose body has returned and whose goroutine is
-	// parked in the reuse pool awaiting the next Spawn.
-	stateFree
 )
 
-// errKilled is the panic sentinel used by Shutdown to unwind parked procs.
+// killSignal is the panic sentinel that unwinds a parked proc's body when
+// Shutdown stops its coroutine.
 type killSignal struct{}
 
 // Proc is a simulated thread of control. All blocking operations on the
 // simulation (Wait, queue pops, CPU execution, transfers) take the Proc as
 // the identity of the caller; a Proc must only be used from its own body.
 //
-// Procs (and their goroutines and resume channels) are pooled: when a body
-// returns, the proc parks in a free list and the next Spawn reuses it. A
-// *Proc must therefore not be retained past the return of its body.
+// Procs (and their coroutines) are pooled: when a body returns, the proc
+// parks in a free list and the next Spawn reuses it. A *Proc must therefore
+// not be retained past the return of its body.
 type Proc struct {
-	env    *Env
-	name   string
-	fn     func(*Proc)
-	resume chan resumeMsg
-	state  procState
+	env  *Env
+	name string
+	// id and sub complete the name of procs spawned with SpawnID / SpawnSub;
+	// the string is only built when somebody asks for it.
+	id uint64
+	fn func(*Proc)
+	// resume and stop are the two ends of the proc's coroutine (iter.Pull's
+	// next and stop); yield is handed to loop on the coroutine's first run.
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
 	thread *Thread
-	daemon bool
 	// idx is the proc's position in env.procs (swap-removed on completion).
-	idx int
+	idx     int
+	sub     uint32
+	nameIDs uint8
+	state   procState
+	daemon  bool
+	// granted is set by the primitive that wakes the proc with a result (a
+	// queue push, an event fire) and stays false when only a timeout fired.
+	// A proc parks in one place at a time, so one flag serves them all.
+	granted bool
 }
 
 // Name returns the name the process was spawned with.
-func (p *Proc) Name() string { return p.name }
+func (p *Proc) Name() string {
+	switch p.nameIDs {
+	case 1:
+		return p.name + strconv.FormatUint(p.id, 10)
+	case 2:
+		return p.name + strconv.FormatUint(p.id, 10) + "/" + strconv.FormatUint(uint64(p.sub), 10)
+	}
+	return p.name
+}
 
 // Thread returns the OS-thread identity attached to this process (may be
 // nil for pure coordination processes).
@@ -153,26 +187,34 @@ func (p *Proc) Now() Time { return p.env.now }
 // processes, then call Run or RunUntil from the host goroutine. Env is not
 // safe for concurrent use from multiple host goroutines.
 //
-// Scheduling uses direct handoff: the goroutine that is ceding control (a
-// parking or finishing proc, or the kernel entering RunUntil) pops the next
-// event itself and resumes its owner over that proc's channel. Control only
-// returns to the kernel goroutine when the heap is exhausted or the next
-// event lies beyond the current run limit, so a RunUntil interval costs one
-// kernel round-trip instead of two channel operations per event. Exactly one
-// goroutine runs at a time; every transfer of control is a channel rendezvous
-// (or stays within the same goroutine on the park fast path), which keeps the
-// event order — and with it every simulated result — identical to the
-// classic kernel-centric loop.
+// Every proc is a runtime coroutine (iter.Pull). The goroutine that called
+// RunUntil is the only scheduler: runWindow pops the next event and resumes
+// its owner, and a parking or finishing proc yields straight back to it. A
+// coroutine switch hands the running thread from one goroutine to the other
+// without passing through the Go scheduler, so no run queue, idle-P wake-up
+// or futex is involved. A parking proc whose own event is next keeps running
+// without any switch at all. Exactly one goroutine runs at a time and events
+// fire in (t, seq) order whichever way control travels, so every simulated
+// result is that of the classic kernel-centric loop.
 type Env struct {
-	now    Time
-	seq    uint64
-	heap   eventHeap
-	limit  Time
-	yield  chan struct{}
+	now   Time
+	seq   uint64
+	heap  eventHeap
+	limit Time
+	// ready is the proc a parking proc found next in the heap; runWindow
+	// resumes it instead of popping again.
+	ready  *Proc
 	rng    *rand.Rand
 	live   int
 	procs  []*Proc
 	events uint64
+
+	// dead counts heap entries whose token is already spent; once
+	// dead*compactDen exceeds the heap length the heap is compacted.
+	// compactDen is 2 outside tests (0 never compacts, a huge value
+	// compacts on every dead entry).
+	dead       int
+	compactDen int
 
 	procFree []*Proc
 	tokFree  []*wakeToken
@@ -181,9 +223,9 @@ type Env struct {
 // NewEnv returns an environment whose random stream is seeded with seed.
 func NewEnv(seed int64) *Env {
 	return &Env{
-		yield: make(chan struct{}),
-		rng:   rand.New(rand.NewSource(seed)),
-		limit: MaxTime,
+		rng:        rand.New(rand.NewSource(seed)),
+		limit:      MaxTime,
+		compactDen: 2,
 	}
 }
 
@@ -199,7 +241,7 @@ func (e *Env) getToken(p *Proc) *wakeToken {
 	if n := len(e.tokFree); n > 0 {
 		tok := e.tokFree[n-1]
 		e.tokFree = e.tokFree[:n-1]
-		tok.p, tok.spent, tok.refs = p, false, 0
+		tok.p, tok.spent = p, false
 		return tok
 	}
 	return &wakeToken{p: p}
@@ -223,49 +265,74 @@ func (e *Env) schedule(tok *wakeToken, at Time) {
 	}
 	e.seq++
 	tok.refs++
+	tok.inHeap++
 	e.heap.push(event{t: at, seq: e.seq, tok: tok})
 }
 
-// next pops events until it can return the proc owning the next live event.
-// It returns nil when the heap is exhausted or the next live event lies
-// beyond the run limit (the event is left in the heap). Must only be called
-// by the goroutine currently holding control.
-func (e *Env) next() *Proc {
+// peek pops dead entries off the top of the heap and reports whether a live
+// one remains there.
+func (e *Env) peek() bool {
 	for e.heap.len() > 0 {
-		if tok := e.heap.a[0].tok; tok.spent {
-			e.heap.pop()
-			e.dropRef(tok)
-			continue
+		tok := e.heap.a[0].tok
+		if !tok.spent {
+			return true
 		}
-		if e.heap.a[0].t > e.limit {
-			return nil
-		}
-		ev := e.heap.pop()
-		e.now = ev.t
-		ev.tok.spent = true
-		e.events++
-		p := ev.tok.p
-		e.dropRef(ev.tok)
-		return p
+		e.heap.pop()
+		e.dead--
+		tok.inHeap--
+		e.dropRef(tok)
 	}
-	return nil
+	return false
 }
 
-// handoff transfers control to the owner of the next event — or back to the
-// kernel goroutine when there is none runnable. It returns true (without any
-// channel operation) when self is itself the next to run: the caller keeps
-// control. Called by a goroutine that is ceding control.
-func (e *Env) handoff(self *Proc) bool {
-	next := e.next()
-	if next == nil {
-		e.yield <- struct{}{}
-		return false
+// next pops the next live event and returns the proc owning it. It returns
+// nil when the heap is exhausted or the next live event lies beyond the run
+// limit (the event is left in the heap). Must only be called by the
+// goroutine currently holding control.
+func (e *Env) next() *Proc {
+	if !e.peek() || e.heap.a[0].t > e.limit {
+		return nil
 	}
-	if next == self {
-		return true
+	ev := e.heap.pop()
+	tok := ev.tok
+	p := tok.p
+	e.now = ev.t
+	e.events++
+	tok.spent = true
+	tok.inHeap--
+	if tok.inHeap > 0 {
+		e.dead += int(tok.inHeap)
+		if e.dead*e.compactDen > e.heap.len() {
+			e.compact()
+		}
 	}
-	next.resume <- resumeMsg{}
-	return false
+	e.dropRef(tok)
+	return p
+}
+
+// compact removes every dead entry from the heap and restores the heap
+// property bottom-up. (t, seq) is a total order, so the order in which the
+// surviving entries pop — and with it every simulated value — does not
+// depend on the array layout. It runs when more than half the heap is dead,
+// so its cost is amortized over the entries it removes; the backing array is
+// kept.
+func (e *Env) compact() {
+	a := e.heap.a
+	live := a[:0]
+	for _, ev := range a {
+		if ev.tok.spent {
+			ev.tok.inHeap--
+			e.dropRef(ev.tok)
+			continue
+		}
+		live = append(live, ev)
+	}
+	clear(a[len(live):])
+	e.heap.a = live
+	e.dead = 0
+	for i := (len(live) - 2) >> 2; i >= 0; i-- {
+		e.heap.down(i)
+	}
 }
 
 // SpawnDaemon creates a service-loop process that is expected to block
@@ -280,20 +347,17 @@ func (e *Env) SpawnDaemon(name string, fn func(*Proc)) *Proc {
 
 // Spawn creates a new process running fn and schedules it to start at the
 // current virtual time. It may be called before Run or from inside a running
-// process. Finished procs (goroutine and channel included) are reused.
+// process. Finished procs (coroutine included) are reused.
 func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
 	var p *Proc
 	if n := len(e.procFree); n > 0 {
 		p = e.procFree[n-1]
 		e.procFree = e.procFree[:n-1]
-		p.name, p.fn = name, fn
-		p.state = stateNew
-		p.thread = nil
-		p.daemon = false
 	} else {
-		p = &Proc{env: e, name: name, fn: fn, resume: make(chan resumeMsg)}
-		go p.loop()
+		p = &Proc{env: e}
+		p.resume, p.stop = iter.Pull(p.loop)
 	}
+	p.name, p.nameIDs, p.fn, p.state = name, 0, fn, stateNew
 	p.idx = len(e.procs)
 	e.procs = append(e.procs, p)
 	e.live++
@@ -301,49 +365,49 @@ func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
 	return p
 }
 
-// loop is the body of a proc goroutine: run a spawned function, recycle the
-// proc, park until the next reuse. One goroutine serves many Spawns.
-func (p *Proc) loop() {
-	e := p.env
-	for {
-		msg := <-p.resume
-		if msg.kill {
-			if p.state == stateNew {
-				e.live--
-			}
-			p.state = stateDone
-			e.yield <- struct{}{}
-			return
-		}
-		p.state = stateRunning
-		if p.run() {
-			return // killed mid-body during Shutdown
-		}
+// SpawnID is Spawn for per-operation procs named prefix+id ("host-commit:42").
+// The name exists only for diagnostics, so it is stored in parts and
+// formatted by Name when a deadlock report asks for it.
+func (e *Env) SpawnID(prefix string, id uint64, fn func(*Proc)) *Proc {
+	p := e.Spawn(prefix, fn)
+	p.id, p.nameIDs = id, 1
+	return p
+}
+
+// SpawnSub is SpawnID for the sub-th child of operation id, named
+// prefix+id/sub ("proxy-seg:42/1").
+func (e *Env) SpawnSub(prefix string, id uint64, sub int, fn func(*Proc)) *Proc {
+	p := e.Spawn(prefix, fn)
+	p.id, p.sub, p.nameIDs = id, uint32(sub), 2
+	return p
+}
+
+// loop is the body of a proc coroutine: run a spawned function, recycle the
+// proc, yield until the next reuse. One coroutine serves many Spawns. It
+// returns — ending the coroutine — only when Shutdown stops it; any other
+// panic in a body propagates out of resume on the goroutine driving the env.
+func (p *Proc) loop(yield func(struct{}) bool) {
+	p.yield = yield
+	for !p.run() && yield(struct{}{}) {
 	}
 }
 
 // run executes the proc body once and reports whether the proc was killed.
-// On normal completion it recycles the proc and hands control to the next
-// event's owner.
+// On normal completion it recycles the proc.
 func (p *Proc) run() (killed bool) {
 	e := p.env
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killSignal); !ok {
-					panic(r)
-				}
-				killed = true
+	defer func() {
+		e.live--
+		p.state = stateDone
+		if r := recover(); r != nil {
+			if _, ok := r.(killSignal); !ok {
+				panic(r)
 			}
-		}()
-		p.fn(p)
+			killed = true
+		}
 	}()
-	e.live--
-	p.state = stateDone
-	if killed {
-		e.yield <- struct{}{}
-		return true
-	}
+	p.state = stateRunning
+	p.fn(p)
 	// Swap-remove from the live list and recycle.
 	lastIdx := len(e.procs) - 1
 	lastProc := e.procs[lastIdx]
@@ -353,25 +417,22 @@ func (p *Proc) run() (killed bool) {
 	e.procs = e.procs[:lastIdx]
 	p.fn = nil
 	p.thread = nil
-	p.state = stateFree
+	p.daemon = false
 	e.procFree = append(e.procFree, p)
-	e.handoff(nil)
 	return false
 }
 
 // park yields control to the kernel until one of the proc's registered wake
 // tokens fires. Fast path: when the next event in the heap is the proc's
-// own (typical for plain Waits), park pops it and returns without touching
-// any channel.
+// own (typical for plain Waits), park pops it and returns without a switch.
 func (p *Proc) park() {
 	p.state = stateBlocked
-	if p.env.handoff(p) {
-		p.state = stateRunning
-		return
-	}
-	msg := <-p.resume
-	if msg.kill {
-		panic(killSignal{})
+	e := p.env
+	if next := e.next(); next != p {
+		e.ready = next
+		if !p.yield(struct{}{}) {
+			panic(killSignal{})
+		}
 	}
 	p.state = stateRunning
 }
@@ -476,21 +537,21 @@ func (e *Env) RunUntil(limit Time) error {
 // for cross-partition messages.
 func (e *Env) runWindow(limit Time) (drained bool) {
 	e.limit = limit
-	for {
-		p := e.next()
-		if p == nil {
-			if e.heap.len() > 0 {
-				// Next live event is beyond the limit; leave it queued.
-				e.now = limit
-				return false
-			}
-			return true
+	for p := e.next(); p != nil; {
+		e.ready = nil
+		p.resume()
+		// The proc parked or finished. If it parked it has already popped the
+		// next event and left the owner in ready.
+		if p = e.ready; p == nil {
+			p = e.next()
 		}
-		p.resume <- resumeMsg{}
-		// Control comes back only when the handoff chain exhausts the heap
-		// or reaches the limit; re-check which on the next iteration.
-		<-e.yield
 	}
+	if e.heap.len() > 0 {
+		// Next live event is beyond the limit; leave it queued.
+		e.now = limit
+		return false
+	}
+	return true
 }
 
 // blockedState returns the sorted names of non-daemon procs parked or never
@@ -504,26 +565,21 @@ func (e *Env) blockedState() (parked []string, daemons int) {
 			daemons++
 			continue
 		}
-		parked = append(parked, p.name)
+		parked = append(parked, p.Name())
 	}
 	sort.Strings(parked)
 	return parked, daemons
 }
 
 // NextEventTime returns the timestamp of the earliest live event, popping
-// any spent tokens it skims past. ok is false when no live event remains.
+// any dead entries it skims past. ok is false when no live event remains.
 // It must only be called while the environment is not running (between
 // windows or before Run).
 func (e *Env) NextEventTime() (t Time, ok bool) {
-	for e.heap.len() > 0 {
-		if tok := e.heap.a[0].tok; tok.spent {
-			e.heap.pop()
-			e.dropRef(tok)
-			continue
-		}
-		return e.heap.a[0].t, true
+	if !e.peek() {
+		return 0, false
 	}
-	return 0, false
+	return e.heap.a[0].t, true
 }
 
 // advanceTo moves the clock forward to t without executing anything. The
@@ -535,19 +591,21 @@ func (e *Env) advanceTo(t Time) {
 }
 
 // Shutdown force-terminates every process that is still parked or never
-// started — including the pooled goroutines of finished procs — releasing
+// started — including the pooled coroutines of finished procs — releasing
 // their goroutines. The environment must not be used afterwards.
 func (e *Env) Shutdown() {
-	procs := append([]*Proc(nil), e.procs...)
-	for _, p := range procs {
-		if p.state == stateBlocked || p.state == stateNew {
-			p.resume <- resumeMsg{kill: true}
-			<-e.yield
+	for _, p := range e.procs {
+		switch p.state {
+		case stateBlocked:
+			p.stop() // unwinds the body; run's deferred exit does the accounting
+		case stateNew:
+			p.stop() // the body never started
+			e.live--
+			p.state = stateDone
 		}
 	}
 	for _, p := range e.procFree {
-		p.resume <- resumeMsg{kill: true}
-		<-e.yield
+		p.stop()
 	}
 	e.procFree = nil
 }

@@ -12,7 +12,6 @@ type Queue[T any] struct {
 type queueWaiter[T any] struct {
 	tok  *wakeToken
 	slot *T
-	got  *bool
 }
 
 // NewQueue returns an empty queue bound to env.
@@ -28,13 +27,17 @@ func (q *Queue[T]) Len() int { return len(q.buf) }
 func (q *Queue[T]) Push(v T) {
 	for len(q.waiters) > 0 {
 		w := q.waiters[0]
+		// Zero vacated slots before reslicing past them (here and below):
+		// the backing array would otherwise keep the token, the waiter's
+		// result slot or a popped value reachable until it is regrown.
+		q.waiters[0] = queueWaiter[T]{}
 		q.waiters = q.waiters[1:]
 		if w.tok.spent {
 			q.env.dropRef(w.tok)
 			continue
 		}
 		*w.slot = v
-		*w.got = true
+		w.tok.p.granted = true
 		q.env.schedule(w.tok, q.env.now)
 		q.env.dropRef(w.tok)
 		return
@@ -59,26 +62,31 @@ func (q *Queue[T]) TryPop() (v T, ok bool) {
 	if len(q.buf) == 0 {
 		return v, false
 	}
-	v = q.buf[0]
+	return q.take(), true
+}
+
+// take removes and returns the oldest buffered value.
+func (q *Queue[T]) take() T {
+	var zero T
+	v := q.buf[0]
+	q.buf[0] = zero
 	q.buf = q.buf[1:]
-	return v, true
+	return v
 }
 
 func (q *Queue[T]) pop(p *Proc, timeout Duration) (v T, ok bool) {
 	if len(q.buf) > 0 {
-		v = q.buf[0]
-		q.buf = q.buf[1:]
-		return v, true
+		return q.take(), true
 	}
 	tok := p.newToken()
 	tok.refs++
-	got := false
-	q.waiters = append(q.waiters, queueWaiter[T]{tok: tok, slot: &v, got: &got})
+	p.granted = false
+	q.waiters = append(q.waiters, queueWaiter[T]{tok: tok, slot: &v})
 	if timeout >= 0 {
 		q.env.schedule(tok, q.env.now.Add(timeout))
 	}
 	p.park()
-	return v, got
+	return v, p.granted
 }
 
 // Semaphore is a counted, FIFO-fair semaphore.
@@ -128,17 +136,15 @@ func (s *Semaphore) Release(n int) {
 	s.avail += n
 	for len(s.waiters) > 0 {
 		w := s.waiters[0]
-		if w.tok.spent {
-			s.waiters = s.waiters[1:]
-			s.env.dropRef(w.tok)
-			continue
-		}
-		if s.avail < w.n {
+		if !w.tok.spent && s.avail < w.n {
 			return
 		}
+		s.waiters[0] = semWaiter{}
 		s.waiters = s.waiters[1:]
-		s.avail -= w.n
-		s.env.schedule(w.tok, s.env.now)
+		if !w.tok.spent {
+			s.avail -= w.n
+			s.env.schedule(w.tok, s.env.now)
+		}
 		s.env.dropRef(w.tok)
 	}
 }
@@ -148,12 +154,7 @@ func (s *Semaphore) Release(n int) {
 type Event struct {
 	env     *Env
 	fired   bool
-	waiters []eventWaiter
-}
-
-type eventWaiter struct {
-	tok   *wakeToken
-	fired *bool
+	waiters []*wakeToken
 }
 
 // NewEvent returns an unfired event bound to env.
@@ -168,16 +169,21 @@ func (ev *Event) Fire() {
 		return
 	}
 	ev.fired = true
-	for _, w := range ev.waiters {
-		if w.tok.spent {
-			ev.env.dropRef(w.tok)
-			continue
-		}
-		*w.fired = true
-		ev.env.schedule(w.tok, ev.env.now)
-		ev.env.dropRef(w.tok)
-	}
+	ev.env.wakeAll(ev.waiters)
 	ev.waiters = nil
+}
+
+// wakeAll wakes every waiter still parked on a broadcast primitive, marking
+// the wake as granted (as opposed to timed out), and drops the waiter list's
+// registrations.
+func (e *Env) wakeAll(waiters []*wakeToken) {
+	for _, tok := range waiters {
+		if !tok.spent {
+			tok.p.granted = true
+			e.schedule(tok, e.now)
+		}
+		e.dropRef(tok)
+	}
 }
 
 // Wait blocks p until the event fires.
@@ -187,8 +193,7 @@ func (ev *Event) Wait(p *Proc) {
 	}
 	tok := p.newToken()
 	tok.refs++
-	fired := false
-	ev.waiters = append(ev.waiters, eventWaiter{tok: tok, fired: &fired})
+	ev.waiters = append(ev.waiters, tok)
 	p.park()
 }
 
@@ -200,11 +205,11 @@ func (ev *Event) WaitTimeout(p *Proc, d Duration) bool {
 	}
 	tok := p.newToken()
 	tok.refs++
-	fired := false
-	ev.waiters = append(ev.waiters, eventWaiter{tok: tok, fired: &fired})
+	p.granted = false
+	ev.waiters = append(ev.waiters, tok)
 	ev.env.schedule(tok, ev.env.now.Add(d))
 	p.park()
-	return fired
+	return p.granted
 }
 
 // Cond is a broadcast-only condition variable for re-check loops:
@@ -231,11 +236,6 @@ func (c *Cond) Wait(p *Proc) {
 
 // Broadcast wakes every process currently in Wait.
 func (c *Cond) Broadcast() {
-	for _, tok := range c.waiters {
-		if !tok.spent {
-			c.env.schedule(tok, c.env.now)
-		}
-		c.env.dropRef(tok)
-	}
+	c.env.wakeAll(c.waiters)
 	c.waiters = nil
 }
