@@ -1,8 +1,8 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all build test test-race race chaos-smoke selfheal-smoke parallel-kernel-smoke readpath-smoke scaleout128-smoke streaming-smoke bench bench-smoke cover microbench results quick examples vet fmt trace
+.PHONY: all build test test-race race smoke bench bench-smoke cover microbench results quick examples vet fmt trace
 
-all: build vet test test-race chaos-smoke bench-smoke cover
+all: build vet test test-race smoke bench-smoke cover
 
 build:
 	go build ./...
@@ -27,47 +27,16 @@ test-race:
 
 race: test-race
 
-# A short chaos run: full default fault plan against both deployments,
-# integrity-checked. Exercises the fault-injection path end to end.
-chaos-smoke:
-	go run ./cmd/docephbench -exp chaos -seconds 20 -threads 4
+# Every experiment of the registry (docephbench -exp list) under the race
+# detector, each at its registry-declared smoke window, with the runner's
+# engagement checks live: a knob that silently stopped doing anything, a data
+# race in the kernel's barrier/delivery machinery, or simulated-result drift
+# across kernel worker counts fails the run.
+smoke:
+	go run -race ./cmd/docephbench -exp smoke
 
-# Self-healing path under the race detector: OSD crash + DPU fault through
-# the circuit breaker, degraded writes and recovery QoS, plus the ablation.
-# 30 s is the experiment floor (the crash window must outlast the 5 s
-# heartbeat grace), so this is the shortest honest run.
-selfheal-smoke:
-	go run -race ./cmd/docephbench -exp selfheal -seconds 30 -threads 4
-
-# The partitioned parallel kernel under the race detector: the 32-OSD
-# multi-rack scale-out at 4 kernel workers (plus the serial reference the
-# determinism assertion compares against), short window. Any data race in
-# the barrier/delivery machinery or any simulated-result drift across
-# worker counts fails the run.
-parallel-kernel-smoke:
-	go run -race ./cmd/docephbench -exp scaleout -quick -sim-workers 1,4
-
-# The 128-OSD multi-rack cluster under the race detector: the popularity
-# ablation (uniform/Zipf/hotspot x balance-reads) with imbalance metrics,
-# plus the worker-count determinism sweep on the Zipf arm (byte-identical
-# results enforced inside the experiment), reduced windows.
-scaleout128-smoke:
-	go run -race ./cmd/docephbench -exp scaleout128 -quick -sim-workers 1,4
-
-# The read path under the race detector: the op-mix ablation (read/70:30/
-# 50:50 x replica-read balancing x DPU read cache x deployment, plus the
-# queue-depth arm) and the striped block-device comparison with its CRC
-# readback, quick windows against both deployments.
-readpath-smoke:
-	go run -race ./cmd/docephbench -exp readpath -quick -threads 4
-
-# The streaming data plane under the race detector: the store-and-forward
-# vs chunk-pipelining ablation (4-64MB objects x credit windows x both
-# deployments), with the engagement self-checks enforced by the runner.
-streaming-smoke:
-	go run -race ./cmd/docephbench -exp streaming -quick -threads 4
-
-# The paper's full methodology (60 s windows): every table and figure.
+# The paper's full methodology (60 s windows): every table and figure, into
+# the git-ignored results_full.txt.
 results:
 	go run ./cmd/docephbench -exp all | tee results_full.txt
 
@@ -99,7 +68,7 @@ cover:
 # Traced benchmark: per-stage CPU/latency tables for both deployments plus
 # Chrome trace_event JSON for chrome://tracing or ui.perfetto.dev.
 trace:
-	go run ./cmd/docephbench -trace -quick -trace-out trace
+	go run ./cmd/docephbench -exp trace -quick -trace-out trace
 
 # Go micro-benchmarks (wire codec, heap, etc.).
 microbench:

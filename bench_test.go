@@ -20,14 +20,16 @@ import (
 // the same deterministic simulation.
 var (
 	sweepOnce sync.Once
-	sweepRows []SizeComparison
+	sweepRows [][]runResult // per size: Baseline, DoCeph
 	sweepErr  error
 )
 
-func sweep(b *testing.B) []SizeComparison {
+func sweep(b *testing.B) [][]runResult {
 	b.Helper()
 	sweepOnce.Do(func() {
-		sweepRows, sweepErr = RunSizeSweep(QuickOptions(), nil)
+		var rs []runResult
+		rs, sweepErr = runCells(QuickOptions(), versus(PaperSizes, BenchConfig{}))
+		sweepRows = groups(rs, 2)
 	})
 	if sweepErr != nil {
 		b.Fatal(sweepErr)
@@ -37,44 +39,44 @@ func sweep(b *testing.B) []SizeComparison {
 
 var (
 	profOnce sync.Once
-	prof     MessengerProfileResult
+	prof     []runResult // 1 Gbps, 100 Gbps
 	profErr  error
 )
 
-func profile(b *testing.B) MessengerProfileResult {
+func profile(b *testing.B) (oneG, hundredG runResult) {
 	b.Helper()
 	profOnce.Do(func() {
-		prof, profErr = RunMessengerProfile(QuickOptions())
+		prof, profErr = runCells(QuickOptions(), profileCells)
 	})
 	if profErr != nil {
 		b.Fatal(profErr)
 	}
-	return prof
+	return prof[0], prof[1]
 }
 
 func BenchmarkFig5_CPUBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		p := profile(b)
-		b.ReportMetric(p.HundredG.MsgrShare*100, "msgr-share-%")
-		b.ReportMetric(p.HundredG.SingleCoreUtil*100, "ceph-cpu-100G-%")
-		b.ReportMetric(p.OneG.SingleCoreUtil*100, "ceph-cpu-1G-%")
+		oneG, hundredG := profile(b)
+		b.ReportMetric(hundredG.msgrShare*100, "msgr-share-%")
+		b.ReportMetric(hundredG.hostUtil*100, "ceph-cpu-100G-%")
+		b.ReportMetric(oneG.hostUtil*100, "ceph-cpu-1G-%")
 	}
 }
 
 func BenchmarkFig6_ThroughputByLink(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		p := profile(b)
-		b.ReportMetric(p.OneG.ThroughputMBps, "MBps-1G")
-		b.ReportMetric(p.HundredG.ThroughputMBps, "MBps-100G")
+		oneG, hundredG := profile(b)
+		b.ReportMetric(oneG.mbps(), "MBps-1G")
+		b.ReportMetric(hundredG.mbps(), "MBps-100G")
 	}
 }
 
 func BenchmarkTable2_ContextSwitches(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		p := profile(b)
+		_, p := profile(b)
 		ratio := 0.0
-		if p.HundredG.ObjSwitches > 0 {
-			ratio = float64(p.HundredG.MsgrSwitches) / float64(p.HundredG.ObjSwitches)
+		if p.objSw > 0 {
+			ratio = float64(p.msgrSw) / float64(p.objSw)
 		}
 		b.ReportMetric(ratio, "msgr/objstore-switch-ratio")
 	}
@@ -83,73 +85,76 @@ func BenchmarkTable2_ContextSwitches(b *testing.B) {
 func BenchmarkFig7_HostCPU(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := sweep(b)
-		b.ReportMetric(rows[0].BaselineUtil*100, "baseline-1MB-%")
-		b.ReportMetric(rows[0].DoCephUtil*100, "doceph-1MB-%")
-		b.ReportMetric(rows[len(rows)-1].SavingPct, "saving-16MB-%")
+		last := rows[len(rows)-1]
+		b.ReportMetric(rows[0][0].hostUtil*100, "baseline-1MB-%")
+		b.ReportMetric(rows[0][1].hostUtil*100, "doceph-1MB-%")
+		b.ReportMetric(pctUnder(last[1].hostUtil, last[0].hostUtil), "saving-16MB-%")
 	}
 }
 
 func BenchmarkFig8_Latency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := sweep(b)
-		b.ReportMetric(rows[0].BaselineLat.Seconds(), "baseline-1MB-s")
-		b.ReportMetric(rows[0].DoCephLat.Seconds(), "doceph-1MB-s")
-		b.ReportMetric(rows[len(rows)-1].DoCephLat.Seconds(), "doceph-16MB-s")
+		b.ReportMetric(rows[0][0].bench.AvgLatency.Seconds(), "baseline-1MB-s")
+		b.ReportMetric(rows[0][1].bench.AvgLatency.Seconds(), "doceph-1MB-s")
+		b.ReportMetric(rows[len(rows)-1][1].bench.AvgLatency.Seconds(), "doceph-16MB-s")
 	}
 }
 
 func BenchmarkTable3_LatencyBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := sweep(b)
-		b.ReportMetric(rows[0].Breakdown.DMAWait.Seconds(), "dmawait-1MB-s")
-		b.ReportMetric(rows[0].Breakdown.HostWrite.Seconds(), "hostwrite-1MB-s")
-		b.ReportMetric(rows[0].Breakdown.DMA.Seconds(), "dma-1MB-s")
+		hostWrite, dma, dmaWait, _, _ := rows[0][1].phases()
+		b.ReportMetric(dmaWait.Seconds(), "dmawait-1MB-s")
+		b.ReportMetric(hostWrite.Seconds(), "hostwrite-1MB-s")
+		b.ReportMetric(dma.Seconds(), "dma-1MB-s")
 	}
 }
 
 func BenchmarkFig9_NormalizedBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := sweep(b)
-		first, last := rows[0].Breakdown, rows[len(rows)-1].Breakdown
-		b.ReportMetric(first.DMAWait.Seconds()/first.Total.Seconds()*100, "dmawait-share-1MB-%")
-		b.ReportMetric(last.DMAWait.Seconds()/last.Total.Seconds()*100, "dmawait-share-16MB-%")
+		_, _, firstWait, _, firstTotal := rows[0][1].phases()
+		_, _, lastWait, _, lastTotal := rows[len(rows)-1][1].phases()
+		b.ReportMetric(firstWait.Seconds()/firstTotal.Seconds()*100, "dmawait-share-1MB-%")
+		b.ReportMetric(lastWait.Seconds()/lastTotal.Seconds()*100, "dmawait-share-16MB-%")
 	}
 }
 
 func BenchmarkFig10_IOPS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := sweep(b)
-		b.ReportMetric(rows[0].BaselineIOPS, "baseline-1MB-iops")
-		b.ReportMetric(rows[0].DoCephIOPS, "doceph-1MB-iops")
-		b.ReportMetric(rows[len(rows)-1].DoCephIOPS, "doceph-16MB-iops")
+		b.ReportMetric(rows[0][0].bench.IOPS(), "baseline-1MB-iops")
+		b.ReportMetric(rows[0][1].bench.IOPS(), "doceph-1MB-iops")
+		b.ReportMetric(rows[len(rows)-1][1].bench.IOPS(), "doceph-16MB-iops")
 	}
 }
 
 func BenchmarkExtension_ReadPath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := RunReadSweep(QuickOptions(), []int64{4 << 20})
+		rs, err := runCells(QuickOptions(), readCells(QuickOptions().Threads, []int64{4 << 20}))
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(rows[0].BaselineIOPS, "baseline-read-iops")
-		b.ReportMetric(rows[0].DoCephIOPS, "doceph-read-iops")
+		b.ReportMetric(rs[0].bench.IOPS(), "baseline-read-iops")
+		b.ReportMetric(rs[1].bench.IOPS(), "doceph-read-iops")
 	}
 }
 
 func BenchmarkAblation_DesignChoices(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := RunAblations(QuickOptions())
+		rs, err := runCells(QuickOptions(), ablationCells())
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, r := range rows {
-			switch r.Name {
+		for _, r := range rs {
+			switch r.cell.name {
 			case "doceph (full design)":
-				b.ReportMetric(r.AvgLatency.Seconds(), "full-lat-s")
+				b.ReportMetric(r.bench.AvgLatency.Seconds(), "full-lat-s")
 			case "no pipelining":
-				b.ReportMetric(r.AvgLatency.Seconds(), "nopipe-lat-s")
+				b.ReportMetric(r.bench.AvgLatency.Seconds(), "nopipe-lat-s")
 			case "no MR cache":
-				b.ReportMetric(r.AvgLatency.Seconds(), "nomrcache-lat-s")
+				b.ReportMetric(r.bench.AvgLatency.Seconds(), "nomrcache-lat-s")
 			}
 		}
 	}
@@ -174,22 +179,25 @@ func BenchmarkSimulatorOpsRate(b *testing.B) {
 
 func BenchmarkStability_PerSecondThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := RunStability(QuickOptions(), 4<<20)
+		rs, err := runCells(QuickOptions(), versus([]int64{4 << 20}, BenchConfig{}))
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.Baseline.StddevPct, "baseline-cv-%")
-		b.ReportMetric(r.DoCeph.StddevPct, "doceph-cv-%")
+		_, _, baseCV := rs[0].perSecond()
+		_, _, dcCV := rs[1].perSecond()
+		b.ReportMetric(baseCV, "baseline-cv-%")
+		b.ReportMetric(dcCV, "doceph-cv-%")
 	}
 }
 
 func BenchmarkExtension_ScaleOut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := RunScaleSweep(QuickOptions(), []int{2, 4})
+		rs, err := runCells(QuickOptions(), scaleCells(QuickOptions().Threads, []int{2, 4}))
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(rows[len(rows)-1].SavingPct, "saving-at-scale-%")
-		b.ReportMetric(rows[len(rows)-1].DoCephMBps, "doceph-MBps-at-scale")
+		base, dc := rs[len(rs)-2], rs[len(rs)-1]
+		b.ReportMetric(pctUnder(dc.hostUtilPerNode(), base.hostUtilPerNode()), "saving-at-scale-%")
+		b.ReportMetric(dc.mbps(), "doceph-MBps-at-scale")
 	}
 }

@@ -7,8 +7,8 @@ import (
 
 // chaosOpts keeps the chaos runs CI-sized: the default plan scales its
 // windows to the duration, so the shape is preserved.
-func chaosOpts() ChaosOptions {
-	return ChaosOptions{Duration: 30 * Second, Threads: 4, ObjectBytes: 256 << 10, Seed: 42}
+func chaosOpts() Options {
+	return Options{Duration: 30 * Second, Threads: 4, ObjectBytes: 256 << 10, Seed: 42}
 }
 
 // TestChaosRunCompletes is the headline robustness check: under the full
@@ -20,7 +20,7 @@ func TestChaosRunCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []ChaosModeResult{r.Baseline, r.DoCeph} {
+	for _, m := range []FaultRun{r.Baseline, r.DoCeph} {
 		if m.Ops == 0 {
 			t.Fatalf("%s: no ops issued", m.Mode)
 		}
@@ -56,7 +56,7 @@ func TestChaosRunCompletes(t *testing.T) {
 // TestChaosDeterminism asserts the reproducibility contract: the same seed
 // and the same plan produce byte-identical results across two full runs.
 func TestChaosDeterminism(t *testing.T) {
-	opts := ChaosOptions{Duration: 12 * Second, Threads: 4, ObjectBytes: 256 << 10, Seed: 7}
+	opts := Options{Duration: 12 * Second, Threads: 4, ObjectBytes: 256 << 10, Seed: 7}
 	a, err := RunChaos(opts, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -13,14 +13,14 @@
 //	})
 //	fmt.Println(res, cl.HostCPUMerged().SingleCoreUtilization())
 //
-// The Experiments API (experiments.go) regenerates every table and figure
-// of the paper's evaluation; see EXPERIMENTS.md for measured-vs-paper
+// The experiment registry (registry.go; Experiment, Select, Options) holds
+// every table and figure of the paper's evaluation plus the extensions —
+// cmd/docephbench is a loop over it; see EXPERIMENTS.md for measured-vs-paper
 // numbers.
 package doceph
 
 import (
 	"doceph/internal/cluster"
-	"doceph/internal/core"
 	"doceph/internal/radosbench"
 	"doceph/internal/sim"
 )
@@ -50,9 +50,6 @@ type (
 	// ClassStats carries per-op-class (read or write) metrics of a mixed
 	// workload.
 	ClassStats = radosbench.ClassStats
-	// BatchConfig tunes the DPU data path's adaptive small-op batching
-	// (off by default; see core.BatchConfig).
-	BatchConfig = core.BatchConfig
 	// Duration is virtual time in nanoseconds.
 	Duration = sim.Duration
 )
@@ -82,9 +79,6 @@ const (
 
 // NewCluster assembles a simulated testbed.
 func NewCluster(cfg ClusterConfig) *Cluster { return cluster.New(cfg) }
-
-// DefaultBatchConfig returns the enabled batching defaults.
-func DefaultBatchConfig() BatchConfig { return core.DefaultBatchConfig() }
 
 // RunBench executes a closed-loop benchmark against cl's client and returns
 // its measurements. If cfg.OnWarmupEnd is nil, the cluster's host-CPU

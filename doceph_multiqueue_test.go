@@ -2,6 +2,7 @@ package doceph
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -137,30 +138,40 @@ func TestMetamorphicMultiQueuePreservesSemantics(t *testing.T) {
 // identical, sweep-ordered results. Run under -race (the CI smoke does)
 // this also exercises the runner's only cross-goroutine state.
 func TestParallelRunnerDeterministicOrderedOutput(t *testing.T) {
-	opts := ExpOptions{Duration: 400 * Millisecond, Warmup: 100 * Millisecond,
+	opts := Options{Duration: 400 * Millisecond, Warmup: 100 * Millisecond,
 		Threads: 4, Seed: 42}
 	queues := []int{1, 2}
 	sizes := []int64{8 << 10}
-	a, err := RunMultiQueueSweep(opts, queues, sizes)
+	a, err := runCells(opts, mqCells(queues, sizes))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMultiQueueSweep(opts, queues, sizes)
+	b, err := runCells(opts, mqCells(queues, sizes))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(a) != len(queues)*len(sizes) {
 		t.Fatalf("got %d cells", len(a))
 	}
+	// A runResult carries its cell (funcs, not comparable): compare what the
+	// table prints plus the raw measurements behind it.
+	same := func(x, y runResult) bool {
+		return reflect.DeepEqual(x.bench, y.bench) && x.hostUtil == y.hostUtil &&
+			x.batchedTxns == y.batchedTxns && x.batchFlushes == y.batchFlushes &&
+			x.engQueues == y.engQueues && x.engOccupancy == y.engOccupancy
+	}
 	for i := range a {
-		if a[i] != b[i] {
+		if !same(a[i], b[i]) {
 			t.Errorf("cell %d differs across runs:\n 1: %+v\n 2: %+v", i, a[i], b[i])
 		}
-		if a[i].Queues != queues[i%len(queues)] || a[i].SizeBytes != sizes[i/len(queues)] {
+		if a[i].engQueues != queues[i%len(queues)] || a[i].cell.size != sizes[i/len(queues)] {
 			t.Errorf("cell %d out of sweep order: %+v", i, a[i])
 		}
-		if a[i].IOPS <= 0 {
+		if a[i].bench.IOPS() <= 0 {
 			t.Errorf("cell %d empty: %+v", i, a[i])
 		}
+	}
+	if x, y := mqTables(a)[0].String(), mqTables(b)[0].String(); x != y {
+		t.Errorf("tables differ across runs:\n%s\n%s", x, y)
 	}
 }

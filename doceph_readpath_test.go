@@ -252,7 +252,7 @@ func TestMultiSeedDeterminismBlockDevice(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
-			run := func() BlockDeviceResult {
+			run := func() blockDeviceRun {
 				res, err := runBlockDeviceCell(DoCeph, true, seed)
 				if err != nil {
 					t.Fatal(err)

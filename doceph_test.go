@@ -3,13 +3,27 @@ package doceph
 import (
 	"testing"
 
+	"doceph/internal/report"
 	"doceph/internal/sim"
 	"doceph/internal/wire"
 )
 
 // tinyOpts keeps the experiment API tests fast while preserving shapes.
-func tinyOpts() ExpOptions {
-	return ExpOptions{Duration: 3 * Second, Warmup: Second, Threads: 8, Seed: 42}
+func tinyOpts() Options {
+	return Options{Duration: 3 * Second, Warmup: Second, Threads: 8, Seed: 42}
+}
+
+// nonEmpty asserts that tables render without panicking and carry rows.
+func nonEmpty(t *testing.T, tables []*report.Table) {
+	t.Helper()
+	if len(tables) == 0 {
+		t.Fatal("no tables")
+	}
+	for _, tb := range tables {
+		if len(tb.Rows) == 0 || len(tb.String()) == 0 {
+			t.Fatalf("empty table %q", tb.Title)
+		}
+	}
 }
 
 func TestPublicQuickstartFlow(t *testing.T) {
@@ -56,107 +70,101 @@ func TestRunBenchResetsStatsAtWarmup(t *testing.T) {
 }
 
 func TestSizeSweepPaperShape(t *testing.T) {
-	rows, err := RunSizeSweep(tinyOpts(), []int64{1 << 20, 8 << 20})
+	rs, err := runCells(tinyOpts(), versus([]int64{1 << 20, 8 << 20}, BenchConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := groups(rs, 2)
 	if len(rows) != 2 {
 		t.Fatalf("rows=%d", len(rows))
 	}
-	for _, r := range rows {
+	for _, g := range rows {
+		base, dc, mb := g[0], g[1], g[0].cell.size>>20
 		// The headline claim: order-of-magnitude host CPU savings.
-		if r.DoCephUtil > r.BaselineUtil/4 {
-			t.Fatalf("%dMB: DoCeph %.3f vs baseline %.3f", r.SizeBytes>>20,
-				r.DoCephUtil, r.BaselineUtil)
+		if dc.hostUtil > base.hostUtil/4 {
+			t.Fatalf("%dMB: DoCeph %.3f vs baseline %.3f", mb, dc.hostUtil, base.hostUtil)
 		}
-		if r.SavingPct < 75 {
-			t.Fatalf("%dMB saving=%.1f%%", r.SizeBytes>>20, r.SavingPct)
+		if saving := pctUnder(dc.hostUtil, base.hostUtil); saving < 75 {
+			t.Fatalf("%dMB saving=%.1f%%", mb, saving)
 		}
-		if r.BaselineIOPS <= 0 || r.DoCephIOPS <= 0 {
-			t.Fatalf("iops=%v/%v", r.BaselineIOPS, r.DoCephIOPS)
+		if base.bench.IOPS() <= 0 || dc.bench.IOPS() <= 0 {
+			t.Fatalf("iops=%v/%v", base.bench.IOPS(), dc.bench.IOPS())
 		}
-		b := r.Breakdown
-		if b.Total <= 0 || b.HostWrite <= 0 || b.DMA <= 0 {
-			t.Fatalf("breakdown=%+v", b)
+		hostWrite, dma, dmaWait, _, total := dc.phases()
+		if total <= 0 || hostWrite <= 0 || dma <= 0 {
+			t.Fatalf("breakdown=%v/%v/%v of %v", hostWrite, dma, dmaWait, total)
 		}
-		if b.HostWrite+b.DMA+b.DMAWait > b.Total {
-			t.Fatalf("%dMB phases exceed total: %+v", r.SizeBytes>>20, b)
+		if hostWrite+dma+dmaWait > total {
+			t.Fatalf("%dMB phases exceed total: %v+%v+%v > %v", mb, hostWrite, dma, dmaWait, total)
 		}
 	}
 	// 1 MB pays a larger relative penalty than 8 MB (pipelining).
 	small, large := rows[0], rows[1]
-	smallGap := 1 - small.DoCephIOPS/small.BaselineIOPS
-	largeGap := 1 - large.DoCephIOPS/large.BaselineIOPS
+	smallGap := 1 - small[1].bench.IOPS()/small[0].bench.IOPS()
+	largeGap := 1 - large[1].bench.IOPS()/large[0].bench.IOPS()
 	if smallGap <= largeGap {
 		t.Fatalf("gap did not shrink with size: 1MB %.2f vs 8MB %.2f", smallGap, largeGap)
 	}
 	// Baseline CPU falls with size; DoCeph stays flat(ish).
-	if small.BaselineUtil <= large.BaselineUtil {
+	if small[0].hostUtil <= large[0].hostUtil {
 		t.Fatalf("baseline util should fall with size: %.3f -> %.3f",
-			small.BaselineUtil, large.BaselineUtil)
+			small[0].hostUtil, large[0].hostUtil)
 	}
 }
 
 func TestMessengerProfilePaperShape(t *testing.T) {
-	p, err := RunMessengerProfile(tinyOpts())
+	rs, err := runCells(tinyOpts(), profileCells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, lp := range []LinkProfile{p.OneG, p.HundredG} {
-		if lp.MsgrShare < 0.6 {
-			t.Fatalf("%s messenger share=%.2f, must dominate", lp.LinkName, lp.MsgrShare)
+	oneG, hundredG := rs[0], rs[1]
+	for _, lp := range rs {
+		if lp.msgrShare < 0.6 {
+			t.Fatalf("%s messenger share=%.2f, must dominate", lp.cell.name, lp.msgrShare)
 		}
 	}
 	// 100G moves much more data yet the messenger share stays ~constant —
 	// the paper's CPU-bound (not link-bound) argument.
-	if p.HundredG.ThroughputMBps < 3*p.OneG.ThroughputMBps {
-		t.Fatalf("throughputs %v vs %v", p.OneG.ThroughputMBps, p.HundredG.ThroughputMBps)
+	if hundredG.mbps() < 3*oneG.mbps() {
+		t.Fatalf("throughputs %v vs %v", oneG.mbps(), hundredG.mbps())
 	}
-	diff := p.HundredG.MsgrShare - p.OneG.MsgrShare
+	diff := hundredG.msgrShare - oneG.msgrShare
 	if diff < -0.1 || diff > 0.1 {
 		t.Fatalf("messenger share not link-invariant: %.2f vs %.2f",
-			p.OneG.MsgrShare, p.HundredG.MsgrShare)
+			oneG.msgrShare, hundredG.msgrShare)
 	}
-	if p.HundredG.MsgrSwitches < 4*p.HundredG.ObjSwitches {
-		t.Fatalf("switch ratio too small: %d vs %d",
-			p.HundredG.MsgrSwitches, p.HundredG.ObjSwitches)
+	if hundredG.msgrSw < 4*hundredG.objSw {
+		t.Fatalf("switch ratio too small: %d vs %d", hundredG.msgrSw, hundredG.objSw)
 	}
-	// Tables render without panicking and carry the rows.
-	for _, tb := range []interface{ String() string }{
-		p.Fig5Table(), p.Fig6Table(), p.Table2(),
-	} {
-		if len(tb.String()) == 0 {
-			t.Fatal("empty table")
-		}
+	if tables := profileTables(rs); len(tables) != 3 {
+		t.Fatalf("want Figure 5, Figure 6 and Table 2, got %d tables", len(tables))
+	} else {
+		nonEmpty(t, tables)
 	}
 }
 
 func TestReadSweepConverges(t *testing.T) {
-	rows, err := RunReadSweep(tinyOpts(), []int64{1 << 20, 8 << 20})
+	rs, err := runCells(tinyOpts(), readCells(tinyOpts().Threads, []int64{1 << 20, 8 << 20}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	smallGap := 1 - rows[0].DoCephIOPS/rows[0].BaselineIOPS
-	largeGap := 1 - rows[1].DoCephIOPS/rows[1].BaselineIOPS
+	smallGap := 1 - rs[1].bench.IOPS()/rs[0].bench.IOPS()
+	largeGap := 1 - rs[3].bench.IOPS()/rs[2].bench.IOPS()
 	if smallGap <= largeGap {
 		t.Fatalf("read gap did not shrink: %.2f -> %.2f", smallGap, largeGap)
 	}
-	if len(ReadTable(rows).String()) == 0 {
-		t.Fatal("empty read table")
-	}
+	nonEmpty(t, readTables(rs))
 }
 
 func TestSweepTablesRender(t *testing.T) {
-	rows, err := RunSizeSweep(tinyOpts(), []int64{1 << 20})
+	rs, err := runCells(tinyOpts(), versus([]int64{1 << 20}, BenchConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tb := range []interface{ String() string }{
-		Fig7Table(rows), Fig8Table(rows), Table3(rows), Fig9Table(rows), Fig10Table(rows),
-	} {
-		if len(tb.String()) == 0 {
-			t.Fatal("empty table")
-		}
+	if tables := sweepTables(rs); len(tables) != 5 {
+		t.Fatalf("want Figures 7-10 and Table 3, got %d tables", len(tables))
+	} else {
+		nonEmpty(t, tables)
 	}
 }
 
@@ -181,42 +189,41 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestStabilityLowVariance(t *testing.T) {
-	r, err := RunStability(ExpOptions{Duration: 5 * Second, Warmup: Second, Threads: 16}, 4<<20)
+	rs, err := runCells(Options{Duration: 5 * Second, Warmup: Second, Threads: 16},
+		versus([]int64{4 << 20}, BenchConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Baseline.MBps) < 4 || len(r.DoCeph.MBps) < 4 {
-		t.Fatalf("series too short: %d/%d", len(r.Baseline.MBps), len(r.DoCeph.MBps))
+	base, _, baseCV := rs[0].perSecond()
+	dc, _, dcCV := rs[1].perSecond()
+	if len(base) < 4 || len(dc) < 4 {
+		t.Fatalf("series too short: %d/%d", len(base), len(dc))
 	}
 	// The abstract's claim: stable throughput. Coefficient of variation
 	// under 10% for both deployments.
-	if r.Baseline.StddevPct > 10 || r.DoCeph.StddevPct > 10 {
-		t.Fatalf("unstable: baseline cv=%.1f%% doceph cv=%.1f%%",
-			r.Baseline.StddevPct, r.DoCeph.StddevPct)
+	if baseCV > 10 || dcCV > 10 {
+		t.Fatalf("unstable: baseline cv=%.1f%% doceph cv=%.1f%%", baseCV, dcCV)
 	}
-	if len(StabilityTable(r).String()) == 0 {
-		t.Fatal("empty table")
-	}
+	nonEmpty(t, stabilityTables(rs))
 }
 
 func TestScaleSweepSavingsPersist(t *testing.T) {
-	rows, err := RunScaleSweep(ExpOptions{Duration: 3 * Second, Warmup: Second, Threads: 8},
-		[]int{2, 4})
+	rs, err := runCells(Options{Duration: 3 * Second, Warmup: Second, Threads: 8},
+		scaleCells(8, []int{2, 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
-		if r.SavingPct < 75 {
-			t.Fatalf("%d nodes: saving=%.1f%%", r.Nodes, r.SavingPct)
+	rows := groups(rs, 2)
+	for _, g := range rows {
+		if saving := pctUnder(g[1].hostUtilPerNode(), g[0].hostUtilPerNode()); saving < 75 {
+			t.Fatalf("%d nodes: saving=%.1f%%", g[0].nodes, saving)
 		}
 	}
 	// Aggregate throughput grows with the cluster.
-	if rows[1].DoCephMBps < rows[0].DoCephMBps*1.3 {
-		t.Fatalf("throughput did not scale: %v -> %v", rows[0].DoCephMBps, rows[1].DoCephMBps)
+	if rows[1][1].mbps() < rows[0][1].mbps()*1.3 {
+		t.Fatalf("throughput did not scale: %v -> %v", rows[0][1].mbps(), rows[1][1].mbps())
 	}
-	if len(ScaleTable(rows).String()) == 0 {
-		t.Fatal("empty table")
-	}
+	nonEmpty(t, scaleTables(rs))
 }
 
 // TestConclusionRobustToCalibration: the headline result (order-of-magnitude

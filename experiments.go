@@ -2,656 +2,517 @@ package doceph
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"math"
 
-	"doceph/internal/bluestore"
-	"doceph/internal/core"
-	"doceph/internal/messenger"
-	"doceph/internal/osd"
+	"doceph/internal/radosbench"
 	"doceph/internal/report"
-	"doceph/internal/sim"
 )
 
-// ExpOptions controls how long each experiment runs. The paper uses 60 s
-// runs; Quick options keep CI fast while preserving the shapes.
-type ExpOptions struct {
-	Duration Duration
-	Warmup   Duration
-	Threads  int
-	Seed     int64
-	// Batch sets the batching knobs for sweep arms that run with batching
-	// on (RunSmallOpsSweep's third arm). Enable is forced on there; zero
-	// fields take DefaultBatchConfig values.
-	Batch BatchConfig
-	// DMAQueues sets the DPU DMA engine queue count on every DoCeph arm
-	// (0 keeps the default serial engine, queues=1).
-	DMAQueues int
-	// OpShards sets the OSD op-queue shard count on every arm (0 keeps the
-	// default single queue).
-	OpShards int
-	// MsgrLanes sets the per-connection messenger lane count (multi-QP
-	// transport). 0 follows DMAQueues: a multi-queue DoCeph deployment
-	// provisions one messenger lane per DMA queue, the QP-per-queue model.
-	MsgrLanes int
-}
-
-// lanes resolves the effective messenger lane count.
-func (o ExpOptions) lanes() int {
-	if o.MsgrLanes > 0 {
-		return o.MsgrLanes
-	}
-	return o.DMAQueues
-}
-
-// FullOptions mirrors the paper's methodology (60 s runs, 16 clients).
-func FullOptions() ExpOptions {
-	return ExpOptions{Duration: 60 * Second, Warmup: 5 * Second, Threads: 16, Seed: 42}
-}
-
-// QuickOptions is a fast variant for tests and `go test -bench`.
-func QuickOptions() ExpOptions {
-	return ExpOptions{Duration: 8 * Second, Warmup: 2 * Second, Threads: 16, Seed: 42}
-}
-
-func (o ExpOptions) withDefaults() ExpOptions {
-	d := FullOptions()
-	if o.Duration == 0 {
-		o.Duration = d.Duration
-	}
-	if o.Warmup == 0 {
-		o.Warmup = d.Warmup
-	}
-	if o.Threads == 0 {
-		o.Threads = d.Threads
-	}
-	if o.Seed == 0 {
-		o.Seed = d.Seed
-	}
-	return o
-}
-
-// runResult bundles everything one benchmark run yields.
-type runResult struct {
-	bench     BenchResult
-	hostUtil  float64 // single-core normalization (Fig. 5 right axis)
-	msgrShare float64
-	objShare  float64
-	osdShare  float64
-	msgrSw    int64
-	objSw     int64
-	breakdown core.Breakdown
-	// Batching counters, summed over nodes (zero on Baseline / unbatched).
-	batchedTxns  int64
-	batchFlushes int64
-	// Upstream DMA engine accounting, summed over nodes (zero on Baseline):
-	// engBusy is the total queue service time, engQueues the per-node queue
-	// count, engNodes the number of bridges — together they give the engine
-	// occupancy over a run window.
-	engBusy   sim.Duration
-	engQueues int
-	engNodes  int
-	// Streaming counters: streamed client writes summed over OSDs, and the
-	// max per-node DPU staging high-water mark (zero on Baseline).
-	streamWrites int64
-	peakStaging  int64
-}
-
-// engineOccupancy is the fraction of total queue capacity the upstream
-// engines spent servicing transfers over window.
-func (r runResult) engineOccupancy(window sim.Duration) float64 {
-	den := float64(r.engQueues) * float64(r.engNodes) * float64(window)
-	if den <= 0 {
-		return 0
-	}
-	return float64(r.engBusy) / den
-}
-
-// runWorkload builds a fresh cluster and executes one benchmark on it.
-func runWorkload(mode Mode, linkBps float64, size int64, op BenchConfig, opts ExpOptions) (runResult, error) {
-	return runWorkloadCfg(mode, linkBps, size, op, opts, nil)
-}
-
-// runWorkloadCfg is runWorkload with a cluster-config mutator, for arms that
-// flip mechanism knobs (batching, channels, ...) on an otherwise identical
-// testbed.
-func runWorkloadCfg(mode Mode, linkBps float64, size int64, op BenchConfig,
-	opts ExpOptions, mut func(*ClusterConfig)) (runResult, error) {
-	cfg := ClusterConfig{Mode: mode, LinkBytesPerSec: linkBps, Seed: opts.Seed}
-	cfg.Bridge.Engine.Queues = opts.DMAQueues
-	cfg.OSD.OpShards = opts.OpShards
-	cfg.Messenger.Lanes = opts.lanes()
-	if mut != nil {
-		mut(&cfg)
-	}
-	cl := NewCluster(cfg)
-	defer cl.Shutdown()
-	op.Threads = opts.Threads
-	op.ObjectBytes = size
-	op.Duration = opts.Duration
-	op.Warmup = opts.Warmup
-	op.OnWarmupEnd = cl.ResetHostStats
-	bench, err := RunBench(cl, op)
-	if err != nil {
-		return runResult{}, err
-	}
-	m := cl.HostCPUMerged()
-	r := runResult{
-		bench:     bench,
-		hostUtil:  m.SingleCoreUtilization(),
-		msgrShare: m.ShareOf(messenger.ThreadCat),
-		objShare:  m.ShareOf(bluestore.ThreadCat),
-		osdShare:  m.ShareOf(osd.ThreadCat),
-		msgrSw:    m.SwitchesByCat[messenger.ThreadCat],
-		objSw:     m.SwitchesByCat[bluestore.ThreadCat],
-		breakdown: cl.ProxyBreakdownMerged(),
-	}
-	for _, n := range cl.Nodes {
-		r.streamWrites += n.OSD.Stats().StreamWrites
-		if n.Bridge != nil {
-			st := n.Bridge.Proxy.Stats()
-			r.batchedTxns += st.BatchedTxns
-			r.batchFlushes += st.BatchFlushes
-			if st.PeakStagingBytes > r.peakStaging {
-				r.peakStaging = st.PeakStagingBytes
-			}
-			r.engBusy += n.Bridge.EngUp.Stats().Busy
-			r.engQueues = n.Bridge.EngUp.NumQueues()
-			r.engNodes++
-		}
-	}
-	return r, nil
-}
-
-// runParallel executes n independent simulation cells on up to GOMAXPROCS
-// OS goroutines. Every cell builds its own cluster (its own sim.Env and
-// seeded RNG), so results are bit-identical to the sequential order no
-// matter how the host scheduler interleaves them; callers store results by
-// index, keeping output ordering deterministic. The lowest-index error is
-// returned so failure reporting is deterministic too.
-func runParallel(n int, cell func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = cell(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// The grid experiments: each is a cell list (what to run) and a renderer over
+// the cells' results (what to print), glued by grid() in the registry.
 
 // ---------------------------------------------------------------------------
-// Figure 5 + Figure 6 + Table 2: baseline messenger profile at 1G vs 100G.
+// Figure 5 + Figure 6 + Table 2: baseline messenger profile at 1G vs 100G
+// (§5.2): 4 MB writes, per-component CPU shares, throughput, context switches.
 
-// LinkProfile is one bar group of Figure 5 plus the matching Figure 6 and
-// Table 2 columns.
-type LinkProfile struct {
-	LinkName       string
-	MsgrShare      float64
-	ObjShare       float64
-	OSDShare       float64
-	SingleCoreUtil float64
-	ThroughputMBps float64
-	MsgrSwitches   int64
-	ObjSwitches    int64
+var profileCells = []cell{
+	{name: "1Gbps", mode: Baseline, link: Link1G, size: 4 << 20},
+	{name: "100Gbps", mode: Baseline, link: Link100G, size: 4 << 20},
 }
 
-// MessengerProfileResult holds both link configurations.
-type MessengerProfileResult struct {
-	OneG     LinkProfile
-	HundredG LinkProfile
-}
+func profileTables(rs []runResult) []*report.Table {
+	link := col("link", func(r runResult) string { return r.cell.name })
+	fig5 := table("Figure 5: CPU usage breakdown by component (Baseline, 4MB writes)", []column{
+		link,
+		col("Messenger", func(r runResult) string { return report.Pct(r.msgrShare) }),
+		col("ObjectStore", func(r runResult) string { return report.Pct(r.objShare) }),
+		col("OSD threads", func(r runResult) string { return report.Pct(r.osdShare) }),
+		col("total Ceph CPU (1-core norm)", func(r runResult) string { return report.Pct(r.hostUtil) }),
+	}, groups(rs, 1), "paper: Messenger 81.05% (1G) / 82.48% (100G); total 24% -> 70.08%")
+	fig6 := table("Figure 6: Throughput under 1Gbps vs 100Gbps (Baseline, 4MB writes)", []column{
+		link,
+		col("throughput MB/s", func(r runResult) string { return report.F2(r.mbps()) }),
+	}, groups(rs, 1), "paper shape: 1G link-bound (~110 MB/s), 100G disk-bound (~470 MB/s)")
 
-// RunMessengerProfile reproduces the §5.2 methodology: baseline cluster,
-// 4 MB writes, 1 Gbps vs 100 Gbps, measuring per-component CPU shares
-// (Fig. 5), throughput (Fig. 6) and context switches (Table 2).
-func RunMessengerProfile(opts ExpOptions) (MessengerProfileResult, error) {
-	opts = opts.withDefaults()
-	var out MessengerProfileResult
-	links := []struct {
-		name string
-		bps  float64
-		dst  *LinkProfile
-	}{
-		{"1Gbps", Link1G, &out.OneG},
-		{"100Gbps", Link100G, &out.HundredG},
+	p := rs[1]
+	ratio := 0.0
+	if p.objSw > 0 {
+		ratio = float64(p.msgrSw) / float64(p.objSw)
 	}
-	err := runParallel(len(links), func(i int) error {
-		link := links[i]
-		r, err := runWorkload(Baseline, link.bps, 4<<20, BenchConfig{}, opts)
-		if err != nil {
-			return fmt.Errorf("profile %s: %w", link.name, err)
-		}
-		*link.dst = LinkProfile{
-			LinkName:       link.name,
-			MsgrShare:      r.msgrShare,
-			ObjShare:       r.objShare,
-			OSDShare:       r.osdShare,
-			SingleCoreUtil: r.hostUtil,
-			ThroughputMBps: r.bench.ThroughputBps() / 1e6,
-			MsgrSwitches:   r.msgrSw,
-			ObjSwitches:    r.objSw,
-		}
-		return nil
-	})
-	return out, err
-}
-
-// Fig5Table renders the CPU-share breakdown (paper: messenger ~81%/82.5%,
-// total 24% -> 70% of one core).
-func (r MessengerProfileResult) Fig5Table() *report.Table {
-	t := &report.Table{
-		Title:  "Figure 5: CPU usage breakdown by component (Baseline, 4MB writes)",
-		Header: []string{"link", "Messenger", "ObjectStore", "OSD threads", "total Ceph CPU (1-core norm)"},
-	}
-	for _, p := range []LinkProfile{r.OneG, r.HundredG} {
-		t.AddRow(p.LinkName, report.Pct(p.MsgrShare), report.Pct(p.ObjShare),
-			report.Pct(p.OSDShare), report.Pct(p.SingleCoreUtil))
-	}
-	t.AddNote("paper: Messenger 81.05%% (1G) / 82.48%% (100G); total 24%% -> 70.08%%")
-	return t
-}
-
-// Fig6Table renders throughput under both links.
-func (r MessengerProfileResult) Fig6Table() *report.Table {
-	t := &report.Table{
-		Title:  "Figure 6: Throughput under 1Gbps vs 100Gbps (Baseline, 4MB writes)",
-		Header: []string{"link", "throughput MB/s"},
-	}
-	for _, p := range []LinkProfile{r.OneG, r.HundredG} {
-		t.AddRow(p.LinkName, report.F2(p.ThroughputMBps))
-	}
-	t.AddNote("paper shape: 1G link-bound (~110 MB/s), 100G disk-bound (~470 MB/s)")
-	return t
-}
-
-// Table2 renders the context-switch comparison (paper: 7475 vs 751, 9.95x).
-func (r MessengerProfileResult) Table2() *report.Table {
-	t := &report.Table{
+	table2 := &report.Table{
 		Title:  "Table 2: Context switches, Messenger vs ObjectStore (Baseline, 100Gbps)",
 		Header: []string{"component", "context switches", "ratio"},
+		Notes:  []string{"paper: 7475 vs 751 (9.95x)"},
 	}
-	p := r.HundredG
-	ratio := 0.0
-	if p.ObjSwitches > 0 {
-		ratio = float64(p.MsgrSwitches) / float64(p.ObjSwitches)
-	}
-	t.AddRow("Messenger", fmt.Sprint(p.MsgrSwitches), report.F2(ratio)+"x")
-	t.AddRow("ObjectStore", fmt.Sprint(p.ObjSwitches), "1x")
-	t.AddNote("paper: 7475 vs 751 (9.95x)")
-	return t
+	table2.AddRow("Messenger", fmt.Sprint(p.msgrSw), report.F2(ratio)+"x")
+	table2.AddRow("ObjectStore", fmt.Sprint(p.objSw), "1x")
+	return []*report.Table{fig5, fig6, table2}
 }
 
 // ---------------------------------------------------------------------------
-// Figures 7, 8, 10 and Table 3 / Figure 9: baseline vs DoCeph size sweep.
-
-// BreakdownRow is Table 3's per-size phase decomposition.
-type BreakdownRow struct {
-	HostWrite sim.Duration
-	DMA       sim.Duration
-	DMAWait   sim.Duration
-	Others    sim.Duration
-	Total     sim.Duration
-}
-
-// SizeComparison is one request-size column of Figures 7/8/10.
-type SizeComparison struct {
-	SizeBytes    int64
-	BaselineUtil float64
-	DoCephUtil   float64
-	SavingPct    float64
-	BaselineLat  sim.Duration
-	DoCephLat    sim.Duration
-	BaselineIOPS float64
-	DoCephIOPS   float64
-	Breakdown    BreakdownRow
-}
+// Figures 7, 8, 10 and Table 3 / Figure 9: baseline vs DoCeph size sweep
+// (§5.3/§5.4).
 
 // PaperSizes are the request sizes of §5.1.
 var PaperSizes = []int64{1 << 20, 4 << 20, 8 << 20, 16 << 20}
 
-// RunSizeSweep reproduces the §5.3/§5.4 comparison across request sizes for
-// both deployments.
-func RunSizeSweep(opts ExpOptions, sizes []int64) ([]SizeComparison, error) {
-	opts = opts.withDefaults()
-	if len(sizes) == 0 {
-		sizes = PaperSizes
-	}
-	// Flatten the (size x deployment) grid into independent parallel cells.
-	cells := make([]runResult, 2*len(sizes))
-	err := runParallel(len(cells), func(i int) error {
-		size, arm := sizes[i/2], i%2
-		mode, name := Baseline, "baseline"
-		if arm == 1 {
-			mode, name = DoCeph, "doceph"
-		}
-		r, err := runWorkload(mode, Link100G, size, BenchConfig{}, opts)
-		if err != nil {
-			return fmt.Errorf("%s %dMB: %w", name, size>>20, err)
-		}
-		cells[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []SizeComparison
-	for si, size := range sizes {
-		base, dc := cells[2*si], cells[2*si+1]
-		sc := SizeComparison{
-			SizeBytes:    size,
-			BaselineUtil: base.hostUtil,
-			DoCephUtil:   dc.hostUtil,
-			BaselineLat:  base.bench.AvgLatency,
-			DoCephLat:    dc.bench.AvgLatency,
-			BaselineIOPS: base.bench.IOPS(),
-			DoCephIOPS:   dc.bench.IOPS(),
-		}
-		if sc.BaselineUtil > 0 {
-			sc.SavingPct = (1 - sc.DoCephUtil/sc.BaselineUtil) * 100
-		}
-		hw, dma, wait := dc.breakdown.Avg()
-		total := dc.bench.AvgLatency
-		others := total - hw - dma - wait
-		if others < 0 {
-			others = 0
-		}
-		sc.Breakdown = BreakdownRow{HostWrite: hw, DMA: dma, DMAWait: wait,
-			Others: others, Total: total}
-		out = append(out, sc)
-	}
-	return out, nil
-}
+// The comparison tables read a row as g[0] = Baseline, g[1] = DoCeph.
+var colSizeOf = column{"size", func(g []runResult) string { return sizeLabel(g[0].cell.size) }}
 
-// Fig7Table renders host CPU utilization per size (paper: 94.2/70.1/68.9/
-// 67.2% baseline vs 5.5/5.75/5.53/5.39% DoCeph).
-func Fig7Table(rows []SizeComparison) *report.Table {
-	t := &report.Table{
-		Title:  "Figure 7: Host CPU usage, Baseline vs DoCeph (1-core norm)",
-		Header: []string{"size", "Baseline", "DoCeph", "saving"},
-	}
-	for _, r := range rows {
-		t.AddRow(report.MB(r.SizeBytes), report.Pct(r.BaselineUtil),
-			report.Pct(r.DoCephUtil), fmt.Sprintf("%.1f%%", r.SavingPct))
-	}
-	t.AddNote("paper: baseline 94.2->67.2%%, DoCeph flat 5.4-5.8%%, savings 91.8-94.2%%")
-	return t
-}
+func sweepTables(rs []runResult) []*report.Table {
+	rows := groups(rs, 2)
+	fig7 := table("Figure 7: Host CPU usage, Baseline vs DoCeph (1-core norm)", []column{
+		colSizeOf,
+		{"Baseline", func(g []runResult) string { return report.Pct(g[0].hostUtil) }},
+		{"DoCeph", func(g []runResult) string { return report.Pct(g[1].hostUtil) }},
+		{"saving", func(g []runResult) string {
+			return fmt.Sprintf("%.1f%%", pctUnder(g[1].hostUtil, g[0].hostUtil))
+		}},
+	}, rows, "paper: baseline 94.2->67.2%, DoCeph flat 5.4-5.8%, savings 91.8-94.2%")
+	fig8 := table("Figure 8: Average write latency (s), Baseline vs DoCeph", []column{
+		colSizeOf,
+		{"Baseline", func(g []runResult) string { return report.F3(g[0].bench.AvgLatency.Seconds()) }},
+		{"DoCeph", func(g []runResult) string { return report.F3(g[1].bench.AvgLatency.Seconds()) }},
+		{"overhead", func(g []runResult) string {
+			return fmt.Sprintf("+%.0f%%", pctOver(g[1].bench.AvgLatency.Seconds(), g[0].bench.AvgLatency.Seconds()))
+		}},
+	}, rows, "paper: 0.03 vs 0.05 s at 1MB (+67%) narrowing to 0.54 vs 0.57 s at 16MB (+6%)")
 
-// Fig8Table renders average latency per size.
-func Fig8Table(rows []SizeComparison) *report.Table {
-	t := &report.Table{
-		Title:  "Figure 8: Average write latency (s), Baseline vs DoCeph",
-		Header: []string{"size", "Baseline", "DoCeph", "overhead"},
+	// Table 3 is transposed: one row per phase, one column per size.
+	phase := func(r runResult, i int) float64 {
+		hw, dma, wait, others, total := r.phases()
+		return []Duration{hw, dma, wait, others, total}[i].Seconds()
 	}
-	for _, r := range rows {
-		over := 0.0
-		if r.BaselineLat > 0 {
-			over = (r.DoCephLat.Seconds()/r.BaselineLat.Seconds() - 1) * 100
-		}
-		t.AddRow(report.MB(r.SizeBytes), report.F3(r.BaselineLat.Seconds()),
-			report.F3(r.DoCephLat.Seconds()), fmt.Sprintf("+%.0f%%", over))
-	}
-	t.AddNote("paper: 0.03 vs 0.05 s at 1MB (+67%%) narrowing to 0.54 vs 0.57 s at 16MB (+6%%)")
-	return t
-}
-
-// Table3 renders DoCeph's latency decomposition.
-func Table3(rows []SizeComparison) *report.Table {
-	t := &report.Table{
+	table3 := &report.Table{
 		Title:  "Table 3: DoCeph average latency breakdown (s)",
-		Header: []string{"phase", "1MB", "4MB", "8MB", "16MB"},
+		Header: []string{"phase"},
+		Notes:  []string{"paper totals: 0.05 / 0.14 / 0.30 / 0.57 s; DMA-wait share 44.8% -> 11.9%"},
 	}
-	get := func(f func(BreakdownRow) sim.Duration) []string {
-		cells := make([]string, 0, len(rows))
-		for _, r := range rows {
-			cells = append(cells, report.F4(f(r.Breakdown).Seconds()))
+	for _, g := range rows {
+		table3.Header = append(table3.Header, sizeLabel(g[1].cell.size))
+	}
+	for i, name := range []string{"Host write", "DMA", "DMA-wait", "Others", "Total Avg.Latency"} {
+		row := []string{name}
+		for _, g := range rows {
+			row = append(row, report.F4(phase(g[1], i)))
 		}
-		return cells
+		table3.AddRow(row...)
 	}
-	t.AddRow(append([]string{"Host write"}, get(func(b BreakdownRow) sim.Duration { return b.HostWrite })...)...)
-	t.AddRow(append([]string{"DMA"}, get(func(b BreakdownRow) sim.Duration { return b.DMA })...)...)
-	t.AddRow(append([]string{"DMA-wait"}, get(func(b BreakdownRow) sim.Duration { return b.DMAWait })...)...)
-	t.AddRow(append([]string{"Others"}, get(func(b BreakdownRow) sim.Duration { return b.Others })...)...)
-	t.AddRow(append([]string{"Total Avg.Latency"}, get(func(b BreakdownRow) sim.Duration { return b.Total })...)...)
-	t.AddNote("paper totals: 0.05 / 0.14 / 0.30 / 0.57 s; DMA-wait share 44.8%% -> 11.9%%")
-	return t
-}
 
-// Fig9Table renders the normalized breakdown.
-func Fig9Table(rows []SizeComparison) *report.Table {
-	t := &report.Table{
-		Title:  "Figure 9: Normalized latency breakdown (share of total)",
-		Header: []string{"size", "Host write", "DMA", "DMA-wait", "Others"},
+	share := func(i int) func(g []runResult) string {
+		return func(g []runResult) string { return report.Pct(phase(g[1], i) / phase(g[1], 4)) }
 	}
-	for _, r := range rows {
-		b := r.Breakdown
-		tot := b.Total.Seconds()
-		if tot <= 0 {
-			continue
-		}
-		t.AddRow(report.MB(r.SizeBytes),
-			report.Pct(b.HostWrite.Seconds()/tot),
-			report.Pct(b.DMA.Seconds()/tot),
-			report.Pct(b.DMAWait.Seconds()/tot),
-			report.Pct(b.Others.Seconds()/tot))
-	}
-	t.AddNote("paper: DMA-wait falls from 44.8%% at 1MB to 11.9%% at 16MB (pipelining)")
-	return t
-}
-
-// Fig10Table renders IOPS per size.
-func Fig10Table(rows []SizeComparison) *report.Table {
-	t := &report.Table{
-		Title:  "Figure 10: Average throughput (IOPS), Baseline vs DoCeph",
-		Header: []string{"size", "Baseline", "DoCeph", "gap"},
-	}
-	for _, r := range rows {
-		gap := 0.0
-		if r.BaselineIOPS > 0 {
-			gap = (1 - r.DoCephIOPS/r.BaselineIOPS) * 100
-		}
-		t.AddRow(report.MB(r.SizeBytes), report.F2(r.BaselineIOPS),
-			report.F2(r.DoCephIOPS), fmt.Sprintf("-%.0f%%", gap))
-	}
-	t.AddNote("paper: 435/304 at 1MB (-30%%) narrowing to 28/27 at 16MB (-4%%)")
-	return t
-}
-
-// ---------------------------------------------------------------------------
-// Extension: small-op IOPS sweep with adaptive batching (Figure 10's gap at
-// the small end, and what coalescing DMA setup buys back).
-
-// SmallOpComparison is one request-size row of the small-op sweep: Baseline
-// against DoCeph with batching off and on.
-type SmallOpComparison struct {
-	SizeBytes    int64
-	BaselineIOPS float64
-	DoCephIOPS   float64 // batching off
-	BatchedIOPS  float64 // batching on
-	BatchGainPct float64 // batched vs unbatched DoCeph
-	BaselineUtil float64
-	DoCephUtil   float64
-	BatchedUtil  float64
-	BatchedTxns  int64
-	BatchFlushes int64
-	AvgBatchSize float64
-	BaselineLat  sim.Duration
-	DoCephLat    sim.Duration
-	BatchedLat   sim.Duration
-}
-
-// SmallOpSizes are the request sizes of the small-op sweep, below the
-// paper's 1 MB floor where per-op DMA setup dominates.
-var SmallOpSizes = []int64{4 << 10, 16 << 10, 64 << 10, 256 << 10}
-
-// RunSmallOpsSweep measures IOPS for small requests under three arms:
-// Baseline, DoCeph with per-op DMA (the Figure 10 regime, where ~1.6 ms of
-// setup per transfer caps small-op IOPS), and DoCeph with adaptive batching
-// (opts.Batch, Enable forced on), which amortizes one setup across a frame
-// of coalesced ops.
-func RunSmallOpsSweep(opts ExpOptions, sizes []int64) ([]SmallOpComparison, error) {
-	opts = opts.withDefaults()
-	if len(sizes) == 0 {
-		sizes = SmallOpSizes
-	}
-	// Three arms per size, each an independent parallel cell.
-	cells := make([]runResult, 3*len(sizes))
-	err := runParallel(len(cells), func(i int) error {
-		size, arm := sizes[i/3], i%3
-		var r runResult
-		var err error
-		switch arm {
-		case 0:
-			r, err = runWorkload(Baseline, Link100G, size, BenchConfig{}, opts)
-		case 1:
-			r, err = runWorkload(DoCeph, Link100G, size, BenchConfig{}, opts)
-		default:
-			r, err = runWorkloadCfg(DoCeph, Link100G, size, BenchConfig{}, opts,
-				func(c *ClusterConfig) {
-					c.Bridge.Batch = opts.Batch
-					c.Bridge.Batch.Enable = true
-				})
-		}
-		if err != nil {
-			return fmt.Errorf("smallops arm %d %dKB: %w", arm, size>>10, err)
-		}
-		cells[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []SmallOpComparison
-	for si, size := range sizes {
-		base, plain, batched := cells[3*si], cells[3*si+1], cells[3*si+2]
-		sc := SmallOpComparison{
-			SizeBytes:    size,
-			BaselineIOPS: base.bench.IOPS(),
-			DoCephIOPS:   plain.bench.IOPS(),
-			BatchedIOPS:  batched.bench.IOPS(),
-			BaselineUtil: base.hostUtil,
-			DoCephUtil:   plain.hostUtil,
-			BatchedUtil:  batched.hostUtil,
-			BatchedTxns:  batched.batchedTxns,
-			BatchFlushes: batched.batchFlushes,
-			BaselineLat:  base.bench.AvgLatency,
-			DoCephLat:    plain.bench.AvgLatency,
-			BatchedLat:   batched.bench.AvgLatency,
-		}
-		if sc.DoCephIOPS > 0 {
-			sc.BatchGainPct = (sc.BatchedIOPS/sc.DoCephIOPS - 1) * 100
-		}
-		if sc.BatchFlushes > 0 {
-			sc.AvgBatchSize = float64(sc.BatchedTxns) / float64(sc.BatchFlushes)
-		}
-		out = append(out, sc)
-	}
-	return out, nil
-}
-
-// SmallOpsTable renders the small-op sweep.
-func SmallOpsTable(rows []SmallOpComparison) *report.Table {
-	t := &report.Table{
-		Title: "Small-op sweep: IOPS, Baseline vs DoCeph vs DoCeph+batching",
-		Header: []string{"size", "Baseline IOPS", "DoCeph IOPS", "batched IOPS",
-			"batch gain", "avg batch", "Baseline CPU", "DoCeph CPU", "batched CPU"},
-	}
-	for _, r := range rows {
-		t.AddRow(report.KB(r.SizeBytes), report.F2(r.BaselineIOPS),
-			report.F2(r.DoCephIOPS), report.F2(r.BatchedIOPS),
-			fmt.Sprintf("%+.0f%%", r.BatchGainPct), report.F2(r.AvgBatchSize),
-			report.Pct(r.BaselineUtil), report.Pct(r.DoCephUtil),
-			report.Pct(r.BatchedUtil))
-	}
-	t.AddNote("per-op DMA setup (~1.6ms) caps unbatched DoCeph IOPS at small sizes (Fig. 10 gap); batching amortizes one setup+doorbell across a coalesced frame")
-	return t
+	fig9 := table("Figure 9: Normalized latency breakdown (share of total)", []column{
+		colSizeOf, {"Host write", share(0)}, {"DMA", share(1)}, {"DMA-wait", share(2)}, {"Others", share(3)},
+	}, rows, "paper: DMA-wait falls from 44.8% at 1MB to 11.9% at 16MB (pipelining)")
+	fig10 := table("Figure 10: Average throughput (IOPS), Baseline vs DoCeph", []column{
+		colSizeOf,
+		{"Baseline", func(g []runResult) string { return report.F2(g[0].bench.IOPS()) }},
+		{"DoCeph", func(g []runResult) string { return report.F2(g[1].bench.IOPS()) }},
+		{"gap", func(g []runResult) string {
+			return fmt.Sprintf("-%.0f%%", pctUnder(g[1].bench.IOPS(), g[0].bench.IOPS()))
+		}},
+	}, rows, "paper: 435/304 at 1MB (-30%) narrowing to 28/27 at 16MB (-4%)")
+	return []*report.Table{fig7, fig8, table3, fig9, fig10}
 }
 
 // ---------------------------------------------------------------------------
 // Extension: read path (§5.5, the paper's future work).
 
-// ReadComparison is one row of the read-path extension experiment.
-type ReadComparison struct {
-	SizeBytes    int64
-	BaselineLat  sim.Duration
-	DoCephLat    sim.Duration
-	BaselineIOPS float64
-	DoCephIOPS   float64
+func readCells(threads int, sizes []int64) []cell {
+	return versus(sizes, BenchConfig{Op: ReadWorkload, PrepopulateObjects: threads * 4})
 }
 
-// RunReadSweep measures the symmetric read path against the baseline.
-func RunReadSweep(opts ExpOptions, sizes []int64) ([]ReadComparison, error) {
-	opts = opts.withDefaults()
-	if len(sizes) == 0 {
-		sizes = PaperSizes
+func readTables(rs []runResult) []*report.Table {
+	return []*report.Table{table("Extension (paper §5.5): Read path, Baseline vs DoCeph", []column{
+		colSizeOf,
+		{"Baseline lat (s)", func(g []runResult) string { return report.F3(g[0].bench.AvgLatency.Seconds()) }},
+		{"DoCeph lat (s)", func(g []runResult) string { return report.F3(g[1].bench.AvgLatency.Seconds()) }},
+		{"Baseline IOPS", func(g []runResult) string { return report.F2(g[0].bench.IOPS()) }},
+		{"DoCeph IOPS", func(g []runResult) string { return report.F2(g[1].bench.IOPS()) }},
+	}, groups(rs, 2), "paper predicts convergence at large sizes; reads avoid replication coordination")}
+}
+
+// ---------------------------------------------------------------------------
+// Stability: the abstract's "sustaining stable throughput" claim — rados
+// bench's per-second samples of both deployments under 4 MB writes.
+
+// perSecond returns a run's per-second MB/s series, its mean and its
+// coefficient of variation in percent.
+func (r runResult) perSecond() (series []float64, mean, cvPct float64) {
+	for _, s := range r.bench.PerSecond {
+		v := float64(s.Bytes) / 1e6
+		series = append(series, v)
+		mean += v
 	}
-	cells := make([]runResult, 2*len(sizes))
-	err := runParallel(len(cells), func(i int) error {
-		size, arm := sizes[i/2], i%2
-		mode, name := Baseline, "baseline"
-		if arm == 1 {
-			mode, name = DoCeph, "doceph"
+	n := float64(len(series))
+	if n == 0 {
+		return nil, 0, 0
+	}
+	mean /= n
+	var sq float64
+	for _, v := range series {
+		sq += (v - mean) * (v - mean)
+	}
+	if n > 1 && mean > 0 {
+		cvPct = math.Sqrt(sq/(n-1)) / mean * 100
+	}
+	return series, mean, cvPct
+}
+
+func stabilityTables(rs []runResult) []*report.Table {
+	base, baseMean, baseCV := rs[0].perSecond()
+	dc, dcMean, dcCV := rs[1].perSecond()
+	t := &report.Table{
+		Title:  fmt.Sprintf("Stability: per-second throughput, %s writes (MB/s)", sizeLabel(rs[0].cell.size)),
+		Header: []string{"second", "Baseline", "", "DoCeph", ""},
+	}
+	max := 0.0
+	for _, v := range append(append([]float64{}, base...), dc...) {
+		if v > max {
+			max = v
 		}
-		cfg := BenchConfig{Op: ReadWorkload, PrepopulateObjects: opts.Threads * 4}
-		r, err := runWorkload(mode, Link100G, size, cfg, opts)
-		if err != nil {
-			return fmt.Errorf("%s read %dMB: %w", name, size>>20, err)
+	}
+	for i := 0; i < len(base) && i < len(dc); i++ {
+		t.AddRow(fmt.Sprint(i),
+			report.F2(base[i]), report.Bar(base[i], max, 24),
+			report.F2(dc[i]), report.Bar(dc[i], max, 24))
+	}
+	t.AddNote("baseline mean %.1f MB/s (cv %.1f%%); doceph mean %.1f MB/s (cv %.1f%%)",
+		baseMean, baseCV, dcMean, dcCV)
+	t.AddNote("abstract claim: DoCeph cuts host CPU \"while sustaining stable throughput\"")
+	return []*report.Table{t}
+}
+
+// ---------------------------------------------------------------------------
+// Extension: grow the cluster beyond the paper's two storage nodes and check
+// that the host-CPU savings and throughput scaling persist. Utilization is
+// per node so cluster sizes are comparable.
+
+func scaleCells(threads int, nodeCounts []int) []cell {
+	var cells []cell
+	for _, n := range nodeCounts {
+		n := n
+		for _, c := range versus([]int64{4 << 20}, BenchConfig{
+			Threads: threads * n / 2, // offered load scales with capacity
+		}) {
+			c.name = fmt.Sprintf("%s %d nodes", c.name, n)
+			c.mut = func(cfg *ClusterConfig) { cfg.StorageNodes = n }
+			cells = append(cells, c)
 		}
-		cells[i] = r
-		return nil
-	})
+	}
+	return cells
+}
+
+func (r runResult) hostUtilPerNode() float64 { return r.hostUtil / float64(r.nodes) }
+
+func scaleTables(rs []runResult) []*report.Table {
+	return []*report.Table{table("Extension: scale-out, 4MB writes (per-node CPU, 1-core norm)", []column{
+		{"nodes", func(g []runResult) string { return fmt.Sprint(g[0].nodes) }},
+		{"Baseline host", func(g []runResult) string { return report.Pct(g[0].hostUtilPerNode()) }},
+		{"DoCeph host", func(g []runResult) string { return report.Pct(g[1].hostUtilPerNode()) }},
+		{"saving", func(g []runResult) string {
+			return fmt.Sprintf("%.1f%%", pctUnder(g[1].hostUtilPerNode(), g[0].hostUtilPerNode()))
+		}},
+		{"Baseline MB/s", func(g []runResult) string { return report.F2(g[0].mbps()) }},
+		{"DoCeph MB/s", func(g []runResult) string { return report.F2(g[1].mbps()) }},
+		{"DoCeph DPU", func(g []runResult) string { return report.Pct(g[1].dpuUtil / float64(g[1].nodes)) }},
+	}, groups(rs, 2), "offered load scales with node count (threads = 16*n/2); savings must persist")}
+}
+
+// ---------------------------------------------------------------------------
+// Ablations: DoCeph with individual mechanisms disabled or stressed.
+// Pipeline/MR/staging variants run at 16 MB (where segmentation matters);
+// channel variants at 1 MB (where the single engine is the bottleneck, Figure
+// 10's -30%); batching variants at 64 KB, where per-op DMA setup dominates.
+
+func ablationCells() []cell {
+	const big, small, tiny = int64(16 << 20), int64(1 << 20), int64(64 << 10)
+	channels := func(n int) func(*ClusterConfig) {
+		return func(c *ClusterConfig) { c.Bridge.Engine.Channels = n }
+	}
+	staging := func(b int64) func(*ClusterConfig) {
+		return func(c *ClusterConfig) { c.DPU.StagingBufferBytes = b }
+	}
+	cells := []cell{
+		{name: "doceph (full design)", size: big},
+		{name: "no pipelining", size: big, mut: func(c *ClusterConfig) { c.Bridge.Proxy.DisablePipeline = true }},
+		{name: "no MR cache", size: big, mut: func(c *ClusterConfig) { c.Bridge.Proxy.DisableMRCache = true }},
+		{name: "1MB staging buffers", size: big, mut: staging(1 << 20)},
+		{name: "512KB staging buffers", size: big, mut: staging(512 << 10)},
+		{name: "DMA failure every 200 transfers", size: big, inject: 200, engaged: injectEngaged},
+		{name: "1MB writes, 1 DMA channel", size: small},
+		{name: "1MB writes, 2 DMA channels", size: small, mut: channels(2)},
+		{name: "1MB writes, 4 DMA channels", size: small, mut: channels(4)},
+		{name: "64KB writes, no batching", size: tiny},
+		{name: "64KB writes, adaptive batching", size: tiny, mut: batchOn, engaged: batchedEngaged},
+		// Making the idle gap equal the max-delay budget disables the idle
+		// heuristic: flushes come only from bytes or the timer.
+		{name: "64KB writes, delay-only batching", size: tiny, engaged: batchedEngaged,
+			mut: func(c *ClusterConfig) {
+				batchOn(c)
+				c.Bridge.Batch.IdleDelay = 400 * Microsecond
+				c.Bridge.Batch.MaxDelay = 400 * Microsecond
+			}},
+		{name: "64KB writes, batching + DMA failure every 200", size: tiny, inject: 200,
+			mut: batchOn, engaged: allOf(batchedEngaged, injectEngaged)},
+	}
+	for i := range cells {
+		cells[i].mode = DoCeph
+	}
+	return cells
+}
+
+func ablationTables(rs []runResult) []*report.Table {
+	count := func(header string, f func(runResult) int64) column {
+		return col(header, func(r runResult) string { return fmt.Sprint(f(r)) })
+	}
+	return []*report.Table{table("Ablations: DoCeph design choices", []column{
+		colName, colSize, colLat,
+		col("IOPS", func(r runResult) string { return report.F2(r.bench.IOPS()) }),
+		colCPU,
+		count("negotiations", func(r runResult) int64 { return r.negotiations }),
+		count("fallbacks", func(r runResult) int64 { return r.fallbacks }),
+		count("DMA errors", func(r runResult) int64 { return r.dmaErrors }),
+		count("batched txns", func(r runResult) int64 { return r.batchedTxns }),
+		count("flushes", func(r runResult) int64 { return r.batchFlushes }),
+	}, groups(rs, 1), "pipelining and MR caching are the paper's §3.3 optimizations; fallback rows exercise §4")}
+}
+
+// ---------------------------------------------------------------------------
+// Extension: small-op IOPS sweep below the paper's 1 MB floor — Baseline,
+// DoCeph with per-op DMA (the Figure 10 regime, where ~1.6 ms of setup per
+// transfer caps small-op IOPS) and DoCeph with adaptive batching, which
+// amortizes one setup across a frame of coalesced ops.
+
+func smallOpsCells() []cell {
+	var cells []cell
+	for _, size := range []int64{4 << 10, 16 << 10, 64 << 10, 256 << 10} {
+		cells = append(cells, versus([]int64{size}, BenchConfig{})...)
+		cells = append(cells, cell{name: "batched " + sizeLabel(size), mode: DoCeph, size: size,
+			mut: batchOn, engaged: batchedEngaged})
+	}
+	return cells
+}
+
+func smallOpsTables(rs []runResult) []*report.Table {
+	arm := func(header string, i int, f func(runResult) string) column {
+		return column{header, func(g []runResult) string { return f(g[i]) }}
+	}
+	iops := func(r runResult) string { return report.F2(r.bench.IOPS()) }
+	cpu := func(r runResult) string { return report.Pct(r.hostUtil) }
+	return []*report.Table{table("Small-op sweep: IOPS, Baseline vs DoCeph vs DoCeph+batching", []column{
+		colSizeOf,
+		arm("Baseline IOPS", 0, iops), arm("DoCeph IOPS", 1, iops), arm("batched IOPS", 2, iops),
+		{"batch gain", func(g []runResult) string {
+			return fmt.Sprintf("%+.0f%%", pctOver(g[2].bench.IOPS(), g[1].bench.IOPS()))
+		}},
+		arm("avg batch", 2, func(r runResult) string { return report.F2(r.avgBatch()) }),
+		arm("Baseline CPU", 0, cpu), arm("DoCeph CPU", 1, cpu), arm("batched CPU", 2, cpu),
+	}, groups(rs, 3), "per-op DMA setup (~1.6ms) caps unbatched DoCeph IOPS at small sizes (Fig. 10 gap); batching amortizes one setup+doorbell across a coalesced frame")}
+}
+
+// ---------------------------------------------------------------------------
+// Extension: multi-queue DMA engine ablation. One serial engine caps frame
+// throughput at ~1/setup-time regardless of frame size; this measures batched
+// DoCeph with 1/2/4/8 DMA queues, pairing each queue count with the same
+// number of OSD op shards and messenger lanes (the QP-per-queue model).
+
+// mqCells lays the grid out size-major, so the cells of one size are adjacent
+// and start at the reference queue count.
+func mqCells(queues []int, sizes []int64) []cell {
+	var cells []cell
+	for _, size := range sizes {
+		for _, nq := range queues {
+			nq := nq
+			cells = append(cells, cell{
+				name: fmt.Sprintf("%s q=%d", sizeLabel(size), nq), mode: DoCeph, size: size,
+				mut: func(c *ClusterConfig) {
+					batchOn(c)
+					c.Bridge.Engine.Queues = nq
+					c.OSD.OpShards = nq
+					c.Messenger.Lanes = nq
+				},
+				engaged: queuesEngaged(nq),
+			})
+		}
+	}
+	return cells
+}
+
+func mqTables(rs []runResult) []*report.Table {
+	// Each row pairs a cell with the first (reference) cell of its size.
+	var rows [][]runResult
+	for i, r := range rs {
+		ref := r
+		if i > 0 && rows[i-1][1].cell.size == r.cell.size {
+			ref = rows[i-1][1]
+		}
+		rows = append(rows, []runResult{r, ref})
+	}
+	return []*report.Table{table("Multi-queue DMA ablation: batched DoCeph, queues = OSD op shards", []column{
+		colSize,
+		col("queues", func(r runResult) string { return fmt.Sprint(r.engQueues) }),
+		col("IOPS", func(r runResult) string { return report.F2(r.bench.IOPS()) }),
+		{"gain vs q=1", func(g []runResult) string {
+			return fmt.Sprintf("%+.0f%%", pctOver(g[0].bench.IOPS(), g[1].bench.IOPS()))
+		}},
+		colLat,
+		col("avg batch", func(r runResult) string { return report.F2(r.avgBatch()) }),
+		colCPU,
+		col("engine occupancy", func(r runResult) string { return report.Pct(r.engOccupancy) }),
+	}, rows, "the serial engine (q=1) caps frame throughput at ~1/setup-time; parallel queues overlap setups while copies share CopySlots PCIe bus slots")}
+}
+
+// ---------------------------------------------------------------------------
+// Streaming ablation: store-and-forward vs flow-controlled chunk pipelining
+// for large objects, across credit windows and both deployments.
+//
+// Store-and-forward (streaming off, the default) moves a large write as one
+// monolithic frame: the whole object serializes through the messenger, then
+// replication and the BlueStore WAL start, and on DoCeph the DPU proxy
+// stages whole-transaction segments. Streaming splits the same write into
+// ChunkBytes frames under a credit window: the OSD commits and fans out
+// chunk k while chunk k+1 is still on the wire, and DPU staging is bounded
+// by window x chunk instead of object size.
+
+func streamingCells(threads int) []cell {
+	// Large objects + many closed-loop workers would swamp the fabric and
+	// blur the per-op pipelining signal; cap the loop at 4 workers.
+	bench := BenchConfig{Threads: min(threads, 4)}
+	var cells []cell
+	for _, mode := range []Mode{Baseline, DoCeph} {
+		for _, size := range []int64{4 << 20, 16 << 20, 64 << 20} {
+			cells = append(cells, cell{
+				name: fmt.Sprintf("%s %dM store-fwd", mode, size>>20),
+				mode: mode, size: size, bench: bench, engaged: streamEngaged(false),
+			})
+			for _, w := range []int{2, 4, 8} {
+				w := w
+				cells = append(cells, cell{
+					name: fmt.Sprintf("%s %dM stream w=%d", mode, size>>20, w),
+					mode: mode, size: size, bench: bench, engaged: streamEngaged(true),
+					mut: func(c *ClusterConfig) {
+						c.Messenger.Stream.Enable = true
+						c.Messenger.Stream.Window = w
+					},
+				})
+			}
+		}
+	}
+	return cells
+}
+
+func streamingTables(rs []runResult) []*report.Table {
+	return []*report.Table{table("Streaming data plane: store-and-forward vs chunk pipelining (writes)", []column{
+		colName,
+		col("avg lat (ms)", func(r runResult) string { return report.F2(r.bench.AvgLatency.Seconds() * 1e3) }),
+		col("p99 (ms)", func(r runResult) string { return report.F2(r.bench.P99.Seconds() * 1e3) }),
+		col("MB/s", func(r runResult) string { return report.F2(r.mbps()) }),
+		colCPU,
+		col("streamed", func(r runResult) string { return fmt.Sprint(r.streamWrites) }),
+		col("peak staging", func(r runResult) string {
+			if r.peakStaging == 0 {
+				return "-"
+			}
+			return report.MB(r.peakStaging)
+		}),
+	}, groups(rs, 1), "stream w=N: 2MiB chunks (one DMA segment each) under an N-chunk credit window (off by default); peak staging = DPU staging-buffer high-water mark — bounded by window x chunk when streaming, by object size when not")}
+}
+
+// ---------------------------------------------------------------------------
+// Read-path ablation: op mix x replica reads x DPU read cache x deployment,
+// on 64 KB objects — small enough that per-op overheads (the DPU read
+// cache's target) dominate. Every knob defaults off; the first row of each
+// deployment is the unmodified configuration.
+
+func readPathCells() []cell {
+	var cells []cell
+	for _, mode := range []Mode{Baseline, DoCeph} {
+		// add appends one arm; balance / cache flip the knob and declare the
+		// matching engagement check.
+		add := func(mix string, bench BenchConfig, balance, cache bool) {
+			var checks []func(runResult) error
+			if balance {
+				checks = append(checks, balanceEngaged)
+			}
+			if cache {
+				checks = append(checks, cacheEngaged)
+			}
+			cells = append(cells, cell{
+				name: mode.String() + " " + mix, mode: mode, size: 64 << 10, bench: bench,
+				mut: func(cfg *ClusterConfig) {
+					cfg.Client.BalanceReads = balance
+					cfg.Bridge.ReadCache.Enable = cache
+				},
+				engaged: allOf(checks...),
+			})
+		}
+		for _, pct := range []int{100, 70, 50} {
+			mix := fmt.Sprintf("%dR/%dW", pct, 100-pct)
+			bench := BenchConfig{Op: ReadWorkload}
+			if pct < 100 {
+				bench = BenchConfig{Op: MixedWorkload, ReadPercent: pct}
+			}
+			add(mix, bench, false, false)
+			add(mix+" +balance", bench, true, false)
+			if mode == DoCeph {
+				add(mix+" +cache", bench, false, true)
+				add(mix+" +balance+cache", bench, true, true)
+			}
+		}
+		// Queue-depth arm: the closed loop widened to 4 slots per worker.
+		add("100R/0W qd=4", BenchConfig{Op: ReadWorkload, QueueDepth: 4}, false, false)
+		// Popularity arms: pure reads under Zipf and hotspot skew, with
+		// replica-read balancing as the mitigation and (DoCeph) the read
+		// cache — a hot set is exactly what DPU-side DDR can absorb.
+		zipf := BenchConfig{Op: ReadWorkload, Popularity: radosbench.Popularity{Kind: radosbench.PopZipf}}
+		hot := BenchConfig{Op: ReadWorkload, Popularity: radosbench.Popularity{Kind: radosbench.PopHotspot}}
+		add("100R/0W zipf", zipf, false, false)
+		add("100R/0W zipf+balance", zipf, true, false)
+		add("100R/0W hotspot", hot, false, false)
+		if mode == DoCeph {
+			add("100R/0W zipf+cache", zipf, false, true)
+		}
+	}
+	return cells
+}
+
+func readPathTables(rs []runResult) []*report.Table {
+	writes := func(header string, f func(runResult) float64) column {
+		return col(header, func(r runResult) string {
+			if r.bench.WriteStats.Ops == 0 {
+				return "-"
+			}
+			return report.F2(f(r))
+		})
+	}
+	return []*report.Table{table("Read path: op mix x replica reads x DPU read cache x deployment", []column{
+		colName,
+		col("read IOPS", func(r runResult) string { return report.F2(r.bench.ReadStats.IOPS(r.bench.Window)) }),
+		col("read p99 (ms)", func(r runResult) string { return report.F2(r.bench.ReadStats.P99.Seconds() * 1e3) }),
+		writes("write IOPS", func(r runResult) float64 { return r.bench.WriteStats.IOPS(r.bench.Window) }),
+		writes("write p99 (ms)", func(r runResult) float64 { return r.bench.WriteStats.P99.Seconds() * 1e3 }),
+		colCPU,
+		col("balanced", func(r runResult) string { return fmt.Sprint(r.balancedReads) }),
+		col("cache hit", func(r runResult) string {
+			if r.cacheHits+r.cacheMisses == 0 {
+				return "-"
+			}
+			return report.Pct(float64(r.cacheHits) / float64(r.cacheHits+r.cacheMisses))
+		}),
+	}, groups(rs, 1), "64KB objects; balance = read-from-secondary hashing, cache = DPU-side object read cache (both default off); zipf/hotspot = skewed read popularity over the prepopulated set (uniform otherwise)")}
+}
+
+// runReadPath is the read-path grid followed by the block-device comparison.
+func runReadPath(o Options) ([]*report.Table, error) {
+	tables, err := grid(func(Options) []cell { return readPathCells() }, readPathTables)(o)
 	if err != nil {
 		return nil, err
 	}
-	var out []ReadComparison
-	for si, size := range sizes {
-		base, dc := cells[2*si], cells[2*si+1]
-		out = append(out, ReadComparison{
-			SizeBytes:    size,
-			BaselineLat:  base.bench.AvgLatency,
-			DoCephLat:    dc.bench.AvgLatency,
-			BaselineIOPS: base.bench.IOPS(),
-			DoCephIOPS:   dc.bench.IOPS(),
-		})
+	bd, err := blockDeviceTable(o.Seed)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
-}
-
-// ReadTable renders the read extension results.
-func ReadTable(rows []ReadComparison) *report.Table {
-	t := &report.Table{
-		Title:  "Extension (paper §5.5): Read path, Baseline vs DoCeph",
-		Header: []string{"size", "Baseline lat (s)", "DoCeph lat (s)", "Baseline IOPS", "DoCeph IOPS"},
-	}
-	for _, r := range rows {
-		t.AddRow(report.MB(r.SizeBytes),
-			report.F3(r.BaselineLat.Seconds()), report.F3(r.DoCephLat.Seconds()),
-			report.F2(r.BaselineIOPS), report.F2(r.DoCephIOPS))
-	}
-	t.AddNote("paper predicts convergence at large sizes; reads avoid replication coordination")
-	return t
+	return append(tables, bd), nil
 }

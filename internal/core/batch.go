@@ -202,9 +202,6 @@ func (px *Proxy) flushBatch(p *sim.Proc) {
 	}
 	frame := encodeBatchFrame(take)
 	wireBytes := int64(frame.Length())
-	if px.comp != nil {
-		wireBytes = px.comp.Compress(p, px.dev.CPU, wireBytes)
-	}
 	px.nextReq++
 	batchID := px.nextReq
 	dmaStage := trace.StageBatchDMA

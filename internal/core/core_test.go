@@ -407,45 +407,6 @@ func TestConcurrentProxyWrites(t *testing.T) {
 	})
 }
 
-func TestTransportCompressionShrinksDMABytes(t *testing.T) {
-	cfg := BridgeConfig{}
-	cfg.Proxy.EnableCompression = true
-	r := newCoreRig(cfg)
-	r.run(t, func(p *sim.Proc) {
-		px := r.bridge.Proxy
-		const size = 4 << 20
-		data := seeded(size, 11)
-		if err := commitP(t, p, px,
-			(&objstore.Transaction{}).MkColl("pg.c").Write("pg.c", "o", 0, data)); err != nil {
-			t.Fatal(err)
-		}
-		// The engine moved roughly half the original bytes (2:1 model).
-		moved := r.bridge.EngUp.Stats().Bytes
-		if moved > size*3/4 || moved < size/4 {
-			t.Fatalf("engine moved %d of %d original bytes", moved, size)
-		}
-		ce := px.Compression()
-		if ce == nil || ce.Ops() == 0 || ce.BytesIn() < size {
-			t.Fatalf("accelerator unused: %+v", ce)
-		}
-		// Content still intact on the host (the simulation ships original
-		// bytes; only timing is transformed).
-		got, err := r.store.Read(p, "pg.c", "o", 0, 0)
-		if err != nil || got.CRC32C() != data.CRC32C() {
-			t.Fatalf("content mismatch err=%v", err)
-		}
-	})
-}
-
-func TestCompressionDisabledByDefault(t *testing.T) {
-	r := newCoreRig(BridgeConfig{})
-	r.run(t, func(p *sim.Proc) {
-		if r.bridge.Proxy.Compression() != nil {
-			t.Fatal("compression engine present without opt-in")
-		}
-	})
-}
-
 func TestProxyOmapOverControlPlane(t *testing.T) {
 	r := newCoreRig(BridgeConfig{})
 	r.run(t, func(p *sim.Proc) {

@@ -38,9 +38,6 @@ type HostConfig struct {
 	// StageCyclesPerByte is charged per byte staged into a host read
 	// buffer before the return DMA.
 	StageCyclesPerByte float64
-	// DecompressCyclesPerByte is charged (per original byte) when a
-	// segment arrives transport-compressed; LZ4-class decompression.
-	DecompressCyclesPerByte float64
 	// ReadStagingBuffers / ReadStagingBufferBytes size the host-side
 	// staging pool used by the read path (§3.3: "during reads, staging
 	// buffers are positioned on the host side").
@@ -55,14 +52,13 @@ type HostConfig struct {
 // DefaultHostConfig returns the host-server defaults.
 func DefaultHostConfig() HostConfig {
 	return HostConfig{
-		PollInterval:            50 * sim.Microsecond,
-		PollIdleCycles:          2_500,
-		CompletionCycles:        3_000,
-		AssembleCyclesPerByte:   0.02,
-		StageCyclesPerByte:      0.5,
-		DecompressCyclesPerByte: 0.3,
-		ReadStagingBuffers:      64,
-		ReadStagingBufferBytes:  2 << 20,
+		PollInterval:           50 * sim.Microsecond,
+		PollIdleCycles:         2_500,
+		CompletionCycles:       3_000,
+		AssembleCyclesPerByte:  0.02,
+		StageCyclesPerByte:     0.5,
+		ReadStagingBuffers:     64,
+		ReadStagingBufferBytes: 2 << 20,
 	}
 }
 
@@ -82,9 +78,6 @@ func (c HostConfig) withDefaults() HostConfig {
 	}
 	if c.StageCyclesPerByte == 0 {
 		c.StageCyclesPerByte = d.StageCyclesPerByte
-	}
-	if c.DecompressCyclesPerByte == 0 {
-		c.DecompressCyclesPerByte = d.DecompressCyclesPerByte
 	}
 	if c.ReadStagingBuffers == 0 {
 		c.ReadStagingBuffers = d.ReadStagingBuffers
@@ -248,20 +241,10 @@ func (hs *HostServer) pollLoop(p *sim.Proc) {
 		switch hdr.kind {
 		case segTxn:
 			hs.stats.SegmentsViaDMA++
-			if t.Data != nil && t.Bytes < int64(t.Data.Length()) {
-				// Transport-compressed segment: pay host-CPU decompression
-				// over the original bytes.
-				hs.cpu.Exec(p, hs.thPoll,
-					int64(float64(t.Data.Length())*hs.cfg.DecompressCyclesPerByte))
-			}
 			hs.addSegment(p, hdr.reqID, hdr.txnSeq, hdr.seg, hdr.total, t.Data, hdr.traceCtx,
 				hs.engUp.QueueFor(hdr.reqID))
 		case segTxnBatch:
 			hs.stats.BatchFrames++
-			if t.Data != nil && t.Bytes < int64(t.Data.Length()) {
-				hs.cpu.Exec(p, hs.thPoll,
-					int64(float64(t.Data.Length())*hs.cfg.DecompressCyclesPerByte))
-			}
 			entries, err := decodeBatchFrame(t.Data)
 			if err != nil {
 				hs.stats.FrameErrors++

@@ -37,11 +37,6 @@ type ProxyConfig struct {
 	ProbeBytes int64
 	// ControlCallCycles is the DPU-side cost of issuing a control RPC.
 	ControlCallCycles int64
-	// EnableCompression routes each DMA segment through the DPU's hardware
-	// compression engine before transfer: fewer bytes cross PCIe (less
-	// engine time and DMA-wait) in exchange for accelerator time on the
-	// DPU and decompression CPU on the host (extension; see ablations).
-	EnableCompression bool
 	// Batch configures adaptive small-op batching (off by default; usually
 	// set through BridgeConfig.Batch).
 	Batch BatchConfig
@@ -155,7 +150,6 @@ type Proxy struct {
 	rpc     *rpcchan.Endpoint // DPU end of the control channel
 	engUp   *doca.Engine      // DPU -> host
 	engDown *doca.Engine      // host -> DPU
-	comp    *doca.CompressionEngine
 	cc      *doca.CommChannel
 	dpuMR   *doca.MemRegion
 	hostMR  *doca.MemRegion
@@ -237,9 +231,6 @@ func NewProxy(env *sim.Env, dev *dpu.DPU, rpcEnd *rpcchan.Endpoint,
 		pendingReads: make(map[uint64]*pendingRead),
 		dmaHealthy:   true,
 	}
-	if px.cfg.EnableCompression {
-		px.comp = doca.NewCompressionEngine(env, doca.CompressionEngineConfig{})
-	}
 	if px.cfg.Breaker.Enable {
 		px.br = dpu.NewBreaker(px.cfg.Breaker)
 	}
@@ -306,10 +297,6 @@ func (px *Proxy) DMAHealthy() bool {
 
 // Breaker returns the circuit breaker, or nil when it is disabled.
 func (px *Proxy) Breaker() *dpu.Breaker { return px.br }
-
-// Compression returns the DPU compression accelerator, or nil when
-// transport compression is disabled.
-func (px *Proxy) Compression() *doca.CompressionEngine { return px.comp }
 
 // ensureRegions makes both regions usable for DMA: once per lifetime with
 // the MR cache, per call without it.
@@ -558,10 +545,6 @@ func (px *Proxy) shipViaDMA(p *sim.Proc, reqID, txnSeq uint64, payload *wire.Buf
 		} else {
 			data = &wire.Bufferlist{}
 		}
-		wireBytes := n
-		if px.comp != nil {
-			wireBytes = px.comp.Compress(p, px.dev.CPU, n)
-		}
 		px.tr.AddBytes(stageSp, n)
 		px.tr.Finish(stageSp)
 		var dmaSp trace.SpanID
@@ -571,10 +554,10 @@ func (px *Proxy) shipViaDMA(p *sim.Proc, reqID, txnSeq uint64, payload *wire.Buf
 				dmaStage = trace.StageDMAQueue(px.engUp.QueueFor(reqID))
 			}
 			dmaSp = px.tr.Start(ctx, 0, dmaStage, px.dev.Name)
-			px.tr.AddBytes(dmaSp, wireBytes)
+			px.tr.AddBytes(dmaSp, n)
 		}
 		t := &doca.Transfer{
-			ReqID: reqID, Seg: i, TotalSegs: total, Bytes: wireBytes, Data: data,
+			ReqID: reqID, Seg: i, TotalSegs: total, Bytes: n, Data: data,
 			Src: px.dpuMR, Dst: px.hostMR, TraceCtx: uint64(ctx),
 			ReuseSetup: streamReuse,
 			Tag: segHeader{kind: segTxn, reqID: reqID, seg: i, total: total,

@@ -1,0 +1,180 @@
+package doceph
+
+import (
+	"os"
+	"strings"
+	"testing"
+)
+
+// gridExperiments are the entries built from cells + columns; their tables
+// contain simulated quantities only, so two runs must render identically.
+var gridExperiments = map[string]bool{
+	"profile": true, "sweep": true, "read": true, "stability": true, "scale": true,
+	"ablation": true, "smallops": true, "mq": true, "streaming": true, "readpath": true,
+}
+
+func TestRegistryNamesUniqueAndNonEmpty(t *testing.T) {
+	seen := map[string]bool{"all": true, "smoke": true, "list": true} // reserved
+	for _, name := range ExperimentNames() {
+		if name == "" {
+			t.Error("empty experiment name")
+		}
+		if key := strings.ToLower(name); seen[key] {
+			t.Errorf("duplicate or reserved experiment name %q", name)
+		} else {
+			seen[key] = true
+		}
+	}
+	grids := 0
+	for _, e := range registry {
+		if e.Doc == "" || e.Run == nil {
+			t.Errorf("%s: missing Doc or Run", e.Name)
+		}
+		if gridExperiments[e.Name] {
+			grids++
+		}
+	}
+	if grids != len(gridExperiments) {
+		t.Errorf("registry has %d of the %d grid experiments", grids, len(gridExperiments))
+	}
+}
+
+func TestSelect(t *testing.T) {
+	all, err := Select("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paper []string
+	for _, e := range registry {
+		if e.Paper {
+			paper = append(paper, e.Name)
+		}
+	}
+	if len(all) != len(paper) {
+		t.Fatalf("all selects %d entries, registry has %d Paper entries", len(all), len(paper))
+	}
+	for i, s := range all {
+		if s.Name != paper[i] || s.Only != -1 {
+			t.Errorf("all[%d] = %s (only %d), want %s in registry order", i, s.Name, s.Only, paper[i])
+		}
+	}
+	if smoke, err := Select("smoke"); err != nil || len(smoke) != len(registry) {
+		t.Errorf("smoke selects %d of %d entries (err %v)", len(smoke), len(registry), err)
+	}
+	for _, e := range registry {
+		if s, err := Select(strings.ToUpper(e.Name)); err != nil || len(s) != 1 || s[0].Name != e.Name || s[0].Only != -1 {
+			t.Errorf("Select(%q) = %v, %v", e.Name, s, err)
+		}
+		for i, sub := range e.Sub {
+			if s, err := Select(sub); err != nil || len(s) != 1 || s[0].Name != e.Name || s[0].Only != i {
+				t.Errorf("Select(%q) = %v, %v; want table %d of %s", sub, s, err, i, e.Name)
+			}
+		}
+	}
+	_, err = Select("nosuch")
+	if err == nil {
+		t.Fatal("unknown experiment selected something")
+	}
+	for _, name := range ExperimentNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-experiment error does not list %q: %v", name, err)
+		}
+	}
+}
+
+// TestRegistryEntriesRun drives every entry the way `make smoke` does — at
+// its smoke window, to completion, with every engagement check live — only
+// lighter still: 4 MB objects, so the 20-30 s fault runs issue few
+// ops (their own tests assert the arcs at the real sizes). Entries with Sub
+// tables must return exactly those; grid entries run twice and must render
+// byte-identical tables at the same seed.
+func TestRegistryEntriesRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment at its smoke window")
+	}
+	// The fault and scale-out entries are single-goroutine for long
+	// stretches; sharing the parallel phase keeps the other core busy.
+	t.Parallel()
+	tiny := Options{ObjectBytes: 4 << 20}
+	smoke, err := Select("smoke")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range smoke {
+		t.Run(s.Name, func(t *testing.T) {
+			tables, err := s.Run(Smoke, tiny)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nonEmpty(t, tables)
+			if len(s.Sub) > 0 && len(tables) != len(s.Sub) {
+				t.Fatalf("%d tables for Sub %v", len(tables), s.Sub)
+			}
+			for i := range s.Sub {
+				if one := (Selection{s.Experiment, i}).pick(tables); len(one) != 1 || one[0] != tables[i] {
+					t.Errorf("Sub %q does not narrow to table %d", s.Sub[i], i)
+				}
+			}
+			if !gridExperiments[s.Name] {
+				return
+			}
+			again, err := s.Run(Smoke, tiny)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range tables {
+				if a, b := tables[i].String(), again[i].String(); a != b {
+					t.Errorf("table %d differs across runs at the same seed:\n%s\n%s", i, a, b)
+				}
+			}
+		})
+	}
+}
+
+// TestInertCellFailsTheRun registers a deliberately inert arm — it declares
+// the batching engagement check but never switches batching on — and expects
+// the runner to refuse it, which is what makes `make smoke` fail on a knob
+// that silently stopped doing anything.
+func TestInertCellFailsTheRun(t *testing.T) {
+	opts := Options{Duration: 300 * Millisecond, Warmup: 100 * Millisecond, Threads: 2}
+	live := cell{name: "live", mode: DoCeph, size: 64 << 10, mut: batchOn, engaged: batchedEngaged}
+	inert := cell{name: "inert", mode: DoCeph, size: 64 << 10, engaged: batchedEngaged}
+	if _, err := runCells(opts, []cell{live}); err != nil {
+		t.Fatalf("live cell rejected: %v", err)
+	}
+	_, err := runCells(opts, []cell{live, inert})
+	if err == nil || !strings.Contains(err.Error(), "inert") || !strings.Contains(err.Error(), "not engaged") {
+		t.Fatalf("inert cell not caught: %v", err)
+	}
+	// The same through a registry-shaped Run func.
+	run := grid(func(Options) []cell { return []cell{inert} }, ablationTables)
+	if _, err := run(opts); err == nil {
+		t.Fatal("grid() swallowed the engagement failure")
+	}
+}
+
+// TestReadmeExperimentTable keeps README.md's experiment table identical to
+// what the registry renders (and `docephbench -exp list` prints).
+func TestReadmeExperimentTable(t *testing.T) {
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const begin, end = "<!-- experiments:begin -->", "<!-- experiments:end -->"
+	readme := string(raw)
+	i, j := strings.Index(readme, begin), strings.Index(readme, end)
+	if i < 0 || j < i {
+		t.Fatalf("README.md lacks the %s / %s markers", begin, end)
+	}
+	trim := func(s string) string {
+		var lines []string
+		for _, l := range strings.Split(strings.TrimSpace(s), "\n") {
+			lines = append(lines, strings.TrimRight(l, " "))
+		}
+		return strings.Join(lines, "\n")
+	}
+	got := trim(strings.Trim(strings.TrimSpace(readme[i+len(begin):j]), "`"))
+	if want := trim(ExperimentList().String()); got != want {
+		t.Errorf("README.md experiment table is stale; paste `go run ./cmd/docephbench -exp list` between the markers:\n%s", want)
+	}
+}

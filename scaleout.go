@@ -1,140 +1,143 @@
 package doceph
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"time"
 
 	"doceph/internal/cluster"
+	"doceph/internal/perf"
+	"doceph/internal/radosbench"
 	"doceph/internal/report"
 )
 
-// Partitioned scale-out API: the 32-OSD multi-rack cluster running on the
-// conservative parallel event kernel.
-type (
-	// ScaleOutConfig shapes the partitioned multi-rack cluster.
-	ScaleOutConfig = cluster.ScaleOutConfig
-	// ScaleOut is an assembled partitioned cluster.
-	ScaleOut = cluster.ScaleOut
-	// ScaleOutResult is a run's deterministic aggregate.
-	ScaleOutResult = cluster.ScaleOutResult
-)
+// The scale-out experiments run multi-rack clusters on the conservative
+// parallel event kernel: one partition per rack plus a coordinator. Both
+// compare kernel worker counts, and both hold the kernel to its core
+// contract — determinism regardless of parallelism.
 
-// NewScaleOut assembles a partitioned multi-rack cluster.
-func NewScaleOut(cfg ScaleOutConfig) *ScaleOut { return cluster.NewScaleOut(cfg) }
-
-// CrossRackLookahead is the model-derived lookahead bound for cross-rack
-// links (see cluster.CrossRackLookahead).
-func CrossRackLookahead(cfg ClusterConfig) Duration { return cluster.CrossRackLookahead(cfg) }
-
-// ScaleOutOptions shapes the scale-out kernel experiment.
-type ScaleOutOptions struct {
-	// Pods x OSDsPerPod racks (defaults 8 x 4: the 32-OSD scenario).
-	Pods       int
-	OSDsPerPod int
-	// Threads is the closed-loop client count per rack (default 4).
-	Threads int
-	// Duration/Warmup bound the workload (defaults 2s / 500ms).
-	Duration Duration
-	Warmup   Duration
-	Seed     int64
-	// Workers are the kernel worker counts to compare (default 1, 2, 4, 8).
-	Workers []int
+// sweepRun is one kernel worker count of a worker sweep.
+type sweepRun struct {
+	workers int
+	res     cluster.ScaleOutResult
+	wall    time.Duration
 }
 
-// ScaleOutRow is one kernel worker count of the scale-out experiment. The
-// simulated columns (ops, MB/s, epochs) are identical on every row by the
-// kernel's determinism contract — RunScaleOut fails if they are not; only
-// the wall-clock columns may move with the worker count.
-type ScaleOutRow struct {
-	Workers      int
-	Ops          int64
-	MBps         float64 // simulated client throughput
-	Epochs       int64   // root-monitor epochs driven by cross-rack beacons
-	Rounds       uint64  // kernel barrier rounds
-	Delivered    uint64  // cross-partition messages
-	WallNs       int64
-	EventsPerSec float64
-	Speedup      float64 // events/s vs the workers=1 row
+func (r sweepRun) wallMs() string { return fmt.Sprintf("%.1f", float64(r.wall.Nanoseconds())/1e6) }
+
+func (r sweepRun) mbps(window Duration) float64 {
+	return float64(r.res.TotalBytes) / 1e6 / window.Seconds()
 }
 
-// RunScaleOut runs the partitioned scale-out scenario once per requested
-// kernel worker count and compares wall-clock throughput. Any simulated
-// field drifting across worker counts is an error, not a table footnote —
-// determinism regardless of parallelism is the kernel's core contract.
-func RunScaleOut(o ScaleOutOptions) ([]ScaleOutRow, error) {
-	if len(o.Workers) == 0 {
-		o.Workers = []int{1, 2, 4, 8}
-	}
-	cfg := ScaleOutConfig{
-		Pods:       o.Pods,
-		OSDsPerPod: o.OSDsPerPod,
-		Mode:       DoCeph,
-		Seed:       o.Seed,
-		Threads:    o.Threads,
-		Duration:   o.Duration,
-		Warmup:     o.Warmup,
-	}
-	var out []ScaleOutRow
-	var first *ScaleOutResult
-	for _, w := range o.Workers {
-		so := NewScaleOut(cfg)
+// sweepWorkers runs cfg once per kernel worker count and fails unless the
+// full result — every counter and, when collected, every imbalance array and
+// queue-depth sample — marshals to the same bytes at each count. A drift is
+// an error, not a table footnote; only the wall clock may move.
+func sweepWorkers(cfg cluster.ScaleOutConfig, workers []int) ([]sweepRun, error) {
+	var out []sweepRun
+	var first []byte
+	for _, w := range workers {
+		so := cluster.NewScaleOut(cfg)
 		start := time.Now()
 		res, err := so.Run(w)
 		wall := time.Since(start)
 		so.Shutdown()
 		if err != nil {
-			return nil, fmt.Errorf("scale-out workers=%d: %w", w, err)
+			return nil, fmt.Errorf("workers=%d: %w", w, err)
+		}
+		fp, err := json.Marshal(res)
+		if err != nil {
+			return nil, err
 		}
 		if first == nil {
-			r := res
-			first = &r
-		} else if res.TotalOps != first.TotalOps || res.Events != first.Events ||
-			res.Beacons != first.Beacons || res.Epochs != first.Epochs {
-			return nil, fmt.Errorf(
-				"scale-out determinism violation at workers=%d: ops=%d events=%d beacons=%d epochs=%d, workers=%d ran %d/%d/%d/%d",
-				w, res.TotalOps, res.Events, res.Beacons, res.Epochs,
-				o.Workers[0], first.TotalOps, first.Events, first.Beacons, first.Epochs)
+			first = fp
+		} else if !bytes.Equal(fp, first) {
+			return nil, fmt.Errorf("determinism violation: workers=%d result differs from workers=%d",
+				w, workers[0])
 		}
-		row := ScaleOutRow{
-			Workers:   w,
-			Ops:       res.TotalOps,
-			Epochs:    res.Epochs,
-			Rounds:    res.Rounds,
-			Delivered: res.Delivered,
-			WallNs:    wall.Nanoseconds(),
-		}
-		dur := cfg.Duration
-		if dur == 0 {
-			dur = 2 * Second
-		}
-		row.MBps = float64(res.TotalBytes) / 1e6 / (float64(dur) / float64(Second))
-		if wall > 0 {
-			row.EventsPerSec = float64(res.Events) / wall.Seconds()
-		}
-		if base := out; len(base) > 0 && base[0].EventsPerSec > 0 {
-			row.Speedup = row.EventsPerSec / base[0].EventsPerSec
-		} else if len(out) == 0 {
-			row.Speedup = 1
-		}
-		out = append(out, row)
+		out = append(out, sweepRun{w, res, wall})
 	}
 	return out, nil
 }
 
-// ScaleOutTable renders the scale-out kernel comparison.
-func ScaleOutTable(rows []ScaleOutRow) *report.Table {
+// runScaleOut is the 32-OSD scenario (8 racks x 4 OSDs, 4 write clients per
+// rack), once per worker count, comparing wall-clock event throughput.
+func runScaleOut(o Options) ([]*report.Table, error) {
+	runs, err := sweepWorkers(cluster.ScaleOutConfig{
+		Mode: DoCeph, Seed: o.Seed, Duration: o.Duration, Warmup: o.Warmup,
+	}, o.Workers)
+	if err != nil {
+		return nil, err
+	}
 	t := &report.Table{
 		Title: "Extension: partitioned parallel kernel, multi-rack scale-out",
 		Header: []string{"kernel workers", "ops", "sim MB/s", "epochs",
 			"barrier rounds", "xpart msgs", "wall ms", "events/s", "speedup"},
+		Notes: []string{
+			"simulated columns are bit-identical across worker counts (enforced); only wall clock moves",
+			"wall-clock speedup is bounded by physical cores; see DESIGN.md on the partitioned kernel",
+		},
 	}
-	for _, r := range rows {
-		t.AddRow(fmt.Sprint(r.Workers), fmt.Sprint(r.Ops), report.F2(r.MBps),
-			fmt.Sprint(r.Epochs), fmt.Sprint(r.Rounds), fmt.Sprint(r.Delivered),
-			fmt.Sprintf("%.1f", float64(r.WallNs)/1e6),
-			fmt.Sprintf("%.0f", r.EventsPerSec), report.F2(r.Speedup))
+	eventsPerSec := func(r sweepRun) float64 { return float64(r.res.Events) / r.wall.Seconds() }
+	for _, r := range runs {
+		t.AddRow(fmt.Sprint(r.workers), fmt.Sprint(r.res.TotalOps), report.F2(r.mbps(o.Duration)),
+			fmt.Sprint(r.res.Epochs), fmt.Sprint(r.res.Rounds), fmt.Sprint(r.res.Delivered),
+			r.wallMs(), fmt.Sprintf("%.0f", eventsPerSec(r)),
+			report.F2(eventsPerSec(r)/eventsPerSec(runs[0])))
 	}
-	t.AddNote("simulated columns are bit-identical across worker counts (enforced); only wall clock moves")
-	t.AddNote("wall-clock speedup is bounded by physical cores; see DESIGN.md on the partitioned kernel")
-	return t
+	return []*report.Table{t}, nil
+}
+
+// runScaleOut128 is the 128-OSD scenario (16 racks x 8 OSDs, 64 KiB ops, 70%
+// reads, 2 clients per rack): uniform vs Zipf vs hotspot popularity with
+// balance-reads off and on, at the first worker count; the Zipf+balance arm
+// is the one re-run at every further worker count.
+func runScaleOut128(o Options) ([]*report.Table, error) {
+	t := &report.Table{
+		Title: "Extension: 128-OSD multi-rack CRUSH cluster, popularity x balance-reads",
+		Header: []string{"workload", "balance", "workers", "ops", "sim MB/s",
+			"osd max/mean", "pg max/mean", "qd p99:p50", "hot-read share", "balanced", "wall ms"},
+		Notes: []string{
+			"16 racks x 8 OSDs; catalog homed by rack-aware CRUSH (failure domain = rack); reads 70%",
+			"extra worker rows re-run the zipf+balance arm; full results are byte-identical across counts (enforced)",
+		},
+	}
+	var extra [][]string
+	for _, kind := range []radosbench.PopKind{radosbench.PopUniform, radosbench.PopZipf, radosbench.PopHotspot} {
+		for _, balance := range []bool{false, true} {
+			workers, onOff := o.Workers[:1], "off"
+			if balance {
+				onOff = "on"
+				if kind == radosbench.PopZipf {
+					workers = o.Workers
+				}
+			}
+			runs, err := sweepWorkers(cluster.ScaleOutConfig{
+				Pods: 16, OSDsPerPod: 8, Mode: DoCeph, Seed: o.Seed,
+				Threads: 2, ObjectBytes: 64 << 10, ReadPercent: 70,
+				Duration: o.Duration, Warmup: o.Warmup,
+				Popularity:       radosbench.Popularity{Kind: kind},
+				BalanceReads:     balance,
+				CollectImbalance: true,
+			}, workers)
+			if err != nil {
+				return nil, fmt.Errorf("%s balance=%v: %w", kind, balance, err)
+			}
+			for i, r := range runs {
+				imb := perf.ComputeImbalance(r.res)
+				row := []string{kind.String(), onOff, fmt.Sprint(r.workers), fmt.Sprint(r.res.TotalOps),
+					report.F2(r.mbps(o.Duration)), report.F2(imb.MaxMeanOSDShare), report.F2(imb.MaxMeanPGShare),
+					report.F2(imb.QueueDepthP99P50), fmt.Sprintf("%.3f", imb.HotReadShare),
+					fmt.Sprintf("%.3f", imb.BalancedReadShare), r.wallMs()}
+				if i == 0 {
+					t.AddRow(row...)
+				} else {
+					extra = append(extra, row)
+				}
+			}
+		}
+	}
+	t.Rows = append(t.Rows, extra...)
+	return []*report.Table{t}, nil
 }

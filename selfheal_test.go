@@ -8,8 +8,8 @@ import (
 
 // selfHealOpts keeps the runs CI-sized; the plan and the breaker clock both
 // scale with the duration, so the open -> half-open -> closed arc still fits.
-func selfHealOpts() SelfHealOptions {
-	return SelfHealOptions{Duration: 30 * Second, Threads: 4, ObjectBytes: 256 << 10, Seed: 42}
+func selfHealOpts() Options {
+	return Options{Duration: 30 * Second, Threads: 4, ObjectBytes: 256 << 10, Seed: 42}
 }
 
 // TestSelfHealRunCompletes is the headline self-healing check: through an
@@ -22,7 +22,7 @@ func TestSelfHealRunCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []SelfHealModeResult{r.Baseline, r.DoCeph} {
+	for _, m := range []FaultRun{r.Baseline, r.DoCeph} {
 		if m.Ops == 0 {
 			t.Fatalf("%s: no ops issued", m.Mode)
 		}
@@ -92,7 +92,7 @@ func TestSelfHealRecoveryQoSProtectsForeground(t *testing.T) {
 	plan := FaultPlan{Name: "crash-only", Events: []FaultEvent{
 		{At: 3 * Second, Duration: 10500 * Millisecond, Kind: FaultOSDCrash, OSD: 1},
 	}}
-	backfillMin := func(r SelfHealModeResult) float64 {
+	backfillMin := func(r FaultRun) float64 {
 		min := -1.0
 		for sec := 14; sec < 18 && sec < len(r.MBps); sec++ {
 			if min < 0 || r.MBps[sec] < min {
@@ -101,13 +101,15 @@ func TestSelfHealRecoveryQoSProtectsForeground(t *testing.T) {
 		}
 		return min
 	}
-	run := func(qosOff bool) SelfHealModeResult {
-		opts := selfHealOpts()
-		// A deliberately tight budget so the bucket saturates under this
-		// small 4-thread workload and pacing provably engages.
-		opts.RecoveryBps = 8e6
-		opts.DisableQoS = qosOff
-		r, err := runSelfHealMode(DoCeph, opts.withDefaults(), plan)
+	run := func(qosOff bool) FaultRun {
+		opts := selfHealOpts().withDefaults()
+		cfg := selfHealConfig(DoCeph, opts, true, !qosOff)
+		if !qosOff {
+			// A deliberately tight budget so the bucket saturates under this
+			// small 4-thread workload and pacing provably engages.
+			cfg.OSD.RecoveryBps = 8e6
+		}
+		r, err := runFaulted("selfheal", cfg, plan, opts, selfHealSettle(opts.Duration))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +150,10 @@ func TestSelfHealDeterminism(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			opts := SelfHealOptions{Duration: 12 * Second, Threads: 4, ObjectBytes: 256 << 10, Seed: seed}
+			// The floor is the shortest run whose crash window is detected;
+			// 1 MB objects keep the op count of 32 such runs, and the race
+			// detector's bill for them, bounded.
+			opts := Options{Duration: selfHealFloor, Threads: 4, ObjectBytes: 1 << 20, Seed: seed}
 			a, err := RunSelfHeal(opts, nil)
 			if err != nil {
 				t.Fatal(err)

@@ -2,98 +2,61 @@ package doceph
 
 import (
 	"fmt"
+	"os"
 
 	"doceph/internal/report"
 	"doceph/internal/trace"
 )
 
-// Tracing re-exports: the span record, the per-stage aggregate row and the
-// tracer itself, so callers can post-process traces without importing the
-// internal package.
-type (
-	// TraceSpan is one stage of one operation's lifetime.
-	TraceSpan = trace.Span
-	// TraceStageStat is one (stage, resource) row of the aggregation.
-	TraceStageStat = trace.StageStat
-	// Tracer records spans against a cluster's virtual clock.
-	Tracer = trace.Tracer
-)
-
-// ChromeTrace renders spans as Chrome trace_event JSON (open in
-// chrome://tracing or https://ui.perfetto.dev). Byte-deterministic for a
-// deterministic span slice.
-func ChromeTrace(spans []TraceSpan) []byte { return trace.ChromeTrace(spans) }
-
-// CheckTraceInvariants validates span structure: finished spans nest
-// inside their parents in virtual time and inherit their operation ID.
-func CheckTraceInvariants(spans []TraceSpan) error { return trace.CheckInvariants(spans) }
-
-// TracedRun is one deployment's traced benchmark window.
-type TracedRun struct {
-	Mode  Mode
-	Bench BenchResult
-	// Spans are the finished spans of the measured window, in event order.
-	Spans []TraceSpan
-	// Stages is the per-(stage, resource) aggregation of Spans.
-	Stages []TraceStageStat
-	// TracedCPU sums span CPU per processor; Busy is each processor's
-	// total accounted busy time over the same window (traced <= busy, the
-	// conservation invariant — background daemons are untraced).
-	TracedCPU map[string]Duration
-	Busy      map[string]Duration
-}
-
-// TraceBreakdownResult holds both deployments traced at one request size.
-type TraceBreakdownResult struct {
-	SizeBytes int64
-	Baseline  TracedRun
-	DoCeph    TracedRun
-}
-
-// RunTraceBreakdown runs one traced write benchmark per deployment and
-// returns per-stage CPU-attribution and latency breakdowns. Each run is
-// self-checking: span-nesting and CPU-conservation invariants are
-// verified before the result is returned. size 0 means 4 MB.
-func RunTraceBreakdown(opts ExpOptions, size int64) (TraceBreakdownResult, error) {
-	opts = opts.withDefaults()
-	if size == 0 {
-		size = 4 << 20
+// runTrace runs one traced 4 MB write benchmark per deployment and renders
+// the per-stage breakdowns plus traced CPU per processor side by side — the
+// host->DPU shift the paper measures, derived bottom-up from op spans instead
+// of thread accounting. With o.TraceOut set it also writes each run's Chrome
+// trace_event JSON (open in chrome://tracing or https://ui.perfetto.dev).
+func runTrace(o Options) ([]*report.Table, error) {
+	const size = 4 << 20
+	cpu := &report.Table{
+		Title:  fmt.Sprintf("Tracing: traced CPU by processor (%s writes)", report.MB(size)),
+		Header: []string{"deployment", "resource", "traced cpu (s)", "share"},
+		Notes:  []string{"DoCeph moves messenger/OSD cycles from host-* to bf3-*-arm; the host keeps BlueStore + the RPC/DMA server"},
 	}
-	out := TraceBreakdownResult{SizeBytes: size}
+	var tables []*report.Table
 	for _, mode := range []Mode{Baseline, DoCeph} {
-		r, err := runTraced(mode, size, opts)
+		spans, err := runTraced(mode, size, o)
 		if err != nil {
-			return out, fmt.Errorf("%s: %w", mode, err)
+			return nil, fmt.Errorf("%s: %w", mode, err)
 		}
-		if mode == Baseline {
-			out.Baseline = r
-		} else {
-			out.DoCeph = r
+		tables = append(tables, report.StageTable(fmt.Sprintf(
+			"Tracing: per-stage breakdown, %s (%s writes)", mode, report.MB(size)),
+			trace.Aggregate(spans)))
+		for _, row := range report.CPUAttributionRows(trace.CPUByResource(spans)) {
+			cpu.AddRow(append([]string{mode.String()}, row...)...)
+		}
+		if o.TraceOut != "" {
+			path := fmt.Sprintf("%s-%s.json", o.TraceOut, mode)
+			if err := os.WriteFile(path, trace.ChromeTrace(spans), 0o644); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return out, nil
+	return append(tables, cpu), nil
 }
 
-// runTraced builds a traced cluster, runs one write benchmark and folds
-// the span set into the run summary.
-func runTraced(mode Mode, size int64, opts ExpOptions) (TracedRun, error) {
-	cfg := ClusterConfig{Mode: mode, Seed: opts.Seed, Trace: true}
-	cfg.Bridge.Engine.Queues = opts.DMAQueues
-	cfg.OSD.OpShards = opts.OpShards
-	cfg.Messenger.Lanes = opts.lanes()
-	cfg.Bridge.Batch = opts.Batch
-	cl := NewCluster(cfg)
+// runTraced builds a traced cluster, runs one write benchmark and checks the
+// span set before returning it: spans must nest inside their parents in
+// virtual time, and traced CPU must not exceed each processor's accounted
+// busy time (background daemons are untraced).
+func runTraced(mode Mode, size int64, o Options) ([]trace.Span, error) {
+	cl := NewCluster(ClusterConfig{Mode: mode, Seed: o.Seed, Trace: true})
 	defer cl.Shutdown()
-	bench, err := RunBench(cl, BenchConfig{
-		Threads: opts.Threads, ObjectBytes: size,
-		Duration: opts.Duration, Warmup: opts.Warmup,
-	})
-	if err != nil {
-		return TracedRun{}, err
+	if _, err := RunBench(cl, BenchConfig{
+		Threads: o.Threads, ObjectBytes: size,
+		Duration: o.Duration, Warmup: o.Warmup,
+	}); err != nil {
+		return nil, err
 	}
 	spans := cl.Tracer.Spans()
-	busy := make(map[string]Duration)
-	busy[cl.ClientCPU.Name()] = cl.ClientCPU.Stats().TotalBusy
+	busy := map[string]Duration{cl.ClientCPU.Name(): cl.ClientCPU.Stats().TotalBusy}
 	for _, n := range cl.Nodes {
 		busy[n.HostCPU.Name()] = n.HostCPU.Stats().TotalBusy
 		if n.DPU != nil {
@@ -101,39 +64,10 @@ func runTraced(mode Mode, size int64, opts ExpOptions) (TracedRun, error) {
 		}
 	}
 	if err := trace.CheckInvariants(spans); err != nil {
-		return TracedRun{}, fmt.Errorf("trace invariants: %w", err)
+		return nil, fmt.Errorf("trace invariants: %w", err)
 	}
 	if err := trace.CheckCPUConservation(spans, busy); err != nil {
-		return TracedRun{}, fmt.Errorf("trace cpu conservation: %w", err)
+		return nil, fmt.Errorf("trace cpu conservation: %w", err)
 	}
-	return TracedRun{
-		Mode: mode, Bench: bench, Spans: spans,
-		Stages:    trace.Aggregate(spans),
-		TracedCPU: trace.CPUByResource(spans),
-		Busy:      busy,
-	}, nil
-}
-
-// StageTable renders one deployment's per-stage breakdown.
-func (r TracedRun) StageTable(sizeBytes int64) *report.Table {
-	return report.StageTable(fmt.Sprintf(
-		"Tracing: per-stage breakdown, %s (%s writes)", r.Mode, report.MB(sizeBytes)),
-		r.Stages)
-}
-
-// CPUAttributionTable renders traced CPU per processor for both
-// deployments side by side — the host→DPU shift the paper measures, now
-// derived bottom-up from op spans instead of thread accounting.
-func (r TraceBreakdownResult) CPUAttributionTable() *report.Table {
-	t := &report.Table{
-		Title:  fmt.Sprintf("Tracing: traced CPU by processor (%s writes)", report.MB(r.SizeBytes)),
-		Header: []string{"deployment", "resource", "traced cpu (s)", "share"},
-	}
-	for _, run := range []TracedRun{r.Baseline, r.DoCeph} {
-		for _, row := range report.CPUAttributionRows(run.TracedCPU) {
-			t.AddRow(append([]string{run.Mode.String()}, row...)...)
-		}
-	}
-	t.AddNote("DoCeph moves messenger/OSD cycles from host-* to bf3-*-arm; the host keeps BlueStore + the RPC/DMA server")
-	return t
+	return spans, nil
 }
