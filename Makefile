@@ -47,17 +47,19 @@ quick:
 # Simulator throughput harness: runs the radosbench sweep and writes
 # events/sec, ns/op and allocs/op to BENCH_sim.json (compared against the
 # recorded pre-optimization baseline). `-rebaseline` resets the baseline.
-# Sweep cells run on one worker per core with deterministic ordered output;
-# `-workers 1` forces the serial sweep (per-scenario alloc attribution).
+# `-workers 1` runs the sweep serially: heap counters are process-wide, so
+# only then can allocs/op be attributed to a scenario, and a record without
+# them would switch perf.Guard's per-scenario allocs ceiling off.
 bench:
-	go run ./cmd/simbench -out BENCH_sim.json
+	go run ./cmd/simbench -workers 1 -out BENCH_sim.json
 
 # ~30 s smoke variant wired into `all`: runs the reduced sweep (tracing
 # disabled) and fails if events/sec collapses versus the BENCH_sim.json
 # record — without touching the file. This is the guard that keeps the
-# tracing hooks free when tracing is off.
+# tracing hooks free when tracing is off. Serial for the same reason as
+# `bench`: the per-scenario allocs ceiling binds only on attributed values.
 bench-smoke:
-	go run ./cmd/simbench -smoke -guard BENCH_sim.json
+	go run ./cmd/simbench -smoke -workers 1 -guard BENCH_sim.json
 
 # Per-package statement-coverage floors for the offload-critical packages
 # (core, doca, osd, messenger, sim, perf); see scripts/covergate.sh for

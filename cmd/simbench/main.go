@@ -10,14 +10,20 @@
 //
 // Usage:
 //
-//	go run ./cmd/simbench                 # update "current", compare to baseline
-//	go run ./cmd/simbench -rebaseline     # overwrite the stored baseline too
+//	go run ./cmd/simbench -workers 1      # update "current", compare to baseline
+//	go run ./cmd/simbench -workers 1 -rebaseline
+//	                                      # overwrite the stored baseline too
 //	go run ./cmd/simbench -smoke          # short sweep, no file written
-//	go run ./cmd/simbench -smoke -guard BENCH_sim.json
+//	go run ./cmd/simbench -smoke -workers 1 -guard BENCH_sim.json
 //	                                      # also fail on a gross perf regression
-//	go run ./cmd/simbench -workers 1      # serial sweep with per-scenario
-//	                                      # alloc attribution (default runs
-//	                                      # scenarios on parallel workers)
+//
+// -workers 1 runs the sweep serially, the only way allocations can be
+// attributed to a scenario; the default runs scenarios on parallel workers
+// and leaves per-scenario allocs/op zero. Recording and guarding both want
+// the serial sweep: the per-scenario allocs ceiling compares non-zero
+// values only, and the result file is not rewritten from a run that would
+// zero a recorded one.
+//
 //	go run ./cmd/simbench -sim-workers 1,2,8
 //	                                      # scale-out rows at these kernel
 //	                                      # worker counts (@wN rows)
@@ -45,7 +51,7 @@ func main() {
 		smoke       = flag.Bool("smoke", false, "short sweep, print only, no file written")
 		guard       = flag.String("guard", "", "fail if events/sec falls below -guard-ratio of this file's current record")
 		guardRatio  = flag.Float64("guard-ratio", 0.3, "minimum fraction of the recorded events/sec the run must reach")
-		guardAllocs = flag.Float64("guard-allocs-ratio", 2.0, "maximum multiple of the recorded allocs/op the run may reach (0 disables)")
+		guardAllocs = flag.Float64("guard-allocs-ratio", 1.25, "maximum multiple of the recorded allocs/op the run may reach (0 disables)")
 		workers     = flag.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS, 1 = serial with per-scenario alloc attribution)")
 		simWorkers  = flag.String("sim-workers", "", "comma-separated kernel worker counts for the scale-out rows (e.g. 1,2,8; empty keeps the sweep's defaults)")
 		minSpeedup  = flag.Float64("min-speedup", 3.0, "nominal @w1-vs-widest events/s floor for scale-out families (scaled to the host's cores; 0 disables)")

@@ -11,8 +11,10 @@
 package bluestore
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"doceph/internal/objstore"
@@ -245,7 +247,7 @@ func (s *Store) FreeBytes() int64 { return s.alloc.free() }
 // the bstore threads.
 func (s *Store) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objstore.Result {
 	prep := s.cpu.ExecSelf(p, s.cfg.PrepCyclesPerOp*int64(len(txn.Ops)))
-	res := &objstore.Result{Done: sim.NewEvent(s.env)}
+	res := &objstore.Result{}
 	s.stats.Transactions++
 	s.stats.Ops += int64(len(txn.Ops))
 	t := &txc{txn: txn, result: res}
@@ -524,23 +526,30 @@ func (o *onode) punch(off, length uint64) {
 		return
 	}
 	end := off + length
-	var out []extent
+	// Filter in place. Extents do not overlap, so at most one spans the whole
+	// hole and leaves two pieces; its right piece waits in tail so that the
+	// kept prefix never overtakes the extent being read.
+	kept := o.extents[:0]
+	var tail extent
 	for _, e := range o.extents {
 		eEnd := e.off + uint64(e.data.Length())
 		if eEnd <= off || e.off >= end {
-			out = append(out, e)
+			kept = append(kept, e)
 			continue
-		}
-		if e.off < off {
-			out = append(out, extent{off: e.off, data: e.data.SubList(0, int(off-e.off))})
 		}
 		if eEnd > end {
 			skip := int(end - e.off)
-			out = append(out, extent{off: end, data: e.data.SubList(skip, e.data.Length()-skip)})
+			tail = extent{off: end, data: e.data.SubList(skip, e.data.Length()-skip)}
+		}
+		if e.off < off {
+			kept = append(kept, extent{off: e.off, data: e.data.SubList(0, int(off-e.off))})
 		}
 	}
-	o.extents = out
-	o.sortExtents()
+	clear(o.extents[len(kept):]) // dropped extents must not pin their data
+	o.extents = kept
+	if tail.data != nil {
+		o.insert(tail)
+	}
 }
 
 func (o *onode) insert(e extent) {
@@ -549,7 +558,7 @@ func (o *onode) insert(e extent) {
 }
 
 func (o *onode) sortExtents() {
-	sort.Slice(o.extents, func(i, j int) bool { return o.extents[i].off < o.extents[j].off })
+	slices.SortFunc(o.extents, func(a, b extent) int { return cmp.Compare(a.off, b.off) })
 }
 
 func (o *onode) truncate(size uint64) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -595,5 +596,63 @@ func TestQuickAllocatorNoOverlapConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refPunchInsert is the extent-map update as it was with a fresh output slice
+// per punch and a reflection-based sort.Slice after every change; the
+// in-place version must leave the same extents in the same order.
+func refPunchInsert(extents []extent, off uint64, data *wire.Bufferlist) []extent {
+	end := off + uint64(data.Length())
+	var out []extent
+	for _, e := range extents {
+		eEnd := e.off + uint64(e.data.Length())
+		if eEnd <= off || e.off >= end {
+			out = append(out, e)
+			continue
+		}
+		if e.off < off {
+			out = append(out, extent{off: e.off, data: e.data.SubList(0, int(off-e.off))})
+		}
+		if eEnd > end {
+			skip := int(end - e.off)
+			out = append(out, extent{off: end, data: e.data.SubList(skip, e.data.Length()-skip)})
+		}
+	}
+	out = append(out, extent{off: off, data: data})
+	sort.Slice(out, func(i, j int) bool { return out[i].off < out[j].off })
+	return out
+}
+
+func TestPunchInsertMatchesSortSliceVersion(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		o := &onode{}
+		var ref []extent
+		for w := 0; w < 200; w++ {
+			// Overlapping writes over a small range: splits (a write inside
+			// an extent), swallowed extents, trimmed heads and tails, gaps.
+			off := uint64(rng.Intn(4000))
+			data := make([]byte, 1+rng.Intn(600))
+			rng.Read(data)
+			bl := wire.FromBytes(data)
+			o.punch(off, uint64(bl.Length()))
+			o.insert(extent{off: off, data: bl})
+			ref = refPunchInsert(ref, off, bl)
+			if len(o.extents) != len(ref) {
+				t.Fatalf("seed %d write %d: %d extents, reference %d", seed, w, len(o.extents), len(ref))
+			}
+			for i := range ref {
+				if o.extents[i].off != ref[i].off || !o.extents[i].data.Equal(ref[i].data) {
+					t.Fatalf("seed %d write %d: extent %d at %d (%d bytes), reference at %d (%d bytes)",
+						seed, w, i, o.extents[i].off, o.extents[i].data.Length(), ref[i].off, ref[i].data.Length())
+				}
+			}
+			for _, e := range o.extents[len(o.extents):cap(o.extents)] {
+				if e.data != nil {
+					t.Fatalf("seed %d write %d: a dropped extent is still referenced past the end", seed, w)
+				}
+			}
+		}
 	}
 }

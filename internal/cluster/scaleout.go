@@ -417,7 +417,7 @@ func NewScaleOut(cfg ScaleOutConfig) *ScaleOut {
 		// machinery, keeping its event stream (and goldens) untouched.
 		var prepopDone *sim.Event
 		if cfg.ReadPercent > 0 {
-			prepopDone = sim.NewEvent(env)
+			prepopDone = sim.NewEvent()
 			env.Spawn(fmt.Sprintf("bench-prepop-p%d", pod.ID), func(p *sim.Proc) {
 				p.SetThread(sim.NewThread(fmt.Sprintf("bench-prepop-p%d", pod.ID), rados.ThreadCat))
 				n := nPrepop

@@ -230,7 +230,7 @@ func (px *Proxy) flushBatch(p *sim.Proc) {
 	t := &doca.Transfer{
 		ReqID: batchID, TotalSegs: 1, Bytes: wireBytes, Data: frame, Ops: len(take),
 		Src: px.dpuMR, Dst: px.hostMR, ReuseSetup: true, Queue: qpin,
-		Tag: segHeader{kind: segTxnBatch, reqID: batchID, total: 1, batchCtxs: ctxs},
+		Tag: &segHeader{kind: segTxnBatch, reqID: batchID, total: 1, batchCtxs: ctxs},
 	}
 	dmaStart := p.Now()
 	px.batchInflight++

@@ -473,3 +473,35 @@ func TestProxyPeakStagingHighWater(t *testing.T) {
 		}
 	})
 }
+
+// TestFallbackSegmentHeaderValidated: the host sizes a request's reassembly
+// table by the segment count the first segment claims, so a fallback frame
+// whose index lies outside its own count, or whose count is absurd, must be
+// rejected at decode — and a later segment that contradicts the first is
+// dropped and counted, not filed.
+func TestFallbackSegmentHeaderValidated(t *testing.T) {
+	payload := seeded(64, 1)
+	for name, f := range map[string]*wire.Bufferlist{
+		"index == total": encodeSegFallback(1, 1, 2, 2, payload),
+		"zero total":     encodeSegFallback(1, 1, 0, 0, payload),
+		"huge total":     encodeSegFallback(1, 1, 0, maxTxnSegments+1, payload),
+	} {
+		if _, _, _, _, _, err := decodeSegFallback(f); err == nil {
+			t.Errorf("%s: frame accepted", name)
+		}
+	}
+	if _, _, seg, total, _, err := decodeSegFallback(encodeSegFallback(1, 1, 1, 2, payload)); err != nil || seg != 1 || total != 2 {
+		t.Fatalf("valid frame: seg=%d total=%d err=%v", seg, total, err)
+	}
+
+	r := newCoreRig(BridgeConfig{})
+	r.run(t, func(p *sim.Proc) {
+		hs := r.bridge.Host
+		hs.addSegment(p, 900, 1, 0, 3, payload, 0, 0)
+		hs.addSegment(p, 900, 1, 1, 2, payload, 0, 0) // count changed
+		hs.addSegment(p, 900, 1, 3, 3, payload, 0, 0) // index out of range
+		if a := hs.asm[900]; a == nil || a.have != 1 || hs.stats.FrameErrors != 2 {
+			t.Fatalf("assembly %+v, frame errors %d; want one filed segment and two rejects", a, hs.stats.FrameErrors)
+		}
+	})
+}

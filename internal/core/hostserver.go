@@ -99,7 +99,8 @@ type HostStats struct {
 	PollIterations  int64
 
 	// Batching counters (zero with batching disabled). FrameErrors counts
-	// batch frames the decoder rejected.
+	// batch frames the decoder rejected, and segments whose index or count
+	// contradicts the first segment seen of their request.
 	BatchFrames   int64
 	BatchedOps    int64
 	NotifyBatches int64
@@ -163,8 +164,10 @@ type readyTxn struct {
 }
 
 type assembly struct {
-	segs    map[int]*wire.Bufferlist
-	total   int
+	// segs has one slot per segment of the request; have counts the filled
+	// ones.
+	segs    []*wire.Bufferlist
+	have    int
 	started sim.Time
 	// traceCtx is the first non-zero trace context seen on a segment tag
 	// (RPC-fallback segments carry none).
@@ -200,7 +203,7 @@ func NewHostServer(env *sim.Env, hostCPU *sim.CPU, store objstore.Store,
 	if hs.cfg.Batch.Enable {
 		n := engUp.NumQueues()
 		for i := 0; i < n; i++ {
-			sh := &notifyShard{cond: sim.NewCond(env)}
+			sh := &notifyShard{cond: sim.NewCond()}
 			hs.notify = append(hs.notify, sh)
 			name := "host-notify-batch"
 			if n > 1 {
@@ -234,7 +237,7 @@ func (hs *HostServer) pollLoop(p *sim.Proc) {
 		t := hs.engUp.Completions().Pop(p)
 		hs.stats.PollIterations++
 		hs.cpu.Exec(p, hs.thPoll, hs.cfg.CompletionCycles)
-		hdr, isSeg := t.Tag.(segHeader)
+		hdr, isSeg := t.Tag.(*segHeader)
 		if !isSeg || t.Err != nil {
 			continue // probe traffic or failed transfer (DPU handles retry)
 		}
@@ -282,24 +285,27 @@ func (hs *HostServer) pollLoop(p *sim.Proc) {
 // addSegment files one transaction segment (from either plane); once the
 // request is complete its transaction joins the ordered commit queue.
 func (hs *HostServer) addSegment(p *sim.Proc, reqID, txnSeq uint64, seg, total int, data *wire.Bufferlist, traceCtx uint64, queue int) {
-	a, ok := hs.asm[reqID]
-	if !ok {
-		a = &assembly{segs: make(map[int]*wire.Bufferlist), started: p.Now()}
+	a := hs.asm[reqID]
+	if a == nil {
+		a = &assembly{segs: make([]*wire.Bufferlist, total), started: p.Now()}
 		hs.asm[reqID] = a
 	}
+	if seg < 0 || seg >= len(a.segs) || total != len(a.segs) {
+		hs.stats.FrameErrors++ // disagrees with the request's first segment
+		return
+	}
+	if a.segs[seg] == nil {
+		a.have++
+	}
 	a.segs[seg] = data
-	a.total = total
 	if a.traceCtx == 0 {
 		a.traceCtx = traceCtx
 	}
-	if len(a.segs) < total {
+	if a.have < total {
 		return
 	}
 	delete(hs.asm, reqID)
-	payload := &wire.Bufferlist{}
-	for i := 0; i < total; i++ {
-		payload.AppendBufferlist(a.segs[i])
-	}
+	payload := wire.Concat(a.segs)
 	var hostSp trace.SpanID
 	if hs.tr.Enabled() && a.traceCtx != 0 {
 		hostSp = hs.tr.Start(trace.SpanID(a.traceCtx), 0, trace.StageHostCommit, hs.cpu.Name())
@@ -422,7 +428,7 @@ func (hs *HostServer) serveRead(req *readReq) {
 				ReqID: req.ReqID, Seg: i, TotalSegs: total, Bytes: n,
 				Data: bl.SubList(int(off), int(n)),
 				Src:  hs.hostMR, Dst: hs.dpuMR,
-				Tag: segHeader{kind: segReadData, reqID: req.ReqID, seg: i, total: total},
+				Tag: &segHeader{kind: segReadData, reqID: req.ReqID, seg: i, total: total},
 			}
 			if err := hs.engDown.Submit(p, hs.cpu, t); err != nil {
 				hs.readBuf.Release()

@@ -154,6 +154,11 @@ func decodeReadReq(bl *wire.Bufferlist) (*readReq, error) {
 // segFallbackHeaderBytes is the fixed fallback frame header size.
 const segFallbackHeaderBytes = 28
 
+// maxTxnSegments bounds the segment count a fallback frame may claim: the
+// host sizes its reassembly table by it. 64Ki segments of 2 MiB is far beyond
+// any transaction the OSD builds.
+const maxTxnSegments = 1 << 16
+
 // encodeSegFallback frames one RPC-fallback segment; the payload rides as
 // zero-copy segments after the fixed header.
 func encodeSegFallback(reqID, txnSeq uint64, seg, total int, payload *wire.Bufferlist) *wire.Bufferlist {
@@ -172,13 +177,13 @@ func decodeSegFallback(bl *wire.Bufferlist) (reqID, txnSeq uint64, seg, total in
 	if bl.Length() < segFallbackHeaderBytes {
 		return 0, 0, 0, 0, nil, ErrFrame
 	}
-	d := wire.NewDecoder(bl.SubList(0, segFallbackHeaderBytes).Bytes())
+	d := wire.NewDecoder(bl.Prefix(segFallbackHeaderBytes))
 	reqID = d.U64()
 	txnSeq = d.U64()
 	seg = int(d.U32())
 	total = int(d.U32())
 	n := int(d.U32())
-	if segFallbackHeaderBytes+n > bl.Length() {
+	if segFallbackHeaderBytes+n > bl.Length() || seg >= total || total > maxTxnSegments {
 		return 0, 0, 0, 0, nil, ErrFrame
 	}
 	payload = bl.SubList(segFallbackHeaderBytes, n)

@@ -202,17 +202,32 @@ func (px *Proxy) noteStage(n int64) {
 
 func (px *Proxy) noteUnstage(n int64) { px.stagingBytes -= n }
 
+// pendingTxn is everything one in-flight transaction owns on the proxy, in
+// one allocation: the Result handed back to the caller and the host's commit
+// notification that completes it.
 type pendingTxn struct {
-	done          *sim.Event
+	res           objstore.Result
+	done          sim.Event
 	code          uint16
 	hostWriteNano int64
 }
 
+// segment is one in-flight DMA segment of a transaction: the engine
+// transfer, the tag the host poller reads off it and its trace span. A
+// transaction's segments are allocated together.
+type segment struct {
+	t    doca.Transfer
+	hdr  segHeader
+	span trace.SpanID
+}
+
 type pendingRead struct {
-	done  *sim.Event
-	segs  map[int]*wire.Bufferlist
-	total int
-	code  uint16
+	done sim.Event
+	// segs is sized by the first data segment's total; have counts the
+	// filled slots.
+	segs []*wire.Bufferlist
+	have int
+	code uint16
 }
 
 // NewProxy builds the DPU-side proxy. rpcEnd is the DPU endpoint of the
@@ -256,7 +271,7 @@ func NewProxy(env *sim.Env, dev *dpu.DPU, rpcEnd *rpcchan.Endpoint,
 			px.cfg.Batch.MaxOpBytes = px.cfg.Batch.MaxBatchBytes
 		}
 		px.thBatch = sim.NewThread("proxy-batch@"+dev.Name, ProxyThreadCat)
-		px.batchCond = sim.NewCond(env)
+		px.batchCond = sim.NewCond()
 		env.SpawnDaemon("proxy-batch@"+dev.Name, func(p *sim.Proc) { px.batchLoop(p) })
 	}
 	return px
@@ -326,7 +341,7 @@ func (px *Proxy) dmaAllowed(p *sim.Proc) bool {
 	px.stats.Probes++
 	px.ensureRegions(p)
 	t := &doca.Transfer{Bytes: px.cfg.ProbeBytes, Src: px.dpuMR, Dst: px.hostMR,
-		Tag: segHeader{kind: segProbe}}
+		Tag: &segHeader{kind: segProbe}}
 	if err := px.engUp.Submit(p, px.dev.CPU, t); err != nil {
 		px.enterCooldown(p)
 		return false
@@ -365,7 +380,7 @@ func (px *Proxy) breakerAllowed(p *sim.Proc) bool {
 		px.stats.Probes++
 		px.ensureRegions(p)
 		t := &doca.Transfer{Bytes: px.cfg.ProbeBytes, Src: px.dpuMR, Dst: px.hostMR,
-			Tag: segHeader{kind: segProbe}}
+			Tag: &segHeader{kind: segProbe}}
 		err := px.engUp.Submit(p, px.dev.CPU, t)
 		if err == nil {
 			t.Done.Wait(p)
@@ -403,7 +418,8 @@ func (px *Proxy) noteDMAWait(p *sim.Proc, wait sim.Duration) {
 // write-through semantics).
 func (px *Proxy) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objstore.Result {
 	px.invalidateCached(txn)
-	res := &objstore.Result{Done: sim.NewEvent(px.env)}
+	pt := &pendingTxn{}
+	res := &pt.res
 	ctx := trace.SpanID(txn.TraceCtx)
 	if !px.tr.Enabled() {
 		ctx = 0
@@ -425,7 +441,6 @@ func (px *Proxy) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objst
 	reqID := px.nextReq
 	px.nextTxnSeq++
 	txnSeq := px.nextTxnSeq
-	pt := &pendingTxn{done: sim.NewEvent(px.env)}
 	px.pendingTxns[reqID] = pt
 
 	if px.cfg.Batch.Enable && int64(payload.Length()) <= px.cfg.Batch.MaxOpBytes {
@@ -434,7 +449,7 @@ func (px *Proxy) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objst
 		px.enqueueBatch(p, &batchOp{reqID: reqID, txnSeq: txnSeq, payload: payload, ctx: ctx})
 		px.env.SpawnID("proxy-tx:", reqID, func(tp *sim.Proc) {
 			tp.SetThread(px.thProxy)
-			px.awaitTxn(tp, reqID, pt, res)
+			px.awaitTxn(tp, reqID, pt)
 		})
 		return res
 	}
@@ -453,7 +468,7 @@ func (px *Proxy) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objst
 		} else {
 			px.shipViaRPC(tp, reqID, txnSeq, payload, 0)
 		}
-		px.awaitTxn(tp, reqID, pt, res)
+		px.awaitTxn(tp, reqID, pt)
 	})
 	return res
 }
@@ -478,13 +493,13 @@ func (px *Proxy) invalidateCached(txn *objstore.Transaction) {
 
 // awaitTxn waits for the host commit notification and completes the
 // caller's Result (shared tail of the batched and per-op paths).
-func (px *Proxy) awaitTxn(tp *sim.Proc, reqID uint64, pt *pendingTxn, res *objstore.Result) {
+func (px *Proxy) awaitTxn(tp *sim.Proc, reqID uint64, pt *pendingTxn) {
 	pt.done.Wait(tp)
-	res.Err = codeToErr(pt.code)
+	pt.res.Err = codeToErr(pt.code)
 	px.breakdown.Requests++
 	px.breakdown.HostWrite += sim.Duration(pt.hostWriteNano)
 	delete(px.pendingTxns, reqID)
-	res.Done.Fire()
+	pt.res.Done.Fire()
 }
 
 // shipViaDMA cuts payload into segments and pipelines stage+transfer. On a
@@ -505,13 +520,8 @@ func (px *Proxy) shipViaDMA(p *sim.Proc, reqID, txnSeq uint64, payload *wire.Buf
 	}
 	px.ensureRegions(p)
 
-	type segState struct {
-		idx  int
-		t    *doca.Transfer
-		span trace.SpanID
-	}
-	inflight := make([]*segState, 0, total)
-	failedFrom := -1
+	segs := make([]segment, total)
+	submitted := 0
 	// dmaStart..dmaEnd bounds the request's DMA phase on the wall clock;
 	// DMA-wait is that span minus the actual copy time (Table 3's "waiting
 	// time that occurs due to serial DMA transfers", including staging-
@@ -556,51 +566,50 @@ func (px *Proxy) shipViaDMA(p *sim.Proc, reqID, txnSeq uint64, payload *wire.Buf
 			dmaSp = px.tr.Start(ctx, 0, dmaStage, px.dev.Name)
 			px.tr.AddBytes(dmaSp, n)
 		}
-		t := &doca.Transfer{
+		sg := &segs[i]
+		sg.span = dmaSp
+		sg.hdr = segHeader{kind: segTxn, reqID: reqID, seg: i, total: total,
+			txnSeq: txnSeq, traceCtx: uint64(ctx)}
+		sg.t = doca.Transfer{
 			ReqID: reqID, Seg: i, TotalSegs: total, Bytes: n, Data: data,
 			Src: px.dpuMR, Dst: px.hostMR, TraceCtx: uint64(ctx),
-			ReuseSetup: streamReuse,
-			Tag: segHeader{kind: segTxn, reqID: reqID, seg: i, total: total,
-				txnSeq: txnSeq, traceCtx: uint64(ctx)},
+			ReuseSetup: streamReuse, Tag: &sg.hdr,
 		}
-		if err := px.engUp.Submit(p, px.dev.CPU, t); err != nil {
+		if err := px.engUp.Submit(p, px.dev.CPU, &sg.t); err != nil {
 			px.tr.Finish(dmaSp)
 			px.dev.Buffers.Release()
 			px.noteUnstage(n)
-			failedFrom = i
 			break
 		}
-		st := &segState{idx: i, t: t, span: dmaSp}
-		inflight = append(inflight, st)
+		submitted++
 		if !px.cfg.DisablePipeline {
 			// Release the buffer when the engine finishes with it; keep
 			// staging the next segment meanwhile.
 			px.env.SpawnSub("proxy-seg:", reqID, i, func(sp *sim.Proc) {
-				st.t.Done.Wait(sp)
-				px.tr.Finish(st.span)
+				sg.t.Done.Wait(sp)
+				px.tr.Finish(sg.span)
 				px.dev.Buffers.Release()
 				px.noteUnstage(n)
 			})
 		} else {
-			t.Done.Wait(p)
+			sg.t.Done.Wait(p)
 			px.tr.Finish(dmaSp)
 			px.dev.Buffers.Release()
 			px.noteUnstage(n)
 		}
 	}
-	// Collect completions and account DMA time.
-	delivered := make([]bool, total)
-	anyErr := failedFrom >= 0
-	for _, st := range inflight {
-		st.t.Done.Wait(p)
-		copySum += st.t.CopyTime()
-		if st.t.CompletedAt > dmaEnd {
-			dmaEnd = st.t.CompletedAt
+	// Collect completions and account DMA time. A segment was delivered if
+	// it was submitted and its transfer finished without error.
+	anyErr := submitted < total
+	for i := range segs[:submitted] {
+		t := &segs[i].t
+		t.Done.Wait(p)
+		copySum += t.CopyTime()
+		if t.CompletedAt > dmaEnd {
+			dmaEnd = t.CompletedAt
 		}
-		if st.t.Err != nil {
+		if t.Err != nil {
 			anyErr = true
-		} else {
-			delivered[st.idx] = true
 		}
 	}
 	px.breakdown.DMA += copySum
@@ -616,7 +625,7 @@ func (px *Proxy) shipViaDMA(p *sim.Proc, reqID, txnSeq uint64, payload *wire.Buf
 		// failed and never-attempted ones over RPC, then cool down.
 		px.enterCooldown(p)
 		for i := 0; i < total; i++ {
-			if delivered[i] {
+			if i < submitted && segs[i].t.Err == nil {
 				continue
 			}
 			off := int64(i) * segBytes
@@ -692,7 +701,7 @@ func (px *Proxy) Read(p *sim.Proc, coll, obj string, off, length uint64) (*wire.
 	}
 	px.nextReq++
 	reqID := px.nextReq
-	pr := &pendingRead{done: sim.NewEvent(px.env), segs: make(map[int]*wire.Bufferlist), total: -1}
+	pr := &pendingRead{}
 	px.pendingReads[reqID] = pr
 	defer delete(px.pendingReads, reqID)
 
@@ -703,7 +712,7 @@ func (px *Proxy) Read(p *sim.Proc, coll, obj string, off, length uint64) (*wire.
 		t := &doca.Transfer{
 			ReqID: reqID, TotalSegs: 1, Bytes: int64(desc.Length()), Data: desc,
 			Src: px.dpuMR, Dst: px.hostMR,
-			Tag: segHeader{kind: segReadReq, reqID: reqID, total: 1},
+			Tag: &segHeader{kind: segReadReq, reqID: reqID, total: 1},
 		}
 		if err := px.engUp.Submit(p, px.dev.CPU, t); err != nil {
 			return nil, err
@@ -717,10 +726,7 @@ func (px *Proxy) Read(p *sim.Proc, coll, obj string, off, length uint64) (*wire.
 		if err := codeToErr(pr.code); err != nil {
 			return nil, err
 		}
-		out := &wire.Bufferlist{}
-		for i := 0; i < pr.total; i++ {
-			out.AppendBufferlist(pr.segs[i])
-		}
+		out := wire.Concat(pr.segs)
 		px.cacheRead(coll, obj, off, length, out)
 		return out, nil
 	}
@@ -761,7 +767,7 @@ func (px *Proxy) downPollLoop(p *sim.Proc) {
 	p.SetThread(th)
 	for {
 		t := px.engDown.Completions().Pop(p)
-		hdr, ok := t.Tag.(segHeader)
+		hdr, ok := t.Tag.(*segHeader)
 		if !ok || hdr.kind != segReadData {
 			continue
 		}
@@ -775,9 +781,14 @@ func (px *Proxy) downPollLoop(p *sim.Proc) {
 			pr.done.Fire()
 			continue
 		}
+		if pr.segs == nil {
+			pr.segs = make([]*wire.Bufferlist, hdr.total)
+		}
+		if pr.segs[hdr.seg] == nil {
+			pr.have++
+		}
 		pr.segs[hdr.seg] = t.Data
-		pr.total = hdr.total
-		if len(pr.segs) == pr.total {
+		if pr.have == len(pr.segs) {
 			pr.done.Fire()
 		}
 	}
@@ -798,7 +809,7 @@ func (px *Proxy) onReadDone(p *sim.Proc, req *rpcchan.Request,
 	}
 	if code != rcOK || total == 0 {
 		pr.code = code
-		pr.total = 0
+		pr.segs, pr.have = nil, 0
 		pr.done.Fire()
 	}
 }

@@ -234,8 +234,9 @@ type Transfer struct {
 	forceFail   bool
 
 	// Done fires on completion (success or failure); the submitter waits
-	// on it while the host side consumes the completion queue.
-	Done *sim.Event
+	// on it while the host side consumes the completion queue. It lives in
+	// the Transfer, so a Transfer is submitted once and never copied after.
+	Done sim.Event
 }
 
 // Wait returns the queueing delay the transfer experienced.
@@ -324,7 +325,7 @@ func NewEngine(env *sim.Env, name string, cfg EngineConfig) *Engine {
 		e.bus = sim.NewSemaphore(env, e.cfg.CopySlots)
 	}
 	for i := 0; i < e.cfg.Queues; i++ {
-		q := &dmaQueue{cond: sim.NewCond(env)}
+		q := &dmaQueue{cond: sim.NewCond()}
 		e.queues = append(e.queues, q)
 		env.SpawnDaemon(fmt.Sprintf("dma-engine:%s/ch%d", name, i),
 			func(p *sim.Proc) { e.run(p, q) })
@@ -396,7 +397,6 @@ func (e *Engine) Submit(p *sim.Proc, cpu *sim.CPU, t *Transfer) error {
 	}
 	cpu.ExecSelf(p, e.cfg.SubmitCycles)
 	t.SubmittedAt = p.Now()
-	t.Done = sim.NewEvent(e.env)
 	e.submitted++
 	if e.failNext > 0 {
 		e.failNext--

@@ -150,7 +150,7 @@ func TestStreamSinkIncrementalDelivery(t *testing.T) {
 func TestStreamCreditWindowBoundsInFlight(t *testing.T) {
 	const window = 3
 	r := newRig(Config{Stream: StreamConfig{Enable: true, ChunkBytes: 10_000, Window: window}})
-	sink := &testSink{env: r.env, hold: true, release: sim.NewEvent(r.env)}
+	sink := &testSink{env: r.env, hold: true, release: sim.NewEvent()}
 	r.b.SetStreamSink(sink)
 	payload := bigPayload(100_000) // 10 chunks
 	r.env.Spawn("starter", func(p *sim.Proc) {

@@ -7,6 +7,7 @@
 package objstore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -228,8 +229,12 @@ func DecodeTransaction(d *wire.Decoder) (*Transaction, error) {
 // DoCeph data plane uses: a multi-megabyte write costs no payload memcpy to
 // frame or parse.
 func (t *Transaction) EncodeBL() *wire.Bufferlist {
-	meta := wire.NewEncoder(64 + 64*len(t.Ops))
+	// Length prefix and metadata share one buffer; the prefix is patched in
+	// once the metadata length is known.
+	meta := wire.NewEncoder(4 + 64 + 64*len(t.Ops))
+	meta.U32(0)
 	meta.U32(uint32(len(t.Ops)))
+	segs := 1
 	for i := range t.Ops {
 		op := &t.Ops[i]
 		meta.U8(uint8(op.Code))
@@ -240,15 +245,17 @@ func (t *Transaction) EncodeBL() *wire.Bufferlist {
 		var dataLen int
 		if op.Data != nil {
 			dataLen = op.Data.Length()
+			segs += op.Data.Segments()
 		}
 		meta.U32(uint32(dataLen))
 		meta.String(op.AttrName)
 		meta.Blob(op.AttrValue)
 	}
-	hdr := wire.NewEncoder(4 + meta.Len())
-	hdr.U32(uint32(meta.Len()))
-	bl := hdr.Bufferlist()
-	bl.Append(meta.Bytes())
+	frame := meta.Bytes()
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	bl := &wire.Bufferlist{}
+	bl.Reserve(segs)
+	bl.Append(frame)
 	for i := range t.Ops {
 		if t.Ops[i].Data != nil {
 			bl.AppendBufferlist(t.Ops[i].Data)
@@ -263,13 +270,18 @@ func DecodeTransactionBL(bl *wire.Bufferlist) (*Transaction, error) {
 	if bl.Length() < 4 {
 		return nil, fmt.Errorf("objstore: frame too short (%d bytes)", bl.Length())
 	}
-	metaLen := int(binaryLEU32(bl.SubList(0, 4).Bytes()))
+	metaLen := int(binary.LittleEndian.Uint32(bl.Prefix(4)))
 	if 4+metaLen > bl.Length() {
 		return nil, fmt.Errorf("objstore: meta length %d exceeds frame %d", metaLen, bl.Length())
 	}
-	d := wire.NewDecoder(bl.SubList(4, metaLen).Bytes())
+	d := wire.NewDecoder(bl.Prefix(4 + metaLen)[4:])
 	n := d.U32()
 	t := &Transaction{}
+	// An op's metadata is at least minOpMeta bytes, so a count the metadata
+	// cannot hold (the decode fails below) does not size the slice.
+	if k := min(int(n), metaLen/minOpMeta); k > 0 {
+		t.Ops = make([]Op, 0, k)
+	}
 	dataOff := 4 + metaLen
 	for i := uint32(0); i < n && d.Err() == nil; i++ {
 		op := Op{
@@ -297,9 +309,10 @@ func DecodeTransactionBL(bl *wire.Bufferlist) (*Transaction, error) {
 	return t, nil
 }
 
-func binaryLEU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
+// minOpMeta is the encoded size of an op with empty names and no data:
+// code, two string lengths, offset, length, data length, attr name and value
+// lengths.
+const minOpMeta = 1 + 4 + 4 + 8 + 8 + 4 + 4 + 4
 
 // StatInfo is object metadata returned by Stat.
 type StatInfo struct {
@@ -312,9 +325,10 @@ type StatInfo struct {
 // transaction is durably committed; Err is valid once Done has fired.
 // ServiceTime, when the backend fills it, is the pure commit service time
 // (checksum CPU + device streaming + KV share) excluding queueing — the
-// paper's Table 3 "Host write" metric.
+// paper's Table 3 "Host write" metric. Done lives in the Result, so a Result
+// is handled by pointer only.
 type Result struct {
-	Done        *sim.Event
+	Done        sim.Event
 	Err         error
 	ServiceTime sim.Duration
 }

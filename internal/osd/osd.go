@@ -310,7 +310,7 @@ func New(env *sim.Env, cpu *sim.CPU, id int32, msgr *messenger.Messenger,
 	if o.cfg.RecoveryMaxPGs > 0 {
 		o.recovSem = sim.NewSemaphore(env, o.cfg.RecoveryMaxPGs)
 	}
-	o.ready = sim.NewEvent(env)
+	o.ready = sim.NewEvent()
 	msgr.SetDispatcher(o.dispatch)
 	msgr.SetStreamSink(o)
 	o.opqs = make([]*sim.Queue[opItem], o.cfg.OpShards)
@@ -523,7 +523,7 @@ func (o *OSD) completeRep(tid uint64) {
 // secondary; the assigned tid is stamped in afterwards.
 func (o *OSD) sendRepOps(p *sim.Proc, acting []int32, repSp trace.SpanID,
 	mk func(sec int32) *cephmsg.MRepOp) (*pendingRep, []uint64) {
-	pend := &pendingRep{needed: len(acting) - 1, ev: sim.NewEvent(o.env)}
+	pend := &pendingRep{needed: len(acting) - 1, ev: sim.NewEvent()}
 	if pend.needed <= 0 {
 		pend.ev.Fire()
 		return pend, nil

@@ -179,7 +179,7 @@ func (o *OSD) backfillPG(p *sim.Proc, pg uint32, targets []int32) {
 			o.cpu.Exec(p, th, o.cfg.RepPrepCycles)
 			o.nextPushTid++
 			tid := o.nextPushTid
-			ack := sim.NewEvent(o.env)
+			ack := sim.NewEvent()
 			o.pushPending[tid] = ack
 			o.msgr.Send(Name(target), &cephmsg.MPGPush{
 				Tid: tid, Epoch: o.curMap.Epoch, PGID: pg, Object: obj,

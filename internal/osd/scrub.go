@@ -57,7 +57,7 @@ func (o *OSD) scrubPG(p *sim.Proc, pg uint32, replicas []int32) {
 		for _, rep := range replicas {
 			o.nextPushTid++
 			tid := o.nextPushTid
-			sc := &scrubCall{done: sim.NewEvent(o.env)}
+			sc := &scrubCall{done: sim.NewEvent()}
 			o.scrubPending[tid] = sc
 			o.msgr.Send(Name(rep), &cephmsg.MScrub{Tid: tid, PGID: pg, Object: obj})
 			if !sc.done.WaitTimeout(p, 30*sim.Second) {
@@ -71,7 +71,7 @@ func (o *OSD) scrubPG(p *sim.Proc, pg uint32, replicas []int32) {
 			o.stats.ScrubErrors++
 			o.nextPushTid++
 			rtid := o.nextPushTid
-			ack := sim.NewEvent(o.env)
+			ack := sim.NewEvent()
 			o.pushPending[rtid] = ack
 			o.msgr.Send(Name(rep), &cephmsg.MPGPush{
 				Tid: rtid, Epoch: o.curMap.Epoch, PGID: pg, Object: obj,
@@ -122,7 +122,7 @@ func (o *OSD) handleScrubReply(m *cephmsg.MScrubReply) {
 // (administrative hook used by tests and examples). It returns right away;
 // the returned event fires once the whole pass has completed.
 func (o *OSD) ScrubNow() *sim.Event {
-	done := sim.NewEvent(o.env)
+	done := sim.NewEvent()
 	o.env.Spawn(fmt.Sprintf("scrub-now@%s", o.name), func(p *sim.Proc) {
 		th := sim.NewThread("scrub@"+o.name, ThreadCat)
 		p.SetThread(th)

@@ -153,7 +153,7 @@ func (o *OSD) ingestClientStream(p *sim.Proc, src string, m *cephmsg.MOSDOp,
 	if sp != 0 {
 		repSp = o.tr.Start(sp, 0, trace.StageReplication, m.Object)
 	}
-	pend := &pendingRep{needed: len(acting) - 1, ev: sim.NewEvent(o.env)}
+	pend := &pendingRep{needed: len(acting) - 1, ev: sim.NewEvent()}
 	if pend.needed <= 0 {
 		pend.ev.Fire()
 	}

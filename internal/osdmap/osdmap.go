@@ -3,11 +3,7 @@
 // object -> placement-group -> acting-set resolution path (RADOS §2).
 package osdmap
 
-import (
-	"hash/fnv"
-
-	"doceph/internal/crush"
-)
+import "doceph/internal/crush"
 
 // Map is one epoch of cluster state. Maps are treated as immutable once
 // published; Next derives a successor epoch.
@@ -27,6 +23,15 @@ type Map struct {
 	Crush *crush.Map
 	// Down marks OSDs excluded from placement in this epoch.
 	Down map[int32]bool
+
+	// acting memoises ActingSet: clients and OSDs resolve the same few PGs
+	// on every op, and CRUSH selection is the costly part. Row pg holds the
+	// ids of pg's set in its first actingLen[pg]-1 entries; actingLen[pg]
+	// zero means not computed yet. Filled lazily, dropped by MarkDown and
+	// MarkUp, not inherited by Next. A map belongs to one simulation
+	// environment, so the memo needs no lock.
+	acting    []int32 // PGCount rows of Replicas ids
+	actingLen []uint8
 }
 
 // New returns an epoch-1 map over the given hierarchy.
@@ -62,12 +67,14 @@ func (m *Map) Next() *Map {
 func (m *Map) MarkDown(osd int32) {
 	m.Down[osd] = true
 	_ = m.Crush.MarkOut(crush.ItemID(osd))
+	m.acting, m.actingLen = nil, nil
 }
 
 // MarkUp restores an OSD.
 func (m *Map) MarkUp(osd int32) {
 	delete(m.Down, osd)
 	_ = m.Crush.MarkIn(crush.ItemID(osd))
+	m.acting, m.actingLen = nil, nil
 }
 
 // IsUp reports whether osd participates in this epoch.
@@ -87,9 +94,11 @@ func (m *Map) UpOSDs() []int32 {
 // PGForObject hashes an object name to its placement group, mirroring
 // Ceph's stable ceph_str_hash + pg mask.
 func (m *Map) PGForObject(object string) uint32 {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(object))
-	return h.Sum32() % m.PGCount
+	h := uint32(2166136261) // FNV-1a, 32 bit
+	for i := 0; i < len(object); i++ {
+		h = (h ^ uint32(object[i])) * 16777619
+	}
+	return h % m.PGCount
 }
 
 // pgSeed decorrelates PG ids before they enter CRUSH.
@@ -101,14 +110,32 @@ func pgSeed(pg uint32) uint32 {
 	return x
 }
 
-// ActingSet returns the OSDs serving pg, primary first.
+// ActingSet returns the OSDs serving pg, primary first. The slice is shared
+// with every other caller asking about pg in this epoch: read it, do not
+// modify it.
 func (m *Map) ActingSet(pg uint32) []int32 {
-	ids := m.Crush.Select(pgSeed(pg), m.Replicas)
-	out := make([]int32, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, int32(id))
+	r := m.Replicas
+	if pg >= m.PGCount || r <= 0 || r >= 255 {
+		return m.selectActing(pg, nil) // no memo row for it
 	}
-	return out
+	if m.acting == nil {
+		m.acting = make([]int32, int(m.PGCount)*r)
+		m.actingLen = make([]uint8, m.PGCount)
+	}
+	row := m.acting[int(pg)*r : (int(pg)+1)*r : (int(pg)+1)*r]
+	if m.actingLen[pg] == 0 {
+		m.actingLen[pg] = uint8(len(m.selectActing(pg, row[:0])) + 1)
+	}
+	n := int(m.actingLen[pg]) - 1
+	return row[:n:n]
+}
+
+// selectActing runs CRUSH for pg and appends the set to dst.
+func (m *Map) selectActing(pg uint32, dst []int32) []int32 {
+	for _, id := range m.Crush.Select(pgSeed(pg), m.Replicas) {
+		dst = append(dst, int32(id))
+	}
+	return dst
 }
 
 // Primary returns the primary OSD for pg, or -1 if the PG is unservable.

@@ -1,6 +1,7 @@
 package osdmap
 
 import (
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 
@@ -138,4 +139,78 @@ func TestPGSeedDecorrelates(t *testing.T) {
 	if same > int(m.PGCount)*3/4 {
 		t.Fatalf("%d of %d consecutive PG pairs share a primary", same, m.PGCount-1)
 	}
+}
+
+// TestPGForObjectIsFNV1a: the inlined hash is the hash/fnv one, so object
+// placement did not move.
+func TestPGForObjectIsFNV1a(t *testing.T) {
+	m := newMap(3, 2)
+	f := func(obj string) bool {
+		h := fnv.New32a()
+		h.Write([]byte(obj))
+		return m.PGForObject(obj) == h.Sum32()%m.PGCount
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestActingSetMemo: a map answers repeated ActingSet calls from one shared
+// slice, forgets every answer when an OSD changes state, and hands nothing
+// down to its successor epoch.
+func TestActingSetMemo(t *testing.T) {
+	m := newMap(4, 3)
+	first := m.ActingSet(7)
+	if again := m.ActingSet(7); &again[0] != &first[0] {
+		t.Fatal("second call recomputed the acting set")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.ActingSet(7) }); allocs != 0 {
+		t.Fatalf("memoised ActingSet allocates %.0f times per call", allocs)
+	}
+	want := append([]int32(nil), first...)
+
+	next := m.Next()
+	if next.acting != nil || next.actingLen != nil {
+		t.Fatal("Next inherited the memo")
+	}
+	victim := first[0]
+	next.MarkDown(victim)
+	for pg := uint32(0); pg < next.PGCount; pg++ {
+		next.ActingSet(pg) // fill the memo in the degraded state
+	}
+	for _, id := range next.ActingSet(7) {
+		if id == victim {
+			t.Fatalf("down osd.%d still acting for pg 7", victim)
+		}
+	}
+	next.MarkUp(victim)
+	if got := next.ActingSet(7); !equalIDs(got, want) {
+		t.Fatalf("after MarkUp pg 7 maps to %v, want %v (stale memo)", got, want)
+	}
+	next.MarkDown(victim)
+	for _, id := range next.ActingSet(7) {
+		if id == victim {
+			t.Fatalf("after the second MarkDown osd.%d is back in pg 7 (stale memo)", victim)
+		}
+	}
+	// The older epoch and the slice handed out before are untouched.
+	if !equalIDs(first, want) || !equalIDs(m.ActingSet(7), want) {
+		t.Fatalf("epoch %d changed under a later epoch's down-marks: %v / %v", m.Epoch, first, m.ActingSet(7))
+	}
+	// Beyond PGCount there is no memo slot; the answer is still CRUSH's.
+	if got := m.ActingSet(m.PGCount + 7); len(got) != 3 {
+		t.Fatalf("out-of-range pg: %v", got)
+	}
+}
+
+func equalIDs(a, b []int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -60,7 +60,7 @@ func Guard(path string, rep Report, minRatio, maxAllocsRatio float64) error {
 	}
 	if maxAllocsRatio > 0 && f.Current.AllocsPerOp > 0 &&
 		rep.AllocsPerOp > f.Current.AllocsPerOp*maxAllocsRatio {
-		return fmt.Errorf("alloc regression: %.1f allocs/op is above %.1fx the recorded %.1f (see %s)",
+		return fmt.Errorf("alloc regression: %.1f allocs/op is above %.2fx the recorded %.1f (see %s)",
 			rep.AllocsPerOp, maxAllocsRatio, f.Current.AllocsPerOp, path)
 	}
 	recorded := make(map[string]Measurement, len(f.Current.Scenarios))
@@ -79,7 +79,7 @@ func Guard(path string, rep Report, minRatio, maxAllocsRatio float64) error {
 		}
 		if maxAllocsRatio > 0 && rec.AllocsPerOp > 0 && m.AllocsPerOp > 0 &&
 			m.AllocsPerOp > rec.AllocsPerOp*maxAllocsRatio {
-			return fmt.Errorf("alloc regression in %s: %.1f allocs/op is above %.1fx the recorded %.1f (see %s)",
+			return fmt.Errorf("alloc regression in %s: %.1f allocs/op is above %.2fx the recorded %.1f (see %s)",
 				m.Name, m.AllocsPerOp, maxAllocsRatio, rec.AllocsPerOp, path)
 		}
 	}
@@ -187,7 +187,10 @@ func guardParallelSpeedup(rep Report, minSpeedup float64, cores int) (string, er
 // missing file starts fresh (the first run becomes its own baseline); a
 // present but unparsable file is an error and the file is left untouched —
 // the bench gate must fail loudly rather than silently clobber history
-// with a partial record.
+// with a partial record. The same goes for a run that would replace a
+// scenario's recorded allocs/op with zero: only the serial sweep attributes
+// allocations per scenario, and Guard's per-scenario ceiling skips zero
+// records, so writing one would switch that ceiling off.
 func UpdateFile(path string, rep Report, rebaseline bool) (File, error) {
 	var f File
 	if raw, err := os.ReadFile(path); err == nil {
@@ -196,6 +199,19 @@ func UpdateFile(path string, rep Report, rebaseline bool) (File, error) {
 		}
 	} else if !os.IsNotExist(err) {
 		return File{}, err
+	}
+	if f.Current != nil {
+		recorded := make(map[string]float64, len(f.Current.Scenarios))
+		for _, m := range f.Current.Scenarios {
+			recorded[m.Name] = m.AllocsPerOp
+		}
+		for _, m := range rep.Scenarios {
+			if m.AllocsPerOp == 0 && recorded[m.Name] > 0 {
+				return File{}, fmt.Errorf("%s records %.1f allocs/op for %s and this run has none: "+
+					"a parallel sweep cannot attribute allocations, rerun with -workers 1",
+					path, recorded[m.Name], m.Name)
+			}
+		}
 	}
 	f.Current = &rep
 	if rebaseline || f.Baseline == nil {

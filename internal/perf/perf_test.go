@@ -266,6 +266,37 @@ func TestUpdateFileRefusesCorruptHistory(t *testing.T) {
 	}
 }
 
+// TestUpdateFileKeepsAllocAttribution: a parallel sweep leaves per-scenario
+// allocs/op zero, and Guard's per-scenario ceiling skips zero records — so
+// a run that would zero a recorded value must be refused, file untouched.
+func TestUpdateFileKeepsAllocAttribution(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	serial := Report{EventsPerSec: 100, AllocsPerOp: 40, Scenarios: []Measurement{
+		{Name: "a", Ops: 10, AllocsPerOp: 30}, {Name: "b", Ops: 10, AllocsPerOp: 50}}}
+	if _, err := UpdateFile(path, serial, false); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel := Report{EventsPerSec: 120, AllocsPerOp: 40, Scenarios: []Measurement{
+		{Name: "a", Ops: 10}, {Name: "b", Ops: 10}}}
+	if _, err := UpdateFile(path, parallel, false); err == nil || !strings.Contains(err.Error(), "-workers 1") {
+		t.Fatalf("unattributed run overwrote an attributed record: %v", err)
+	}
+	if after, _ := os.ReadFile(path); string(after) != string(before) {
+		t.Error("UpdateFile modified the file despite refusing the run")
+	}
+	// A scenario the record does not know, or knows without attribution,
+	// may come in at zero; an attributed rerun is accepted as ever.
+	extra := Report{EventsPerSec: 120, AllocsPerOp: 35, Scenarios: []Measurement{
+		{Name: "a", Ops: 10, AllocsPerOp: 20}, {Name: "b", Ops: 10, AllocsPerOp: 50}, {Name: "new", Ops: 10}}}
+	if _, err := UpdateFile(path, extra, false); err != nil {
+		t.Fatalf("attributed rerun refused: %v", err)
+	}
+}
+
 // TestRunSweepParallelMatchesSerial pins the parallel runner's contract:
 // simulated results (ops, kernel events) are bit-identical to a serial run
 // — each scenario is an isolated simulation — and rows come back in sweep

@@ -289,7 +289,7 @@ func (c *Client) do(p *sim.Proc, op *cephmsg.MOSDOp) (*cephmsg.MOSDOpReply, erro
 		}
 		c.tr.AddCPU(sp, c.cpu.Name(), c.cpu.Exec(p, c.th, c.cfg.PrepCycles))
 		op.Epoch = c.curMap.Epoch
-		call := &call{done: sim.NewEvent(c.env)}
+		call := &call{done: sim.NewEvent()}
 		c.inflight[op.Tid] = call
 		c.msgr.Send(osdName(target), op)
 		if !call.done.WaitTimeout(p, c.cfg.OpTimeout) {
@@ -447,7 +447,7 @@ func (c *Completion) Data() *wire.Bufferlist { return c.data }
 
 // aio runs op in its own simulated thread and fires the completion.
 func (c *Client) aio(name string, op func(p *sim.Proc) (*wire.Bufferlist, error)) *Completion {
-	comp := &Completion{done: sim.NewEvent(c.env)}
+	comp := &Completion{done: sim.NewEvent()}
 	c.env.Spawn(name, func(p *sim.Proc) {
 		p.SetThread(sim.NewThread(name, ThreadCat))
 		comp.data, comp.err = op(p)

@@ -299,7 +299,7 @@ func Run(env *sim.Env, client *rados.Client, cfg Config) (Result, error) {
 		perSecLat[sec] += lat
 	}
 
-	prepopDone := sim.NewEvent(env)
+	prepopDone := sim.NewEvent()
 	if cfg.Op == Read || cfg.Op == Mixed {
 		env.Spawn("bench-prepop", func(p *sim.Proc) {
 			p.SetThread(sim.NewThread("bench-prepop", rados.ThreadCat))

@@ -166,7 +166,7 @@ func (e *Endpoint) Handle(op uint16, h Handler) { e.handlers[op] = h }
 func (e *Endpoint) Call(p *sim.Proc, op uint16, payload *wire.Bufferlist) (*wire.Bufferlist, error) {
 	e.nextID++
 	id := e.nextID
-	pc := &pendingCall{done: sim.NewEvent(e.env)}
+	pc := &pendingCall{done: sim.NewEvent()}
 	e.pending[id] = pc
 	e.send(p, envelope{req: true, op: op, reqID: id, payload: payload})
 	e.stats.CallsSent++

@@ -73,7 +73,7 @@ type CPU struct {
 
 	cores     []coreState
 	freeCores []int
-	waiters   []cpuWaiter
+	waiters   fifo[*wakeToken]
 
 	windowStart  Time
 	busyByCat    map[string]Duration
@@ -89,11 +89,6 @@ type CPU struct {
 
 type coreState struct {
 	last *Thread
-}
-
-type cpuWaiter struct {
-	tok  *wakeToken
-	core *int
 }
 
 // NewCPU returns a CPU with the given core count and clock frequency.
@@ -182,25 +177,22 @@ func (c *CPU) acquire(p *Proc) int {
 	}
 	tok := p.newToken()
 	tok.refs++
-	core := -1
-	c.waiters = append(c.waiters, cpuWaiter{tok: tok, core: &core})
+	c.waiters.push(tok)
 	p.park()
-	return core
+	return int(p.core)
 }
 
+// release hands core to the oldest waiter (through Proc.core) or frees it.
 func (c *CPU) release(core int) {
-	for len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters[0] = cpuWaiter{}
-		c.waiters = c.waiters[1:]
-		if w.tok.spent {
-			c.env.dropRef(w.tok)
-			continue
+	for c.waiters.len() > 0 {
+		tok := c.waiters.pop()
+		if !tok.spent {
+			tok.p.core = int32(core)
+			c.env.schedule(tok, c.env.now)
+			c.env.dropRef(tok)
+			return
 		}
-		*w.core = core
-		c.env.schedule(w.tok, c.env.now)
-		c.env.dropRef(w.tok)
-		return
+		c.env.dropRef(tok)
 	}
 	c.freeCores = append(c.freeCores, core)
 }

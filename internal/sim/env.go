@@ -146,7 +146,10 @@ type Proc struct {
 	yield  func(struct{}) bool
 	thread *Thread
 	// idx is the proc's position in env.procs (swap-removed on completion).
-	idx     int
+	// It and core are 32-bit so that Proc stays in the 96-byte size class.
+	idx int32
+	// core is the core a CPU granted the proc while it was parked in acquire.
+	core    int32
 	sub     uint32
 	nameIDs uint8
 	state   procState
@@ -358,7 +361,7 @@ func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
 		p.resume, p.stop = iter.Pull(p.loop)
 	}
 	p.name, p.nameIDs, p.fn, p.state = name, 0, fn, stateNew
-	p.idx = len(e.procs)
+	p.idx = int32(len(e.procs))
 	e.procs = append(e.procs, p)
 	e.live++
 	e.schedule(e.getToken(p), e.now)

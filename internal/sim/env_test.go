@@ -128,7 +128,7 @@ func TestRunUntilStopsAtLimit(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	env := NewEnv(1)
-	ev := NewEvent(env)
+	ev := NewEvent()
 	env.Spawn("stuck", func(p *Proc) {
 		ev.Wait(p) // never fired
 	})

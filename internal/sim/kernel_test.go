@@ -160,7 +160,7 @@ func TestLostTimeoutsDoNotAccumulate(t *testing.T) {
 func TestShutdownReleasesEveryCoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	env := NewEnv(1)
-	never := NewEvent(env)
+	never := NewEvent()
 	unwound := 0
 	env.Spawn("blocked", func(p *Proc) {
 		defer func() { unwound++ }()
@@ -341,7 +341,7 @@ func TestQueueReleasesPoppedValues(t *testing.T) {
 // a plain Spawn does not inherit them.
 func TestSpawnIDNames(t *testing.T) {
 	env := NewEnv(1)
-	never := NewEvent(env)
+	never := NewEvent()
 	stuck := func(p *Proc) { never.Wait(p) }
 	env.SpawnID("host-commit:", 42, func(p *Proc) {})
 	if err := env.Run(); err != nil {

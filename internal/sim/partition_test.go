@@ -174,7 +174,7 @@ func TestGroupDeadlockReportsPerPartitionState(t *testing.T) {
 
 func TestSerialDeadlockKeepsLegacyShape(t *testing.T) {
 	env := NewEnv(1)
-	ev := NewEvent(env)
+	ev := NewEvent()
 	env.Spawn("stuck", func(p *Proc) { ev.Wait(p) })
 	err := env.Run()
 	de, ok := err.(DeadlockError)

@@ -1,17 +1,62 @@
 package sim
 
+// fifo is a growable ring buffer: the Queue's value buffer and the waiter
+// list of Semaphore and CPU. Popping gives the slot back (a slice consumed by
+// reslicing [1:] throws it away), so a queue that fills and drains over and
+// over stops allocating once the ring has reached its high-water mark.
+type fifo[T any] struct {
+	buf     []T    // len(buf) is zero or a power of two
+	head, n uint32 // 32-bit: a cluster embeds thousands of these headers
+}
+
+func (f *fifo[T]) len() int { return int(f.n) }
+
+// push appends v, doubling the ring when it is full.
+func (f *fifo[T]) push(v T) {
+	if int(f.n) == len(f.buf) {
+		grown := make([]T, max(1, 2*len(f.buf)))
+		k := copy(grown, f.buf[f.head:])
+		copy(grown[k:], f.buf[:f.head])
+		f.buf, f.head = grown, 0
+	}
+	f.buf[(f.head+f.n)&uint32(len(f.buf)-1)] = v
+	f.n++
+}
+
+// front returns the oldest element; the fifo must not be empty.
+func (f *fifo[T]) front() T { return f.buf[f.head] }
+
+// pop removes and returns the oldest element. The vacated slot is zeroed so
+// the ring does not keep a popped value or token reachable.
+func (f *fifo[T]) pop() T {
+	var zero T
+	v := f.buf[f.head]
+	f.buf[f.head] = zero
+	f.head = (f.head + 1) & uint32(len(f.buf)-1)
+	f.n--
+	return v
+}
+
 // Queue is an unbounded FIFO channel between simulation processes. Push
 // never blocks; Pop blocks until a value is available. The zero Queue is not
 // ready for use; create one with NewQueue.
 type Queue[T any] struct {
-	env     *Env
-	buf     []T
-	waiters []queueWaiter[T]
+	env *Env
+	buf fifo[T]
+	// head..tail is the FIFO of blocked Pops and free the stack of idle
+	// waiter nodes, both linked through queueWaiter.next.
+	head, tail, free *queueWaiter[T]
 }
 
+// queueWaiter is the slot a blocked Pop receives its value through. A
+// primitive never stores a pointer to a parked proc's stack variable (the
+// variable, a whole T, would move to the heap on every blocking call); the
+// queue recycles these nodes instead. Whoever unlinks a node disposes of it:
+// Push hands it to the Pop it wakes, dropSpent frees it.
 type queueWaiter[T any] struct {
 	tok  *wakeToken
-	slot *T
+	next *queueWaiter[T]
+	v    T
 }
 
 // NewQueue returns an empty queue bound to env.
@@ -20,29 +65,46 @@ func NewQueue[T any](env *Env) *Queue[T] {
 }
 
 // Len returns the number of buffered values.
-func (q *Queue[T]) Len() int { return len(q.buf) }
+func (q *Queue[T]) Len() int { return q.buf.len() }
 
 // Push enqueues v, waking the oldest waiting Pop if there is one. It may be
 // called from any running process (or before Run).
 func (q *Queue[T]) Push(v T) {
-	for len(q.waiters) > 0 {
-		w := q.waiters[0]
-		// Zero vacated slots before reslicing past them (here and below):
-		// the backing array would otherwise keep the token, the waiter's
-		// result slot or a popped value reachable until it is regrown.
-		q.waiters[0] = queueWaiter[T]{}
-		q.waiters = q.waiters[1:]
-		if w.tok.spent {
-			q.env.dropRef(w.tok)
-			continue
-		}
-		*w.slot = v
-		w.tok.p.granted = true
-		q.env.schedule(w.tok, q.env.now)
-		q.env.dropRef(w.tok)
+	q.dropSpent()
+	if q.head == nil {
+		q.buf.push(v)
 		return
 	}
-	q.buf = append(q.buf, v)
+	w := q.unlink()
+	w.v = v
+	w.tok.p.granted = true
+	q.env.schedule(w.tok, q.env.now)
+	q.env.dropRef(w.tok)
+}
+
+// unlink removes and returns the oldest waiter.
+func (q *Queue[T]) unlink() *queueWaiter[T] {
+	w := q.head
+	if q.head = w.next; q.head == nil {
+		q.tail = nil
+	}
+	return w
+}
+
+// dropSpent frees the timed-out waiters at the front of the list.
+func (q *Queue[T]) dropSpent() {
+	for q.head != nil && q.head.tok.spent {
+		w := q.unlink()
+		q.env.dropRef(w.tok)
+		q.release(w)
+	}
+}
+
+// release puts an unlinked waiter node on the free stack.
+func (q *Queue[T]) release(w *queueWaiter[T]) {
+	var zero T
+	w.tok, w.v = nil, zero
+	w.next, q.free = q.free, w
 }
 
 // Pop blocks p until a value is available and returns it.
@@ -59,41 +121,49 @@ func (q *Queue[T]) PopTimeout(p *Proc, d Duration) (v T, ok bool) {
 
 // TryPop returns a buffered value without blocking.
 func (q *Queue[T]) TryPop() (v T, ok bool) {
-	if len(q.buf) == 0 {
+	if q.buf.len() == 0 {
 		return v, false
 	}
-	return q.take(), true
-}
-
-// take removes and returns the oldest buffered value.
-func (q *Queue[T]) take() T {
-	var zero T
-	v := q.buf[0]
-	q.buf[0] = zero
-	q.buf = q.buf[1:]
-	return v
+	return q.buf.pop(), true
 }
 
 func (q *Queue[T]) pop(p *Proc, timeout Duration) (v T, ok bool) {
-	if len(q.buf) > 0 {
-		return q.take(), true
+	if q.buf.len() > 0 {
+		return q.buf.pop(), true
 	}
-	tok := p.newToken()
-	tok.refs++
+	w := q.free
+	if w == nil {
+		w = new(queueWaiter[T])
+	} else {
+		q.free, w.next = w.next, nil
+	}
+	w.tok = p.newToken()
+	w.tok.refs++
 	p.granted = false
-	q.waiters = append(q.waiters, queueWaiter[T]{tok: tok, slot: &v})
+	if q.tail == nil {
+		q.head = w
+	} else {
+		q.tail.next = w
+	}
+	q.tail = w
 	if timeout >= 0 {
-		q.env.schedule(tok, q.env.now.Add(timeout))
+		q.env.schedule(w.tok, q.env.now.Add(timeout))
 	}
 	p.park()
-	return v, p.granted
+	if !p.granted {
+		q.dropSpent() // timed out: w leaves the list once it is at its front
+		return v, false
+	}
+	v = w.v
+	q.release(w)
+	return v, true
 }
 
 // Semaphore is a counted, FIFO-fair semaphore.
 type Semaphore struct {
 	env     *Env
 	avail   int
-	waiters []semWaiter
+	waiters fifo[semWaiter]
 }
 
 type semWaiter struct {
@@ -112,19 +182,18 @@ func (s *Semaphore) Available() int { return s.avail }
 // Acquire blocks p until n permits are available and takes them. Waiters are
 // served strictly in arrival order (no barging past a blocked head-of-line).
 func (s *Semaphore) Acquire(p *Proc, n int) {
-	if s.avail >= n && len(s.waiters) == 0 {
-		s.avail -= n
+	if s.TryAcquire(n) {
 		return
 	}
 	tok := p.newToken()
 	tok.refs++
-	s.waiters = append(s.waiters, semWaiter{tok: tok, n: n})
+	s.waiters.push(semWaiter{tok: tok, n: n})
 	p.park()
 }
 
 // TryAcquire takes n permits if immediately available.
 func (s *Semaphore) TryAcquire(n int) bool {
-	if s.avail >= n && len(s.waiters) == 0 {
+	if s.avail >= n && s.waiters.len() == 0 {
 		s.avail -= n
 		return true
 	}
@@ -134,13 +203,12 @@ func (s *Semaphore) TryAcquire(n int) bool {
 // Release returns n permits and grants as many head-of-line waiters as fit.
 func (s *Semaphore) Release(n int) {
 	s.avail += n
-	for len(s.waiters) > 0 {
-		w := s.waiters[0]
+	for s.waiters.len() > 0 {
+		w := s.waiters.front()
 		if !w.tok.spent && s.avail < w.n {
 			return
 		}
-		s.waiters[0] = semWaiter{}
-		s.waiters = s.waiters[1:]
+		s.waiters.pop()
 		if !w.tok.spent {
 			s.avail -= w.n
 			s.env.schedule(w.tok, s.env.now)
@@ -149,16 +217,67 @@ func (s *Semaphore) Release(n int) {
 	}
 }
 
-// Event is a one-shot broadcast: processes Wait until Fire is called, after
-// which Wait returns immediately forever.
-type Event struct {
-	env     *Env
-	fired   bool
-	waiters []*wakeToken
+// waitList is the waiter set of a broadcast primitive. Two are kept inline
+// (a transfer's submitter and the proc freeing its buffer); a third allocates.
+type waitList struct {
+	inline [2]*wakeToken
+	more   []*wakeToken
 }
 
-// NewEvent returns an unfired event bound to env.
-func NewEvent(env *Env) *Event { return &Event{env: env} }
+// add registers a fresh wake token for p.
+func (l *waitList) add(p *Proc) *wakeToken {
+	tok := p.newToken()
+	tok.refs++
+	switch {
+	case l.inline[0] == nil:
+		l.inline[0] = tok
+	case l.inline[1] == nil:
+		l.inline[1] = tok
+	default:
+		l.more = append(l.more, tok)
+	}
+	return tok
+}
+
+// wakeAll wakes, in registration order, every waiter still parked, marking
+// the wake as granted (as opposed to timed out), and empties the list. The
+// kernel is reached through the waiters' procs: the zero list is ready for use.
+func (l *waitList) wakeAll() {
+	if l.inline[0] == nil {
+		return
+	}
+	e := l.inline[0].p.env
+	e.wake(l.inline[0])
+	if l.inline[1] != nil {
+		e.wake(l.inline[1])
+	}
+	for _, tok := range l.more {
+		e.wake(tok)
+	}
+	l.inline = [2]*wakeToken{}
+	clear(l.more)
+	l.more = l.more[:0]
+}
+
+// wake resumes tok's proc with a granted result unless a timeout beat it.
+func (e *Env) wake(tok *wakeToken) {
+	if !tok.spent {
+		tok.p.granted = true
+		e.schedule(tok, e.now)
+	}
+	e.dropRef(tok)
+}
+
+// Event is a one-shot broadcast: processes Wait until Fire is called, after
+// which Wait returns immediately forever. The zero Event is unfired and ready
+// for use, so a completion can live inside the struct that carries it.
+type Event struct {
+	fired   bool
+	waiters waitList
+}
+
+// NewEvent returns an unfired event.
+func NewEvent() *Event { return new(Event) }
 
 // Fired reports whether the event has fired.
 func (ev *Event) Fired() bool { return ev.fired }
@@ -169,21 +288,7 @@ func (ev *Event) Fire() {
 		return
 	}
 	ev.fired = true
-	ev.env.wakeAll(ev.waiters)
-	ev.waiters = nil
-}
-
-// wakeAll wakes every waiter still parked on a broadcast primitive, marking
-// the wake as granted (as opposed to timed out), and drops the waiter list's
-// registrations.
-func (e *Env) wakeAll(waiters []*wakeToken) {
-	for _, tok := range waiters {
-		if !tok.spent {
-			tok.p.granted = true
-			e.schedule(tok, e.now)
-		}
-		e.dropRef(tok)
-	}
+	ev.waiters.wakeAll()
 }
 
 // Wait blocks p until the event fires.
@@ -191,9 +296,7 @@ func (ev *Event) Wait(p *Proc) {
 	if ev.fired {
 		return
 	}
-	tok := p.newToken()
-	tok.refs++
-	ev.waiters = append(ev.waiters, tok)
+	ev.waiters.add(p)
 	p.park()
 }
 
@@ -203,11 +306,8 @@ func (ev *Event) WaitTimeout(p *Proc, d Duration) bool {
 	if ev.fired {
 		return true
 	}
-	tok := p.newToken()
-	tok.refs++
 	p.granted = false
-	ev.waiters = append(ev.waiters, tok)
-	ev.env.schedule(tok, ev.env.now.Add(d))
+	p.env.schedule(ev.waiters.add(p), p.env.now.Add(d))
 	p.park()
 	return p.granted
 }
@@ -218,24 +318,19 @@ func (ev *Event) WaitTimeout(p *Proc, d Duration) bool {
 //
 // Broadcast wakes everyone currently waiting; there is no Signal because
 // deterministic fairness is easier to reason about with broadcast + re-check.
+// The zero Cond is ready for use.
 type Cond struct {
-	env     *Env
-	waiters []*wakeToken
+	waiters waitList
 }
 
-// NewCond returns a condition variable bound to env.
-func NewCond(env *Env) *Cond { return &Cond{env: env} }
+// NewCond returns a condition variable.
+func NewCond() *Cond { return new(Cond) }
 
 // Wait parks p until the next Broadcast.
 func (c *Cond) Wait(p *Proc) {
-	tok := p.newToken()
-	tok.refs++
-	c.waiters = append(c.waiters, tok)
+	c.waiters.add(p)
 	p.park()
 }
 
 // Broadcast wakes every process currently in Wait.
-func (c *Cond) Broadcast() {
-	c.env.wakeAll(c.waiters)
-	c.waiters = nil
-}
+func (c *Cond) Broadcast() { c.waiters.wakeAll() }

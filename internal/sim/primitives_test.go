@@ -212,7 +212,7 @@ func TestTryAcquire(t *testing.T) {
 
 func TestEventBroadcast(t *testing.T) {
 	env := NewEnv(1)
-	ev := NewEvent(env)
+	ev := NewEvent()
 	woken := 0
 	for i := 0; i < 4; i++ {
 		env.Spawn("w", func(p *Proc) {
@@ -235,7 +235,7 @@ func TestEventBroadcast(t *testing.T) {
 
 func TestEventWaitAfterFireReturnsImmediately(t *testing.T) {
 	env := NewEnv(1)
-	ev := NewEvent(env)
+	ev := NewEvent()
 	ev.Fire()
 	var at Time
 	env.Spawn("w", func(p *Proc) {
@@ -253,7 +253,7 @@ func TestEventWaitAfterFireReturnsImmediately(t *testing.T) {
 
 func TestEventWaitTimeout(t *testing.T) {
 	env := NewEnv(1)
-	ev := NewEvent(env)
+	ev := NewEvent()
 	var timedOut, fired bool
 	env.Spawn("w", func(p *Proc) {
 		timedOut = !ev.WaitTimeout(p, Millisecond)
@@ -273,7 +273,7 @@ func TestEventWaitTimeout(t *testing.T) {
 
 func TestCondBroadcastRecheckLoop(t *testing.T) {
 	env := NewEnv(1)
-	cond := NewCond(env)
+	cond := NewCond()
 	value := 0
 	var observed int
 	env.Spawn("waiter", func(p *Proc) {

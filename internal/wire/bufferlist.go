@@ -44,6 +44,7 @@ type Bufferlist struct {
 // NewBufferlist returns a list over the given segments without copying.
 func NewBufferlist(segs ...[]byte) *Bufferlist {
 	bl := &Bufferlist{}
+	bl.Reserve(len(segs))
 	for _, s := range segs {
 		bl.Append(s)
 	}
@@ -52,6 +53,32 @@ func NewBufferlist(segs ...[]byte) *Bufferlist {
 
 // FromBytes returns a single-segment list sharing b.
 func FromBytes(b []byte) *Bufferlist { return NewBufferlist(b) }
+
+// Concat returns one list over the segments of all of lists, in order
+// (shared storage), with its segment table sized once.
+func Concat(lists []*Bufferlist) *Bufferlist {
+	n := 0
+	for _, l := range lists {
+		n += len(l.segs)
+	}
+	bl := &Bufferlist{}
+	bl.Reserve(n)
+	for _, l := range lists {
+		bl.AppendBufferlist(l)
+	}
+	return bl
+}
+
+// Reserve makes room for n more segments, so that a caller who knows how
+// many it is about to append pays for the segment table once instead of
+// through append's 1, 2, 4 doubling.
+func (bl *Bufferlist) Reserve(n int) {
+	if need := len(bl.segs) + n; need > cap(bl.segs) {
+		grown := make([][]byte, len(bl.segs), need)
+		copy(grown, bl.segs)
+		bl.segs = grown
+	}
+}
 
 // Length returns the logical length in bytes.
 func (bl *Bufferlist) Length() int { return bl.length }
@@ -81,9 +108,8 @@ func (bl *Bufferlist) AppendCopy(b []byte) {
 
 // AppendBufferlist appends all of other's segments (shared storage).
 func (bl *Bufferlist) AppendBufferlist(other *Bufferlist) {
-	for _, s := range other.segs {
-		bl.Append(s)
-	}
+	bl.segs = append(bl.segs, other.segs...)
+	bl.length += other.length
 }
 
 // Bytes flattens the list into a single freshly allocated slice.
@@ -106,6 +132,22 @@ func (bl *Bufferlist) ContiguousBytes() []byte {
 	return bl.Bytes()
 }
 
+// Prefix returns the first n bytes as one contiguous slice: shared when they
+// lie within the first segment (aliasing contract applies), gathered into a
+// fresh slice otherwise. It panics if n exceeds the length. Frame parsers use
+// it to read a header without building a sub-list and flattening that.
+func (bl *Bufferlist) Prefix(n int) []byte {
+	if n < 0 || n > bl.length {
+		panic(fmt.Sprintf("wire: Prefix(%d) out of range (len %d)", n, bl.length))
+	}
+	if n == 0 || len(bl.segs[0]) >= n {
+		return bl.FirstSegment()[:n]
+	}
+	out := make([]byte, n)
+	bl.CopyTo(out)
+	return out
+}
+
 // FirstSegment returns the first underlying segment (shared), or nil for an
 // empty list. Framing code uses it to recycle pooled header scratch once a
 // frame has been decoded and dispatched.
@@ -122,32 +164,29 @@ func (bl *Bufferlist) SubList(off, n int) *Bufferlist {
 	if off < 0 || n < 0 || off+n > bl.length {
 		panic(fmt.Sprintf("wire: SubList(%d,%d) out of range (len %d)", off, n, bl.length))
 	}
-	out := &Bufferlist{}
+	out := &Bufferlist{length: n}
 	if n == 0 {
 		return out
 	}
-	pos := 0
-	for _, s := range bl.segs {
-		if n == 0 {
-			break
+	// Segments are never empty, so off+n <= length bounds both walks.
+	first := 0
+	for off >= len(bl.segs[first]) {
+		off -= len(bl.segs[first])
+		first++
+	}
+	last := first
+	for covered := len(bl.segs[first]) - off; covered < n; covered += len(bl.segs[last]) {
+		last++
+	}
+	out.segs = make([][]byte, 0, last-first+1)
+	for i := first; i <= last; i++ {
+		s := bl.segs[i][off:]
+		if len(s) > n {
+			s = s[:n]
 		}
-		end := pos + len(s)
-		if end <= off {
-			pos = end
-			continue
-		}
-		start := 0
-		if off > pos {
-			start = off - pos
-		}
-		take := len(s) - start
-		if take > n {
-			take = n
-		}
-		out.Append(s[start : start+take])
-		n -= take
-		off += take
-		pos = end
+		out.segs = append(out.segs, s)
+		n -= len(s)
+		off = 0
 	}
 	return out
 }

@@ -235,3 +235,58 @@ func TestQuickCRCSegmentationInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSegmentTableSizedOnce: building a view or joining lists allocates the
+// list and its segment table and nothing else — no 1, 2, 4 regrowth of the
+// table however many segments are involved.
+func TestSegmentTableSizedOnce(t *testing.T) {
+	src := &Bufferlist{}
+	for i := 0; i < 9; i++ {
+		src.Append(make([]byte, 100))
+	}
+	var parts []*Bufferlist
+	for off := 0; off < src.Length(); off += 300 {
+		parts = append(parts, src.SubList(off, 300))
+	}
+	cases := map[string]func(){
+		"SubList over 7 segments": func() { sink = src.SubList(150, 600) },
+		"SubList within one":      func() { sink = src.SubList(110, 50) },
+		"AppendBufferlist": func() {
+			bl := &Bufferlist{}
+			bl.AppendBufferlist(src)
+			sink = bl
+		},
+		"Concat":        func() { sink = Concat(parts) },
+		"NewBufferlist": func() { sink = NewBufferlist(src.segs...) },
+	}
+	for name, fn := range cases {
+		if allocs := testing.AllocsPerRun(100, fn); allocs > 2 {
+			t.Errorf("%s: %.0f allocations, want at most 2 (the list and its segment table)", name, allocs)
+		}
+	}
+	if got := Concat(parts); !got.Equal(src) || got.Segments() != 9 {
+		t.Fatalf("Concat: %d bytes in %d segments, want the source's %d in 9",
+			got.Length(), got.Segments(), src.Length())
+	}
+}
+
+var sink *Bufferlist
+
+func TestPrefix(t *testing.T) {
+	bl := NewBufferlist([]byte("abcd"), []byte("efgh"))
+	if p := bl.Prefix(3); string(p) != "abc" || &p[0] != &bl.segs[0][0] {
+		t.Fatalf("Prefix(3) = %q, want the first segment's bytes shared", p)
+	}
+	if p := bl.Prefix(6); string(p) != "abcdef" {
+		t.Fatalf("Prefix(6) = %q across segments", p)
+	}
+	if p := (&Bufferlist{}).Prefix(0); len(p) != 0 {
+		t.Fatalf("Prefix(0) of an empty list = %q", p)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Prefix past the end did not panic")
+		}
+	}()
+	bl.Prefix(9)
+}
