@@ -490,6 +490,10 @@ func NewScaleOut(cfg ScaleOutConfig) *ScaleOut {
 		}
 		env.Spawn(fmt.Sprintf("rack-agent-p%d", pod.ID), func(p *sim.Proc) {
 			for {
+				// The agent is the rack's only cross-rack sender and speaks
+				// on its own tick, so it promises the kernel silence until
+				// then: peers run a beacon period ahead, not a link latency.
+				pod.Up.Hold(p.Now().Add(cfg.BeaconPeriod))
 				p.Wait(cfg.BeaconPeriod)
 				if p.Now() >= deadline {
 					return

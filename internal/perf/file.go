@@ -98,7 +98,9 @@ func Guard(path string, rep Report, minRatio, maxAllocsRatio float64) error {
 // drops below the measurement noise floor, as on a single-core host where
 // parallel wall-clock speedup does not exist. Simulated fields must be
 // bit-identical across the rows of a family regardless of wall clock; that
-// is enforced unconditionally.
+// is enforced unconditionally. Every summary line that reports a speedup
+// also reports the family's events per partition window, so windows gone
+// degenerate show in the log even where the floor cannot be enforced.
 func GuardParallelSpeedup(rep Report, minSpeedup float64) (string, error) {
 	return guardParallelSpeedup(rep, minSpeedup, runtime.NumCPU())
 }
@@ -159,6 +161,10 @@ func guardParallelSpeedup(rep Report, minSpeedup float64, cores int) (string, er
 			continue
 		}
 		speedup := widest.m.EventsPerSec / serial.m.EventsPerSec
+		perWindow := "no window count"
+		if w := serial.m.GroupWindows; w > 0 {
+			perWindow = fmt.Sprintf("%.0f events/window", float64(serial.m.SimEvents)/float64(w))
+		}
 		lanes := cores
 		if widest.workers < lanes {
 			lanes = widest.workers
@@ -168,8 +174,8 @@ func guardParallelSpeedup(rep Report, minSpeedup float64, cores int) (string, er
 			floor = minSpeedup
 		}
 		if floor < 1.05 {
-			fmt.Fprintf(&sum, "parallel-speedup %s: %.2fx at w%d (informational; %d core(s) cannot show parallel speedup, floor %.2f < 1.05 not enforced)\n",
-				base, speedup, widest.workers, cores, floor)
+			fmt.Fprintf(&sum, "parallel-speedup %s: %.2fx at w%d, %s (informational; %d core(s) cannot show parallel speedup, floor %.2f < 1.05 not enforced)\n",
+				base, speedup, widest.workers, perWindow, cores, floor)
 			continue
 		}
 		if speedup < floor {
@@ -177,8 +183,8 @@ func guardParallelSpeedup(rep Report, minSpeedup float64, cores int) (string, er
 				"parallel-speedup: %s ran %.2fx at w%d vs w1, below the %.2fx floor (nominal %.2fx scaled to %d core(s))",
 				base, speedup, widest.workers, floor, minSpeedup, cores)
 		}
-		fmt.Fprintf(&sum, "parallel-speedup %s: %.2fx at w%d (floor %.2fx on %d core(s)) ok\n",
-			base, speedup, widest.workers, floor, cores)
+		fmt.Fprintf(&sum, "parallel-speedup %s: %.2fx at w%d, %s (floor %.2fx on %d core(s)) ok\n",
+			base, speedup, widest.workers, perWindow, floor, cores)
 	}
 	return strings.TrimRight(sum.String(), "\n"), nil
 }

@@ -216,6 +216,10 @@ type Measurement struct {
 	// test's job).
 	Ops       int64  `json:"ops"`
 	SimEvents uint64 `json:"sim_events"`
+	// GroupWindows is the number of partition windows the partitioned
+	// kernel dispatched (scale-out rows only): SimEvents/GroupWindows is
+	// how much work each barrier synchronization bought.
+	GroupWindows uint64 `json:"group_windows,omitempty"`
 
 	// Wall-clock-side results.
 	WallNs       int64   `json:"wall_ns"`
@@ -483,10 +487,11 @@ func runScaleOut(sc Scenario) (Measurement, error) {
 		}
 	}
 	m := Measurement{
-		Name:      sc.Name,
-		Ops:       res.TotalOps,
-		SimEvents: res.Events,
-		WallNs:    wall.Nanoseconds(),
+		Name:         sc.Name,
+		Ops:          res.TotalOps,
+		SimEvents:    res.Events,
+		GroupWindows: res.Windows,
+		WallNs:       wall.Nanoseconds(),
 	}
 	if wall > 0 {
 		m.EventsPerSec = float64(m.SimEvents) / wall.Seconds()

@@ -44,7 +44,7 @@ func TestRunScenarioScaleOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Ops == 0 || m.SimEvents == 0 || m.EventsPerSec <= 0 {
+	if m.Ops == 0 || m.SimEvents == 0 || m.EventsPerSec <= 0 || m.GroupWindows == 0 {
 		t.Fatalf("degenerate measurement: %+v", m)
 	}
 	if m.AllocsPerOp <= 0 {
@@ -134,6 +134,15 @@ func TestGuardParallelSpeedup(t *testing.T) {
 	}
 	if !strings.Contains(sum, "cannot show parallel speedup") {
 		t.Fatalf("skip reason missing: %q", sum)
+	}
+	// Events per window ride on the summary line whether or not the floor is
+	// enforced: the single-core CI runner still shows degenerate windows.
+	for _, cores := range []int{1, 8} {
+		rep := speedupReport(100, 400, 8, 5000)
+		rep.Scenarios[0].GroupWindows, rep.Scenarios[1].GroupWindows = 4, 4
+		if sum, _ := guardParallelSpeedup(rep, 3.0, cores); !strings.Contains(sum, "1250 events/window") {
+			t.Fatalf("cores=%d: summary %q lacks events per window", cores, sum)
+		}
 	}
 	// No @wN rows at all: nothing to compare.
 	if sum, err := guardParallelSpeedup(Report{Scenarios: []Measurement{{Name: "doceph-1M"}}}, 3.0, 8); err != nil || !strings.Contains(sum, "no @wN") {

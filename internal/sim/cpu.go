@@ -75,11 +75,12 @@ type CPU struct {
 	freeCores []int
 	waiters   fifo[*wakeToken]
 
-	windowStart  Time
-	busyByCat    map[string]Duration
-	switches     map[string]int64
-	coreSwitches map[string]int64
-	totalBusy    Duration
+	windowStart Time
+	// cats holds the window's per-category counters. A CPU sees a handful
+	// of categories, so Exec finds its slot by a short scan over interned
+	// strings instead of hashing one per burst; Stats builds the maps.
+	cats      []catAcct
+	totalBusy Duration
 	// bgLoad is a constant background occupancy per category, in cores
 	// (e.g. 0.05 = 5% of one core). It models busy-polling threads without
 	// generating millions of idle-tick events; Stats folds it in as
@@ -91,6 +92,28 @@ type coreState struct {
 	last *Thread
 }
 
+// catAcct is one thread category's counters for the current window. The
+// has* flags record which counters were touched at all: Stats reports a
+// category under a counter only then, as the per-counter maps it replaces
+// did.
+type catAcct struct {
+	cat                         string
+	busy                        Duration
+	switches, coreSwitches      int64
+	hasBusy, hasSwitch, hasCore bool
+}
+
+// acct returns cat's slot for the current window, adding it on first use.
+func (c *CPU) acct(cat string) *catAcct {
+	for i := range c.cats {
+		if c.cats[i].cat == cat {
+			return &c.cats[i]
+		}
+	}
+	c.cats = append(c.cats, catAcct{cat: cat})
+	return &c.cats[len(c.cats)-1]
+}
+
 // NewCPU returns a CPU with the given core count and clock frequency.
 func NewCPU(env *Env, name string, cores int, freqGHz float64, ctxSwitchCycles int64) *CPU {
 	c := &CPU{
@@ -99,9 +122,6 @@ func NewCPU(env *Env, name string, cores int, freqGHz float64, ctxSwitchCycles i
 		FreqGHz:         freqGHz,
 		CtxSwitchCycles: ctxSwitchCycles,
 		cores:           make([]coreState, cores),
-		busyByCat:       make(map[string]Duration),
-		switches:        make(map[string]int64),
-		coreSwitches:    make(map[string]int64),
 		bgLoad:          make(map[string]float64),
 	}
 	for i := cores - 1; i >= 0; i-- {
@@ -130,16 +150,19 @@ func (c *CPU) Exec(p *Proc, th *Thread, cycles int64) Duration {
 		return 0
 	}
 	core := c.acquire(p)
+	a := c.acct(th.Cat)
 	total := cycles
 	if c.cores[core].last != th {
 		if c.cores[core].last != nil {
 			total += c.CtxSwitchCycles
-			c.coreSwitches[th.Cat]++
+			a.coreSwitches++
+			a.hasCore = true
 		}
 		c.cores[core].last = th
 	}
 	d := c.CyclesToDuration(total)
-	c.busyByCat[th.Cat] += d
+	a.busy += d
+	a.hasBusy = true
 	c.totalBusy += d
 	p.Wait(d)
 	c.release(core)
@@ -166,7 +189,9 @@ func (c *CPU) ExecDuration(p *Proc, th *Thread, d Duration) Duration {
 // NoteSwitches records n voluntary context switches (e.g. blocking syscall
 // boundaries) for th's category without consuming core time.
 func (c *CPU) NoteSwitches(th *Thread, n int64) {
-	c.switches[th.Cat] += n
+	a := c.acct(th.Cat)
+	a.switches += n
+	a.hasSwitch = true
 }
 
 func (c *CPU) acquire(p *Proc) int {
@@ -208,17 +233,25 @@ func (c *CPU) SetBackgroundLoad(cat string, coresWorth float64) {
 // (used to discard benchmark warmup).
 func (c *CPU) ResetStats() {
 	c.windowStart = c.env.now
-	c.busyByCat = make(map[string]Duration)
-	c.switches = make(map[string]int64)
-	c.coreSwitches = make(map[string]int64)
+	c.cats = c.cats[:0]
 	c.totalBusy = 0
 }
 
 // Stats returns a copy of the accounting counters for the current window.
 func (c *CPU) Stats() CPUStats {
-	busy := make(map[string]Duration, len(c.busyByCat))
-	for k, v := range c.busyByCat {
-		busy[k] = v
+	busy := make(map[string]Duration, len(c.cats))
+	sw := make(map[string]int64, len(c.cats))
+	csw := make(map[string]int64, len(c.cats))
+	for _, a := range c.cats {
+		if a.hasBusy {
+			busy[a.cat] = a.busy
+		}
+		if a.hasSwitch {
+			sw[a.cat] = a.switches
+		}
+		if a.hasCore {
+			csw[a.cat] = a.coreSwitches
+		}
 	}
 	total := c.totalBusy
 	window := c.env.now.Sub(c.windowStart)
@@ -226,14 +259,6 @@ func (c *CPU) Stats() CPUStats {
 		d := Duration(cores * float64(window))
 		busy[cat] += d
 		total += d
-	}
-	sw := make(map[string]int64, len(c.switches))
-	for k, v := range c.switches {
-		sw[k] = v
-	}
-	csw := make(map[string]int64, len(c.coreSwitches))
-	for k, v := range c.coreSwitches {
-		csw[k] = v
 	}
 	return CPUStats{
 		WindowStart:       c.windowStart,

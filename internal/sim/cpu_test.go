@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -280,4 +283,75 @@ func TestCPUCorePoolReuseKeepsThreadAffinity(t *testing.T) {
 	if st.TotalBusy != 3100 {
 		t.Fatalf("busy=%v want 3100", st.TotalBusy)
 	}
+}
+
+// TestCPUStatsMatchMapModel drives a CPU with a seeded mix of Exec,
+// NoteSwitches, ResetStats and background load and checks every Stats
+// snapshot against the three per-counter maps the category slots replaced:
+// same sums, and a category appears under a counter only once that counter
+// was touched in the current window.
+func TestCPUStatsMatchMapModel(t *testing.T) {
+	env := NewEnv(1)
+	cpu := NewCPU(env, "c", 2, 2.0, 500)
+	cats := []string{"msgr-worker", "bstore", "tp_osd_tp", "rados", "bstore_kv", "cfuse"}
+	var threads []*Thread
+	for i, c := range cats {
+		threads = append(threads, NewThread(fmt.Sprintf("t%d", i), c), NewThread(fmt.Sprintf("u%d", i), c))
+	}
+	busy, sw, csw := map[string]Duration{}, map[string]int64{}, map[string]int64{}
+	var total Duration
+	start := Time(0)
+	check := func(step int) {
+		t.Helper()
+		want := CPUStats{WindowStart: start, WindowEnd: env.Now(), Cores: 2, TotalBusy: total,
+			BusyByCat: map[string]Duration{}, SwitchesByCat: sw, CoreSwitchesByCat: csw}
+		for k, v := range busy {
+			want.BusyByCat[k] = v
+		}
+		bg := Duration(0.25 * float64(env.Now().Sub(start)))
+		want.BusyByCat["poller"] += bg
+		want.TotalBusy += bg
+		if got := cpu.Stats(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d:\n got %+v\nwant %+v", step, got, want)
+		}
+	}
+	cpu.SetBackgroundLoad("poller", 0.25)
+	env.Spawn("driver", func(p *Proc) {
+		rng := rand.New(rand.NewSource(7))
+		var last *Thread // the driver is alone, so it is always handed the same core
+		for step := 0; step < 2000; step++ {
+			th := threads[rng.Intn(len(threads))]
+			switch r := rng.Intn(20); {
+			case r == 0:
+				cpu.ResetStats()
+				busy, sw, csw = map[string]Duration{}, map[string]int64{}, map[string]int64{}
+				total, start = 0, p.Now()
+			case r < 4:
+				n := int64(rng.Intn(3)) // 0 still creates the entry
+				cpu.NoteSwitches(th, n)
+				sw[th.Cat] += n
+			default:
+				cycles := int64(1 + rng.Intn(3000))
+				want := cycles
+				if last != th {
+					if last != nil {
+						want += cpu.CtxSwitchCycles
+						csw[th.Cat]++
+					}
+					last = th
+				}
+				d := cpu.Exec(p, th, cycles)
+				if d != cpu.CyclesToDuration(want) {
+					t.Errorf("step %d: charged %v, want %v", step, d, cpu.CyclesToDuration(want))
+				}
+				busy[th.Cat] += d
+				total += d
+			}
+			check(step)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	env.Shutdown()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 )
 
 // This file implements the conservative parallel event kernel: a Group of
@@ -15,19 +16,25 @@ import (
 // horizon computation at each barrier):
 //
 //  1. At a barrier, read every partition's next local event time E_i.
-//  2. Compute each partition's safe horizon H_i = min over j != i of
-//     (E_j + dist[j][i]), where dist is the minimum summed link latency of
-//     any path j -> i (Floyd-Warshall over the declared XLinks). No event
-//     another partition will ever execute can influence partition i before
-//     H_i, because influence only travels over links and every link has
-//     strictly positive latency (its lookahead).
+//  2. Relax over the declared XLinks: act[i], the earliest instant anything
+//     can happen in partition i, starts at E_i and is lowered to
+//     max(act[src], quiet_l) + lat_l over every incoming link l until
+//     stable, where quiet_l is the instant the link's source promised to
+//     stay silent until (XLink.Hold; zero when it never did). The safe
+//     horizon H_i is the minimum of that bound over i's incoming links —
+//     including paths that start at i itself, so a partition never outruns
+//     the echo of its own send. No event another partition will ever
+//     execute can influence partition i before H_i, because influence only
+//     travels over links and every link has strictly positive latency (its
+//     lookahead). With no promises this is the shortest-path bound
+//     min_j (E_j + dist(j, i)).
 //  3. Run, in parallel on worker goroutines, every partition whose next
 //     event lies before min(H_i, limit+1). Each partition executes its
 //     window serially with the unchanged serial kernel, so all existing
 //     model code runs unmodified and data-race-free.
 //  4. At the next barrier, deliver the cross-partition messages staged by
 //     Send during the window. Lookahead guarantees every arrival timestamp
-//     is still in each receiver's future.
+//     is still in each receiver's future; deliver panics if one is not.
 //
 // Determinism: a partition's execution depends only on its own event
 // sequence and the messages injected at barriers. Horizons are pure
@@ -38,13 +45,9 @@ import (
 // worker count and any GOMAXPROCS, and with one partition and no links the
 // group degenerates to the serial kernel exactly.
 type Group struct {
-	names []string
-	envs  []*Env
-	links []*XLink
-	// dist[s][d] is the minimum summed link latency of any s->d path, or
-	// <0 when d is unreachable from s. Recomputed lazily after topology
-	// changes.
-	dist    [][]Duration
+	names   []string
+	envs    []*Env
+	links   []*XLink
 	stats   GroupStats
 	started bool
 }
@@ -58,6 +61,25 @@ type GroupStats struct {
 	Windows uint64
 	// Delivered is the number of cross-partition messages delivered.
 	Delivered uint64
+	// Wall is the host time spent in Run; Busy[w] is the share of it worker
+	// w spent executing partition windows (the rest is barrier work and
+	// waiting for the round's slowest window).
+	Wall time.Duration
+	Busy []time.Duration
+}
+
+// Efficiency is the fraction of the workers' wall time spent inside
+// partition windows: sum(Busy) / (workers x Wall), 1 for a perfectly
+// balanced run with free barriers.
+func (s GroupStats) Efficiency() float64 {
+	if s.Wall <= 0 || len(s.Busy) == 0 {
+		return 0
+	}
+	var busy time.Duration
+	for _, b := range s.Busy {
+		busy += b
+	}
+	return busy.Seconds() / (float64(len(s.Busy)) * s.Wall.Seconds())
 }
 
 // PartitionID names one member environment of a Group.
@@ -76,7 +98,6 @@ func (g *Group) Add(name string, env *Env) PartitionID {
 	}
 	g.envs = append(g.envs, env)
 	g.names = append(g.names, name)
-	g.dist = nil
 	return PartitionID(len(g.envs) - 1)
 }
 
@@ -129,6 +150,9 @@ type XLink struct {
 	latency  Duration
 	seq      uint64
 	sent     uint64
+	// quiet is the source's promise: no Send on this link before it. Written
+	// by the source partition's procs (Hold), read only at barriers.
+	quiet Time
 	// staged holds the current window's sends; only the source partition's
 	// (single-threaded) execution appends, and only the barrier drains.
 	staged []XMsg
@@ -157,7 +181,6 @@ func (g *Group) Connect(name string, src, dst PartitionID, latency Duration) *XL
 		Inbox: NewQueue[XMsg](g.envs[dst]),
 	}
 	g.links = append(g.links, l)
-	g.dist = nil
 	return l
 }
 
@@ -174,6 +197,9 @@ func (l *XLink) Send(p *Proc, payload any) Time {
 	if p.env != l.g.envs[l.src] {
 		panic(fmt.Sprintf("sim: link %q: Send from a proc outside the source partition", l.name))
 	}
+	if p.Now() < l.quiet {
+		panic(fmt.Sprintf("sim: link %q: Send at %v breaks its Hold until %v", l.name, p.Now(), l.quiet))
+	}
 	l.seq++
 	l.sent++
 	at := p.Now().Add(l.latency)
@@ -181,68 +207,70 @@ func (l *XLink) Send(p *Proc, payload any) Time {
 	return at
 }
 
+// Hold promises that the source partition will not Send on the link before
+// until, letting every partition downstream run ahead to until+latency
+// instead of assuming the source may speak at its very next event. Only a
+// sender that knows its own schedule (a periodic reporter holding until its
+// next tick) can promise; reactive senders never call it and stay bounded
+// by their next event. An unexpired promise may be extended but not shrunk:
+// other partitions have already been scheduled against it.
+func (l *XLink) Hold(until Time) {
+	if now := l.g.envs[l.src].now; until < l.quiet && now < l.quiet {
+		panic(fmt.Sprintf("sim: link %q: Hold until %v shrinks the unexpired promise %v (now %v)",
+			l.name, until, l.quiet, now))
+	}
+	l.quiet = until
+}
+
+// earliest returns the soonest instant a message sent on the link can
+// arrive, given act[src], the earliest instant anything can happen in its
+// source partition; MaxTime when the source can never act.
+func (l *XLink) earliest(act []Time) Time {
+	t := maxTime(act[l.src], l.quiet)
+	if t > MaxTime-Time(l.latency) {
+		return MaxTime
+	}
+	return t.Add(l.latency)
+}
+
 // Recv blocks p until a message is delivered on the link and returns it.
 // It must be called from a proc of the destination partition.
 func (l *XLink) Recv(p *Proc) XMsg { return l.Inbox.Pop(p) }
 
-// computeDist runs Floyd-Warshall over the link topology. Latencies are
-// tiny against the int64 range, so sums cannot overflow once unreachable
-// pairs are kept as a sentinel instead of an additive infinity.
-func (g *Group) computeDist() {
-	n := len(g.envs)
-	d := make([][]Duration, n)
-	for i := range d {
-		d[i] = make([]Duration, n)
-		for j := range d[i] {
-			d[i][j] = -1
+// horizons fills hor[i] with the earliest instant a message could arrive
+// in partition i, or MaxTime when none ever can. act is scratch: the
+// earliest instant anything can happen in each partition, seeded with its
+// next local event and relaxed over the links until stable (latencies are
+// positive, so at most one pass per partition).
+func (g *Group) horizons(next []Time, has []bool, act, hor []Time) {
+	for i := range act {
+		act[i], hor[i] = MaxTime, MaxTime
+		if has[i] {
+			act[i] = next[i]
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, l := range g.links {
+			if b := l.earliest(act); b < act[l.dst] {
+				act[l.dst], changed = b, true
+			}
 		}
 	}
 	for _, l := range g.links {
-		if cur := d[l.src][l.dst]; cur < 0 || l.latency < cur {
-			d[l.src][l.dst] = l.latency
+		if b := l.earliest(act); b < hor[l.dst] {
+			hor[l.dst] = b
 		}
-	}
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			if d[i][k] < 0 {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if d[k][j] < 0 {
-					continue
-				}
-				via := d[i][k] + d[k][j]
-				if cur := d[i][j]; cur < 0 || via < cur {
-					d[i][j] = via
-				}
-			}
-		}
-	}
-	g.dist = d
-}
-
-// horizons fills hor[i] with the earliest instant any other partition
-// could inject an event into partition i, or MaxTime when nothing can.
-func (g *Group) horizons(next []Time, has []bool, hor []Time) {
-	for i := range g.envs {
-		h := MaxTime
-		for j := range g.envs {
-			if j == i || !has[j] || g.dist[j][i] < 0 {
-				continue
-			}
-			if b := next[j].Add(g.dist[j][i]); b < h {
-				h = b
-			}
-		}
-		hor[i] = h
 	}
 }
 
 // deliver drains every link's staged sends and injects them into the
 // destination partitions: per destination, the batch is sorted by
 // (arrival, link id, sequence) and a delivery proc walks it, waiting until
-// each arrival instant before pushing into the link's inbox. Called only
-// at barriers, with no partition running.
+// each arrival instant before pushing into the link's inbox. An arrival
+// behind its destination's clock means a horizon was wrong; that panics
+// rather than deliver at the wrong instant. Called only at barriers, with
+// no partition running.
 func (g *Group) deliver() {
 	n := len(g.envs)
 	batches := make([][]XMsg, n)
@@ -268,6 +296,10 @@ func (g *Group) deliver() {
 			}
 			return a.Seq < b.Seq
 		})
+		if m, now := batch[0], g.envs[dst].now; m.At < now {
+			panic(fmt.Sprintf("sim: link %q: message arrives at %v, behind partition %q's clock %v",
+				g.links[m.Link].name, m.At, g.names[dst], now))
+		}
 		batch := batch
 		g.envs[dst].Spawn("xpart-deliver", func(p *Proc) {
 			for _, m := range batch {
@@ -298,13 +330,33 @@ func (g *Group) Run(workers int, limit Time) error {
 	if workers <= 0 || workers > n {
 		workers = n
 	}
-	if g.dist == nil {
-		g.computeDist()
-	}
+	start := time.Now()
+	// One cache line per worker: the slots are written once per window.
+	busy := make([]struct {
+		d time.Duration
+		_ [7]uint64
+	}, workers)
+	defer func() {
+		g.stats.Wall += time.Since(start)
+		for len(g.stats.Busy) < workers {
+			g.stats.Busy = append(g.stats.Busy, 0)
+		}
+		for w := range busy {
+			g.stats.Busy[w] += busy[w].d
+		}
+	}()
 
 	type job struct {
 		env    *Env
 		target Time
+	}
+	// window runs one partition window on worker w and times it, as two
+	// offsets from start: Since reads only the monotonic clock, half the
+	// cost of a Now.
+	window := func(w int, j job) {
+		t0 := time.Since(start)
+		j.env.runWindow(j.target)
+		busy[w].d += time.Since(start) - t0
 	}
 	var wg sync.WaitGroup
 	var jobs chan job
@@ -312,17 +364,18 @@ func (g *Group) Run(workers int, limit Time) error {
 		jobs = make(chan job)
 		defer close(jobs)
 		for w := 0; w < workers; w++ {
-			go func() {
+			go func(w int) {
 				for j := range jobs {
-					j.env.runWindow(j.target)
+					window(w, j)
 					wg.Done()
 				}
-			}()
+			}(w)
 		}
 	}
 
 	next := make([]Time, n)
 	has := make([]bool, n)
+	act := make([]Time, n)
 	hor := make([]Time, n)
 	for {
 		idle := true
@@ -336,7 +389,7 @@ func (g *Group) Run(workers int, limit Time) error {
 			break
 		}
 		g.stats.Rounds++
-		g.horizons(next, has, hor)
+		g.horizons(next, has, act, hor)
 		ran := 0
 		for i, e := range g.envs {
 			if !has[i] {
@@ -355,7 +408,7 @@ func (g *Group) Run(workers int, limit Time) error {
 				wg.Add(1)
 				jobs <- job{e, target}
 			} else {
-				e.runWindow(target)
+				window(0, job{e, target})
 			}
 		}
 		if workers > 1 {

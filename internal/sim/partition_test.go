@@ -2,9 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // pingPong builds a two-partition group exchanging numbered messages and
@@ -277,4 +279,313 @@ func TestNextEventTimeSkipsSpentTokens(t *testing.T) {
 		t.Fatalf("next=%v ok=%v", at, ok)
 	}
 	env.Shutdown()
+}
+
+// echoPair builds A<=>B over 10us links: A runs dense 1us local work and a
+// ticker that sends a numbered message every period, holding the link until
+// its next tick for the first held ticks only; B is idle except for echoing
+// each message straight back. It returns both partitions' receive logs and
+// the barrier rounds the run took.
+func echoPair(t *testing.T, workers, ticks, held int, period Duration) (log string, rounds uint64) {
+	t.Helper()
+	g := NewGroup()
+	a, b := NewEnv(1), NewEnv(2)
+	pa, pb := g.Add("a", a), g.Add("b", b)
+	ab := g.Connect("a->b", pa, pb, 10*Microsecond)
+	ba := g.Connect("b->a", pb, pa, 10*Microsecond)
+	end := Time(0).Add(Duration(ticks)*period + 50*Microsecond)
+	var gotA, gotB []string
+	a.Spawn("dense", func(p *Proc) {
+		for p.Now() < end {
+			p.Wait(Microsecond)
+		}
+	})
+	a.Spawn("ticker", func(p *Proc) {
+		for i := 0; i < ticks; i++ {
+			if i < held {
+				ab.Hold(p.Now().Add(period))
+			}
+			p.Wait(period)
+			ab.Send(p, i)
+		}
+	})
+	a.SpawnDaemon("rx", func(p *Proc) {
+		for {
+			m := ba.Recv(p)
+			gotA = append(gotA, fmt.Sprintf("%v@%v", m.Payload, p.Now()))
+		}
+	})
+	b.SpawnDaemon("echo", func(p *Proc) {
+		for {
+			m := ab.Recv(p)
+			gotB = append(gotB, fmt.Sprintf("%v@%v", m.Payload, p.Now()))
+			ba.Send(p, m.Payload)
+		}
+	})
+	if err := g.Run(workers, MaxTime); err != nil {
+		t.Fatalf("workers=%d held=%d: %v", workers, held, err)
+	}
+	g.Shutdown()
+	return strings.Join(gotA, " ") + " | " + strings.Join(gotB, " "), g.Stats().Rounds
+}
+
+// TestGroupSelfRoundTripIsCausal: a partition's own send can come back to
+// it, so the cycle through its peers bounds its horizon even while every
+// peer is idle. A sends at 50us, B echoes, and A — busy with 1us local
+// steps the whole time — must see the echo at 50+10+10us, not whenever its
+// unbounded window happens to end.
+func TestGroupSelfRoundTripIsCausal(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		log, _ := echoPair(t, workers, 1, 0, 50*Microsecond)
+		if want := "0@0.000070s | 0@0.000060s"; log != want {
+			t.Fatalf("workers=%d: got %q, want %q", workers, log, want)
+		}
+	}
+}
+
+// TestGroupExpiredPromiseBoundsNothing: a sender that stops holding falls
+// back to the next-event bound — the same deliveries at the same instants,
+// bought with more barrier rounds.
+func TestGroupExpiredPromiseBoundsNothing(t *testing.T) {
+	const ticks = 20
+	always, rAlways := echoPair(t, 2, ticks, ticks, Millisecond)
+	half, rHalf := echoPair(t, 2, ticks, ticks/2, Millisecond)
+	never, rNever := echoPair(t, 2, ticks, 0, Millisecond)
+	if half != always || never != always {
+		t.Fatalf("promises changed the deliveries:\n always %s\n half   %s\n never  %s", always, half, never)
+	}
+	if !(rAlways*10 < rHalf && rHalf*3 < rNever*2 && rNever < rHalf*3) {
+		t.Fatalf("rounds always=%d half=%d never=%d: want always << half ~ never/2", rAlways, rHalf, rNever)
+	}
+}
+
+// recoverGroupPanic runs a two-partition group whose a-side proc is body and
+// returns the panic message body raised ("" when it did not panic).
+func recoverGroupPanic(t *testing.T, body func(p *Proc, ab *XLink)) (msg string) {
+	t.Helper()
+	g := NewGroup()
+	a, b := NewEnv(1), NewEnv(2)
+	ab := g.Connect("a->b", g.Add("a", a), g.Add("b", b), 10*Microsecond)
+	a.Spawn("sender", func(p *Proc) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		body(p, ab)
+	})
+	if err := g.Run(1, MaxTime); err != nil {
+		t.Fatal(err)
+	}
+	g.Shutdown()
+	return msg
+}
+
+func TestGroupSendBeforeHoldPanics(t *testing.T) {
+	msg := recoverGroupPanic(t, func(p *Proc, ab *XLink) {
+		ab.Hold(p.Now().Add(Millisecond))
+		p.Wait(Millisecond - 1)
+		ab.Send(p, "early")
+	})
+	if !strings.Contains(msg, `link "a->b"`) || !strings.Contains(msg, "Hold") {
+		t.Fatalf("panic %q does not name the link and its promise", msg)
+	}
+	// At the held instant itself the send is legal.
+	if msg := recoverGroupPanic(t, func(p *Proc, ab *XLink) {
+		ab.Hold(p.Now().Add(Millisecond))
+		p.Wait(Millisecond)
+		ab.Send(p, "on time")
+	}); msg != "" {
+		t.Fatalf("send at the held instant panicked: %s", msg)
+	}
+}
+
+func TestGroupHoldShrinkPanics(t *testing.T) {
+	msg := recoverGroupPanic(t, func(p *Proc, ab *XLink) {
+		ab.Hold(p.Now().Add(Millisecond))
+		p.Wait(Microsecond)
+		ab.Hold(p.Now().Add(10 * Microsecond))
+	})
+	if !strings.Contains(msg, `link "a->b"`) || !strings.Contains(msg, "shrinks") {
+		t.Fatalf("panic %q does not name the link and the shrink", msg)
+	}
+	// Extending an unexpired promise and replacing an expired one are legal.
+	if msg := recoverGroupPanic(t, func(p *Proc, ab *XLink) {
+		ab.Hold(p.Now().Add(Millisecond))
+		ab.Hold(p.Now().Add(2 * Millisecond))
+		p.Wait(2 * Millisecond)
+		ab.Hold(p.Now().Add(Microsecond))
+	}); msg != "" {
+		t.Fatalf("legal Hold sequence panicked: %s", msg)
+	}
+}
+
+// TestGroupLateArrivalPanics: a staged message whose arrival is already
+// behind its destination's clock is a kernel bug (a horizon was wrong); the
+// barrier must refuse it rather than deliver it at the wrong instant.
+func TestGroupLateArrivalPanics(t *testing.T) {
+	g := NewGroup()
+	a, b := NewEnv(1), NewEnv(2)
+	ab := g.Connect("a->b", g.Add("a", a), g.Add("b", b), 10*Microsecond)
+	b.advanceTo(Time(Millisecond))
+	ab.staged = append(ab.staged, XMsg{At: Time(20 * Microsecond), Link: ab.id, Seq: 1})
+	defer func() {
+		msg := fmt.Sprint(recover())
+		for _, frag := range []string{`link "a->b"`, "0.000020s", `"b"`, "0.001000s"} {
+			if !strings.Contains(msg, frag) {
+				t.Fatalf("panic %q missing %q", msg, frag)
+			}
+		}
+	}()
+	g.deliver()
+}
+
+// randomGroup builds a seeded random topology — 3-6 partitions on a ring
+// plus random extra directed links — and runs it to completion. Each link
+// is either periodic (a ticker in its source sends a numbered message every
+// period and, when hold is set, promises silence until its next tick) or
+// reactive (echo procs forward what they receive onto it, never holding).
+// Every partition also does dense 1us local work, so without promises the
+// partitions clamp each other to single link latencies. It returns each
+// partition's (time, payload) receive log and the barrier rounds.
+func randomGroup(t *testing.T, seed int64, hold bool, workers int) (logs []string, rounds uint64) {
+	t.Helper()
+	type hop struct{ id, ttl int }
+	rng := rand.New(rand.NewSource(seed))
+	n := 3 + rng.Intn(4)
+	g := NewGroup()
+	envs := make([]*Env, n)
+	for i := range envs {
+		envs[i] = NewEnv(seed + int64(i))
+		g.Add(fmt.Sprintf("p%d", i), envs[i])
+	}
+	in, reactive := make([][]*XLink, n), make([][]*XLink, n)
+	var periodic []*XLink
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i == j || (j != (i+1)%n && rng.Intn(3) > 0) {
+				continue
+			}
+			lat := Duration(5+rng.Intn(46)) * Microsecond
+			l := g.Connect(fmt.Sprintf("p%d->p%d", i, j), PartitionID(i), PartitionID(j), lat)
+			in[j] = append(in[j], l)
+			if rng.Intn(2) == 0 {
+				periodic = append(periodic, l)
+			} else {
+				reactive[i] = append(reactive[i], l)
+			}
+		}
+	}
+	const span = 2 * Millisecond
+	for _, e := range envs {
+		e.Spawn("dense", func(p *Proc) {
+			for p.Now() < Time(span) {
+				p.Wait(Microsecond)
+			}
+		})
+	}
+	for k, l := range periodic {
+		k, l := k, l
+		period := Duration(40+rng.Intn(300)) * Microsecond
+		ttl := rng.Intn(4)
+		envs[l.src].Spawn("ticker", func(p *Proc) {
+			for i := 0; p.Now().Add(period) < Time(span); i++ {
+				if hold {
+					l.Hold(p.Now().Add(period))
+				}
+				p.Wait(period)
+				l.Send(p, hop{id: k*1000 + i, ttl: ttl})
+			}
+		})
+	}
+	logs = make([]string, n)
+	for i := range envs {
+		i := i
+		for _, l := range in[i] {
+			l := l
+			envs[i].SpawnDaemon("rx", func(p *Proc) {
+				for {
+					m := l.Recv(p)
+					h := m.Payload.(hop)
+					logs[i] += fmt.Sprintf("%d/%d@%d ", h.id, h.ttl, p.Now())
+					if out := reactive[i]; h.ttl > 0 && len(out) > 0 {
+						out[h.id%len(out)].Send(p, hop{h.id, h.ttl - 1})
+					}
+				}
+			})
+		}
+	}
+	if err := g.Run(workers, MaxTime); err != nil {
+		t.Fatalf("seed=%d hold=%v workers=%d: %v", seed, hold, workers, err)
+	}
+	g.Shutdown()
+	return logs, g.Stats().Rounds
+}
+
+// TestGroupPromisesChangeOnlyRounds is the promise contract as a property:
+// over seeded random topologies, removing every Hold call or changing the
+// worker count leaves each partition's receive log — every payload and the
+// instant it arrived — untouched. Only the number of barrier rounds moves.
+func TestGroupPromisesChangeOnlyRounds(t *testing.T) {
+	var held, unheld uint64
+	for seed := int64(1); seed <= 12; seed++ {
+		want, r0 := randomGroup(t, seed, false, 1)
+		unheld += r0
+		traffic := 0
+		for _, l := range want {
+			traffic += len(l)
+		}
+		if traffic == 0 {
+			t.Fatalf("seed=%d: no message was ever received", seed)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			got, r := randomGroup(t, seed, true, workers)
+			if workers == 1 {
+				held += r
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed=%d workers=%d: receive logs differ with promises on:\n got %q\nwant %q",
+					seed, workers, got, want)
+			}
+		}
+	}
+	if held >= unheld {
+		t.Fatalf("promises bought nothing: %d rounds held, %d without", held, unheld)
+	}
+	t.Logf("rounds over 12 topologies: %d with promises, %d without", held, unheld)
+}
+
+// TestGroupStatsAccountHostTime: the kernel's account of its own run — wall
+// time, one busy slot per worker, and an efficiency that is a share.
+func TestGroupStatsAccountHostTime(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		g := NewGroup()
+		a, b := NewEnv(1), NewEnv(2)
+		g.Connect("a->b", g.Add("a", a), g.Add("b", b), 10*Microsecond)
+		for _, e := range []*Env{a, b} {
+			e.Spawn("dense", func(p *Proc) {
+				for i := 0; i < 20000; i++ {
+					p.Wait(Microsecond)
+				}
+			})
+		}
+		if err := g.Run(workers, MaxTime); err != nil {
+			t.Fatal(err)
+		}
+		st := g.Stats()
+		var busy time.Duration
+		for _, d := range st.Busy {
+			busy += d
+		}
+		if len(st.Busy) != workers || busy <= 0 || st.Wall < busy/time.Duration(workers) {
+			t.Fatalf("workers=%d: wall=%v busy=%v", workers, st.Wall, st.Busy)
+		}
+		if eff := st.Efficiency(); eff <= 0 || eff > 1 {
+			t.Fatalf("workers=%d: efficiency %v outside (0,1]", workers, eff)
+		}
+		g.Shutdown()
+	}
+	if eff := (GroupStats{}).Efficiency(); eff != 0 {
+		t.Fatalf("efficiency of an unrun group = %v", eff)
+	}
 }

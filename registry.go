@@ -162,8 +162,9 @@ var registry = []Experiment{
 	// The scale-out experiments keep the short windows they have always run:
 	// a virtual second of 32 or 128 OSDs is already thousands of ops. Their
 	// smoke cost is building the clusters, so the smoke windows only need to
-	// span a few hundred barrier rounds; 4 workers on 8 or 16 racks makes a
-	// rack's procs resume on a different worker goroutine window to window.
+	// span a few beacon periods (two barrier rounds each); 4 workers on 8 or
+	// 16 racks makes a rack's procs resume on a different worker goroutine
+	// window to window.
 	{Name: "scaleout",
 		Doc:   "32-OSD multi-rack cluster on the partitioned parallel kernel, per worker count",
 		Full:  Options{Duration: 2 * Second, Warmup: 500 * Millisecond},

@@ -22,6 +22,9 @@ type sweepRun struct {
 	workers int
 	res     cluster.ScaleOutResult
 	wall    time.Duration
+	// efficiency is the kernel's own account of the run: the share of
+	// workers x wall its workers spent inside partition windows.
+	efficiency float64
 }
 
 func (r sweepRun) wallMs() string { return fmt.Sprintf("%.1f", float64(r.wall.Nanoseconds())/1e6) }
@@ -42,6 +45,7 @@ func sweepWorkers(cfg cluster.ScaleOutConfig, workers []int) ([]sweepRun, error)
 		start := time.Now()
 		res, err := so.Run(w)
 		wall := time.Since(start)
+		eff := so.Group.Stats().Efficiency()
 		so.Shutdown()
 		if err != nil {
 			return nil, fmt.Errorf("workers=%d: %w", w, err)
@@ -56,7 +60,7 @@ func sweepWorkers(cfg cluster.ScaleOutConfig, workers []int) ([]sweepRun, error)
 			return nil, fmt.Errorf("determinism violation: workers=%d result differs from workers=%d",
 				w, workers[0])
 		}
-		out = append(out, sweepRun{w, res, wall})
+		out = append(out, sweepRun{w, res, wall, eff})
 	}
 	return out, nil
 }
@@ -73,7 +77,7 @@ func runScaleOut(o Options) ([]*report.Table, error) {
 	t := &report.Table{
 		Title: "Extension: partitioned parallel kernel, multi-rack scale-out",
 		Header: []string{"kernel workers", "ops", "sim MB/s", "epochs",
-			"barrier rounds", "xpart msgs", "wall ms", "events/s", "speedup"},
+			"xpart msgs", "wall ms", "efficiency", "barrier rounds", "events/s", "speedup"},
 		Notes: []string{
 			"simulated columns are bit-identical across worker counts (enforced); only wall clock moves",
 			"wall-clock speedup is bounded by physical cores; see DESIGN.md on the partitioned kernel",
@@ -82,8 +86,8 @@ func runScaleOut(o Options) ([]*report.Table, error) {
 	eventsPerSec := func(r sweepRun) float64 { return float64(r.res.Events) / r.wall.Seconds() }
 	for _, r := range runs {
 		t.AddRow(fmt.Sprint(r.workers), fmt.Sprint(r.res.TotalOps), report.F2(r.mbps(o.Duration)),
-			fmt.Sprint(r.res.Epochs), fmt.Sprint(r.res.Rounds), fmt.Sprint(r.res.Delivered),
-			r.wallMs(), fmt.Sprintf("%.0f", eventsPerSec(r)),
+			fmt.Sprint(r.res.Epochs), fmt.Sprint(r.res.Delivered),
+			r.wallMs(), report.F2(r.efficiency), fmt.Sprint(r.res.Rounds), fmt.Sprintf("%.0f", eventsPerSec(r)),
 			report.F2(eventsPerSec(r)/eventsPerSec(runs[0])))
 	}
 	return []*report.Table{t}, nil
@@ -97,7 +101,7 @@ func runScaleOut128(o Options) ([]*report.Table, error) {
 	t := &report.Table{
 		Title: "Extension: 128-OSD multi-rack CRUSH cluster, popularity x balance-reads",
 		Header: []string{"workload", "balance", "workers", "ops", "sim MB/s",
-			"osd max/mean", "pg max/mean", "qd p99:p50", "hot-read share", "balanced", "wall ms"},
+			"osd max/mean", "pg max/mean", "qd p99:p50", "hot-read share", "balanced", "wall ms", "efficiency"},
 		Notes: []string{
 			"16 racks x 8 OSDs; catalog homed by rack-aware CRUSH (failure domain = rack); reads 70%",
 			"extra worker rows re-run the zipf+balance arm; full results are byte-identical across counts (enforced)",
@@ -129,7 +133,7 @@ func runScaleOut128(o Options) ([]*report.Table, error) {
 				row := []string{kind.String(), onOff, fmt.Sprint(r.workers), fmt.Sprint(r.res.TotalOps),
 					report.F2(r.mbps(o.Duration)), report.F2(imb.MaxMeanOSDShare), report.F2(imb.MaxMeanPGShare),
 					report.F2(imb.QueueDepthP99P50), fmt.Sprintf("%.3f", imb.HotReadShare),
-					fmt.Sprintf("%.3f", imb.BalancedReadShare), r.wallMs()}
+					fmt.Sprintf("%.3f", imb.BalancedReadShare), r.wallMs(), report.F2(r.efficiency)}
 				if i == 0 {
 					t.AddRow(row...)
 				} else {
