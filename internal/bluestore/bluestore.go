@@ -452,6 +452,9 @@ func (s *Store) applyOp(op *objstore.Op) error {
 		if !ok {
 			return objstore.ErrNotFound
 		}
+		if o.attrs == nil {
+			o.attrs = make(map[string][]byte)
+		}
 		o.attrs[op.AttrName] = op.AttrValue
 		o.bump(s.env.Now())
 		return nil
@@ -483,7 +486,7 @@ func (s *Store) applyOp(op *objstore.Op) error {
 func (s *Store) getOrCreate(c *collection, coll, obj string) *onode {
 	o, ok := c.objects[obj]
 	if !ok {
-		o = &onode{attrs: make(map[string][]byte)}
+		o = &onode{}
 		c.objects[obj] = o
 		s.kv.set(onodeKey(coll, obj), []byte{1})
 	}

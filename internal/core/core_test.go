@@ -505,3 +505,73 @@ func TestFallbackSegmentHeaderValidated(t *testing.T) {
 		}
 	})
 }
+
+// TestTeardownReturnsBuffersTasksAndProcs is the data plane's teardown
+// assertion. After a completed run — segmented writes, plain and batched, and
+// a segmented read — every staging buffer on both sides is back in its pool,
+// the staging gauge is back to zero and nothing but the daemons is live. A
+// Shutdown with transfers in flight drops the pending completion tasks along
+// with the procs.
+func TestTeardownReturnsBuffersTasksAndProcs(t *testing.T) {
+	for name, cfg := range map[string]BridgeConfig{
+		"per-op":  {},
+		"batched": {Batch: BatchConfig{Enable: true}},
+	} {
+		r := newCoreRig(cfg)
+		px, hs := r.bridge.Proxy, r.bridge.Host
+		daemons := r.env.LiveProcs()
+		const size = 5 << 20 // 3 DMA segments each way
+		th := sim.NewThread("dpu-osd-worker", "tp_osd_tp")
+		r.env.Spawn("body", func(p *sim.Proc) {
+			p.SetThread(th)
+			big := (&objstore.Transaction{}).MkColl("pg.0").Write("pg.0", "big", 0, seeded(size, 1))
+			small := (&objstore.Transaction{}).Write("pg.0", "small", 0, seeded(4096, 2))
+			a, b := px.QueueTransaction(p, big), px.QueueTransaction(p, small)
+			a.Done.Wait(p)
+			b.Done.Wait(p)
+			if bl, err := px.Read(p, "pg.0", "big", 0, 0); err != nil || bl.Length() != size {
+				t.Errorf("%s: read back: %v", name, err)
+			}
+		})
+		if err := r.env.RunUntil(sim.Time(60 * sim.Second)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if free, all := r.dev.Buffers.Available(), r.dev.Buffers.Capacity(); free != all {
+			t.Errorf("%s: %d of %d DPU staging buffers free after the run", name, free, all)
+		}
+		if free, all := hs.readBuf.Available(), hs.readBuf.Capacity(); free != all {
+			t.Errorf("%s: %d of %d host read buffers free after the run", name, free, all)
+		}
+		if px.stagingBytes != 0 || len(px.pendingTxns) != 0 || len(hs.asm) != 0 || len(hs.readyTxns) != 0 {
+			t.Errorf("%s: staging=%d pendingTxns=%d assembling=%d ready=%d after the run",
+				name, px.stagingBytes, len(px.pendingTxns), len(hs.asm), len(hs.readyTxns))
+		}
+		if live := r.env.LiveProcs(); live != daemons {
+			t.Errorf("%s: %d procs and tasks live after the run, %d daemons before it", name, live, daemons)
+		}
+		if tasks := r.env.Stats().TaskRuns; tasks == 0 {
+			t.Errorf("%s: no completion task ran", name)
+		}
+
+		// Second write, stopped while its segments are on the engine.
+		r.env.Spawn("cut-short", func(p *sim.Proc) {
+			p.SetThread(th)
+			px.QueueTransaction(p, (&objstore.Transaction{}).Write("pg.0", "big2", 0, seeded(size, 3)))
+		})
+		for step := 0; px.stagingBytes == 0; step++ {
+			if step == 1000 {
+				t.Fatalf("%s: nothing was ever staged", name)
+			}
+			if err := r.env.RunUntil(r.env.Now().Add(10 * sim.Microsecond)); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		if r.env.LiveProcs() <= daemons || r.dev.Buffers.Available() == r.dev.Buffers.Capacity() {
+			t.Fatalf("%s: no transfer in flight; the test observes nothing", name)
+		}
+		r.env.Shutdown()
+		if live := r.env.LiveProcs(); live != 0 {
+			t.Errorf("%s: %d procs or tasks survived Shutdown", name, live)
+		}
+	}
+}

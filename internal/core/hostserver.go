@@ -126,13 +126,13 @@ type HostServer struct {
 	thPoll *sim.Thread
 	tr     *trace.Tracer
 
-	asm map[uint64]*assembly
+	asm map[uint64]*hostTxn
 	// Commit ordering: assembled transactions apply to BlueStore strictly
 	// in the proxy's submission order (txnSeq), restoring the per-PG
 	// ordering a local ObjectStore gives the baseline for free even when
 	// DMA and RPC-fallback deliveries race.
 	nextCommit uint64
-	readyTxns  map[uint64]*readyTxn
+	readyTxns  map[uint64]*hostTxn
 	stats      HostStats
 
 	// Notify coalescers (live only when cfg.Batch.Enable; see batch.go):
@@ -148,8 +148,18 @@ type notifyShard struct {
 	q    []txnDoneEntry
 }
 
-type readyTxn struct {
+// hostTxn is one transaction on the host: its segments while they arrive
+// (hs.asm), its turn in the ordered commit queue (hs.readyTxns), and the task
+// that reports its commit.
+type hostTxn struct {
+	hs    *HostServer
 	reqID uint64
+	// segs has one slot per segment of the request; have counts the filled ones.
+	segs []*wire.Bufferlist
+	have int
+	// traceCtx is the first non-zero trace context seen on a segment tag
+	// (RPC-fallback segments carry none).
+	traceCtx uint64
 	// queue is the DMA queue index the transaction's frame rode; its commit
 	// notification goes to the matching notify shard.
 	queue int
@@ -161,20 +171,20 @@ type readyTxn struct {
 	// that instant, so the commit-ordering delay lands as queue wait.
 	span  trace.SpanID
 	ready sim.Time
+	// start is the instant the commit was submitted, res its result.
+	start sim.Time
+	res   *objstore.Result
 }
 
-type assembly struct {
-	// segs has one slot per segment of the request; have counts the filled
-	// ones.
-	segs    []*wire.Bufferlist
-	have    int
-	started sim.Time
-	// traceCtx is the first non-zero trace context seen on a segment tag
-	// (RPC-fallback segments carry none).
-	traceCtx uint64
+// readSeg is one in-flight segment of a read's return DMA, and the task that
+// frees its staging buffer when the engine is done with it.
+type readSeg struct {
+	t   doca.Transfer
+	hdr segHeader
+	buf *dpu.BufferPool
 }
 
-// orderKey: transactions commit in txnSeq order starting at 1.
+func (rs *readSeg) Run() { rs.buf.Release() }
 
 // NewHostServer builds the host side. rpcEnd is the host endpoint of the
 // control channel; store is the local BlueStore.
@@ -186,9 +196,9 @@ func NewHostServer(env *sim.Env, hostCPU *sim.CPU, store objstore.Store,
 		rpc: rpcEnd, engUp: engUp, engDown: engDown,
 		dpuMR: dpuMR, hostMR: hostMR,
 		thPoll:     sim.NewThread("host-dma-poll", DMAPollThreadCat),
-		asm:        make(map[uint64]*assembly),
+		asm:        make(map[uint64]*hostTxn),
 		nextCommit: 1,
-		readyTxns:  make(map[uint64]*readyTxn),
+		readyTxns:  make(map[uint64]*hostTxn),
 	}
 	hs.readBuf = dpu.NewBufferPool(env, "host-read-staging",
 		hs.cfg.ReadStagingBuffers, hs.cfg.ReadStagingBufferBytes)
@@ -287,7 +297,7 @@ func (hs *HostServer) pollLoop(p *sim.Proc) {
 func (hs *HostServer) addSegment(p *sim.Proc, reqID, txnSeq uint64, seg, total int, data *wire.Bufferlist, traceCtx uint64, queue int) {
 	a := hs.asm[reqID]
 	if a == nil {
-		a = &assembly{segs: make([]*wire.Bufferlist, total), started: p.Now()}
+		a = &hostTxn{hs: hs, reqID: reqID, segs: make([]*wire.Bufferlist, total)}
 		hs.asm[reqID] = a
 	}
 	if seg < 0 || seg >= len(a.segs) || total != len(a.segs) {
@@ -306,25 +316,25 @@ func (hs *HostServer) addSegment(p *sim.Proc, reqID, txnSeq uint64, seg, total i
 	}
 	delete(hs.asm, reqID)
 	payload := wire.Concat(a.segs)
-	var hostSp trace.SpanID
+	a.segs = nil
 	if hs.tr.Enabled() && a.traceCtx != 0 {
-		hostSp = hs.tr.Start(trace.SpanID(a.traceCtx), 0, trace.StageHostCommit, hs.cpu.Name())
-		hs.tr.AddBytes(hostSp, int64(payload.Length()))
+		a.span = hs.tr.Start(trace.SpanID(a.traceCtx), 0, trace.StageHostCommit, hs.cpu.Name())
+		hs.tr.AddBytes(a.span, int64(payload.Length()))
 	}
-	hs.tr.AddCPU(hostSp, hs.cpu.Name(),
+	hs.tr.AddCPU(a.span, hs.cpu.Name(),
 		hs.cpu.ExecSelf(p, int64(float64(payload.Length())*hs.cfg.AssembleCyclesPerByte)))
 	txn, err := objstore.DecodeTransactionBL(payload)
 	if err != nil {
 		// Report the failure but keep the commit sequence moving with an
 		// empty transaction in this slot.
 		hs.notifyTxnDone(reqID, rcIO, 0, queue)
-		hs.readyTxns[txnSeq] = &readyTxn{reqID: reqID, queue: queue, txn: &objstore.Transaction{},
-			silent: true, span: hostSp, ready: p.Now()}
+		txn, a.silent = &objstore.Transaction{}, true
 	} else {
 		// The host-commit span parents the local BlueStore's aio/kv spans.
-		txn.TraceCtx = uint64(hostSp)
-		hs.readyTxns[txnSeq] = &readyTxn{reqID: reqID, queue: queue, txn: txn, span: hostSp, ready: p.Now()}
+		txn.TraceCtx = uint64(a.span)
 	}
+	a.queue, a.txn, a.ready = queue, txn, p.Now()
+	hs.readyTxns[txnSeq] = a
 	for {
 		rt, ok := hs.readyTxns[hs.nextCommit]
 		if !ok {
@@ -336,29 +346,28 @@ func (hs *HostServer) addSegment(p *sim.Proc, reqID, txnSeq uint64, seg, total i
 	}
 }
 
-func (hs *HostServer) commit(p *sim.Proc, rt *readyTxn) {
-	start := p.Now()
+func (hs *HostServer) commit(p *sim.Proc, rt *hostTxn) {
+	rt.start = p.Now()
 	hs.tr.AddQueueWait(rt.span, p.Now().Sub(rt.ready))
-	res := hs.store.QueueTransaction(p, rt.txn)
-	reqID := rt.reqID
-	silent := rt.silent
-	span := rt.span
-	hs.env.SpawnID("host-commit:", reqID, func(cp *sim.Proc) {
-		cp.SetThread(hs.thPoll)
-		res.Done.Wait(cp)
-		hs.tr.Finish(span)
-		if silent {
-			return
-		}
-		hs.stats.TxnsCommitted++
-		// Report the backend's pure commit service time when available
-		// (Table 3's "Host write"); fall back to the wall duration.
-		hostWrite := res.ServiceTime
-		if hostWrite <= 0 {
-			hostWrite = cp.Now().Sub(start)
-		}
-		hs.notifyTxnDone(reqID, errToCode(unwrap(res.Err)), int64(hostWrite), rt.queue)
-	})
+	rt.res = hs.store.QueueTransaction(p, rt.txn)
+	hs.env.After(&rt.res.Done, rt)
+}
+
+// Run reports the durable commit to the DPU.
+func (rt *hostTxn) Run() {
+	hs := rt.hs
+	hs.tr.Finish(rt.span)
+	if rt.silent {
+		return
+	}
+	hs.stats.TxnsCommitted++
+	// Report the backend's pure commit service time when available
+	// (Table 3's "Host write"); fall back to the wall duration.
+	hostWrite := rt.res.ServiceTime
+	if hostWrite <= 0 {
+		hostWrite = hs.env.Now().Sub(rt.start)
+	}
+	hs.notifyTxnDone(rt.reqID, errToCode(unwrap(rt.res.Err)), int64(hostWrite), rt.queue)
 }
 
 func (hs *HostServer) notifyTxnDone(reqID uint64, code uint16, hostWriteNanos int64, queue int) {
@@ -424,22 +433,19 @@ func (hs *HostServer) serveRead(req *readReq) {
 			}
 			hs.readBuf.Acquire(p)
 			hs.cpu.Exec(p, hs.thPoll, int64(float64(n)*hs.cfg.StageCyclesPerByte))
-			t := &doca.Transfer{
+			rs := &readSeg{buf: hs.readBuf,
+				hdr: segHeader{kind: segReadData, reqID: req.ReqID, seg: i, total: total}}
+			rs.t = doca.Transfer{
 				ReqID: req.ReqID, Seg: i, TotalSegs: total, Bytes: n,
 				Data: bl.SubList(int(off), int(n)),
-				Src:  hs.hostMR, Dst: hs.dpuMR,
-				Tag: &segHeader{kind: segReadData, reqID: req.ReqID, seg: i, total: total},
+				Src:  hs.hostMR, Dst: hs.dpuMR, Tag: &rs.hdr,
 			}
-			if err := hs.engDown.Submit(p, hs.cpu, t); err != nil {
+			if err := hs.engDown.Submit(p, hs.cpu, &rs.t); err != nil {
 				hs.readBuf.Release()
 				hs.rpc.Notify(p, opReadDone, encodeReadDone(req.ReqID, rcIO, 0))
 				return
 			}
-			buf := hs.readBuf
-			hs.env.SpawnSub("host-read-seg:", req.ReqID, i, func(sp *sim.Proc) {
-				t.Done.Wait(sp)
-				buf.Release()
-			})
+			hs.env.After(&rs.t.Done, rs)
 		}
 	})
 }

@@ -206,19 +206,39 @@ func (px *Proxy) noteUnstage(n int64) { px.stagingBytes -= n }
 // one allocation: the Result handed back to the caller and the host's commit
 // notification that completes it.
 type pendingTxn struct {
+	px            *Proxy
+	reqID         uint64
 	res           objstore.Result
 	done          sim.Event
 	code          uint16
 	hostWriteNano int64
 }
 
+// Run completes the caller's Result; the host's commit notification is in.
+func (pt *pendingTxn) Run() {
+	px := pt.px
+	pt.res.Err = codeToErr(pt.code)
+	px.breakdown.Requests++
+	px.breakdown.HostWrite += sim.Duration(pt.hostWriteNano)
+	delete(px.pendingTxns, pt.reqID)
+	pt.res.Done.Fire()
+}
+
 // segment is one in-flight DMA segment of a transaction: the engine
 // transfer, the tag the host poller reads off it and its trace span. A
 // transaction's segments are allocated together.
 type segment struct {
+	px   *Proxy
 	t    doca.Transfer
 	hdr  segHeader
 	span trace.SpanID
+}
+
+// Run frees the segment's staging buffer once the engine is done with it.
+func (sg *segment) Run() {
+	sg.px.tr.Finish(sg.span)
+	sg.px.dev.Buffers.Release()
+	sg.px.noteUnstage(sg.t.Bytes)
 }
 
 type pendingRead struct {
@@ -418,8 +438,6 @@ func (px *Proxy) noteDMAWait(p *sim.Proc, wait sim.Duration) {
 // write-through semantics).
 func (px *Proxy) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objstore.Result {
 	px.invalidateCached(txn)
-	pt := &pendingTxn{}
-	res := &pt.res
 	ctx := trace.SpanID(txn.TraceCtx)
 	if !px.tr.Enabled() {
 		ctx = 0
@@ -441,17 +459,15 @@ func (px *Proxy) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objst
 	reqID := px.nextReq
 	px.nextTxnSeq++
 	txnSeq := px.nextTxnSeq
+	pt := &pendingTxn{px: px, reqID: reqID}
 	px.pendingTxns[reqID] = pt
 
 	if px.cfg.Batch.Enable && int64(payload.Length()) <= px.cfg.Batch.MaxOpBytes {
 		// Small op: hand it to the batcher, which ships it coalesced with
 		// its neighbours; completion still arrives per op.
 		px.enqueueBatch(p, &batchOp{reqID: reqID, txnSeq: txnSeq, payload: payload, ctx: ctx})
-		px.env.SpawnID("proxy-tx:", reqID, func(tp *sim.Proc) {
-			tp.SetThread(px.thProxy)
-			px.awaitTxn(tp, reqID, pt)
-		})
-		return res
+		px.env.After(&pt.done, pt)
+		return &pt.res
 	}
 
 	useDMA := px.dmaAllowed(p)
@@ -468,9 +484,10 @@ func (px *Proxy) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objst
 		} else {
 			px.shipViaRPC(tp, reqID, txnSeq, payload, 0)
 		}
-		px.awaitTxn(tp, reqID, pt)
+		pt.done.Wait(tp)
+		pt.Run()
 	})
-	return res
+	return &pt.res
 }
 
 // invalidateCached drops read-cache entries for every object txn mutates,
@@ -489,17 +506,6 @@ func (px *Proxy) invalidateCached(txn *objstore.Transaction) {
 			px.rcache.InvalidateCollection(op.Collection)
 		}
 	}
-}
-
-// awaitTxn waits for the host commit notification and completes the
-// caller's Result (shared tail of the batched and per-op paths).
-func (px *Proxy) awaitTxn(tp *sim.Proc, reqID uint64, pt *pendingTxn) {
-	pt.done.Wait(tp)
-	pt.res.Err = codeToErr(pt.code)
-	px.breakdown.Requests++
-	px.breakdown.HostWrite += sim.Duration(pt.hostWriteNano)
-	delete(px.pendingTxns, reqID)
-	pt.res.Done.Fire()
 }
 
 // shipViaDMA cuts payload into segments and pipelines stage+transfer. On a
@@ -567,7 +573,7 @@ func (px *Proxy) shipViaDMA(p *sim.Proc, reqID, txnSeq uint64, payload *wire.Buf
 			px.tr.AddBytes(dmaSp, n)
 		}
 		sg := &segs[i]
-		sg.span = dmaSp
+		sg.px, sg.span = px, dmaSp
 		sg.hdr = segHeader{kind: segTxn, reqID: reqID, seg: i, total: total,
 			txnSeq: txnSeq, traceCtx: uint64(ctx)}
 		sg.t = doca.Transfer{
@@ -585,17 +591,10 @@ func (px *Proxy) shipViaDMA(p *sim.Proc, reqID, txnSeq uint64, payload *wire.Buf
 		if !px.cfg.DisablePipeline {
 			// Release the buffer when the engine finishes with it; keep
 			// staging the next segment meanwhile.
-			px.env.SpawnSub("proxy-seg:", reqID, i, func(sp *sim.Proc) {
-				sg.t.Done.Wait(sp)
-				px.tr.Finish(sg.span)
-				px.dev.Buffers.Release()
-				px.noteUnstage(n)
-			})
+			px.env.After(&sg.t.Done, sg)
 		} else {
 			sg.t.Done.Wait(p)
-			px.tr.Finish(dmaSp)
-			px.dev.Buffers.Release()
-			px.noteUnstage(n)
+			sg.Run()
 		}
 	}
 	// Collect completions and account DMA time. A segment was delivered if

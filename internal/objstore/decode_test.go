@@ -86,12 +86,11 @@ func sameTxn(a, b *Transaction) bool {
 	return true
 }
 
-// TestDecodeTransactionBLMatchesReference runs both decoders over valid
-// frames and over every truncation and a sweep of single-byte corruptions of
-// them (the same seed shapes FuzzDecodeBatchFrame carries its entries in),
-// delivered contiguous and scattered across small segments: same
-// transaction or an error from both, with the same message.
-func TestDecodeTransactionBLMatchesReference(t *testing.T) {
+// transactionFrames returns valid transaction frames plus every truncation
+// and a sweep of single-byte corruptions of them (the same seed shapes
+// FuzzDecodeBatchFrame carries its entries in): lengths, counts and op codes
+// all get hit.
+func transactionFrames() [][]byte {
 	data := make([]byte, 300)
 	for i := range data {
 		data[i] = byte(i * 13)
@@ -111,8 +110,7 @@ func TestDecodeTransactionBLMatchesReference(t *testing.T) {
 		for cut := 0; cut < len(raw); cut++ {
 			corpus = append(corpus, raw[:cut])
 		}
-		// Corrupt each metadata byte (and a stretch of payload) in turn:
-		// lengths, counts and op codes all get hit.
+		// Each metadata byte (and a stretch of payload) in turn.
 		for i := 0; i < min(len(raw), 160); i++ {
 			for _, flip := range []byte{0x01, 0x80, 0xff} {
 				bad := append([]byte(nil), raw...)
@@ -121,18 +119,45 @@ func TestDecodeTransactionBLMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	for _, raw := range corpus {
+	return corpus
+}
+
+// checkAgainstReference decodes raw, delivered in segLen-byte segments, with
+// both decoders: same transaction, or an error from both with the same
+// message.
+func checkAgainstReference(t *testing.T, raw []byte, segLen int) {
+	t.Helper()
+	got, gotErr := DecodeTransactionBL(segmented(raw, segLen))
+	want, wantErr := decodeTransactionBLRef(segmented(raw, segLen))
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("%d-byte frame %x in %d-byte segments: err %v, reference %v", len(raw), raw, segLen, gotErr, wantErr)
+	}
+	if !sameTxn(got, want) {
+		t.Fatalf("%d-byte frame %x in %d-byte segments: decoded %+v, reference %+v", len(raw), raw, segLen, got, want)
+	}
+}
+
+// TestDecodeTransactionBLMatchesReference runs both decoders over the frame
+// corpus, delivered contiguous and scattered across small segments.
+func TestDecodeTransactionBLMatchesReference(t *testing.T) {
+	for _, raw := range transactionFrames() {
 		for _, segLen := range []int{len(raw) + 1, 7, 1} {
-			got, gotErr := DecodeTransactionBL(segmented(raw, segLen))
-			want, wantErr := decodeTransactionBLRef(segmented(raw, segLen))
-			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-				t.Fatalf("%d-byte frame in %d-byte segments: err %v, reference %v", len(raw), segLen, gotErr, wantErr)
-			}
-			if !sameTxn(got, want) {
-				t.Fatalf("%d-byte frame in %d-byte segments: decoded %+v, reference %+v", len(raw), segLen, got, want)
-			}
+			checkAgainstReference(t, raw, segLen)
 		}
 	}
+}
+
+// FuzzDecodeTransactionBL: the decoder every DMA'd segment and RPC-fallback
+// frame goes through on the host never panics, whatever the bytes and however
+// they are cut into segments, and accepts exactly what the reference decoder
+// accepts, with the same result.
+func FuzzDecodeTransactionBL(f *testing.F) {
+	for i, raw := range transactionFrames() {
+		f.Add(raw, uint16(i%9))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, segLen uint16) {
+		checkAgainstReference(t, raw, int(segLen)+1)
+	})
 }
 
 // TestDecodeTransactionBLAllocs pins the allocation budget of the decode every

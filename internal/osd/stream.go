@@ -78,8 +78,7 @@ func (o *OSD) drainStream(p *sim.Proc, in *messenger.InStream) {
 // goes back upstream. Returns the store result for the end-of-stream
 // barrier.
 func (o *OSD) ingestChunk(p *sim.Proc, in *messenger.InStream, sp trace.SpanID,
-	pg uint32, object string, off uint64, chunk *wire.Bufferlist,
-	completer string) *objstore.Result {
+	pg uint32, object string, off uint64, chunk *wire.Bufferlist) *objstore.Result {
 	n := int64(chunk.Length())
 	var csp trace.SpanID
 	if sp != 0 {
@@ -98,13 +97,21 @@ func (o *OSD) ingestChunk(p *sim.Proc, in *messenger.InStream, sp trace.SpanID,
 	}
 	res := o.store.QueueTransaction(p, txn)
 	lock.Release(1)
-	o.env.Spawn(completer, func(cp *sim.Proc) {
-		cp.SetThread(o.thFin)
-		res.Done.Wait(cp)
-		o.tr.Finish(csp)
-		in.Credit(1)
-	})
+	o.env.After(&res.Done, &chunkCommit{tr: o.tr, span: csp, in: in})
 	return res
+}
+
+// chunkCommit is the task that closes a chunk's stage span and returns its
+// credit once the chunk's commit is durable.
+type chunkCommit struct {
+	tr   *trace.Tracer
+	span trace.SpanID
+	in   *messenger.InStream
+}
+
+func (c *chunkCommit) Run() {
+	c.tr.Finish(c.span)
+	c.in.Credit(1)
 }
 
 // ingestClientStream is the primary's per-stream ingest: admission checks,
@@ -185,8 +192,7 @@ func (o *OSD) ingestClientStream(p *sim.Proc, src string, m *cephmsg.MOSDOp,
 			aborted = true
 			break
 		}
-		results = append(results, o.ingestChunk(p, in, sp, pg, m.Object, off,
-			chunk, o.completerName))
+		results = append(results, o.ingestChunk(p, in, sp, pg, m.Object, off, chunk))
 		// Forward before accepting the next chunk; a saturated replica
 		// window blocks here, propagating its backpressure to the client.
 		for _, r := range reps {
@@ -260,8 +266,7 @@ func (o *OSD) ingestRepStream(p *sim.Proc, src string, m *cephmsg.MRepOp,
 			aborted = true
 			break
 		}
-		results = append(results, o.ingestChunk(p, in, sp, m.PGID, m.Object, off,
-			chunk, o.repCompleterName))
+		results = append(results, o.ingestChunk(p, in, sp, m.PGID, m.Object, off, chunk))
 		n := int64(chunk.Length())
 		off += uint64(n)
 		total += n

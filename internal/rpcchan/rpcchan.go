@@ -89,9 +89,9 @@ type Stats struct {
 type Endpoint struct {
 	env  *sim.Env
 	name string
-	// wireName and respPrefix name the per-message procs ("rpc-wire:<name>",
-	// "rpc-resp:<name>/<reqID>"); built once, not per message.
-	wireName, respPrefix string
+	// respPrefix names the per-response procs ("rpc-resp:<name>/<reqID>");
+	// built once, not per message.
+	respPrefix string
 
 	cpu *sim.CPU
 	th  *sim.Thread
@@ -109,7 +109,10 @@ type Endpoint struct {
 	stats Stats
 }
 
+// envelope is one message on the wire and, on the heap, the courier task
+// that delivers it to endpoint to at its arrival instant.
 type envelope struct {
+	to      *Endpoint
 	req     bool
 	notify  bool
 	op      uint16
@@ -118,6 +121,8 @@ type envelope struct {
 	payload *wire.Bufferlist
 	bytes   int64
 }
+
+func (env *envelope) Run() { env.to.inq.Push(*env) }
 
 type pendingCall struct {
 	done    *sim.Event
@@ -146,10 +151,10 @@ func New(env *sim.Env, nameA string, cpuA *sim.CPU, thA *sim.Thread,
 func newEndpoint(env *sim.Env, name string, cpu *sim.CPU, th *sim.Thread, cfg Config) *Endpoint {
 	e := &Endpoint{
 		env: env, name: name, cpu: cpu, th: th, cfg: cfg,
-		wireName: "rpc-wire:" + name, respPrefix: "rpc-resp:" + name + "/",
-		inq:      sim.NewQueue[envelope](env),
-		handlers: make(map[uint16]Handler),
-		pending:  make(map[uint64]*pendingCall),
+		respPrefix: "rpc-resp:" + name + "/",
+		inq:        sim.NewQueue[envelope](env),
+		handlers:   make(map[uint16]Handler),
+		pending:    make(map[uint64]*pendingCall),
 	}
 	env.SpawnDaemon("rpc-server:"+name, func(p *sim.Proc) { e.serve(p) })
 	return e
@@ -185,11 +190,11 @@ func (e *Endpoint) Notify(p *sim.Proc, op uint16, payload *wire.Bufferlist) {
 	e.stats.Notifies++
 }
 
-// send pays the sender-side CPU cost and models socket serialization +
-// latency with a busy-until outbound direction, then delivers into the
-// peer's input queue via a courier process (non-blocking for the caller
-// beyond the CPU cost, like a buffered socket write).
-func (e *Endpoint) send(p *sim.Proc, env envelope) {
+// transmit pays the sender-side CPU cost of env on p and books the message
+// on the outbound socket direction (serialization + latency behind a
+// busy-until time); it returns the arrival instant at the peer.
+func (e *Endpoint) transmit(p *sim.Proc, env *envelope) sim.Time {
+	env.to = e.peer
 	env.bytes = HeaderBytes
 	if env.payload != nil {
 		env.bytes += int64(env.payload.Length())
@@ -203,13 +208,15 @@ func (e *Endpoint) send(p *sim.Proc, env envelope) {
 	if e.sendFree > start {
 		start = e.sendFree
 	}
-	arrive := start.Add(ser + e.cfg.Latency)
 	e.sendFree = start.Add(ser)
-	peer := e.peer
-	e.env.Spawn(e.wireName, func(cp *sim.Proc) {
-		cp.WaitUntil(arrive)
-		peer.inq.Push(env)
-	})
+	return start.Add(ser + e.cfg.Latency)
+}
+
+// send transmits env and leaves its delivery into the peer's input queue to
+// a courier task (non-blocking for the caller beyond the CPU cost, like a
+// buffered socket write).
+func (e *Endpoint) send(p *sim.Proc, env envelope) {
+	e.env.At(e.transmit(p, &env), &env)
 }
 
 // serve is the endpoint's event-driven receive loop.
@@ -259,26 +266,12 @@ func (e *Endpoint) serve(p *sim.Proc) {
 }
 
 // sendFromAny sends a response envelope on behalf of whatever process is
-// running; CPU cost is charged by a courier on the endpoint's thread.
+// running; a courier proc on the endpoint's thread pays the CPU cost and
+// delivers it.
 func (e *Endpoint) sendFromAny(payload *wire.Bufferlist, errCode uint16, reqID uint64) {
 	env := envelope{reqID: reqID, errCode: errCode, payload: payload}
-	env.bytes = HeaderBytes
-	if payload != nil {
-		env.bytes += int64(payload.Length())
-	}
-	e.stats.BytesSent += env.bytes
-	peer := e.peer
 	e.env.SpawnID(e.respPrefix, reqID, func(cp *sim.Proc) {
-		e.cpu.Exec(cp, e.th, e.cfg.FixedCycles+int64(float64(env.bytes)*e.cfg.PerByteCycles))
-		e.cpu.NoteSwitches(e.th, e.cfg.SwitchesPerMsg)
-		ser := sim.Duration(float64(env.bytes) / e.cfg.BytesPerSec * float64(sim.Second))
-		start := cp.Now()
-		if e.sendFree > start {
-			start = e.sendFree
-		}
-		arrive := start.Add(ser + e.cfg.Latency)
-		e.sendFree = start.Add(ser)
-		cp.WaitUntil(arrive)
-		peer.inq.Push(env)
+		cp.WaitUntil(e.transmit(cp, &env))
+		env.Run()
 	})
 }

@@ -8,7 +8,10 @@
 // wakeup with a coroutine switch and the process switches back when it
 // blocks, and pending wakeups are ordered by (virtual time, sequence
 // number). Runs are therefore bit-deterministic for a given seed regardless
-// of GOMAXPROCS, and safe under the race detector.
+// of GOMAXPROCS, and safe under the race detector. A continuation that only
+// has to wait for one event or one instant and then never blocks needs no
+// Proc: it is a Task (Env.After, Env.At), which the kernel runs inline when
+// its wakeup fires.
 //
 // On top of the kernel the package provides the contended resource models the
 // experiments are measured against:

@@ -28,12 +28,24 @@ import (
 // push or a fire); Env.dead totals them so the heap can be compacted instead
 // of carrying them until their virtual deadline. A token has at most a
 // handful of registrations, so the counts are 16-bit to keep it in the
-// 16-byte size class.
+// 24-byte size class.
+//
+// A token belongs either to a proc (p) or to a pending task (task), never
+// both; the heap, the waiter lists and the pool treat the two alike.
 type wakeToken struct {
 	p      *Proc
+	task   *pendingTask
 	spent  bool
 	refs   int16
 	inHeap int16
+}
+
+// env returns the environment of the token's owner.
+func (tok *wakeToken) env() *Env {
+	if tok.p != nil {
+		return tok.p.env
+	}
+	return tok.task.env
 }
 
 type event struct {
@@ -135,8 +147,8 @@ type killSignal struct{}
 type Proc struct {
 	env  *Env
 	name string
-	// id and sub complete the name of procs spawned with SpawnID / SpawnSub;
-	// the string is only built when somebody asks for it.
+	// id completes the name of procs spawned with SpawnID (hasID); the string
+	// is only built when somebody asks for it.
 	id uint64
 	fn func(*Proc)
 	// resume and stop are the two ends of the proc's coroutine (iter.Pull's
@@ -149,11 +161,10 @@ type Proc struct {
 	// It and core are 32-bit so that Proc stays in the 96-byte size class.
 	idx int32
 	// core is the core a CPU granted the proc while it was parked in acquire.
-	core    int32
-	sub     uint32
-	nameIDs uint8
-	state   procState
-	daemon  bool
+	core   int32
+	hasID  bool
+	state  procState
+	daemon bool
 	// granted is set by the primitive that wakes the proc with a result (a
 	// queue push, an event fire) and stays false when only a timeout fired.
 	// A proc parks in one place at a time, so one flag serves them all.
@@ -162,11 +173,8 @@ type Proc struct {
 
 // Name returns the name the process was spawned with.
 func (p *Proc) Name() string {
-	switch p.nameIDs {
-	case 1:
+	if p.hasID {
 		return p.name + strconv.FormatUint(p.id, 10)
-	case 2:
-		return p.name + strconv.FormatUint(p.id, 10) + "/" + strconv.FormatUint(uint64(p.sub), 10)
 	}
 	return p.name
 }
@@ -206,11 +214,13 @@ type Env struct {
 	limit Time
 	// ready is the proc a parking proc found next in the heap; runWindow
 	// resumes it instead of popping again.
-	ready  *Proc
-	rng    *rand.Rand
-	live   int
-	procs  []*Proc
-	events uint64
+	ready *Proc
+	rng   *rand.Rand
+	live  int
+	procs []*Proc
+	// tasks lists the registered tasks that have not run yet.
+	tasks []*pendingTask
+	stats EnvStats
 
 	// dead counts heap entries whose token is already spent; once
 	// dead*compactDen exceeds the heap length the heap is compacted.
@@ -221,6 +231,7 @@ type Env struct {
 
 	procFree []*Proc
 	tokFree  []*wakeToken
+	taskFree []*pendingTask
 }
 
 // NewEnv returns an environment whose random stream is seeded with seed.
@@ -256,7 +267,7 @@ func (e *Env) getToken(p *Proc) *wakeToken {
 func (e *Env) dropRef(tok *wakeToken) {
 	tok.refs--
 	if tok.refs == 0 && tok.spent {
-		tok.p = nil
+		tok.p, tok.task = nil, nil
 		e.tokFree = append(e.tokFree, tok)
 	}
 }
@@ -270,6 +281,9 @@ func (e *Env) schedule(tok *wakeToken, at Time) {
 	tok.refs++
 	tok.inHeap++
 	e.heap.push(event{t: at, seq: e.seq, tok: tok})
+	if n := e.heap.len(); n > e.stats.HeapPeak {
+		e.stats.HeapPeak = n
+	}
 }
 
 // peek pops dead entries off the top of the heap and reports whether a live
@@ -288,29 +302,36 @@ func (e *Env) peek() bool {
 	return false
 }
 
-// next pops the next live event and returns the proc owning it. It returns
-// nil when the heap is exhausted or the next live event lies beyond the run
-// limit (the event is left in the heap). Must only be called by the
-// goroutine currently holding control.
+// next pops live events until one belongs to a proc and returns that proc;
+// the events of tasks on the way are run right here, on the caller's stack.
+// It returns nil when the heap is exhausted or the next live event lies
+// beyond the run limit (the event is left in the heap). Must only be called
+// by the goroutine currently holding control.
 func (e *Env) next() *Proc {
-	if !e.peek() || e.heap.a[0].t > e.limit {
-		return nil
-	}
-	ev := e.heap.pop()
-	tok := ev.tok
-	p := tok.p
-	e.now = ev.t
-	e.events++
-	tok.spent = true
-	tok.inHeap--
-	if tok.inHeap > 0 {
-		e.dead += int(tok.inHeap)
-		if e.dead*e.compactDen > e.heap.len() {
-			e.compact()
+	for e.peek() && e.heap.a[0].t <= e.limit {
+		ev := e.heap.pop()
+		tok := ev.tok
+		p, pt := tok.p, tok.task
+		e.now = ev.t
+		e.stats.Events++
+		tok.spent = true
+		tok.inHeap--
+		if tok.inHeap > 0 {
+			e.dead += int(tok.inHeap)
+			if e.dead > e.stats.DeadPeak {
+				e.stats.DeadPeak = e.dead
+			}
+			if e.dead*e.compactDen > e.heap.len() {
+				e.compact()
+			}
 		}
+		e.dropRef(tok)
+		if pt == nil {
+			return p
+		}
+		e.advance(pt)
 	}
-	e.dropRef(tok)
-	return p
+	return nil
 }
 
 // compact removes every dead entry from the heap and restores the heap
@@ -333,6 +354,7 @@ func (e *Env) compact() {
 	clear(a[len(live):])
 	e.heap.a = live
 	e.dead = 0
+	e.stats.Compactions++
 	for i := (len(live) - 2) >> 2; i >= 0; i-- {
 		e.heap.down(i)
 	}
@@ -360,7 +382,7 @@ func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
 		p = &Proc{env: e}
 		p.resume, p.stop = iter.Pull(p.loop)
 	}
-	p.name, p.nameIDs, p.fn, p.state = name, 0, fn, stateNew
+	p.name, p.hasID, p.fn, p.state = name, false, fn, stateNew
 	p.idx = int32(len(e.procs))
 	e.procs = append(e.procs, p)
 	e.live++
@@ -368,20 +390,12 @@ func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
 	return p
 }
 
-// SpawnID is Spawn for per-operation procs named prefix+id ("host-commit:42").
+// SpawnID is Spawn for per-operation procs named prefix+id ("proxy-tx:42").
 // The name exists only for diagnostics, so it is stored in parts and
 // formatted by Name when a deadlock report asks for it.
 func (e *Env) SpawnID(prefix string, id uint64, fn func(*Proc)) *Proc {
 	p := e.Spawn(prefix, fn)
-	p.id, p.nameIDs = id, 1
-	return p
-}
-
-// SpawnSub is SpawnID for the sub-th child of operation id, named
-// prefix+id/sub ("proxy-seg:42/1").
-func (e *Env) SpawnSub(prefix string, id uint64, sub int, fn func(*Proc)) *Proc {
-	p := e.Spawn(prefix, fn)
-	p.id, p.sub, p.nameIDs = id, uint32(sub), 2
+	p.id, p.hasID = id, true
 	return p
 }
 
@@ -436,6 +450,8 @@ func (p *Proc) park() {
 		if !p.yield(struct{}{}) {
 			panic(killSignal{})
 		}
+	} else {
+		e.stats.FastPath++
 	}
 	p.state = stateRunning
 }
@@ -542,6 +558,7 @@ func (e *Env) runWindow(limit Time) (drained bool) {
 	e.limit = limit
 	for p := e.next(); p != nil; {
 		e.ready = nil
+		e.stats.Switches += 2 // into the proc, and back when it parks or ends
 		p.resume()
 		// The proc parked or finished. If it parked it has already popped the
 		// next event and left the owner in ready.
@@ -558,7 +575,7 @@ func (e *Env) runWindow(limit Time) (drained bool) {
 }
 
 // blockedState returns the sorted names of non-daemon procs parked or never
-// started, plus the number of parked daemons.
+// started and of tasks still pending, plus the number of parked daemons.
 func (e *Env) blockedState() (parked []string, daemons int) {
 	for _, p := range e.procs {
 		if p.state != stateBlocked && p.state != stateNew {
@@ -569,6 +586,9 @@ func (e *Env) blockedState() (parked []string, daemons int) {
 			continue
 		}
 		parked = append(parked, p.Name())
+	}
+	for _, pt := range e.tasks {
+		parked = append(parked, taskName(pt.run))
 	}
 	sort.Strings(parked)
 	return parked, daemons
@@ -595,7 +615,8 @@ func (e *Env) advanceTo(t Time) {
 
 // Shutdown force-terminates every process that is still parked or never
 // started — including the pooled coroutines of finished procs — releasing
-// their goroutines. The environment must not be used afterwards.
+// their goroutines, and drops every pending task, whose tokens return to the
+// pool. The environment must not be used afterwards.
 func (e *Env) Shutdown() {
 	for _, p := range e.procs {
 		switch p.state {
@@ -611,12 +632,58 @@ func (e *Env) Shutdown() {
 		p.stop()
 	}
 	e.procFree = nil
+	for _, pt := range e.tasks {
+		tok := pt.tok
+		tok.spent = true
+		if tok.inHeap > 0 {
+			e.dead += int(tok.inHeap) // compact drops the entry below
+		} else {
+			pt.ev.waiters.remove(tok)
+			e.dropRef(tok)
+		}
+		e.live--
+	}
+	e.tasks, e.taskFree = nil, nil
+	e.compact()
 }
 
-// LiveProcs returns the number of processes that have not finished.
+// LiveProcs returns the number of processes that have not finished plus the
+// number of registered tasks that have not run.
 func (e *Env) LiveProcs() int { return e.live }
 
 // Events returns the total number of events fired since the environment was
 // created (spent tokens skipped by the kernel are not counted). It is the
 // numerator of the simulator's events/sec throughput metric.
-func (e *Env) Events() uint64 { return e.events }
+func (e *Env) Events() uint64 { return e.stats.Events }
+
+// EnvStats is the kernel's account of its own work: plain counters, kept
+// unconditionally.
+type EnvStats struct {
+	// Events is the number of events fired. Each was consumed one of three
+	// ways: by resuming its proc from the scheduler (two coroutine switches,
+	// counted in Switches), by the parking proc itself because its own event
+	// was next (FastPath), or by running a task inline (TaskRuns counts the
+	// tasks run; a task that had to wait consumed a second event to get there).
+	Events, Switches, FastPath, TaskRuns uint64
+	// HeapPeak and DeadPeak are the high-water marks of the event heap's
+	// length and of the spent entries it carried.
+	HeapPeak, DeadPeak int
+	// Compactions counts the purges of spent entries from the heap.
+	Compactions uint64
+}
+
+// add folds another partition's account into s: counters add, peaks take the
+// larger (each partition has a heap of its own).
+func (s *EnvStats) add(o EnvStats) {
+	s.Events += o.Events
+	s.Switches += o.Switches
+	s.FastPath += o.FastPath
+	s.TaskRuns += o.TaskRuns
+	s.HeapPeak = max(s.HeapPeak, o.HeapPeak)
+	s.DeadPeak = max(s.DeadPeak, o.DeadPeak)
+	s.Compactions += o.Compactions
+}
+
+// Stats returns the kernel's counters. Like Events it must not be called
+// while the environment is running.
+func (e *Env) Stats() EnvStats { return e.stats }

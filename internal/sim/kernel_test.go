@@ -90,7 +90,7 @@ func popTrace(t *testing.T, seed int64, den int) (log []string, peak int) {
 		t.Fatalf("den=%d: %d tokens allocated, %d back in the pool", den, len(allocated), len(e.tokFree))
 	}
 	for _, tok := range e.tokFree {
-		if tok.refs != 0 || tok.inHeap != 0 || !tok.spent || tok.p != nil {
+		if tok.refs != 0 || tok.inHeap != 0 || !tok.spent || tok.p != nil || tok.task != nil {
 			t.Fatalf("den=%d: pooled token %+v", den, *tok)
 		}
 	}
@@ -336,9 +336,9 @@ func TestQueueReleasesPoppedValues(t *testing.T) {
 	runtime.KeepAlive(q)
 }
 
-// TestSpawnIDNames: procs spawned with an id (and sub-id) report the same
-// strings the call sites used to format eagerly, and a pooled proc reused by
-// a plain Spawn does not inherit them.
+// TestSpawnIDNames: procs spawned with an id report the same strings the call
+// sites used to format eagerly, and a pooled proc reused by a plain Spawn does
+// not inherit them.
 func TestSpawnIDNames(t *testing.T) {
 	env := NewEnv(1)
 	never := NewEvent()
@@ -349,12 +349,11 @@ func TestSpawnIDNames(t *testing.T) {
 	}
 	env.Spawn("plain", stuck) // reuses the pooled host-commit proc
 	env.SpawnID("proxy-tx:", 7, stuck)
-	env.SpawnSub("proxy-seg:", 7, 1, stuck)
 	de, ok := env.Run().(DeadlockError)
 	if !ok {
 		t.Fatal("want DeadlockError")
 	}
-	if got, want := strings.Join(de.Blocked, " "), "plain proxy-seg:7/1 proxy-tx:7"; got != want {
+	if got, want := strings.Join(de.Blocked, " "), "plain proxy-tx:7"; got != want {
 		t.Fatalf("blocked = %q, want %q", got, want)
 	}
 	env.Shutdown()

@@ -66,6 +66,8 @@ type GroupStats struct {
 	// waiting for the round's slowest window).
 	Wall time.Duration
 	Busy []time.Duration
+	// Kernel is the partitions' own accounts added up (see EnvStats).
+	Kernel EnvStats
 }
 
 // Efficiency is the fraction of the workers' wall time spent inside
@@ -119,8 +121,15 @@ func (g *Group) Events() uint64 {
 	return n
 }
 
-// Stats returns the synchronization counters of the last / current Run.
-func (g *Group) Stats() GroupStats { return g.stats }
+// Stats returns the synchronization counters of the last Run and the
+// partitions' kernel counters; it must not be called while Run is running.
+func (g *Group) Stats() GroupStats {
+	s := g.stats
+	for _, e := range g.envs {
+		s.Kernel.add(e.stats)
+	}
+	return s
+}
 
 // XMsg is one cross-partition message: a payload stamped with its arrival
 // instant at the destination partition plus the (link, sequence) pair that

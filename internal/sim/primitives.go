@@ -224,9 +224,8 @@ type waitList struct {
 	more   []*wakeToken
 }
 
-// add registers a fresh wake token for p.
-func (l *waitList) add(p *Proc) *wakeToken {
-	tok := p.newToken()
+// add registers tok, a fresh wake token of the waiting proc or task.
+func (l *waitList) add(tok *wakeToken) {
 	tok.refs++
 	switch {
 	case l.inline[0] == nil:
@@ -236,17 +235,29 @@ func (l *waitList) add(p *Proc) *wakeToken {
 	default:
 		l.more = append(l.more, tok)
 	}
-	return tok
+}
+
+// remove takes tok out of the list, keeping the others in order; the caller
+// drops the registration. Only Shutdown removes a waiter.
+func (l *waitList) remove(tok *wakeToken) {
+	rest := append([]*wakeToken{l.inline[0], l.inline[1]}, l.more...)
+	*l = waitList{}
+	for _, w := range rest {
+		if w != nil && w != tok {
+			w.refs--
+			l.add(w)
+		}
+	}
 }
 
 // wakeAll wakes, in registration order, every waiter still parked, marking
 // the wake as granted (as opposed to timed out), and empties the list. The
-// kernel is reached through the waiters' procs: the zero list is ready for use.
+// kernel is reached through the waiters: the zero list is ready for use.
 func (l *waitList) wakeAll() {
 	if l.inline[0] == nil {
 		return
 	}
-	e := l.inline[0].p.env
+	e := l.inline[0].env()
 	e.wake(l.inline[0])
 	if l.inline[1] != nil {
 		e.wake(l.inline[1])
@@ -259,10 +270,13 @@ func (l *waitList) wakeAll() {
 	l.more = l.more[:0]
 }
 
-// wake resumes tok's proc with a granted result unless a timeout beat it.
+// wake resumes tok's owner — a proc with a granted result — unless a timeout
+// beat it.
 func (e *Env) wake(tok *wakeToken) {
 	if !tok.spent {
-		tok.p.granted = true
+		if tok.p != nil {
+			tok.p.granted = true
+		}
 		e.schedule(tok, e.now)
 	}
 	e.dropRef(tok)
@@ -296,7 +310,7 @@ func (ev *Event) Wait(p *Proc) {
 	if ev.fired {
 		return
 	}
-	ev.waiters.add(p)
+	ev.waiters.add(p.newToken())
 	p.park()
 }
 
@@ -307,7 +321,9 @@ func (ev *Event) WaitTimeout(p *Proc, d Duration) bool {
 		return true
 	}
 	p.granted = false
-	p.env.schedule(ev.waiters.add(p), p.env.now.Add(d))
+	tok := p.newToken()
+	ev.waiters.add(tok)
+	p.env.schedule(tok, p.env.now.Add(d))
 	p.park()
 	return p.granted
 }
@@ -328,7 +344,7 @@ func NewCond() *Cond { return new(Cond) }
 
 // Wait parks p until the next Broadcast.
 func (c *Cond) Wait(p *Proc) {
-	c.waiters.add(p)
+	c.waiters.add(p.newToken())
 	p.park()
 }
 

@@ -22,9 +22,11 @@ type sweepRun struct {
 	workers int
 	res     cluster.ScaleOutResult
 	wall    time.Duration
-	// efficiency is the kernel's own account of the run: the share of
-	// workers x wall its workers spent inside partition windows.
-	efficiency float64
+	// efficiency and switches are the kernel's own account of the run: the
+	// share of workers x wall its workers spent inside partition windows, and
+	// coroutine switches per event fired (2 when every event resumes a parked
+	// proc from the scheduler, 0 when procs and tasks consume them in place).
+	efficiency, switches float64
 }
 
 func (r sweepRun) wallMs() string { return fmt.Sprintf("%.1f", float64(r.wall.Nanoseconds())/1e6) }
@@ -45,7 +47,7 @@ func sweepWorkers(cfg cluster.ScaleOutConfig, workers []int) ([]sweepRun, error)
 		start := time.Now()
 		res, err := so.Run(w)
 		wall := time.Since(start)
-		eff := so.Group.Stats().Efficiency()
+		st := so.Group.Stats()
 		so.Shutdown()
 		if err != nil {
 			return nil, fmt.Errorf("workers=%d: %w", w, err)
@@ -60,7 +62,8 @@ func sweepWorkers(cfg cluster.ScaleOutConfig, workers []int) ([]sweepRun, error)
 			return nil, fmt.Errorf("determinism violation: workers=%d result differs from workers=%d",
 				w, workers[0])
 		}
-		out = append(out, sweepRun{w, res, wall, eff})
+		out = append(out, sweepRun{w, res, wall, st.Efficiency(),
+			float64(st.Kernel.Switches) / float64(st.Kernel.Events)})
 	}
 	return out, nil
 }
@@ -101,7 +104,7 @@ func runScaleOut128(o Options) ([]*report.Table, error) {
 	t := &report.Table{
 		Title: "Extension: 128-OSD multi-rack CRUSH cluster, popularity x balance-reads",
 		Header: []string{"workload", "balance", "workers", "ops", "sim MB/s",
-			"osd max/mean", "pg max/mean", "qd p99:p50", "hot-read share", "balanced", "wall ms", "efficiency"},
+			"osd max/mean", "pg max/mean", "qd p99:p50", "hot-read share", "balanced", "wall ms", "efficiency", "switches/event"},
 		Notes: []string{
 			"16 racks x 8 OSDs; catalog homed by rack-aware CRUSH (failure domain = rack); reads 70%",
 			"extra worker rows re-run the zipf+balance arm; full results are byte-identical across counts (enforced)",
@@ -133,7 +136,7 @@ func runScaleOut128(o Options) ([]*report.Table, error) {
 				row := []string{kind.String(), onOff, fmt.Sprint(r.workers), fmt.Sprint(r.res.TotalOps),
 					report.F2(r.mbps(o.Duration)), report.F2(imb.MaxMeanOSDShare), report.F2(imb.MaxMeanPGShare),
 					report.F2(imb.QueueDepthP99P50), fmt.Sprintf("%.3f", imb.HotReadShare),
-					fmt.Sprintf("%.3f", imb.BalancedReadShare), r.wallMs(), report.F2(r.efficiency)}
+					fmt.Sprintf("%.3f", imb.BalancedReadShare), r.wallMs(), report.F2(r.efficiency), report.F2(r.switches)}
 				if i == 0 {
 					t.AddRow(row...)
 				} else {
