@@ -19,12 +19,13 @@ test:
 # One goroutine runs at a time per cluster by design; the race run guards
 # the places control changes goroutines: every coroutine switch between the
 # kernel and a proc, tasks run inline by whichever of them holds control, and
-# Group workers resuming the same partition's procs from different goroutines
-# in successive windows (repeated, since which worker picks up which partition
+# Group workers resuming the same partition's procs — and draining its
+# now-queue, which the barrier filled — from different goroutines in
+# successive windows (repeated, since which worker picks up which partition
 # varies from run to run).
 test-race:
 	go test -race ./...
-	go test -race -count=10 -run 'TestGroup|TestShutdown|TestProcPanic|TestTask' ./internal/sim
+	go test -race -count=10 -run 'TestGroup|TestShutdown|TestProcPanic|TestTask|TestNowQueue' ./internal/sim
 
 race: test-race
 

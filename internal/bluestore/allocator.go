@@ -81,31 +81,3 @@ func (a *allocator) release(off, length int64) {
 		}
 	}
 }
-
-// kvStore is a minimal ordered key-value map standing in for RocksDB: the
-// engine charges commit costs explicitly, so this only needs correct
-// ordered-iteration semantics for metadata listing and tests.
-type kvStore struct {
-	m map[string][]byte
-}
-
-func newKVStore() *kvStore { return &kvStore{m: make(map[string][]byte)} }
-
-func (k *kvStore) set(key string, val []byte) { k.m[key] = val }
-func (k *kvStore) del(key string)             { delete(k.m, key) }
-func (k *kvStore) get(key string) ([]byte, bool) {
-	v, ok := k.m[key]
-	return v, ok
-}
-
-// keysWithPrefix returns all keys with the given prefix in sorted order.
-func (k *kvStore) keysWithPrefix(prefix string) []string {
-	var out []string
-	for key := range k.m {
-		if len(key) >= len(prefix) && key[:len(prefix)] == prefix {
-			out = append(out, key)
-		}
-	}
-	sort.Strings(out)
-	return out
-}

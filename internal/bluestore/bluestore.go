@@ -1,9 +1,10 @@
 // Package bluestore implements a BlueStore-like transactional object store:
 // collections of objects with sparse extent data, an extent allocator over a
-// virtual block device, a small ordered key-value store holding onode
-// metadata, a write-ahead (deferred-write) path for small writes and a
-// direct data path for large ones, and the bstore_aio/bstore_kv thread pair
-// that Ceph's perf breakdown attributes "ObjectStore" CPU to.
+// virtual block device, onode metadata (attrs, omap) kept on the objects with
+// its commit cost charged explicitly, a write-ahead (deferred-write) path for
+// small writes and a direct data path for large ones, and the
+// bstore_aio/bstore_kv thread pair that Ceph's perf breakdown attributes
+// "ObjectStore" CPU to.
 //
 // Data is retained as zero-copy wire.Bufferlist views, so integrity checks
 // (CRC32C end-to-end) are real while memory stays proportional to the
@@ -151,7 +152,6 @@ type Store struct {
 	thKV  *sim.Thread
 
 	alloc *allocator
-	kv    *kvStore
 	colls map[string]*collection
 
 	aioq *sim.Queue[*txc]
@@ -179,6 +179,10 @@ type onode struct {
 	// blocks are device extents backing the object, tracked for free-space
 	// accounting.
 	blocks []blockExtent
+	// extents and blocks start on these arrays, so an object written once —
+	// the usual one — has no side allocations.
+	extent0 [1]extent
+	block0  [1]blockExtent
 }
 
 type extent struct {
@@ -191,10 +195,11 @@ type blockExtent struct {
 	length int64
 }
 
-// txc is an in-flight transaction context walking the aio -> kv pipeline.
+// txc is an in-flight transaction context walking the aio -> kv pipeline; the
+// caller's Result lives in it.
 type txc struct {
-	txn    *objstore.Transaction
-	result *objstore.Result
+	txn *objstore.Transaction
+	res objstore.Result
 	// span/enq carry the current pipeline stage's trace span and its
 	// enqueue instant (zero when the transaction is untraced).
 	span trace.SpanID
@@ -213,7 +218,6 @@ func New(env *sim.Env, name string, cpu *sim.CPU, disk *sim.Disk, cfg Config) *S
 		thAIO: sim.NewThread("bstore_aio-"+name, ThreadCat),
 		thKV:  sim.NewThread("bstore_kv-"+name, ThreadCat),
 		alloc: newAllocator(cfg.withDefaults().DeviceBytes, cfg.withDefaults().MinAllocSize),
-		kv:    newKVStore(),
 		colls: make(map[string]*collection),
 		aioq:  sim.NewQueue[*txc](env),
 		kvq:   sim.NewQueue[*txc](env),
@@ -247,10 +251,9 @@ func (s *Store) FreeBytes() int64 { return s.alloc.free() }
 // the bstore threads.
 func (s *Store) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objstore.Result {
 	prep := s.cpu.ExecSelf(p, s.cfg.PrepCyclesPerOp*int64(len(txn.Ops)))
-	res := &objstore.Result{}
 	s.stats.Transactions++
 	s.stats.Ops += int64(len(txn.Ops))
-	t := &txc{txn: txn, result: res}
+	t := &txc{txn: txn}
 	if s.tr.Enabled() && txn.TraceCtx != 0 {
 		// Submission prep runs on the caller's thread but belongs to the
 		// commit stage the caller opened.
@@ -259,7 +262,7 @@ func (s *Store) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objsto
 		t.enq = s.env.Now()
 	}
 	s.aioq.Push(t)
-	return res
+	return &t.res
 }
 
 // aioLoop is the bstore_aio thread: it streams large write payloads to the
@@ -274,7 +277,7 @@ func (s *Store) aioLoop(p *sim.Proc) {
 		}
 		if s.slowIO > 0 {
 			p.Wait(s.slowIO)
-			t.result.ServiceTime += s.slowIO
+			t.res.ServiceTime += s.slowIO
 		}
 		var directBytes int64
 		for i := range t.txn.Ops {
@@ -293,7 +296,7 @@ func (s *Store) aioLoop(p *sim.Proc) {
 			csum := int64(float64(directBytes) * s.cfg.CsumCyclesPerByte)
 			s.tr.AddCPU(t.span, s.cpu.Name(), s.cpu.Exec(p, s.thAIO, csum))
 			svc := s.disk.Write(p, directBytes)
-			t.result.ServiceTime += svc + s.cpu.CyclesToDuration(csum)
+			t.res.ServiceTime += svc + s.cpu.CyclesToDuration(csum)
 			s.cpu.NoteSwitches(s.thAIO, s.cfg.SwitchesPerAIO)
 			s.stats.BytesWritten += directBytes
 			s.tr.AddBytes(t.span, directBytes)
@@ -351,22 +354,22 @@ func (s *Store) kvLoop(p *sim.Proc) {
 		for _, t := range batch {
 			if s.writeErrProb > 0 && s.env.Rand().Float64() < s.writeErrProb {
 				s.stats.InjectedErrors++
-				t.result.Err = ErrInjectedWrite
+				t.res.Err = ErrInjectedWrite
 				continue
 			}
-			t.result.Err = s.apply(t.txn)
+			t.res.Err = s.apply(t.txn)
 		}
 		walSvc := s.disk.Write(p, walBytes)
 		kvShare := (walSvc + s.cpu.CyclesToDuration(kvCycles)) / sim.Duration(len(batch))
 		for _, t := range batch {
-			t.result.ServiceTime += kvShare
+			t.res.ServiceTime += kvShare
 		}
 		s.cpu.NoteSwitches(s.thKV, s.cfg.SwitchesPerKVSync)
 		s.stats.KVSyncCycles++
 		s.stats.BytesWritten += walBytes
 		for _, t := range batch {
 			s.tr.Finish(t.span)
-			t.result.Done.Fire()
+			t.res.Done.Fire()
 		}
 	}
 }
@@ -390,7 +393,6 @@ func (s *Store) applyOp(op *objstore.Op) error {
 			return fmt.Errorf("collection %q exists", op.Collection)
 		}
 		s.colls[op.Collection] = &collection{objects: make(map[string]*onode)}
-		s.kv.set("C/"+op.Collection, []byte{1})
 		return nil
 	case objstore.OpRmColl:
 		c, ok := s.colls[op.Collection]
@@ -401,7 +403,6 @@ func (s *Store) applyOp(op *objstore.Op) error {
 			return fmt.Errorf("collection %q not empty", op.Collection)
 		}
 		delete(s.colls, op.Collection)
-		s.kv.del("C/" + op.Collection)
 		return nil
 	}
 
@@ -411,10 +412,10 @@ func (s *Store) applyOp(op *objstore.Op) error {
 	}
 	switch op.Code {
 	case objstore.OpTouch:
-		s.getOrCreate(c, op.Collection, op.Object)
+		c.getOrCreate(op.Object)
 		return nil
 	case objstore.OpWrite:
-		o := s.getOrCreate(c, op.Collection, op.Object)
+		o := c.getOrCreate(op.Object)
 		return s.writeExtent(o, op.Offset, op.Data)
 	case objstore.OpZero:
 		o, ok := c.objects[op.Object]
@@ -445,7 +446,6 @@ func (s *Store) applyOp(op *objstore.Op) error {
 			s.stats.AllocatedBytes -= b.length
 		}
 		delete(c.objects, op.Object)
-		s.kv.del(onodeKey(op.Collection, op.Object))
 		return nil
 	case objstore.OpSetAttr:
 		o, ok := c.objects[op.Object]
@@ -467,7 +467,6 @@ func (s *Store) applyOp(op *objstore.Op) error {
 			o.omap = make(map[string][]byte)
 		}
 		o.omap[op.AttrName] = op.AttrValue
-		s.kv.set(omapKey(op.Collection, op.Object, op.AttrName), op.AttrValue)
 		o.bump(s.env.Now())
 		return nil
 	case objstore.OpOmapRm:
@@ -476,20 +475,24 @@ func (s *Store) applyOp(op *objstore.Op) error {
 			return objstore.ErrNotFound
 		}
 		delete(o.omap, op.AttrName)
-		s.kv.del(omapKey(op.Collection, op.Object, op.AttrName))
 		o.bump(s.env.Now())
 		return nil
 	}
 	return fmt.Errorf("unknown op code %d", op.Code)
 }
 
-func (s *Store) getOrCreate(c *collection, coll, obj string) *onode {
+func (c *collection) getOrCreate(obj string) *onode {
 	o, ok := c.objects[obj]
 	if !ok {
-		o = &onode{}
+		o = newOnode()
 		c.objects[obj] = o
-		s.kv.set(onodeKey(coll, obj), []byte{1})
 	}
+	return o
+}
+
+func newOnode() *onode {
+	o := &onode{}
+	o.extents, o.blocks = o.extent0[:0], o.block0[:0]
 	return o
 }
 
@@ -676,10 +679,6 @@ func (s *Store) lookup(p *sim.Proc, coll, obj string) (*onode, error) {
 	}
 	return o, nil
 }
-
-func onodeKey(coll, obj string) string { return "O/" + coll + "/" + obj }
-
-func omapKey(coll, obj, key string) string { return "M/" + coll + "/" + obj + "/" + key }
 
 // OmapGet implements objstore.Store.
 func (s *Store) OmapGet(p *sim.Proc, coll, obj, key string) ([]byte, error) {

@@ -3,6 +3,7 @@ package bluestore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -463,22 +464,45 @@ func TestAllocatorExhaustion(t *testing.T) {
 	}
 }
 
-func TestKVStorePrefixScan(t *testing.T) {
-	kv := newKVStore()
-	kv.set("O/c/b", nil)
-	kv.set("O/c/a", nil)
-	kv.set("C/c", nil)
-	keys := kv.keysWithPrefix("O/c/")
-	if len(keys) != 2 || keys[0] != "O/c/a" || keys[1] != "O/c/b" {
-		t.Fatalf("keys=%v", keys)
+// TestNewObjectWriteAllocations is the ceiling on what queueing and applying a
+// one-write transaction to a new object may allocate: the transaction context
+// (the caller's Result inside it) and the onode (its first extent and block
+// inside it); the object map's growth averages below one. A Result, extent
+// slice, block slice or metadata key of their own would each show here.
+func TestNewObjectWriteAllocations(t *testing.T) {
+	env, s := newTestStore(Config{})
+	data := wire.FromBytes(make([]byte, 128<<10))
+	txns := []*objstore.Transaction{(&objstore.Transaction{}).MkColl("c")}
+	for i := 0; i < 400; i++ {
+		txns = append(txns, (&objstore.Transaction{}).Write("c", fmt.Sprint("obj", i), 0, data))
 	}
-	kv.del("O/c/a")
-	if _, ok := kv.get("O/c/a"); ok {
-		t.Fatal("deleted key present")
+	th := sim.NewThread("tester", "test")
+	done := 0
+	body := func(p *sim.Proc) {
+		p.SetThread(th)
+		if err := commit(t, p, s, txns[done]); err != nil {
+			t.Error(err)
+		}
+		done++
 	}
-	if v, ok := kv.get("C/c"); !ok || v != nil {
-		t.Fatal("get")
+	// One transaction per call; the run ends when only the store's daemons
+	// are left.
+	write := func() {
+		env.Spawn("writer", body)
+		if err := env.RunUntil(sim.MaxTime); err != nil {
+			t.Fatal(err)
+		}
 	}
+	for i := 0; i < 100; i++ { // size the rings, the pools and the event queue
+		write()
+	}
+	if allocs := testing.AllocsPerRun(200, write); allocs > 2 {
+		t.Fatalf("%.0f allocations per new-object write transaction, want at most 2", allocs)
+	}
+	if n := len(s.colls["c"].objects); n != done-1 || n < 300 {
+		t.Fatalf("%d objects after %d transactions", n, done)
+	}
+	env.Shutdown()
 }
 
 func TestTransactionEncodeDecode(t *testing.T) {
@@ -542,20 +566,6 @@ func TestOmapSetGetKeysRm(t *testing.T) {
 		}
 		if err := commit(t, p, s, (&objstore.Transaction{}).OmapSet("c", "ghost", "k", nil)); !errors.Is(err, objstore.ErrNotFound) {
 			t.Fatalf("omapset on missing object: %v", err)
-		}
-	})
-}
-
-func TestOmapPersistedInKV(t *testing.T) {
-	env, s := newTestStore(Config{})
-	runStore(t, env, func(p *sim.Proc) {
-		mkColl(t, p, s, "c")
-		txn := (&objstore.Transaction{}).Touch("c", "o").OmapSet("c", "o", "k", []byte("v"))
-		if err := commit(t, p, s, txn); err != nil {
-			t.Fatal(err)
-		}
-		if v, ok := s.kv.get("M/c/o/k"); !ok || string(v) != "v" {
-			t.Fatalf("kv mirror missing: %q %v", v, ok)
 		}
 	})
 }
@@ -627,7 +637,7 @@ func refPunchInsert(extents []extent, off uint64, data *wire.Bufferlist) []exten
 func TestPunchInsertMatchesSortSliceVersion(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		o := &onode{}
+		o := newOnode() // the first extent sits in the onode, later ones move out
 		var ref []extent
 		for w := 0; w < 200; w++ {
 			// Overlapping writes over a small range: splits (a write inside

@@ -17,27 +17,27 @@ import (
 // wins; the rest find the token spent and are ignored. This is what makes
 // timeouts composable with every blocking primitive.
 //
-// Tokens are pooled: refs counts live registrations (heap entries plus
+// Tokens are pooled: refs counts live registrations (scheduled events plus
 // waiter-list entries). Every registration site increments refs and every
 // site that drops a registration calls Env.dropRef; a spent token whose last
 // registration is dropped returns to the free list. A token may therefore
 // never be recycled while any waiter list can still observe it.
 //
-// inHeap counts the heap entries alone. When a token is spent its remaining
-// heap entries are dead (typically the timeout that lost the race against a
-// push or a fire); Env.dead totals them so the heap can be compacted instead
-// of carrying them until their virtual deadline. A token has at most a
-// handful of registrations, so the counts are 16-bit to keep it in the
-// 24-byte size class.
+// queued counts the scheduled events alone, in the heap or the now-queue.
+// When a token is spent its remaining events are dead (typically the timeout
+// that lost the race against a push or a fire); Env.dead totals them so they
+// can be compacted away instead of being carried until their virtual
+// deadline. A token has at most a handful of registrations, so the counts
+// are 16-bit to keep it in the 24-byte size class.
 //
 // A token belongs either to a proc (p) or to a pending task (task), never
-// both; the heap, the waiter lists and the pool treat the two alike.
+// both; the event queue, the waiter lists and the pool treat the two alike.
 type wakeToken struct {
 	p      *Proc
 	task   *pendingTask
 	spent  bool
 	refs   int16
-	inHeap int16
+	queued int16
 }
 
 // env returns the environment of the token's owner.
@@ -71,32 +71,39 @@ type eventHeap struct {
 
 func (h *eventHeap) len() int { return len(h.a) }
 
+// push and down move a hole to where ev belongs and store ev once, instead of
+// swapping it level by level.
 func (h *eventHeap) push(ev event) {
 	h.a = append(h.a, ev)
-	i := len(h.a) - 1
+	a := h.a
+	i := len(a) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !h.a[i].before(h.a[parent]) {
+		if !ev.before(a[parent]) {
 			break
 		}
-		h.a[i], h.a[parent] = h.a[parent], h.a[i]
+		a[i] = a[parent]
 		i = parent
 	}
+	a[i] = ev
 }
 
 func (h *eventHeap) pop() event {
 	a := h.a
 	min := a[0]
 	last := len(a) - 1
-	a[0] = a[last]
+	ev := a[last]
 	a[last] = event{} // release the token pointer
 	h.a = a[:last]
-	h.down(0)
+	if last > 0 {
+		h.down(0, ev)
+	}
 	return min
 }
 
-// down restores the heap property below index i.
-func (h *eventHeap) down(i int) {
+// down places ev in the subtree rooted at index i, whose own entry is ev or
+// has been taken out.
+func (h *eventHeap) down(i int, ev event) {
 	a := h.a
 	n := len(a)
 	for {
@@ -114,12 +121,13 @@ func (h *eventHeap) down(i int) {
 				m = c
 			}
 		}
-		if !a[m].before(a[i]) {
+		if !a[m].before(ev) {
 			break
 		}
-		a[i], a[m] = a[m], a[i]
+		a[i] = a[m]
 		i = m
 	}
+	a[i] = ev
 }
 
 type procState uint8
@@ -208,11 +216,21 @@ func (p *Proc) Now() Time { return p.env.now }
 // fire in (t, seq) order whichever way control travels, so every simulated
 // result is that of the classic kernel-centric loop.
 type Env struct {
-	now   Time
-	seq   uint64
-	heap  eventHeap
-	limit Time
-	// ready is the proc a parking proc found next in the heap; runWindow
+	now Time
+	seq uint64
+	// The event queue is a heap behind a FIFO: an event scheduled for the
+	// current instant — a wake-up handed from one proc to the next, about half
+	// of all events — is appended to nowq, every other one is pushed to heap.
+	// All of nowq is at t == now with ascending seq, and the clock cannot move
+	// while a live entry waits there, so the ring is already in (t, seq) order
+	// and taking the earlier of its front and the heap's top pops exactly what
+	// one heap holding everything would. heapOnly, set only by the tests that
+	// check this, sends every event through the heap.
+	heap     eventHeap
+	nowq     fifo[event]
+	heapOnly bool
+	limit    Time
+	// ready is the proc a parking proc found next in the queue; runWindow
 	// resumes it instead of popping again.
 	ready *Proc
 	rng   *rand.Rand
@@ -222,9 +240,9 @@ type Env struct {
 	tasks []*pendingTask
 	stats EnvStats
 
-	// dead counts heap entries whose token is already spent; once
-	// dead*compactDen exceeds the heap length the heap is compacted.
-	// compactDen is 2 outside tests (0 never compacts, a huge value
+	// dead counts queued events whose token is already spent; once
+	// dead*compactDen exceeds the number of queued events they are compacted
+	// away. compactDen is 2 outside tests (0 never compacts, a huge value
 	// compacts on every dead entry).
 	dead       int
 	compactDen int
@@ -279,74 +297,111 @@ func (e *Env) schedule(tok *wakeToken, at Time) {
 	}
 	e.seq++
 	tok.refs++
-	tok.inHeap++
-	e.heap.push(event{t: at, seq: e.seq, tok: tok})
+	tok.queued++
+	ev := event{t: at, seq: e.seq, tok: tok}
+	if at == e.now && !e.heapOnly {
+		e.nowq.push(ev)
+		e.stats.NowQueued++
+		return
+	}
+	e.heap.push(ev)
 	if n := e.heap.len(); n > e.stats.HeapPeak {
 		e.stats.HeapPeak = n
 	}
 }
 
-// peek pops dead entries off the top of the heap and reports whether a live
-// one remains there.
-func (e *Env) peek() bool {
-	for e.heap.len() > 0 {
-		tok := e.heap.a[0].tok
-		if !tok.spent {
-			return true
-		}
-		e.heap.pop()
+// pending returns the number of events waiting, dead ones included.
+func (e *Env) pending() int { return e.heap.len() + e.nowq.len() }
+
+// unqueue accounts for an event of tok that left the queue.
+func (e *Env) unqueue(tok *wakeToken) {
+	tok.queued--
+	e.dropRef(tok)
+}
+
+// peek returns the earliest live event, whether it is the now-queue's, and
+// whether there is one at all, dropping the dead entries it finds in the way.
+// The heap's top comes first only when it is due at this same instant and was
+// scheduled before the now-queue's front; otherwise it waits unexamined.
+func (e *Env) peek() (ev event, inNowq, ok bool) {
+	for e.nowq.len() > 0 && e.nowq.front().tok.spent {
 		e.dead--
-		tok.inHeap--
-		e.dropRef(tok)
+		e.unqueue(e.nowq.pop().tok)
 	}
-	return false
+	for e.heap.len() > 0 {
+		top := e.heap.a[0]
+		if e.nowq.len() > 0 && !top.before(e.nowq.front()) {
+			break
+		}
+		if !top.tok.spent {
+			return top, false, true
+		}
+		e.dead--
+		e.unqueue(e.heap.pop().tok)
+	}
+	if e.nowq.len() == 0 {
+		return ev, false, false
+	}
+	return e.nowq.front(), true, true
 }
 
 // next pops live events until one belongs to a proc and returns that proc;
 // the events of tasks on the way are run right here, on the caller's stack.
-// It returns nil when the heap is exhausted or the next live event lies
-// beyond the run limit (the event is left in the heap). Must only be called
-// by the goroutine currently holding control.
+// It returns nil when the queue is exhausted or the next live event lies
+// beyond the run limit (the event is left queued). Must only be called by the
+// goroutine currently holding control.
 func (e *Env) next() *Proc {
-	for e.peek() && e.heap.a[0].t <= e.limit {
-		ev := e.heap.pop()
+	for {
+		ev, inNowq, ok := e.peek()
+		if !ok || ev.t > e.limit {
+			return nil
+		}
+		if inNowq {
+			e.nowq.pop()
+		} else {
+			e.heap.pop()
+		}
 		tok := ev.tok
 		p, pt := tok.p, tok.task
 		e.now = ev.t
 		e.stats.Events++
 		tok.spent = true
-		tok.inHeap--
-		if tok.inHeap > 0 {
-			e.dead += int(tok.inHeap)
+		if tok.queued > 1 {
+			e.dead += int(tok.queued) - 1
 			if e.dead > e.stats.DeadPeak {
 				e.stats.DeadPeak = e.dead
 			}
-			if e.dead*e.compactDen > e.heap.len() {
+			if e.dead*e.compactDen > e.pending() {
 				e.compact()
 			}
 		}
-		e.dropRef(tok)
+		e.unqueue(tok)
 		if pt == nil {
 			return p
 		}
 		e.advance(pt)
 	}
-	return nil
 }
 
-// compact removes every dead entry from the heap and restores the heap
-// property bottom-up. (t, seq) is a total order, so the order in which the
-// surviving entries pop — and with it every simulated value — does not
-// depend on the array layout. It runs when more than half the heap is dead,
-// so its cost is amortized over the entries it removes; the backing array is
-// kept.
+// compact removes every dead entry from the now-queue, in place, and from the
+// heap, restoring the heap property bottom-up. (t, seq) is a total order, so
+// the order in which the surviving entries pop — and with it every simulated
+// value — does not depend on the array layout. It runs when more than half
+// the queued events are dead, so its cost is amortized over the entries it
+// removes; the backing arrays are kept.
 func (e *Env) compact() {
+	for n := e.nowq.len(); n > 0; n-- {
+		if ev := e.nowq.pop(); ev.tok.spent {
+			e.unqueue(ev.tok)
+		} else {
+			e.nowq.push(ev)
+		}
+	}
 	a := e.heap.a
 	live := a[:0]
 	for _, ev := range a {
 		if ev.tok.spent {
-			ev.tok.inHeap--
-			e.dropRef(ev.tok)
+			e.unqueue(ev.tok)
 			continue
 		}
 		live = append(live, ev)
@@ -356,7 +411,7 @@ func (e *Env) compact() {
 	e.dead = 0
 	e.stats.Compactions++
 	for i := (len(live) - 2) >> 2; i >= 0; i-- {
-		e.heap.down(i)
+		e.heap.down(i, live[i])
 	}
 }
 
@@ -549,10 +604,10 @@ func (e *Env) RunUntil(limit Time) error {
 }
 
 // runWindow executes events with timestamps <= limit and reports whether
-// the heap drained completely (false means live events remain beyond the
+// the queue drained completely (false means live events remain beyond the
 // limit and the clock was advanced to it). Unlike RunUntil it performs no
 // deadlock detection: the partitioned kernel calls it for each safe window,
-// where an empty heap with parked procs just means the partition is waiting
+// where an empty queue with parked procs just means the partition is waiting
 // for cross-partition messages.
 func (e *Env) runWindow(limit Time) (drained bool) {
 	e.limit = limit
@@ -566,9 +621,11 @@ func (e *Env) runWindow(limit Time) (drained bool) {
 			p = e.next()
 		}
 	}
-	if e.heap.len() > 0 {
-		// Next live event is beyond the limit; leave it queued.
-		e.now = limit
+	if e.pending() > 0 {
+		// Next live event is beyond the limit; leave it queued. The clock
+		// never moves back (a limit behind it): the now-queue's order rests
+		// on that.
+		e.advanceTo(limit)
 		return false
 	}
 	return true
@@ -599,10 +656,8 @@ func (e *Env) blockedState() (parked []string, daemons int) {
 // It must only be called while the environment is not running (between
 // windows or before Run).
 func (e *Env) NextEventTime() (t Time, ok bool) {
-	if !e.peek() {
-		return 0, false
-	}
-	return e.heap.a[0].t, true
+	ev, _, ok := e.peek()
+	return ev.t, ok
 }
 
 // advanceTo moves the clock forward to t without executing anything. The
@@ -635,8 +690,8 @@ func (e *Env) Shutdown() {
 	for _, pt := range e.tasks {
 		tok := pt.tok
 		tok.spent = true
-		if tok.inHeap > 0 {
-			e.dead += int(tok.inHeap) // compact drops the entry below
+		if tok.queued > 0 {
+			e.dead += int(tok.queued) // compact drops the entry below
 		} else {
 			pt.ev.waiters.remove(tok)
 			e.dropRef(tok)
@@ -665,10 +720,13 @@ type EnvStats struct {
 	// was next (FastPath), or by running a task inline (TaskRuns counts the
 	// tasks run; a task that had to wait consumed a second event to get there).
 	Events, Switches, FastPath, TaskRuns uint64
-	// HeapPeak and DeadPeak are the high-water marks of the event heap's
-	// length and of the spent entries it carried.
+	// NowQueued counts the events scheduled for the instant they were
+	// scheduled at, which waited in the now-queue and never entered the heap.
+	NowQueued uint64
+	// HeapPeak is the high-water mark of the event heap's length, DeadPeak
+	// that of the spent entries the heap and the now-queue carried.
 	HeapPeak, DeadPeak int
-	// Compactions counts the purges of spent entries from the heap.
+	// Compactions counts the purges of spent entries from the two.
 	Compactions uint64
 }
 
@@ -679,6 +737,7 @@ func (s *EnvStats) add(o EnvStats) {
 	s.Switches += o.Switches
 	s.FastPath += o.FastPath
 	s.TaskRuns += o.TaskRuns
+	s.NowQueued += o.NowQueued
 	s.HeapPeak = max(s.HeapPeak, o.HeapPeak)
 	s.DeadPeak = max(s.DeadPeak, o.DeadPeak)
 	s.Compactions += o.Compactions

@@ -17,13 +17,14 @@ const (
 	compactNever  = 0
 )
 
-// popTrace drives the kernel's token/heap machinery directly with a seeded
+// popTrace drives the kernel's token/queue machinery directly with a seeded
 // mix of plain timers, blocking calls with a timeout (short ones fire first,
-// long ones lose the race against the wake and stay dead in the heap), wakes
-// and pops, and returns the order in which the logical calls fired. Pops
-// look at most 50 ticks ahead so the clock never jumps to the long
-// deadlines. Every call gets its own Proc so the log is independent of how
-// tokens are recycled.
+// long ones lose the race against the wake and stay dead in the heap, zero
+// ones race the wake within one instant and leave the loser dead in the
+// now-queue), wakes and pops, and returns the order in which the logical
+// calls fired. Pops look at most 50 ticks ahead so the clock never jumps to
+// the long deadlines. Every call gets its own Proc so the log is independent
+// of how tokens are recycled.
 func popTrace(t *testing.T, seed int64, den int) (log []string, peak int) {
 	t.Helper()
 	e := NewEnv(seed)
@@ -47,8 +48,9 @@ func popTrace(t *testing.T, seed int64, den int) (log []string, peak int) {
 		return true
 	}
 	var waiting []*wakeToken // registered in a "waiter list" (one ref each)
+	deadInBoth := false
 	for step := 0; step < 4000; step++ {
-		switch r.Intn(6) {
+		switch r.Intn(7) {
 		case 0: // Wait
 			e.schedule(newCall(), e.now.Add(Duration(r.Intn(50))))
 		case 1: // PopTimeout / WaitTimeout: waiter-list entry plus a timer
@@ -71,35 +73,54 @@ func popTrace(t *testing.T, seed int64, den int) (log []string, peak int) {
 				e.schedule(tok, e.now)
 			}
 			e.dropRef(tok)
+		case 3: // WaitTimeout(0) and the Fire in the same instant
+			tok := newCall()
+			tok.refs++
+			e.schedule(tok, e.now)
+			e.schedule(tok, e.now)
+			e.dropRef(tok)
 		default:
 			pop(e.now.Add(50))
 		}
 		if n := e.heap.len(); n > peak {
 			peak = n
 		}
+		inHeap := 0
+		for _, ev := range e.heap.a {
+			if ev.tok.spent {
+				inHeap++
+			}
+		}
+		if inHeap > 0 && e.dead > inHeap { // the rest are in the now-queue
+			deadInBoth = true
+		}
+	}
+	if den == compactNever && !deadInBoth {
+		t.Fatalf("seed %d: the now-queue and the heap never held dead entries at once", seed)
 	}
 	for pop(MaxTime) {
 	}
 	for _, tok := range waiting {
 		e.dropRef(tok)
 	}
-	if e.heap.len() != 0 || e.dead != 0 {
-		t.Fatalf("den=%d: drained heap holds %d entries, dead=%d", den, e.heap.len(), e.dead)
+	if e.pending() != 0 || e.dead != 0 {
+		t.Fatalf("den=%d: drained queue holds %d entries, dead=%d", den, e.pending(), e.dead)
 	}
 	if len(e.tokFree) != len(allocated) {
 		t.Fatalf("den=%d: %d tokens allocated, %d back in the pool", den, len(allocated), len(e.tokFree))
 	}
 	for _, tok := range e.tokFree {
-		if tok.refs != 0 || tok.inHeap != 0 || !tok.spent || tok.p != nil || tok.task != nil {
+		if tok.refs != 0 || tok.queued != 0 || !tok.spent || tok.p != nil || tok.task != nil {
 			t.Fatalf("den=%d: pooled token %+v", den, *tok)
 		}
 	}
 	return log, peak
 }
 
-// TestCompactionPreservesPopOrder: purging dead timers never changes which
-// event fires next — (t, seq) is a total order — and token registrations
-// balance back to the pool whichever way the entries leave the heap.
+// TestCompactionPreservesPopOrder: purging dead entries, from the heap and
+// from inside the now-queue, never changes which event fires next — (t, seq)
+// is a total order — and token registrations balance back to the pool
+// whichever way the entries leave the queue.
 func TestCompactionPreservesPopOrder(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		want, peakNever := popTrace(t, seed, compactNever)

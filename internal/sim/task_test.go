@@ -136,9 +136,10 @@ func (pt *taskPart) exec(p *Proc, name string, steps []step) {
 
 // taskProgram builds the seeded random program — 2-4 partitions on a ring,
 // each with events, a two-permit semaphore, a queue, procs walking random
-// steps and watchers in the chosen form — and runs it to completion. It
-// returns each partition's log and event count.
-func taskProgram(t *testing.T, seed int64, useTasks bool, workers int) (logs [][]string, events []uint64) {
+// steps and watchers in the chosen form — and runs it to completion, with the
+// kernel as shipped or with every event forced through the heap. It returns
+// each partition's log and event count.
+func taskProgram(t *testing.T, seed int64, useTasks, heapOnly bool, workers int) (logs [][]string, events []uint64) {
 	t.Helper()
 	const (
 		nEvents = 6
@@ -150,6 +151,7 @@ func taskProgram(t *testing.T, seed int64, useTasks bool, workers int) (logs [][
 	parts := make([]*taskPart, n)
 	for i := range parts {
 		env := NewEnv(seed + int64(i))
+		env.heapOnly = heapOnly
 		g.Add(fmt.Sprint("p", i), env)
 		parts[i] = &taskPart{env: env, useTasks: useTasks, evs: make([]Event, nEvents),
 			sem: NewSemaphore(env, 2), q: NewQueue[int](env)}
@@ -201,7 +203,9 @@ func taskProgram(t *testing.T, seed int64, useTasks bool, workers int) (logs [][
 			name := fmt.Sprintf("proc%d.%d", i, k)
 			steps := make([]step, 12)
 			for s := range steps {
-				st := step{kind: rng.Intn(7), d: Duration(rng.Intn(80000)), arg: rng.Intn(nEvents)}
+				// Durations on a 5us grid: procs keep meeting at the same instant,
+				// where only seq orders their timers and the wake-ups they cause.
+				st := step{kind: rng.Intn(7), d: Duration(rng.Intn(16)) * 5 * Microsecond, arg: rng.Intn(nEvents)}
 				switch st.kind {
 				case 1:
 					if rng.Intn(2) == 0 {
@@ -233,8 +237,12 @@ func taskProgram(t *testing.T, seed int64, useTasks bool, workers int) (logs [][
 	for _, pt := range parts {
 		logs = append(logs, pt.log)
 		events = append(events, pt.env.Events())
-		if st := pt.env.Stats(); useTasks == (st.TaskRuns == 0) {
+		st := pt.env.Stats()
+		if useTasks == (st.TaskRuns == 0) {
 			t.Fatalf("seed=%d tasks=%v: %d task runs", seed, useTasks, st.TaskRuns)
+		}
+		if heapOnly == (st.NowQueued > 0) {
+			t.Fatalf("seed=%d heapOnly=%v: %d events through the now-queue", seed, heapOnly, st.NowQueued)
 		}
 	}
 	g.Shutdown()
@@ -248,7 +256,7 @@ func taskProgram(t *testing.T, seed int64, useTasks bool, workers int) (logs [][
 // of any partition nor its event count, at any worker count.
 func TestTaskReplacesWatcherProcOneForOne(t *testing.T) {
 	for seed := int64(1); seed <= 16; seed++ {
-		wantLogs, wantEvents := taskProgram(t, seed, false, 1)
+		wantLogs, wantEvents := taskProgram(t, seed, false, false, 1)
 		entries := 0
 		for _, l := range wantLogs {
 			entries += len(l)
@@ -257,7 +265,7 @@ func TestTaskReplacesWatcherProcOneForOne(t *testing.T) {
 			t.Fatalf("seed=%d: only %d log entries; the program did nothing", seed, entries)
 		}
 		for _, workers := range []int{1, 2, 4} {
-			logs, events := taskProgram(t, seed, true, workers)
+			logs, events := taskProgram(t, seed, true, false, workers)
 			if !reflect.DeepEqual(events, wantEvents) {
 				t.Fatalf("seed=%d workers=%d: events per partition %v with tasks, %v with procs",
 					seed, workers, events, wantEvents)
@@ -409,7 +417,7 @@ func TestTaskStuckIsReportedAndShutdownDropsIt(t *testing.T) {
 		t.Fatalf("ran=%d live=%d after the run; the deadline task alone should have run", ran, env.LiveProcs())
 	}
 	// One more in each state a pending task can be in: registration entry
-	// still in the heap, and waiting for a deadline.
+	// still queued, and waiting for a deadline.
 	env.After(&never, funcTask(func() { ran++ }))
 	env.At(Time(Second), funcTask(func() { ran++ }))
 	if err := env.RunUntil(Time(Millisecond)); err != nil {
@@ -424,27 +432,28 @@ func TestTaskStuckIsReportedAndShutdownDropsIt(t *testing.T) {
 		tokens++
 	}
 	env.Shutdown()
-	if env.LiveProcs() != 0 || len(env.tasks) != 0 || env.heap.len() != 0 || env.dead != 0 {
-		t.Fatalf("after shutdown: live=%d tasks=%d heap=%d dead=%d",
-			env.LiveProcs(), len(env.tasks), env.heap.len(), env.dead)
+	if env.LiveProcs() != 0 || len(env.tasks) != 0 || env.pending() != 0 || env.dead != 0 {
+		t.Fatalf("after shutdown: live=%d tasks=%d queued=%d dead=%d",
+			env.LiveProcs(), len(env.tasks), env.pending(), env.dead)
 	}
 	if len(env.tokFree) != tokens {
 		t.Fatalf("%d tokens in the pool after shutdown, want %d", len(env.tokFree), tokens)
 	}
 	for _, tok := range env.tokFree {
-		if tok.refs != 0 || tok.inHeap != 0 || tok.task != nil {
+		if tok.refs != 0 || tok.queued != 0 || tok.task != nil {
 			t.Fatalf("pooled token %+v", *tok)
 		}
 	}
 	never.Fire() // nobody left to wake
-	if ran != 1 || env.heap.len() != 0 {
-		t.Fatalf("a dropped task ran or was rescheduled: ran=%d heap=%d", ran, env.heap.len())
+	if ran != 1 || env.pending() != 0 {
+		t.Fatalf("a dropped task ran or was rescheduled: ran=%d queued=%d", ran, env.pending())
 	}
 }
 
 // TestTaskStatsAccountForEveryEvent: each fired event was consumed by a
 // resume from the scheduler (two switches), by the parking proc itself, or by
-// a task; the group adds its partitions up.
+// a task, and had waited in the now-queue or in the heap; the group adds its
+// partitions up.
 func TestTaskStatsAccountForEveryEvent(t *testing.T) {
 	build := func(seed int64) *Env {
 		env := NewEnv(seed)
@@ -477,6 +486,13 @@ func TestTaskStatsAccountForEveryEvent(t *testing.T) {
 		t.Helper()
 		if st.TaskRuns != 51*envs || st.Events != st.Switches/2+st.FastPath+52*envs {
 			t.Fatalf("%+v: events != switches/2 + fast path + %d task events", st, 52*envs)
+		}
+		// Scheduled for the instant of the call: three spawns, fifty pushes to
+		// the parked consumer, fifty-one task registrations, one fire. Popped
+		// from the heap: the fifty timers of solo and the fifty-two of the
+		// producer; the consumer's fifty timeouts die there unfired.
+		if st.NowQueued != 105*envs || st.Events != st.NowQueued+102*envs {
+			t.Fatalf("%+v: events != now-queued + %d heap pops", st, 102*envs)
 		}
 		if st.FastPath < 50 || st.Switches == 0 || st.HeapPeak < 3 || st.DeadPeak == 0 || st.Compactions == 0 {
 			t.Fatalf("%+v: a counter that should have moved did not", st)
