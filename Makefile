@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all build test test-race race smoke bench bench-smoke cover microbench results quick examples vet fmt trace
+.PHONY: all build test test-race race smoke bench bench-smoke cover loc microbench results quick examples vet fmt trace
 
 all: build vet test test-race smoke bench-smoke cover
 
@@ -68,6 +68,12 @@ bench-smoke:
 # the recorded floors.
 cover:
 	./scripts/covergate.sh
+
+# Non-test Go lines per package and in total, benchmark/ excluded: the
+# figure a simplifying PR reports before and after (scripts/loc.sh <clone of
+# the parent> gives the "before").
+loc:
+	./scripts/loc.sh
 
 # Traced benchmark: per-stage CPU/latency tables for both deployments plus
 # Chrome trace_event JSON for chrome://tracing or ui.perfetto.dev.

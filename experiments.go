@@ -229,7 +229,7 @@ func scaleTables(rs []runResult) []*report.Table {
 func ablationCells() []cell {
 	const big, small, tiny = int64(16 << 20), int64(1 << 20), int64(64 << 10)
 	channels := func(n int) func(*ClusterConfig) {
-		return func(c *ClusterConfig) { c.Bridge.Engine.Channels = n }
+		return func(c *ClusterConfig) { c.Bridge.Engine.Queues = n }
 	}
 	staging := func(b int64) func(*ClusterConfig) {
 		return func(c *ClusterConfig) { c.DPU.StagingBufferBytes = b }

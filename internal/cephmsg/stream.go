@@ -154,6 +154,33 @@ func streamInnerOK(m Message) bool {
 	return false
 }
 
+// withData returns a shallow copy of a streamable op with data as its
+// payload; nil for any other message.
+func withData(m Message, data *wire.Bufferlist) Message {
+	switch m := m.(type) {
+	case *MOSDOp:
+		cp := *m
+		cp.Data = data
+		return &cp
+	case *MRepOp:
+		cp := *m
+		cp.Data = data
+		return &cp
+	}
+	return nil
+}
+
+// StreamSplit is the sender's inverse of Assembler.End: for a streamable op
+// whose payload exceeds chunkBytes it returns a shallow copy with the payload
+// stripped (the stream's inner op) plus the payload to send as chunks.
+func StreamSplit(m Message, chunkBytes int64) (inner Message, payload *wire.Bufferlist, ok bool) {
+	payload = payloadOf(m)
+	if !streamInnerOK(m) || payload == nil || int64(payload.Length()) <= chunkBytes {
+		return nil, nil, false
+	}
+	return withData(m, nil), payload, true
+}
+
 // decodeStreamOpen parses an MStreamOpen body, including the nested inner
 // op, enforcing the strict-decoder rules: the inner message must be a
 // streamable write op, must not itself be a stream frame (depth guard) and
@@ -312,15 +339,8 @@ func (a *Assembler) End(m *MStreamEnd) (Message, error) {
 	if !st.accumulate {
 		return st.open.Inner, nil
 	}
-	switch inner := st.open.Inner.(type) {
-	case *MOSDOp:
-		cp := *inner
-		cp.Data = st.data
-		return &cp, nil
-	case *MRepOp:
-		cp := *inner
-		cp.Data = st.data
-		return &cp, nil
+	if whole := withData(st.open.Inner, st.data); whole != nil {
+		return whole, nil
 	}
 	return nil, fmt.Errorf("cephmsg: stream %d: non-streamable inner", m.StreamID)
 }

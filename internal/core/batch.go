@@ -167,6 +167,9 @@ func (px *Proxy) flushBatch(p *sim.Proc) {
 		}
 		take = append(take, op)
 		bytes += n
+		// Clear the slot before stepping past it, or the backing array keeps
+		// every shipped op and its payload view reachable until it regrows.
+		px.batchQ[0] = nil
 		px.batchQ = px.batchQ[1:]
 	}
 	px.batchBytes -= bytes

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"doceph/internal/objstore"
 	"doceph/internal/sim"
@@ -246,4 +248,42 @@ func TestBatchDisabledSpawnsNothing(t *testing.T) {
 			t.Fatalf("batch counters moved while disabled: %+v", st)
 		}
 	})
+}
+
+// TestFlushBatchReleasesShippedOps: an op the batcher has shipped must not
+// stay reachable through the batch queue's backing array — it holds a view of
+// its transaction's whole payload.
+func TestFlushBatchReleasesShippedOps(t *testing.T) {
+	r := batchedRig(nil)
+	freed := make(chan uint64, 2)
+	r.run(t, func(p *sim.Proc) {
+		px := r.bridge.Proxy
+		if err := commitP(t, p, px, (&objstore.Transaction{}).MkColl("pg")); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			// What QueueTransaction files with the batcher, built here so the
+			// test can watch the op itself; nobody waits on its completion.
+			px.nextReq++
+			px.nextTxnSeq++
+			op := &batchOp{reqID: px.nextReq, txnSeq: px.nextTxnSeq,
+				payload: (&objstore.Transaction{}).Write("pg", "o", 0, seeded(4<<10, byte(i))).EncodeBL()}
+			runtime.SetFinalizer(op, func(op *batchOp) { freed <- op.reqID })
+			px.enqueueBatch(p, op)
+		}
+		p.Wait(sim.Second)
+		if len(px.batchQ) != 0 || r.bridge.Host.Stats().TxnsCommitted != 3 {
+			t.Fatalf("batch not shipped: %d queued, host %+v", len(px.batchQ), r.bridge.Host.Stats())
+		}
+	})
+	for want := 2; want > 0; {
+		runtime.GC()
+		select {
+		case <-freed:
+			want--
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d shipped op(s) still reachable after GC", want)
+		}
+	}
+	runtime.KeepAlive(r)
 }

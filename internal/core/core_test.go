@@ -222,6 +222,49 @@ func TestDMAFailureFallsBackAndPreservesSegments(t *testing.T) {
 	})
 }
 
+// TestEveryPathCutsTheSameSegments: with the engine's transfer limit below
+// the staging-buffer size, a payload reaches the host in the same number of
+// segments over DMA, over DMA with one segment resent by RPC, and over the
+// cooldown path where every segment rides RPC.
+func TestEveryPathCutsTheSameSegments(t *testing.T) {
+	cfg := BridgeConfig{}
+	cfg.Engine.MaxTransferBytes = 1 << 20 // staging buffers stay 2 MiB
+	r := newCoreRig(cfg)
+	r.run(t, func(p *sim.Proc) {
+		px := r.bridge.Proxy
+		if err := commitP(t, p, px, (&objstore.Transaction{}).MkColl("pg")); err != nil {
+			t.Fatal(err)
+		}
+		arrived := func(obj string) (dma, rpc int64) {
+			before := r.bridge.Host.Stats()
+			data := seeded(3<<20, 4)
+			if err := commitP(t, p, px, (&objstore.Transaction{}).Write("pg", obj, 0, data)); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := r.store.Read(p, "pg", obj, 0, 0); err != nil || got.CRC32C() != data.CRC32C() {
+				t.Fatalf("%s corrupted: %v", obj, err)
+			}
+			after := r.bridge.Host.Stats()
+			return after.SegmentsViaDMA - before.SegmentsViaDMA, after.SegmentsViaRPC - before.SegmentsViaRPC
+		}
+		dma, rpc := arrived("a")
+		want := dma
+		if want != 4 || rpc != 0 { // 3 MiB of data plus the transaction header
+			t.Fatalf("healthy DMA: %d+%d segments, want 4+0", dma, rpc)
+		}
+		r.bridge.EngUp.FailNext(1)
+		if dma, rpc = arrived("b"); dma != want-1 || rpc != 1 {
+			t.Fatalf("DMA then fallback: %d+%d segments, want %d+1", dma, rpc, want-1)
+		}
+		if px.DMAHealthy() {
+			t.Fatal("expected cooldown after the failed segment")
+		}
+		if dma, rpc = arrived("c"); dma != 0 || rpc != want {
+			t.Fatalf("cooldown RPC path: %d+%d segments, want 0+%d", dma, rpc, want)
+		}
+	})
+}
+
 func TestCooldownRoutesToRPCAndProbeRecovers(t *testing.T) {
 	cfg := BridgeConfig{}
 	cfg.Proxy.CooldownPeriod = 2 * sim.Second

@@ -367,7 +367,7 @@ func (rt *hostTxn) Run() {
 	if hostWrite <= 0 {
 		hostWrite = hs.env.Now().Sub(rt.start)
 	}
-	hs.notifyTxnDone(rt.reqID, errToCode(unwrap(rt.res.Err)), int64(hostWrite), rt.queue)
+	hs.notifyTxnDone(rt.reqID, errToCode(rt.res.Err), int64(hostWrite), rt.queue)
 }
 
 func (hs *HostServer) notifyTxnDone(reqID uint64, code uint16, hostWriteNanos int64, queue int) {
@@ -415,30 +415,21 @@ func (hs *HostServer) serveRead(req *readReq) {
 		p.SetThread(hs.thPoll)
 		bl, err := hs.store.Read(p, req.Coll, req.Object, req.Off, req.Length)
 		if err != nil || bl.Length() == 0 {
-			total := 0
-			hs.rpc.Notify(p, opReadDone, encodeReadDone(req.ReqID, errToCode(unwrap(err)), total))
+			hs.rpc.Notify(p, opReadDone, encodeReadDone(req.ReqID, errToCode(err), 0))
 			return
 		}
 		hs.stats.ReadsServed++
-		segBytes := hs.readBuf.BufferBytes()
-		if max := hs.engDown.Config().MaxTransferBytes; segBytes > max {
-			segBytes = max
-		}
-		total := int((int64(bl.Length()) + segBytes - 1) / segBytes)
+		c := newCut(bl, hs.readBuf.BufferBytes(), hs.engDown)
+		total := c.total
 		for i := 0; i < total; i++ {
-			off := int64(i) * segBytes
-			n := int64(bl.Length()) - off
-			if n > segBytes {
-				n = segBytes
-			}
+			n := c.size(i)
 			hs.readBuf.Acquire(p)
 			hs.cpu.Exec(p, hs.thPoll, int64(float64(n)*hs.cfg.StageCyclesPerByte))
 			rs := &readSeg{buf: hs.readBuf,
 				hdr: segHeader{kind: segReadData, reqID: req.ReqID, seg: i, total: total}}
 			rs.t = doca.Transfer{
-				ReqID: req.ReqID, Seg: i, TotalSegs: total, Bytes: n,
-				Data: bl.SubList(int(off), int(n)),
-				Src:  hs.hostMR, Dst: hs.dpuMR, Tag: &rs.hdr,
+				ReqID: req.ReqID, Seg: i, TotalSegs: total, Bytes: n, Data: c.view(i),
+				Src: hs.hostMR, Dst: hs.dpuMR, Tag: &rs.hdr,
 			}
 			if err := hs.engDown.Submit(p, hs.cpu, &rs.t); err != nil {
 				hs.readBuf.Release()
@@ -463,7 +454,7 @@ func (hs *HostServer) onStat(p *sim.Proc, req *rpcchan.Request,
 	}
 	st, serr := hs.store.Stat(p, coll, obj)
 	if serr != nil {
-		respond(nil, errToCode(unwrap(serr)))
+		respond(nil, errToCode(serr))
 		return
 	}
 	respond(encodeStatResp(st), rcOK)
@@ -494,7 +485,7 @@ func (hs *HostServer) onList(p *sim.Proc, req *rpcchan.Request,
 	}
 	names, lerr := hs.store.List(p, coll)
 	if lerr != nil {
-		respond(nil, errToCode(unwrap(lerr)))
+		respond(nil, errToCode(lerr))
 		return
 	}
 	respond(encodeList(names), rcOK)
@@ -510,7 +501,7 @@ func (hs *HostServer) onOmapGet(p *sim.Proc, req *rpcchan.Request,
 	}
 	v, gerr := hs.store.OmapGet(p, coll, obj, key)
 	if gerr != nil {
-		respond(nil, errToCode(unwrap(gerr)))
+		respond(nil, errToCode(gerr))
 		return
 	}
 	respond(wire.FromBytes(v), rcOK)
@@ -526,7 +517,7 @@ func (hs *HostServer) onOmapKeys(p *sim.Proc, req *rpcchan.Request,
 	}
 	keys, kerr := hs.store.OmapKeys(p, coll, obj)
 	if kerr != nil {
-		respond(nil, errToCode(unwrap(kerr)))
+		respond(nil, errToCode(kerr))
 		return
 	}
 	respond(encodeList(keys), rcOK)
@@ -559,38 +550,10 @@ func (hs *HostServer) onReadFallback(p *sim.Proc, req *rpcchan.Request,
 		rp.SetThread(hs.thPoll)
 		bl, rerr := hs.store.Read(rp, rr.Coll, rr.Object, rr.Off, rr.Length)
 		if rerr != nil {
-			respond(nil, errToCode(unwrap(rerr)))
+			respond(nil, errToCode(rerr))
 			return
 		}
 		hs.stats.ReadsServed++
 		respond(bl, rcOK)
 	})
-}
-
-// unwrap maps wrapped backend errors onto the protocol's canonical set.
-func unwrap(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case contains(err, objstore.ErrNotFound):
-		return objstore.ErrNotFound
-	case contains(err, objstore.ErrNoCollection):
-		return objstore.ErrNoCollection
-	default:
-		return err
-	}
-}
-
-func contains(err, target error) bool {
-	for e := err; e != nil; {
-		if e == target {
-			return true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		e = u.Unwrap()
-	}
-	return false
 }

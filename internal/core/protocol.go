@@ -18,6 +18,8 @@
 package core
 
 import (
+	"errors"
+
 	"doceph/internal/objstore"
 	"doceph/internal/sim"
 	"doceph/internal/wire"
@@ -67,13 +69,14 @@ const (
 	rcIO       uint16 = 3
 )
 
+// errToCode maps a backend error, however wrapped, onto the protocol's codes.
 func errToCode(err error) uint16 {
-	switch err {
-	case nil:
+	switch {
+	case err == nil:
 		return rcOK
-	case objstore.ErrNotFound:
+	case errors.Is(err, objstore.ErrNotFound):
 		return rcNotFound
-	case objstore.ErrNoCollection:
+	case errors.Is(err, objstore.ErrNoCollection):
 		return rcNoColl
 	default:
 		return rcIO

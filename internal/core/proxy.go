@@ -279,11 +279,7 @@ func NewProxy(env *sim.Env, dev *dpu.DPU, rpcEnd *rpcchan.Endpoint,
 	if px.cfg.Batch.Enable {
 		// Clamp the batch byte cap so a worst-case frame (payload + framing
 		// overhead) fits one staging buffer and one engine transfer.
-		lim := dev.Buffers.BufferBytes()
-		if m := engUp.Config().MaxTransferBytes; m < lim {
-			lim = m
-		}
-		lim -= batchFrameOverhead(px.cfg.Batch.MaxOps)
+		lim := segLimit(dev.Buffers.BufferBytes(), engUp) - batchFrameOverhead(px.cfg.Batch.MaxOps)
 		if px.cfg.Batch.MaxBatchBytes > lim {
 			px.cfg.Batch.MaxBatchBytes = lim
 		}
@@ -356,24 +352,31 @@ func (px *Proxy) dmaAllowed(p *sim.Proc) bool {
 	if p.Now() < px.cooldownUntil {
 		return false
 	}
-	// Probe (paper §4: "a small test DMA transfer to determine whether the
-	// DMA path can be safely reactivated").
-	px.stats.Probes++
-	px.ensureRegions(p)
-	t := &doca.Transfer{Bytes: px.cfg.ProbeBytes, Src: px.dpuMR, Dst: px.hostMR,
-		Tag: &segHeader{kind: segProbe}}
-	if err := px.engUp.Submit(p, px.dev.CPU, t); err != nil {
-		px.enterCooldown(p)
-		return false
-	}
-	t.Done.Wait(p)
-	if t.Err != nil {
-		px.stats.ProbeFailures++
+	if px.probe(p) != nil {
 		px.enterCooldown(p)
 		return false
 	}
 	px.dmaHealthy = true
 	return true
+}
+
+// probe is the health check of paper §4: "a small test DMA transfer to
+// determine whether the DMA path can be safely reactivated". A probe the
+// engine refuses and one that fails in flight both count as failed.
+func (px *Proxy) probe(p *sim.Proc) error {
+	px.stats.Probes++
+	px.ensureRegions(p)
+	t := &doca.Transfer{Bytes: px.cfg.ProbeBytes, Src: px.dpuMR, Dst: px.hostMR,
+		Tag: &segHeader{kind: segProbe}}
+	err := px.engUp.Submit(p, px.dev.CPU, t)
+	if err == nil {
+		t.Done.Wait(p)
+		err = t.Err
+	}
+	if err != nil {
+		px.stats.ProbeFailures++
+	}
+	return err
 }
 
 func (px *Proxy) enterCooldown(p *sim.Proc) {
@@ -397,24 +400,11 @@ func (px *Proxy) breakerAllowed(p *sim.Proc) bool {
 	case dpu.BreakerAllow:
 		return true
 	case dpu.BreakerProbe:
-		px.stats.Probes++
-		px.ensureRegions(p)
-		t := &doca.Transfer{Bytes: px.cfg.ProbeBytes, Src: px.dpuMR, Dst: px.hostMR,
-			Tag: &segHeader{kind: segProbe}}
-		err := px.engUp.Submit(p, px.dev.CPU, t)
-		if err == nil {
-			t.Done.Wait(p)
-			err = t.Err
-		}
-		if err != nil {
-			px.stats.ProbeFailures++
-			px.br.RecordProbe(p.Now(), false)
-			return false
-		}
-		px.br.RecordProbe(p.Now(), true)
+		ok := px.probe(p) == nil
+		px.br.RecordProbe(p.Now(), ok)
 		// The probe that completes the success streak closes the breaker
 		// and its request rides DMA; earlier probes stay on the fallback.
-		return px.br.State() == dpu.BreakerClosed
+		return ok && px.br.State() == dpu.BreakerClosed
 	default:
 		return false
 	}
@@ -482,7 +472,7 @@ func (px *Proxy) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objst
 		if useDMA {
 			px.shipViaDMA(tp, reqID, txnSeq, payload, ctx, streamReuse)
 		} else {
-			px.shipViaRPC(tp, reqID, txnSeq, payload, 0)
+			px.shipViaRPC(tp, reqID, txnSeq, payload)
 		}
 		pt.done.Wait(tp)
 		pt.Run()
@@ -508,6 +498,52 @@ func (px *Proxy) invalidateCached(txn *objstore.Transaction) {
 	}
 }
 
+// segLimit is the largest segment one transfer on eng may carry through a
+// staging buffer of bufBytes.
+func segLimit(bufBytes int64, eng *doca.Engine) int64 {
+	if m := eng.Config().MaxTransferBytes; m < bufBytes {
+		return m
+	}
+	return bufBytes
+}
+
+// cut is a payload divided into the segments that cross PCIe one transfer
+// (or one fallback RPC) each — the only place that arithmetic lives, so
+// every path cuts the same payload into the same pieces.
+type cut struct {
+	payload  *wire.Bufferlist
+	segBytes int64
+	total    int
+}
+
+// newCut divides payload for eng's staging buffers; an empty payload still
+// travels as one (empty) segment.
+func newCut(payload *wire.Bufferlist, bufBytes int64, eng *doca.Engine) cut {
+	c := cut{payload: payload, segBytes: segLimit(bufBytes, eng)}
+	c.total = int((int64(payload.Length()) + c.segBytes - 1) / c.segBytes)
+	if c.total == 0 {
+		c.total = 1
+	}
+	return c
+}
+
+// size returns the byte count of segment i.
+func (c cut) size(i int) int64 {
+	n := int64(c.payload.Length()) - int64(i)*c.segBytes
+	if n > c.segBytes {
+		n = c.segBytes
+	}
+	return n
+}
+
+// view returns segment i as a zero-copy view of the payload.
+func (c cut) view(i int) *wire.Bufferlist {
+	if c.payload.Length() == 0 {
+		return &wire.Bufferlist{}
+	}
+	return c.payload.SubList(i*int(c.segBytes), int(c.size(i)))
+}
+
 // shipViaDMA cuts payload into segments and pipelines stage+transfer. On a
 // segment error the completed segments are preserved and the rest falls
 // back to RPC (paper §4). ctx, when non-zero, parents per-segment
@@ -516,14 +552,8 @@ func (px *Proxy) invalidateCached(txn *objstore.Transaction) {
 // same pre-registered staging pool, like consecutive batch frames), so
 // back-to-back chunks of a stream pay the amortized setup.
 func (px *Proxy) shipViaDMA(p *sim.Proc, reqID, txnSeq uint64, payload *wire.Bufferlist, ctx trace.SpanID, streamReuse bool) {
-	segBytes := px.dev.Buffers.BufferBytes()
-	if max := px.engUp.Config().MaxTransferBytes; segBytes > max {
-		segBytes = max
-	}
-	total := int((int64(payload.Length()) + segBytes - 1) / segBytes)
-	if total == 0 {
-		total = 1
-	}
+	c := newCut(payload, px.dev.Buffers.BufferBytes(), px.engUp)
+	total := c.total
 	px.ensureRegions(p)
 
 	segs := make([]segment, total)
@@ -536,11 +566,7 @@ func (px *Proxy) shipViaDMA(p *sim.Proc, reqID, txnSeq uint64, payload *wire.Buf
 	var dmaEnd sim.Time
 	var copySum sim.Duration
 	for i := 0; i < total; i++ {
-		off := int64(i) * segBytes
-		n := int64(payload.Length()) - off
-		if n > segBytes {
-			n = segBytes
-		}
+		n := c.size(i)
 		// Staging: wait for a free DMA-capable buffer, then memcpy.
 		var stageSp trace.SpanID
 		if ctx != 0 {
@@ -555,12 +581,7 @@ func (px *Proxy) shipViaDMA(p *sim.Proc, reqID, txnSeq uint64, payload *wire.Buf
 		if px.cfg.DisableMRCache {
 			px.cc.Negotiate(p, px.hostMR)
 		}
-		var data *wire.Bufferlist
-		if payload.Length() > 0 {
-			data = payload.SubList(int(off), int(n))
-		} else {
-			data = &wire.Bufferlist{}
-		}
+		data := c.view(i)
 		px.tr.AddBytes(stageSp, n)
 		px.tr.Finish(stageSp)
 		var dmaSp trace.SpanID
@@ -624,49 +645,29 @@ func (px *Proxy) shipViaDMA(p *sim.Proc, reqID, txnSeq uint64, payload *wire.Buf
 		// failed and never-attempted ones over RPC, then cool down.
 		px.enterCooldown(p)
 		for i := 0; i < total; i++ {
-			if i < submitted && segs[i].t.Err == nil {
-				continue
-			}
-			off := int64(i) * segBytes
-			n := int64(payload.Length()) - off
-			if n > segBytes {
-				n = segBytes
-			}
-			px.stats.FallbackSegments++
-			sub := payload.SubList(int(off), int(n))
-			if _, err := px.rpc.Call(p, opSegFallback,
-				encodeSegFallback(reqID, txnSeq, i, total, sub)); err != nil {
-				// The control channel is the last resort; surface loudly.
-				panic(fmt.Sprintf("core: RPC fallback failed for req %d: %v", reqID, err))
+			if i >= submitted || segs[i].t.Err != nil {
+				px.stats.FallbackSegments++
+				px.segViaRPC(p, reqID, txnSeq, c, i)
 			}
 		}
 	}
 }
 
-// shipViaRPC sends payload segments over the control channel starting at
-// segment fromSeg (0 = whole request, the cooldown path).
-func (px *Proxy) shipViaRPC(p *sim.Proc, reqID, txnSeq uint64, payload *wire.Bufferlist, fromSeg int) {
-	segBytes := px.dev.Buffers.BufferBytes()
-	total := int((int64(payload.Length()) + segBytes - 1) / segBytes)
-	if total == 0 {
-		total = 1
+// shipViaRPC sends the whole request over the control channel, cut as DMA
+// would have cut it (the cooldown path).
+func (px *Proxy) shipViaRPC(p *sim.Proc, reqID, txnSeq uint64, payload *wire.Bufferlist) {
+	c := newCut(payload, px.dev.Buffers.BufferBytes(), px.engUp)
+	for i := 0; i < c.total; i++ {
+		px.segViaRPC(p, reqID, txnSeq, c, i)
 	}
-	for i := fromSeg; i < total; i++ {
-		off := int64(i) * segBytes
-		n := int64(payload.Length()) - off
-		if n > segBytes {
-			n = segBytes
-		}
-		var sub *wire.Bufferlist
-		if payload.Length() > 0 {
-			sub = payload.SubList(int(off), int(n))
-		} else {
-			sub = &wire.Bufferlist{}
-		}
-		if _, err := px.rpc.Call(p, opSegFallback,
-			encodeSegFallback(reqID, txnSeq, i, total, sub)); err != nil {
-			panic(fmt.Sprintf("core: RPC ship failed for req %d: %v", reqID, err))
-		}
+}
+
+// segViaRPC sends segment i of c over the control channel.
+func (px *Proxy) segViaRPC(p *sim.Proc, reqID, txnSeq uint64, c cut, i int) {
+	if _, err := px.rpc.Call(p, opSegFallback,
+		encodeSegFallback(reqID, txnSeq, i, c.total, c.view(i))); err != nil {
+		// The control channel is the last resort; surface loudly.
+		panic(fmt.Sprintf("core: RPC fallback failed for req %d: %v", reqID, err))
 	}
 }
 
@@ -749,14 +750,7 @@ func (px *Proxy) cacheRead(coll, obj string, off, length uint64, data *wire.Buff
 
 func (px *Proxy) readViaRPC(p *sim.Proc, desc *wire.Bufferlist) (*wire.Bufferlist, error) {
 	px.stats.ReadFallbacks++
-	resp, err := px.rpc.Call(p, opReadFallback, desc)
-	if err != nil {
-		if ce, ok := err.(rpcchan.CallError); ok {
-			return nil, codeToErr(ce.Code)
-		}
-		return nil, err
-	}
-	return resp, nil
+	return px.call(p, opReadFallback, desc)
 }
 
 // downPollLoop is the DPU-side poller consuming host->DPU DMA completions
@@ -813,15 +807,28 @@ func (px *Proxy) onReadDone(p *sim.Proc, req *rpcchan.Request,
 	}
 }
 
-// Stat implements objstore.Store over the control plane.
-func (px *Proxy) Stat(p *sim.Proc, coll, obj string) (objstore.StatInfo, error) {
+// call is one RPC to the host; a failure the host reported by code comes
+// back as the objstore error that code stands for.
+func (px *Proxy) call(p *sim.Proc, op uint16, req *wire.Bufferlist) (*wire.Bufferlist, error) {
+	resp, err := px.rpc.Call(p, op, req)
+	if ce, ok := err.(rpcchan.CallError); ok { // the only error Call returns, bare
+		return nil, codeToErr(ce.Code)
+	}
+	return resp, err
+}
+
+// control is a metadata call on the control plane: the DPU-side cost of
+// issuing it, then the call.
+func (px *Proxy) control(p *sim.Proc, op uint16, req *wire.Bufferlist) (*wire.Bufferlist, error) {
 	px.stats.ControlCalls++
 	px.dev.CPU.ExecSelf(p, px.cfg.ControlCallCycles)
-	resp, err := px.rpc.Call(p, opStat, encodeObjRef(coll, obj))
+	return px.call(p, op, req)
+}
+
+// Stat implements objstore.Store over the control plane.
+func (px *Proxy) Stat(p *sim.Proc, coll, obj string) (objstore.StatInfo, error) {
+	resp, err := px.control(p, opStat, encodeObjRef(coll, obj))
 	if err != nil {
-		if ce, ok := err.(rpcchan.CallError); ok {
-			return objstore.StatInfo{}, codeToErr(ce.Code)
-		}
 		return objstore.StatInfo{}, err
 	}
 	return decodeStatResp(resp)
@@ -829,24 +836,14 @@ func (px *Proxy) Stat(p *sim.Proc, coll, obj string) (objstore.StatInfo, error) 
 
 // Exists implements objstore.Store over the control plane.
 func (px *Proxy) Exists(p *sim.Proc, coll, obj string) bool {
-	px.stats.ControlCalls++
-	px.dev.CPU.ExecSelf(p, px.cfg.ControlCallCycles)
-	resp, err := px.rpc.Call(p, opExists, encodeObjRef(coll, obj))
-	if err != nil {
-		return false
-	}
-	return resp.Length() == 1 && resp.Bytes()[0] == 1
+	resp, err := px.control(p, opExists, encodeObjRef(coll, obj))
+	return err == nil && resp.Length() == 1 && resp.Bytes()[0] == 1
 }
 
 // OmapGet implements objstore.Store over the control plane.
 func (px *Proxy) OmapGet(p *sim.Proc, coll, obj, key string) ([]byte, error) {
-	px.stats.ControlCalls++
-	px.dev.CPU.ExecSelf(p, px.cfg.ControlCallCycles)
-	resp, err := px.rpc.Call(p, opOmapGet, encodeOmapRef(coll, obj, key))
+	resp, err := px.control(p, opOmapGet, encodeOmapRef(coll, obj, key))
 	if err != nil {
-		if ce, ok := err.(rpcchan.CallError); ok {
-			return nil, codeToErr(ce.Code)
-		}
 		return nil, err
 	}
 	return resp.Bytes(), nil
@@ -854,27 +851,18 @@ func (px *Proxy) OmapGet(p *sim.Proc, coll, obj, key string) ([]byte, error) {
 
 // OmapKeys implements objstore.Store over the control plane.
 func (px *Proxy) OmapKeys(p *sim.Proc, coll, obj string) ([]string, error) {
-	px.stats.ControlCalls++
-	px.dev.CPU.ExecSelf(p, px.cfg.ControlCallCycles)
-	resp, err := px.rpc.Call(p, opOmapKeys, encodeObjRef(coll, obj))
-	if err != nil {
-		if ce, ok := err.(rpcchan.CallError); ok {
-			return nil, codeToErr(ce.Code)
-		}
-		return nil, err
-	}
-	return decodeList(resp)
+	return px.listCall(p, opOmapKeys, encodeObjRef(coll, obj))
 }
 
 // List implements objstore.Store over the control plane.
 func (px *Proxy) List(p *sim.Proc, coll string) ([]string, error) {
-	px.stats.ControlCalls++
-	px.dev.CPU.ExecSelf(p, px.cfg.ControlCallCycles)
-	resp, err := px.rpc.Call(p, opList, encodeObjRef(coll, ""))
+	return px.listCall(p, opList, encodeObjRef(coll, ""))
+}
+
+// listCall is a control call answered with a list of names.
+func (px *Proxy) listCall(p *sim.Proc, op uint16, req *wire.Bufferlist) ([]string, error) {
+	resp, err := px.control(p, op, req)
 	if err != nil {
-		if ce, ok := err.(rpcchan.CallError); ok {
-			return nil, codeToErr(ce.Code)
-		}
 		return nil, err
 	}
 	return decodeList(resp)

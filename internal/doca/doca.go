@@ -17,6 +17,7 @@ package doca
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"doceph/internal/sim"
 	"doceph/internal/wire"
@@ -139,9 +140,6 @@ type EngineConfig struct {
 	// are pinned to queues by id, preserving per-request segment ordering
 	// and the ReuseSetupTime amortization (queue-pair affinity).
 	Queues int
-	// Channels is the deprecated alias for Queues, honored when Queues is
-	// zero.
-	Channels int
 	// CopySlots bounds how many copy phases may occupy the PCIe path at
 	// once when Queues > 1: descriptor setup and doorbells proceed
 	// independently per queue, but the data movement itself shares link
@@ -183,12 +181,8 @@ func (c EngineConfig) withDefaults() EngineConfig {
 		c.JitterPct = d.JitterPct
 	}
 	if c.Queues == 0 {
-		c.Queues = c.Channels
-	}
-	if c.Queues == 0 {
 		c.Queues = 1
 	}
-	c.Channels = c.Queues
 	if c.CopySlots == 0 {
 		c.CopySlots = 2
 	}
@@ -446,7 +440,9 @@ func (q *dmaQueue) next(p *sim.Proc, lastReq uint64, haveLast bool) *Transfer {
 		}
 	}
 	t := q.pending[idx]
-	q.pending = append(q.pending[:idx], q.pending[idx+1:]...)
+	// Delete clears the vacated tail slot; left behind len it would keep a
+	// finished transfer and its segment's Data reachable.
+	q.pending = slices.Delete(q.pending, idx, idx+1)
 	return t
 }
 

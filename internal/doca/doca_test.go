@@ -2,7 +2,9 @@ package doca
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"doceph/internal/sim"
 	"doceph/internal/wire"
@@ -227,7 +229,7 @@ func TestMultiChannelParallelism(t *testing.T) {
 	// Two requests of equal size: on one channel they serialize, on two
 	// channels they overlap.
 	elapsed := func(channels int) sim.Duration {
-		r := newDMARig(EngineConfig{Channels: channels, JitterPct: -1})
+		r := newDMARig(EngineConfig{Queues: channels, JitterPct: -1})
 		var last sim.Time
 		r.run(t, func(p *sim.Proc) {
 			r.cc.Negotiate(p, r.src)
@@ -256,7 +258,7 @@ func TestMultiChannelParallelism(t *testing.T) {
 }
 
 func TestChannelsPreservePerRequestOrder(t *testing.T) {
-	r := newDMARig(EngineConfig{Channels: 4})
+	r := newDMARig(EngineConfig{Queues: 4})
 	r.run(t, func(p *sim.Proc) {
 		r.cc.Negotiate(p, r.src)
 		r.cc.Negotiate(p, r.dst)
@@ -411,4 +413,36 @@ func TestQueueStatsSumToEngineStats(t *testing.T) {
 			t.Fatalf("only %d queues carried transfers", used)
 		}
 	})
+}
+
+// TestQueueReleasesPoppedTransfers: a transfer that has left a DMA queue must
+// not stay reachable through the queue's backing array — its Data is a whole
+// segment.
+func TestQueueReleasesPoppedTransfers(t *testing.T) {
+	env := sim.NewEnv(1)
+	q := &dmaQueue{cond: sim.NewCond()}
+	freed := make(chan uint64, 2)
+	for req := uint64(1); req <= 2; req++ {
+		tr := &Transfer{ReqID: req, Data: wire.FromBytes(make([]byte, 64))}
+		runtime.SetFinalizer(tr, func(tr *Transfer) { freed <- tr.ReqID })
+		q.pending = append(q.pending, tr)
+	}
+	env.Spawn("popper", func(p *sim.Proc) {
+		q.next(p, 2, true) // affinity takes the tail first, shifting nothing
+		q.next(p, 0, false)
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	q.pending = append(q.pending, &Transfer{}) // keeps the backing array in use
+	for want := 2; want > 0; {
+		runtime.GC()
+		select {
+		case <-freed:
+			want--
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d popped transfer(s) still reachable after GC", want)
+		}
+	}
+	runtime.KeepAlive(q)
 }

@@ -89,10 +89,6 @@ type BufferPool struct {
 	sem  *sim.Semaphore
 	size int64
 	cap  int
-	// Backpressure accounting: cumulative time Acquire callers spent
-	// blocked on a drained pool, and the number of acquisitions.
-	totalWait sim.Duration
-	acquires  int64
 }
 
 // NewBufferPool returns a pool of n buffers of the given size.
@@ -112,18 +108,8 @@ func (b *BufferPool) Available() int { return b.sem.Available() }
 // Acquire blocks p until a buffer is free and returns the acquisition
 // instant (used to measure staging-wait).
 func (b *BufferPool) Acquire(p *sim.Proc) sim.Time {
-	start := p.Now()
 	b.sem.Acquire(p, 1)
-	b.acquires++
-	b.totalWait += p.Now().Sub(start)
 	return p.Now()
-}
-
-// WaitStats returns the cumulative blocked time across all Acquire calls
-// and how many acquisitions were made — the staging-buffer backpressure
-// behind the DMA-wait component of the latency breakdown.
-func (b *BufferPool) WaitStats() (total sim.Duration, acquires int64) {
-	return b.totalWait, b.acquires
 }
 
 // Release returns one buffer to the pool.

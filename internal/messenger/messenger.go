@@ -347,7 +347,7 @@ func (m *Messenger) SetTracer(tr *trace.Tracer) { m.tr = tr }
 // static in this simulation, so that is a configuration bug.
 func (m *Messenger) Send(dst string, msg cephmsg.Message) {
 	if m.cfg.Stream.Enable {
-		if inner, data, ok := streamSplit(msg, m.cfg.Stream.ChunkBytes); ok {
+		if inner, data, ok := cephmsg.StreamSplit(msg, m.cfg.Stream.ChunkBytes); ok {
 			m.streamSend(dst, inner, data)
 			return
 		}

@@ -64,27 +64,6 @@ type StreamSink interface {
 // reassembly for all incoming streams).
 func (m *Messenger) SetStreamSink(s StreamSink) { m.streamSink = s }
 
-// streamSplit reports whether msg should be streamed at the configured
-// chunk size and, if so, returns a shallow copy with the payload stripped
-// plus the payload itself.
-func streamSplit(msg cephmsg.Message, chunkBytes int64) (cephmsg.Message, *wire.Bufferlist, bool) {
-	switch m := msg.(type) {
-	case *cephmsg.MOSDOp:
-		if m.Op == cephmsg.OpWrite && m.Data != nil && int64(m.Data.Length()) > chunkBytes {
-			cp := *m
-			cp.Data = nil
-			return &cp, m.Data, true
-		}
-	case *cephmsg.MRepOp:
-		if m.Op == cephmsg.OpWrite && m.Data != nil && int64(m.Data.Length()) > chunkBytes {
-			cp := *m
-			cp.Data = nil
-			return &cp, m.Data, true
-		}
-	}
-	return nil, nil, false
-}
-
 // streamSend is the transparent interception path: open a stream for inner
 // and pump data through it from a dedicated process (Send must not block,
 // but chunk writes wait on credits).

@@ -14,6 +14,7 @@ package osd
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"doceph/internal/cephmsg"
@@ -518,26 +519,58 @@ func (o *OSD) completeRep(tid uint64) {
 	}
 }
 
-// sendRepOps fans a replicated mutation out to the secondaries and returns
-// the shared pendingRep plus the tids to watch. mk builds the sub-op for one
-// secondary; the assigned tid is stamped in afterwards.
-func (o *OSD) sendRepOps(p *sim.Proc, acting []int32, repSp trace.SpanID,
-	mk func(sec int32) *cephmsg.MRepOp) (*pendingRep, []uint64) {
-	pend := &pendingRep{needed: len(acting) - 1, ev: sim.NewEvent()}
-	if pend.needed <= 0 {
+// newPendingRep is the ack barrier for n replicas (already passed for none).
+func newPendingRep(n int) *pendingRep {
+	pend := &pendingRep{needed: n, ev: sim.NewEvent()}
+	if n <= 0 {
 		pend.ev.Fire()
-		return pend, nil
 	}
+	return pend
+}
+
+// registerRep makes sec's copy of sub: it charges the sub-op's prep, stamps
+// the copy with a fresh tid and the epoch it leaves under (the charge took
+// time), and records the ack to wait for. resend keeps the copy for the
+// watchdog to send again on a timeout; the open frame of a stream is not
+// kept (see awaitReplicas).
+func (o *OSD) registerRep(p *sim.Proc, repSp trace.SpanID, sec int32, sub cephmsg.MRepOp, pend *pendingRep, resend bool) *cephmsg.MRepOp {
+	o.tr.AddCPU(repSp, o.cpu.Name(), o.cpu.ExecSelf(p, o.cfg.RepPrepCycles))
+	o.nextTid++
+	sub.Tid, sub.Epoch = o.nextTid, o.curMap.Epoch
+	w := &repWait{target: sec, pend: pend}
+	if resend {
+		w.msg = &sub
+	}
+	o.pending[sub.Tid] = w
+	return &sub
+}
+
+// subOp is the replicas' copy of client mutation m, before registerRep makes
+// and stamps each secondary's. It carries exactly the fields m's kind uses:
+// PayloadBytes() is what the wire model charges. A streamed write's payload
+// travels as chunks, so its m.Data is nil here as well.
+func subOp(m *cephmsg.MOSDOp, pg uint32, repSp trace.SpanID) cephmsg.MRepOp {
+	sub := cephmsg.MRepOp{PGID: pg, Object: m.Object, Op: m.Op, TraceCtx: uint64(repSp)}
+	switch m.Op {
+	case cephmsg.OpWrite:
+		sub.Offset, sub.Data = m.Offset, m.Data
+	case cephmsg.OpOmapSet, cephmsg.OpOmapRm:
+		sub.Key, sub.Data = m.Key, m.Data
+	}
+	return sub
+}
+
+// sendRepOps fans a replicated mutation out to the secondaries, each getting
+// its own copy of sub, and returns the shared pendingRep plus the tids to
+// watch.
+func (o *OSD) sendRepOps(p *sim.Proc, acting []int32, repSp trace.SpanID,
+	sub cephmsg.MRepOp) (*pendingRep, []uint64) {
+	pend := newPendingRep(len(acting) - 1)
 	tids := make([]uint64, 0, len(acting)-1)
 	for _, sec := range acting[1:] {
-		o.tr.AddCPU(repSp, o.cpu.Name(), o.cpu.ExecSelf(p, o.cfg.RepPrepCycles))
-		o.nextTid++
-		tid := o.nextTid
-		msg := mk(sec)
-		msg.Tid = tid
-		o.pending[tid] = &repWait{target: sec, msg: msg, pend: pend}
+		msg := o.registerRep(p, repSp, sec, sub, pend, true)
 		o.msgr.Send(Name(sec), msg)
-		tids = append(tids, tid)
+		tids = append(tids, msg.Tid)
 	}
 	return pend, tids
 }
@@ -625,36 +658,46 @@ func (o *OSD) ensureColl(pg uint32, txn *objstore.Transaction) {
 
 func (o *OSD) handleClientOp(p *sim.Proc, src string, m *cephmsg.MOSDOp, sp trace.SpanID) {
 	o.tr.AddCPU(sp, o.cpu.Name(), o.cpu.ExecSelf(p, o.cfg.OpPrepCycles))
-	pg := o.curMap.PGForObject(m.Object)
-	acting := o.curMap.ActingSet(pg)
+	pg, acting, res := o.admit(m)
+	if res != cephmsg.ResOK {
+		o.reject(src, m, sp, res)
+		return
+	}
+	switch m.Op {
+	case cephmsg.OpWrite, cephmsg.OpDelete, cephmsg.OpOmapSet, cephmsg.OpOmapRm:
+		o.handleMutation(p, src, m, pg, acting, sp)
+	case cephmsg.OpRead:
+		o.handleRead(p, src, m, pg, sp)
+	case cephmsg.OpStat:
+		o.handleStat(p, src, m, pg, sp)
+	case cephmsg.OpOmapGet, cephmsg.OpOmapKeys:
+		o.handleOmapRead(p, src, m, pg, sp)
+	}
+}
+
+// admit is the gate every client op passes, whole or streamed. It returns
+// the result to bounce the op with, or ResOK with the op counted against its
+// PG and — a mutation below full replication — ledgered as a degraded write.
+func (o *OSD) admit(m *cephmsg.MOSDOp) (pg uint32, acting []int32, res int32) {
+	pg = o.curMap.PGForObject(m.Object)
+	acting = o.curMap.ActingSet(pg)
 	if len(acting) == 0 || acting[0] != o.id {
 		// Balance-flagged reads may be served by any acting-set member
 		// (Ceph's CEPH_OSD_FLAG_BALANCE_READS); everything else — and any
 		// read we are not acting for — bounces back to the primary.
-		if m.Op == cephmsg.OpRead && m.Flags&cephmsg.FlagBalanceReads != 0 &&
-			actingMember(acting, o.id) {
-			o.stats.BalancedReads++
-			o.pgOps[pg]++
-			o.handleRead(p, src, m, pg, sp)
-			return
+		if m.Op != cephmsg.OpRead || m.Flags&cephmsg.FlagBalanceReads == 0 ||
+			!slices.Contains(acting, o.id) {
+			o.stats.WrongPrimary++
+			return pg, acting, cephmsg.ResNotPrimary
 		}
-		o.stats.WrongPrimary++
-		o.reply(&wrongPrimaryReply{src: src, m: m})
-		o.tr.Finish(sp)
-		return
-	}
-	// min_size write-quorum gate (off when MinSize is zero): mutations need
-	// at least MinSize acting members; between MinSize and Replicas they
-	// proceed degraded and the PG is ledgered for later healing.
-	if ms := o.curMap.MinSize; ms > 0 && mutates(m.Op) {
+		o.stats.BalancedReads++
+	} else if ms := o.curMap.MinSize; ms > 0 && mutates(m.Op) {
+		// min_size write-quorum gate (off when MinSize is zero): mutations need
+		// at least MinSize acting members; between MinSize and Replicas they
+		// proceed degraded and the PG is ledgered for later healing.
 		if len(acting) < ms {
 			o.stats.NoQuorumRejects++
-			o.msgr.Send(src, &cephmsg.MOSDOpReply{
-				Tid: m.Tid, Object: m.Object, Op: m.Op,
-				Result: cephmsg.ResNoQuorum, TraceCtx: m.TraceCtx,
-			})
-			o.tr.Finish(sp)
-			return
+			return pg, acting, cephmsg.ResNoQuorum
 		}
 		if len(acting) < o.curMap.Replicas {
 			o.stats.DegradedWrites++
@@ -662,30 +705,15 @@ func (o *OSD) handleClientOp(p *sim.Proc, src string, m *cephmsg.MOSDOp, sp trac
 		}
 	}
 	o.pgOps[pg]++
-	switch m.Op {
-	case cephmsg.OpWrite:
-		o.handleWrite(p, src, m, pg, acting, sp)
-	case cephmsg.OpDelete:
-		o.handleDelete(p, src, m, pg, acting, sp)
-	case cephmsg.OpRead:
-		o.handleRead(p, src, m, pg, sp)
-	case cephmsg.OpStat:
-		o.handleStat(p, src, m, pg, sp)
-	case cephmsg.OpOmapSet, cephmsg.OpOmapRm:
-		o.handleOmapWrite(p, src, m, pg, acting, sp)
-	case cephmsg.OpOmapGet, cephmsg.OpOmapKeys:
-		o.handleOmapRead(p, src, m, pg, sp)
-	}
+	return pg, acting, cephmsg.ResOK
 }
 
-// actingMember reports whether id serves in the acting set.
-func actingMember(acting []int32, id int32) bool {
-	for _, a := range acting {
-		if a == id {
-			return true
-		}
-	}
-	return false
+// reject answers an op that will not run and closes its span.
+func (o *OSD) reject(src string, m *cephmsg.MOSDOp, sp trace.SpanID, res int32) {
+	o.msgr.Send(src, &cephmsg.MOSDOpReply{
+		Tid: m.Tid, Object: m.Object, Op: m.Op, Result: res, TraceCtx: m.TraceCtx,
+	})
+	o.tr.Finish(sp)
 }
 
 // mutates reports whether a client op alters replicated state and is
@@ -698,65 +726,95 @@ func mutates(op cephmsg.Op) bool {
 	return false
 }
 
-// omapTxn builds the replicated mutation for a client omap op. Touch makes
-// the op self-sufficient: setting an index entry implicitly creates the
-// index object, as librados' omap ops do.
-func omapTxn(pg uint32, m *cephmsg.MOSDOp) *objstore.Transaction {
-	txn := (&objstore.Transaction{}).Touch(pgColl(pg), m.Object)
-	if m.Op == cephmsg.OpOmapRm {
-		return txn.OmapRm(pgColl(pg), m.Object, m.Key)
+// mutationTxn builds the store transaction of one replicated mutation: the
+// primary from the client's op, a replica from the sub-op it was sent, so
+// every acting store applies the same thing.
+func mutationTxn(coll string, op cephmsg.Op, object string, off uint64, key string,
+	data *wire.Bufferlist) *objstore.Transaction {
+	txn := &objstore.Transaction{}
+	switch op {
+	case cephmsg.OpDelete:
+		return txn.Remove(coll, object)
+	case cephmsg.OpOmapSet, cephmsg.OpOmapRm:
+		// Touch makes the op self-sufficient: setting an index entry
+		// implicitly creates the index object, as librados' omap ops do.
+		txn.Touch(coll, object)
+		if op == cephmsg.OpOmapRm {
+			return txn.OmapRm(coll, object, key)
+		}
+		var val []byte
+		if data != nil {
+			// Shared, not copied: the client's payload segment travels into the
+			// omap store as-is (producers follow the Bufferlist aliasing
+			// contract and never reuse payload slices).
+			val = data.ContiguousBytes()
+		}
+		return txn.OmapSet(coll, object, key, val)
 	}
-	var val []byte
-	if m.Data != nil {
-		// Shared, not copied: the client's payload segment travels into the
-		// omap store as-is (producers follow the Bufferlist aliasing
-		// contract and never reuse payload slices).
-		val = m.Data.ContiguousBytes()
-	}
-	return txn.OmapSet(pgColl(pg), m.Object, m.Key, val)
+	return txn.Write(coll, object, off, data)
 }
 
-// handleOmapWrite applies and replicates an omap mutation with the same
-// durability contract as object writes.
-func (o *OSD) handleOmapWrite(p *sim.Proc, src string, m *cephmsg.MOSDOp, pg uint32, acting []int32, sp trace.SpanID) {
+// handleMutation is the replicated write path of every mutating op (write,
+// delete, omap set/rm): local commit via the ObjectStore plus one MRepOp per
+// secondary; the client ack is withheld until every part is durable.
+func (o *OSD) handleMutation(p *sim.Proc, src string, m *cephmsg.MOSDOp, pg uint32, acting []int32, sp trace.SpanID) {
 	lock := o.pgLock(pg)
 	lock.Acquire(p, 1)
-	txn := omapTxn(pg, m)
-	o.ensureColl(pg, txn)
+	txn := mutationTxn(pgColl(pg), m.Op, m.Object, m.Offset, m.Key, m.Data)
+	if m.Op != cephmsg.OpDelete {
+		// A delete creates nothing: in a PG with no collection yet it has to
+		// find nothing, not make one.
+		o.ensureColl(pg, txn)
+	}
 	var commitSp, repSp trace.SpanID
 	if sp != 0 {
 		commitSp = o.tr.Start(sp, 0, trace.StageCommit, m.Object)
 		txn.TraceCtx = uint64(commitSp)
+		o.tr.AddBytes(commitSp, txn.DataBytes())
 	}
 	res := o.store.QueueTransaction(p, txn)
 	if sp != 0 {
 		repSp = o.tr.Start(sp, 0, trace.StageReplication, m.Object)
 	}
-	pend, tids := o.sendRepOps(p, acting, repSp, func(sec int32) *cephmsg.MRepOp {
-		return &cephmsg.MRepOp{
-			Epoch: o.curMap.Epoch, PGID: pg, Object: m.Object,
-			Op: m.Op, Key: m.Key, Data: m.Data, TraceCtx: uint64(repSp),
-		}
-	})
+	pend, tids := o.sendRepOps(p, acting, repSp, subOp(m, pg, repSp))
 	lock.Release(1)
-	o.stats.ClientWrites++
+	if m.Op == cephmsg.OpDelete {
+		o.stats.ClientDeletes++
+	} else {
+		o.stats.ClientWrites++
+	}
+	if m.Op == cephmsg.OpWrite {
+		o.stats.BytesWritten += int64(m.Data.Length())
+	}
 	o.env.Spawn(o.completerName, func(cp *sim.Proc) {
 		cp.SetThread(o.thFin)
 		res.Done.Wait(cp)
 		o.tr.Finish(commitSp)
-		repOK := o.awaitReplicas(cp, pend, tids)
-		o.tr.Finish(repSp)
-		o.tr.AddCPU(sp, o.cpu.Name(), o.cpu.Exec(cp, o.thFin, o.cfg.FinishCycles))
-		result := cephmsg.ResOK
-		if res.Err != nil || !repOK {
-			result = cephmsg.ResError
-		}
-		o.msgr.Send(src, &cephmsg.MOSDOpReply{
-			Tid: m.Tid, Object: m.Object, Op: m.Op, Result: result,
-			TraceCtx: m.TraceCtx,
-		})
-		o.tr.Finish(sp)
+		o.completeMutation(cp, src, m, sp, repSp, pend, tids, res.Err != nil)
 	})
+}
+
+// completeMutation is the tail every client mutation ends with, on its
+// completer or at the end of its stream's ingest proc, once the local commit
+// is durable (commitErr: it failed): wait out the replicas, charge the
+// finish, answer the client.
+func (o *OSD) completeMutation(p *sim.Proc, src string, m *cephmsg.MOSDOp, sp, repSp trace.SpanID,
+	pend *pendingRep, tids []uint64, commitErr bool) {
+	repOK := o.awaitReplicas(p, pend, tids)
+	o.tr.Finish(repSp)
+	o.tr.AddCPU(sp, o.cpu.Name(), o.cpu.ExecSelf(p, o.cfg.FinishCycles))
+	reply := &cephmsg.MOSDOpReply{Tid: m.Tid, Object: m.Object, Op: m.Op, TraceCtx: m.TraceCtx}
+	switch {
+	case commitErr && m.Op == cephmsg.OpDelete:
+		reply.Result = cephmsg.ResNotFound
+	case commitErr || !repOK:
+		reply.Result = cephmsg.ResError
+	}
+	if m.Op == cephmsg.OpWrite {
+		reply.Version = uint64(p.Now())
+	}
+	o.msgr.Send(src, reply)
+	o.tr.Finish(sp)
 }
 
 // handleOmapRead serves omap get/keys from the local (primary) store.
@@ -789,107 +847,6 @@ func (o *OSD) handleOmapRead(p *sim.Proc, src string, m *cephmsg.MOSDOp, pg uint
 	o.stats.ClientReads++
 	o.msgr.Send(src, reply)
 	o.tr.Finish(sp)
-}
-
-type wrongPrimaryReply struct {
-	src string
-	m   *cephmsg.MOSDOp
-}
-
-func (o *OSD) reply(w *wrongPrimaryReply) {
-	o.msgr.Send(w.src, &cephmsg.MOSDOpReply{
-		Tid: w.m.Tid, Object: w.m.Object, Op: w.m.Op,
-		Result: cephmsg.ResNotPrimary, TraceCtx: w.m.TraceCtx,
-	})
-}
-
-// handleWrite implements the replicated write path: local commit via the
-// ObjectStore plus one MRepOp per secondary; the client ack is withheld
-// until every part is durable.
-func (o *OSD) handleWrite(p *sim.Proc, src string, m *cephmsg.MOSDOp, pg uint32, acting []int32, sp trace.SpanID) {
-	lock := o.pgLock(pg)
-	lock.Acquire(p, 1)
-	txn := (&objstore.Transaction{}).Write(pgColl(pg), m.Object, m.Offset, m.Data)
-	o.ensureColl(pg, txn)
-	var commitSp, repSp trace.SpanID
-	if sp != 0 {
-		commitSp = o.tr.Start(sp, 0, trace.StageCommit, m.Object)
-		txn.TraceCtx = uint64(commitSp)
-		o.tr.AddBytes(commitSp, txn.DataBytes())
-	}
-	res := o.store.QueueTransaction(p, txn)
-	if sp != 0 {
-		repSp = o.tr.Start(sp, 0, trace.StageReplication, m.Object)
-	}
-	pend, tids := o.sendRepOps(p, acting, repSp, func(sec int32) *cephmsg.MRepOp {
-		return &cephmsg.MRepOp{
-			Epoch: o.curMap.Epoch, PGID: pg, Object: m.Object,
-			Op: cephmsg.OpWrite, Offset: m.Offset, Data: m.Data,
-			TraceCtx: uint64(repSp),
-		}
-	})
-	lock.Release(1)
-	o.stats.ClientWrites++
-	o.stats.BytesWritten += int64(m.Data.Length())
-	o.env.Spawn(o.completerName, func(cp *sim.Proc) {
-		cp.SetThread(o.thFin)
-		res.Done.Wait(cp)
-		o.tr.Finish(commitSp)
-		repOK := o.awaitReplicas(cp, pend, tids)
-		o.tr.Finish(repSp)
-		o.tr.AddCPU(sp, o.cpu.Name(), o.cpu.Exec(cp, o.thFin, o.cfg.FinishCycles))
-		result := cephmsg.ResOK
-		if res.Err != nil || !repOK {
-			result = cephmsg.ResError
-		}
-		o.msgr.Send(src, &cephmsg.MOSDOpReply{
-			Tid: m.Tid, Object: m.Object, Op: m.Op, Result: result,
-			Version: uint64(cp.Now()), TraceCtx: m.TraceCtx,
-		})
-		o.tr.Finish(sp)
-	})
-}
-
-func (o *OSD) handleDelete(p *sim.Proc, src string, m *cephmsg.MOSDOp, pg uint32, acting []int32, sp trace.SpanID) {
-	lock := o.pgLock(pg)
-	lock.Acquire(p, 1)
-	txn := (&objstore.Transaction{}).Remove(pgColl(pg), m.Object)
-	var commitSp, repSp trace.SpanID
-	if sp != 0 {
-		commitSp = o.tr.Start(sp, 0, trace.StageCommit, m.Object)
-		txn.TraceCtx = uint64(commitSp)
-	}
-	res := o.store.QueueTransaction(p, txn)
-	if sp != 0 {
-		repSp = o.tr.Start(sp, 0, trace.StageReplication, m.Object)
-	}
-	pend, tids := o.sendRepOps(p, acting, repSp, func(sec int32) *cephmsg.MRepOp {
-		return &cephmsg.MRepOp{
-			Epoch: o.curMap.Epoch, PGID: pg, Object: m.Object,
-			Op: cephmsg.OpDelete, TraceCtx: uint64(repSp),
-		}
-	})
-	lock.Release(1)
-	o.stats.ClientDeletes++
-	o.env.Spawn(o.completerName, func(cp *sim.Proc) {
-		cp.SetThread(o.thFin)
-		res.Done.Wait(cp)
-		o.tr.Finish(commitSp)
-		repOK := o.awaitReplicas(cp, pend, tids)
-		o.tr.Finish(repSp)
-		o.tr.AddCPU(sp, o.cpu.Name(), o.cpu.Exec(cp, o.thFin, o.cfg.FinishCycles))
-		result := cephmsg.ResOK
-		if res.Err != nil {
-			result = cephmsg.ResNotFound
-		} else if !repOK {
-			result = cephmsg.ResError
-		}
-		o.msgr.Send(src, &cephmsg.MOSDOpReply{
-			Tid: m.Tid, Object: m.Object, Op: m.Op, Result: result,
-			TraceCtx: m.TraceCtx,
-		})
-		o.tr.Finish(sp)
-	})
 }
 
 func (o *OSD) handleRead(p *sim.Proc, src string, m *cephmsg.MOSDOp, pg uint32, sp trace.SpanID) {
@@ -936,25 +893,7 @@ func (o *OSD) handleRepOp(p *sim.Proc, src string, m *cephmsg.MRepOp, sp trace.S
 	o.tr.AddCPU(sp, o.cpu.Name(), o.cpu.ExecSelf(p, o.cfg.OpPrepCycles))
 	lock := o.pgLock(m.PGID)
 	lock.Acquire(p, 1)
-	var txn *objstore.Transaction
-	switch m.Op {
-	case cephmsg.OpDelete:
-		txn = (&objstore.Transaction{}).Remove(pgColl(m.PGID), m.Object)
-	case cephmsg.OpOmapSet:
-		var val []byte
-		if m.Data != nil {
-			// Shared per the Bufferlist aliasing contract, as on the
-			// primary's omapTxn path.
-			val = m.Data.ContiguousBytes()
-		}
-		txn = (&objstore.Transaction{}).Touch(pgColl(m.PGID), m.Object).
-			OmapSet(pgColl(m.PGID), m.Object, m.Key, val)
-	case cephmsg.OpOmapRm:
-		txn = (&objstore.Transaction{}).Touch(pgColl(m.PGID), m.Object).
-			OmapRm(pgColl(m.PGID), m.Object, m.Key)
-	default:
-		txn = (&objstore.Transaction{}).Write(pgColl(m.PGID), m.Object, m.Offset, m.Data)
-	}
+	txn := mutationTxn(pgColl(m.PGID), m.Op, m.Object, m.Offset, m.Key, m.Data)
 	o.ensureColl(m.PGID, txn)
 	var commitSp trace.SpanID
 	if sp != 0 {

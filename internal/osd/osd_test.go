@@ -26,6 +26,9 @@ type testCluster struct {
 	stores  []*bluestore.Store
 	hostCPU []*sim.CPU
 	client  *rados.Client
+	// addClient attaches one more messenger endpoint to the client node, for
+	// tests that speak cephmsg to the OSDs themselves.
+	addClient func(name string) *messenger.Messenger
 }
 
 func newTestCluster(t *testing.T, hosts int, replicas int, wireEncode bool) *testCluster {
@@ -86,7 +89,10 @@ func newTestClusterMsgr(t *testing.T, hosts, replicas, minSize int, mcfg messeng
 		tc.osds = append(tc.osds, o)
 		tc.mon.Subscribe(Name(int32(h)))
 	}
-	cmsgr := messenger.New(env, reg, fabric, clientCPU, "client.0", "client-node", mcfg)
+	tc.addClient = func(name string) *messenger.Messenger {
+		return messenger.New(env, reg, fabric, clientCPU, name, "client-node", mcfg)
+	}
+	cmsgr := tc.addClient("client.0")
 	tc.client = rados.New(env, clientCPU, cmsgr, baseMap, rados.Config{})
 	tc.mon.Subscribe("client.0")
 	return tc

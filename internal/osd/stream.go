@@ -114,85 +114,18 @@ func (c *chunkCommit) Run() {
 	c.in.Credit(1)
 }
 
-// ingestClientStream is the primary's per-stream ingest: admission checks,
-// chunk-granular local commit + replica fan-out, and the single client
-// reply once everything is durable.
-func (o *OSD) ingestClientStream(p *sim.Proc, src string, m *cephmsg.MOSDOp,
-	in *messenger.InStream) {
-	o.ready.Wait(p)
-	open := in.Open()
-	var sp trace.SpanID
-	if o.tr.Enabled() && m.TraceCtx != 0 {
-		sp = o.tr.Start(trace.SpanID(m.TraceCtx), 0, trace.StageOSDOp, m.Object)
-	}
-	o.tr.AddCPU(sp, o.cpu.Name(), o.cpu.ExecSelf(p, o.cfg.OpPrepCycles))
-	pg := o.curMap.PGForObject(m.Object)
-	acting := o.curMap.ActingSet(pg)
-	reject := cephmsg.ResOK
-	if len(acting) == 0 || acting[0] != o.id {
-		o.stats.WrongPrimary++
-		reject = cephmsg.ResNotPrimary
-	} else if ms := o.curMap.MinSize; ms > 0 && len(acting) < ms {
-		o.stats.NoQuorumRejects++
-		reject = cephmsg.ResNoQuorum
-	}
-	if reject != cephmsg.ResOK {
-		o.drainStream(p, in)
-		o.msgr.Send(src, &cephmsg.MOSDOpReply{
-			Tid: m.Tid, Object: m.Object, Op: m.Op, Result: reject,
-			TraceCtx: m.TraceCtx,
-		})
-		o.tr.Finish(sp)
-		return
-	}
-	if ms := o.curMap.MinSize; ms > 0 && len(acting) < o.curMap.Replicas {
-		o.stats.DegradedWrites++
-		o.degraded[pg]++
-	}
-	o.pgOps[pg]++
-	o.stats.StreamWrites++
-
-	// Open one forwarding stream per secondary before the first chunk, so
-	// replica ingest overlaps the client transfer. The pending entries
-	// carry no resendable message (msg nil): a stream cannot be replayed
-	// verbatim, so the watchdog's timeout rounds alone bound the wait.
-	var repSp trace.SpanID
-	if sp != 0 {
-		repSp = o.tr.Start(sp, 0, trace.StageReplication, m.Object)
-	}
-	pend := &pendingRep{needed: len(acting) - 1, ev: sim.NewEvent()}
-	if pend.needed <= 0 {
-		pend.ev.Fire()
-	}
-	reps := make([]*messenger.OutStream, 0, len(acting)-1)
-	tids := make([]uint64, 0, len(acting)-1)
-	for _, sec := range acting[1:] {
-		o.tr.AddCPU(repSp, o.cpu.Name(), o.cpu.ExecSelf(p, o.cfg.RepPrepCycles))
-		o.nextTid++
-		tid := o.nextTid
-		rm := &cephmsg.MRepOp{
-			Tid: tid, Epoch: o.curMap.Epoch, PGID: pg, Object: m.Object,
-			Op: cephmsg.OpWrite, Offset: m.Offset, TraceCtx: uint64(repSp),
-		}
-		o.pending[tid] = &repWait{target: sec, pend: pend}
-		reps = append(reps, o.msgr.OpenStream(Name(sec), rm, open.Total))
-		tids = append(tids, tid)
-	}
-
-	var results []*objstore.Result
-	off := m.Offset
-	var total int64
-	aborted := false
+// ingestChunks is the loop both stream feeders run: commit each arriving
+// chunk, forward it to reps (none on a replica), advance. It returns the
+// chunks' store results for the end-of-stream barrier, the bytes ingested and
+// whether the sender tore the stream down mid-flight.
+func (o *OSD) ingestChunks(p *sim.Proc, in *messenger.InStream, sp trace.SpanID, pg uint32,
+	object string, off uint64, reps []*messenger.OutStream) (results []*objstore.Result, total int64, aborted bool) {
 	for {
 		chunk, done, ab := in.Next(p)
-		if done {
-			break
+		if done || ab {
+			return results, total, ab
 		}
-		if ab {
-			aborted = true
-			break
-		}
-		results = append(results, o.ingestChunk(p, in, sp, pg, m.Object, off, chunk))
+		results = append(results, o.ingestChunk(p, in, sp, pg, object, off, chunk))
 		// Forward before accepting the next chunk; a saturated replica
 		// window blocks here, propagating its backpressure to the client.
 		for _, r := range reps {
@@ -202,6 +135,57 @@ func (o *OSD) ingestClientStream(p *sim.Proc, src string, m *cephmsg.MOSDOp,
 		off += uint64(n)
 		total += n
 	}
+}
+
+// awaitCommits is the end-of-stream barrier: every chunk durable. It reports
+// whether any chunk's commit failed.
+func awaitCommits(p *sim.Proc, results []*objstore.Result) (anyErr bool) {
+	for _, res := range results {
+		res.Done.Wait(p)
+		if res.Err != nil {
+			anyErr = true
+		}
+	}
+	return anyErr
+}
+
+// ingestClientStream is the primary's per-stream ingest: the admission gate
+// of a whole op, chunk-granular local commit + replica fan-out, and the
+// completion tail of a whole op once everything is durable.
+func (o *OSD) ingestClientStream(p *sim.Proc, src string, m *cephmsg.MOSDOp,
+	in *messenger.InStream) {
+	o.ready.Wait(p)
+	var sp trace.SpanID
+	if o.tr.Enabled() && m.TraceCtx != 0 {
+		sp = o.tr.Start(trace.SpanID(m.TraceCtx), 0, trace.StageOSDOp, m.Object)
+	}
+	o.tr.AddCPU(sp, o.cpu.Name(), o.cpu.ExecSelf(p, o.cfg.OpPrepCycles))
+	pg, acting, res := o.admit(m)
+	if res != cephmsg.ResOK {
+		// Credit the whole stream first, so the client's pump finishes.
+		o.drainStream(p, in)
+		o.reject(src, m, sp, res)
+		return
+	}
+	o.stats.StreamWrites++
+
+	// Open one forwarding stream per secondary before the first chunk, so
+	// replica ingest overlaps the client transfer.
+	var repSp trace.SpanID
+	if sp != 0 {
+		repSp = o.tr.Start(sp, 0, trace.StageReplication, m.Object)
+	}
+	pend := newPendingRep(len(acting) - 1)
+	reps := make([]*messenger.OutStream, 0, len(acting)-1)
+	tids := make([]uint64, 0, len(acting)-1)
+	sub := subOp(m, pg, repSp)
+	for _, sec := range acting[1:] {
+		rm := o.registerRep(p, repSp, sec, sub, pend, false)
+		reps = append(reps, o.msgr.OpenStream(Name(sec), rm, in.Open().Total))
+		tids = append(tids, rm.Tid)
+	}
+
+	results, total, aborted := o.ingestChunks(p, in, sp, pg, m.Object, m.Offset, reps)
 	if aborted {
 		for _, r := range reps {
 			r.Abort(p)
@@ -209,38 +193,16 @@ func (o *OSD) ingestClientStream(p *sim.Proc, src string, m *cephmsg.MOSDOp,
 		for _, tid := range tids {
 			o.completeRep(tid)
 		}
-		o.msgr.Send(src, &cephmsg.MOSDOpReply{
-			Tid: m.Tid, Object: m.Object, Op: m.Op, Result: cephmsg.ResError,
-			TraceCtx: m.TraceCtx,
-		})
 		o.tr.Finish(repSp)
-		o.tr.Finish(sp)
+		o.reject(src, m, sp, cephmsg.ResError)
 		return
 	}
 	for _, r := range reps {
 		r.Close(p)
 	}
-	anyErr := false
-	for _, res := range results {
-		res.Done.Wait(p)
-		if res.Err != nil {
-			anyErr = true
-		}
-	}
-	repOK := o.awaitReplicas(p, pend, tids)
-	o.tr.Finish(repSp)
-	o.tr.AddCPU(sp, o.cpu.Name(), o.cpu.ExecSelf(p, o.cfg.FinishCycles))
-	result := cephmsg.ResOK
-	if anyErr || !repOK {
-		result = cephmsg.ResError
-	}
+	o.completeMutation(p, src, m, sp, repSp, pend, tids, awaitCommits(p, results))
 	o.stats.ClientWrites++
 	o.stats.BytesWritten += total
-	o.msgr.Send(src, &cephmsg.MOSDOpReply{
-		Tid: m.Tid, Object: m.Object, Op: m.Op, Result: result,
-		Version: uint64(p.Now()), TraceCtx: m.TraceCtx,
-	})
-	o.tr.Finish(sp)
 }
 
 // ingestRepStream is the replica's per-stream ingest: chunk-granular
@@ -253,27 +215,8 @@ func (o *OSD) ingestRepStream(p *sim.Proc, src string, m *cephmsg.MRepOp,
 		sp = o.tr.Start(trace.SpanID(m.TraceCtx), 0, trace.StageRepOp, m.Object)
 	}
 	o.tr.AddCPU(sp, o.cpu.Name(), o.cpu.ExecSelf(p, o.cfg.OpPrepCycles))
-	var results []*objstore.Result
-	off := m.Offset
-	var total int64
-	aborted := false
-	for {
-		chunk, done, ab := in.Next(p)
-		if done {
-			break
-		}
-		if ab {
-			aborted = true
-			break
-		}
-		results = append(results, o.ingestChunk(p, in, sp, m.PGID, m.Object, off, chunk))
-		n := int64(chunk.Length())
-		off += uint64(n)
-		total += n
-	}
-	for _, res := range results {
-		res.Done.Wait(p)
-	}
+	results, total, aborted := o.ingestChunks(p, in, sp, m.PGID, m.Object, m.Offset, nil)
+	awaitCommits(p, results)
 	o.stats.RepOpsServed++
 	o.stats.BytesWritten += total
 	o.tr.AddCPU(sp, o.cpu.Name(), o.cpu.ExecSelf(p, o.cfg.FinishCycles))

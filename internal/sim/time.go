@@ -24,9 +24,6 @@ const MaxTime = Time(1<<63 - 1)
 // Seconds converts a float number of seconds into a Duration.
 func Seconds(s float64) Duration { return Duration(s * float64(Second)) }
 
-// Micros converts a float number of microseconds into a Duration.
-func Micros(us float64) Duration { return Duration(us * float64(Microsecond)) }
-
 // Add returns the instant d after t.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 
@@ -38,9 +35,6 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // Seconds reports d as float seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
-
-// Millis reports d as float milliseconds.
-func (d Duration) Millis() float64 { return float64(d) / float64(Millisecond) }
 
 func (t Time) String() string     { return fmt.Sprintf("%.6fs", t.Seconds()) }
 func (d Duration) String() string { return fmt.Sprintf("%.6fs", d.Seconds()) }

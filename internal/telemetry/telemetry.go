@@ -1,11 +1,9 @@
 // Package telemetry aggregates measurement data across a simulated cluster:
 // merged per-category CPU accounting (the paper's Figure 5/7 and Table 2
-// inputs) and periodic time-series sampling (the per-second htop/iostat
-// methodology of §5.1).
+// inputs) and named event counters.
 package telemetry
 
 import (
-	"math"
 	"sort"
 
 	"doceph/internal/sim"
@@ -109,62 +107,4 @@ func (c *Counters) Snapshot() []CounterSample {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Sample is one point of a periodic series.
-type Sample struct {
-	At    sim.Time
-	Value float64
-}
-
-// Sampler periodically evaluates a probe function, building the per-second
-// series the paper's stability plots use.
-type Sampler struct {
-	Samples []Sample
-}
-
-// NewSampler spawns a daemon sampling probe every interval.
-func NewSampler(env *sim.Env, name string, interval sim.Duration, probe func() float64) *Sampler {
-	s := &Sampler{}
-	env.SpawnDaemon("sampler:"+name, func(p *sim.Proc) {
-		for {
-			p.Wait(interval)
-			s.Samples = append(s.Samples, Sample{At: p.Now(), Value: probe()})
-		}
-	})
-	return s
-}
-
-// Mean returns the average of samples taken at or after from.
-func (s *Sampler) Mean(from sim.Time) float64 {
-	var sum float64
-	var n int
-	for _, smp := range s.Samples {
-		if smp.At >= from {
-			sum += smp.Value
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// Stddev returns the standard deviation of samples at or after from.
-func (s *Sampler) Stddev(from sim.Time) float64 {
-	mean := s.Mean(from)
-	var sum float64
-	var n int
-	for _, smp := range s.Samples {
-		if smp.At >= from {
-			d := smp.Value - mean
-			sum += d * d
-			n++
-		}
-	}
-	if n < 2 {
-		return 0
-	}
-	return math.Sqrt(sum / float64(n-1))
 }

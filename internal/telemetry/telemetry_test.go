@@ -70,47 +70,3 @@ func TestCategoriesSorted(t *testing.T) {
 		t.Fatalf("cats=%v", cats)
 	}
 }
-
-func TestSamplerCollectsAndAggregates(t *testing.T) {
-	env := sim.NewEnv(1)
-	v := 0.0
-	s := NewSampler(env, "probe", sim.Second, func() float64 { return v })
-	env.Spawn("driver", func(p *sim.Proc) {
-		for i := 1; i <= 10; i++ {
-			v = float64(i)
-			p.Wait(sim.Second)
-		}
-	})
-	if err := env.RunUntil(sim.Time(10 * sim.Second)); err != nil {
-		t.Fatal(err)
-	}
-	env.Shutdown()
-	if len(s.Samples) != 10 {
-		t.Fatalf("samples=%d", len(s.Samples))
-	}
-	// Samples observed values 1..10 (sampler fires after each set).
-	mean := s.Mean(0)
-	if mean < 5 || mean > 6.5 {
-		t.Fatalf("mean=%v", mean)
-	}
-	if s.Stddev(0) <= 0 {
-		t.Fatalf("stddev=%v", s.Stddev(0))
-	}
-	// Windowed mean over the tail only.
-	tail := s.Mean(sim.Time(8 * sim.Second))
-	if tail <= mean {
-		t.Fatalf("tail mean %v should exceed overall %v", tail, mean)
-	}
-}
-
-func TestStddevConstantSeriesIsZero(t *testing.T) {
-	env := sim.NewEnv(1)
-	s := NewSampler(env, "c", sim.Second, func() float64 { return 4.2 })
-	if err := env.RunUntil(sim.Time(5 * sim.Second)); err != nil {
-		t.Fatal(err)
-	}
-	env.Shutdown()
-	if s.Stddev(0) != 0 {
-		t.Fatalf("stddev=%v", s.Stddev(0))
-	}
-}

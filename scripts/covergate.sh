@@ -9,7 +9,9 @@
 # when the read path opened (rbd 89.3%, striper 85.7%, radosbench 78.2%),
 # and again when the 128-OSD scale-out landed (cluster 89.5%, crush 97.0%),
 # and again when the streaming data plane landed (cephmsg 85.1%, messenger
-# 82.0%, osd 76.2%);
+# 82.0%, osd 76.2%), and again when the OSD's write handlers and the proxy's
+# segment cutters were collapsed to one each (osd 81.7%, core 86.5%: delete
+# and omap ops now ride the code the write tests cover);
 # each is set ~5 points below to absorb small refactors. Raise floors when
 # coverage improves, never lower them to make a PR pass.
 set -eu
@@ -34,10 +36,10 @@ gate() {
     fi
 }
 
-gate ./internal/core 81
+gate ./internal/core 81.5
 gate ./internal/doca 77
 gate ./internal/cephmsg 80
-gate ./internal/osd 73
+gate ./internal/osd 76.7
 gate ./internal/faultinject 58
 gate ./internal/messenger 75
 gate ./internal/sim 83
