@@ -46,22 +46,21 @@ results:
 quick:
 	go run ./cmd/docephbench -quick -exp all
 
-# Simulator throughput harness: runs the radosbench sweep and writes
-# events/sec, ns/op and allocs/op to BENCH_sim.json (compared against the
-# recorded pre-optimization baseline). `-rebaseline` resets the baseline.
-# `-workers 1` runs the sweep serially: heap counters are process-wide, so
-# only then can allocs/op be attributed to a scenario, and a record without
-# them would switch perf.Guard's per-scenario allocs ceiling off.
+# Simulator throughput harness: runs the sweep (doceph.RunSimSweep, 13 rows
+# one at a time, ~3 s) and writes events/sec, ns/op and allocs/op to
+# BENCH_sim.json (compared against the recorded pre-optimization baseline).
+# `-rebaseline` resets the baseline.
 bench:
-	go run ./cmd/simbench -workers 1 -out BENCH_sim.json
+	go run ./cmd/simbench
 
-# ~30 s smoke variant wired into `all`: runs the reduced sweep (tracing
-# disabled) and fails if events/sec collapses versus the BENCH_sim.json
-# record — without touching the file. This is the guard that keeps the
-# tracing hooks free when tracing is off. Serial for the same reason as
-# `bench`: the per-scenario allocs ceiling binds only on attributed values.
+# The same sweep wired into `all`, compared against the BENCH_sim.json record
+# instead of written to it: fails if a row's ops or events differ from the
+# record (the simulation moved), if a row exists on one side only, or if
+# events/sec collapses or allocs/op grows past 1.10x, in aggregate or in any
+# row. This is the guard that keeps the tracing hooks free when tracing is
+# off.
 bench-smoke:
-	go run ./cmd/simbench -smoke -workers 1 -guard BENCH_sim.json
+	go run ./cmd/simbench -guard BENCH_sim.json
 
 # Per-package statement-coverage floors for the offload-critical packages
 # (core, doca, osd, messenger, sim, perf); see scripts/covergate.sh for

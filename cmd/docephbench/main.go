@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"doceph"
@@ -50,12 +49,8 @@ func main() {
 		TraceOut: *traceOut,
 	}
 	if *simWorkers != "" {
-		for _, part := range strings.Split(*simWorkers, ",") {
-			w, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || w <= 0 {
-				fail(fmt.Errorf("bad -sim-workers entry %q", part))
-			}
-			set.Workers = append(set.Workers, w)
+		if set.Workers, err = doceph.ParseWorkers(*simWorkers); err != nil {
+			fail(err)
 		}
 	}
 	window := doceph.Full

@@ -1,33 +1,26 @@
 // Command simbench measures the simulator's own wall-clock performance
-// (events/sec, ns/op, allocs/op over the radosbench sweep) and maintains
+// (events/sec, ns/op, allocs/op over doceph.RunSimSweep) and maintains
 // BENCH_sim.json: a pre-optimization baseline recorded once plus the
 // current numbers and their ratios, so `make bench` tracks the perf
 // trajectory from PR to PR.
 //
-// A failed benchmark run exits non-zero before touching the result file:
+// A failed run exits non-zero before touching the result file:
 // BENCH_sim.json is only ever rewritten from a complete, successful sweep
 // (see perf.UpdateFile).
 //
 // Usage:
 //
-//	go run ./cmd/simbench -workers 1      # update "current", compare to baseline
-//	go run ./cmd/simbench -workers 1 -rebaseline
-//	                                      # overwrite the stored baseline too
-//	go run ./cmd/simbench -smoke          # short sweep, no file written
-//	go run ./cmd/simbench -smoke -workers 1 -guard BENCH_sim.json
-//	                                      # also fail on a gross perf regression
-//
-// -workers 1 runs the sweep serially, the only way allocations can be
-// attributed to a scenario; the default runs scenarios on parallel workers
-// and leaves per-scenario allocs/op zero. Recording and guarding both want
-// the serial sweep: the per-scenario allocs ceiling compares non-zero
-// values only, and the result file is not rewritten from a run that would
-// zero a recorded one.
-//
-//	go run ./cmd/simbench -sim-workers 1,2,8
+//	go run ./cmd/simbench                 # update "current", compare to baseline
+//	go run ./cmd/simbench -rebaseline     # overwrite the stored baseline too
+//	go run ./cmd/simbench -guard BENCH_sim.json
+//	                                      # compare against the record instead
+//	                                      # of writing: fail on a row whose ops
+//	                                      # or events moved, or on a gross
+//	                                      # events/s or allocs/op regression
+//	go run ./cmd/simbench -sim-workers 1,2,8 -out /tmp/scale.json
 //	                                      # scale-out rows at these kernel
 //	                                      # worker counts (@wN rows)
-//	go run ./cmd/simbench -cpuprofile cpu.pprof -memprofile mem.pprof
+//	go run ./cmd/simbench -guard BENCH_sim.json -cpuprofile cpu.pprof -memprofile mem.pprof
 //	                                      # kernel hotspot profiles for
 //	                                      # `go tool pprof` (see EXPERIMENTS.md)
 package main
@@ -38,25 +31,30 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 
+	"doceph"
 	"doceph/internal/perf"
+)
+
+// The guard's thresholds. The events/s floor is loose because it compares
+// across machines; the allocs/op ceiling is tight because allocations are a
+// property of the code and the rows are the record's own shapes (they repeat
+// to well under 1% run to run). minSpeedup is the nominal @w1-vs-widest
+// events/s floor of a scale-out family, scaled down to the host's cores.
+const (
+	guardRatio  = 0.3
+	guardAllocs = 1.10
+	minSpeedup  = 3.0
 )
 
 func main() {
 	var (
-		out         = flag.String("out", "BENCH_sim.json", "result file to maintain")
-		rebaseline  = flag.Bool("rebaseline", false, "record this run as the baseline")
-		smoke       = flag.Bool("smoke", false, "short sweep, print only, no file written")
-		guard       = flag.String("guard", "", "fail if events/sec falls below -guard-ratio of this file's current record")
-		guardRatio  = flag.Float64("guard-ratio", 0.3, "minimum fraction of the recorded events/sec the run must reach")
-		guardAllocs = flag.Float64("guard-allocs-ratio", 1.25, "maximum multiple of the recorded allocs/op the run may reach (0 disables)")
-		workers     = flag.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS, 1 = serial with per-scenario alloc attribution)")
-		simWorkers  = flag.String("sim-workers", "", "comma-separated kernel worker counts for the scale-out rows (e.g. 1,2,8; empty keeps the sweep's defaults)")
-		minSpeedup  = flag.Float64("min-speedup", 3.0, "nominal @w1-vs-widest events/s floor for scale-out families (scaled to the host's cores; 0 disables)")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
-		memprofile  = flag.String("memprofile", "", "write an allocation profile taken after the sweep to this file")
+		out        = flag.String("out", "BENCH_sim.json", "result file to maintain")
+		rebaseline = flag.Bool("rebaseline", false, "record this run as the baseline")
+		guard      = flag.String("guard", "", "compare against this file's current record instead of writing -out")
+		simWorkers = flag.String("sim-workers", "", "comma-separated kernel worker counts for the scale-out rows (default 1,8)")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
+		memprofile = flag.String("memprofile", "", "write an allocation profile taken after the sweep to this file")
 	)
 	flag.Parse()
 
@@ -65,16 +63,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	sweep := perf.DefaultSweep()
-	if *smoke {
-		sweep = perf.SmokeSweep()
-	}
+	var o doceph.Options
 	if *simWorkers != "" {
-		counts, err := parseWorkerList(*simWorkers)
-		if err != nil {
+		var err error
+		if o.Workers, err = doceph.ParseWorkers(*simWorkers); err != nil {
 			fail(err)
 		}
-		sweep = perf.ScaleOutWorkerRows(sweep, counts)
 	}
 
 	if *cpuprofile != "" {
@@ -89,7 +83,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	rep, err := perf.RunSweepWorkers(sweep, *workers)
+	rep, err := doceph.RunSimSweep(o)
 	if err != nil {
 		fail(err)
 	}
@@ -112,21 +106,17 @@ func main() {
 	}
 	fmt.Printf("%-24s %21.0f events/s  %10.0f ns/op  %8.1f allocs/op\n",
 		"TOTAL", rep.EventsPerSec, rep.NsPerOp, rep.AllocsPerOp)
-	if *minSpeedup > 0 {
-		sum, err := perf.GuardParallelSpeedup(rep, *minSpeedup)
-		if sum != "" {
-			fmt.Println(sum)
-		}
-		if err != nil {
-			fail(err)
-		}
+	sum, err := perf.GuardParallelSpeedup(rep, minSpeedup)
+	if sum != "" {
+		fmt.Println(sum)
+	}
+	if err != nil {
+		fail(err)
 	}
 	if *guard != "" {
-		if err := perf.Guard(*guard, rep, *guardRatio, *guardAllocs); err != nil {
+		if err := perf.Guard(*guard, rep, guardRatio, guardAllocs); err != nil {
 			fail(err)
 		}
-	}
-	if *smoke {
 		return
 	}
 
@@ -136,16 +126,4 @@ func main() {
 	}
 	fmt.Printf("vs baseline: %.2fx events/s, %.2fx allocs/op\n",
 		f.SpeedupEventsPerSec, f.AllocsPerOpRatio)
-}
-
-func parseWorkerList(s string) ([]int, error) {
-	var counts []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -sim-workers entry %q (want positive integers)", part)
-		}
-		counts = append(counts, n)
-	}
-	return counts, nil
 }

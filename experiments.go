@@ -240,7 +240,7 @@ func ablationCells() []cell {
 		{name: "no MR cache", size: big, mut: func(c *ClusterConfig) { c.Bridge.Proxy.DisableMRCache = true }},
 		{name: "1MB staging buffers", size: big, mut: staging(1 << 20)},
 		{name: "512KB staging buffers", size: big, mut: staging(512 << 10)},
-		{name: "DMA failure every 200 transfers", size: big, inject: 200, engaged: injectEngaged},
+		{name: "DMA failure every 200 transfers", size: big, arm: failEvery(200), engaged: injectEngaged},
 		{name: "1MB writes, 1 DMA channel", size: small},
 		{name: "1MB writes, 2 DMA channels", size: small, mut: channels(2)},
 		{name: "1MB writes, 4 DMA channels", size: small, mut: channels(4)},
@@ -254,7 +254,7 @@ func ablationCells() []cell {
 				c.Bridge.Batch.IdleDelay = 400 * Microsecond
 				c.Bridge.Batch.MaxDelay = 400 * Microsecond
 			}},
-		{name: "64KB writes, batching + DMA failure every 200", size: tiny, inject: 200,
+		{name: "64KB writes, batching + DMA failure every 200", size: tiny, arm: failEvery(200),
 			mut: batchOn, engaged: allOf(batchedEngaged, injectEngaged)},
 	}
 	for i := range cells {
@@ -324,16 +324,9 @@ func mqCells(queues []int, sizes []int64) []cell {
 	var cells []cell
 	for _, size := range sizes {
 		for _, nq := range queues {
-			nq := nq
 			cells = append(cells, cell{
 				name: fmt.Sprintf("%s q=%d", sizeLabel(size), nq), mode: DoCeph, size: size,
-				mut: func(c *ClusterConfig) {
-					batchOn(c)
-					c.Bridge.Engine.Queues = nq
-					c.OSD.OpShards = nq
-					c.Messenger.Lanes = nq
-				},
-				engaged: queuesEngaged(nq),
+				mut: multiQueue(nq), engaged: queuesEngaged(nq),
 			})
 		}
 	}

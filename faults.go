@@ -195,9 +195,7 @@ func RunChaos(o Options, plan *FaultPlan) (FaultComparison, error) {
 func selfHealConfig(mode Mode, o Options, breaker, qos bool) ClusterConfig {
 	cfg := ClusterConfig{Mode: mode, Seed: o.Seed, MinSize: 1}
 	if qos {
-		cfg.OSD.RecoveryMaxPGs = 2
-		cfg.OSD.RecoveryBps = 64e6
-		cfg.OSD.RecoveryBackoffDepth = 4
+		recoveryQoS(&cfg)
 	}
 	if breaker {
 		b := dpu.DefaultBreakerConfig()
@@ -208,6 +206,12 @@ func selfHealConfig(mode Mode, o Options, breaker, qos bool) ClusterConfig {
 		cfg.Bridge.Breaker = b
 	}
 	return cfg
+}
+
+func recoveryQoS(c *ClusterConfig) {
+	c.OSD.RecoveryMaxPGs = 2
+	c.OSD.RecoveryBps = 64e6
+	c.OSD.RecoveryBackoffDepth = 4
 }
 
 // selfHealSettle lets the backfill tail drain under its QoS budget before

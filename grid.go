@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"doceph/internal/bluestore"
 	"doceph/internal/core"
@@ -27,8 +28,9 @@ type cell struct {
 	bench BenchConfig
 	// mut flips knobs on an otherwise default testbed.
 	mut func(*ClusterConfig)
-	// inject makes every upstream DMA engine fail each inject-th transfer.
-	inject int64
+	// arm prepares the assembled cluster before the workload starts: a fault
+	// to inject, an outage to schedule.
+	arm func(*Cluster, Options)
 	// engaged verifies that the path the cell exists to measure actually
 	// ran; a silently inert arm fails the experiment.
 	engaged func(runResult) error
@@ -47,6 +49,11 @@ type runResult struct {
 	msgrSw    int64
 	objSw     int64
 	breakdown core.Breakdown
+	// events is the kernel's event count when the benchmark returned, wall
+	// the host time RunBench took: the simulator's own cost, which no -exp
+	// table prints.
+	events uint64
+	wall   time.Duration
 	// Counters summed over nodes (all zero on Baseline, which has no bridge).
 	negotiations int64
 	fallbacks    int64 // segments + whole transactions resent over RPC
@@ -64,6 +71,9 @@ type runResult struct {
 	streamWrites  int64
 	peakStaging   int64
 	balancedReads int64
+	// degradedWrites and pgsBackfilled sum the OSDs' self-healing counters.
+	degradedWrites int64
+	pgsBackfilled  int64
 }
 
 func (r runResult) mbps() float64 { return r.bench.ThroughputBps() / 1e6 }
@@ -111,10 +121,8 @@ func runWorkloadCfg(c cell, o Options) (runResult, error) {
 	}
 	cl := NewCluster(cfg)
 	defer cl.Shutdown()
-	if c.inject > 0 {
-		for _, n := range cl.Nodes {
-			n.Bridge.EngUp.FailEvery = c.inject
-		}
+	if c.arm != nil {
+		c.arm(cl, o)
 	}
 	op := c.bench
 	if op.Threads == 0 {
@@ -123,7 +131,9 @@ func runWorkloadCfg(c cell, o Options) (runResult, error) {
 	op.ObjectBytes = c.size
 	op.Duration = o.Duration
 	op.Warmup = o.Warmup
+	start := time.Now()
 	bench, err := RunBench(cl, op)
+	wall := time.Since(start)
 	if err != nil {
 		return runResult{}, err
 	}
@@ -132,6 +142,8 @@ func runWorkloadCfg(c cell, o Options) (runResult, error) {
 		cell:          c,
 		bench:         bench,
 		nodes:         len(cl.Nodes),
+		events:        cl.Env.Events(),
+		wall:          wall,
 		hostUtil:      m.SingleCoreUtilization(),
 		dpuUtil:       cl.DPUCPUMerged().SingleCoreUtilization(),
 		msgrShare:     m.ShareOf(messenger.ThreadCat),
@@ -145,7 +157,10 @@ func runWorkloadCfg(c cell, o Options) (runResult, error) {
 	var engBusy sim.Duration
 	var engNodes int
 	for _, n := range cl.Nodes {
-		r.streamWrites += n.OSD.Stats().StreamWrites
+		ost := n.OSD.Stats()
+		r.streamWrites += ost.StreamWrites
+		r.degradedWrites += ost.DegradedWrites
+		r.pgsBackfilled += ost.PGsBackfilled
 		if n.Bridge == nil {
 			continue
 		}
@@ -273,6 +288,14 @@ func injectEngaged(r runResult) error {
 	return nil
 }
 
+func degradedEngaged(r runResult) error {
+	if r.degradedWrites == 0 || r.pgsBackfilled == 0 {
+		return fmt.Errorf("an OSD was to go down and rejoin but degraded_writes=%d pgs_backfilled=%d",
+			r.degradedWrites, r.pgsBackfilled)
+	}
+	return nil
+}
+
 func queuesEngaged(q int) func(runResult) error {
 	return func(r runResult) error {
 		if r.engQueues != q {
@@ -307,6 +330,26 @@ func allOf(checks ...func(runResult) error) func(runResult) error {
 }
 
 func batchOn(c *ClusterConfig) { c.Bridge.Batch.Enable = true }
+
+// multiQueue is batched DoCeph on q DMA queues, pairing each queue with an
+// OSD op shard and a messenger lane (the QP-per-queue model).
+func multiQueue(q int) func(*ClusterConfig) {
+	return func(c *ClusterConfig) {
+		batchOn(c)
+		c.Bridge.Engine.Queues = q
+		c.OSD.OpShards = q
+		c.Messenger.Lanes = q
+	}
+}
+
+// failEvery makes every upstream DMA engine fail each n-th transfer.
+func failEvery(n int64) func(*Cluster, Options) {
+	return func(cl *Cluster, _ Options) {
+		for _, node := range cl.Nodes {
+			node.Bridge.EngUp.FailEvery = n
+		}
+	}
+}
 
 // column is one table column: a header and how to render it from a row's
 // cells (one cell per row for ablations, one per arm for comparisons).

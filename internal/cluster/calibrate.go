@@ -16,32 +16,27 @@ import "doceph/internal/sim"
 //   - DoCeph 1 MB latency inflated by DMA-wait (~45% of total), shrinking
 //     to ~12% at 16 MB thanks to segment pipelining (Table 3 / Fig. 9).
 //
-// All values are per-layer defaults already (messenger.DefaultConfig etc.);
-// this function only overrides where the testbed differs from the layer
-// defaults. Keeping every constant in one file makes the calibration
-// auditable.
+// Most of the constants that hit these anchors are owned by the layers they
+// describe; this function sets the two below, where the testbed differs:
+//
+//   - messenger.DefaultConfig: kernel TCP path, 1.05 cycles/byte of copy per
+//     direction plus 0.25 of CRC, which at 3.6 GHz (Config.HostFreqGHz)
+//     reproduces the ~0.7-core total at 476 MB/s with 2x replication.
+//   - bluestore.DefaultConfig: 0.18 cycles/byte of checksumming; the PM893's
+//     520 MB/s sequential writes are Config.DiskWriteBps. Together they keep
+//     the ObjectStore share of CPU near the paper's ~10-15%.
+//   - doca.DefaultEngineConfig: 635 MB/s copy rate, 1.6 ms setup for a
+//     request's first <=2 MB segment and 0.4 ms for its pipelined successors,
+//     which match the per-size DMA times of Table 3 to within the shapes the
+//     paper reports.
 func calibrate(cfg Config) Config {
-	// Messenger: kernel TCP path costs. ~1.4 cycles/byte per direction
-	// (copy + checksum) at 3.6 GHz reproduces the ~0.7-core total at
-	// 476 MB/s with 2x replication.
-	// (messenger.DefaultConfig already encodes these; nothing to override.)
-
-	// BlueStore: PM893 sequential writes plus ~0.35 cycles/byte of
-	// checksumming keep the ObjectStore share of CPU near the paper's
-	// ~10-15%.
-	// (bluestore.DefaultConfig already encodes these.)
-
 	// DoCeph host side: the polling thread's idle burn dominates the small
-	// flat host usage. 1200 cycles per 50 us poll ~= 0.7% of one 3.6 GHz
+	// flat host usage. 900 cycles per 50 us poll (core.DefaultHostConfig's
+	// PollInterval; its own PollIdleCycles is 2,500) ~= 0.5% of one 3.6 GHz
 	// core per node.
 	if cfg.Bridge.Host.PollIdleCycles == 0 {
 		cfg.Bridge.Host.PollIdleCycles = 900
 	}
-
-	// DMA engine: ~4 GB/s sustained with 25 us setup per <=2 MB segment
-	// matches the per-size DMA times of Table 3 to within the shapes the
-	// paper reports.
-	// (doca.DefaultEngineConfig already encodes these.)
 
 	// Heartbeats (the paper's coordination traffic) are on by default.
 	if cfg.OSD.HeartbeatInterval == 0 {

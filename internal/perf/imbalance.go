@@ -7,7 +7,6 @@
 package perf
 
 import (
-	"fmt"
 	"sort"
 
 	"doceph/internal/cluster"
@@ -29,11 +28,6 @@ type Imbalance struct {
 	// BalancedReadShare is the fraction of reads served by non-primary
 	// acting-set members (0 with balancing off).
 	BalancedReadShare float64 `json:"balanced_read_share"`
-}
-
-func (im Imbalance) String() string {
-	return fmt.Sprintf("osd max/mean %.2f, pg max/mean %.2f, qd p99:p50 %.2f, hot-read share %.3f, balanced %.3f",
-		im.MaxMeanOSDShare, im.MaxMeanPGShare, im.QueueDepthP99P50, im.HotReadShare, im.BalancedReadShare)
 }
 
 // MaxMeanRatio returns max(xs)/mean(xs), or 0 when the series is empty or

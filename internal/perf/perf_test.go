@@ -2,136 +2,12 @@ package perf
 
 import (
 	"encoding/json"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-
-	"doceph/internal/cluster"
 )
-
-func validScenario() Scenario {
-	return Scenario{Name: "t", Mode: cluster.Baseline, ObjectBytes: 64 << 10,
-		Threads: 2, DurationSec: 1, WarmupSec: 0, Seed: 1}
-}
-
-func TestScenarioValidate(t *testing.T) {
-	if err := validScenario().Validate(); err != nil {
-		t.Fatalf("valid scenario rejected: %v", err)
-	}
-	cases := []struct {
-		name   string
-		mutate func(*Scenario)
-		wants  string
-	}{
-		{"no name", func(sc *Scenario) { sc.Name = "" }, "no name"},
-		{"zero threads", func(sc *Scenario) { sc.Threads = 0 }, "threads"},
-		{"negative threads", func(sc *Scenario) { sc.Threads = -4 }, "threads"},
-		{"zero object bytes", func(sc *Scenario) { sc.ObjectBytes = 0 }, "object_bytes"},
-		{"zero duration", func(sc *Scenario) { sc.DurationSec = 0 }, "duration_sec"},
-		{"negative warmup", func(sc *Scenario) { sc.WarmupSec = -1 }, "warmup_sec"},
-	}
-	for _, tc := range cases {
-		sc := validScenario()
-		tc.mutate(&sc)
-		err := sc.Validate()
-		if err == nil || !strings.Contains(err.Error(), tc.wants) {
-			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.wants)
-		}
-		// RunScenario must refuse too, without spinning up a cluster.
-		if _, err := RunScenario(sc); err == nil {
-			t.Errorf("%s: RunScenario accepted an invalid scenario", tc.name)
-		}
-	}
-}
-
-// TestRunSweepStopsOnError is the regression for the bench gate: a sweep
-// containing a broken scenario must return an error, not a partial report
-// that then gets written to BENCH_sim.json.
-func TestRunSweepStopsOnError(t *testing.T) {
-	bad := validScenario()
-	bad.Threads = 0
-	if _, err := RunSweep([]Scenario{bad, validScenario()}); err == nil {
-		t.Fatal("sweep with a broken scenario returned nil error")
-	}
-}
-
-// TestRunScenarioAccumulates runs one tiny real scenario and checks that
-// every stat field is populated and internally consistent.
-func TestRunScenarioAccumulates(t *testing.T) {
-	m, err := RunScenario(validScenario())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Name != "t" {
-		t.Errorf("name = %q", m.Name)
-	}
-	if m.Ops <= 0 || m.SimEvents == 0 || m.WallNs <= 0 {
-		t.Fatalf("empty measurement: %+v", m)
-	}
-	if m.EventsPerSec <= 0 || m.NsPerOp <= 0 {
-		t.Errorf("rates not derived: %+v", m)
-	}
-	wantNsPerOp := float64(m.WallNs) / float64(m.Ops)
-	if math.Abs(m.NsPerOp-wantNsPerOp) > 1e-9*wantNsPerOp {
-		t.Errorf("ns/op = %v, want %v", m.NsPerOp, wantNsPerOp)
-	}
-}
-
-// TestRunScenarioDegraded pins the self-healing perf shape: runScenario's
-// engagement check errors out unless the crash/rejoin schedule produced
-// degraded writes and real backfill, so a passing run proves the scenario
-// measures the recovery path, not a silently clean one.
-func TestRunScenarioDegraded(t *testing.T) {
-	sc := Scenario{Name: "degraded", Mode: cluster.DoCeph, ObjectBytes: 4 << 10,
-		Threads: 4, DurationSec: 2, WarmupSec: 1, Seed: 1, Degraded: true}
-	m, err := RunScenario(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Ops <= 0 {
-		t.Fatalf("no ops completed under the degraded schedule: %+v", m)
-	}
-}
-
-// TestRunSweepAggregation recomputes the sweep totals from the per-scenario
-// rows to pin the aggregation arithmetic.
-func TestRunSweepAggregation(t *testing.T) {
-	a := validScenario()
-	b := validScenario()
-	b.Name = "t2"
-	b.Mode = cluster.DoCeph
-	rep, err := RunSweepWorkers([]Scenario{a, b}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Scenarios) != 2 {
-		t.Fatalf("got %d rows, want 2", len(rep.Scenarios))
-	}
-	var events uint64
-	var wallNs, ops int64
-	var allocs float64
-	for _, m := range rep.Scenarios {
-		events += m.SimEvents
-		wallNs += m.WallNs
-		ops += m.Ops
-		allocs += m.AllocsPerOp * float64(m.Ops)
-	}
-	approx := func(got, want float64) bool {
-		return math.Abs(got-want) <= 1e-9*math.Abs(want)
-	}
-	if !approx(rep.EventsPerSec, float64(events)/(float64(wallNs)/1e9)) {
-		t.Errorf("events/s = %v", rep.EventsPerSec)
-	}
-	if !approx(rep.NsPerOp, float64(wallNs)/float64(ops)) {
-		t.Errorf("ns/op = %v", rep.NsPerOp)
-	}
-	if !approx(rep.AllocsPerOp, allocs/float64(ops)) {
-		t.Errorf("allocs/op = %v", rep.AllocsPerOp)
-	}
-}
 
 func TestReportJSONRoundTrip(t *testing.T) {
 	rep := Report{
@@ -237,6 +113,41 @@ func TestGuard(t *testing.T) {
 		t.Errorf("disabled alloc ceiling must pass: %v", err)
 	}
 
+	// ops and sim_events are simulated: a fresh row must carry exactly the
+	// recorded pair, and the error names the row and shows both pairs.
+	row := func(name string, ops int64, events uint64) Measurement {
+		return Measurement{Name: name, Ops: ops, SimEvents: events, EventsPerSec: 900, AllocsPerOp: 40}
+	}
+	rec := Report{EventsPerSec: 1000, AllocsPerOp: 50,
+		Scenarios: []Measurement{row("doceph-1M", 924, 111908), row("doceph-4M", 330, 54508)}}
+	if _, err := UpdateFile(path, rec, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := Guard(path, rec, 0.3, 1.1); err != nil {
+		t.Errorf("the recorded run itself rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		moved Measurement
+		pair  string
+	}{
+		{"ops moved", row("doceph-4M", 331, 54508), "331 ops / 54508 events"},
+		{"events moved", row("doceph-4M", 330, 54510), "330 ops / 54510 events"},
+	} {
+		fresh := rec
+		fresh.Scenarios = []Measurement{rec.Scenarios[0], tc.moved}
+		err := Guard(path, fresh, 0.3, 1.1)
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		for _, w := range []string{"simulation moved in doceph-4M", tc.pair, "recorded 330 / 54508"} {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q lacks %q", tc.name, err, w)
+			}
+		}
+	}
+
 	if err := os.WriteFile(path, []byte("{bad"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -266,84 +177,9 @@ func TestUpdateFileRefusesCorruptHistory(t *testing.T) {
 	}
 }
 
-// TestUpdateFileKeepsAllocAttribution: a parallel sweep leaves per-scenario
-// allocs/op zero, and Guard's per-scenario ceiling skips zero records — so
-// a run that would zero a recorded value must be refused, file untouched.
-func TestUpdateFileKeepsAllocAttribution(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	serial := Report{EventsPerSec: 100, AllocsPerOp: 40, Scenarios: []Measurement{
-		{Name: "a", Ops: 10, AllocsPerOp: 30}, {Name: "b", Ops: 10, AllocsPerOp: 50}}}
-	if _, err := UpdateFile(path, serial, false); err != nil {
-		t.Fatal(err)
-	}
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel := Report{EventsPerSec: 120, AllocsPerOp: 40, Scenarios: []Measurement{
-		{Name: "a", Ops: 10}, {Name: "b", Ops: 10}}}
-	if _, err := UpdateFile(path, parallel, false); err == nil || !strings.Contains(err.Error(), "-workers 1") {
-		t.Fatalf("unattributed run overwrote an attributed record: %v", err)
-	}
-	if after, _ := os.ReadFile(path); string(after) != string(before) {
-		t.Error("UpdateFile modified the file despite refusing the run")
-	}
-	// A scenario the record does not know, or knows without attribution,
-	// may come in at zero; an attributed rerun is accepted as ever.
-	extra := Report{EventsPerSec: 120, AllocsPerOp: 35, Scenarios: []Measurement{
-		{Name: "a", Ops: 10, AllocsPerOp: 20}, {Name: "b", Ops: 10, AllocsPerOp: 50}, {Name: "new", Ops: 10}}}
-	if _, err := UpdateFile(path, extra, false); err != nil {
-		t.Fatalf("attributed rerun refused: %v", err)
-	}
-}
-
-// TestRunSweepParallelMatchesSerial pins the parallel runner's contract:
-// simulated results (ops, kernel events) are bit-identical to a serial run
-// — each scenario is an isolated simulation — and rows come back in sweep
-// order. Per-scenario allocation attribution is a serial-only feature; the
-// parallel sweep must leave those fields zero and still fill the aggregate.
-func TestRunSweepParallelMatchesSerial(t *testing.T) {
-	a := validScenario()
-	b := validScenario()
-	b.Name = "t-mq"
-	b.Mode = cluster.DoCeph
-	b.DMAQueues = 2
-	b.OpShards = 2
-	b.MsgrLanes = 2
-	b.Batch = true
-	sweep := []Scenario{a, b}
-	serial, err := RunSweepWorkers(sweep, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunSweepWorkers(sweep, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par.Scenarios) != 2 || par.Scenarios[0].Name != "t" || par.Scenarios[1].Name != "t-mq" {
-		t.Fatalf("parallel rows out of order: %+v", par.Scenarios)
-	}
-	for i := range sweep {
-		s, p := serial.Scenarios[i], par.Scenarios[i]
-		if s.Ops != p.Ops || s.SimEvents != p.SimEvents {
-			t.Errorf("%s: simulated results changed under parallelism: ops %d/%d events %d/%d",
-				s.Name, s.Ops, p.Ops, s.SimEvents, p.SimEvents)
-		}
-		if p.AllocsPerOp != 0 || p.BytesPerOp != 0 {
-			t.Errorf("%s: parallel sweep attributed per-scenario allocations: %+v", p.Name, p)
-		}
-		if s.AllocsPerOp <= 0 {
-			t.Errorf("%s: serial sweep did not attribute allocations", s.Name)
-		}
-	}
-	if par.AllocsPerOp <= 0 {
-		t.Errorf("parallel aggregate allocs/op not measured: %+v", par)
-	}
-}
-
 // TestGuardPerScenario: a collapse confined to one scenario must fail the
-// guard even when the aggregate stays healthy, and unmeasured (zero)
-// alloc fields must be skipped rather than compared.
+// guard even when the aggregate stays healthy, and so must a row that exists
+// on one side only.
 func TestGuardPerScenario(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
 	rec := Report{
@@ -384,13 +220,41 @@ func TestGuardPerScenario(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "mq") {
 		t.Errorf("per-scenario alloc blow-up accepted: %v", err)
 	}
-	// Zero on either side (parallel sweep, unknown scenario): skipped.
-	unmeasured := healthy
-	unmeasured.Scenarios = []Measurement{
-		{Name: "big", EventsPerSec: 850},
-		{Name: "new-scenario", EventsPerSec: 1, AllocsPerOp: 999},
-	}
-	if err := Guard(path, unmeasured, 0.3, 2); err != nil {
-		t.Errorf("unmeasured fields compared: %v", err)
+	// The fresh run and the record are the same sweep: a row on one side
+	// only — renamed, added or dropped — has no floor to be held to, and a
+	// row whose simulated counts moved is not the recorded run any more.
+	// Each is an error that names the row.
+	for _, tc := range []struct {
+		name  string
+		rows  []Measurement
+		wants []string
+	}{
+		{"renamed row", []Measurement{
+			{Name: "big", EventsPerSec: 850, AllocsPerOp: 45},
+			{Name: "mq-renamed", EventsPerSec: 700, AllocsPerOp: 65}}, []string{"mq-renamed", "not in the record"}},
+		{"added row", append(append([]Measurement{}, healthy.Scenarios...),
+			Measurement{Name: "new-scenario", EventsPerSec: 1}), []string{"new-scenario", "not in the record"}},
+		{"dropped row", healthy.Scenarios[:1], []string{"mq", "was not run"}},
+		{"unmeasured allocs are zero, not skipped", []Measurement{
+			{Name: "big", EventsPerSec: 850},
+			{Name: "mq", EventsPerSec: 700, AllocsPerOp: 65}}, nil},
+		{"unmeasured events/s is a collapse", []Measurement{
+			{Name: "big", AllocsPerOp: 45},
+			{Name: "mq", EventsPerSec: 700, AllocsPerOp: 65}}, []string{"perf regression in big"}},
+	} {
+		rep := healthy
+		rep.Scenarios = tc.rows
+		err := Guard(path, rep, 0.3, 2)
+		if tc.wants == nil {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		for _, w := range tc.wants {
+			if err == nil || !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: err = %v, want containing %q", tc.name, err, w)
+			}
+		}
 	}
 }

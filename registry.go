@@ -2,6 +2,7 @@ package doceph
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"doceph/internal/report"
@@ -26,6 +27,20 @@ type Options struct {
 	// TraceOut, when set, makes the trace experiment write Chrome trace_event
 	// JSON to <TraceOut>-baseline.json and <TraceOut>-doceph.json.
 	TraceOut string
+}
+
+// ParseWorkers parses the -sim-workers syntax both commands share: a
+// comma-separated list of positive kernel worker counts for Options.Workers.
+func ParseWorkers(list string) ([]int, error) {
+	var workers []int
+	for _, part := range strings.Split(list, ",") {
+		w, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || w <= 0 {
+			return nil, fmt.Errorf("bad -sim-workers entry %q (want positive integers, e.g. 1,2,8)", part)
+		}
+		workers = append(workers, w)
+	}
+	return workers, nil
 }
 
 // or fills o's zero fields from d.

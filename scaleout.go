@@ -10,6 +10,7 @@ import (
 	"doceph/internal/perf"
 	"doceph/internal/radosbench"
 	"doceph/internal/report"
+	"doceph/internal/sim"
 )
 
 // The scale-out experiments run multi-rack clusters on the conservative
@@ -21,7 +22,10 @@ import (
 type sweepRun struct {
 	workers int
 	res     cluster.ScaleOutResult
-	wall    time.Duration
+	imb     perf.Imbalance
+	// cost is the run on the host clock: wall time of the simulation proper,
+	// events/s, and allocations per op over assembly, run and teardown.
+	cost perf.Measurement
 	// efficiency and switches are the kernel's own account of the run: the
 	// share of workers x wall its workers spent inside partition windows, and
 	// coroutine switches per event fired (2 when every event resumes a parked
@@ -29,7 +33,7 @@ type sweepRun struct {
 	efficiency, switches float64
 }
 
-func (r sweepRun) wallMs() string { return fmt.Sprintf("%.1f", float64(r.wall.Nanoseconds())/1e6) }
+func (r sweepRun) wallMs() string { return fmt.Sprintf("%.1f", float64(r.cost.WallNs)/1e6) }
 
 func (r sweepRun) mbps(window Duration) float64 {
 	return float64(r.res.TotalBytes) / 1e6 / window.Seconds()
@@ -38,17 +42,25 @@ func (r sweepRun) mbps(window Duration) float64 {
 // sweepWorkers runs cfg once per kernel worker count and fails unless the
 // full result — every counter and, when collected, every imbalance array and
 // queue-depth sample — marshals to the same bytes at each count. A drift is
-// an error, not a table footnote; only the wall clock may move.
+// an error, not a table footnote; only the wall clock may move. A run the
+// configuration's knobs did not reach is an error too: it would measure
+// independent serial racks, or the legacy stride, under a scale-out name.
 func sweepWorkers(cfg cluster.ScaleOutConfig, workers []int) ([]sweepRun, error) {
 	var out []sweepRun
 	var first []byte
 	for _, w := range workers {
-		so := cluster.NewScaleOut(cfg)
-		start := time.Now()
-		res, err := so.Run(w)
-		wall := time.Since(start)
-		st := so.Group.Stats()
-		so.Shutdown()
+		var res cluster.ScaleOutResult
+		var st sim.GroupStats
+		cost, err := perf.Measure(func() (perf.Measurement, error) {
+			so := cluster.NewScaleOut(cfg)
+			defer so.Shutdown()
+			start := time.Now()
+			var err error
+			res, err = so.Run(w)
+			wall := time.Since(start)
+			st = so.Group.Stats()
+			return perf.Measurement{Ops: res.TotalOps, SimEvents: res.Events, GroupWindows: res.Windows, WallNs: wall.Nanoseconds()}, err
+		})
 		if err != nil {
 			return nil, fmt.Errorf("workers=%d: %w", w, err)
 		}
@@ -62,18 +74,46 @@ func sweepWorkers(cfg cluster.ScaleOutConfig, workers []int) ([]sweepRun, error)
 			return nil, fmt.Errorf("determinism violation: workers=%d result differs from workers=%d",
 				w, workers[0])
 		}
-		out = append(out, sweepRun{w, res, wall, st.Efficiency(),
+		// The imbalance arrays are the evidence: without CollectImbalance the
+		// workload knobs go unchecked.
+		imb := perf.ComputeImbalance(res)
+		switch {
+		case res.Delivered == 0:
+			return nil, fmt.Errorf("not engaged: no cross-partition messages delivered")
+		case cfg.CollectImbalance && imb.MaxMeanOSDShare == 0:
+			return nil, fmt.Errorf("not engaged: no per-OSD ops collected")
+		case cfg.CollectImbalance && cfg.BalanceReads && imb.BalancedReadShare == 0:
+			return nil, fmt.Errorf("not engaged: balance-reads on but no read went to a secondary")
+		}
+		out = append(out, sweepRun{w, res, imb, cost, st.Efficiency(),
 			float64(st.Kernel.Switches) / float64(st.Kernel.Events)})
 	}
 	return out, nil
 }
 
-// runScaleOut is the 32-OSD scenario (8 racks x 4 OSDs, 4 write clients per
-// rack), once per worker count, comparing wall-clock event throughput.
+// scaleOut32 is the 32-OSD scenario: the assembly's defaults (8 racks x 4
+// OSDs, 4 clients per rack writing 256 KiB objects).
+func scaleOut32(o Options) cluster.ScaleOutConfig {
+	return cluster.ScaleOutConfig{Mode: DoCeph, Seed: o.Seed, Duration: o.Duration, Warmup: o.Warmup}
+}
+
+// scaleOut128 is the 128-OSD scenario: 16 racks x 8 OSDs, 2 clients per rack,
+// 64 KiB ops, 70% reads drawn from a catalog under the given popularity.
+func scaleOut128(o Options, kind radosbench.PopKind, balance bool) cluster.ScaleOutConfig {
+	return cluster.ScaleOutConfig{
+		Pods: 16, OSDsPerPod: 8, Mode: DoCeph, Seed: o.Seed,
+		Threads: 2, ObjectBytes: 64 << 10, ReadPercent: 70,
+		Duration: o.Duration, Warmup: o.Warmup,
+		Popularity:       radosbench.Popularity{Kind: kind},
+		BalanceReads:     balance,
+		CollectImbalance: true,
+	}
+}
+
+// runScaleOut is the 32-OSD scenario, once per worker count, comparing
+// wall-clock event throughput.
 func runScaleOut(o Options) ([]*report.Table, error) {
-	runs, err := sweepWorkers(cluster.ScaleOutConfig{
-		Mode: DoCeph, Seed: o.Seed, Duration: o.Duration, Warmup: o.Warmup,
-	}, o.Workers)
+	runs, err := sweepWorkers(scaleOut32(o), o.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -86,20 +126,18 @@ func runScaleOut(o Options) ([]*report.Table, error) {
 			"wall-clock speedup is bounded by physical cores; see DESIGN.md on the partitioned kernel",
 		},
 	}
-	eventsPerSec := func(r sweepRun) float64 { return float64(r.res.Events) / r.wall.Seconds() }
 	for _, r := range runs {
 		t.AddRow(fmt.Sprint(r.workers), fmt.Sprint(r.res.TotalOps), report.F2(r.mbps(o.Duration)),
 			fmt.Sprint(r.res.Epochs), fmt.Sprint(r.res.Delivered),
-			r.wallMs(), report.F2(r.efficiency), fmt.Sprint(r.res.Rounds), fmt.Sprintf("%.0f", eventsPerSec(r)),
-			report.F2(eventsPerSec(r)/eventsPerSec(runs[0])))
+			r.wallMs(), report.F2(r.efficiency), fmt.Sprint(r.res.Rounds), fmt.Sprintf("%.0f", r.cost.EventsPerSec),
+			report.F2(r.cost.EventsPerSec/runs[0].cost.EventsPerSec))
 	}
 	return []*report.Table{t}, nil
 }
 
-// runScaleOut128 is the 128-OSD scenario (16 racks x 8 OSDs, 64 KiB ops, 70%
-// reads, 2 clients per rack): uniform vs Zipf vs hotspot popularity with
-// balance-reads off and on, at the first worker count; the Zipf+balance arm
-// is the one re-run at every further worker count.
+// runScaleOut128 is the 128-OSD scenario: uniform vs Zipf vs hotspot
+// popularity with balance-reads off and on, at the first worker count; the
+// Zipf+balance arm is the one re-run at every further worker count.
 func runScaleOut128(o Options) ([]*report.Table, error) {
 	t := &report.Table{
 		Title: "Extension: 128-OSD multi-rack CRUSH cluster, popularity x balance-reads",
@@ -120,23 +158,15 @@ func runScaleOut128(o Options) ([]*report.Table, error) {
 					workers = o.Workers
 				}
 			}
-			runs, err := sweepWorkers(cluster.ScaleOutConfig{
-				Pods: 16, OSDsPerPod: 8, Mode: DoCeph, Seed: o.Seed,
-				Threads: 2, ObjectBytes: 64 << 10, ReadPercent: 70,
-				Duration: o.Duration, Warmup: o.Warmup,
-				Popularity:       radosbench.Popularity{Kind: kind},
-				BalanceReads:     balance,
-				CollectImbalance: true,
-			}, workers)
+			runs, err := sweepWorkers(scaleOut128(o, kind, balance), workers)
 			if err != nil {
 				return nil, fmt.Errorf("%s balance=%v: %w", kind, balance, err)
 			}
 			for i, r := range runs {
-				imb := perf.ComputeImbalance(r.res)
 				row := []string{kind.String(), onOff, fmt.Sprint(r.workers), fmt.Sprint(r.res.TotalOps),
-					report.F2(r.mbps(o.Duration)), report.F2(imb.MaxMeanOSDShare), report.F2(imb.MaxMeanPGShare),
-					report.F2(imb.QueueDepthP99P50), fmt.Sprintf("%.3f", imb.HotReadShare),
-					fmt.Sprintf("%.3f", imb.BalancedReadShare), r.wallMs(), report.F2(r.efficiency), report.F2(r.switches)}
+					report.F2(r.mbps(o.Duration)), report.F2(r.imb.MaxMeanOSDShare), report.F2(r.imb.MaxMeanPGShare),
+					report.F2(r.imb.QueueDepthP99P50), fmt.Sprintf("%.3f", r.imb.HotReadShare),
+					fmt.Sprintf("%.3f", r.imb.BalancedReadShare), r.wallMs(), report.F2(r.efficiency), report.F2(r.switches)}
 				if i == 0 {
 					t.AddRow(row...)
 				} else {

@@ -11,7 +11,10 @@
 # and again when the streaming data plane landed (cephmsg 85.1%, messenger
 # 82.0%, osd 76.2%), and again when the OSD's write handlers and the proxy's
 # segment cutters were collapsed to one each (osd 81.7%, core 86.5%: delete
-# and omap ops now ride the code the write tests cover);
+# and omap ops now ride the code the write tests cover), and again when the
+# simulator-throughput sweep moved onto the experiments' runner (perf 94.6%,
+# from 87.5%: the denominator shrank from 954 to 430 lines — what is left is
+# the record, its guards and the imbalance figures — and the floor rose);
 # each is set ~5 points below to absorb small refactors. Raise floors when
 # coverage improves, never lower them to make a PR pass.
 set -eu
@@ -43,7 +46,7 @@ gate ./internal/osd 76.7
 gate ./internal/faultinject 58
 gate ./internal/messenger 75
 gate ./internal/sim 83
-gate ./internal/perf 85
+gate ./internal/perf 89.5
 gate ./internal/rbd 84
 gate ./internal/striper 80
 gate ./internal/radosbench 73
