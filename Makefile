@@ -1,8 +1,8 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all build test test-race race smoke bench bench-smoke cover loc microbench results quick examples vet fmt trace
+.PHONY: all build test test-race race smoke bench bench-smoke cover loc knobs microbench results quick examples vet fmt trace
 
-all: build vet test test-race smoke bench-smoke cover
+all: build vet test test-race smoke bench-smoke cover knobs
 
 build:
 	go build ./...
@@ -73,6 +73,11 @@ cover:
 # the parent> gives the "before").
 loc:
 	./scripts/loc.sh
+
+# Fields of every `type …Config struct` per package and in total, against
+# the ceiling recorded in scripts/knobs.sh: the count only goes down.
+knobs:
+	./scripts/knobs.sh
 
 # Traced benchmark: per-stage CPU/latency tables for both deployments plus
 # Chrome trace_event JSON for chrome://tracing or ui.perfetto.dev.

@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"sort"
 
 	"doceph"
@@ -27,6 +28,20 @@ func main() {
 	op := flag.String("op", "write", "workload: write or read")
 	perSecond := flag.Bool("persec", false, "print the per-second series")
 	flag.Parse()
+	// Flag values no cluster can be built from are usage errors (exit 2).
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"nodes", *nodes}, {"replicas", *replicas}, {"size", *sizeMB}, {"threads", *threads}, {"seconds", *seconds}} {
+		if f.v < 1 {
+			fmt.Fprintf(os.Stderr, "docephd: -%s must be at least 1 (got %d)\n", f.name, f.v)
+			os.Exit(2)
+		}
+	}
+	if *replicas > *nodes {
+		fmt.Fprintf(os.Stderr, "docephd: -replicas %d exceeds -nodes %d: one OSD per node holds one copy\n", *replicas, *nodes)
+		os.Exit(2)
+	}
 
 	m := doceph.Baseline
 	if *mode == "doceph" {
@@ -62,7 +77,7 @@ func main() {
 	}
 
 	fmt.Printf("cluster: %s | %d nodes x %d replicas | %.0f Gbps | seed %d\n",
-		*mode, *nodes, *replicas, *link, *seed)
+		*mode, cl.Config().StorageNodes, cl.Config().Replicas, *link, cl.Config().Seed)
 	fmt.Println(res)
 	fmt.Printf("latency: min %.4fs  p50 %.4fs  p99 %.4fs  max %.4fs\n",
 		res.MinLatency.Seconds(), res.P50.Seconds(),

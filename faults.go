@@ -5,9 +5,9 @@ import (
 
 	"doceph/internal/dpu"
 	"doceph/internal/faultinject"
+	"doceph/internal/radosbench"
 	"doceph/internal/report"
 	"doceph/internal/sim"
-	"doceph/internal/wire"
 )
 
 // Fault experiments: both deployments run the same closed-loop write/verify
@@ -259,11 +259,8 @@ func runFaulted(kind string, cfg ClusterConfig, plan FaultPlan, o Options,
 		return res, fmt.Errorf("fault plan rejected: %w", err)
 	}
 
-	payload := make([]byte, o.ObjectBytes)
-	for i := range payload {
-		payload[i] = byte(i * 2654435761)
-	}
-	wantCRC := wire.FromBytes(payload).CRC32C()
+	payload := radosbench.Payload(o.ObjectBytes)
+	wantCRC := payload.CRC32C()
 
 	var (
 		stopped  bool
@@ -301,7 +298,7 @@ func runFaulted(kind string, cfg ClusterConfig, plan FaultPlan, o Options,
 			for i := 0; !stopped; i++ {
 				obj := fmt.Sprintf("%s_w%d_%d", kind, worker, i)
 				res.Ops++
-				if err := cl.Client.Write(p, obj, wire.FromBytes(payload)); err != nil {
+				if err := cl.Client.Write(p, obj, payload); err != nil {
 					// Typed error within the op deadline — the op did not
 					// hang, the workload carries on.
 					res.Errors++

@@ -43,42 +43,39 @@ type Config struct {
 	// KVBatchMax bounds how many transactions one kv-sync cycle commits.
 	KVBatchMax int
 
-	// PrepCyclesPerOp is charged on the submitting thread per transaction op.
-	PrepCyclesPerOp int64
 	// CsumCyclesPerByte is charged on bstore_aio per data byte (checksum +
 	// memcpy into device buffers).
 	CsumCyclesPerByte float64
-	// KVCommitCycles is charged on bstore_kv per sync cycle.
-	KVCommitCycles int64
-	// KVApplyCyclesPerOp is charged on bstore_kv per committed op.
-	KVApplyCyclesPerOp int64
-	// ReadCyclesPerByte is charged on the reading thread per byte.
-	ReadCyclesPerByte float64
-	// ReadCyclesPerOp is charged on the reading thread per read/stat call.
-	ReadCyclesPerOp int64
-	// SwitchesPerKVSync is the voluntary context-switch count recorded per
-	// kv-sync cycle (flush/fdatasync wakeups).
-	SwitchesPerKVSync int64
-	// SwitchesPerAIO is the voluntary context-switch count recorded per
-	// aio completion.
-	SwitchesPerAIO int64
 }
+
+// The rest of the CPU cost model: values no experiment varies.
+const (
+	// prepCyclesPerOp is charged on the submitting thread per transaction op.
+	prepCyclesPerOp int64 = 12_000
+	// kvCommitCycles is charged on bstore_kv per sync cycle.
+	kvCommitCycles int64 = 40_000
+	// kvApplyCyclesPerOp is charged on bstore_kv per committed op.
+	kvApplyCyclesPerOp int64 = 6_000
+	// readCyclesPerByte is charged on the reading thread per byte.
+	readCyclesPerByte float64 = 0.25
+	// readCyclesPerOp is charged on the reading thread per read/stat call.
+	readCyclesPerOp int64 = 8_000
+	// switchesPerKVSync is the voluntary context-switch count recorded per
+	// kv-sync cycle (flush/fdatasync wakeups).
+	switchesPerKVSync int64 = 2
+	// switchesPerAIO is the voluntary context-switch count recorded per
+	// aio completion.
+	switchesPerAIO int64 = 1
+)
 
 // DefaultConfig returns the engine defaults used by the experiments.
 func DefaultConfig() Config {
 	return Config{
-		DeviceBytes:        2 << 40, // 2 TiB
-		MinAllocSize:       64 << 10,
-		DeferredThreshold:  64 << 10,
-		KVBatchMax:         16,
-		PrepCyclesPerOp:    12_000,
-		CsumCyclesPerByte:  0.18,
-		KVCommitCycles:     40_000,
-		KVApplyCyclesPerOp: 6_000,
-		ReadCyclesPerByte:  0.25,
-		ReadCyclesPerOp:    8_000,
-		SwitchesPerKVSync:  2,
-		SwitchesPerAIO:     1,
+		DeviceBytes:       2 << 40, // 2 TiB
+		MinAllocSize:      64 << 10,
+		DeferredThreshold: 64 << 10,
+		KVBatchMax:        16,
+		CsumCyclesPerByte: 0.18,
 	}
 }
 
@@ -96,29 +93,8 @@ func (c Config) withDefaults() Config {
 	if c.KVBatchMax == 0 {
 		c.KVBatchMax = d.KVBatchMax
 	}
-	if c.PrepCyclesPerOp == 0 {
-		c.PrepCyclesPerOp = d.PrepCyclesPerOp
-	}
 	if c.CsumCyclesPerByte == 0 {
 		c.CsumCyclesPerByte = d.CsumCyclesPerByte
-	}
-	if c.KVCommitCycles == 0 {
-		c.KVCommitCycles = d.KVCommitCycles
-	}
-	if c.KVApplyCyclesPerOp == 0 {
-		c.KVApplyCyclesPerOp = d.KVApplyCyclesPerOp
-	}
-	if c.ReadCyclesPerByte == 0 {
-		c.ReadCyclesPerByte = d.ReadCyclesPerByte
-	}
-	if c.ReadCyclesPerOp == 0 {
-		c.ReadCyclesPerOp = d.ReadCyclesPerOp
-	}
-	if c.SwitchesPerKVSync == 0 {
-		c.SwitchesPerKVSync = d.SwitchesPerKVSync
-	}
-	if c.SwitchesPerAIO == 0 {
-		c.SwitchesPerAIO = d.SwitchesPerAIO
 	}
 	return c
 }
@@ -250,7 +226,7 @@ func (s *Store) FreeBytes() int64 { return s.alloc.free() }
 // server in DoCeph); data and metadata persistence proceed asynchronously on
 // the bstore threads.
 func (s *Store) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objstore.Result {
-	prep := s.cpu.ExecSelf(p, s.cfg.PrepCyclesPerOp*int64(len(txn.Ops)))
+	prep := s.cpu.ExecSelf(p, prepCyclesPerOp*int64(len(txn.Ops)))
 	s.stats.Transactions++
 	s.stats.Ops += int64(len(txn.Ops))
 	t := &txc{txn: txn}
@@ -297,7 +273,7 @@ func (s *Store) aioLoop(p *sim.Proc) {
 			s.tr.AddCPU(t.span, s.cpu.Name(), s.cpu.Exec(p, s.thAIO, csum))
 			svc := s.disk.Write(p, directBytes)
 			t.res.ServiceTime += svc + s.cpu.CyclesToDuration(csum)
-			s.cpu.NoteSwitches(s.thAIO, s.cfg.SwitchesPerAIO)
+			s.cpu.NoteSwitches(s.thAIO, switchesPerAIO)
 			s.stats.BytesWritten += directBytes
 			s.tr.AddBytes(t.span, directBytes)
 		}
@@ -343,7 +319,7 @@ func (s *Store) kvLoop(p *sim.Proc) {
 			walBytes += tWal
 			s.tr.AddBytes(t.span, tWal)
 		}
-		kvCycles := s.cfg.KVCommitCycles + s.cfg.KVApplyCyclesPerOp*ops
+		kvCycles := kvCommitCycles + kvApplyCyclesPerOp*ops
 		kvBusy := s.cpu.Exec(p, s.thKV, kvCycles)
 		// Each transaction in the batch is attributed an equal share of the
 		// sync cycle's CPU (the remainder of the integer split stays
@@ -364,7 +340,7 @@ func (s *Store) kvLoop(p *sim.Proc) {
 		for _, t := range batch {
 			t.res.ServiceTime += kvShare
 		}
-		s.cpu.NoteSwitches(s.thKV, s.cfg.SwitchesPerKVSync)
+		s.cpu.NoteSwitches(s.thKV, switchesPerKVSync)
 		s.stats.KVSyncCycles++
 		s.stats.BytesWritten += walBytes
 		for _, t := range batch {
@@ -631,7 +607,7 @@ func (s *Store) Read(p *sim.Proc, coll, obj string, off, length uint64) (*wire.B
 	if length == 0 || off+length > o.size {
 		length = o.size - off
 	}
-	s.cpu.ExecSelf(p, int64(float64(length)*s.cfg.ReadCyclesPerByte))
+	s.cpu.ExecSelf(p, int64(float64(length)*readCyclesPerByte))
 	s.disk.Read(p, int64(length))
 	s.stats.BytesRead += int64(length)
 	return o.readRange(off, length), nil
@@ -654,7 +630,7 @@ func (s *Store) Exists(p *sim.Proc, coll, obj string) bool {
 
 // List implements objstore.Store.
 func (s *Store) List(p *sim.Proc, coll string) ([]string, error) {
-	s.cpu.ExecSelf(p, s.cfg.ReadCyclesPerOp)
+	s.cpu.ExecSelf(p, readCyclesPerOp)
 	c, ok := s.colls[coll]
 	if !ok {
 		return nil, objstore.ErrNoCollection
@@ -668,7 +644,7 @@ func (s *Store) List(p *sim.Proc, coll string) ([]string, error) {
 }
 
 func (s *Store) lookup(p *sim.Proc, coll, obj string) (*onode, error) {
-	s.cpu.ExecSelf(p, s.cfg.ReadCyclesPerOp)
+	s.cpu.ExecSelf(p, readCyclesPerOp)
 	c, ok := s.colls[coll]
 	if !ok {
 		return nil, objstore.ErrNoCollection

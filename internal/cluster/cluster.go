@@ -171,9 +171,32 @@ type Cluster struct {
 	cfg Config
 }
 
-// New assembles a cluster per cfg.
+// validate panics on a defaulted configuration no cluster can be built
+// from, naming the field and the values that clash.
+func (c Config) validate() {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"StorageNodes", c.StorageNodes}, {"Replicas", c.Replicas}, {"MinSize", c.MinSize}} {
+		if f.v < 0 {
+			panic(fmt.Sprintf("cluster: %s must not be negative (%d)", f.name, f.v))
+		}
+	}
+	if c.Replicas > c.StorageNodes {
+		panic(fmt.Sprintf("cluster: Replicas (%d) exceeds StorageNodes (%d): one OSD per node holds one copy",
+			c.Replicas, c.StorageNodes))
+	}
+	if c.MinSize > c.Replicas {
+		panic(fmt.Sprintf("cluster: MinSize (%d) exceeds Replicas (%d): no write could reach quorum",
+			c.MinSize, c.Replicas))
+	}
+}
+
+// New assembles a cluster per cfg; a configuration that cannot be built
+// panics (see validate).
 func New(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
+	cfg.validate()
 	cfg = calibrate(cfg)
 	env := sim.NewEnv(cfg.Seed)
 	fabric := sim.NewFabric(env, "eth", cfg.LinkLatency)

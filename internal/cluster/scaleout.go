@@ -76,8 +76,6 @@ type ScaleOutConfig struct {
 	Mode Mode
 	// Seed seeds the coordinator; rack r derives seed Seed + (r+1)<<32.
 	Seed int64
-	// Replicas is the rack-local replication factor (default 2).
-	Replicas int
 	// PGs per rack pool (default 64; racks are independent pools).
 	PGs uint32
 
@@ -112,11 +110,6 @@ type ScaleOutConfig struct {
 	// Popularity.Objects sizes the global catalog (default 8 x total OSDs).
 	// PopNone (the default) keeps the historical workload and event stream.
 	Popularity radosbench.Popularity
-	// GlobalPGs is the PG count of the global homing map (default 2 x total
-	// OSDs); GlobalReplicas its replica count (default min(3, Pods)). They
-	// shape catalog homing only — rack pools keep their own PGs/Replicas.
-	GlobalPGs      uint32
-	GlobalReplicas int
 	// BalanceReads flags reads CEPH_OSD_FLAG_BALANCE_READS so any rack-local
 	// acting-set member may serve them, flattening hot primaries.
 	BalanceReads bool
@@ -136,9 +129,6 @@ func (c ScaleOutConfig) withDefaults() ScaleOutConfig {
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
-	}
-	if c.Replicas == 0 {
-		c.Replicas = 2
 	}
 	if c.PGs == 0 {
 		c.PGs = 64
@@ -166,25 +156,19 @@ func (c ScaleOutConfig) withDefaults() ScaleOutConfig {
 		if c.Popularity.Objects == 0 {
 			c.Popularity.Objects = 8 * c.Pods * c.OSDsPerPod
 		}
-		if c.GlobalPGs == 0 {
-			c.GlobalPGs = 2 * uint32(c.Pods*c.OSDsPerPod)
-		}
-		if c.GlobalReplicas == 0 {
-			c.GlobalReplicas = 3
-			if c.Pods < 3 {
-				c.GlobalReplicas = c.Pods
-			}
-		}
 	}
 	return c
 }
+
+// rackReplicas is the rack-local replication factor.
+const rackReplicas = 2
 
 // rackConfig is the per-rack cluster configuration.
 func (c ScaleOutConfig) rackConfig(pod int) Config {
 	return Config{
 		Mode:         c.Mode,
 		StorageNodes: c.OSDsPerPod,
-		Replicas:     c.Replicas,
+		Replicas:     rackReplicas,
 		PGs:          c.PGs,
 		Seed:         c.Seed + int64(pod+1)<<32,
 		Client:       rados.Config{BalanceReads: c.BalanceReads},
@@ -195,10 +179,12 @@ func (c ScaleOutConfig) rackConfig(pod int) Config {
 // rack-aware CRUSH hierarchy: object name → global PG → primary OSD → rack
 // (device ids are rack-major, so rack = id / OSDsPerPod). Catalog index is
 // popularity rank (object 0 hottest); each rack's slice preserves global
-// rank order, so rack-local draws keep the configured skew shape.
+// rank order, so rack-local draws keep the configured skew shape. The
+// homing map has 2 x total OSDs PGs and min(3, Pods) replicas; both shape
+// catalog homing only — rack pools keep their own PGs and replication.
 func (c ScaleOutConfig) buildCatalogs() [][]string {
 	gm := osdmap.New(crush.BuildRacks(c.Pods, c.OSDsPerPod, 1, 1.0),
-		c.GlobalPGs, c.GlobalReplicas)
+		2*uint32(c.Pods*c.OSDsPerPod), min(3, c.Pods))
 	cats := make([][]string, c.Pods)
 	for i := 0; i < c.Popularity.Objects; i++ {
 		name := fmt.Sprintf("so_obj_%d", i)
@@ -216,17 +202,6 @@ func (c ScaleOutConfig) buildCatalogs() [][]string {
 		}
 	}
 	return cats
-}
-
-// benchPayload builds the immutable workload payload: the same pure
-// byte-index fill pattern radosbench uses (kept in sync so stored content
-// matches across harnesses), shared read-only by every rack's clients.
-func benchPayload(size int64) *wire.Bufferlist {
-	b := wire.GetBuffer(int(size))[:size]
-	for i := range b {
-		b[i] = byte(i * 2654435761)
-	}
-	return wire.FromBytes(b)
 }
 
 // Beacon is the rack agent's periodic report to the root monitor.
@@ -380,7 +355,7 @@ func NewScaleOut(cfg ScaleOutConfig) *ScaleOut {
 
 	deadline := sim.Time(0).Add(cfg.Warmup + cfg.Duration)
 	measureStart := sim.Time(0).Add(cfg.Warmup)
-	payload := benchPayload(cfg.ObjectBytes)
+	payload := radosbench.Payload(cfg.ObjectBytes)
 	nPrepop := cfg.Threads * 4
 	// Catalog-driven mode: home the global catalog to racks through the
 	// rack-aware CRUSH map and give each rack a generator over its share.

@@ -2,10 +2,14 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"doceph/internal/crush"
+	"doceph/internal/osdmap"
+	"doceph/internal/radosbench"
 	"doceph/internal/sim"
 )
 
@@ -154,5 +158,30 @@ func TestCrossRackLookaheadIsPositiveAndModelDerived(t *testing.T) {
 	so := ScaleOutConfig{}.withDefaults()
 	if so.CrossRackLatency != CrossRackLookahead(so.rackConfig(0)) {
 		t.Fatalf("default cross-rack latency %v != derived lookahead", so.CrossRackLatency)
+	}
+	// So are the two values that stopped being fields: the catalog is homed
+	// through a map of 2 x total OSDs PGs and min(3, Pods) replicas.
+	for _, pods := range []int{2, 16} {
+		so := ScaleOutConfig{Pods: pods, OSDsPerPod: 2,
+			Popularity: radosbench.Popularity{Kind: radosbench.PopZipf}}.withDefaults()
+		home := func(pgs uint32, replicas int) [][]string {
+			gm := osdmap.New(crush.BuildRacks(pods, 2, 1, 1.0), pgs, replicas)
+			cats := make([][]string, pods)
+			for i := 0; i < so.Popularity.Objects; i++ {
+				name := fmt.Sprintf("so_obj_%d", i)
+				rack := int(gm.Primary(gm.PGForObject(name))) / 2
+				cats[rack] = append(cats[rack], name)
+			}
+			return cats
+		}
+		got := so.buildCatalogs()
+		if want := home(uint32(2*pods*2), min(3, pods)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d pods: catalogs not homed by 2 x OSDs PGs and min(3, pods) replicas:\n%v\n%v", pods, got, want)
+		}
+		// A primary is the first pick whatever the replica count, so only
+		// the PG count has a counter-example.
+		if reflect.DeepEqual(got, home(uint32(3*pods*2), min(3, pods))) {
+			t.Fatalf("%d pods: homing does not depend on the PG count", pods)
+		}
 	}
 }

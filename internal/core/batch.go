@@ -32,8 +32,6 @@ type BatchConfig struct {
 	// larger than this bypass the batcher and use the segmented per-op
 	// path (clamped to MaxBatchBytes).
 	MaxOpBytes int64
-	// MaxOps caps the number of ops coalesced into one frame.
-	MaxOps int
 	// MaxDelay bounds how long the oldest queued op may wait before the
 	// batch is force-flushed (virtual-time timer).
 	MaxDelay sim.Duration
@@ -41,9 +39,6 @@ type BatchConfig struct {
 	// queue is considered idle and flushes immediately rather than holding
 	// ops for stragglers.
 	IdleDelay sim.Duration
-	// NotifyMax caps commit notifications coalesced into one host->DPU
-	// opTxnDoneBatch RPC.
-	NotifyMax int
 }
 
 // DefaultBatchConfig returns the batching defaults used when Enable is set.
@@ -51,10 +46,8 @@ func DefaultBatchConfig() BatchConfig {
 	return BatchConfig{
 		MaxBatchBytes: 1 << 20,
 		MaxOpBytes:    256 << 10,
-		MaxOps:        256,
 		MaxDelay:      400 * sim.Microsecond,
 		IdleDelay:     40 * sim.Microsecond,
-		NotifyMax:     32,
 	}
 }
 
@@ -70,17 +63,11 @@ func (c BatchConfig) withDefaults() BatchConfig {
 	if c.MaxOpBytes == 0 {
 		c.MaxOpBytes = d.MaxOpBytes
 	}
-	if c.MaxOps <= 0 || c.MaxOps > maxBatchOps {
-		c.MaxOps = d.MaxOps
-	}
 	if c.MaxDelay == 0 {
 		c.MaxDelay = d.MaxDelay
 	}
 	if c.IdleDelay == 0 {
 		c.IdleDelay = d.IdleDelay
-	}
-	if c.NotifyMax <= 0 || c.NotifyMax > maxBatchOps {
-		c.NotifyMax = d.NotifyMax
 	}
 	if c.MaxOpBytes > c.MaxBatchBytes {
 		c.MaxOpBytes = c.MaxBatchBytes
@@ -107,6 +94,10 @@ func (px *Proxy) enqueueBatch(p *sim.Proc, op *batchOp) {
 	px.batchCond.Broadcast()
 }
 
+// maxOpsPerFrame caps the number of ops coalesced into one frame (the
+// decoder's own bound, maxBatchOps, is four times it).
+const maxOpsPerFrame = 256
+
 // batchLoop is the adaptive flush daemon (spawned only when batching is
 // enabled). It accumulates queued ops and flushes on the first of: the byte
 // threshold is reached, an IdleDelay gap passes with no new arrival, or the
@@ -120,7 +111,7 @@ func (px *Proxy) batchLoop(p *sim.Proc) {
 		}
 		deadline := px.batchQ[0].enq.Add(cfg.MaxDelay)
 		reason := &px.stats.BatchFlushBytes
-		for px.batchBytes < cfg.MaxBatchBytes && len(px.batchQ) < cfg.MaxOps {
+		for px.batchBytes < cfg.MaxBatchBytes && len(px.batchQ) < maxOpsPerFrame {
 			rem := deadline.Sub(p.Now())
 			if rem <= 0 {
 				reason = &px.stats.BatchFlushDelay
@@ -162,7 +153,7 @@ func (px *Proxy) flushBatch(p *sim.Proc) {
 	for len(px.batchQ) > 0 {
 		op := px.batchQ[0]
 		n := int64(op.payload.Length())
-		if len(take) > 0 && (bytes+n > cfg.MaxBatchBytes || len(take) >= cfg.MaxOps) {
+		if len(take) > 0 && (bytes+n > cfg.MaxBatchBytes || len(take) >= maxOpsPerFrame) {
 			break
 		}
 		take = append(take, op)
@@ -200,7 +191,7 @@ func (px *Proxy) flushBatch(p *sim.Proc) {
 			px.tr.AddBytes(sp, n)
 		}
 		px.tr.AddCPU(sp, px.dev.CPU.Name(),
-			px.dev.CPU.Exec(p, px.thBatch, int64(float64(n)*px.cfg.StageCyclesPerByte)))
+			px.dev.CPU.Exec(p, px.thBatch, int64(float64(n)*proxyStageCyclesPerByte)))
 		px.tr.Finish(sp)
 	}
 	frame := encodeBatchFrame(take)
@@ -302,6 +293,10 @@ func (px *Proxy) onTxnDoneBatch(p *sim.Proc, req *rpcchan.Request,
 	}
 }
 
+// notifyMax caps commit notifications coalesced into one host->DPU
+// opTxnDoneBatch RPC.
+const notifyMax = 32
+
 // notifyLoop is one host-side completion batcher shard (spawned only when
 // batching is enabled, one per DMA queue): it drains queued commit
 // notifications into opTxnDoneBatch RPCs using the same adaptive
@@ -320,7 +315,7 @@ func (hs *HostServer) notifyLoop(p *sim.Proc, sh *notifyShard) {
 			sh.cond.Wait(p)
 		}
 		deadline := p.Now().Add(cfg.MaxDelay)
-		for lastN > 1 && len(sh.q) < cfg.NotifyMax {
+		for lastN > 1 && len(sh.q) < notifyMax {
 			rem := deadline.Sub(p.Now())
 			if rem <= 0 {
 				break
@@ -336,8 +331,8 @@ func (hs *HostServer) notifyLoop(p *sim.Proc, sh *notifyShard) {
 			}
 		}
 		n := len(sh.q)
-		if n > cfg.NotifyMax {
-			n = cfg.NotifyMax
+		if n > notifyMax {
+			n = notifyMax
 		}
 		lastN = n
 		frame := encodeTxnDoneBatch(sh.q[:n])

@@ -30,19 +30,6 @@ type HostConfig struct {
 	// PollIdleCycles is burned per empty poll iteration (the cost of
 	// polling mode).
 	PollIdleCycles int64
-	// CompletionCycles is charged per harvested DMA completion.
-	CompletionCycles int64
-	// AssembleCyclesPerByte is charged when decoding an assembled
-	// transaction payload before the BlueStore commit.
-	AssembleCyclesPerByte float64
-	// StageCyclesPerByte is charged per byte staged into a host read
-	// buffer before the return DMA.
-	StageCyclesPerByte float64
-	// ReadStagingBuffers / ReadStagingBufferBytes size the host-side
-	// staging pool used by the read path (§3.3: "during reads, staging
-	// buffers are positioned on the host side").
-	ReadStagingBuffers     int
-	ReadStagingBufferBytes int64
 	// Batch configures adaptive batching; on the host side it enables the
 	// coalesced commit-notification RPCs (usually set through
 	// BridgeConfig.Batch).
@@ -52,13 +39,8 @@ type HostConfig struct {
 // DefaultHostConfig returns the host-server defaults.
 func DefaultHostConfig() HostConfig {
 	return HostConfig{
-		PollInterval:           50 * sim.Microsecond,
-		PollIdleCycles:         2_500,
-		CompletionCycles:       3_000,
-		AssembleCyclesPerByte:  0.02,
-		StageCyclesPerByte:     0.5,
-		ReadStagingBuffers:     64,
-		ReadStagingBufferBytes: 2 << 20,
+		PollInterval:   50 * sim.Microsecond,
+		PollIdleCycles: 2_500,
 	}
 }
 
@@ -70,24 +52,26 @@ func (c HostConfig) withDefaults() HostConfig {
 	if c.PollIdleCycles == 0 {
 		c.PollIdleCycles = d.PollIdleCycles
 	}
-	if c.CompletionCycles == 0 {
-		c.CompletionCycles = d.CompletionCycles
-	}
-	if c.AssembleCyclesPerByte == 0 {
-		c.AssembleCyclesPerByte = d.AssembleCyclesPerByte
-	}
-	if c.StageCyclesPerByte == 0 {
-		c.StageCyclesPerByte = d.StageCyclesPerByte
-	}
-	if c.ReadStagingBuffers == 0 {
-		c.ReadStagingBuffers = d.ReadStagingBuffers
-	}
-	if c.ReadStagingBufferBytes == 0 {
-		c.ReadStagingBufferBytes = d.ReadStagingBufferBytes
-	}
 	c.Batch = c.Batch.withDefaults()
 	return c
 }
+
+// The rest of the host-side cost model and the read path's staging pool.
+const (
+	// completionCycles is charged per harvested DMA completion.
+	completionCycles int64 = 3_000
+	// assembleCyclesPerByte is charged when decoding an assembled
+	// transaction payload before the BlueStore commit.
+	assembleCyclesPerByte float64 = 0.02
+	// hostStageCyclesPerByte is charged per byte staged into a host read
+	// buffer before the return DMA.
+	hostStageCyclesPerByte float64 = 0.5
+	// readStagingBuffers / readStagingBufferBytes size the host-side
+	// staging pool used by the read path (§3.3: "during reads, staging
+	// buffers are positioned on the host side").
+	readStagingBuffers           = 64
+	readStagingBufferBytes int64 = 2 << 20
+)
 
 // HostStats counts host-server activity.
 type HostStats struct {
@@ -201,7 +185,7 @@ func NewHostServer(env *sim.Env, hostCPU *sim.CPU, store objstore.Store,
 		readyTxns:  make(map[uint64]*hostTxn),
 	}
 	hs.readBuf = dpu.NewBufferPool(env, "host-read-staging",
-		hs.cfg.ReadStagingBuffers, hs.cfg.ReadStagingBufferBytes)
+		readStagingBuffers, readStagingBufferBytes)
 	rpcEnd.Handle(opStat, hs.onStat)
 	rpcEnd.Handle(opExists, hs.onExists)
 	rpcEnd.Handle(opList, hs.onList)
@@ -246,7 +230,7 @@ func (hs *HostServer) pollLoop(p *sim.Proc) {
 	for {
 		t := hs.engUp.Completions().Pop(p)
 		hs.stats.PollIterations++
-		hs.cpu.Exec(p, hs.thPoll, hs.cfg.CompletionCycles)
+		hs.cpu.Exec(p, hs.thPoll, completionCycles)
 		hdr, isSeg := t.Tag.(*segHeader)
 		if !isSeg || t.Err != nil {
 			continue // probe traffic or failed transfer (DPU handles retry)
@@ -322,7 +306,7 @@ func (hs *HostServer) addSegment(p *sim.Proc, reqID, txnSeq uint64, seg, total i
 		hs.tr.AddBytes(a.span, int64(payload.Length()))
 	}
 	hs.tr.AddCPU(a.span, hs.cpu.Name(),
-		hs.cpu.ExecSelf(p, int64(float64(payload.Length())*hs.cfg.AssembleCyclesPerByte)))
+		hs.cpu.ExecSelf(p, int64(float64(payload.Length())*assembleCyclesPerByte)))
 	txn, err := objstore.DecodeTransactionBL(payload)
 	if err != nil {
 		// Report the failure but keep the commit sequence moving with an
@@ -424,7 +408,7 @@ func (hs *HostServer) serveRead(req *readReq) {
 		for i := 0; i < total; i++ {
 			n := c.size(i)
 			hs.readBuf.Acquire(p)
-			hs.cpu.Exec(p, hs.thPoll, int64(float64(n)*hs.cfg.StageCyclesPerByte))
+			hs.cpu.Exec(p, hs.thPoll, int64(float64(n)*hostStageCyclesPerByte))
 			rs := &readSeg{buf: hs.readBuf,
 				hdr: segHeader{kind: segReadData, reqID: req.ReqID, seg: i, total: total}}
 			rs.t = doca.Transfer{

@@ -17,12 +17,6 @@ const ProxyThreadCat = "proxy"
 
 // ProxyConfig tunes the DPU-side proxy. Zero values take defaults.
 type ProxyConfig struct {
-	// SerializeCyclesPerByte is charged on the DPU per transaction payload
-	// byte when building the data-plane message.
-	SerializeCyclesPerByte float64
-	// StageCyclesPerByte is charged on the DPU per byte memcpy'd into a
-	// DMA staging buffer.
-	StageCyclesPerByte float64
 	// DisableMRCache renegotiates memory regions per segment instead of
 	// reusing established ones (the paper's motivating waste, §3.3); the
 	// zero value keeps the cache on.
@@ -33,10 +27,6 @@ type ProxyConfig struct {
 	DisablePipeline bool
 	// CooldownPeriod is how long DMA stays disabled after a failure.
 	CooldownPeriod sim.Duration
-	// ProbeBytes is the size of the post-cooldown health-check transfer.
-	ProbeBytes int64
-	// ControlCallCycles is the DPU-side cost of issuing a control RPC.
-	ControlCallCycles int64
 	// Batch configures adaptive small-op batching (off by default; usually
 	// set through BridgeConfig.Batch).
 	Batch BatchConfig
@@ -57,35 +47,27 @@ type ProxyConfig struct {
 
 // DefaultProxyConfig returns the proxy defaults used in the experiments.
 func DefaultProxyConfig() ProxyConfig {
-	return ProxyConfig{
-		SerializeCyclesPerByte: 0.25,
-		StageCyclesPerByte:     0.5,
-		CooldownPeriod:         5 * sim.Second,
-		ProbeBytes:             64 << 10,
-		ControlCallCycles:      10_000,
-	}
+	return ProxyConfig{CooldownPeriod: 5 * sim.Second}
 }
 
 func (c ProxyConfig) withDefaults() ProxyConfig {
 	d := DefaultProxyConfig()
-	if c.SerializeCyclesPerByte == 0 {
-		c.SerializeCyclesPerByte = d.SerializeCyclesPerByte
-	}
-	if c.StageCyclesPerByte == 0 {
-		c.StageCyclesPerByte = d.StageCyclesPerByte
-	}
 	if c.CooldownPeriod == 0 {
 		c.CooldownPeriod = d.CooldownPeriod
-	}
-	if c.ProbeBytes == 0 {
-		c.ProbeBytes = d.ProbeBytes
-	}
-	if c.ControlCallCycles == 0 {
-		c.ControlCallCycles = d.ControlCallCycles
 	}
 	c.Batch = c.Batch.withDefaults()
 	return c
 }
+
+// The DPU-side per-byte cost model.
+const (
+	// serializeCyclesPerByte is charged on the DPU per transaction payload
+	// byte when building the data-plane message.
+	serializeCyclesPerByte float64 = 0.25
+	// proxyStageCyclesPerByte is charged on the DPU per byte memcpy'd into
+	// a DMA staging buffer.
+	proxyStageCyclesPerByte float64 = 0.5
+)
 
 // Breakdown is the per-phase latency accounting behind the paper's Table 3
 // and Figure 9, accumulated over all completed write requests.
@@ -270,7 +252,7 @@ func NewProxy(env *sim.Env, dev *dpu.DPU, rpcEnd *rpcchan.Endpoint,
 		px.br = dpu.NewBreaker(px.cfg.Breaker)
 	}
 	if px.cfg.ReadCache.Enable {
-		px.rcache = dpu.NewReadCache(px.cfg.ReadCache)
+		px.rcache = dpu.NewReadCache()
 	}
 	rpcEnd.Handle(opTxnDone, px.onTxnDone)
 	rpcEnd.Handle(opReadDone, px.onReadDone)
@@ -279,7 +261,7 @@ func NewProxy(env *sim.Env, dev *dpu.DPU, rpcEnd *rpcchan.Endpoint,
 	if px.cfg.Batch.Enable {
 		// Clamp the batch byte cap so a worst-case frame (payload + framing
 		// overhead) fits one staging buffer and one engine transfer.
-		lim := segLimit(dev.Buffers.BufferBytes(), engUp) - batchFrameOverhead(px.cfg.Batch.MaxOps)
+		lim := segLimit(dev.Buffers.BufferBytes(), engUp) - batchFrameOverhead(maxOpsPerFrame)
 		if px.cfg.Batch.MaxBatchBytes > lim {
 			px.cfg.Batch.MaxBatchBytes = lim
 		}
@@ -360,13 +342,16 @@ func (px *Proxy) dmaAllowed(p *sim.Proc) bool {
 	return true
 }
 
+// probeBytes is the size of the post-cooldown health-check transfer.
+const probeBytes int64 = 64 << 10
+
 // probe is the health check of paper §4: "a small test DMA transfer to
 // determine whether the DMA path can be safely reactivated". A probe the
 // engine refuses and one that fails in flight both count as failed.
 func (px *Proxy) probe(p *sim.Proc) error {
 	px.stats.Probes++
 	px.ensureRegions(p)
-	t := &doca.Transfer{Bytes: px.cfg.ProbeBytes, Src: px.dpuMR, Dst: px.hostMR,
+	t := &doca.Transfer{Bytes: probeBytes, Src: px.dpuMR, Dst: px.hostMR,
 		Tag: &segHeader{kind: segProbe}}
 	err := px.engUp.Submit(p, px.dev.CPU, t)
 	if err == nil {
@@ -440,7 +425,7 @@ func (px *Proxy) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objst
 		serSp = px.tr.Start(ctx, 0, trace.StageSerialize, px.dev.Name)
 	}
 	payload := txn.EncodeBL()
-	serBusy := px.dev.CPU.ExecSelf(p, int64(float64(payload.Length())*px.cfg.SerializeCyclesPerByte))
+	serBusy := px.dev.CPU.ExecSelf(p, int64(float64(payload.Length())*serializeCyclesPerByte))
 	px.tr.AddCPU(serSp, px.dev.CPU.Name(), serBusy)
 	px.tr.AddBytes(serSp, int64(payload.Length()))
 	px.tr.Finish(serSp)
@@ -577,7 +562,7 @@ func (px *Proxy) shipViaDMA(p *sim.Proc, reqID, txnSeq uint64, payload *wire.Buf
 		px.noteStage(n)
 		px.tr.AddQueueWait(stageSp, p.Now().Sub(acq))
 		px.tr.AddCPU(stageSp, px.dev.CPU.Name(),
-			px.dev.CPU.Exec(p, px.thProxy, int64(float64(n)*px.cfg.StageCyclesPerByte)))
+			px.dev.CPU.Exec(p, px.thProxy, int64(float64(n)*proxyStageCyclesPerByte)))
 		if px.cfg.DisableMRCache {
 			px.cc.Negotiate(p, px.hostMR)
 		}
@@ -817,11 +802,14 @@ func (px *Proxy) call(p *sim.Proc, op uint16, req *wire.Bufferlist) (*wire.Buffe
 	return resp, err
 }
 
+// controlCallCycles is the DPU-side cost of issuing a control RPC.
+const controlCallCycles int64 = 10_000
+
 // control is a metadata call on the control plane: the DPU-side cost of
 // issuing it, then the call.
 func (px *Proxy) control(p *sim.Proc, op uint16, req *wire.Bufferlist) (*wire.Bufferlist, error) {
 	px.stats.ControlCalls++
-	px.dev.CPU.ExecSelf(p, px.cfg.ControlCallCycles)
+	px.dev.CPU.ExecSelf(p, controlCallCycles)
 	return px.call(p, op, req)
 }
 

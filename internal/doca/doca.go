@@ -125,8 +125,6 @@ type EngineConfig struct {
 	// regions instead of performing CommChannel negotiation for each
 	// transfer").
 	ReuseSetupTime sim.Duration
-	// SubmitCycles is charged on the submitting (DPU) thread per transfer.
-	SubmitCycles int64
 	// JitterPct randomizes each transfer's execution time uniformly within
 	// +-JitterPct/100 (seeded, deterministic per run). Real engines show
 	// substantial service-time variance (PCIe arbitration, cache effects);
@@ -140,12 +138,6 @@ type EngineConfig struct {
 	// are pinned to queues by id, preserving per-request segment ordering
 	// and the ReuseSetupTime amortization (queue-pair affinity).
 	Queues int
-	// CopySlots bounds how many copy phases may occupy the PCIe path at
-	// once when Queues > 1: descriptor setup and doorbells proceed
-	// independently per queue, but the data movement itself shares link
-	// bandwidth. Zero defaults to 2; negative removes the bound. Ignored
-	// with one queue (the single executor already serializes).
-	CopySlots int
 }
 
 // DefaultEngineConfig returns BlueField-3-like DMA parameters.
@@ -155,7 +147,6 @@ func DefaultEngineConfig() EngineConfig {
 		BytesPerSec:      635e6,
 		SetupTime:        1600 * sim.Microsecond,
 		ReuseSetupTime:   400 * sim.Microsecond,
-		SubmitCycles:     6_000,
 		JitterPct:        25,
 	}
 }
@@ -174,17 +165,11 @@ func (c EngineConfig) withDefaults() EngineConfig {
 	if c.ReuseSetupTime == 0 {
 		c.ReuseSetupTime = d.ReuseSetupTime
 	}
-	if c.SubmitCycles == 0 {
-		c.SubmitCycles = d.SubmitCycles
-	}
 	if c.JitterPct == 0 {
 		c.JitterPct = d.JitterPct
 	}
 	if c.Queues == 0 {
 		c.Queues = 1
-	}
-	if c.CopySlots == 0 {
-		c.CopySlots = 2
 	}
 	return c
 }
@@ -275,14 +260,14 @@ type QueueStat struct {
 // (hardware WQE batching per queue pair), which is what lets the
 // ReuseSetupTime amortization take effect under concurrency. With several
 // queues, setup/doorbell work overlaps freely while copy phases contend
-// for CopySlots shared PCIe bus slots. A single completion queue is
+// for copySlots shared PCIe bus slots. A single completion queue is
 // consumed by the host's polling thread.
 type Engine struct {
 	env *sim.Env
 	cfg EngineConfig
 
 	queues      []*dmaQueue
-	bus         *sim.Semaphore // nil with one queue or unbounded CopySlots
+	bus         *sim.Semaphore // nil with one queue
 	completions *sim.Queue[*Transfer]
 
 	// failNext makes the next n submitted transfers fail (error-injection
@@ -308,6 +293,17 @@ type dmaQueue struct {
 	stats     QueueStat
 }
 
+const (
+	// submitCycles is charged on the submitting (DPU) thread per transfer.
+	submitCycles int64 = 6_000
+	// copySlots bounds how many copy phases may occupy the PCIe path at
+	// once when Queues > 1: descriptor setup and doorbells proceed
+	// independently per queue, but the data movement itself shares link
+	// bandwidth. Unused with one queue (the single executor already
+	// serializes).
+	copySlots = 2
+)
+
 // NewEngine creates an engine and spawns one execution process per queue.
 func NewEngine(env *sim.Env, name string, cfg EngineConfig) *Engine {
 	e := &Engine{
@@ -315,8 +311,8 @@ func NewEngine(env *sim.Env, name string, cfg EngineConfig) *Engine {
 		cfg:         cfg.withDefaults(),
 		completions: sim.NewQueue[*Transfer](env),
 	}
-	if e.cfg.Queues > 1 && e.cfg.CopySlots > 0 {
-		e.bus = sim.NewSemaphore(env, e.cfg.CopySlots)
+	if e.cfg.Queues > 1 {
+		e.bus = sim.NewSemaphore(env, copySlots)
 	}
 	for i := 0; i < e.cfg.Queues; i++ {
 		q := &dmaQueue{cond: sim.NewCond()}
@@ -389,7 +385,7 @@ func (e *Engine) Submit(p *sim.Proc, cpu *sim.CPU, t *Transfer) error {
 		e.unreserve(t)
 		return ErrNotExported
 	}
-	cpu.ExecSelf(p, e.cfg.SubmitCycles)
+	cpu.ExecSelf(p, submitCycles)
 	t.SubmittedAt = p.Now()
 	e.submitted++
 	if e.failNext > 0 {
@@ -480,8 +476,8 @@ func (e *Engine) run(p *sim.Proc, q *dmaQueue) {
 			e.stats.Errors++
 			q.stats.Errors++
 		case e.bus == nil:
-			// Single queue (or unbounded CopySlots): the executor itself
-			// serializes, no bus arbitration needed.
+			// Single queue: the executor itself serializes, no bus
+			// arbitration needed.
 			p.Wait(copyTime)
 			e.noteSuccess(q, t)
 		default:

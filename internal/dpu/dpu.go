@@ -15,9 +15,8 @@ import (
 // Cortex-A78 cores around 2.0 GHz with a few hundred staging buffers of the
 // DMA segment size.
 type Config struct {
-	Cores           int
-	FreqGHz         float64
-	CtxSwitchCycles int64
+	Cores   int
+	FreqGHz float64
 	// StagingBufferBytes is the size of one DMA-capable staging buffer
 	// (the hardware's ~2 MB transfer limit).
 	StagingBufferBytes int64
@@ -30,7 +29,6 @@ func DefaultConfig() Config {
 	return Config{
 		Cores:              16,
 		FreqGHz:            2.0,
-		CtxSwitchCycles:    2500,
 		StagingBufferBytes: 2 << 20,
 		StagingBuffers:     64,
 	}
@@ -43,9 +41,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FreqGHz == 0 {
 		c.FreqGHz = d.FreqGHz
-	}
-	if c.CtxSwitchCycles == 0 {
-		c.CtxSwitchCycles = d.CtxSwitchCycles
 	}
 	if c.StagingBufferBytes == 0 {
 		c.StagingBufferBytes = d.StagingBufferBytes
@@ -66,12 +61,15 @@ type DPU struct {
 	cfg     Config
 }
 
+// ctxSwitchCycles is charged whenever an ARM core changes threads.
+const ctxSwitchCycles = 2500
+
 // New creates a DPU named name.
 func New(env *sim.Env, name string, cfg Config) *DPU {
 	cfg = cfg.withDefaults()
 	return &DPU{
 		Name: name,
-		CPU:  sim.NewCPU(env, name+"-arm", cfg.Cores, cfg.FreqGHz, cfg.CtxSwitchCycles),
+		CPU:  sim.NewCPU(env, name+"-arm", cfg.Cores, cfg.FreqGHz, ctxSwitchCycles),
 		Buffers: NewBufferPool(env, fmt.Sprintf("%s-staging", name),
 			cfg.StagingBuffers, cfg.StagingBufferBytes),
 		cfg: cfg,

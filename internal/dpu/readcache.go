@@ -14,30 +14,20 @@ type ReadCacheConfig struct {
 	// Enable turns the cache on. Off by default: the write-only paper
 	// goldens must not see a read cache.
 	Enable bool
-	// CapacityBytes bounds the cached payload volume (default 64 MiB).
-	// Least-recently-used entries are evicted past it; objects larger
-	// than the capacity are never cached.
-	CapacityBytes int64
-	// HitCycles is the fixed DPU CPU cost of a cache hit (lookup +
-	// descriptor bookkeeping; default 2000).
-	HitCycles int64
-	// HitCyclesPerByte is the DPU CPU cost per byte served from cache
-	// (the memcpy out of DDR; default 0.25).
-	HitCyclesPerByte float64
 }
 
-func (c ReadCacheConfig) withDefaults() ReadCacheConfig {
-	if c.CapacityBytes == 0 {
-		c.CapacityBytes = 64 << 20
-	}
-	if c.HitCycles == 0 {
-		c.HitCycles = 2000
-	}
-	if c.HitCyclesPerByte == 0 {
-		c.HitCyclesPerByte = 0.25
-	}
-	return c
-}
+const (
+	// readCacheCapacityBytes bounds the cached payload volume (64 MiB).
+	// Least-recently-used entries are evicted past it; objects larger
+	// than the capacity are never cached.
+	readCacheCapacityBytes int64 = 64 << 20
+	// hitCycles is the fixed DPU CPU cost of a cache hit (lookup +
+	// descriptor bookkeeping).
+	hitCycles int64 = 2000
+	// hitCyclesPerByte is the DPU CPU cost per byte served from cache
+	// (the memcpy out of DDR).
+	hitCyclesPerByte float64 = 0.25
+)
 
 // ReadCacheStats counts cache activity.
 type ReadCacheStats struct {
@@ -65,24 +55,19 @@ type rcEntry struct {
 // Eviction order depends only on the access sequence, never on map
 // iteration, so runs are bit-identical per seed.
 type ReadCache struct {
-	cfg     ReadCacheConfig
 	entries map[string]*rcEntry
 	lru     *list.List // front = most recent
 	bytes   int64
 	stats   ReadCacheStats
 }
 
-// NewReadCache returns an empty cache with cfg (defaults applied).
-func NewReadCache(cfg ReadCacheConfig) *ReadCache {
+// NewReadCache returns an empty cache.
+func NewReadCache() *ReadCache {
 	return &ReadCache{
-		cfg:     cfg.withDefaults(),
 		entries: make(map[string]*rcEntry),
 		lru:     list.New(),
 	}
 }
-
-// Config returns the post-defaulting configuration.
-func (c *ReadCache) Config() ReadCacheConfig { return c.cfg }
 
 // Stats returns a snapshot of the counters.
 func (c *ReadCache) Stats() ReadCacheStats {
@@ -119,7 +104,7 @@ func (c *ReadCache) Lookup(coll, obj string, off, length uint64) (*wire.Bufferli
 // Insert stores the full content of (coll, obj), evicting LRU entries
 // until the capacity holds. Oversized objects are ignored.
 func (c *ReadCache) Insert(coll, obj string, data *wire.Bufferlist) {
-	if data == nil || int64(data.Length()) > c.cfg.CapacityBytes {
+	if data == nil || int64(data.Length()) > readCacheCapacityBytes {
 		return
 	}
 	key := rcKey(coll, obj)
@@ -134,7 +119,7 @@ func (c *ReadCache) Insert(coll, obj string, data *wire.Bufferlist) {
 		c.bytes += int64(data.Length())
 		c.stats.Inserts++
 	}
-	for c.bytes > c.cfg.CapacityBytes {
+	for c.bytes > readCacheCapacityBytes {
 		back := c.lru.Back()
 		if back == nil {
 			break
@@ -174,5 +159,5 @@ func (c *ReadCache) removeEntry(e *rcEntry) {
 
 // HitCost returns the DPU CPU cycles a hit of n payload bytes costs.
 func (c *ReadCache) HitCost(n int64) int64 {
-	return c.cfg.HitCycles + int64(float64(n)*c.cfg.HitCyclesPerByte)
+	return hitCycles + int64(float64(n)*hitCyclesPerByte)
 }

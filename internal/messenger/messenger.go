@@ -41,11 +41,6 @@ type Config struct {
 	// peer-wide order those protocols assume. 1 (the default) is a single
 	// ordered connection, byte-identical to the pre-lane messenger.
 	Lanes int
-	// TCPSegmentBytes is the data moved per send/recv syscall.
-	TCPSegmentBytes int64
-	// SendSyscallCycles / RecvSyscallCycles are charged per syscall.
-	SendSyscallCycles int64
-	RecvSyscallCycles int64
 	// TxCopyCyclesPerByte / RxCopyCyclesPerByte model user/kernel buffer
 	// copies and TCP/IP stack traversal per byte.
 	TxCopyCyclesPerByte float64
@@ -56,23 +51,15 @@ type Config struct {
 	EncodeCycles   int64
 	DecodeCycles   int64
 	DispatchCycles int64
-	// SwitchesPerSend / SwitchesPerRecv record voluntary context switches
-	// per message (blocking socket wakeups).
-	SwitchesPerSend int64
-	SwitchesPerRecv int64
-	// BytesPerSwitch adds one voluntary switch per this many message bytes
-	// (socket-buffer-full blocking on large sends/recvs).
-	BytesPerSwitch int64
 	// WireEncode really serializes and re-parses every message (integrity
 	// at the cost of wall-clock speed); benchmarks leave it off and pass
 	// message pointers with size accounting only.
 	WireEncode bool
 	// ReconnectBackoff is the initial delay before a session reset retries
 	// a frame the fabric dropped; each consecutive loss doubles it up to
-	// ReconnectBackoffMax (capped exponential backoff, Ceph's msgr2
+	// reconnectBackoffMax (capped exponential backoff, Ceph's msgr2
 	// reconnect behaviour).
-	ReconnectBackoff    sim.Duration
-	ReconnectBackoffMax sim.Duration
+	ReconnectBackoff sim.Duration
 	// Stream enables flow-controlled chunked transfer of large write
 	// payloads (see stream.go). Off by default.
 	Stream StreamConfig
@@ -83,20 +70,13 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Workers:             3,
-		TCPSegmentBytes:     64 << 10,
-		SendSyscallCycles:   9_000,
-		RecvSyscallCycles:   9_000,
 		TxCopyCyclesPerByte: 1.05,
 		RxCopyCyclesPerByte: 1.05,
 		CRCCyclesPerByte:    0.25,
 		EncodeCycles:        120_000,
 		DecodeCycles:        100_000,
 		DispatchCycles:      30_000,
-		SwitchesPerSend:     2,
-		SwitchesPerRecv:     2,
-		BytesPerSwitch:      288 << 10,
 		ReconnectBackoff:    10 * sim.Millisecond,
-		ReconnectBackoffMax: 2 * sim.Second,
 	}
 }
 
@@ -110,15 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers < c.Lanes {
 		c.Workers = c.Lanes
-	}
-	if c.TCPSegmentBytes == 0 {
-		c.TCPSegmentBytes = d.TCPSegmentBytes
-	}
-	if c.SendSyscallCycles == 0 {
-		c.SendSyscallCycles = d.SendSyscallCycles
-	}
-	if c.RecvSyscallCycles == 0 {
-		c.RecvSyscallCycles = d.RecvSyscallCycles
 	}
 	if c.TxCopyCyclesPerByte == 0 {
 		c.TxCopyCyclesPerByte = d.TxCopyCyclesPerByte
@@ -138,20 +109,8 @@ func (c Config) withDefaults() Config {
 	if c.DispatchCycles == 0 {
 		c.DispatchCycles = d.DispatchCycles
 	}
-	if c.SwitchesPerSend == 0 {
-		c.SwitchesPerSend = d.SwitchesPerSend
-	}
-	if c.SwitchesPerRecv == 0 {
-		c.SwitchesPerRecv = d.SwitchesPerRecv
-	}
-	if c.BytesPerSwitch == 0 {
-		c.BytesPerSwitch = d.BytesPerSwitch
-	}
 	if c.ReconnectBackoff == 0 {
 		c.ReconnectBackoff = d.ReconnectBackoff
-	}
-	if c.ReconnectBackoffMax == 0 {
-		c.ReconnectBackoffMax = d.ReconnectBackoffMax
 	}
 	c.Stream = c.Stream.withDefaults()
 	return c
@@ -399,6 +358,9 @@ func (m *Messenger) connTo(dst string) *conn {
 	return c
 }
 
+// reconnectBackoffMax caps the doubling of Config.ReconnectBackoff.
+const reconnectBackoffMax = 2 * sim.Second
+
 // addLane appends one lane to c and spawns its wire process. Lane 0 keeps
 // the historical process name so single-lane runs are unchanged.
 func (m *Messenger) addLane(c *conn) *connLane {
@@ -436,8 +398,8 @@ func (m *Messenger) addLane(c *conn) *connLane {
 				// per-lane FIFO order survives the loss.
 				m.stats.SessionResets++
 				p.Wait(backoff)
-				if backoff *= 2; backoff > m.cfg.ReconnectBackoffMax {
-					backoff = m.cfg.ReconnectBackoffMax
+				if backoff *= 2; backoff > reconnectBackoffMax {
+					backoff = reconnectBackoffMax
 				}
 				m.stats.Redeliveries++
 			}
@@ -468,6 +430,22 @@ func (m *Messenger) deliver(f frame) {
 	ln.worker.q.Push(workItem{recv: true, peer: f.src, frame: f})
 }
 
+// The socket model under a worker's per-message charges.
+const (
+	// tcpSegmentBytes is the data moved per send/recv syscall.
+	tcpSegmentBytes int64 = 64 << 10
+	// sendSyscallCycles / recvSyscallCycles are charged per syscall.
+	sendSyscallCycles int64 = 9_000
+	recvSyscallCycles int64 = 9_000
+	// switchesPerSend / switchesPerRecv record voluntary context switches
+	// per message (blocking socket wakeups).
+	switchesPerSend int64 = 2
+	switchesPerRecv int64 = 2
+	// bytesPerSwitch adds one voluntary switch per this many message bytes
+	// (socket-buffer-full blocking on large sends/recvs).
+	bytesPerSwitch int64 = 288 << 10
+)
+
 // workerLoop is one msgr-worker event loop: it pays the send-side encode +
 // TCP costs before handing frames to the wire, and the receive-side TCP +
 // decode + dispatch costs after frames arrive.
@@ -476,16 +454,16 @@ func (m *Messenger) workerLoop(p *sim.Proc, w *worker) {
 	for {
 		it := w.q.Pop(p)
 		f := it.frame
-		segments := (f.bytes + m.cfg.TCPSegmentBytes - 1) / m.cfg.TCPSegmentBytes
+		segments := (f.bytes + tcpSegmentBytes - 1) / tcpSegmentBytes
 		if it.recv {
 			if f.span != 0 {
 				m.tr.AddQueueWait(f.span, p.Now().Sub(f.enq))
 			}
-			cycles := m.cfg.RecvSyscallCycles*segments +
+			cycles := recvSyscallCycles*segments +
 				int64(float64(f.bytes)*(m.cfg.RxCopyCyclesPerByte+m.cfg.CRCCyclesPerByte)) +
 				m.cfg.DecodeCycles + m.cfg.DispatchCycles
 			m.tr.AddCPU(f.span, m.cpu.Name(), m.cpu.Exec(p, w.th, cycles))
-			m.cpu.NoteSwitches(w.th, m.cfg.SwitchesPerRecv+f.bytes/m.cfg.BytesPerSwitch)
+			m.cpu.NoteSwitches(w.th, switchesPerRecv+f.bytes/bytesPerSwitch)
 			m.stats.Received++
 			m.stats.BytesRecv += f.bytes
 			msg := f.msg
@@ -523,7 +501,7 @@ func (m *Messenger) workerLoop(p *sim.Proc, w *worker) {
 		}
 		cycles := m.cfg.EncodeCycles +
 			int64(float64(f.bytes)*(m.cfg.TxCopyCyclesPerByte+m.cfg.CRCCyclesPerByte)) +
-			m.cfg.SendSyscallCycles*segments
+			sendSyscallCycles*segments
 		if f.span != 0 {
 			m.tr.AddQueueWait(f.span, p.Now().Sub(f.enq))
 			m.tr.AddBytes(f.span, f.bytes)
@@ -537,7 +515,7 @@ func (m *Messenger) workerLoop(p *sim.Proc, w *worker) {
 		} else {
 			m.cpu.Exec(p, w.th, cycles)
 		}
-		m.cpu.NoteSwitches(w.th, m.cfg.SwitchesPerSend+f.bytes/m.cfg.BytesPerSwitch)
+		m.cpu.NoteSwitches(w.th, switchesPerSend+f.bytes/bytesPerSwitch)
 		m.stats.Sent++
 		m.stats.BytesSent += f.bytes
 		m.conns[it.peer].lanes[f.lane].wireq.Push(f)

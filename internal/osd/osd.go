@@ -50,9 +50,6 @@ type Config struct {
 	FinishCycles int64
 	// HeartbeatInterval spaces peer pings; zero disables heartbeats.
 	HeartbeatInterval sim.Duration
-	// HeartbeatGrace is the silence threshold after which a peer is
-	// reported to the monitor.
-	HeartbeatGrace sim.Duration
 	// Monitor is the entity name failures are reported to ("" disables
 	// reporting).
 	Monitor string
@@ -71,20 +68,10 @@ type Config struct {
 	RecoveryBps float64
 	// RecoveryBackoffDepth is the foreground op-queue watermark: while the
 	// OSD's op queues hold at least this many waiting client ops, backfill
-	// pauses in RecoveryBackoff steps. Zero disables the backoff.
+	// pauses in recoveryBackoffStep steps. Zero disables the backoff.
 	RecoveryBackoffDepth int
-	// RecoveryBackoff is the pause between watermark re-checks (defaulted
-	// only when RecoveryBackoffDepth is set).
-	RecoveryBackoff sim.Duration
 	// ScrubInterval spaces periodic deep scrubs; zero disables scrubbing.
 	ScrubInterval sim.Duration
-	// RepOpTimeout bounds how long the primary waits for replica acks
-	// before resending the outstanding MRepOps (negative disables the
-	// watchdog; zero takes the default).
-	RepOpTimeout sim.Duration
-	// MaxRepRetries bounds resends; past it the write aborts with a typed
-	// error to the client rather than hanging.
-	MaxRepRetries int
 }
 
 // DefaultConfig returns the OSD defaults used by the experiments.
@@ -95,10 +82,7 @@ func DefaultConfig() Config {
 		RepPrepCycles:     150_000,
 		FinishCycles:      200_000,
 		HeartbeatInterval: sim.Second,
-		HeartbeatGrace:    5 * sim.Second,
 		RecoveryDelay:     2 * sim.Millisecond,
-		RepOpTimeout:      15 * sim.Second,
-		MaxRepRetries:     3,
 	}
 }
 
@@ -122,20 +106,8 @@ func (c Config) withDefaults() Config {
 	if c.FinishCycles == 0 {
 		c.FinishCycles = d.FinishCycles
 	}
-	if c.HeartbeatGrace == 0 {
-		c.HeartbeatGrace = d.HeartbeatGrace
-	}
 	if c.RecoveryDelay == 0 {
 		c.RecoveryDelay = d.RecoveryDelay
-	}
-	if c.RepOpTimeout == 0 {
-		c.RepOpTimeout = d.RepOpTimeout
-	}
-	if c.MaxRepRetries == 0 {
-		c.MaxRepRetries = d.MaxRepRetries
-	}
-	if c.RecoveryBackoffDepth > 0 && c.RecoveryBackoff == 0 {
-		c.RecoveryBackoff = 5 * sim.Millisecond
 	}
 	return c
 }
@@ -575,21 +547,26 @@ func (o *OSD) sendRepOps(p *sim.Proc, acting []int32, repSp trace.SpanID,
 	return pend, tids
 }
 
+const (
+	// repOpTimeout bounds how long the primary waits for replica acks
+	// before resending the outstanding MRepOps.
+	repOpTimeout = 15 * sim.Second
+	// maxRepRetries bounds resends; past it the write aborts with a typed
+	// error to the client rather than hanging.
+	maxRepRetries = 3
+)
+
 // awaitReplicas blocks the completer until every replica ack has landed (or
-// been abandoned by a map change). With the watchdog armed, acks that miss
-// RepOpTimeout trigger a resend of the still-outstanding sub-ops — resends
-// are idempotent under their stable tids — and after MaxRepRetries rounds
-// the op aborts cleanly (returns false) instead of hanging the client.
+// been abandoned by a map change). Acks that miss repOpTimeout trigger a
+// resend of the still-outstanding sub-ops — resends are idempotent under
+// their stable tids — and after maxRepRetries rounds the op aborts cleanly
+// (returns false) instead of hanging the client.
 func (o *OSD) awaitReplicas(cp *sim.Proc, pend *pendingRep, tids []uint64) bool {
-	if o.cfg.RepOpTimeout <= 0 {
-		pend.ev.Wait(cp)
-		return true
-	}
 	for try := 0; ; try++ {
-		if pend.ev.WaitTimeout(cp, o.cfg.RepOpTimeout) {
+		if pend.ev.WaitTimeout(cp, repOpTimeout) {
 			return true
 		}
-		if try >= o.cfg.MaxRepRetries {
+		if try >= maxRepRetries {
 			o.stats.RepAborts++
 			for _, tid := range tids {
 				o.completeRep(tid)
@@ -919,6 +896,10 @@ func (o *OSD) handleRepOp(p *sim.Proc, src string, m *cephmsg.MRepOp, sp trace.S
 	})
 }
 
+// heartbeatGrace is the silence threshold after which a peer is reported
+// to the monitor.
+const heartbeatGrace = 5 * sim.Second
+
 // heartbeatLoop pings peer OSDs and reports prolonged silence to the
 // monitor.
 func (o *OSD) heartbeatLoop(p *sim.Proc) {
@@ -940,7 +921,7 @@ func (o *OSD) heartbeatLoop(p *sim.Proc) {
 			}
 			o.msgr.Send(Name(peer), &cephmsg.MPing{Src: o.name, Stamp: int64(now)})
 			if o.cfg.Monitor != "" && !o.reported[peer] &&
-				now.Sub(o.lastSeen[peer]) > o.cfg.HeartbeatGrace {
+				now.Sub(o.lastSeen[peer]) > heartbeatGrace {
 				o.reported[peer] = true
 				o.stats.FailureReports++
 				o.msgr.Send(o.cfg.Monitor, &cephmsg.MOSDFailure{

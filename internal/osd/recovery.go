@@ -75,6 +75,9 @@ func (o *OSD) startRecovery(oldMap, newMap *osdmap.Map) {
 	}
 }
 
+// recoveryBackoffStep is the pause between watermark re-checks.
+const recoveryBackoffStep = 5 * sim.Millisecond
+
 // recoveryBackoff pauses backfill while the foreground op queues sit at or
 // above the configured watermark, so client I/O drains first (the
 // client-I/O-aware half of recovery QoS). No-op when the knob is off.
@@ -92,8 +95,8 @@ func (o *OSD) recoveryBackoff(p *sim.Proc, sp trace.SpanID) {
 			return
 		}
 		o.stats.RecoveryBackoffs++
-		o.tr.AddQueueWait(sp, o.cfg.RecoveryBackoff)
-		p.Wait(o.cfg.RecoveryBackoff)
+		o.tr.AddQueueWait(sp, recoveryBackoffStep)
+		p.Wait(recoveryBackoffStep)
 	}
 }
 

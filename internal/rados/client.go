@@ -58,14 +58,11 @@ type Config struct {
 	// deadline of roughly (OpTimeout+backoff) * (MaxRetries+1).
 	MaxRetries int
 	// RetryBackoff is the initial delay between attempts; each retry
-	// doubles it up to RetryBackoffMax (capped exponential backoff).
-	RetryBackoff    sim.Duration
-	RetryBackoffMax sim.Duration
+	// doubles it up to retryBackoffMax (capped exponential backoff).
+	RetryBackoff sim.Duration
 	// Monitor is the entity asked for an on-demand map refresh after a
 	// timeout or redirect ("" disables refresh requests).
 	Monitor string
-	// PrepCycles is the client-side cost per op (librados encode, CRC).
-	PrepCycles int64
 	// BalanceReads spreads reads across the whole acting set instead of
 	// pinning them to the PG primary (Ceph's CEPH_OSD_FLAG_BALANCE_READS).
 	// The replica is chosen by a deterministic hash of the object name
@@ -78,11 +75,9 @@ type Config struct {
 // DefaultConfig returns client defaults.
 func DefaultConfig() Config {
 	return Config{
-		OpTimeout:       30 * sim.Second,
-		MaxRetries:      5,
-		RetryBackoff:    100 * sim.Millisecond,
-		RetryBackoffMax: 5 * sim.Second,
-		PrepCycles:      15_000,
+		OpTimeout:    30 * sim.Second,
+		MaxRetries:   5,
+		RetryBackoff: 100 * sim.Millisecond,
 	}
 }
 
@@ -96,12 +91,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryBackoff == 0 {
 		c.RetryBackoff = d.RetryBackoff
-	}
-	if c.RetryBackoffMax == 0 {
-		c.RetryBackoffMax = d.RetryBackoffMax
-	}
-	if c.PrepCycles == 0 {
-		c.PrepCycles = d.PrepCycles
 	}
 	return c
 }
@@ -227,6 +216,13 @@ func (c *Client) applyMap(m *cephmsg.MOSDMap) {
 	c.curMap = next
 }
 
+const (
+	// retryBackoffMax caps the doubling of Config.RetryBackoff.
+	retryBackoffMax = 5 * sim.Second
+	// prepCycles is the client-side cost per op (librados encode, CRC).
+	prepCycles int64 = 15_000
+)
+
 // do sends one op to the current primary and waits for the reply, resending
 // on timeouts and redirects with capped exponential backoff. The tid is
 // assigned once per op, so resends are idempotent: whichever attempt's reply
@@ -250,8 +246,8 @@ func (c *Client) do(p *sim.Proc, op *cephmsg.MOSDOp) (*cephmsg.MOSDOpReply, erro
 	backoff := c.cfg.RetryBackoff
 	wait := func() {
 		p.Wait(backoff)
-		if backoff *= 2; backoff > c.cfg.RetryBackoffMax {
-			backoff = c.cfg.RetryBackoffMax
+		if backoff *= 2; backoff > retryBackoffMax {
+			backoff = retryBackoffMax
 		}
 	}
 	sawNoOSD := false
@@ -287,7 +283,7 @@ func (c *Client) do(p *sim.Proc, op *cephmsg.MOSDOp) (*cephmsg.MOSDOpReply, erro
 				}
 			}
 		}
-		c.tr.AddCPU(sp, c.cpu.Name(), c.cpu.Exec(p, c.th, c.cfg.PrepCycles))
+		c.tr.AddCPU(sp, c.cpu.Name(), c.cpu.Exec(p, c.th, prepCycles))
 		op.Epoch = c.curMap.Epoch
 		call := &call{done: sim.NewEvent()}
 		c.inflight[op.Tid] = call
@@ -422,53 +418,6 @@ func (c *Client) Delete(p *sim.Proc, object string) error {
 		return err
 	}
 	return resultErr(reply.Result)
-}
-
-// Completion tracks an asynchronous operation (librados' aio_* family).
-// Wait blocks until the operation finishes and returns its error; Data
-// holds the payload of a completed read.
-type Completion struct {
-	done *sim.Event
-	err  error
-	data *wire.Bufferlist
-}
-
-// Wait blocks p until the operation completes.
-func (c *Completion) Wait(p *sim.Proc) error {
-	c.done.Wait(p)
-	return c.err
-}
-
-// Done reports completion without blocking.
-func (c *Completion) Done() bool { return c.done.Fired() }
-
-// Data returns a completed read's payload (nil for writes or errors).
-func (c *Completion) Data() *wire.Bufferlist { return c.data }
-
-// aio runs op in its own simulated thread and fires the completion.
-func (c *Client) aio(name string, op func(p *sim.Proc) (*wire.Bufferlist, error)) *Completion {
-	comp := &Completion{done: sim.NewEvent()}
-	c.env.Spawn(name, func(p *sim.Proc) {
-		p.SetThread(sim.NewThread(name, ThreadCat))
-		comp.data, comp.err = op(p)
-		comp.done.Fire()
-	})
-	return comp
-}
-
-// AioWrite starts an asynchronous full-object write. The caller must not
-// mutate data until the completion fires.
-func (c *Client) AioWrite(object string, data *wire.Bufferlist) *Completion {
-	return c.aio("aio-write:"+object, func(p *sim.Proc) (*wire.Bufferlist, error) {
-		return nil, c.Write(p, object, data)
-	})
-}
-
-// AioRead starts an asynchronous read (length 0 = whole object).
-func (c *Client) AioRead(object string, off, length uint64) *Completion {
-	return c.aio("aio-read:"+object, func(p *sim.Proc) (*wire.Bufferlist, error) {
-		return c.Read(p, object, off, length)
-	})
 }
 
 // OmapSet sets one key of object's omap, replicated with write-through

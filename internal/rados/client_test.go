@@ -262,61 +262,3 @@ func TestClientNoOSDError(t *testing.T) {
 		}
 	})
 }
-
-func TestAioOverlapsOperations(t *testing.T) {
-	r := newClientRig(Config{})
-	r.run(t, func(p *sim.Proc) {
-		// Sequential baseline.
-		seqStart := p.Now()
-		for i := 0; i < 4; i++ {
-			if err := r.client.Write(p, "seq", wire.FromBytes(make([]byte, 64<<10))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		seq := p.Now().Sub(seqStart)
-		// Four overlapped AIOs.
-		aioStart := p.Now()
-		var comps []*Completion
-		for i := 0; i < 4; i++ {
-			comps = append(comps, r.client.AioWrite("aio", wire.FromBytes(make([]byte, 64<<10))))
-		}
-		for _, c := range comps {
-			if err := c.Wait(p); err != nil {
-				t.Fatal(err)
-			}
-			if !c.Done() {
-				t.Fatal("completion not marked done")
-			}
-		}
-		aio := p.Now().Sub(aioStart)
-		if aio >= seq {
-			t.Fatalf("aio (%v) not faster than sequential (%v)", aio, seq)
-		}
-	})
-}
-
-func TestAioReadReturnsData(t *testing.T) {
-	r := newClientRig(Config{})
-	r.run(t, func(p *sim.Proc) {
-		comp := r.client.AioRead("obj", 0, 0)
-		if err := comp.Wait(p); err != nil {
-			t.Fatal(err)
-		}
-		if comp.Data() == nil || string(comp.Data().Bytes()) != "fake-object-content" {
-			t.Fatal("wrong data on completed read")
-		}
-	})
-}
-
-func TestAioSurfacesErrors(t *testing.T) {
-	r := newClientRig(Config{})
-	for _, f := range r.osds {
-		f.mode = "notfound"
-	}
-	r.run(t, func(p *sim.Proc) {
-		comp := r.client.AioRead("ghost", 0, 0)
-		if err := comp.Wait(p); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("err=%v", err)
-		}
-	})
-}

@@ -96,11 +96,9 @@ type Config struct {
 	// Popularity skews read-target selection over the prepopulated set:
 	// prepop object i is popularity rank i (rank 0 hottest). The zero value
 	// (PopNone) keeps the historical uniform (worker, index) stride. Draws
-	// are pure functions of (PopSeed, worker, op index), so fixed-work runs
+	// are pure functions of (popSeed, worker, op index), so fixed-work runs
 	// stay comparable op-for-op.
 	Popularity Popularity
-	// PopSeed seeds the popularity draws (default 1).
-	PopSeed int64
 	// OnWarmupEnd is invoked at the warmup/measurement boundary (reset
 	// cluster CPU windows here).
 	OnWarmupEnd func()
@@ -121,9 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Op == Mixed && c.ReadPercent == 0 {
 		c.ReadPercent = 70
-	}
-	if c.Popularity.Kind != PopNone && c.PopSeed == 0 {
-		c.PopSeed = 1
 	}
 	return c
 }
@@ -226,6 +221,9 @@ func (r Result) String() string {
 		r.Threads, r.ObjectBytes, r.Ops, r.Window, r.IOPS(),
 		r.ThroughputBps()/1e6, r.AvgLatency.Seconds())
 }
+
+// popSeed seeds the popularity draws.
+const popSeed int64 = 1
 
 // Run executes the benchmark against client inside env. It must be called
 // before env is driven; it spawns the workers and a controller, drives the
@@ -371,7 +369,7 @@ func Run(env *sim.Env, client *rados.Client, cfg Config) (Result, error) {
 					} else {
 						idx := (worker*7919 + i) % nPrepop
 						if popGen != nil {
-							idx = popGen.Pick(cfg.PopSeed,
+							idx = popGen.Pick(popSeed,
 								uint64(worker)<<32|uint64(uint32(i)))
 						}
 						obj := fmt.Sprintf("%s_prepop_%d", cfg.Prefix, idx)

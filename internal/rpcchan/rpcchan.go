@@ -22,44 +22,17 @@ type Config struct {
 	// Latency is the one-way socket latency (kernel path over PCIe/host
 	// interface).
 	Latency sim.Duration
-	// BytesPerSec is the socket throughput (this is a control channel; the
-	// default is deliberately modest).
-	BytesPerSec float64
-	// FixedCycles is charged per message on the processing endpoint.
-	FixedCycles int64
-	// PerByteCycles is charged per payload byte (serialize + copy).
-	PerByteCycles float64
-	// SwitchesPerMsg records voluntary context switches per message.
-	SwitchesPerMsg int64
 }
 
-// DefaultConfig returns control-channel defaults (~25 us latency, 2 GB/s).
+// DefaultConfig returns the control-channel default (~25 us latency).
 func DefaultConfig() Config {
-	return Config{
-		Latency:        25 * sim.Microsecond,
-		BytesPerSec:    2e9,
-		FixedCycles:    10_000,
-		PerByteCycles:  0.8,
-		SwitchesPerMsg: 2,
-	}
+	return Config{Latency: 25 * sim.Microsecond}
 }
 
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
 	if c.Latency == 0 {
 		c.Latency = d.Latency
-	}
-	if c.BytesPerSec == 0 {
-		c.BytesPerSec = d.BytesPerSec
-	}
-	if c.FixedCycles == 0 {
-		c.FixedCycles = d.FixedCycles
-	}
-	if c.PerByteCycles == 0 {
-		c.PerByteCycles = d.PerByteCycles
-	}
-	if c.SwitchesPerMsg == 0 {
-		c.SwitchesPerMsg = d.SwitchesPerMsg
 	}
 	return c
 }
@@ -190,6 +163,18 @@ func (e *Endpoint) Notify(p *sim.Proc, op uint16, payload *wire.Bufferlist) {
 	e.stats.Notifies++
 }
 
+const (
+	// bytesPerSec is the socket throughput (this is a control channel; the
+	// value is deliberately modest: 2 GB/s).
+	bytesPerSec float64 = 2e9
+	// fixedCycles is charged per message on the processing endpoint.
+	fixedCycles int64 = 10_000
+	// perByteCycles is charged per payload byte (serialize + copy).
+	perByteCycles float64 = 0.8
+	// switchesPerMsg records voluntary context switches per message.
+	switchesPerMsg int64 = 2
+)
+
 // transmit pays the sender-side CPU cost of env on p and books the message
 // on the outbound socket direction (serialization + latency behind a
 // busy-until time); it returns the arrival instant at the peer.
@@ -199,11 +184,11 @@ func (e *Endpoint) transmit(p *sim.Proc, env *envelope) sim.Time {
 	if env.payload != nil {
 		env.bytes += int64(env.payload.Length())
 	}
-	e.cpu.Exec(p, e.th, e.cfg.FixedCycles+int64(float64(env.bytes)*e.cfg.PerByteCycles))
-	e.cpu.NoteSwitches(e.th, e.cfg.SwitchesPerMsg)
+	e.cpu.Exec(p, e.th, fixedCycles+int64(float64(env.bytes)*perByteCycles))
+	e.cpu.NoteSwitches(e.th, switchesPerMsg)
 	e.stats.BytesSent += env.bytes
 
-	ser := sim.Duration(float64(env.bytes) / e.cfg.BytesPerSec * float64(sim.Second))
+	ser := sim.Duration(float64(env.bytes) / bytesPerSec * float64(sim.Second))
 	start := e.env.Now()
 	if e.sendFree > start {
 		start = e.sendFree
@@ -224,8 +209,8 @@ func (e *Endpoint) serve(p *sim.Proc) {
 	p.SetThread(e.th)
 	for {
 		env := e.inq.Pop(p)
-		e.cpu.Exec(p, e.th, e.cfg.FixedCycles+int64(float64(env.bytes)*e.cfg.PerByteCycles))
-		e.cpu.NoteSwitches(e.th, e.cfg.SwitchesPerMsg)
+		e.cpu.Exec(p, e.th, fixedCycles+int64(float64(env.bytes)*perByteCycles))
+		e.cpu.NoteSwitches(e.th, switchesPerMsg)
 		e.stats.BytesRecv += env.bytes
 		if env.req {
 			e.stats.CallsServed++

@@ -19,8 +19,6 @@
 //   - CPU: a multi-core, FCFS, non-preemptive processor with per-thread cycle
 //     accounting and context-switch costs/counters (the basis of the paper's
 //     Figure 5, Figure 7 and Table 2).
-//   - Pipe: a serialized bandwidth+latency channel used for Ethernet links
-//     and PCIe DMA paths (Figures 6, 8, 10).
 //   - Disk: a bandwidth+per-IO-latency block device (the PM893 SSD model).
 //
 // Virtual time is measured in integer nanoseconds (Time/Duration) and never

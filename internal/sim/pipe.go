@@ -1,74 +1,5 @@
 package sim
 
-// Pipe is a serialized bandwidth+latency channel: transfers are transmitted
-// strictly in arrival order at BytesPerSec, then experience a fixed
-// propagation Latency. It models one direction of an Ethernet link or a
-// PCIe DMA path. Because the kernel is single-threaded, the busy-until
-// arithmetic needs no locking.
-type Pipe struct {
-	env  *Env
-	name string
-
-	BytesPerSec float64
-	Latency     Duration
-
-	freeAt      Time
-	bytesMoved  int64
-	transfers   int64
-	windowStart Time
-	windowBytes int64
-}
-
-// NewPipe returns a pipe with the given bandwidth (bytes/second) and
-// propagation latency.
-func NewPipe(env *Env, name string, bytesPerSec float64, latency Duration) *Pipe {
-	return &Pipe{env: env, name: name, BytesPerSec: bytesPerSec, Latency: latency}
-}
-
-// Name returns the pipe's name.
-func (pp *Pipe) Name() string { return pp.name }
-
-// Transfer blocks p for queueing + serialization + propagation of a message
-// of the given size and returns the instant the last byte arrived.
-func (pp *Pipe) Transfer(p *Proc, bytes int64) Time {
-	ser := Duration(float64(bytes) / pp.BytesPerSec * float64(Second))
-	start := maxTime(pp.env.now, pp.freeAt)
-	pp.freeAt = start.Add(ser)
-	pp.bytesMoved += bytes
-	pp.windowBytes += bytes
-	pp.transfers++
-	arrive := pp.freeAt.Add(pp.Latency)
-	p.WaitUntil(arrive)
-	return arrive
-}
-
-// SerializationTime returns the pure transmission time for a message of the
-// given size, ignoring queueing and latency.
-func (pp *Pipe) SerializationTime(bytes int64) Duration {
-	return Duration(float64(bytes) / pp.BytesPerSec * float64(Second))
-}
-
-// BytesMoved returns the total bytes ever transferred.
-func (pp *Pipe) BytesMoved() int64 { return pp.bytesMoved }
-
-// Transfers returns the total number of Transfer calls.
-func (pp *Pipe) Transfers() int64 { return pp.transfers }
-
-// ResetStats starts a fresh throughput window at the current instant.
-func (pp *Pipe) ResetStats() {
-	pp.windowStart = pp.env.now
-	pp.windowBytes = 0
-}
-
-// WindowThroughput returns bytes/second moved in the current window.
-func (pp *Pipe) WindowThroughput() float64 {
-	w := pp.env.now.Sub(pp.windowStart).Seconds()
-	if w <= 0 {
-		return 0
-	}
-	return float64(pp.windowBytes) / w
-}
-
 // Disk is a block device model: each operation pays a fixed per-IO latency
 // and is serialized against the device's bandwidth (distinct read and write
 // rates). It approximates the sequential behaviour of a SATA SSD under the

@@ -1,84 +1,6 @@
 package sim
 
-import (
-	"math"
-	"testing"
-)
-
-func TestPipeSerialization(t *testing.T) {
-	env := NewEnv(1)
-	// 1 GB/s, 1us latency: 1000 bytes = 1us ser + 1us lat = 2us.
-	pipe := NewPipe(env, "link", 1e9, Microsecond)
-	env.Spawn("p", func(p *Proc) {
-		pipe.Transfer(p, 1000)
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if env.Now() != Time(2*Microsecond) {
-		t.Fatalf("now=%v", env.Now())
-	}
-	if pipe.BytesMoved() != 1000 || pipe.Transfers() != 1 {
-		t.Fatalf("bytes=%d transfers=%d", pipe.BytesMoved(), pipe.Transfers())
-	}
-}
-
-func TestPipeFIFOQueueing(t *testing.T) {
-	env := NewEnv(1)
-	pipe := NewPipe(env, "link", 1e9, 0)
-	var done []Time
-	for i := 0; i < 3; i++ {
-		env.Spawn("p", func(p *Proc) {
-			pipe.Transfer(p, 1000)
-			done = append(done, p.Now())
-		})
-	}
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Serialized back-to-back: 1us, 2us, 3us.
-	want := []Time{Time(Microsecond), Time(2 * Microsecond), Time(3 * Microsecond)}
-	for i := range want {
-		if done[i] != want[i] {
-			t.Fatalf("done=%v", done)
-		}
-	}
-}
-
-func TestPipeIdleGap(t *testing.T) {
-	env := NewEnv(1)
-	pipe := NewPipe(env, "link", 1e9, 0)
-	var second Time
-	env.Spawn("p", func(p *Proc) {
-		pipe.Transfer(p, 1000)
-		p.Wait(10 * Microsecond) // let the pipe go idle
-		pipe.Transfer(p, 1000)
-		second = p.Now()
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if second != Time(12*Microsecond) {
-		t.Fatalf("second=%v want 12us", second)
-	}
-}
-
-func TestPipeWindowThroughput(t *testing.T) {
-	env := NewEnv(1)
-	pipe := NewPipe(env, "link", 1e9, 0)
-	env.Spawn("p", func(p *Proc) {
-		pipe.Transfer(p, 500)
-		pipe.ResetStats()
-		pipe.Transfer(p, 1000)
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// 1000 bytes in the 1us window after reset => 1e9 B/s.
-	if math.Abs(pipe.WindowThroughput()-1e9) > 1 {
-		t.Fatalf("thr=%v", pipe.WindowThroughput())
-	}
-}
+import "testing"
 
 func TestDiskWriteReadAccounting(t *testing.T) {
 	env := NewEnv(1)
