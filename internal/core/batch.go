@@ -277,7 +277,7 @@ func (px *Proxy) shipBatchViaRPC(p *sim.Proc, ops []*batchOp) {
 
 // onTxnDoneBatch handles a coalesced host commit notification: one RPC
 // completing many transactions.
-func (px *Proxy) onTxnDoneBatch(p *sim.Proc, req *rpcchan.Request,
+func (px *Proxy) onTxnDoneBatch(p *sim.Proc, req rpcchan.Request,
 	respond func(*wire.Bufferlist, uint16)) {
 	respond(nil, 0) // notify: no-op
 	entries, err := decodeTxnDoneBatch(req.Payload)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"doceph/internal/bluestore"
@@ -556,23 +557,45 @@ func TestFallbackSegmentHeaderValidated(t *testing.T) {
 // Shutdown with transfers in flight drops the pending completion tasks along
 // with the procs.
 func TestTeardownReturnsBuffersTasksAndProcs(t *testing.T) {
-	for name, cfg := range map[string]BridgeConfig{
-		"per-op":  {},
-		"batched": {Batch: BatchConfig{Enable: true}},
+	for _, c := range []struct {
+		name   string
+		cfg    BridgeConfig
+		stream bool // the writes are StreamReuse chunks, as the OSD's stream ingest submits them
+	}{
+		{name: "per-op"},
+		{name: "batched", cfg: BridgeConfig{Batch: BatchConfig{Enable: true}}},
+		{name: "streamed", stream: true},
 	} {
-		r := newCoreRig(cfg)
+		name := c.name
+		r := newCoreRig(c.cfg)
 		px, hs := r.bridge.Proxy, r.bridge.Host
 		daemons := r.env.LiveProcs()
 		const size = 5 << 20 // 3 DMA segments each way
 		th := sim.NewThread("dpu-osd-worker", "tp_osd_tp")
+		write := func(obj string, off uint64, data *wire.Bufferlist) *objstore.Transaction {
+			txn := objstore.NewTransaction().Write("pg.0", obj, off, data)
+			txn.StreamReuse = c.stream
+			return txn
+		}
 		r.env.Spawn("body", func(p *sim.Proc) {
 			p.SetThread(th)
-			big := (&objstore.Transaction{}).MkColl("pg.0").Write("pg.0", "big", 0, seeded(size, 1))
-			small := (&objstore.Transaction{}).Write("pg.0", "small", 0, seeded(4096, 2))
-			a, b := px.QueueTransaction(p, big), px.QueueTransaction(p, small)
-			a.Done.Wait(p)
-			b.Done.Wait(p)
-			if bl, err := px.Read(p, "pg.0", "big", 0, 0); err != nil || bl.Length() != size {
+			results := []*objstore.Result{
+				px.QueueTransaction(p, (&objstore.Transaction{}).MkColl("pg.0")),
+				px.QueueTransaction(p, write("big", 0, seeded(size, 1))),
+				px.QueueTransaction(p, write("small", 0, seeded(4096, 2))),
+			}
+			if c.stream { // the rest of a stream: 2 MiB chunks, two segments each with their header
+				for off := uint64(size); off < size+(6<<20); off += 2 << 20 {
+					results = append(results, px.QueueTransaction(p, write("big", off, seeded(2<<20, 3))))
+				}
+			}
+			for _, res := range results {
+				res.Done.Wait(p)
+				if res.Err != nil {
+					t.Errorf("%s: commit: %v", name, res.Err)
+				}
+			}
+			if bl, err := px.Read(p, "pg.0", "big", 0, size); err != nil || bl.Length() != size {
 				t.Errorf("%s: read back: %v", name, err)
 			}
 		})
@@ -585,9 +608,9 @@ func TestTeardownReturnsBuffersTasksAndProcs(t *testing.T) {
 		if free, all := hs.readBuf.Available(), hs.readBuf.Capacity(); free != all {
 			t.Errorf("%s: %d of %d host read buffers free after the run", name, free, all)
 		}
-		if px.stagingBytes != 0 || len(px.pendingTxns) != 0 || len(hs.asm) != 0 || len(hs.readyTxns) != 0 {
-			t.Errorf("%s: staging=%d pendingTxns=%d assembling=%d ready=%d after the run",
-				name, px.stagingBytes, len(px.pendingTxns), len(hs.asm), len(hs.readyTxns))
+		if px.stagingBytes != 0 || len(px.pendingTxns) != 0 || len(hs.asm) != 0 || len(hs.readyTxns) != 0 || len(hs.notifying) != 0 {
+			t.Errorf("%s: staging=%d pendingTxns=%d assembling=%d ready=%d notifying=%d after the run",
+				name, px.stagingBytes, len(px.pendingTxns), len(hs.asm), len(hs.readyTxns), len(hs.notifying))
 		}
 		if live := r.env.LiveProcs(); live != daemons {
 			t.Errorf("%s: %d procs and tasks live after the run, %d daemons before it", name, live, daemons)
@@ -599,7 +622,7 @@ func TestTeardownReturnsBuffersTasksAndProcs(t *testing.T) {
 		// Second write, stopped while its segments are on the engine.
 		r.env.Spawn("cut-short", func(p *sim.Proc) {
 			p.SetThread(th)
-			px.QueueTransaction(p, (&objstore.Transaction{}).Write("pg.0", "big2", 0, seeded(size, 3)))
+			px.QueueTransaction(p, write("big2", 0, seeded(size, 3)))
 		})
 		for step := 0; px.stagingBytes == 0; step++ {
 			if step == 1000 {
@@ -615,6 +638,106 @@ func TestTeardownReturnsBuffersTasksAndProcs(t *testing.T) {
 		r.env.Shutdown()
 		if live := r.env.LiveProcs(); live != 0 {
 			t.Errorf("%s: %d procs or tasks survived Shutdown", name, live)
+		}
+	}
+}
+
+// streamChunks submits n one-write 2 MiB StreamReuse transactions one after
+// the other — what the OSD's stream ingest hands the proxy per chunk — eight
+// to an object, and waits for each to commit.
+func streamChunks(t *testing.T, p *sim.Proc, px *Proxy, chunk *wire.Bufferlist, first, n int) {
+	for i := first; i < first+n; i++ {
+		txn := objstore.NewTransaction().Write("pg.0", objNames[i/8%len(objNames)], uint64(i%8)<<21, chunk)
+		txn.StreamReuse = true
+		if err := commitP(t, p, px, txn); err != nil {
+			t.Fatalf("chunk %d: %v", i, err)
+		}
+	}
+}
+
+var objNames = [...]string{"stream_obj_0", "stream_obj_1", "stream_obj_2", "stream_obj_3",
+	"stream_obj_4", "stream_obj_5", "stream_obj_6", "stream_obj_7", "stream_obj_8", "stream_obj_9"}
+
+// crossingAllocCeiling is one above what a crossing allocates today (14:
+// the caller's transaction; its frame buffer and list; the pendingTxn and its
+// segments; two segment views; the hostTxn; the joined payload; the decoded
+// transaction and its data view; BlueStore's txc and extent; the notification's
+// envelope). The next record somebody adds to the path fails here, not in a
+// benchmark.
+const crossingAllocCeiling = 15
+
+// TestCrossingAllocationBudget holds one transaction crossing — proxy, DMA
+// engine, host assembly, BlueStore commit, completion RPC — to its allocation
+// budget, on the shape the streamed 16 MiB write submits sixteen times per op.
+func TestCrossingAllocationBudget(t *testing.T) {
+	r := newCoreRig(BridgeConfig{})
+	r.run(t, func(p *sim.Proc) {
+		px := r.bridge.Proxy
+		if err := commitP(t, p, px, (&objstore.Transaction{}).MkColl("pg.0")); err != nil {
+			t.Fatal(err)
+		}
+		chunk := seeded(2<<20, 5)
+		streamChunks(t, p, px, chunk, 0, 16) // pools, maps and queues reach their size
+		const crossings = 64
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		streamChunks(t, p, px, chunk, 16, crossings)
+		runtime.ReadMemStats(&after)
+		per := float64(after.Mallocs-before.Mallocs) / crossings
+		t.Logf("%.2f allocations per crossing", per)
+		if per > crossingAllocCeiling {
+			t.Fatalf("%.2f allocations per crossing, want at most %d", per, crossingAllocCeiling)
+		}
+		if n := r.bridge.EngUp.Stats().Transfers; n != 2*(16+crossings)+1 {
+			t.Fatalf("%d transfers; want two per chunk (2 MiB and the header's tail)", n)
+		}
+	})
+}
+
+// TestResultReadableLongAfterDone: the caller keeps reading a Result after
+// Done — a stream's barrier holds every chunk's to the end — so the record it
+// lives in is never handed to a later transaction. A thousand commits later
+// both an old success and an old failure still report their own outcome.
+func TestResultReadableLongAfterDone(t *testing.T) {
+	r := newCoreRig(BridgeConfig{})
+	r.run(t, func(p *sim.Proc) {
+		px := r.bridge.Proxy
+		if err := commitP(t, p, px, (&objstore.Transaction{}).MkColl("pg.0")); err != nil {
+			t.Fatal(err)
+		}
+		ok := px.QueueTransaction(p, objstore.NewTransaction().Write("pg.0", "kept", 0, seeded(3<<20, 1)))
+		bad := px.QueueTransaction(p, objstore.NewTransaction().Write("nowhere", "kept", 0, seeded(4096, 2)))
+		ok.Done.Wait(p)
+		bad.Done.Wait(p)
+		okTime, badTime := ok.ServiceTime, bad.ServiceTime
+		if ok.Err != nil || !errors.Is(bad.Err, objstore.ErrNoCollection) {
+			t.Fatalf("ok: err=%v; bad: err=%v", ok.Err, bad.Err)
+		}
+		small := seeded(4096, 3)
+		for i := 0; i < 1000; i++ { // successes and failures alike, so either old record would show a reuse
+			coll := [2]string{"pg.0", "nowhere"}[i%2]
+			if err := commitP(t, p, px, objstore.NewTransaction().Write(coll, "later", 0, small)); (err != nil) != (i%2 == 1) {
+				t.Fatalf("later commit %d into %s: %v", i, coll, err)
+			}
+		}
+		if !ok.Done.Fired() || ok.Err != nil || ok.ServiceTime != okTime {
+			t.Errorf("old success now reads err=%v service=%v, was nil and %v", ok.Err, ok.ServiceTime, okTime)
+		}
+		if !errors.Is(bad.Err, objstore.ErrNoCollection) || bad.ServiceTime != badTime {
+			t.Errorf("old failure now reads err=%v service=%v, was ErrNoCollection and %v", bad.Err, bad.ServiceTime, badTime)
+		}
+	})
+}
+
+// TestTxnDoneFrameRoundTrip: the notification a hostTxn carries inside itself
+// decodes to what was put in, again after the record's frame is rewritten.
+func TestTxnDoneFrameRoundTrip(t *testing.T) {
+	var f txnDoneFrame
+	for _, in := range []txnDoneEntry{{reqID: 1<<40 + 7, code: rcNoColl, hostNanos: 123_456_789}, {reqID: 2, hostNanos: -1}} {
+		f.encode(in.reqID, in.code, in.hostNanos)
+		reqID, code, nanos, err := decodeTxnDone(&f.bl.Bufferlist)
+		if got := (txnDoneEntry{reqID: reqID, code: code, hostNanos: nanos}); err != nil || got != in {
+			t.Fatalf("decoded %+v (err %v), want %+v", got, err, in)
 		}
 	}
 }

@@ -117,6 +117,12 @@ type HostServer struct {
 	// DMA and RPC-fallback deliveries race.
 	nextCommit uint64
 	readyTxns  map[uint64]*hostTxn
+	// notifying holds a committed transaction until its host-notify proc,
+	// which finds it by id, has sent the notification; notifyBody is
+	// sendTxnDone as a func value, made once. names are the last ones decoded.
+	notifying  map[uint64]*hostTxn
+	notifyBody func(*sim.Proc)
+	names      objstore.Names
 	stats      HostStats
 
 	// Notify coalescers (live only when cfg.Batch.Enable; see batch.go):
@@ -138,8 +144,10 @@ type notifyShard struct {
 type hostTxn struct {
 	hs    *HostServer
 	reqID uint64
-	// segs has one slot per segment of the request; have counts the filled ones.
+	// segs has one slot per segment of the request (in slot for up to three);
+	// have counts the filled ones.
 	segs []*wire.Bufferlist
+	slot [3]*wire.Bufferlist
 	have int
 	// traceCtx is the first non-zero trace context seen on a segment tag
 	// (RPC-fallback segments carry none).
@@ -158,6 +166,7 @@ type hostTxn struct {
 	// start is the instant the commit was submitted, res its result.
 	start sim.Time
 	res   *objstore.Result
+	done  txnDoneFrame
 }
 
 // readSeg is one in-flight segment of a read's return DMA, and the task that
@@ -183,7 +192,9 @@ func NewHostServer(env *sim.Env, hostCPU *sim.CPU, store objstore.Store,
 		asm:        make(map[uint64]*hostTxn),
 		nextCommit: 1,
 		readyTxns:  make(map[uint64]*hostTxn),
+		notifying:  make(map[uint64]*hostTxn),
 	}
+	hs.notifyBody = hs.sendTxnDone
 	hs.readBuf = dpu.NewBufferPool(env, "host-read-staging",
 		readStagingBuffers, readStagingBufferBytes)
 	rpcEnd.Handle(opStat, hs.onStat)
@@ -281,7 +292,12 @@ func (hs *HostServer) pollLoop(p *sim.Proc) {
 func (hs *HostServer) addSegment(p *sim.Proc, reqID, txnSeq uint64, seg, total int, data *wire.Bufferlist, traceCtx uint64, queue int) {
 	a := hs.asm[reqID]
 	if a == nil {
-		a = &hostTxn{hs: hs, reqID: reqID, segs: make([]*wire.Bufferlist, total)}
+		a = &hostTxn{hs: hs, reqID: reqID, queue: queue}
+		if total <= len(a.slot) {
+			a.segs = a.slot[:total]
+		} else {
+			a.segs = make([]*wire.Bufferlist, total)
+		}
 		hs.asm[reqID] = a
 	}
 	if seg < 0 || seg >= len(a.segs) || total != len(a.segs) {
@@ -307,17 +323,17 @@ func (hs *HostServer) addSegment(p *sim.Proc, reqID, txnSeq uint64, seg, total i
 	}
 	hs.tr.AddCPU(a.span, hs.cpu.Name(),
 		hs.cpu.ExecSelf(p, int64(float64(payload.Length())*assembleCyclesPerByte)))
-	txn, err := objstore.DecodeTransactionBL(payload)
+	txn, err := objstore.DecodeTransactionBL(payload, &hs.names)
 	if err != nil {
 		// Report the failure but keep the commit sequence moving with an
 		// empty transaction in this slot.
-		hs.notifyTxnDone(reqID, rcIO, 0, queue)
+		hs.notifyTxnDone(a, rcIO, 0)
 		txn, a.silent = &objstore.Transaction{}, true
 	} else {
 		// The host-commit span parents the local BlueStore's aio/kv spans.
 		txn.TraceCtx = uint64(a.span)
 	}
-	a.queue, a.txn, a.ready = queue, txn, p.Now()
+	a.txn, a.ready = txn, p.Now()
 	hs.readyTxns[txnSeq] = a
 	for {
 		rt, ok := hs.readyTxns[hs.nextCommit]
@@ -351,31 +367,39 @@ func (rt *hostTxn) Run() {
 	if hostWrite <= 0 {
 		hostWrite = hs.env.Now().Sub(rt.start)
 	}
-	hs.notifyTxnDone(rt.reqID, errToCode(rt.res.Err), int64(hostWrite), rt.queue)
+	hs.notifyTxnDone(rt, errToCode(rt.res.Err), int64(hostWrite))
 }
 
-func (hs *HostServer) notifyTxnDone(reqID uint64, code uint16, hostWriteNanos int64, queue int) {
+func (hs *HostServer) notifyTxnDone(rt *hostTxn, code uint16, hostWriteNanos int64) {
 	if len(hs.notify) > 0 {
 		// Batching: queue for the notify coalescer of the DMA queue the
 		// request's frame rode, which folds many completions into one
 		// opTxnDoneBatch RPC.
+		queue := rt.queue
 		if queue < 0 || queue >= len(hs.notify) {
 			queue = 0
 		}
 		sh := hs.notify[queue]
-		sh.q = append(sh.q, txnDoneEntry{reqID: reqID, code: code, hostNanos: hostWriteNanos})
+		sh.q = append(sh.q, txnDoneEntry{reqID: rt.reqID, code: code, hostNanos: hostWriteNanos})
 		sh.cond.Broadcast()
 		return
 	}
-	hs.env.SpawnID("host-notify:", reqID, func(p *sim.Proc) {
-		p.SetThread(hs.thPoll)
-		hs.rpc.Notify(p, opTxnDone, encodeTxnDone(reqID, code, hostWriteNanos))
-	})
+	rt.done.encode(rt.reqID, code, hostWriteNanos)
+	hs.notifying[rt.reqID] = rt
+	hs.env.SpawnID("host-notify:", rt.reqID, hs.notifyBody)
+}
+
+// sendTxnDone is the body of every host-notify proc.
+func (hs *HostServer) sendTxnDone(p *sim.Proc) {
+	rt := hs.notifying[p.ID()]
+	delete(hs.notifying, p.ID())
+	p.SetThread(hs.thPoll)
+	hs.rpc.Notify(p, opTxnDone, &rt.done.bl.Bufferlist)
 }
 
 // onBatchFallback files a whole batch frame arriving over the control plane
 // (the batched submit used during cooldown / after a batch DMA error).
-func (hs *HostServer) onBatchFallback(p *sim.Proc, req *rpcchan.Request,
+func (hs *HostServer) onBatchFallback(p *sim.Proc, req rpcchan.Request,
 	respond func(*wire.Bufferlist, uint16)) {
 	entries, err := decodeBatchFrame(req.Payload)
 	if err != nil {
@@ -428,7 +452,7 @@ func (hs *HostServer) serveRead(req *readReq) {
 // Control-plane handlers: quick metadata services on the event-driven RPC
 // loop (§3.2).
 
-func (hs *HostServer) onStat(p *sim.Proc, req *rpcchan.Request,
+func (hs *HostServer) onStat(p *sim.Proc, req rpcchan.Request,
 	respond func(*wire.Bufferlist, uint16)) {
 	hs.stats.ControlRequests++
 	coll, obj, err := decodeObjRef(req.Payload)
@@ -444,7 +468,7 @@ func (hs *HostServer) onStat(p *sim.Proc, req *rpcchan.Request,
 	respond(encodeStatResp(st), rcOK)
 }
 
-func (hs *HostServer) onExists(p *sim.Proc, req *rpcchan.Request,
+func (hs *HostServer) onExists(p *sim.Proc, req rpcchan.Request,
 	respond func(*wire.Bufferlist, uint16)) {
 	hs.stats.ControlRequests++
 	coll, obj, err := decodeObjRef(req.Payload)
@@ -459,7 +483,7 @@ func (hs *HostServer) onExists(p *sim.Proc, req *rpcchan.Request,
 	respond(wire.FromBytes([]byte{v}), rcOK)
 }
 
-func (hs *HostServer) onList(p *sim.Proc, req *rpcchan.Request,
+func (hs *HostServer) onList(p *sim.Proc, req rpcchan.Request,
 	respond func(*wire.Bufferlist, uint16)) {
 	hs.stats.ControlRequests++
 	coll, _, err := decodeObjRef(req.Payload)
@@ -475,7 +499,7 @@ func (hs *HostServer) onList(p *sim.Proc, req *rpcchan.Request,
 	respond(encodeList(names), rcOK)
 }
 
-func (hs *HostServer) onOmapGet(p *sim.Proc, req *rpcchan.Request,
+func (hs *HostServer) onOmapGet(p *sim.Proc, req rpcchan.Request,
 	respond func(*wire.Bufferlist, uint16)) {
 	hs.stats.ControlRequests++
 	coll, obj, key, err := decodeOmapRef(req.Payload)
@@ -491,7 +515,7 @@ func (hs *HostServer) onOmapGet(p *sim.Proc, req *rpcchan.Request,
 	respond(wire.FromBytes(v), rcOK)
 }
 
-func (hs *HostServer) onOmapKeys(p *sim.Proc, req *rpcchan.Request,
+func (hs *HostServer) onOmapKeys(p *sim.Proc, req rpcchan.Request,
 	respond func(*wire.Bufferlist, uint16)) {
 	hs.stats.ControlRequests++
 	coll, obj, err := decodeObjRef(req.Payload)
@@ -509,7 +533,7 @@ func (hs *HostServer) onOmapKeys(p *sim.Proc, req *rpcchan.Request,
 
 // onSegFallback files a transaction segment arriving over the RPC path
 // (cooldown or post-error fallback).
-func (hs *HostServer) onSegFallback(p *sim.Proc, req *rpcchan.Request,
+func (hs *HostServer) onSegFallback(p *sim.Proc, req rpcchan.Request,
 	respond func(*wire.Bufferlist, uint16)) {
 	reqID, txnSeq, seg, total, payload, err := decodeSegFallback(req.Payload)
 	if err != nil {
@@ -523,7 +547,7 @@ func (hs *HostServer) onSegFallback(p *sim.Proc, req *rpcchan.Request,
 }
 
 // onReadFallback serves a whole read over RPC (cooldown path).
-func (hs *HostServer) onReadFallback(p *sim.Proc, req *rpcchan.Request,
+func (hs *HostServer) onReadFallback(p *sim.Proc, req rpcchan.Request,
 	respond func(*wire.Bufferlist, uint16)) {
 	rr, err := decodeReadReq(req.Payload)
 	if err != nil {

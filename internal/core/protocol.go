@@ -18,6 +18,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 
 	"doceph/internal/objstore"
@@ -193,13 +194,18 @@ func decodeSegFallback(bl *wire.Bufferlist) (reqID, txnSeq uint64, seg, total in
 	return reqID, txnSeq, seg, total, payload, d.Err()
 }
 
-// encodeTxnDone frames the host -> DPU commit notification.
-func encodeTxnDone(reqID uint64, code uint16, hostWriteNanos int64) *wire.Bufferlist {
-	e := wire.NewEncoder(24)
-	e.U64(reqID)
-	e.U16(code)
-	e.I64(hostWriteNanos)
-	return e.Bufferlist()
+// txnDoneFrame is the host -> DPU commit notification and the list that
+// carries it, embedded in the record that sends it.
+type txnDoneFrame struct {
+	bl  wire.Inline1
+	buf [18]byte
+}
+
+func (f *txnDoneFrame) encode(reqID uint64, code uint16, hostWriteNanos int64) {
+	binary.LittleEndian.PutUint64(f.buf[0:], reqID)
+	binary.LittleEndian.PutUint16(f.buf[8:], code)
+	binary.LittleEndian.PutUint64(f.buf[10:], uint64(hostWriteNanos))
+	f.bl.Init().Append(f.buf[:])
 }
 
 func decodeTxnDone(bl *wire.Bufferlist) (reqID uint64, code uint16, hostWriteNanos int64, err error) {

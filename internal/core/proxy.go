@@ -137,7 +137,9 @@ type Proxy struct {
 	hostMR  *doca.MemRegion
 
 	thProxy *sim.Thread
-	tr      *trace.Tracer
+	// txBody is shipTxn as a func value, made once.
+	txBody func(*sim.Proc)
+	tr     *trace.Tracer
 
 	nextReq      uint64
 	nextTxnSeq   uint64
@@ -185,15 +187,21 @@ func (px *Proxy) noteStage(n int64) {
 func (px *Proxy) noteUnstage(n int64) { px.stagingBytes -= n }
 
 // pendingTxn is everything one in-flight transaction owns on the proxy, in
-// one allocation: the Result handed back to the caller and the host's commit
-// notification that completes it.
+// one allocation: the Result handed back to the caller, what its proxy-tx
+// proc ships (the proc finds the record by its id, so it needs no closure)
+// and the host's commit notification that completes it. The caller reads res
+// long after Done: never recycle one.
 type pendingTxn struct {
 	px            *Proxy
-	reqID         uint64
+	reqID, txnSeq uint64
 	res           objstore.Result
 	done          sim.Event
 	code          uint16
 	hostWriteNano int64
+	payload       *wire.Bufferlist
+	ctx           trace.SpanID
+	useDMA        bool
+	streamReuse   bool
 }
 
 // Run completes the caller's Result; the host's commit notification is in.
@@ -248,6 +256,7 @@ func NewProxy(env *sim.Env, dev *dpu.DPU, rpcEnd *rpcchan.Endpoint,
 		pendingReads: make(map[uint64]*pendingRead),
 		dmaHealthy:   true,
 	}
+	px.txBody = px.shipTxn
 	if px.cfg.Breaker.Enable {
 		px.br = dpu.NewBreaker(px.cfg.Breaker)
 	}
@@ -434,7 +443,7 @@ func (px *Proxy) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objst
 	reqID := px.nextReq
 	px.nextTxnSeq++
 	txnSeq := px.nextTxnSeq
-	pt := &pendingTxn{px: px, reqID: reqID}
+	pt := &pendingTxn{px: px, reqID: reqID, txnSeq: txnSeq}
 	px.pendingTxns[reqID] = pt
 
 	if px.cfg.Batch.Enable && int64(payload.Length()) <= px.cfg.Batch.MaxOpBytes {
@@ -445,24 +454,30 @@ func (px *Proxy) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objst
 		return &pt.res
 	}
 
-	useDMA := px.dmaAllowed(p)
-	if useDMA {
+	pt.useDMA = px.dmaAllowed(p)
+	if pt.useDMA {
 		px.stats.DataPlaneTxns++
 	} else {
 		px.stats.FallbackTxns++
 	}
-	streamReuse := txn.StreamReuse
-	px.env.SpawnID("proxy-tx:", reqID, func(tp *sim.Proc) {
-		tp.SetThread(px.thProxy)
-		if useDMA {
-			px.shipViaDMA(tp, reqID, txnSeq, payload, ctx, streamReuse)
-		} else {
-			px.shipViaRPC(tp, reqID, txnSeq, payload)
-		}
-		pt.done.Wait(tp)
-		pt.Run()
-	})
+	pt.payload, pt.ctx, pt.streamReuse = payload, ctx, txn.StreamReuse
+	px.env.SpawnID("proxy-tx:", reqID, px.txBody)
 	return &pt.res
+}
+
+// shipTxn is the body of every proxy-tx proc: ship the transaction its id
+// names, then complete it once the host has committed.
+func (px *Proxy) shipTxn(tp *sim.Proc) {
+	pt := px.pendingTxns[tp.ID()]
+	tp.SetThread(px.thProxy)
+	if pt.useDMA {
+		px.shipViaDMA(tp, pt)
+	} else {
+		px.shipViaRPC(tp, pt.reqID, pt.txnSeq, pt.payload)
+	}
+	pt.payload = nil // shipped; the caller keeps pt, through res, much longer
+	pt.done.Wait(tp)
+	pt.Run()
 }
 
 // invalidateCached drops read-cache entries for every object txn mutates,
@@ -523,9 +538,6 @@ func (c cut) size(i int) int64 {
 
 // view returns segment i as a zero-copy view of the payload.
 func (c cut) view(i int) *wire.Bufferlist {
-	if c.payload.Length() == 0 {
-		return &wire.Bufferlist{}
-	}
 	return c.payload.SubList(i*int(c.segBytes), int(c.size(i)))
 }
 
@@ -536,8 +548,9 @@ func (c cut) view(i int) *wire.Bufferlist {
 // marks every segment as region-reusing (stream chunks move through the
 // same pre-registered staging pool, like consecutive batch frames), so
 // back-to-back chunks of a stream pay the amortized setup.
-func (px *Proxy) shipViaDMA(p *sim.Proc, reqID, txnSeq uint64, payload *wire.Bufferlist, ctx trace.SpanID, streamReuse bool) {
-	c := newCut(payload, px.dev.Buffers.BufferBytes(), px.engUp)
+func (px *Proxy) shipViaDMA(p *sim.Proc, pt *pendingTxn) {
+	reqID, txnSeq, ctx, streamReuse := pt.reqID, pt.txnSeq, pt.ctx, pt.streamReuse
+	c := newCut(pt.payload, px.dev.Buffers.BufferBytes(), px.engUp)
 	total := c.total
 	px.ensureRegions(p)
 
@@ -657,7 +670,7 @@ func (px *Proxy) segViaRPC(p *sim.Proc, reqID, txnSeq uint64, c cut, i int) {
 }
 
 // onTxnDone handles the host's commit notification.
-func (px *Proxy) onTxnDone(p *sim.Proc, req *rpcchan.Request,
+func (px *Proxy) onTxnDone(p *sim.Proc, req rpcchan.Request,
 	respond func(*wire.Bufferlist, uint16)) {
 	respond(nil, 0) // notify: no-op
 	reqID, code, hostNanos, err := decodeTxnDone(req.Payload)
@@ -774,7 +787,7 @@ func (px *Proxy) downPollLoop(p *sim.Proc) {
 
 // onReadDone handles the host's read-completion notification (errors and
 // zero-length reads, which produce no data segments).
-func (px *Proxy) onReadDone(p *sim.Proc, req *rpcchan.Request,
+func (px *Proxy) onReadDone(p *sim.Proc, req rpcchan.Request,
 	respond func(*wire.Bufferlist, uint16)) {
 	respond(nil, 0)
 	reqID, code, total, err := decodeReadDone(req.Payload)

@@ -69,9 +69,8 @@ func (m *Messenger) SetStreamSink(s StreamSink) { m.streamSink = s }
 // but chunk writes wait on credits).
 func (m *Messenger) streamSend(dst string, inner cephmsg.Message, data *wire.Bufferlist) {
 	out := m.OpenStream(dst, inner, int64(data.Length()))
-	name := fmt.Sprintf("stream-pump:%s:%d", m.name, out.id)
-	m.env.Spawn(name, func(p *sim.Proc) {
-		p.SetThread(sim.NewThread(name, ThreadCat))
+	m.env.SpawnID("stream-pump:", out.id, func(p *sim.Proc) {
+		p.SetThread(sim.NewThread("stream-pump", ThreadCat))
 		out.Write(p, data)
 		out.Close(p)
 	})

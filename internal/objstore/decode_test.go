@@ -127,7 +127,7 @@ func transactionFrames() [][]byte {
 // message.
 func checkAgainstReference(t *testing.T, raw []byte, segLen int) {
 	t.Helper()
-	got, gotErr := DecodeTransactionBL(segmented(raw, segLen))
+	got, gotErr := DecodeTransactionBL(segmented(raw, segLen), &Names{})
 	want, wantErr := decodeTransactionBLRef(segmented(raw, segLen))
 	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 		t.Fatalf("%d-byte frame %x in %d-byte segments: err %v, reference %v", len(raw), raw, segLen, gotErr, wantErr)
@@ -161,27 +161,41 @@ func FuzzDecodeTransactionBL(f *testing.F) {
 }
 
 // TestDecodeTransactionBLAllocs pins the allocation budget of the decode every
-// DMA'd chunk goes through on the host: the transaction and its op slice,
-// the two names, and the payload view (a list and its segment table).
+// DMA'd chunk goes through on the host: the transaction with its one op, the
+// two names, and the payload view with its segment table — and without the
+// names when the frame before it carried the same ones.
 func TestDecodeTransactionBLAllocs(t *testing.T) {
-	frame := (&Transaction{}).Write("pg.17", "bench_w3_117", 0, wire.FromBytes(make([]byte, 2<<20))).EncodeBL()
+	frame := NewTransaction().Write("pg.17", "bench_w3_117", 0, wire.FromBytes(make([]byte, 2<<20))).EncodeBL()
 	var txn *Transaction
-	allocs := testing.AllocsPerRun(100, func() {
+	var last Names
+	decode := func() {
 		var err error
-		if txn, err = DecodeTransactionBL(frame); err != nil {
+		if txn, err = DecodeTransactionBL(frame, &last); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 6 {
-		t.Fatalf("DecodeTransactionBL: %.0f allocations for a one-write transaction, want at most 6", allocs)
 	}
-	if len(txn.Ops) != 1 || txn.Ops[0].Data.Length() != 2<<20 {
+	if allocs := testing.AllocsPerRun(100, func() { last = Names{}; decode() }); allocs > 4 {
+		t.Fatalf("DecodeTransactionBL: %.0f allocations for a one-write transaction, want at most 4", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, decode); allocs > 2 {
+		t.Fatalf("DecodeTransactionBL: %.0f allocations with the names of the frame before, want at most 2", allocs)
+	}
+	if len(txn.Ops) != 1 || txn.Ops[0].Data.Length() != 2<<20 || txn.Ops[0].Object != "bench_w3_117" {
 		t.Fatalf("decoded %+v", txn.Ops)
 	}
-	// The frame itself: the metadata buffer, its encoder, the list and its
-	// segment table.
-	txn = (&Transaction{}).Write("pg.17", "bench_w3_117", 0, wire.FromBytes(make([]byte, 2<<20)))
-	if allocs := testing.AllocsPerRun(100, func() { frame = txn.EncodeBL() }); allocs > 4 {
-		t.Fatalf("EncodeBL: %.0f allocations for a one-write transaction, want at most 4", allocs)
+	// The frame itself: the metadata buffer and the list with its segment
+	// table.
+	txn = NewTransaction().Write("pg.17", "bench_w3_117", 0, wire.FromBytes(make([]byte, 2<<20)))
+	if allocs := testing.AllocsPerRun(100, func() { frame = txn.EncodeBL() }); allocs > 2 {
+		t.Fatalf("EncodeBL: %.0f allocations for a one-write transaction, want at most 2", allocs)
+	}
+	// A one-op builder is one object; a second op moves the ops to a grown
+	// slice and leaves the first where it was.
+	if allocs := testing.AllocsPerRun(100, func() { txn = NewTransaction().Touch("pg.17", "o") }); allocs > 1 {
+		t.Fatalf("NewTransaction + one op: %.0f allocations, want 1", allocs)
+	}
+	txn.Remove("pg.17", "o")
+	if len(txn.Ops) != 2 || txn.Ops[0].Code != OpTouch || txn.Ops[1].Code != OpRemove {
+		t.Fatalf("ops after growing past the slot: %+v", txn.Ops)
 	}
 }

@@ -100,6 +100,17 @@ type Transaction struct {
 	StreamReuse bool
 }
 
+// NewTransaction returns an empty transaction with room for one op in the
+// same allocation: what a builder of one-op transactions starts from.
+func NewTransaction() *Transaction {
+	w := &struct {
+		Transaction
+		slot [1]Op
+	}{}
+	w.Ops = w.slot[:0]
+	return &w.Transaction
+}
+
 // Touch ensures obj exists in coll.
 func (t *Transaction) Touch(coll, obj string) *Transaction {
 	t.Ops = append(t.Ops, Op{Code: OpTouch, Collection: coll, Object: obj})
@@ -253,8 +264,7 @@ func (t *Transaction) EncodeBL() *wire.Bufferlist {
 	}
 	frame := meta.Bytes()
 	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
-	bl := &wire.Bufferlist{}
-	bl.Reserve(segs)
+	bl := wire.Sized(segs)
 	bl.Append(frame)
 	for i := range t.Ops {
 		if t.Ops[i].Data != nil {
@@ -264,9 +274,14 @@ func (t *Transaction) EncodeBL() *wire.Bufferlist {
 	return bl
 }
 
+// Names is the collection and object of the last op a decoder read. A
+// receiver sees one collection over and over and one object for a run of
+// stream chunks, so the decoder shares equal names instead of allocating them.
+type Names struct{ Collection, Object string }
+
 // DecodeTransactionBL parses a frame produced by EncodeBL. Data payloads
-// are zero-copy views into bl.
-func DecodeTransactionBL(bl *wire.Bufferlist) (*Transaction, error) {
+// are zero-copy views into bl. It reads and updates last.
+func DecodeTransactionBL(bl *wire.Bufferlist, last *Names) (*Transaction, error) {
 	if bl.Length() < 4 {
 		return nil, fmt.Errorf("objstore: frame too short (%d bytes)", bl.Length())
 	}
@@ -276,21 +291,27 @@ func DecodeTransactionBL(bl *wire.Bufferlist) (*Transaction, error) {
 	}
 	d := wire.NewDecoder(bl.Prefix(4 + metaLen)[4:])
 	n := d.U32()
-	t := &Transaction{}
+	var t *Transaction
 	// An op's metadata is at least minOpMeta bytes, so a count the metadata
 	// cannot hold (the decode fails below) does not size the slice.
-	if k := min(int(n), metaLen/minOpMeta); k > 0 {
-		t.Ops = make([]Op, 0, k)
+	switch k := min(int(n), metaLen/minOpMeta); k {
+	case 0:
+		t = &Transaction{}
+	case 1:
+		t = NewTransaction()
+	default:
+		t = &Transaction{Ops: make([]Op, 0, k)}
 	}
 	dataOff := 4 + metaLen
 	for i := uint32(0); i < n && d.Err() == nil; i++ {
 		op := Op{
 			Code:       OpCode(d.U8()),
-			Collection: d.String(),
-			Object:     d.String(),
+			Collection: d.StringLike(last.Collection),
+			Object:     d.StringLike(last.Object),
 			Offset:     d.U64(),
 			Length:     d.U64(),
 		}
+		last.Collection, last.Object = op.Collection, op.Object
 		dataLen := int(d.U32())
 		op.AttrName = d.String()
 		op.AttrValue = d.Blob()

@@ -52,7 +52,7 @@ func TestEncodeBLZeroCopyAndRoundTrip(t *testing.T) {
 	if frame.Length() < 3<<20 || frame.Length() > (3<<20)+1024 {
 		t.Fatalf("frame len=%d", frame.Length())
 	}
-	got, err := DecodeTransactionBL(frame)
+	got, err := DecodeTransactionBL(frame, &Names{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestDecodeBLRejectsCorruptFrames(t *testing.T) {
 	txn := (&Transaction{}).Write("c", "o", 0, wire.FromBytes(make([]byte, 100)))
 	flat := txn.EncodeBL().Bytes()
 	for _, cut := range []int{0, 3, 10, len(flat) - 1} {
-		if _, err := DecodeTransactionBL(wire.FromBytes(flat[:cut])); err == nil {
+		if _, err := DecodeTransactionBL(wire.FromBytes(flat[:cut]), &Names{}); err == nil {
 			t.Fatalf("cut=%d accepted", cut)
 		}
 	}
@@ -85,7 +85,7 @@ func TestDecodeBLRejectsCorruptFrames(t *testing.T) {
 	bad := append([]byte{}, flat...)
 	bad[0] = 0xFF
 	bad[1] = 0xFF
-	if _, err := DecodeTransactionBL(wire.FromBytes(bad)); err == nil {
+	if _, err := DecodeTransactionBL(wire.FromBytes(bad), &Names{}); err == nil {
 		t.Fatal("oversized meta length accepted")
 	}
 }
@@ -101,7 +101,7 @@ func TestLegacyEncodeDecodeAgreesWithBL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bl, err := DecodeTransactionBL(txn.EncodeBL())
+	bl, err := DecodeTransactionBL(txn.EncodeBL(), &Names{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestQuickEncodeBLRoundTrip(t *testing.T) {
 	f := func(coll, obj string, off uint64, data []byte, attr string) bool {
 		txn := (&Transaction{}).Write(coll, obj, off, wire.FromBytes(data))
 		txn.SetAttr(coll, obj, attr, data)
-		got, err := DecodeTransactionBL(txn.EncodeBL())
+		got, err := DecodeTransactionBL(txn.EncodeBL(), &Names{})
 		if err != nil || len(got.Ops) != 2 {
 			return false
 		}

@@ -215,7 +215,7 @@ func (o *OSD) handlePGPush(p *sim.Proc, src string, m *cephmsg.MPGPush) {
 		o.msgr.Send(src, &cephmsg.MPGPushAck{Tid: m.Tid, PGID: m.PGID, Object: m.Object})
 		return
 	}
-	txn := (&objstore.Transaction{}).Write(pgColl(m.PGID), m.Object, 0, m.Data)
+	txn := objstore.NewTransaction().Write(pgColl(m.PGID), m.Object, 0, m.Data)
 	for i := range m.OmapKeys {
 		txn.OmapSet(pgColl(m.PGID), m.Object, m.OmapKeys[i], m.OmapVals[i])
 	}

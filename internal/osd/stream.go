@@ -15,8 +15,6 @@
 package osd
 
 import (
-	"fmt"
-
 	"doceph/internal/cephmsg"
 	"doceph/internal/messenger"
 	"doceph/internal/objstore"
@@ -39,9 +37,8 @@ func (o *OSD) OpenStream(src string, in *messenger.InStream) bool {
 		if m.Op != cephmsg.OpWrite {
 			return false
 		}
-		name := fmt.Sprintf("stream-ingest:%s:%d", o.name, open.StreamID)
-		o.env.Spawn(name, func(p *sim.Proc) {
-			p.SetThread(sim.NewThread(name, ThreadCat))
+		o.env.SpawnID("stream-ingest:", open.StreamID, func(p *sim.Proc) {
+			p.SetThread(sim.NewThread("stream-ingest", ThreadCat))
 			o.ingestClientStream(p, src, m, in)
 		})
 		return true
@@ -49,9 +46,8 @@ func (o *OSD) OpenStream(src string, in *messenger.InStream) bool {
 		if m.Op != cephmsg.OpWrite {
 			return false
 		}
-		name := fmt.Sprintf("rep-stream-ingest:%s:%d", o.name, open.StreamID)
-		o.env.Spawn(name, func(p *sim.Proc) {
-			p.SetThread(sim.NewThread(name, ThreadCat))
+		o.env.SpawnID("rep-stream-ingest:", open.StreamID, func(p *sim.Proc) {
+			p.SetThread(sim.NewThread("rep-stream-ingest", ThreadCat))
 			o.ingestRepStream(p, src, m, in)
 		})
 		return true
@@ -87,7 +83,7 @@ func (o *OSD) ingestChunk(p *sim.Proc, in *messenger.InStream, sp trace.SpanID,
 	}
 	lock := o.pgLock(pg)
 	lock.Acquire(p, 1)
-	txn := (&objstore.Transaction{}).Write(pgColl(pg), object, off, chunk)
+	txn := objstore.NewTransaction().Write(pgColl(pg), object, off, chunk)
 	// Chunks of one stream reuse the pre-registered staging regions, so
 	// the DPU's DMA engine amortizes descriptor setup across them.
 	txn.StreamReuse = true
@@ -120,6 +116,8 @@ func (c *chunkCommit) Run() {
 // whether the sender tore the stream down mid-flight.
 func (o *OSD) ingestChunks(p *sim.Proc, in *messenger.InStream, sp trace.SpanID, pg uint32,
 	object string, off uint64, reps []*messenger.OutStream) (results []*objstore.Result, total int64, aborted bool) {
+	open := in.Open()
+	results = make([]*objstore.Result, 0, (open.Total+open.ChunkBytes-1)/open.ChunkBytes)
 	for {
 		chunk, done, ab := in.Next(p)
 		if done || ab {

@@ -37,7 +37,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Request is a decoded inbound RPC.
+// Request is a decoded inbound RPC, handed to its handler by value.
 type Request struct {
 	Op      uint16
 	ReqID   uint64
@@ -47,7 +47,10 @@ type Request struct {
 // Handler services one request on the endpoint's server loop. Respond may
 // be called inline or later from a spawned process (for handlers that block
 // on storage); it must be called exactly once per request.
-type Handler func(p *sim.Proc, req *Request, respond func(payload *wire.Bufferlist, errCode uint16))
+type Handler func(p *sim.Proc, req Request, respond func(payload *wire.Bufferlist, errCode uint16))
+
+// noResponse is the respond function of every Notify.
+func noResponse(*wire.Bufferlist, uint16) {}
 
 // Stats counts endpoint traffic.
 type Stats struct {
@@ -221,23 +224,23 @@ func (e *Endpoint) serve(p *sim.Proc) {
 				}
 				continue
 			}
+			req := Request{Op: env.op, ReqID: env.reqID, Payload: env.payload}
+			if env.notify {
+				h(p, req, noResponse)
+				continue
+			}
 			id := env.reqID
-			isNotify := env.notify
 			responded := false
-			h(p, &Request{Op: env.op, ReqID: id, Payload: env.payload},
-				func(payload *wire.Bufferlist, errCode uint16) {
-					if responded {
-						panic("rpcchan: respond called twice for req " + fmt.Sprint(id))
-					}
-					responded = true
-					if isNotify {
-						return
-					}
-					// The responder may be a spawned completion process;
-					// charge the response send to the server thread via the
-					// current proc.
-					e.sendFromAny(payload, errCode, id)
-				})
+			h(p, req, func(payload *wire.Bufferlist, errCode uint16) {
+				if responded {
+					panic("rpcchan: respond called twice for req " + fmt.Sprint(id))
+				}
+				responded = true
+				// The responder may be a spawned completion process;
+				// charge the response send to the server thread via the
+				// current proc.
+				e.sendFromAny(payload, errCode, id)
+			})
 			continue
 		}
 		// Response path.

@@ -47,7 +47,7 @@ func (r *rpcRig) run(t *testing.T, body func(p *sim.Proc)) {
 
 func TestCallRoundTrip(t *testing.T) {
 	r := newRPCRig(Config{})
-	r.host.Handle(1, func(p *sim.Proc, req *Request, respond func(*wire.Bufferlist, uint16)) {
+	r.host.Handle(1, func(p *sim.Proc, req Request, respond func(*wire.Bufferlist, uint16)) {
 		respond(wire.FromBytes(append([]byte("echo:"), req.Payload.Bytes()...)), 0)
 	})
 	r.run(t, func(p *sim.Proc) {
@@ -63,7 +63,7 @@ func TestCallRoundTrip(t *testing.T) {
 
 func TestCallsMatchConcurrently(t *testing.T) {
 	r := newRPCRig(Config{})
-	r.host.Handle(2, func(p *sim.Proc, req *Request, respond func(*wire.Bufferlist, uint16)) {
+	r.host.Handle(2, func(p *sim.Proc, req Request, respond func(*wire.Bufferlist, uint16)) {
 		// Respond asynchronously with a delay inversely ordered to arrival,
 		// forcing out-of-order responses.
 		payload := req.Payload.Clone()
@@ -99,7 +99,7 @@ func TestCallsMatchConcurrently(t *testing.T) {
 
 func TestRemoteErrorCode(t *testing.T) {
 	r := newRPCRig(Config{})
-	r.host.Handle(3, func(p *sim.Proc, req *Request, respond func(*wire.Bufferlist, uint16)) {
+	r.host.Handle(3, func(p *sim.Proc, req Request, respond func(*wire.Bufferlist, uint16)) {
 		respond(nil, 42)
 	})
 	r.run(t, func(p *sim.Proc) {
@@ -125,7 +125,7 @@ func TestUnknownOpReturnsError(t *testing.T) {
 func TestNotifyDelivered(t *testing.T) {
 	r := newRPCRig(Config{})
 	var got []byte
-	r.host.Handle(4, func(p *sim.Proc, req *Request, respond func(*wire.Bufferlist, uint16)) {
+	r.host.Handle(4, func(p *sim.Proc, req Request, respond func(*wire.Bufferlist, uint16)) {
 		got = req.Payload.Bytes()
 		respond(nil, 0) // no-op for notify
 	})
@@ -140,7 +140,7 @@ func TestNotifyDelivered(t *testing.T) {
 
 func TestCPUChargedBothSides(t *testing.T) {
 	r := newRPCRig(Config{})
-	r.host.Handle(5, func(p *sim.Proc, req *Request, respond func(*wire.Bufferlist, uint16)) {
+	r.host.Handle(5, func(p *sim.Proc, req Request, respond func(*wire.Bufferlist, uint16)) {
 		respond(nil, 0)
 	})
 	r.run(t, func(p *sim.Proc) {
@@ -158,7 +158,7 @@ func TestCPUChargedBothSides(t *testing.T) {
 
 func TestLatencyPaidOnWire(t *testing.T) {
 	r := newRPCRig(Config{Latency: 100 * sim.Microsecond})
-	r.host.Handle(6, func(p *sim.Proc, req *Request, respond func(*wire.Bufferlist, uint16)) {
+	r.host.Handle(6, func(p *sim.Proc, req Request, respond func(*wire.Bufferlist, uint16)) {
 		respond(nil, 0)
 	})
 	r.run(t, func(p *sim.Proc) {
@@ -174,7 +174,7 @@ func TestLatencyPaidOnWire(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	r := newRPCRig(Config{})
-	r.host.Handle(7, func(p *sim.Proc, req *Request, respond func(*wire.Bufferlist, uint16)) {
+	r.host.Handle(7, func(p *sim.Proc, req Request, respond func(*wire.Bufferlist, uint16)) {
 		respond(nil, 0)
 	})
 	r.run(t, func(p *sim.Proc) {

@@ -187,6 +187,10 @@ func (p *Proc) Name() string {
 	return p.name
 }
 
+// ID returns the id SpawnID gave the proc. A per-operation body finds its
+// record under it, so every spawn shares one func value: no closure per op.
+func (p *Proc) ID() uint64 { return p.id }
+
 // Thread returns the OS-thread identity attached to this process (may be
 // nil for pure coordination processes).
 func (p *Proc) Thread() *Thread { return p.thread }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
@@ -96,6 +97,67 @@ func TestBufferlistAliasingContract(t *testing.T) {
 		}
 		if d.Err() != nil {
 			t.Fatal(d.Err())
+		}
+	})
+
+	// A view of up to three segments carries its segment table in its own
+	// allocation, not in its parent's: it outlives the parent.
+	t.Run("CoAllocatedViewOutlivesParent", func(t *testing.T) {
+		parent := NewBufferlist([]byte{1, 2, 3, 4}, []byte{5, 6, 7, 8})
+		view, joined := parent.SubList(2, 4), Concat([]*Bufferlist{parent, FromBytes([]byte{9})})
+		parent = nil
+		for i := 0; i < 3; i++ {
+			runtime.GC()
+			for j := 0; j < 1000; j++ { // reuse whatever was freed
+				sink = NewBufferlist(make([]byte, 8), make([]byte, 8))
+			}
+		}
+		if got := view.Bytes(); !bytes.Equal(got, []byte{3, 4, 5, 6}) || view.Segments() != 2 {
+			t.Fatalf("view after its parent was collected: %v in %d segments", got, view.Segments())
+		}
+		if got := joined.Bytes(); !bytes.Equal(got, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}) {
+			t.Fatalf("joined list after its first part was collected: %v", got)
+		}
+	})
+
+	// Appending past the co-allocated slots moves the table to a grown one,
+	// like any append: lists built from the first one keep what they had.
+	t.Run("GrowingPastTheSlotsLeavesOtherListsAlone", func(t *testing.T) {
+		first := FromBytes([]byte{1, 2})
+		view := first.SubList(0, 2)
+		second := Sized(2)
+		second.AppendBufferlist(first)
+		first.Append([]byte{3})
+		first.AppendBufferlist(NewBufferlist([]byte{4}, []byte{5}, []byte{6}))
+		second.Append([]byte{7})
+		second.Append([]byte{8}) // past second's own two slots
+		if got := first.Bytes(); !bytes.Equal(got, []byte{1, 2, 3, 4, 5, 6}) || first.Segments() != 5 {
+			t.Fatalf("grown list: %v in %d segments", got, first.Segments())
+		}
+		if got := second.Bytes(); !bytes.Equal(got, []byte{1, 2, 7, 8}) || second.Segments() != 3 {
+			t.Fatalf("second list: %v in %d segments", got, second.Segments())
+		}
+		if got := view.Bytes(); !bytes.Equal(got, []byte{1, 2}) || view.Segments() != 1 {
+			t.Fatalf("view: %v in %d segments", got, view.Segments())
+		}
+	})
+
+	// An embedded Inline1 is reused by its record: Init empties it.
+	t.Run("Inline1Reinitialised", func(t *testing.T) {
+		var rec struct {
+			bl  Inline1
+			buf [4]byte
+		}
+		for i := byte(0); i < 2; i++ {
+			rec.buf = [4]byte{i, i, i, i}
+			bl := rec.bl.Init()
+			bl.Append(rec.buf[:])
+			if got := bl.Bytes(); !bytes.Equal(got, []byte{i, i, i, i}) || bl.Segments() != 1 {
+				t.Fatalf("round %d: %v in %d segments", i, got, bl.Segments())
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { rec.bl.Init().Append(rec.buf[:]) }); allocs != 0 {
+			t.Fatalf("an embedded list over embedded bytes: %.0f allocations", allocs)
 		}
 	})
 

@@ -41,10 +41,48 @@ type Bufferlist struct {
 	length int
 }
 
+// Inline1 is a Bufferlist with a one-slot segment table behind it, for a
+// record that always carries a one-segment list to embed. A wrapper, because
+// every retained list would pay for slots in Bufferlist itself.
+type Inline1 struct {
+	Bufferlist
+	slot [1][]byte
+}
+
+// Init empties the list onto its own slot and returns it.
+func (w *Inline1) Init() *Bufferlist {
+	w.segs, w.length = w.slot[:0], 0
+	return &w.Bufferlist
+}
+
+// Sized returns an empty list with room for n segments, the table in the
+// list's own allocation when n is at most three (a frame header and a payload
+// that crossed PCIe in two pieces).
+func Sized(n int) *Bufferlist {
+	switch {
+	case n <= 1:
+		return new(Inline1).Init()
+	case n == 2:
+		w := &struct {
+			Bufferlist
+			slot [2][]byte
+		}{}
+		w.segs = w.slot[:0]
+		return &w.Bufferlist
+	case n == 3:
+		w := &struct {
+			Bufferlist
+			slot [3][]byte
+		}{}
+		w.segs = w.slot[:0]
+		return &w.Bufferlist
+	}
+	return &Bufferlist{segs: make([][]byte, 0, n)}
+}
+
 // NewBufferlist returns a list over the given segments without copying.
 func NewBufferlist(segs ...[]byte) *Bufferlist {
-	bl := &Bufferlist{}
-	bl.Reserve(len(segs))
+	bl := Sized(len(segs))
 	for _, s := range segs {
 		bl.Append(s)
 	}
@@ -55,29 +93,21 @@ func NewBufferlist(segs ...[]byte) *Bufferlist {
 func FromBytes(b []byte) *Bufferlist { return NewBufferlist(b) }
 
 // Concat returns one list over the segments of all of lists, in order
-// (shared storage), with its segment table sized once.
+// (shared storage), with its segment table sized once. A single list is
+// returned as it is.
 func Concat(lists []*Bufferlist) *Bufferlist {
+	if len(lists) == 1 {
+		return lists[0]
+	}
 	n := 0
 	for _, l := range lists {
 		n += len(l.segs)
 	}
-	bl := &Bufferlist{}
-	bl.Reserve(n)
+	bl := Sized(n)
 	for _, l := range lists {
 		bl.AppendBufferlist(l)
 	}
 	return bl
-}
-
-// Reserve makes room for n more segments, so that a caller who knows how
-// many it is about to append pays for the segment table once instead of
-// through append's 1, 2, 4 doubling.
-func (bl *Bufferlist) Reserve(n int) {
-	if need := len(bl.segs) + n; need > cap(bl.segs) {
-		grown := make([][]byte, len(bl.segs), need)
-		copy(grown, bl.segs)
-		bl.segs = grown
-	}
 }
 
 // Length returns the logical length in bytes.
@@ -164,9 +194,8 @@ func (bl *Bufferlist) SubList(off, n int) *Bufferlist {
 	if off < 0 || n < 0 || off+n > bl.length {
 		panic(fmt.Sprintf("wire: SubList(%d,%d) out of range (len %d)", off, n, bl.length))
 	}
-	out := &Bufferlist{length: n}
 	if n == 0 {
-		return out
+		return &Bufferlist{}
 	}
 	// Segments are never empty, so off+n <= length bounds both walks.
 	first := 0
@@ -178,7 +207,8 @@ func (bl *Bufferlist) SubList(off, n int) *Bufferlist {
 	for covered := len(bl.segs[first]) - off; covered < n; covered += len(bl.segs[last]) {
 		last++
 	}
-	out.segs = make([][]byte, 0, last-first+1)
+	out := Sized(last - first + 1)
+	out.length = n
 	for i := first; i <= last; i++ {
 		s := bl.segs[i][off:]
 		if len(s) > n {

@@ -274,6 +274,16 @@ func (d *Decoder) String() string {
 	return string(b)
 }
 
+// StringLike is String for a field that tends to repeat: when the bytes
+// equal prev it returns prev and allocates nothing.
+func (d *Decoder) StringLike(prev string) string {
+	b := d.take(int(d.U32()))
+	if string(b) == prev {
+		return prev
+	}
+	return string(b)
+}
+
 // Blob reads a u32-length-prefixed byte slice (copied).
 func (d *Decoder) Blob() []byte {
 	n := d.U32()

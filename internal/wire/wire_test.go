@@ -164,6 +164,30 @@ func TestDecoderTruncatedString(t *testing.T) {
 	}
 }
 
+// TestStringLikeSharesAnEqualName: a field equal to the name it is compared
+// with comes back as that name and allocates nothing; any other value, and a
+// short buffer, decode as String does.
+func TestStringLikeSharesAnEqualName(t *testing.T) {
+	e := NewEncoder(32)
+	e.String("pg.17")
+	e.String("pg.18")
+	e.String("")
+	frame := e.Bytes()
+	prev := "pg.17"
+	var got [3]string
+	allocs := testing.AllocsPerRun(100, func() {
+		d := NewDecoder(frame)
+		got = [3]string{d.StringLike(prev), d.StringLike(prev), d.StringLike(prev)}
+	})
+	if got != [3]string{"pg.17", "pg.18", ""} || allocs > 1 {
+		t.Fatalf("decoded %q with %.0f allocations; want one, for the name that differs", got, allocs)
+	}
+	d := NewDecoder(frame[:6])
+	if s := d.StringLike(prev); s != "" || d.Err() == nil {
+		t.Fatalf("truncated field decoded as %q, err %v", s, d.Err())
+	}
+}
+
 func TestDecoderBLMultiSegment(t *testing.T) {
 	e := NewEncoder(16)
 	e.U32(77)
@@ -238,7 +262,8 @@ func TestQuickCRCSegmentationInvariant(t *testing.T) {
 
 // TestSegmentTableSizedOnce: building a view or joining lists allocates the
 // list and its segment table and nothing else — no 1, 2, 4 regrowth of the
-// table however many segments are involved.
+// table however many segments are involved — and a result of up to three
+// segments is one object, the table behind the list.
 func TestSegmentTableSizedOnce(t *testing.T) {
 	src := &Bufferlist{}
 	for i := 0; i < 9; i++ {
@@ -248,25 +273,44 @@ func TestSegmentTableSizedOnce(t *testing.T) {
 	for off := 0; off < src.Length(); off += 300 {
 		parts = append(parts, src.SubList(off, 300))
 	}
-	cases := map[string]func(){
-		"SubList over 7 segments": func() { sink = src.SubList(150, 600) },
-		"SubList within one":      func() { sink = src.SubList(110, 50) },
-		"AppendBufferlist": func() {
+	one := make([]byte, 100)
+	two := []*Bufferlist{FromBytes(one), FromBytes(one)}
+	three := []*Bufferlist{src.SubList(50, 100), FromBytes(one)}
+	cases := []struct {
+		name string
+		want float64
+		fn   func()
+	}{
+		{"SubList over 7 segments", 2, func() { sink = src.SubList(150, 600) }},
+		{"SubList over 3 segments", 1, func() { sink = src.SubList(150, 200) }},
+		{"SubList over 2 segments", 1, func() { sink = src.SubList(150, 100) }},
+		{"SubList within one", 1, func() { sink = src.SubList(110, 50) }},
+		{"empty SubList", 1, func() { sink = src.SubList(110, 0) }},
+		{"AppendBufferlist", 2, func() {
 			bl := &Bufferlist{}
 			bl.AppendBufferlist(src)
 			sink = bl
-		},
-		"Concat":        func() { sink = Concat(parts) },
-		"NewBufferlist": func() { sink = NewBufferlist(src.segs...) },
+		}},
+		{"Concat of 9 segments", 2, func() { sink = Concat(parts) }},
+		{"Concat of 3 segments", 1, func() { sink = Concat(three) }},
+		{"Concat of 2 segments", 1, func() { sink = Concat(two) }},
+		{"Concat of one list", 0, func() { sink = Concat(parts[:1]) }},
+		{"NewBufferlist of 9", 2, func() { sink = NewBufferlist(src.segs...) }},
+		{"NewBufferlist of 2", 1, func() { sink = NewBufferlist(one, one) }},
+		{"FromBytes", 1, func() { sink = FromBytes(one) }},
+		{"flat Encoder.Bufferlist", 2, func() { e := NewEncoder(8); e.U64(1); sink = e.Bufferlist() }},
 	}
-	for name, fn := range cases {
-		if allocs := testing.AllocsPerRun(100, fn); allocs > 2 {
-			t.Errorf("%s: %.0f allocations, want at most 2 (the list and its segment table)", name, allocs)
+	for _, c := range cases {
+		if allocs := testing.AllocsPerRun(100, c.fn); allocs > c.want {
+			t.Errorf("%s: %.0f allocations, want at most %.0f", c.name, allocs, c.want)
 		}
 	}
 	if got := Concat(parts); !got.Equal(src) || got.Segments() != 9 {
 		t.Fatalf("Concat: %d bytes in %d segments, want the source's %d in 9",
 			got.Length(), got.Segments(), src.Length())
+	}
+	if got := Concat(parts[:1]); got != parts[0] {
+		t.Fatal("Concat of a single list did not return that list")
 	}
 }
 
