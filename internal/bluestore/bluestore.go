@@ -198,7 +198,7 @@ func New(env *sim.Env, name string, cpu *sim.CPU, disk *sim.Disk, cfg Config) *S
 		aioq:  sim.NewQueue[*txc](env),
 		kvq:   sim.NewQueue[*txc](env),
 	}
-	env.SpawnDaemon("bstore_aio-"+name, func(p *sim.Proc) { s.aioLoop(p) })
+	s.aioq.Serve(s.thAIO.Name, s.thAIO, s.aio)
 	env.SpawnDaemon("bstore_kv-"+name, func(p *sim.Proc) { s.kvLoop(p) })
 	return s
 }
@@ -241,49 +241,45 @@ func (s *Store) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objsto
 	return &t.res
 }
 
-// aioLoop is the bstore_aio thread: it streams large write payloads to the
-// data device (after checksumming) and forwards the transaction to the
-// kv-sync thread.
-func (s *Store) aioLoop(p *sim.Proc) {
-	p.SetThread(s.thAIO)
-	for {
-		t := s.aioq.Pop(p)
-		if t.span != 0 {
-			s.tr.AddQueueWait(t.span, p.Now().Sub(t.enq))
-		}
-		if s.slowIO > 0 {
-			p.Wait(s.slowIO)
-			t.res.ServiceTime += s.slowIO
-		}
-		var directBytes int64
-		for i := range t.txn.Ops {
-			op := &t.txn.Ops[i]
-			if op.Code != objstore.OpWrite || op.Data == nil {
-				continue
-			}
-			if int64(op.Data.Length()) < s.cfg.DeferredThreshold {
-				s.stats.DeferredWrites++
-				continue // rides the kv WAL write
-			}
-			s.stats.DirectWrites++
-			directBytes += int64(op.Data.Length())
-		}
-		if directBytes > 0 {
-			csum := int64(float64(directBytes) * s.cfg.CsumCyclesPerByte)
-			s.tr.AddCPU(t.span, s.cpu.Name(), s.cpu.Exec(p, s.thAIO, csum))
-			svc := s.disk.Write(p, directBytes)
-			t.res.ServiceTime += svc + s.cpu.CyclesToDuration(csum)
-			s.cpu.NoteSwitches(s.thAIO, switchesPerAIO)
-			s.stats.BytesWritten += directBytes
-			s.tr.AddBytes(t.span, directBytes)
-		}
-		if t.span != 0 {
-			s.tr.Finish(t.span)
-			t.span = s.tr.Start(trace.SpanID(t.txn.TraceCtx), 0, trace.StageKV, s.name)
-			t.enq = p.Now()
-		}
-		s.kvq.Push(t)
+// aio is one turn of the bstore_aio thread: it streams large write payloads
+// to the data device (after checksumming) and forwards the transaction to
+// the kv-sync thread.
+func (s *Store) aio(p *sim.Proc, t *txc) {
+	if t.span != 0 {
+		s.tr.AddQueueWait(t.span, p.Now().Sub(t.enq))
 	}
+	if s.slowIO > 0 {
+		p.Wait(s.slowIO)
+		t.res.ServiceTime += s.slowIO
+	}
+	var directBytes int64
+	for i := range t.txn.Ops {
+		op := &t.txn.Ops[i]
+		if op.Code != objstore.OpWrite || op.Data == nil {
+			continue
+		}
+		if int64(op.Data.Length()) < s.cfg.DeferredThreshold {
+			s.stats.DeferredWrites++
+			continue // rides the kv WAL write
+		}
+		s.stats.DirectWrites++
+		directBytes += int64(op.Data.Length())
+	}
+	if directBytes > 0 {
+		csum := int64(float64(directBytes) * s.cfg.CsumCyclesPerByte)
+		s.tr.AddCPU(t.span, s.cpu.Name(), s.cpu.Exec(p, s.thAIO, csum))
+		svc := s.disk.Write(p, directBytes)
+		t.res.ServiceTime += svc + s.cpu.CyclesToDuration(csum)
+		s.cpu.NoteSwitches(s.thAIO, switchesPerAIO)
+		s.stats.BytesWritten += directBytes
+		s.tr.AddBytes(t.span, directBytes)
+	}
+	if t.span != 0 {
+		s.tr.Finish(t.span)
+		t.span = s.tr.Start(trace.SpanID(t.txn.TraceCtx), 0, trace.StageKV, s.name)
+		t.enq = p.Now()
+	}
+	s.kvq.Push(t)
 }
 
 // kvLoop is the bstore_kv thread: it batches transactions, applies their

@@ -18,6 +18,10 @@ type scaleOutPin struct {
 	acks              int64 // per pod, the same on every pod
 	lastEpoch         []int64
 	roundsBefore      uint64
+	// maxLive bounds the procs live when the run stops (the loops that stayed
+	// daemons plus the ops in flight): 1,049 and 3,961 when every thread of
+	// the paper's taxonomy was a parked coroutine, 319 and 656 as identities.
+	maxLive int
 }
 
 // TestScaleOutPromisesChangeOnlyRounds pins the 32-OSD (-exp scaleout
@@ -40,16 +44,16 @@ func TestScaleOutPromisesChangeOnlyRounds(t *testing.T) {
 		"32osd": {
 			cfg: ScaleOutConfig{Mode: DoCeph, Seed: 42,
 				Duration: sim.Second, Warmup: 250 * sim.Millisecond},
-			ops: 5465, events: 633585, delivered: 384, epochs: 24,
-			acks: 24, lastEpoch: epochs(8, 23, 24), roundsBefore: 402,
+			ops: 5465, events: 632769, delivered: 384, epochs: 24,
+			acks: 24, lastEpoch: epochs(8, 23, 24), roundsBefore: 402, maxLive: 400,
 		},
 		"128osd": {
 			cfg: ScaleOutConfig{Pods: 16, OSDsPerPod: 8, Mode: DoCeph, Seed: 42,
 				Threads: 2, ObjectBytes: 64 << 10, ReadPercent: 70,
 				Popularity:   radosbench.Popularity{Kind: radosbench.PopZipf},
 				BalanceReads: true, Duration: 1500 * sim.Millisecond, Warmup: 500 * sim.Millisecond},
-			ops: 11815, events: 866691, delivered: 1248, epochs: 39,
-			acks: 39, lastEpoch: epochs(16, 38, 39), roundsBefore: 643,
+			ops: 11815, events: 862469, delivered: 1248, epochs: 39,
+			acks: 39, lastEpoch: epochs(16, 38, 39), roundsBefore: 643, maxLive: 1400,
 		},
 	}
 	for name, pin := range pins {
@@ -72,12 +76,22 @@ func TestScaleOutPromisesChangeOnlyRounds(t *testing.T) {
 						i, p.Acks, p.LastEpoch, pin.acks, pin.lastEpoch[i])
 				}
 			}
+			live := 0
+			for i := 0; i < so.Group.Partitions(); i++ {
+				live += so.Group.Env(sim.PartitionID(i)).LiveProcs()
+			}
+			kernel := so.Group.Stats().Kernel
+			if live > pin.maxLive {
+				t.Fatalf("%d procs live at the end (%d coroutines made, %d identities), want at most %d: a new daemon per OSD?",
+					live, kernel.CoroutinesPeak, kernel.Identities, pin.maxLive)
+			}
 			if res.Rounds*4 > pin.roundsBefore {
 				t.Fatalf("rounds=%d, want at most a quarter of the %d before: promises did not widen the windows",
 					res.Rounds, pin.roundsBefore)
 			}
-			t.Logf("rounds %d -> %d, windows %d, events/window %.0f",
-				pin.roundsBefore, res.Rounds, res.Windows, float64(res.Events)/float64(res.Windows))
+			t.Logf("rounds %d -> %d, windows %d, events/window %.0f; %d procs live, %d coroutines for %d identities and %d spawns",
+				pin.roundsBefore, res.Rounds, res.Windows, float64(res.Events)/float64(res.Windows),
+				live, kernel.CoroutinesPeak, kernel.Identities, kernel.Spawns)
 		})
 	}
 }

@@ -222,7 +222,7 @@ func NewHostServer(env *sim.Env, hostCPU *sim.CPU, store objstore.Store,
 	idleCores := float64(hs.cfg.PollIdleCycles) /
 		(hs.cfg.PollInterval.Seconds() * hostCPU.FreqGHz * 1e9)
 	hostCPU.SetBackgroundLoad(DMAPollThreadCat, idleCores)
-	env.SpawnDaemon("host-dma-poll", func(p *sim.Proc) { hs.pollLoop(p) })
+	engUp.Completions().Serve("host-dma-poll", hs.thPoll, hs.harvest)
 	return hs
 }
 
@@ -233,57 +233,53 @@ func (hs *HostServer) SetTracer(tr *trace.Tracer) { hs.tr = tr }
 // Stats returns a copy of the host counters.
 func (hs *HostServer) Stats() HostStats { return hs.stats }
 
-// pollLoop is the background polling thread of §4: it harvests DMA
-// completions and triggers the corresponding BlueStore handler, burning a
-// small amount of CPU even when idle (the price of polling mode).
-func (hs *HostServer) pollLoop(p *sim.Proc) {
-	p.SetThread(hs.thPoll)
-	for {
-		t := hs.engUp.Completions().Pop(p)
-		hs.stats.PollIterations++
-		hs.cpu.Exec(p, hs.thPoll, completionCycles)
-		hdr, isSeg := t.Tag.(*segHeader)
-		if !isSeg || t.Err != nil {
-			continue // probe traffic or failed transfer (DPU handles retry)
+// harvest is one turn of the background polling thread of §4: it takes a DMA
+// completion and triggers the corresponding BlueStore handler. The thread
+// burns a small amount of CPU even when idle (the price of polling mode).
+func (hs *HostServer) harvest(p *sim.Proc, t *doca.Transfer) {
+	hs.stats.PollIterations++
+	hs.cpu.Exec(p, hs.thPoll, completionCycles)
+	hdr, isSeg := t.Tag.(*segHeader)
+	if !isSeg || t.Err != nil {
+		return // probe traffic or failed transfer (DPU handles retry)
+	}
+	switch hdr.kind {
+	case segTxn:
+		hs.stats.SegmentsViaDMA++
+		hs.addSegment(p, hdr.reqID, hdr.txnSeq, hdr.seg, hdr.total, t.Data, hdr.traceCtx,
+			hs.engUp.QueueFor(hdr.reqID))
+	case segTxnBatch:
+		hs.stats.BatchFrames++
+		entries, err := decodeBatchFrame(t.Data)
+		if err != nil {
+			hs.stats.FrameErrors++
+			return
 		}
-		switch hdr.kind {
-		case segTxn:
-			hs.stats.SegmentsViaDMA++
-			hs.addSegment(p, hdr.reqID, hdr.txnSeq, hdr.seg, hdr.total, t.Data, hdr.traceCtx,
-				hs.engUp.QueueFor(hdr.reqID))
-		case segTxnBatch:
-			hs.stats.BatchFrames++
-			entries, err := decodeBatchFrame(t.Data)
-			if err != nil {
-				hs.stats.FrameErrors++
-				continue
-			}
-			// Unpack and dispatch each op individually: every entry enters
-			// the ordered commit queue as its own single-segment request, so
-			// OSD/commit semantics are identical to the unbatched path.
-			hs.stats.BatchedOps += int64(len(entries))
-			// Route every op in the frame to the notify shard of the queue
-			// the frame actually rode (JSQ-pinned or hash-steered).
-			qidx := t.Queue - 1
-			if qidx < 0 {
-				qidx = hs.engUp.QueueFor(t.ReqID)
-			}
-			for i, en := range entries {
-				var ctx uint64
-				if i < len(hdr.batchCtxs) {
-					ctx = hdr.batchCtxs[i]
-				}
-				hs.addSegment(p, en.reqID, en.txnSeq, 0, 1, en.payload, ctx, qidx)
-			}
-		case segReadReq:
-			req, err := decodeReadReq(t.Data)
-			if err != nil {
-				panic("core: corrupt read request over DMA")
-			}
-			hs.serveRead(req)
-		case segProbe:
-			// Health probe: nothing to do.
+		// Unpack and dispatch each op individually: every entry enters
+		// the ordered commit queue as its own single-segment request, so
+		// OSD/commit semantics are identical to the unbatched path.
+		hs.stats.BatchedOps += int64(len(entries))
+		// Route every op in the frame to the notify shard of the queue
+		// the frame actually rode (JSQ-pinned or hash-steered).
+		qidx := t.Queue - 1
+		if qidx < 0 {
+			qidx = hs.engUp.QueueFor(t.ReqID)
 		}
+		for i, en := range entries {
+			var ctx uint64
+			if i < len(hdr.batchCtxs) {
+				ctx = hdr.batchCtxs[i]
+			}
+			hs.addSegment(p, en.reqID, en.txnSeq, 0, 1, en.payload, ctx, qidx)
+		}
+	case segReadReq:
+		req, err := decodeReadReq(t.Data)
+		if err != nil {
+			panic("core: corrupt read request over DMA")
+		}
+		hs.serveRead(req)
+	case segProbe:
+		// Health probe: nothing to do.
 	}
 }
 

@@ -266,7 +266,8 @@ func NewProxy(env *sim.Env, dev *dpu.DPU, rpcEnd *rpcchan.Endpoint,
 	rpcEnd.Handle(opTxnDone, px.onTxnDone)
 	rpcEnd.Handle(opReadDone, px.onReadDone)
 	rpcEnd.Handle(opTxnDoneBatch, px.onTxnDoneBatch)
-	env.SpawnDaemon("dpu-dma-poll@"+dev.Name, func(p *sim.Proc) { px.downPollLoop(p) })
+	engDown.Completions().Serve("dpu-dma-poll@"+dev.Name,
+		sim.NewThread("dpu-dma-poll", ProxyThreadCat), px.harvestRead)
 	if px.cfg.Batch.Enable {
 		// Clamp the batch byte cap so a worst-case frame (payload + framing
 		// overhead) fits one staging buffer and one engine transfer.
@@ -751,37 +752,32 @@ func (px *Proxy) readViaRPC(p *sim.Proc, desc *wire.Bufferlist) (*wire.Bufferlis
 	return px.call(p, opReadFallback, desc)
 }
 
-// downPollLoop is the DPU-side poller consuming host->DPU DMA completions
-// (read data segments).
-func (px *Proxy) downPollLoop(p *sim.Proc) {
-	th := sim.NewThread("dpu-dma-poll", ProxyThreadCat)
-	p.SetThread(th)
-	for {
-		t := px.engDown.Completions().Pop(p)
-		hdr, ok := t.Tag.(*segHeader)
-		if !ok || hdr.kind != segReadData {
-			continue
-		}
-		px.dev.CPU.Exec(p, th, 4_000)
-		pr, ok := px.pendingReads[hdr.reqID]
-		if !ok {
-			continue
-		}
-		if t.Err != nil {
-			pr.code = rcIO
-			pr.done.Fire()
-			continue
-		}
-		if pr.segs == nil {
-			pr.segs = make([]*wire.Bufferlist, hdr.total)
-		}
-		if pr.segs[hdr.seg] == nil {
-			pr.have++
-		}
-		pr.segs[hdr.seg] = t.Data
-		if pr.have == len(pr.segs) {
-			pr.done.Fire()
-		}
+// harvestRead is one turn of the DPU-side poller consuming host->DPU DMA
+// completions (read data segments).
+func (px *Proxy) harvestRead(p *sim.Proc, t *doca.Transfer) {
+	hdr, ok := t.Tag.(*segHeader)
+	if !ok || hdr.kind != segReadData {
+		return
+	}
+	px.dev.CPU.ExecSelf(p, 4_000)
+	pr, ok := px.pendingReads[hdr.reqID]
+	if !ok {
+		return
+	}
+	if t.Err != nil {
+		pr.code = rcIO
+		pr.done.Fire()
+		return
+	}
+	if pr.segs == nil {
+		pr.segs = make([]*wire.Bufferlist, hdr.total)
+	}
+	if pr.segs[hdr.seg] == nil {
+		pr.have++
+	}
+	pr.segs[hdr.seg] = t.Data
+	if pr.have == len(pr.segs) {
+		pr.done.Fire()
 	}
 }
 

@@ -268,13 +268,14 @@ func New(env *sim.Env, registry *Registry, fabric *sim.Fabric, cpu *sim.CPU,
 		cfg: cfg.withDefaults(), name: name, node: node,
 		conns: make(map[string]*conn),
 	}
+	work := m.work
 	for i := 0; i < m.cfg.Workers; i++ {
 		w := &worker{
 			th: sim.NewThread(fmt.Sprintf("msgr-worker-%d@%s", i, name), ThreadCat),
 			q:  sim.NewQueue[workItem](env),
 		}
 		m.workers = append(m.workers, w)
-		env.SpawnDaemon(w.th.Name, func(p *sim.Proc) { m.workerLoop(p, w) })
+		w.q.Serve(w.th.Name, w.th, work)
 	}
 	registry.entities[name] = m
 	return m
@@ -361,7 +362,7 @@ func (m *Messenger) connTo(dst string) *conn {
 // reconnectBackoffMax caps the doubling of Config.ReconnectBackoff.
 const reconnectBackoffMax = 2 * sim.Second
 
-// addLane appends one lane to c and spawns its wire process. Lane 0 keeps
+// addLane appends one lane to c and registers its wire process. Lane 0 keeps
 // the historical process name so single-lane runs are unchanged.
 func (m *Messenger) addLane(c *conn) *connLane {
 	lane := len(c.lanes)
@@ -374,38 +375,37 @@ func (m *Messenger) addLane(c *conn) *connLane {
 	if lane > 0 {
 		name = fmt.Sprintf("wire:%s->%s#%d", m.name, c.peer, lane)
 	}
-	dst := c.peer
-	m.env.SpawnDaemon(name, func(p *sim.Proc) {
-		peer := m.registry.Lookup(dst)
-		for {
-			f := ln.wireq.Pop(p)
-			if f.span != 0 {
-				m.tr.AddQueueWait(f.span, p.Now().Sub(f.enq))
-			}
-			backoff := m.cfg.ReconnectBackoff
-			for {
-				if _, ok := m.fabric.TransferFrame(p, m.node, peer.node, f.bytes); ok {
-					if f.span != 0 {
-						m.tr.AddBytes(f.span, f.bytes)
-						m.tr.Finish(f.span)
-						f.span = 0
-					}
-					peer.deliver(f)
-					break
-				}
-				// The frame was lost in flight: reset the session, back
-				// off, reconnect and redeliver the same frame so the
-				// per-lane FIFO order survives the loss.
-				m.stats.SessionResets++
-				p.Wait(backoff)
-				if backoff *= 2; backoff > reconnectBackoffMax {
-					backoff = reconnectBackoffMax
-				}
-				m.stats.Redeliveries++
-			}
-		}
-	})
+	peer := m.registry.Lookup(c.peer)
+	ln.wireq.Serve(name, nil, func(p *sim.Proc, f frame) { m.transmit(p, peer, f) })
 	return ln
+}
+
+// transmit is what a lane's wire process does with one frame.
+func (m *Messenger) transmit(p *sim.Proc, peer *Messenger, f frame) {
+	if f.span != 0 {
+		m.tr.AddQueueWait(f.span, p.Now().Sub(f.enq))
+	}
+	backoff := m.cfg.ReconnectBackoff
+	for {
+		if _, ok := m.fabric.TransferFrame(p, m.node, peer.node, f.bytes); ok {
+			if f.span != 0 {
+				m.tr.AddBytes(f.span, f.bytes)
+				m.tr.Finish(f.span)
+				f.span = 0
+			}
+			peer.deliver(f)
+			return
+		}
+		// The frame was lost in flight: reset the session, back off,
+		// reconnect and redeliver the same frame so the per-lane FIFO
+		// order survives the loss.
+		m.stats.SessionResets++
+		p.Wait(backoff)
+		if backoff *= 2; backoff > reconnectBackoffMax {
+			backoff = reconnectBackoffMax
+		}
+		m.stats.Redeliveries++
+	}
 }
 
 // deliver hands an arrived frame to the owning worker of the reverse
@@ -446,78 +446,75 @@ const (
 	bytesPerSwitch int64 = 288 << 10
 )
 
-// workerLoop is one msgr-worker event loop: it pays the send-side encode +
-// TCP costs before handing frames to the wire, and the receive-side TCP +
-// decode + dispatch costs after frames arrive.
-func (m *Messenger) workerLoop(p *sim.Proc, w *worker) {
-	p.SetThread(w.th)
-	for {
-		it := w.q.Pop(p)
-		f := it.frame
-		segments := (f.bytes + tcpSegmentBytes - 1) / tcpSegmentBytes
-		if it.recv {
-			if f.span != 0 {
-				m.tr.AddQueueWait(f.span, p.Now().Sub(f.enq))
-			}
-			cycles := recvSyscallCycles*segments +
-				int64(float64(f.bytes)*(m.cfg.RxCopyCyclesPerByte+m.cfg.CRCCyclesPerByte)) +
-				m.cfg.DecodeCycles + m.cfg.DispatchCycles
-			m.tr.AddCPU(f.span, m.cpu.Name(), m.cpu.Exec(p, w.th, cycles))
-			m.cpu.NoteSwitches(w.th, switchesPerRecv+f.bytes/bytesPerSwitch)
-			m.stats.Received++
-			m.stats.BytesRecv += f.bytes
-			msg := f.msg
-			if f.wire != nil {
-				if got := f.wire.CRC32C(); got != f.crc {
-					panic(fmt.Sprintf("messenger %s: frame from %s CRC mismatch: %#x != %#x",
-						m.name, it.peer, got, f.crc))
-				}
-				decoded, err := cephmsg.Decode(f.wire)
-				if err != nil {
-					panic(fmt.Sprintf("messenger %s: corrupt frame from %s: %v", m.name, it.peer, err))
-				}
-				msg = decoded
-			}
-			// Stream frames are transport-level and consumed here; only
-			// application messages (including reassembled stream payloads
-			// dispatched from handleStream) need a dispatcher.
-			if !m.handleStream(p, it.peer, msg) {
-				if m.dispatch == nil {
-					panic(fmt.Sprintf("messenger %s: message from %s with no dispatcher", m.name, it.peer))
-				}
-				m.dispatch(p, it.peer, msg)
-			}
-			if f.span != 0 {
-				m.tr.AddBytes(f.span, f.bytes)
-				m.tr.Finish(f.span)
-			}
-			if f.wire != nil {
-				// Everything header-shaped was copied out during decode and
-				// the payload lives in its own shared segments, so the
-				// pooled header scratch can go back.
-				wire.PutBuffer(f.wire.FirstSegment())
-			}
-			continue
-		}
-		cycles := m.cfg.EncodeCycles +
-			int64(float64(f.bytes)*(m.cfg.TxCopyCyclesPerByte+m.cfg.CRCCyclesPerByte)) +
-			sendSyscallCycles*segments
+// work is one turn of a msgr-worker event loop: it pays the send-side encode
+// + TCP costs before handing a frame to the wire, and the receive-side TCP +
+// decode + dispatch costs after a frame arrives.
+func (m *Messenger) work(p *sim.Proc, it workItem) {
+	th := p.Thread()
+	f := it.frame
+	segments := (f.bytes + tcpSegmentBytes - 1) / tcpSegmentBytes
+	if it.recv {
 		if f.span != 0 {
 			m.tr.AddQueueWait(f.span, p.Now().Sub(f.enq))
-			m.tr.AddBytes(f.span, f.bytes)
-			m.tr.AddCPU(f.span, m.cpu.Name(), m.cpu.Exec(p, w.th, cycles))
-			m.tr.Finish(f.span)
-			// Hand the frame to the wire stage under a fresh span covering
-			// the outbound queue plus fabric occupancy (including any
-			// session-reset redeliveries).
-			f.span = m.tr.Start(trace.SpanID(f.traceCtx), 0, trace.StageWire, it.peer)
-			f.enq = p.Now()
-		} else {
-			m.cpu.Exec(p, w.th, cycles)
 		}
-		m.cpu.NoteSwitches(w.th, switchesPerSend+f.bytes/bytesPerSwitch)
-		m.stats.Sent++
-		m.stats.BytesSent += f.bytes
-		m.conns[it.peer].lanes[f.lane].wireq.Push(f)
+		cycles := recvSyscallCycles*segments +
+			int64(float64(f.bytes)*(m.cfg.RxCopyCyclesPerByte+m.cfg.CRCCyclesPerByte)) +
+			m.cfg.DecodeCycles + m.cfg.DispatchCycles
+		m.tr.AddCPU(f.span, m.cpu.Name(), m.cpu.Exec(p, th, cycles))
+		m.cpu.NoteSwitches(th, switchesPerRecv+f.bytes/bytesPerSwitch)
+		m.stats.Received++
+		m.stats.BytesRecv += f.bytes
+		msg := f.msg
+		if f.wire != nil {
+			if got := f.wire.CRC32C(); got != f.crc {
+				panic(fmt.Sprintf("messenger %s: frame from %s CRC mismatch: %#x != %#x",
+					m.name, it.peer, got, f.crc))
+			}
+			decoded, err := cephmsg.Decode(f.wire)
+			if err != nil {
+				panic(fmt.Sprintf("messenger %s: corrupt frame from %s: %v", m.name, it.peer, err))
+			}
+			msg = decoded
+		}
+		// Stream frames are transport-level and consumed here; only
+		// application messages (including reassembled stream payloads
+		// dispatched from handleStream) need a dispatcher.
+		if !m.handleStream(p, it.peer, msg) {
+			if m.dispatch == nil {
+				panic(fmt.Sprintf("messenger %s: message from %s with no dispatcher", m.name, it.peer))
+			}
+			m.dispatch(p, it.peer, msg)
+		}
+		if f.span != 0 {
+			m.tr.AddBytes(f.span, f.bytes)
+			m.tr.Finish(f.span)
+		}
+		if f.wire != nil {
+			// Everything header-shaped was copied out during decode and
+			// the payload lives in its own shared segments, so the
+			// pooled header scratch can go back.
+			wire.PutBuffer(f.wire.FirstSegment())
+		}
+		return
 	}
+	cycles := m.cfg.EncodeCycles +
+		int64(float64(f.bytes)*(m.cfg.TxCopyCyclesPerByte+m.cfg.CRCCyclesPerByte)) +
+		sendSyscallCycles*segments
+	if f.span != 0 {
+		m.tr.AddQueueWait(f.span, p.Now().Sub(f.enq))
+		m.tr.AddBytes(f.span, f.bytes)
+		m.tr.AddCPU(f.span, m.cpu.Name(), m.cpu.Exec(p, th, cycles))
+		m.tr.Finish(f.span)
+		// Hand the frame to the wire stage under a fresh span covering
+		// the outbound queue plus fabric occupancy (including any
+		// session-reset redeliveries).
+		f.span = m.tr.Start(trace.SpanID(f.traceCtx), 0, trace.StageWire, it.peer)
+		f.enq = p.Now()
+	} else {
+		m.cpu.Exec(p, th, cycles)
+	}
+	m.cpu.NoteSwitches(th, switchesPerSend+f.bytes/bytesPerSwitch)
+	m.stats.Sent++
+	m.stats.BytesSent += f.bytes
+	m.conns[it.peer].lanes[f.lane].wireq.Push(f)
 }

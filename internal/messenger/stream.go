@@ -29,9 +29,9 @@ type StreamConfig struct {
 	Enable bool
 	// ChunkBytes is the chunk size; writes with payloads strictly larger
 	// than this are streamed. Defaults to 2 MiB — the DOCA engine's
-	// per-transfer segment limit, so every chunk DMAs as exactly one
-	// segment and a streamed object moves in the same number of transfers
-	// as the monolithic path.
+	// per-transfer segment limit. A chunk crosses PCIe with its ≈ 130-byte
+	// transaction frame, so it DMAs as two segments, 2 MiB and the tail:
+	// about twice the monolithic path's transfers (figures: ROADMAP item 2).
 	ChunkBytes int64
 	// Window is the credit window: chunks in flight before the sender
 	// blocks on returned credits. Staging memory at every hop is bounded

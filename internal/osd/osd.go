@@ -290,14 +290,6 @@ func New(env *sim.Env, cpu *sim.CPU, id int32, msgr *messenger.Messenger,
 	for i := range o.opqs {
 		o.opqs[i] = sim.NewQueue[opItem](env)
 	}
-	for i := 0; i < o.cfg.OpWorkers; i++ {
-		th := sim.NewThread(fmt.Sprintf("tp_osd_tp-%d@%s", i, o.name), ThreadCat)
-		q := o.opqs[i%len(o.opqs)]
-		env.SpawnDaemon(th.Name, func(p *sim.Proc) {
-			p.SetThread(th)
-			o.workerLoop(p, q)
-		})
-	}
 	if o.cfg.HeartbeatInterval > 0 {
 		env.SpawnDaemon("hb@"+o.name, func(p *sim.Proc) { o.heartbeatLoop(p) })
 	}
@@ -323,14 +315,19 @@ func (o *OSD) createPGs(p *sim.Proc) {
 			}
 		}
 	}
-	if len(txn.Ops) == 0 {
-		o.ready.Fire()
-		return
+	if len(txn.Ops) > 0 {
+		res := o.store.QueueTransaction(p, txn)
+		res.Done.Wait(p)
+		if res.Err != nil {
+			panic(fmt.Sprintf("osd %s: PG collection init failed: %v", o.name, res.Err))
+		}
 	}
-	res := o.store.QueueTransaction(p, txn)
-	res.Done.Wait(p)
-	if res.Err != nil {
-		panic(fmt.Sprintf("osd %s: PG collection init failed: %v", o.name, res.Err))
+	// The tp_osd_tp workers open their shards here, in index order: registered
+	// in New they would take the ops that came early in arrival order instead.
+	body := o.handleOp
+	for i := 0; i < o.cfg.OpWorkers; i++ {
+		th := sim.NewThread(fmt.Sprintf("tp_osd_tp-%d@%s", i, o.name), ThreadCat)
+		o.opqs[i%len(o.opqs)].Serve(th.Name, th, body)
 	}
 	o.ready.Fire()
 }
@@ -453,26 +450,22 @@ func (o *OSD) opShard(m cephmsg.Message) int {
 	return int(pg % uint32(len(o.opqs)))
 }
 
-// workerLoop is one tp_osd_tp thread serving one queue shard. Workers
-// start serving once the PG collections exist (Ceph: a PG serves I/O only
-// after creation/peering).
-func (o *OSD) workerLoop(p *sim.Proc, q *sim.Queue[opItem]) {
-	o.ready.Wait(p)
-	for {
-		it := q.Pop(p)
-		if it.span != 0 {
-			o.tr.AddQueueWait(it.span, p.Now().Sub(it.enq))
-		}
-		switch m := it.msg.(type) {
-		case *cephmsg.MOSDOp:
-			o.handleClientOp(p, it.src, m, it.span)
-		case *cephmsg.MRepOp:
-			o.handleRepOp(p, it.src, m, it.span)
-		case *cephmsg.MPGPush:
-			o.handlePGPush(p, it.src, m)
-		case *cephmsg.MScrub:
-			o.handleScrub(p, it.src, m)
-		}
+// handleOp is what a tp_osd_tp thread does with one item of its queue shard.
+// Workers start serving once the PG collections exist (Ceph: a PG serves I/O
+// only after creation/peering).
+func (o *OSD) handleOp(p *sim.Proc, it opItem) {
+	if it.span != 0 {
+		o.tr.AddQueueWait(it.span, p.Now().Sub(it.enq))
+	}
+	switch m := it.msg.(type) {
+	case *cephmsg.MOSDOp:
+		o.handleClientOp(p, it.src, m, it.span)
+	case *cephmsg.MRepOp:
+		o.handleRepOp(p, it.src, m, it.span)
+	case *cephmsg.MPGPush:
+		o.handlePGPush(p, it.src, m)
+	case *cephmsg.MScrub:
+		o.handleScrub(p, it.src, m)
 	}
 }
 

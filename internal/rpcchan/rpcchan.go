@@ -132,7 +132,7 @@ func newEndpoint(env *sim.Env, name string, cpu *sim.CPU, th *sim.Thread, cfg Co
 		handlers:   make(map[uint16]Handler),
 		pending:    make(map[uint64]*pendingCall),
 	}
-	env.SpawnDaemon("rpc-server:"+name, func(p *sim.Proc) { e.serve(p) })
+	e.inq.Serve("rpc-server:"+name, th, e.serve)
 	return e
 }
 
@@ -207,49 +207,45 @@ func (e *Endpoint) send(p *sim.Proc, env envelope) {
 	e.env.At(e.transmit(p, &env), &env)
 }
 
-// serve is the endpoint's event-driven receive loop.
-func (e *Endpoint) serve(p *sim.Proc) {
-	p.SetThread(e.th)
-	for {
-		env := e.inq.Pop(p)
-		e.cpu.Exec(p, e.th, fixedCycles+int64(float64(env.bytes)*perByteCycles))
-		e.cpu.NoteSwitches(e.th, switchesPerMsg)
-		e.stats.BytesRecv += env.bytes
-		if env.req {
-			e.stats.CallsServed++
-			h, ok := e.handlers[env.op]
-			if !ok {
-				if !env.notify {
-					e.send(p, envelope{reqID: env.reqID, errCode: 0xFFFF})
-				}
-				continue
+// serve is one turn of the endpoint's event-driven receive loop.
+func (e *Endpoint) serve(p *sim.Proc, env envelope) {
+	e.cpu.Exec(p, e.th, fixedCycles+int64(float64(env.bytes)*perByteCycles))
+	e.cpu.NoteSwitches(e.th, switchesPerMsg)
+	e.stats.BytesRecv += env.bytes
+	if env.req {
+		e.stats.CallsServed++
+		h, ok := e.handlers[env.op]
+		if !ok {
+			if !env.notify {
+				e.send(p, envelope{reqID: env.reqID, errCode: 0xFFFF})
 			}
-			req := Request{Op: env.op, ReqID: env.reqID, Payload: env.payload}
-			if env.notify {
-				h(p, req, noResponse)
-				continue
+			return
+		}
+		req := Request{Op: env.op, ReqID: env.reqID, Payload: env.payload}
+		if env.notify {
+			h(p, req, noResponse)
+			return
+		}
+		id := env.reqID
+		responded := false
+		h(p, req, func(payload *wire.Bufferlist, errCode uint16) {
+			if responded {
+				panic("rpcchan: respond called twice for req " + fmt.Sprint(id))
 			}
-			id := env.reqID
-			responded := false
-			h(p, req, func(payload *wire.Bufferlist, errCode uint16) {
-				if responded {
-					panic("rpcchan: respond called twice for req " + fmt.Sprint(id))
-				}
-				responded = true
-				// The responder may be a spawned completion process;
-				// charge the response send to the server thread via the
-				// current proc.
-				e.sendFromAny(payload, errCode, id)
-			})
-			continue
-		}
-		// Response path.
-		if pc, ok := e.pending[env.reqID]; ok {
-			pc.payload = env.payload
-			pc.errCode = env.errCode
-			pc.done.Fire()
-			delete(e.pending, env.reqID)
-		}
+			responded = true
+			// The responder may be a spawned completion process;
+			// charge the response send to the server thread via the
+			// current proc.
+			e.sendFromAny(payload, errCode, id)
+		})
+		return
+	}
+	// Response path.
+	if pc, ok := e.pending[env.reqID]; ok {
+		pc.payload = env.payload
+		pc.errCode = env.errCode
+		pc.done.Fire()
+		delete(e.pending, env.reqID)
 	}
 }
 

@@ -242,7 +242,9 @@ type Env struct {
 	procs []*Proc
 	// tasks lists the registered tasks that have not run yet.
 	tasks []*pendingTask
-	stats EnvStats
+	// served lists the queues consumed through Serve, for Backlog.
+	served []interface{ backlog() (string, int) }
+	stats  EnvStats
 
 	// dead counts queued events whose token is already spent; once
 	// dead*compactDen exceeds the number of queued events they are compacted
@@ -440,7 +442,9 @@ func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
 	} else {
 		p = &Proc{env: e}
 		p.resume, p.stop = iter.Pull(p.loop)
+		e.stats.CoroutinesPeak++
 	}
+	e.stats.Spawns++
 	p.name, p.hasID, p.fn, p.state = name, false, fn, stateNew
 	p.idx = int32(len(e.procs))
 	e.procs = append(e.procs, p)
@@ -459,43 +463,40 @@ func (e *Env) SpawnID(prefix string, id uint64, fn func(*Proc)) *Proc {
 }
 
 // loop is the body of a proc coroutine: run a spawned function, recycle the
-// proc, yield until the next reuse. One coroutine serves many Spawns. It
-// returns — ending the coroutine — only when Shutdown stops it; any other
-// panic in a body propagates out of resume on the goroutine driving the env.
+// proc, yield until the next reuse. One coroutine, and one deferred exit path,
+// serve many Spawns (a served queue starts a body per wake-up). It returns —
+// ending the coroutine — only when Shutdown stops it; any other panic in a
+// body propagates out of resume on the goroutine driving the env.
 func (p *Proc) loop(yield func(struct{}) bool) {
 	p.yield = yield
-	for !p.run() && yield(struct{}{}) {
-	}
-}
-
-// run executes the proc body once and reports whether the proc was killed.
-// On normal completion it recycles the proc.
-func (p *Proc) run() (killed bool) {
 	e := p.env
 	defer func() {
-		e.live--
-		p.state = stateDone
+		// A panic is a body cut short; stopped while pooled there is none.
 		if r := recover(); r != nil {
+			e.live--
+			p.state = stateDone
 			if _, ok := r.(killSignal); !ok {
 				panic(r)
 			}
-			killed = true
 		}
 	}()
-	p.state = stateRunning
-	p.fn(p)
-	// Swap-remove from the live list and recycle.
-	lastIdx := len(e.procs) - 1
-	lastProc := e.procs[lastIdx]
-	e.procs[p.idx] = lastProc
-	lastProc.idx = p.idx
-	e.procs[lastIdx] = nil
-	e.procs = e.procs[:lastIdx]
-	p.fn = nil
-	p.thread = nil
-	p.daemon = false
-	e.procFree = append(e.procFree, p)
-	return false
+	for {
+		p.state = stateRunning
+		p.fn(p)
+		e.live--
+		p.state = stateDone
+		// Swap-remove from the live list and recycle.
+		n := len(e.procs) - 1
+		last := e.procs[n]
+		e.procs[p.idx], last.idx = last, p.idx
+		e.procs[n] = nil
+		e.procs = e.procs[:n]
+		p.fn, p.thread, p.daemon = nil, nil, false
+		e.procFree = append(e.procFree, p)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
 }
 
 // park yields control to the kernel until one of the proc's registered wake
@@ -558,6 +559,8 @@ type PartitionState struct {
 	// Pending counts cross-partition messages sitting in this partition's
 	// link inboxes, delivered but never received by any proc.
 	Pending int
+	// Starved is the partition's Backlog: served queues nobody will drain.
+	Starved []string
 }
 
 // DeadlockError reports that live processes remain but no event can ever
@@ -572,15 +575,19 @@ type DeadlockError struct {
 
 func (e DeadlockError) Error() string {
 	if len(e.Partitions) <= 1 {
-		return fmt.Sprintf("sim: deadlock at %v: %d proc(s) blocked forever: %s",
+		s := fmt.Sprintf("sim: deadlock at %v: %d proc(s) blocked forever: %s",
 			e.Time, len(e.Blocked), strings.Join(e.Blocked, ", "))
+		if len(e.Partitions) == 1 && len(e.Partitions[0].Starved) > 0 {
+			s += "; starved queues: " + strings.Join(e.Partitions[0].Starved, ", ")
+		}
+		return s
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "sim: deadlock at %v: %d proc(s) blocked forever across %d partitions",
 		e.Time, len(e.Blocked), len(e.Partitions))
 	for _, ps := range e.Partitions {
-		fmt.Fprintf(&b, "\n  partition %s @ %v: parked=[%s] daemons=%d pending-msgs=%d",
-			ps.Name, ps.Now, strings.Join(ps.Parked, ", "), ps.Daemons, ps.Pending)
+		fmt.Fprintf(&b, "\n  partition %s @ %v: parked=[%s] daemons=%d pending-msgs=%d starved=[%s]",
+			ps.Name, ps.Now, strings.Join(ps.Parked, ", "), ps.Daemons, ps.Pending, strings.Join(ps.Starved, ", "))
 	}
 	return b.String()
 }
@@ -598,11 +605,8 @@ func (e *Env) RunUntil(limit Time) error {
 	if !e.runWindow(limit) {
 		return nil
 	}
-	parked, daemons := e.blockedState()
-	if len(parked) > 0 {
-		return DeadlockError{Time: e.now, Blocked: parked, Partitions: []PartitionState{
-			{Name: "env", Now: e.now, Parked: parked, Daemons: daemons},
-		}}
+	if ps := e.blockedState("env"); len(ps.Parked) > 0 {
+		return DeadlockError{Time: e.now, Blocked: ps.Parked, Partitions: []PartitionState{ps}}
 	}
 	return nil
 }
@@ -635,24 +639,38 @@ func (e *Env) runWindow(limit Time) (drained bool) {
 	return true
 }
 
-// blockedState returns the sorted names of non-daemon procs parked or never
-// started and of tasks still pending, plus the number of parked daemons.
-func (e *Env) blockedState() (parked []string, daemons int) {
+// blockedState is the partition's deadlock snapshot: the sorted names of procs
+// (daemons only counted) and tasks that cannot run, and the starved queues.
+func (e *Env) blockedState(name string) PartitionState {
+	ps := PartitionState{Name: name, Now: e.now}
 	for _, p := range e.procs {
 		if p.state != stateBlocked && p.state != stateNew {
 			continue
 		}
 		if p.daemon {
-			daemons++
+			ps.Daemons++
 			continue
 		}
-		parked = append(parked, p.Name())
+		ps.Parked = append(ps.Parked, p.Name())
 	}
 	for _, pt := range e.tasks {
-		parked = append(parked, taskName(pt.run))
+		ps.Parked = append(ps.Parked, taskName(pt.run))
 	}
-	sort.Strings(parked)
-	return parked, daemons
+	sort.Strings(ps.Parked)
+	ps.Starved = e.Backlog()
+	return ps
+}
+
+// Backlog lists, as "name(values)", the served queues that hold values. An
+// identity goes idle only on an empty buffer, so every identity of such a
+// queue is inside its body: at a deadlock, the queue is starved.
+func (e *Env) Backlog() (out []string) {
+	for _, q := range e.served {
+		if name, n := q.backlog(); n > 0 {
+			out = append(out, fmt.Sprintf("%s(%d)", name, n))
+		}
+	}
+	return out
 }
 
 // NextEventTime returns the timestamp of the earliest live event, popping
@@ -680,7 +698,7 @@ func (e *Env) Shutdown() {
 	for _, p := range e.procs {
 		switch p.state {
 		case stateBlocked:
-			p.stop() // unwinds the body; run's deferred exit does the accounting
+			p.stop() // unwinds the body; loop's deferred exit does the accounting
 		case stateNew:
 			p.stop() // the body never started
 			e.live--
@@ -732,10 +750,15 @@ type EnvStats struct {
 	HeapPeak, DeadPeak int
 	// Compactions counts the purges of spent entries from the two.
 	Compactions uint64
+	// Spawns counts the procs started, CoroutinesPeak the coroutines made to
+	// run them (live + pooled; the pool never shrinks, so the peak concurrency
+	// of procs), Identities the threads registered with Queue.Serve.
+	Spawns                     uint64
+	CoroutinesPeak, Identities int
 }
 
-// add folds another partition's account into s: counters add, peaks take the
-// larger (each partition has a heap of its own).
+// add folds another partition's account into s: counters add, the heap's
+// peaks take the larger (each partition has a heap of its own).
 func (s *EnvStats) add(o EnvStats) {
 	s.Events += o.Events
 	s.Switches += o.Switches
@@ -745,6 +768,9 @@ func (s *EnvStats) add(o EnvStats) {
 	s.HeapPeak = max(s.HeapPeak, o.HeapPeak)
 	s.DeadPeak = max(s.DeadPeak, o.DeadPeak)
 	s.Compactions += o.Compactions
+	s.Spawns += o.Spawns
+	s.CoroutinesPeak += o.CoroutinesPeak // each partition has a pool of its own
+	s.Identities += o.Identities
 }
 
 // Stats returns the kernel's counters. Like Events it must not be called

@@ -466,15 +466,13 @@ func (g *Group) deadlock() error {
 		at     Time
 	)
 	for i, e := range g.envs {
-		parked, daemons := e.blockedState()
+		ps := e.blockedState(g.names[i])
+		ps.Pending = pending[i]
 		if e.now > at {
 			at = e.now
 		}
-		states = append(states, PartitionState{
-			Name: g.names[i], Now: e.now,
-			Parked: parked, Daemons: daemons, Pending: pending[i],
-		})
-		for _, name := range parked {
+		states = append(states, ps)
+		for _, name := range ps.Parked {
 			all = append(all, g.names[i]+"/"+name)
 		}
 	}

@@ -46,7 +46,73 @@ type Queue[T any] struct {
 	// head..tail is the FIFO of blocked Pops and free the stack of idle
 	// waiter nodes, both linked through queueWaiter.next.
 	head, tail, free *queueWaiter[T]
+	// srv is set once the queue is consumed through Serve instead of Pop.
+	srv *served[T]
 }
+
+// served is the consuming side of a queue that has serving identities: the
+// idle ones, in the order they went idle.
+type served[T any] struct {
+	name string // the first identity's, for deadlock reports
+	idle fifo[*identity[T]]
+}
+
+// identity is a thread that only ever waits on one queue, kept as data: a
+// coroutine exists for it only while it has work. A Push hands it a value
+// through v; run is serve as a func value, made once.
+type identity[T any] struct {
+	q      *Queue[T]
+	name   string
+	thread *Thread
+	body   func(*Proc, T)
+	run    func(*Proc)
+	v      T
+	handed bool
+}
+
+// Serve registers a serving identity on q: what a daemon proc called name
+// running p.SetThread(thread); for { body(p, q.Pop(p)) } is, without the parked
+// coroutine. Idle identities take pushed values oldest-idle first, as blocked
+// Pops do; a Push that finds one schedules the event it would schedule for
+// the woken Pop, and the identity runs on a pooled daemon proc until the
+// buffer is empty. Only the loop's start event is gone: an identity is idle
+// from the call on (or starts at once when values already wait), so register
+// identities where, and in the order, their daemons would first have Popped.
+func (q *Queue[T]) Serve(name string, thread *Thread, body func(*Proc, T)) {
+	if q.srv == nil {
+		q.srv = &served[T]{name: name}
+		q.env.served = append(q.env.served, q)
+	}
+	id := &identity[T]{q: q, name: name, thread: thread, body: body}
+	id.run = id.serve
+	q.env.stats.Identities++
+	if q.buf.len() > 0 {
+		id.start()
+	} else {
+		q.srv.idle.push(id)
+	}
+}
+
+func (id *identity[T]) start() {
+	p := id.q.env.Spawn(id.name, id.run)
+	p.thread, p.daemon = id.thread, true
+}
+
+// serve is a started identity's proc body: the value handed, the buffer, idle.
+func (id *identity[T]) serve(p *Proc) {
+	if id.handed {
+		v := id.v
+		id.v, id.handed = *new(T), false
+		id.body(p, v)
+	}
+	for id.q.buf.len() > 0 {
+		id.body(p, id.q.buf.pop())
+	}
+	id.q.srv.idle.push(id)
+}
+
+// backlog reports the served queue's name and its buffered values.
+func (q *Queue[T]) backlog() (string, int) { return q.srv.name, q.buf.len() }
 
 // queueWaiter is the slot a blocked Pop receives its value through. A
 // primitive never stores a pointer to a parked proc's stack variable (the
@@ -70,6 +136,12 @@ func (q *Queue[T]) Len() int { return q.buf.len() }
 // Push enqueues v, waking the oldest waiting Pop if there is one. It may be
 // called from any running process (or before Run).
 func (q *Queue[T]) Push(v T) {
+	if s := q.srv; s != nil && s.idle.len() > 0 {
+		id := s.idle.pop()
+		id.v, id.handed = v, true
+		id.start()
+		return
+	}
 	q.dropSpent()
 	if q.head == nil {
 		q.buf.push(v)
@@ -128,6 +200,9 @@ func (q *Queue[T]) TryPop() (v T, ok bool) {
 }
 
 func (q *Queue[T]) pop(p *Proc, timeout Duration) (v T, ok bool) {
+	if q.srv != nil {
+		panic("sim: Pop on a served queue")
+	}
 	if q.buf.len() > 0 {
 		return q.buf.pop(), true
 	}

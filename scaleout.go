@@ -26,11 +26,13 @@ type sweepRun struct {
 	// cost is the run on the host clock: wall time of the simulation proper,
 	// events/s, and allocations per op over assembly, run and teardown.
 	cost perf.Measurement
-	// efficiency and switches are the kernel's own account of the run: the
+	// efficiency and kernel are the kernel's own account of the run: the
 	// share of workers x wall its workers spent inside partition windows, and
-	// coroutine switches per event fired (2 when every event resumes a parked
-	// proc from the scheduler, 0 when procs and tasks consume them in place).
-	efficiency, switches float64
+	// the partitions' counters — shown as switches per event fired (2 when every
+	// event resumes a parked proc from the scheduler, 0 when procs and tasks
+	// consume them in place), coroutines made and served-queue identities.
+	efficiency float64
+	kernel     sim.EnvStats
 }
 
 func (r sweepRun) wallMs() string { return fmt.Sprintf("%.1f", float64(r.cost.WallNs)/1e6) }
@@ -85,8 +87,7 @@ func sweepWorkers(cfg cluster.ScaleOutConfig, workers []int) ([]sweepRun, error)
 		case cfg.CollectImbalance && cfg.BalanceReads && imb.BalancedReadShare == 0:
 			return nil, fmt.Errorf("not engaged: balance-reads on but no read went to a secondary")
 		}
-		out = append(out, sweepRun{w, res, imb, cost, st.Efficiency(),
-			float64(st.Kernel.Switches) / float64(st.Kernel.Events)})
+		out = append(out, sweepRun{w, res, imb, cost, st.Efficiency(), st.Kernel})
 	}
 	return out, nil
 }
@@ -142,7 +143,7 @@ func runScaleOut128(o Options) ([]*report.Table, error) {
 	t := &report.Table{
 		Title: "Extension: 128-OSD multi-rack CRUSH cluster, popularity x balance-reads",
 		Header: []string{"workload", "balance", "workers", "ops", "sim MB/s",
-			"osd max/mean", "pg max/mean", "qd p99:p50", "hot-read share", "balanced", "wall ms", "efficiency", "switches/event"},
+			"osd max/mean", "pg max/mean", "qd p99:p50", "hot-read share", "balanced", "wall ms", "efficiency", "switches/event", "coroutines", "identities"},
 		Notes: []string{
 			"16 racks x 8 OSDs; catalog homed by rack-aware CRUSH (failure domain = rack); reads 70%",
 			"extra worker rows re-run the zipf+balance arm; full results are byte-identical across counts (enforced)",
@@ -166,7 +167,9 @@ func runScaleOut128(o Options) ([]*report.Table, error) {
 				row := []string{kind.String(), onOff, fmt.Sprint(r.workers), fmt.Sprint(r.res.TotalOps),
 					report.F2(r.mbps(o.Duration)), report.F2(r.imb.MaxMeanOSDShare), report.F2(r.imb.MaxMeanPGShare),
 					report.F2(r.imb.QueueDepthP99P50), fmt.Sprintf("%.3f", r.imb.HotReadShare),
-					fmt.Sprintf("%.3f", r.imb.BalancedReadShare), r.wallMs(), report.F2(r.efficiency), report.F2(r.switches)}
+					fmt.Sprintf("%.3f", r.imb.BalancedReadShare), r.wallMs(), report.F2(r.efficiency),
+					report.F2(float64(r.kernel.Switches) / float64(r.kernel.Events)),
+					fmt.Sprint(r.kernel.CoroutinesPeak), fmt.Sprint(r.kernel.Identities)}
 				if i == 0 {
 					t.AddRow(row...)
 				} else {
