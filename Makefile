@@ -95,4 +95,5 @@ examples:
 	go run ./examples/failover
 	go run ./examples/blockdevice
 	go run ./examples/dashboard
+	go run ./examples/objectgateway
 	go run ./examples/chaos -seconds 20 -threads 4

@@ -5,6 +5,11 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"doceph/internal/core"
+	"doceph/internal/doca"
+	"doceph/internal/messenger"
+	"doceph/internal/osd"
 )
 
 // TestNewRejectsUnbuildableConfig: a configuration no cluster can be built
@@ -21,6 +26,14 @@ func TestNewRejectsUnbuildableConfig(t *testing.T) {
 		{"StorageNodes", ClusterConfig{StorageNodes: -1}},
 		{"Replicas", ClusterConfig{Replicas: -1}},
 		{"MinSize", ClusterConfig{MinSize: -1}},
+		{"OSD.OpWorkers (-1)", ClusterConfig{OSD: osd.Config{OpWorkers: -1}}},
+		{"OSD.OpShards (-1)", ClusterConfig{OSD: osd.Config{OpShards: -1}}},
+		{"Messenger.Lanes (-1)", ClusterConfig{Messenger: messenger.Config{Lanes: -1}}},
+		{"Messenger.Stream.ChunkBytes (-1)", ClusterConfig{Messenger: messenger.Config{Stream: messenger.StreamConfig{ChunkBytes: -1}}}},
+		{"Messenger.Stream.Window (-1)", ClusterConfig{Messenger: messenger.Config{Stream: messenger.StreamConfig{Window: -1}}}},
+		{"Bridge.Engine.Queues (-1)", ClusterConfig{Bridge: core.BridgeConfig{Engine: doca.EngineConfig{Queues: -1}}}},
+		{"Bridge.Batch.MaxBatchBytes (-1)", ClusterConfig{Bridge: core.BridgeConfig{Batch: core.BatchConfig{MaxBatchBytes: -1}}}},
+		{"Bridge.Batch.MaxOpBytes (-1)", ClusterConfig{Bridge: core.BridgeConfig{Batch: core.BatchConfig{MaxOpBytes: -1}}}},
 		{"Replicas (3) exceeds StorageNodes (1)", ClusterConfig{StorageNodes: 1, Replicas: 3}},
 		{"Replicas (2) exceeds StorageNodes (1)", ClusterConfig{StorageNodes: 1}}, // the default replica count counts too
 		{"Replicas (3) exceeds StorageNodes (2)", ClusterConfig{Replicas: 3}},

@@ -54,22 +54,15 @@ func runGoldenScenario(t *testing.T, mode cluster.Mode) goldenMetrics {
 
 // runGoldenScenarioOpt runs the pinned scenario, optionally with tracing,
 // and returns the headline metrics plus the cluster for extra inspection.
-// The caller owns the cluster shutdown.
+// The caller owns the cluster shutdown. (The knob table's "golden" run-twice
+// row is this scenario over nine seeds at a 1 s window.)
 func runGoldenScenarioOpt(t *testing.T, mode cluster.Mode, traced bool) (goldenMetrics, *cluster.Cluster) {
 	t.Helper()
-	return runSeededScenario(t, mode, traced, 42, 3*sim.Second)
-}
-
-// runSeededScenario is the golden scenario parameterized by seed and window
-// length, for the multi-seed determinism sweep.
-func runSeededScenario(t *testing.T, mode cluster.Mode, traced bool,
-	seed int64, dur sim.Duration) (goldenMetrics, *cluster.Cluster) {
-	t.Helper()
-	cl := cluster.New(cluster.Config{Mode: mode, Seed: seed, Trace: traced})
+	cl := cluster.New(cluster.Config{Mode: mode, Seed: 42, Trace: traced})
 	res, err := radosbench.Run(cl.Env, cl.Client, radosbench.Config{
 		Threads:     8,
 		ObjectBytes: 1 << 20,
-		Duration:    dur,
+		Duration:    3 * sim.Second,
 		Warmup:      sim.Second,
 		OnWarmupEnd: cl.ResetHostStats,
 	})

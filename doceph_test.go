@@ -3,6 +3,7 @@ package doceph
 import (
 	"testing"
 
+	"doceph/internal/cluster"
 	"doceph/internal/report"
 	"doceph/internal/sim"
 	"doceph/internal/wire"
@@ -277,4 +278,61 @@ func TestSeedSensitivity(t *testing.T) {
 			t.Fatalf("seed variance too high: %v %v %v", a, b, c)
 		}
 	}
+}
+
+// TestStreamingBoundsPeakStaging pins the headline memory claim: with
+// store-and-forward the DPU stages a large object's segments roughly at
+// object granularity, while streaming keeps the staging high-water mark
+// bounded by the credit window (window x chunk per stream), far below the
+// object size.
+func TestStreamingBoundsPeakStaging(t *testing.T) {
+	// One closed-loop writer, so the per-node high-water mark reflects one
+	// stream's staging, not cross-op concurrency.
+	const size = 16 << 20
+	run := func(stream bool) (peak, streamed int64) {
+		cfg := cluster.Config{Mode: cluster.DoCeph, Seed: 42}
+		cfg.Messenger.Stream.Enable = stream
+		cfg.Messenger.Stream.Window = 2
+		cl := cluster.New(cfg)
+		defer cl.Shutdown()
+		if _, err := RunBench(cl, BenchConfig{
+			Threads: 1, ObjectBytes: size, OpsPerThread: 4,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range cl.Nodes {
+			streamed += n.OSD.Stats().StreamWrites
+			if st := n.Bridge.Proxy.Stats(); st.PeakStagingBytes > peak {
+				peak = st.PeakStagingBytes
+			}
+		}
+		return peak, streamed
+	}
+	offPeak, offStreamed := run(false)
+	onPeak, onStreamed := run(true)
+	if offPeak == 0 || onPeak == 0 {
+		t.Fatalf("staging high-water not recorded: off=%d on=%d", offPeak, onPeak)
+	}
+	if offStreamed != 0 {
+		t.Fatalf("store-and-forward arm streamed %d writes", offStreamed)
+	}
+	if onStreamed == 0 {
+		t.Fatal("streaming did not engage")
+	}
+	// Store-and-forward must stage roughly a whole object's worth of
+	// segments; streaming must stay bounded by the credit window — far
+	// below the object size.
+	if offPeak < size/2 {
+		t.Errorf("store-and-forward peak staging %d suspiciously low for %d-byte objects",
+			offPeak, size)
+	}
+	if onPeak >= size/2 {
+		t.Errorf("streaming peak staging %d not bounded (object %d bytes)", onPeak, size)
+	}
+	if onPeak >= offPeak {
+		t.Errorf("streaming peak staging %d did not improve on store-and-forward %d",
+			onPeak, offPeak)
+	}
+	t.Logf("peak staging: store-and-forward %d, streaming %d (object %d)",
+		offPeak, onPeak, size)
 }

@@ -45,6 +45,14 @@ func tracedGolden(t *testing.T, mode cluster.Mode) *tracedRun {
 	}
 	metrics, cl := runGoldenScenarioOpt(t, mode, true)
 	defer cl.Shutdown()
+	r := &tracedRun{metrics: metrics, spans: cl.Tracer.Spans(), busy: cpuBusy(cl)}
+	tracedRunCache[mode] = r
+	return r
+}
+
+// cpuBusy is every CPU's busy time by name: what the spans' CPU is conserved
+// against.
+func cpuBusy(cl *cluster.Cluster) map[string]Duration {
 	busy := map[string]Duration{cl.ClientCPU.Name(): cl.ClientCPU.Stats().TotalBusy}
 	for _, n := range cl.Nodes {
 		busy[n.HostCPU.Name()] = n.HostCPU.Stats().TotalBusy
@@ -52,9 +60,7 @@ func tracedGolden(t *testing.T, mode cluster.Mode) *tracedRun {
 			busy[n.DPU.CPU.Name()] = n.DPU.CPU.Stats().TotalBusy
 		}
 	}
-	r := &tracedRun{metrics: metrics, spans: cl.Tracer.Spans(), busy: busy}
-	tracedRunCache[mode] = r
-	return r
+	return busy
 }
 
 func chromeHash(spans []trace.Span) string {

@@ -389,12 +389,10 @@ func runFaulted(kind string, cfg ClusterConfig, plan FaultPlan, o Options,
 		res.SessionResets += st.SessionResets
 		res.Redeliveries += st.Redeliveries
 	}
-	for _, c := range inj.Counters().Snapshot() {
-		if c.Name == "bit_rot_objects" {
-			res.BitRotObjects = c.Value
-		} else {
-			res.InjectedEvents += c.Value
-		}
+	ist := inj.Stats()
+	res.BitRotObjects = ist.BitRotObjects
+	for _, n := range ist.Events {
+		res.InjectedEvents += n
 	}
 
 	// Throughput series + dip/recovery against the plan's fault windows.

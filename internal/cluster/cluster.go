@@ -172,14 +172,24 @@ type Cluster struct {
 }
 
 // validate panics on a defaulted configuration no cluster can be built
-// from, naming the field and the values that clash.
+// from, naming the field and the values that clash. Zero still means "the
+// layer's default" for every count below; only a negative one is rejected.
 func (c Config) validate() {
 	for _, f := range []struct {
 		name string
-		v    int
-	}{{"StorageNodes", c.StorageNodes}, {"Replicas", c.Replicas}, {"MinSize", c.MinSize}} {
+		v    int64
+	}{
+		{"StorageNodes", int64(c.StorageNodes)}, {"Replicas", int64(c.Replicas)}, {"MinSize", int64(c.MinSize)},
+		{"OSD.OpWorkers", int64(c.OSD.OpWorkers)}, {"OSD.OpShards", int64(c.OSD.OpShards)},
+		{"Messenger.Lanes", int64(c.Messenger.Lanes)},
+		{"Messenger.Stream.ChunkBytes", c.Messenger.Stream.ChunkBytes},
+		{"Messenger.Stream.Window", int64(c.Messenger.Stream.Window)},
+		{"Bridge.Engine.Queues", int64(c.Bridge.Engine.Queues)},
+		{"Bridge.Batch.MaxBatchBytes", c.Bridge.Batch.MaxBatchBytes},
+		{"Bridge.Batch.MaxOpBytes", c.Bridge.Batch.MaxOpBytes},
+	} {
 		if f.v < 0 {
-			panic(fmt.Sprintf("cluster: %s must not be negative (%d)", f.name, f.v))
+			panic(fmt.Sprintf("cluster: %s (%d) must not be negative", f.name, f.v))
 		}
 	}
 	if c.Replicas > c.StorageNodes {

@@ -295,6 +295,11 @@ func encodeList(names []string) *wire.Bufferlist {
 func decodeList(bl *wire.Bufferlist) ([]string, error) {
 	d := wire.NewDecoderBL(bl)
 	n := d.U32()
+	if uint64(n)*4 > uint64(d.Remaining()) {
+		// Every name carries at least its 4-byte length: refuse the count
+		// before sizing anything by it.
+		return nil, ErrFrame
+	}
 	out := make([]string, 0, n)
 	for i := uint32(0); i < n && d.Err() == nil; i++ {
 		out = append(out, d.String())

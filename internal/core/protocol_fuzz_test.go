@@ -1,0 +1,124 @@
+package core
+
+import (
+	"bytes"
+	"testing"
+
+	"doceph/internal/objstore"
+	"doceph/internal/wire"
+)
+
+// controlCodecs pairs every host <-> DPU control-frame decoder with its
+// encoder: each decodes a frame and, if it is accepted, re-encodes what it
+// read.
+var controlCodecs = map[string]func(*wire.Bufferlist) (*wire.Bufferlist, error){
+	"segFallback": func(bl *wire.Bufferlist) (*wire.Bufferlist, error) {
+		reqID, txnSeq, seg, total, payload, err := decodeSegFallback(bl)
+		if err != nil {
+			return nil, err
+		}
+		return encodeSegFallback(reqID, txnSeq, seg, total, payload), nil
+	},
+	"readReq": func(bl *wire.Bufferlist) (*wire.Bufferlist, error) {
+		r, err := decodeReadReq(bl)
+		if err != nil {
+			return nil, err
+		}
+		return r.encode(), nil
+	},
+	"txnDone": func(bl *wire.Bufferlist) (*wire.Bufferlist, error) {
+		reqID, code, nanos, err := decodeTxnDone(bl)
+		if err != nil {
+			return nil, err
+		}
+		var f txnDoneFrame
+		f.encode(reqID, code, nanos)
+		return &f.bl.Bufferlist, nil
+	},
+	"readDone": func(bl *wire.Bufferlist) (*wire.Bufferlist, error) {
+		reqID, code, segs, err := decodeReadDone(bl)
+		if err != nil {
+			return nil, err
+		}
+		return encodeReadDone(reqID, code, segs), nil
+	},
+	"txnDoneBatch": func(bl *wire.Bufferlist) (*wire.Bufferlist, error) {
+		entries, err := decodeTxnDoneBatch(bl)
+		if err != nil {
+			return nil, err
+		}
+		return encodeTxnDoneBatch(entries), nil
+	},
+	"objRef": func(bl *wire.Bufferlist) (*wire.Bufferlist, error) {
+		coll, obj, err := decodeObjRef(bl)
+		if err != nil {
+			return nil, err
+		}
+		return encodeObjRef(coll, obj), nil
+	},
+	"omapRef": func(bl *wire.Bufferlist) (*wire.Bufferlist, error) {
+		coll, obj, key, err := decodeOmapRef(bl)
+		if err != nil {
+			return nil, err
+		}
+		return encodeOmapRef(coll, obj, key), nil
+	},
+	"statResp": func(bl *wire.Bufferlist) (*wire.Bufferlist, error) {
+		st, err := decodeStatResp(bl)
+		if err != nil {
+			return nil, err
+		}
+		return encodeStatResp(st), nil
+	},
+	"list": func(bl *wire.Bufferlist) (*wire.Bufferlist, error) {
+		names, err := decodeList(bl)
+		if err != nil {
+			return nil, err
+		}
+		return encodeList(names), nil
+	},
+}
+
+// FuzzControlFrames holds the control-plane decoders to the batch-frame
+// decoder's contract: arbitrary, truncated or scattered input never panics,
+// and a frame a decoder accepts re-encodes to the bytes it read (decoders
+// read a prefix; only txnDoneBatch insists on consuming everything).
+// Run with: go test -fuzz=FuzzControlFrames ./internal/core
+func FuzzControlFrames(f *testing.F) {
+	var done txnDoneFrame
+	done.encode(7, rcNotFound, 12345)
+	for _, bl := range []*wire.Bufferlist{
+		encodeSegFallback(1, 2, 0, 3, seeded(64, 1)),
+		(&readReq{ReqID: 9, Coll: "pg.3", Object: "obj", Off: 4096, Length: 1 << 20}).encode(),
+		&done.bl.Bufferlist,
+		encodeReadDone(5, rcOK, 2),
+		encodeTxnDoneBatch([]txnDoneEntry{{1, rcOK, 10}, {2, rcIO, -1}}),
+		encodeObjRef("pg.1", "benchmark_data_w0_0"),
+		encodeOmapRef("meta", "pgmeta", "key"),
+		encodeStatResp(objstore.StatInfo{Size: 4 << 20, Version: 3, Mtime: 99}),
+		encodeList([]string{"a", "bc", ""}),
+	} {
+		raw := bl.Bytes()
+		f.Add(raw)
+		f.Add(raw[:len(raw)/2])
+	}
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // a list or batch claiming 4G entries
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		segLens := []int{len(raw) + 1, 7}
+		if len(raw) < 4<<10 {
+			segLens = append(segLens, 1)
+		}
+		for name, codec := range controlCodecs {
+			for _, segLen := range segLens {
+				again, err := codec(segmentedBL(raw, segLen))
+				if err != nil {
+					continue
+				}
+				if b := again.Bytes(); !bytes.HasPrefix(raw, b) || name == "txnDoneBatch" && len(b) != len(raw) {
+					t.Fatalf("%s (segments of %d): accepted %x, re-encodes to %x", name, segLen, raw, b)
+				}
+			}
+		}
+	})
+}

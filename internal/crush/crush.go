@@ -462,12 +462,18 @@ func (m *Map) UnmarshalJSON(data []byte) error {
 	m.buckets = make(map[ItemID]*Bucket, len(j.Buckets))
 	m.devices = make(map[ItemID]*Device, len(j.Devices))
 	for _, b := range j.Buckets {
+		if b == nil {
+			return fmt.Errorf("crush: null bucket in encoded map")
+		}
 		if _, dup := m.buckets[b.ID]; dup {
 			return fmt.Errorf("crush: duplicate bucket id %d in encoded map", b.ID)
 		}
 		m.buckets[b.ID] = b
 	}
 	for _, d := range j.Devices {
+		if d == nil {
+			return fmt.Errorf("crush: null device in encoded map")
+		}
 		if _, dup := m.devices[d.ID]; dup {
 			return fmt.Errorf("crush: duplicate device id %d in encoded map", d.ID)
 		}

@@ -216,3 +216,36 @@ func TestCloneKeepsRackTopology(t *testing.T) {
 		}
 	}
 }
+
+// FuzzUnmarshalJSON: the encoded map is the crush form that crosses process
+// boundaries, so arbitrary input must never panic, and a map it accepts
+// marshals to a fixed point — its encoding decodes and re-encodes to itself.
+// Run with: go test -fuzz=FuzzUnmarshalJSON ./internal/crush
+func FuzzUnmarshalJSON(f *testing.F) {
+	for _, m := range []*Map{BuildUniform(2, 1, 1.0), BuildRacks(2, 2, 1, 0.5), NewMap()} {
+		raw, err := json.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Add([]byte(`{"root":-1,"buckets":[null],"devices":[null]}`))
+	f.Add([]byte(`{"root":-1,"buckets":[{"ID":-1,"Type":"root","Items":[-1]}]}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var m Map
+		if json.Unmarshal(raw, &m) != nil {
+			return
+		}
+		once, err := json.Marshal(&m)
+		if err != nil {
+			t.Fatalf("accepted map does not marshal: %v", err)
+		}
+		var again Map
+		if err := json.Unmarshal(once, &again); err != nil {
+			t.Fatalf("own encoding %s rejected: %v", once, err)
+		}
+		if twice, _ := json.Marshal(&again); !bytes.Equal(once, twice) {
+			t.Fatalf("not a fixed point:\n %s\n %s", once, twice)
+		}
+	})
+}

@@ -17,7 +17,6 @@ import (
 	"doceph/internal/mon"
 	"doceph/internal/osd"
 	"doceph/internal/sim"
-	"doceph/internal/telemetry"
 )
 
 // Kind enumerates the fault classes the injector can apply.
@@ -180,19 +179,25 @@ type Targets struct {
 
 // Injector replays fault plans against a target set.
 type Injector struct {
-	env      *sim.Env
-	t        Targets
-	counters *telemetry.Counters
+	env   *sim.Env
+	t     Targets
+	stats Stats
+}
+
+// Stats is the injection ledger: Events counts applied events per kind,
+// BitRotObjects the objects bit-rot events corrupted.
+type Stats struct {
+	Events        [OSDCrash + 1]int64
+	BitRotObjects int64
 }
 
 // New creates an injector for the given environment and targets.
 func New(env *sim.Env, t Targets) *Injector {
-	return &Injector{env: env, t: t, counters: telemetry.NewCounters()}
+	return &Injector{env: env, t: t}
 }
 
-// Counters returns the injection ledger: "inject_<kind>" counts one per
-// applied event, "bit_rot_objects" counts corrupted objects.
-func (in *Injector) Counters() *telemetry.Counters { return in.counters }
+// Stats returns a copy of the injection ledger.
+func (in *Injector) Stats() Stats { return in.stats }
 
 // Run validates plan and schedules every event relative to the current
 // virtual time. Each event runs on its own daemon process: it sleeps until
@@ -252,7 +257,7 @@ func (in *Injector) Run(plan Plan) error {
 }
 
 func (in *Injector) apply(p *sim.Proc, ev Event) {
-	in.counters.Add("inject_"+ev.Kind.String(), 1)
+	in.stats.Events[ev.Kind]++
 	revert := func() {}
 	switch ev.Kind {
 	case Drop:
@@ -374,7 +379,7 @@ func (in *Injector) bitRot(ev Event) {
 			continue
 		}
 		if err := st.CorruptObject(obj.Collection, obj.Object); err == nil {
-			in.counters.Add("bit_rot_objects", 1)
+			in.stats.BitRotObjects++
 			count--
 		}
 	}

@@ -52,7 +52,7 @@ func TestScrubDetectsInjectedBitRot(t *testing.T) {
 			}
 		}
 		p.Wait(6 * sim.Second) // past the bit-rot event
-		if got := inj.Counters().Get("bit_rot_objects"); got == 0 {
+		if got := inj.Stats().BitRotObjects; got == 0 {
 			t.Fatal("bit-rot event corrupted nothing")
 		}
 		for _, n := range cl.Nodes {

@@ -12,7 +12,6 @@ import (
 	"doceph/internal/messenger"
 	"doceph/internal/osdmap"
 	"doceph/internal/sim"
-	"doceph/internal/telemetry"
 	"doceph/internal/trace"
 	"doceph/internal/wire"
 )
@@ -95,8 +94,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats counts the client's robustness events; the same values feed the
-// telemetry counter set returned by Telemetry.
+// Stats counts the client's robustness events.
 type Stats struct {
 	Ops          int64
 	Retries      int64
@@ -124,9 +122,8 @@ type Client struct {
 	nextTid  uint64
 	inflight map[uint64]*call
 
-	stats    Stats
-	counters *telemetry.Counters
-	tr       *trace.Tracer
+	stats Stats
+	tr    *trace.Tracer
 }
 
 type call struct {
@@ -143,7 +140,6 @@ func New(env *sim.Env, cpu *sim.CPU, msgr *messenger.Messenger,
 		th:       sim.NewThread(msgr.Name(), ThreadCat),
 		curMap:   m,
 		inflight: make(map[uint64]*call),
-		counters: telemetry.NewCounters(),
 	}
 	msgr.SetDispatcher(c.dispatch)
 	return c
@@ -159,10 +155,6 @@ func (c *Client) Map() *osdmap.Map { return c.curMap }
 // Stats returns a copy of the robustness counters.
 func (c *Client) Stats() Stats { return c.stats }
 
-// Telemetry returns the client's counter set (stale_replies, op_retries,
-// op_timeouts, redirects, map_refreshes, no_quorum_waits).
-func (c *Client) Telemetry() *telemetry.Counters { return c.counters }
-
 func (c *Client) dispatch(p *sim.Proc, src string, m cephmsg.Message) {
 	switch msg := m.(type) {
 	case *cephmsg.MOSDOpReply:
@@ -173,7 +165,6 @@ func (c *Client) dispatch(p *sim.Proc, src string, m cephmsg.Message) {
 			// instead of dropping it silently — stale replies are the
 			// visible residue of timeout+resend under faults.
 			c.stats.StaleReplies++
-			c.counters.Add("stale_replies", 1)
 			return
 		}
 		call.reply = msg
@@ -191,7 +182,6 @@ func (c *Client) refreshMap() {
 		return
 	}
 	c.stats.MapRefreshes++
-	c.counters.Add("map_refreshes", 1)
 	c.msgr.Send(c.cfg.Monitor, &cephmsg.MGetMap{Epoch: c.curMap.Epoch})
 }
 
@@ -255,7 +245,6 @@ func (c *Client) do(p *sim.Proc, op *cephmsg.MOSDOp) (*cephmsg.MOSDOpReply, erro
 	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
 			c.stats.Retries++
-			c.counters.Add("op_retries", 1)
 		}
 		pg := c.curMap.PGForObject(op.Object)
 		primary := c.curMap.Primary(pg)
@@ -279,7 +268,6 @@ func (c *Client) do(p *sim.Proc, op *cephmsg.MOSDOp) (*cephmsg.MOSDOpReply, erro
 				op.Flags |= cephmsg.FlagBalanceReads
 				if target != primary {
 					c.stats.BalancedReads++
-					c.counters.Add("balanced_reads", 1)
 				}
 			}
 		}
@@ -290,14 +278,12 @@ func (c *Client) do(p *sim.Proc, op *cephmsg.MOSDOp) (*cephmsg.MOSDOpReply, erro
 		c.msgr.Send(osdName(target), op)
 		if !call.done.WaitTimeout(p, c.cfg.OpTimeout) {
 			c.stats.Timeouts++
-			c.counters.Add("op_timeouts", 1)
 			c.refreshMap()
 			wait()
 			continue
 		}
 		if call.reply.Result == cephmsg.ResNotPrimary {
 			c.stats.Redirects++
-			c.counters.Add("redirects", 1)
 			c.refreshMap()
 			wait()
 			continue
@@ -307,7 +293,6 @@ func (c *Client) do(p *sim.Proc, op *cephmsg.MOSDOp) (*cephmsg.MOSDOpReply, erro
 			// the acting set regrows. Back off and retry against a fresher
 			// map; surface a typed error only once retries exhaust.
 			c.stats.NoQuorumWaits++
-			c.counters.Add("no_quorum_waits", 1)
 			sawNoQuorum = true
 			c.refreshMap()
 			wait()

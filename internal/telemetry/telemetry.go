@@ -1,6 +1,6 @@
 // Package telemetry aggregates measurement data across a simulated cluster:
 // merged per-category CPU accounting (the paper's Figure 5/7 and Table 2
-// inputs) and named event counters.
+// inputs).
 package telemetry
 
 import (
@@ -74,37 +74,5 @@ func (m MergedCPU) Categories() []string {
 		out = append(out, k)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// Counters is a small named-counter set for data-plane robustness events
-// (retries, timeouts, stale replies, injected faults). Snapshots are sorted
-// by name so reports built from them are deterministic.
-type Counters struct {
-	vals map[string]int64
-}
-
-// NewCounters returns an empty counter set.
-func NewCounters() *Counters { return &Counters{vals: make(map[string]int64)} }
-
-// Add increments name by delta.
-func (c *Counters) Add(name string, delta int64) { c.vals[name] += delta }
-
-// Get returns name's current value (0 if never incremented).
-func (c *Counters) Get(name string) int64 { return c.vals[name] }
-
-// CounterSample is one name/value pair of a Counters snapshot.
-type CounterSample struct {
-	Name  string
-	Value int64
-}
-
-// Snapshot returns all counters sorted by name.
-func (c *Counters) Snapshot() []CounterSample {
-	out := make([]CounterSample, 0, len(c.vals))
-	for k, v := range c.vals {
-		out = append(out, CounterSample{Name: k, Value: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

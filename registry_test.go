@@ -2,6 +2,7 @@ package doceph
 
 import (
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -176,5 +177,49 @@ func TestReadmeExperimentTable(t *testing.T) {
 	got := trim(strings.Trim(strings.TrimSpace(readme[i+len(begin):j]), "`"))
 	if want := trim(ExperimentList().String()); got != want {
 		t.Errorf("README.md experiment table is stale; paste `go run ./cmd/docephbench -exp list` between the markers:\n%s", want)
+	}
+}
+
+// TestParallelRunnerDeterministicOrderedOutput is the race-mode smoke for
+// the parallel experiment runner: the multi-queue sweep fans its cells out
+// over worker goroutines, and two invocations must produce element-wise
+// identical, sweep-ordered results. Run under -race (the CI smoke does)
+// this also exercises the runner's only cross-goroutine state.
+func TestParallelRunnerDeterministicOrderedOutput(t *testing.T) {
+	opts := Options{Duration: 400 * Millisecond, Warmup: 100 * Millisecond,
+		Threads: 4, Seed: 42}
+	queues := []int{1, 2}
+	sizes := []int64{8 << 10}
+	a, err := runCells(opts, mqCells(queues, sizes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := runCells(opts, mqCells(queues, sizes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) != len(queues)*len(sizes) {
+		t.Fatalf("got %d cells", len(a))
+	}
+	// A runResult carries its cell (funcs, not comparable): compare what the
+	// table prints plus the raw measurements behind it.
+	same := func(x, y runResult) bool {
+		return reflect.DeepEqual(x.bench, y.bench) && x.hostUtil == y.hostUtil &&
+			x.batchedTxns == y.batchedTxns && x.batchFlushes == y.batchFlushes &&
+			x.engQueues == y.engQueues && x.engOccupancy == y.engOccupancy
+	}
+	for i := range a {
+		if !same(a[i], b[i]) {
+			t.Errorf("cell %d differs across runs:\n 1: %+v\n 2: %+v", i, a[i], b[i])
+		}
+		if a[i].engQueues != queues[i%len(queues)] || a[i].cell.size != sizes[i/len(queues)] {
+			t.Errorf("cell %d out of sweep order: %+v", i, a[i])
+		}
+		if a[i].bench.IOPS() <= 0 {
+			t.Errorf("cell %d empty: %+v", i, a[i])
+		}
+	}
+	if x, y := mqTables(a)[0].String(), mqTables(b)[0].String(); x != y {
+		t.Errorf("tables differ across runs:\n%s\n%s", x, y)
 	}
 }
