@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all build test test-race race smoke bench bench-smoke cover loc knobs microbench results quick examples vet fmt trace
+.PHONY: all build test test-race race smoke bench bench-smoke cover loc knobs microbench results quick vet fmt trace
 
 all: build vet test test-race smoke bench-smoke cover knobs
 
@@ -87,13 +87,3 @@ trace:
 # Go micro-benchmarks (wire codec, heap, etc.).
 microbench:
 	go test -bench=. -benchmem -benchtime=1x ./...
-
-examples:
-	go run ./examples/quickstart
-	go run ./examples/cpubreakdown
-	go run ./examples/dmapipeline
-	go run ./examples/failover
-	go run ./examples/blockdevice
-	go run ./examples/dashboard
-	go run ./examples/objectgateway
-	go run ./examples/chaos -seconds 20 -threads 4

@@ -112,7 +112,6 @@ type Stats struct {
 	KVSyncCycles   int64
 	BytesWritten   int64
 	BytesRead      int64
-	AllocatedBytes int64
 	InjectedErrors int64
 }
 
@@ -415,7 +414,6 @@ func (s *Store) applyOp(op *objstore.Op) error {
 		}
 		for _, b := range o.blocks {
 			s.alloc.release(b.dev, b.length)
-			s.stats.AllocatedBytes -= b.length
 		}
 		delete(c.objects, op.Object)
 		return nil
@@ -482,7 +480,6 @@ func (s *Store) writeExtent(o *onode, off uint64, data *wire.Bufferlist) error {
 		return err
 	}
 	o.blocks = append(o.blocks, blockExtent{dev: dev, length: allocLen})
-	s.stats.AllocatedBytes += allocLen
 	o.punch(off, uint64(n))
 	o.insert(extent{off: off, data: data})
 	if off+uint64(n) > o.size {

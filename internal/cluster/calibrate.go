@@ -42,7 +42,5 @@ func calibrate(cfg Config) Config {
 	if cfg.OSD.HeartbeatInterval == 0 {
 		cfg.OSD.HeartbeatInterval = sim.Second
 	}
-
-	cfg.Messenger.WireEncode = cfg.WireEncode
 	return cfg
 }

@@ -86,10 +86,6 @@ type Config struct {
 	Bridge    core.BridgeConfig
 	Client    rados.Config
 
-	// WireEncode turns on real message serialization end to end (slower,
-	// used by integrity tests).
-	WireEncode bool
-
 	// Trace threads an op-level span tracer through every layer (client,
 	// messengers, OSDs, stores, DPU proxy and host server); the assembled
 	// tracer is exposed as Cluster.Tracer. Off (the default) every hook

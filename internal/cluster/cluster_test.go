@@ -26,7 +26,7 @@ func runBody(t *testing.T, cl *Cluster, body func(p *sim.Proc)) {
 }
 
 func TestBaselineClusterEndToEnd(t *testing.T) {
-	cl := New(Config{Mode: Baseline, WireEncode: true})
+	cl := New(Config{Mode: Baseline, Messenger: messenger.Config{WireEncode: true}})
 	runBody(t, cl, func(p *sim.Proc) {
 		data := wire.FromBytes(make([]byte, 256<<10))
 		if err := cl.Client.Write(p, "obj", data); err != nil {
@@ -40,7 +40,7 @@ func TestBaselineClusterEndToEnd(t *testing.T) {
 }
 
 func TestDoCephClusterEndToEnd(t *testing.T) {
-	cl := New(Config{Mode: DoCeph, WireEncode: true})
+	cl := New(Config{Mode: DoCeph, Messenger: messenger.Config{WireEncode: true}})
 	runBody(t, cl, func(p *sim.Proc) {
 		data := make([]byte, 3<<20)
 		for i := range data {

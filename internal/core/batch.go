@@ -104,7 +104,7 @@ const maxOpsPerFrame = 256
 // oldest op has waited MaxDelay.
 func (px *Proxy) batchLoop(p *sim.Proc) {
 	p.SetThread(px.thBatch)
-	cfg := px.cfg.Batch
+	cfg := px.batch
 	for {
 		for len(px.batchQ) == 0 {
 			px.batchCond.Wait(p)
@@ -147,7 +147,7 @@ func (px *Proxy) batchLoop(p *sim.Proc) {
 // after a DMA error) the whole frame rides ONE control-plane call instead
 // of per-op RPCs — the batched-submit half of the control-plane coalescing.
 func (px *Proxy) flushBatch(p *sim.Proc) {
-	cfg := px.cfg.Batch
+	cfg := px.batch
 	take := make([]*batchOp, 0, len(px.batchQ))
 	var bytes int64
 	for len(px.batchQ) > 0 {
@@ -303,7 +303,7 @@ const notifyMax = 32
 // idle/max-delay policy as the proxy batcher.
 func (hs *HostServer) notifyLoop(p *sim.Proc, sh *notifyShard) {
 	p.SetThread(hs.thPoll)
-	cfg := hs.cfg.Batch
+	cfg := hs.batch
 	// lastN is the size of the previous coalesced RPC. When it was a single
 	// entry the shard is in a low-rate regime: waiting IdleDelay for a
 	// companion almost never finds one and just adds latency to the commit

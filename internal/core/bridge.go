@@ -35,10 +35,16 @@ type BridgeConfig struct {
 	// (proxy coalescing + host notify coalescing). Off by default.
 	Batch BatchConfig
 	// Breaker enables the per-bridge DPU health circuit breaker with
-	// host-path failover. Off by default.
+	// host-path failover. Off by default. It replaces the proxy's
+	// single-failure cooldown gate: isolated DMA errors below the threshold
+	// keep the data plane on, a failure burst opens the breaker and fails
+	// the session over to the host RPC path, and probe successes re-enroll
+	// it.
 	Breaker dpu.BreakerConfig
 	// ReadCache enables the DPU-side object read cache on the proxy. Off
-	// by default.
+	// by default. Hot full-object reads are answered from DPU DDR with DPU
+	// CPU only; every mutation the proxy ships invalidates its object's
+	// entry first, so cached content never goes stale.
 	ReadCache dpu.ReadCacheConfig
 }
 
@@ -47,16 +53,6 @@ type BridgeConfig struct {
 // DPU-resident OSD should be given as its backend.
 func NewBridge(env *sim.Env, dev *dpu.DPU, hostCPU *sim.CPU,
 	store objstore.Store, cfg BridgeConfig) *Bridge {
-	if cfg.Batch.Enable {
-		cfg.Proxy.Batch = cfg.Batch
-		cfg.Host.Batch = cfg.Batch
-	}
-	if cfg.Breaker.Enable {
-		cfg.Proxy.Breaker = cfg.Breaker
-	}
-	if cfg.ReadCache.Enable {
-		cfg.Proxy.ReadCache = cfg.ReadCache
-	}
 	thRPCHost := sim.NewThread("host-rpc@"+dev.Name, RPCServerThreadCat)
 	thRPCDPU := sim.NewThread("proxy-rpc@"+dev.Name, ProxyThreadCat)
 	rpcDPU, rpcHost := rpcchan.New(env,
@@ -68,8 +64,8 @@ func NewBridge(env *sim.Env, dev *dpu.DPU, hostCPU *sim.CPU,
 	dpuMR := doca.NewMemRegion(dev.Name+"-staging-mr", dev.Buffers.BufferBytes()*int64(dev.Buffers.Capacity()))
 	hostMR := doca.NewMemRegion(dev.Name+"-host-mr", 1<<30)
 
-	host := NewHostServer(env, hostCPU, store, rpcHost, engUp, engDown, dpuMR, hostMR, cfg.Host)
-	proxy := NewProxy(env, dev, rpcDPU, cc, engUp, engDown, dpuMR, hostMR, cfg.Proxy)
+	host := NewHostServer(env, hostCPU, store, rpcHost, engUp, engDown, dpuMR, hostMR, cfg)
+	proxy := NewProxy(env, dev, rpcDPU, cc, engUp, engDown, dpuMR, hostMR, cfg)
 	return &Bridge{
 		Proxy: proxy, Host: host,
 		EngUp: engUp, EngDown: engDown, CC: cc,

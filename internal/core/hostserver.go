@@ -30,10 +30,6 @@ type HostConfig struct {
 	// PollIdleCycles is burned per empty poll iteration (the cost of
 	// polling mode).
 	PollIdleCycles int64
-	// Batch configures adaptive batching; on the host side it enables the
-	// coalesced commit-notification RPCs (usually set through
-	// BridgeConfig.Batch).
-	Batch BatchConfig
 }
 
 // DefaultHostConfig returns the host-server defaults.
@@ -52,7 +48,6 @@ func (c HostConfig) withDefaults() HostConfig {
 	if c.PollIdleCycles == 0 {
 		c.PollIdleCycles = d.PollIdleCycles
 	}
-	c.Batch = c.Batch.withDefaults()
 	return c
 }
 
@@ -78,7 +73,6 @@ type HostStats struct {
 	TxnsCommitted   int64
 	SegmentsViaDMA  int64
 	SegmentsViaRPC  int64
-	ReadsServed     int64
 	ControlRequests int64
 	PollIterations  int64
 
@@ -99,6 +93,7 @@ type HostServer struct {
 	cpu   *sim.CPU
 	store objstore.Store
 	cfg   HostConfig
+	batch BatchConfig
 
 	rpc     *rpcchan.Endpoint
 	engUp   *doca.Engine
@@ -125,7 +120,7 @@ type HostServer struct {
 	names      objstore.Names
 	stats      HostStats
 
-	// Notify coalescers (live only when cfg.Batch.Enable; see batch.go):
+	// Notify coalescers (live only when batch.Enable; see batch.go):
 	// queued commit notifications awaiting a coalesced opTxnDoneBatch RPC,
 	// one shard per DMA queue so the parallel completion streams don't
 	// funnel through a single batcher.
@@ -180,12 +175,14 @@ type readSeg struct {
 func (rs *readSeg) Run() { rs.buf.Release() }
 
 // NewHostServer builds the host side. rpcEnd is the host endpoint of the
-// control channel; store is the local BlueStore.
+// control channel; store is the local BlueStore. Of cfg it reads Host, and
+// Batch for the coalesced commit notifications.
 func NewHostServer(env *sim.Env, hostCPU *sim.CPU, store objstore.Store,
 	rpcEnd *rpcchan.Endpoint, engUp, engDown *doca.Engine,
-	dpuMR, hostMR *doca.MemRegion, cfg HostConfig) *HostServer {
+	dpuMR, hostMR *doca.MemRegion, cfg BridgeConfig) *HostServer {
 	hs := &HostServer{
-		env: env, cpu: hostCPU, store: store, cfg: cfg.withDefaults(),
+		env: env, cpu: hostCPU, store: store,
+		cfg: cfg.Host.withDefaults(), batch: cfg.Batch.withDefaults(),
 		rpc: rpcEnd, engUp: engUp, engDown: engDown,
 		dpuMR: dpuMR, hostMR: hostMR,
 		thPoll:     sim.NewThread("host-dma-poll", DMAPollThreadCat),
@@ -205,7 +202,7 @@ func NewHostServer(env *sim.Env, hostCPU *sim.CPU, store objstore.Store,
 	rpcEnd.Handle(opOmapGet, hs.onOmapGet)
 	rpcEnd.Handle(opOmapKeys, hs.onOmapKeys)
 	rpcEnd.Handle(opBatchFallback, hs.onBatchFallback)
-	if hs.cfg.Batch.Enable {
+	if hs.batch.Enable {
 		n := engUp.NumQueues()
 		for i := 0; i < n; i++ {
 			sh := &notifyShard{cond: sim.NewCond()}
@@ -422,7 +419,6 @@ func (hs *HostServer) serveRead(req *readReq) {
 			hs.rpc.Notify(p, opReadDone, encodeReadDone(req.ReqID, errToCode(err), 0))
 			return
 		}
-		hs.stats.ReadsServed++
 		c := newCut(bl, hs.readBuf.BufferBytes(), hs.engDown)
 		total := c.total
 		for i := 0; i < total; i++ {
@@ -557,7 +553,6 @@ func (hs *HostServer) onReadFallback(p *sim.Proc, req rpcchan.Request,
 			respond(nil, errToCode(rerr))
 			return
 		}
-		hs.stats.ReadsServed++
 		respond(bl, rcOK)
 	})
 }

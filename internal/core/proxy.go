@@ -27,22 +27,6 @@ type ProxyConfig struct {
 	DisablePipeline bool
 	// CooldownPeriod is how long DMA stays disabled after a failure.
 	CooldownPeriod sim.Duration
-	// Batch configures adaptive small-op batching (off by default; usually
-	// set through BridgeConfig.Batch).
-	Batch BatchConfig
-	// Breaker configures the DPU health circuit breaker (off by default;
-	// usually set through BridgeConfig.Breaker). When enabled it replaces
-	// the single-failure cooldown gate: isolated DMA errors below the
-	// threshold keep the data plane on, a failure burst opens the breaker
-	// and fails the session over to the host RPC path, and probe successes
-	// re-enroll it.
-	Breaker dpu.BreakerConfig
-	// ReadCache configures the DPU-side object read cache (off by
-	// default): hot full-object reads are answered from DPU DDR with DPU
-	// CPU only — no PCIe crossing, no host CPU. Every mutation the proxy
-	// ships invalidates its object's entry first, so cached content never
-	// goes stale.
-	ReadCache dpu.ReadCacheConfig
 }
 
 // DefaultProxyConfig returns the proxy defaults used in the experiments.
@@ -55,7 +39,6 @@ func (c ProxyConfig) withDefaults() ProxyConfig {
 	if c.CooldownPeriod == 0 {
 		c.CooldownPeriod = d.CooldownPeriod
 	}
-	c.Batch = c.Batch.withDefaults()
 	return c
 }
 
@@ -94,7 +77,6 @@ type ProxyStats struct {
 	FallbackSegments int64 // segments resent over RPC after DMA errors
 	ControlCalls     int64
 	Reads            int64
-	ReadFallbacks    int64
 	Probes           int64
 	ProbeFailures    int64
 	CooldownEntries  int64
@@ -125,9 +107,10 @@ type ProxyStats struct {
 // "DoCeph leverages this modularity by overriding the ObjectStore
 // interface").
 type Proxy struct {
-	env *sim.Env
-	dev *dpu.DPU
-	cfg ProxyConfig
+	env   *sim.Env
+	dev   *dpu.DPU
+	cfg   ProxyConfig
+	batch BatchConfig
 
 	rpc     *rpcchan.Endpoint // DPU end of the control channel
 	engUp   *doca.Engine      // DPU -> host
@@ -146,7 +129,7 @@ type Proxy struct {
 	pendingTxns  map[uint64]*pendingTxn
 	pendingReads map[uint64]*pendingRead
 
-	// Batcher state (live only when cfg.Batch.Enable; see batch.go).
+	// Batcher state (live only when batch.Enable; see batch.go).
 	thBatch    *sim.Thread
 	batchCond  *sim.Cond
 	batchQ     []*batchOp
@@ -243,12 +226,13 @@ type pendingRead struct {
 // NewProxy builds the DPU-side proxy. rpcEnd is the DPU endpoint of the
 // control channel; engUp/engDown are the DMA engines for the two
 // directions; dpuMR/hostMR are the staging regions (negotiated lazily via
-// cc, or per-segment when the MR cache is disabled).
+// cc, or per-segment when the MR cache is disabled). Of cfg it reads Proxy
+// and the three off-by-default mechanisms: Batch, Breaker and ReadCache.
 func NewProxy(env *sim.Env, dev *dpu.DPU, rpcEnd *rpcchan.Endpoint,
 	cc *doca.CommChannel, engUp, engDown *doca.Engine,
-	dpuMR, hostMR *doca.MemRegion, cfg ProxyConfig) *Proxy {
+	dpuMR, hostMR *doca.MemRegion, cfg BridgeConfig) *Proxy {
 	px := &Proxy{
-		env: env, dev: dev, cfg: cfg.withDefaults(),
+		env: env, dev: dev, cfg: cfg.Proxy.withDefaults(), batch: cfg.Batch.withDefaults(),
 		rpc: rpcEnd, engUp: engUp, engDown: engDown, cc: cc,
 		dpuMR: dpuMR, hostMR: hostMR,
 		thProxy:      sim.NewThread("proxy@"+dev.Name, ProxyThreadCat),
@@ -257,10 +241,10 @@ func NewProxy(env *sim.Env, dev *dpu.DPU, rpcEnd *rpcchan.Endpoint,
 		dmaHealthy:   true,
 	}
 	px.txBody = px.shipTxn
-	if px.cfg.Breaker.Enable {
-		px.br = dpu.NewBreaker(px.cfg.Breaker)
+	if cfg.Breaker.Enable {
+		px.br = dpu.NewBreaker(cfg.Breaker)
 	}
-	if px.cfg.ReadCache.Enable {
+	if cfg.ReadCache.Enable {
 		px.rcache = dpu.NewReadCache()
 	}
 	rpcEnd.Handle(opTxnDone, px.onTxnDone)
@@ -268,15 +252,15 @@ func NewProxy(env *sim.Env, dev *dpu.DPU, rpcEnd *rpcchan.Endpoint,
 	rpcEnd.Handle(opTxnDoneBatch, px.onTxnDoneBatch)
 	engDown.Completions().Serve("dpu-dma-poll@"+dev.Name,
 		sim.NewThread("dpu-dma-poll", ProxyThreadCat), px.harvestRead)
-	if px.cfg.Batch.Enable {
+	if px.batch.Enable {
 		// Clamp the batch byte cap so a worst-case frame (payload + framing
 		// overhead) fits one staging buffer and one engine transfer.
 		lim := segLimit(dev.Buffers.BufferBytes(), engUp) - batchFrameOverhead(maxOpsPerFrame)
-		if px.cfg.Batch.MaxBatchBytes > lim {
-			px.cfg.Batch.MaxBatchBytes = lim
+		if px.batch.MaxBatchBytes > lim {
+			px.batch.MaxBatchBytes = lim
 		}
-		if px.cfg.Batch.MaxOpBytes > px.cfg.Batch.MaxBatchBytes {
-			px.cfg.Batch.MaxOpBytes = px.cfg.Batch.MaxBatchBytes
+		if px.batch.MaxOpBytes > px.batch.MaxBatchBytes {
+			px.batch.MaxOpBytes = px.batch.MaxBatchBytes
 		}
 		px.thBatch = sim.NewThread("proxy-batch@"+dev.Name, ProxyThreadCat)
 		px.batchCond = sim.NewCond()
@@ -447,7 +431,7 @@ func (px *Proxy) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objst
 	pt := &pendingTxn{px: px, reqID: reqID, txnSeq: txnSeq}
 	px.pendingTxns[reqID] = pt
 
-	if px.cfg.Batch.Enable && int64(payload.Length()) <= px.cfg.Batch.MaxOpBytes {
+	if px.batch.Enable && int64(payload.Length()) <= px.batch.MaxOpBytes {
 		// Small op: hand it to the batcher, which ships it coalesced with
 		// its neighbours; completion still arrives per op.
 		px.enqueueBatch(p, &batchOp{reqID: reqID, txnSeq: txnSeq, payload: payload, ctx: ctx})
@@ -748,7 +732,6 @@ func (px *Proxy) cacheRead(coll, obj string, off, length uint64, data *wire.Buff
 }
 
 func (px *Proxy) readViaRPC(p *sim.Proc, desc *wire.Bufferlist) (*wire.Bufferlist, error) {
-	px.stats.ReadFallbacks++
 	return px.call(p, opReadFallback, desc)
 }
 

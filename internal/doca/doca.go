@@ -234,7 +234,6 @@ type EngineStats struct {
 	Bytes     int64
 	Errors    int64
 	TotalWait sim.Duration
-	TotalCopy sim.Duration
 	// Busy is the summed service time across all queues (setup + copy,
 	// including shared-bus arbitration). Busy / (Queues * elapsed) is the
 	// engine occupancy.
@@ -492,7 +491,6 @@ func (e *Engine) run(p *sim.Proc, q *dmaQueue) {
 		t.CompletedAt = p.Now()
 		q.depth--
 		e.stats.TotalWait += t.Wait()
-		e.stats.TotalCopy += t.CopyTime()
 		e.stats.Busy += t.CopyTime()
 		q.stats.Busy += t.CopyTime()
 		e.completions.Push(t)

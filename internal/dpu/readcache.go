@@ -33,8 +33,6 @@ const (
 type ReadCacheStats struct {
 	Hits          int64
 	Misses        int64
-	Inserts       int64
-	Evictions     int64
 	Invalidations int64
 	Bytes         int64 // currently cached payload volume
 	Entries       int64
@@ -117,7 +115,6 @@ func (c *ReadCache) Insert(coll, obj string, data *wire.Bufferlist) {
 		e.elem = c.lru.PushFront(e)
 		c.entries[key] = e
 		c.bytes += int64(data.Length())
-		c.stats.Inserts++
 	}
 	for c.bytes > readCacheCapacityBytes {
 		back := c.lru.Back()
@@ -125,7 +122,6 @@ func (c *ReadCache) Insert(coll, obj string, data *wire.Bufferlist) {
 			break
 		}
 		c.removeEntry(back.Value.(*rcEntry))
-		c.stats.Evictions++
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"doceph/internal/cluster"
 	"doceph/internal/faultinject"
+	"doceph/internal/messenger"
 	"doceph/internal/sim"
 	"doceph/internal/wire"
 )
@@ -29,7 +30,7 @@ func runBody(t *testing.T, cl *cluster.Cluster, horizon sim.Duration, body func(
 // fault layer flips bytes on a replica copy, a deep scrub must notice the
 // CRC divergence and repair it, and client reads must never see the damage.
 func TestScrubDetectsInjectedBitRot(t *testing.T) {
-	cl := cluster.New(cluster.Config{Mode: cluster.Baseline, WireEncode: true})
+	cl := cluster.New(cluster.Config{Mode: cluster.Baseline, Messenger: messenger.Config{WireEncode: true}})
 	inj := faultinject.New(cl.Env, cl.FaultTargets())
 	if err := inj.Run(faultinject.Plan{Name: "rot", Events: []faultinject.Event{
 		{At: 5 * sim.Second, Kind: faultinject.BitRot, Node: "node1", Count: 3},

@@ -2,9 +2,9 @@
 // client: named buckets whose listings live as omap entries on a per-bucket
 // index object (exactly how RGW's bucket indexes work), with object data
 // stored as ordinary RADOS objects. Together with the striper (RBD) this
-// rounds out the paper's §2.1 trio of Ceph interfaces — and gives the
-// examples an S3-flavoured workload whose metadata path exercises the
-// replicated omap machinery end to end.
+// rounds out the paper's §2.1 trio of Ceph interfaces — and gives an
+// S3-flavoured workload whose metadata path exercises the replicated omap
+// machinery end to end.
 package gateway
 
 import (

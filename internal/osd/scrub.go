@@ -119,7 +119,7 @@ func (o *OSD) handleScrubReply(m *cephmsg.MScrubReply) {
 }
 
 // ScrubNow triggers an immediate scrub pass of every PG this OSD leads
-// (administrative hook used by tests and examples). It returns right away;
+// (administrative hook: the fault experiments and tests call it). It returns right away;
 // the returned event fires once the whole pass has completed.
 func (o *OSD) ScrubNow() *sim.Event {
 	done := sim.NewEvent()

@@ -5,7 +5,7 @@
 // reaches the cluster before completing, so durability equals the
 // uncached device, while hot reads are absorbed client-side). This is the
 // hyper-converged block workload shape Ra's all-flash Ceph study
-// measures, grown from the examples/blockdevice seed sketch.
+// measures; ExampleCreate walks through it.
 package rbd
 
 import (
@@ -57,8 +57,6 @@ type DeviceConfig struct {
 
 // Stats counts device activity.
 type Stats struct {
-	ReadOps      int64
-	WriteOps     int64
 	BytesRead    int64
 	BytesWritten int64
 	// CacheHits counts reads served entirely from cached pages;
@@ -141,7 +139,6 @@ func (d *Device) WriteAt(p *sim.Proc, data *wire.Bufferlist, off int64) error {
 		}
 		return err
 	}
-	d.stats.WriteOps++
 	d.stats.BytesWritten += int64(data.Length())
 	if d.cache != nil {
 		d.cache.update(off, data.Bytes())
@@ -156,7 +153,6 @@ func (d *Device) ReadAt(p *sim.Proc, off, length int64) (*wire.Bufferlist, error
 	if off < 0 || length < 0 || off+length > d.img.Size() {
 		return nil, ErrOutOfBounds
 	}
-	d.stats.ReadOps++
 	if length == 0 {
 		return &wire.Bufferlist{}, nil
 	}

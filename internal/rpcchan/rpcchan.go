@@ -56,7 +56,6 @@ func noResponse(*wire.Bufferlist, uint16) {}
 type Stats struct {
 	CallsSent   int64
 	CallsServed int64
-	Notifies    int64
 	BytesSent   int64
 	BytesRecv   int64
 }
@@ -163,7 +162,6 @@ func (e *Endpoint) Call(p *sim.Proc, op uint16, payload *wire.Bufferlist) (*wire
 func (e *Endpoint) Notify(p *sim.Proc, op uint16, payload *wire.Bufferlist) {
 	e.nextID++
 	e.send(p, envelope{req: true, notify: true, op: op, reqID: e.nextID, payload: payload})
-	e.stats.Notifies++
 }
 
 const (

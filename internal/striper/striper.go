@@ -2,8 +2,8 @@
 // client: a logical device of fixed size striped across equally sized
 // objects (librbd's default layout), with a header object carrying the
 // image metadata. The paper's §2.1 names RBD as one of Ceph's three core
-// interfaces; this package is the corresponding client-side substrate and a
-// realistic multi-object workload generator for the examples.
+// interfaces; this package is the corresponding client-side substrate under
+// internal/rbd.
 package striper
 
 import (

@@ -21,7 +21,8 @@
 # 88.9% from 89.6%: the deleted `if c.X == 0` stanzas were all covered, and
 # cluster.New's rejections are exercised from the root package's
 # TestNewRejectsUnbuildableConfig, which a per-package figure does not see
-# — no floor moved);
+# — no floor moved), and gateway was added at 86.9% when its walkthrough
+# became gateway.ExampleNew (the figure is gateway_test.go's alone);
 # each is set ~5 points below to absorb small refactors. Raise floors when
 # coverage improves, never lower them to make a PR pass.
 set -eu
@@ -59,5 +60,6 @@ gate ./internal/striper 80
 gate ./internal/radosbench 73
 gate ./internal/cluster 84
 gate ./internal/crush 92
+gate ./internal/gateway 80
 
 exit $fail

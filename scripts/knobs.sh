@@ -11,10 +11,10 @@
 # a clone of the parent commit for the "before" column.
 #
 # The total may only go down: lower CEILING when a field goes; raising it
-# needs a second caller, outside tests and examples, named in the commit
-# (DESIGN.md §4.12).
+# needs a second caller outside _test.go files (Example walkthroughs
+# included), named in the commit (DESIGN.md §4.12).
 set -eu
-CEILING=137
+CEILING=132
 cd "${1:-$(dirname "$0")/..}"
 # shellcheck disable=SC2046 # Go file names hold no spaces
 awk -v ceiling="$CEILING" '
