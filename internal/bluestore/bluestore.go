@@ -467,12 +467,13 @@ func newOnode() *onode {
 }
 
 func (s *Store) writeExtent(o *onode, off uint64, data *wire.Bufferlist) error {
-	n := int64(data.Length())
-	if n == 0 {
-		// Zero-length write: creation/touch semantics only.
+	if data == nil || data.Length() == 0 {
+		// Zero-length write (decoded from a frame, it carries no list at
+		// all): creation/touch semantics only.
 		o.bump(s.env.Now())
 		return nil
 	}
+	n := int64(data.Length())
 	// Allocate device space rounded to min_alloc_size.
 	allocLen := (n + s.cfg.MinAllocSize - 1) / s.cfg.MinAllocSize * s.cfg.MinAllocSize
 	dev, err := s.alloc.allocate(allocLen)
@@ -560,11 +561,20 @@ func appendZeros(out *wire.Bufferlist, n uint64) {
 	}
 }
 
-// readRange assembles [off, off+length) from extents, zero-filling holes.
+// readRange assembles [off, off+length) from extents, zero-filling holes. A
+// range inside one extent is a view of that extent's data.
 func (o *onode) readRange(off, length uint64) *wire.Bufferlist {
+	end := off + length
+	for _, e := range o.extents { // sorted and disjoint: the first to end past off decides
+		if eEnd := e.off + uint64(e.data.Length()); eEnd > off {
+			if e.off <= off && end <= eEnd {
+				return e.data.SubList(int(off-e.off), int(length))
+			}
+			break
+		}
+	}
 	out := &wire.Bufferlist{}
 	pos := off
-	end := off + length
 	for _, e := range o.extents {
 		eEnd := e.off + uint64(e.data.Length())
 		if eEnd <= pos || e.off >= end {

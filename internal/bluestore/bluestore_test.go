@@ -96,6 +96,26 @@ func TestWriteAtOffsetZeroFillsHole(t *testing.T) {
 	})
 }
 
+// TestZeroLengthWriteDecodedFromAFrame: a zero-length write that crossed a
+// frame decodes with no data list at all, and still creates the object.
+func TestZeroLengthWriteDecodedFromAFrame(t *testing.T) {
+	env, s := newTestStore(Config{})
+	runStore(t, env, func(p *sim.Proc) {
+		mkColl(t, p, s, "c")
+		txn, err := objstore.DecodeTransactionBL(
+			(&objstore.Transaction{}).Write("c", "empty", 0, &wire.Bufferlist{}).EncodeBL(), &objstore.Names{})
+		if err != nil || txn.Ops[0].Data != nil {
+			t.Fatalf("decoded %+v, err=%v; want a write with no list", txn.Ops, err)
+		}
+		if err := commit(t, p, s, txn); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := s.Stat(p, "c", "empty"); err != nil || st.Size != 0 || st.Version != 1 {
+			t.Fatalf("stat=%+v err=%v", st, err)
+		}
+	})
+}
+
 func TestPartialOverwrite(t *testing.T) {
 	env, s := newTestStore(Config{})
 	runStore(t, env, func(p *sim.Proc) {
@@ -349,6 +369,7 @@ func TestQuickRandomOpsMatchReference(t *testing.T) {
 	runStore(t, env, func(p *sim.Proc) {
 		mkColl(t, p, s, "c")
 		r := rand.New(rand.NewSource(99))
+		ranges := rand.New(rand.NewSource(7))
 		ref := []byte{}
 		const maxLen = 4096
 		grow := func(n int) {
@@ -408,6 +429,18 @@ func TestQuickRandomOpsMatchReference(t *testing.T) {
 			if !bytes.Equal(got.Bytes(), ref) {
 				t.Fatalf("iteration %d: store diverged from reference (len %d vs %d)",
 					i, got.Length(), len(ref))
+			}
+			// Ranges, short ones mostly inside one extent (readRange's view)
+			// and long ones across extents and holes.
+			for _, span := range []int{16, maxLen} {
+				off, n := ranges.Intn(len(ref)+1), ranges.Intn(span)
+				want := ref[min(off, len(ref)):]
+				if n > 0 && n < len(want) {
+					want = want[:n]
+				}
+				if got, err := s.Read(p, "c", "o", uint64(off), uint64(n)); err != nil || !bytes.Equal(got.Bytes(), want) {
+					t.Fatalf("iteration %d: [%d,+%d) diverged from reference: err=%v", i, off, n, err)
+				}
 			}
 		}
 	})

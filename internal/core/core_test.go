@@ -3,9 +3,11 @@ package core
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 
 	"doceph/internal/bluestore"
+	"doceph/internal/doca"
 	"doceph/internal/dpu"
 	"doceph/internal/objstore"
 	"doceph/internal/sim"
@@ -188,6 +190,81 @@ func TestReadPathViaDMA(t *testing.T) {
 			t.Fatalf("err=%v", err)
 		}
 	})
+}
+
+// TestReadShapesMatchTheStore reads every shape the read path cuts, assembles
+// or refuses, once over DMA and once over the RPC fallback of a cooldown, and
+// compares each answer byte for byte with BlueStore's own Read of the same
+// range: objects on either side of one staging buffer and one that needs
+// three segments, ranges on readRange's one-extent and general paths, both
+// errors, and a name the inline descriptor cannot hold.
+func TestReadShapesMatchTheStore(t *testing.T) {
+	long := strings.Repeat("x", readDescBytes)
+	buf := int(readStagingBufferBytes)
+	objects := []struct {
+		name string
+		size int
+	}{{"empty", 0}, {"4k", 4 << 10}, {"one-buffer", buf}, {"one-buffer+1", buf + 1}, {"three-segments", 5 << 20}, {long, 4 << 10}}
+	type rng struct {
+		coll, obj   string
+		off, length uint64
+	}
+	var reads []rng
+	for _, o := range objects {
+		reads = append(reads, rng{"pg.0", o.name, 0, 0})
+	}
+	// "gappy" is [0, 8K) and [8K, 16K) written apart, a hole, then [32K, 36K).
+	reads = append(reads,
+		rng{"pg.0", "three-segments", 100, 500},         // inside one extent
+		rng{"pg.0", "three-segments", 1 << 20, 3 << 20}, // inside one extent, two segments back
+		rng{"pg.0", "gappy", 4 << 10, 8 << 10},          // across two extents
+		rng{"pg.0", "gappy", 12 << 10, 24 << 10},        // an extent's tail, the hole, the last extent
+		rng{"pg.0", "gappy", 16 << 10, 8 << 10},         // nothing but hole
+		rng{"pg.0", "4k", 8 << 10, 0},                   // past the end
+		rng{"pg.0", "ghost", 0, 0},                      // not found
+		rng{"nocoll", "4k", 0, 0},                       // no collection
+	)
+	for _, plane := range []string{"dma", "rpc"} {
+		cfg := BridgeConfig{}
+		cfg.Proxy.CooldownPeriod = 3600 * sim.Second // the rpc plane stays in cooldown throughout
+		r := newCoreRig(cfg)
+		r.run(t, func(p *sim.Proc) {
+			px := r.bridge.Proxy
+			txn := objstore.NewTransaction().MkColl("pg.0")
+			for i, o := range objects {
+				txn.Write("pg.0", o.name, 0, seeded(o.size, byte(i)))
+			}
+			txn.Write("pg.0", "gappy", 0, seeded(8<<10, 7)).
+				Write("pg.0", "gappy", 8<<10, seeded(8<<10, 8)).
+				Write("pg.0", "gappy", 32<<10, seeded(4<<10, 9))
+			if err := commitP(t, p, px, txn); err != nil {
+				t.Fatal(err)
+			}
+			if plane == "rpc" {
+				r.bridge.EngUp.FailNext(1) // the first descriptor: every read goes over RPC
+			}
+			for _, rd := range reads {
+				want, werr := r.store.Read(p, rd.coll, rd.obj, rd.off, rd.length)
+				got, gerr := px.Read(p, rd.coll, rd.obj, rd.off, rd.length)
+				if errToCode(gerr) != errToCode(werr) || werr == nil && !got.Equal(want) {
+					t.Errorf("%s: %s/%.12s [%d,+%d): err=%v, want %v (%d bytes, want %d)",
+						plane, rd.coll, rd.obj, rd.off, rd.length, gerr, werr, lenOf(got), lenOf(want))
+				}
+			}
+			dmaReads, down := px.Stats().Reads, r.bridge.EngDown.Stats().Transfers
+			if plane == "dma" && (dmaReads != int64(len(reads)) || down == 0 || !px.DMAHealthy()) ||
+				plane == "rpc" && (dmaReads != 1 || down != 0 || px.DMAHealthy()) {
+				t.Errorf("%s: %d reads sent by DMA, %d transfers back, DMA healthy %v", plane, dmaReads, down, px.DMAHealthy())
+			}
+		})
+	}
+}
+
+func lenOf(bl *wire.Bufferlist) int {
+	if bl == nil {
+		return -1
+	}
+	return bl.Length()
 }
 
 func TestDMAFailureFallsBackAndPreservesSegments(t *testing.T) {
@@ -550,6 +627,57 @@ func TestFallbackSegmentHeaderValidated(t *testing.T) {
 	})
 }
 
+// TestReadSegmentTagsValidated: the proxy sizes a read's reply table by the
+// count its first data segment claims (one slot in the record for one), so a
+// segment whose index lies outside its own count, or whose count contradicts
+// the first, is dropped and counted — not a panic in the DPU poller — and a
+// duplicate fills no second slot.
+func TestReadSegmentTagsValidated(t *testing.T) {
+	r := newCoreRig(BridgeConfig{})
+	r.run(t, func(p *sim.Proc) {
+		px := r.bridge.Proxy
+		data := seeded(64, 1)
+		errs := int64(0)
+		type tag struct {
+			seg, total int
+			bad        bool // to be dropped and counted
+		}
+		for _, reply := range []struct {
+			name  string
+			steps []tag
+			have  int
+			done  bool
+		}{
+			{name: "out of range, then two segments with a changed count and a duplicate",
+				steps: []tag{{1, 1, true}, {-1, 2, true}, {0, 2, false}, {1, 3, true}, {0, 1, true}, {0, 2, false}, {1, 2, false}},
+				have:  2, done: true},
+			{name: "one segment, then a second claiming two",
+				steps: []tag{{0, 1, false}, {1, 2, true}},
+				have:  1, done: true},
+			{name: "duplicate first of two",
+				steps: []tag{{0, 2, false}, {0, 2, false}},
+				have:  1},
+		} {
+			pr := &pendingRead{}
+			px.pendingReads[900] = pr
+			for i, s := range reply.steps {
+				px.harvestRead(p, &doca.Transfer{Data: data,
+					Tag: &segHeader{kind: segReadData, reqID: 900, seg: s.seg, total: s.total}})
+				if s.bad {
+					errs++
+				}
+				if got := px.Stats().ReadFrameErrors; got != errs {
+					t.Fatalf("%s, step %d (seg %d of %d): %d frame errors, want %d", reply.name, i, s.seg, s.total, got, errs)
+				}
+			}
+			if int(pr.have) != reply.have || pr.done.Fired() != reply.done {
+				t.Errorf("%s: %d slots filled, done=%v; want %d, %v", reply.name, pr.have, pr.done.Fired(), reply.have, reply.done)
+			}
+			delete(px.pendingReads, 900)
+		}
+	})
+}
+
 // TestTeardownReturnsBuffersTasksAndProcs is the data plane's teardown
 // assertion. After a completed run — segmented writes, plain and batched, and
 // a segmented read — every staging buffer on both sides is back in its pool,
@@ -608,9 +736,11 @@ func TestTeardownReturnsBuffersTasksAndProcs(t *testing.T) {
 		if free, all := hs.readBuf.Available(), hs.readBuf.Capacity(); free != all {
 			t.Errorf("%s: %d of %d host read buffers free after the run", name, free, all)
 		}
-		if px.stagingBytes != 0 || len(px.pendingTxns) != 0 || len(hs.asm) != 0 || len(hs.readyTxns) != 0 || len(hs.notifying) != 0 {
-			t.Errorf("%s: staging=%d pendingTxns=%d assembling=%d ready=%d notifying=%d after the run",
-				name, px.stagingBytes, len(px.pendingTxns), len(hs.asm), len(hs.readyTxns), len(hs.notifying))
+		if px.stagingBytes != 0 || len(px.pendingTxns) != 0 || len(px.pendingReads) != 0 ||
+			len(hs.asm) != 0 || len(hs.readyTxns) != 0 || len(hs.notifying) != 0 || len(hs.reads) != 0 {
+			t.Errorf("%s: staging=%d pendingTxns=%d pendingReads=%d assembling=%d ready=%d notifying=%d reads=%d after the run",
+				name, px.stagingBytes, len(px.pendingTxns), len(px.pendingReads),
+				len(hs.asm), len(hs.readyTxns), len(hs.notifying), len(hs.reads))
 		}
 		if live := r.env.LiveProcs(); live != daemons {
 			t.Errorf("%s: %d procs and tasks live after the run, %d daemons before it", name, live, daemons)
@@ -690,6 +820,52 @@ func TestCrossingAllocationBudget(t *testing.T) {
 		}
 		if n := r.bridge.EngUp.Stats().Transfers; n != 2*(16+crossings)+1 {
 			t.Fatalf("%d transfers; want two per chunk (2 MiB and the header's tail)", n)
+		}
+	})
+}
+
+// readAllocCeiling is one above what a 4 KiB read crossing allocates today (4:
+// the pendingRead, which holds the descriptor's transfer, tag and frame and a
+// one-slot reply table; the hostRead, which holds the decoded request and its
+// one return segment; the decoded object name; BlueStore's view of the
+// extent). The next record somebody adds to the read path fails here, not in
+// a benchmark.
+const readAllocCeiling = 5
+
+// TestReadCrossingAllocationBudget holds one read crossing — descriptor DMA to
+// the host, BlueStore read, data DMA back, reassembly on the proxy — to its
+// allocation budget, on the 4 KiB shape mix70-4K-doceph reads.
+func TestReadCrossingAllocationBudget(t *testing.T) {
+	r := newCoreRig(BridgeConfig{})
+	r.run(t, func(p *sim.Proc) {
+		px := r.bridge.Proxy
+		txn := objstore.NewTransaction().MkColl("pg.0")
+		for i, obj := range objNames {
+			txn.Write("pg.0", obj, 0, seeded(4096, byte(i)))
+		}
+		if err := commitP(t, p, px, txn); err != nil {
+			t.Fatal(err)
+		}
+		read := func(first, n int) {
+			for i := first; i < first+n; i++ {
+				if bl, err := px.Read(p, "pg.0", objNames[i%len(objNames)], 0, 4096); err != nil || bl.Length() != 4096 {
+					t.Fatalf("read %d: err=%v", i, err)
+				}
+			}
+		}
+		read(0, 16) // pools, maps and queues reach their size
+		const crossings = 64
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		read(16, crossings)
+		runtime.ReadMemStats(&after)
+		per := float64(after.Mallocs-before.Mallocs) / crossings
+		t.Logf("%.2f allocations, %.0f B per read crossing", per, float64(after.TotalAlloc-before.TotalAlloc)/crossings)
+		if per > readAllocCeiling {
+			t.Fatalf("%.2f allocations per read crossing, want at most %d", per, readAllocCeiling)
+		}
+		if n := r.bridge.EngDown.Stats().Transfers; n != 16+crossings {
+			t.Fatalf("%d transfers to the DPU; want one per read", n)
 		}
 	})
 }

@@ -114,9 +114,13 @@ type HostServer struct {
 	readyTxns  map[uint64]*hostTxn
 	// notifying holds a committed transaction until its host-notify proc,
 	// which finds it by id, has sent the notification; notifyBody is
-	// sendTxnDone as a func value, made once. names are the last ones decoded.
+	// sendTxnDone as a func value, made once. reads holds a read until its
+	// host-read proc, which finds it by id, takes it; readBody is serveRead
+	// as a func value, made once. names are the last ones decoded.
 	notifying  map[uint64]*hostTxn
 	notifyBody func(*sim.Proc)
+	reads      map[uint64]*hostRead
+	readBody   func(*sim.Proc)
 	names      objstore.Names
 	stats      HostStats
 
@@ -164,6 +168,16 @@ type hostTxn struct {
 	done  txnDoneFrame
 }
 
+// hostRead is one read on the host, in one allocation: the request its
+// descriptor carried, respond when that came over RPC (nil over DMA), and the
+// segments of the return DMA (in slot for one).
+type hostRead struct {
+	req     readReq
+	respond func(*wire.Bufferlist, uint16)
+	segs    []readSeg
+	slot    [1]readSeg
+}
+
 // readSeg is one in-flight segment of a read's return DMA, and the task that
 // frees its staging buffer when the engine is done with it.
 type readSeg struct {
@@ -190,8 +204,10 @@ func NewHostServer(env *sim.Env, hostCPU *sim.CPU, store objstore.Store,
 		nextCommit: 1,
 		readyTxns:  make(map[uint64]*hostTxn),
 		notifying:  make(map[uint64]*hostTxn),
+		reads:      make(map[uint64]*hostRead),
 	}
 	hs.notifyBody = hs.sendTxnDone
+	hs.readBody = hs.serveRead
 	hs.readBuf = dpu.NewBufferPool(env, "host-read-staging",
 		readStagingBuffers, readStagingBufferBytes)
 	rpcEnd.Handle(opStat, hs.onStat)
@@ -270,11 +286,9 @@ func (hs *HostServer) harvest(p *sim.Proc, t *doca.Transfer) {
 			hs.addSegment(p, en.reqID, en.txnSeq, 0, 1, en.payload, ctx, qidx)
 		}
 	case segReadReq:
-		req, err := decodeReadReq(t.Data)
-		if err != nil {
+		if hs.fileRead("host-read:", &hostRead{}, t.Data) != nil {
 			panic("core: corrupt read request over DMA")
 		}
-		hs.serveRead(req)
 	case segProbe:
 		// Health probe: nothing to do.
 	}
@@ -409,36 +423,66 @@ func (hs *HostServer) onBatchFallback(p *sim.Proc, req rpcchan.Request,
 	}
 }
 
-// serveRead executes a read and DMAs the data back to the DPU in <=2 MB
-// segments through host-side staging buffers.
-func (hs *HostServer) serveRead(req *readReq) {
-	hs.env.SpawnID("host-read:", req.ReqID, func(p *sim.Proc) {
-		p.SetThread(hs.thPoll)
-		bl, err := hs.store.Read(p, req.Coll, req.Object, req.Off, req.Length)
-		if err != nil || bl.Length() == 0 {
-			hs.rpc.Notify(p, opReadDone, encodeReadDone(req.ReqID, errToCode(err), 0))
+// fileRead decodes a read descriptor into hr, files the record under its
+// request id and spawns the proc, named prefix and the id, that serves it.
+func (hs *HostServer) fileRead(prefix string, hr *hostRead, desc *wire.Bufferlist) error {
+	if err := hr.req.decode(desc, hs.names.Collection); err != nil {
+		return err
+	}
+	hs.names.Collection = hr.req.Coll
+	hs.reads[hr.req.ReqID] = hr
+	hs.env.SpawnID(prefix, hr.req.ReqID, hs.readBody)
+	return nil
+}
+
+// serveRead is the body of every host-read proc: it executes the read its id
+// names and answers through respond when the request came over RPC, or DMAs
+// the data back to the DPU in <=2 MB segments through host-side staging
+// buffers.
+func (hs *HostServer) serveRead(p *sim.Proc) {
+	hr := hs.reads[p.ID()]
+	delete(hs.reads, p.ID())
+	p.SetThread(hs.thPoll)
+	req := &hr.req
+	bl, err := hs.store.Read(p, req.Coll, req.Object, req.Off, req.Length)
+	if hr.respond != nil {
+		if err != nil {
+			hr.respond(nil, errToCode(err))
+		} else {
+			hr.respond(bl, rcOK)
+		}
+		return
+	}
+	if err != nil || bl.Length() == 0 {
+		hs.rpc.Notify(p, opReadDone, encodeReadDone(req.ReqID, errToCode(err), 0))
+		return
+	}
+	c := newCut(bl, hs.readBuf.BufferBytes(), hs.engDown)
+	if hr.segs = hr.slot[:]; c.total > len(hr.slot) {
+		hr.segs = make([]readSeg, c.total)
+	}
+	for i := range hr.segs {
+		n := c.size(i)
+		hs.readBuf.Acquire(p)
+		hs.cpu.Exec(p, hs.thPoll, int64(float64(n)*hostStageCyclesPerByte))
+		data := bl // a one-segment reply is the store's list itself
+		if c.total > 1 {
+			data = c.view(i)
+		}
+		rs := &hr.segs[i]
+		rs.buf = hs.readBuf
+		rs.hdr = segHeader{kind: segReadData, reqID: req.ReqID, seg: i, total: c.total}
+		rs.t = doca.Transfer{
+			ReqID: req.ReqID, Seg: i, TotalSegs: c.total, Bytes: n, Data: data,
+			Src: hs.hostMR, Dst: hs.dpuMR, Tag: &rs.hdr,
+		}
+		if err := hs.engDown.Submit(p, hs.cpu, &rs.t); err != nil {
+			hs.readBuf.Release()
+			hs.rpc.Notify(p, opReadDone, encodeReadDone(req.ReqID, rcIO, 0))
 			return
 		}
-		c := newCut(bl, hs.readBuf.BufferBytes(), hs.engDown)
-		total := c.total
-		for i := 0; i < total; i++ {
-			n := c.size(i)
-			hs.readBuf.Acquire(p)
-			hs.cpu.Exec(p, hs.thPoll, int64(float64(n)*hostStageCyclesPerByte))
-			rs := &readSeg{buf: hs.readBuf,
-				hdr: segHeader{kind: segReadData, reqID: req.ReqID, seg: i, total: total}}
-			rs.t = doca.Transfer{
-				ReqID: req.ReqID, Seg: i, TotalSegs: total, Bytes: n, Data: c.view(i),
-				Src: hs.hostMR, Dst: hs.dpuMR, Tag: &rs.hdr,
-			}
-			if err := hs.engDown.Submit(p, hs.cpu, &rs.t); err != nil {
-				hs.readBuf.Release()
-				hs.rpc.Notify(p, opReadDone, encodeReadDone(req.ReqID, rcIO, 0))
-				return
-			}
-			hs.env.After(&rs.t.Done, rs)
-		}
-	})
+		hs.env.After(&rs.t.Done, rs)
+	}
 }
 
 // Control-plane handlers: quick metadata services on the event-driven RPC
@@ -541,18 +585,7 @@ func (hs *HostServer) onSegFallback(p *sim.Proc, req rpcchan.Request,
 // onReadFallback serves a whole read over RPC (cooldown path).
 func (hs *HostServer) onReadFallback(p *sim.Proc, req rpcchan.Request,
 	respond func(*wire.Bufferlist, uint16)) {
-	rr, err := decodeReadReq(req.Payload)
-	if err != nil {
+	if hs.fileRead("host-read-rpc:", &hostRead{respond: respond}, req.Payload) != nil {
 		respond(nil, rcIO)
-		return
 	}
-	hs.env.SpawnID("host-read-rpc:", rr.ReqID, func(rp *sim.Proc) {
-		rp.SetThread(hs.thPoll)
-		bl, rerr := hs.store.Read(rp, rr.Coll, rr.Object, rr.Off, rr.Length)
-		if rerr != nil {
-			respond(nil, errToCode(rerr))
-			return
-		}
-		respond(bl, rcOK)
-	})
 }

@@ -138,21 +138,48 @@ type readReq struct {
 	Length uint64
 }
 
-func (r *readReq) encode() *wire.Bufferlist {
-	e := wire.NewEncoder(64)
-	e.U64(r.ReqID)
-	e.String(r.Coll)
-	e.String(r.Object)
-	e.U64(r.Off)
-	e.U64(r.Length)
-	return e.Bufferlist()
+// encodeInto writes the descriptor over buf's storage and returns it; a
+// descriptor longer than cap(buf) grows by append.
+func (r *readReq) encodeInto(buf []byte) []byte {
+	b := binary.LittleEndian.AppendUint64(buf[:0], r.ReqID)
+	b = appendString(b, r.Coll)
+	b = appendString(b, r.Object)
+	b = binary.LittleEndian.AppendUint64(b, r.Off)
+	return binary.LittleEndian.AppendUint64(b, r.Length)
 }
 
-func decodeReadReq(bl *wire.Bufferlist) (*readReq, error) {
+func appendString(b []byte, s string) []byte {
+	return append(binary.LittleEndian.AppendUint32(b, uint32(len(s))), s...)
+}
+
+// decode reads a descriptor into r. Reads tend to repeat their collection, so
+// it is decoded against prevColl and costs no allocation when it matches.
+func (r *readReq) decode(bl *wire.Bufferlist, prevColl string) error {
 	d := wire.NewDecoderBL(bl)
-	r := &readReq{ReqID: d.U64(), Coll: d.String(), Object: d.String(),
-		Off: d.U64(), Length: d.U64()}
-	return r, d.Err()
+	r.ReqID = d.U64()
+	r.Coll = d.StringLike(prevColl)
+	r.Object = d.String()
+	r.Off = d.U64()
+	r.Length = d.U64()
+	return d.Err()
+}
+
+// readDescBytes is the descriptor storage a read carries inline: 32 bytes of
+// fixed fields and length prefixes, and 32 of names — a PG collection
+// ("pg.123") and a benchmark object ("benchmark_data_prepop_1234") fit.
+const readDescBytes = 64
+
+// readReqFrame is a read descriptor and the list that carries it, embedded in
+// the record that sends it.
+type readReqFrame struct {
+	bl  wire.Inline1
+	buf [readDescBytes]byte
+}
+
+func (f *readReqFrame) encode(r *readReq) *wire.Bufferlist {
+	bl := f.bl.Init()
+	bl.Append(r.encodeInto(f.buf[:]))
+	return bl
 }
 
 // segFallbackHeaderBytes is the fixed fallback frame header size.

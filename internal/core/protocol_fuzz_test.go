@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"doceph/internal/objstore"
@@ -20,11 +21,12 @@ var controlCodecs = map[string]func(*wire.Bufferlist) (*wire.Bufferlist, error){
 		return encodeSegFallback(reqID, txnSeq, seg, total, payload), nil
 	},
 	"readReq": func(bl *wire.Bufferlist) (*wire.Bufferlist, error) {
-		r, err := decodeReadReq(bl)
-		if err != nil {
+		var r readReq
+		if err := r.decode(bl, fuzzPrevColl); err != nil {
 			return nil, err
 		}
-		return r.encode(), nil
+		var f readReqFrame
+		return f.encode(&r), nil
 	},
 	"txnDone": func(bl *wire.Bufferlist) (*wire.Bufferlist, error) {
 		reqID, code, nanos, err := decodeTxnDone(bl)
@@ -79,17 +81,26 @@ var controlCodecs = map[string]func(*wire.Bufferlist) (*wire.Bufferlist, error){
 	},
 }
 
+// fuzzPrevColl is the collection a read descriptor is decoded against: the
+// seed's own, so the corpus takes StringLike's hit and its mutants the miss.
+const fuzzPrevColl = "pg.3"
+
 // FuzzControlFrames holds the control-plane decoders to the batch-frame
 // decoder's contract: arbitrary, truncated or scattered input never panics,
 // and a frame a decoder accepts re-encodes to the bytes it read (decoders
-// read a prefix; only txnDoneBatch insists on consuming everything).
+// read a prefix; only txnDoneBatch insists on consuming everything). A read
+// descriptor also re-encodes the same into storage it fits and storage it
+// outgrows.
 // Run with: go test -fuzz=FuzzControlFrames ./internal/core
 func FuzzControlFrames(f *testing.F) {
 	var done txnDoneFrame
 	done.encode(7, rcNotFound, 12345)
+	var desc readReqFrame
+	long := strings.Repeat("benchmark_data_prepop_", 4)
 	for _, bl := range []*wire.Bufferlist{
 		encodeSegFallback(1, 2, 0, 3, seeded(64, 1)),
-		(&readReq{ReqID: 9, Coll: "pg.3", Object: "obj", Off: 4096, Length: 1 << 20}).encode(),
+		desc.encode(&readReq{ReqID: 9, Coll: fuzzPrevColl, Object: "obj", Off: 4096, Length: 1 << 20}),
+		wire.FromBytes((&readReq{ReqID: 10, Coll: "pg.1023", Object: long}).encodeInto(nil)),
 		&done.bl.Bufferlist,
 		encodeReadDone(5, rcOK, 2),
 		encodeTxnDoneBatch([]txnDoneEntry{{1, rcOK, 10}, {2, rcIO, -1}}),
@@ -118,6 +129,14 @@ func FuzzControlFrames(f *testing.F) {
 				if b := again.Bytes(); !bytes.HasPrefix(raw, b) || name == "txnDoneBatch" && len(b) != len(raw) {
 					t.Fatalf("%s (segments of %d): accepted %x, re-encodes to %x", name, segLen, raw, b)
 				}
+			}
+		}
+		var r readReq
+		if r.decode(segmentedBL(raw, 7), fuzzPrevColl) == nil {
+			room := make([]byte, len(raw))
+			fit, grown := r.encodeInto(room), r.encodeInto(make([]byte, 1))
+			if &fit[0] != &room[0] || !bytes.Equal(fit, grown) {
+				t.Fatalf("readReq %+v: %x into room for %d, %x grown from 1", r, fit, len(raw), grown)
 			}
 		}
 	})

@@ -77,6 +77,7 @@ type ProxyStats struct {
 	FallbackSegments int64 // segments resent over RPC after DMA errors
 	ControlCalls     int64
 	Reads            int64
+	ReadFrameErrors  int64 // read-data segments contradicting their reply's first, dropped
 	Probes           int64
 	ProbeFailures    int64
 	CooldownEntries  int64
@@ -214,12 +215,20 @@ func (sg *segment) Run() {
 	sg.px.noteUnstage(sg.t.Bytes)
 }
 
+// pendingRead is everything one in-flight read owns on the proxy, in one
+// allocation: the transfer that carries its descriptor to the host, with the
+// tag and the frame, and the table the reply's data segments fill.
 type pendingRead struct {
 	done sim.Event
-	// segs is sized by the first data segment's total; have counts the
-	// filled slots.
+	t    doca.Transfer
+	hdr  segHeader
+	desc readReqFrame
+	// segs is sized by the first data segment's total (slot when that is
+	// one); have counts the filled slots. have and code share a word, which
+	// keeps the record in the 480-byte size class.
 	segs []*wire.Bufferlist
-	have int
+	slot [1]*wire.Bufferlist
+	have int32
 	code uint16
 }
 
@@ -688,14 +697,15 @@ func (px *Proxy) Read(p *sim.Proc, coll, obj string, off, length uint64) (*wire.
 	px.pendingReads[reqID] = pr
 	defer delete(px.pendingReads, reqID)
 
-	desc := (&readReq{ReqID: reqID, Coll: coll, Object: obj, Off: off, Length: length}).encode()
+	desc := pr.desc.encode(&readReq{ReqID: reqID, Coll: coll, Object: obj, Off: off, Length: length})
 	if px.dmaAllowed(p) {
 		px.stats.Reads++
 		px.ensureRegions(p)
-		t := &doca.Transfer{
+		pr.hdr = segHeader{kind: segReadReq, reqID: reqID, total: 1}
+		t := &pr.t
+		*t = doca.Transfer{
 			ReqID: reqID, TotalSegs: 1, Bytes: int64(desc.Length()), Data: desc,
-			Src: px.dpuMR, Dst: px.hostMR,
-			Tag: &segHeader{kind: segReadReq, reqID: reqID, total: 1},
+			Src: px.dpuMR, Dst: px.hostMR, Tag: &pr.hdr,
 		}
 		if err := px.engUp.Submit(p, px.dev.CPU, t); err != nil {
 			return nil, err
@@ -752,14 +762,20 @@ func (px *Proxy) harvestRead(p *sim.Proc, t *doca.Transfer) {
 		pr.done.Fire()
 		return
 	}
+	if hdr.seg < 0 || hdr.seg >= hdr.total || pr.segs != nil && hdr.total != len(pr.segs) {
+		px.stats.ReadFrameErrors++ // disagrees with itself or the reply's first segment
+		return
+	}
 	if pr.segs == nil {
-		pr.segs = make([]*wire.Bufferlist, hdr.total)
+		if pr.segs = pr.slot[:]; hdr.total > len(pr.slot) {
+			pr.segs = make([]*wire.Bufferlist, hdr.total)
+		}
 	}
 	if pr.segs[hdr.seg] == nil {
 		pr.have++
 	}
 	pr.segs[hdr.seg] = t.Data
-	if pr.have == len(pr.segs) {
+	if int(pr.have) == len(pr.segs) {
 		pr.done.Fire()
 	}
 }

@@ -22,7 +22,10 @@
 # cluster.New's rejections are exercised from the root package's
 # TestNewRejectsUnbuildableConfig, which a per-package figure does not see
 # — no floor moved), and gateway was added at 86.9% when its walkthrough
-# became gateway.ExampleNew (the figure is gateway_test.go's alone);
+# became gateway.ExampleNew (the figure is gateway_test.go's alone), and
+# bluestore (85.1%, 86.2% once its reference test read ranges too) and
+# rpcchan (97.3%) were added when the read crossing became one record per
+# side and readRange gained its one-extent path;
 # each is set ~5 points below to absorb small refactors. Raise floors when
 # coverage improves, never lower them to make a PR pass.
 set -eu
@@ -61,5 +64,7 @@ gate ./internal/radosbench 73
 gate ./internal/cluster 84
 gate ./internal/crush 92
 gate ./internal/gateway 80
+gate ./internal/bluestore 80
+gate ./internal/rpcchan 92
 
 exit $fail
