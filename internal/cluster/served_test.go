@@ -20,6 +20,7 @@ import (
 // stayed daemons because they carry state across iterations: per OSD
 // bstore_kv and hb, plus two dma-engine channels with a DPU, and mgr-poll.
 // A daemon added per OSD shows up here (and, times 128, in the scale-out pin).
+// No OSD holds a mutation, replica apply or replica wait record any more.
 func TestIdleClusterIsQueuesAndBodies(t *testing.T) {
 	for _, c := range []struct {
 		mode        Mode
@@ -40,6 +41,12 @@ func TestIdleClusterIsQueuesAndBodies(t *testing.T) {
 		// The last reply is in; let the commit notifications behind it land.
 		if err := cl.Env.RunUntil(cl.Env.Now().Add(sim.Second)); err != nil {
 			t.Fatalf("%v: %v", c.mode, err)
+		}
+		for _, n := range cl.Nodes {
+			if mu, ra, w := n.OSD.InFlight(); mu+ra+w != 0 {
+				t.Errorf("%v: %s still holds %d mutations, %d replica applies, %d replica waits after the run",
+					c.mode, osd.Name(n.OSD.ID()), mu, ra, w)
+			}
 		}
 		st := cl.Env.Stats()
 		if left := cl.Env.Backlog(); left != nil {

@@ -165,15 +165,22 @@ type OSD struct {
 	cfg  Config
 	id   int32
 	name string
-	// completerName/repCompleterName are the precomputed proc names for the
-	// per-op completion goroutines, spawned on every write — building them
-	// with Sprintf per op was a measurable allocation cost. pushCompleterPrefix
-	// is completed by the push's tid (sim.SpawnID).
-	completerName       string
-	repCompleterName    string
+	// completerPrefix/repCompleterPrefix/pushCompleterPrefix name the per-op
+	// completion procs; sim.SpawnID completes them with the op's record id
+	// (the push's tid), so no name is built per op.
+	completerPrefix     string
+	repCompleterPrefix  string
 	pushCompleterPrefix string
-	msgr                *messenger.Messenger
-	store               objstore.Store
+	// completeBody/repCompleteBody are completeWrite and completeRepApply as
+	// func values, made once: every completer shares one and finds its
+	// record in mutations/repApplies under its proc id.
+	completeBody    func(*sim.Proc)
+	repCompleteBody func(*sim.Proc)
+	nextRec         uint64
+	mutations       map[uint64]*mutation
+	repApplies      map[uint64]*repApply
+	msgr            *messenger.Messenger
+	store           objstore.Store
 
 	curMap *osdmap.Map
 	// opqs are the op-queue shards (one with OpShards=1, the seed shape);
@@ -228,16 +235,64 @@ type opItem struct {
 	enq  sim.Time
 }
 
+// pendingRep is a mutation's replica-ack barrier: ev fires once needed acks
+// have landed (or been abandoned).
 type pendingRep struct {
 	needed int
-	ev     *sim.Event
+	ev     sim.Event
 }
 
-// repWait is one outstanding replica acknowledgment.
+// repWait is one outstanding replica acknowledgment. msg is the sub-op sent
+// to target, which the watchdog sends again on a timeout unless it opened a
+// chunk stream (stream), which cannot be replayed verbatim.
 type repWait struct {
 	target int32
-	msg    *cephmsg.MRepOp
+	stream bool
+	msg    cephmsg.MRepOp
 	pend   *pendingRep
+}
+
+// mutation is one client mutation on its primary, whole or streamed: the
+// store transaction and its op slot, the ack barrier, the first secondary's
+// repWait, the tid table and the reply, in one allocation. A further
+// secondary costs one repWait of its own.
+type mutation struct {
+	src                 string
+	m                   *cephmsg.MOSDOp
+	sp, commitSp, repSp trace.SpanID
+	res                 *objstore.Result
+	txn                 objstore.Transaction
+	ops                 [1]objstore.Op
+	pend                pendingRep
+	rep                 repWait
+	tids                []uint64
+	tidSlot             [1]uint64
+	reply               cephmsg.MOSDOpReply
+}
+
+// newMutation is the record of client op m, whose reply waits for the acks
+// of that many secondaries (for none, the barrier is already passed).
+func newMutation(src string, m *cephmsg.MOSDOp, sp trace.SpanID, secondaries int) *mutation {
+	mu := &mutation{src: src, m: m, sp: sp}
+	mu.txn.Ops = mu.ops[:0]
+	mu.tids = mu.tidSlot[:0]
+	mu.pend.needed = secondaries
+	if secondaries <= 0 {
+		mu.pend.ev.Fire()
+	}
+	return mu
+}
+
+// repApply is one sub-op on a replica: its store transaction and op slot and
+// the ack, in one allocation.
+type repApply struct {
+	src          string
+	m            *cephmsg.MRepOp
+	sp, commitSp trace.SpanID
+	res          *objstore.Result
+	txn          objstore.Transaction
+	ops          [1]objstore.Op
+	reply        cephmsg.MRepOpReply
 }
 
 // osdNames caches entity names for the small OSD ids every realistic
@@ -270,6 +325,8 @@ func New(env *sim.Env, cpu *sim.CPU, id int32, msgr *messenger.Messenger,
 		created:      make(map[uint32]bool),
 		degraded:     make(map[uint32]int64),
 		pending:      make(map[uint64]*repWait),
+		mutations:    make(map[uint64]*mutation),
+		repApplies:   make(map[uint64]*repApply),
 		pushPending:  make(map[uint64]*sim.Event),
 		scrubPending: make(map[uint64]*scrubCall),
 		thFin:        sim.NewThread(fmt.Sprintf("fn_osd-%d", id), ThreadCat),
@@ -277,9 +334,11 @@ func New(env *sim.Env, cpu *sim.CPU, id int32, msgr *messenger.Messenger,
 		reported:     make(map[int32]bool),
 		pgOps:        make(map[uint32]int64),
 	}
-	o.completerName = "completer:" + o.name
-	o.repCompleterName = "rep-completer:" + o.name
+	o.completerPrefix = "completer:" + o.name + "/"
+	o.repCompleterPrefix = "rep-completer:" + o.name + "/"
 	o.pushCompleterPrefix = "push-completer:" + o.name + "/"
+	o.completeBody = o.completeWrite
+	o.repCompleteBody = o.completeRepApply
 	if o.cfg.RecoveryMaxPGs > 0 {
 		o.recovSem = sim.NewSemaphore(env, o.cfg.RecoveryMaxPGs)
 	}
@@ -385,6 +444,13 @@ func (o *OSD) QueueDepth() int {
 	return n
 }
 
+// InFlight returns how many client mutations (streamed ones aside) and
+// sub-ops this OSD has yet to answer, and how many replica acks it waits on:
+// all zero once the cluster is quiescent.
+func (o *OSD) InFlight() (mutations, repApplies, repWaits int) {
+	return len(o.mutations), len(o.repApplies), len(o.pending)
+}
+
 // Map returns the OSD's current cluster map.
 func (o *OSD) Map() *osdmap.Map { return o.curMap }
 
@@ -484,30 +550,23 @@ func (o *OSD) completeRep(tid uint64) {
 	}
 }
 
-// newPendingRep is the ack barrier for n replicas (already passed for none).
-func newPendingRep(n int) *pendingRep {
-	pend := &pendingRep{needed: n, ev: sim.NewEvent()}
-	if n <= 0 {
-		pend.ev.Fire()
-	}
-	return pend
-}
-
-// registerRep makes sec's copy of sub: it charges the sub-op's prep, stamps
-// the copy with a fresh tid and the epoch it leaves under (the charge took
-// time), and records the ack to wait for. resend keeps the copy for the
-// watchdog to send again on a timeout; the open frame of a stream is not
-// kept (see awaitReplicas).
-func (o *OSD) registerRep(p *sim.Proc, repSp trace.SpanID, sec int32, sub cephmsg.MRepOp, pend *pendingRep, resend bool) *cephmsg.MRepOp {
-	o.tr.AddCPU(repSp, o.cpu.Name(), o.cpu.ExecSelf(p, o.cfg.RepPrepCycles))
+// registerRep makes sec's copy of mu's sub-op sub: it charges the sub-op's
+// prep, stamps the copy with a fresh tid and the epoch it leaves under (the
+// charge took time), and records the ack to wait for. The first secondary's
+// copy lives in mu itself. stream marks the open frame of a chunk stream,
+// which the watchdog does not resend (see awaitReplicas).
+func (o *OSD) registerRep(p *sim.Proc, mu *mutation, sec int32, sub cephmsg.MRepOp, stream bool) *cephmsg.MRepOp {
+	o.tr.AddCPU(mu.repSp, o.cpu.Name(), o.cpu.ExecSelf(p, o.cfg.RepPrepCycles))
 	o.nextTid++
 	sub.Tid, sub.Epoch = o.nextTid, o.curMap.Epoch
-	w := &repWait{target: sec, pend: pend}
-	if resend {
-		w.msg = &sub
+	w := &mu.rep
+	if len(mu.tids) > 0 {
+		w = new(repWait)
 	}
+	*w = repWait{target: sec, stream: stream, msg: sub, pend: &mu.pend}
 	o.pending[sub.Tid] = w
-	return &sub
+	mu.tids = append(mu.tids, sub.Tid)
+	return &w.msg
 }
 
 // subOp is the replicas' copy of client mutation m, before registerRep makes
@@ -525,21 +584,6 @@ func subOp(m *cephmsg.MOSDOp, pg uint32, repSp trace.SpanID) cephmsg.MRepOp {
 	return sub
 }
 
-// sendRepOps fans a replicated mutation out to the secondaries, each getting
-// its own copy of sub, and returns the shared pendingRep plus the tids to
-// watch.
-func (o *OSD) sendRepOps(p *sim.Proc, acting []int32, repSp trace.SpanID,
-	sub cephmsg.MRepOp) (*pendingRep, []uint64) {
-	pend := newPendingRep(len(acting) - 1)
-	tids := make([]uint64, 0, len(acting)-1)
-	for _, sec := range acting[1:] {
-		msg := o.registerRep(p, repSp, sec, sub, pend, true)
-		o.msgr.Send(Name(sec), msg)
-		tids = append(tids, msg.Tid)
-	}
-	return pend, tids
-}
-
 const (
 	// repOpTimeout bounds how long the primary waits for replica acks
 	// before resending the outstanding MRepOps.
@@ -549,25 +593,25 @@ const (
 	maxRepRetries = 3
 )
 
-// awaitReplicas blocks the completer until every replica ack has landed (or
-// been abandoned by a map change). Acks that miss repOpTimeout trigger a
-// resend of the still-outstanding sub-ops — resends are idempotent under
-// their stable tids — and after maxRepRetries rounds the op aborts cleanly
-// (returns false) instead of hanging the client.
-func (o *OSD) awaitReplicas(cp *sim.Proc, pend *pendingRep, tids []uint64) bool {
+// awaitReplicas blocks the completer until every replica ack of mu has
+// landed (or been abandoned by a map change). Acks that miss repOpTimeout
+// trigger a resend of the still-outstanding sub-ops — resends are idempotent
+// under their stable tids — and after maxRepRetries rounds the op aborts
+// cleanly (returns false) instead of hanging the client.
+func (o *OSD) awaitReplicas(cp *sim.Proc, mu *mutation) bool {
 	for try := 0; ; try++ {
-		if pend.ev.WaitTimeout(cp, repOpTimeout) {
+		if mu.pend.ev.WaitTimeout(cp, repOpTimeout) {
 			return true
 		}
 		if try >= maxRepRetries {
 			o.stats.RepAborts++
-			for _, tid := range tids {
+			for _, tid := range mu.tids {
 				o.completeRep(tid)
 			}
 			return false
 		}
 		o.stats.RepRetries++
-		for _, tid := range tids {
+		for _, tid := range mu.tids {
 			w, ok := o.pending[tid]
 			if !ok {
 				continue
@@ -578,12 +622,12 @@ func (o *OSD) awaitReplicas(cp *sim.Proc, pend *pendingRep, tids []uint64) bool 
 				o.completeRep(tid)
 				continue
 			}
-			if w.msg == nil {
+			if w.stream {
 				// Streamed rep-op: the chunk stream cannot be replayed
 				// verbatim, so timeout rounds only bound the wait.
 				continue
 			}
-			o.msgr.Send(Name(w.target), w.msg)
+			o.msgr.Send(Name(w.target), &w.msg)
 		}
 	}
 }
@@ -696,21 +740,21 @@ func mutates(op cephmsg.Op) bool {
 	return false
 }
 
-// mutationTxn builds the store transaction of one replicated mutation: the
-// primary from the client's op, a replica from the sub-op it was sent, so
+// mutationTxn fills txn with the store ops of one replicated mutation: the
+// primary's from the client's op, a replica's from the sub-op it was sent, so
 // every acting store applies the same thing.
-func mutationTxn(coll string, op cephmsg.Op, object string, off uint64, key string,
-	data *wire.Bufferlist) *objstore.Transaction {
-	txn := &objstore.Transaction{}
+func mutationTxn(txn *objstore.Transaction, coll string, op cephmsg.Op, object string,
+	off uint64, key string, data *wire.Bufferlist) {
 	switch op {
 	case cephmsg.OpDelete:
-		return txn.Remove(coll, object)
+		txn.Remove(coll, object)
 	case cephmsg.OpOmapSet, cephmsg.OpOmapRm:
 		// Touch makes the op self-sufficient: setting an index entry
 		// implicitly creates the index object, as librados' omap ops do.
 		txn.Touch(coll, object)
 		if op == cephmsg.OpOmapRm {
-			return txn.OmapRm(coll, object, key)
+			txn.OmapRm(coll, object, key)
+			return
 		}
 		var val []byte
 		if data != nil {
@@ -719,9 +763,10 @@ func mutationTxn(coll string, op cephmsg.Op, object string, off uint64, key stri
 			// contract and never reuse payload slices).
 			val = data.ContiguousBytes()
 		}
-		return txn.OmapSet(coll, object, key, val)
+		txn.OmapSet(coll, object, key, val)
+	default:
+		txn.Write(coll, object, off, data)
 	}
-	return txn.Write(coll, object, off, data)
 }
 
 // handleMutation is the replicated write path of every mutating op (write,
@@ -730,23 +775,26 @@ func mutationTxn(coll string, op cephmsg.Op, object string, off uint64, key stri
 func (o *OSD) handleMutation(p *sim.Proc, src string, m *cephmsg.MOSDOp, pg uint32, acting []int32, sp trace.SpanID) {
 	lock := o.pgLock(pg)
 	lock.Acquire(p, 1)
-	txn := mutationTxn(pgColl(pg), m.Op, m.Object, m.Offset, m.Key, m.Data)
+	mu := newMutation(src, m, sp, len(acting)-1)
+	mutationTxn(&mu.txn, pgColl(pg), m.Op, m.Object, m.Offset, m.Key, m.Data)
 	if m.Op != cephmsg.OpDelete {
 		// A delete creates nothing: in a PG with no collection yet it has to
 		// find nothing, not make one.
-		o.ensureColl(pg, txn)
+		o.ensureColl(pg, &mu.txn)
 	}
-	var commitSp, repSp trace.SpanID
 	if sp != 0 {
-		commitSp = o.tr.Start(sp, 0, trace.StageCommit, m.Object)
-		txn.TraceCtx = uint64(commitSp)
-		o.tr.AddBytes(commitSp, txn.DataBytes())
+		mu.commitSp = o.tr.Start(sp, 0, trace.StageCommit, m.Object)
+		mu.txn.TraceCtx = uint64(mu.commitSp)
+		o.tr.AddBytes(mu.commitSp, mu.txn.DataBytes())
 	}
-	res := o.store.QueueTransaction(p, txn)
+	mu.res = o.store.QueueTransaction(p, &mu.txn)
 	if sp != 0 {
-		repSp = o.tr.Start(sp, 0, trace.StageReplication, m.Object)
+		mu.repSp = o.tr.Start(sp, 0, trace.StageReplication, m.Object)
 	}
-	pend, tids := o.sendRepOps(p, acting, repSp, subOp(m, pg, repSp))
+	sub := subOp(m, pg, mu.repSp)
+	for _, sec := range acting[1:] {
+		o.msgr.Send(Name(sec), o.registerRep(p, mu, sec, sub, false))
+	}
 	lock.Release(1)
 	if m.Op == cephmsg.OpDelete {
 		o.stats.ClientDeletes++
@@ -756,35 +804,43 @@ func (o *OSD) handleMutation(p *sim.Proc, src string, m *cephmsg.MOSDOp, pg uint
 	if m.Op == cephmsg.OpWrite {
 		o.stats.BytesWritten += int64(m.Data.Length())
 	}
-	o.env.Spawn(o.completerName, func(cp *sim.Proc) {
-		cp.SetThread(o.thFin)
-		res.Done.Wait(cp)
-		o.tr.Finish(commitSp)
-		o.completeMutation(cp, src, m, sp, repSp, pend, tids, res.Err != nil)
-	})
+	o.nextRec++
+	o.mutations[o.nextRec] = mu
+	o.env.SpawnID(o.completerPrefix, o.nextRec, o.completeBody)
+}
+
+// completeWrite is the body of every completer proc: once the local commit of
+// the mutation its id names is durable, finish it.
+func (o *OSD) completeWrite(cp *sim.Proc) {
+	mu := o.mutations[cp.ID()]
+	cp.SetThread(o.thFin)
+	mu.res.Done.Wait(cp)
+	o.tr.Finish(mu.commitSp)
+	o.completeMutation(cp, mu, mu.res.Err != nil)
+	delete(o.mutations, cp.ID())
 }
 
 // completeMutation is the tail every client mutation ends with, on its
 // completer or at the end of its stream's ingest proc, once the local commit
 // is durable (commitErr: it failed): wait out the replicas, charge the
 // finish, answer the client.
-func (o *OSD) completeMutation(p *sim.Proc, src string, m *cephmsg.MOSDOp, sp, repSp trace.SpanID,
-	pend *pendingRep, tids []uint64, commitErr bool) {
-	repOK := o.awaitReplicas(p, pend, tids)
-	o.tr.Finish(repSp)
-	o.tr.AddCPU(sp, o.cpu.Name(), o.cpu.ExecSelf(p, o.cfg.FinishCycles))
-	reply := &cephmsg.MOSDOpReply{Tid: m.Tid, Object: m.Object, Op: m.Op, TraceCtx: m.TraceCtx}
+func (o *OSD) completeMutation(p *sim.Proc, mu *mutation, commitErr bool) {
+	repOK := o.awaitReplicas(p, mu)
+	o.tr.Finish(mu.repSp)
+	o.tr.AddCPU(mu.sp, o.cpu.Name(), o.cpu.ExecSelf(p, o.cfg.FinishCycles))
+	m := mu.m
+	mu.reply = cephmsg.MOSDOpReply{Tid: m.Tid, Object: m.Object, Op: m.Op, TraceCtx: m.TraceCtx}
 	switch {
 	case commitErr && m.Op == cephmsg.OpDelete:
-		reply.Result = cephmsg.ResNotFound
+		mu.reply.Result = cephmsg.ResNotFound
 	case commitErr || !repOK:
-		reply.Result = cephmsg.ResError
+		mu.reply.Result = cephmsg.ResError
 	}
 	if m.Op == cephmsg.OpWrite {
-		reply.Version = uint64(p.Now())
+		mu.reply.Version = uint64(p.Now())
 	}
-	o.msgr.Send(src, reply)
-	o.tr.Finish(sp)
+	o.msgr.Send(mu.src, &mu.reply)
+	o.tr.Finish(mu.sp)
 }
 
 // handleOmapRead serves omap get/keys from the local (primary) store.
@@ -863,30 +919,41 @@ func (o *OSD) handleRepOp(p *sim.Proc, src string, m *cephmsg.MRepOp, sp trace.S
 	o.tr.AddCPU(sp, o.cpu.Name(), o.cpu.ExecSelf(p, o.cfg.OpPrepCycles))
 	lock := o.pgLock(m.PGID)
 	lock.Acquire(p, 1)
-	txn := mutationTxn(pgColl(m.PGID), m.Op, m.Object, m.Offset, m.Key, m.Data)
-	o.ensureColl(m.PGID, txn)
-	var commitSp trace.SpanID
+	ra := &repApply{src: src, m: m, sp: sp}
+	ra.txn.Ops = ra.ops[:0]
+	mutationTxn(&ra.txn, pgColl(m.PGID), m.Op, m.Object, m.Offset, m.Key, m.Data)
+	o.ensureColl(m.PGID, &ra.txn)
 	if sp != 0 {
-		commitSp = o.tr.Start(sp, 0, trace.StageCommit, m.Object)
-		txn.TraceCtx = uint64(commitSp)
-		o.tr.AddBytes(commitSp, txn.DataBytes())
+		ra.commitSp = o.tr.Start(sp, 0, trace.StageCommit, m.Object)
+		ra.txn.TraceCtx = uint64(ra.commitSp)
+		o.tr.AddBytes(ra.commitSp, ra.txn.DataBytes())
 	}
-	res := o.store.QueueTransaction(p, txn)
+	ra.res = o.store.QueueTransaction(p, &ra.txn)
 	lock.Release(1)
 	o.stats.RepOpsServed++
 	if m.Data != nil {
 		o.stats.BytesWritten += int64(m.Data.Length())
 	}
-	o.env.Spawn(o.repCompleterName, func(cp *sim.Proc) {
-		cp.SetThread(o.thFin)
-		res.Done.Wait(cp)
-		o.tr.Finish(commitSp)
-		o.tr.AddCPU(sp, o.cpu.Name(), o.cpu.Exec(cp, o.thFin, o.cfg.FinishCycles))
-		// The ack parents to the primary's replication span, which is
-		// still open until every replica has answered.
-		o.msgr.Send(src, &cephmsg.MRepOpReply{Tid: m.Tid, PGID: m.PGID, TraceCtx: m.TraceCtx})
-		o.tr.Finish(sp)
-	})
+	o.nextRec++
+	o.repApplies[o.nextRec] = ra
+	o.env.SpawnID(o.repCompleterPrefix, o.nextRec, o.repCompleteBody)
+}
+
+// completeRepApply is the body of every rep-completer proc: once the sub-op
+// its id names is durable, ack it to the primary.
+func (o *OSD) completeRepApply(cp *sim.Proc) {
+	ra := o.repApplies[cp.ID()]
+	cp.SetThread(o.thFin)
+	ra.res.Done.Wait(cp)
+	o.tr.Finish(ra.commitSp)
+	o.tr.AddCPU(ra.sp, o.cpu.Name(), o.cpu.Exec(cp, o.thFin, o.cfg.FinishCycles))
+	// The ack parents to the primary's replication span, which is still open
+	// until every replica has answered.
+	m := ra.m
+	ra.reply = cephmsg.MRepOpReply{Tid: m.Tid, PGID: m.PGID, TraceCtx: m.TraceCtx}
+	o.msgr.Send(ra.src, &ra.reply)
+	o.tr.Finish(ra.sp)
+	delete(o.repApplies, cp.ID())
 }
 
 // heartbeatGrace is the silence threshold after which a peer is reported

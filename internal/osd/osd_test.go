@@ -3,6 +3,7 @@ package osd
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"doceph/internal/bluestore"
@@ -409,6 +410,52 @@ func TestShardedDispatchPreservesSemantics(t *testing.T) {
 		}
 		if !got.Equal(payload(32<<10, 102)) {
 			t.Fatal("overwrite order broken: stale payload read back")
+		}
+	})
+}
+
+// writeAllocCeiling is one above what a replicated write of a new object
+// allocates today (8.91: the primary's mutation record and the replica's
+// repApply; BlueStore's txc on each side; the new object's onode on each side,
+// plus about 0.9 for the collections' object maps growing to hold them; the
+// client's call and its MOSDOp). The next record somebody adds to the write
+// path fails here, not in a benchmark.
+const writeAllocCeiling = 10
+
+// TestReplicatedWriteAllocationBudget holds one replicated write of a new
+// object — client call, primary commit, one sub-op, replica commit, both acks
+// — to its allocation budget on the two-OSD rig, heartbeats off so that only
+// writes run in the measured window.
+func TestReplicatedWriteAllocationBudget(t *testing.T) {
+	tc := newTestClusterCfg(t, 2, 2, Config{})
+	const warm, writes = 512, 256
+	names := make([]string, warm+writes)
+	for i := range names {
+		names[i] = fmt.Sprintf("budget-%d", i)
+	}
+	data := payload(64<<10, 1)
+	tc.run(t, func(p *sim.Proc) {
+		write := func(first, n int) {
+			for _, obj := range names[first : first+n] {
+				if err := tc.client.Write(p, obj, data); err != nil {
+					t.Fatalf("%s: %v", obj, err)
+				}
+			}
+		}
+		write(0, warm) // pools, maps, queues and every PG's lock reach their size
+		for _, o := range tc.osds {
+			if len(o.pgLocks) != int(o.curMap.PGCount) {
+				t.Fatalf("%s: warm-up touched %d of %d PGs", o.name, len(o.pgLocks), o.curMap.PGCount)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		write(warm, writes)
+		runtime.ReadMemStats(&after)
+		per := float64(after.Mallocs-before.Mallocs) / writes
+		t.Logf("%.2f allocations, %.0f B per replicated write", per, float64(after.TotalAlloc-before.TotalAlloc)/writes)
+		if per > writeAllocCeiling {
+			t.Fatalf("%.2f allocations per replicated write, want at most %d", per, writeAllocCeiling)
 		}
 	})
 }

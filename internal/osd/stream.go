@@ -169,18 +169,14 @@ func (o *OSD) ingestClientStream(p *sim.Proc, src string, m *cephmsg.MOSDOp,
 
 	// Open one forwarding stream per secondary before the first chunk, so
 	// replica ingest overlaps the client transfer.
-	var repSp trace.SpanID
+	mu := newMutation(src, m, sp, len(acting)-1)
 	if sp != 0 {
-		repSp = o.tr.Start(sp, 0, trace.StageReplication, m.Object)
+		mu.repSp = o.tr.Start(sp, 0, trace.StageReplication, m.Object)
 	}
-	pend := newPendingRep(len(acting) - 1)
 	reps := make([]*messenger.OutStream, 0, len(acting)-1)
-	tids := make([]uint64, 0, len(acting)-1)
-	sub := subOp(m, pg, repSp)
+	sub := subOp(m, pg, mu.repSp)
 	for _, sec := range acting[1:] {
-		rm := o.registerRep(p, repSp, sec, sub, pend, false)
-		reps = append(reps, o.msgr.OpenStream(Name(sec), rm, in.Open().Total))
-		tids = append(tids, rm.Tid)
+		reps = append(reps, o.msgr.OpenStream(Name(sec), o.registerRep(p, mu, sec, sub, true), in.Open().Total))
 	}
 
 	results, total, aborted := o.ingestChunks(p, in, sp, pg, m.Object, m.Offset, reps)
@@ -188,17 +184,17 @@ func (o *OSD) ingestClientStream(p *sim.Proc, src string, m *cephmsg.MOSDOp,
 		for _, r := range reps {
 			r.Abort(p)
 		}
-		for _, tid := range tids {
+		for _, tid := range mu.tids {
 			o.completeRep(tid)
 		}
-		o.tr.Finish(repSp)
+		o.tr.Finish(mu.repSp)
 		o.reject(src, m, sp, cephmsg.ResError)
 		return
 	}
 	for _, r := range reps {
 		r.Close(p)
 	}
-	o.completeMutation(p, src, m, sp, repSp, pend, tids, awaitCommits(p, results))
+	o.completeMutation(p, mu, awaitCommits(p, results))
 	o.stats.ClientWrites++
 	o.stats.BytesWritten += total
 }

@@ -126,8 +126,9 @@ type Client struct {
 	tr    *trace.Tracer
 }
 
+// call is one attempt of an op in flight: done fires when its reply lands.
 type call struct {
-	done  *sim.Event
+	done  sim.Event
 	reply *cephmsg.MOSDOpReply
 }
 
@@ -273,7 +274,7 @@ func (c *Client) do(p *sim.Proc, op *cephmsg.MOSDOp) (*cephmsg.MOSDOpReply, erro
 		}
 		c.tr.AddCPU(sp, c.cpu.Name(), c.cpu.Exec(p, c.th, prepCycles))
 		op.Epoch = c.curMap.Epoch
-		call := &call{done: sim.NewEvent()}
+		call := new(call)
 		c.inflight[op.Tid] = call
 		c.msgr.Send(osdName(target), op)
 		if !call.done.WaitTimeout(p, c.cfg.OpTimeout) {

@@ -4,6 +4,7 @@
 package radosbench_test
 
 import (
+	"fmt"
 	"testing"
 
 	"doceph/internal/cluster"
@@ -71,5 +72,50 @@ func TestRunFixedWork(t *testing.T) {
 	}
 	if res.Window <= 0 {
 		t.Errorf("window = %v", res.Window)
+	}
+}
+
+// TestRunObjectNames: the driver names objects without fmt, and the names stay
+// byte-identical to the fmt forms "<prefix>_w<worker>_<i>" (writes) and
+// "<prefix>_prepop_<i>" (the read set): after a mixed run every one of them
+// is there to stat. A read name that differed from its prepopulated object
+// would have failed the run with not-found.
+func TestRunObjectNames(t *testing.T) {
+	cl := cluster.New(cluster.Config{Mode: cluster.Baseline, Seed: 7})
+	defer cl.Shutdown()
+	const threads, ops, readPct, prepop = 3, 40, 30, 12
+	res, err := radosbench.Run(cl.Env, cl.Client, radosbench.Config{
+		Op: radosbench.Mixed, Threads: threads, ObjectBytes: 4 << 10, OpsPerThread: ops,
+		ReadPercent: readPct, PrepopulateObjects: prepop, Prefix: "names",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for i := 0; i < prepop; i++ {
+		want = append(want, fmt.Sprintf("%s_prepop_%d", "names", i))
+	}
+	for w := 0; w < threads; w++ {
+		for i := 0; i < ops; i++ {
+			if (w*7919+i*104729)%100 >= readPct {
+				want = append(want, fmt.Sprintf("%s_w%d_%d", "names", w, i))
+			}
+		}
+	}
+	if writes := int64(len(want) - prepop); res.WriteStats.Ops != writes || res.ReadStats.Ops != threads*ops-writes {
+		t.Fatalf("%d writes, %d reads; want %d and %d", res.WriteStats.Ops, res.ReadStats.Ops, writes, threads*ops-writes)
+	}
+	checked := false
+	cl.Env.Spawn("stat", func(p *sim.Proc) {
+		p.SetThread(sim.NewThread("stat", "client"))
+		for _, obj := range want {
+			if size, _, err := cl.Client.Stat(p, obj); err != nil || size != 4<<10 {
+				t.Errorf("%s: size %d, err %v", obj, size, err)
+			}
+		}
+		checked = true
+	})
+	if err := cl.Env.RunUntil(cl.Env.Now().Add(10 * sim.Second)); err != nil || !checked {
+		t.Fatalf("stat pass did not finish: %v", err)
 	}
 }

@@ -8,6 +8,7 @@ package radosbench
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"doceph/internal/rados"
@@ -243,14 +244,14 @@ func Run(env *sim.Env, client *rados.Client, cfg Config) (Result, error) {
 		qd = 1
 	}
 
+	nPrepop := cfg.PrepopulateObjects
+	if nPrepop == 0 {
+		nPrepop = cfg.Threads * 4
+	}
 	var popGen *PopGen
 	if cfg.Popularity.Kind != PopNone {
-		n := cfg.PrepopulateObjects
-		if n == 0 {
-			n = cfg.Threads * 4
-		}
 		var err error
-		if popGen, err = NewPopGen(cfg.Popularity, n); err != nil {
+		if popGen, err = NewPopGen(cfg.Popularity, nPrepop); err != nil {
 			return res, err
 		}
 	}
@@ -297,16 +298,18 @@ func Run(env *sim.Env, client *rados.Client, cfg Config) (Result, error) {
 		perSecLat[sec] += lat
 	}
 
+	// prepopNames are the objects reads draw from, named once here so that
+	// a read costs no name.
+	var prepopNames []string
 	prepopDone := sim.NewEvent()
 	if cfg.Op == Read || cfg.Op == Mixed {
+		prepopNames = make([]string, nPrepop)
+		for i := range prepopNames {
+			prepopNames[i] = cfg.Prefix + "_prepop_" + strconv.Itoa(i)
+		}
 		env.Spawn("bench-prepop", func(p *sim.Proc) {
 			p.SetThread(sim.NewThread("bench-prepop", rados.ThreadCat))
-			n := cfg.PrepopulateObjects
-			if n == 0 {
-				n = cfg.Threads * 4
-			}
-			for i := 0; i < n; i++ {
-				obj := fmt.Sprintf("%s_prepop_%d", cfg.Prefix, i)
+			for _, obj := range prepopNames {
 				if err := client.Write(p, obj, payload); err != nil {
 					benchErr = fmt.Errorf("radosbench: prepopulate %s: %w", obj, err)
 					break
@@ -334,10 +337,9 @@ func Run(env *sim.Env, client *rados.Client, cfg Config) (Result, error) {
 			env.Spawn(procName, func(p *sim.Proc) {
 				p.SetThread(sim.NewThread(threadName, rados.ThreadCat))
 				prepopDone.Wait(p)
-				nPrepop := cfg.PrepopulateObjects
-				if nPrepop == 0 {
-					nPrepop = cfg.Threads * 4
-				}
+				// A write's name is this prefix and its index ("<prefix>_w3_17").
+				name := []byte(cfg.Prefix + "_w" + strconv.Itoa(worker) + "_")
+				namePrefix := len(name)
 				for benchErr == nil {
 					i := next
 					if cfg.OpsPerThread > 0 {
@@ -363,8 +365,8 @@ func Run(env *sim.Env, client *rados.Client, cfg Config) (Result, error) {
 						}
 					}
 					if !doRead {
-						obj := fmt.Sprintf("%s_w%d_%d", cfg.Prefix, worker, i)
-						err = client.Write(p, obj, payload)
+						name = strconv.AppendInt(name[:namePrefix], int64(i), 10)
+						err = client.Write(p, string(name), payload)
 						bytes = cfg.ObjectBytes
 					} else {
 						idx := (worker*7919 + i) % nPrepop
@@ -372,9 +374,8 @@ func Run(env *sim.Env, client *rados.Client, cfg Config) (Result, error) {
 							idx = popGen.Pick(popSeed,
 								uint64(worker)<<32|uint64(uint32(i)))
 						}
-						obj := fmt.Sprintf("%s_prepop_%d", cfg.Prefix, idx)
 						var bl *wire.Bufferlist
-						bl, err = client.Read(p, obj, 0, 0)
+						bl, err = client.Read(p, prepopNames[idx], 0, 0)
 						if err == nil {
 							bytes = int64(bl.Length())
 						}

@@ -25,7 +25,10 @@
 # became gateway.ExampleNew (the figure is gateway_test.go's alone), and
 # bluestore (85.1%, 86.2% once its reference test read ranges too) and
 # rpcchan (97.3%) were added when the read crossing became one record per
-# side and readRange gained its one-extent path;
+# side and readRange gained its one-extent path, and again when the
+# replicated write became one record on each OSD (osd 84.2% from 81.8%: the
+# watchdog's resend and abort and the map-change drop got tests of their own)
+# and rados was added at 63.9%, its client call holding its event by value;
 # each is set ~5 points below to absorb small refactors. Raise floors when
 # coverage improves, never lower them to make a PR pass.
 set -eu
@@ -53,13 +56,14 @@ gate() {
 gate ./internal/core 81.5
 gate ./internal/doca 77
 gate ./internal/cephmsg 80
-gate ./internal/osd 76.7
+gate ./internal/osd 79.2
 gate ./internal/faultinject 58
 gate ./internal/messenger 75
 gate ./internal/sim 83
 gate ./internal/perf 89.5
 gate ./internal/rbd 84
 gate ./internal/striper 80
+gate ./internal/rados 58.9
 gate ./internal/radosbench 73
 gate ./internal/cluster 84
 gate ./internal/crush 92
