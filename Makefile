@@ -1,8 +1,8 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all build test test-race race smoke bench bench-smoke cover loc knobs microbench results quick vet fmt trace
+.PHONY: all build test test-race race smoke bench cover loc knobs microbench results quick vet fmt trace
 
-all: build vet test test-race smoke bench-smoke cover knobs
+all: build vet test test-race smoke cover knobs
 
 build:
 	go build ./...
@@ -46,25 +46,15 @@ results:
 quick:
 	go run ./cmd/docephbench -quick -exp all
 
-# Simulator throughput harness: runs the sweep (doceph.RunSimSweep, 13 rows
-# one at a time, ~3 s) and writes events/sec, ns/op and allocs/op to
-# BENCH_sim.json (compared against the recorded pre-optimization baseline).
-# `-rebaseline` resets the baseline.
+# The wall-clock benchmark (benchmark/README.md): BENCHMARK.json's six
+# workloads on both clocks, with the per-layer ledger. Fails on op errors,
+# read-back mismatches, disengaged paths, trace-invariant violations and
+# repetitions that disagree.
 bench:
-	go run ./cmd/simbench
+	bash benchmark/run.sh
 
-# The same sweep wired into `all`, compared against the BENCH_sim.json record
-# instead of written to it: fails if a row's ops or events differ from the
-# record (the simulation moved), if a row exists on one side only, or if
-# events/sec collapses or allocs/op grows past 1.10x, in aggregate or in any
-# row. This is the guard that keeps the tracing hooks free when tracing is
-# off.
-bench-smoke:
-	go run ./cmd/simbench -guard BENCH_sim.json
-
-# Per-package statement-coverage floors for the offload-critical packages
-# (core, doca, osd, messenger, sim, perf); see scripts/covergate.sh for
-# the recorded floors.
+# Per-package statement-coverage floors for the offload-critical packages;
+# see scripts/covergate.sh for the recorded floors.
 cover:
 	./scripts/covergate.sh
 

@@ -15,9 +15,9 @@ import (
 // TestNewRejectsUnbuildableConfig: a configuration no cluster can be built
 // from panics in cluster.New with the offending field's name, and nothing
 // the program itself builds is caught by the check — the zero Config, every
-// cell of the registry's grids and of the simulator sweep, the fault and
-// tracing testbeds, the scale-out racks and the benchmark's four clusters
-// all still assemble.
+// cell of the registry's grids and of the goldens, the fault and tracing
+// testbeds, the scale-out racks and the benchmark's four clusters all still
+// assemble.
 func TestNewRejectsUnbuildableConfig(t *testing.T) {
 	for _, tc := range []struct {
 		field string
@@ -54,7 +54,7 @@ func TestNewRejectsUnbuildableConfig(t *testing.T) {
 	o := QuickOptions()
 	cells := slices.Concat(profileCells, versus(PaperSizes, BenchConfig{}), readCells(o.Threads, PaperSizes),
 		scaleCells(o.Threads, []int{2, 4, 8}), ablationCells(), smallOpsCells(),
-		mqCells([]int{1, 2, 4, 8}, []int64{4 << 10}), streamingCells(o.Threads), readPathCells(), simSweepCells)
+		mqCells([]int{1, 2, 4, 8}, []int64{4 << 10}), streamingCells(o.Threads), readPathCells(), goldenCells)
 	built := []ClusterConfig{
 		{},
 		{MinSize: 2}, {StorageNodes: 3, Replicas: 3, MinSize: 3}, // the limits themselves are fine

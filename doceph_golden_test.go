@@ -3,6 +3,7 @@ package doceph
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -17,10 +18,10 @@ import (
 
 // The golden file pins the simulated headline metrics (throughput, latency
 // distribution, host-CPU utilization, context switches, kernel event count)
-// for one Baseline and one DoCeph run at a fixed seed. It was captured
-// BEFORE the allocation-lean kernel / zero-copy data-plane rewrite; the
-// test asserts every later kernel reproduces those numbers bit-identically.
-// Regenerate only for an intentional model change:
+// at a fixed seed: one Baseline and one DoCeph run, captured BEFORE the
+// allocation-lean kernel / zero-copy data-plane rewrite, plus one run per
+// goldenCells row. The test asserts every later kernel reproduces those
+// numbers bit-identically. Regenerate only for an intentional model change:
 //
 //	go test -run TestGoldenDeterminism -update-golden .
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_sim.json from this run")
@@ -88,6 +89,65 @@ func runGoldenScenarioOpt(t *testing.T, mode cluster.Mode, traced bool) (goldenM
 	}, cl
 }
 
+// goldenCells are the runs pinned beside the two scenarios, each on the
+// experiments' own runner at one window — 3 s measured after 1 s of
+// warm-up, 16 clients (4 on the stream row), seed 42: both deployments at
+// 4 MB, then one row per data path beside the default (batched multi-queue,
+// degraded writes with backfill, reads, the 70/30 mix, the chunk stream).
+// The keys are the cell names, so a failing row names itself.
+var goldenCells = []cell{
+	{name: "baseline-4M", mode: Baseline, size: 4 << 20},
+	{name: "doceph-4M", mode: DoCeph, size: 4 << 20},
+	{name: "doceph-mq4-64K", mode: DoCeph, size: 64 << 10, mut: multiQueue(4), engaged: queuesEngaged(4)},
+	{name: "doceph-degraded-4K", mode: DoCeph, size: 4 << 10, arm: downThenRejoin, engaged: degradedEngaged,
+		mut: func(c *ClusterConfig) { c.MinSize = 1; recoveryQoS(c) }},
+	{name: "doceph-read-4K", mode: DoCeph, size: 4 << 10, bench: BenchConfig{Op: ReadWorkload}},
+	{name: "doceph-mix70-4K", mode: DoCeph, size: 4 << 10, bench: BenchConfig{Op: MixedWorkload, ReadPercent: 70}},
+	// 16 MB objects from 16 clients would swamp the fabric (see streamingCells).
+	{name: "doceph-stream-16M", mode: DoCeph, size: 16 << 20, bench: BenchConfig{Threads: 4}, engaged: streamEngaged(true),
+		mut: func(c *ClusterConfig) { c.Messenger.Stream.Enable = true }},
+}
+
+// downThenRejoin takes osd.1 down administratively at t=0 — the heartbeat
+// grace (5 s) would outlast a short run — and rejoins it halfway through the
+// measured window, so the tail runs real backfill under the recovery QoS
+// knobs while the bench clients keep writing.
+func downThenRejoin(cl *Cluster, o Options) {
+	cl.Env.Spawn("degrade", func(p *sim.Proc) {
+		cl.Nodes[1].OSD.Fail()
+		cl.Mon.MarkDown(1)
+		p.Wait(o.Warmup + o.Duration/2)
+		cl.Nodes[1].OSD.Recover()
+		cl.Mon.MarkUp(1)
+	})
+}
+
+func degradedEngaged(r runResult) error {
+	if r.degradedWrites == 0 || r.pgsBackfilled == 0 {
+		return fmt.Errorf("an OSD was to go down and rejoin but degraded_writes=%d pgs_backfilled=%d",
+			r.degradedWrites, r.pgsBackfilled)
+	}
+	return nil
+}
+
+// cellMetrics is a goldenCells run's headline metrics.
+func cellMetrics(r runResult) goldenMetrics {
+	return goldenMetrics{
+		Ops:          r.bench.Ops,
+		Bytes:        r.bench.Bytes,
+		AvgLatencyNs: int64(r.bench.AvgLatency),
+		MinLatencyNs: int64(r.bench.MinLatency),
+		MaxLatencyNs: int64(r.bench.MaxLatency),
+		P50Ns:        int64(r.bench.P50),
+		P99Ns:        int64(r.bench.P99),
+		HostUtilBits: math.Float64bits(r.hostUtil),
+		HostUtil:     strconvFloat(r.hostUtil),
+		MsgrSwitches: r.msgrSw,
+		ObjSwitches:  r.objSw,
+		KernelEvents: r.events,
+	}
+}
+
 func strconvFloat(f float64) string {
 	b, _ := json.Marshal(f)
 	return string(b)
@@ -100,6 +160,13 @@ func TestGoldenDeterminism(t *testing.T) {
 	got := map[string]goldenMetrics{
 		"baseline": runGoldenScenario(t, cluster.Baseline),
 		"doceph":   runGoldenScenario(t, cluster.DoCeph),
+	}
+	rs, err := runCells(Options{Duration: 3 * Second, Warmup: Second}, goldenCells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rs {
+		got[r.cell.name] = cellMetrics(r)
 	}
 
 	if *updateGolden {
@@ -133,6 +200,11 @@ func TestGoldenDeterminism(t *testing.T) {
 		}
 		if g != w {
 			t.Errorf("scenario %q diverged from golden:\n got  %+v\n want %+v", name, g, w)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("scenario %q produced but not in the golden file", name)
 		}
 	}
 }

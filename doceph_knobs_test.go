@@ -456,7 +456,7 @@ func tracedCell(c cell, warmup Duration, rows ...string) func(int64) (any, error
 		for _, n := range rows {
 			errs = append(errs, knobs[knobNamed(n)].engaged(arm{runResult: r, stages: stages}))
 		}
-		r.cell, r.wall = cell{}, 0 // funcs and host time are not results
+		r.cell = cell{} // funcs are not results
 		return struct {
 			r    runResult
 			hash string

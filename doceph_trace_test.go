@@ -109,8 +109,8 @@ func TestGoldenTrace(t *testing.T) {
 	if err := json.Unmarshal(simRaw, &simWant); err != nil {
 		t.Fatal(err)
 	}
-	for name, w := range simWant {
-		if g := metrics[name]; g != w {
+	for name, g := range metrics {
+		if w := simWant[name]; g != w {
 			t.Errorf("tracing perturbed the simulation for %q:\n got  %+v\n want %+v", name, g, w)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"doceph/internal/bluestore"
 	"doceph/internal/core"
@@ -49,11 +48,9 @@ type runResult struct {
 	msgrSw    int64
 	objSw     int64
 	breakdown core.Breakdown
-	// events is the kernel's event count when the benchmark returned, wall
-	// the host time RunBench took: the simulator's own cost, which no -exp
-	// table prints.
+	// events is the kernel's event count when the benchmark returned, which
+	// the goldens pin and no -exp table prints.
 	events uint64
-	wall   time.Duration
 	// Counters summed over nodes (all zero on Baseline, which has no bridge).
 	negotiations int64
 	fallbacks    int64 // segments + whole transactions resent over RPC
@@ -131,9 +128,7 @@ func runWorkloadCfg(c cell, o Options) (runResult, error) {
 	op.ObjectBytes = c.size
 	op.Duration = o.Duration
 	op.Warmup = o.Warmup
-	start := time.Now()
 	bench, err := RunBench(cl, op)
-	wall := time.Since(start)
 	if err != nil {
 		return runResult{}, err
 	}
@@ -143,7 +138,6 @@ func runWorkloadCfg(c cell, o Options) (runResult, error) {
 		bench:         bench,
 		nodes:         len(cl.Nodes),
 		events:        cl.Env.Events(),
-		wall:          wall,
 		hostUtil:      m.SingleCoreUtilization(),
 		dpuUtil:       cl.DPUCPUMerged().SingleCoreUtilization(),
 		msgrShare:     m.ShareOf(messenger.ThreadCat),
@@ -284,14 +278,6 @@ func balanceEngaged(r runResult) error {
 func injectEngaged(r runResult) error {
 	if r.dmaErrors == 0 || r.fallbacks == 0 {
 		return fmt.Errorf("DMA failures injected but errors=%d fallbacks=%d", r.dmaErrors, r.fallbacks)
-	}
-	return nil
-}
-
-func degradedEngaged(r runResult) error {
-	if r.degradedWrites == 0 || r.pgsBackfilled == 0 {
-		return fmt.Errorf("an OSD was to go down and rejoin but degraded_writes=%d pgs_backfilled=%d",
-			r.degradedWrites, r.pgsBackfilled)
 	}
 	return nil
 }

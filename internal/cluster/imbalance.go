@@ -1,18 +1,10 @@
-// Load-imbalance metrics for the scale-out assembly: the cluster layer
-// exports raw per-OSD/per-PG op counts and queue-depth samples
-// (cluster.ScaleOutResult, CollectImbalance) and this file turns them into
-// the figures the experiments table reports — max/mean op share, p99:p50
-// queue depth, hot-primary read share. Kept here rather than in cluster so
-// the metric definitions live next to the harness that publishes them.
-package perf
+package cluster
 
-import (
-	"sort"
+import "sort"
 
-	"doceph/internal/cluster"
-)
-
-// Imbalance summarizes how evenly a scale-out run spread its load.
+// Imbalance summarizes how evenly a scale-out run spread its load: the
+// figures -exp scaleout128 reports, derived from the raw per-OSD/per-PG
+// counts and queue-depth samples a run collects under CollectImbalance.
 type Imbalance struct {
 	// MaxMeanOSDShare is the hottest OSD's served-op count over the mean
 	// (1.0 = perfectly even).
@@ -30,9 +22,31 @@ type Imbalance struct {
 	BalancedReadShare float64 `json:"balanced_read_share"`
 }
 
-// MaxMeanRatio returns max(xs)/mean(xs), or 0 when the series is empty or
+// ComputeImbalance derives the imbalance figures from a scale-out result
+// collected with CollectImbalance.
+func ComputeImbalance(res ScaleOutResult) Imbalance {
+	im := Imbalance{
+		MaxMeanOSDShare:  maxMeanRatio(res.OSDOps),
+		MaxMeanPGShare:   maxMeanRatio(res.PGOps),
+		QueueDepthP99P50: p99p50(res.QueueDepthSamples),
+		HotReadShare:     hotReadShare(res.OSDReads),
+	}
+	var reads, balanced int64
+	for _, r := range res.OSDReads {
+		reads += r
+	}
+	for _, b := range res.OSDBalancedReads {
+		balanced += b
+	}
+	if reads > 0 {
+		im.BalancedReadShare = float64(balanced) / float64(reads)
+	}
+	return im
+}
+
+// maxMeanRatio returns max(xs)/mean(xs), or 0 when the series is empty or
 // sums to zero.
-func MaxMeanRatio(xs []int64) float64 {
+func maxMeanRatio(xs []int64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -50,11 +64,11 @@ func MaxMeanRatio(xs []int64) float64 {
 	return float64(max) / mean
 }
 
-// P99P50 returns the p99:p50 ratio of the samples under nearest-rank
+// p99p50 returns the p99:p50 ratio of the samples under nearest-rank
 // percentiles (the same indexing radosbench's latency stats use), with the
 // p50 floored at 1 so an idle median doesn't divide by zero. Returns 0 for
 // an empty series.
-func P99P50(samples []int64) float64 {
+func p99p50(samples []int64) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
@@ -68,9 +82,9 @@ func P99P50(samples []int64) float64 {
 	return float64(p99) / float64(p50)
 }
 
-// HotReadShare returns the hottest OSD's fraction of all served reads, or 0
+// hotReadShare returns the hottest OSD's fraction of all served reads, or 0
 // when no reads were served.
-func HotReadShare(reads []int64) float64 {
+func hotReadShare(reads []int64) float64 {
 	var sum, max int64
 	for _, r := range reads {
 		sum += r
@@ -82,26 +96,4 @@ func HotReadShare(reads []int64) float64 {
 		return 0
 	}
 	return float64(max) / float64(sum)
-}
-
-// ComputeImbalance derives the imbalance figures from a scale-out result
-// collected with CollectImbalance.
-func ComputeImbalance(res cluster.ScaleOutResult) Imbalance {
-	im := Imbalance{
-		MaxMeanOSDShare:  MaxMeanRatio(res.OSDOps),
-		MaxMeanPGShare:   MaxMeanRatio(res.PGOps),
-		QueueDepthP99P50: P99P50(res.QueueDepthSamples),
-		HotReadShare:     HotReadShare(res.OSDReads),
-	}
-	var reads, balanced int64
-	for _, r := range res.OSDReads {
-		reads += r
-	}
-	for _, b := range res.OSDBalancedReads {
-		balanced += b
-	}
-	if reads > 0 {
-		im.BalancedReadShare = float64(balanced) / float64(reads)
-	}
-	return im
 }

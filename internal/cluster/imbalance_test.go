@@ -1,10 +1,9 @@
-package perf
+package cluster
 
 import (
 	"math"
 	"testing"
 
-	"doceph/internal/cluster"
 	"doceph/internal/radosbench"
 	"doceph/internal/sim"
 )
@@ -25,8 +24,8 @@ func TestMaxMeanRatio(t *testing.T) {
 		{"half idle", []int64{4, 0, 4, 0}, 2.0},
 	}
 	for _, tc := range cases {
-		if got := MaxMeanRatio(tc.xs); !almost(got, tc.want) {
-			t.Errorf("%s: MaxMeanRatio = %v, want %v", tc.name, got, tc.want)
+		if got := maxMeanRatio(tc.xs); !almost(got, tc.want) {
+			t.Errorf("%s: maxMeanRatio = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
@@ -57,15 +56,15 @@ func TestP99P50(t *testing.T) {
 		{"ramp", ramp, 100.0 / 51.0},
 	}
 	for _, tc := range cases {
-		if got := P99P50(tc.samples); !almost(got, tc.want) {
-			t.Errorf("%s: P99P50 = %v, want %v", tc.name, got, tc.want)
+		if got := p99p50(tc.samples); !almost(got, tc.want) {
+			t.Errorf("%s: p99p50 = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 	// The input slice must not be reordered.
 	in := []int64{9, 1, 5}
-	P99P50(in)
+	p99p50(in)
 	if in[0] != 9 || in[1] != 1 || in[2] != 5 {
-		t.Fatalf("P99P50 mutated its input: %v", in)
+		t.Fatalf("p99p50 mutated its input: %v", in)
 	}
 }
 
@@ -81,14 +80,14 @@ func TestHotReadShare(t *testing.T) {
 		{"even", []int64{5, 5, 5, 5}, 0.25},
 	}
 	for _, tc := range cases {
-		if got := HotReadShare(tc.reads); !almost(got, tc.want) {
-			t.Errorf("%s: HotReadShare = %v, want %v", tc.name, got, tc.want)
+		if got := hotReadShare(tc.reads); !almost(got, tc.want) {
+			t.Errorf("%s: hotReadShare = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
 
 func TestComputeImbalanceSynthetic(t *testing.T) {
-	res := cluster.ScaleOutResult{
+	res := ScaleOutResult{
 		OSDOps:            []int64{90, 10, 10, 10}, // max 90, mean 30
 		PGOps:             []int64{40, 0, 0, 0},    // max 40, mean 10
 		OSDReads:          []int64{60, 20, 20, 0},  // hottest 0.6 of 100
@@ -112,7 +111,7 @@ func TestComputeImbalanceSynthetic(t *testing.T) {
 		t.Errorf("BalancedReadShare = %v, want 0.4", im.BalancedReadShare)
 	}
 	// Empty result: everything zero, nothing panics.
-	if im := ComputeImbalance(cluster.ScaleOutResult{}); im != (Imbalance{}) {
+	if im := ComputeImbalance(ScaleOutResult{}); im != (Imbalance{}) {
 		t.Errorf("empty result: %+v", im)
 	}
 }
@@ -131,10 +130,10 @@ func TestComputeImbalanceSynthetic(t *testing.T) {
 func TestBalanceReadsFlattenHotPrimary(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		run := func(balance bool) Imbalance {
-			so := cluster.NewScaleOut(cluster.ScaleOutConfig{
+			so := NewScaleOut(ScaleOutConfig{
 				Pods:             4,
 				OSDsPerPod:       4,
-				Mode:             cluster.DoCeph,
+				Mode:             DoCeph,
 				Seed:             seed,
 				Threads:          2,
 				ObjectBytes:      64 << 10,

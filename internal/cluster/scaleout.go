@@ -285,8 +285,7 @@ type ScaleOutResult struct {
 	// (omitted from JSON otherwise, so legacy fingerprints are unchanged).
 	// Indexing: OSD arrays by global OSD id (partition-plan order), PGOps
 	// by pod*PGs+localPG, QueueDepthSamples pooled over (tick, OSD).
-	// perf.ComputeImbalance turns these into the max/mean and p99:p50
-	// figures.
+	// ComputeImbalance turns these into the max/mean and p99:p50 figures.
 	OSDOps            []int64 `json:"osd_ops,omitempty"`
 	OSDReads          []int64 `json:"osd_reads,omitempty"`
 	OSDBalancedReads  []int64 `json:"osd_balanced_reads,omitempty"`

@@ -64,14 +64,19 @@ func TestPutGetHeadListDelete(t *testing.T) {
 		if err := g.CreateBucket(p, "b"); err != nil {
 			t.Fatal(err)
 		}
-		contents := map[string]*wire.Bufferlist{
-			"zebra.jpg":  doc(300_000, 1),
-			"apple.txt":  doc(1_000, 2),
-			"mango/1.md": doc(50_000, 3),
+		// A slice, not a map: puts and gets run in this order every time, so
+		// a failure reproduces.
+		contents := []struct {
+			key  string
+			body *wire.Bufferlist
+		}{
+			{"zebra.jpg", doc(300_000, 1)},
+			{"apple.txt", doc(1_000, 2)},
+			{"mango/1.md", doc(50_000, 3)},
 		}
-		for k, v := range contents {
-			if err := g.Put(p, "b", k, v); err != nil {
-				t.Fatalf("put %s: %v", k, err)
+		for _, c := range contents {
+			if err := g.Put(p, "b", c.key, c.body); err != nil {
+				t.Fatalf("put %s: %v", c.key, err)
 			}
 		}
 		keys, err := g.List(p, "b")
@@ -87,14 +92,14 @@ func TestPutGetHeadListDelete(t *testing.T) {
 				t.Fatalf("keys=%v want sorted %v", keys, want)
 			}
 		}
-		for k, v := range contents {
-			got, err := g.Get(p, "b", k)
-			if err != nil || got.CRC32C() != v.CRC32C() {
-				t.Fatalf("get %s: %v", k, err)
+		for _, c := range contents {
+			got, err := g.Get(p, "b", c.key)
+			if err != nil || got.CRC32C() != c.body.CRC32C() {
+				t.Fatalf("get %s: %v", c.key, err)
 			}
-			size, etag, err := g.Head(p, "b", k)
-			if err != nil || size != uint64(v.Length()) || etag != v.CRC32C() {
-				t.Fatalf("head %s: size=%d etag=%08x err=%v", k, size, etag, err)
+			size, etag, err := g.Head(p, "b", c.key)
+			if err != nil || size != uint64(c.body.Length()) || etag != c.body.CRC32C() {
+				t.Fatalf("head %s: size=%d etag=%08x err=%v", c.key, size, etag, err)
 			}
 		}
 		if err := g.Delete(p, "b", "apple.txt"); err != nil {

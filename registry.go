@@ -29,8 +29,8 @@ type Options struct {
 	TraceOut string
 }
 
-// ParseWorkers parses the -sim-workers syntax both commands share: a
-// comma-separated list of positive kernel worker counts for Options.Workers.
+// ParseWorkers parses docephbench's -sim-workers flag: a comma-separated
+// list of positive kernel worker counts for Options.Workers.
 func ParseWorkers(list string) ([]int, error) {
 	var workers []int
 	for _, part := range strings.Split(list, ",") {

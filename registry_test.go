@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"doceph/internal/cluster"
 )
 
 // gridExperiments are the entries built from cells + columns; their tables
@@ -151,6 +153,64 @@ func TestInertCellFailsTheRun(t *testing.T) {
 	run := grid(func(Options) []cell { return []cell{inert} }, ablationTables)
 	if _, err := run(opts); err == nil {
 		t.Fatal("grid() swallowed the engagement failure")
+	}
+}
+
+// TestSimSweepInertArmsFail is TestInertCellFailsTheRun for the checks that
+// live in the runners themselves: the golden degraded cell without its
+// scheduled outage, and a scale-out run whose balance-reads knob has no reads
+// to balance, must fail rather than be measured under the wrong name.
+func TestSimSweepInertArmsFail(t *testing.T) {
+	opts := Options{Duration: Second, Warmup: 250 * Millisecond, Threads: 4}.withDefaults()
+	var degraded cell
+	for _, c := range goldenCells {
+		if c.name == "doceph-degraded-4K" {
+			degraded = c
+		}
+	}
+	if _, err := runWorkloadCfg(degraded, opts); err != nil {
+		t.Fatalf("armed degraded cell rejected: %v", err)
+	}
+	degraded.arm = nil
+	if _, err := runWorkloadCfg(degraded, opts); err == nil || !strings.Contains(err.Error(), "not engaged") {
+		t.Errorf("degraded cell without its outage not caught: %v", err)
+	}
+
+	tiny := cluster.ScaleOutConfig{Pods: 2, OSDsPerPod: 2, Mode: DoCeph, Seed: 3, Threads: 2, ObjectBytes: 64 << 10,
+		ReadPercent: 70, Duration: 200 * Millisecond, Warmup: 50 * Millisecond, BalanceReads: true, CollectImbalance: true}
+	if _, err := sweepWorkers(tiny, []int{2}); err != nil {
+		t.Fatalf("balanced 70%%-read run rejected: %v", err)
+	}
+	tiny.ReadPercent = 0
+	if _, err := sweepWorkers(tiny, []int{2}); err == nil || !strings.Contains(err.Error(), "not engaged: balance-reads") {
+		t.Errorf("balance-reads on a write-only workload not caught: %v", err)
+	}
+}
+
+func TestParseWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []int
+	}{
+		{"1,2,8", []int{1, 2, 8}},
+		{" 1, 4 ,8 ", []int{1, 4, 8}},
+		{"3", []int{3}},
+		{"", nil},
+		{"0", nil},
+		{"1,,2", nil},
+		{"-2", nil},
+		{"x", nil},
+	} {
+		got, err := ParseWorkers(tc.in)
+		if tc.want == nil {
+			if err == nil || !strings.Contains(err.Error(), "-sim-workers") {
+				t.Errorf("ParseWorkers(%q) = %v, %v; want an error naming the flag", tc.in, got, err)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParseWorkers(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"doceph/internal/cluster"
-	"doceph/internal/perf"
 	"doceph/internal/radosbench"
 	"doceph/internal/report"
 	"doceph/internal/sim"
@@ -22,10 +21,10 @@ import (
 type sweepRun struct {
 	workers int
 	res     cluster.ScaleOutResult
-	imb     perf.Imbalance
-	// cost is the run on the host clock: wall time of the simulation proper,
-	// events/s, and allocations per op over assembly, run and teardown.
-	cost perf.Measurement
+	imb     cluster.Imbalance
+	// wall is the host time of the simulation proper, the one figure that
+	// may move with the worker count.
+	wall time.Duration
 	// efficiency and kernel are the kernel's own account of the run: the
 	// share of workers x wall its workers spent inside partition windows, and
 	// the partitions' counters — shown as switches per event fired (2 when every
@@ -35,7 +34,9 @@ type sweepRun struct {
 	kernel     sim.EnvStats
 }
 
-func (r sweepRun) wallMs() string { return fmt.Sprintf("%.1f", float64(r.cost.WallNs)/1e6) }
+func (r sweepRun) wallMs() string { return fmt.Sprintf("%.1f", float64(r.wall)/1e6) }
+
+func (r sweepRun) eventsPerSec() float64 { return float64(r.res.Events) / r.wall.Seconds() }
 
 func (r sweepRun) mbps(window Duration) float64 {
 	return float64(r.res.TotalBytes) / 1e6 / window.Seconds()
@@ -51,18 +52,12 @@ func sweepWorkers(cfg cluster.ScaleOutConfig, workers []int) ([]sweepRun, error)
 	var out []sweepRun
 	var first []byte
 	for _, w := range workers {
-		var res cluster.ScaleOutResult
-		var st sim.GroupStats
-		cost, err := perf.Measure(func() (perf.Measurement, error) {
-			so := cluster.NewScaleOut(cfg)
-			defer so.Shutdown()
-			start := time.Now()
-			var err error
-			res, err = so.Run(w)
-			wall := time.Since(start)
-			st = so.Group.Stats()
-			return perf.Measurement{Ops: res.TotalOps, SimEvents: res.Events, GroupWindows: res.Windows, WallNs: wall.Nanoseconds()}, err
-		})
+		so := cluster.NewScaleOut(cfg)
+		start := time.Now()
+		res, err := so.Run(w)
+		wall := time.Since(start)
+		st := so.Group.Stats()
+		so.Shutdown()
 		if err != nil {
 			return nil, fmt.Errorf("workers=%d: %w", w, err)
 		}
@@ -78,7 +73,7 @@ func sweepWorkers(cfg cluster.ScaleOutConfig, workers []int) ([]sweepRun, error)
 		}
 		// The imbalance arrays are the evidence: without CollectImbalance the
 		// workload knobs go unchecked.
-		imb := perf.ComputeImbalance(res)
+		imb := cluster.ComputeImbalance(res)
 		switch {
 		case res.Delivered == 0:
 			return nil, fmt.Errorf("not engaged: no cross-partition messages delivered")
@@ -87,7 +82,7 @@ func sweepWorkers(cfg cluster.ScaleOutConfig, workers []int) ([]sweepRun, error)
 		case cfg.CollectImbalance && cfg.BalanceReads && imb.BalancedReadShare == 0:
 			return nil, fmt.Errorf("not engaged: balance-reads on but no read went to a secondary")
 		}
-		out = append(out, sweepRun{w, res, imb, cost, st.Efficiency(), st.Kernel})
+		out = append(out, sweepRun{w, res, imb, wall, st.Efficiency(), st.Kernel})
 	}
 	return out, nil
 }
@@ -130,8 +125,8 @@ func runScaleOut(o Options) ([]*report.Table, error) {
 	for _, r := range runs {
 		t.AddRow(fmt.Sprint(r.workers), fmt.Sprint(r.res.TotalOps), report.F2(r.mbps(o.Duration)),
 			fmt.Sprint(r.res.Epochs), fmt.Sprint(r.res.Delivered),
-			r.wallMs(), report.F2(r.efficiency), fmt.Sprint(r.res.Rounds), fmt.Sprintf("%.0f", r.cost.EventsPerSec),
-			report.F2(r.cost.EventsPerSec/runs[0].cost.EventsPerSec))
+			r.wallMs(), report.F2(r.efficiency), fmt.Sprint(r.res.Rounds), fmt.Sprintf("%.0f", r.eventsPerSec()),
+			report.F2(r.eventsPerSec()/runs[0].eventsPerSec()))
 	}
 	return []*report.Table{t}, nil
 }

@@ -28,7 +28,10 @@
 # side and readRange gained its one-extent path, and again when the
 # replicated write became one record on each OSD (osd 84.2% from 81.8%: the
 # watchdog's resend and abort and the map-change drop got tests of their own)
-# and rados was added at 63.9%, its client call holding its event by value;
+# and rados was added at 63.9%, its client call holding its event by value,
+# and again when the wall-clock sweep and internal/perf were deleted (perf
+# left the gate; cluster 89.9% from 88.9%: the scale-out imbalance figures
+# and their tests moved in beside ScaleOutResult, floor 84 -> 85);
 # each is set ~5 points below to absorb small refactors. Raise floors when
 # coverage improves, never lower them to make a PR pass.
 set -eu
@@ -60,12 +63,11 @@ gate ./internal/osd 79.2
 gate ./internal/faultinject 58
 gate ./internal/messenger 75
 gate ./internal/sim 83
-gate ./internal/perf 89.5
 gate ./internal/rbd 84
 gate ./internal/striper 80
 gate ./internal/rados 58.9
 gate ./internal/radosbench 73
-gate ./internal/cluster 84
+gate ./internal/cluster 85
 gate ./internal/crush 92
 gate ./internal/gateway 80
 gate ./internal/bluestore 80
