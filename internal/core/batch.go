@@ -75,21 +75,12 @@ func (c BatchConfig) withDefaults() BatchConfig {
 	return c
 }
 
-// batchOp is one transaction waiting in the proxy's batch queue.
-type batchOp struct {
-	reqID   uint64
-	txnSeq  uint64
-	payload *wire.Bufferlist
-	ctx     trace.SpanID
-	enq     sim.Time
-}
-
 // enqueueBatch files an eligible transaction with the batcher; the batch
 // daemon ships it. Completion still arrives per op via pendingTxns.
-func (px *Proxy) enqueueBatch(p *sim.Proc, op *batchOp) {
+func (px *Proxy) enqueueBatch(p *sim.Proc, op *pendingTxn) {
 	op.enq = p.Now()
 	px.batchQ = append(px.batchQ, op)
-	px.batchBytes += int64(op.payload.Length())
+	px.batchBytes += int64(op.frame.Length())
 	px.batchSeq++
 	px.batchCond.Broadcast()
 }
@@ -148,31 +139,31 @@ func (px *Proxy) batchLoop(p *sim.Proc) {
 // of per-op RPCs — the batched-submit half of the control-plane coalescing.
 func (px *Proxy) flushBatch(p *sim.Proc) {
 	cfg := px.batch
-	take := make([]*batchOp, 0, len(px.batchQ))
-	var bytes int64
-	for len(px.batchQ) > 0 {
-		op := px.batchQ[0]
-		n := int64(op.payload.Length())
-		if len(take) > 0 && (bytes+n > cfg.MaxBatchBytes || len(take) >= maxOpsPerFrame) {
+	k, bytes := 0, int64(0)
+	for ; k < len(px.batchQ); k++ {
+		n := int64(px.batchQ[k].frame.Length())
+		if k > 0 && (bytes+n > cfg.MaxBatchBytes || k >= maxOpsPerFrame) {
 			break
 		}
-		take = append(take, op)
 		bytes += n
-		// Clear the slot before stepping past it, or the backing array keeps
-		// every shipped op and its payload view reachable until it regrows.
-		px.batchQ[0] = nil
-		px.batchQ = px.batchQ[1:]
 	}
+	fr := newBatchFrame(k)
+	copy(fr.ops, px.batchQ)
+	// Copy the rest down and clear the tail: the queue keeps its array, and
+	// the array keeps no shipped op reachable.
+	rest := copy(px.batchQ, px.batchQ[k:])
+	clear(px.batchQ[rest:])
+	px.batchQ = px.batchQ[:rest]
 	px.batchBytes -= bytes
 	px.stats.BatchFlushes++
-	px.stats.BatchedTxns += int64(len(take))
+	px.stats.BatchedTxns += int64(k)
 
 	if !px.dmaAllowed(p) {
-		px.stats.FallbackTxns += int64(len(take))
-		px.shipBatchViaRPC(p, take)
+		px.stats.FallbackTxns += int64(k)
+		px.shipBatchViaRPC(p, fr.encode())
 		return
 	}
-	px.stats.DataPlaneTxns += int64(len(take))
+	px.stats.DataPlaneTxns += int64(k)
 
 	// One staging pass: the whole frame is memcpy'd into a single
 	// DMA-capable buffer. The per-op copy cost is unchanged (staging is
@@ -180,8 +171,8 @@ func (px *Proxy) flushBatch(p *sim.Proc) {
 	px.dev.Buffers.Acquire(p)
 	px.noteStage(bytes)
 	px.ensureRegions(p)
-	for _, op := range take {
-		n := int64(op.payload.Length())
+	for _, op := range fr.ops {
+		n := int64(op.frame.Length())
 		var sp trace.SpanID
 		if op.ctx != 0 {
 			sp = px.tr.Start(op.ctx, 0, trace.StageBatchStage, px.dev.Name)
@@ -194,8 +185,6 @@ func (px *Proxy) flushBatch(p *sim.Proc) {
 			px.dev.CPU.Exec(p, px.thBatch, int64(float64(n)*proxyStageCyclesPerByte)))
 		px.tr.Finish(sp)
 	}
-	frame := encodeBatchFrame(take)
-	wireBytes := int64(frame.Length())
 	px.nextReq++
 	batchID := px.nextReq
 	dmaStage := trace.StageBatchDMA
@@ -209,68 +198,114 @@ func (px *Proxy) flushBatch(p *sim.Proc) {
 		qpin = qidx + 1
 		dmaStage = trace.StageBatchDMAQueue(qidx)
 	}
-	ctxs := make([]uint64, len(take))
-	spans := make([]trace.SpanID, len(take))
-	for i, op := range take {
-		ctxs[i] = uint64(op.ctx)
+	for i, op := range fr.ops {
+		fr.hdr.batchCtxs[i] = uint64(op.ctx)
 		if op.ctx != 0 {
-			spans[i] = px.tr.Start(op.ctx, 0, dmaStage, px.dev.Name)
-			px.tr.AddBytes(spans[i], int64(op.payload.Length()))
+			fr.spans[i] = px.tr.Start(op.ctx, 0, dmaStage, px.dev.Name)
+			px.tr.AddBytes(fr.spans[i], int64(op.frame.Length()))
 		}
 	}
+	frame := fr.encode()
 	// Batch frames always move from the pre-registered staging pool into
 	// the fixed host region: consecutive frames on a queue reuse the
 	// established MRs/descriptors instead of a full setup (§3.3).
-	t := &doca.Transfer{
-		ReqID: batchID, TotalSegs: 1, Bytes: wireBytes, Data: frame, Ops: len(take),
-		Src: px.dpuMR, Dst: px.hostMR, ReuseSetup: true, Queue: qpin,
-		Tag: &segHeader{kind: segTxnBatch, reqID: batchID, total: 1, batchCtxs: ctxs},
+	fr.hdr.kind, fr.hdr.reqID, fr.hdr.total = segTxnBatch, batchID, 1
+	t := &fr.t
+	*t = doca.Transfer{
+		ReqID: batchID, TotalSegs: 1, Bytes: int64(frame.Length()), Data: frame, Ops: k,
+		Src: px.dpuMR, Dst: px.hostMR, ReuseSetup: true, Queue: qpin, Tag: &fr.hdr,
 	}
-	dmaStart := p.Now()
+	fr.bytes, fr.start = bytes, p.Now()
 	px.batchInflight++
 	if err := px.engUp.Submit(p, px.dev.CPU, t); err != nil {
 		px.batchInflight--
-		for _, sp := range spans {
+		for _, sp := range fr.spans {
 			px.tr.Finish(sp)
 		}
 		px.dev.Buffers.Release()
 		px.noteUnstage(bytes)
 		px.enterCooldown(p)
-		px.stats.FallbackSegments += int64(len(take))
-		px.shipBatchViaRPC(p, take)
+		px.stats.FallbackSegments += int64(k)
+		px.shipBatchViaRPC(p, frame)
 		return
 	}
 	// Settle accounting when the engine finishes; the batcher keeps
 	// accumulating the next batch meanwhile (staging/transfer overlap).
-	px.env.SpawnID("proxy-batch-dma:", batchID, func(sp *sim.Proc) {
-		sp.SetThread(px.thBatch)
-		t.Done.Wait(sp)
-		px.batchInflight--
-		px.batchCond.Broadcast()
-		for _, s := range spans {
-			px.tr.Finish(s)
+	px.batchFrames[batchID] = fr
+	px.env.SpawnID("proxy-batch-dma:", batchID, px.batchBody)
+}
+
+// batchFrame is one batch frame in flight, in one allocation: the ops it
+// carries with their trace contexts and spans (in the slots for a one-op
+// frame, the usual one), the engine transfer and its tag, and what the
+// frame's proxy-batch-dma proc, which finds the record by its id, settles.
+type batchFrame struct {
+	t        doca.Transfer
+	hdr      segHeader
+	ops      []*pendingTxn
+	spans    []trace.SpanID
+	bytes    int64
+	start    sim.Time
+	opSlot   [1]*pendingTxn
+	ctxSlot  [1]uint64
+	spanSlot [1]trace.SpanID
+}
+
+func newBatchFrame(n int) *batchFrame {
+	fr := &batchFrame{}
+	if n == 1 {
+		fr.ops, fr.hdr.batchCtxs, fr.spans = fr.opSlot[:], fr.ctxSlot[:], fr.spanSlot[:]
+	} else {
+		fr.ops, fr.hdr.batchCtxs, fr.spans = make([]*pendingTxn, n), make([]uint64, n), make([]trace.SpanID, n)
+	}
+	return fr
+}
+
+// encode frames the ops and drops their own frames: the batch frame shares
+// their segments from here on (an RPC fallback resends it), and each op's
+// caller keeps its pendingTxn long after.
+func (fr *batchFrame) encode() *wire.Bufferlist {
+	frame := encodeBatchFrame(fr.ops)
+	for _, op := range fr.ops {
+		op.frame.Init()
+	}
+	return frame
+}
+
+// settleBatch is the body of every proxy-batch-dma proc: once the engine is
+// done with the frame its id names, free the staging buffer, account the DMA
+// time and, after an error, resend the frame over the control plane.
+func (px *Proxy) settleBatch(sp *sim.Proc) {
+	fr := px.batchFrames[sp.ID()]
+	delete(px.batchFrames, sp.ID())
+	sp.SetThread(px.thBatch)
+	t := &fr.t
+	t.Done.Wait(sp)
+	px.batchInflight--
+	px.batchCond.Broadcast()
+	for _, s := range fr.spans {
+		px.tr.Finish(s)
+	}
+	px.dev.Buffers.Release()
+	px.noteUnstage(fr.bytes)
+	px.breakdown.DMA += t.CopyTime()
+	if w := t.CompletedAt.Sub(fr.start) - t.CopyTime(); w > 0 {
+		px.breakdown.DMAWait += w
+		if t.Err == nil {
+			px.noteDMAWait(sp, w)
 		}
-		px.dev.Buffers.Release()
-		px.noteUnstage(bytes)
-		px.breakdown.DMA += t.CopyTime()
-		if w := t.CompletedAt.Sub(dmaStart) - t.CopyTime(); w > 0 {
-			px.breakdown.DMAWait += w
-			if t.Err == nil {
-				px.noteDMAWait(sp, w)
-			}
-		}
-		if t.Err != nil {
-			px.enterCooldown(sp)
-			px.stats.FallbackSegments += int64(len(take))
-			px.shipBatchViaRPC(sp, take)
-		}
-	})
+	}
+	if t.Err != nil {
+		px.enterCooldown(sp)
+		px.stats.FallbackSegments += int64(len(fr.ops))
+		px.shipBatchViaRPC(sp, t.Data)
+	}
 }
 
 // shipBatchViaRPC sends a whole batch frame over the control plane as one
 // call (cooldown and post-error fallback).
-func (px *Proxy) shipBatchViaRPC(p *sim.Proc, ops []*batchOp) {
-	if _, err := px.rpc.Call(p, opBatchFallback, encodeBatchFrame(ops)); err != nil {
+func (px *Proxy) shipBatchViaRPC(p *sim.Proc, frame *wire.Bufferlist) {
+	if _, err := px.rpc.Call(p, opBatchFallback, frame); err != nil {
 		panic(fmt.Sprintf("core: batch RPC fallback failed: %v", err))
 	}
 }
@@ -336,7 +371,7 @@ func (hs *HostServer) notifyLoop(p *sim.Proc, sh *notifyShard) {
 		}
 		lastN = n
 		frame := encodeTxnDoneBatch(sh.q[:n])
-		sh.q = sh.q[n:]
+		sh.q = sh.q[:copy(sh.q, sh.q[n:])] // the shard keeps its array
 		hs.stats.NotifyBatches++
 		hs.rpc.Notify(p, opTxnDoneBatch, frame)
 	}

@@ -266,9 +266,9 @@ func TestFlushBatchReleasesShippedOps(t *testing.T) {
 			// test can watch the op itself; nobody waits on its completion.
 			px.nextReq++
 			px.nextTxnSeq++
-			op := &batchOp{reqID: px.nextReq, txnSeq: px.nextTxnSeq,
-				payload: (&objstore.Transaction{}).Write("pg", "o", 0, seeded(4<<10, byte(i))).EncodeBL()}
-			runtime.SetFinalizer(op, func(op *batchOp) { freed <- op.reqID })
+			op := newBatchOp(px.nextReq, px.nextTxnSeq,
+				(&objstore.Transaction{}).Write("pg", "o", 0, seeded(4<<10, byte(i))).EncodeBL())
+			runtime.SetFinalizer(op, func(op *pendingTxn) { freed <- op.reqID })
 			px.enqueueBatch(p, op)
 		}
 		p.Wait(sim.Second)

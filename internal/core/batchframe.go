@@ -47,14 +47,14 @@ type batchEntry struct {
 
 // encodeBatchFrame frames the ops; payloads ride as zero-copy segments
 // spliced between the fixed headers (Bufferlist-assembly mode).
-func encodeBatchFrame(ops []*batchOp) *wire.Bufferlist {
+func encodeBatchFrame(ops []*pendingTxn) *wire.Bufferlist {
 	e := wire.NewEncoderBL(make([]byte, 0, batchFrameOverhead(len(ops))))
 	e.U32(batchFrameMagic)
 	e.U32(uint32(len(ops)))
 	for _, op := range ops {
 		e.U64(op.reqID)
 		e.U64(op.txnSeq)
-		e.BufferlistField(op.payload)
+		e.BufferlistField(&op.frame.Bufferlist)
 	}
 	return e.Bufferlist()
 }

@@ -8,18 +8,21 @@ import (
 
 // frameBytes builds a valid frame over the given (reqID, txnSeq, payload)
 // triples and returns its flat encoding.
-func frameBytes(ops []*batchOp) []byte {
+func frameBytes(ops []*pendingTxn) []byte {
 	return encodeBatchFrame(ops).Bytes()
 }
 
-func testOps(n int, payloadLen int) []*batchOp {
-	ops := make([]*batchOp, 0, n)
+// newBatchOp is what the batcher queues: a pendingTxn holding its frame.
+func newBatchOp(reqID, txnSeq uint64, payload *wire.Bufferlist) *pendingTxn {
+	op := &pendingTxn{reqID: reqID, txnSeq: txnSeq}
+	op.frame.Init().AppendBufferlist(payload)
+	return op
+}
+
+func testOps(n int, payloadLen int) []*pendingTxn {
+	ops := make([]*pendingTxn, 0, n)
 	for i := 0; i < n; i++ {
-		ops = append(ops, &batchOp{
-			reqID:   uint64(100 + i),
-			txnSeq:  uint64(200 + i),
-			payload: seeded(payloadLen, byte(i)),
-		})
+		ops = append(ops, newBatchOp(uint64(100+i), uint64(200+i), seeded(payloadLen, byte(i))))
 	}
 	return ops
 }
@@ -28,17 +31,13 @@ func testOps(n int, payloadLen int) []*batchOp {
 // several requests are in flight at once: nreq requests round-robin through
 // the frame, each contributing perReq ops with its own txnSeq progression
 // and a payload size that differs per request.
-func mqInterleavedOps(nreq, perReq int) []*batchOp {
-	ops := make([]*batchOp, 0, nreq*perReq)
+func mqInterleavedOps(nreq, perReq int) []*pendingTxn {
+	ops := make([]*pendingTxn, 0, nreq*perReq)
 	seq := make([]uint64, nreq)
 	for round := 0; round < perReq; round++ {
 		for r := 0; r < nreq; r++ {
 			seq[r]++
-			ops = append(ops, &batchOp{
-				reqID:   uint64(1 + r),
-				txnSeq:  seq[r],
-				payload: seeded(32<<r, byte(r*16+round)),
-			})
+			ops = append(ops, newBatchOp(uint64(1+r), seq[r], seeded(32<<r, byte(r*16+round))))
 		}
 	}
 	return ops
@@ -47,14 +46,10 @@ func mqInterleavedOps(nreq, perReq int) []*batchOp {
 // mqQueueLocalOps builds a frame as one queue of a queues-wide engine would
 // carry it under ReqID-hash steering: every ReqID is congruent to q mod
 // queues, so the frame covers a strided slice of the request space.
-func mqQueueLocalOps(queues, q, n int) []*batchOp {
-	ops := make([]*batchOp, 0, n)
+func mqQueueLocalOps(queues, q, n int) []*pendingTxn {
+	ops := make([]*pendingTxn, 0, n)
 	for i := 0; i < n; i++ {
-		ops = append(ops, &batchOp{
-			reqID:   uint64(q + (i+1)*queues),
-			txnSeq:  uint64(1 + i),
-			payload: seeded(64+i*96, byte(q*32+i)),
-		})
+		ops = append(ops, newBatchOp(uint64(q+(i+1)*queues), uint64(1+i), seeded(64+i*96, byte(q*32+i))))
 	}
 	return ops
 }
@@ -90,7 +85,7 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 			}
 			for i, en := range entries {
 				if en.reqID != ops[i].reqID || en.txnSeq != ops[i].txnSeq ||
-					!en.payload.Equal(ops[i].payload) {
+					!en.payload.Equal(&ops[i].frame.Bufferlist) {
 					t.Fatalf("entry %d mismatch", i)
 				}
 			}
@@ -222,11 +217,11 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 				t.Fatalf("accepted frame with %d entries", len(entries))
 			}
 			// Re-encode what decoded and check it decodes identically.
-			ops := make([]*batchOp, 0, len(entries))
+			ops := make([]*pendingTxn, 0, len(entries))
 			var total int
 			for _, en := range entries {
 				total += en.payload.Length()
-				ops = append(ops, &batchOp{reqID: en.reqID, txnSeq: en.txnSeq, payload: en.payload})
+				ops = append(ops, newBatchOp(en.reqID, en.txnSeq, en.payload))
 			}
 			if total > len(raw) {
 				t.Fatalf("payload bytes %d exceed input %d", total, len(raw))

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -788,40 +789,81 @@ func streamChunks(t *testing.T, p *sim.Proc, px *Proxy, chunk *wire.Bufferlist, 
 var objNames = [...]string{"stream_obj_0", "stream_obj_1", "stream_obj_2", "stream_obj_3",
 	"stream_obj_4", "stream_obj_5", "stream_obj_6", "stream_obj_7", "stream_obj_8", "stream_obj_9"}
 
-// crossingAllocCeiling is one above what a crossing allocates today (14:
-// the caller's transaction; its frame buffer and list; the pendingTxn and its
-// segments; two segment views; the hostTxn; the joined payload; the decoded
-// transaction and its data view; BlueStore's txc and extent; the notification's
-// envelope). The next record somebody adds to the path fails here, not in a
-// benchmark.
-const crossingAllocCeiling = 15
-
 // TestCrossingAllocationBudget holds one transaction crossing — proxy, DMA
 // engine, host assembly, BlueStore commit, completion RPC — to its allocation
-// budget, on the shape the streamed 16 MiB write submits sixteen times per op.
+// budget, one above each shape's count today, so that the next record
+// somebody adds to the path fails here, not in a benchmark:
+//
+//   - "stream chunk" (9.05): the 2 MiB write the streamed 16 MiB op submits
+//     sixteen times, into an object eight chunks share, in two DMA segments.
+//     The caller's transaction; the pendingTxn, which holds the encoded frame
+//     and its metadata; its segments, each holding its view of the frame; the
+//     hostTxn, which holds the decoded transaction and its op; the joined
+//     payload; the decoded data view; BlueStore's txc; the commit
+//     notification's envelope; and, once per eight chunks, the object's onode
+//     and decoded name and its extent table's growth.
+//   - "4 MiB new object" (10.06): the shape paper-4M-doceph crosses with, in
+//     three segments. The same records, the joined list still one object (four
+//     slices), and the new object's onode and name every time.
+//   - "batched 64 KiB new object" (18.06): one op per frame, as batch-64K-mq4
+//     mostly ships. The caller's transaction and the pendingTxn; the
+//     batchFrame, which holds the transfer, its tag and the op's trace slots;
+//     the batch frame's header bytes and list, whose segment table grows
+//     twice; the host's unpacked entries and the payload's view of the frame;
+//     the hostTxn, the data view, the name, the txc and the onode; the
+//     coalesced notification's bytes, list, envelope and unpacked entries.
 func TestCrossingAllocationBudget(t *testing.T) {
-	r := newCoreRig(BridgeConfig{})
-	r.run(t, func(p *sim.Proc) {
-		px := r.bridge.Proxy
-		if err := commitP(t, p, px, (&objstore.Transaction{}).MkColl("pg.0")); err != nil {
-			t.Fatal(err)
+	chunk, big, small := seeded(2<<20, 5), seeded(4<<20, 6), seeded(64<<10, 7)
+	var names [80]string
+	for i := range names {
+		names[i] = "benchmark_data_w0_" + strconv.Itoa(i)
+	}
+	newObject := func(data *wire.Bufferlist) func(*testing.T, *sim.Proc, *Proxy, int) {
+		return func(t *testing.T, p *sim.Proc, px *Proxy, i int) {
+			if err := commitP(t, p, px, objstore.NewTransaction().Write("pg.0", names[i], 0, data)); err != nil {
+				t.Fatalf("write %d: %v", i, err)
+			}
 		}
-		chunk := seeded(2<<20, 5)
-		streamChunks(t, p, px, chunk, 0, 16) // pools, maps and queues reach their size
-		const crossings = 64
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		streamChunks(t, p, px, chunk, 16, crossings)
-		runtime.ReadMemStats(&after)
-		per := float64(after.Mallocs-before.Mallocs) / crossings
-		t.Logf("%.2f allocations per crossing", per)
-		if per > crossingAllocCeiling {
-			t.Fatalf("%.2f allocations per crossing, want at most %d", per, crossingAllocCeiling)
-		}
-		if n := r.bridge.EngUp.Stats().Transfers; n != 2*(16+crossings)+1 {
-			t.Fatalf("%d transfers; want two per chunk (2 MiB and the header's tail)", n)
-		}
-	})
+	}
+	for _, c := range []struct {
+		name      string
+		cfg       BridgeConfig
+		ceiling   float64
+		transfers int // per crossing
+		cross     func(t *testing.T, p *sim.Proc, px *Proxy, i int)
+	}{
+		{"stream chunk", BridgeConfig{}, 10, 2, func(t *testing.T, p *sim.Proc, px *Proxy, i int) {
+			streamChunks(t, p, px, chunk, i, 1)
+		}},
+		{"4 MiB new object", BridgeConfig{}, 11, 3, newObject(big)},
+		{"batched 64 KiB new object", BridgeConfig{Batch: BatchConfig{Enable: true}}, 19, 1, newObject(small)},
+	} {
+		r := newCoreRig(c.cfg)
+		r.run(t, func(p *sim.Proc) {
+			px := r.bridge.Proxy
+			if err := commitP(t, p, px, (&objstore.Transaction{}).MkColl("pg.0")); err != nil {
+				t.Fatal(err)
+			}
+			const warm, crossings = 16, 64 // pools, maps and queues reach their size while warming
+			for i := 0; i < warm; i++ {
+				c.cross(t, p, px, i)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := warm; i < warm+crossings; i++ {
+				c.cross(t, p, px, i)
+			}
+			runtime.ReadMemStats(&after)
+			per := float64(after.Mallocs-before.Mallocs) / crossings
+			t.Logf("%s: %.2f allocations, %.0f B per crossing", c.name, per, float64(after.TotalAlloc-before.TotalAlloc)/crossings)
+			if per > c.ceiling {
+				t.Errorf("%s: %.2f allocations per crossing, want at most %.0f", c.name, per, c.ceiling)
+			}
+			if n := r.bridge.EngUp.Stats().Transfers; n != int64(c.transfers*(warm+crossings)+1) {
+				t.Errorf("%s: %d transfers; want %d per crossing", c.name, n, c.transfers)
+			}
+		})
+	}
 }
 
 // readAllocCeiling is one above what a 4 KiB read crossing allocates today (4:

@@ -138,8 +138,8 @@ type notifyShard struct {
 }
 
 // hostTxn is one transaction on the host: its segments while they arrive
-// (hs.asm), its turn in the ordered commit queue (hs.readyTxns), and the task
-// that reports its commit.
+// (hs.asm), the transaction they decode into, its turn in the ordered commit
+// queue (hs.readyTxns), and the task that reports its commit.
 type hostTxn struct {
 	hs    *HostServer
 	reqID uint64
@@ -154,7 +154,12 @@ type hostTxn struct {
 	// queue is the DMA queue index the transaction's frame rode; its commit
 	// notification goes to the matching notify shard.
 	queue int
-	txn   *objstore.Transaction
+	// dec is the decoded transaction, over op for a one-op frame (empty after
+	// a decode error). The data views its ops hold are separate objects:
+	// BlueStore's extents keep them for the object's life, and must not pin
+	// the record.
+	dec objstore.Transaction
+	op  [1]objstore.Op
 	// silent suppresses the commit notification (the error was already
 	// reported; the entry only keeps the sequence moving).
 	silent bool
@@ -330,17 +335,17 @@ func (hs *HostServer) addSegment(p *sim.Proc, reqID, txnSeq uint64, seg, total i
 	}
 	hs.tr.AddCPU(a.span, hs.cpu.Name(),
 		hs.cpu.ExecSelf(p, int64(float64(payload.Length())*assembleCyclesPerByte)))
-	txn, err := objstore.DecodeTransactionBL(payload, &hs.names)
-	if err != nil {
-		// Report the failure but keep the commit sequence moving with an
+	a.dec.Ops = a.op[:0]
+	if err := a.dec.DecodeBL(payload, &hs.names); err != nil {
+		// Report the failure but keep the commit sequence moving with the
 		// empty transaction in this slot.
 		hs.notifyTxnDone(a, rcIO, 0)
-		txn, a.silent = &objstore.Transaction{}, true
+		a.silent = true
 	} else {
 		// The host-commit span parents the local BlueStore's aio/kv spans.
-		txn.TraceCtx = uint64(a.span)
+		a.dec.TraceCtx = uint64(a.span)
 	}
-	a.txn, a.ready = txn, p.Now()
+	a.ready = p.Now()
 	hs.readyTxns[txnSeq] = a
 	for {
 		rt, ok := hs.readyTxns[hs.nextCommit]
@@ -356,7 +361,7 @@ func (hs *HostServer) addSegment(p *sim.Proc, reqID, txnSeq uint64, seg, total i
 func (hs *HostServer) commit(p *sim.Proc, rt *hostTxn) {
 	rt.start = p.Now()
 	hs.tr.AddQueueWait(rt.span, p.Now().Sub(rt.ready))
-	rt.res = hs.store.QueueTransaction(p, rt.txn)
+	rt.res = hs.store.QueueTransaction(p, &rt.dec)
 	hs.env.After(&rt.res.Done, rt)
 }
 

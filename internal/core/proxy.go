@@ -133,8 +133,13 @@ type Proxy struct {
 	// Batcher state (live only when batch.Enable; see batch.go).
 	thBatch    *sim.Thread
 	batchCond  *sim.Cond
-	batchQ     []*batchOp
+	batchQ     []*pendingTxn
 	batchBytes int64
+	// batchFrames holds a frame on the engine until its proxy-batch-dma proc,
+	// which finds it by id, takes it; batchBody is settleBatch as a func
+	// value, made once.
+	batchFrames map[uint64]*batchFrame
+	batchBody   func(*sim.Proc)
 	// batchSeq counts arrivals; the flush loop compares it across an
 	// IdleDelay sleep to detect a quiet queue.
 	batchSeq uint64
@@ -170,11 +175,18 @@ func (px *Proxy) noteStage(n int64) {
 
 func (px *Proxy) noteUnstage(n int64) { px.stagingBytes -= n }
 
+// txnMetaBytes is the encoded-transaction metadata a pendingTxn carries
+// inline: 45 bytes of fixed fields and length prefixes for a one-op write, and
+// 75 of names ("pg.123" and "benchmark_data_w15_12345" fit), which fills the
+// record's 384-byte size class. A longer frame grows by append.
+const txnMetaBytes = 120
+
 // pendingTxn is everything one in-flight transaction owns on the proxy, in
-// one allocation: the Result handed back to the caller, what its proxy-tx
-// proc ships (the proc finds the record by its id, so it needs no closure)
-// and the host's commit notification that completes it. The caller reads res
-// long after Done: never recycle one.
+// one allocation: the Result handed back to the caller, the encoded
+// transaction its proxy-tx proc (or the batcher) ships — the proc finds the
+// record by its id, so it needs no closure — and the host's commit
+// notification that completes it. The caller reads res long after Done: never
+// recycle one.
 type pendingTxn struct {
 	px            *Proxy
 	reqID, txnSeq uint64
@@ -182,10 +194,15 @@ type pendingTxn struct {
 	done          sim.Event
 	code          uint16
 	hostWriteNano int64
-	payload       *wire.Bufferlist
-	ctx           trace.SpanID
-	useDMA        bool
-	streamReuse   bool
+	// frame is the encoded transaction, its metadata written over meta and
+	// its payload segments shared, until it has shipped: then Init drops
+	// what the slots referenced, since the caller keeps pt much longer.
+	frame       wire.Inline2
+	meta        [txnMetaBytes]byte
+	ctx         trace.SpanID
+	enq         sim.Time // when the batcher queued it
+	useDMA      bool
+	streamReuse bool
 }
 
 // Run completes the caller's Result; the host's commit notification is in.
@@ -199,12 +216,13 @@ func (pt *pendingTxn) Run() {
 }
 
 // segment is one in-flight DMA segment of a transaction: the engine
-// transfer, the tag the host poller reads off it and its trace span. A
-// transaction's segments are allocated together.
+// transfer, the tag the host poller reads off it, its view of the frame and
+// its trace span. A transaction's segments are allocated together.
 type segment struct {
 	px   *Proxy
 	t    doca.Transfer
 	hdr  segHeader
+	view wire.Inline2
 	span trace.SpanID
 }
 
@@ -273,6 +291,8 @@ func NewProxy(env *sim.Env, dev *dpu.DPU, rpcEnd *rpcchan.Endpoint,
 		}
 		px.thBatch = sim.NewThread("proxy-batch@"+dev.Name, ProxyThreadCat)
 		px.batchCond = sim.NewCond()
+		px.batchFrames = make(map[uint64]*batchFrame)
+		px.batchBody = px.settleBatch
 		env.SpawnDaemon("proxy-batch@"+dev.Name, func(p *sim.Proc) { px.batchLoop(p) })
 	}
 	return px
@@ -427,23 +447,24 @@ func (px *Proxy) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objst
 	if ctx != 0 {
 		serSp = px.tr.Start(ctx, 0, trace.StageSerialize, px.dev.Name)
 	}
-	payload := txn.EncodeBL()
+	pt := &pendingTxn{px: px, ctx: ctx, streamReuse: txn.StreamReuse}
+	payload := pt.frame.Init()
+	txn.EncodeBLInto(pt.meta[:], payload)
 	serBusy := px.dev.CPU.ExecSelf(p, int64(float64(payload.Length())*serializeCyclesPerByte))
 	px.tr.AddCPU(serSp, px.dev.CPU.Name(), serBusy)
 	px.tr.AddBytes(serSp, int64(payload.Length()))
 	px.tr.Finish(serSp)
 
 	px.nextReq++
-	reqID := px.nextReq
+	pt.reqID = px.nextReq
 	px.nextTxnSeq++
-	txnSeq := px.nextTxnSeq
-	pt := &pendingTxn{px: px, reqID: reqID, txnSeq: txnSeq}
-	px.pendingTxns[reqID] = pt
+	pt.txnSeq = px.nextTxnSeq
+	px.pendingTxns[pt.reqID] = pt
 
 	if px.batch.Enable && int64(payload.Length()) <= px.batch.MaxOpBytes {
 		// Small op: hand it to the batcher, which ships it coalesced with
 		// its neighbours; completion still arrives per op.
-		px.enqueueBatch(p, &batchOp{reqID: reqID, txnSeq: txnSeq, payload: payload, ctx: ctx})
+		px.enqueueBatch(p, pt)
 		px.env.After(&pt.done, pt)
 		return &pt.res
 	}
@@ -454,8 +475,7 @@ func (px *Proxy) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objst
 	} else {
 		px.stats.FallbackTxns++
 	}
-	pt.payload, pt.ctx, pt.streamReuse = payload, ctx, txn.StreamReuse
-	px.env.SpawnID("proxy-tx:", reqID, px.txBody)
+	px.env.SpawnID("proxy-tx:", pt.reqID, px.txBody)
 	return &pt.res
 }
 
@@ -467,9 +487,9 @@ func (px *Proxy) shipTxn(tp *sim.Proc) {
 	if pt.useDMA {
 		px.shipViaDMA(tp, pt)
 	} else {
-		px.shipViaRPC(tp, pt.reqID, pt.txnSeq, pt.payload)
+		px.shipViaRPC(tp, pt.reqID, pt.txnSeq, &pt.frame.Bufferlist)
 	}
-	pt.payload = nil // shipped; the caller keeps pt, through res, much longer
+	pt.frame.Init() // shipped; the caller keeps pt, through res, much longer
 	pt.done.Wait(tp)
 	pt.Run()
 }
@@ -535,6 +555,11 @@ func (c cut) view(i int) *wire.Bufferlist {
 	return c.payload.SubList(i*int(c.segBytes), int(c.size(i)))
 }
 
+// viewInto appends segment i's view of the payload to dst.
+func (c cut) viewInto(dst *wire.Bufferlist, i int) {
+	c.payload.ViewInto(dst, i*int(c.segBytes), int(c.size(i)))
+}
+
 // shipViaDMA cuts payload into segments and pipelines stage+transfer. On a
 // segment error the completed segments are preserved and the rest falls
 // back to RPC (paper §4). ctx, when non-zero, parents per-segment
@@ -544,7 +569,7 @@ func (c cut) view(i int) *wire.Bufferlist {
 // back-to-back chunks of a stream pay the amortized setup.
 func (px *Proxy) shipViaDMA(p *sim.Proc, pt *pendingTxn) {
 	reqID, txnSeq, ctx, streamReuse := pt.reqID, pt.txnSeq, pt.ctx, pt.streamReuse
-	c := newCut(pt.payload, px.dev.Buffers.BufferBytes(), px.engUp)
+	c := newCut(&pt.frame.Bufferlist, px.dev.Buffers.BufferBytes(), px.engUp)
 	total := c.total
 	px.ensureRegions(p)
 
@@ -573,7 +598,6 @@ func (px *Proxy) shipViaDMA(p *sim.Proc, pt *pendingTxn) {
 		if px.cfg.DisableMRCache {
 			px.cc.Negotiate(p, px.hostMR)
 		}
-		data := c.view(i)
 		px.tr.AddBytes(stageSp, n)
 		px.tr.Finish(stageSp)
 		var dmaSp trace.SpanID
@@ -589,6 +613,8 @@ func (px *Proxy) shipViaDMA(p *sim.Proc, pt *pendingTxn) {
 		sg.px, sg.span = px, dmaSp
 		sg.hdr = segHeader{kind: segTxn, reqID: reqID, seg: i, total: total,
 			txnSeq: txnSeq, traceCtx: uint64(ctx)}
+		data := sg.view.Init()
+		c.viewInto(data, i)
 		sg.t = doca.Transfer{
 			ReqID: reqID, Seg: i, TotalSegs: total, Bytes: n, Data: data,
 			Src: px.dpuMR, Dst: px.hostMR, TraceCtx: uint64(ctx),

@@ -62,7 +62,7 @@ func segmented(raw []byte, segLen int) *wire.Bufferlist {
 }
 
 // sameTxn compares two decoded transactions by content (payloads by their
-// bytes, not by how they are segmented).
+// bytes, not by how they are segmented; no ops is no ops, in a slot or nil).
 func sameTxn(a, b *Transaction) bool {
 	if (a == nil) != (b == nil) {
 		return false
@@ -70,7 +70,7 @@ func sameTxn(a, b *Transaction) bool {
 	if a == nil {
 		return true
 	}
-	if len(a.Ops) != len(b.Ops) || (a.Ops == nil) != (b.Ops == nil) {
+	if len(a.Ops) != len(b.Ops) {
 		return false
 	}
 	for i := range a.Ops {
@@ -86,16 +86,15 @@ func sameTxn(a, b *Transaction) bool {
 	return true
 }
 
-// transactionFrames returns valid transaction frames plus every truncation
-// and a sweep of single-byte corruptions of them (the same seed shapes
-// FuzzDecodeBatchFrame carries its entries in): lengths, counts and op codes
-// all get hit.
-func transactionFrames() [][]byte {
+// sampleTxns returns transactions of every shape the frame carries: none, one
+// op without data and with, and seven ops mixing codes, attrs and payloads
+// (the last).
+func sampleTxns() []*Transaction {
 	data := make([]byte, 300)
 	for i := range data {
 		data[i] = byte(i * 13)
 	}
-	txns := []*Transaction{
+	return []*Transaction{
 		{},
 		(&Transaction{}).MkColl("pg.0"),
 		(&Transaction{}).Write("pg.1", "obj", 64, wire.FromBytes(data)),
@@ -103,8 +102,15 @@ func transactionFrames() [][]byte {
 			SetAttr("pg.1", "o", "k", []byte("value")).OmapSet("pg.1", "o", "key", nil).
 			Write("pg.1", "o", 4096, wire.FromBytes(data[:5])).Truncate("pg.1", "o", 9).Remove("pg.1", "gone"),
 	}
+}
+
+// transactionFrames returns valid transaction frames plus every truncation
+// and a sweep of single-byte corruptions of them (the same seed shapes
+// FuzzDecodeBatchFrame carries its entries in): lengths, counts and op codes
+// all get hit.
+func transactionFrames() [][]byte {
 	var corpus [][]byte
-	for _, txn := range txns {
+	for _, txn := range sampleTxns() {
 		raw := txn.EncodeBL().Bytes()
 		corpus = append(corpus, raw)
 		for cut := 0; cut < len(raw); cut++ {
@@ -123,26 +129,45 @@ func transactionFrames() [][]byte {
 }
 
 // checkAgainstReference decodes raw, delivered in segLen-byte segments, with
-// both decoders: same transaction, or an error from both with the same
-// message.
-func checkAgainstReference(t *testing.T, raw []byte, segLen int) {
+// the reference decoder, with DecodeTransactionBL and with DecodeBL into
+// reused — a record that has decoded other frames before — and requires the
+// same transaction from all three, or an error from all three with the same
+// message (and no ops left in reused).
+func checkAgainstReference(t *testing.T, raw []byte, segLen int, reused *Transaction) {
 	t.Helper()
-	got, gotErr := DecodeTransactionBL(segmented(raw, segLen), &Names{})
 	want, wantErr := decodeTransactionBLRef(segmented(raw, segLen))
-	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-		t.Fatalf("%d-byte frame %x in %d-byte segments: err %v, reference %v", len(raw), raw, segLen, gotErr, wantErr)
+	got, gotErr := DecodeTransactionBL(segmented(raw, segLen), &Names{})
+	reused.TraceCtx, reused.StreamReuse = 1, true // outside the encoded form: cleared
+	intoErr := reused.DecodeBL(segmented(raw, segLen), &Names{})
+	into := reused
+	if intoErr != nil {
+		if len(reused.Ops) != 0 {
+			t.Fatalf("%d-byte frame %x in %d-byte segments: %d ops left after %v", len(raw), raw, segLen, len(reused.Ops), intoErr)
+		}
+		into = nil
 	}
-	if !sameTxn(got, want) {
-		t.Fatalf("%d-byte frame %x in %d-byte segments: decoded %+v, reference %+v", len(raw), raw, segLen, got, want)
+	for _, d := range []struct {
+		name string
+		txn  *Transaction
+		err  error
+	}{{"DecodeTransactionBL", got, gotErr}, {"DecodeBL into a reused transaction", into, intoErr}} {
+		if (d.err == nil) != (wantErr == nil) || (d.err != nil && d.err.Error() != wantErr.Error()) {
+			t.Fatalf("%s: %d-byte frame %x in %d-byte segments: err %v, reference %v", d.name, len(raw), raw, segLen, d.err, wantErr)
+		}
+		if !sameTxn(d.txn, want) || d.txn != nil && (d.txn.TraceCtx != 0 || d.txn.StreamReuse) {
+			t.Fatalf("%s: %d-byte frame %x in %d-byte segments: decoded %+v, reference %+v", d.name, len(raw), raw, segLen, d.txn, want)
+		}
 	}
 }
 
-// TestDecodeTransactionBLMatchesReference runs both decoders over the frame
-// corpus, delivered contiguous and scattered across small segments.
+// TestDecodeTransactionBLMatchesReference runs the decoders over the frame
+// corpus, delivered contiguous and scattered across small segments, decoding
+// into one transaction throughout.
 func TestDecodeTransactionBLMatchesReference(t *testing.T) {
+	reused := NewTransaction()
 	for _, raw := range transactionFrames() {
 		for _, segLen := range []int{len(raw) + 1, 7, 1} {
-			checkAgainstReference(t, raw, segLen)
+			checkAgainstReference(t, raw, segLen, reused)
 		}
 	}
 }
@@ -150,13 +175,22 @@ func TestDecodeTransactionBLMatchesReference(t *testing.T) {
 // FuzzDecodeTransactionBL: the decoder every DMA'd segment and RPC-fallback
 // frame goes through on the host never panics, whatever the bytes and however
 // they are cut into segments, and accepts exactly what the reference decoder
-// accepts, with the same result.
+// accepts, with the same result. The decode-into form runs twice in a row on
+// one transaction that first held a seven-op frame, so a reused record never
+// carries ops from the frame before.
 func FuzzDecodeTransactionBL(f *testing.F) {
 	for i, raw := range transactionFrames() {
 		f.Add(raw, uint16(i%9))
 	}
+	txns := sampleTxns()
+	rich := txns[len(txns)-1].EncodeBL()
 	f.Fuzz(func(t *testing.T, raw []byte, segLen uint16) {
-		checkAgainstReference(t, raw, int(segLen)+1)
+		reused := NewTransaction()
+		if err := reused.DecodeBL(rich, &Names{}); err != nil || len(reused.Ops) != 7 {
+			t.Fatalf("seven-op frame: %d ops, err %v", len(reused.Ops), err)
+		}
+		checkAgainstReference(t, raw, int(segLen)+1, reused)
+		checkAgainstReference(t, raw, len(raw)+1, reused)
 	})
 }
 
@@ -183,11 +217,38 @@ func TestDecodeTransactionBLAllocs(t *testing.T) {
 	if len(txn.Ops) != 1 || txn.Ops[0].Data.Length() != 2<<20 || txn.Ops[0].Object != "bench_w3_117" {
 		t.Fatalf("decoded %+v", txn.Ops)
 	}
+	// Into a record that holds the transaction and its op slot, as the host's
+	// does: the payload view alone.
+	rec := &struct {
+		txn Transaction
+		op  [1]Op
+	}{}
+	rec.txn.Ops = rec.op[:0]
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := rec.txn.DecodeBL(frame, &last); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Fatalf("DecodeBL: %.0f allocations into a one-op record with the names of the frame before, want at most 1", allocs)
+	}
+	if len(rec.txn.Ops) != 1 || &rec.txn.Ops[0] != &rec.op[0] || rec.txn.Ops[0].Data.Length() != 2<<20 {
+		t.Fatalf("decoded into the record: %+v", rec.txn.Ops)
+	}
 	// The frame itself: the metadata buffer and the list with its segment
-	// table.
+	// table — or nothing, into a list and bytes the caller holds.
 	txn = NewTransaction().Write("pg.17", "bench_w3_117", 0, wire.FromBytes(make([]byte, 2<<20)))
 	if allocs := testing.AllocsPerRun(100, func() { frame = txn.EncodeBL() }); allocs > 2 {
 		t.Fatalf("EncodeBL: %.0f allocations for a one-write transaction, want at most 2", allocs)
+	}
+	out := &struct {
+		frame wire.Inline2
+		meta  [112]byte
+	}{}
+	if allocs := testing.AllocsPerRun(100, func() { txn.EncodeBLInto(out.meta[:], out.frame.Init()) }); allocs > 0 {
+		t.Fatalf("EncodeBLInto: %.0f allocations into a caller's list and bytes, want 0", allocs)
+	}
+	if !out.frame.Equal(frame) || &out.frame.FirstSegment()[0] != &out.meta[0] {
+		t.Fatal("EncodeBLInto: frame differs from EncodeBL's, or its metadata is not in the caller's bytes")
 	}
 	// A one-op builder is one object; a second op moves the ops to a grown
 	// slice and leaves the first where it was.

@@ -240,38 +240,49 @@ func DecodeTransaction(d *wire.Decoder) (*Transaction, error) {
 // DoCeph data plane uses: a multi-megabyte write costs no payload memcpy to
 // frame or parse.
 func (t *Transaction) EncodeBL() *wire.Bufferlist {
-	// Length prefix and metadata share one buffer; the prefix is patched in
-	// once the metadata length is known.
-	meta := wire.NewEncoder(4 + 64 + 64*len(t.Ops))
-	meta.U32(0)
-	meta.U32(uint32(len(t.Ops)))
 	segs := 1
 	for i := range t.Ops {
+		if d := t.Ops[i].Data; d != nil {
+			segs += d.Segments()
+		}
+	}
+	bl := wire.Sized(segs)
+	t.EncodeBLInto(make([]byte, 0, 4+64+64*len(t.Ops)), bl)
+	return bl
+}
+
+// EncodeBLInto is EncodeBL into storage the caller owns: the metadata is
+// written over meta's array (grown by append when it does not fit) and the
+// frame is appended to dst. The frame shares meta's array and the payloads'.
+func (t *Transaction) EncodeBLInto(meta []byte, dst *wire.Bufferlist) {
+	// Length prefix and metadata share one buffer; the prefix is patched in
+	// once the metadata length is known.
+	e := wire.EncoderOn(meta)
+	e.U32(0)
+	e.U32(uint32(len(t.Ops)))
+	for i := range t.Ops {
 		op := &t.Ops[i]
-		meta.U8(uint8(op.Code))
-		meta.String(op.Collection)
-		meta.String(op.Object)
-		meta.U64(op.Offset)
-		meta.U64(op.Length)
+		e.U8(uint8(op.Code))
+		e.String(op.Collection)
+		e.String(op.Object)
+		e.U64(op.Offset)
+		e.U64(op.Length)
 		var dataLen int
 		if op.Data != nil {
 			dataLen = op.Data.Length()
-			segs += op.Data.Segments()
 		}
-		meta.U32(uint32(dataLen))
-		meta.String(op.AttrName)
-		meta.Blob(op.AttrValue)
+		e.U32(uint32(dataLen))
+		e.String(op.AttrName)
+		e.Blob(op.AttrValue)
 	}
-	frame := meta.Bytes()
+	frame := e.Bytes()
 	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
-	bl := wire.Sized(segs)
-	bl.Append(frame)
+	dst.Append(frame)
 	for i := range t.Ops {
 		if t.Ops[i].Data != nil {
-			bl.AppendBufferlist(t.Ops[i].Data)
+			dst.AppendBufferlist(t.Ops[i].Data)
 		}
 	}
-	return bl
 }
 
 // Names is the collection and object of the last op a decoder read. A
@@ -279,28 +290,44 @@ func (t *Transaction) EncodeBL() *wire.Bufferlist {
 // stream chunks, so the decoder shares equal names instead of allocating them.
 type Names struct{ Collection, Object string }
 
-// DecodeTransactionBL parses a frame produced by EncodeBL. Data payloads
-// are zero-copy views into bl. It reads and updates last.
+// DecodeTransactionBL parses a frame produced by EncodeBL into a new
+// transaction. Data payloads are zero-copy views into bl. It reads and
+// updates last.
 func DecodeTransactionBL(bl *wire.Bufferlist, last *Names) (*Transaction, error) {
+	t := NewTransaction()
+	if err := t.DecodeBL(bl, last); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// DecodeBL is DecodeTransactionBL into t, which a record can hold inline: it
+// replaces t's ops, keeping their array when it has room (a transaction over a
+// one-op slot decodes a one-op frame without allocating), and clears the
+// fields outside the encoded form. On error t holds no ops.
+func (t *Transaction) DecodeBL(bl *wire.Bufferlist, last *Names) error {
+	*t = Transaction{Ops: t.Ops[:0]}
+	if err := t.decodeOps(bl, last); err != nil {
+		t.Ops = t.Ops[:0]
+		return err
+	}
+	return nil
+}
+
+func (t *Transaction) decodeOps(bl *wire.Bufferlist, last *Names) error {
 	if bl.Length() < 4 {
-		return nil, fmt.Errorf("objstore: frame too short (%d bytes)", bl.Length())
+		return fmt.Errorf("objstore: frame too short (%d bytes)", bl.Length())
 	}
 	metaLen := int(binary.LittleEndian.Uint32(bl.Prefix(4)))
 	if 4+metaLen > bl.Length() {
-		return nil, fmt.Errorf("objstore: meta length %d exceeds frame %d", metaLen, bl.Length())
+		return fmt.Errorf("objstore: meta length %d exceeds frame %d", metaLen, bl.Length())
 	}
 	d := wire.NewDecoder(bl.Prefix(4 + metaLen)[4:])
 	n := d.U32()
-	var t *Transaction
 	// An op's metadata is at least minOpMeta bytes, so a count the metadata
 	// cannot hold (the decode fails below) does not size the slice.
-	switch k := min(int(n), metaLen/minOpMeta); k {
-	case 0:
-		t = &Transaction{}
-	case 1:
-		t = NewTransaction()
-	default:
-		t = &Transaction{Ops: make([]Op, 0, k)}
+	if k := min(int(n), metaLen/minOpMeta); k > cap(t.Ops) {
+		t.Ops = make([]Op, 0, k)
 	}
 	dataOff := 4 + metaLen
 	for i := uint32(0); i < n && d.Err() == nil; i++ {
@@ -317,7 +344,7 @@ func DecodeTransactionBL(bl *wire.Bufferlist, last *Names) (*Transaction, error)
 		op.AttrValue = d.Blob()
 		if dataLen > 0 {
 			if dataOff+dataLen > bl.Length() {
-				return nil, fmt.Errorf("objstore: data overruns frame")
+				return fmt.Errorf("objstore: data overruns frame")
 			}
 			op.Data = bl.SubList(dataOff, dataLen)
 			dataOff += dataLen
@@ -325,9 +352,9 @@ func DecodeTransactionBL(bl *wire.Bufferlist, last *Names) (*Transaction, error)
 		t.Ops = append(t.Ops, op)
 	}
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("objstore: decoding transaction frame: %w", err)
+		return fmt.Errorf("objstore: decoding transaction frame: %w", err)
 	}
-	return t, nil
+	return nil
 }
 
 // minOpMeta is the encoded size of an op with empty names and no data:

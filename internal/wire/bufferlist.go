@@ -55,24 +55,41 @@ func (w *Inline1) Init() *Bufferlist {
 	return &w.Bufferlist
 }
 
+// Inline2 is Inline1 with two slots: a transaction frame (metadata and one
+// payload segment) or a DMA segment's view of one.
+type Inline2 struct {
+	Bufferlist
+	slot [2][]byte
+}
+
+// Init empties the list onto its own slots, dropping what they referenced
+// (and a table an append grew past them), and returns it.
+func (w *Inline2) Init() *Bufferlist {
+	w.slot = [2][]byte{}
+	w.segs, w.length = w.slot[:0], 0
+	return &w.Bufferlist
+}
+
 // Sized returns an empty list with room for n segments, the table in the
-// list's own allocation when n is at most three (a frame header and a payload
-// that crossed PCIe in two pieces).
+// list's own allocation when n is at most four (a transaction's metadata and a
+// payload that crossed PCIe in up to three pieces).
 func Sized(n int) *Bufferlist {
 	switch {
 	case n <= 1:
 		return new(Inline1).Init()
 	case n == 2:
-		w := &struct {
-			Bufferlist
-			slot [2][]byte
-		}{}
-		w.segs = w.slot[:0]
-		return &w.Bufferlist
+		return new(Inline2).Init()
 	case n == 3:
 		w := &struct {
 			Bufferlist
 			slot [3][]byte
+		}{}
+		w.segs = w.slot[:0]
+		return &w.Bufferlist
+	case n == 4:
+		w := &struct {
+			Bufferlist
+			slot [4][]byte
 		}{}
 		w.segs = w.slot[:0]
 		return &w.Bufferlist
@@ -191,34 +208,51 @@ func (bl *Bufferlist) FirstSegment() []byte {
 // SubList returns a zero-copy view of n bytes starting at off. It panics if
 // the range is out of bounds (programmer error, mirroring slice semantics).
 func (bl *Bufferlist) SubList(off, n int) *Bufferlist {
-	if off < 0 || n < 0 || off+n > bl.length {
-		panic(fmt.Sprintf("wire: SubList(%d,%d) out of range (len %d)", off, n, bl.length))
-	}
+	first, last, _ := bl.span(off, n)
 	if n == 0 {
 		return &Bufferlist{}
 	}
+	out := Sized(last - first + 1)
+	bl.ViewInto(out, off, n)
+	return out
+}
+
+// ViewInto appends to dst a zero-copy view of n bytes of bl starting at off:
+// SubList into a list the caller owns, so a record that embeds its list (an
+// Inline2) takes a view without allocating. It panics like SubList.
+func (bl *Bufferlist) ViewInto(dst *Bufferlist, off, n int) {
+	first, last, skip := bl.span(off, n)
+	dst.length += n
+	for i := first; i <= last; i++ {
+		s := bl.segs[i][skip:]
+		if len(s) > n {
+			s = s[:n]
+		}
+		dst.segs = append(dst.segs, s)
+		n -= len(s)
+		skip = 0
+	}
+}
+
+// span locates n bytes at off: the first and last segments they touch and
+// the offset into the first. An empty range touches none (last < first).
+func (bl *Bufferlist) span(off, n int) (first, last, skip int) {
+	if off < 0 || n < 0 || off+n > bl.length {
+		panic(fmt.Sprintf("wire: view (%d,%d) out of range (len %d)", off, n, bl.length))
+	}
+	if n == 0 {
+		return 0, -1, 0
+	}
 	// Segments are never empty, so off+n <= length bounds both walks.
-	first := 0
 	for off >= len(bl.segs[first]) {
 		off -= len(bl.segs[first])
 		first++
 	}
-	last := first
+	last = first
 	for covered := len(bl.segs[first]) - off; covered < n; covered += len(bl.segs[last]) {
 		last++
 	}
-	out := Sized(last - first + 1)
-	out.length = n
-	for i := first; i <= last; i++ {
-		s := bl.segs[i][off:]
-		if len(s) > n {
-			s = s[:n]
-		}
-		out.segs = append(out.segs, s)
-		n -= len(s)
-		off = 0
-	}
-	return out
+	return first, last, off
 }
 
 // CRC32C computes the Castagnoli CRC over the logical content without

@@ -15,9 +15,12 @@ type Encoder struct {
 }
 
 // NewEncoder returns a flat encoder preallocating capacity hint bytes.
-func NewEncoder(hint int) *Encoder {
-	return &Encoder{buf: make([]byte, 0, hint)}
-}
+func NewEncoder(hint int) *Encoder { return EncoderOn(make([]byte, 0, hint)) }
+
+// EncoderOn returns a flat encoder writing over buf's array from its start, so
+// a record can encode into bytes it holds inline; a payload longer than
+// cap(buf) grows by append.
+func EncoderOn(buf []byte) *Encoder { return &Encoder{buf: buf[:0]} }
 
 // NewEncoderBL returns an encoder assembling into a Bufferlist, using
 // scratch (typically from GetBuffer) as the initial header segment storage.

@@ -262,8 +262,9 @@ func TestQuickCRCSegmentationInvariant(t *testing.T) {
 
 // TestSegmentTableSizedOnce: building a view or joining lists allocates the
 // list and its segment table and nothing else — no 1, 2, 4 regrowth of the
-// table however many segments are involved — and a result of up to three
-// segments is one object, the table behind the list.
+// table however many segments are involved — a result of up to four segments
+// is one object, the table behind the list, and a view into a list the caller
+// holds allocates nothing while it fits the caller's slots.
 func TestSegmentTableSizedOnce(t *testing.T) {
 	src := &Bufferlist{}
 	for i := 0; i < 9; i++ {
@@ -276,12 +277,15 @@ func TestSegmentTableSizedOnce(t *testing.T) {
 	one := make([]byte, 100)
 	two := []*Bufferlist{FromBytes(one), FromBytes(one)}
 	three := []*Bufferlist{src.SubList(50, 100), FromBytes(one)}
+	four := []*Bufferlist{src.SubList(50, 100), FromBytes(one), FromBytes(one)}
+	var held Inline2
 	cases := []struct {
 		name string
 		want float64
 		fn   func()
 	}{
 		{"SubList over 7 segments", 2, func() { sink = src.SubList(150, 600) }},
+		{"SubList over 4 segments", 1, func() { sink = src.SubList(150, 300) }},
 		{"SubList over 3 segments", 1, func() { sink = src.SubList(150, 200) }},
 		{"SubList over 2 segments", 1, func() { sink = src.SubList(150, 100) }},
 		{"SubList within one", 1, func() { sink = src.SubList(110, 50) }},
@@ -292,7 +296,9 @@ func TestSegmentTableSizedOnce(t *testing.T) {
 			sink = bl
 		}},
 		{"Concat of 9 segments", 2, func() { sink = Concat(parts) }},
+		{"Concat of 4 segments", 1, func() { sink = Concat(four) }},
 		{"Concat of 3 segments", 1, func() { sink = Concat(three) }},
+		{"ViewInto an Inline2 over 2 segments", 0, func() { src.ViewInto(held.Init(), 150, 100) }},
 		{"Concat of 2 segments", 1, func() { sink = Concat(two) }},
 		{"Concat of one list", 0, func() { sink = Concat(parts[:1]) }},
 		{"NewBufferlist of 9", 2, func() { sink = NewBufferlist(src.segs...) }},
@@ -312,6 +318,33 @@ func TestSegmentTableSizedOnce(t *testing.T) {
 	if got := Concat(parts[:1]); got != parts[0] {
 		t.Fatal("Concat of a single list did not return that list")
 	}
+}
+
+// TestViewInto: a view appended to a list the caller holds is SubList's view,
+// after whatever the list held, and Inline2.Init drops what the slots held —
+// past them too, when an append had grown the table.
+func TestViewInto(t *testing.T) {
+	bl := NewBufferlist([]byte("abcd"), []byte("efgh"), []byte("ijkl"))
+	var w Inline2
+	dst := w.Init()
+	dst.Append([]byte("xy"))
+	bl.ViewInto(dst, 2, 0) // empty: nothing appended
+	bl.ViewInto(dst, 2, 8)
+	if got := string(dst.Bytes()); got != "xycdefghij" || dst.Length() != 10 || dst.Segments() != 4 {
+		t.Fatalf("ViewInto after a segment: %q in %d segments", got, dst.Segments())
+	}
+	if !dst.SubList(2, 8).Equal(bl.SubList(2, 8)) {
+		t.Fatal("ViewInto and SubList disagree")
+	}
+	if w.Init().Length() != 0 || cap(w.segs) != 2 || &w.segs[:1][0] != &w.slot[0] || w.slot[0] != nil || w.slot[1] != nil {
+		t.Fatal("Init kept the segments of the grown list reachable")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ViewInto past the end did not panic")
+		}
+	}()
+	bl.ViewInto(w.Init(), 10, 3)
 }
 
 var sink *Bufferlist

@@ -31,7 +31,10 @@
 # and rados was added at 63.9%, its client call holding its event by value,
 # and again when the wall-clock sweep and internal/perf were deleted (perf
 # left the gate; cluster 89.9% from 88.9%: the scale-out imbalance figures
-# and their tests moved in beside ScaleOutResult, floor 84 -> 85);
+# and their tests moved in beside ScaleOutResult, floor 84 -> 85), and
+# wire (87.7%) and objstore (96.1%) were added when a write crossing became
+# one record on each side and both gained a form that encodes, views or
+# decodes into storage the caller holds (87.2% and 95.8% before it);
 # each is set ~5 points below to absorb small refactors. Raise floors when
 # coverage improves, never lower them to make a PR pass.
 set -eu
@@ -72,5 +75,7 @@ gate ./internal/crush 92
 gate ./internal/gateway 80
 gate ./internal/bluestore 80
 gate ./internal/rpcchan 92
+gate ./internal/wire 82.7
+gate ./internal/objstore 91.1
 
 exit $fail
