@@ -201,7 +201,7 @@ func Example_dashboard() {
 	// [18.0s] HEALTH_OK                  writes/s osd.0=6.0 osd.1=5.2 osd.2=8.0
 	// -- killing osd.1
 	// [24.0s] HEALTH_WARN; 1 OSD(s) down writes/s osd.0=4.8 osd.1=5.2 osd.2=5.2
-	// [30.0s] HEALTH_WARN; 1 OSD(s) down writes/s osd.0=2.4 osd.1=stale osd.2=4.6
+	// [30.0s] HEALTH_WARN; 1 OSD(s) down writes/s osd.0=2.4 osd.1=stale osd.2=4.4
 	// [36.0s] HEALTH_WARN; 1 OSD(s) down writes/s osd.0=7.6 osd.1=stale osd.2=11.6
 	// -- restarting osd.1
 	// [42.0s] HEALTH_OK                  writes/s osd.0=5.4 osd.1=1.5 osd.2=9.2

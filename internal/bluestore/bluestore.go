@@ -1,6 +1,6 @@
 // Package bluestore implements a BlueStore-like transactional object store:
 // collections of objects with sparse extent data, an extent allocator over a
-// virtual block device, onode metadata (attrs, omap) kept on the objects with
+// virtual block device, onode metadata (attrs) kept on the objects with
 // its commit cost charged explicitly, a write-ahead (deferred-write) path for
 // small writes and a direct data path for large ones, and the
 // bstore_aio/bstore_kv thread pair that Ceph's perf breakdown attributes
@@ -149,7 +149,6 @@ type onode struct {
 	version uint64
 	mtime   sim.Time
 	attrs   map[string][]byte
-	omap    map[string][]byte
 	extents []extent // sorted by off, non-overlapping
 	// blocks are device extents backing the object, tracked for free-space
 	// accounting.
@@ -428,25 +427,6 @@ func (s *Store) applyOp(op *objstore.Op) error {
 		o.attrs[op.AttrName] = op.AttrValue
 		o.bump(s.env.Now())
 		return nil
-	case objstore.OpOmapSet:
-		o, ok := c.objects[op.Object]
-		if !ok {
-			return objstore.ErrNotFound
-		}
-		if o.omap == nil {
-			o.omap = make(map[string][]byte)
-		}
-		o.omap[op.AttrName] = op.AttrValue
-		o.bump(s.env.Now())
-		return nil
-	case objstore.OpOmapRm:
-		o, ok := c.objects[op.Object]
-		if !ok {
-			return objstore.ErrNotFound
-		}
-		delete(o.omap, op.AttrName)
-		o.bump(s.env.Now())
-		return nil
 	}
 	return fmt.Errorf("unknown op code %d", op.Code)
 }
@@ -657,33 +637,6 @@ func (s *Store) lookup(p *sim.Proc, coll, obj string) (*onode, error) {
 		return nil, objstore.ErrNotFound
 	}
 	return o, nil
-}
-
-// OmapGet implements objstore.Store.
-func (s *Store) OmapGet(p *sim.Proc, coll, obj, key string) ([]byte, error) {
-	o, err := s.lookup(p, coll, obj)
-	if err != nil {
-		return nil, err
-	}
-	v, ok := o.omap[key]
-	if !ok {
-		return nil, objstore.ErrNotFound
-	}
-	return v, nil
-}
-
-// OmapKeys implements objstore.Store.
-func (s *Store) OmapKeys(p *sim.Proc, coll, obj string) ([]string, error) {
-	o, err := s.lookup(p, coll, obj)
-	if err != nil {
-		return nil, err
-	}
-	keys := make([]string, 0, len(o.omap))
-	for k := range o.omap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys, nil
 }
 
 // DataObject names one stored object that holds byte extents.

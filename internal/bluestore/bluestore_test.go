@@ -569,40 +569,6 @@ func TestTransactionEncodeDecode(t *testing.T) {
 	}
 }
 
-func TestOmapSetGetKeysRm(t *testing.T) {
-	env, s := newTestStore(Config{})
-	runStore(t, env, func(p *sim.Proc) {
-		mkColl(t, p, s, "c")
-		txn := (&objstore.Transaction{}).
-			Touch("c", "o").
-			OmapSet("c", "o", "zeta", []byte("1")).
-			OmapSet("c", "o", "alpha", []byte("2"))
-		if err := commit(t, p, s, txn); err != nil {
-			t.Fatal(err)
-		}
-		v, err := s.OmapGet(p, "c", "o", "alpha")
-		if err != nil || string(v) != "2" {
-			t.Fatalf("get=%q err=%v", v, err)
-		}
-		keys, err := s.OmapKeys(p, "c", "o")
-		if err != nil || len(keys) != 2 || keys[0] != "alpha" || keys[1] != "zeta" {
-			t.Fatalf("keys=%v err=%v", keys, err)
-		}
-		if err := commit(t, p, s, (&objstore.Transaction{}).OmapRm("c", "o", "zeta")); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.OmapGet(p, "c", "o", "zeta"); !errors.Is(err, objstore.ErrNotFound) {
-			t.Fatalf("err=%v", err)
-		}
-		if _, err := s.OmapGet(p, "c", "ghost", "k"); !errors.Is(err, objstore.ErrNotFound) {
-			t.Fatalf("err=%v", err)
-		}
-		if err := commit(t, p, s, (&objstore.Transaction{}).OmapSet("c", "ghost", "k", nil)); !errors.Is(err, objstore.ErrNotFound) {
-			t.Fatalf("omapset on missing object: %v", err)
-		}
-	})
-}
-
 // Property: for any sequence of allocate/release pairs, the allocator never
 // double-allocates overlapping extents and conserves free space.
 func TestQuickAllocatorNoOverlapConservation(t *testing.T) {

@@ -98,12 +98,6 @@ const (
 	OpRead
 	OpStat
 	OpDelete
-	// Omap client ops (librados' omap family, used by gateway bucket
-	// indexes).
-	OpOmapSet
-	OpOmapGet
-	OpOmapKeys
-	OpOmapRm
 )
 
 // FlagBalanceReads marks a read the client is willing to have served by
@@ -124,14 +118,6 @@ func (o Op) String() string {
 		return "stat"
 	case OpDelete:
 		return "delete"
-	case OpOmapSet:
-		return "omap-set"
-	case OpOmapGet:
-		return "omap-get"
-	case OpOmapKeys:
-		return "omap-keys"
-	case OpOmapRm:
-		return "omap-rm"
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
@@ -161,9 +147,7 @@ type MOSDOp struct {
 	// Flags carries op modifiers (FlagBalanceReads); packed into the op
 	// byte's high bits on the wire.
 	Flags uint8
-	// Key addresses omap operations; Data carries write payloads and omap
-	// values.
-	Key  string
+	// Data carries write payloads.
 	Data *wire.Bufferlist
 	// TraceCtx is the sender's trace span context (trace.SpanID as a raw
 	// uint64). It is simulator instrumentation, not protocol state: it is
@@ -184,13 +168,12 @@ func (m *MOSDOp) EncodePayload(e *wire.Encoder) {
 	e.U8(uint8(m.Op) | m.Flags)
 	e.U64(m.Offset)
 	e.U64(m.Length)
-	e.String(m.Key)
 	e.BufferlistField(data(m.Data))
 }
 
 // PayloadBytes implements Message.
 func (m *MOSDOp) PayloadBytes() int64 {
-	return 64 + int64(len(m.Src)+len(m.Pool)+len(m.Object)+len(m.Key)) +
+	return 64 + int64(len(m.Src)+len(m.Pool)+len(m.Object)) +
 		int64(data(m.Data).Length())
 }
 
@@ -243,7 +226,6 @@ type MRepOp struct {
 	Object string
 	Op     Op
 	Offset uint64
-	Key    string
 	Data   *wire.Bufferlist
 	// TraceCtx carries the trace span context out-of-band (see MOSDOp).
 	TraceCtx uint64
@@ -260,13 +242,12 @@ func (m *MRepOp) EncodePayload(e *wire.Encoder) {
 	e.String(m.Object)
 	e.U8(uint8(m.Op))
 	e.U64(m.Offset)
-	e.String(m.Key)
 	e.BufferlistField(data(m.Data))
 }
 
 // PayloadBytes implements Message.
 func (m *MRepOp) PayloadBytes() int64 {
-	return 48 + int64(len(m.Object)+len(m.Key)) + int64(data(m.Data).Length())
+	return 48 + int64(len(m.Object)) + int64(data(m.Data).Length())
 }
 
 // MRepOpReply acknowledges an MRepOp.
@@ -381,10 +362,6 @@ type MPGPush struct {
 	// Force overwrites the target's copy even if present (scrub repair).
 	Force bool
 	Data  *wire.Bufferlist
-	// OmapKeys/OmapVals carry the object's key-value map; recovery must
-	// rebuild it along with the data or bucket indexes would be lost.
-	OmapKeys []string
-	OmapVals [][]byte
 }
 
 // MsgType implements Message.
@@ -399,20 +376,11 @@ func (m *MPGPush) EncodePayload(e *wire.Encoder) {
 	e.U64(m.Version)
 	e.Bool(m.Force)
 	e.BufferlistField(data(m.Data))
-	e.U32(uint32(len(m.OmapKeys)))
-	for i := range m.OmapKeys {
-		e.String(m.OmapKeys[i])
-		e.Blob(m.OmapVals[i])
-	}
 }
 
 // PayloadBytes implements Message.
 func (m *MPGPush) PayloadBytes() int64 {
-	n := 48 + int64(len(m.Object)) + int64(data(m.Data).Length())
-	for i := range m.OmapKeys {
-		n += int64(len(m.OmapKeys[i])+len(m.OmapVals[i])) + 8
-	}
-	return n
+	return 48 + int64(len(m.Object)) + int64(data(m.Data).Length())
 }
 
 // MPGPushAck confirms a pushed object is durable on the target.
@@ -702,7 +670,7 @@ func decodeMsg(d *wire.Decoder, depth int) (Message, error) {
 		b := d.U8()
 		op.Op, op.Flags = Op(b&^FlagBalanceReads), b&FlagBalanceReads
 		op.Offset, op.Length = d.U64(), d.U64()
-		op.Key, op.Data = d.String(), d.BufferlistField()
+		op.Data = d.BufferlistField()
 		m = op
 	case TOSDOpReply:
 		m = &MOSDOpReply{
@@ -713,8 +681,7 @@ func decodeMsg(d *wire.Decoder, depth int) (Message, error) {
 	case TRepOp:
 		m = &MRepOp{
 			Tid: d.U64(), Epoch: d.U32(), PGID: d.U32(), Object: d.String(),
-			Op: Op(d.U8()), Offset: d.U64(), Key: d.String(),
-			Data: d.BufferlistField(),
+			Op: Op(d.U8()), Offset: d.U64(), Data: d.BufferlistField(),
 		}
 	case TRepOpReply:
 		m = &MRepOpReply{Tid: d.U64(), PGID: d.U32(), Result: int32(d.U32())}
@@ -732,16 +699,10 @@ func decodeMsg(d *wire.Decoder, depth int) (Message, error) {
 	case TOSDFailure:
 		m = &MOSDFailure{Reporter: d.String(), Failed: int32(d.U32()), Epoch: d.U32()}
 	case TPGPush:
-		mp := &MPGPush{
+		m = &MPGPush{
 			Tid: d.U64(), Epoch: d.U32(), PGID: d.U32(), Object: d.String(),
 			Version: d.U64(), Force: d.Bool(), Data: d.BufferlistField(),
 		}
-		nk := d.U32()
-		for i := uint32(0); i < nk && d.Err() == nil; i++ {
-			mp.OmapKeys = append(mp.OmapKeys, d.String())
-			mp.OmapVals = append(mp.OmapVals, d.Blob())
-		}
-		m = mp
 	case TPGPushAck:
 		m = &MPGPushAck{Tid: d.U64(), PGID: d.U32(), Object: d.String(),
 			Result: int32(d.U32())}

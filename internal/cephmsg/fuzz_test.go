@@ -30,7 +30,7 @@ func fuzzSeeds() []Message {
 		&MOSDOp{Tid: 1, Epoch: 2, Src: "client.0", Pool: "benchmark_data",
 			Object: "obj-1", Op: OpWrite, Offset: 0, Length: 16, Data: payload},
 		&MOSDOp{Tid: 2, Epoch: 2, Src: "client.0", Pool: "p", Object: "o",
-			Op: OpOmapSet, Key: "k", Data: payload},
+			Op: OpRead, Flags: FlagBalanceReads, Offset: 4096, Length: 16},
 		&MOSDOpReply{Tid: 1, Object: "obj-1", Op: OpRead, Result: 0,
 			Version: 3, Size: 16, Data: payload},
 		&MRepOp{Tid: 4, Epoch: 2, PGID: 17, Object: "obj-1", Op: OpWrite,
@@ -41,8 +41,7 @@ func fuzzSeeds() []Message {
 		&MOSDMap{Epoch: 7, Up: []int32{0, 1}},
 		&MOSDFailure{Reporter: "osd.0", Failed: 1, Epoch: 7},
 		&MPGPush{Tid: 9, Epoch: 7, PGID: 3, Object: "obj-2", Version: 5,
-			Force: true, Data: payload, OmapKeys: []string{"a"},
-			OmapVals: [][]byte{{1, 2}}},
+			Force: true, Data: payload},
 		&MPGPushAck{Tid: 9, PGID: 3, Object: "obj-2", Result: 0},
 		&MScrub{Tid: 11, PGID: 3, Object: "obj-2"},
 		&MScrubReply{Tid: 11, PGID: 3, Object: "obj-2", Exists: true,

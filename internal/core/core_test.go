@@ -529,36 +529,6 @@ func TestConcurrentProxyWrites(t *testing.T) {
 	})
 }
 
-func TestProxyOmapOverControlPlane(t *testing.T) {
-	r := newCoreRig(BridgeConfig{})
-	r.run(t, func(p *sim.Proc) {
-		px := r.bridge.Proxy
-		txn := (&objstore.Transaction{}).MkColl("pg.m").
-			Touch("pg.m", "o").
-			OmapSet("pg.m", "o", "bucket-index", []byte("entry1"))
-		if err := commitP(t, p, px, txn); err != nil {
-			t.Fatal(err)
-		}
-		v, err := px.OmapGet(p, "pg.m", "o", "bucket-index")
-		if err != nil || string(v) != "entry1" {
-			t.Fatalf("get=%q err=%v", v, err)
-		}
-		keys, err := px.OmapKeys(p, "pg.m", "o")
-		if err != nil || len(keys) != 1 || keys[0] != "bucket-index" {
-			t.Fatalf("keys=%v err=%v", keys, err)
-		}
-		if _, err := px.OmapGet(p, "pg.m", "o", "ghost"); !errors.Is(err, objstore.ErrNotFound) {
-			t.Fatalf("err=%v", err)
-		}
-		// Omap reads ride the control plane, not DMA.
-		before := r.bridge.EngUp.Stats().Transfers
-		_, _ = px.OmapKeys(p, "pg.m", "o")
-		if r.bridge.EngUp.Stats().Transfers != before {
-			t.Fatal("omap used the DMA path")
-		}
-	})
-}
-
 // TestProxyPeakStagingHighWater pins the staging-occupancy accounting: a
 // single sub-segment write stages exactly its payload (the high-water mark
 // equals the write size), and a segmented write never stages more than the

@@ -220,8 +220,6 @@ func NewHostServer(env *sim.Env, hostCPU *sim.CPU, store objstore.Store,
 	rpcEnd.Handle(opList, hs.onList)
 	rpcEnd.Handle(opSegFallback, hs.onSegFallback)
 	rpcEnd.Handle(opReadFallback, hs.onReadFallback)
-	rpcEnd.Handle(opOmapGet, hs.onOmapGet)
-	rpcEnd.Handle(opOmapKeys, hs.onOmapKeys)
 	rpcEnd.Handle(opBatchFallback, hs.onBatchFallback)
 	if hs.batch.Enable {
 		n := engUp.NumQueues()
@@ -538,38 +536,6 @@ func (hs *HostServer) onList(p *sim.Proc, req rpcchan.Request,
 		return
 	}
 	respond(encodeList(names), rcOK)
-}
-
-func (hs *HostServer) onOmapGet(p *sim.Proc, req rpcchan.Request,
-	respond func(*wire.Bufferlist, uint16)) {
-	hs.stats.ControlRequests++
-	coll, obj, key, err := decodeOmapRef(req.Payload)
-	if err != nil {
-		respond(nil, rcIO)
-		return
-	}
-	v, gerr := hs.store.OmapGet(p, coll, obj, key)
-	if gerr != nil {
-		respond(nil, errToCode(gerr))
-		return
-	}
-	respond(wire.FromBytes(v), rcOK)
-}
-
-func (hs *HostServer) onOmapKeys(p *sim.Proc, req rpcchan.Request,
-	respond func(*wire.Bufferlist, uint16)) {
-	hs.stats.ControlRequests++
-	coll, obj, err := decodeObjRef(req.Payload)
-	if err != nil {
-		respond(nil, rcIO)
-		return
-	}
-	keys, kerr := hs.store.OmapKeys(p, coll, obj)
-	if kerr != nil {
-		respond(nil, errToCode(kerr))
-		return
-	}
-	respond(encodeList(keys), rcOK)
 }
 
 // onSegFallback files a transaction segment arriving over the RPC path

@@ -42,10 +42,6 @@ const (
 	// opReadDone notifies the DPU that a read finished (error case or
 	// zero-length; data segments arrive via DMA).
 	opReadDone
-	// opOmapGet / opOmapKeys serve the object-map metadata facility on the
-	// control plane.
-	opOmapGet
-	opOmapKeys
 	// opBatchFallback carries a whole batch frame (many coalesced small
 	// transactions) over RPC in ONE call — the batched submit used during
 	// cooldown and after a batch DMA error.
@@ -258,22 +254,6 @@ func decodeReadDone(bl *wire.Bufferlist) (reqID uint64, code uint16, totalSegs i
 	code = d.U16()
 	totalSegs = int(d.U32())
 	return reqID, code, totalSegs, d.Err()
-}
-
-func encodeOmapRef(coll, obj, key string) *wire.Bufferlist {
-	e := wire.NewEncoder(len(coll) + len(obj) + len(key) + 12)
-	e.String(coll)
-	e.String(obj)
-	e.String(key)
-	return e.Bufferlist()
-}
-
-func decodeOmapRef(bl *wire.Bufferlist) (coll, obj, key string, err error) {
-	d := wire.NewDecoderBL(bl)
-	coll = d.String()
-	obj = d.String()
-	key = d.String()
-	return coll, obj, key, d.Err()
 }
 
 // encodeStatReq / decodeStatResp and friends: control-plane codecs.

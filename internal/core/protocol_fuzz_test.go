@@ -58,13 +58,6 @@ var controlCodecs = map[string]func(*wire.Bufferlist) (*wire.Bufferlist, error){
 		}
 		return encodeObjRef(coll, obj), nil
 	},
-	"omapRef": func(bl *wire.Bufferlist) (*wire.Bufferlist, error) {
-		coll, obj, key, err := decodeOmapRef(bl)
-		if err != nil {
-			return nil, err
-		}
-		return encodeOmapRef(coll, obj, key), nil
-	},
 	"statResp": func(bl *wire.Bufferlist) (*wire.Bufferlist, error) {
 		st, err := decodeStatResp(bl)
 		if err != nil {
@@ -105,7 +98,7 @@ func FuzzControlFrames(f *testing.F) {
 		encodeReadDone(5, rcOK, 2),
 		encodeTxnDoneBatch([]txnDoneEntry{{1, rcOK, 10}, {2, rcIO, -1}}),
 		encodeObjRef("pg.1", "benchmark_data_w0_0"),
-		encodeOmapRef("meta", "pgmeta", "key"),
+		encodeObjRef("pg.7", ""), // a List request
 		encodeStatResp(objstore.StatInfo{Size: 4 << 20, Version: 3, Mtime: 99}),
 		encodeList([]string{"a", "bc", ""}),
 	} {

@@ -862,28 +862,9 @@ func (px *Proxy) Exists(p *sim.Proc, coll, obj string) bool {
 	return err == nil && resp.Length() == 1 && resp.Bytes()[0] == 1
 }
 
-// OmapGet implements objstore.Store over the control plane.
-func (px *Proxy) OmapGet(p *sim.Proc, coll, obj, key string) ([]byte, error) {
-	resp, err := px.control(p, opOmapGet, encodeOmapRef(coll, obj, key))
-	if err != nil {
-		return nil, err
-	}
-	return resp.Bytes(), nil
-}
-
-// OmapKeys implements objstore.Store over the control plane.
-func (px *Proxy) OmapKeys(p *sim.Proc, coll, obj string) ([]string, error) {
-	return px.listCall(p, opOmapKeys, encodeObjRef(coll, obj))
-}
-
 // List implements objstore.Store over the control plane.
 func (px *Proxy) List(p *sim.Proc, coll string) ([]string, error) {
-	return px.listCall(p, opList, encodeObjRef(coll, ""))
-}
-
-// listCall is a control call answered with a list of names.
-func (px *Proxy) listCall(p *sim.Proc, op uint16, req *wire.Bufferlist) ([]string, error) {
-	resp, err := px.control(p, op, req)
+	resp, err := px.control(p, opList, encodeObjRef(coll, ""))
 	if err != nil {
 		return nil, err
 	}

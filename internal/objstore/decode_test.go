@@ -99,7 +99,7 @@ func sampleTxns() []*Transaction {
 		(&Transaction{}).MkColl("pg.0"),
 		(&Transaction{}).Write("pg.1", "obj", 64, wire.FromBytes(data)),
 		(&Transaction{}).Touch("pg.1", "o").Write("pg.1", "o", 0, segmented(data, 37)).
-			SetAttr("pg.1", "o", "k", []byte("value")).OmapSet("pg.1", "o", "key", nil).
+			SetAttr("pg.1", "o", "k", []byte("value")).Zero("pg.1", "zero", 0, 1).
 			Write("pg.1", "o", 4096, wire.FromBytes(data[:5])).Truncate("pg.1", "o", 9).Remove("pg.1", "gone"),
 	}
 }

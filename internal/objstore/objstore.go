@@ -37,10 +37,6 @@ const (
 	OpSetAttr
 	OpMkColl
 	OpRmColl
-	// OpOmapSet / OpOmapRm mutate an object's key-value map (the omap
-	// facility RGW bucket indexes and RBD metadata are built on).
-	OpOmapSet
-	OpOmapRm
 )
 
 func (c OpCode) String() string {
@@ -61,10 +57,6 @@ func (c OpCode) String() string {
 		return "mkcoll"
 	case OpRmColl:
 		return "rmcoll"
-	case OpOmapSet:
-		return "omapset"
-	case OpOmapRm:
-		return "omaprm"
 	}
 	return fmt.Sprintf("opcode(%d)", uint8(c))
 }
@@ -159,20 +151,6 @@ func (t *Transaction) MkColl(coll string) *Transaction {
 // RmColl removes an (empty) collection.
 func (t *Transaction) RmColl(coll string) *Transaction {
 	t.Ops = append(t.Ops, Op{Code: OpRmColl, Collection: coll})
-	return t
-}
-
-// OmapSet sets one key of obj's object map.
-func (t *Transaction) OmapSet(coll, obj, key string, value []byte) *Transaction {
-	t.Ops = append(t.Ops, Op{Code: OpOmapSet, Collection: coll, Object: obj,
-		AttrName: key, AttrValue: value})
-	return t
-}
-
-// OmapRm removes one key of obj's object map.
-func (t *Transaction) OmapRm(coll, obj, key string) *Transaction {
-	t.Ops = append(t.Ops, Op{Code: OpOmapRm, Collection: coll, Object: obj,
-		AttrName: key})
 	return t
 }
 
@@ -396,8 +374,4 @@ type Store interface {
 	Exists(p *sim.Proc, coll, obj string) bool
 	// List returns the sorted object names in coll.
 	List(p *sim.Proc, coll string) ([]string, error)
-	// OmapGet returns the value of one omap key of obj.
-	OmapGet(p *sim.Proc, coll, obj, key string) ([]byte, error)
-	// OmapKeys returns obj's omap keys in sorted order.
-	OmapKeys(p *sim.Proc, coll, obj string) ([]string, error)
 }

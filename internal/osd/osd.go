@@ -575,11 +575,8 @@ func (o *OSD) registerRep(p *sim.Proc, mu *mutation, sec int32, sub cephmsg.MRep
 // travels as chunks, so its m.Data is nil here as well.
 func subOp(m *cephmsg.MOSDOp, pg uint32, repSp trace.SpanID) cephmsg.MRepOp {
 	sub := cephmsg.MRepOp{PGID: pg, Object: m.Object, Op: m.Op, TraceCtx: uint64(repSp)}
-	switch m.Op {
-	case cephmsg.OpWrite:
+	if m.Op == cephmsg.OpWrite {
 		sub.Offset, sub.Data = m.Offset, m.Data
-	case cephmsg.OpOmapSet, cephmsg.OpOmapRm:
-		sub.Key, sub.Data = m.Key, m.Data
 	}
 	return sub
 }
@@ -678,14 +675,12 @@ func (o *OSD) handleClientOp(p *sim.Proc, src string, m *cephmsg.MOSDOp, sp trac
 		return
 	}
 	switch m.Op {
-	case cephmsg.OpWrite, cephmsg.OpDelete, cephmsg.OpOmapSet, cephmsg.OpOmapRm:
+	case cephmsg.OpWrite, cephmsg.OpDelete:
 		o.handleMutation(p, src, m, pg, acting, sp)
 	case cephmsg.OpRead:
 		o.handleRead(p, src, m, pg, sp)
 	case cephmsg.OpStat:
 		o.handleStat(p, src, m, pg, sp)
-	case cephmsg.OpOmapGet, cephmsg.OpOmapKeys:
-		o.handleOmapRead(p, src, m, pg, sp)
 	}
 }
 
@@ -733,50 +728,29 @@ func (o *OSD) reject(src string, m *cephmsg.MOSDOp, sp trace.SpanID, res int32) 
 // mutates reports whether a client op alters replicated state and is
 // therefore subject to the min_size write-quorum gate.
 func mutates(op cephmsg.Op) bool {
-	switch op {
-	case cephmsg.OpWrite, cephmsg.OpDelete, cephmsg.OpOmapSet, cephmsg.OpOmapRm:
-		return true
-	}
-	return false
+	return op == cephmsg.OpWrite || op == cephmsg.OpDelete
 }
 
 // mutationTxn fills txn with the store ops of one replicated mutation: the
 // primary's from the client's op, a replica's from the sub-op it was sent, so
 // every acting store applies the same thing.
 func mutationTxn(txn *objstore.Transaction, coll string, op cephmsg.Op, object string,
-	off uint64, key string, data *wire.Bufferlist) {
-	switch op {
-	case cephmsg.OpDelete:
+	off uint64, data *wire.Bufferlist) {
+	if op == cephmsg.OpDelete {
 		txn.Remove(coll, object)
-	case cephmsg.OpOmapSet, cephmsg.OpOmapRm:
-		// Touch makes the op self-sufficient: setting an index entry
-		// implicitly creates the index object, as librados' omap ops do.
-		txn.Touch(coll, object)
-		if op == cephmsg.OpOmapRm {
-			txn.OmapRm(coll, object, key)
-			return
-		}
-		var val []byte
-		if data != nil {
-			// Shared, not copied: the client's payload segment travels into the
-			// omap store as-is (producers follow the Bufferlist aliasing
-			// contract and never reuse payload slices).
-			val = data.ContiguousBytes()
-		}
-		txn.OmapSet(coll, object, key, val)
-	default:
-		txn.Write(coll, object, off, data)
+		return
 	}
+	txn.Write(coll, object, off, data)
 }
 
 // handleMutation is the replicated write path of every mutating op (write,
-// delete, omap set/rm): local commit via the ObjectStore plus one MRepOp per
+// delete): local commit via the ObjectStore plus one MRepOp per
 // secondary; the client ack is withheld until every part is durable.
 func (o *OSD) handleMutation(p *sim.Proc, src string, m *cephmsg.MOSDOp, pg uint32, acting []int32, sp trace.SpanID) {
 	lock := o.pgLock(pg)
 	lock.Acquire(p, 1)
 	mu := newMutation(src, m, sp, len(acting)-1)
-	mutationTxn(&mu.txn, pgColl(pg), m.Op, m.Object, m.Offset, m.Key, m.Data)
+	mutationTxn(&mu.txn, pgColl(pg), m.Op, m.Object, m.Offset, m.Data)
 	if m.Op != cephmsg.OpDelete {
 		// A delete creates nothing: in a PG with no collection yet it has to
 		// find nothing, not make one.
@@ -843,38 +817,6 @@ func (o *OSD) completeMutation(p *sim.Proc, mu *mutation, commitErr bool) {
 	o.tr.Finish(mu.sp)
 }
 
-// handleOmapRead serves omap get/keys from the local (primary) store.
-func (o *OSD) handleOmapRead(p *sim.Proc, src string, m *cephmsg.MOSDOp, pg uint32, sp trace.SpanID) {
-	reply := &cephmsg.MOSDOpReply{Tid: m.Tid, Object: m.Object, Op: m.Op, TraceCtx: m.TraceCtx}
-	lock := o.pgLock(pg)
-	lock.Acquire(p, 1)
-	switch m.Op {
-	case cephmsg.OpOmapGet:
-		v, err := o.store.OmapGet(p, pgColl(pg), m.Object, m.Key)
-		if err != nil {
-			reply.Result = cephmsg.ResNotFound
-		} else {
-			reply.Data = wire.FromBytes(v)
-		}
-	case cephmsg.OpOmapKeys:
-		keys, err := o.store.OmapKeys(p, pgColl(pg), m.Object)
-		if err != nil {
-			reply.Result = cephmsg.ResNotFound
-		} else {
-			e := wire.NewEncoder(64)
-			e.U32(uint32(len(keys)))
-			for _, k := range keys {
-				e.String(k)
-			}
-			reply.Data = e.Bufferlist()
-		}
-	}
-	lock.Release(1)
-	o.stats.ClientReads++
-	o.msgr.Send(src, reply)
-	o.tr.Finish(sp)
-}
-
 func (o *OSD) handleRead(p *sim.Proc, src string, m *cephmsg.MOSDOp, pg uint32, sp trace.SpanID) {
 	lock := o.pgLock(pg)
 	lock.Acquire(p, 1)
@@ -921,7 +863,7 @@ func (o *OSD) handleRepOp(p *sim.Proc, src string, m *cephmsg.MRepOp, sp trace.S
 	lock.Acquire(p, 1)
 	ra := &repApply{src: src, m: m, sp: sp}
 	ra.txn.Ops = ra.ops[:0]
-	mutationTxn(&ra.txn, pgColl(m.PGID), m.Op, m.Object, m.Offset, m.Key, m.Data)
+	mutationTxn(&ra.txn, pgColl(m.PGID), m.Op, m.Object, m.Offset, m.Data)
 	o.ensureColl(m.PGID, &ra.txn)
 	if sp != 0 {
 		ra.commitSp = o.tr.Start(sp, 0, trace.StageCommit, m.Object)

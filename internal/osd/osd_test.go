@@ -259,6 +259,19 @@ func TestOSDFailureDetectionAndFailover(t *testing.T) {
 		if err := tc.client.Write(p, "pre-fail", payload(10_000, 1)); err != nil {
 			t.Fatal(err)
 		}
+		// Objects whose primary is about to die: the surviving replica must
+		// serve them once the map moves on.
+		var held []string
+		for i := 0; len(held) < 4; i++ {
+			obj := fmt.Sprintf("held-%d", i)
+			if tc.client.Map().Primary(tc.client.Map().PGForObject(obj)) != 2 {
+				continue
+			}
+			if err := tc.client.Write(p, obj, payload(20_000, byte(len(held)))); err != nil {
+				t.Fatalf("%s: %v", obj, err)
+			}
+			held = append(held, obj)
+		}
 		victim := tc.osds[2]
 		victim.Fail()
 		// Heartbeat grace is 5 s; give detection + map propagation 15 s.
@@ -268,6 +281,15 @@ func TestOSDFailureDetectionAndFailover(t *testing.T) {
 		}
 		if tc.client.Map().IsUp(2) {
 			t.Fatal("client map still has osd.2 up")
+		}
+		for i, obj := range held {
+			bl, err := tc.client.Read(p, obj, 0, 0)
+			if err != nil {
+				t.Fatalf("read %s with its primary down: %v", obj, err)
+			}
+			if bl.CRC32C() != payload(20_000, byte(i)).CRC32C() {
+				t.Fatalf("read %s with its primary down: wrong data", obj)
+			}
 		}
 		// All placements now avoid the dead OSD and writes still succeed.
 		for i := 0; i < 10; i++ {

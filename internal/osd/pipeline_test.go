@@ -73,14 +73,13 @@ func tapSubOps(tc *testCluster) *[]int64 {
 // answers with its kind's result, moves its kind's counters and sends the
 // replica a sub-op carrying exactly the fields its kind uses.
 func TestMutationKindsThroughOnePipeline(t *testing.T) {
-	const obj, key = "thing", "k1"
+	const obj = "thing"
 	const chunk = 64 << 10
-	small, big, val := payload(10_000, 3), payload(200_000, 5), []byte("omap-value")
+	small, big := payload(10_000, 3), payload(200_000, 5)
 	write := func(data *wire.Bufferlist) *cephmsg.MOSDOp {
 		return &cephmsg.MOSDOp{Object: obj, Op: cephmsg.OpWrite, Data: data}
 	}
-	omapSet := &cephmsg.MOSDOp{Object: obj, Op: cephmsg.OpOmapSet, Key: key, Data: wire.FromBytes(val)}
-	base := int64(48 + len(obj)) // MRepOp.PayloadBytes with no key and no data
+	base := int64(48 + len(obj)) // MRepOp.PayloadBytes with no data
 	cases := []struct {
 		name   string
 		before *cephmsg.MOSDOp // makes what the op under test needs
@@ -90,7 +89,6 @@ func TestMutationKindsThroughOnePipeline(t *testing.T) {
 		writes, deletes, bytes, streamed int64
 		repBytes                         int64
 		subBytes                         int64
-		keys                             int
 	}{
 		{name: "write whole", op: write(small),
 			writes: 1, bytes: 10_000, repBytes: 10_000, subBytes: base + 10_000},
@@ -100,10 +98,6 @@ func TestMutationKindsThroughOnePipeline(t *testing.T) {
 			deletes: 1, subBytes: base},
 		{name: "delete missing", op: &cephmsg.MOSDOp{Object: obj, Op: cephmsg.OpDelete},
 			result: cephmsg.ResNotFound, deletes: 1, subBytes: base},
-		{name: "omap set", op: omapSet,
-			writes: 1, repBytes: int64(len(val)), subBytes: base + int64(len(key)+len(val)), keys: 1},
-		{name: "omap rm", before: omapSet, op: &cephmsg.MOSDOp{Object: obj, Op: cephmsg.OpOmapRm, Key: key},
-			writes: 1, subBytes: base + int64(len(key))},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -142,18 +136,14 @@ func TestMutationKindsThroughOnePipeline(t *testing.T) {
 				if len(*subs) != 1 || (*subs)[0] != c.subBytes {
 					t.Fatalf("sub-op PayloadBytes = %v, want one of %d", *subs, c.subBytes)
 				}
-				// The replica holds what the primary holds: the object (or its
-				// absence) and its omap keys.
+				// The replica holds what the primary holds: the object or its
+				// absence.
 				var crcs [2]uint32
 				var found [2]bool
 				for i, id := range acting {
 					bl, err := tc.stores[id].Read(p, pgColl(pg), obj, 0, 0)
 					if found[i] = err == nil; found[i] {
 						crcs[i] = bl.CRC32C()
-					}
-					keys, _ := tc.stores[id].OmapKeys(p, pgColl(pg), obj)
-					if len(keys) != c.keys {
-						t.Fatalf("osd.%d omap keys = %v, want %d", id, keys, c.keys)
 					}
 				}
 				if found != [2]bool{c.op.Op != cephmsg.OpDelete, c.op.Op != cephmsg.OpDelete} || crcs[0] != crcs[1] {

@@ -156,17 +156,6 @@ func (o *OSD) backfillPG(p *sim.Proc, pg uint32, targets []int32) {
 		lock.Acquire(p, 1)
 		bl, rerr := o.store.Read(p, pgColl(pg), obj, 0, 0)
 		st, serr := o.store.Stat(p, pgColl(pg), obj)
-		// Recovery must carry the object map too (bucket indexes live
-		// there); a data-only push would silently lose it.
-		omapKeys, _ := o.store.OmapKeys(p, pgColl(pg), obj)
-		omapVals := make([][]byte, 0, len(omapKeys))
-		for _, k := range omapKeys {
-			v, gerr := o.store.OmapGet(p, pgColl(pg), obj, k)
-			if gerr != nil {
-				v = nil
-			}
-			omapVals = append(omapVals, v)
-		}
 		lock.Release(1)
 		if rerr != nil || serr != nil {
 			continue // deleted while we were backfilling
@@ -187,7 +176,6 @@ func (o *OSD) backfillPG(p *sim.Proc, pg uint32, targets []int32) {
 			o.msgr.Send(Name(target), &cephmsg.MPGPush{
 				Tid: tid, Epoch: o.curMap.Epoch, PGID: pg, Object: obj,
 				Version: st.Version, Data: bl,
-				OmapKeys: omapKeys, OmapVals: omapVals,
 			})
 			if !ack.WaitTimeout(p, 30*sim.Second) {
 				// Target died mid-backfill; a future map change restarts it.
@@ -216,9 +204,6 @@ func (o *OSD) handlePGPush(p *sim.Proc, src string, m *cephmsg.MPGPush) {
 		return
 	}
 	txn := objstore.NewTransaction().Write(pgColl(m.PGID), m.Object, 0, m.Data)
-	for i := range m.OmapKeys {
-		txn.OmapSet(pgColl(m.PGID), m.Object, m.OmapKeys[i], m.OmapVals[i])
-	}
 	o.ensureColl(m.PGID, txn)
 	res := o.store.QueueTransaction(p, txn)
 	lock.Release(1)

@@ -405,59 +405,3 @@ func (c *Client) Delete(p *sim.Proc, object string) error {
 	}
 	return resultErr(reply.Result)
 }
-
-// OmapSet sets one key of object's omap, replicated with write-through
-// durability (librados rados_omap_set).
-func (c *Client) OmapSet(p *sim.Proc, object, key string, value []byte) error {
-	reply, err := c.do(p, &cephmsg.MOSDOp{Pool: "rbd", Object: object,
-		Op: cephmsg.OpOmapSet, Key: key, Data: wire.FromBytes(value)})
-	if err != nil {
-		return err
-	}
-	return resultErr(reply.Result)
-}
-
-// OmapRm removes one key of object's omap.
-func (c *Client) OmapRm(p *sim.Proc, object, key string) error {
-	reply, err := c.do(p, &cephmsg.MOSDOp{Pool: "rbd", Object: object,
-		Op: cephmsg.OpOmapRm, Key: key})
-	if err != nil {
-		return err
-	}
-	return resultErr(reply.Result)
-}
-
-// OmapGet returns the value of one omap key of object.
-func (c *Client) OmapGet(p *sim.Proc, object, key string) ([]byte, error) {
-	reply, err := c.do(p, &cephmsg.MOSDOp{Pool: "rbd", Object: object,
-		Op: cephmsg.OpOmapGet, Key: key})
-	if err != nil {
-		return nil, err
-	}
-	if err := resultErr(reply.Result); err != nil {
-		return nil, err
-	}
-	return reply.Data.Bytes(), nil
-}
-
-// OmapKeys returns object's omap keys in sorted order.
-func (c *Client) OmapKeys(p *sim.Proc, object string) ([]string, error) {
-	reply, err := c.do(p, &cephmsg.MOSDOp{Pool: "rbd", Object: object,
-		Op: cephmsg.OpOmapKeys})
-	if err != nil {
-		return nil, err
-	}
-	if err := resultErr(reply.Result); err != nil {
-		return nil, err
-	}
-	d := wire.NewDecoderBL(reply.Data)
-	n := d.U32()
-	keys := make([]string, 0, n)
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		keys = append(keys, d.String())
-	}
-	if d.Err() != nil {
-		return nil, ErrIO
-	}
-	return keys, nil
-}

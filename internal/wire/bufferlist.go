@@ -30,7 +30,7 @@ var ErrShortBuffer = errors.New("wire: short buffer")
 //   - A producer that will reuse or overwrite its slice after handing it
 //     off (e.g. a recycled I/O buffer) must use AppendCopy instead.
 //   - A consumer that stores a shared list for later reading (BlueStore
-//     blobs, omap values) relies on every upstream producer following the
+//     blobs) relies on every upstream producer following the
 //     rule above; in this simulation the payload travels client → OSD →
 //     BlueStore fully shared, which is what lets a write reach the disk
 //     blob with at most the one copy the model charges for.

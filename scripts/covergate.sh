@@ -34,7 +34,12 @@
 # and their tests moved in beside ScaleOutResult, floor 84 -> 85), and
 # wire (87.7%) and objstore (96.1%) were added when a write crossing became
 # one record on each side and both gained a form that encodes, views or
-# decodes into storage the caller holds (87.2% and 95.8% before it);
+# decodes into storage the caller holds (87.2% and 95.8% before it),
+# and again when the omap stack went with internal/gateway (gateway left
+# the gate; rados 75.2% from 63.9%, osd 87.0% from 84.2%, objstore 99.2%
+# from 96.1%: most of the deleted omap code ran only under the gateway's
+# tests, which a per-package figure does not see; bluestore 85.6% from
+# 86.2%, core 89.1% from 88.9% — no floor moved down);
 # each is set ~5 points below to absorb small refactors. Raise floors when
 # coverage improves, never lower them to make a PR pass.
 set -eu
@@ -62,20 +67,19 @@ gate() {
 gate ./internal/core 81.5
 gate ./internal/doca 77
 gate ./internal/cephmsg 80
-gate ./internal/osd 79.2
+gate ./internal/osd 82
 gate ./internal/faultinject 58
 gate ./internal/messenger 75
 gate ./internal/sim 83
 gate ./internal/rbd 84
 gate ./internal/striper 80
-gate ./internal/rados 58.9
+gate ./internal/rados 70.2
 gate ./internal/radosbench 73
 gate ./internal/cluster 85
 gate ./internal/crush 92
-gate ./internal/gateway 80
 gate ./internal/bluestore 80
 gate ./internal/rpcchan 92
 gate ./internal/wire 82.7
-gate ./internal/objstore 91.1
+gate ./internal/objstore 94.2
 
 exit $fail
