@@ -219,7 +219,9 @@ type Assembler struct {
 	// MaxStreams bounds concurrently open streams per peer (resource
 	// exhaustion guard); NewAssembler sets the default.
 	MaxStreams int
-	streams    map[uint64]*streamState
+	// streams holds each open stream's state by value: the map's own storage,
+	// not an allocation per stream.
+	streams map[uint64]streamState
 }
 
 type streamState struct {
@@ -235,7 +237,7 @@ type streamState struct {
 
 // NewAssembler returns an empty assembler.
 func NewAssembler() *Assembler {
-	return &Assembler{MaxStreams: 256, streams: make(map[uint64]*streamState)}
+	return &Assembler{MaxStreams: 256, streams: make(map[uint64]streamState)}
 }
 
 // Active returns the number of open streams.
@@ -262,7 +264,7 @@ func (a *Assembler) Open(m *MStreamOpen, accumulate bool) error {
 		return fmt.Errorf("cephmsg: stream %d: too many open streams (%d)",
 			m.StreamID, len(a.streams))
 	}
-	st := &streamState{open: m, accumulate: accumulate}
+	st := streamState{open: m, accumulate: accumulate}
 	if accumulate {
 		st.data = &wire.Bufferlist{}
 	}
@@ -300,6 +302,7 @@ func (a *Assembler) Chunk(m *MStreamChunk) (*wire.Bufferlist, error) {
 	if st.accumulate {
 		st.data.AppendBufferlist(m.Data)
 	}
+	a.streams[m.StreamID] = st
 	return m.Data, nil
 }
 
@@ -316,6 +319,7 @@ func (a *Assembler) Credit(id uint64, n uint32) error {
 			id, n, st.inWindow)
 	}
 	st.inWindow -= n
+	a.streams[id] = st
 	return nil
 }
 

@@ -236,9 +236,11 @@ func (px *Proxy) flushBatch(p *sim.Proc) {
 }
 
 // batchFrame is one batch frame in flight, in one allocation: the ops it
-// carries with their trace contexts and spans (in the slots for a one-op
-// frame, the usual one), the engine transfer and its tag, and what the
-// frame's proxy-batch-dma proc, which finds the record by its id, settles.
+// carries with their trace contexts and spans, the encoded frame — its list,
+// header bytes and segment table — the engine transfer and its tag, and what
+// the frame's proxy-batch-dma proc, which finds the record by its id,
+// settles. A one-op frame, the usual one, has all its tables in the slots;
+// a larger one allocates each once, at its size.
 type batchFrame struct {
 	t        doca.Transfer
 	hdr      segHeader
@@ -246,9 +248,14 @@ type batchFrame struct {
 	spans    []trace.SpanID
 	bytes    int64
 	start    sim.Time
+	frame    wire.Bufferlist
 	opSlot   [1]*pendingTxn
 	ctxSlot  [1]uint64
 	spanSlot [1]trace.SpanID
+	hdrSlot  [oneOpFrameOverhead]byte
+	// segSlot holds a one-op frame's segments: its header and the op's
+	// metadata and payload.
+	segSlot [3][]byte
 }
 
 func newBatchFrame(n int) *batchFrame {
@@ -261,11 +268,22 @@ func newBatchFrame(n int) *batchFrame {
 	return fr
 }
 
-// encode frames the ops and drops their own frames: the batch frame shares
-// their segments from here on (an RPC fallback resends it), and each op's
-// caller keeps its pendingTxn long after.
+// encode frames the ops into the record and drops their own frames: the batch
+// frame shares their segments from here on (an RPC fallback resends it), and
+// each op's caller keeps its pendingTxn long after.
 func (fr *batchFrame) encode() *wire.Bufferlist {
-	frame := encodeBatchFrame(fr.ops)
+	hdr, table := fr.hdrSlot[:], fr.segSlot[:]
+	if n := batchFrameOverhead(len(fr.ops)); n > int64(len(hdr)) {
+		hdr = make([]byte, 0, n)
+	}
+	segs := 0
+	for _, op := range fr.ops {
+		segs += 1 + op.frame.Segments()
+	}
+	if segs > len(table) {
+		table = make([][]byte, 0, segs)
+	}
+	frame := encodeBatchFrame(fr.ops, hdr, fr.frame.InitOn(table))
 	for _, op := range fr.ops {
 		op.frame.Init()
 	}
@@ -315,10 +333,11 @@ func (px *Proxy) shipBatchViaRPC(p *sim.Proc, frame *wire.Bufferlist) {
 func (px *Proxy) onTxnDoneBatch(p *sim.Proc, req rpcchan.Request,
 	respond func(*wire.Bufferlist, uint16)) {
 	respond(nil, 0) // notify: no-op
-	entries, err := decodeTxnDoneBatch(req.Payload)
+	entries, err := decodeTxnDoneBatch(req.Payload, px.doneEntries)
 	if err != nil {
 		panic("core: corrupt batched txn-done notification")
 	}
+	px.doneEntries = entries
 	for _, en := range entries {
 		if pt, ok := px.pendingTxns[en.reqID]; ok {
 			pt.code = en.code

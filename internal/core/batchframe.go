@@ -38,6 +38,10 @@ func batchFrameOverhead(n int) int64 {
 	return 8 + int64(n)*batchEntryHeaderBytes
 }
 
+// oneOpFrameOverhead is batchFrameOverhead(1): the header bytes a one-op
+// frame's record holds.
+const oneOpFrameOverhead = 8 + batchEntryHeaderBytes
+
 // batchEntry is one unpacked transaction of a batch frame.
 type batchEntry struct {
 	reqID   uint64
@@ -45,10 +49,12 @@ type batchEntry struct {
 	payload *wire.Bufferlist
 }
 
-// encodeBatchFrame frames the ops; payloads ride as zero-copy segments
-// spliced between the fixed headers (Bufferlist-assembly mode).
-func encodeBatchFrame(ops []*pendingTxn) *wire.Bufferlist {
-	e := wire.NewEncoderBL(make([]byte, 0, batchFrameOverhead(len(ops))))
+// encodeBatchFrame frames the ops into out, the fixed headers written over
+// hdr's array (batchFrameOverhead bytes fit without growing it); payloads
+// ride as zero-copy segments spliced between the headers (Bufferlist-assembly
+// mode). It returns out.
+func encodeBatchFrame(ops []*pendingTxn, hdr []byte, out *wire.Bufferlist) *wire.Bufferlist {
+	e := wire.EncoderBLOn(hdr, out)
 	e.U32(batchFrameMagic)
 	e.U32(uint32(len(ops)))
 	for _, op := range ops {
@@ -59,9 +65,11 @@ func encodeBatchFrame(ops []*pendingTxn) *wire.Bufferlist {
 	return e.Bufferlist()
 }
 
-// decodeBatchFrame unpacks a batch frame, validating magic, count and every
-// entry bound. Payloads are zero-copy views of bl's storage.
-func decodeBatchFrame(bl *wire.Bufferlist) ([]batchEntry, error) {
+// decodeBatchFrame unpacks a batch frame into into's array (grown if it is
+// short), validating magic, count and every entry bound. Payloads are
+// zero-copy views of bl's storage. On an error it leaves into's array holding
+// none of them.
+func decodeBatchFrame(bl *wire.Bufferlist, into []batchEntry) ([]batchEntry, error) {
 	if bl == nil {
 		return nil, ErrFrame
 	}
@@ -76,16 +84,18 @@ func decodeBatchFrame(bl *wire.Bufferlist) ([]batchEntry, error) {
 	if int64(d.Remaining()) < int64(n)*batchEntryHeaderBytes {
 		return nil, ErrFrame
 	}
-	out := make([]batchEntry, 0, n)
+	out := into[:0]
 	for i := 0; i < n; i++ {
 		en := batchEntry{reqID: d.U64(), txnSeq: d.U64()}
 		en.payload = d.BufferlistField()
 		if d.Err() != nil {
+			clear(out)
 			return nil, ErrFrame
 		}
 		out = append(out, en)
 	}
 	if d.Remaining() != 0 {
+		clear(out)
 		return nil, ErrFrame
 	}
 	return out, nil
@@ -110,13 +120,15 @@ func encodeTxnDoneBatch(entries []txnDoneEntry) *wire.Bufferlist {
 	return e.Bufferlist()
 }
 
-func decodeTxnDoneBatch(bl *wire.Bufferlist) ([]txnDoneEntry, error) {
+// decodeTxnDoneBatch unpacks coalesced commit notifications into into's
+// array (grown if it is short).
+func decodeTxnDoneBatch(bl *wire.Bufferlist, into []txnDoneEntry) ([]txnDoneEntry, error) {
 	d := wire.NewDecoderBL(bl)
 	n := int(d.U32())
 	if d.Err() != nil || n == 0 || n > maxBatchOps || d.Remaining() < n*18 {
 		return nil, ErrFrame
 	}
-	out := make([]txnDoneEntry, 0, n)
+	out := into[:0]
 	for i := 0; i < n; i++ {
 		out = append(out, txnDoneEntry{reqID: d.U64(), code: d.U16(), hostNanos: d.I64()})
 	}

@@ -6,10 +6,15 @@ import (
 	"doceph/internal/wire"
 )
 
+// frameOf frames ops into a list of its own.
+func frameOf(ops []*pendingTxn) *wire.Bufferlist {
+	return encodeBatchFrame(ops, nil, &wire.Bufferlist{})
+}
+
 // frameBytes builds a valid frame over the given (reqID, txnSeq, payload)
 // triples and returns its flat encoding.
 func frameBytes(ops []*pendingTxn) []byte {
-	return encodeBatchFrame(ops).Bytes()
+	return frameOf(ops).Bytes()
 }
 
 // newBatchOp is what the batcher queues: a pendingTxn holding its frame.
@@ -76,7 +81,7 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 		ops := testOps(tc.n, tc.payloadLen)
 		raw := frameBytes(ops)
 		for _, segLen := range []int{len(raw) + 1, 13} {
-			entries, err := decodeBatchFrame(segmentedBL(raw, segLen))
+			entries, err := decodeBatchFrame(segmentedBL(raw, segLen), nil)
 			if err != nil {
 				t.Fatalf("n=%d seg=%d: %v", tc.n, segLen, err)
 			}
@@ -95,7 +100,7 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 
 func TestBatchFrameZeroCopyEncode(t *testing.T) {
 	ops := testOps(4, 8<<10)
-	frame := encodeBatchFrame(ops)
+	frame := frameOf(ops)
 	// The payload segments must be shared into the frame, not copied: the
 	// frame has at least one segment per payload beyond the header scratch.
 	if frame.Segments() < len(ops) {
@@ -127,13 +132,34 @@ func TestDecodeBatchFrameRejectsMalformed(t *testing.T) {
 	}
 	for name, raw := range cases {
 		for _, segLen := range []int{len(raw) + 1, 5} {
-			if _, err := decodeBatchFrame(segmentedBL(raw, segLen)); err == nil {
+			if _, err := decodeBatchFrame(segmentedBL(raw, segLen), nil); err == nil {
 				t.Errorf("%s (seg %d): decoded without error", name, segLen)
 			}
 		}
 	}
-	if _, err := decodeBatchFrame(nil); err == nil {
+	if _, err := decodeBatchFrame(nil, nil); err == nil {
 		t.Error("nil bufferlist decoded without error")
+	}
+}
+
+// TestDecodeBatchFrameIntoCallerArray: the host's poller unpacks every frame
+// into one array it keeps. A frame that fits is decoded in place, and one that
+// fails part-way leaves no payload view behind in it.
+func TestDecodeBatchFrameIntoCallerArray(t *testing.T) {
+	arr := make([]batchEntry, 0, 4)
+	entries, err := decodeBatchFrame(frameOf(testOps(3, 64)), arr)
+	if err != nil || len(entries) != 3 || &entries[0] != &arr[:1][0] {
+		t.Fatalf("decoded %d entries (err %v) outside the caller's array", len(entries), err)
+	}
+	clear(entries) // as the poller does once it has dispatched them
+	valid := frameBytes(testOps(3, 64))
+	if _, err := decodeBatchFrame(wire.FromBytes(valid[:len(valid)-5]), arr); err == nil {
+		t.Fatal("truncated frame decoded without error")
+	}
+	for i, en := range arr[:cap(arr)] {
+		if en.payload != nil {
+			t.Fatalf("entry %d of the caller's array still holds a payload after a failed decode", i)
+		}
 	}
 }
 
@@ -143,7 +169,7 @@ func TestTxnDoneBatchRoundTrip(t *testing.T) {
 		{reqID: 99, code: rcIO, hostNanos: 0},
 		{reqID: 7, code: rcNotFound, hostNanos: -1},
 	}
-	out, err := decodeTxnDoneBatch(encodeTxnDoneBatch(in))
+	out, err := decodeTxnDoneBatch(encodeTxnDoneBatch(in), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +190,7 @@ func TestTxnDoneBatchRoundTrip(t *testing.T) {
 		"huge":      {0xff, 0xff, 0xff, 0xff},
 		"trailing":  append(append([]byte(nil), raw...), 1),
 	} {
-		if _, err := decodeTxnDoneBatch(wire.FromBytes(bad)); err == nil {
+		if _, err := decodeTxnDoneBatch(wire.FromBytes(bad), nil); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
@@ -209,7 +235,7 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 			segLens = append(segLens, 1)
 		}
 		for _, segLen := range segLens {
-			entries, err := decodeBatchFrame(segmentedBL(raw, segLen))
+			entries, err := decodeBatchFrame(segmentedBL(raw, segLen), nil)
 			if err != nil {
 				continue
 			}
@@ -226,7 +252,7 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 			if total > len(raw) {
 				t.Fatalf("payload bytes %d exceed input %d", total, len(raw))
 			}
-			again, err := decodeBatchFrame(encodeBatchFrame(ops))
+			again, err := decodeBatchFrame(frameOf(ops), nil)
 			if err != nil {
 				t.Fatalf("re-encoded frame failed to decode: %v", err)
 			}

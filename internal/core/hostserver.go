@@ -122,7 +122,10 @@ type HostServer struct {
 	reads      map[uint64]*hostRead
 	readBody   func(*sim.Proc)
 	names      objstore.Names
-	stats      HostStats
+	// unpacked is the poller's array for the entries of the batch frame it is
+	// dispatching, cleared after each.
+	unpacked []batchEntry
+	stats    HostStats
 
 	// Notify coalescers (live only when batch.Enable; see batch.go):
 	// queued commit notifications awaiting a coalesced opTxnDoneBatch RPC,
@@ -266,11 +269,13 @@ func (hs *HostServer) harvest(p *sim.Proc, t *doca.Transfer) {
 			hs.engUp.QueueFor(hdr.reqID))
 	case segTxnBatch:
 		hs.stats.BatchFrames++
-		entries, err := decodeBatchFrame(t.Data)
+		entries, err := decodeBatchFrame(t.Data, hs.unpacked)
 		if err != nil {
 			hs.stats.FrameErrors++
 			return
 		}
+		hs.unpacked = entries
+		defer clear(entries) // the array stays; the payloads it held do not
 		// Unpack and dispatch each op individually: every entry enters
 		// the ordered commit queue as its own single-segment request, so
 		// OSD/commit semantics are identical to the unbatched path.
@@ -411,7 +416,7 @@ func (hs *HostServer) sendTxnDone(p *sim.Proc) {
 // (the batched submit used during cooldown / after a batch DMA error).
 func (hs *HostServer) onBatchFallback(p *sim.Proc, req rpcchan.Request,
 	respond func(*wire.Bufferlist, uint16)) {
-	entries, err := decodeBatchFrame(req.Payload)
+	entries, err := decodeBatchFrame(req.Payload, nil)
 	if err != nil {
 		hs.stats.FrameErrors++
 		respond(nil, rcIO)

@@ -45,7 +45,7 @@ var controlCodecs = map[string]func(*wire.Bufferlist) (*wire.Bufferlist, error){
 		return encodeReadDone(reqID, code, segs), nil
 	},
 	"txnDoneBatch": func(bl *wire.Bufferlist) (*wire.Bufferlist, error) {
-		entries, err := decodeTxnDoneBatch(bl)
+		entries, err := decodeTxnDoneBatch(bl, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -146,6 +146,9 @@ type Proxy struct {
 	// batchInflight counts batch frames currently on the engine; the flush
 	// loop accumulates while it is non-zero (backpressure).
 	batchInflight int
+	// doneEntries is the array coalesced commit notifications are unpacked
+	// into (plain values, so nothing is kept reachable through it).
+	doneEntries []txnDoneEntry
 
 	// cooldown state (paper §4): dmaHealthy gates the data plane; after
 	// cooldownUntil passes, the next request probes before re-enabling.

@@ -192,6 +192,9 @@ type Messenger struct {
 	tr    *trace.Tracer
 
 	// Streaming state (all lazily allocated; nil until the first stream).
+	// pumpBody is pump as a func value, made once: every stream-pump proc
+	// shares it and finds its OutStream under its proc id.
+	pumpBody     func(*sim.Proc)
 	nextStreamID uint64
 	outStreams   map[uint64]*OutStream
 	inAsm        map[string]*cephmsg.Assembler

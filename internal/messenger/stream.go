@@ -24,6 +24,14 @@ import (
 // StreamConfig tunes the streaming transfer mode. Off by default: with
 // Enable false Send never streams and no state is allocated, so existing
 // runs stay bit-identical.
+//
+// A stream costs each side of a hop one record, not one per chunk: the
+// sender's OutStream holds the credit window, the open and end frames and a
+// table of chunk frames sized at open, and the receiver's InStream lives
+// inside its sink's record (the OSD's holds one transaction, result and
+// credit frame per chunk). On the benchmark's stream-16M-doceph that took a
+// 16 MiB replicated write from 251 to 165 allocations at seed 42 (DESIGN.md
+// §4.1 has the sites).
 type StreamConfig struct {
 	// Enable turns transparent streaming of large writes on.
 	Enable bool
@@ -53,11 +61,13 @@ func (c StreamConfig) withDefaults() StreamConfig {
 }
 
 // StreamSink consumes incoming streams incrementally. OpenStream runs on a
-// msgr-worker thread and must not block: accept by returning true and
-// spawning a consumer that drains in (calling in.Credit as it goes), or
-// return false to fall back to messenger-side reassembly.
+// msgr-worker thread and must not block: to accept, it returns an InStream —
+// the zero value, typically inside the sink's own record of the stream, which
+// the messenger fills in once OpenStream returns — and spawns a consumer that
+// drains it (crediting as it goes); nil falls back to messenger-side
+// reassembly.
 type StreamSink interface {
-	OpenStream(src string, in *InStream) bool
+	OpenStream(src string, open *cephmsg.MStreamOpen) *InStream
 }
 
 // SetStreamSink installs the incremental stream consumer (nil reverts to
@@ -69,11 +79,22 @@ func (m *Messenger) SetStreamSink(s StreamSink) { m.streamSink = s }
 // but chunk writes wait on credits).
 func (m *Messenger) streamSend(dst string, inner cephmsg.Message, data *wire.Bufferlist) {
 	out := m.OpenStream(dst, inner, int64(data.Length()))
-	m.env.SpawnID("stream-pump:", out.id, func(p *sim.Proc) {
-		p.SetThread(sim.NewThread("stream-pump", ThreadCat))
-		out.Write(p, data)
-		out.Close(p)
-	})
+	out.data = data
+	if m.pumpBody == nil {
+		m.pumpBody = m.pump
+	}
+	m.env.SpawnID("stream-pump:", out.open.StreamID, m.pumpBody)
+}
+
+// pump is the body of every stream-pump proc: write the data of the stream
+// its id names, then close it. It charges no CPU — the chunks' messenger work
+// is the workers' — so it runs with no thread.
+func (m *Messenger) pump(p *sim.Proc) {
+	out := m.outStreams[p.ID()]
+	data := out.data
+	out.data = nil
+	out.Write(p, data)
+	out.Close(p)
 }
 
 // OpenStream starts an outbound stream to dst carrying inner (a write-
@@ -90,57 +111,62 @@ func (m *Messenger) OpenStream(dst string, inner cephmsg.Message, total int64) *
 	}
 	lane, _ := cephmsg.LaneKey(inner)
 	m.nextStreamID++
-	out := &OutStream{
-		ms: m, dst: dst, id: m.nextStreamID, lane: lane,
-		ctx:        cephmsg.TraceContext(inner),
-		chunkBytes: cfg.ChunkBytes,
-		credits:    sim.NewSemaphore(m.env, cfg.Window),
+	out := &OutStream{ms: m, dst: dst, chunkBytes: cfg.ChunkBytes,
+		chunks: make([]cephmsg.MStreamChunk, 0, (total+cfg.ChunkBytes-1)/cfg.ChunkBytes)}
+	out.credits.Init(m.env, cfg.Window)
+	out.open = cephmsg.MStreamOpen{
+		StreamID: m.nextStreamID, Total: total, ChunkBytes: cfg.ChunkBytes,
+		Window: uint32(cfg.Window), Lane: lane, Inner: inner, TraceCtx: cephmsg.TraceContext(inner),
 	}
 	if m.outStreams == nil {
 		m.outStreams = make(map[uint64]*OutStream)
 	}
-	m.outStreams[out.id] = out
+	m.outStreams[out.open.StreamID] = out
 	m.stats.StreamsSent++
-	m.Send(dst, &cephmsg.MStreamOpen{
-		StreamID: out.id, Total: total, ChunkBytes: cfg.ChunkBytes,
-		Window: uint32(cfg.Window), Lane: lane, Inner: inner, TraceCtx: out.ctx,
-	})
+	m.Send(dst, &out.open)
 	return out
 }
 
-// OutStream is the send half of one stream.
+// OutStream is the send half of one stream, in one record with its credit
+// window and its frames. chunks is the chunk frames' table, sized at open for
+// the stream's total; a stream cut finer than that grows it by append, which
+// leaves the frames already sent where they are.
 type OutStream struct {
 	ms         *Messenger
 	dst        string
-	id         uint64
-	lane       uint64
-	ctx        uint64
 	chunkBytes int64
-	seq        uint32
-	credits    *sim.Semaphore
+	credits    sim.Semaphore
+	open       cephmsg.MStreamOpen
+	end        cephmsg.MStreamEnd
+	chunks     []cephmsg.MStreamChunk
+	// data is what the pump of a transparently streamed message writes.
+	data *wire.Bufferlist
 }
 
 // Write splits data into chunk-sized pieces and sends each under the
 // credit window, blocking while the window is exhausted. The pieces are
-// zero-copy views of data.
+// zero-copy views of data; data that fits one chunk (a forwarded chunk) is
+// sent as it is.
 func (o *OutStream) Write(p *sim.Proc, data *wire.Bufferlist) {
 	total := data.Length()
 	for off := 0; off < total; {
-		n := int(o.chunkBytes)
-		if total-off < n {
-			n = total - off
+		n := min(int(o.chunkBytes), total-off)
+		chunk := data
+		if n < total {
+			chunk = data.SubList(off, n)
 		}
-		o.writeChunk(p, data.SubList(off, n))
+		o.writeChunk(p, chunk)
 		off += n
 	}
 }
 
 func (o *OutStream) writeChunk(p *sim.Proc, chunk *wire.Bufferlist) {
+	ctx := o.open.TraceCtx
 	var sp trace.SpanID
-	if o.ms.tr.Enabled() && o.ctx != 0 {
+	if o.ms.tr.Enabled() && ctx != 0 {
 		// stream.window: how long this chunk waited for a flow-control
 		// credit before entering the messenger (backpressure residency).
-		sp = o.ms.tr.Start(trace.SpanID(o.ctx), 0, trace.StageStreamWindow, o.dst)
+		sp = o.ms.tr.Start(trace.SpanID(ctx), 0, trace.StageStreamWindow, o.dst)
 	}
 	start := p.Now()
 	o.credits.Acquire(p, 1)
@@ -149,27 +175,27 @@ func (o *OutStream) writeChunk(p *sim.Proc, chunk *wire.Bufferlist) {
 		o.ms.tr.AddBytes(sp, int64(chunk.Length()))
 		o.ms.tr.Finish(sp)
 	}
-	seq := o.seq
-	o.seq++
 	o.ms.stats.StreamChunksSent++
-	o.ms.Send(o.dst, &cephmsg.MStreamChunk{
-		StreamID: o.id, Seq: seq, Lane: o.lane, Data: chunk, TraceCtx: o.ctx,
+	o.chunks = append(o.chunks, cephmsg.MStreamChunk{
+		StreamID: o.open.StreamID, Seq: uint32(len(o.chunks)), Lane: o.open.Lane, Data: chunk, TraceCtx: ctx,
 	})
+	o.ms.Send(o.dst, &o.chunks[len(o.chunks)-1])
 }
 
 // Close completes the stream. Late credits for in-flight chunks are
 // dropped once the stream is deregistered (nothing waits on them).
 func (o *OutStream) Close(p *sim.Proc) {
-	delete(o.ms.outStreams, o.id)
-	o.ms.Send(o.dst, &cephmsg.MStreamEnd{StreamID: o.id, Chunks: o.seq, Lane: o.lane})
+	delete(o.ms.outStreams, o.open.StreamID)
+	o.end = cephmsg.MStreamEnd{StreamID: o.open.StreamID, Chunks: uint32(len(o.chunks)), Lane: o.open.Lane}
+	o.ms.Send(o.dst, &o.end)
 }
 
 // Abort tears the stream down mid-flight; the receiver discards partial
 // state.
 func (o *OutStream) Abort(p *sim.Proc) {
-	delete(o.ms.outStreams, o.id)
+	delete(o.ms.outStreams, o.open.StreamID)
 	o.ms.stats.StreamAborts++
-	o.ms.Send(o.dst, &cephmsg.MStreamAbort{StreamID: o.id, Lane: o.lane})
+	o.ms.Send(o.dst, &cephmsg.MStreamAbort{StreamID: o.open.StreamID, Lane: o.open.Lane})
 }
 
 // inKey identifies an incoming stream: ids are only unique per sender.
@@ -187,14 +213,13 @@ type streamItem struct {
 
 // InStream is the receive half of one stream in incremental (sink) mode.
 // The consumer loops on Next and returns flow-control credits with Credit
-// as it durably consumes chunks.
+// as it durably consumes chunks. It lives inside the sink's record of the
+// stream, its queue by value.
 type InStream struct {
 	ms   *Messenger
 	src  string
-	id   uint64
-	lane uint64
 	open *cephmsg.MStreamOpen
-	q    *sim.Queue[streamItem]
+	q    sim.Queue[streamItem]
 }
 
 // Src returns the sending entity.
@@ -210,16 +235,17 @@ func (in *InStream) Next(p *sim.Proc) (data *wire.Bufferlist, done, aborted bool
 	return it.data, it.end, it.aborted
 }
 
-// Credit returns n flow-control credits to the sender, allowing it to put
-// n more chunks in flight. Call it when a chunk's memory/processing has
-// actually been retired — that is what bounds staging to the window.
-func (in *InStream) Credit(n int) {
-	if err := in.ms.asmFor(in.src).Credit(in.id, uint32(n)); err != nil {
+// Credit returns one flow-control credit to the sender, allowing it to put
+// one more chunk in flight, and sends it as frame — storage the caller owns
+// and gives no other credit (the consumer's record has one per chunk). Call
+// it when a chunk's memory/processing has actually been retired — that is
+// what bounds staging to the window.
+func (in *InStream) Credit(frame *cephmsg.MStreamCredit) {
+	if err := in.ms.asmFor(in.src).Credit(in.open.StreamID, 1); err != nil {
 		panic(fmt.Sprintf("messenger %s: %v", in.ms.name, err))
 	}
-	in.ms.Send(in.src, &cephmsg.MStreamCredit{
-		StreamID: in.id, Credits: uint32(n), Lane: in.lane,
-	})
+	*frame = cephmsg.MStreamCredit{StreamID: in.open.StreamID, Credits: 1, Lane: in.open.Lane}
+	in.ms.Send(in.src, frame)
 }
 
 // asmFor returns the per-peer stream protocol state machine.
@@ -263,16 +289,14 @@ func (m *Messenger) handleStreamOpen(sm *cephmsg.MStreamOpen, src string) {
 	m.stats.StreamsRecv++
 	var in *InStream
 	if m.streamSink != nil {
-		cand := &InStream{ms: m, src: src, id: sm.StreamID, lane: sm.Lane,
-			open: sm, q: sim.NewQueue[streamItem](m.env)}
-		if m.streamSink.OpenStream(src, cand) {
-			in = cand
-		}
+		in = m.streamSink.OpenStream(src, sm)
 	}
 	if err := m.asmFor(src).Open(sm, in == nil); err != nil {
 		panic(fmt.Sprintf("messenger %s: %v", m.name, err))
 	}
 	if in != nil {
+		in.ms, in.src, in.open = m, src, sm
+		in.q.Init(m.env)
 		if m.inStreams == nil {
 			m.inStreams = make(map[inKey]*InStream)
 		}

@@ -83,14 +83,16 @@ type testSink struct {
 	release *sim.Event
 
 	chunks   []int
+	lists    []*wire.Bufferlist
 	total    int64
 	ended    bool
 	aborted  bool
 	accepted int
 }
 
-func (s *testSink) OpenStream(src string, in *InStream) bool {
+func (s *testSink) OpenStream(src string, open *cephmsg.MStreamOpen) *InStream {
 	s.accepted++
+	in := new(InStream)
 	s.env.Spawn("sink-consumer", func(p *sim.Proc) {
 		for {
 			data, done, aborted := in.Next(p)
@@ -103,14 +105,15 @@ func (s *testSink) OpenStream(src string, in *InStream) bool {
 				return
 			}
 			s.chunks = append(s.chunks, data.Length())
+			s.lists = append(s.lists, data)
 			s.total += int64(data.Length())
 			if s.hold {
 				s.release.Wait(p)
 			}
-			in.Credit(1)
+			in.Credit(new(cephmsg.MStreamCredit))
 		}
 	})
-	return true
+	return in
 }
 
 // With a sink installed, chunks arrive incrementally and the consumer sees
@@ -192,6 +195,32 @@ func TestStreamRepOpViaOpenStream(t *testing.T) {
 	if sink.accepted != 1 || !sink.ended || sink.total != 120_000 {
 		t.Fatalf("sink state: accepted=%d ended=%v total=%d",
 			sink.accepted, sink.ended, sink.total)
+	}
+}
+
+// A Write that fits one chunk — what the primary does with each chunk it
+// forwards — sends the caller's list itself, which the aliasing contract allows
+// (no holder writes to a list it was handed; TestBufferlistAliasingContract);
+// a longer one sends views of it.
+func TestStreamWholeChunkWriteSendsCallerList(t *testing.T) {
+	r := newRig(Config{Stream: StreamConfig{Enable: true, ChunkBytes: 10_000, Window: 4}})
+	sink := &testSink{env: r.env}
+	r.b.SetStreamSink(sink)
+	whole, long := bigPayload(10_000), bigPayload(25_000)
+	r.env.Spawn("starter", func(p *sim.Proc) {
+		out := r.a.OpenStream("ent.b", &cephmsg.MRepOp{Tid: 7, PGID: 2, Object: "o", Op: cephmsg.OpWrite}, 35_000)
+		out.Write(p, whole)
+		out.Write(p, long)
+		out.Close(p)
+	})
+	r.run(t, sim.Second)
+	if !sink.ended || len(sink.lists) != 4 || sink.lists[0] != whole {
+		t.Fatalf("ended=%v, %d chunks; want the one-chunk write's own list first", sink.ended, len(sink.lists))
+	}
+	for i, bl := range sink.lists[1:] {
+		if bl == long || !bl.Equal(long.SubList(i*10_000, min(10_000, 25_000-i*10_000))) {
+			t.Fatalf("chunk %d of the long write is not a view of its piece", i+1)
+		}
 	}
 }
 

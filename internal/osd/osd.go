@@ -176,11 +176,16 @@ type OSD struct {
 	// record in mutations/repApplies under its proc id.
 	completeBody    func(*sim.Proc)
 	repCompleteBody func(*sim.Proc)
-	nextRec         uint64
-	mutations       map[uint64]*mutation
-	repApplies      map[uint64]*repApply
-	msgr            *messenger.Messenger
-	store           objstore.Store
+	// ingestBody is ingestStream as a func value, made with streams at the
+	// first stream: every stream's ingest proc shares it and finds its record
+	// in streams under its proc id.
+	ingestBody func(*sim.Proc)
+	nextRec    uint64
+	mutations  map[uint64]*mutation
+	repApplies map[uint64]*repApply
+	streams    map[uint64]*streamIngest
+	msgr       *messenger.Messenger
+	store      objstore.Store
 
 	curMap *osdmap.Map
 	// opqs are the op-queue shards (one with OpShards=1, the seed shape);

@@ -47,11 +47,11 @@ type subOpTap struct {
 	bytes *[]int64
 }
 
-func (s subOpTap) OpenStream(src string, in *messenger.InStream) bool {
-	if rm, ok := in.Open().Inner.(*cephmsg.MRepOp); ok {
+func (s subOpTap) OpenStream(src string, open *cephmsg.MStreamOpen) *messenger.InStream {
+	if rm, ok := open.Inner.(*cephmsg.MRepOp); ok {
 		*s.bytes = append(*s.bytes, rm.PayloadBytes())
 	}
-	return s.o.OpenStream(src, in)
+	return s.o.OpenStream(src, open)
 }
 
 func tapSubOps(tc *testCluster) *[]int64 {

@@ -3,6 +3,7 @@ package osd
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"doceph/internal/messenger"
@@ -136,6 +137,70 @@ func TestStreamedSmallWriteBypasses(t *testing.T) {
 			if n := o.Stats().StreamWrites; n != 0 {
 				t.Fatalf("%d writes streamed below the chunk size", n)
 			}
+		}
+	})
+}
+
+// streamAllocCeiling is one above what a streamed write of a new 16 MiB object
+// allocates today, rounded up (55.94; 141.94 when every chunk was a frame, a
+// credit, a commit task and a transaction of its own). Per write: BlueStore's
+// txc per chunk on each side (16); the client's eight chunk views of the
+// payload (8; the primary forwards each chunk it received as it is); the new
+// object's extent and block tables growing three times each on each side (12)
+// and its onode on each side (2); the client's pump and the primary's forward,
+// each an OutStream and its chunk-frame table (4); the primary's and the
+// replica's ingest, each a streamIngest and its chunk table (4); their threads
+// (2, one per stream: the CPU tells threads apart by pointer); the first
+// blocking Next on each InStream's queue (2); the client's call, MOSDOp and
+// the stream's copy of it without the data (3); the primary's mutation (1); a
+// credit window's waiter ring (1); and about 0.9 for the collections' object
+// maps growing. The next record somebody adds to the streamed write fails
+// here, not in a benchmark.
+const streamAllocCeiling = 57
+
+// TestStreamedWriteAllocationBudget holds one streamed write — the client's
+// pump, the primary's ingest and forward, the replica's ingest, both acks — of
+// a new 16 MiB object to its allocation budget on the two-OSD rig, streaming
+// on at the default chunk and window, heartbeats off.
+func TestStreamedWriteAllocationBudget(t *testing.T) {
+	cfg := messenger.Config{}
+	cfg.Stream.Enable = true
+	tc := newTestClusterMsgr(t, 2, 2, 0, cfg, Config{})
+	const warm, writes = 512, 64
+	names := make([]string, warm+writes)
+	for i := range names {
+		names[i] = fmt.Sprintf("budget-%d", i)
+	}
+	data := payload(16<<20, 1)
+	tc.run(t, func(p *sim.Proc) {
+		write := func(first, n int) {
+			for _, obj := range names[first : first+n] {
+				if err := tc.client.Write(p, obj, data); err != nil {
+					t.Fatalf("%s: %v", obj, err)
+				}
+			}
+		}
+		write(0, warm) // pools, maps, queues and every PG's lock reach their size
+		for _, o := range tc.osds {
+			if len(o.pgLocks) != int(o.curMap.PGCount) {
+				t.Fatalf("%s: warm-up touched %d of %d PGs", o.name, len(o.pgLocks), o.curMap.PGCount)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		write(warm, writes)
+		runtime.ReadMemStats(&after)
+		per := float64(after.Mallocs-before.Mallocs) / writes
+		t.Logf("%.2f allocations, %.0f B per streamed write", per, float64(after.TotalAlloc-before.TotalAlloc)/writes)
+		if per > streamAllocCeiling {
+			t.Fatalf("%.2f allocations per streamed write, want at most %d", per, streamAllocCeiling)
+		}
+		var streamed int64
+		for _, o := range tc.osds {
+			streamed += o.Stats().StreamWrites
+		}
+		if streamed != warm+writes {
+			t.Fatalf("%d of %d writes streamed", streamed, warm+writes)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -45,8 +46,10 @@ import (
 // worker count and any GOMAXPROCS, and with one partition and no links the
 // group degenerates to the serial kernel exactly.
 type Group struct {
-	names   []string
-	envs    []*Env
+	names []string
+	envs  []*Env
+	// windows counts each partition's windows.
+	windows []uint64
 	links   []*XLink
 	stats   GroupStats
 	started bool
@@ -66,6 +69,17 @@ type GroupStats struct {
 	// waiting for the round's slowest window).
 	Wall time.Duration
 	Busy []time.Duration
+	// BarrierWait[w] is the host time worker w spent waiting for the round's
+	// slowest window: the rounds' window phases, less its Busy.
+	BarrierWait []time.Duration
+	// PartWindows[i] and PartEvents[i] are partition i's windows and the
+	// events it fired; they add up to Windows and Kernel.Events.
+	PartWindows []uint64
+	PartEvents  []uint64
+	// Held[l] counts the rounds in which link l's Hold promise set its
+	// destination's horizon (links in Connect order): the rounds the promise
+	// bought.
+	Held []uint64
 	// Kernel is the partitions' own accounts added up (see EnvStats).
 	Kernel EnvStats
 }
@@ -100,6 +114,7 @@ func (g *Group) Add(name string, env *Env) PartitionID {
 	}
 	g.envs = append(g.envs, env)
 	g.names = append(g.names, name)
+	g.windows = append(g.windows, 0)
 	return PartitionID(len(g.envs) - 1)
 }
 
@@ -125,8 +140,15 @@ func (g *Group) Events() uint64 {
 // partitions' kernel counters; it must not be called while Run is running.
 func (g *Group) Stats() GroupStats {
 	s := g.stats
-	for _, e := range g.envs {
+	s.PartWindows = slices.Clone(g.windows)
+	s.PartEvents = make([]uint64, len(g.envs))
+	for i, e := range g.envs {
 		s.Kernel.add(e.stats)
+		s.PartEvents[i] = e.stats.Events
+	}
+	s.Held = make([]uint64, len(g.links))
+	for i, l := range g.links {
+		s.Held[i] = l.held
 	}
 	return s
 }
@@ -162,6 +184,8 @@ type XLink struct {
 	// quiet is the source's promise: no Send on this link before it. Written
 	// by the source partition's procs (Hold), read only at barriers.
 	quiet Time
+	// held counts the rounds in which quiet set the destination's horizon.
+	held uint64
 	// staged holds the current window's sends; only the source partition's
 	// (single-threaded) execution appends, and only the barrier drains.
 	staged []XMsg
@@ -271,6 +295,13 @@ func (g *Group) horizons(next []Time, has []bool, act, hor []Time) {
 			hor[l.dst] = b
 		}
 	}
+	// A promise set a horizon when it, not its source's next event, bounds the
+	// link that bounds the destination.
+	for _, l := range g.links {
+		if l.quiet > act[l.src] && hor[l.dst] != MaxTime && l.earliest(act) == hor[l.dst] {
+			l.held++
+		}
+	}
 }
 
 // deliver drains every link's staged sends and injects them into the
@@ -345,13 +376,19 @@ func (g *Group) Run(workers int, limit Time) error {
 		d time.Duration
 		_ [7]uint64
 	}, workers)
+	// phases is the host time of the rounds' window phases, from the first
+	// window handed out to the last one finished: a worker not busy in it was
+	// waiting at the barrier.
+	var phases time.Duration
 	defer func() {
 		g.stats.Wall += time.Since(start)
 		for len(g.stats.Busy) < workers {
 			g.stats.Busy = append(g.stats.Busy, 0)
+			g.stats.BarrierWait = append(g.stats.BarrierWait, 0)
 		}
 		for w := range busy {
 			g.stats.Busy[w] += busy[w].d
+			g.stats.BarrierWait[w] += phases - busy[w].d
 		}
 	}()
 
@@ -400,6 +437,7 @@ func (g *Group) Run(workers int, limit Time) error {
 		g.stats.Rounds++
 		g.horizons(next, has, act, hor)
 		ran := 0
+		p0 := time.Since(start)
 		for i, e := range g.envs {
 			if !has[i] {
 				continue
@@ -412,6 +450,7 @@ func (g *Group) Run(workers int, limit Time) error {
 				continue
 			}
 			g.stats.Windows++
+			g.windows[i]++
 			ran++
 			if workers > 1 {
 				wg.Add(1)
@@ -423,6 +462,7 @@ func (g *Group) Run(workers int, limit Time) error {
 		if workers > 1 {
 			wg.Wait()
 		}
+		phases += time.Since(start) - p0
 		if ran == 0 {
 			// Unreachable: the partition holding the globally earliest
 			// event always has a horizon strictly beyond it (links have

@@ -556,12 +556,16 @@ func TestGroupPromisesChangeOnlyRounds(t *testing.T) {
 }
 
 // TestGroupStatsAccountHostTime: the kernel's account of its own run — wall
-// time, one busy slot per worker, and an efficiency that is a share.
+// time, one busy and one barrier-wait slot per worker, an efficiency that is
+// a share, per-partition windows and events that add up to the totals, and
+// hold coverage on the one link whose source promises silence.
 func TestGroupStatsAccountHostTime(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		g := NewGroup()
 		a, b := NewEnv(1), NewEnv(2)
-		g.Connect("a->b", g.Add("a", a), g.Add("b", b), 10*Microsecond)
+		ia, ib := g.Add("a", a), g.Add("b", b)
+		g.Connect("a->b", ia, ib, 10*Microsecond)
+		back := g.Connect("b->a", ib, ia, 10*Microsecond)
 		for _, e := range []*Env{a, b} {
 			e.Spawn("dense", func(p *Proc) {
 				for i := 0; i < 20000; i++ {
@@ -569,6 +573,13 @@ func TestGroupStatsAccountHostTime(t *testing.T) {
 				}
 			})
 		}
+		b.Spawn("reporter", func(p *Proc) {
+			for i := 0; i < 100; i++ {
+				back.Hold(p.Now().Add(100 * Microsecond))
+				p.Wait(100 * Microsecond)
+				back.Send(p, i)
+			}
+		})
 		if err := g.Run(workers, MaxTime); err != nil {
 			t.Fatal(err)
 		}
@@ -582,6 +593,26 @@ func TestGroupStatsAccountHostTime(t *testing.T) {
 		}
 		if eff := st.Efficiency(); eff <= 0 || eff > 1 {
 			t.Fatalf("workers=%d: efficiency %v outside (0,1]", workers, eff)
+		}
+		if len(st.BarrierWait) != workers {
+			t.Fatalf("workers=%d: barrier wait %v", workers, st.BarrierWait)
+		}
+		for w, d := range st.BarrierWait {
+			if d < 0 || st.Busy[w]+d > st.Wall {
+				t.Fatalf("workers=%d: worker %d busy %v + barrier wait %v outside wall %v", workers, w, st.Busy[w], d, st.Wall)
+			}
+		}
+		var windows, events uint64
+		for i := range st.PartWindows {
+			windows += st.PartWindows[i]
+			events += st.PartEvents[i]
+		}
+		if len(st.PartWindows) != 2 || len(st.PartEvents) != 2 || windows != st.Windows || events != st.Kernel.Events {
+			t.Fatalf("workers=%d: partition windows %v events %v, totals %d and %d", workers,
+				st.PartWindows, st.PartEvents, st.Windows, st.Kernel.Events)
+		}
+		if len(st.Held) != 2 || st.Held[0] != 0 || st.Held[1] == 0 || st.Held[1] > st.Rounds {
+			t.Fatalf("workers=%d: hold coverage %v over %d rounds; want none on a->b, some on b->a", workers, st.Held, st.Rounds)
 		}
 		g.Shutdown()
 	}

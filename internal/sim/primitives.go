@@ -39,7 +39,7 @@ func (f *fifo[T]) pop() T {
 
 // Queue is an unbounded FIFO channel between simulation processes. Push
 // never blocks; Pop blocks until a value is available. The zero Queue is not
-// ready for use; create one with NewQueue.
+// ready for use; create one with NewQueue, or Init one held by value.
 type Queue[T any] struct {
 	env *Env
 	buf fifo[T]
@@ -127,8 +127,14 @@ type queueWaiter[T any] struct {
 
 // NewQueue returns an empty queue bound to env.
 func NewQueue[T any](env *Env) *Queue[T] {
-	return &Queue[T]{env: env}
+	q := new(Queue[T])
+	q.Init(env)
+	return q
 }
+
+// Init makes q an empty queue bound to env: NewQueue for a queue that lives
+// inside the record that uses it.
+func (q *Queue[T]) Init(env *Env) { *q = Queue[T]{env: env} }
 
 // Len returns the number of buffered values.
 func (q *Queue[T]) Len() int { return q.buf.len() }
@@ -234,7 +240,8 @@ func (q *Queue[T]) pop(p *Proc, timeout Duration) (v T, ok bool) {
 	return v, true
 }
 
-// Semaphore is a counted, FIFO-fair semaphore.
+// Semaphore is a counted, FIFO-fair semaphore. Create one with NewSemaphore,
+// or Init one held by value.
 type Semaphore struct {
 	env     *Env
 	avail   int
@@ -248,8 +255,14 @@ type semWaiter struct {
 
 // NewSemaphore returns a semaphore with n initial permits.
 func NewSemaphore(env *Env, n int) *Semaphore {
-	return &Semaphore{env: env, avail: n}
+	s := new(Semaphore)
+	s.Init(env, n)
+	return s
 }
+
+// Init makes s a semaphore with n initial permits: NewSemaphore for one that
+// lives inside the record that uses it.
+func (s *Semaphore) Init(env *Env, n int) { *s = Semaphore{env: env, avail: n} }
 
 // Available returns the current number of free permits.
 func (s *Semaphore) Available() int { return s.avail }

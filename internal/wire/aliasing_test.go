@@ -161,6 +161,34 @@ func TestBufferlistAliasingContract(t *testing.T) {
 		}
 	})
 
+	// A record that holds its list, that list's table and its header bytes
+	// frames into them: the header is written over the record's bytes, the
+	// payload's segments are shared, and nothing is allocated.
+	t.Run("EncoderBLOnRecordsOwnList", func(t *testing.T) {
+		var rec struct {
+			bl    Bufferlist
+			table [2][]byte
+			hdr   [8]byte
+		}
+		payload := FromBytes([]byte{1, 2, 3})
+		encode := func() *Bufferlist {
+			e := EncoderBLOn(rec.hdr[:], rec.bl.InitOn(rec.table[:]))
+			e.U32(7)
+			e.BufferlistField(payload)
+			return e.Bufferlist()
+		}
+		out := encode()
+		if got := out.Bytes(); out != &rec.bl || out.Segments() != 2 || !bytes.Equal(got, []byte{7, 0, 0, 0, 3, 0, 0, 0, 1, 2, 3}) {
+			t.Fatalf("framed %v in %d segments", got, out.Segments())
+		}
+		if &out.segs[0][0] != &rec.hdr[0] || &out.segs[0:1][0] != &rec.table[0] || &out.segs[1][0] != &payload.segs[0][0] {
+			t.Fatal("the frame is not over the record's bytes and table, sharing the payload")
+		}
+		if allocs := testing.AllocsPerRun(100, func() { encode() }); allocs != 0 {
+			t.Fatalf("framing into a record: %.0f allocations", allocs)
+		}
+	})
+
 	// The decode side of the same contract: a BufferlistField read from a
 	// segmented list is a view of the frame's storage, not a copy.
 	t.Run("DecoderFieldIsView", func(t *testing.T) {

@@ -70,6 +70,14 @@ func (w *Inline2) Init() *Bufferlist {
 	return &w.Bufferlist
 }
 
+// InitOn empties bl onto table's array and returns it: a record's list over a
+// segment table the record holds, or over one sized once for what the list
+// will carry. Appending past cap(table) grows it like any append.
+func (bl *Bufferlist) InitOn(table [][]byte) *Bufferlist {
+	bl.segs, bl.length = table[:0], 0
+	return bl
+}
+
 // Sized returns an empty list with room for n segments, the table in the
 // list's own allocation when n is at most four (a transaction's metadata and a
 // payload that crossed PCIe in up to three pieces).

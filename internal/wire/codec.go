@@ -29,7 +29,14 @@ func EncoderOn(buf []byte) *Encoder { return &Encoder{buf: buf[:0]} }
 // lifetime of scratch's array: it may only be recycled once the returned
 // list and everything decoded zero-copy from it are unreachable.
 func NewEncoderBL(scratch []byte) *Encoder {
-	return &Encoder{buf: scratch[:0], out: &Bufferlist{}}
+	return EncoderBLOn(scratch, &Bufferlist{})
+}
+
+// EncoderBLOn is NewEncoderBL assembling into out, a list the caller owns:
+// a record that holds its header bytes and its list (over a table it holds
+// too, see InitOn) frames into them without allocating.
+func EncoderBLOn(scratch []byte, out *Bufferlist) *Encoder {
+	return &Encoder{buf: scratch[:0], out: out}
 }
 
 // flush moves the pending scratch region into the output list and starts a

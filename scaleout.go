@@ -25,18 +25,51 @@ type sweepRun struct {
 	// wall is the host time of the simulation proper, the one figure that
 	// may move with the worker count.
 	wall time.Duration
-	// efficiency and kernel are the kernel's own account of the run: the
-	// share of workers x wall its workers spent inside partition windows, and
-	// the partitions' counters — shown as switches per event fired (2 when every
-	// event resumes a parked proc from the scheduler, 0 when procs and tasks
-	// consume them in place), coroutines made and served-queue identities.
-	efficiency float64
-	kernel     sim.EnvStats
+	// st is the kernel's own account of the run: the share of workers x wall
+	// its workers spent inside partition windows, the partitions' counters —
+	// shown as switches per event fired (2 when every event resumes a parked
+	// proc from the scheduler, 0 when procs and tasks consume them in place),
+	// coroutines made and served-queue identities — and where the rest went:
+	// barrier waits, events per partition, rounds bought by promises.
+	st sim.GroupStats
 }
 
 func (r sweepRun) wallMs() string { return fmt.Sprintf("%.1f", float64(r.wall)/1e6) }
 
 func (r sweepRun) eventsPerSec() float64 { return float64(r.res.Events) / r.wall.Seconds() }
+
+// barrierMs is the workers' host time spent waiting at barriers, summed.
+func (r sweepRun) barrierMs() string {
+	var d time.Duration
+	for _, w := range r.st.BarrierWait {
+		d += w
+	}
+	return fmt.Sprintf("%.1f", float64(d)/1e6)
+}
+
+// partitionSkew is the busiest partition's events over the mean partition's.
+func (r sweepRun) partitionSkew() float64 {
+	var most, sum uint64
+	for _, n := range r.st.PartEvents {
+		most, sum = max(most, n), sum+n
+	}
+	return float64(most) * float64(len(r.st.PartEvents)) / float64(sum)
+}
+
+// holdCoverage is the share of rounds in which a promise set a horizon, over
+// the links that ever held one.
+func (r sweepRun) holdCoverage() float64 {
+	var held, links uint64
+	for _, n := range r.st.Held {
+		if n > 0 {
+			held, links = held+n, links+1
+		}
+	}
+	if links == 0 {
+		return 0
+	}
+	return float64(held) / float64(links*r.st.Rounds)
+}
 
 func (r sweepRun) mbps(window Duration) float64 {
 	return float64(r.res.TotalBytes) / 1e6 / window.Seconds()
@@ -82,7 +115,7 @@ func sweepWorkers(cfg cluster.ScaleOutConfig, workers []int) ([]sweepRun, error)
 		case cfg.CollectImbalance && cfg.BalanceReads && imb.BalancedReadShare == 0:
 			return nil, fmt.Errorf("not engaged: balance-reads on but no read went to a secondary")
 		}
-		out = append(out, sweepRun{w, res, imb, wall, st.Efficiency(), st.Kernel})
+		out = append(out, sweepRun{w, res, imb, wall, st})
 	}
 	return out, nil
 }
@@ -125,7 +158,7 @@ func runScaleOut(o Options) ([]*report.Table, error) {
 	for _, r := range runs {
 		t.AddRow(fmt.Sprint(r.workers), fmt.Sprint(r.res.TotalOps), report.F2(r.mbps(o.Duration)),
 			fmt.Sprint(r.res.Epochs), fmt.Sprint(r.res.Delivered),
-			r.wallMs(), report.F2(r.efficiency), fmt.Sprint(r.res.Rounds), fmt.Sprintf("%.0f", r.eventsPerSec()),
+			r.wallMs(), report.F2(r.st.Efficiency()), fmt.Sprint(r.res.Rounds), fmt.Sprintf("%.0f", r.eventsPerSec()),
 			report.F2(r.eventsPerSec()/runs[0].eventsPerSec()))
 	}
 	return []*report.Table{t}, nil
@@ -138,7 +171,8 @@ func runScaleOut128(o Options) ([]*report.Table, error) {
 	t := &report.Table{
 		Title: "Extension: 128-OSD multi-rack CRUSH cluster, popularity x balance-reads",
 		Header: []string{"workload", "balance", "workers", "ops", "sim MB/s",
-			"osd max/mean", "pg max/mean", "qd p99:p50", "hot-read share", "balanced", "wall ms", "efficiency", "switches/event", "coroutines", "identities"},
+			"osd max/mean", "pg max/mean", "qd p99:p50", "hot-read share", "balanced", "wall ms", "efficiency", "switches/event", "coroutines", "identities",
+			"barrier wait ms", "partition events max/mean", "hold coverage"},
 		Notes: []string{
 			"16 racks x 8 OSDs; catalog homed by rack-aware CRUSH (failure domain = rack); reads 70%",
 			"extra worker rows re-run the zipf+balance arm; full results are byte-identical across counts (enforced)",
@@ -162,9 +196,10 @@ func runScaleOut128(o Options) ([]*report.Table, error) {
 				row := []string{kind.String(), onOff, fmt.Sprint(r.workers), fmt.Sprint(r.res.TotalOps),
 					report.F2(r.mbps(o.Duration)), report.F2(r.imb.MaxMeanOSDShare), report.F2(r.imb.MaxMeanPGShare),
 					report.F2(r.imb.QueueDepthP99P50), fmt.Sprintf("%.3f", r.imb.HotReadShare),
-					fmt.Sprintf("%.3f", r.imb.BalancedReadShare), r.wallMs(), report.F2(r.efficiency),
-					report.F2(float64(r.kernel.Switches) / float64(r.kernel.Events)),
-					fmt.Sprint(r.kernel.CoroutinesPeak), fmt.Sprint(r.kernel.Identities)}
+					fmt.Sprintf("%.3f", r.imb.BalancedReadShare), r.wallMs(), report.F2(r.st.Efficiency()),
+					report.F2(float64(r.st.Kernel.Switches) / float64(r.st.Kernel.Events)),
+					fmt.Sprint(r.st.Kernel.CoroutinesPeak), fmt.Sprint(r.st.Kernel.Identities),
+					r.barrierMs(), report.F2(r.partitionSkew()), report.F2(r.holdCoverage())}
 				if i == 0 {
 					t.AddRow(row...)
 				} else {

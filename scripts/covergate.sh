@@ -39,7 +39,12 @@
 # the gate; rados 75.2% from 63.9%, osd 87.0% from 84.2%, objstore 99.2%
 # from 96.1%: most of the deleted omap code ran only under the gateway's
 # tests, which a per-package figure does not see; bluestore 85.6% from
-# 86.2%, core 89.1% from 88.9% — no floor moved down);
+# 86.2%, core 89.1% from 88.9% — no floor moved down), and again when a
+# streamed write became one record per stream on each hop and the kernel
+# gained its self-metrics (messenger 82.2% from 81.5%, osd 87.4% from 87.0%,
+# sim 93.7% from 93.5%, wire 88.2% from 87.7% with the encoder that frames
+# into a record's own list: floors 75 -> 77.2, 82 -> 82.4, 83 -> 88.7,
+# 82.7 -> 83.2);
 # each is set ~5 points below to absorb small refactors. Raise floors when
 # coverage improves, never lower them to make a PR pass.
 set -eu
@@ -67,10 +72,10 @@ gate() {
 gate ./internal/core 81.5
 gate ./internal/doca 77
 gate ./internal/cephmsg 80
-gate ./internal/osd 82
+gate ./internal/osd 82.4
 gate ./internal/faultinject 58
-gate ./internal/messenger 75
-gate ./internal/sim 83
+gate ./internal/messenger 77.2
+gate ./internal/sim 88.7
 gate ./internal/rbd 84
 gate ./internal/striper 80
 gate ./internal/rados 70.2
@@ -79,7 +84,7 @@ gate ./internal/cluster 85
 gate ./internal/crush 92
 gate ./internal/bluestore 80
 gate ./internal/rpcchan 92
-gate ./internal/wire 82.7
+gate ./internal/wire 83.2
 gate ./internal/objstore 94.2
 
 exit $fail
