@@ -148,7 +148,7 @@ func BenchmarkAblation_DesignChoices(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, r := range rs {
-			switch r.cell.name {
+			switch r.name {
 			case "doceph (full design)":
 				b.ReportMetric(r.bench.AvgLatency.Seconds(), "full-lat-s")
 			case "no pipelining":
@@ -161,19 +161,15 @@ func BenchmarkAblation_DesignChoices(b *testing.B) {
 }
 
 // BenchmarkSimulatorOpsRate measures the simulator itself: virtual-seconds
-// of DoCeph cluster time simulated per wall second at 4 MB load.
+// of DoCeph cluster time simulated per wall second at 4 MB load — the
+// doceph-4M golden cell.
 func BenchmarkSimulatorOpsRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cl := NewCluster(ClusterConfig{Mode: DoCeph})
-		res, err := RunBench(cl, BenchConfig{
-			Threads: 16, ObjectBytes: 4 << 20,
-			Duration: 3 * Second, Warmup: Second,
-		})
-		cl.Shutdown()
+		r, err := runWorkloadCfg(goldenCell("doceph-4M"), goldenOpts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(res.Ops), "sim-ops")
+		b.ReportMetric(float64(r.bench.Ops), "sim-ops")
 	}
 }
 

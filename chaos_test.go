@@ -16,7 +16,7 @@ func chaosOpts() Options {
 // (success or typed error — nothing hung past the driver's horizon) and
 // every verified read matching the written payload.
 func TestChaosRunCompletes(t *testing.T) {
-	r, err := RunChaos(chaosOpts(), nil)
+	r, err := RunChaos(chaosOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func TestChaosRunCompletes(t *testing.T) {
 // and the same plan produce byte-identical results across two full runs.
 func TestChaosDeterminism(t *testing.T) {
 	opts := Options{Duration: 12 * Second, Threads: 4, ObjectBytes: 256 << 10, Seed: 7}
-	a, err := RunChaos(opts, nil)
+	a, err := RunChaos(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunChaos(opts, nil)
+	b, err := RunChaos(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,25 +3,21 @@ package doceph
 import (
 	"encoding/json"
 	"flag"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"doceph/internal/bluestore"
-	"doceph/internal/cluster"
-	"doceph/internal/messenger"
-	"doceph/internal/radosbench"
 	"doceph/internal/sim"
 )
 
 // The golden file pins the simulated headline metrics (throughput, latency
 // distribution, host-CPU utilization, context switches, kernel event count)
-// at a fixed seed: one Baseline and one DoCeph run, captured BEFORE the
-// allocation-lean kernel / zero-copy data-plane rewrite, plus one run per
-// goldenCells row. The test asserts every later kernel reproduces those
-// numbers bit-identically. Regenerate only for an intentional model change:
+// at a fixed seed, one entry per goldenCells row; the first two, one
+// Baseline and one DoCeph run, were captured BEFORE the allocation-lean
+// kernel / zero-copy data-plane rewrite. The test asserts every later kernel
+// reproduces those numbers bit-identically. Regenerate only for an
+// intentional model change:
 //
 //	go test -run TestGoldenDeterminism -update-golden .
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_sim.json from this run")
@@ -46,56 +42,34 @@ type goldenMetrics struct {
 	KernelEvents uint64 `json:"kernel_events"`
 }
 
-func runGoldenScenario(t *testing.T, mode cluster.Mode) goldenMetrics {
-	t.Helper()
-	m, cl := runGoldenScenarioOpt(t, mode, false)
-	cl.Shutdown()
-	return m
-}
-
-// runGoldenScenarioOpt runs the pinned scenario, optionally with tracing,
-// and returns the headline metrics plus the cluster for extra inspection.
-// The caller owns the cluster shutdown. (The knob table's "golden" run-twice
-// row is this scenario over nine seeds at a 1 s window.)
-func runGoldenScenarioOpt(t *testing.T, mode cluster.Mode, traced bool) (goldenMetrics, *cluster.Cluster) {
-	t.Helper()
-	cl := cluster.New(cluster.Config{Mode: mode, Seed: 42, Trace: traced})
-	res, err := radosbench.Run(cl.Env, cl.Client, radosbench.Config{
-		Threads:     8,
-		ObjectBytes: 1 << 20,
-		Duration:    3 * sim.Second,
-		Warmup:      sim.Second,
-		OnWarmupEnd: cl.ResetHostStats,
-	})
-	if err != nil {
-		cl.Shutdown()
-		t.Fatalf("mode %v: %v", mode, err)
-	}
-	host := cl.HostCPUMerged()
-	util := host.SingleCoreUtilization()
+// golden is r's projection onto the pinned metrics.
+func (r runResult) golden() goldenMetrics {
 	return goldenMetrics{
-		Ops:          res.Ops,
-		Bytes:        res.Bytes,
-		AvgLatencyNs: int64(res.AvgLatency),
-		MinLatencyNs: int64(res.MinLatency),
-		MaxLatencyNs: int64(res.MaxLatency),
-		P50Ns:        int64(res.P50),
-		P99Ns:        int64(res.P99),
-		HostUtilBits: math.Float64bits(util),
-		HostUtil:     strconvFloat(util),
-		MsgrSwitches: host.SwitchesByCat[messenger.ThreadCat],
-		ObjSwitches:  host.SwitchesByCat[bluestore.ThreadCat],
-		KernelEvents: cl.Env.Events(),
-	}, cl
+		Ops:          r.bench.Ops,
+		Bytes:        r.bench.Bytes,
+		AvgLatencyNs: int64(r.bench.AvgLatency),
+		MinLatencyNs: int64(r.bench.MinLatency),
+		MaxLatencyNs: int64(r.bench.MaxLatency),
+		P50Ns:        int64(r.bench.P50),
+		P99Ns:        int64(r.bench.P99),
+		HostUtilBits: math.Float64bits(r.hostUtil),
+		HostUtil:     strconvFloat(r.hostUtil),
+		MsgrSwitches: r.msgrSw,
+		ObjSwitches:  r.objSw,
+		KernelEvents: r.events,
+	}
 }
 
-// goldenCells are the runs pinned beside the two scenarios, each on the
-// experiments' own runner at one window — 3 s measured after 1 s of
-// warm-up, 16 clients (4 on the stream row), seed 42: both deployments at
-// 4 MB, then one row per data path beside the default (batched multi-queue,
-// degraded writes with backfill, reads, the 70/30 mix, the chunk stream).
-// The keys are the cell names, so a failing row names itself.
+// goldenCells are the pinned runs, each on the experiments' own runner at one
+// window — 3 s measured after 1 s of warm-up, seed 42: the 1 MB scenario of
+// both deployments at 8 clients (golden_trace.json pins its traced run), then
+// at 16 clients (4 on the stream row) both deployments at 4 MB and one row per
+// data path beside the default (batched multi-queue, degraded writes with
+// backfill, reads, the 70/30 mix, the chunk stream). The keys are the cell
+// names, so a failing row names itself.
 var goldenCells = []cell{
+	{name: "baseline", mode: Baseline, size: 1 << 20, bench: BenchConfig{Threads: 8}},
+	{name: "doceph", mode: DoCeph, size: 1 << 20, bench: BenchConfig{Threads: 8}},
 	{name: "baseline-4M", mode: Baseline, size: 4 << 20},
 	{name: "doceph-4M", mode: DoCeph, size: 4 << 20},
 	{name: "doceph-mq4-64K", mode: DoCeph, size: 64 << 10, mut: multiQueue(4), engaged: queuesEngaged(4)},
@@ -106,6 +80,19 @@ var goldenCells = []cell{
 	// 16 MB objects from 16 clients would swamp the fabric (see streamingCells).
 	{name: "doceph-stream-16M", mode: DoCeph, size: 16 << 20, bench: BenchConfig{Threads: 4}, engaged: streamEngaged(true),
 		mut: func(c *ClusterConfig) { c.Messenger.Stream.Enable = true }},
+}
+
+// goldenOpts is the goldens' window, client count and seed.
+var goldenOpts = Options{Duration: 3 * Second, Warmup: Second, Threads: 16, Seed: 42}
+
+// goldenCell is the goldenCells row called name.
+func goldenCell(name string) cell {
+	for _, c := range goldenCells {
+		if c.name == name {
+			return c
+		}
+	}
+	panic("no golden cell " + name)
 }
 
 // downThenRejoin takes osd.1 down administratively at t=0 — the heartbeat
@@ -123,29 +110,8 @@ func downThenRejoin(cl *Cluster, o Options) {
 }
 
 func degradedEngaged(r runResult) error {
-	if r.degradedWrites == 0 || r.pgsBackfilled == 0 {
-		return fmt.Errorf("an OSD was to go down and rejoin but degraded_writes=%d pgs_backfilled=%d",
-			r.degradedWrites, r.pgsBackfilled)
-	}
-	return nil
-}
-
-// cellMetrics is a goldenCells run's headline metrics.
-func cellMetrics(r runResult) goldenMetrics {
-	return goldenMetrics{
-		Ops:          r.bench.Ops,
-		Bytes:        r.bench.Bytes,
-		AvgLatencyNs: int64(r.bench.AvgLatency),
-		MinLatencyNs: int64(r.bench.MinLatency),
-		MaxLatencyNs: int64(r.bench.MaxLatency),
-		P50Ns:        int64(r.bench.P50),
-		P99Ns:        int64(r.bench.P99),
-		HostUtilBits: math.Float64bits(r.hostUtil),
-		HostUtil:     strconvFloat(r.hostUtil),
-		MsgrSwitches: r.msgrSw,
-		ObjSwitches:  r.objSw,
-		KernelEvents: r.events,
-	}
+	return expect(r.degradedWrites > 0 && r.pgsBackfilled > 0,
+		"an OSD was to go down and rejoin but degraded_writes=%d pgs_backfilled=%d", r.degradedWrites, r.pgsBackfilled)
 }
 
 func strconvFloat(f float64) string {
@@ -157,16 +123,13 @@ func strconvFloat(f float64) string {
 // any scheduling, pooling or data-plane optimization must leave every
 // simulated number — including the total event count — exactly unchanged.
 func TestGoldenDeterminism(t *testing.T) {
-	got := map[string]goldenMetrics{
-		"baseline": runGoldenScenario(t, cluster.Baseline),
-		"doceph":   runGoldenScenario(t, cluster.DoCeph),
-	}
-	rs, err := runCells(Options{Duration: 3 * Second, Warmup: Second}, goldenCells)
+	rs, err := runCells(goldenOpts, goldenCells)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := map[string]goldenMetrics{}
 	for _, r := range rs {
-		got[r.cell.name] = cellMetrics(r)
+		got[r.name] = r.golden()
 	}
 
 	if *updateGolden {

@@ -67,14 +67,6 @@ func staged(prefix string, f func(runResult) error) func(arm) error {
 	}
 }
 
-// expect is nil when ok holds, else the formatted error.
-func expect(ok bool, format string, args ...any) error {
-	if ok {
-		return nil
-	}
-	return fmt.Errorf(format, args...)
-}
-
 var knobs = []knob{
 	{name: "batching", mut: batchOn, modes: bothModes, sizes: knobSizes,
 		live: smallOnDPU, engaged: staged("batch.", batchedEngaged), inert: onBaseline},
@@ -82,7 +74,7 @@ var knobs = []knob{
 		live: smallOnDPU, engaged: staged("batch.", queuesEngaged(4))},
 	{name: "streaming", mut: streamOn, modes: bothModes, sizes: []int64{streamChunk, 4 << 20, 8 << 20},
 		live: everywhere, engaged: func(a arm) error {
-			if a.cell.size > streamChunk {
+			if a.size > streamChunk {
 				return staged("stream.", streamEngaged(true))(a)
 			}
 			return streamEngaged(false)(a.runResult)
@@ -131,14 +123,14 @@ func knobObjects() (objs []string) {
 
 // arm is what one run of the workload leaves behind.
 type arm struct {
-	runResult // the counters grid.go's engagement predicates read
+	runResult // the record grid.go's engagement predicates read
 	// crc is every object as read back; ghostErr the never-written read's.
-	crc               map[string]uint32
-	ghostErr          string
-	stages            map[string]bool
-	breakers, minSize int
-	hash              string
-	errs              []error // what the run itself found wrong
+	crc      map[string]uint32
+	ghostErr string
+	stages   map[string]bool
+	minSize  int
+	hash     string
+	errs     []error // what the run itself found wrong
 }
 
 // count is how many distinct trace stages start with prefix.
@@ -193,8 +185,9 @@ func runArm(p point) arm {
 	defer cl.Shutdown()
 	a := arm{crc: map[string]uint32{}, stages: map[string]bool{}}
 	fail := func(format string, args ...any) { a.errs = append(a.errs, fmt.Errorf(format, args...)) }
-	res, err := radosbench.Run(cl.Env, cl.Client, radosbench.Config{Threads: knobThreads, ObjectBytes: p.size,
-		OpsPerThread: knobOps, Op: radosbench.Mixed, ReadPercent: knobReadPct, PrepopulateObjects: knobPrepop})
+	bench := BenchConfig{Threads: knobThreads, ObjectBytes: p.size,
+		OpsPerThread: knobOps, Op: MixedWorkload, ReadPercent: knobReadPct, PrepopulateObjects: knobPrepop}
+	res, err := radosbench.Run(cl.Env, cl.Client, bench)
 	if err != nil {
 		fail("bench: %v", err)
 		return a
@@ -244,23 +237,8 @@ func runArm(p point) arm {
 		fail("served queues still hold work after the settle: %v", b)
 	}
 
-	a.runResult = runResult{cell: cell{mode: p.mode, size: p.size}, bench: res, events: cl.Env.Events(),
-		nodes: len(cl.Nodes), balancedReads: cl.Client.Stats().BalancedReads}
-	for _, n := range cl.Nodes {
-		a.streamWrites += n.OSD.Stats().StreamWrites
-		a.degradedWrites += n.OSD.Stats().DegradedWrites
-		if n.Bridge == nil {
-			continue
-		}
-		st := n.Bridge.Proxy.Stats()
-		a.batchedTxns += st.BatchedTxns
-		a.cacheHits += st.ReadCacheHits
-		a.cacheMisses += st.ReadCacheMisses
-		a.engQueues = n.Bridge.EngUp.NumQueues()
-		if n.Bridge.Proxy.Breaker() != nil {
-			a.breakers++
-		}
-	}
+	a.runResult = measure(cl, res)
+	a.mode, a.size, a.workload = p.mode, p.size, bench
 	a.minSize = cl.Nodes[0].OSD.Map().MinSize
 	// A knob's counter stays zero unless its switch is on.
 	for _, c := range []struct {
@@ -277,31 +255,32 @@ func runArm(p point) arm {
 			fail("%d %s with the knob off", c.n, c.what)
 		}
 	}
-	a.stages, a.hash = checkTrace(cl, a.runResult, &a.errs)
+	a.stages, err = traceStages(a.runResult)
+	a.errs = append(a.errs, a.checkTrace(), err)
+	a.hash = chromeHash(a.spans)
 	return a
 }
 
-// checkTrace holds a traced run to what every run of the table satisfies:
-// the span invariants, CPU conservation, batch and stream stages only where
-// their counters moved, and batch DMA stages per queue — on more than one —
-// once the engines run several. It returns the stage set and the trace hash.
-func checkTrace(cl *Cluster, r runResult, errs *[]error) (map[string]bool, string) {
-	spans := cl.Tracer.Spans()
-	*errs = append(*errs, trace.CheckInvariants(spans), trace.CheckCPUConservation(spans, cpuBusy(cl)))
+// traceStages holds a traced run to what every run of the table satisfies
+// beyond the runner's span checks: some spans, batch and stream stages only
+// where their counters moved, and batch DMA stages per queue — on more than
+// one — once the engines run several. It returns the stage set.
+func traceStages(r runResult) (map[string]bool, error) {
 	a := arm{stages: map[string]bool{}}
-	for _, s := range spans {
+	for _, s := range r.spans {
 		a.stages[s.Stage] = true
 	}
+	var errs []error
 	if a.count("batch.") > 0 && r.batchedTxns == 0 || a.count("stream.") > 0 && r.streamWrites == 0 {
-		*errs = append(*errs, fmt.Errorf("batch or stream stages with nothing batched or streamed: %v", a.stages))
+		errs = append(errs, fmt.Errorf("batch or stream stages with nothing batched or streamed: %v", a.stages))
 	}
 	if r.engQueues > 1 && (a.stages[trace.StageBatchDMA] || a.count("batch.") > 0 && a.count(trace.StageBatchDMA+".q") < 2) {
-		*errs = append(*errs, fmt.Errorf("%d DMA queues but stages %v", r.engQueues, a.stages))
+		errs = append(errs, fmt.Errorf("%d DMA queues but stages %v", r.engQueues, a.stages))
 	}
-	if len(spans) == 0 {
-		*errs = append(*errs, errors.New("no spans recorded"))
+	if len(r.spans) == 0 {
+		errs = append(errs, errors.New("no spans recorded"))
 	}
-	return a.stages, chromeHash(spans)
+	return a.stages, errors.Join(errs...)
 }
 
 // check holds the arm p to the all-off run at its deployment and size: the
@@ -445,22 +424,16 @@ func tracedCell(c cell, warmup Duration, rows ...string) func(int64) (any, error
 		}
 	}
 	return func(seed int64) (any, error) {
-		c, cl := c, (*Cluster)(nil)
-		c.arm = func(x *Cluster, _ Options) { cl = x }
 		r, err := runWorkloadCfg(c, Options{Duration: Second, Warmup: warmup, Threads: 8, Seed: seed})
 		if err != nil {
 			return nil, err
 		}
-		var errs []error
-		stages, hash := checkTrace(cl, r, &errs)
+		stages, err := traceStages(r)
+		errs := []error{err}
 		for _, n := range rows {
 			errs = append(errs, knobs[knobNamed(n)].engaged(arm{runResult: r, stages: stages}))
 		}
-		r.cell = cell{} // funcs are not results
-		return struct {
-			r    runResult
-			hash string
-		}{r, hash}, errors.Join(errs...)
+		return r, errors.Join(errs...)
 	}
 }
 

@@ -1,9 +1,9 @@
 package doceph
 
 import (
+	"reflect"
 	"testing"
 
-	"doceph/internal/cluster"
 	"doceph/internal/report"
 	"doceph/internal/sim"
 	"doceph/internal/wire"
@@ -80,7 +80,7 @@ func TestSizeSweepPaperShape(t *testing.T) {
 		t.Fatalf("rows=%d", len(rows))
 	}
 	for _, g := range rows {
-		base, dc, mb := g[0], g[1], g[0].cell.size>>20
+		base, dc, mb := g[0], g[1], g[0].size>>20
 		// The headline claim: order-of-magnitude host CPU savings.
 		if dc.hostUtil > base.hostUtil/4 {
 			t.Fatalf("%dMB: DoCeph %.3f vs baseline %.3f", mb, dc.hostUtil, base.hostUtil)
@@ -121,7 +121,7 @@ func TestMessengerProfilePaperShape(t *testing.T) {
 	oneG, hundredG := rs[0], rs[1]
 	for _, lp := range rs {
 		if lp.msgrShare < 0.6 {
-			t.Fatalf("%s messenger share=%.2f, must dominate", lp.cell.name, lp.msgrShare)
+			t.Fatalf("%s messenger share=%.2f, must dominate", lp.name, lp.msgrShare)
 		}
 	}
 	// 100G moves much more data yet the messenger share stays ~constant —
@@ -169,23 +169,16 @@ func TestSweepTablesRender(t *testing.T) {
 	}
 }
 
+// TestDeterministicAcrossRuns: one cell run twice at one seed yields the same
+// record, every field of it.
 func TestDeterministicAcrossRuns(t *testing.T) {
-	run := func() (float64, float64) {
-		cl := NewCluster(ClusterConfig{Mode: DoCeph, Seed: 7})
-		defer cl.Shutdown()
-		res, err := RunBench(cl, BenchConfig{
-			Threads: 8, ObjectBytes: 4 << 20,
-			Duration: 2 * Second, Warmup: Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.IOPS(), cl.HostCPUMerged().SingleCoreUtilization()
+	c := cell{name: "doceph 4MB", mode: DoCeph, size: 4 << 20}
+	rs, err := runCells(Options{Duration: 2 * Second, Warmup: Second, Threads: 8, Seed: 7}, []cell{c, c})
+	if err != nil {
+		t.Fatal(err)
 	}
-	i1, u1 := run()
-	i2, u2 := run()
-	if i1 != i2 || u1 != u2 {
-		t.Fatalf("non-deterministic: iops %v vs %v, util %v vs %v", i1, i2, u1, u2)
+	if !reflect.DeepEqual(rs[0], rs[1]) {
+		t.Fatalf("non-deterministic:\n 1: %+v\n 2: %+v", rs[0], rs[1])
 	}
 }
 
@@ -231,27 +224,26 @@ func TestScaleSweepSavingsPersist(t *testing.T) {
 // host CPU saving) must not depend on the exact calibration constants.
 // Perturb the dominant messenger costs by +-30% and re-check.
 func TestConclusionRobustToCalibration(t *testing.T) {
-	for _, scale := range []float64{0.7, 1.3} {
-		run := func(mode Mode) float64 {
-			cfg := ClusterConfig{Mode: mode, Seed: 42}
-			cfg.Messenger.TxCopyCyclesPerByte = 1.05 * scale
-			cfg.Messenger.RxCopyCyclesPerByte = 1.05 * scale
-			cfg.Messenger.EncodeCycles = int64(120_000 * scale)
-			cfg.Messenger.DecodeCycles = int64(100_000 * scale)
-			cl := NewCluster(cfg)
-			defer cl.Shutdown()
-			if _, err := RunBench(cl, BenchConfig{
-				Threads: 16, ObjectBytes: 4 << 20,
-				Duration: 3 * Second, Warmup: Second,
-			}); err != nil {
-				t.Fatal(err)
+	scales := []float64{0.7, 1.3}
+	var cells []cell
+	for _, scale := range scales {
+		for _, c := range versus([]int64{4 << 20}, BenchConfig{}) {
+			c.mut = func(cfg *ClusterConfig) {
+				cfg.Messenger.TxCopyCyclesPerByte = 1.05 * scale
+				cfg.Messenger.RxCopyCyclesPerByte = 1.05 * scale
+				cfg.Messenger.EncodeCycles = int64(120_000 * scale)
+				cfg.Messenger.DecodeCycles = int64(100_000 * scale)
 			}
-			return cl.HostCPUMerged().SingleCoreUtilization()
+			cells = append(cells, c)
 		}
-		base, dc := run(Baseline), run(DoCeph)
-		saving := (1 - dc/base) * 100
-		if saving < 80 {
-			t.Fatalf("scale %.1f: saving fell to %.1f%%", scale, saving)
+	}
+	rs, err := runCells(Options{Duration: 3 * Second, Warmup: Second, Threads: 16, Seed: 42}, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range groups(rs, 2) {
+		if saving := pctUnder(g[1].hostUtil, g[0].hostUtil); saving < 80 {
+			t.Fatalf("scale %.1f: saving fell to %.1f%%", scales[i], saving)
 		}
 	}
 }
@@ -259,23 +251,19 @@ func TestConclusionRobustToCalibration(t *testing.T) {
 // TestSeedSensitivity: different seeds must give closely agreeing results
 // (the jittered DMA engine is the only stochastic element).
 func TestSeedSensitivity(t *testing.T) {
-	iops := func(seed int64) float64 {
-		cl := NewCluster(ClusterConfig{Mode: DoCeph, Seed: seed})
-		defer cl.Shutdown()
-		res, err := RunBench(cl, BenchConfig{
-			Threads: 16, ObjectBytes: 4 << 20,
-			Duration: 4 * Second, Warmup: Second,
-		})
+	var iops []float64
+	for _, seed := range []int64{1, 999, 123456} {
+		rs, err := runCells(Options{Duration: 4 * Second, Warmup: Second, Threads: 16, Seed: seed},
+			[]cell{{name: "doceph 4MB", mode: DoCeph, size: 4 << 20}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.IOPS()
+		iops = append(iops, rs[0].bench.IOPS())
 	}
-	a, b, c := iops(1), iops(999), iops(123456)
-	mean := (a + b + c) / 3
-	for _, v := range []float64{a, b, c} {
+	mean := (iops[0] + iops[1] + iops[2]) / 3
+	for _, v := range iops {
 		if v < mean*0.95 || v > mean*1.05 {
-			t.Fatalf("seed variance too high: %v %v %v", a, b, c)
+			t.Fatalf("seed variance too high: %v", iops)
 		}
 	}
 }
@@ -290,23 +278,17 @@ func TestStreamingBoundsPeakStaging(t *testing.T) {
 	// stream's staging, not cross-op concurrency.
 	const size = 16 << 20
 	run := func(stream bool) (peak, streamed int64) {
-		cfg := cluster.Config{Mode: cluster.DoCeph, Seed: 42}
+		cfg := ClusterConfig{Mode: DoCeph, Seed: 42}
 		cfg.Messenger.Stream.Enable = stream
 		cfg.Messenger.Stream.Window = 2
-		cl := cluster.New(cfg)
+		cl := NewCluster(cfg)
 		defer cl.Shutdown()
-		if _, err := RunBench(cl, BenchConfig{
-			Threads: 1, ObjectBytes: size, OpsPerThread: 4,
-		}); err != nil {
+		res, err := RunBench(cl, BenchConfig{Threads: 1, ObjectBytes: size, OpsPerThread: 4})
+		if err != nil {
 			t.Fatal(err)
 		}
-		for _, n := range cl.Nodes {
-			streamed += n.OSD.Stats().StreamWrites
-			if st := n.Bridge.Proxy.Stats(); st.PeakStagingBytes > peak {
-				peak = st.PeakStagingBytes
-			}
-		}
-		return peak, streamed
+		r := measure(cl, res)
+		return r.peakStaging, r.streamWrites
 	}
 	offPeak, offStreamed := run(false)
 	onPeak, onStreamed := run(true)

@@ -4,18 +4,21 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"maps"
 	"os"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
-	"doceph/internal/cluster"
+	"doceph/internal/sim"
 	"doceph/internal/trace"
 )
 
 // The trace golden pins the complete trace output — span count and the
-// SHA-256 of the byte-exact Chrome JSON — of the same pinned scenario as
-// golden_sim.json, with tracing on. Any change to span creation order,
+// SHA-256 of the byte-exact Chrome JSON — of golden_sim.json's baseline and
+// doceph cells, with tracing on. Any change to span creation order,
 // attribution or the exporter shows up here. Regenerate alongside the sim
 // golden for an intentional model change:
 //
@@ -28,39 +31,35 @@ type goldenTrace struct {
 	ChromeSHA256 string `json:"chrome_sha256"`
 }
 
-// tracedRun is one traced golden-scenario execution, shared by the tests
-// below so each mode only runs once.
-type tracedRun struct {
-	metrics goldenMetrics
-	spans   []trace.Span
-	busy    map[string]Duration
-}
+// tracedRuns holds the traced run of each golden cell the tests below ask
+// for, so each runs once.
+var tracedRuns = map[string]runResult{}
 
-var tracedRunCache = map[cluster.Mode]*tracedRun{}
-
-func tracedGolden(t *testing.T, mode cluster.Mode) *tracedRun {
+// tracedGolden is the golden cell called name run with tracing on; the runner
+// has checked its spans.
+func tracedGolden(t *testing.T, name string) runResult {
 	t.Helper()
-	if r, ok := tracedRunCache[mode]; ok {
+	if r, ok := tracedRuns[name]; ok {
 		return r
 	}
-	metrics, cl := runGoldenScenarioOpt(t, mode, true)
-	defer cl.Shutdown()
-	r := &tracedRun{metrics: metrics, spans: cl.Tracer.Spans(), busy: cpuBusy(cl)}
-	tracedRunCache[mode] = r
+	r, err := runWorkloadCfg(traced(goldenCell(name)), goldenOpts)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	tracedRuns[name] = r
 	return r
 }
 
-// cpuBusy is every CPU's busy time by name: what the spans' CPU is conserved
-// against.
-func cpuBusy(cl *cluster.Cluster) map[string]Duration {
-	busy := map[string]Duration{cl.ClientCPU.Name(): cl.ClientCPU.Stats().TotalBusy}
-	for _, n := range cl.Nodes {
-		busy[n.HostCPU.Name()] = n.HostCPU.Stats().TotalBusy
-		if n.DPU != nil {
-			busy[n.DPU.CPU.Name()] = n.DPU.CPU.Stats().TotalBusy
+// traced is c with tracing switched on.
+func traced(c cell) cell {
+	mut := c.mut
+	c.mut = func(cfg *ClusterConfig) {
+		cfg.Trace = true
+		if mut != nil {
+			mut(cfg)
 		}
 	}
-	return busy
+	return c
 }
 
 func chromeHash(spans []trace.Span) string {
@@ -75,16 +74,14 @@ func chromeHash(spans []trace.Span) string {
 func TestGoldenTrace(t *testing.T) {
 	got := map[string]goldenTrace{}
 	metrics := map[string]goldenMetrics{}
-	for name, mode := range map[string]cluster.Mode{
-		"baseline": cluster.Baseline, "doceph": cluster.DoCeph,
-	} {
-		r := tracedGolden(t, mode)
+	for _, name := range []string{"baseline", "doceph"} {
+		r := tracedGolden(t, name)
 		got[name] = goldenTrace{
 			Spans:        len(r.spans),
 			StageRows:    len(trace.Aggregate(r.spans)),
 			ChromeSHA256: chromeHash(r.spans),
 		}
-		metrics[name] = r.metrics
+		metrics[name] = r.golden()
 	}
 
 	if *updateGolden {
@@ -130,20 +127,60 @@ func TestGoldenTrace(t *testing.T) {
 	}
 }
 
-// TestTraceInvariants runs the structural and CPU-conservation checkers
-// over both deployments' real traces.
+// TestTraceInvariants: both deployments' real traces pass the runner's
+// structural and CPU-conservation checks, and the checks are live — the same
+// record with a processor's busy time one span's CPU short, or with one span
+// ending after its parent, fails them, and so does a traced cell whose run
+// leaves such a span behind.
 func TestTraceInvariants(t *testing.T) {
-	for _, mode := range []cluster.Mode{cluster.Baseline, cluster.DoCeph} {
-		r := tracedGolden(t, mode)
+	for _, name := range []string{"baseline", "doceph"} {
+		r := tracedGolden(t, name)
 		if len(r.spans) == 0 {
-			t.Fatalf("%v: no spans recorded", mode)
+			t.Fatalf("%s: no spans recorded", name)
 		}
-		if err := trace.CheckInvariants(r.spans); err != nil {
-			t.Errorf("%v: %v", mode, err)
+		if err := r.checkTrace(); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
-		if err := trace.CheckCPUConservation(r.spans, r.busy); err != nil {
-			t.Errorf("%v: %v", mode, err)
+
+		short := r
+		short.busy = maps.Clone(r.busy)
+		s := r.spans[slices.IndexFunc(r.spans, func(s trace.Span) bool { return s.CPU > 0 })]
+		short.busy[s.Resource] = trace.CPUByResource(r.spans)[s.Resource] - s.CPU
+		if err := short.checkTrace(); err == nil || !strings.Contains(err.Error(), "conservation") {
+			t.Errorf("%s: busy time one span's CPU short not caught: %v", name, err)
 		}
+
+		torn := r
+		torn.spans = slices.Clone(r.spans)
+		at := map[trace.SpanID]int{}
+		for i, s := range torn.spans {
+			at[s.ID] = i
+		}
+		for i, s := range torn.spans {
+			if p, ok := at[s.Parent]; ok && s.Parent != 0 {
+				torn.spans[i].End = torn.spans[p].End + 1
+				break
+			}
+		}
+		if err := torn.checkTrace(); err == nil || !strings.Contains(err.Error(), "invariants") {
+			t.Errorf("%s: a span outliving its parent not caught: %v", name, err)
+		}
+	}
+
+	// Through the runner: a span opened under a parent that finishes first.
+	c := traced(cell{name: "torn", mode: Baseline, size: 64 << 10, arm: func(cl *Cluster, o Options) {
+		cl.Env.Spawn("torn-span", func(p *sim.Proc) {
+			p.Wait(o.Warmup + Millisecond)
+			parent := cl.Tracer.Start(0, 1, "test.parent", "")
+			child := cl.Tracer.Start(parent, 0, "test.child", "")
+			cl.Tracer.Finish(parent)
+			p.Wait(Millisecond)
+			cl.Tracer.Finish(child)
+		})
+	}})
+	opts := Options{Duration: 200 * Millisecond, Warmup: 100 * Millisecond, Threads: 2, Seed: 42}
+	if _, err := runWorkloadCfg(c, opts); err == nil || !strings.Contains(err.Error(), "invariants") {
+		t.Errorf("runner accepted a span outliving its parent: %v", err)
 	}
 }
 
@@ -160,7 +197,7 @@ func TestTraceMessengerShiftsToDPU(t *testing.T) {
 		trace.StageHostCommit: true, trace.StageAIO: true, trace.StageKV: true,
 	}
 
-	base := trace.Aggregate(tracedGolden(t, cluster.Baseline).spans)
+	base := trace.Aggregate(tracedGolden(t, "baseline").spans)
 	var baseHostDaemon Duration
 	for _, s := range base {
 		if daemonStages[s.Stage] && strings.HasPrefix(s.Resource, "host-") {
@@ -171,7 +208,7 @@ func TestTraceMessengerShiftsToDPU(t *testing.T) {
 		t.Fatal("baseline: no messenger/OSD CPU attributed to host processors")
 	}
 
-	dc := trace.Aggregate(tracedGolden(t, cluster.DoCeph).spans)
+	dc := trace.Aggregate(tracedGolden(t, "doceph").spans)
 	var dcDPUDaemon, dcHostStore Duration
 	for _, s := range dc {
 		if daemonStages[s.Stage] {
@@ -210,24 +247,25 @@ func TestTraceMessengerShiftsToDPU(t *testing.T) {
 }
 
 // TestTraceDeterminismAcrossGOMAXPROCS is the determinism property test:
-// the same (seed, config) must yield bit-identical metrics AND
-// byte-identical trace output whether the Go runtime schedules on one OS
-// thread or many.
+// the same (seed, config) must yield the identical record — every metric and
+// every span — whether the Go runtime schedules on one OS thread or many.
 func TestTraceDeterminismAcrossGOMAXPROCS(t *testing.T) {
-	run := func() (goldenMetrics, string) {
-		m, cl := runGoldenScenarioOpt(t, cluster.DoCeph, true)
-		defer cl.Shutdown()
-		return m, chromeHash(cl.Tracer.Spans())
+	run := func() runResult {
+		r, err := runWorkloadCfg(traced(goldenCell("doceph")), goldenOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
 	prev := runtime.GOMAXPROCS(1)
-	m1, h1 := run()
+	r1 := run()
 	runtime.GOMAXPROCS(8)
-	m2, h2 := run()
+	r2 := run()
 	runtime.GOMAXPROCS(prev)
-	if m1 != m2 {
-		t.Errorf("metrics differ across GOMAXPROCS:\n 1: %+v\n 8: %+v", m1, m2)
+	if !reflect.DeepEqual(r1, r2) {
+		t.Errorf("records differ across GOMAXPROCS:\n 1: %+v\n 2: %+v", r1.golden(), r2.golden())
 	}
-	if h1 != h2 {
+	if h1, h2 := chromeHash(r1.spans), chromeHash(r2.spans); h1 != h2 {
 		t.Errorf("trace output differs across GOMAXPROCS: %s vs %s", h1, h2)
 	}
 }

@@ -21,7 +21,7 @@ var profileCells = []cell{
 }
 
 func profileTables(rs []runResult) []*report.Table {
-	link := col("link", func(r runResult) string { return r.cell.name })
+	link := col("link", func(r runResult) string { return r.name })
 	fig5 := table("Figure 5: CPU usage breakdown by component (Baseline, 4MB writes)", []column{
 		link,
 		col("Messenger", func(r runResult) string { return report.Pct(r.msgrShare) }),
@@ -57,7 +57,7 @@ func profileTables(rs []runResult) []*report.Table {
 var PaperSizes = []int64{1 << 20, 4 << 20, 8 << 20, 16 << 20}
 
 // The comparison tables read a row as g[0] = Baseline, g[1] = DoCeph.
-var colSizeOf = column{"size", func(g []runResult) string { return sizeLabel(g[0].cell.size) }}
+var colSizeOf = column{"size", func(g []runResult) string { return sizeLabel(g[0].size) }}
 
 func sweepTables(rs []runResult) []*report.Table {
 	rows := groups(rs, 2)
@@ -89,7 +89,7 @@ func sweepTables(rs []runResult) []*report.Table {
 		Notes:  []string{"paper totals: 0.05 / 0.14 / 0.30 / 0.57 s; DMA-wait share 44.8% -> 11.9%"},
 	}
 	for _, g := range rows {
-		table3.Header = append(table3.Header, sizeLabel(g[1].cell.size))
+		table3.Header = append(table3.Header, sizeLabel(g[1].size))
 	}
 	for i, name := range []string{"Host write", "DMA", "DMA-wait", "Others", "Total Avg.Latency"} {
 		row := []string{name}
@@ -164,7 +164,7 @@ func stabilityTables(rs []runResult) []*report.Table {
 	base, baseMean, baseCV := rs[0].perSecond()
 	dc, dcMean, dcCV := rs[1].perSecond()
 	t := &report.Table{
-		Title:  fmt.Sprintf("Stability: per-second throughput, %s writes (MB/s)", sizeLabel(rs[0].cell.size)),
+		Title:  fmt.Sprintf("Stability: per-second throughput, %s writes (MB/s)", sizeLabel(rs[0].size)),
 		Header: []string{"second", "Baseline", "", "DoCeph", ""},
 	}
 	max := 0.0
@@ -338,7 +338,7 @@ func mqTables(rs []runResult) []*report.Table {
 	var rows [][]runResult
 	for i, r := range rs {
 		ref := r
-		if i > 0 && rows[i-1][1].cell.size == r.cell.size {
+		if i > 0 && rows[i-1][1].size == r.size {
 			ref = rows[i-1][1]
 		}
 		rows = append(rows, []runResult{r, ref})
@@ -353,7 +353,7 @@ func mqTables(rs []runResult) []*report.Table {
 		colLat,
 		col("avg batch", func(r runResult) string { return report.F2(r.avgBatch()) }),
 		colCPU,
-		col("engine occupancy", func(r runResult) string { return report.Pct(r.engOccupancy) }),
+		col("engine occupancy", func(r runResult) string { return report.Pct(r.engOccupancy()) }),
 	}, rows, "the serial engine (q=1) caps frame throughput at ~1/setup-time; parallel queues overlap setups while copies share CopySlots PCIe bus slots")}
 }
 

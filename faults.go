@@ -20,30 +20,6 @@ import (
 // from one seed, so a (seed, plan) pair reproduces bit-identical results
 // (asserted by TestChaosDeterminism / TestSelfHealDeterminism).
 
-// Re-exported fault-plan types (the plan DSL lives in internal/faultinject).
-type (
-	// FaultPlan is a named, ordered fault schedule.
-	FaultPlan = faultinject.Plan
-	// FaultEvent is one timed fault of a plan.
-	FaultEvent = faultinject.Event
-	// FaultKind enumerates the injectable fault classes.
-	FaultKind = faultinject.Kind
-)
-
-// Fault kinds, re-exported for plan construction.
-const (
-	FaultDrop       = faultinject.Drop
-	FaultLatency    = faultinject.Latency
-	FaultBandwidth  = faultinject.Bandwidth
-	FaultPartition  = faultinject.Partition
-	FaultSlowIO     = faultinject.SlowIO
-	FaultWriteError = faultinject.WriteError
-	FaultBitRot     = faultinject.BitRot
-	FaultDMAError   = faultinject.DMAError
-	FaultCommStall  = faultinject.CommStall
-	FaultOSDCrash   = faultinject.OSDCrash
-)
-
 // verifyEvery makes each worker read back one of its own objects after every
 // verifyEvery writes (inline integrity checking under faults).
 const verifyEvery = 4
@@ -54,17 +30,17 @@ const verifyEvery = 4
 // measurement a clean tail. Bit-rot and the OSD crash both target node1 /
 // osd.1, so corrupted replica copies are never promoted to serving reads —
 // scrub, not luck, is what restores redundancy.
-func DefaultChaosPlan(d Duration) FaultPlan {
+func DefaultChaosPlan(d Duration) faultinject.Plan {
 	frac := func(f float64) Duration { return Duration(float64(d) * f) }
-	return FaultPlan{Name: "default-chaos", Events: []FaultEvent{
-		{At: frac(0.10), Duration: frac(0.15), Kind: FaultDrop, Node: "node1", Prob: 0.05},
-		{At: frac(0.15), Duration: frac(0.10), Kind: FaultLatency, Node: "node0", Extra: 2 * sim.Millisecond},
-		{At: frac(0.30), Duration: frac(0.15), Kind: FaultOSDCrash, OSD: 1},
-		{At: frac(0.50), Duration: frac(0.10), Kind: FaultSlowIO, Node: "node0", Extra: 3 * sim.Millisecond},
-		{At: frac(0.62), Duration: frac(0.08), Kind: FaultWriteError, Node: "node0", Prob: 0.02},
-		{At: frac(0.72), Kind: FaultBitRot, Node: "node1", Count: 5},
-		{At: frac(0.76), Duration: frac(0.08), Kind: FaultDMAError, Node: "node0", Prob: 0.2},
-		{At: frac(0.76), Duration: frac(0.08), Kind: FaultCommStall, Node: "node1", Extra: sim.Millisecond},
+	return faultinject.Plan{Name: "default-chaos", Events: []faultinject.Event{
+		{At: frac(0.10), Duration: frac(0.15), Kind: faultinject.Drop, Node: "node1", Prob: 0.05},
+		{At: frac(0.15), Duration: frac(0.10), Kind: faultinject.Latency, Node: "node0", Extra: 2 * sim.Millisecond},
+		{At: frac(0.30), Duration: frac(0.15), Kind: faultinject.OSDCrash, OSD: 1},
+		{At: frac(0.50), Duration: frac(0.10), Kind: faultinject.SlowIO, Node: "node0", Extra: 3 * sim.Millisecond},
+		{At: frac(0.62), Duration: frac(0.08), Kind: faultinject.WriteError, Node: "node0", Prob: 0.02},
+		{At: frac(0.72), Kind: faultinject.BitRot, Node: "node1", Count: 5},
+		{At: frac(0.76), Duration: frac(0.08), Kind: faultinject.DMAError, Node: "node0", Prob: 0.2},
+		{At: frac(0.76), Duration: frac(0.08), Kind: faultinject.CommStall, Node: "node1", Extra: sim.Millisecond},
 	}}
 }
 
@@ -76,11 +52,11 @@ func DefaultChaosPlan(d Duration) FaultPlan {
 // comfortably exceed the 5 s heartbeat grace or the failure is never
 // detected; the final ~25% of the run is fault-free so the breaker can walk
 // open -> half-open -> closed and the backfill can proceed under QoS.
-func SelfHealPlan(d Duration) FaultPlan {
+func SelfHealPlan(d Duration) faultinject.Plan {
 	frac := func(f float64) Duration { return Duration(float64(d) * f) }
-	return FaultPlan{Name: "selfheal", Events: []FaultEvent{
-		{At: frac(0.10), Duration: frac(0.35), Kind: FaultOSDCrash, OSD: 1},
-		{At: frac(0.55), Duration: frac(0.20), Kind: FaultDMAError, Node: "node0", Prob: 1.0},
+	return faultinject.Plan{Name: "selfheal", Events: []faultinject.Event{
+		{At: frac(0.10), Duration: frac(0.35), Kind: faultinject.OSDCrash, OSD: 1},
+		{At: frac(0.55), Duration: frac(0.20), Kind: faultinject.DMAError, Node: "node0", Prob: 1.0},
 	}}
 }
 
@@ -100,11 +76,10 @@ type FaultRun struct {
 	// the faults plus a full post-run pass over every surviving object.
 	IntegrityChecked, IntegrityOK int64
 
-	// Client robustness counters; NoQuorumWaits counts retry rounds spent
-	// below min_size.
-	Retries, Timeouts, Redirects, StaleReplies, MapRefreshes, NoQuorumWaits int64
+	// Client robustness counters.
+	Retries, Timeouts, StaleReplies, MapRefreshes int64
 	// Messenger/fabric counters (summed over all messengers).
-	SessionResets, Redeliveries, DroppedFrames int64
+	SessionResets, DroppedFrames int64
 	// OSD replication watchdog counters, then the scrub outcome.
 	RepRetries, RepAborts     int64
 	ScrubErrors, ScrubRepairs int64
@@ -117,8 +92,7 @@ type FaultRun struct {
 	RecoveryThrottle                                                 Duration
 
 	// Circuit breaker (all-node sums; zero on Baseline, which has no DPU).
-	BreakerOpens, BreakerHalfOpens, BreakerCloses int64
-	ProbeSuccesses, ProbeFailures                 int64
+	BreakerOpens, BreakerHalfOpens, BreakerCloses, ProbeSuccesses int64
 	// FallbackTxns counts transactions the proxy shipped over the host RPC
 	// path; DataPlaneTxns went over DMA.
 	FallbackTxns, DataPlaneTxns int64
@@ -147,7 +121,7 @@ type FaultComparison struct {
 // compareFaulted runs the workload on both deployments. The two runs use
 // separate clusters built from the same seed, so they experience the
 // identical fault schedule.
-func compareFaulted(kind string, o Options, plan FaultPlan, config func(Mode) ClusterConfig,
+func compareFaulted(kind string, o Options, plan faultinject.Plan, config func(Mode) ClusterConfig,
 	settle func(*sim.Proc, *Cluster)) (FaultComparison, error) {
 	out := FaultComparison{PlanName: plan.Name, Seed: o.Seed}
 	for _, m := range []struct {
@@ -163,15 +137,11 @@ func compareFaulted(kind string, o Options, plan FaultPlan, config func(Mode) Cl
 	return out, nil
 }
 
-// RunChaos executes the chaos workload on both deployments under plan (nil
-// selects DefaultChaosPlan).
-func RunChaos(o Options, plan *FaultPlan) (FaultComparison, error) {
+// RunChaos executes the chaos workload on both deployments under
+// DefaultChaosPlan.
+func RunChaos(o Options) (FaultComparison, error) {
 	o = o.withDefaults()
-	pl := DefaultChaosPlan(o.Duration)
-	if plan != nil {
-		pl = *plan
-	}
-	return compareFaulted("chaos", o, pl,
+	return compareFaulted("chaos", o, DefaultChaosPlan(o.Duration),
 		func(mode Mode) ClusterConfig { return ClusterConfig{Mode: mode, Seed: o.Seed} },
 		// Post-run: scrub every PG, repairing the injected bit-rot.
 		func(p *sim.Proc, cl *Cluster) {
@@ -229,17 +199,13 @@ func selfHealOptions(o Options) (Options, error) {
 }
 
 // RunSelfHeal executes the self-healing workload on both deployments under
-// plan (nil selects SelfHealPlan), breaker and recovery QoS on.
-func RunSelfHeal(o Options, plan *FaultPlan) (FaultComparison, error) {
+// SelfHealPlan, breaker and recovery QoS on.
+func RunSelfHeal(o Options) (FaultComparison, error) {
 	o, err := selfHealOptions(o)
 	if err != nil {
 		return FaultComparison{}, err
 	}
-	pl := SelfHealPlan(o.Duration)
-	if plan != nil {
-		pl = *plan
-	}
-	return compareFaulted("selfheal", o, pl,
+	return compareFaulted("selfheal", o, SelfHealPlan(o.Duration),
 		func(mode Mode) ClusterConfig { return selfHealConfig(mode, o, true, true) },
 		selfHealSettle(o.Duration))
 }
@@ -248,7 +214,7 @@ func RunSelfHeal(o Options, plan *FaultPlan) (FaultComparison, error) {
 // write/verify workload: o.Threads workers write o.ObjectBytes objects for
 // o.Duration, reading one back every verifyEvery writes; then settle runs
 // (scrub, or a recovery drain) and every surviving object is verified.
-func runFaulted(kind string, cfg ClusterConfig, plan FaultPlan, o Options,
+func runFaulted(kind string, cfg ClusterConfig, plan faultinject.Plan, o Options,
 	settle func(*sim.Proc, *Cluster)) (FaultRun, error) {
 	cl := NewCluster(cfg)
 	defer cl.Shutdown()
@@ -345,8 +311,8 @@ func runFaulted(kind string, cfg ClusterConfig, plan FaultPlan, o Options,
 
 	// Collect counters.
 	cs := cl.Client.Stats()
-	res.Retries, res.Timeouts, res.Redirects = cs.Retries, cs.Timeouts, cs.Redirects
-	res.StaleReplies, res.MapRefreshes, res.NoQuorumWaits = cs.StaleReplies, cs.MapRefreshes, cs.NoQuorumWaits
+	res.Retries, res.Timeouts = cs.Retries, cs.Timeouts
+	res.StaleReplies, res.MapRefreshes = cs.StaleReplies, cs.MapRefreshes
 	res.DroppedFrames = cl.Fabric.DroppedFrames()
 	for _, n := range cl.Nodes {
 		os := n.OSD.Stats()
@@ -376,7 +342,6 @@ func runFaulted(kind string, cfg ClusterConfig, plan FaultPlan, o Options,
 			res.BreakerHalfOpens += bs.HalfOpens
 			res.BreakerCloses += bs.Closes
 			res.ProbeSuccesses += bs.ProbeSuccesses
-			res.ProbeFailures += bs.ProbeFailures
 		}
 	}
 	if len(cl.Nodes) > 0 && cl.Nodes[0].Bridge != nil {
@@ -385,9 +350,7 @@ func runFaulted(kind string, cfg ClusterConfig, plan FaultPlan, o Options,
 		}
 	}
 	for _, m := range cl.Registry.All() {
-		st := m.Stats()
-		res.SessionResets += st.SessionResets
-		res.Redeliveries += st.Redeliveries
+		res.SessionResets += m.Stats().SessionResets
 	}
 	ist := inj.Stats()
 	res.BitRotObjects = ist.BitRotObjects
@@ -406,7 +369,7 @@ func runFaulted(kind string, cfg ClusterConfig, plan FaultPlan, o Options,
 // dipRecovery computes the clean-second mean, the worst in-window second
 // relative to it, and the time from the last window's close until throughput
 // is back within 80% of the clean mean.
-func dipRecovery(mbps []float64, plan FaultPlan) (clean, dipPct, recovery float64) {
+func dipRecovery(mbps []float64, plan faultinject.Plan) (clean, dipPct, recovery float64) {
 	type window struct{ from, to int }
 	var windows []window
 	lastEnd := 0
@@ -510,7 +473,7 @@ func ChaosTable(r FaultComparison) *report.Table {
 }
 
 func runChaos(o Options) ([]*report.Table, error) {
-	r, err := RunChaos(o, nil)
+	r, err := RunChaos(o)
 	if err != nil {
 		return nil, err
 	}
@@ -561,7 +524,7 @@ func runSelfHeal(o Options) ([]*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cmp, err := RunSelfHeal(o, nil)
+	cmp, err := RunSelfHeal(o)
 	if err != nil {
 		return nil, err
 	}
@@ -575,9 +538,9 @@ func runSelfHeal(o Options) ([]*report.Table, error) {
 	for _, v := range []struct {
 		name         string
 		breaker, qos bool
-		plan         FaultPlan
+		plan         faultinject.Plan
 	}{
-		{"no faults (reference)", true, true, FaultPlan{Name: "none"}},
+		{"no faults (reference)", true, true, faultinject.Plan{Name: "none"}},
 		{"breaker off, QoS off", false, false, plan},
 		{"breaker on,  QoS off", true, false, plan},
 		{"breaker off, QoS on", false, true, plan},

@@ -11,7 +11,7 @@ import (
 	"doceph/internal/messenger"
 	"doceph/internal/osd"
 	"doceph/internal/report"
-	"doceph/internal/sim"
+	"doceph/internal/trace"
 )
 
 // cell is one benchmark run of a grid experiment: a deployment, a request
@@ -35,9 +35,18 @@ type cell struct {
 	engaged func(runResult) error
 }
 
-// runResult bundles everything one cell yields.
+// runResult is one cell's record: the cell's data — what ran, without the
+// funcs that prepared and checked it — and everything measure read off the
+// cluster afterwards. Records are plain values, so two compare with
+// reflect.DeepEqual.
 type runResult struct {
-	cell      cell
+	name string
+	mode Mode
+	link float64
+	size int64
+	// workload is the bench config as run: the cell's, with threads, size and
+	// windows filled in.
+	workload  BenchConfig
 	bench     BenchResult
 	nodes     int
 	hostUtil  float64 // single-core normalization (Fig. 5 right axis)
@@ -59,10 +68,11 @@ type runResult struct {
 	batchFlushes int64
 	cacheHits    int64
 	cacheMisses  int64
-	// engQueues is the upstream engines' per-node queue count; engOccupancy
-	// the fraction of total queue capacity they spent servicing transfers.
-	engQueues    int
-	engOccupancy float64
+	breakers     int // proxies running a circuit breaker
+	// engQueues is the upstream engines' per-node queue count; engBusy their
+	// summed busy time over the whole run, warm-up included.
+	engQueues int
+	engBusy   Duration
 	// streamWrites sums the OSDs' streamed-ingest counters; peakStaging is
 	// the max per-node DPU staging high-water mark.
 	streamWrites  int64
@@ -71,6 +81,10 @@ type runResult struct {
 	// degradedWrites and pgsBackfilled sum the OSDs' self-healing counters.
 	degradedWrites int64
 	pgsBackfilled  int64
+	// spans are a traced run's finished spans (nil untraced), and busy is
+	// every CPU's busy time by name: what the spans' CPU is conserved against.
+	spans []trace.Span
+	busy  map[string]Duration
 }
 
 func (r runResult) mbps() float64 { return r.bench.ThroughputBps() / 1e6 }
@@ -82,6 +96,16 @@ func (r runResult) avgBatch() float64 {
 	return float64(r.batchedTxns) / float64(r.batchFlushes)
 }
 
+// engOccupancy is the fraction of the upstream engines' total queue capacity
+// they spent servicing transfers (zero on Baseline, which has none).
+func (r runResult) engOccupancy() float64 {
+	den := float64(r.engQueues) * float64(r.nodes) * float64(r.workload.Duration+r.workload.Warmup)
+	if den <= 0 {
+		return 0
+	}
+	return float64(r.engBusy) / den
+}
+
 // phases is Table 3's decomposition of the average latency.
 func (r runResult) phases() (hostWrite, dma, dmaWait, others, total Duration) {
 	hostWrite, dma, dmaWait = r.breakdown.Avg()
@@ -90,6 +114,19 @@ func (r runResult) phases() (hostWrite, dma, dmaWait, others, total Duration) {
 		others = 0
 	}
 	return
+}
+
+// checkTrace holds a traced run's spans to what every trace must satisfy:
+// they nest inside their parents in virtual time, and no processor's traced
+// CPU exceeds its accounted busy time (background daemons are untraced).
+func (r runResult) checkTrace() error {
+	if err := trace.CheckInvariants(r.spans); err != nil {
+		return fmt.Errorf("trace invariants: %w", err)
+	}
+	if err := trace.CheckCPUConservation(r.spans, r.busy); err != nil {
+		return fmt.Errorf("trace cpu conservation: %w", err)
+	}
+	return nil
 }
 
 // pctUnder is how far v sits below ref, in percent: DoCeph's host-CPU saving
@@ -110,7 +147,8 @@ func pctOver(v, ref float64) float64 {
 }
 
 // runWorkloadCfg builds a fresh cluster for c and executes its benchmark: the
-// one place grid experiments assemble, drive, measure and tear down a testbed.
+// one place a rados-bench run's testbed is assembled, driven, measured,
+// checked and torn down.
 func runWorkloadCfg(c cell, o Options) (runResult, error) {
 	cfg := ClusterConfig{Mode: c.mode, LinkBytesPerSec: c.link, Seed: o.Seed}
 	if c.mut != nil {
@@ -132,9 +170,26 @@ func runWorkloadCfg(c cell, o Options) (runResult, error) {
 	if err != nil {
 		return runResult{}, err
 	}
+	r := measure(cl, bench)
+	r.name, r.mode, r.link, r.size, r.workload = c.name, c.mode, c.link, c.size, op
+	if err := r.checkTrace(); err != nil {
+		return runResult{}, err
+	}
+	if c.engaged != nil {
+		if err := c.engaged(r); err != nil {
+			return runResult{}, fmt.Errorf("not engaged: %w", err)
+		}
+	}
+	return r, nil
+}
+
+// measure reads a finished bench run's record off its cluster: CPU shares and
+// switches, the proxies' phase breakdown, the kernel's event count, every
+// node's counters and, on a traced cluster, the spans. It is the one walk over
+// the nodes for a bench run; the caller fills in the cell's data.
+func measure(cl *Cluster, bench BenchResult) runResult {
 	m := cl.HostCPUMerged()
 	r := runResult{
-		cell:          c,
 		bench:         bench,
 		nodes:         len(cl.Nodes),
 		events:        cl.Env.Events(),
@@ -147,14 +202,18 @@ func runWorkloadCfg(c cell, o Options) (runResult, error) {
 		objSw:         m.SwitchesByCat[bluestore.ThreadCat],
 		breakdown:     cl.ProxyBreakdownMerged(),
 		balancedReads: cl.Client.Stats().BalancedReads,
+		spans:         cl.Tracer.Spans(),
+		busy:          map[string]Duration{cl.ClientCPU.Name(): cl.ClientCPU.Stats().TotalBusy},
 	}
-	var engBusy sim.Duration
-	var engNodes int
 	for _, n := range cl.Nodes {
+		r.busy[n.HostCPU.Name()] = n.HostCPU.Stats().TotalBusy
 		ost := n.OSD.Stats()
 		r.streamWrites += ost.StreamWrites
 		r.degradedWrites += ost.DegradedWrites
 		r.pgsBackfilled += ost.PGsBackfilled
+		if n.DPU != nil {
+			r.busy[n.DPU.CPU.Name()] = n.DPU.CPU.Stats().TotalBusy
+		}
 		if n.Bridge == nil {
 			continue
 		}
@@ -169,19 +228,13 @@ func runWorkloadCfg(c cell, o Options) (runResult, error) {
 		if st.PeakStagingBytes > r.peakStaging {
 			r.peakStaging = st.PeakStagingBytes
 		}
-		engBusy += n.Bridge.EngUp.Stats().Busy
-		r.engQueues = n.Bridge.EngUp.NumQueues()
-		engNodes++
-	}
-	if den := float64(r.engQueues) * float64(engNodes) * float64(o.Duration+o.Warmup); den > 0 {
-		r.engOccupancy = float64(engBusy) / den
-	}
-	if c.engaged != nil {
-		if err := c.engaged(r); err != nil {
-			return runResult{}, fmt.Errorf("not engaged: %w", err)
+		if n.Bridge.Proxy.Breaker() != nil {
+			r.breakers++
 		}
+		r.engBusy += n.Bridge.EngUp.Stats().Busy
+		r.engQueues = n.Bridge.EngUp.NumQueues()
 	}
-	return r, nil
+	return r
 }
 
 // runCells runs every cell of a grid as an independent parallel simulation
@@ -254,32 +307,29 @@ func runParallel(n int, cell func(i int) error) error {
 
 // Engagement checks: one per knob a cell can flip.
 
-func batchedEngaged(r runResult) error {
-	if r.batchedTxns == 0 {
-		return fmt.Errorf("batching enabled but no transaction was batched")
+// expect is nil when ok holds, else the formatted error.
+func expect(ok bool, format string, args ...any) error {
+	if ok {
+		return nil
 	}
-	return nil
+	return fmt.Errorf(format, args...)
+}
+
+func batchedEngaged(r runResult) error {
+	return expect(r.batchedTxns > 0, "batching enabled but no transaction was batched")
 }
 
 func cacheEngaged(r runResult) error {
-	if r.cacheHits == 0 {
-		return fmt.Errorf("DPU read cache enabled but never hit")
-	}
-	return nil
+	return expect(r.cacheHits > 0, "DPU read cache enabled but never hit")
 }
 
 func balanceEngaged(r runResult) error {
-	if r.balancedReads == 0 {
-		return fmt.Errorf("balance-reads enabled but no read went to a secondary")
-	}
-	return nil
+	return expect(r.balancedReads > 0, "balance-reads enabled but no read went to a secondary")
 }
 
 func injectEngaged(r runResult) error {
-	if r.dmaErrors == 0 || r.fallbacks == 0 {
-		return fmt.Errorf("DMA failures injected but errors=%d fallbacks=%d", r.dmaErrors, r.fallbacks)
-	}
-	return nil
+	return expect(r.dmaErrors > 0 && r.fallbacks > 0,
+		"DMA failures injected but errors=%d fallbacks=%d", r.dmaErrors, r.fallbacks)
 }
 
 func queuesEngaged(q int) func(runResult) error {
@@ -293,13 +343,10 @@ func queuesEngaged(q int) func(runResult) error {
 
 func streamEngaged(on bool) func(runResult) error {
 	return func(r runResult) error {
-		if on && r.streamWrites == 0 {
-			return fmt.Errorf("streaming enabled but no streamed writes recorded")
+		if on {
+			return expect(r.streamWrites > 0, "streaming enabled but no streamed writes recorded")
 		}
-		if !on && r.streamWrites != 0 {
-			return fmt.Errorf("store-and-forward arm recorded %d streamed writes", r.streamWrites)
-		}
-		return nil
+		return expect(r.streamWrites == 0, "store-and-forward arm recorded %d streamed writes", r.streamWrites)
 	}
 }
 
@@ -376,8 +423,8 @@ func table(title string, cols []column, rows [][]runResult, notes ...string) *re
 
 // Columns shared by several tables.
 var (
-	colName = col("variant", func(r runResult) string { return r.cell.name })
-	colSize = col("size", func(r runResult) string { return sizeLabel(r.cell.size) })
+	colName = col("variant", func(r runResult) string { return r.name })
+	colSize = col("size", func(r runResult) string { return sizeLabel(r.size) })
 	colLat  = col("avg lat (s)", func(r runResult) string { return report.F3(r.bench.AvgLatency.Seconds()) })
 	colCPU  = col("host CPU", func(r runResult) string { return report.Pct(r.hostUtil) })
 )

@@ -1,6 +1,7 @@
 package doceph
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -45,26 +46,14 @@ func ParseWorkers(list string) ([]int, error) {
 
 // or fills o's zero fields from d.
 func (o Options) or(d Options) Options {
-	if o.Duration == 0 {
-		o.Duration = d.Duration
-	}
-	if o.Warmup == 0 {
-		o.Warmup = d.Warmup
-	}
-	if o.Threads == 0 {
-		o.Threads = d.Threads
-	}
-	if o.Seed == 0 {
-		o.Seed = d.Seed
-	}
-	if o.ObjectBytes == 0 {
-		o.ObjectBytes = d.ObjectBytes
-	}
+	o.Duration = cmp.Or(o.Duration, d.Duration)
+	o.Warmup = cmp.Or(o.Warmup, d.Warmup)
+	o.Threads = cmp.Or(o.Threads, d.Threads)
+	o.Seed = cmp.Or(o.Seed, d.Seed)
+	o.ObjectBytes = cmp.Or(o.ObjectBytes, d.ObjectBytes)
+	o.TraceOut = cmp.Or(o.TraceOut, d.TraceOut)
 	if len(o.Workers) == 0 {
 		o.Workers = d.Workers
-	}
-	if o.TraceOut == "" {
-		o.TraceOut = d.TraceOut
 	}
 	return o
 }
@@ -218,13 +207,34 @@ type Selection struct {
 }
 
 // Run executes the selection under window w with the caller's explicit
-// settings and returns the selected tables.
+// settings and returns the selected tables. Resolved options no experiment
+// can run with are rejected before anything runs.
 func (s Selection) Run(w Window, set Options) ([]*report.Table, error) {
-	tables, err := s.Experiment.Run(s.Options(w, set))
+	o := s.Options(w, set)
+	if err := o.validate(); err != nil {
+		return nil, fmt.Errorf("%s: %w", s.Name, err)
+	}
+	tables, err := s.Experiment.Run(o)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", s.Name, err)
 	}
 	return s.pick(tables), nil
+}
+
+// validate names the first field of resolved options no experiment can run
+// with: a window that is not positive, a negative warm-up, count or size.
+func (o Options) validate() error {
+	switch {
+	case o.Duration <= 0:
+		return fmt.Errorf("invalid Duration %v: the measured window must be positive", o.Duration)
+	case o.Warmup < 0:
+		return fmt.Errorf("invalid Warmup %v: must not be negative", o.Warmup)
+	case o.Threads < 0:
+		return fmt.Errorf("invalid Threads %d: must not be negative", o.Threads)
+	case o.ObjectBytes < 0:
+		return fmt.Errorf("invalid ObjectBytes %d: must not be negative", o.ObjectBytes)
+	}
+	return nil
 }
 
 func (s Selection) pick(tables []*report.Table) []*report.Table {

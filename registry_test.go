@@ -261,18 +261,11 @@ func TestParallelRunnerDeterministicOrderedOutput(t *testing.T) {
 	if len(a) != len(queues)*len(sizes) {
 		t.Fatalf("got %d cells", len(a))
 	}
-	// A runResult carries its cell (funcs, not comparable): compare what the
-	// table prints plus the raw measurements behind it.
-	same := func(x, y runResult) bool {
-		return reflect.DeepEqual(x.bench, y.bench) && x.hostUtil == y.hostUtil &&
-			x.batchedTxns == y.batchedTxns && x.batchFlushes == y.batchFlushes &&
-			x.engQueues == y.engQueues && x.engOccupancy == y.engOccupancy
-	}
 	for i := range a {
-		if !same(a[i], b[i]) {
+		if !reflect.DeepEqual(a[i], b[i]) {
 			t.Errorf("cell %d differs across runs:\n 1: %+v\n 2: %+v", i, a[i], b[i])
 		}
-		if a[i].engQueues != queues[i%len(queues)] || a[i].cell.size != sizes[i/len(queues)] {
+		if a[i].engQueues != queues[i%len(queues)] || a[i].size != sizes[i/len(queues)] {
 			t.Errorf("cell %d out of sweep order: %+v", i, a[i])
 		}
 		if a[i].bench.IOPS() <= 0 {
@@ -281,5 +274,31 @@ func TestParallelRunnerDeterministicOrderedOutput(t *testing.T) {
 	}
 	if x, y := mqTables(a)[0].String(), mqTables(b)[0].String(); x != y {
 		t.Errorf("tables differ across runs:\n%s\n%s", x, y)
+	}
+}
+
+// TestSelectionRejectsInvalidOptions: options no experiment can run with —
+// docephbench's -seconds -1 or -threads -2 among them — fail the selection
+// with an error naming the field, on a grid entry and on a fault entry alike,
+// before anything runs.
+func TestSelectionRejectsInvalidOptions(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   Options
+	}{
+		{"Duration", Options{Duration: -Second}},
+		{"Warmup", Options{Warmup: -Second}},
+		{"Threads", Options{Threads: -2}},
+		{"ObjectBytes", Options{ObjectBytes: -1}},
+	} {
+		for _, name := range []string{"mq", "chaos"} {
+			s, err := Select(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s[0].Run(Smoke, tc.set); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s with %+v: %v; want an error naming %s", name, tc.set, err, tc.field)
+			}
+		}
 	}
 }

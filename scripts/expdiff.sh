@@ -6,9 +6,8 @@
 #
 # Each name runs as `-quick -seed 42 -exp <name>` on both. Ignored: the
 # "running ..." progress lines and the kernel's-own-cost columns of the
-# scale-out tables (everything from the "wall ms" header rightwards, plus the
-# "barrier rounds" column that binaries before the link-promise kernel
-# printed left of it). Exits 1 on any difference.
+# scale-out tables (everything from the "wall ms" header rightwards). Exits 1
+# on any difference.
 set -euo pipefail
 old=$1 new=$2
 shift 2
@@ -18,17 +17,9 @@ if [ ${#names[@]} -eq 0 ]; then
 fi
 norm() {
   grep -v '^running ' | awk '
-    /wall ms/ {
-      off = index($0, "wall ms")
-      br = index($0, "barrier rounds"); bw = index($0, "xpart msgs") - br
-      if (!br || br > off) br = 0
-    }
+    /wall ms/ { off = index($0, "wall ms") }
     /^$/      { off = 0 }
-    off && !/^note:/ && !/^==/ {
-      row = substr($0, 1, off - 1)
-      if (br) row = substr(row, 1, br - 1) substr(row, br + bw)
-      print row; next
-    }
+    off && !/^note:/ && !/^==/ { print substr($0, 1, off - 1); next }
     { print }'
 }
 rc=0

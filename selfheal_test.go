@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"doceph/internal/faultinject"
 )
 
 // selfHealOpts keeps the runs CI-sized; the plan and the breaker clock both
@@ -18,7 +20,7 @@ func selfHealOpts() Options {
 // host path and re-enroll DMA by run end, degraded writes must flow (and the
 // ledger heal), and the crash-triggered backfill must complete under QoS.
 func TestSelfHealRunCompletes(t *testing.T) {
-	r, err := RunSelfHeal(selfHealOpts(), nil)
+	r, err := RunSelfHeal(selfHealOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +91,8 @@ func TestSelfHealRunCompletes(t *testing.T) {
 func TestSelfHealRecoveryQoSProtectsForeground(t *testing.T) {
 	// Crash osd.1 at 3 s for 10.5 s: rejoin at 13.5 s starts the backfill,
 	// so seconds 14-17 are the contended recovery phase.
-	plan := FaultPlan{Name: "crash-only", Events: []FaultEvent{
-		{At: 3 * Second, Duration: 10500 * Millisecond, Kind: FaultOSDCrash, OSD: 1},
+	plan := faultinject.Plan{Name: "crash-only", Events: []faultinject.Event{
+		{At: 3 * Second, Duration: 10500 * Millisecond, Kind: faultinject.OSDCrash, OSD: 1},
 	}}
 	backfillMin := func(r FaultRun) float64 {
 		min := -1.0
@@ -154,11 +156,11 @@ func TestSelfHealDeterminism(t *testing.T) {
 			// 1 MB objects keep the op count of 32 such runs, and the race
 			// detector's bill for them, bounded.
 			opts := Options{Duration: selfHealFloor, Threads: 4, ObjectBytes: 1 << 20, Seed: seed}
-			a, err := RunSelfHeal(opts, nil)
+			a, err := RunSelfHeal(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := RunSelfHeal(opts, nil)
+			b, err := RunSelfHeal(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
