@@ -133,11 +133,13 @@ func (h *eventHeap) down(i int, ev event) {
 type procState uint8
 
 const (
+	// stateNew is a spawned proc whose start event has not fired: it owns no
+	// coroutine yet.
 	stateNew procState = iota
 	stateRunning
 	stateBlocked
-	// stateDone also covers a proc whose body has returned and whose
-	// coroutine is suspended in the reuse pool awaiting the next Spawn.
+	// stateDone also covers a proc whose body has returned and which waits in
+	// the reuse pool for the next Spawn.
 	stateDone
 )
 
@@ -145,13 +147,27 @@ const (
 // Shutdown stops its coroutine.
 type killSignal struct{}
 
+// coro is a runtime coroutine (iter.Pull) that runs proc bodies, one after
+// another: it is bound to a proc when the proc starts, and when that body
+// returns it either runs the next body itself or goes back to the pool.
+type coro struct {
+	env *Env
+	// p is the proc whose body the coroutine is running; nil while pooled.
+	p *Proc
+	// resume and stop are the two ends of the coroutine (iter.Pull's next
+	// and stop); yield is handed to loop on the coroutine's first run.
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+}
+
 // Proc is a simulated thread of control. All blocking operations on the
 // simulation (Wait, queue pops, CPU execution, transfers) take the Proc as
 // the identity of the caller; a Proc must only be used from its own body.
 //
-// Procs (and their coroutines) are pooled: when a body returns, the proc
-// parks in a free list and the next Spawn reuses it. A *Proc must therefore
-// not be retained past the return of its body.
+// Procs are pooled: when a body returns, the proc parks in a free list and
+// the next Spawn reuses it. A *Proc must therefore not be retained past the
+// return of its body.
 type Proc struct {
 	env  *Env
 	name string
@@ -159,14 +175,11 @@ type Proc struct {
 	// is only built when somebody asks for it.
 	id uint64
 	fn func(*Proc)
-	// resume and stop are the two ends of the proc's coroutine (iter.Pull's
-	// next and stop); yield is handed to loop on the coroutine's first run.
-	resume func() (struct{}, bool)
-	stop   func()
-	yield  func(struct{}) bool
+	// co is the coroutine running the body, from the proc's start to its end.
+	co     *coro
 	thread *Thread
 	// idx is the proc's position in env.procs (swap-removed on completion).
-	// It and core are 32-bit so that Proc stays in the 96-byte size class.
+	// It and core are 32-bit so that Proc stays in the 80-byte size class.
 	idx int32
 	// core is the core a CPU granted the proc while it was parked in acquire.
 	core   int32
@@ -210,15 +223,18 @@ func (p *Proc) Now() Time { return p.env.now }
 // processes, then call Run or RunUntil from the host goroutine. Env is not
 // safe for concurrent use from multiple host goroutines.
 //
-// Every proc is a runtime coroutine (iter.Pull). The goroutine that called
-// RunUntil is the only scheduler: runWindow pops the next event and resumes
-// its owner, and a parking or finishing proc yields straight back to it. A
-// coroutine switch hands the running thread from one goroutine to the other
-// without passing through the Go scheduler, so no run queue, idle-P wake-up
-// or futex is involved. A parking proc whose own event is next keeps running
-// without any switch at all. Exactly one goroutine runs at a time and events
-// fire in (t, seq) order whichever way control travels, so every simulated
-// result is that of the classic kernel-centric loop.
+// Every proc body runs on a runtime coroutine (iter.Pull). The goroutine that
+// called RunUntil is the only scheduler: runWindow pops the next event and
+// resumes its owner, and a parking or finishing proc yields straight back to
+// it. A coroutine switch hands the running thread from one goroutine to the
+// other without passing through the Go scheduler, so no run queue, idle-P
+// wake-up or futex is involved. A wake-up that is already next needs no
+// switch at all: a timed Wait whose deadline comes before every other event
+// fires in place, a parking proc whose own event is next keeps running, and a
+// finishing body whose next event starts a fresh proc runs that proc's body
+// on the same coroutine. Exactly one goroutine runs at a time and events fire
+// in (t, seq) order whichever way control travels, so every simulated result
+// is that of the classic kernel-centric loop.
 type Env struct {
 	now Time
 	seq uint64
@@ -229,7 +245,8 @@ type Env struct {
 	// while a live entry waits there, so the ring is already in (t, seq) order
 	// and taking the earlier of its front and the heap's top pops exactly what
 	// one heap holding everything would. heapOnly, set only by the tests that
-	// check this, sends every event through the heap.
+	// check this, is the classic loop: every event goes through the heap,
+	// every Wait parks, and every finished body yields to runWindow.
 	heap     eventHeap
 	nowq     fifo[event]
 	heapOnly bool
@@ -256,6 +273,11 @@ type Env struct {
 	procFree []*Proc
 	tokFree  []*wakeToken
 	taskFree []*pendingTask
+	// coroFree holds at least one coroutine per unstarted proc (spawned, start
+	// event not fired yet), so that procs spawned during set-up make their
+	// coroutines there and not in the measured run.
+	coroFree  []*coro
+	unstarted int
 }
 
 // NewEnv returns an environment whose random stream is seeded with seed.
@@ -433,7 +455,7 @@ func (e *Env) SpawnDaemon(name string, fn func(*Proc)) *Proc {
 
 // Spawn creates a new process running fn and schedules it to start at the
 // current virtual time. It may be called before Run or from inside a running
-// process. Finished procs (coroutine included) are reused.
+// process. Finished procs and their coroutines are reused.
 func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
 	var p *Proc
 	if n := len(e.procFree); n > 0 {
@@ -441,7 +463,11 @@ func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
 		e.procFree = e.procFree[:n-1]
 	} else {
 		p = &Proc{env: e}
-		p.resume, p.stop = iter.Pull(p.loop)
+	}
+	if e.unstarted++; len(e.coroFree) < e.unstarted {
+		c := &coro{env: e}
+		c.resume, c.stop = iter.Pull(c.loop)
+		e.coroFree = append(e.coroFree, c)
 		e.stats.CoroutinesPeak++
 	}
 	e.stats.Spawns++
@@ -462,25 +488,44 @@ func (e *Env) SpawnID(prefix string, id uint64, fn func(*Proc)) *Proc {
 	return p
 }
 
-// loop is the body of a proc coroutine: run a spawned function, recycle the
-// proc, yield until the next reuse. One coroutine, and one deferred exit path,
-// serve many Spawns (a served queue starts a body per wake-up). It returns —
-// ending the coroutine — only when Shutdown stops it; any other panic in a
-// body propagates out of resume on the goroutine driving the env.
-func (p *Proc) loop(yield func(struct{}) bool) {
-	p.yield = yield
-	e := p.env
+// bind hands p, whose start event runWindow just popped, a pooled coroutine.
+func (e *Env) bind(p *Proc) {
+	n := len(e.coroFree) - 1
+	c := e.coroFree[n]
+	e.coroFree[n] = nil
+	e.coroFree = e.coroFree[:n]
+	e.unstarted--
+	c.p, p.co = p, c
+}
+
+// loop is the body of a coroutine: run the bound proc's function, recycle the
+// proc, and then either run the next body or yield until the next bind. One
+// coroutine, and one deferred exit path, serve many Spawns (a served queue
+// starts a body per wake-up). The body that follows a finished one on the
+// same coroutine is a hand-off: when the next event is the start of a proc
+// that has not run yet, the finishing coroutine pops it and runs that body
+// itself, where runWindow would have popped the same event, found the same
+// proc and resumed a pooled coroutine for it. It returns — ending the
+// coroutine — only when Shutdown stops it; any other panic in a body, or in a
+// task run between two bodies, propagates out of resume on the goroutine
+// driving the env.
+func (c *coro) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	e := c.env
 	defer func() {
-		// A panic is a body cut short; stopped while pooled there is none.
+		// A panic with a proc bound is a body cut short.
 		if r := recover(); r != nil {
-			e.live--
-			p.state = stateDone
+			if p := c.p; p != nil {
+				e.live--
+				p.state = stateDone
+			}
 			if _, ok := r.(killSignal); !ok {
 				panic(r)
 			}
 		}
 	}()
 	for {
+		p := c.p
 		p.state = stateRunning
 		p.fn(p)
 		e.live--
@@ -491,8 +536,20 @@ func (p *Proc) loop(yield func(struct{}) bool) {
 		e.procs[p.idx], last.idx = last, p.idx
 		e.procs[n] = nil
 		e.procs = e.procs[:n]
-		p.fn, p.thread, p.daemon = nil, nil, false
+		p.fn, p.thread, p.daemon, p.co = nil, nil, false, nil
 		e.procFree = append(e.procFree, p)
+		c.p = nil
+		if !e.heapOnly {
+			next := e.next()
+			if next != nil && next.state == stateNew {
+				e.unstarted--
+				c.p, next.co = next, c
+				e.stats.Handoffs++
+				continue
+			}
+			e.ready = next
+		}
+		e.coroFree = append(e.coroFree, c)
 		if !yield(struct{}{}) {
 			return
 		}
@@ -507,7 +564,7 @@ func (p *Proc) park() {
 	e := p.env
 	if next := e.next(); next != p {
 		e.ready = next
-		if !p.yield(struct{}{}) {
+		if !p.co.yield(struct{}{}) {
 			panic(killSignal{})
 		}
 	} else {
@@ -519,13 +576,28 @@ func (p *Proc) park() {
 // newToken creates a fresh single-use wake token for this proc.
 func (p *Proc) newToken() *wakeToken { return p.env.getToken(p) }
 
-// Wait blocks the process for duration d of virtual time.
+// Wait blocks the process for duration d of virtual time. A wake-up due
+// within the run limit and strictly before every other live event fires in
+// place: the sequence number its entry would have drawn is drawn, the clock
+// moves, and the proc runs on with no token, no heap entry and no park. An
+// event due at the same instant was scheduled earlier, so on a tie the wait
+// takes the classic path and fires after it.
 func (p *Proc) Wait(d Duration) {
+	e := p.env
 	if d < 0 {
 		d = 0
 	}
-	tok := p.newToken()
-	p.env.schedule(tok, p.env.now.Add(d))
+	at := e.now.Add(d)
+	if d > 0 && at <= e.limit && !e.heapOnly {
+		if next, _, ok := e.peek(); !ok || at < next.t {
+			e.seq++
+			e.now = at
+			e.stats.Events++
+			e.stats.FastPath++
+			return
+		}
+	}
+	e.schedule(p.newToken(), at)
 	p.park()
 }
 
@@ -622,9 +694,13 @@ func (e *Env) runWindow(limit Time) (drained bool) {
 	for p := e.next(); p != nil; {
 		e.ready = nil
 		e.stats.Switches += 2 // into the proc, and back when it parks or ends
-		p.resume()
-		// The proc parked or finished. If it parked it has already popped the
-		// next event and left the owner in ready.
+		if p.co == nil {
+			e.bind(p)
+		}
+		p.co.resume()
+		// The last body on the coroutine parked or finished, and has already
+		// popped the next event and left its owner in ready. Nil means nothing
+		// was due, or a finishing body of the classic loop left that to us.
 		if p = e.ready; p == nil {
 			p = e.next()
 		}
@@ -690,25 +766,24 @@ func (e *Env) advanceTo(t Time) {
 	}
 }
 
-// Shutdown force-terminates every process that is still parked or never
-// started — including the pooled coroutines of finished procs — releasing
-// their goroutines, and drops every pending task, whose tokens return to the
-// pool. The environment must not be used afterwards.
+// Shutdown force-terminates every process that is still parked and stops the
+// pooled coroutines, releasing their goroutines; procs that never started own
+// no coroutine and are only accounted for. It drops every pending task, whose
+// tokens return to the pool. The environment must not be used afterwards.
 func (e *Env) Shutdown() {
 	for _, p := range e.procs {
 		switch p.state {
 		case stateBlocked:
-			p.stop() // unwinds the body; loop's deferred exit does the accounting
+			p.co.stop() // unwinds the body; loop's deferred exit does the accounting
 		case stateNew:
-			p.stop() // the body never started
 			e.live--
 			p.state = stateDone
 		}
 	}
-	for _, p := range e.procFree {
-		p.stop()
+	for _, c := range e.coroFree {
+		c.stop()
 	}
-	e.procFree = nil
+	e.coroFree = nil
 	for _, pt := range e.tasks {
 		tok := pt.tok
 		tok.spent = true
@@ -736,12 +811,16 @@ func (e *Env) Events() uint64 { return e.stats.Events }
 // EnvStats is the kernel's account of its own work: plain counters, kept
 // unconditionally.
 type EnvStats struct {
-	// Events is the number of events fired. Each was consumed one of three
-	// ways: by resuming its proc from the scheduler (two coroutine switches,
-	// counted in Switches), by the parking proc itself because its own event
-	// was next (FastPath), or by running a task inline (TaskRuns counts the
-	// tasks run; a task that had to wait consumed a second event to get there).
-	Events, Switches, FastPath, TaskRuns uint64
+	// Events is the number of events fired. Each was consumed one of four
+	// ways, so Events = Switches/2 + FastPath + Handoffs + task events: by
+	// resuming its proc from the scheduler (two coroutine switches, counted
+	// in Switches); by the waiting proc itself because its own wake-up was
+	// next (FastPath: a timed Wait fired in place, or a parking proc that
+	// popped its own event); by a finishing body whose next event started a
+	// fresh proc, run on the same coroutine (Handoffs); or by running a task
+	// inline (TaskRuns counts the tasks run; a task that had to wait consumed
+	// a second event to get there).
+	Events, Switches, FastPath, Handoffs, TaskRuns uint64
 	// NowQueued counts the events scheduled for the instant they were
 	// scheduled at, which waited in the now-queue and never entered the heap.
 	NowQueued uint64
@@ -751,8 +830,9 @@ type EnvStats struct {
 	// Compactions counts the purges of spent entries from the two.
 	Compactions uint64
 	// Spawns counts the procs started, CoroutinesPeak the coroutines made to
-	// run them (live + pooled; the pool never shrinks, so the peak concurrency
-	// of procs), Identities the threads registered with Queue.Serve.
+	// run them (bound + pooled; the pool never shrinks and keeps one per
+	// unstarted proc, so at most the peak concurrency of procs), Identities
+	// the threads registered with Queue.Serve.
 	Spawns                     uint64
 	CoroutinesPeak, Identities int
 }
@@ -763,6 +843,7 @@ func (s *EnvStats) add(o EnvStats) {
 	s.Events += o.Events
 	s.Switches += o.Switches
 	s.FastPath += o.FastPath
+	s.Handoffs += o.Handoffs
 	s.TaskRuns += o.TaskRuns
 	s.NowQueued += o.NowQueued
 	s.HeapPeak = max(s.HeapPeak, o.HeapPeak)

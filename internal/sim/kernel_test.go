@@ -202,7 +202,9 @@ func TestShutdownReleasesEveryCoroutine(t *testing.T) {
 	if len(env.procFree) != 3 {
 		t.Fatalf("%d pooled procs, want 3", len(env.procFree))
 	}
-	// One reused from the pool, then enough to need a fresh coroutine.
+	// Three reuse the pooled procs, whose coroutines wait in the pool, and
+	// the fourth needs a fresh proc and a fresh coroutine; none of them owns
+	// a coroutine before it starts.
 	for i := 0; i < 4; i++ {
 		env.Spawn("never-started", func(p *Proc) { t.Error("never-started proc ran") })
 	}

@@ -6,28 +6,41 @@ import (
 	"testing"
 )
 
-// TestNowQueuePopsInHeapOrder is the now-queue's contract as a property: over
-// the seeded random programs of TestTaskReplacesWatcherProcOneForOne (procs,
-// tasks, events, timeouts, semaphores, queues, cross-partition sends), the
+// TestNowQueuePopsInHeapOrder is the contract of the kernel's shortcuts as a
+// property: over the seeded random programs of
+// TestTaskReplacesWatcherProcOneForOne (procs, tasks, events, timeouts,
+// semaphores, queues, cross-partition sends), in both of their forms, the
 // kernel as shipped logs the same (t, seq, owner) triples and fires the same
-// number of events, at any worker count, as a kernel that pushes every event
-// through the heap.
+// number of events, at any worker count, as the classic loop: every event
+// through the heap, every Wait parked, every finished body back to runWindow.
+// Each event is consumed the same way too, except that a hand-off stands in
+// for a resume.
 func TestNowQueuePopsInHeapOrder(t *testing.T) {
+	var handoffs uint64
 	for seed := int64(1); seed <= 16; seed++ {
-		wantLogs, wantEvents := taskProgram(t, seed, true, true, 1)
-		for _, workers := range []int{1, 2, 4} {
-			logs, events := taskProgram(t, seed, true, false, workers)
-			if !reflect.DeepEqual(events, wantEvents) {
-				t.Fatalf("seed=%d workers=%d: events per partition %v, %v through the heap alone",
-					seed, workers, events, wantEvents)
-			}
-			for i := range wantLogs {
-				if !reflect.DeepEqual(logs[i], wantLogs[i]) {
-					t.Fatalf("seed=%d workers=%d partition %d: logs differ:\n got %q\nwant %q",
-						seed, workers, i, logs[i], wantLogs[i])
+		for _, useTasks := range []bool{true, false} {
+			wantLogs, want := taskProgram(t, seed, useTasks, true, 1)
+			for _, workers := range []int{1, 2, 4} {
+				logs, stats := taskProgram(t, seed, useTasks, false, workers)
+				if events, wantEvents := eventCounts(stats), eventCounts(want); !reflect.DeepEqual(events, wantEvents) {
+					t.Fatalf("seed=%d tasks=%v workers=%d: events per partition %v, %v in the classic loop",
+						seed, useTasks, workers, events, wantEvents)
+				}
+				for i := range wantLogs {
+					if !reflect.DeepEqual(logs[i], wantLogs[i]) {
+						t.Fatalf("seed=%d tasks=%v workers=%d partition %d: logs differ:\n got %q\nwant %q",
+							seed, useTasks, workers, i, logs[i], wantLogs[i])
+					}
+					if err := sameWork(want[i], stats[i]); err != "" {
+						t.Fatalf("seed=%d tasks=%v workers=%d partition %d: %s", seed, useTasks, workers, i, err)
+					}
+					handoffs += stats[i].Handoffs
 				}
 			}
 		}
+	}
+	if handoffs == 0 {
+		t.Fatal("no body was handed off: the programs never took the shortcut")
 	}
 }
 

@@ -259,11 +259,7 @@ func (l *XLink) Hold(until Time) {
 // arrive, given act[src], the earliest instant anything can happen in its
 // source partition; MaxTime when the source can never act.
 func (l *XLink) earliest(act []Time) Time {
-	t := maxTime(act[l.src], l.quiet)
-	if t > MaxTime-Time(l.latency) {
-		return MaxTime
-	}
-	return t.Add(l.latency)
+	return maxTime(act[l.src], l.quiet).Add(l.latency)
 }
 
 // Recv blocks p until a message is delivered on the link and returns it.

@@ -37,11 +37,11 @@ type servePush struct {
 }
 
 // serveRun is what a serve program did: the (t, thread, item) log of the
-// bodies, the event count, the number of threads and how many gated ones
-// found their queue empty when the gate opened.
+// bodies, the kernel's counters, the number of threads and how many gated
+// ones found their queue empty when the gate opened.
 type serveRun struct {
 	log                  []string
-	events               uint64
+	stats                EnvStats
 	threads, emptyAtGate int
 }
 
@@ -49,11 +49,12 @@ type serveRun struct {
 // over them (some gated, like tp_osd_tp behind its OSD's ready event), a
 // two-core CPU the bodies contend for, and producers pushing on a 1us grid,
 // before and after the gate, often at the same instant — and runs it to
-// completion.
-func serveProgram(t *testing.T, seed int64, mode serveMode) (run serveRun) {
+// completion, with the kernel as shipped or as the classic loop (heapOnly).
+func serveProgram(t *testing.T, seed int64, mode serveMode, heapOnly bool) (run serveRun) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	env := NewEnv(seed)
+	env.heapOnly = heapOnly
 	defer env.Shutdown()
 	cpu := NewCPU(env, "c", 2, 1.0, 0)
 	run.threads = 1 + rng.Intn(4)
@@ -147,7 +148,7 @@ func serveProgram(t *testing.T, seed int64, mode serveMode) (run serveRun) {
 	if left, live := env.Backlog(), env.LiveProcs(); mode != asDaemons && (left != nil || live != 0) {
 		t.Fatalf("seed=%d mode=%d: values waiting on %v and %d procs live after the run", seed, mode, left, live)
 	}
-	run.events = env.Events()
+	run.stats = env.Stats()
 	return run
 }
 
@@ -159,19 +160,19 @@ func serveProgram(t *testing.T, seed int64, mode serveMode) (run serveRun) {
 func TestServeReplacesPoppingDaemonOneForOne(t *testing.T) {
 	early := 0
 	for seed := int64(1); seed <= 16; seed++ {
-		want := serveProgram(t, seed, asDaemons)
+		want := serveProgram(t, seed, asDaemons, false)
 		if len(want.log) < 12 {
 			t.Fatalf("seed=%d: only %d log entries; the program did nothing", seed, len(want.log))
 		}
-		got := serveProgram(t, seed, asIdentities)
+		got := serveProgram(t, seed, asIdentities, false)
 		if !reflect.DeepEqual(got.log, want.log) {
 			t.Fatalf("seed=%d: logs differ:\n got %q\nwant %q", seed, got.log, want.log)
 		}
-		if gone := want.events - got.events; gone != uint64(want.threads+want.emptyAtGate) {
+		if gone := want.stats.Events - got.stats.Events; gone != uint64(want.threads+want.emptyAtGate) {
 			t.Fatalf("seed=%d: %d events fewer, want %d start events + %d gate wake-ups",
 				seed, gone, want.threads, want.emptyAtGate)
 		}
-		if mutant := serveProgram(t, seed, earlyIdentities); !reflect.DeepEqual(mutant.log, want.log) {
+		if mutant := serveProgram(t, seed, earlyIdentities, false); !reflect.DeepEqual(mutant.log, want.log) {
 			early++
 		}
 	}
@@ -179,6 +180,30 @@ func TestServeReplacesPoppingDaemonOneForOne(t *testing.T) {
 		t.Fatal("registering gated identities at construction went unnoticed on all 16 seeds")
 	}
 	t.Logf("gated identities registered at construction: caught on %d of 16 seeds", early)
+}
+
+// TestServeMatchesClassicLoop: the serve programs, with daemons and with
+// identities, log the same (t, thread, item) triples and fire the same events
+// in the classic loop as in the kernel as shipped, where a body that ends
+// with a push to an idle identity hands its coroutine to the identity's body.
+func TestServeMatchesClassicLoop(t *testing.T) {
+	var handoffs uint64
+	for seed := int64(1); seed <= 16; seed++ {
+		for _, mode := range []serveMode{asDaemons, asIdentities} {
+			want := serveProgram(t, seed, mode, true)
+			got := serveProgram(t, seed, mode, false)
+			if !reflect.DeepEqual(got.log, want.log) {
+				t.Fatalf("seed=%d mode=%d: logs differ:\n got %q\nwant %q", seed, mode, got.log, want.log)
+			}
+			if err := sameWork(want.stats, got.stats); err != "" {
+				t.Fatalf("seed=%d mode=%d: %s", seed, mode, err)
+			}
+			handoffs += got.stats.Handoffs
+		}
+	}
+	if handoffs == 0 {
+		t.Fatal("no body was handed off: the programs never took the shortcut")
+	}
 }
 
 // TestServeDoesNotAllocate: push, start, body, idle — on a warm pool an

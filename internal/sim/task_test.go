@@ -137,9 +137,9 @@ func (pt *taskPart) exec(p *Proc, name string, steps []step) {
 // taskProgram builds the seeded random program — 2-4 partitions on a ring,
 // each with events, a two-permit semaphore, a queue, procs walking random
 // steps and watchers in the chosen form — and runs it to completion, with the
-// kernel as shipped or with every event forced through the heap. It returns
-// each partition's log and event count.
-func taskProgram(t *testing.T, seed int64, useTasks, heapOnly bool, workers int) (logs [][]string, events []uint64) {
+// kernel as shipped or as the classic loop (heapOnly). It returns each
+// partition's log and kernel counters.
+func taskProgram(t *testing.T, seed int64, useTasks, heapOnly bool, workers int) (logs [][]string, stats []EnvStats) {
 	t.Helper()
 	const (
 		nEvents = 6
@@ -236,8 +236,8 @@ func taskProgram(t *testing.T, seed int64, useTasks, heapOnly bool, workers int)
 	}
 	for _, pt := range parts {
 		logs = append(logs, pt.log)
-		events = append(events, pt.env.Events())
 		st := pt.env.Stats()
+		stats = append(stats, st)
 		if useTasks == (st.TaskRuns == 0) {
 			t.Fatalf("seed=%d tasks=%v: %d task runs", seed, useTasks, st.TaskRuns)
 		}
@@ -246,7 +246,7 @@ func taskProgram(t *testing.T, seed int64, useTasks, heapOnly bool, workers int)
 		}
 	}
 	g.Shutdown()
-	return logs, events
+	return logs, stats
 }
 
 // TestTaskReplacesWatcherProcOneForOne is the equivalence rule as a property:
@@ -256,7 +256,8 @@ func taskProgram(t *testing.T, seed int64, useTasks, heapOnly bool, workers int)
 // of any partition nor its event count, at any worker count.
 func TestTaskReplacesWatcherProcOneForOne(t *testing.T) {
 	for seed := int64(1); seed <= 16; seed++ {
-		wantLogs, wantEvents := taskProgram(t, seed, false, false, 1)
+		wantLogs, want := taskProgram(t, seed, false, false, 1)
+		wantEvents := eventCounts(want)
 		entries := 0
 		for _, l := range wantLogs {
 			entries += len(l)
@@ -265,8 +266,8 @@ func TestTaskReplacesWatcherProcOneForOne(t *testing.T) {
 			t.Fatalf("seed=%d: only %d log entries; the program did nothing", seed, entries)
 		}
 		for _, workers := range []int{1, 2, 4} {
-			logs, events := taskProgram(t, seed, true, false, workers)
-			if !reflect.DeepEqual(events, wantEvents) {
+			logs, stats := taskProgram(t, seed, true, false, workers)
+			if events := eventCounts(stats); !reflect.DeepEqual(events, wantEvents) {
 				t.Fatalf("seed=%d workers=%d: events per partition %v with tasks, %v with procs",
 					seed, workers, events, wantEvents)
 			}
@@ -451,15 +452,16 @@ func TestTaskStuckIsReportedAndShutdownDropsIt(t *testing.T) {
 }
 
 // TestTaskStatsAccountForEveryEvent: each fired event was consumed by a
-// resume from the scheduler (two switches), by the parking proc itself, or by
-// a task, and had waited in the now-queue or in the heap; the group adds its
-// partitions up.
+// resume from the scheduler (two switches), by the waiting proc itself, by a
+// finishing body that handed its coroutine on, or by a task, and had waited
+// in the now-queue, in the heap or in neither (a wait fired in place); a
+// group adds its partitions up at any worker count.
 func TestTaskStatsAccountForEveryEvent(t *testing.T) {
 	build := func(seed int64) *Env {
 		env := NewEnv(seed)
 		var ev Event
 		q := NewQueue[int](env)
-		env.Spawn("solo", func(p *Proc) { // its own event is always next: fast path
+		env.Spawn("solo", func(p *Proc) { // its own wake-up is mostly next: fast path
 			for i := 0; i < 50; i++ {
 				p.Wait(Nanosecond)
 			}
@@ -470,6 +472,10 @@ func TestTaskStatsAccountForEveryEvent(t *testing.T) {
 				p.Wait(Microsecond)
 				q.Push(i)
 				env.At(p.Now(), funcTask(func() {})) // ready: one event
+				// relay ends into leaf's start: a hand-off.
+				env.Spawn("relay", func(*Proc) {
+					env.Spawn("leaf", func(*Proc) {})
+				})
 			}
 			env.After(&ev, funcTask(func() {})) // waits: two events
 			p.Wait(Microsecond)
@@ -484,15 +490,19 @@ func TestTaskStatsAccountForEveryEvent(t *testing.T) {
 	}
 	check := func(st EnvStats, envs uint64) {
 		t.Helper()
-		if st.TaskRuns != 51*envs || st.Events != st.Switches/2+st.FastPath+52*envs {
-			t.Fatalf("%+v: events != switches/2 + fast path + %d task events", st, 52*envs)
+		if st.TaskRuns != 51*envs || st.Events != st.Switches/2+st.FastPath+st.Handoffs+52*envs {
+			t.Fatalf("%+v: events != switches/2 + fast path + hand-offs + %d task events", st, 52*envs)
+		}
+		if st.Handoffs != 51*envs {
+			t.Fatalf("%+v: want a hand-off from every relay to its leaf, and from the consumer to the last relay", st)
 		}
 		// Scheduled for the instant of the call: three spawns, fifty pushes to
-		// the parked consumer, fifty-one task registrations, one fire. Popped
-		// from the heap: the fifty timers of solo and the fifty-two of the
-		// producer; the consumer's fifty timeouts die there unfired.
-		if st.NowQueued != 105*envs || st.Events != st.NowQueued+102*envs {
-			t.Fatalf("%+v: events != now-queued + %d heap pops", st, 102*envs)
+		// the parked consumer, fifty-one task registrations, a hundred relay
+		// and leaf spawns, one fire. Popped from the heap or fired in place:
+		// the fifty timers of solo and the fifty-two of the producer; the
+		// consumer's fifty timeouts die in the heap unfired.
+		if st.NowQueued != 205*envs || st.Events != st.NowQueued+102*envs {
+			t.Fatalf("%+v: events != now-queued + %d timers", st, 102*envs)
 		}
 		if st.FastPath < 50 || st.Switches == 0 || st.HeapPeak < 3 || st.DeadPeak == 0 || st.Compactions == 0 {
 			t.Fatalf("%+v: a counter that should have moved did not", st)
@@ -505,18 +515,25 @@ func TestTaskStatsAccountForEveryEvent(t *testing.T) {
 	one := env.Stats()
 	check(one, 1)
 
-	g := NewGroup()
-	a, b := build(1), build(2)
-	g.Connect("a->b", g.Add("a", a), g.Add("b", b), 10*Microsecond)
-	if err := g.Run(2, MaxTime); err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 2, 4} {
+		g := NewGroup()
+		ids := make([]PartitionID, 4)
+		for i := range ids {
+			ids[i] = g.Add(fmt.Sprint("p", i), build(int64(i+1)))
+		}
+		for i := range ids {
+			g.Connect(fmt.Sprintf("p%d->p%d", i, (i+1)%4), ids[i], ids[(i+1)%4], 10*Microsecond)
+		}
+		if err := g.Run(workers, MaxTime); err != nil {
+			t.Fatal(err)
+		}
+		// Window limits turn some fast-path wakes into resumes, so only the
+		// totals and the peaks (a maximum, not a sum) carry over.
+		sum := g.Stats().Kernel
+		check(sum, 4)
+		if sum.Events != 4*one.Events || sum.Events != g.Events() || sum.HeapPeak != one.HeapPeak {
+			t.Fatalf("workers=%d: group %+v is not four of %+v", workers, sum, one)
+		}
+		g.Shutdown()
 	}
-	// Window limits turn some fast-path wakes into resumes, so only the
-	// totals and the peaks (a maximum, not a sum) carry over.
-	sum := g.Stats().Kernel
-	check(sum, 2)
-	if sum.Events != 2*one.Events || sum.Events != g.Events() || sum.HeapPeak != one.HeapPeak {
-		t.Fatalf("group %+v is not two of %+v", sum, one)
-	}
-	g.Shutdown()
 }

@@ -24,8 +24,14 @@ const MaxTime = Time(1<<63 - 1)
 // Seconds converts a float number of seconds into a Duration.
 func Seconds(s float64) Duration { return Duration(s * float64(Second)) }
 
-// Add returns the instant d after t.
-func (t Time) Add(d Duration) Time { return t + Time(d) }
+// Add returns the instant d after t, or MaxTime when that lies beyond it: a
+// wait that long never ends, instead of wrapping around to the past.
+func (t Time) Add(d Duration) Time {
+	if d > 0 && t > MaxTime-Time(d) {
+		return MaxTime
+	}
+	return t + Time(d)
+}
 
 // Sub returns the span from u to t.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
