@@ -22,11 +22,13 @@ test:
 # coroutine running several procs' bodies in a row, and Group workers
 # resuming the same partition's procs — and draining its now-queue, which the
 # barrier filled — from different goroutines in successive windows (repeated,
-# since which worker picks up which partition varies from run to run). CI's
-# race step runs both lines.
+# since which worker picks up which partition varies from run to run) — and
+# the crossing records the per-partition free lists hand out and take back
+# on both sides of the bridge. CI's race step runs all three lines.
 test-race:
 	go test -race ./...
 	go test -race -count=10 -run 'TestGroup|TestShutdown|TestProcPanic|TestTask|TestNowQueue|TestServe|TestWaitInPlace|TestSleeperParked|TestHandoff' ./internal/sim
+	go test -race -count=10 -run 'TestRecycled|TestReadReturnDMAError' ./internal/core
 
 race: test-race
 

@@ -632,8 +632,11 @@ func TestReadSegmentTagsValidated(t *testing.T) {
 			pr := &pendingRead{}
 			px.pendingReads[900] = pr
 			for i, s := range reply.steps {
-				px.harvestRead(p, &doca.Transfer{Data: data,
-					Tag: &segHeader{kind: segReadData, reqID: 900, seg: s.seg, total: s.total}})
+				// The host's record keeps a reference of its own: the poller's
+				// does not put it back.
+				px.harvestRead(p, &doca.Transfer{Data: data, Tag: &readSeg{
+					hdr: segHeader{kind: segReadData, reqID: 900, seg: s.seg, total: s.total},
+					hr:  &hostRead{refs: 2}}})
 				if s.bad {
 					errs++
 				}
@@ -761,27 +764,28 @@ var objNames = [...]string{"stream_obj_0", "stream_obj_1", "stream_obj_2", "stre
 
 // TestCrossingAllocationBudget holds one transaction crossing — proxy, DMA
 // engine, host assembly, BlueStore commit, completion RPC — to its allocation
-// budget, one above each shape's count today, so that the next record
-// somebody adds to the path fails here, not in a benchmark:
+// budget: one above each shape's count today, and its bytes today plus 48, so
+// that the next record somebody adds to the path, or one that moves up a size
+// class, fails here, not in a benchmark. The segment table and the hostTxn
+// come from the partition's free lists and cost nothing:
 //
-//   - "stream chunk" (9.05): the 2 MiB write the streamed 16 MiB op submits
-//     sixteen times, into an object eight chunks share, in two DMA segments.
-//     The caller's transaction; the pendingTxn, which holds the encoded frame
-//     and its metadata; its segments, each holding its view of the frame; the
-//     hostTxn, which holds the decoded transaction and its op; the joined
-//     payload; the decoded data view; BlueStore's txc; the commit
-//     notification's envelope; and, once per eight chunks, the object's onode
-//     and decoded name and its extent table's growth.
-//   - "4 MiB new object" (10.06): the shape paper-4M-doceph crosses with, in
-//     three segments. The same records, the joined list still one object (four
-//     slices), and the new object's onode and name every time.
-//   - "batched 64 KiB new object" (12.06; 18.06 before the frame was encoded
-//     into its record): one op per frame, as batch-64K-mq4 mostly ships. The
-//     caller's transaction and the pendingTxn; the batchFrame, which holds the
-//     transfer, its tag, the op's trace slots and the encoded frame — header
-//     bytes, list and segment table; the payload's view of the frame, unpacked
-//     into the host poller's array; the hostTxn, the data view, the name, the
-//     txc and the onode; the coalesced notification's bytes, list and
+//   - "stream chunk" (7.05, 959 B): the 2 MiB write the streamed 16 MiB op
+//     submits sixteen times, into an object eight chunks share, in two DMA
+//     segments. The caller's transaction; the pendingTxn, which holds the
+//     encoded frame and its metadata; the joined payload; the decoded data
+//     view; BlueStore's txc; the commit notification's envelope; and, once per
+//     eight chunks, the object's onode and decoded name and its extent table's
+//     growth.
+//   - "4 MiB new object" (8.06, 1,147 B): the shape paper-4M-doceph crosses
+//     with, in three segments. The same records, the joined list still one
+//     object (four slices), and the new object's onode and name every time.
+//   - "batched 64 KiB new object" (11.06, 1,651 B; 18.06 before the frame was
+//     encoded into its record): one op per frame, as batch-64K-mq4 mostly
+//     ships. The caller's transaction and the pendingTxn; the batchFrame,
+//     which holds the transfer, its tag, the op's trace slots and the encoded
+//     frame — header bytes, list and segment table; the payload's view of the
+//     frame, unpacked into the host poller's array; the data view, the name,
+//     the txc and the onode; the coalesced notification's bytes, list and
 //     envelope, unpacked into the proxy's array.
 func TestCrossingAllocationBudget(t *testing.T) {
 	chunk, big, small := seeded(2<<20, 5), seeded(4<<20, 6), seeded(64<<10, 7)
@@ -799,15 +803,16 @@ func TestCrossingAllocationBudget(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		cfg       BridgeConfig
-		ceiling   float64
-		transfers int // per crossing
+		ceiling   float64 // allocations per crossing
+		bytes     float64 // bytes per crossing
+		transfers int     // per crossing
 		cross     func(t *testing.T, p *sim.Proc, px *Proxy, i int)
 	}{
-		{"stream chunk", BridgeConfig{}, 10, 2, func(t *testing.T, p *sim.Proc, px *Proxy, i int) {
+		{"stream chunk", BridgeConfig{}, 8, 1007, 2, func(t *testing.T, p *sim.Proc, px *Proxy, i int) {
 			streamChunks(t, p, px, chunk, i, 1)
 		}},
-		{"4 MiB new object", BridgeConfig{}, 11, 3, newObject(big)},
-		{"batched 64 KiB new object", BridgeConfig{Batch: BatchConfig{Enable: true}}, 13, 1, newObject(small)},
+		{"4 MiB new object", BridgeConfig{}, 9, 1195, 3, newObject(big)},
+		{"batched 64 KiB new object", BridgeConfig{Batch: BatchConfig{Enable: true}}, 12, 1699, 1, newObject(small)},
 	} {
 		r := newCoreRig(c.cfg)
 		r.run(t, func(p *sim.Proc) {
@@ -826,9 +831,11 @@ func TestCrossingAllocationBudget(t *testing.T) {
 			}
 			runtime.ReadMemStats(&after)
 			per := float64(after.Mallocs-before.Mallocs) / crossings
-			t.Logf("%s: %.2f allocations, %.0f B per crossing", c.name, per, float64(after.TotalAlloc-before.TotalAlloc)/crossings)
-			if per > c.ceiling {
-				t.Errorf("%s: %.2f allocations per crossing, want at most %.0f", c.name, per, c.ceiling)
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / crossings
+			t.Logf("%s: %.2f allocations, %.0f B per crossing", c.name, per, bytes)
+			if per > c.ceiling || bytes > c.bytes {
+				t.Errorf("%s: %.2f allocations, %.0f B per crossing; want at most %.0f and %.0f B",
+					c.name, per, bytes, c.ceiling, c.bytes)
 			}
 			if n := r.bridge.EngUp.Stats().Transfers; n != int64(c.transfers*(warm+crossings)+1) {
 				t.Errorf("%s: %d transfers; want %d per crossing", c.name, n, c.transfers)
@@ -837,13 +844,15 @@ func TestCrossingAllocationBudget(t *testing.T) {
 	}
 }
 
-// readAllocCeiling is one above what a 4 KiB read crossing allocates today (4:
-// the pendingRead, which holds the descriptor's transfer, tag and frame and a
-// one-slot reply table; the hostRead, which holds the decoded request and its
-// one return segment; the decoded object name; BlueStore's view of the
-// extent). The next record somebody adds to the read path fails here, not in
-// a benchmark.
-const readAllocCeiling = 5
+// readAllocCeiling is one above what a 4 KiB read crossing allocates today (2:
+// the decoded object name and BlueStore's view of the extent; the pendingRead
+// and the hostRead come from the partition's free lists), and readBytesCeiling
+// its bytes (80) plus 32. The next record somebody adds to the read path fails
+// here, not in a benchmark.
+const (
+	readAllocCeiling = 3
+	readBytesCeiling = 112
+)
 
 // TestReadCrossingAllocationBudget holds one read crossing — descriptor DMA to
 // the host, BlueStore read, data DMA back, reassembly on the proxy — to its
@@ -873,9 +882,11 @@ func TestReadCrossingAllocationBudget(t *testing.T) {
 		read(16, crossings)
 		runtime.ReadMemStats(&after)
 		per := float64(after.Mallocs-before.Mallocs) / crossings
-		t.Logf("%.2f allocations, %.0f B per read crossing", per, float64(after.TotalAlloc-before.TotalAlloc)/crossings)
-		if per > readAllocCeiling {
-			t.Fatalf("%.2f allocations per read crossing, want at most %d", per, readAllocCeiling)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / crossings
+		t.Logf("%.2f allocations, %.0f B per read crossing", per, bytes)
+		if per > readAllocCeiling || bytes > readBytesCeiling {
+			t.Fatalf("%.2f allocations, %.0f B per read crossing; want at most %d and %d B",
+				per, bytes, readAllocCeiling, readBytesCeiling)
 		}
 		if n := r.bridge.EngDown.Stats().Transfers; n != 16+crossings {
 			t.Fatalf("%d transfers to the DPU; want one per read", n)

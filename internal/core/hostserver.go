@@ -126,6 +126,8 @@ type HostServer struct {
 	// dispatching, cleared after each.
 	unpacked []batchEntry
 	stats    HostStats
+	// recs are the partition's free lists of crossing records.
+	recs *records
 
 	// Notify coalescers (live only when batch.Enable; see batch.go):
 	// queued commit notifications awaiting a coalesced opTxnDoneBatch RPC,
@@ -140,9 +142,12 @@ type notifyShard struct {
 	q    []txnDoneEntry
 }
 
-// hostTxn is one transaction on the host: its segments while they arrive
-// (hs.asm), the transaction they decode into, its turn in the ordered commit
-// queue (hs.readyTxns), and the task that reports its commit.
+// hostTxn is one transaction on the host, a record from the partition's free
+// list: its segments while they arrive (hs.asm), the transaction they decode
+// into, its turn in the ordered commit queue (hs.readyTxns), the task that
+// reports its commit, and the notification frame the proxy decodes in place.
+// The record goes back once that is done (txnNotified), or, with coalesced
+// notifications, which copy what they report, as soon as it has reported.
 type hostTxn struct {
 	hs    *HostServer
 	reqID uint64
@@ -178,23 +183,44 @@ type hostTxn struct {
 
 // hostRead is one read on the host, in one allocation: the request its
 // descriptor carried, respond when that came over RPC (nil over DMA), and the
-// segments of the return DMA (in slot for one).
+// segments of the return DMA (in slot for one). One whose descriptor came by
+// DMA is from the partition's free list.
 type hostRead struct {
+	hs      *HostServer
 	req     readReq
 	respond func(*wire.Bufferlist, uint16)
 	segs    []readSeg
 	slot    [1]readSeg
+	// refs counts the readers still to come of a reply sent by DMA:
+	// serveRead, and per return segment the task that frees its staging
+	// buffer and the DPU poller that consumes it — the transfer is the tag
+	// the poller receives, so the record lives until the other side is done,
+	// as a DOCA task does until its completion is consumed. The last reader
+	// puts the record back; a failed segment's never comes, which leaves the
+	// record to the GC.
+	refs int
 }
 
-// readSeg is one in-flight segment of a read's return DMA, and the task that
-// frees its staging buffer when the engine is done with it.
+// unref ends one reader's use of hr.
+func (hr *hostRead) unref() {
+	if hr.refs--; hr.refs == 0 {
+		hr.hs.recs.hostReads.put(hr)
+	}
+}
+
+// readSeg is one in-flight segment of a read's return DMA, the tag the DPU
+// poller receives with it, and the task that frees its staging buffer when
+// the engine is done with it.
 type readSeg struct {
 	t   doca.Transfer
 	hdr segHeader
-	buf *dpu.BufferPool
+	hr  *hostRead
 }
 
-func (rs *readSeg) Run() { rs.buf.Release() }
+func (rs *readSeg) Run() {
+	rs.hr.hs.readBuf.Release()
+	rs.hr.unref()
+}
 
 // NewHostServer builds the host side. rpcEnd is the host endpoint of the
 // control channel; store is the local BlueStore. Of cfg it reads Host, and
@@ -213,6 +239,7 @@ func NewHostServer(env *sim.Env, hostCPU *sim.CPU, store objstore.Store,
 		readyTxns:  make(map[uint64]*hostTxn),
 		notifying:  make(map[uint64]*hostTxn),
 		reads:      make(map[uint64]*hostRead),
+		recs:       sim.Local[records](env),
 	}
 	hs.notifyBody = hs.sendTxnDone
 	hs.readBody = hs.serveRead
@@ -294,7 +321,7 @@ func (hs *HostServer) harvest(p *sim.Proc, t *doca.Transfer) {
 			hs.addSegment(p, en.reqID, en.txnSeq, 0, 1, en.payload, ctx, qidx)
 		}
 	case segReadReq:
-		if hs.fileRead("host-read:", &hostRead{}, t.Data) != nil {
+		if hs.fileRead("host-read:", hs.recs.hostReads.get(), t.Data) != nil {
 			panic("core: corrupt read request over DMA")
 		}
 	case segProbe:
@@ -307,7 +334,8 @@ func (hs *HostServer) harvest(p *sim.Proc, t *doca.Transfer) {
 func (hs *HostServer) addSegment(p *sim.Proc, reqID, txnSeq uint64, seg, total int, data *wire.Bufferlist, traceCtx uint64, queue int) {
 	a := hs.asm[reqID]
 	if a == nil {
-		a = &hostTxn{hs: hs, reqID: reqID, queue: queue}
+		a = hs.recs.hostTxns.get()
+		a.hs, a.reqID, a.queue = hs, reqID, queue
 		if total <= len(a.slot) {
 			a.segs = a.slot[:total]
 		} else {
@@ -383,6 +411,18 @@ func (rt *hostTxn) Run() {
 		hostWrite = hs.env.Now().Sub(rt.start)
 	}
 	hs.notifyTxnDone(rt, errToCode(rt.res.Err), int64(hostWrite))
+	if len(hs.notify) > 0 {
+		hs.recs.hostTxns.put(rt) // the coalescer queued a copy
+	}
+}
+
+// txnNotified is a hostTxn as the task that runs once the proxy has decoded
+// the commit notification the record carries: its last reader.
+type txnNotified hostTxn
+
+func (n *txnNotified) Run() {
+	rt := (*hostTxn)(n)
+	rt.hs.recs.hostTxns.put(rt)
 }
 
 func (hs *HostServer) notifyTxnDone(rt *hostTxn, code uint16, hostWriteNanos int64) {
@@ -409,7 +449,13 @@ func (hs *HostServer) sendTxnDone(p *sim.Proc) {
 	rt := hs.notifying[p.ID()]
 	delete(hs.notifying, p.ID())
 	p.SetThread(hs.thPoll)
-	hs.rpc.Notify(p, opTxnDone, &rt.done.bl.Bufferlist)
+	if rt.silent {
+		// A decode error's report: the record still has its commit to
+		// finish, so it is left to the GC.
+		hs.rpc.Notify(p, opTxnDone, &rt.done.bl.Bufferlist)
+		return
+	}
+	hs.rpc.NotifyThen(p, opTxnDone, &rt.done.bl.Bufferlist, (*txnNotified)(rt))
 }
 
 // onBatchFallback files a whole batch frame arriving over the control plane
@@ -437,6 +483,7 @@ func (hs *HostServer) fileRead(prefix string, hr *hostRead, desc *wire.Bufferlis
 	if err := hr.req.decode(desc, hs.names.Collection); err != nil {
 		return err
 	}
+	hr.hs = hs
 	hs.names.Collection = hr.req.Coll
 	hs.reads[hr.req.ReqID] = hr
 	hs.env.SpawnID(prefix, hr.req.ReqID, hs.readBody)
@@ -463,12 +510,14 @@ func (hs *HostServer) serveRead(p *sim.Proc) {
 	}
 	if err != nil || bl.Length() == 0 {
 		hs.rpc.Notify(p, opReadDone, encodeReadDone(req.ReqID, errToCode(err), 0))
+		hs.recs.hostReads.put(hr)
 		return
 	}
 	c := newCut(bl, hs.readBuf.BufferBytes(), hs.engDown)
 	if hr.segs = hr.slot[:]; c.total > len(hr.slot) {
 		hr.segs = make([]readSeg, c.total)
 	}
+	hr.refs = 1
 	for i := range hr.segs {
 		n := c.size(i)
 		hs.readBuf.Acquire(p)
@@ -478,19 +527,21 @@ func (hs *HostServer) serveRead(p *sim.Proc) {
 			data = c.view(i)
 		}
 		rs := &hr.segs[i]
-		rs.buf = hs.readBuf
+		rs.hr = hr
 		rs.hdr = segHeader{kind: segReadData, reqID: req.ReqID, seg: i, total: c.total}
 		rs.t = doca.Transfer{
 			ReqID: req.ReqID, Seg: i, TotalSegs: c.total, Bytes: n, Data: data,
-			Src: hs.hostMR, Dst: hs.dpuMR, Tag: &rs.hdr,
+			Src: hs.hostMR, Dst: hs.dpuMR, Tag: rs,
 		}
 		if err := hs.engDown.Submit(p, hs.cpu, &rs.t); err != nil {
 			hs.readBuf.Release()
 			hs.rpc.Notify(p, opReadDone, encodeReadDone(req.ReqID, rcIO, 0))
-			return
+			return // the segments already sent may still be read: left to the GC
 		}
+		hr.refs += 2 // the staging task and the DPU poller
 		hs.env.After(&rs.t.Done, rs)
 	}
+	hr.unref()
 }
 
 // Control-plane handlers: quick metadata services on the event-driven RPC

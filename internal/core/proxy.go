@@ -129,6 +129,8 @@ type Proxy struct {
 	nextTxnSeq   uint64
 	pendingTxns  map[uint64]*pendingTxn
 	pendingReads map[uint64]*pendingRead
+	// recs are the partition's free lists of crossing records.
+	recs *records
 
 	// Batcher state (live only when batch.Enable; see batch.go).
 	thBatch    *sim.Thread
@@ -220,7 +222,8 @@ func (pt *pendingTxn) Run() {
 
 // segment is one in-flight DMA segment of a transaction: the engine
 // transfer, the tag the host poller reads off it, its view of the frame and
-// its trace span. A transaction's segments are allocated together.
+// its trace span. A transaction's segments come as one table from the
+// partition's free list.
 type segment struct {
 	px   *Proxy
 	t    doca.Transfer
@@ -237,20 +240,23 @@ func (sg *segment) Run() {
 }
 
 // pendingRead is everything one in-flight read owns on the proxy, in one
-// allocation: the transfer that carries its descriptor to the host, with the
-// tag and the frame, and the table the reply's data segments fill.
+// record from the partition's free list: the transfer that carries its
+// descriptor to the host, with the tag and the frame, and the table the
+// reply's data segments fill.
 type pendingRead struct {
 	done sim.Event
 	t    doca.Transfer
 	hdr  segHeader
 	desc readReqFrame
 	// segs is sized by the first data segment's total (slot when that is
-	// one); have counts the filled slots. have and code share a word, which
-	// keeps the record in the 480-byte size class.
+	// one); have counts the filled slots. have, code and dmaErr share a word,
+	// which keeps the record in the 480-byte size class.
 	segs []*wire.Bufferlist
 	slot [1]*wire.Bufferlist
 	have int32
 	code uint16
+	// dmaErr reports a failed return segment: the read goes again over RPC.
+	dmaErr bool
 }
 
 // NewProxy builds the DPU-side proxy. rpcEnd is the DPU endpoint of the
@@ -268,6 +274,7 @@ func NewProxy(env *sim.Env, dev *dpu.DPU, rpcEnd *rpcchan.Endpoint,
 		thProxy:      sim.NewThread("proxy@"+dev.Name, ProxyThreadCat),
 		pendingTxns:  make(map[uint64]*pendingTxn),
 		pendingReads: make(map[uint64]*pendingRead),
+		recs:         sim.Local[records](env),
 		dmaHealthy:   true,
 	}
 	px.txBody = px.shipTxn
@@ -487,14 +494,20 @@ func (px *Proxy) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objst
 func (px *Proxy) shipTxn(tp *sim.Proc) {
 	pt := px.pendingTxns[tp.ID()]
 	tp.SetThread(px.thProxy)
+	var segs []segment
 	if pt.useDMA {
-		px.shipViaDMA(tp, pt)
+		segs = px.shipViaDMA(tp, pt)
 	} else {
 		px.shipViaRPC(tp, pt.reqID, pt.txnSeq, &pt.frame.Bufferlist)
 	}
 	pt.frame.Init() // shipped; the caller keeps pt, through res, much longer
 	pt.done.Wait(tp)
 	pt.Run()
+	if segs != nil {
+		// The host has assembled and committed: no poller reads a tag or a
+		// view of the table any more.
+		px.recs.segs.put(segs)
+	}
 }
 
 // invalidateCached drops read-cache entries for every object txn mutates,
@@ -569,14 +582,16 @@ func (c cut) viewInto(dst *wire.Bufferlist, i int) {
 // dma-stage/dma spans and rides the segment tags to the host. streamReuse
 // marks every segment as region-reusing (stream chunks move through the
 // same pre-registered staging pool, like consecutive batch frames), so
-// back-to-back chunks of a stream pay the amortized setup.
-func (px *Proxy) shipViaDMA(p *sim.Proc, pt *pendingTxn) {
+// back-to-back chunks of a stream pay the amortized setup. It returns the
+// segment table for the caller to put back once the host has committed, or
+// nil after an error, when the table is left to the GC.
+func (px *Proxy) shipViaDMA(p *sim.Proc, pt *pendingTxn) []segment {
 	reqID, txnSeq, ctx, streamReuse := pt.reqID, pt.txnSeq, pt.ctx, pt.streamReuse
 	c := newCut(&pt.frame.Bufferlist, px.dev.Buffers.BufferBytes(), px.engUp)
 	total := c.total
 	px.ensureRegions(p)
 
-	segs := make([]segment, total)
+	segs := px.recs.segs.get(total)
 	submitted := 0
 	// dmaStart..dmaEnd bounds the request's DMA phase on the wall clock;
 	// DMA-wait is that span minus the actual copy time (Table 3's "waiting
@@ -671,7 +686,9 @@ func (px *Proxy) shipViaDMA(p *sim.Proc, pt *pendingTxn) {
 				px.segViaRPC(p, reqID, txnSeq, c, i)
 			}
 		}
+		return nil
 	}
+	return segs
 }
 
 // shipViaRPC sends the whole request over the control channel, cut as DMA
@@ -722,7 +739,7 @@ func (px *Proxy) Read(p *sim.Proc, coll, obj string, off, length uint64) (*wire.
 	}
 	px.nextReq++
 	reqID := px.nextReq
-	pr := &pendingRead{}
+	pr := px.recs.reads.get()
 	px.pendingReads[reqID] = pr
 	defer delete(px.pendingReads, reqID)
 
@@ -740,17 +757,24 @@ func (px *Proxy) Read(p *sim.Proc, coll, obj string, off, length uint64) (*wire.
 			return nil, err
 		}
 		t.Done.Wait(p)
-		if t.Err != nil {
+		if t.Err == nil {
+			pr.done.Wait(p)
+		}
+		if t.Err != nil || pr.dmaErr {
+			// The descriptor or a data segment failed on its way.
 			px.enterCooldown(p)
 			return px.readViaRPC(p, desc)
 		}
-		pr.done.Wait(p)
-		if err := codeToErr(pr.code); err != nil {
-			return nil, err
+		// The host has read the descriptor and every data segment is in: no
+		// one reads the record after this.
+		var out *wire.Bufferlist
+		err := codeToErr(pr.code)
+		if err == nil {
+			out = wire.Concat(pr.segs)
+			px.cacheRead(coll, obj, off, length, out)
 		}
-		out := wire.Concat(pr.segs)
-		px.cacheRead(coll, obj, off, length, out)
-		return out, nil
+		px.recs.reads.put(pr)
+		return out, err
 	}
 	bl, err := px.readViaRPC(p, desc)
 	if err == nil {
@@ -775,22 +799,33 @@ func (px *Proxy) readViaRPC(p *sim.Proc, desc *wire.Bufferlist) (*wire.Bufferlis
 }
 
 // harvestRead is one turn of the DPU-side poller consuming host->DPU DMA
-// completions (read data segments).
+// completions (read data segments). A consumed segment drops its reference to
+// the host's record; a failed one keeps it, leaving the record to the GC.
 func (px *Proxy) harvestRead(p *sim.Proc, t *doca.Transfer) {
-	hdr, ok := t.Tag.(*segHeader)
-	if !ok || hdr.kind != segReadData {
-		return
-	}
-	px.dev.CPU.ExecSelf(p, 4_000)
-	pr, ok := px.pendingReads[hdr.reqID]
+	rs, ok := t.Tag.(*readSeg)
 	if !ok {
 		return
 	}
+	px.dev.CPU.ExecSelf(p, 4_000)
+	hdr := &rs.hdr
+	pr, ok := px.pendingReads[hdr.reqID]
 	if t.Err != nil {
-		pr.code = rcIO
-		pr.done.Fire()
+		if ok {
+			// Read again over RPC; the reply's later segments find no entry.
+			delete(px.pendingReads, hdr.reqID)
+			pr.dmaErr = true
+			pr.done.Fire()
+		}
 		return
 	}
+	if ok {
+		px.fillRead(pr, hdr, t.Data)
+	}
+	rs.hr.unref()
+}
+
+// fillRead files one data segment of a read's reply.
+func (px *Proxy) fillRead(pr *pendingRead, hdr *segHeader, data *wire.Bufferlist) {
 	if hdr.seg < 0 || hdr.seg >= hdr.total || pr.segs != nil && hdr.total != len(pr.segs) {
 		px.stats.ReadFrameErrors++ // disagrees with itself or the reply's first segment
 		return
@@ -803,7 +838,7 @@ func (px *Proxy) harvestRead(p *sim.Proc, t *doca.Transfer) {
 	if pr.segs[hdr.seg] == nil {
 		pr.have++
 	}
-	pr.segs[hdr.seg] = t.Data
+	pr.segs[hdr.seg] = data
 	if int(pr.have) == len(pr.segs) {
 		pr.done.Fire()
 	}

@@ -95,6 +95,8 @@ type envelope struct {
 	errCode uint16
 	payload *wire.Bufferlist
 	bytes   int64
+	// consumed is NotifyThen's task.
+	consumed sim.Task
 }
 
 func (env *envelope) Run() { env.to.inq.Push(*env) }
@@ -160,8 +162,16 @@ func (e *Endpoint) Call(p *sim.Proc, op uint16, payload *wire.Bufferlist) (*wire
 // Notify sends a one-way message (no response) processed by the peer's
 // handler for op; the handler's respond function becomes a no-op.
 func (e *Endpoint) Notify(p *sim.Proc, op uint16, payload *wire.Bufferlist) {
+	e.NotifyThen(p, op, payload, nil)
+}
+
+// NotifyThen is Notify for a payload its sender wants back: consumed, when
+// not nil, runs on the peer's server loop as soon as the handler has returned
+// — the point after which nothing reads the payload — or never, if no handler
+// takes the message.
+func (e *Endpoint) NotifyThen(p *sim.Proc, op uint16, payload *wire.Bufferlist, consumed sim.Task) {
 	e.nextID++
-	e.send(p, envelope{req: true, notify: true, op: op, reqID: e.nextID, payload: payload})
+	e.send(p, envelope{req: true, notify: true, op: op, reqID: e.nextID, payload: payload, consumed: consumed})
 }
 
 const (
@@ -222,6 +232,9 @@ func (e *Endpoint) serve(p *sim.Proc, env envelope) {
 		req := Request{Op: env.op, ReqID: env.reqID, Payload: env.payload}
 		if env.notify {
 			h(p, req, noResponse)
+			if env.consumed != nil {
+				env.consumed.Run()
+			}
 			return
 		}
 		id := env.reqID

@@ -2,6 +2,7 @@ package rpcchan
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"doceph/internal/sim"
@@ -136,6 +137,31 @@ func TestNotifyDelivered(t *testing.T) {
 			t.Fatalf("got=%q", got)
 		}
 	})
+}
+
+type logTask struct {
+	log  *[]string
+	name string
+}
+
+func (l logTask) Run() { *l.log = append(*l.log, l.name) }
+
+// TestNotifyThenRunsAfterHandler: a NotifyThen's task runs once, right after
+// the peer's handler has returned, and never for a message no handler takes.
+func TestNotifyThenRunsAfterHandler(t *testing.T) {
+	r := newRPCRig(Config{})
+	var log []string
+	r.host.Handle(4, func(p *sim.Proc, req Request, respond func(*wire.Bufferlist, uint16)) {
+		log = append(log, "handled "+string(req.Payload.Bytes()))
+	})
+	r.run(t, func(p *sim.Proc) {
+		r.dpu.NotifyThen(p, 4, wire.FromBytes([]byte("a")), logTask{&log, "consumed a"})
+		r.dpu.NotifyThen(p, 98, wire.FromBytes([]byte("b")), logTask{&log, "consumed b"})
+		p.Wait(sim.Second)
+	})
+	if got := strings.Join(log, ", "); got != "handled a, consumed a" {
+		t.Fatalf("log: %s", got)
+	}
 }
 
 func TestCPUChargedBothSides(t *testing.T) {

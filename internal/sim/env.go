@@ -278,6 +278,9 @@ type Env struct {
 	// coroutines there and not in the measured run.
 	coroFree  []*coro
 	unstarted int
+
+	// locals holds the values Local made, one per type.
+	locals map[any]any
 }
 
 // NewEnv returns an environment whose random stream is seeded with seed.
