@@ -401,11 +401,6 @@ var seedRows = map[string]struct {
 		rs, ws := r.bench.ReadStats.Ops, r.bench.WriteStats.Ops
 		return expect(rs > 0 && ws > 0, "mix collapsed: %d reads, %d writes", rs, ws)
 	}, bench: BenchConfig{Op: MixedWorkload, ReadPercent: 70, QueueDepth: 2}}, 0, "balance-reads", "read-cache")},
-	"block device": {knobSeeds, func(seed int64) (any, error) {
-		r, err := runBlockDeviceCell(DoCeph, true, seed)
-		return r, errors.Join(err, expect(r.Intact && r.CacheHits > 0,
-			"block device readback intact %v, client cache hits %d", r.Intact, r.CacheHits))
-	}},
 }
 
 var knobSeeds = []int64{1, 2, 3, 5, 8, 13, 21, 42}
@@ -457,4 +452,3 @@ func TestMultiSeedDeterminismBatched(t *testing.T)       { runTwice(t, "batched"
 func TestMultiSeedDeterminismMultiQueue(t *testing.T)    { runTwice(t, "multi-queue") }
 func TestMultiSeedDeterminismStreaming(t *testing.T)     { runTwice(t, "streamed") }
 func TestMultiSeedDeterminismMixedReadPath(t *testing.T) { runTwice(t, "mixed read path") }
-func TestMultiSeedDeterminismBlockDevice(t *testing.T)   { runTwice(t, "block device") }

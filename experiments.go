@@ -496,16 +496,3 @@ func readPathTables(rs []runResult) []*report.Table {
 		}),
 	}, groups(rs, 1), "64KB objects; balance = read-from-secondary hashing, cache = DPU-side object read cache (both default off); zipf/hotspot = skewed read popularity over the prepopulated set (uniform otherwise)")}
 }
-
-// runReadPath is the read-path grid followed by the block-device comparison.
-func runReadPath(o Options) ([]*report.Table, error) {
-	tables, err := grid(func(Options) []cell { return readPathCells() }, readPathTables)(o)
-	if err != nil {
-		return nil, err
-	}
-	bd, err := blockDeviceTable(o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return append(tables, bd), nil
-}

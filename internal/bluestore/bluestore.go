@@ -1,10 +1,10 @@
 // Package bluestore implements a BlueStore-like transactional object store:
 // collections of objects with sparse extent data, an extent allocator over a
-// virtual block device, onode metadata (attrs) kept on the objects with
-// its commit cost charged explicitly, a write-ahead (deferred-write) path for
-// small writes and a direct data path for large ones, and the
-// bstore_aio/bstore_kv thread pair that Ceph's perf breakdown attributes
-// "ObjectStore" CPU to.
+// virtual block device, onode metadata (size, version, mtime) kept on the
+// objects with its commit cost charged explicitly, a write-ahead
+// (deferred-write) path for small writes and a direct data path for large
+// ones, and the bstore_aio/bstore_kv thread pair that Ceph's perf breakdown
+// attributes "ObjectStore" CPU to.
 //
 // Data is retained as zero-copy wire.Bufferlist views, so integrity checks
 // (CRC32C end-to-end) are real while memory stays proportional to the
@@ -148,7 +148,6 @@ type onode struct {
 	size    uint64
 	version uint64
 	mtime   sim.Time
-	attrs   map[string][]byte
 	extents []extent // sorted by off, non-overlapping
 	// blocks are device extents backing the object, tracked for free-space
 	// accounting.
@@ -364,16 +363,6 @@ func (s *Store) applyOp(op *objstore.Op) error {
 		}
 		s.colls[op.Collection] = &collection{objects: make(map[string]*onode)}
 		return nil
-	case objstore.OpRmColl:
-		c, ok := s.colls[op.Collection]
-		if !ok {
-			return objstore.ErrNoCollection
-		}
-		if len(c.objects) > 0 {
-			return fmt.Errorf("collection %q not empty", op.Collection)
-		}
-		delete(s.colls, op.Collection)
-		return nil
 	}
 
 	c, ok := s.colls[op.Collection]
@@ -381,31 +370,9 @@ func (s *Store) applyOp(op *objstore.Op) error {
 		return objstore.ErrNoCollection
 	}
 	switch op.Code {
-	case objstore.OpTouch:
-		c.getOrCreate(op.Object)
-		return nil
 	case objstore.OpWrite:
 		o := c.getOrCreate(op.Object)
 		return s.writeExtent(o, op.Offset, op.Data)
-	case objstore.OpZero:
-		o, ok := c.objects[op.Object]
-		if !ok {
-			return objstore.ErrNotFound
-		}
-		o.punch(op.Offset, op.Length)
-		if op.Offset+op.Length > o.size {
-			o.size = op.Offset + op.Length
-		}
-		o.bump(s.env.Now())
-		return nil
-	case objstore.OpTruncate:
-		o, ok := c.objects[op.Object]
-		if !ok {
-			return objstore.ErrNotFound
-		}
-		o.truncate(op.Offset)
-		o.bump(s.env.Now())
-		return nil
 	case objstore.OpRemove:
 		o, ok := c.objects[op.Object]
 		if !ok {
@@ -415,17 +382,6 @@ func (s *Store) applyOp(op *objstore.Op) error {
 			s.alloc.release(b.dev, b.length)
 		}
 		delete(c.objects, op.Object)
-		return nil
-	case objstore.OpSetAttr:
-		o, ok := c.objects[op.Object]
-		if !ok {
-			return objstore.ErrNotFound
-		}
-		if o.attrs == nil {
-			o.attrs = make(map[string][]byte)
-		}
-		o.attrs[op.AttrName] = op.AttrValue
-		o.bump(s.env.Now())
 		return nil
 	}
 	return fmt.Errorf("unknown op code %d", op.Code)
@@ -515,13 +471,6 @@ func (o *onode) insert(e extent) {
 
 func (o *onode) sortExtents() {
 	slices.SortFunc(o.extents, func(a, b extent) int { return cmp.Compare(a.off, b.off) })
-}
-
-func (o *onode) truncate(size uint64) {
-	if size < o.size {
-		o.punch(size, o.size-size)
-	}
-	o.size = size
 }
 
 // zeroPage backs hole fills in readRange. Read results are never mutated

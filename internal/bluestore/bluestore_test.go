@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -162,31 +163,6 @@ func TestRangedRead(t *testing.T) {
 	})
 }
 
-func TestTruncateAndZero(t *testing.T) {
-	env, s := newTestStore(Config{})
-	runStore(t, env, func(p *sim.Proc) {
-		mkColl(t, p, s, "c")
-		if err := commit(t, p, s,
-			(&objstore.Transaction{}).Write("c", "o", 0, wire.FromBytes([]byte("0123456789")))); err != nil {
-			t.Fatal(err)
-		}
-		if err := commit(t, p, s, (&objstore.Transaction{}).Truncate("c", "o", 4)); err != nil {
-			t.Fatal(err)
-		}
-		got, _ := s.Read(p, "c", "o", 0, 0)
-		if string(got.Bytes()) != "0123" {
-			t.Fatalf("after truncate: %q", got.Bytes())
-		}
-		if err := commit(t, p, s, (&objstore.Transaction{}).Zero("c", "o", 1, 2)); err != nil {
-			t.Fatal(err)
-		}
-		got, _ = s.Read(p, "c", "o", 0, 0)
-		if !bytes.Equal(got.Bytes(), []byte{'0', 0, 0, '3'}) {
-			t.Fatalf("after zero: %v", got.Bytes())
-		}
-	})
-}
-
 func TestRemoveFreesSpace(t *testing.T) {
 	env, s := newTestStore(Config{})
 	runStore(t, env, func(p *sim.Proc) {
@@ -238,7 +214,7 @@ func TestKVBatching(t *testing.T) {
 		// sync thread should batch them into far fewer cycles.
 		var results []*objstore.Result
 		for i := 0; i < 64; i++ {
-			txn := (&objstore.Transaction{}).Touch("c", "o")
+			txn := (&objstore.Transaction{}).Write("c", "o", 0, &wire.Bufferlist{})
 			results = append(results, s.QueueTransaction(p, txn))
 		}
 		for _, r := range results {
@@ -269,37 +245,44 @@ func TestErrorSurfacedViaResult(t *testing.T) {
 	})
 }
 
-func TestRmCollRules(t *testing.T) {
+// TestRetiredOpCodesRejected: a frame from outside the program may still
+// carry one of the codes the store no longer implements (touch, zero,
+// truncate, setattr, rmcoll); the store refuses it instead of guessing.
+func TestRetiredOpCodesRejected(t *testing.T) {
 	env, s := newTestStore(Config{})
 	runStore(t, env, func(p *sim.Proc) {
 		mkColl(t, p, s, "c")
-		if err := commit(t, p, s, (&objstore.Transaction{}).Touch("c", "o")); err != nil {
+		if err := commit(t, p, s, (&objstore.Transaction{}).Write("c", "o", 0, wire.FromBytes([]byte("x")))); err != nil {
 			t.Fatal(err)
 		}
-		if err := commit(t, p, s, (&objstore.Transaction{}).RmColl("c")); err == nil {
-			t.Fatal("rmcoll of non-empty collection accepted")
+		for _, code := range []objstore.OpCode{1, 3, 4, 6, 8} {
+			sent := &objstore.Transaction{Ops: []objstore.Op{{Code: code, Collection: "c", Object: "o",
+				Length: 1, AttrName: "k", AttrValue: []byte("v")}}}
+			txn, err := objstore.DecodeTransactionBL(sent.EncodeBL(), &objstore.Names{})
+			if err != nil {
+				t.Fatalf("code %d: %v", code, err)
+			}
+			if err := commit(t, p, s, txn); err == nil || !strings.Contains(err.Error(), "unknown op code") {
+				t.Errorf("code %d: err=%v, want unknown op code", code, err)
+			}
 		}
-		if err := commit(t, p, s, (&objstore.Transaction{}).Remove("c", "o")); err != nil {
+		if got, err := s.Read(p, "c", "o", 0, 0); err != nil {
 			t.Fatal(err)
-		}
-		if err := commit(t, p, s, (&objstore.Transaction{}).RmColl("c")); err != nil {
-			t.Fatal(err)
-		}
-		if err := commit(t, p, s, (&objstore.Transaction{}).RmColl("c")); !errors.Is(err, objstore.ErrNoCollection) {
-			t.Fatalf("err=%v", err)
+		} else if string(got.Bytes()) != "x" {
+			t.Fatalf("object after rejected ops: %q", got.Bytes())
 		}
 	})
 }
 
-func TestSetAttrAndVersionBump(t *testing.T) {
+func TestWriteBumpsVersion(t *testing.T) {
 	env, s := newTestStore(Config{})
 	runStore(t, env, func(p *sim.Proc) {
 		mkColl(t, p, s, "c")
-		if err := commit(t, p, s, (&objstore.Transaction{}).Touch("c", "o")); err != nil {
+		if err := commit(t, p, s, (&objstore.Transaction{}).Write("c", "o", 0, &wire.Bufferlist{})); err != nil {
 			t.Fatal(err)
 		}
 		st0, _ := s.Stat(p, "c", "o")
-		if err := commit(t, p, s, (&objstore.Transaction{}).SetAttr("c", "o", "snap", []byte("v"))); err != nil {
+		if err := commit(t, p, s, (&objstore.Transaction{}).Write("c", "o", 0, wire.FromBytes([]byte("v")))); err != nil {
 			t.Fatal(err)
 		}
 		st1, _ := s.Stat(p, "c", "o")
@@ -314,7 +297,7 @@ func TestListSorted(t *testing.T) {
 	runStore(t, env, func(p *sim.Proc) {
 		mkColl(t, p, s, "c")
 		for _, n := range []string{"zeta", "alpha", "mid"} {
-			if err := commit(t, p, s, (&objstore.Transaction{}).Touch("c", n)); err != nil {
+			if err := commit(t, p, s, (&objstore.Transaction{}).Write("c", n, 0, &wire.Bufferlist{})); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -362,8 +345,8 @@ func TestMultiSegmentPayloadIntegrity(t *testing.T) {
 	})
 }
 
-// Property test: a random sequence of write/zero/truncate ops matches a flat
-// []byte reference model.
+// Property test: a random sequence of overlapping writes and removes matches
+// a flat []byte reference model.
 func TestQuickRandomOpsMatchReference(t *testing.T) {
 	env, s := newTestStore(Config{})
 	runStore(t, env, func(p *sim.Proc) {
@@ -380,45 +363,26 @@ func TestQuickRandomOpsMatchReference(t *testing.T) {
 		for i := 0; i < 120; i++ {
 			off := r.Intn(maxLen / 2)
 			n := 1 + r.Intn(maxLen/2)
-			switch r.Intn(3) {
-			case 0: // write
-				data := make([]byte, n)
-				for j := range data {
-					data[j] = byte(r.Intn(256))
-				}
-				if err := commit(t, p, s,
-					(&objstore.Transaction{}).Write("c", "o", uint64(off), wire.FromBytes(data))); err != nil {
-					t.Fatal(err)
-				}
-				grow(off + n)
-				copy(ref[off:], data)
-			case 1: // zero
-				if err := commit(t, p, s,
-					(&objstore.Transaction{}).Zero("c", "o", uint64(off), uint64(n))); err != nil {
+			if r.Intn(8) == 0 { // remove
+				if err := commit(t, p, s, (&objstore.Transaction{}).Remove("c", "o")); err != nil {
 					if errors.Is(err, objstore.ErrNotFound) {
 						continue
 					}
 					t.Fatal(err)
 				}
-				grow(off + n)
-				for j := off; j < off+n; j++ {
-					ref[j] = 0
-				}
-			case 2: // truncate
-				sz := r.Intn(maxLen)
-				if err := commit(t, p, s,
-					(&objstore.Transaction{}).Truncate("c", "o", uint64(sz))); err != nil {
-					if errors.Is(err, objstore.ErrNotFound) {
-						continue
-					}
-					t.Fatal(err)
-				}
-				if sz < len(ref) {
-					ref = ref[:sz]
-				} else {
-					grow(sz)
-				}
+				ref = ref[:0]
+				continue
 			}
+			data := make([]byte, n)
+			for j := range data {
+				data[j] = byte(r.Intn(256))
+			}
+			if err := commit(t, p, s,
+				(&objstore.Transaction{}).Write("c", "o", uint64(off), wire.FromBytes(data))); err != nil {
+				t.Fatal(err)
+			}
+			grow(off + n)
+			copy(ref[off:], data)
 			got, err := s.Read(p, "c", "o", 0, 0)
 			if err != nil {
 				if errors.Is(err, objstore.ErrNotFound) && len(ref) == 0 {
@@ -542,9 +506,9 @@ func TestTransactionEncodeDecode(t *testing.T) {
 	txn := (&objstore.Transaction{}).
 		MkColl("c").
 		Write("c", "o", 128, wire.FromBytes([]byte("payload"))).
-		SetAttr("c", "o", "k", []byte("v")).
-		Truncate("c", "o", 64).
 		Remove("c", "o")
+	txn.Ops = append(txn.Ops, objstore.Op{Code: objstore.OpWrite, Collection: "c", Object: "o",
+		Offset: 64, AttrName: "k", AttrValue: []byte("v")})
 	e := wire.NewEncoder(256)
 	txn.Encode(e)
 	got, err := objstore.DecodeTransaction(wire.NewDecoder(e.Bytes()))

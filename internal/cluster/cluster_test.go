@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -25,27 +26,57 @@ func runBody(t *testing.T, cl *Cluster, body func(p *sim.Proc)) {
 	cl.Shutdown()
 }
 
+// patterned returns n bytes that differ from one offset to the next.
+func patterned(n int) []byte {
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(i * 31)
+	}
+	return data
+}
+
+// checkRangedReads reads object back at offsets, each range byte-compared
+// with data, the object's whole content: one inside the first 2 MiB DMA
+// segment, one straddling the segment boundary and one running past EOF,
+// which comes back clamped.
+func checkRangedReads(t *testing.T, p *sim.Proc, cl *Cluster, object string, data []byte) {
+	t.Helper()
+	const seg = 2 << 20
+	for _, r := range []struct{ off, length int }{
+		{4096, 64 << 10},
+		{seg - 1000, 5000},
+		{len(data) - 100, 4096},
+	} {
+		got, err := cl.Client.Read(p, object, uint64(r.off), uint64(r.length))
+		if err != nil {
+			t.Fatalf("read [%d,+%d): %v", r.off, r.length, err)
+		}
+		if want := data[r.off:min(r.off+r.length, len(data))]; !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("read [%d,+%d): %d bytes, want %d bytes of the written data",
+				r.off, r.length, got.Length(), len(want))
+		}
+	}
+}
+
 func TestBaselineClusterEndToEnd(t *testing.T) {
 	cl := New(Config{Mode: Baseline, Messenger: messenger.Config{WireEncode: true}})
 	runBody(t, cl, func(p *sim.Proc) {
-		data := wire.FromBytes(make([]byte, 256<<10))
-		if err := cl.Client.Write(p, "obj", data); err != nil {
+		data := patterned(3 << 20)
+		if err := cl.Client.Write(p, "obj", wire.FromBytes(data)); err != nil {
 			t.Fatal(err)
 		}
 		got, err := cl.Client.Read(p, "obj", 0, 0)
-		if err != nil || got.Length() != 256<<10 {
+		if err != nil || !bytes.Equal(got.Bytes(), data) {
 			t.Fatalf("read err=%v", err)
 		}
+		checkRangedReads(t, p, cl, "obj", data)
 	})
 }
 
 func TestDoCephClusterEndToEnd(t *testing.T) {
 	cl := New(Config{Mode: DoCeph, Messenger: messenger.Config{WireEncode: true}})
 	runBody(t, cl, func(p *sim.Proc) {
-		data := make([]byte, 3<<20)
-		for i := range data {
-			data[i] = byte(i * 31)
-		}
+		data := patterned(3 << 20)
 		bl := wire.FromBytes(data)
 		if err := cl.Client.Write(p, "obj", bl); err != nil {
 			t.Fatal(err)
@@ -54,6 +85,7 @@ func TestDoCephClusterEndToEnd(t *testing.T) {
 		if err != nil || got.CRC32C() != bl.CRC32C() {
 			t.Fatalf("read mismatch err=%v", err)
 		}
+		checkRangedReads(t, p, cl, "obj", data)
 		// Data must really reside in the host BlueStore, replicated.
 		pg := cl.Client.Map().PGForObject("obj")
 		coll := fmt.Sprintf("pg.%d", pg)

@@ -130,7 +130,7 @@ func TestControlPlaneStatExistsList(t *testing.T) {
 		px := r.bridge.Proxy
 		txn := (&objstore.Transaction{}).MkColl("pg.3").
 			Write("pg.3", "a", 0, seeded(12_000, 4)).
-			Touch("pg.3", "b")
+			Write("pg.3", "b", 0, &wire.Bufferlist{})
 		if err := commitP(t, p, px, txn); err != nil {
 			t.Fatal(err)
 		}

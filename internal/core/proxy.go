@@ -518,12 +518,8 @@ func (px *Proxy) invalidateCached(txn *objstore.Transaction) {
 		return
 	}
 	for i := range txn.Ops {
-		op := &txn.Ops[i]
-		switch op.Code {
-		case objstore.OpWrite, objstore.OpZero, objstore.OpTruncate, objstore.OpRemove:
+		if op := &txn.Ops[i]; op.Code == objstore.OpWrite || op.Code == objstore.OpRemove {
 			px.rcache.Invalidate(op.Collection, op.Object)
-		case objstore.OpRmColl:
-			px.rcache.InvalidateCollection(op.Collection)
 		}
 	}
 }

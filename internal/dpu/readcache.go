@@ -134,19 +134,6 @@ func (c *ReadCache) Invalidate(coll, obj string) {
 	}
 }
 
-// InvalidateCollection drops every entry of coll (collection removal).
-// Entries are walked in LRU order, not map order, for determinism.
-func (c *ReadCache) InvalidateCollection(coll string) {
-	for elem := c.lru.Front(); elem != nil; {
-		next := elem.Next()
-		if e := elem.Value.(*rcEntry); e.coll == coll {
-			c.removeEntry(e)
-			c.stats.Invalidations++
-		}
-		elem = next
-	}
-}
-
 func (c *ReadCache) removeEntry(e *rcEntry) {
 	c.lru.Remove(e.elem)
 	delete(c.entries, rcKey(e.coll, e.obj))

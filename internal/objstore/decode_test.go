@@ -94,13 +94,18 @@ func sampleTxns() []*Transaction {
 	for i := range data {
 		data[i] = byte(i * 13)
 	}
+	mixed := (&Transaction{}).MkColl("pg.1").Write("pg.1", "o", 0, segmented(data, 37))
+	// No builder sets an op's attr fields, but every op in the frame carries
+	// them.
+	mixed.Ops = append(mixed.Ops, Op{Code: OpWrite, Collection: "pg.1", Object: "o", Offset: 9,
+		AttrName: "k", AttrValue: []byte("value")})
+	mixed.Write("pg.1", "empty", 0, &wire.Bufferlist{}).
+		Write("pg.1", "o", 4096, wire.FromBytes(data[:5])).Remove("pg.1", "empty").Remove("pg.1", "gone")
 	return []*Transaction{
 		{},
 		(&Transaction{}).MkColl("pg.0"),
 		(&Transaction{}).Write("pg.1", "obj", 64, wire.FromBytes(data)),
-		(&Transaction{}).Touch("pg.1", "o").Write("pg.1", "o", 0, segmented(data, 37)).
-			SetAttr("pg.1", "o", "k", []byte("value")).Zero("pg.1", "zero", 0, 1).
-			Write("pg.1", "o", 4096, wire.FromBytes(data[:5])).Truncate("pg.1", "o", 9).Remove("pg.1", "gone"),
+		mixed,
 	}
 }
 
@@ -252,11 +257,11 @@ func TestDecodeTransactionBLAllocs(t *testing.T) {
 	}
 	// A one-op builder is one object; a second op moves the ops to a grown
 	// slice and leaves the first where it was.
-	if allocs := testing.AllocsPerRun(100, func() { txn = NewTransaction().Touch("pg.17", "o") }); allocs > 1 {
+	if allocs := testing.AllocsPerRun(100, func() { txn = NewTransaction().Remove("pg.17", "o") }); allocs > 1 {
 		t.Fatalf("NewTransaction + one op: %.0f allocations, want 1", allocs)
 	}
-	txn.Remove("pg.17", "o")
-	if len(txn.Ops) != 2 || txn.Ops[0].Code != OpTouch || txn.Ops[1].Code != OpRemove {
+	txn.MkColl("pg.17")
+	if len(txn.Ops) != 2 || txn.Ops[0].Code != OpRemove || txn.Ops[1].Code != OpMkColl {
 		t.Fatalf("ops after growing past the slot: %+v", txn.Ops)
 	}
 }

@@ -27,36 +27,22 @@ var (
 // OpCode identifies one mutation inside a Transaction.
 type OpCode uint8
 
-// Transaction op codes.
+// Transaction op codes. Each value is the byte a transaction frame carries
+// across PCIe, so it is fixed; a store refuses any other code.
 const (
-	OpTouch OpCode = iota + 1
-	OpWrite
-	OpZero
-	OpTruncate
-	OpRemove
-	OpSetAttr
-	OpMkColl
-	OpRmColl
+	OpWrite  OpCode = 2
+	OpRemove OpCode = 5
+	OpMkColl OpCode = 7
 )
 
 func (c OpCode) String() string {
 	switch c {
-	case OpTouch:
-		return "touch"
 	case OpWrite:
 		return "write"
-	case OpZero:
-		return "zero"
-	case OpTruncate:
-		return "truncate"
 	case OpRemove:
 		return "remove"
-	case OpSetAttr:
-		return "setattr"
 	case OpMkColl:
 		return "mkcoll"
-	case OpRmColl:
-		return "rmcoll"
 	}
 	return fmt.Sprintf("opcode(%d)", uint8(c))
 }
@@ -69,8 +55,10 @@ type Op struct {
 	Offset     uint64
 	Length     uint64
 	Data       *wire.Bufferlist
-	AttrName   string
-	AttrValue  []byte
+	// AttrName and AttrValue are part of every op's encoded form; no op
+	// code uses them.
+	AttrName  string
+	AttrValue []byte
 }
 
 // Transaction is an ordered batch of mutations applied atomically by a
@@ -103,29 +91,10 @@ func NewTransaction() *Transaction {
 	return &w.Transaction
 }
 
-// Touch ensures obj exists in coll.
-func (t *Transaction) Touch(coll, obj string) *Transaction {
-	t.Ops = append(t.Ops, Op{Code: OpTouch, Collection: coll, Object: obj})
-	return t
-}
-
 // Write writes data at offset off of obj in coll.
 func (t *Transaction) Write(coll, obj string, off uint64, data *wire.Bufferlist) *Transaction {
 	t.Ops = append(t.Ops, Op{Code: OpWrite, Collection: coll, Object: obj,
 		Offset: off, Length: uint64(data.Length()), Data: data})
-	return t
-}
-
-// Zero zeroes length bytes at offset off of obj.
-func (t *Transaction) Zero(coll, obj string, off, length uint64) *Transaction {
-	t.Ops = append(t.Ops, Op{Code: OpZero, Collection: coll, Object: obj,
-		Offset: off, Length: length})
-	return t
-}
-
-// Truncate sets obj's size.
-func (t *Transaction) Truncate(coll, obj string, size uint64) *Transaction {
-	t.Ops = append(t.Ops, Op{Code: OpTruncate, Collection: coll, Object: obj, Offset: size})
 	return t
 }
 
@@ -135,22 +104,9 @@ func (t *Transaction) Remove(coll, obj string) *Transaction {
 	return t
 }
 
-// SetAttr sets a named attribute on obj.
-func (t *Transaction) SetAttr(coll, obj, name string, value []byte) *Transaction {
-	t.Ops = append(t.Ops, Op{Code: OpSetAttr, Collection: coll, Object: obj,
-		AttrName: name, AttrValue: value})
-	return t
-}
-
 // MkColl creates a collection.
 func (t *Transaction) MkColl(coll string) *Transaction {
 	t.Ops = append(t.Ops, Op{Code: OpMkColl, Collection: coll})
-	return t
-}
-
-// RmColl removes an (empty) collection.
-func (t *Transaction) RmColl(coll string) *Transaction {
-	t.Ops = append(t.Ops, Op{Code: OpRmColl, Collection: coll})
 	return t
 }
 

@@ -12,14 +12,9 @@ func TestBuildersPopulateOps(t *testing.T) {
 	data := wire.FromBytes([]byte("payload"))
 	txn := (&Transaction{}).
 		MkColl("c").
-		Touch("c", "o").
 		Write("c", "o", 5, data).
-		Zero("c", "o", 1, 2).
-		Truncate("c", "o", 3).
-		SetAttr("c", "o", "k", []byte("v")).
-		Remove("c", "o").
-		RmColl("c")
-	want := []OpCode{OpMkColl, OpTouch, OpWrite, OpZero, OpTruncate, OpSetAttr, OpRemove, OpRmColl}
+		Remove("c", "o")
+	want := []OpCode{OpMkColl, OpWrite, OpRemove}
 	if len(txn.Ops) != len(want) {
 		t.Fatalf("ops=%d", len(txn.Ops))
 	}
@@ -28,7 +23,7 @@ func TestBuildersPopulateOps(t *testing.T) {
 			t.Fatalf("op %d = %v want %v", i, txn.Ops[i].Code, c)
 		}
 	}
-	w := txn.Ops[2]
+	w := txn.Ops[1]
 	if w.Offset != 5 || w.Length != 7 || w.Data.Length() != 7 {
 		t.Fatalf("write op=%+v", w)
 	}
@@ -45,8 +40,9 @@ func TestEncodeBLZeroCopyAndRoundTrip(t *testing.T) {
 	payload := wire.FromBytes(big)
 	txn := (&Transaction{}).
 		MkColl("pg.1").
-		Write("pg.1", "obj", 64, payload).
-		SetAttr("pg.1", "obj", "a", []byte("b"))
+		Write("pg.1", "obj", 64, payload)
+	txn.Ops = append(txn.Ops, Op{Code: OpWrite, Collection: "pg.1", Object: "obj",
+		AttrName: "a", AttrValue: []byte("b")})
 	frame := txn.EncodeBL()
 	// Zero-copy: the frame must not duplicate the 3 MiB payload.
 	if frame.Length() < 3<<20 || frame.Length() > (3<<20)+1024 {
@@ -125,7 +121,8 @@ func TestLegacyEncodeDecodeAgreesWithBL(t *testing.T) {
 func TestQuickEncodeBLRoundTrip(t *testing.T) {
 	f := func(coll, obj string, off uint64, data []byte, attr string) bool {
 		txn := (&Transaction{}).Write(coll, obj, off, wire.FromBytes(data))
-		txn.SetAttr(coll, obj, attr, data)
+		txn.Ops = append(txn.Ops, Op{Code: OpWrite, Collection: coll, Object: obj,
+			AttrName: attr, AttrValue: data})
 		got, err := DecodeTransactionBL(txn.EncodeBL(), &Names{})
 		if err != nil || len(got.Ops) != 2 {
 			return false
@@ -141,25 +138,26 @@ func TestQuickEncodeBLRoundTrip(t *testing.T) {
 		} else if !bytes.Equal(w.Data.Bytes(), data) {
 			return false
 		}
-		return got.Ops[1].AttrName == attr
+		return got.Ops[1].AttrName == attr && bytes.Equal(got.Ops[1].AttrValue, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestOpCodeStrings also pins each code's value: it is the byte a
+// transaction frame carries. The codes in between are retired ones.
 func TestOpCodeStrings(t *testing.T) {
-	codes := map[OpCode]string{
-		OpTouch: "touch", OpWrite: "write", OpZero: "zero",
-		OpTruncate: "truncate", OpRemove: "remove", OpSetAttr: "setattr",
-		OpMkColl: "mkcoll", OpRmColl: "rmcoll",
-	}
-	for c, want := range codes {
-		if c.String() != want {
-			t.Fatalf("%d -> %q want %q", c, c.String(), want)
+	for _, c := range []struct {
+		code OpCode
+		wire uint8
+		name string
+	}{
+		{OpWrite, 2, "write"}, {OpRemove, 5, "remove"}, {OpMkColl, 7, "mkcoll"},
+		{1, 1, "opcode(1)"}, {8, 8, "opcode(8)"}, {99, 99, "opcode(99)"},
+	} {
+		if uint8(c.code) != c.wire || c.code.String() != c.name {
+			t.Fatalf("%d (%q): want %d (%q)", c.code, c.code.String(), c.wire, c.name)
 		}
-	}
-	if OpCode(99).String() != "opcode(99)" {
-		t.Fatalf("unknown=%q", OpCode(99).String())
 	}
 }

@@ -354,16 +354,11 @@ func resultErr(r int32) error {
 	}
 }
 
-// Write stores data as the full content of object at offset 0.
+// Write stores data at offset 0 of object.
 func (c *Client) Write(p *sim.Proc, object string, data *wire.Bufferlist) error {
-	return c.WriteAt(p, object, 0, data)
-}
-
-// WriteAt stores data at the given object offset.
-func (c *Client) WriteAt(p *sim.Proc, object string, off uint64, data *wire.Bufferlist) error {
 	reply, err := c.do(p, &cephmsg.MOSDOp{
 		Pool: "rbd", Object: object, Op: cephmsg.OpWrite,
-		Offset: off, Length: uint64(data.Length()), Data: data,
+		Length: uint64(data.Length()), Data: data,
 	})
 	if err != nil {
 		return err

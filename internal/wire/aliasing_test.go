@@ -62,15 +62,6 @@ func TestBufferlistAliasingContract(t *testing.T) {
 		}
 	})
 
-	t.Run("ContiguousBytesSharesSingleSegment", func(t *testing.T) {
-		seg := []byte{1, 2}
-		b := FromBytes(seg).ContiguousBytes()
-		seg[0] = 42
-		if b[0] != 42 {
-			t.Fatal("ContiguousBytes must share a single-segment list's storage")
-		}
-	})
-
 	// The framing path: BufferlistField in Bufferlist-assembly mode shares
 	// the payload's segments, and header bytes flushed to the output stay
 	// intact even though later fields keep appending into the same scratch

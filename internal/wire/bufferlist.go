@@ -176,17 +176,6 @@ func (bl *Bufferlist) Bytes() []byte {
 	return out
 }
 
-// ContiguousBytes returns the logical content as one contiguous slice:
-// single-segment lists are returned shared (no copy, aliasing contract
-// applies), multi-segment lists are flattened. Hot paths that need a plain
-// []byte should prefer this over Bytes.
-func (bl *Bufferlist) ContiguousBytes() []byte {
-	if len(bl.segs) == 1 {
-		return bl.segs[0]
-	}
-	return bl.Bytes()
-}
-
 // Prefix returns the first n bytes as one contiguous slice: shared when they
 // lie within the first segment (aliasing contract applies), gathered into a
 // fresh slice otherwise. It panics if n exceeds the length. Frame parsers use

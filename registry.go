@@ -159,10 +159,10 @@ var registry = []Experiment{
 	{Name: "streaming",
 		Doc: "store-and-forward vs credit-windowed chunk pipelining, 4-64MB writes, both deployments",
 		Run: grid(func(o Options) []cell { return streamingCells(o.Threads) }, streamingTables)},
-	{Name: "readpath", Sub: []string{"readmix", "blockdevice"},
-		Doc:   "op mix x replica-read balancing x DPU read cache x deployment, then the striped block device",
+	{Name: "readpath",
+		Doc:   "op mix x replica-read balancing x DPU read cache x deployment",
 		Smoke: smallOpSmoke,
-		Run:   runReadPath},
+		Run:   grid(func(Options) []cell { return readPathCells() }, readPathTables)},
 	// The scale-out experiments keep the short windows they have always run:
 	// a virtual second of 32 or 128 OSDs is already thousands of ops. Their
 	// smoke cost is building the clusters, so the smoke windows only need to

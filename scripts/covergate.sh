@@ -76,8 +76,6 @@ gate ./internal/osd 82.4
 gate ./internal/faultinject 58
 gate ./internal/messenger 77.2
 gate ./internal/sim 88.7
-gate ./internal/rbd 84
-gate ./internal/striper 80
 gate ./internal/rados 70.2
 gate ./internal/radosbench 73
 gate ./internal/cluster 85
