@@ -27,7 +27,7 @@ test:
 # on both sides of the bridge. CI's race step runs all three lines.
 test-race:
 	go test -race ./...
-	go test -race -count=10 -run 'TestGroup|TestShutdown|TestProcPanic|TestTask|TestNowQueue|TestServe|TestWaitInPlace|TestSleeperParked|TestHandoff' ./internal/sim
+	go test -race -count=10 -run 'TestGroup|TestShutdown|TestProcPanic|TestTask|TestChainServers|TestNowQueue|TestServe|TestWaitInPlace|TestSleeperParked|TestHandoff' ./internal/sim
 	go test -race -count=10 -run 'TestRecycled|TestReadReturnDMAError' ./internal/core
 
 race: test-race

@@ -223,7 +223,23 @@ func (s *Store) FreeBytes() int64 { return s.alloc.free() }
 // server in DoCeph); data and metadata persistence proceed asynchronously on
 // the bstore threads.
 func (s *Store) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objstore.Result {
-	prep := s.cpu.ExecSelf(p, prepCyclesPerOp*int64(len(txn.Ops)))
+	return s.Submit(txn, s.cpu.ExecSelf(p, prepCycles(txn)))
+}
+
+func prepCycles(txn *objstore.Transaction) int64 { return prepCyclesPerOp * int64(len(txn.Ops)) }
+
+// Prep is the task form of QueueTransaction's preparation charge, for a
+// caller with no proc: th runs it on the store's CPU (CPU.ExecThen), and next
+// runs once it is paid, with the busy time stored through busy, to call
+// Submit. It reports whether next was registered; if not, there was nothing
+// to charge and the caller goes on at once.
+func (s *Store) Prep(th *sim.Thread, txn *objstore.Transaction, busy *sim.Duration, next sim.Task) bool {
+	return s.cpu.ExecThen(th, prepCycles(txn), busy, next)
+}
+
+// Submit is the rest of QueueTransaction, after the preparation charge whose
+// busy time was prep: the transaction enters the bstore_aio queue.
+func (s *Store) Submit(txn *objstore.Transaction, prep sim.Duration) *objstore.Result {
 	s.stats.Transactions++
 	s.stats.Ops += int64(len(txn.Ops))
 	t := &txc{txn: txn}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"doceph/internal/bluestore"
 	"doceph/internal/doca"
 	"doceph/internal/dpu"
 	"doceph/internal/objstore"
@@ -48,11 +49,11 @@ type BridgeConfig struct {
 	ReadCache dpu.ReadCacheConfig
 }
 
-// NewBridge wires a DPU to a host CPU + local store and returns the
+// NewBridge wires a DPU to a host CPU + local BlueStore and returns the
 // assembled complex. The Proxy implements objstore.Store and is what the
 // DPU-resident OSD should be given as its backend.
 func NewBridge(env *sim.Env, dev *dpu.DPU, hostCPU *sim.CPU,
-	store objstore.Store, cfg BridgeConfig) *Bridge {
+	store *bluestore.Store, cfg BridgeConfig) *Bridge {
 	thRPCHost := sim.NewThread("host-rpc@"+dev.Name, RPCServerThreadCat)
 	thRPCDPU := sim.NewThread("proxy-rpc@"+dev.Name, ProxyThreadCat)
 	rpcDPU, rpcHost := rpcchan.New(env,

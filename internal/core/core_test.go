@@ -634,7 +634,7 @@ func TestReadSegmentTagsValidated(t *testing.T) {
 			for i, s := range reply.steps {
 				// The host's record keeps a reference of its own: the poller's
 				// does not put it back.
-				px.harvestRead(p, &doca.Transfer{Data: data, Tag: &readSeg{
+				px.harvestRead(&doca.Transfer{Data: data, Tag: &readSeg{
 					hdr: segHeader{kind: segReadData, reqID: 900, seg: s.seg, total: s.total},
 					hr:  &hostRead{refs: 2}}})
 				if s.bad {
@@ -671,6 +671,11 @@ func TestTeardownReturnsBuffersTasksAndProcs(t *testing.T) {
 		name := c.name
 		r := newCoreRig(c.cfg)
 		px, hs := r.bridge.Proxy, r.bridge.Host
+		// The daemons reach their first waits; the DMA queues' first steps
+		// find nothing to do, and an idle queue is not live.
+		if err := r.env.RunUntil(0); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		daemons := r.env.LiveProcs()
 		const size = 5 << 20 // 3 DMA segments each way
 		th := sim.NewThread("dpu-osd-worker", "tp_osd_tp")
@@ -711,10 +716,10 @@ func TestTeardownReturnsBuffersTasksAndProcs(t *testing.T) {
 			t.Errorf("%s: %d of %d host read buffers free after the run", name, free, all)
 		}
 		if px.stagingBytes != 0 || len(px.pendingTxns) != 0 || len(px.pendingReads) != 0 ||
-			len(hs.asm) != 0 || len(hs.readyTxns) != 0 || len(hs.notifying) != 0 || len(hs.reads) != 0 {
-			t.Errorf("%s: staging=%d pendingTxns=%d pendingReads=%d assembling=%d ready=%d notifying=%d reads=%d after the run",
+			len(hs.asm) != 0 || len(hs.readyTxns) != 0 || len(hs.reads) != 0 {
+			t.Errorf("%s: staging=%d pendingTxns=%d pendingReads=%d assembling=%d ready=%d reads=%d after the run",
 				name, px.stagingBytes, len(px.pendingTxns), len(px.pendingReads),
-				len(hs.asm), len(hs.readyTxns), len(hs.notifying), len(hs.reads))
+				len(hs.asm), len(hs.readyTxns), len(hs.reads))
 		}
 		if live := r.env.LiveProcs(); live != daemons {
 			t.Errorf("%s: %d procs and tasks live after the run, %d daemons before it", name, live, daemons)

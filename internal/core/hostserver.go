@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"doceph/internal/bluestore"
 	"doceph/internal/doca"
 	"doceph/internal/dpu"
 	"doceph/internal/objstore"
@@ -91,7 +92,7 @@ type HostStats struct {
 type HostServer struct {
 	env   *sim.Env
 	cpu   *sim.CPU
-	store objstore.Store
+	store *bluestore.Store
 	cfg   HostConfig
 	batch BatchConfig
 
@@ -103,6 +104,7 @@ type HostServer struct {
 	readBuf *dpu.BufferPool
 
 	thPoll *sim.Thread
+	poll   hostPoll
 	tr     *trace.Tracer
 
 	asm map[uint64]*hostTxn
@@ -112,16 +114,12 @@ type HostServer struct {
 	// DMA and RPC-fallback deliveries race.
 	nextCommit uint64
 	readyTxns  map[uint64]*hostTxn
-	// notifying holds a committed transaction until its host-notify proc,
-	// which finds it by id, has sent the notification; notifyBody is
-	// sendTxnDone as a func value, made once. reads holds a read until its
-	// host-read proc, which finds it by id, takes it; readBody is serveRead
-	// as a func value, made once. names are the last ones decoded.
-	notifying  map[uint64]*hostTxn
-	notifyBody func(*sim.Proc)
-	reads      map[uint64]*hostRead
-	readBody   func(*sim.Proc)
-	names      objstore.Names
+	// reads holds a read until its host-read proc, which finds it by id,
+	// takes it; readBody is serveRead as a func value, made once. names are
+	// the last ones decoded.
+	reads    map[uint64]*hostRead
+	readBody func(*sim.Proc)
+	names    objstore.Names
 	// unpacked is the poller's array for the entries of the batch frame it is
 	// dispatching, cleared after each.
 	unpacked []batchEntry
@@ -144,8 +142,9 @@ type notifyShard struct {
 
 // hostTxn is one transaction on the host, a record from the partition's free
 // list: its segments while they arrive (hs.asm), the transaction they decode
-// into, its turn in the ordered commit queue (hs.readyTxns), the task that
-// reports its commit, and the notification frame the proxy decodes in place.
+// into, its turn in the ordered commit queue (hs.readyTxns), the tasks that
+// report its commit (txnNotify sends what Run encodes), and the notification
+// frame the proxy decodes in place.
 // The record goes back once that is done (txnNotified), or, with coalesced
 // notifications, which copy what they report, as soon as it has reported.
 type hostTxn struct {
@@ -225,7 +224,7 @@ func (rs *readSeg) Run() {
 // NewHostServer builds the host side. rpcEnd is the host endpoint of the
 // control channel; store is the local BlueStore. Of cfg it reads Host, and
 // Batch for the coalesced commit notifications.
-func NewHostServer(env *sim.Env, hostCPU *sim.CPU, store objstore.Store,
+func NewHostServer(env *sim.Env, hostCPU *sim.CPU, store *bluestore.Store,
 	rpcEnd *rpcchan.Endpoint, engUp, engDown *doca.Engine,
 	dpuMR, hostMR *doca.MemRegion, cfg BridgeConfig) *HostServer {
 	hs := &HostServer{
@@ -237,11 +236,9 @@ func NewHostServer(env *sim.Env, hostCPU *sim.CPU, store objstore.Store,
 		asm:        make(map[uint64]*hostTxn),
 		nextCommit: 1,
 		readyTxns:  make(map[uint64]*hostTxn),
-		notifying:  make(map[uint64]*hostTxn),
 		reads:      make(map[uint64]*hostRead),
 		recs:       sim.Local[records](env),
 	}
-	hs.notifyBody = hs.sendTxnDone
 	hs.readBody = hs.serveRead
 	hs.readBuf = dpu.NewBufferPool(env, "host-read-staging",
 		readStagingBuffers, readStagingBufferBytes)
@@ -268,7 +265,8 @@ func NewHostServer(env *sim.Env, hostCPU *sim.CPU, store objstore.Store,
 	idleCores := float64(hs.cfg.PollIdleCycles) /
 		(hs.cfg.PollInterval.Seconds() * hostCPU.FreqGHz * 1e9)
 	hostCPU.SetBackgroundLoad(DMAPollThreadCat, idleCores)
-	engUp.Completions().Serve("host-dma-poll", hs.thPoll, hs.harvest)
+	hs.poll.hs = hs
+	hs.poll.done = engUp.Completions().ServeTask("host-dma-poll", hs.poll.harvest)
 	return hs
 }
 
@@ -279,59 +277,200 @@ func (hs *HostServer) SetTracer(tr *trace.Tracer) { hs.tr = tr }
 // Stats returns a copy of the host counters.
 func (hs *HostServer) Stats() HostStats { return hs.stats }
 
-// harvest is one turn of the background polling thread of §4: it takes a DMA
-// completion and triggers the corresponding BlueStore handler. The thread
-// burns a small amount of CPU even when idle (the price of polling mode).
-func (hs *HostServer) harvest(p *sim.Proc, t *doca.Transfer) {
+// hostPoll is the background polling thread of §4 as a task chain over the
+// up engine's completions: a turn takes a DMA completion and triggers the
+// corresponding BlueStore handler — files the segment, and once its
+// transaction is complete, assembles and decodes it and commits whatever is
+// next in order. Its steps are joined where the proc form blocked, on the
+// CPU, so that it runs the events the proc would, in the same order. The
+// thread burns a small amount of CPU even when idle (the price of polling
+// mode; see NewHostServer).
+type hostPoll struct {
+	hs *HostServer
+	// done is the served identity, run when a turn is over.
+	done sim.Task
+	t    *doca.Transfer
+	step pollStep
+	// batch is set while the entries of a batch frame (hs.unpacked) are
+	// dispatched; next is the index of the next one.
+	batch bool
+	next  int
+	// a and payload are the transaction being assembled, txnSeq its turn;
+	// rt is the one being committed; busy is the last burst's charge.
+	a       *hostTxn
+	payload *wire.Bufferlist
+	txnSeq  uint64
+	rt      *hostTxn
+	busy    sim.Duration
+}
+
+// pollStep is what the poller's next step does.
+type pollStep uint8
+
+const (
+	pollHarvested pollStep = iota // the completion is paid for: dispatch it
+	pollEntry                     // file the batch frame's next entry
+	pollAssembled                 // the assembly is paid for: decode
+	pollCommit                    // commit what is next in order
+	pollPrepped                   // BlueStore's submit prep is paid for: submit
+)
+
+// harvest starts a turn on t, the served identity's body.
+func (hp *hostPoll) harvest(t *doca.Transfer) {
+	hs := hp.hs
 	hs.stats.PollIterations++
-	hs.cpu.Exec(p, hs.thPoll, completionCycles)
-	hdr, isSeg := t.Tag.(*segHeader)
-	if !isSeg || t.Err != nil {
-		return // probe traffic or failed transfer (DPU handles retry)
+	hp.t, hp.step = t, pollHarvested
+	if !hs.cpu.ExecThen(hs.thPoll, completionCycles, nil, hp) {
+		hp.Run()
 	}
-	switch hdr.kind {
-	case segTxn:
-		hs.stats.SegmentsViaDMA++
-		hs.addSegment(p, hdr.reqID, hdr.txnSeq, hdr.seg, hdr.total, t.Data, hdr.traceCtx,
-			hs.engUp.QueueFor(hdr.reqID))
-	case segTxnBatch:
-		hs.stats.BatchFrames++
-		entries, err := decodeBatchFrame(t.Data, hs.unpacked)
-		if err != nil {
-			hs.stats.FrameErrors++
-			return
-		}
-		hs.unpacked = entries
-		defer clear(entries) // the array stays; the payloads it held do not
-		// Unpack and dispatch each op individually: every entry enters
-		// the ordered commit queue as its own single-segment request, so
-		// OSD/commit semantics are identical to the unbatched path.
-		hs.stats.BatchedOps += int64(len(entries))
-		// Route every op in the frame to the notify shard of the queue
-		// the frame actually rode (JSQ-pinned or hash-steered).
-		qidx := t.Queue - 1
-		if qidx < 0 {
-			qidx = hs.engUp.QueueFor(t.ReqID)
-		}
-		for i, en := range entries {
+}
+
+// Run is the poller's next step.
+func (hp *hostPoll) Run() {
+	hs := hp.hs
+	for {
+		switch hp.step {
+		case pollHarvested:
+			t := hp.t
+			hdr, isSeg := t.Tag.(*segHeader)
+			if !isSeg || t.Err != nil {
+				hp.end() // probe traffic or failed transfer (DPU handles retry)
+				return
+			}
+			switch hdr.kind {
+			case segTxn:
+				hs.stats.SegmentsViaDMA++
+				if hp.file(hdr.reqID, hdr.txnSeq, hdr.seg, hdr.total, t.Data, hdr.traceCtx,
+					hs.engUp.QueueFor(hdr.reqID)) {
+					return
+				}
+			case segTxnBatch:
+				hs.stats.BatchFrames++
+				entries, err := decodeBatchFrame(t.Data, hs.unpacked)
+				if err != nil {
+					hs.stats.FrameErrors++
+					hp.end()
+					return
+				}
+				hs.unpacked = entries
+				// Unpack and dispatch each op individually: every entry enters
+				// the ordered commit queue as its own single-segment request,
+				// so OSD/commit semantics are identical to the unbatched path.
+				hs.stats.BatchedOps += int64(len(entries))
+				hp.batch, hp.next, hp.step = true, 0, pollEntry
+			case segReadReq:
+				if hs.fileRead("host-read:", hs.recs.hostReads.get(), t.Data) != nil {
+					panic("core: corrupt read request over DMA")
+				}
+				hp.end()
+				return
+			default: // segProbe, a health probe: nothing to do
+				hp.end()
+				return
+			}
+		case pollEntry:
+			entries := hs.unpacked
+			if hp.next == len(entries) {
+				clear(entries) // the array stays; the payloads it held do not
+				hp.end()
+				return
+			}
+			// Route every op in the frame to the notify shard of the queue the
+			// frame actually rode (JSQ-pinned or hash-steered).
+			t, hdr, i := hp.t, hp.t.Tag.(*segHeader), hp.next
+			qidx := t.Queue - 1
+			if qidx < 0 {
+				qidx = hs.engUp.QueueFor(t.ReqID)
+			}
 			var ctx uint64
 			if i < len(hdr.batchCtxs) {
 				ctx = hdr.batchCtxs[i]
 			}
-			hs.addSegment(p, en.reqID, en.txnSeq, 0, 1, en.payload, ctx, qidx)
+			hp.next++
+			en := &entries[i]
+			if hp.file(en.reqID, en.txnSeq, 0, 1, en.payload, ctx, qidx) {
+				return
+			}
+		case pollAssembled:
+			hs.tr.AddCPU(hp.a.span, hs.cpu.Name(), hp.busy)
+			hs.decode(hp.a, hp.txnSeq, hp.payload)
+			hp.a, hp.payload, hp.step = nil, nil, pollCommit
+		case pollCommit:
+			rt := hs.nextReady()
+			if rt == nil {
+				if hp.segmentDone() {
+					return
+				}
+				continue
+			}
+			hs.queued(rt)
+			hp.rt, hp.step = rt, pollPrepped
+			if hs.store.Prep(hs.thPoll, &rt.dec, &hp.busy, hp) {
+				return
+			}
+		case pollPrepped:
+			rt := hp.rt
+			hp.rt, hp.step = nil, pollCommit
+			rt.res = hs.store.Submit(&rt.dec, hp.busy)
+			hs.env.After(&rt.res.Done, rt)
 		}
-	case segReadReq:
-		if hs.fileRead("host-read:", hs.recs.hostReads.get(), t.Data) != nil {
-			panic("core: corrupt read request over DMA")
-		}
-	case segProbe:
-		// Health probe: nothing to do.
 	}
 }
 
-// addSegment files one transaction segment (from either plane); once the
-// request is complete its transaction joins the ordered commit queue.
+// file files one segment; once its transaction is complete, the next step
+// decodes it after the assembly's CPU charge, and otherwise the segment is
+// done. It reports whether Run must return: the chain goes on in an event, or
+// the turn is over.
+func (hp *hostPoll) file(reqID, txnSeq uint64, seg, total int, data *wire.Bufferlist, traceCtx uint64, queue int) bool {
+	hs := hp.hs
+	a, payload := hs.fileSegment(reqID, seg, total, data, traceCtx, queue)
+	if a == nil {
+		return hp.segmentDone()
+	}
+	hp.a, hp.payload, hp.txnSeq, hp.step = a, payload, txnSeq, pollAssembled
+	return hs.cpu.ExecThen(hs.thPoll, assembleCycles(payload), &hp.busy, hp)
+}
+
+// segmentDone goes on after a segment and the commits it released: to the
+// batch frame's next entry, or to the end of the turn. It reports whether the
+// turn is over.
+func (hp *hostPoll) segmentDone() bool {
+	if hp.batch {
+		hp.step = pollEntry
+		return false
+	}
+	hp.end()
+	return true
+}
+
+// end finishes the turn and hands the identity back; nothing of hp may be
+// touched after it, as the next turn may already have begun.
+func (hp *hostPoll) end() {
+	hp.t, hp.batch, hp.step = nil, false, pollHarvested
+	hp.done.Run()
+}
+
+// addSegment is the proc form of the poller's filing, for the segments the
+// RPC-fallback handlers receive on their proc: the same filing, decode and
+// commit, with the CPU charged to p's thread.
 func (hs *HostServer) addSegment(p *sim.Proc, reqID, txnSeq uint64, seg, total int, data *wire.Bufferlist, traceCtx uint64, queue int) {
+	a, payload := hs.fileSegment(reqID, seg, total, data, traceCtx, queue)
+	if a == nil {
+		return
+	}
+	hs.tr.AddCPU(a.span, hs.cpu.Name(), hs.cpu.ExecSelf(p, assembleCycles(payload)))
+	hs.decode(a, txnSeq, payload)
+	for rt := hs.nextReady(); rt != nil; rt = hs.nextReady() {
+		hs.queued(rt)
+		rt.res = hs.store.QueueTransaction(p, &rt.dec)
+		hs.env.After(&rt.res.Done, rt)
+	}
+}
+
+// fileSegment files one transaction segment (from either plane). Once the
+// request is complete it returns the record and the assembled payload, with
+// the host-commit span opened; otherwise nil.
+func (hs *HostServer) fileSegment(reqID uint64, seg, total int, data *wire.Bufferlist, traceCtx uint64, queue int) (*hostTxn, *wire.Bufferlist) {
 	a := hs.asm[reqID]
 	if a == nil {
 		a = hs.recs.hostTxns.get()
@@ -345,7 +484,7 @@ func (hs *HostServer) addSegment(p *sim.Proc, reqID, txnSeq uint64, seg, total i
 	}
 	if seg < 0 || seg >= len(a.segs) || total != len(a.segs) {
 		hs.stats.FrameErrors++ // disagrees with the request's first segment
-		return
+		return nil, nil
 	}
 	if a.segs[seg] == nil {
 		a.have++
@@ -355,7 +494,7 @@ func (hs *HostServer) addSegment(p *sim.Proc, reqID, txnSeq uint64, seg, total i
 		a.traceCtx = traceCtx
 	}
 	if a.have < total {
-		return
+		return nil, nil
 	}
 	delete(hs.asm, reqID)
 	payload := wire.Concat(a.segs)
@@ -364,8 +503,17 @@ func (hs *HostServer) addSegment(p *sim.Proc, reqID, txnSeq uint64, seg, total i
 		a.span = hs.tr.Start(trace.SpanID(a.traceCtx), 0, trace.StageHostCommit, hs.cpu.Name())
 		hs.tr.AddBytes(a.span, int64(payload.Length()))
 	}
-	hs.tr.AddCPU(a.span, hs.cpu.Name(),
-		hs.cpu.ExecSelf(p, int64(float64(payload.Length())*assembleCyclesPerByte)))
+	return a, payload
+}
+
+// assembleCycles is the charge for decoding an assembled payload.
+func assembleCycles(payload *wire.Bufferlist) int64 {
+	return int64(float64(payload.Length()) * assembleCyclesPerByte)
+}
+
+// decode decodes a's assembled payload and files it for its turn, txnSeq, in
+// the ordered commit queue.
+func (hs *HostServer) decode(a *hostTxn, txnSeq uint64, payload *wire.Bufferlist) {
 	a.dec.Ops = a.op[:0]
 	if err := a.dec.DecodeBL(payload, &hs.names); err != nil {
 		// Report the failure but keep the commit sequence moving with the
@@ -376,24 +524,26 @@ func (hs *HostServer) addSegment(p *sim.Proc, reqID, txnSeq uint64, seg, total i
 		// The host-commit span parents the local BlueStore's aio/kv spans.
 		a.dec.TraceCtx = uint64(a.span)
 	}
-	a.ready = p.Now()
+	a.ready = hs.env.Now()
 	hs.readyTxns[txnSeq] = a
-	for {
-		rt, ok := hs.readyTxns[hs.nextCommit]
-		if !ok {
-			return
-		}
-		delete(hs.readyTxns, hs.nextCommit)
-		hs.nextCommit++
-		hs.commit(p, rt)
-	}
 }
 
-func (hs *HostServer) commit(p *sim.Proc, rt *hostTxn) {
-	rt.start = p.Now()
-	hs.tr.AddQueueWait(rt.span, p.Now().Sub(rt.ready))
-	rt.res = hs.store.QueueTransaction(p, &rt.dec)
-	hs.env.After(&rt.res.Done, rt)
+// nextReady takes the transaction whose turn it is to commit, or nil.
+func (hs *HostServer) nextReady() *hostTxn {
+	rt, ok := hs.readyTxns[hs.nextCommit]
+	if !ok {
+		return nil
+	}
+	delete(hs.readyTxns, hs.nextCommit)
+	hs.nextCommit++
+	return rt
+}
+
+// queued notes that rt's commit is being submitted: the commit-ordering delay
+// lands as queue wait.
+func (hs *HostServer) queued(rt *hostTxn) {
+	rt.start = hs.env.Now()
+	hs.tr.AddQueueWait(rt.span, rt.start.Sub(rt.ready))
 }
 
 // Run reports the durable commit to the DPU.
@@ -440,22 +590,22 @@ func (hs *HostServer) notifyTxnDone(rt *hostTxn, code uint16, hostWriteNanos int
 		return
 	}
 	rt.done.encode(rt.reqID, code, hostWriteNanos)
-	hs.notifying[rt.reqID] = rt
-	hs.env.SpawnID("host-notify:", rt.reqID, hs.notifyBody)
+	hs.env.Delay(0, (*txnNotify)(rt))
 }
 
-// sendTxnDone is the body of every host-notify proc.
-func (hs *HostServer) sendTxnDone(p *sim.Proc) {
-	rt := hs.notifying[p.ID()]
-	delete(hs.notifying, p.ID())
-	p.SetThread(hs.thPoll)
+// txnNotify is a hostTxn as the task that sends its commit notification, at
+// the slot where a host-notify proc would have started.
+type txnNotify hostTxn
+
+func (n *txnNotify) Run() {
+	rt := (*hostTxn)(n)
 	if rt.silent {
 		// A decode error's report: the record still has its commit to
 		// finish, so it is left to the GC.
-		hs.rpc.Notify(p, opTxnDone, &rt.done.bl.Bufferlist)
+		rt.hs.rpc.NotifyTask(opTxnDone, &rt.done.bl.Bufferlist, nil)
 		return
 	}
-	hs.rpc.NotifyThen(p, opTxnDone, &rt.done.bl.Bufferlist, (*txnNotified)(rt))
+	rt.hs.rpc.NotifyTask(opTxnDone, &rt.done.bl.Bufferlist, (*txnNotified)(rt))
 }
 
 // onBatchFallback files a whole batch frame arriving over the control plane

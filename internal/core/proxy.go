@@ -121,6 +121,7 @@ type Proxy struct {
 	hostMR  *doca.MemRegion
 
 	thProxy *sim.Thread
+	poll    readPoll
 	// txBody is shipTxn as a func value, made once.
 	txBody func(*sim.Proc)
 	tr     *trace.Tracer
@@ -287,8 +288,8 @@ func NewProxy(env *sim.Env, dev *dpu.DPU, rpcEnd *rpcchan.Endpoint,
 	rpcEnd.Handle(opTxnDone, px.onTxnDone)
 	rpcEnd.Handle(opReadDone, px.onReadDone)
 	rpcEnd.Handle(opTxnDoneBatch, px.onTxnDoneBatch)
-	engDown.Completions().Serve("dpu-dma-poll@"+dev.Name,
-		sim.NewThread("dpu-dma-poll", ProxyThreadCat), px.harvestRead)
+	px.poll = readPoll{px: px, th: sim.NewThread("dpu-dma-poll", ProxyThreadCat)}
+	px.poll.done = engDown.Completions().ServeTask("dpu-dma-poll@"+dev.Name, px.poll.harvest)
 	if px.batch.Enable {
 		// Clamp the batch byte cap so a worst-case frame (payload + framing
 		// overhead) fits one staging buffer and one engine transfer.
@@ -794,15 +795,46 @@ func (px *Proxy) readViaRPC(p *sim.Proc, desc *wire.Bufferlist) (*wire.Bufferlis
 	return px.call(p, opReadFallback, desc)
 }
 
-// harvestRead is one turn of the DPU-side poller consuming host->DPU DMA
-// completions (read data segments). A consumed segment drops its reference to
-// the host's record; a failed one keeps it, leaving the record to the GC.
-func (px *Proxy) harvestRead(p *sim.Proc, t *doca.Transfer) {
-	rs, ok := t.Tag.(*readSeg)
-	if !ok {
+// readPoll is the DPU-side poller consuming host->DPU DMA completions (read
+// data segments), a task chain: a turn pays for the completion on the DPU CPU,
+// then files it.
+type readPoll struct {
+	px *Proxy
+	th *sim.Thread
+	// done is the served identity, run when a turn is over; t is the
+	// completion of the turn under way.
+	done sim.Task
+	t    *doca.Transfer
+}
+
+// readPollCycles is the DPU-side cost of consuming one read-data completion.
+const readPollCycles int64 = 4_000
+
+// harvest starts a turn on t, the served identity's body.
+func (rp *readPoll) harvest(t *doca.Transfer) {
+	if _, ok := t.Tag.(*readSeg); !ok {
+		rp.done.Run()
 		return
 	}
-	px.dev.CPU.ExecSelf(p, 4_000)
+	rp.t = t
+	if !rp.px.dev.CPU.ExecThen(rp.th, readPollCycles, nil, rp) {
+		rp.Run()
+	}
+}
+
+// Run files the completion once it is paid for, and ends the turn.
+func (rp *readPoll) Run() {
+	t := rp.t
+	rp.t = nil
+	rp.px.harvestRead(t)
+	rp.done.Run()
+}
+
+// harvestRead files one read-data segment the engine completed. A consumed
+// segment drops its reference to the host's record; a failed one keeps it,
+// leaving the record to the GC.
+func (px *Proxy) harvestRead(t *doca.Transfer) {
+	rs := t.Tag.(*readSeg)
 	hdr := &rs.hdr
 	pr, ok := px.pendingReads[hdr.reqID]
 	if t.Err != nil {

@@ -282,15 +282,42 @@ type Engine struct {
 	stats EngineStats
 }
 
+// dmaQueue is one queue's executor, a task chain: its steps are the turns of
+// the loop a daemon would run, joined by the task forms of that loop's waits.
 type dmaQueue struct {
+	e *Engine
+	// name is the one its daemon had, for deadlock reports.
+	name    string
 	pending []*Transfer
-	cond    *sim.Cond
 	depth   int // queued + in-flight
+	// idle is set while the queue waits for a Submit, which wakes it.
+	idle bool
+	// cur is the transfer in service, step what the next event does with it.
+	cur  *Transfer
+	step dmaStep
+	// setup and copyTime are cur's jittered phases.
+	setup, copyTime sim.Duration
+	// lastReq is the request the queue last served (haveLast: any yet), for
+	// queue-pair affinity and the ReuseSetupTime amortization.
+	lastReq  uint64
+	haveLast bool
 	// lastReuse records whether the previous transfer was a
 	// ReuseSetup frame (descriptor/MR state still hot on this queue pair).
 	lastReuse bool
 	stats     QueueStat
 }
+
+// dmaStep is what a queue's next event does.
+type dmaStep uint8
+
+const (
+	stepNext    dmaStep = iota // take the next transfer, or go idle
+	stepFailed                 // a failed transfer has burnt its part of the slot
+	stepCopied                 // the copy is done (one queue: setup included)
+	stepSetUp                  // descriptor setup done: contend for the bus
+	stepOnBus                  // a bus slot is granted: copy
+	stepBusDone                // the copy over the bus is done
+)
 
 const (
 	// submitCycles is charged on the submitting (DPU) thread per transfer.
@@ -303,7 +330,7 @@ const (
 	copySlots = 2
 )
 
-// NewEngine creates an engine and spawns one execution process per queue.
+// NewEngine creates an engine with its queues' executors, idle.
 func NewEngine(env *sim.Env, name string, cfg EngineConfig) *Engine {
 	e := &Engine{
 		env:         env,
@@ -314,10 +341,11 @@ func NewEngine(env *sim.Env, name string, cfg EngineConfig) *Engine {
 		e.bus = sim.NewSemaphore(env, copySlots)
 	}
 	for i := 0; i < e.cfg.Queues; i++ {
-		q := &dmaQueue{cond: sim.NewCond()}
+		q := &dmaQueue{e: e, name: fmt.Sprintf("dma-engine:%s/ch%d", name, i)}
 		e.queues = append(e.queues, q)
-		env.SpawnDaemon(fmt.Sprintf("dma-engine:%s/ch%d", name, i),
-			func(p *sim.Proc) { e.run(p, q) })
+		// The first step looks at the queue once, where a daemon's start
+		// event would have.
+		env.Delay(0, q)
 	}
 	return e
 }
@@ -407,7 +435,10 @@ func (e *Engine) Submit(p *sim.Proc, cpu *sim.CPU, t *Transfer) error {
 		}
 	}
 	q.pending = append(q.pending, t)
-	q.cond.Broadcast()
+	if q.idle {
+		q.idle = false
+		e.env.Delay(0, q)
+	}
 	return nil
 }
 
@@ -419,16 +450,71 @@ func (e *Engine) unreserve(t *Transfer) {
 	}
 }
 
-// next pops the queue's next transfer, preferring a pending segment of
-// the request the queue last executed (queue-pair affinity).
-func (q *dmaQueue) next(p *sim.Proc, lastReq uint64, haveLast bool) *Transfer {
-	for len(q.pending) == 0 {
-		q.cond.Wait(p)
+// Completions is the queue the host-side polling thread consumes.
+func (e *Engine) Completions() *sim.Queue[*Transfer] { return e.completions }
+
+// Run is the queue's next event. A transfer is set up and copied in one wait
+// with one queue; with several, descriptor setup proceeds per queue and the
+// copy contends for the shared PCIe bus slots. A failed transfer burns part
+// of its slot before the engine reports the error (the copy never reaches the
+// bus).
+func (q *dmaQueue) Run() {
+	e := q.e
+	for {
+		switch q.step {
+		case stepNext:
+			if len(q.pending) == 0 {
+				q.idle = true
+				return
+			}
+			q.begin()
+			switch {
+			case q.cur.forceFail:
+				q.step = stepFailed
+				e.env.Delay(q.copyTime/2, q)
+			case e.bus == nil:
+				q.step = stepCopied
+				e.env.Delay(q.copyTime, q)
+			default:
+				q.step = stepSetUp
+				e.env.Delay(q.setup, q)
+			}
+			return
+		case stepFailed:
+			q.cur.Err = ErrTransferFailed
+			e.stats.Errors++
+			q.stats.Errors++
+			q.complete()
+		case stepCopied:
+			e.noteSuccess(q, q.cur)
+			q.complete()
+		case stepSetUp:
+			q.step = stepOnBus
+			if e.bus.AcquireThen(1, q) {
+				return
+			}
+		case stepOnBus:
+			q.step = stepBusDone
+			e.env.Delay(q.copyTime-q.setup, q)
+			return
+		case stepBusDone:
+			e.bus.Release(1)
+			e.noteSuccess(q, q.cur)
+			q.complete()
+		}
 	}
+}
+
+// String names the queue in deadlock reports.
+func (q *dmaQueue) String() string { return q.name }
+
+// take pops the queue's next transfer, preferring a pending segment of the
+// request the queue last executed (queue-pair affinity).
+func (q *dmaQueue) take() *Transfer {
 	idx := 0
-	if haveLast {
+	if q.haveLast {
 		for i, t := range q.pending {
-			if t.ReqID == lastReq {
+			if t.ReqID == q.lastReq {
 				idx = i
 				break
 			}
@@ -441,61 +527,41 @@ func (q *dmaQueue) next(p *sim.Proc, lastReq uint64, haveLast bool) *Transfer {
 	return t
 }
 
-// Completions is the queue the host-side polling thread consumes.
-func (e *Engine) Completions() *sim.Queue[*Transfer] { return e.completions }
-
-func (e *Engine) run(p *sim.Proc, q *dmaQueue) {
-	var lastReq uint64
-	var haveLast bool
-	for {
-		t := q.next(p, lastReq, haveLast)
-		t.StartedAt = p.Now()
-		fail := t.forceFail
-		setup := e.cfg.SetupTime
-		if haveLast && t.ReqID == lastReq && t.Seg > 0 {
-			setup = e.cfg.ReuseSetupTime
-		} else if t.ReuseSetup && q.lastReuse {
-			setup = e.cfg.ReuseSetupTime
-		}
-		q.lastReuse = t.ReuseSetup
-		lastReq, haveLast = t.ReqID, true
-		copyTime := setup +
-			sim.Duration(float64(t.Bytes)/e.cfg.BytesPerSec*float64(sim.Second))
-		if e.cfg.JitterPct > 0 {
-			f := 1 + e.cfg.JitterPct/100*(2*e.env.Rand().Float64()-1)
-			setup = sim.Duration(float64(setup) * f)
-			copyTime = sim.Duration(float64(copyTime) * f)
-		}
-		switch {
-		case fail:
-			// A failed transfer burns part of its slot before the engine
-			// reports the error (the copy never reaches the bus).
-			p.Wait(copyTime / 2)
-			t.Err = ErrTransferFailed
-			e.stats.Errors++
-			q.stats.Errors++
-		case e.bus == nil:
-			// Single queue: the executor itself serializes, no bus
-			// arbitration needed.
-			p.Wait(copyTime)
-			e.noteSuccess(q, t)
-		default:
-			// Descriptor setup and doorbell proceed per queue; the data
-			// movement contends for the shared PCIe bus slots.
-			p.Wait(setup)
-			e.bus.Acquire(p, 1)
-			p.Wait(copyTime - setup)
-			e.bus.Release(1)
-			e.noteSuccess(q, t)
-		}
-		t.CompletedAt = p.Now()
-		q.depth--
-		e.stats.TotalWait += t.Wait()
-		e.stats.Busy += t.CopyTime()
-		q.stats.Busy += t.CopyTime()
-		e.completions.Push(t)
-		t.Done.Fire()
+// begin takes the queue's next transfer into service and times its phases.
+func (q *dmaQueue) begin() {
+	e := q.e
+	t := q.take()
+	t.StartedAt = e.env.Now()
+	setup := e.cfg.SetupTime
+	if q.haveLast && t.ReqID == q.lastReq && t.Seg > 0 {
+		setup = e.cfg.ReuseSetupTime
+	} else if t.ReuseSetup && q.lastReuse {
+		setup = e.cfg.ReuseSetupTime
 	}
+	q.lastReuse = t.ReuseSetup
+	q.lastReq, q.haveLast = t.ReqID, true
+	copyTime := setup +
+		sim.Duration(float64(t.Bytes)/e.cfg.BytesPerSec*float64(sim.Second))
+	if e.cfg.JitterPct > 0 {
+		f := 1 + e.cfg.JitterPct/100*(2*e.env.Rand().Float64()-1)
+		setup = sim.Duration(float64(setup) * f)
+		copyTime = sim.Duration(float64(copyTime) * f)
+	}
+	q.cur, q.setup, q.copyTime = t, setup, copyTime
+}
+
+// complete hands the transfer in service to the completion queue and its
+// submitter; the next step takes the next one.
+func (q *dmaQueue) complete() {
+	e, t := q.e, q.cur
+	q.cur, q.step = nil, stepNext
+	t.CompletedAt = e.env.Now()
+	q.depth--
+	e.stats.TotalWait += t.Wait()
+	e.stats.Busy += t.CopyTime()
+	q.stats.Busy += t.CopyTime()
+	e.completions.Push(t)
+	t.Done.Fire()
 }
 
 func (e *Engine) noteSuccess(q *dmaQueue, t *Transfer) {

@@ -419,21 +419,17 @@ func TestQueueStatsSumToEngineStats(t *testing.T) {
 // not stay reachable through the queue's backing array — its Data is a whole
 // segment.
 func TestQueueReleasesPoppedTransfers(t *testing.T) {
-	env := sim.NewEnv(1)
-	q := &dmaQueue{cond: sim.NewCond()}
+	q := &dmaQueue{}
 	freed := make(chan uint64, 2)
 	for req := uint64(1); req <= 2; req++ {
 		tr := &Transfer{ReqID: req, Data: wire.FromBytes(make([]byte, 64))}
 		runtime.SetFinalizer(tr, func(tr *Transfer) { freed <- tr.ReqID })
 		q.pending = append(q.pending, tr)
 	}
-	env.Spawn("popper", func(p *sim.Proc) {
-		q.next(p, 2, true) // affinity takes the tail first, shifting nothing
-		q.next(p, 0, false)
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
+	q.lastReq, q.haveLast = 2, true
+	q.take() // affinity takes the tail first, shifting nothing
+	q.haveLast = false
+	q.take()
 	q.pending = append(q.pending, &Transfer{}) // keeps the backing array in use
 	for want := 2; want > 0; {
 		runtime.GC()

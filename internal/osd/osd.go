@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"doceph/internal/cephmsg"
 	"doceph/internal/messenger"
@@ -1068,10 +1070,16 @@ func (o *OSD) statsReply(tid uint64) *cephmsg.MStatsReply {
 	return r
 }
 
+// parseOSD returns the id of an entity named osd.<id> (Name's form). It runs
+// on every heartbeat reply, so it cuts and parses instead of scanning.
 func parseOSD(entity string) (int32, bool) {
-	var id int32
-	if n, err := fmt.Sscanf(entity, "osd.%d", &id); err == nil && n == 1 {
-		return id, true
+	rest, ok := strings.CutPrefix(entity, "osd.")
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	id, err := strconv.ParseInt(rest, 10, 32)
+	if err != nil {
+		return 0, false
+	}
+	return int32(id), true
 }

@@ -481,3 +481,18 @@ func TestReplicatedWriteAllocationBudget(t *testing.T) {
 		}
 	})
 }
+
+// TestParseOSD: the names Name gives parse back to their ids; other entities
+// and malformed osd names do not parse.
+func TestParseOSD(t *testing.T) {
+	for _, id := range []int32{0, 7, 127} {
+		if got, ok := parseOSD(Name(id)); !ok || got != id {
+			t.Errorf("parseOSD(%q) = %d, %v; want %d, true", Name(id), got, ok, id)
+		}
+	}
+	for _, name := range []string{"client.0", "mon.a", "osd.", "osd.x"} {
+		if got, ok := parseOSD(name); ok {
+			t.Errorf("parseOSD(%q) = %d, true; want no id", name, got)
+		}
+	}
+}

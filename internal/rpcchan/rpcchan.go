@@ -87,9 +87,13 @@ type Endpoint struct {
 // envelope is one message on the wire and, on the heap, the courier task
 // that delivers it to endpoint to at its arrival instant.
 type envelope struct {
-	to      *Endpoint
-	req     bool
-	notify  bool
+	to     *Endpoint
+	req    bool
+	notify bool
+	// onWire is set once the sender has paid for the message and booked it.
+	// Before that, the envelope of NotifyTask is the continuation of the
+	// sender's CPU burst. (It fits in padding: the envelope stays 64 bytes.)
+	onWire  bool
 	op      uint16
 	reqID   uint64
 	errCode uint16
@@ -99,7 +103,16 @@ type envelope struct {
 	consumed sim.Task
 }
 
-func (env *envelope) Run() { env.to.inq.Push(*env) }
+// Run books a NotifyTask's message once its sender's CPU burst has ended, and
+// delivers a booked message into the peer's input queue at its arrival.
+func (env *envelope) Run() {
+	if !env.onWire {
+		from := env.to.peer
+		from.env.At(from.book(env), env)
+		return
+	}
+	env.to.inq.Push(*env)
+}
 
 type pendingCall struct {
 	done    *sim.Event
@@ -174,6 +187,17 @@ func (e *Endpoint) NotifyThen(p *sim.Proc, op uint16, payload *wire.Bufferlist, 
 	e.send(p, envelope{req: true, notify: true, op: op, reqID: e.nextID, payload: payload, consumed: consumed})
 }
 
+// NotifyTask is the task form of NotifyThen, for a sender with no proc: the
+// sender's cost is a CPU burst of the endpoint's thread (CPU.ExecThen), and
+// the message is booked on the socket when it ends, where NotifyThen returns.
+func (e *Endpoint) NotifyTask(op uint16, payload *wire.Bufferlist, consumed sim.Task) {
+	e.nextID++
+	env := &envelope{req: true, notify: true, op: op, reqID: e.nextID, payload: payload, consumed: consumed}
+	if !e.cpu.ExecThen(e.th, e.cost(env), nil, env) {
+		env.Run()
+	}
+}
+
 const (
 	// bytesPerSec is the socket throughput (this is a control channel; the
 	// value is deliberately modest: 2 GB/s).
@@ -187,17 +211,31 @@ const (
 )
 
 // transmit pays the sender-side CPU cost of env on p and books the message
-// on the outbound socket direction (serialization + latency behind a
-// busy-until time); it returns the arrival instant at the peer.
+// on the outbound socket direction; it returns the arrival instant at the
+// peer.
 func (e *Endpoint) transmit(p *sim.Proc, env *envelope) sim.Time {
+	e.cpu.Exec(p, e.th, e.cost(env))
+	return e.book(env)
+}
+
+// cost addresses env to the peer, sizes it and returns the sender-side CPU
+// cost of sending it.
+func (e *Endpoint) cost(env *envelope) int64 {
 	env.to = e.peer
 	env.bytes = HeaderBytes
 	if env.payload != nil {
 		env.bytes += int64(env.payload.Length())
 	}
-	e.cpu.Exec(p, e.th, fixedCycles+int64(float64(env.bytes)*perByteCycles))
+	return fixedCycles + int64(float64(env.bytes)*perByteCycles)
+}
+
+// book puts env, whose cost has been paid, on the outbound socket direction
+// (serialization + latency behind a busy-until time) and returns its arrival
+// instant at the peer.
+func (e *Endpoint) book(env *envelope) sim.Time {
 	e.cpu.NoteSwitches(e.th, switchesPerMsg)
 	e.stats.BytesSent += env.bytes
+	env.onWire = true
 
 	ser := sim.Duration(float64(env.bytes) / bytesPerSec * float64(sim.Second))
 	start := e.env.Now()

@@ -2,8 +2,10 @@ package rpcchan
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"doceph/internal/sim"
 	"doceph/internal/wire"
@@ -161,6 +163,56 @@ func TestNotifyThenRunsAfterHandler(t *testing.T) {
 	})
 	if got := strings.Join(log, ", "); got != "handled a, consumed a" {
 		t.Fatalf("log: %s", got)
+	}
+}
+
+type taskFunc func()
+
+func (f taskFunc) Run() { f() }
+
+// TestNotifyTaskMatchesNotifyThen: notifications sent from tasks with
+// NotifyTask — three at one instant, queueing for the sender's one core and
+// the socket — reach the peer's handler at the instants, with the CPU charge,
+// the bytes and the event count of the same notifications sent with
+// NotifyThen from procs spawned at the same slots; and the envelope, which
+// carries the task form's state, stays in its 64-byte size class.
+func TestNotifyTaskMatchesNotifyThen(t *testing.T) {
+	if size := unsafe.Sizeof(envelope{}); size != 64 {
+		t.Fatalf("envelope is %d bytes, want 64", size)
+	}
+	type outcome struct {
+		log    []string
+		events uint64
+		busy   sim.Duration
+		sent   int64
+	}
+	send := func(task bool) (o outcome) {
+		env := sim.NewEnv(1)
+		dpuCPU := sim.NewCPU(env, "arm", 1, 2.0, 2000)
+		dpu, host := New(env, "dpu", dpuCPU, sim.NewThread("proxy-rpc", "proxy"),
+			"host", sim.NewCPU(env, "host", 8, 3.7, 2000), sim.NewThread("host-rpc", "rpc-server"), Config{})
+		host.Handle(4, func(p *sim.Proc, req Request, _ func(*wire.Bufferlist, uint16)) {
+			o.log = append(o.log, fmt.Sprintf("%v handled %s", p.Now(), req.Payload.Bytes()))
+		})
+		for _, msg := range []string{"a", "bb", "ccc"} {
+			payload := wire.FromBytes([]byte(strings.Repeat(msg, 1000)))
+			consumed := logTask{&o.log, "consumed " + msg}
+			if task {
+				env.Delay(0, taskFunc(func() { dpu.NotifyTask(4, payload, consumed) }))
+			} else {
+				env.Spawn("notify", func(p *sim.Proc) { dpu.NotifyThen(p, 4, payload, consumed) })
+			}
+		}
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		o.events, o.busy, o.sent = env.Events(), dpuCPU.Stats().TotalBusy, dpu.Stats().BytesSent
+		env.Shutdown()
+		return o
+	}
+	want, got := send(false), send(true)
+	if len(want.log) != 6 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("NotifyTask: %+v\nNotifyThen: %+v", got, want)
 	}
 }
 

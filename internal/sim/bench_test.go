@@ -38,6 +38,63 @@ func BenchmarkCrossProcSwitch(b *testing.B) {
 	env.Shutdown()
 }
 
+// echoChain is BenchmarkTaskChainServer's echo side: a task-form identity
+// whose body is a CPU burst followed by the echo.
+type echoChain struct {
+	cpu  *CPU
+	th   *Thread
+	r    *Queue[int]
+	done Task
+	v    int
+}
+
+func (c *echoChain) serve(v int) {
+	c.v = v
+	if !c.cpu.ExecThen(c.th, 1, nil, c) {
+		c.Run()
+	}
+}
+
+func (c *echoChain) Run() {
+	c.r.Push(c.v)
+	c.done.Run()
+}
+
+// BenchmarkTaskChainServer is BenchmarkCrossProcSwitch with the echo side as
+// a task chain: a ServeTask identity whose body is a one-cycle CPU burst
+// (ExecThen) before the echo. Of the three events per iteration the echo's
+// start runs as a task, the burst's end — the next event, as the driver waits
+// with no timer — fires in place, and the driver's wake is popped by the
+// driver itself as it parks: no coroutine is resumed. The difference to
+// BenchmarkCrossProcSwitch is what the task forms save per event they take
+// off a coroutine.
+func BenchmarkTaskChainServer(b *testing.B) {
+	env := NewEnv(1)
+	q := NewQueue[int](env)
+	echo := &echoChain{cpu: NewCPU(env, "c", 1, 1.0, 0), th: NewThread("echo", "t"), r: NewQueue[int](env)}
+	echo.done = q.ServeTask("echo", echo.serve)
+	done := false
+	env.Spawn("driver", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			q.Push(i)
+			if v := echo.r.Pop(p); v != i {
+				b.Errorf("echoed %d, want %d", v, i)
+				return
+			}
+		}
+		done = true
+	})
+	b.ResetTimer()
+	if err := env.RunUntil(MaxTime); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	if st := env.Stats(); !done || st.TaskRuns != uint64(b.N) || st.FastPath != 2*uint64(b.N) || st.Switches > 2 {
+		b.Fatalf("done=%v, %+v: want one task run, two fast-path wakes and no resume per iteration", done, st)
+	}
+	env.Shutdown()
+}
+
 // BenchmarkWakeNow measures the wake-up at the current instant — a queue push
 // to a parked proc, the shape of 43-50 % of a cluster run's events — with
 // forty timers parked in the heap, its standing population in a cluster run:

@@ -1,0 +1,301 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// chainOp is one step of a server body: kind 0 waits d, 1 runs cycles on the
+// shared CPU, 2 takes a permit of the shared semaphore (given back when the
+// body ends), 3 pushes arg onto queue q.
+type chainOp struct {
+	kind   int
+	d      Duration
+	cycles int64
+	q, arg int
+}
+
+// chainProg is a seeded program of server threads over served queues, whose
+// bodies contend for a one- or two-core CPU and a one- or two-permit
+// semaphore with each other and with plain procs. Its servers are written
+// once as procs (Serve, Wait, Exec, Acquire) and once as task chains
+// (ServeTask, Delay, ExecThen, AcquireThen).
+type chainProg struct {
+	env    *Env
+	cpu    *CPU
+	sem    *Semaphore
+	queues []*Queue[int]
+	plans  map[int][]chainOp
+	log    []string
+	// queued counts the task forms' calls that had to wait: a burst behind
+	// a busy CPU, an acquire behind a drained semaphore.
+	queuedBursts, queuedAcquires int
+}
+
+// note logs (t, seq, owner): equal logs mean every sequence number was drawn
+// at the same point of the program.
+func (pg *chainProg) note(format string, args ...any) {
+	pg.log = append(pg.log, fmt.Sprintf("%d/%d/", pg.env.now, pg.env.seq)+fmt.Sprintf(format, args...))
+}
+
+// procBody is a server's body in proc form.
+func (pg *chainProg) procBody(p *Proc, item int) {
+	name := p.Thread().Name
+	pg.note("%s:%d:start", name, item)
+	held := false
+	for i, op := range pg.plans[item] {
+		switch op.kind {
+		case 0:
+			p.Wait(op.d)
+		case 1:
+			pg.cpu.Exec(p, p.Thread(), op.cycles)
+		case 2:
+			pg.sem.Acquire(p, 1)
+			held = true
+		case 3:
+			pg.queues[op.q].Push(op.arg)
+		}
+		pg.note("%s:%d:%d", name, item, i)
+	}
+	if held {
+		pg.sem.Release(1)
+	}
+	pg.note("%s:%d:end", name, item)
+}
+
+// chainServer is a server thread in task form: the record its chain runs on.
+type chainServer struct {
+	pg   *chainProg
+	th   *Thread
+	done Task
+	item int
+	next int
+	// waiting is set while a step's continuation is registered.
+	waiting, held bool
+}
+
+func (c *chainServer) serve(item int) {
+	c.item, c.next, c.held = item, 0, false
+	c.pg.note("%s:%d:start", c.th.Name, item)
+	c.Run()
+}
+
+// Run goes on after the step that was waiting, through every step that need
+// not wait, to the next one that must, or to the end of the body.
+func (c *chainServer) Run() {
+	pg := c.pg
+	if c.waiting {
+		c.waiting = false
+		pg.note("%s:%d:%d", c.th.Name, c.item, c.next-1)
+	}
+	for ops := pg.plans[c.item]; c.next < len(ops); {
+		op := ops[c.next]
+		c.next++
+		switch op.kind {
+		case 0:
+			pg.env.Delay(op.d, c)
+			c.waiting = true
+		case 1:
+			if op.cycles > 0 && len(pg.cpu.freeCores) == 0 {
+				pg.queuedBursts++
+			}
+			c.waiting = pg.cpu.ExecThen(c.th, op.cycles, nil, c)
+		case 2:
+			c.held = true
+			if c.waiting = pg.sem.AcquireThen(1, c); c.waiting {
+				pg.queuedAcquires++
+			}
+		case 3:
+			pg.queues[op.q].Push(op.arg)
+		}
+		if c.waiting {
+			return
+		}
+		pg.note("%s:%d:%d", c.th.Name, c.item, c.next-1)
+	}
+	if c.held {
+		pg.sem.Release(1)
+	}
+	pg.note("%s:%d:end", c.th.Name, c.item)
+	c.done.Run()
+}
+
+// chainProgram builds the seeded program and runs it to completion in the
+// form chosen, with the kernel as shipped or as the classic loop (heapOnly).
+func chainProgram(t *testing.T, seed int64, chains, heapOnly bool) (pg *chainProg, st EnvStats) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	env := NewEnv(seed)
+	env.heapOnly = heapOnly
+	defer env.Shutdown()
+	pg = &chainProg{env: env, cpu: NewCPU(env, "c", 1+rng.Intn(2), 1.0, 50),
+		sem: NewSemaphore(env, 1+rng.Intn(2)), plans: map[int][]chainOp{}}
+	servers := 1 + rng.Intn(4)
+	pg.queues = make([]*Queue[int], 1+rng.Intn(min(3, servers)))
+	for i := range pg.queues {
+		pg.queues[i] = NewQueue[int](env)
+	}
+	// A body's plan: up to five steps on a 1us grid (zero-length ones
+	// included), at most one acquire, and pushes that feed other stages.
+	var plan func(item, depth int)
+	plan = func(item, depth int) {
+		var ops []chainOp
+		acquired := false
+		for k := rng.Intn(6); k > 0; k-- {
+			op := chainOp{kind: rng.Intn(4), d: Duration(rng.Intn(4)) * Microsecond,
+				cycles: int64(rng.Intn(4)) * 1000, q: rng.Intn(len(pg.queues))}
+			switch {
+			case op.kind == 2 && acquired:
+				op.kind = 0
+			case op.kind == 2:
+				acquired = true
+			case op.kind == 3 && depth < 2:
+				op.arg = item*10 + k
+				plan(op.arg, depth+1)
+			case op.kind == 3:
+				op.kind = 1
+			}
+			ops = append(ops, op)
+		}
+		pg.plans[item] = ops
+	}
+	for i := 0; i < servers; i++ {
+		q := pg.queues[i%len(pg.queues)]
+		if i >= len(pg.queues) {
+			q = pg.queues[rng.Intn(len(pg.queues))]
+		}
+		th := NewThread(fmt.Sprint("srv", i), "t")
+		if chains {
+			c := &chainServer{pg: pg, th: th}
+			c.done = q.ServeTask(th.Name, c.serve)
+		} else {
+			q.Serve(th.Name, th, pg.procBody)
+		}
+	}
+	// Plain procs contend with the servers for the CPU and the semaphore.
+	for i := 0; i < 2; i++ {
+		name := fmt.Sprint("rival", i)
+		th := NewThread(name, "r")
+		waits := make([]Duration, 8)
+		for k := range waits {
+			waits[k] = Duration(rng.Intn(6)) * Microsecond
+		}
+		env.Spawn(name, func(p *Proc) {
+			for k, d := range waits {
+				p.Wait(d)
+				if k%2 == 0 {
+					pg.cpu.Exec(p, th, 2000)
+				} else {
+					pg.sem.Acquire(p, 1)
+					p.Wait(Microsecond)
+					pg.sem.Release(1)
+				}
+				pg.note("%s#%d", name, k)
+			}
+		})
+	}
+	item := 0
+	for k := 2 + rng.Intn(3); k > 0; k-- {
+		pushes := make([]servePush, 5+rng.Intn(8))
+		for i := range pushes {
+			pushes[i] = servePush{Duration(rng.Intn(8)) * Microsecond, rng.Intn(len(pg.queues))}
+			item++
+			plan(item*100, 0)
+		}
+		first := item - len(pushes) + 1
+		env.Spawn("producer", func(p *Proc) {
+			for i, push := range pushes {
+				p.Wait(push.after)
+				pg.queues[push.queue].Push((first + i) * 100)
+			}
+		})
+	}
+	if err := env.Run(); err != nil {
+		t.Fatalf("seed=%d chains=%v heapOnly=%v: %v", seed, chains, heapOnly, err)
+	}
+	if left, live := env.Backlog(), env.LiveProcs(); left != nil || live != 0 {
+		t.Fatalf("seed=%d chains=%v: values waiting on %v and %d procs or tasks live after the run", seed, chains, left, live)
+	}
+	return pg, env.Stats()
+}
+
+// TestChainServersMatchProcServers is the task forms' contract as a property:
+// over seeded random programs, writing every server as a task chain instead of
+// a proc — Delay for Wait, ExecThen for Exec, AcquireThen for Acquire,
+// ServeTask for Serve — changes nothing in the (t, seq, owner) log and not the
+// event count, in the classic loop as in the kernel as shipped; the chains
+// resume no coroutine.
+func TestChainServersMatchProcServers(t *testing.T) {
+	bursts, acquires := 0, 0
+	for seed := int64(1); seed <= 24; seed++ {
+		want, wantSt := chainProgram(t, seed, false, false)
+		if len(want.log) < 40 {
+			t.Fatalf("seed=%d: only %d log entries; the program did nothing", seed, len(want.log))
+		}
+		for _, heapOnly := range []bool{false, true} {
+			for _, chains := range []bool{false, true} {
+				got, st := chainProgram(t, seed, chains, heapOnly)
+				if !reflect.DeepEqual(got.log, want.log) {
+					t.Fatalf("seed=%d chains=%v heapOnly=%v: logs differ:\n got %q\nwant %q",
+						seed, chains, heapOnly, got.log, want.log)
+				}
+				if st.Events != wantSt.Events {
+					t.Fatalf("seed=%d chains=%v heapOnly=%v: %d events, %d with proc servers",
+						seed, chains, heapOnly, st.Events, wantSt.Events)
+				}
+				if chains && !heapOnly {
+					bursts += got.queuedBursts
+					acquires += got.queuedAcquires
+					if st.Switches >= wantSt.Switches {
+						t.Fatalf("seed=%d: %d switches with chains, %d with procs", seed, st.Switches, wantSt.Switches)
+					}
+				}
+			}
+		}
+	}
+	if bursts == 0 || acquires == 0 {
+		t.Fatalf("%d bursts queued for a core, %d acquires for a permit: the programs never contended", bursts, acquires)
+	}
+	t.Logf("queued: %d bursts, %d acquires", bursts, acquires)
+}
+
+// TestShutdownDropsQueuedTaskForms: a burst queued behind a busy one-core CPU
+// and a task queued on a drained semaphore wait in those FIFOs, not in the
+// event queue or an event's waiter list. Shutdown drops them with the rest —
+// nothing of them runs, the FIFOs skip their spent tokens later — and leaves
+// nothing live.
+func TestShutdownDropsQueuedTaskForms(t *testing.T) {
+	env := NewEnv(1)
+	cpu := NewCPU(env, "c", 1, 1.0, 0)
+	sem := NewSemaphore(env, 0)
+	th := NewThread("t", "t")
+	ran := 0
+	count := funcTask(func() { ran++ })
+	env.Spawn("holder", func(p *Proc) { cpu.Exec(p, th, int64(Second)) })
+	env.Spawn("queuer", func(p *Proc) {
+		if !cpu.ExecThen(th, 1000, nil, count) {
+			t.Error("a burst behind a busy core did not queue")
+		}
+		if !sem.AcquireThen(1, count) {
+			t.Error("an acquire on a drained semaphore did not queue")
+		}
+	})
+	if err := env.RunUntil(Time(Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if live := env.LiveProcs(); live != 3 || cpu.waiters.len() != 1 || sem.waiters.len() != 1 {
+		t.Fatalf("live=%d, %d waiting for a core, %d for a permit: want the holder and two queued tasks",
+			live, cpu.waiters.len(), sem.waiters.len())
+	}
+	env.Shutdown()
+	if live := env.LiveProcs(); live != 0 || len(env.tasks) != 0 {
+		t.Fatalf("after Shutdown: live=%d tasks=%d", live, len(env.tasks))
+	}
+	queued := env.pending()
+	sem.Release(1)
+	if ran != 0 || env.pending() != queued || sem.waiters.len() != 0 || sem.Available() != 1 {
+		t.Fatalf("ran=%d, %d events queued after %d: a dropped task was granted the permit", ran, env.pending(), queued)
+	}
+}

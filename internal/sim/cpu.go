@@ -74,6 +74,8 @@ type CPU struct {
 	cores     []coreState
 	freeCores []int
 	waiters   fifo[*wakeToken]
+	// bursts is the free list of ExecThen's records.
+	bursts []*burst
 
 	windowStart Time
 	// cats holds the window's per-category counters. A CPU sees a handful
@@ -150,6 +152,15 @@ func (c *CPU) Exec(p *Proc, th *Thread, cycles int64) Duration {
 		return 0
 	}
 	core := c.acquire(p)
+	d := c.charge(core, th, cycles)
+	p.Wait(d)
+	c.release(core)
+	return d
+}
+
+// charge accounts cycles of th on core, plus a context switch if the core last
+// ran another thread, and returns the busy time.
+func (c *CPU) charge(core int, th *Thread, cycles int64) Duration {
 	a := c.acct(th.Cat)
 	total := cycles
 	if c.cores[core].last != th {
@@ -164,10 +175,96 @@ func (c *CPU) Exec(p *Proc, th *Thread, cycles int64) Duration {
 	a.busy += d
 	a.hasBusy = true
 	c.totalBusy += d
-	p.Wait(d)
-	c.release(core)
 	return d
 }
+
+// ExecThen is the task form of Exec: th runs cycles on this CPU, queueing for
+// a core behind the procs and bursts already waiting, and next runs when the
+// burst ends, after the core is released — where Exec would return. The busy
+// time charged is stored through busy (when not nil) first. The core is taken,
+// the wait for one is queued and the burst's end is scheduled, or fires in
+// place, at exactly the points Exec does each. It reports whether next was
+// registered; if not — no cycles to run, or the burst ran on a free core and
+// its end was the next event — the caller goes on at once, as after Exec.
+func (c *CPU) ExecThen(th *Thread, cycles int64, busy *Duration, next Task) bool {
+	if cycles <= 0 {
+		if busy != nil {
+			*busy = 0
+		}
+		return false
+	}
+	var b *burst
+	if n := len(c.bursts); n > 0 {
+		b = c.bursts[n-1]
+		c.bursts = c.bursts[:n-1]
+	} else {
+		b = &burst{c: c}
+	}
+	b.th, b.cycles, b.busy, b.next = th, cycles, busy, next
+	if n := len(c.freeCores); n > 0 {
+		b.core = int32(c.freeCores[n-1])
+		c.freeCores = c.freeCores[:n-1]
+		if b.start() {
+			b.finish()
+			return false
+		}
+		return true
+	}
+	tok := c.env.continuation(b)
+	tok.refs++
+	c.waiters.push(tok)
+	return true
+}
+
+// burst is one ExecThen in flight, from the CPU's free list: waiting for a
+// core, then running on it.
+type burst struct {
+	c      *CPU
+	th     *Thread
+	cycles int64
+	core   int32
+	onCore bool
+	d      Duration
+	busy   *Duration
+	next   Task
+}
+
+// start charges the burst on its core and reports whether its end fired in
+// place, as Exec's Wait may; otherwise the end is scheduled.
+func (b *burst) start() (ended bool) {
+	e := b.c.env
+	b.d = b.c.charge(int(b.core), b.th, b.cycles)
+	if e.inPlace(b.d) {
+		return true
+	}
+	b.onCore = true
+	e.Delay(b.d, b)
+	return false
+}
+
+// finish releases the core, reports the busy time and puts the burst back on
+// the free list; it returns the continuation.
+func (b *burst) finish() Task {
+	c, next := b.c, b.next
+	c.release(int(b.core))
+	if b.busy != nil {
+		*b.busy = b.d
+	}
+	*b = burst{c: c}
+	c.bursts = append(c.bursts, b)
+	return next
+}
+
+// Run is the burst's next event: a core granted, or the burst's end.
+func (b *burst) Run() {
+	if !b.onCore && !b.start() {
+		return
+	}
+	b.finish().Run()
+}
+
+// String names the burst after its continuation in deadlock reports.
+func (b *burst) String() string { return taskName(b.next) }
 
 // ExecSelf charges cycles to the thread identity attached to p (see
 // Proc.SetThread) and returns the busy time charged. It panics if p has no
@@ -207,12 +304,17 @@ func (c *CPU) acquire(p *Proc) int {
 	return int(p.core)
 }
 
-// release hands core to the oldest waiter (through Proc.core) or frees it.
+// release hands core to the oldest waiter (through Proc.core, or the waiting
+// burst) or frees it.
 func (c *CPU) release(core int) {
 	for c.waiters.len() > 0 {
 		tok := c.waiters.pop()
 		if !tok.spent {
-			tok.p.core = int32(core)
+			if tok.p != nil {
+				tok.p.core = int32(core)
+			} else {
+				tok.task.run.(*burst).core = int32(core)
+			}
 			c.env.schedule(tok, c.env.now)
 			c.env.dropRef(tok)
 			return

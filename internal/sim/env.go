@@ -281,6 +281,8 @@ type Env struct {
 
 	// locals holds the values Local made, one per type.
 	locals map[any]any
+	// spawned is WatchSpawns' function, nil when nobody watches.
+	spawned func(name string)
 }
 
 // NewEnv returns an environment whose random stream is seeded with seed.
@@ -474,12 +476,26 @@ func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
 		e.stats.CoroutinesPeak++
 	}
 	e.stats.Spawns++
+	if e.spawned != nil {
+		e.spawned(name)
+	}
 	p.name, p.hasID, p.fn, p.state = name, false, fn, stateNew
 	p.idx = int32(len(e.procs))
 	e.procs = append(e.procs, p)
 	e.live++
 	e.schedule(e.getToken(p), e.now)
 	return p
+}
+
+// WatchSpawns calls f with the name of every live proc, and from then on
+// with the name of every proc spawned (a SpawnID's prefix): a diagnostic for
+// tests that hold which servers are procs. Called before a run, it sees every
+// proc the environment ever has.
+func (e *Env) WatchSpawns(f func(name string)) {
+	for _, p := range e.procs {
+		f(p.name)
+	}
+	e.spawned = f
 }
 
 // SpawnID is Spawn for per-operation procs named prefix+id ("proxy-tx:42").
@@ -590,18 +606,30 @@ func (p *Proc) Wait(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	at := e.now.Add(d)
-	if d > 0 && at <= e.limit && !e.heapOnly {
-		if next, _, ok := e.peek(); !ok || at < next.t {
-			e.seq++
-			e.now = at
-			e.stats.Events++
-			e.stats.FastPath++
-			return
-		}
+	if e.inPlace(d) {
+		return
 	}
-	e.schedule(p.newToken(), at)
+	e.schedule(p.newToken(), e.now.Add(d))
 	p.park()
+}
+
+// inPlace fires a wake-up d from now in place when it is due within the run
+// limit and strictly before every other live event: the sequence number its
+// entry would have drawn is drawn, the clock moves and the caller runs on. It
+// reports whether it did.
+func (e *Env) inPlace(d Duration) bool {
+	at := e.now.Add(d)
+	if d <= 0 || at > e.limit || e.heapOnly {
+		return false
+	}
+	if next, _, ok := e.peek(); ok && at >= next.t {
+		return false
+	}
+	e.seq++
+	e.now = at
+	e.stats.Events++
+	e.stats.FastPath++
+	return true
 }
 
 // WaitUntil blocks the process until the virtual instant t (no-op if t has
@@ -771,8 +799,10 @@ func (e *Env) advanceTo(t Time) {
 
 // Shutdown force-terminates every process that is still parked and stops the
 // pooled coroutines, releasing their goroutines; procs that never started own
-// no coroutine and are only accounted for. It drops every pending task, whose
-// tokens return to the pool. The environment must not be used afterwards.
+// no coroutine and are only accounted for. It drops every pending task: the
+// tokens in the event queue or an event's waiter list return to the pool, and
+// one in a CPU's or Semaphore's waiter FIFO is left there, spent. The
+// environment must not be used afterwards.
 func (e *Env) Shutdown() {
 	for _, p := range e.procs {
 		switch p.state {
@@ -790,12 +820,15 @@ func (e *Env) Shutdown() {
 	for _, pt := range e.tasks {
 		tok := pt.tok
 		tok.spent = true
-		if tok.queued > 0 {
+		switch {
+		case tok.queued > 0:
 			e.dead += int(tok.queued) // compact drops the entry below
-		} else {
+		case pt.ev != nil:
 			pt.ev.waiters.remove(tok)
 			e.dropRef(tok)
 		}
+		// Otherwise the token waits in a CPU's or a Semaphore's FIFO, which
+		// drops a spent token when it reaches it, as it does a timed-out one.
 		e.live--
 	}
 	e.tasks, e.taskFree = nil, nil
@@ -821,8 +854,9 @@ type EnvStats struct {
 	// next (FastPath: a timed Wait fired in place, or a parking proc that
 	// popped its own event); by a finishing body whose next event started a
 	// fresh proc, run on the same coroutine (Handoffs); or by running a task
-	// inline (TaskRuns counts the tasks run; a task that had to wait consumed
-	// a second event to get there).
+	// inline (TaskRuns counts the tasks run; an After or At task that had to
+	// wait consumed a second event to get there, a task form's continuation
+	// one).
 	Events, Switches, FastPath, Handoffs, TaskRuns uint64
 	// NowQueued counts the events scheduled for the instant they were
 	// scheduled at, which waited in the now-queue and never entered the heap.

@@ -59,15 +59,20 @@ type served[T any] struct {
 
 // identity is a thread that only ever waits on one queue, kept as data: a
 // coroutine exists for it only while it has work. A Push hands it a value
-// through v; run is serve as a func value, made once.
+// through v; run is serve as a func value, made once. An identity of
+// ServeTask has chain instead of body and run, and no coroutine at all.
 type identity[T any] struct {
 	q      *Queue[T]
 	name   string
 	thread *Thread
 	body   func(*Proc, T)
 	run    func(*Proc)
+	chain  func(T)
 	v      T
 	handed bool
+	// inChain and ended let a chain that completes before chain returns end
+	// its turn without recursing into the next.
+	inChain, ended bool
 }
 
 // Serve registers a serving identity on q: what a daemon proc called name
@@ -79,12 +84,17 @@ type identity[T any] struct {
 // from the call on (or starts at once when values already wait), so register
 // identities where, and in the order, their daemons would first have Popped.
 func (q *Queue[T]) Serve(name string, thread *Thread, body func(*Proc, T)) {
-	if q.srv == nil {
-		q.srv = &served[T]{name: name}
-		q.env.served = append(q.env.served, q)
-	}
 	id := &identity[T]{q: q, name: name, thread: thread, body: body}
 	id.run = id.serve
+	q.serve(id)
+}
+
+// serve registers id on q: idle, or started at once when values wait.
+func (q *Queue[T]) serve(id *identity[T]) {
+	if q.srv == nil {
+		q.srv = &served[T]{name: id.name}
+		q.env.served = append(q.env.served, q)
+	}
 	q.env.stats.Identities++
 	if q.buf.len() > 0 {
 		id.start()
@@ -93,10 +103,57 @@ func (q *Queue[T]) Serve(name string, thread *Thread, body func(*Proc, T)) {
 	}
 }
 
+// ServeTask is Serve for a thread whose body is written as a task chain:
+// chain(v) starts the body on v, and the chain runs the returned Task where the
+// proc body would have returned. A Push that finds the identity idle schedules
+// the event Serve's would spawn the proc for, so replacing one form by the
+// other moves no event; no proc or coroutine exists for the identity at all.
+func (q *Queue[T]) ServeTask(name string, chain func(T)) Task {
+	id := &identity[T]{q: q, name: name, chain: chain}
+	q.serve(id)
+	return id
+}
+
 func (id *identity[T]) start() {
+	if id.chain != nil {
+		id.q.env.Delay(0, id)
+		return
+	}
 	p := id.q.env.Spawn(id.name, id.run)
 	p.thread, p.daemon = id.thread, true
 }
+
+// Run is a task identity's turn, on its start event and whenever a chain
+// ends: the value handed, then the buffer's, then idle. A chain that waits
+// ends the turn; the chain runs the identity again when it is done.
+func (id *identity[T]) Run() {
+	if id.inChain {
+		id.ended = true // the chain ended before chain returned: go on below
+		return
+	}
+	for {
+		var v T
+		switch {
+		case id.handed:
+			v = id.v
+			id.v, id.handed = *new(T), false
+		case id.q.buf.len() > 0:
+			v = id.q.buf.pop()
+		default:
+			id.q.srv.idle.push(id)
+			return
+		}
+		id.inChain, id.ended = true, false
+		id.chain(v)
+		id.inChain = false
+		if !id.ended {
+			return
+		}
+	}
+}
+
+// String names a task identity in deadlock reports.
+func (id *identity[T]) String() string { return id.name }
 
 // serve is a started identity's proc body: the value handed, the buffer, idle.
 func (id *identity[T]) serve(p *Proc) {
@@ -277,6 +334,20 @@ func (s *Semaphore) Acquire(p *Proc, n int) {
 	tok.refs++
 	s.waiters.push(semWaiter{tok: tok, n: n})
 	p.park()
+}
+
+// AcquireThen is the task form of Acquire: it takes n permits now if Acquire
+// would not block, and otherwise queues t in Acquire's FIFO, to run when the
+// permits are granted. It reports whether t was queued; if not, the caller
+// holds the permits and goes on at once.
+func (s *Semaphore) AcquireThen(n int, t Task) bool {
+	if s.TryAcquire(n) {
+		return false
+	}
+	tok := s.env.continuation(t)
+	tok.refs++
+	s.waiters.push(semWaiter{tok: tok, n: n})
+	return true
 }
 
 // TryAcquire takes n permits if immediately available.

@@ -15,6 +15,13 @@ import "fmt"
 // deadline arrives. Sequence numbers are drawn at the same points, so
 // replacing one form by the other changes no event order and no event count.
 //
+// A step that must wait again continues with a task form of the wait instead
+// of a proc's blocking call: Delay for Wait, CPU.ExecThen for Exec,
+// Semaphore.AcquireThen for Acquire, and a ServeTask identity for a served
+// proc. Each draws its sequence number where the proc form parks or fires in
+// place and has no registration entry, so a chain of steps fires its proc
+// form's events, in the same order.
+//
 // A task that implements fmt.Stringer is listed under that name in deadlock
 // reports; others are listed by their type.
 type Task interface{ Run() }
@@ -47,6 +54,13 @@ func (e *Env) After(ev *Event, t Task) { e.register(t, ev, 0) }
 func (e *Env) At(at Time, t Task) { e.register(t, nil, at) }
 
 func (e *Env) register(t Task, ev *Event, at Time) {
+	pt := e.listTask(t)
+	pt.ev, pt.at = ev, at
+	e.schedule(e.taskToken(pt), e.now)
+}
+
+// listTask lists a fresh record for t.
+func (e *Env) listTask(t Task) *pendingTask {
 	var pt *pendingTask
 	if n := len(e.taskFree); n > 0 {
 		pt = e.taskFree[n-1]
@@ -54,11 +68,31 @@ func (e *Env) register(t Task, ev *Event, at Time) {
 	} else {
 		pt = &pendingTask{env: e}
 	}
-	pt.run, pt.ev, pt.at, pt.started = t, ev, at, false
+	pt.run, pt.ev, pt.at, pt.started = t, nil, 0, false
 	pt.idx = int32(len(e.tasks))
 	e.tasks = append(e.tasks, pt)
 	e.live++
-	e.schedule(e.taskToken(pt), e.now)
+	return pt
+}
+
+// continuation returns the token of a task form's blocking call: the next
+// entry of it to fire runs t, as the parked proc would have been resumed.
+// The caller schedules it or adds it to a waiter FIFO.
+func (e *Env) continuation(t Task) *wakeToken {
+	pt := e.listTask(t)
+	pt.started = true // no registration entry: the call is made from a running step
+	return e.taskToken(pt)
+}
+
+// Delay runs t after d of virtual time: the task form of a proc's Wait(d). Its
+// one event takes its sequence number here, where the Wait would have drawn
+// one whether it fired in place or parked, so a chain of steps joined by
+// Delay fires the events its proc form would, in the same order.
+func (e *Env) Delay(d Duration, t Task) {
+	if d < 0 {
+		d = 0
+	}
+	e.schedule(e.continuation(t), e.now.Add(d))
 }
 
 // taskToken takes a fresh token for pt's next registration.
