@@ -24,11 +24,12 @@ test:
 # barrier filled — from different goroutines in successive windows (repeated,
 # since which worker picks up which partition varies from run to run) — and
 # the crossing records the per-partition free lists hand out and take back
-# on both sides of the bridge. CI's race step runs all three lines.
+# on both sides of the bridge, and the transaction shipments whose fallback
+# paths take them out of order. CI's race step runs all three lines.
 test-race:
 	go test -race ./...
 	go test -race -count=10 -run 'TestGroup|TestShutdown|TestProcPanic|TestTask|TestChainServers|TestNowQueue|TestServe|TestWaitInPlace|TestSleeperParked|TestHandoff' ./internal/sim
-	go test -race -count=10 -run 'TestRecycled|TestReadReturnDMAError' ./internal/core
+	go test -race -count=10 -run 'TestRecycled|TestReadReturnDMAError|TestShipmentPaths' ./internal/core
 
 race: test-race
 

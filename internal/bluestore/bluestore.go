@@ -179,8 +179,8 @@ type txc struct {
 	enq  sim.Time
 }
 
-// New creates a store and spawns its bstore_aio and bstore_kv threads on
-// env. name distinguishes multiple stores in one simulation.
+// New creates a store and registers its bstore_aio and bstore_kv threads,
+// task chains, on env. name distinguishes multiple stores in one simulation.
 func New(env *sim.Env, name string, cpu *sim.CPU, disk *sim.Disk, cfg Config) *Store {
 	s := &Store{
 		env:   env,
@@ -195,8 +195,9 @@ func New(env *sim.Env, name string, cpu *sim.CPU, disk *sim.Disk, cfg Config) *S
 		aioq:  sim.NewQueue[*txc](env),
 		kvq:   sim.NewQueue[*txc](env),
 	}
-	s.aioq.Serve(s.thAIO.Name, s.thAIO, s.aio)
-	env.SpawnDaemon("bstore_kv-"+name, func(p *sim.Proc) { s.kvLoop(p) })
+	aio := &aioServer{s: s}
+	aio.done = s.aioq.ServeTask(s.thAIO.Name, aio.serve)
+	env.Delay(0, &kvServer{s: s, batch: make([]*txc, 0, s.cfg.KVBatchMax)})
 	return s
 }
 
@@ -254,87 +255,193 @@ func (s *Store) Submit(txn *objstore.Transaction, prep sim.Duration) *objstore.R
 	return &t.res
 }
 
-// aio is one turn of the bstore_aio thread: it streams large write payloads
-// to the data device (after checksumming) and forwards the transaction to
-// the kv-sync thread.
-func (s *Store) aio(p *sim.Proc, t *txc) {
-	if t.span != 0 {
-		s.tr.AddQueueWait(t.span, p.Now().Sub(t.enq))
-	}
-	if s.slowIO > 0 {
-		p.Wait(s.slowIO)
-		t.res.ServiceTime += s.slowIO
-	}
-	var directBytes int64
-	for i := range t.txn.Ops {
-		op := &t.txn.Ops[i]
-		if op.Code != objstore.OpWrite || op.Data == nil {
-			continue
-		}
-		if int64(op.Data.Length()) < s.cfg.DeferredThreshold {
-			s.stats.DeferredWrites++
-			continue // rides the kv WAL write
-		}
-		s.stats.DirectWrites++
-		directBytes += int64(op.Data.Length())
-	}
-	if directBytes > 0 {
-		csum := int64(float64(directBytes) * s.cfg.CsumCyclesPerByte)
-		s.tr.AddCPU(t.span, s.cpu.Name(), s.cpu.Exec(p, s.thAIO, csum))
-		svc := s.disk.Write(p, directBytes)
-		t.res.ServiceTime += svc + s.cpu.CyclesToDuration(csum)
-		s.cpu.NoteSwitches(s.thAIO, switchesPerAIO)
-		s.stats.BytesWritten += directBytes
-		s.tr.AddBytes(t.span, directBytes)
-	}
-	if t.span != 0 {
-		s.tr.Finish(t.span)
-		t.span = s.tr.Start(trace.SpanID(t.txn.TraceCtx), 0, trace.StageKV, s.name)
-		t.enq = p.Now()
-	}
-	s.kvq.Push(t)
+// aioServer is the bstore_aio thread as a task chain over aioq: a turn waits
+// out an injected slow-IO delay, checksums and streams large write payloads
+// to the data device, and forwards the transaction to bstore_kv. Its steps
+// are joined where the proc form blocked, so that it runs the events the proc
+// would, in the same order.
+type aioServer struct {
+	s *Store
+	// done is the served identity, run when a turn is over; t is the
+	// transaction of the turn under way, step what its next step does.
+	done sim.Task
+	t    *txc
+	step aioStep
+	// direct and csum are the turn's direct-write bytes and their checksum
+	// cycles; busy and svc the charges of its CPU burst and disk write.
+	direct, csum int64
+	busy, svc    sim.Duration
 }
 
-// kvLoop is the bstore_kv thread: it batches transactions, applies their
-// mutations to the in-memory metadata/KV state, persists the WAL+metadata
-// batch, and fires completion events.
-func (s *Store) kvLoop(p *sim.Proc) {
-	p.SetThread(s.thKV)
+// aioStep is what the aio thread's next step does.
+type aioStep uint8
+
+const (
+	aioStart   aioStep = iota // the transaction is taken: wait out a slow device
+	aioSlowed                 // the slow-IO delay is over
+	aioData                   // find the direct writes and checksum them
+	aioSummed                 // the checksum is paid for: write the payload
+	aioWritten                // the payload is on the device
+	aioForward                // hand the transaction to bstore_kv
+)
+
+// serve starts a turn on t, the served identity's body.
+func (a *aioServer) serve(t *txc) {
+	a.t, a.step = t, aioStart
+	a.Run()
+}
+
+// Run is the aio thread's next step.
+func (a *aioServer) Run() {
+	s, t := a.s, a.t
 	for {
-		batch := []*txc{s.kvq.Pop(p)}
-		for len(batch) < s.cfg.KVBatchMax {
-			t, ok := s.kvq.TryPop()
-			if !ok {
-				break
-			}
-			batch = append(batch, t)
-		}
-		var walBytes int64 = 512 // batch header
-		var ops int64
-		for _, t := range batch {
+		switch a.step {
+		case aioStart:
 			if t.span != 0 {
-				s.tr.AddQueueWait(t.span, p.Now().Sub(t.enq))
+				s.tr.AddQueueWait(t.span, s.env.Now().Sub(t.enq))
 			}
-			var tWal int64
-			for i := range t.txn.Ops {
-				op := &t.txn.Ops[i]
-				ops++
-				tWal += 256 // per-op metadata/onode delta
-				if op.Code == objstore.OpWrite && op.Data != nil &&
-					int64(op.Data.Length()) < s.cfg.DeferredThreshold {
-					tWal += int64(op.Data.Length())
+			a.step = aioData
+			if s.slowIO > 0 {
+				a.step = aioSlowed
+				if s.env.WaitThen(s.slowIO, a) {
+					return
 				}
 			}
-			walBytes += tWal
-			s.tr.AddBytes(t.span, tWal)
+		case aioSlowed:
+			t.res.ServiceTime += s.slowIO
+			a.step = aioData
+		case aioData:
+			a.direct = 0
+			for i := range t.txn.Ops {
+				op := &t.txn.Ops[i]
+				if op.Code != objstore.OpWrite || op.Data == nil {
+					continue
+				}
+				if int64(op.Data.Length()) < s.cfg.DeferredThreshold {
+					s.stats.DeferredWrites++
+					continue // rides the kv WAL write
+				}
+				s.stats.DirectWrites++
+				a.direct += int64(op.Data.Length())
+			}
+			a.step = aioForward
+			if a.direct > 0 {
+				a.csum = int64(float64(a.direct) * s.cfg.CsumCyclesPerByte)
+				a.step = aioSummed
+				if s.cpu.ExecThen(s.thAIO, a.csum, &a.busy, a) {
+					return
+				}
+			}
+		case aioSummed:
+			s.tr.AddCPU(t.span, s.cpu.Name(), a.busy)
+			a.step = aioWritten
+			var queued bool
+			if a.svc, queued = s.disk.WriteThen(a.direct, a); queued {
+				return
+			}
+		case aioWritten:
+			t.res.ServiceTime += a.svc + s.cpu.CyclesToDuration(a.csum)
+			s.cpu.NoteSwitches(s.thAIO, switchesPerAIO)
+			s.stats.BytesWritten += a.direct
+			s.tr.AddBytes(t.span, a.direct)
+			a.step = aioForward
+		case aioForward:
+			if t.span != 0 {
+				s.tr.Finish(t.span)
+				t.span = s.tr.Start(trace.SpanID(t.txn.TraceCtx), 0, trace.StageKV, s.name)
+				t.enq = s.env.Now()
+			}
+			s.kvq.Push(t)
+			a.t = nil
+			a.done.Run() // the next turn may begin in here: touch nothing after
+			return
 		}
-		kvCycles := kvCommitCycles + kvApplyCyclesPerOp*ops
-		kvBusy := s.cpu.Exec(p, s.thKV, kvCycles)
+	}
+}
+
+// String names the aio thread in deadlock reports.
+func (a *aioServer) String() string { return a.s.thAIO.Name }
+
+// kvServer is the bstore_kv thread as a task chain over kvq: a turn batches
+// the transactions waiting, applies their mutations to the in-memory
+// metadata/KV state, persists the WAL+metadata batch, and fires their
+// completion events. Its first step, an event of its own scheduled at
+// construction, as the start of a thread spawned then would be, registers it
+// on kvq, where that thread would first pop.
+type kvServer struct {
+	s *Store
+	// done is the served identity (nil until the first step), run when a
+	// turn is over; batch is the turn's transactions (the array, sized for
+	// KVBatchMax once, is cleared after each turn).
+	done  sim.Task
+	batch []*txc
+	step  kvStep
+	// walBytes and cycles size the sync; busy and svc are the charges of
+	// its CPU burst and WAL write.
+	walBytes, cycles int64
+	busy, svc        sim.Duration
+}
+
+// kvStep is what the kv thread's next step does.
+type kvStep uint8
+
+const (
+	kvSynced  kvStep = iota // the sync's CPU is paid for: apply, then write the WAL
+	kvWritten               // the WAL batch is on the device: complete the batch
+)
+
+// serve starts a turn on first, the served identity's body: the batch is
+// first and whatever else waits, up to KVBatchMax.
+func (k *kvServer) serve(first *txc) {
+	s := k.s
+	batch := append(k.batch, first)
+	for len(batch) < s.cfg.KVBatchMax {
+		t, ok := s.kvq.TryPop()
+		if !ok {
+			break
+		}
+		batch = append(batch, t)
+	}
+	var walBytes int64 = 512 // batch header
+	var ops int64
+	for _, t := range batch {
+		if t.span != 0 {
+			s.tr.AddQueueWait(t.span, s.env.Now().Sub(t.enq))
+		}
+		var tWal int64
+		for i := range t.txn.Ops {
+			op := &t.txn.Ops[i]
+			ops++
+			tWal += 256 // per-op metadata/onode delta
+			if op.Code == objstore.OpWrite && op.Data != nil &&
+				int64(op.Data.Length()) < s.cfg.DeferredThreshold {
+				tWal += int64(op.Data.Length())
+			}
+		}
+		walBytes += tWal
+		s.tr.AddBytes(t.span, tWal)
+	}
+	k.batch, k.walBytes, k.step = batch, walBytes, kvSynced
+	k.cycles = kvCommitCycles + kvApplyCyclesPerOp*ops
+	if !s.cpu.ExecThen(s.thKV, k.cycles, &k.busy, k) {
+		k.Run()
+	}
+}
+
+// Run is the kv thread's next step; the first registers the thread.
+func (k *kvServer) Run() {
+	s := k.s
+	if k.done == nil {
+		k.done = s.kvq.ServeTask(s.thKV.Name, k.serve)
+		return
+	}
+	batch := k.batch
+	if k.step == kvSynced {
 		// Each transaction in the batch is attributed an equal share of the
 		// sync cycle's CPU (the remainder of the integer split stays
 		// unattributed, preserving traced <= busy).
 		for _, t := range batch {
-			s.tr.AddCPU(t.span, s.cpu.Name(), kvBusy/sim.Duration(len(batch)))
+			s.tr.AddCPU(t.span, s.cpu.Name(), k.busy/sim.Duration(len(batch)))
 		}
 		for _, t := range batch {
 			if s.writeErrProb > 0 && s.env.Rand().Float64() < s.writeErrProb {
@@ -344,20 +451,30 @@ func (s *Store) kvLoop(p *sim.Proc) {
 			}
 			t.res.Err = s.apply(t.txn)
 		}
-		walSvc := s.disk.Write(p, walBytes)
-		kvShare := (walSvc + s.cpu.CyclesToDuration(kvCycles)) / sim.Duration(len(batch))
-		for _, t := range batch {
-			t.res.ServiceTime += kvShare
-		}
-		s.cpu.NoteSwitches(s.thKV, switchesPerKVSync)
-		s.stats.KVSyncCycles++
-		s.stats.BytesWritten += walBytes
-		for _, t := range batch {
-			s.tr.Finish(t.span)
-			t.res.Done.Fire()
+		k.step = kvWritten
+		var queued bool
+		if k.svc, queued = s.disk.WriteThen(k.walBytes, k); queued {
+			return
 		}
 	}
+	kvShare := (k.svc + s.cpu.CyclesToDuration(k.cycles)) / sim.Duration(len(batch))
+	for _, t := range batch {
+		t.res.ServiceTime += kvShare
+	}
+	s.cpu.NoteSwitches(s.thKV, switchesPerKVSync)
+	s.stats.KVSyncCycles++
+	s.stats.BytesWritten += k.walBytes
+	for _, t := range batch {
+		s.tr.Finish(t.span)
+		t.res.Done.Fire()
+	}
+	clear(batch)
+	k.batch = batch[:0]
+	k.done.Run() // the next turn may begin in here: touch nothing after
 }
+
+// String names the kv thread in deadlock reports.
+func (k *kvServer) String() string { return k.s.thKV.Name }
 
 // apply mutates the in-memory state. The first failing op aborts the rest
 // (mirroring Ceph, where a failing ObjectStore transaction is fatal; here we

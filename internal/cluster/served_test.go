@@ -15,11 +15,11 @@ import (
 
 // TestIdleClusterIsQueuesAndBodies: once a run has completed, the threads
 // that only ever wait on one queue (tp_osd_tp, msgr-worker, the wire: lanes,
-// bstore_aio, rpc-server, the two DMA pollers) are idle identities on empty
-// queues holding no coroutine — the DMA pollers, task chains, have none even
-// while they work — and the live procs are exactly the loops that stayed
-// daemons because they carry state across iterations: per OSD bstore_kv and
-// hb, and mgr-poll. An idle DMA engine queue is a task chain waiting for a
+// bstore_aio, bstore_kv, rpc-server, the two DMA pollers) are idle identities
+// on empty queues holding no coroutine — the DMA pollers and BlueStore's two
+// threads, task chains, have none even while they work — and the live procs
+// are exactly the loops that stayed daemons because they carry state across
+// iterations: per OSD hb, and mgr-poll. An idle DMA engine queue is a task chain waiting for a
 // Submit, not live. A daemon added per OSD shows up here (and, times 128, in
 // the scale-out pin). No OSD holds a mutation, replica apply or replica wait
 // record any more.
@@ -30,8 +30,8 @@ func TestIdleClusterIsQueuesAndBodies(t *testing.T) {
 		identities  int
 		perOSDLoops string
 	}{
-		{Baseline, 2*2 + 1, 39, "bstore_kv, hb"},
-		{DoCeph, 2*2 + 1, 47, "bstore_kv, hb"},
+		{Baseline, 2*1 + 1, 41, "hb"},
+		{DoCeph, 2*1 + 1, 49, "hb"},
 	} {
 		before := runtime.NumGoroutine()
 		cl := New(Config{Mode: c.mode, Seed: 7})
@@ -130,17 +130,20 @@ func shutdownLeak(cl *Cluster, before int) int {
 
 // TestDMAPlaneServersAreTaskChains: the DMA plane's servers — the engines'
 // queues, the host's DMA poller and its commit notifications, the DPU's read
-// poller — are task chains, so on a small DoCeph run (4 MiB writes, two DMA
-// segments each, and reads of them back) no proc of theirs is ever spawned,
-// and the coroutine resumes per op are pinned with the events: a server
-// turned back into a proc, or a new proc on the path, moves the resumes
-// while the events stay put.
+// poller — and the write path's per-transaction ones — the proxy's shipment
+// of each transaction (proxy-tx:), BlueStore's bstore_aio and bstore_kv — are
+// task chains, so on a small DoCeph run (4 MiB writes, two DMA segments
+// each, and reads of them back) no proc of theirs is ever spawned, and the
+// coroutine resumes per op are pinned with the events: a server turned back
+// into a proc, or a new proc on the path, moves the resumes while the events
+// stay put.
 func TestDMAPlaneServersAreTaskChains(t *testing.T) {
 	cl := New(Config{Mode: DoCeph, Seed: 7})
 	defer cl.Shutdown()
 	var procs []string
 	cl.Env.WatchSpawns(func(name string) {
-		for _, server := range []string{"dma-engine:", "host-dma-poll", "host-notify:", "dpu-dma-poll"} {
+		for _, server := range []string{"dma-engine:", "host-dma-poll", "host-notify:", "dpu-dma-poll",
+			"proxy-tx:", "bstore_aio", "bstore_kv"} {
 			if strings.HasPrefix(name, server) {
 				procs = append(procs, name)
 			}
@@ -158,10 +161,11 @@ func TestDMAPlaneServersAreTaskChains(t *testing.T) {
 	resumes := st.Switches / 2
 	t.Logf("%d ops: %d events, %d resumes (%.2f per op), %d task runs", res.Ops, st.Events, resumes,
 		float64(resumes)/float64(res.Ops), st.TaskRuns)
-	// With those servers as procs the run fires the same 5,007 events and
-	// resumes 2,285 times (47.60 per op).
-	if res.Ops != 48 || st.Events != 5007 || resumes != 1439 {
-		t.Errorf("%d ops, %d events, %d resumes; pinned: 48 ops, 5007 events, 1439 resumes (29.98 per op)",
+	// With all those servers as procs the run fires the same 5,007 events
+	// and resumes 2,285 times (47.60 per op); with the write path's three as
+	// procs, 1,439 times (29.98 per op).
+	if res.Ops != 48 || st.Events != 5007 || resumes != 749 {
+		t.Errorf("%d ops, %d events, %d resumes; pinned: 48 ops, 5007 events, 749 resumes (15.60 per op)",
 			res.Ops, st.Events, resumes)
 	}
 }

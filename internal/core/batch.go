@@ -224,7 +224,7 @@ func (px *Proxy) flushBatch(p *sim.Proc) {
 		}
 		px.dev.Buffers.Release()
 		px.noteUnstage(bytes)
-		px.enterCooldown(p)
+		px.enterCooldown(p.Now())
 		px.stats.FallbackSegments += int64(k)
 		px.shipBatchViaRPC(p, frame)
 		return
@@ -310,11 +310,11 @@ func (px *Proxy) settleBatch(sp *sim.Proc) {
 	if w := t.CompletedAt.Sub(fr.start) - t.CopyTime(); w > 0 {
 		px.breakdown.DMAWait += w
 		if t.Err == nil {
-			px.noteDMAWait(sp, w)
+			px.noteDMAWait(sp.Now(), w)
 		}
 	}
 	if t.Err != nil {
-		px.enterCooldown(sp)
+		px.enterCooldown(sp.Now())
 		px.stats.FallbackSegments += int64(len(fr.ops))
 		px.shipBatchViaRPC(sp, t.Data)
 	}

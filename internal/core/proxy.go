@@ -122,9 +122,7 @@ type Proxy struct {
 
 	thProxy *sim.Thread
 	poll    readPoll
-	// txBody is shipTxn as a func value, made once.
-	txBody func(*sim.Proc)
-	tr     *trace.Tracer
+	tr      *trace.Tracer
 
 	nextReq      uint64
 	nextTxnSeq   uint64
@@ -189,8 +187,7 @@ const txnMetaBytes = 120
 
 // pendingTxn is everything one in-flight transaction owns on the proxy, in
 // one allocation: the Result handed back to the caller, the encoded
-// transaction its proxy-tx proc (or the batcher) ships — the proc finds the
-// record by its id, so it needs no closure — and the host's commit
+// transaction its shipment (or the batcher) ships, and the host's commit
 // notification that completes it. The caller reads res long after Done: never
 // recycle one.
 type pendingTxn struct {
@@ -278,7 +275,6 @@ func NewProxy(env *sim.Env, dev *dpu.DPU, rpcEnd *rpcchan.Endpoint,
 		recs:         sim.Local[records](env),
 		dmaHealthy:   true,
 	}
-	px.txBody = px.shipTxn
 	if cfg.Breaker.Enable {
 		px.br = dpu.NewBreaker(cfg.Breaker)
 	}
@@ -345,10 +341,16 @@ func (px *Proxy) DMAHealthy() bool {
 // Breaker returns the circuit breaker, or nil when it is disabled.
 func (px *Proxy) Breaker() *dpu.Breaker { return px.br }
 
+// regionsReady reports whether both regions are usable for DMA without a
+// negotiation: after the first with the MR cache, never without it.
+func (px *Proxy) regionsReady() bool {
+	return !px.cfg.DisableMRCache && px.dpuMR.Exported() && px.hostMR.Exported()
+}
+
 // ensureRegions makes both regions usable for DMA: once per lifetime with
 // the MR cache, per call without it.
 func (px *Proxy) ensureRegions(p *sim.Proc) {
-	if !px.cfg.DisableMRCache && px.dpuMR.Exported() && px.hostMR.Exported() {
+	if px.regionsReady() {
 		return
 	}
 	px.cc.Negotiate(p, px.dpuMR)
@@ -369,7 +371,7 @@ func (px *Proxy) dmaAllowed(p *sim.Proc) bool {
 		return false
 	}
 	if px.probe(p) != nil {
-		px.enterCooldown(p)
+		px.enterCooldown(p.Now())
 		return false
 	}
 	px.dmaHealthy = true
@@ -398,18 +400,18 @@ func (px *Proxy) probe(p *sim.Proc) error {
 	return err
 }
 
-func (px *Proxy) enterCooldown(p *sim.Proc) {
+func (px *Proxy) enterCooldown(now sim.Time) {
 	if px.br != nil {
 		// Breaker mode: a single error is a data point, not a verdict —
 		// DMA stays on until the failure rate crosses the threshold.
-		px.br.RecordFailure(p.Now())
+		px.br.RecordFailure(now)
 		return
 	}
 	if px.dmaHealthy {
 		px.stats.CooldownEntries++
 	}
 	px.dmaHealthy = false
-	px.cooldownUntil = p.Now().Add(px.cfg.CooldownPeriod)
+	px.cooldownUntil = now.Add(px.cfg.CooldownPeriod)
 }
 
 // breakerAllowed asks the breaker what to do with this request, running the
@@ -431,12 +433,12 @@ func (px *Proxy) breakerAllowed(p *sim.Proc) bool {
 
 // noteDMAWait feeds stall detection: a request whose non-copy wait exceeds
 // the breaker's StallThreshold counts toward opening like an error.
-func (px *Proxy) noteDMAWait(p *sim.Proc, wait sim.Duration) {
+func (px *Proxy) noteDMAWait(now sim.Time, wait sim.Duration) {
 	if px.br == nil {
 		return
 	}
 	if st := px.br.Config().StallThreshold; st > 0 && wait > st {
-		px.br.RecordStall(p.Now())
+		px.br.RecordStall(now)
 	}
 }
 
@@ -486,29 +488,10 @@ func (px *Proxy) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objst
 	} else {
 		px.stats.FallbackTxns++
 	}
-	px.env.SpawnID("proxy-tx:", pt.reqID, px.txBody)
+	sh := px.recs.ships.get()
+	sh.px, sh.pt = px, pt
+	px.env.Delay(0, sh) // the chain starts in an event of its own, as a thread spawned now would
 	return &pt.res
-}
-
-// shipTxn is the body of every proxy-tx proc: ship the transaction its id
-// names, then complete it once the host has committed.
-func (px *Proxy) shipTxn(tp *sim.Proc) {
-	pt := px.pendingTxns[tp.ID()]
-	tp.SetThread(px.thProxy)
-	var segs []segment
-	if pt.useDMA {
-		segs = px.shipViaDMA(tp, pt)
-	} else {
-		px.shipViaRPC(tp, pt.reqID, pt.txnSeq, &pt.frame.Bufferlist)
-	}
-	pt.frame.Init() // shipped; the caller keeps pt, through res, much longer
-	pt.done.Wait(tp)
-	pt.Run()
-	if segs != nil {
-		// The host has assembled and committed: no poller reads a tag or a
-		// view of the table any more.
-		px.recs.segs.put(segs)
-	}
 }
 
 // invalidateCached drops read-cache entries for every object txn mutates,
@@ -573,138 +556,285 @@ func (c cut) viewInto(dst *wire.Bufferlist, i int) {
 	c.payload.ViewInto(dst, i*int(c.segBytes), int(c.size(i)))
 }
 
-// shipViaDMA cuts payload into segments and pipelines stage+transfer. On a
-// segment error the completed segments are preserved and the rest falls
-// back to RPC (paper §4). ctx, when non-zero, parents per-segment
-// dma-stage/dma spans and rides the segment tags to the host. streamReuse
-// marks every segment as region-reusing (stream chunks move through the
-// same pre-registered staging pool, like consecutive batch frames), so
-// back-to-back chunks of a stream pay the amortized setup. It returns the
-// segment table for the caller to put back once the host has committed, or
-// nil after an error, when the table is left to the GC.
-func (px *Proxy) shipViaDMA(p *sim.Proc, pt *pendingTxn) []segment {
-	reqID, txnSeq, ctx, streamReuse := pt.reqID, pt.txnSeq, pt.ctx, pt.streamReuse
-	c := newCut(&pt.frame.Bufferlist, px.dev.Buffers.BufferBytes(), px.engUp)
-	total := c.total
-	px.ensureRegions(p)
-
-	segs := px.recs.segs.get(total)
-	submitted := 0
+// shipment is one transaction's way to the host on the DPU, a task chain on
+// the proxy thread. The payload is cut into segments, each staged into a DMA
+// buffer and submitted, pipelined with the transfer of the one before; the
+// transfers are collected and the DMA phase accounted. Segments that failed or
+// never went are resent over RPC, the completed ones preserved ("previously
+// completed segments are preserved to avoid redundant transmission", §4), and
+// DMA cools down; in cooldown the whole transaction goes over RPC, cut as DMA
+// would have cut it. Last, the chain waits for the host's commit notification
+// and completes the caller's Result. Its steps are joined where a proc doing
+// the same blocked, each by the task form of that wait, so it runs the proc's
+// events in the same order. It is a record from the partition's free list,
+// put back as the chain ends; the pendingTxn it ships is the caller's.
+type shipment struct {
+	px   *Proxy
+	pt   *pendingTxn
+	step shipStep
+	c    cut
+	// segs is the segment table (nil in cooldown, and once a failed transfer
+	// has left it to the GC); i is the segment the step is at, submitted the
+	// number that went to the engine.
+	segs         []segment
+	i, submitted int
 	// dmaStart..dmaEnd bounds the request's DMA phase on the wall clock;
-	// DMA-wait is that span minus the actual copy time (Table 3's "waiting
-	// time that occurs due to serial DMA transfers", including staging-
-	// buffer waits).
-	dmaStart := p.Now()
-	var dmaEnd sim.Time
-	var copySum sim.Duration
-	for i := 0; i < total; i++ {
-		n := c.size(i)
-		// Staging: wait for a free DMA-capable buffer, then memcpy.
-		var stageSp trace.SpanID
-		if ctx != 0 {
-			stageSp = px.tr.Start(ctx, 0, trace.StageDMAStage, px.dev.Name)
-		}
-		acq := p.Now()
-		px.dev.Buffers.Acquire(p)
-		px.noteStage(n)
-		px.tr.AddQueueWait(stageSp, p.Now().Sub(acq))
-		px.tr.AddCPU(stageSp, px.dev.CPU.Name(),
-			px.dev.CPU.Exec(p, px.thProxy, int64(float64(n)*proxyStageCyclesPerByte)))
-		if px.cfg.DisableMRCache {
-			px.cc.Negotiate(p, px.hostMR)
-		}
-		px.tr.AddBytes(stageSp, n)
-		px.tr.Finish(stageSp)
-		var dmaSp trace.SpanID
-		if ctx != 0 {
-			dmaStage := trace.StageDMA
-			if px.engUp.NumQueues() > 1 {
-				dmaStage = trace.StageDMAQueue(px.engUp.QueueFor(reqID))
+	// DMA-wait is that span minus the actual copy time, copySum (Table 3's
+	// "waiting time that occurs due to serial DMA transfers", including
+	// staging-buffer waits). failed is set by a transfer that failed.
+	dmaStart, dmaEnd sim.Time
+	copySum          sim.Duration
+	failed           bool
+	// acq is when segment i began to wait for a staging buffer, stageSp is
+	// its staging span and busy the staging memcpy's charge.
+	acq     sim.Time
+	stageSp trace.SpanID
+	busy    sim.Duration
+	// reply is the fallback call in flight.
+	reply *rpcchan.Reply
+}
+
+// shipStep is what a shipment's next step does.
+type shipStep uint8
+
+const (
+	shipStart       shipStep = iota // cut the payload; negotiate the regions if need be
+	shipRegion                      // the DPU region is negotiated: the host's next
+	shipRegions                     // the regions are usable: take a segment table
+	shipStage                       // wait for a staging buffer for segment i
+	shipBuffered                    // a buffer is held: the memcpy
+	shipStaged                      // the memcpy is paid for: renegotiate without the MR cache
+	shipNegotiated                  // submit segment i
+	shipSubmitted                   // the submit cost is paid: enqueue the transfer
+	shipTransferred                 // without pipelining: segment i's transfer is done
+	shipCollect                     // wait for the transfer of segment i
+	shipCollected                   // segment i's transfer is done
+	shipFallback                    // send the next segment due over RPC
+	shipSent                        // the host has received the segment
+	shipShipped                     // wait for the host's commit
+	shipCommitted                   // the host has committed
+)
+
+// Run is the shipment's next step. The transaction's ctx, when non-zero,
+// parents per-segment dma-stage/dma spans and rides the segment tags to the
+// host. Its streamReuse marks every segment as region-reusing (stream chunks
+// move through the same pre-registered staging pool, like consecutive batch
+// frames), so back-to-back chunks of a stream pay the amortized setup.
+func (sh *shipment) Run() {
+	px, pt := sh.px, sh.pt
+	for {
+		switch sh.step {
+		case shipStart:
+			sh.c = newCut(&pt.frame.Bufferlist, px.dev.Buffers.BufferBytes(), px.engUp)
+			if !pt.useDMA {
+				sh.step = shipFallback
+				continue
 			}
-			dmaSp = px.tr.Start(ctx, 0, dmaStage, px.dev.Name)
-			px.tr.AddBytes(dmaSp, n)
-		}
-		sg := &segs[i]
-		sg.px, sg.span = px, dmaSp
-		sg.hdr = segHeader{kind: segTxn, reqID: reqID, seg: i, total: total,
-			txnSeq: txnSeq, traceCtx: uint64(ctx)}
-		data := sg.view.Init()
-		c.viewInto(data, i)
-		sg.t = doca.Transfer{
-			ReqID: reqID, Seg: i, TotalSegs: total, Bytes: n, Data: data,
-			Src: px.dpuMR, Dst: px.hostMR, TraceCtx: uint64(ctx),
-			ReuseSetup: streamReuse, Tag: &sg.hdr,
-		}
-		if err := px.engUp.Submit(p, px.dev.CPU, &sg.t); err != nil {
-			px.tr.Finish(dmaSp)
-			px.dev.Buffers.Release()
-			px.noteUnstage(n)
-			break
-		}
-		submitted++
-		if !px.cfg.DisablePipeline {
-			// Release the buffer when the engine finishes with it; keep
-			// staging the next segment meanwhile.
-			px.env.After(&sg.t.Done, sg)
-		} else {
-			sg.t.Done.Wait(p)
-			sg.Run()
+			sh.step = shipRegions
+			if !px.regionsReady() {
+				sh.step = shipRegion
+				if px.cc.NegotiateThen(px.thProxy, px.dpuMR, sh) {
+					return
+				}
+			}
+		case shipRegion:
+			sh.step = shipRegions
+			if px.cc.NegotiateThen(px.thProxy, px.hostMR, sh) {
+				return
+			}
+		case shipRegions:
+			sh.segs = px.recs.segs.get(sh.c.total)
+			sh.dmaStart = px.env.Now()
+			sh.step = shipStage
+		case shipStage:
+			if sh.i == sh.c.total {
+				sh.i, sh.step = 0, shipCollect
+				continue
+			}
+			if pt.ctx != 0 {
+				sh.stageSp = px.tr.Start(pt.ctx, 0, trace.StageDMAStage, px.dev.Name)
+			}
+			sh.acq = px.env.Now()
+			sh.step = shipBuffered
+			if px.dev.Buffers.AcquireThen(sh) {
+				return
+			}
+		case shipBuffered:
+			n := sh.c.size(sh.i)
+			px.noteStage(n)
+			px.tr.AddQueueWait(sh.stageSp, px.env.Now().Sub(sh.acq))
+			sh.step = shipStaged
+			if px.dev.CPU.ExecThen(px.thProxy, int64(float64(n)*proxyStageCyclesPerByte), &sh.busy, sh) {
+				return
+			}
+		case shipStaged:
+			px.tr.AddCPU(sh.stageSp, px.dev.CPU.Name(), sh.busy)
+			sh.step = shipNegotiated
+			if px.cfg.DisableMRCache && px.cc.NegotiateThen(px.thProxy, px.hostMR, sh) {
+				return
+			}
+		case shipNegotiated:
+			if sh.submit() {
+				return
+			}
+		case shipSubmitted:
+			sg := &sh.segs[sh.i]
+			px.engUp.Enqueue(&sg.t)
+			sh.submitted++
+			if !px.cfg.DisablePipeline {
+				// Release the buffer when the engine finishes with it; keep
+				// staging the next segment meanwhile.
+				px.env.After(&sg.t.Done, sg)
+				sh.i, sh.step = sh.i+1, shipStage
+				continue
+			}
+			sh.step = shipTransferred
+			if sg.t.Done.WaitThen(px.env, sh) {
+				return
+			}
+		case shipTransferred:
+			sh.segs[sh.i].Run()
+			sh.i, sh.step = sh.i+1, shipStage
+		case shipCollect:
+			if sh.i == sh.submitted {
+				sh.account()
+				continue
+			}
+			sh.step = shipCollected
+			if sh.segs[sh.i].t.Done.WaitThen(px.env, sh) {
+				return
+			}
+		case shipCollected:
+			// A segment was delivered if it was submitted and its transfer
+			// finished without error.
+			t := &sh.segs[sh.i].t
+			sh.copySum += t.CopyTime()
+			if t.CompletedAt > sh.dmaEnd {
+				sh.dmaEnd = t.CompletedAt
+			}
+			if t.Err != nil {
+				sh.failed = true
+			}
+			sh.i, sh.step = sh.i+1, shipCollect
+		case shipFallback:
+			if sh.fallback() {
+				return
+			}
+		case shipSent:
+			if _, err := sh.reply.Result(); err != nil {
+				// The control channel is the last resort; surface loudly.
+				panic(fmt.Sprintf("core: RPC fallback failed for req %d: %v", pt.reqID, err))
+			}
+			sh.reply = nil
+			sh.i, sh.step = sh.i+1, shipFallback
+		case shipShipped:
+			pt.frame.Init() // shipped; the caller keeps pt, through res, much longer
+			sh.step = shipCommitted
+			if pt.done.WaitThen(px.env, sh) {
+				return
+			}
+		case shipCommitted:
+			pt.Run()
+			if sh.segs != nil {
+				// The host has assembled and committed: no poller reads a tag
+				// or a view of the table any more.
+				px.recs.segs.put(sh.segs)
+			}
+			px.recs.ships.put(sh)
+			return
 		}
 	}
-	// Collect completions and account DMA time. A segment was delivered if
-	// it was submitted and its transfer finished without error.
-	anyErr := submitted < total
-	for i := range segs[:submitted] {
-		t := &segs[i].t
-		t.Done.Wait(p)
-		copySum += t.CopyTime()
-		if t.CompletedAt > dmaEnd {
-			dmaEnd = t.CompletedAt
+}
+
+// submit hands staged segment i to the engine and pays the submit cost; it
+// reports whether the chain goes on in an event. A transfer the engine
+// refuses gives its buffer back and ends the staging: what is left goes over
+// RPC.
+func (sh *shipment) submit() bool {
+	px, pt, i := sh.px, sh.pt, sh.i
+	n := sh.c.size(i)
+	px.tr.AddBytes(sh.stageSp, n)
+	px.tr.Finish(sh.stageSp)
+	sh.stageSp = 0
+	var dmaSp trace.SpanID
+	if pt.ctx != 0 {
+		dmaStage := trace.StageDMA
+		if px.engUp.NumQueues() > 1 {
+			dmaStage = trace.StageDMAQueue(px.engUp.QueueFor(pt.reqID))
 		}
-		if t.Err != nil {
-			anyErr = true
-		}
+		dmaSp = px.tr.Start(pt.ctx, 0, dmaStage, px.dev.Name)
+		px.tr.AddBytes(dmaSp, n)
 	}
-	px.breakdown.DMA += copySum
-	if wait := dmaEnd.Sub(dmaStart) - copySum; wait > 0 {
+	sg := &sh.segs[i]
+	sg.px, sg.span = px, dmaSp
+	sg.hdr = segHeader{kind: segTxn, reqID: pt.reqID, seg: i, total: sh.c.total,
+		txnSeq: pt.txnSeq, traceCtx: uint64(pt.ctx)}
+	data := sg.view.Init()
+	sh.c.viewInto(data, i)
+	sg.t = doca.Transfer{
+		ReqID: pt.reqID, Seg: i, TotalSegs: sh.c.total, Bytes: n, Data: data,
+		Src: px.dpuMR, Dst: px.hostMR, TraceCtx: uint64(pt.ctx),
+		ReuseSetup: pt.streamReuse, Tag: &sg.hdr,
+	}
+	if err := px.engUp.Validate(&sg.t); err != nil {
+		px.tr.Finish(dmaSp)
+		px.dev.Buffers.Release()
+		px.noteUnstage(n)
+		sh.i, sh.step = 0, shipCollect
+		return false
+	}
+	sh.step = shipSubmitted
+	return px.engUp.ChargeSubmit(px.dev.CPU, px.thProxy, sh)
+}
+
+// account books the DMA phase once every transfer is in, and goes on to the
+// wait for the commit, or after an error to the fallback.
+func (sh *shipment) account() {
+	px := sh.px
+	anyErr := sh.failed || sh.submitted < sh.c.total
+	now := px.env.Now()
+	px.breakdown.DMA += sh.copySum
+	if wait := sh.dmaEnd.Sub(sh.dmaStart) - sh.copySum; wait > 0 {
 		px.breakdown.DMAWait += wait
 		if !anyErr {
-			px.noteDMAWait(p, wait)
+			px.noteDMAWait(now, wait)
 		}
 	}
-	if anyErr {
-		// Preserve completed segments ("previously completed segments are
-		// preserved to avoid redundant transmission", §4); resend only the
-		// failed and never-attempted ones over RPC, then cool down.
-		px.enterCooldown(p)
-		for i := 0; i < total; i++ {
-			if i >= submitted || segs[i].t.Err != nil {
-				px.stats.FallbackSegments++
-				px.segViaRPC(p, reqID, txnSeq, c, i)
-			}
+	if !anyErr {
+		sh.step = shipShipped
+		return
+	}
+	px.enterCooldown(now)
+	sh.i, sh.step = 0, shipFallback
+}
+
+// fallback sends the next segment due over the control channel: in cooldown
+// every one, after a DMA error the failed and never-attempted ones. It
+// reports whether the chain goes on in an event. Once none is left it goes on
+// to the wait for the commit; a table a failed transfer used is left to the
+// GC.
+func (sh *shipment) fallback() bool {
+	px, pt := sh.px, sh.pt
+	if pt.useDMA {
+		for sh.i < sh.submitted && sh.segs[sh.i].t.Err == nil {
+			sh.i++
 		}
-		return nil
 	}
-	return segs
+	if sh.i == sh.c.total {
+		sh.segs, sh.step = nil, shipShipped
+		return false
+	}
+	if pt.useDMA {
+		px.stats.FallbackSegments++
+	}
+	sh.step = shipSent
+	sh.reply = px.rpc.CallTask(opSegFallback,
+		encodeSegFallback(pt.reqID, pt.txnSeq, sh.i, sh.c.total, sh.c.view(sh.i)), sh)
+	return true
 }
 
-// shipViaRPC sends the whole request over the control channel, cut as DMA
-// would have cut it (the cooldown path).
-func (px *Proxy) shipViaRPC(p *sim.Proc, reqID, txnSeq uint64, payload *wire.Bufferlist) {
-	c := newCut(payload, px.dev.Buffers.BufferBytes(), px.engUp)
-	for i := 0; i < c.total; i++ {
-		px.segViaRPC(p, reqID, txnSeq, c, i)
-	}
-}
-
-// segViaRPC sends segment i of c over the control channel.
-func (px *Proxy) segViaRPC(p *sim.Proc, reqID, txnSeq uint64, c cut, i int) {
-	if _, err := px.rpc.Call(p, opSegFallback,
-		encodeSegFallback(reqID, txnSeq, i, c.total, c.view(i))); err != nil {
-		// The control channel is the last resort; surface loudly.
-		panic(fmt.Sprintf("core: RPC fallback failed for req %d: %v", reqID, err))
-	}
-}
+// String names the shipment in deadlock reports.
+func (sh *shipment) String() string { return fmt.Sprintf("proxy-tx:%d", sh.pt.reqID) }
 
 // onTxnDone handles the host's commit notification.
 func (px *Proxy) onTxnDone(p *sim.Proc, req rpcchan.Request,
@@ -759,7 +889,7 @@ func (px *Proxy) Read(p *sim.Proc, coll, obj string, off, length uint64) (*wire.
 		}
 		if t.Err != nil || pr.dmaErr {
 			// The descriptor or a data segment failed on its way.
-			px.enterCooldown(p)
+			px.enterCooldown(p.Now())
 			return px.readViaRPC(p, desc)
 		}
 		// The host has read the descriptor and every data segment is in: no

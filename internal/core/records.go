@@ -15,7 +15,8 @@ type records struct {
 	reads     freeList[pendingRead] // put by Proxy.Read as it returns the data
 	hostReads freeList[hostRead]    // put by its last reader (hostRead.unref)
 	hostTxns  freeList[hostTxn]     // put once the proxy has decoded its notification
-	segs      segTables             // put by shipTxn once the host has committed
+	ships     freeList[shipment]    // put by the shipment as it ends
+	segs      segTables             // put by the shipment once the host has committed
 }
 
 // freeList is a LIFO of zeroed records of one type.

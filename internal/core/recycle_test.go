@@ -136,6 +136,8 @@ func TestRecycledRecordsHoldNothing(t *testing.T) {
 		checkList(t, c.name+": pendingRead", recs.reads.free, recs.reads.made, 3)
 		checkList(t, c.name+": hostRead", recs.hostReads.free, recs.hostReads.made, 2)
 		checkList(t, c.name+": hostTxn", recs.hostTxns.free, recs.hostTxns.made, 0)
+		// A shipment ends, and is put back, on every path: its fallbacks too.
+		checkList(t, c.name+": shipment", recs.ships.free, recs.ships.made, 0)
 		if got, want := len(recs.segs.free), recs.segs.made-1; got != want {
 			t.Errorf("%s: segment tables: %d listed, want %d made less 1", c.name, got, want)
 		}

@@ -100,6 +100,61 @@ func (cc *CommChannel) Negotiate(p *sim.Proc, region *MemRegion) {
 	region.exported = true
 }
 
+// NegotiateThen is the task form of Negotiate, for a DPU thread th with no
+// proc: the same charges and round trip, each a task form of Negotiate's wait
+// (CPU.ExecThen, Env.WaitThen), and next runs once region is exported. It
+// reports whether next was registered; if not, every step completed in place
+// and the caller goes on at once.
+func (cc *CommChannel) NegotiateThen(th *sim.Thread, region *MemRegion, next sim.Task) bool {
+	cc.negotiations++
+	return (&negotiation{cc: cc, th: th, region: region, next: next}).advance()
+}
+
+// negotiation is one NegotiateThen in flight.
+type negotiation struct {
+	cc     *CommChannel
+	th     *sim.Thread
+	region *MemRegion
+	next   sim.Task
+	step   uint8
+}
+
+// advance takes the negotiation through its steps until one must wait,
+// reporting true, or the region is exported.
+func (n *negotiation) advance() bool {
+	cc := n.cc
+	for {
+		n.step++
+		switch n.step {
+		case 1:
+			if cc.dpuCPU.ExecThen(n.th, cc.cfg.LocalCycles, nil, n) {
+				return true
+			}
+		case 2:
+			if cc.hostCPU.ExecThen(cc.hostTh, cc.cfg.HostCycles, nil, n) {
+				return true
+			}
+		case 3:
+			if cc.env.WaitThen(cc.cfg.RTT+cc.stall, n) {
+				return true
+			}
+		default:
+			n.region.exported = true
+			return false
+		}
+	}
+}
+
+// Run goes on after the step that waited.
+func (n *negotiation) Run() {
+	if !n.advance() {
+		n.next.Run()
+	}
+}
+
+// String names the negotiation in deadlock reports.
+func (n *negotiation) String() string { return "negotiate:" + n.region.Name }
+
 // SetStall injects extra latency into every negotiation round trip; zero
 // clears the fault.
 func (cc *CommChannel) SetStall(d sim.Duration) { cc.stall = d }
@@ -404,6 +459,18 @@ func (e *Engine) SetFailProb(prob float64) { e.failProb = prob }
 // Submit validates and enqueues t, charging the submit cost to p's thread
 // on cpu. It returns immediately; wait on t.Done or consume Completions.
 func (e *Engine) Submit(p *sim.Proc, cpu *sim.CPU, t *Transfer) error {
+	if err := e.Validate(t); err != nil {
+		return err
+	}
+	cpu.ExecSelf(p, submitCycles)
+	e.Enqueue(t)
+	return nil
+}
+
+// Validate is the first part of Submit, and of its task form: the checks,
+// before anything is charged. A transfer that fails them gives back the queue
+// slot it reserved and goes no further.
+func (e *Engine) Validate(t *Transfer) error {
 	if t.Bytes > e.cfg.MaxTransferBytes {
 		e.unreserve(t)
 		return fmt.Errorf("%w: %d > %d", ErrTooLarge, t.Bytes, e.cfg.MaxTransferBytes)
@@ -412,8 +479,22 @@ func (e *Engine) Submit(p *sim.Proc, cpu *sim.CPU, t *Transfer) error {
 		e.unreserve(t)
 		return ErrNotExported
 	}
-	cpu.ExecSelf(p, submitCycles)
-	t.SubmittedAt = p.Now()
+	return nil
+}
+
+// ChargeSubmit is the task form of Submit's charge, for a validated transfer:
+// th pays the submit cost on cpu (CPU.ExecThen), and next runs when it has,
+// to Enqueue the transfer. It reports whether next was registered; if not,
+// the caller enqueues at once.
+func (e *Engine) ChargeSubmit(cpu *sim.CPU, th *sim.Thread, next sim.Task) bool {
+	return cpu.ExecThen(th, submitCycles, nil, next)
+}
+
+// Enqueue is the rest of Submit, once the charge is paid: t is stamped, the
+// injected faults are drawn for it and it joins its queue, waking the queue
+// if idle.
+func (e *Engine) Enqueue(t *Transfer) {
+	t.SubmittedAt = e.env.Now()
 	e.submitted++
 	if e.failNext > 0 {
 		e.failNext--
@@ -439,7 +520,6 @@ func (e *Engine) Submit(p *sim.Proc, cpu *sim.CPU, t *Transfer) error {
 		q.idle = false
 		e.env.Delay(0, q)
 	}
-	return nil
 }
 
 // unreserve releases the depth slot of a pinned transfer whose Submit

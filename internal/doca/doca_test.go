@@ -2,6 +2,7 @@ package doca
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -441,4 +442,98 @@ func TestQueueReleasesPoppedTransfers(t *testing.T) {
 		}
 	}
 	runtime.KeepAlive(q)
+}
+
+// submitChain negotiates both regions and submits its transfer as a task
+// chain: NegotiateThen twice, then Validate, ChargeSubmit and Enqueue, then
+// Event.WaitThen for the transfer.
+type submitChain struct {
+	r    *dmaRig
+	th   *sim.Thread
+	t    *Transfer
+	log  func(string)
+	step int
+}
+
+func (c *submitChain) Run() {
+	r := c.r
+	for {
+		c.step++
+		switch c.step {
+		case 1:
+			if r.cc.NegotiateThen(c.th, r.src, c) {
+				return
+			}
+		case 2:
+			if r.cc.NegotiateThen(c.th, r.dst, c) {
+				return
+			}
+		case 3:
+			c.log("negotiated")
+			if err := r.eng.Validate(c.t); err != nil {
+				c.log(err.Error())
+				return
+			}
+			if r.eng.ChargeSubmit(r.dpuCPU, c.th, c) {
+				return
+			}
+		case 4:
+			r.eng.Enqueue(c.t)
+			c.log("submitted")
+			if c.t.Done.WaitThen(r.env, c) {
+				return
+			}
+		default:
+			c.log("transferred")
+			return
+		}
+	}
+}
+
+// TestSubmitTaskFormsMatchProcForms: three submitters at one instant on a
+// one-core DPU, each renegotiating both regions and then submitting a
+// transfer — the third too large — and waiting for it, reach each point at
+// the same instant, with the same outcome, CPU charge, negotiation count and
+// event count, whether they are procs (Negotiate, Submit, Event.Wait) or task
+// chains (NegotiateThen, Validate/ChargeSubmit/Enqueue, Event.WaitThen).
+func TestSubmitTaskFormsMatchProcForms(t *testing.T) {
+	run := func(task bool) []string {
+		r := newDMARig(EngineConfig{JitterPct: -1})
+		r.dpuCPU = sim.NewCPU(r.env, "arm1", 1, 2.0, 2000)
+		r.cc = NewCommChannel(r.env, r.dpuCPU, r.hostCPU, r.hostTh, CommChannelConfig{})
+		var log []string
+		for i, size := range []int64{1 << 20, 2 << 20, 3 << 20} {
+			th := sim.NewThread("proxy", "proxy")
+			note := func(what string) { log = append(log, fmt.Sprintf("%v %d %s", r.env.Now(), i, what)) }
+			tr := &Transfer{ReqID: uint64(i + 1), TotalSegs: 1, Bytes: size, Src: r.src, Dst: r.dst}
+			if task {
+				r.env.Delay(0, &submitChain{r: r, th: th, t: tr, log: note})
+				continue
+			}
+			r.env.Spawn("submitter", func(p *sim.Proc) {
+				p.SetThread(th)
+				r.cc.Negotiate(p, r.src)
+				r.cc.Negotiate(p, r.dst)
+				note("negotiated")
+				if err := r.eng.Submit(p, r.dpuCPU, tr); err != nil {
+					note(err.Error())
+					return
+				}
+				note("submitted")
+				tr.Done.Wait(p)
+				note("transferred")
+			})
+		}
+		if err := r.env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		log = append(log, fmt.Sprintf("events %d busy %v negotiations %d transfers %d",
+			r.env.Events(), r.dpuCPU.Stats().TotalBusy, r.cc.Negotiations(), r.eng.Stats().Transfers))
+		r.env.Shutdown()
+		return log
+	}
+	want, got := run(false), run(true)
+	if len(want) != 9 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("task forms:\n%q\nproc forms:\n%q", got, want)
+	}
 }

@@ -110,5 +110,10 @@ func (b *BufferPool) Acquire(p *sim.Proc) sim.Time {
 	return p.Now()
 }
 
+// AcquireThen is the task form of Acquire: it takes a buffer now if one is
+// free and nobody waits ahead, reporting false, and otherwise queues t behind
+// the waiters, to run once a buffer is granted.
+func (b *BufferPool) AcquireThen(t sim.Task) bool { return b.sem.AcquireThen(1, t) }
+
 // Release returns one buffer to the pool.
 func (b *BufferPool) Release() { b.sem.Release(1) }

@@ -75,7 +75,7 @@ type Endpoint struct {
 	peer     *Endpoint
 	inq      *sim.Queue[envelope]
 	handlers map[uint16]Handler
-	pending  map[uint64]*pendingCall
+	pending  map[uint64]*Reply
 	nextID   uint64
 	// sendFree is the busy-until time of this endpoint's outbound socket
 	// direction.
@@ -91,8 +91,9 @@ type envelope struct {
 	req    bool
 	notify bool
 	// onWire is set once the sender has paid for the message and booked it.
-	// Before that, the envelope of NotifyTask is the continuation of the
-	// sender's CPU burst. (It fits in padding: the envelope stays 64 bytes.)
+	// Before that, the envelope of NotifyTask or CallTask is the continuation
+	// of the sender's CPU burst. (It fits in padding: the envelope stays 64
+	// bytes.)
 	onWire  bool
 	op      uint16
 	reqID   uint64
@@ -103,21 +104,41 @@ type envelope struct {
 	consumed sim.Task
 }
 
-// Run books a NotifyTask's message once its sender's CPU burst has ended, and
-// delivers a booked message into the peer's input queue at its arrival.
+// Run books a NotifyTask's or CallTask's message once its sender's CPU burst
+// has ended — a call then waits for its response, as Call does — and delivers
+// a booked message into the peer's input queue at its arrival.
 func (env *envelope) Run() {
 	if !env.onWire {
 		from := env.to.peer
 		from.env.At(from.book(env), env)
+		if !env.notify {
+			from.stats.CallsSent++
+			r := from.pending[env.reqID]
+			if !r.done.WaitThen(from.env, r.then) {
+				r.then.Run()
+			}
+		}
 		return
 	}
 	env.to.inq.Push(*env)
 }
 
-type pendingCall struct {
+// Reply is a call awaiting its response, which the endpoint's server loop
+// fills in when it arrives.
+type Reply struct {
 	done    *sim.Event
 	payload *wire.Bufferlist
 	errCode uint16
+	// then is CallTask's continuation.
+	then sim.Task
+}
+
+// Result returns the response payload, or the CallError of a remote error.
+func (r *Reply) Result() (*wire.Bufferlist, error) {
+	if r.errCode != 0 {
+		return nil, CallError{Code: r.errCode}
+	}
+	return r.payload, nil
 }
 
 // Response error codes: 0 is success; anything else is surfaced to the
@@ -144,7 +165,7 @@ func newEndpoint(env *sim.Env, name string, cpu *sim.CPU, th *sim.Thread, cfg Co
 		respPrefix: "rpc-resp:" + name + "/",
 		inq:        sim.NewQueue[envelope](env),
 		handlers:   make(map[uint16]Handler),
-		pending:    make(map[uint64]*pendingCall),
+		pending:    make(map[uint64]*Reply),
 	}
 	e.inq.Serve("rpc-server:"+name, th, e.serve)
 	return e
@@ -161,15 +182,29 @@ func (e *Endpoint) Handle(op uint16, h Handler) { e.handlers[op] = h }
 func (e *Endpoint) Call(p *sim.Proc, op uint16, payload *wire.Bufferlist) (*wire.Bufferlist, error) {
 	e.nextID++
 	id := e.nextID
-	pc := &pendingCall{done: sim.NewEvent()}
-	e.pending[id] = pc
+	r := &Reply{done: sim.NewEvent()}
+	e.pending[id] = r
 	e.send(p, envelope{req: true, op: op, reqID: id, payload: payload})
 	e.stats.CallsSent++
-	pc.done.Wait(p)
-	if pc.errCode != 0 {
-		return nil, CallError{Code: pc.errCode}
+	r.done.Wait(p)
+	return r.Result()
+}
+
+// CallTask is the task form of Call, for a caller with no proc: the sender's
+// cost is a CPU burst of the endpoint's thread whose continuation is the
+// envelope, as with NotifyTask; once the request is booked the call waits for
+// its response where Call does, and next runs when it is in. The Reply holds
+// the response from then on.
+func (e *Endpoint) CallTask(op uint16, payload *wire.Bufferlist, next sim.Task) *Reply {
+	e.nextID++
+	id := e.nextID
+	r := &Reply{done: sim.NewEvent(), then: next}
+	e.pending[id] = r
+	env := &envelope{req: true, op: op, reqID: id, payload: payload}
+	if !e.cpu.ExecThen(e.th, e.cost(env), nil, env) {
+		env.Run()
 	}
-	return pc.payload, nil
+	return r
 }
 
 // Notify sends a one-way message (no response) processed by the peer's

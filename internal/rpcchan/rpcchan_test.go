@@ -269,3 +269,65 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatalf("bytes: %+v / %+v", r.dpu.Stats(), r.host.Stats())
 	}
 }
+
+// TestCallTaskMatchesCall: calls made from tasks with CallTask — three at one
+// instant, queueing for the caller's one core and the socket; one answered,
+// one answered with an error code, one that no handler takes — get their
+// responses at the instants, with the results, the CPU charge, the bytes and
+// the event count of the same calls made with Call from procs spawned at the
+// same slots.
+func TestCallTaskMatchesCall(t *testing.T) {
+	type outcome struct {
+		log    []string
+		events uint64
+		busy   sim.Duration
+		sent   int64
+		calls  int64
+	}
+	call := func(task bool) (o outcome) {
+		env := sim.NewEnv(1)
+		dpuCPU := sim.NewCPU(env, "arm", 1, 2.0, 2000)
+		dpu, host := New(env, "dpu", dpuCPU, sim.NewThread("proxy-rpc", "proxy"),
+			"host", sim.NewCPU(env, "host", 8, 3.7, 2000), sim.NewThread("host-rpc", "rpc-server"), Config{})
+		host.Handle(1, func(p *sim.Proc, req Request, respond func(*wire.Bufferlist, uint16)) {
+			respond(wire.FromBytes(append([]byte("echo:"), req.Payload.Bytes()[:3]...)), 0)
+		})
+		host.Handle(2, func(p *sim.Proc, req Request, respond func(*wire.Bufferlist, uint16)) {
+			respond(nil, 42)
+		})
+		done := func(op uint16, resp *wire.Bufferlist, err error) {
+			got := "<nil>"
+			if resp != nil {
+				got = string(resp.Bytes())
+			}
+			o.log = append(o.log, fmt.Sprintf("%v op %d: %s, %v", env.Now(), op, got, err))
+		}
+		for i, op := range []uint16{1, 2, 99} {
+			payload := wire.FromBytes([]byte(strings.Repeat(fmt.Sprint(i), 1000)))
+			if task {
+				env.Delay(0, taskFunc(func() {
+					var r *Reply
+					r = dpu.CallTask(op, payload, taskFunc(func() {
+						resp, err := r.Result()
+						done(op, resp, err)
+					}))
+				}))
+			} else {
+				env.Spawn("call", func(p *sim.Proc) {
+					resp, err := dpu.Call(p, op, payload)
+					done(op, resp, err)
+				})
+			}
+		}
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		o.events, o.busy, o.sent, o.calls = env.Events(), dpuCPU.Stats().TotalBusy, dpu.Stats().BytesSent, dpu.Stats().CallsSent
+		env.Shutdown()
+		return o
+	}
+	want, got := call(false), call(true)
+	if len(want.log) != 3 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("CallTask: %+v\nCall: %+v", got, want)
+	}
+}

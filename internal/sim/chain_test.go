@@ -4,34 +4,41 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
 // chainOp is one step of a server body: kind 0 waits d, 1 runs cycles on the
 // shared CPU, 2 takes a permit of the shared semaphore (given back when the
-// body ends), 3 pushes arg onto queue q.
+// body ends), 3 pushes arg onto queue q, 4 waits for event ev, which a rival
+// proc fires, 5 writes cycles bytes to the shared disk.
 type chainOp struct {
 	kind   int
 	d      Duration
 	cycles int64
 	q, arg int
+	ev     int
 }
 
 // chainProg is a seeded program of server threads over served queues, whose
-// bodies contend for a one- or two-core CPU and a one- or two-permit
-// semaphore with each other and with plain procs. Its servers are written
-// once as procs (Serve, Wait, Exec, Acquire) and once as task chains
-// (ServeTask, Delay, ExecThen, AcquireThen).
+// bodies contend for a one- or two-core CPU, a one- or two-permit semaphore
+// and a disk with each other and with plain procs, and wait for events those
+// procs fire. Its servers are written once as procs (Serve, Wait, Exec,
+// Acquire, Event.Wait, Disk.Write) and once as task chains (ServeTask, Delay,
+// ExecThen, AcquireThen, Event.WaitThen, Disk.WriteThen).
 type chainProg struct {
 	env    *Env
 	cpu    *CPU
 	sem    *Semaphore
+	disk   *Disk
+	evs    []*Event
 	queues []*Queue[int]
 	plans  map[int][]chainOp
 	log    []string
 	// queued counts the task forms' calls that had to wait: a burst behind
-	// a busy CPU, an acquire behind a drained semaphore.
-	queuedBursts, queuedAcquires int
+	// a busy CPU, an acquire behind a drained semaphore, a wait for an event
+	// not yet fired, a write that did not complete in place.
+	queuedBursts, queuedAcquires, queuedWaits, queuedWrites int
 }
 
 // note logs (t, seq, owner): equal logs mean every sequence number was drawn
@@ -56,6 +63,10 @@ func (pg *chainProg) procBody(p *Proc, item int) {
 			held = true
 		case 3:
 			pg.queues[op.q].Push(op.arg)
+		case 4:
+			pg.evs[op.ev].Wait(p)
+		case 5:
+			pg.disk.Write(p, op.cycles)
 		}
 		pg.note("%s:%d:%d", name, item, i)
 	}
@@ -109,6 +120,14 @@ func (c *chainServer) Run() {
 			}
 		case 3:
 			pg.queues[op.q].Push(op.arg)
+		case 4:
+			if c.waiting = pg.evs[op.ev].WaitThen(pg.env, c); c.waiting {
+				pg.queuedWaits++
+			}
+		case 5:
+			if _, c.waiting = pg.disk.WriteThen(op.cycles, c); c.waiting {
+				pg.queuedWrites++
+			}
 		}
 		if c.waiting {
 			return
@@ -131,23 +150,30 @@ func chainProgram(t *testing.T, seed int64, chains, heapOnly bool) (pg *chainPro
 	env.heapOnly = heapOnly
 	defer env.Shutdown()
 	pg = &chainProg{env: env, cpu: NewCPU(env, "c", 1+rng.Intn(2), 1.0, 50),
-		sem: NewSemaphore(env, 1+rng.Intn(2)), plans: map[int][]chainOp{}}
+		sem: NewSemaphore(env, 1+rng.Intn(2)), plans: map[int][]chainOp{},
+		disk: NewDisk(env, "d", 2e9, 2e9, Duration(rng.Intn(2))*Microsecond)}
+	for range 8 {
+		pg.evs = append(pg.evs, NewEvent())
+	}
 	servers := 1 + rng.Intn(4)
 	pg.queues = make([]*Queue[int], 1+rng.Intn(min(3, servers)))
 	for i := range pg.queues {
 		pg.queues[i] = NewQueue[int](env)
 	}
 	// A body's plan: up to five steps on a 1us grid (zero-length ones
-	// included), at most one acquire, and pushes that feed other stages.
+	// included; a write of 1,000 bytes takes 0.5us), at most one acquire and
+	// no event wait after it, and pushes that feed other stages.
 	var plan func(item, depth int)
 	plan = func(item, depth int) {
 		var ops []chainOp
 		acquired := false
 		for k := rng.Intn(6); k > 0; k-- {
-			op := chainOp{kind: rng.Intn(4), d: Duration(rng.Intn(4)) * Microsecond,
-				cycles: int64(rng.Intn(4)) * 1000, q: rng.Intn(len(pg.queues))}
+			op := chainOp{kind: rng.Intn(6), d: Duration(rng.Intn(4)) * Microsecond,
+				cycles: int64(rng.Intn(4)) * 1000, q: rng.Intn(len(pg.queues)), ev: rng.Intn(len(pg.evs))}
 			switch {
-			case op.kind == 2 && acquired:
+			case op.kind == 2 && acquired, op.kind == 4 && acquired:
+				// One permit per body; none held while waiting for a rival,
+				// which may need it to fire the event.
 				op.kind = 0
 			case op.kind == 2:
 				acquired = true
@@ -174,7 +200,9 @@ func chainProgram(t *testing.T, seed int64, chains, heapOnly bool) (pg *chainPro
 			q.Serve(th.Name, th, pg.procBody)
 		}
 	}
-	// Plain procs contend with the servers for the CPU and the semaphore.
+	// Plain procs contend with the servers for the CPU, the semaphore and
+	// the disk, and fire the events, rival i the ones of its index's parity
+	// after its step of that index.
 	for i := 0; i < 2; i++ {
 		name := fmt.Sprint("rival", i)
 		th := NewThread(name, "r")
@@ -185,12 +213,18 @@ func chainProgram(t *testing.T, seed int64, chains, heapOnly bool) (pg *chainPro
 		env.Spawn(name, func(p *Proc) {
 			for k, d := range waits {
 				p.Wait(d)
-				if k%2 == 0 {
+				switch k % 3 {
+				case 0:
 					pg.cpu.Exec(p, th, 2000)
-				} else {
+				case 1:
 					pg.sem.Acquire(p, 1)
 					p.Wait(Microsecond)
 					pg.sem.Release(1)
+				case 2:
+					pg.disk.Write(p, 3000)
+				}
+				if k%2 == i {
+					pg.evs[k].Fire()
 				}
 				pg.note("%s#%d", name, k)
 			}
@@ -224,11 +258,12 @@ func chainProgram(t *testing.T, seed int64, chains, heapOnly bool) (pg *chainPro
 // TestChainServersMatchProcServers is the task forms' contract as a property:
 // over seeded random programs, writing every server as a task chain instead of
 // a proc — Delay for Wait, ExecThen for Exec, AcquireThen for Acquire,
-// ServeTask for Serve — changes nothing in the (t, seq, owner) log and not the
-// event count, in the classic loop as in the kernel as shipped; the chains
-// resume no coroutine.
+// Event.WaitThen for Event.Wait, Disk.WriteThen for Disk.Write, ServeTask for
+// Serve — changes nothing in the (t, seq, owner) log and not the event count,
+// in the classic loop as in the kernel as shipped; the chains resume no
+// coroutine.
 func TestChainServersMatchProcServers(t *testing.T) {
-	bursts, acquires := 0, 0
+	bursts, acquires, waits, writes := 0, 0, 0, 0
 	for seed := int64(1); seed <= 24; seed++ {
 		want, wantSt := chainProgram(t, seed, false, false)
 		if len(want.log) < 40 {
@@ -248,6 +283,8 @@ func TestChainServersMatchProcServers(t *testing.T) {
 				if chains && !heapOnly {
 					bursts += got.queuedBursts
 					acquires += got.queuedAcquires
+					waits += got.queuedWaits
+					writes += got.queuedWrites
 					if st.Switches >= wantSt.Switches {
 						t.Fatalf("seed=%d: %d switches with chains, %d with procs", seed, st.Switches, wantSt.Switches)
 					}
@@ -255,21 +292,26 @@ func TestChainServersMatchProcServers(t *testing.T) {
 			}
 		}
 	}
-	if bursts == 0 || acquires == 0 {
-		t.Fatalf("%d bursts queued for a core, %d acquires for a permit: the programs never contended", bursts, acquires)
+	if bursts == 0 || acquires == 0 || waits == 0 || writes == 0 {
+		t.Fatalf("%d bursts queued for a core, %d acquires for a permit, %d waits for an event, %d writes for the disk: the programs never contended",
+			bursts, acquires, waits, writes)
 	}
-	t.Logf("queued: %d bursts, %d acquires", bursts, acquires)
+	t.Logf("queued: %d bursts, %d acquires, %d event waits, %d disk writes", bursts, acquires, waits, writes)
 }
 
 // TestShutdownDropsQueuedTaskForms: a burst queued behind a busy one-core CPU
 // and a task queued on a drained semaphore wait in those FIFOs, not in the
-// event queue or an event's waiter list. Shutdown drops them with the rest —
-// nothing of them runs, the FIFOs skip their spent tokens later — and leaves
-// nothing live.
+// event queue or an event's waiter list; a chain parked in Event.WaitThen
+// waits in the event's waiter list, and one in Disk.WriteThen in the event
+// queue. Shutdown drops them all — nothing of them runs, the FIFOs skip their
+// spent tokens later, the event's waiter list is emptied and its token goes
+// back to the pool — and leaves nothing live.
 func TestShutdownDropsQueuedTaskForms(t *testing.T) {
 	env := NewEnv(1)
 	cpu := NewCPU(env, "c", 1, 1.0, 0)
 	sem := NewSemaphore(env, 0)
+	disk := NewDisk(env, "d", 1e9, 1e9, Second)
+	var ev Event
 	th := NewThread("t", "t")
 	ran := 0
 	count := funcTask(func() { ran++ })
@@ -281,21 +323,32 @@ func TestShutdownDropsQueuedTaskForms(t *testing.T) {
 		if !sem.AcquireThen(1, count) {
 			t.Error("an acquire on a drained semaphore did not queue")
 		}
+		if !ev.WaitThen(env, count) {
+			t.Error("a wait for an unfired event did not queue")
+		}
+		if _, queued := disk.WriteThen(1000, count); !queued {
+			t.Error("a one-second write completed at once")
+		}
 	})
 	if err := env.RunUntil(Time(Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	if live := env.LiveProcs(); live != 3 || cpu.waiters.len() != 1 || sem.waiters.len() != 1 {
-		t.Fatalf("live=%d, %d waiting for a core, %d for a permit: want the holder and two queued tasks",
-			live, cpu.waiters.len(), sem.waiters.len())
+	if live := env.LiveProcs(); live != 5 || cpu.waiters.len() != 1 || sem.waiters.len() != 1 || ev.waiters.inline[0] == nil {
+		t.Fatalf("live=%d, %d waiting for a core, %d for a permit, event waiter %v: want the holder and four queued tasks",
+			live, cpu.waiters.len(), sem.waiters.len(), ev.waiters.inline[0])
 	}
+	tok := ev.waiters.inline[0]
 	env.Shutdown()
 	if live := env.LiveProcs(); live != 0 || len(env.tasks) != 0 {
 		t.Fatalf("after Shutdown: live=%d tasks=%d", live, len(env.tasks))
 	}
+	if ev.waiters.inline[0] != nil || tok.refs != 0 || !slices.Contains(env.tokFree, tok) {
+		t.Fatalf("after Shutdown the event still lists %v; its continuation's token has %d refs", ev.waiters.inline[0], tok.refs)
+	}
 	queued := env.pending()
 	sem.Release(1)
+	ev.Fire()
 	if ran != 0 || env.pending() != queued || sem.waiters.len() != 0 || sem.Available() != 1 {
-		t.Fatalf("ran=%d, %d events queued after %d: a dropped task was granted the permit", ran, env.pending(), queued)
+		t.Fatalf("ran=%d, %d events queued after %d: a dropped task was granted the permit or woken by the event", ran, env.pending(), queued)
 	}
 }

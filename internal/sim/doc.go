@@ -14,8 +14,9 @@
 // that only has to wait for one event or one instant and then never blocks
 // needs no Proc: it is a Task (Env.After, Env.At), which the kernel runs
 // inline when its wakeup fires. A server whose waits all have a task form
-// (Env.Delay, CPU.ExecThen, Semaphore.AcquireThen, Queue.ServeTask) is a
-// chain of Task steps, with the events and event order of its proc form.
+// (Env.Delay, Env.WaitThen, CPU.ExecThen, Semaphore.AcquireThen,
+// Event.WaitThen, Disk.WriteThen, Queue.ServeTask) is a chain of Task steps,
+// with the events and event order of its proc form.
 //
 // On top of the kernel the package provides the contended resource models the
 // experiments are measured against:

@@ -498,7 +498,7 @@ func (e *Env) WatchSpawns(f func(name string)) {
 	e.spawned = f
 }
 
-// SpawnID is Spawn for per-operation procs named prefix+id ("proxy-tx:42").
+// SpawnID is Spawn for per-operation procs named prefix+id ("host-read:42").
 // The name exists only for diagnostics, so it is stored in parts and
 // formatted by Name when a deadlock report asks for it.
 func (e *Env) SpawnID(prefix string, id uint64, fn func(*Proc)) *Proc {
@@ -800,8 +800,9 @@ func (e *Env) advanceTo(t Time) {
 // Shutdown force-terminates every process that is still parked and stops the
 // pooled coroutines, releasing their goroutines; procs that never started own
 // no coroutine and are only accounted for. It drops every pending task: the
-// tokens in the event queue or an event's waiter list return to the pool, and
-// one in a CPU's or Semaphore's waiter FIFO is left there, spent. The
+// tokens in the event queue or an event's waiter list (an After task's or an
+// Event.WaitThen continuation's) return to the pool, and one in a CPU's or
+// Semaphore's waiter FIFO is left there, spent. The
 // environment must not be used afterwards.
 func (e *Env) Shutdown() {
 	for _, p := range e.procs {
@@ -823,7 +824,7 @@ func (e *Env) Shutdown() {
 		switch {
 		case tok.queued > 0:
 			e.dead += int(tok.queued) // compact drops the entry below
-		case pt.ev != nil:
+		case pt.ev != nil: // an After task or an Event.WaitThen continuation
 			pt.ev.waiters.remove(tok)
 			e.dropRef(tok)
 		}

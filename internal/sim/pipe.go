@@ -35,27 +35,47 @@ func (d *Disk) Name() string { return d.name }
 // Write blocks p while a write of the given size queues, seeks and streams,
 // returning the pure service time (excluding queueing).
 func (d *Disk) Write(p *Proc, bytes int64) Duration {
-	svc := d.io(p, bytes, d.WriteBytesPerSec)
+	svc, at := d.bookWrite(bytes)
+	p.WaitUntil(at)
+	return svc
+}
+
+// WriteThen is the task form of Write: the write is booked now and t runs
+// when it completes, the wake-up drawn where Write's would be. It returns the
+// service time and reports whether t was registered; if not, the write was
+// already done or its completion fired in place, and the caller goes on at
+// once, as after Write.
+func (d *Disk) WriteThen(bytes int64, t Task) (Duration, bool) {
+	svc, at := d.bookWrite(bytes)
+	if at <= d.env.now {
+		return svc, false
+	}
+	return svc, d.env.WaitThen(at.Sub(d.env.now), t)
+}
+
+func (d *Disk) bookWrite(bytes int64) (Duration, Time) {
 	d.bytesWritten += bytes
 	d.writes++
-	return svc
+	return d.book(bytes, d.WriteBytesPerSec)
 }
 
 // Read blocks p while a read of the given size queues, seeks and streams,
 // returning the pure service time (excluding queueing).
 func (d *Disk) Read(p *Proc, bytes int64) Duration {
-	svc := d.io(p, bytes, d.ReadBytesPerSec)
+	svc, at := d.book(bytes, d.ReadBytesPerSec)
 	d.bytesRead += bytes
 	d.reads++
+	p.WaitUntil(at)
 	return svc
 }
 
-func (d *Disk) io(p *Proc, bytes int64, bps float64) Duration {
+// book queues an IO of the given size behind the ones booked before it and
+// returns its service time and completion instant.
+func (d *Disk) book(bytes int64, bps float64) (Duration, Time) {
 	ser := d.PerIOLatency + Duration(float64(bytes)/bps*float64(Second))
 	start := maxTime(d.env.now, d.freeAt)
 	d.freeAt = start.Add(ser)
-	p.WaitUntil(d.freeAt)
-	return ser
+	return ser, d.freeAt
 }
 
 // BytesWritten returns total bytes written.

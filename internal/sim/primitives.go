@@ -473,6 +473,21 @@ func (ev *Event) Wait(p *Proc) {
 	p.park()
 }
 
+// WaitThen is the task form of Wait: it reports false when the event has
+// fired, and the caller goes on at once, as Wait returns; otherwise t joins the
+// waiters, to run when Fire wakes it — the wake-up draws its sequence number
+// where the parked proc's would be drawn, and nothing is scheduled before. The
+// continuation records the event, so Shutdown takes it off the waiter list.
+func (ev *Event) WaitThen(e *Env, t Task) bool {
+	if ev.fired {
+		return false
+	}
+	tok := e.continuation(t)
+	tok.task.ev = ev
+	ev.waiters.add(tok)
+	return true
+}
+
 // WaitTimeout blocks p until the event fires or d elapses; it reports
 // whether the event fired (before or at the wakeup instant).
 func (ev *Event) WaitTimeout(p *Proc, d Duration) bool {

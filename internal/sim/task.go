@@ -16,11 +16,12 @@ import "fmt"
 // replacing one form by the other changes no event order and no event count.
 //
 // A step that must wait again continues with a task form of the wait instead
-// of a proc's blocking call: Delay for Wait, CPU.ExecThen for Exec,
-// Semaphore.AcquireThen for Acquire, and a ServeTask identity for a served
-// proc. Each draws its sequence number where the proc form parks or fires in
-// place and has no registration entry, so a chain of steps fires its proc
-// form's events, in the same order.
+// of a proc's blocking call: Delay or WaitThen for Wait, Event.WaitThen for
+// Event.Wait, CPU.ExecThen for Exec, Semaphore.AcquireThen for Acquire,
+// Disk.WriteThen for Disk.Write, and a ServeTask identity for a served proc.
+// Each draws its sequence number where the proc form parks or fires in place
+// and has no registration entry, so a chain of steps fires its proc form's
+// events, in the same order.
 //
 // A task that implements fmt.Stringer is listed under that name in deadlock
 // reports; others are listed by their type.
@@ -31,8 +32,8 @@ type Task interface{ Run() }
 type pendingTask struct {
 	env *Env
 	run Task
-	// ev is the event an After task waits for (nil for At), at the deadline of
-	// an At task (zero for After).
+	// ev is the event an After task or an Event.WaitThen continuation waits
+	// for (nil otherwise), at the deadline of an At task (zero otherwise).
 	ev *Event
 	at Time
 	// tok is the task's one live registration: a heap entry or a place in
@@ -93,6 +94,18 @@ func (e *Env) Delay(d Duration, t Task) {
 		d = 0
 	}
 	e.schedule(e.continuation(t), e.now.Add(d))
+}
+
+// WaitThen is the task form of a proc's Wait(d), for a step that goes on
+// after it: a wake-up that Wait would fire in place fires in place here too —
+// its sequence number drawn, the clock moved — and it reports false, the
+// caller going on at once; otherwise t runs at now+d, as with Delay.
+func (e *Env) WaitThen(d Duration, t Task) bool {
+	if e.inPlace(d) {
+		return false
+	}
+	e.Delay(d, t)
+	return true
 }
 
 // taskToken takes a fresh token for pt's next registration.
