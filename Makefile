@@ -24,12 +24,15 @@ test:
 # barrier filled — from different goroutines in successive windows (repeated,
 # since which worker picks up which partition varies from run to run) — and
 # the crossing records the per-partition free lists hand out and take back
-# on both sides of the bridge, and the transaction shipments whose fallback
-# paths take them out of order. CI's race step runs all three lines.
+# on both sides of the bridge, the transaction shipments whose fallback
+# paths take them out of order, and the OSD finishers' fault paths (replica
+# watchdog, map-change drop, session resets) with their free list. CI's race
+# step runs all four lines.
 test-race:
 	go test -race ./...
 	go test -race -count=10 -run 'TestGroup|TestShutdown|TestProcPanic|TestTask|TestChainServers|TestNowQueue|TestServe|TestWaitInPlace|TestSleeperParked|TestHandoff' ./internal/sim
 	go test -race -count=10 -run 'TestRecycled|TestReadReturnDMAError|TestShipmentPaths' ./internal/core
+	go test -race -count=10 -run 'TestFaultPaths|TestMonitorFailureReport' ./internal/osd
 
 race: test-race
 

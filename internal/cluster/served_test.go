@@ -16,8 +16,9 @@ import (
 // TestIdleClusterIsQueuesAndBodies: once a run has completed, the threads
 // that only ever wait on one queue (tp_osd_tp, msgr-worker, the wire: lanes,
 // bstore_aio, bstore_kv, rpc-server, the two DMA pollers) are idle identities
-// on empty queues holding no coroutine — the DMA pollers and BlueStore's two
-// threads, task chains, have none even while they work — and the live procs
+// on empty queues holding no coroutine — the DMA pollers, BlueStore's two
+// threads, the msgr-workers and the wire: lanes, task chains, have none even
+// while they work — and the live procs
 // are exactly the loops that stayed daemons because they carry state across
 // iterations: per OSD hb, and mgr-poll. An idle DMA engine queue is a task chain waiting for a
 // Submit, not live. A daemon added per OSD shows up here (and, times 128, in
@@ -130,42 +131,55 @@ func shutdownLeak(cl *Cluster, before int) int {
 
 // TestDMAPlaneServersAreTaskChains: the DMA plane's servers — the engines'
 // queues, the host's DMA poller and its commit notifications, the DPU's read
-// poller — and the write path's per-transaction ones — the proxy's shipment
-// of each transaction (proxy-tx:), BlueStore's bstore_aio and bstore_kv — are
-// task chains, so on a small DoCeph run (4 MiB writes, two DMA segments
-// each, and reads of them back) no proc of theirs is ever spawned, and the
-// coroutine resumes per op are pinned with the events: a server turned back
-// into a proc, or a new proc on the path, moves the resumes while the events
-// stay put.
+// poller —, the write path's per-transaction ones — the proxy's shipment of
+// each transaction (proxy-tx:), BlueStore's bstore_aio and bstore_kv — and the
+// messenger plane's — the msgr-worker threads, the wire: lanes and the OSDs'
+// completers (completer:, rep-completer:, push-completer:) — are task chains,
+// so on a small run (4 MiB writes, two DMA segments each in DoCeph, and reads
+// of them back) no proc of theirs is ever spawned, on either deployment, and
+// the coroutine resumes per op are pinned with the events: a server turned
+// back into a proc, or a new proc on the path, moves the resumes while the
+// events stay put.
 func TestDMAPlaneServersAreTaskChains(t *testing.T) {
-	cl := New(Config{Mode: DoCeph, Seed: 7})
-	defer cl.Shutdown()
-	var procs []string
-	cl.Env.WatchSpawns(func(name string) {
-		for _, server := range []string{"dma-engine:", "host-dma-poll", "host-notify:", "dpu-dma-poll",
-			"proxy-tx:", "bstore_aio", "bstore_kv"} {
-			if strings.HasPrefix(name, server) {
-				procs = append(procs, name)
+	for _, c := range []struct {
+		mode            Mode
+		events, resumes uint64
+	}{
+		// With every server a proc, DoCeph fires the same 5,007 events and
+		// resumes 2,285 times (47.60 per op); with the write path's three as
+		// procs, 1,439 times (29.98 per op); with the messenger plane's,
+		// 749 times (15.60 per op). Baseline, with the messenger plane's as
+		// procs, resumes 645 times (13.44 per op).
+		{DoCeph, 5007, 324},
+		{Baseline, 2044, 209},
+	} {
+		cl := New(Config{Mode: c.mode, Seed: 7})
+		var procs []string
+		cl.Env.WatchSpawns(func(name string) {
+			for _, server := range []string{"dma-engine:", "host-dma-poll", "host-notify:", "dpu-dma-poll",
+				"proxy-tx:", "bstore_aio", "bstore_kv", "msgr-worker", "wire:", "completer:", "rep-completer:",
+				"push-completer:"} {
+				if strings.HasPrefix(name, server) {
+					procs = append(procs, name)
+				}
 			}
+		})
+		res, err := radosbench.Run(cl.Env, cl.Client, radosbench.Config{Threads: 4, ObjectBytes: 4 << 20,
+			OpsPerThread: 12, Op: radosbench.Mixed, ReadPercent: 50, PrepopulateObjects: 8})
+		if err != nil {
+			t.Fatalf("%v: %v", c.mode, err)
 		}
-	})
-	res, err := radosbench.Run(cl.Env, cl.Client, radosbench.Config{Threads: 4, ObjectBytes: 4 << 20,
-		OpsPerThread: 12, Op: radosbench.Mixed, ReadPercent: 50, PrepopulateObjects: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if procs != nil {
-		t.Errorf("DMA-plane procs spawned: %v", procs)
-	}
-	st := cl.Env.Stats()
-	resumes := st.Switches / 2
-	t.Logf("%d ops: %d events, %d resumes (%.2f per op), %d task runs", res.Ops, st.Events, resumes,
-		float64(resumes)/float64(res.Ops), st.TaskRuns)
-	// With all those servers as procs the run fires the same 5,007 events
-	// and resumes 2,285 times (47.60 per op); with the write path's three as
-	// procs, 1,439 times (29.98 per op).
-	if res.Ops != 48 || st.Events != 5007 || resumes != 749 {
-		t.Errorf("%d ops, %d events, %d resumes; pinned: 48 ops, 5007 events, 749 resumes (15.60 per op)",
-			res.Ops, st.Events, resumes)
+		if procs != nil {
+			t.Errorf("%v: server procs spawned: %v", c.mode, procs)
+		}
+		st := cl.Env.Stats()
+		resumes := st.Switches / 2
+		t.Logf("%v: %d ops: %d events, %d resumes (%.2f per op), %d task runs", c.mode, res.Ops, st.Events, resumes,
+			float64(resumes)/float64(res.Ops), st.TaskRuns)
+		if res.Ops != 48 || st.Events != c.events || resumes != c.resumes {
+			t.Errorf("%v: %d ops, %d events, %d resumes; pinned: 48 ops, %d events, %d resumes (%.2f per op)",
+				c.mode, res.Ops, st.Events, resumes, c.events, c.resumes, float64(c.resumes)/48)
+		}
+		cl.Shutdown()
 	}
 }

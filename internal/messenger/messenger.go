@@ -137,9 +137,11 @@ type Stats struct {
 }
 
 // Dispatcher receives decoded messages on a msgr-worker thread; it must not
-// block on slow operations (queue to a worker pool instead), mirroring
-// Ceph's fast-dispatch contract. p is the worker process, for CPU charging
-// by the handler if needed.
+// block (queue slow work to a worker pool instead), mirroring Ceph's
+// fast-dispatch contract. A handler that spends CPU time on the worker says so
+// with Messenger.Charge. p is always nil: a worker is a task chain with no
+// proc to hand over. The parameter stays so that dispatchers written against
+// the proc-form signature keep compiling.
 type Dispatcher func(p *sim.Proc, src string, m cephmsg.Message)
 
 // Registry resolves entity names ("osd.0", "client.3", "mon.0") to their
@@ -187,6 +189,9 @@ type Messenger struct {
 	// conns maps peer entity -> owning worker and outbound wire queue.
 	conns    map[string]*conn
 	dispatch Dispatcher
+	// dispatching is the worker whose turn is inside the dispatcher (nil
+	// outside one), the one Charge charges.
+	dispatching *worker
 
 	stats Stats
 	tr    *trace.Tracer
@@ -202,9 +207,39 @@ type Messenger struct {
 	streamSink   StreamSink
 }
 
+// worker is one msgr-worker thread as a task chain over its queue: a turn is
+// one CPU burst (CPU.ExecThen), then on the send side the push to the lane's
+// wire queue, on the receive side the decode and the dispatch — and the
+// dispatcher's Charge, if it made one, before the turn ends.
 type worker struct {
+	m  *Messenger
 	th *sim.Thread
 	q  *sim.Queue[workItem]
+	// done is the served identity, run when a turn is over; it is the item of
+	// the turn under way, step what its next step does, busy the charge of its
+	// burst, and charge the dispatcher's, if it made one.
+	done   sim.Task
+	it     workItem
+	step   workStep
+	busy   sim.Duration
+	charge charge
+}
+
+// workStep is what a worker's next step does.
+type workStep uint8
+
+const (
+	workSent     workStep = iota // the send-side burst is over: hand the frame to the wire
+	workReceived                 // the receive-side burst is over: decode and dispatch
+	workCharged                  // the dispatcher's charge is paid: act, finish the frame
+)
+
+// charge is a dispatcher's Charge: cycles of th on cpu, then the action.
+type charge struct {
+	cpu    *sim.CPU
+	th     *sim.Thread
+	cycles int64
+	then   func()
 }
 
 // conn is the state for one peer: Lanes independent ordered lanes, each
@@ -271,14 +306,14 @@ func New(env *sim.Env, registry *Registry, fabric *sim.Fabric, cpu *sim.CPU,
 		cfg: cfg.withDefaults(), name: name, node: node,
 		conns: make(map[string]*conn),
 	}
-	work := m.work
 	for i := 0; i < m.cfg.Workers; i++ {
 		w := &worker{
+			m:  m,
 			th: sim.NewThread(fmt.Sprintf("msgr-worker-%d@%s", i, name), ThreadCat),
 			q:  sim.NewQueue[workItem](env),
 		}
 		m.workers = append(m.workers, w)
-		w.q.Serve(w.th.Name, w.th, work)
+		w.done = w.q.ServeTask(w.th.Name, w.serve)
 	}
 	registry.entities[name] = m
 	return m
@@ -296,6 +331,20 @@ func (m *Messenger) Stats() Stats { return m.stats }
 // SetDispatcher installs the message handler. It must be set before any
 // peer sends to this messenger.
 func (m *Messenger) SetDispatcher(d Dispatcher) { m.dispatch = d }
+
+// Charge is how a dispatcher spends CPU time without blocking: once it
+// returns, the worker dispatching runs cycles of th on cpu (CPU.ExecThen),
+// then runs then, and only after that finishes the frame and takes its next —
+// busy exactly as long as an Exec inside the dispatcher would have kept it.
+// Work that must follow the charge goes in then. Call it from a dispatcher, at
+// most once per message.
+func (m *Messenger) Charge(cpu *sim.CPU, th *sim.Thread, cycles int64, then func()) {
+	w := m.dispatching
+	if w == nil || w.charge.then != nil {
+		panic(fmt.Sprintf("messenger %s: Charge outside a dispatcher, or twice for one message", m.name))
+	}
+	w.charge = charge{cpu: cpu, th: th, cycles: cycles, then: then}
+}
 
 // SetTracer enables framing-stage tracing on this endpoint (nil disables).
 // Only messages carrying a trace context (RADOS op traffic) produce spans;
@@ -378,38 +427,88 @@ func (m *Messenger) addLane(c *conn) *connLane {
 	if lane > 0 {
 		name = fmt.Sprintf("wire:%s->%s#%d", m.name, c.peer, lane)
 	}
-	peer := m.registry.Lookup(c.peer)
-	ln.wireq.Serve(name, nil, func(p *sim.Proc, f frame) { m.transmit(p, peer, f) })
+	w := &wireLane{m: m, peer: m.registry.Lookup(c.peer), name: name}
+	w.done = ln.wireq.ServeTask(name, w.serve)
 	return ln
 }
 
-// transmit is what a lane's wire process does with one frame.
-func (m *Messenger) transmit(p *sim.Proc, peer *Messenger, f frame) {
+// wireLane is a lane's wire process as a task chain over its queue: a turn
+// moves one frame over the fabric (Fabric.TransferFrameThen) and delivers it
+// to the peer. A frame the fabric drops resets the session: the lane backs
+// off, reconnects and redelivers that same frame, so the per-lane FIFO order
+// survives the loss.
+type wireLane struct {
+	m, peer *Messenger
+	name    string
+	// done is the served identity, run when a turn is over; f is the turn's
+	// frame, step what its next step does, delivered whether the transfer
+	// under way arrives, and backoff the next reset's.
+	done      sim.Task
+	f         frame
+	step      wireStep
+	delivered bool
+	backoff   sim.Duration
+}
+
+// wireStep is what a wire lane's next step does.
+type wireStep uint8
+
+const (
+	wireSend      wireStep = iota // put the frame on the fabric
+	wireArrived                   // the transfer's arrival instant: deliver, or reset
+	wireBackedOff                 // the reset's backoff is over: send again
+)
+
+// serve starts a turn on f, the served identity's body.
+func (w *wireLane) serve(f frame) {
 	if f.span != 0 {
-		m.tr.AddQueueWait(f.span, p.Now().Sub(f.enq))
+		w.m.tr.AddQueueWait(f.span, w.m.env.Now().Sub(f.enq))
 	}
-	backoff := m.cfg.ReconnectBackoff
+	w.f, w.step, w.backoff = f, wireSend, w.m.cfg.ReconnectBackoff
+	w.Run()
+}
+
+// Run is the wire lane's next step.
+func (w *wireLane) Run() {
+	m := w.m
 	for {
-		if _, ok := m.fabric.TransferFrame(p, m.node, peer.node, f.bytes); ok {
-			if f.span != 0 {
-				m.tr.AddBytes(f.span, f.bytes)
-				m.tr.Finish(f.span)
-				f.span = 0
+		switch w.step {
+		case wireSend:
+			w.step = wireArrived
+			var queued bool
+			if _, w.delivered, queued = m.fabric.TransferFrameThen(m.node, w.peer.node, w.f.bytes, w); queued {
+				return
 			}
-			peer.deliver(f)
-			return
+		case wireArrived:
+			if w.delivered {
+				f := w.f
+				if f.span != 0 {
+					m.tr.AddBytes(f.span, f.bytes)
+					m.tr.Finish(f.span)
+					f.span = 0
+				}
+				w.f = frame{}
+				w.peer.deliver(f)
+				w.done.Run() // the next turn may begin in here: touch nothing after
+				return
+			}
+			m.stats.SessionResets++
+			w.step = wireBackedOff
+			if m.env.WaitThen(w.backoff, w) {
+				return
+			}
+		case wireBackedOff:
+			if w.backoff *= 2; w.backoff > reconnectBackoffMax {
+				w.backoff = reconnectBackoffMax
+			}
+			m.stats.Redeliveries++
+			w.step = wireSend
 		}
-		// The frame was lost in flight: reset the session, back off,
-		// reconnect and redeliver the same frame so the per-lane FIFO
-		// order survives the loss.
-		m.stats.SessionResets++
-		p.Wait(backoff)
-		if backoff *= 2; backoff > reconnectBackoffMax {
-			backoff = reconnectBackoffMax
-		}
-		m.stats.Redeliveries++
 	}
 }
+
+// String names the wire lane in deadlock reports.
+func (w *wireLane) String() string { return w.name }
 
 // deliver hands an arrived frame to the owning worker of the reverse
 // connection's lane, enforcing the per-lane sequence invariant. A peer
@@ -449,75 +548,126 @@ const (
 	bytesPerSwitch int64 = 288 << 10
 )
 
-// work is one turn of a msgr-worker event loop: it pays the send-side encode
-// + TCP costs before handing a frame to the wire, and the receive-side TCP +
-// decode + dispatch costs after a frame arrives.
-func (m *Messenger) work(p *sim.Proc, it workItem) {
-	th := p.Thread()
-	f := it.frame
+// serve starts a turn on it, the served identity's body: the send-side encode
+// + TCP costs before the frame goes to the wire, or the receive-side TCP +
+// decode + dispatch costs after a frame arrived, as one burst.
+func (w *worker) serve(it workItem) {
+	m := w.m
+	w.it = it
+	f := &w.it.frame
 	segments := (f.bytes + tcpSegmentBytes - 1) / tcpSegmentBytes
+	var cycles int64
 	if it.recv {
 		if f.span != 0 {
-			m.tr.AddQueueWait(f.span, p.Now().Sub(f.enq))
+			m.tr.AddQueueWait(f.span, m.env.Now().Sub(f.enq))
 		}
-		cycles := recvSyscallCycles*segments +
+		cycles = recvSyscallCycles*segments +
 			int64(float64(f.bytes)*(m.cfg.RxCopyCyclesPerByte+m.cfg.CRCCyclesPerByte)) +
 			m.cfg.DecodeCycles + m.cfg.DispatchCycles
-		m.tr.AddCPU(f.span, m.cpu.Name(), m.cpu.Exec(p, th, cycles))
-		m.cpu.NoteSwitches(th, switchesPerRecv+f.bytes/bytesPerSwitch)
-		m.stats.Received++
-		m.stats.BytesRecv += f.bytes
-		msg := f.msg
-		if f.wire != nil {
-			if got := f.wire.CRC32C(); got != f.crc {
-				panic(fmt.Sprintf("messenger %s: frame from %s CRC mismatch: %#x != %#x",
-					m.name, it.peer, got, f.crc))
-			}
-			decoded, err := cephmsg.Decode(f.wire)
-			if err != nil {
-				panic(fmt.Sprintf("messenger %s: corrupt frame from %s: %v", m.name, it.peer, err))
-			}
-			msg = decoded
-		}
-		// Stream frames are transport-level and consumed here; only
-		// application messages (including reassembled stream payloads
-		// dispatched from handleStream) need a dispatcher.
-		if !m.handleStream(p, it.peer, msg) {
-			if m.dispatch == nil {
-				panic(fmt.Sprintf("messenger %s: message from %s with no dispatcher", m.name, it.peer))
-			}
-			m.dispatch(p, it.peer, msg)
-		}
-		if f.span != 0 {
-			m.tr.AddBytes(f.span, f.bytes)
-			m.tr.Finish(f.span)
-		}
-		if f.wire != nil {
-			// Everything header-shaped was copied out during decode and
-			// the payload lives in its own shared segments, so the
-			// pooled header scratch can go back.
-			wire.PutBuffer(f.wire.FirstSegment())
-		}
-		return
-	}
-	cycles := m.cfg.EncodeCycles +
-		int64(float64(f.bytes)*(m.cfg.TxCopyCyclesPerByte+m.cfg.CRCCyclesPerByte)) +
-		sendSyscallCycles*segments
-	if f.span != 0 {
-		m.tr.AddQueueWait(f.span, p.Now().Sub(f.enq))
-		m.tr.AddBytes(f.span, f.bytes)
-		m.tr.AddCPU(f.span, m.cpu.Name(), m.cpu.Exec(p, th, cycles))
-		m.tr.Finish(f.span)
-		// Hand the frame to the wire stage under a fresh span covering
-		// the outbound queue plus fabric occupancy (including any
-		// session-reset redeliveries).
-		f.span = m.tr.Start(trace.SpanID(f.traceCtx), 0, trace.StageWire, it.peer)
-		f.enq = p.Now()
+		w.step = workReceived
 	} else {
-		m.cpu.Exec(p, th, cycles)
+		cycles = m.cfg.EncodeCycles +
+			int64(float64(f.bytes)*(m.cfg.TxCopyCyclesPerByte+m.cfg.CRCCyclesPerByte)) +
+			sendSyscallCycles*segments
+		if f.span != 0 {
+			m.tr.AddQueueWait(f.span, m.env.Now().Sub(f.enq))
+			m.tr.AddBytes(f.span, f.bytes)
+		}
+		w.step = workSent
 	}
-	m.cpu.NoteSwitches(th, switchesPerSend+f.bytes/bytesPerSwitch)
-	m.stats.Sent++
-	m.stats.BytesSent += f.bytes
-	m.conns[it.peer].lanes[f.lane].wireq.Push(f)
+	if !m.cpu.ExecThen(w.th, cycles, &w.busy, w) {
+		w.Run()
+	}
 }
+
+// Run is the worker's next step.
+func (w *worker) Run() {
+	m := w.m
+	f := &w.it.frame
+	for {
+		switch w.step {
+		case workSent:
+			if f.span != 0 {
+				m.tr.AddCPU(f.span, m.cpu.Name(), w.busy)
+				m.tr.Finish(f.span)
+				// Hand the frame to the wire stage under a fresh span covering
+				// the outbound queue plus fabric occupancy (including any
+				// session-reset redeliveries).
+				f.span = m.tr.Start(trace.SpanID(f.traceCtx), 0, trace.StageWire, w.it.peer)
+				f.enq = m.env.Now()
+			}
+			m.cpu.NoteSwitches(w.th, switchesPerSend+f.bytes/bytesPerSwitch)
+			m.stats.Sent++
+			m.stats.BytesSent += f.bytes
+			m.conns[w.it.peer].lanes[f.lane].wireq.Push(*f)
+			w.end()
+			return
+		case workReceived:
+			w.receive()
+			w.step = workCharged
+			if c := &w.charge; c.then != nil && c.cpu.ExecThen(c.th, c.cycles, nil, w) {
+				return
+			}
+		case workCharged:
+			if then := w.charge.then; then != nil {
+				w.charge = charge{}
+				then()
+			}
+			if f.span != 0 {
+				m.tr.AddBytes(f.span, f.bytes)
+				m.tr.Finish(f.span)
+			}
+			if f.wire != nil {
+				// Everything header-shaped was copied out during decode and
+				// the payload lives in its own shared segments, so the
+				// pooled header scratch can go back.
+				wire.PutBuffer(f.wire.FirstSegment())
+			}
+			w.end()
+			return
+		}
+	}
+}
+
+// receive accounts an arrived frame's burst, checks and decodes it, and hands
+// the message to the stream layer or the dispatcher.
+func (w *worker) receive() {
+	m, peer := w.m, w.it.peer
+	f := &w.it.frame
+	m.tr.AddCPU(f.span, m.cpu.Name(), w.busy)
+	m.cpu.NoteSwitches(w.th, switchesPerRecv+f.bytes/bytesPerSwitch)
+	m.stats.Received++
+	m.stats.BytesRecv += f.bytes
+	msg := f.msg
+	if f.wire != nil {
+		if got := f.wire.CRC32C(); got != f.crc {
+			panic(fmt.Sprintf("messenger %s: frame from %s CRC mismatch: %#x != %#x",
+				m.name, peer, got, f.crc))
+		}
+		decoded, err := cephmsg.Decode(f.wire)
+		if err != nil {
+			panic(fmt.Sprintf("messenger %s: corrupt frame from %s: %v", m.name, peer, err))
+		}
+		msg = decoded
+	}
+	// Stream frames are transport-level and consumed here; only application
+	// messages (including reassembled stream payloads dispatched from
+	// handleStream) need a dispatcher.
+	m.dispatching = w
+	if !m.handleStream(peer, msg) {
+		if m.dispatch == nil {
+			panic(fmt.Sprintf("messenger %s: message from %s with no dispatcher", m.name, peer))
+		}
+		m.dispatch(nil, peer, msg)
+	}
+	m.dispatching = nil
+}
+
+// end closes the turn and lets the identity take the next item.
+func (w *worker) end() {
+	w.it = workItem{}
+	w.done.Run() // the next turn may begin in here: touch nothing after
+}
+
+// String names the worker in deadlock reports.
+func (w *worker) String() string { return w.th.Name }

@@ -265,14 +265,14 @@ func (m *Messenger) asmFor(src string) *cephmsg.Assembler {
 // active, regardless of local Stream.Enable). It reports whether msg was
 // consumed. Protocol violations panic: peers are trusted in-simulation, so
 // a violation is a transport bug, mirroring the per-lane seq invariant.
-func (m *Messenger) handleStream(p *sim.Proc, src string, msg cephmsg.Message) bool {
+func (m *Messenger) handleStream(src string, msg cephmsg.Message) bool {
 	switch sm := msg.(type) {
 	case *cephmsg.MStreamOpen:
 		m.handleStreamOpen(sm, src)
 	case *cephmsg.MStreamChunk:
 		m.handleStreamChunk(sm, src)
 	case *cephmsg.MStreamEnd:
-		m.handleStreamEnd(p, sm, src)
+		m.handleStreamEnd(sm, src)
 	case *cephmsg.MStreamAbort:
 		m.handleStreamAbort(sm, src)
 	case *cephmsg.MStreamCredit:
@@ -322,7 +322,7 @@ func (m *Messenger) handleStreamChunk(sm *cephmsg.MStreamChunk, src string) {
 	m.Send(src, &cephmsg.MStreamCredit{StreamID: sm.StreamID, Credits: 1, Lane: sm.Lane})
 }
 
-func (m *Messenger) handleStreamEnd(p *sim.Proc, sm *cephmsg.MStreamEnd, src string) {
+func (m *Messenger) handleStreamEnd(sm *cephmsg.MStreamEnd, src string) {
 	inner, err := m.asmFor(src).End(sm)
 	if err != nil {
 		panic(fmt.Sprintf("messenger %s: %v", m.name, err))
@@ -337,7 +337,7 @@ func (m *Messenger) handleStreamEnd(p *sim.Proc, sm *cephmsg.MStreamEnd, src str
 	if m.dispatch == nil {
 		panic(fmt.Sprintf("messenger %s: reassembled stream from %s with no dispatcher", m.name, src))
 	}
-	m.dispatch(p, src, inner)
+	m.dispatch(nil, src, inner)
 }
 
 func (m *Messenger) handleStreamAbort(sm *cephmsg.MStreamAbort, src string) {

@@ -128,14 +128,19 @@ func (m *Manager) pollLoop(p *sim.Proc) {
 	}
 }
 
-func (m *Manager) dispatch(p *sim.Proc, src string, msg cephmsg.Message) {
-	sr, ok := msg.(*cephmsg.MStatsReply)
-	if !ok {
-		return
+// dispatch runs on a msgr-worker: a stats reply is recorded once its cost, a
+// Charge on that worker, is paid.
+func (m *Manager) dispatch(_ *sim.Proc, src string, msg cephmsg.Message) {
+	if sr, ok := msg.(*cephmsg.MStatsReply); ok {
+		m.msgr.Charge(m.cpu, m.th, 10_000, func() { m.record(sr) })
 	}
-	m.cpu.Exec(p, m.th, 10_000)
+}
+
+// record keeps sr as its source's latest snapshot and appends it to the
+// history.
+func (m *Manager) record(sr *cephmsg.MStatsReply) {
 	m.replies++
-	snap := &Snapshot{Source: sr.Source, At: p.Now(), Values: make(map[string]int64, len(sr.Keys))}
+	snap := &Snapshot{Source: sr.Source, At: m.env.Now(), Values: make(map[string]int64, len(sr.Keys))}
 	for i := range sr.Keys {
 		snap.Values[sr.Keys[i]] = sr.Values[i]
 	}

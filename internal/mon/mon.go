@@ -71,22 +71,23 @@ func (m *Monitor) Subscribe(entity string) {
 	m.subscribers = append(m.subscribers, entity)
 }
 
-func (m *Monitor) dispatch(p *sim.Proc, src string, msg cephmsg.Message) {
+// dispatch runs on a msgr-worker; the work a message costs the monitor is a
+// Charge on that worker, and what follows it runs once it is paid.
+func (m *Monitor) dispatch(_ *sim.Proc, src string, msg cephmsg.Message) {
 	switch mm := msg.(type) {
 	case *cephmsg.MOSDFailure:
-		m.cpu.Exec(p, m.th, 20_000)
-		m.handleFailure(mm)
+		m.msgr.Charge(m.cpu, m.th, 20_000, func() { m.handleFailure(mm) })
 	case *cephmsg.MOSDBoot:
-		m.cpu.Exec(p, m.th, 20_000)
-		m.handleBoot(mm)
+		m.msgr.Charge(m.cpu, m.th, 20_000, func() { m.handleBoot(mm) })
 	case *cephmsg.MPing:
 		m.msgr.Send(src, &cephmsg.MPingReply{Src: m.msgr.Name(), Stamp: mm.Stamp})
 	case *cephmsg.MGetMap:
 		// On-demand refresh: a client whose op timed out may have missed
 		// the broadcast that went down with the fault.
 		if m.curMap.Epoch > mm.Epoch {
-			m.cpu.Exec(p, m.th, 10_000)
-			m.msgr.Send(src, &cephmsg.MOSDMap{Epoch: m.curMap.Epoch, Up: m.curMap.UpOSDs()})
+			m.msgr.Charge(m.cpu, m.th, 10_000, func() {
+				m.msgr.Send(src, &cephmsg.MOSDMap{Epoch: m.curMap.Epoch, Up: m.curMap.UpOSDs()})
+			})
 		}
 	}
 }

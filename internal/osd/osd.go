@@ -167,17 +167,9 @@ type OSD struct {
 	cfg  Config
 	id   int32
 	name string
-	// completerPrefix/repCompleterPrefix/pushCompleterPrefix name the per-op
-	// completion procs; sim.SpawnID completes them with the op's record id
-	// (the push's tid), so no name is built per op.
-	completerPrefix     string
-	repCompleterPrefix  string
-	pushCompleterPrefix string
-	// completeBody/repCompleteBody are completeWrite and completeRepApply as
-	// func values, made once: every completer shares one and finds its
-	// record in mutations/repApplies under its proc id.
-	completeBody    func(*sim.Proc)
-	repCompleteBody func(*sim.Proc)
+	// fins is the partition's free list of finishers, the chains that complete
+	// ops on fn_osd.
+	fins *finishers
 	// ingestBody is ingestStream as a func value, made with streams at the
 	// first stream: every stream's ingest proc shares it and finds its record
 	// in streams under its proc id.
@@ -341,11 +333,7 @@ func New(env *sim.Env, cpu *sim.CPU, id int32, msgr *messenger.Messenger,
 		reported:     make(map[int32]bool),
 		pgOps:        make(map[uint32]int64),
 	}
-	o.completerPrefix = "completer:" + o.name + "/"
-	o.repCompleterPrefix = "rep-completer:" + o.name + "/"
-	o.pushCompleterPrefix = "push-completer:" + o.name + "/"
-	o.completeBody = o.completeWrite
-	o.repCompleteBody = o.completeRepApply
+	o.fins = sim.Local[finishers](env)
 	if o.cfg.RecoveryMaxPGs > 0 {
 		o.recovSem = sim.NewSemaphore(env, o.cfg.RecoveryMaxPGs)
 	}
@@ -462,8 +450,8 @@ func (o *OSD) InFlight() (mutations, repApplies, repWaits int) {
 func (o *OSD) Map() *osdmap.Map { return o.curMap }
 
 // dispatch runs on msgr-worker threads: heavy ops go to the op queue, light
-// control traffic is handled inline (Ceph's fast dispatch).
-func (o *OSD) dispatch(p *sim.Proc, src string, m cephmsg.Message) {
+// control traffic is handled inline (Ceph's fast dispatch). It never blocks.
+func (o *OSD) dispatch(_ *sim.Proc, src string, m cephmsg.Message) {
 	if o.failed {
 		return // a crashed daemon: frames arrive at a dead socket
 	}
@@ -496,10 +484,10 @@ func (o *OSD) dispatch(p *sim.Proc, src string, m cephmsg.Message) {
 		o.msgr.Send(src, o.statsReply(msg.Tid))
 	case *cephmsg.MPingReply:
 		if id, ok := parseOSD(src); ok {
-			o.lastSeen[id] = p.Now()
+			o.lastSeen[id] = o.env.Now()
 		}
 	case *cephmsg.MOSDMap:
-		o.applyMap(p.Now(), msg)
+		o.applyMap(o.env.Now(), msg)
 	}
 }
 
@@ -597,43 +585,53 @@ const (
 	maxRepRetries = 3
 )
 
-// awaitReplicas blocks the completer until every replica ack of mu has
-// landed (or been abandoned by a map change). Acks that miss repOpTimeout
-// trigger a resend of the still-outstanding sub-ops — resends are idempotent
-// under their stable tids — and after maxRepRetries rounds the op aborts
-// cleanly (returns false) instead of hanging the client.
-func (o *OSD) awaitReplicas(cp *sim.Proc, mu *mutation) bool {
+// awaitReplicas blocks p until every replica ack of mu has landed (or been
+// abandoned by a map change), in rounds of repOpTimeout with repTimedOut
+// between them. It reports false if the op aborted.
+func (o *OSD) awaitReplicas(p *sim.Proc, mu *mutation) bool {
 	for try := 0; ; try++ {
-		if mu.pend.ev.WaitTimeout(cp, repOpTimeout) {
+		if mu.pend.ev.WaitTimeout(p, repOpTimeout) {
 			return true
 		}
-		if try >= maxRepRetries {
-			o.stats.RepAborts++
-			for _, tid := range mu.tids {
-				o.completeRep(tid)
-			}
+		if !o.repTimedOut(mu, try) {
 			return false
 		}
-		o.stats.RepRetries++
-		for _, tid := range mu.tids {
-			w, ok := o.pending[tid]
-			if !ok {
-				continue
-			}
-			if !o.curMap.IsUp(w.target) {
-				// The map already dropped this replica but the abandon path
-				// raced with us; finish the wait degraded.
-				o.completeRep(tid)
-				continue
-			}
-			if w.stream {
-				// Streamed rep-op: the chunk stream cannot be replayed
-				// verbatim, so timeout rounds only bound the wait.
-				continue
-			}
-			o.msgr.Send(Name(w.target), &w.msg)
-		}
 	}
+}
+
+// repTimedOut is what a wait for mu's replica acks does when its round try
+// (from 0) passes repOpTimeout without them: resend the still-outstanding
+// sub-ops — idempotent under their stable tids — and report true to wait
+// another round, or, after maxRepRetries rounds, abort the op cleanly (report
+// false) instead of hanging the client.
+func (o *OSD) repTimedOut(mu *mutation, try int) bool {
+	if try >= maxRepRetries {
+		o.stats.RepAborts++
+		for _, tid := range mu.tids {
+			o.completeRep(tid)
+		}
+		return false
+	}
+	o.stats.RepRetries++
+	for _, tid := range mu.tids {
+		w, ok := o.pending[tid]
+		if !ok {
+			continue
+		}
+		if !o.curMap.IsUp(w.target) {
+			// The map already dropped this replica but the abandon path
+			// raced with us; finish the wait degraded.
+			o.completeRep(tid)
+			continue
+		}
+		if w.stream {
+			// Streamed rep-op: the chunk stream cannot be replayed
+			// verbatim, so timeout rounds only bound the wait.
+			continue
+		}
+		o.msgr.Send(Name(w.target), &w.msg)
+	}
+	return true
 }
 
 func (o *OSD) pgLock(pg uint32) *sim.Semaphore {
@@ -787,28 +785,24 @@ func (o *OSD) handleMutation(p *sim.Proc, src string, m *cephmsg.MOSDOp, pg uint
 	}
 	o.nextRec++
 	o.mutations[o.nextRec] = mu
-	o.env.SpawnID(o.completerPrefix, o.nextRec, o.completeBody)
+	o.finish(finisher{id: o.nextRec, res: mu.res, mu: mu})
 }
 
-// completeWrite is the body of every completer proc: once the local commit of
-// the mutation its id names is durable, finish it.
-func (o *OSD) completeWrite(cp *sim.Proc) {
-	mu := o.mutations[cp.ID()]
-	cp.SetThread(o.thFin)
-	mu.res.Done.Wait(cp)
-	o.tr.Finish(mu.commitSp)
-	o.completeMutation(cp, mu, mu.res.Err != nil)
-	delete(o.mutations, cp.ID())
-}
-
-// completeMutation is the tail every client mutation ends with, on its
-// completer or at the end of its stream's ingest proc, once the local commit
-// is durable (commitErr: it failed): wait out the replicas, charge the
-// finish, answer the client.
+// completeMutation is the tail of a streamed client mutation, at the end of
+// its ingest proc, once the local commit is durable (commitErr: it failed):
+// wait out the replicas, charge the finish, answer the client. A whole one's
+// finisher runs the same steps as a chain.
 func (o *OSD) completeMutation(p *sim.Proc, mu *mutation, commitErr bool) {
 	repOK := o.awaitReplicas(p, mu)
 	o.tr.Finish(mu.repSp)
 	o.tr.AddCPU(mu.sp, o.cpu.Name(), o.cpu.ExecSelf(p, o.cfg.FinishCycles))
+	o.replyMutation(mu, commitErr, repOK)
+}
+
+// replyMutation answers the client of mu once its finish is paid: an error if
+// the local commit failed (commitErr; a delete that found nothing) or the
+// replicas aborted (!repOK).
+func (o *OSD) replyMutation(mu *mutation, commitErr, repOK bool) {
 	m := mu.m
 	mu.reply = cephmsg.MOSDOpReply{Tid: m.Tid, Object: m.Object, Op: m.Op, TraceCtx: m.TraceCtx}
 	switch {
@@ -818,7 +812,7 @@ func (o *OSD) completeMutation(p *sim.Proc, mu *mutation, commitErr bool) {
 		mu.reply.Result = cephmsg.ResError
 	}
 	if m.Op == cephmsg.OpWrite {
-		mu.reply.Version = uint64(p.Now())
+		mu.reply.Version = uint64(o.env.Now())
 	}
 	o.msgr.Send(mu.src, &mu.reply)
 	o.tr.Finish(mu.sp)
@@ -885,24 +879,7 @@ func (o *OSD) handleRepOp(p *sim.Proc, src string, m *cephmsg.MRepOp, sp trace.S
 	}
 	o.nextRec++
 	o.repApplies[o.nextRec] = ra
-	o.env.SpawnID(o.repCompleterPrefix, o.nextRec, o.repCompleteBody)
-}
-
-// completeRepApply is the body of every rep-completer proc: once the sub-op
-// its id names is durable, ack it to the primary.
-func (o *OSD) completeRepApply(cp *sim.Proc) {
-	ra := o.repApplies[cp.ID()]
-	cp.SetThread(o.thFin)
-	ra.res.Done.Wait(cp)
-	o.tr.Finish(ra.commitSp)
-	o.tr.AddCPU(ra.sp, o.cpu.Name(), o.cpu.Exec(cp, o.thFin, o.cfg.FinishCycles))
-	// The ack parents to the primary's replication span, which is still open
-	// until every replica has answered.
-	m := ra.m
-	ra.reply = cephmsg.MRepOpReply{Tid: m.Tid, PGID: m.PGID, TraceCtx: m.TraceCtx}
-	o.msgr.Send(ra.src, &ra.reply)
-	o.tr.Finish(ra.sp)
-	delete(o.repApplies, cp.ID())
+	o.finish(finisher{id: o.nextRec, res: ra.res, ra: ra})
 }
 
 // heartbeatGrace is the silence threshold after which a peer is reported

@@ -27,6 +27,7 @@ type testCluster struct {
 	stores  []*bluestore.Store
 	hostCPU []*sim.CPU
 	client  *rados.Client
+	fabric  *sim.Fabric
 	// addClient attaches one more messenger endpoint to the client node, for
 	// tests that speak cephmsg to the OSDs themselves.
 	addClient func(name string) *messenger.Messenger
@@ -72,7 +73,7 @@ func newTestClusterMsgr(t *testing.T, hosts, replicas, minSize int, mcfg messeng
 	clientCPU := sim.NewCPU(env, "client-cpu", 16, 3.0, 2000)
 
 	// Monitor lives on the first storage node.
-	tc := &testCluster{env: env}
+	tc := &testCluster{env: env, fabric: fabric}
 	for h := 0; h < hosts; h++ {
 		node := fmt.Sprintf("node%d", h)
 		fabric.AddNode(node, 12.5e9)
@@ -444,6 +445,14 @@ func TestShardedDispatchPreservesSemantics(t *testing.T) {
 // path fails here, not in a benchmark.
 const writeAllocCeiling = 10
 
+// writeAllocBytesCeiling is 8 B above what those allocations come to today
+// (1,421 B per write, the same under -race), less than the 16 B of the
+// smallest size-class step either OSD record could take. So a record that
+// moves up a class fails here even when the count stays: chain state added to
+// mutation (432 B of a 448 B class) or repApply (216 B of 224 B) does. The
+// finishers' chain state lives on a free list instead.
+const writeAllocBytesCeiling = 1_429
+
 // TestReplicatedWriteAllocationBudget holds one replicated write of a new
 // object — client call, primary commit, one sub-op, replica commit, both acks
 // — to its allocation budget on the two-OSD rig, heartbeats off so that only
@@ -475,9 +484,13 @@ func TestReplicatedWriteAllocationBudget(t *testing.T) {
 		write(warm, writes)
 		runtime.ReadMemStats(&after)
 		per := float64(after.Mallocs-before.Mallocs) / writes
-		t.Logf("%.2f allocations, %.0f B per replicated write", per, float64(after.TotalAlloc-before.TotalAlloc)/writes)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / writes
+		t.Logf("%.2f allocations, %.0f B per replicated write", per, bytes)
 		if per > writeAllocCeiling {
 			t.Fatalf("%.2f allocations per replicated write, want at most %d", per, writeAllocCeiling)
+		}
+		if bytes > writeAllocBytesCeiling {
+			t.Fatalf("%.0f B allocated per replicated write, want at most %d", bytes, writeAllocBytesCeiling)
 		}
 	})
 }

@@ -208,18 +208,7 @@ func (o *OSD) handlePGPush(p *sim.Proc, src string, m *cephmsg.MPGPush) {
 	res := o.store.QueueTransaction(p, txn)
 	lock.Release(1)
 	o.stats.PushesServed++
-	o.env.SpawnID(o.pushCompleterPrefix, m.Tid, func(cp *sim.Proc) {
-		cp.SetThread(o.thFin)
-		res.Done.Wait(cp)
-		o.cpu.Exec(cp, o.thFin, o.cfg.FinishCycles)
-		result := cephmsg.ResOK
-		if res.Err != nil {
-			result = cephmsg.ResError
-		}
-		o.msgr.Send(src, &cephmsg.MPGPushAck{
-			Tid: m.Tid, PGID: m.PGID, Object: m.Object, Result: result,
-		})
-	})
+	o.finish(finisher{res: res, push: m, src: src})
 }
 
 // handlePGPushAck completes one in-flight push (msgr-worker context).

@@ -11,7 +11,8 @@ import (
 // chainOp is one step of a server body: kind 0 waits d, 1 runs cycles on the
 // shared CPU, 2 takes a permit of the shared semaphore (given back when the
 // body ends), 3 pushes arg onto queue q, 4 waits for event ev, which a rival
-// proc fires, 5 writes cycles bytes to the shared disk.
+// proc fires, 5 writes cycles bytes to the shared disk, 6 waits for event ev
+// for at most d, 7 sends a frame of cycles bytes over the shared lossy fabric.
 type chainOp struct {
 	kind   int
 	d      Duration
@@ -23,22 +24,41 @@ type chainOp struct {
 // chainProg is a seeded program of server threads over served queues, whose
 // bodies contend for a one- or two-core CPU, a one- or two-permit semaphore
 // and a disk with each other and with plain procs, and wait for events those
-// procs fire. Its servers are written once as procs (Serve, Wait, Exec,
-// Acquire, Event.Wait, Disk.Write) and once as task chains (ServeTask, Delay,
-// ExecThen, AcquireThen, Event.WaitThen, Disk.WriteThen).
+// procs fire, and send frames over a fabric they share with the rivals. Its
+// servers are written once as procs (Serve, Wait, Exec, Acquire, Event.Wait,
+// Disk.Write, Event.WaitTimeout, Fabric.TransferFrame) and once as task chains
+// (ServeTask, Delay, ExecThen, AcquireThen, Event.WaitThen, Disk.WriteThen,
+// Event.WaitTimeoutThen, Fabric.TransferFrameThen). A timed wait logs its
+// outcome and a frame whether it arrived.
 type chainProg struct {
 	env    *Env
 	cpu    *CPU
 	sem    *Semaphore
 	disk   *Disk
+	fabric *Fabric
 	evs    []*Event
-	queues []*Queue[int]
-	plans  map[int][]chainOp
-	log    []string
+	// firedAt is when each event fired.
+	firedAt []Time
+	queues  []*Queue[int]
+	plans   map[int][]chainOp
+	log     []string
 	// queued counts the task forms' calls that had to wait: a burst behind
 	// a busy CPU, an acquire behind a drained semaphore, a wait for an event
-	// not yet fired, a write that did not complete in place.
+	// not yet fired, a write that did not complete in place, a timed wait, a
+	// frame that did not arrive in place.
 	queuedBursts, queuedAcquires, queuedWaits, queuedWrites int
+	queuedTimed, queuedFrames                               int
+	// The timed waits' outcomes in the chain form — the event fired before
+	// the deadline, at its instant, or not in time — and the frames lost.
+	firedEarly, firedAtDeadline, timedOut, dropped int
+}
+
+// fire fires event k and records when.
+func (pg *chainProg) fire(k int) {
+	if !pg.evs[k].Fired() {
+		pg.firedAt[k] = pg.env.now
+	}
+	pg.evs[k].Fire()
 }
 
 // note logs (t, seq, owner): equal logs mean every sequence number was drawn
@@ -53,6 +73,7 @@ func (pg *chainProg) procBody(p *Proc, item int) {
 	pg.note("%s:%d:start", name, item)
 	held := false
 	for i, op := range pg.plans[item] {
+		outcome := ""
 		switch op.kind {
 		case 0:
 			p.Wait(op.d)
@@ -67,8 +88,13 @@ func (pg *chainProg) procBody(p *Proc, item int) {
 			pg.evs[op.ev].Wait(p)
 		case 5:
 			pg.disk.Write(p, op.cycles)
+		case 6:
+			outcome = fmt.Sprint(":fired=", pg.evs[op.ev].WaitTimeout(p, op.d))
+		case 7:
+			_, ok := pg.fabric.TransferFrame(p, "srv", "rival", op.cycles)
+			outcome = fmt.Sprint(":delivered=", ok)
 		}
-		pg.note("%s:%d:%d", name, item, i)
+		pg.note("%s:%d:%d%s", name, item, i, outcome)
 	}
 	if held {
 		pg.sem.Release(1)
@@ -83,8 +109,35 @@ type chainServer struct {
 	done Task
 	item int
 	next int
-	// waiting is set while a step's continuation is registered.
-	waiting, held bool
+	// waiting is set while a step's continuation is registered; deadline is a
+	// timed wait's, delivered whether the frame in flight arrives.
+	waiting, held, delivered bool
+	deadline                 Time
+}
+
+// outcome is what the log says of the step op that just ended: a timed wait's
+// outcome, read from the event as the step goes on, or a frame's arrival.
+func (c *chainServer) outcome(op chainOp) string {
+	pg := c.pg
+	switch op.kind {
+	case 6:
+		fired := pg.evs[op.ev].Fired()
+		switch {
+		case !fired:
+			pg.timedOut++
+		case pg.firedAt[op.ev] == c.deadline:
+			pg.firedAtDeadline++
+		case c.waiting:
+			pg.firedEarly++
+		}
+		return fmt.Sprint(":fired=", fired)
+	case 7:
+		if !c.delivered {
+			pg.dropped++
+		}
+		return fmt.Sprint(":delivered=", c.delivered)
+	}
+	return ""
 }
 
 func (c *chainServer) serve(item int) {
@@ -98,8 +151,8 @@ func (c *chainServer) serve(item int) {
 func (c *chainServer) Run() {
 	pg := c.pg
 	if c.waiting {
+		pg.note("%s:%d:%d%s", c.th.Name, c.item, c.next-1, c.outcome(pg.plans[c.item][c.next-1]))
 		c.waiting = false
-		pg.note("%s:%d:%d", c.th.Name, c.item, c.next-1)
 	}
 	for ops := pg.plans[c.item]; c.next < len(ops); {
 		op := ops[c.next]
@@ -128,11 +181,20 @@ func (c *chainServer) Run() {
 			if _, c.waiting = pg.disk.WriteThen(op.cycles, c); c.waiting {
 				pg.queuedWrites++
 			}
+		case 6:
+			c.deadline = pg.env.now.Add(op.d)
+			if c.waiting = pg.evs[op.ev].WaitTimeoutThen(pg.env, op.d, c); c.waiting {
+				pg.queuedTimed++
+			}
+		case 7:
+			if _, c.delivered, c.waiting = pg.fabric.TransferFrameThen("srv", "rival", op.cycles, c); c.waiting {
+				pg.queuedFrames++
+			}
 		}
 		if c.waiting {
 			return
 		}
-		pg.note("%s:%d:%d", c.th.Name, c.item, c.next-1)
+		pg.note("%s:%d:%d%s", c.th.Name, c.item, c.next-1, c.outcome(op))
 	}
 	if c.held {
 		pg.sem.Release(1)
@@ -151,24 +213,30 @@ func chainProgram(t *testing.T, seed int64, chains, heapOnly bool) (pg *chainPro
 	defer env.Shutdown()
 	pg = &chainProg{env: env, cpu: NewCPU(env, "c", 1+rng.Intn(2), 1.0, 50),
 		sem: NewSemaphore(env, 1+rng.Intn(2)), plans: map[int][]chainOp{},
-		disk: NewDisk(env, "d", 2e9, 2e9, Duration(rng.Intn(2))*Microsecond)}
+		disk:   NewDisk(env, "d", 2e9, 2e9, Duration(rng.Intn(2))*Microsecond),
+		fabric: NewFabric(env, "f", Duration(rng.Intn(2))*Microsecond)}
+	pg.fabric.AddNode("srv", 1e9)
+	pg.fabric.AddNode("rival", 1e9)
+	pg.fabric.SetDropProb("rival", 0.3)
 	for range 8 {
 		pg.evs = append(pg.evs, NewEvent())
 	}
+	pg.firedAt = make([]Time, len(pg.evs))
 	servers := 1 + rng.Intn(4)
 	pg.queues = make([]*Queue[int], 1+rng.Intn(min(3, servers)))
 	for i := range pg.queues {
 		pg.queues[i] = NewQueue[int](env)
 	}
 	// A body's plan: up to five steps on a 1us grid (zero-length ones
-	// included; a write of 1,000 bytes takes 0.5us), at most one acquire and
-	// no event wait after it, and pushes that feed other stages.
+	// included; a write of 1,000 bytes takes 0.5us, a frame of as many 1us),
+	// at most one acquire and no event wait after it, and pushes that feed
+	// other stages.
 	var plan func(item, depth int)
 	plan = func(item, depth int) {
 		var ops []chainOp
 		acquired := false
 		for k := rng.Intn(6); k > 0; k-- {
-			op := chainOp{kind: rng.Intn(6), d: Duration(rng.Intn(4)) * Microsecond,
+			op := chainOp{kind: rng.Intn(8), d: Duration(rng.Intn(4)) * Microsecond,
 				cycles: int64(rng.Intn(4)) * 1000, q: rng.Intn(len(pg.queues)), ev: rng.Intn(len(pg.evs))}
 			switch {
 			case op.kind == 2 && acquired, op.kind == 4 && acquired:
@@ -200,9 +268,9 @@ func chainProgram(t *testing.T, seed int64, chains, heapOnly bool) (pg *chainPro
 			q.Serve(th.Name, th, pg.procBody)
 		}
 	}
-	// Plain procs contend with the servers for the CPU, the semaphore and
-	// the disk, and fire the events, rival i the ones of its index's parity
-	// after its step of that index.
+	// Plain procs contend with the servers for the CPU, the semaphore, the
+	// disk and the fabric, and fire the events, rival i the ones of its
+	// index's parity after its step of that index.
 	for i := 0; i < 2; i++ {
 		name := fmt.Sprint("rival", i)
 		th := NewThread(name, "r")
@@ -222,9 +290,10 @@ func chainProgram(t *testing.T, seed int64, chains, heapOnly bool) (pg *chainPro
 					pg.sem.Release(1)
 				case 2:
 					pg.disk.Write(p, 3000)
+					pg.fabric.Transfer(p, "rival", "srv", 2000)
 				}
 				if k%2 == i {
-					pg.evs[k].Fire()
+					pg.fire(k)
 				}
 				pg.note("%s#%d", name, k)
 			}
@@ -258,12 +327,16 @@ func chainProgram(t *testing.T, seed int64, chains, heapOnly bool) (pg *chainPro
 // TestChainServersMatchProcServers is the task forms' contract as a property:
 // over seeded random programs, writing every server as a task chain instead of
 // a proc — Delay for Wait, ExecThen for Exec, AcquireThen for Acquire,
-// Event.WaitThen for Event.Wait, Disk.WriteThen for Disk.Write, ServeTask for
-// Serve — changes nothing in the (t, seq, owner) log and not the event count,
-// in the classic loop as in the kernel as shipped; the chains resume no
-// coroutine.
+// Event.WaitThen for Event.Wait, Disk.WriteThen for Disk.Write,
+// Event.WaitTimeoutThen for Event.WaitTimeout (whose outcome the continuation
+// reads from Fired), Fabric.TransferFrameThen for Fabric.TransferFrame,
+// ServeTask for Serve — changes nothing in the (t, seq, owner, outcome) log and
+// not the event count, in the classic loop as in the kernel as shipped; the
+// chains resume no coroutine. The timed waits see all three outcomes: the
+// event fired before the deadline, at its instant, or not in time.
 func TestChainServersMatchProcServers(t *testing.T) {
 	bursts, acquires, waits, writes := 0, 0, 0, 0
+	var timed, frames, early, atDeadline, timedOut, dropped int
 	for seed := int64(1); seed <= 24; seed++ {
 		want, wantSt := chainProgram(t, seed, false, false)
 		if len(want.log) < 40 {
@@ -285,6 +358,12 @@ func TestChainServersMatchProcServers(t *testing.T) {
 					acquires += got.queuedAcquires
 					waits += got.queuedWaits
 					writes += got.queuedWrites
+					timed += got.queuedTimed
+					frames += got.queuedFrames
+					early += got.firedEarly
+					atDeadline += got.firedAtDeadline
+					timedOut += got.timedOut
+					dropped += got.dropped
 					if st.Switches >= wantSt.Switches {
 						t.Fatalf("seed=%d: %d switches with chains, %d with procs", seed, st.Switches, wantSt.Switches)
 					}
@@ -296,23 +375,50 @@ func TestChainServersMatchProcServers(t *testing.T) {
 		t.Fatalf("%d bursts queued for a core, %d acquires for a permit, %d waits for an event, %d writes for the disk: the programs never contended",
 			bursts, acquires, waits, writes)
 	}
-	t.Logf("queued: %d bursts, %d acquires, %d event waits, %d disk writes", bursts, acquires, waits, writes)
+	if timed == 0 || frames == 0 || early == 0 || atDeadline == 0 || timedOut == 0 || dropped == 0 {
+		t.Fatalf("%d timed waits queued (%d fired early, %d at the deadline instant, %d timed out), %d frames queued, %d lost: an outcome was never reached",
+			timed, early, atDeadline, timedOut, frames, dropped)
+	}
+	t.Logf("queued: %d bursts, %d acquires, %d event waits, %d disk writes, %d timed waits (%d fired early, %d at the deadline, %d timed out), %d frames (%d lost)",
+		bursts, acquires, waits, writes, timed, early, atDeadline, timedOut, frames, dropped)
 }
 
 // TestShutdownDropsQueuedTaskForms: a burst queued behind a busy one-core CPU
 // and a task queued on a drained semaphore wait in those FIFOs, not in the
 // event queue or an event's waiter list; a chain parked in Event.WaitThen
-// waits in the event's waiter list, and one in Disk.WriteThen in the event
-// queue. Shutdown drops them all — nothing of them runs, the FIFOs skip their
-// spent tokens later, the event's waiter list is emptied and its token goes
-// back to the pool — and leaves nothing live.
+// waits in the event's waiter list, one in Disk.WriteThen in the event queue,
+// and one in Event.WaitTimeoutThen in both. Shutdown drops them all — nothing
+// of them runs, the FIFOs skip their spent tokens later, the events' waiter
+// lists are emptied, the deadline is compacted away and the tokens go back to
+// the pool — and leaves nothing live. Before that, a timed wait whose event
+// fires first leaves its deadline behind as a dead entry: the record of its
+// continuation, reused by the next task, is not reached by it.
 func TestShutdownDropsQueuedTaskForms(t *testing.T) {
 	env := NewEnv(1)
 	cpu := NewCPU(env, "c", 1, 1.0, 0)
 	sem := NewSemaphore(env, 0)
 	disk := NewDisk(env, "d", 1e9, 1e9, Second)
-	var ev Event
+	var ev, timed, early Event
 	th := NewThread("t", "t")
+	var runs []string
+	log := func(what string) Task {
+		return funcTask(func() { runs = append(runs, fmt.Sprintf("%s@%d", what, env.Now())) })
+	}
+	var first, reused *pendingTask
+	env.Spawn("early", func(p *Proc) {
+		if !early.WaitTimeoutThen(env, 5*Microsecond, funcTask(func() {
+			runs = append(runs, fmt.Sprintf("fired=%v@%d", early.Fired(), env.Now()))
+			// The continuation's record is back on the free list, its token
+			// spent with the deadline still queued: the next task takes it.
+			env.Delay(10*Microsecond, log("later"))
+			reused = env.tasks[len(env.tasks)-1]
+		})) {
+			t.Error("a timed wait for an unfired event did not queue")
+		}
+		first = env.tasks[len(env.tasks)-1]
+		p.Wait(Microsecond)
+		early.Fire()
+	})
 	ran := 0
 	count := funcTask(func() { ran++ })
 	env.Spawn("holder", func(p *Proc) { cpu.Exec(p, th, int64(Second)) })
@@ -329,25 +435,43 @@ func TestShutdownDropsQueuedTaskForms(t *testing.T) {
 		if _, queued := disk.WriteThen(1000, count); !queued {
 			t.Error("a one-second write completed at once")
 		}
+		if !timed.WaitTimeoutThen(env, Second, count) {
+			t.Error("a timed wait for an unfired event did not queue")
+		}
 	})
 	if err := env.RunUntil(Time(Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	if live := env.LiveProcs(); live != 5 || cpu.waiters.len() != 1 || sem.waiters.len() != 1 || ev.waiters.inline[0] == nil {
-		t.Fatalf("live=%d, %d waiting for a core, %d for a permit, event waiter %v: want the holder and four queued tasks",
-			live, cpu.waiters.len(), sem.waiters.len(), ev.waiters.inline[0])
+	if want := []string{"fired=true@1000", "later@11000"}; !slices.Equal(runs, want) || reused != first {
+		t.Fatalf("the early timed wait's continuation and the task after it ran %q, want %q (record reused: %v)",
+			runs, want, reused == first)
 	}
-	tok := ev.waiters.inline[0]
+	if live := env.LiveProcs(); live != 6 || cpu.waiters.len() != 1 || sem.waiters.len() != 1 || ev.waiters.inline[0] == nil || timed.waiters.inline[0] == nil {
+		t.Fatalf("live=%d, %d waiting for a core, %d for a permit, event waiters %v and %v: want the holder and five queued tasks",
+			live, cpu.waiters.len(), sem.waiters.len(), ev.waiters.inline[0], timed.waiters.inline[0])
+	}
+	tok, timedTok := ev.waiters.inline[0], timed.waiters.inline[0]
+	if timedTok.queued != 1 || timedTok.refs != 2 {
+		t.Fatalf("the timed wait's token has %d queued entries and %d refs, want its deadline and its waiter-list entry", timedTok.queued, timedTok.refs)
+	}
 	env.Shutdown()
 	if live := env.LiveProcs(); live != 0 || len(env.tasks) != 0 {
 		t.Fatalf("after Shutdown: live=%d tasks=%d", live, len(env.tasks))
 	}
-	if ev.waiters.inline[0] != nil || tok.refs != 0 || !slices.Contains(env.tokFree, tok) {
-		t.Fatalf("after Shutdown the event still lists %v; its continuation's token has %d refs", ev.waiters.inline[0], tok.refs)
+	for _, c := range []struct {
+		name string
+		ev   *Event
+		tok  *wakeToken
+	}{{"event", &ev, tok}, {"timed event", &timed, timedTok}} {
+		if c.ev.waiters.inline[0] != nil || c.tok.refs != 0 || c.tok.queued != 0 || !slices.Contains(env.tokFree, c.tok) {
+			t.Fatalf("after Shutdown the %s still lists %v; its continuation's token has %d refs, %d queued entries",
+				c.name, c.ev.waiters.inline[0], c.tok.refs, c.tok.queued)
+		}
 	}
 	queued := env.pending()
 	sem.Release(1)
 	ev.Fire()
+	timed.Fire()
 	if ran != 0 || env.pending() != queued || sem.waiters.len() != 0 || sem.Available() != 1 {
 		t.Fatalf("ran=%d, %d events queued after %d: a dropped task was granted the permit or woken by the event", ran, env.pending(), queued)
 	}

@@ -15,8 +15,9 @@
 // needs no Proc: it is a Task (Env.After, Env.At), which the kernel runs
 // inline when its wakeup fires. A server whose waits all have a task form
 // (Env.Delay, Env.WaitThen, CPU.ExecThen, Semaphore.AcquireThen,
-// Event.WaitThen, Disk.WriteThen, Queue.ServeTask) is a chain of Task steps,
-// with the events and event order of its proc form.
+// Event.WaitThen, Event.WaitTimeoutThen, Disk.WriteThen,
+// Fabric.TransferFrameThen, Queue.ServeTask) is a chain of Task steps, with
+// the events and event order of its proc form.
 //
 // On top of the kernel the package provides the contended resource models the
 // experiments are measured against:

@@ -800,10 +800,10 @@ func (e *Env) advanceTo(t Time) {
 // Shutdown force-terminates every process that is still parked and stops the
 // pooled coroutines, releasing their goroutines; procs that never started own
 // no coroutine and are only accounted for. It drops every pending task: the
-// tokens in the event queue or an event's waiter list (an After task's or an
-// Event.WaitThen continuation's) return to the pool, and one in a CPU's or
-// Semaphore's waiter FIFO is left there, spent. The
-// environment must not be used afterwards.
+// tokens in the event queue or an event's waiter list (an After task's, an
+// Event.WaitThen continuation's, or an Event.WaitTimeoutThen one's, which is in
+// both) return to the pool, and one in a CPU's or Semaphore's waiter FIFO is
+// left there, spent. The environment must not be used afterwards.
 func (e *Env) Shutdown() {
 	for _, p := range e.procs {
 		switch p.state {
@@ -821,14 +821,17 @@ func (e *Env) Shutdown() {
 	for _, pt := range e.tasks {
 		tok := pt.tok
 		tok.spent = true
-		switch {
-		case tok.queued > 0:
-			e.dead += int(tok.queued) // compact drops the entry below
-		case pt.ev != nil: // an After task or an Event.WaitThen continuation
+		if tok.queued > 0 {
+			e.dead += int(tok.queued) // compact drops the entries below
+		}
+		if pt.ev != nil && pt.started && !pt.ev.fired {
+			// A started After task, an Event.WaitThen continuation or an
+			// Event.WaitTimeoutThen one (whose deadline compact drops): the
+			// token is in the event's waiter list until the event fires.
 			pt.ev.waiters.remove(tok)
 			e.dropRef(tok)
 		}
-		// Otherwise the token waits in a CPU's or a Semaphore's FIFO, which
+		// A token in neither waits in a CPU's or a Semaphore's FIFO, which
 		// drops a spent token when it reaches it, as it does a timed-out one.
 		e.live--
 	}

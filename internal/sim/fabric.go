@@ -117,7 +117,8 @@ func (n *nic) effectiveRate() float64 {
 // faults are ignored: the frame is always delivered (legacy lossless path;
 // transports that can recover use TransferFrame).
 func (f *Fabric) Transfer(p *Proc, src, dst string, bytes int64) Time {
-	arrive, _ := f.transfer(p, src, dst, bytes, false)
+	arrive, _ := f.book(src, dst, bytes, false)
+	p.WaitUntil(arrive)
 	return arrive
 }
 
@@ -127,10 +128,29 @@ func (f *Fabric) Transfer(p *Proc, src, dst string, bytes int64) Time {
 // per-node drop probability (evaluated on the env's seeded random stream)
 // and from partition groups, so runs are reproducible.
 func (f *Fabric) TransferFrame(p *Proc, src, dst string, bytes int64) (arrive Time, delivered bool) {
-	return f.transfer(p, src, dst, bytes, true)
+	arrive, delivered = f.book(src, dst, bytes, true)
+	p.WaitUntil(arrive)
+	return arrive, delivered
 }
 
-func (f *Fabric) transfer(p *Proc, src, dst string, bytes int64, faulty bool) (Time, bool) {
+// TransferFrameThen is the task form of TransferFrame: the frame books the
+// NICs and its loss is drawn now, and t runs at the arrival instant, reached
+// as WaitUntil reaches it (Env.WaitThen). It returns the arrival, whether the
+// frame was delivered and whether t was registered; if not — the arrival is
+// not after now, so nothing is scheduled, or it fired in place — the caller
+// goes on at once, as after TransferFrame.
+func (f *Fabric) TransferFrameThen(src, dst string, bytes int64, t Task) (arrive Time, delivered, queued bool) {
+	arrive, delivered = f.book(src, dst, bytes, true)
+	if arrive <= f.env.now {
+		return arrive, delivered, false
+	}
+	return arrive, delivered, f.env.WaitThen(arrive.Sub(f.env.now), t)
+}
+
+// book occupies both NICs for a transfer of bytes and returns its arrival
+// instant; under the fault model (faulty) it also draws whether the frame is
+// lost.
+func (f *Fabric) book(src, dst string, bytes int64, faulty bool) (Time, bool) {
 	s := f.mustNode("src", src)
 	d := f.mustNode("dst", dst)
 	bw := s.effectiveRate()
@@ -153,11 +173,9 @@ func (f *Fabric) transfer(p *Proc, src, dst string, bytes int64, faulty bool) (T
 		}
 		if drop {
 			f.dropped++
-			p.WaitUntil(arrive)
 			return arrive, false
 		}
 	}
-	p.WaitUntil(arrive)
 	return arrive, true
 }
 

@@ -502,6 +502,26 @@ func (ev *Event) WaitTimeout(p *Proc, d Duration) bool {
 	return p.granted
 }
 
+// WaitTimeoutThen is the task form of WaitTimeout: it reports false when the
+// event has fired, and the caller goes on at once, as WaitTimeout returns true;
+// otherwise t joins the waiters and its deadline d from now is scheduled, the
+// two registrations WaitTimeout makes, and t runs on whichever fires first.
+// Nothing runs between that entry's pop and t, as nothing runs between it and
+// the parked proc's resume, so t reads the outcome WaitTimeout would have
+// returned from Fired: true if the event fired before the deadline or at its
+// instant ahead of it. The losing registration is dropped where the proc's
+// would be: the deadline as a dead entry, the waiter-list entry at Fire.
+func (ev *Event) WaitTimeoutThen(e *Env, d Duration, t Task) bool {
+	if ev.fired {
+		return false
+	}
+	tok := e.continuation(t)
+	tok.task.ev = ev
+	ev.waiters.add(tok)
+	e.schedule(tok, e.now.Add(d))
+	return true
+}
+
 // Cond is a broadcast-only condition variable for re-check loops:
 //
 //	for !pred() { cond.Wait(p) }

@@ -17,8 +17,10 @@ import "fmt"
 //
 // A step that must wait again continues with a task form of the wait instead
 // of a proc's blocking call: Delay or WaitThen for Wait, Event.WaitThen for
-// Event.Wait, CPU.ExecThen for Exec, Semaphore.AcquireThen for Acquire,
-// Disk.WriteThen for Disk.Write, and a ServeTask identity for a served proc.
+// Event.Wait, Event.WaitTimeoutThen for Event.WaitTimeout, CPU.ExecThen for
+// Exec, Semaphore.AcquireThen for Acquire, Disk.WriteThen for Disk.Write,
+// Fabric.TransferFrameThen for Fabric.TransferFrame, and a ServeTask identity
+// for a served proc.
 // Each draws its sequence number where the proc form parks or fires in place
 // and has no registration entry, so a chain of steps fires its proc form's
 // events, in the same order.
@@ -32,12 +34,13 @@ type Task interface{ Run() }
 type pendingTask struct {
 	env *Env
 	run Task
-	// ev is the event an After task or an Event.WaitThen continuation waits
-	// for (nil otherwise), at the deadline of an At task (zero otherwise).
+	// ev is the event an After task or an Event.WaitThen or WaitTimeoutThen
+	// continuation waits for (nil otherwise), at the deadline of an At task
+	// (zero otherwise).
 	ev *Event
 	at Time
-	// tok is the task's one live registration: a heap entry or a place in
-	// ev's waiter list.
+	// tok is the task's token: its one live registration, a heap entry or a
+	// place in ev's waiter list, or both for a WaitTimeoutThen continuation.
 	tok *wakeToken
 	// idx is the record's position in env.tasks (swap-removed when it runs).
 	idx int32
