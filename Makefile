@@ -25,13 +25,15 @@ test:
 # since which worker picks up which partition varies from run to run) — and
 # the crossing records the per-partition free lists hand out and take back
 # on both sides of the bridge, the transaction shipments whose fallback
-# paths take them out of order, and the OSD finishers' fault paths (replica
-# watchdog, map-change drop, session resets) with their free list. CI's race
-# step runs all four lines.
+# paths take them out of order, the batched-frame path's chains on their
+# fallback, probe, flush and backpressure paths with the control plane's
+# server, and the OSD finishers' fault paths (replica watchdog, map-change
+# drop, session resets) with their free list. CI's race step runs all four
+# lines.
 test-race:
 	go test -race ./...
 	go test -race -count=10 -run 'TestGroup|TestShutdown|TestProcPanic|TestTask|TestChainServers|TestNowQueue|TestServe|TestWaitInPlace|TestSleeperParked|TestHandoff' ./internal/sim
-	go test -race -count=10 -run 'TestRecycled|TestReadReturnDMAError|TestShipmentPaths' ./internal/core
+	go test -race -count=10 -run 'TestRecycled|TestReadReturnDMAError|TestShipmentPaths|TestBatchPaths' ./internal/core
 	go test -race -count=10 -run 'TestFaultPaths|TestMonitorFailureReport' ./internal/osd
 
 race: test-race

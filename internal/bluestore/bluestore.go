@@ -48,6 +48,11 @@ type Config struct {
 	CsumCyclesPerByte float64
 }
 
+// LookupCycles is charged on the calling thread per Read, Stat, Exists or
+// List call, for the metadata lookup. A caller with no proc pays it another
+// way (a task chain's CPU burst) and then calls Lookup or Names.
+const LookupCycles int64 = 8_000
+
 // The rest of the CPU cost model: values no experiment varies.
 const (
 	// prepCyclesPerOp is charged on the submitting thread per transaction op.
@@ -58,8 +63,6 @@ const (
 	kvApplyCyclesPerOp int64 = 6_000
 	// readCyclesPerByte is charged on the reading thread per byte.
 	readCyclesPerByte float64 = 0.25
-	// readCyclesPerOp is charged on the reading thread per read/stat call.
-	readCyclesPerOp int64 = 8_000
 	// switchesPerKVSync is the voluntary context-switch count recorded per
 	// kv-sync cycle (flush/fdatasync wakeups).
 	switchesPerKVSync int64 = 2
@@ -224,10 +227,12 @@ func (s *Store) FreeBytes() int64 { return s.alloc.free() }
 // server in DoCeph); data and metadata persistence proceed asynchronously on
 // the bstore threads.
 func (s *Store) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objstore.Result {
-	return s.Submit(txn, s.cpu.ExecSelf(p, prepCycles(txn)))
+	return s.Submit(txn, s.cpu.ExecSelf(p, PrepCycles(txn)))
 }
 
-func prepCycles(txn *objstore.Transaction) int64 { return prepCyclesPerOp * int64(len(txn.Ops)) }
+// PrepCycles is the preparation charge of txn, which QueueTransaction and Prep
+// make on the calling thread before Submit.
+func PrepCycles(txn *objstore.Transaction) int64 { return prepCyclesPerOp * int64(len(txn.Ops)) }
 
 // Prep is the task form of QueueTransaction's preparation charge, for a
 // caller with no proc: th runs it on the store's CPU (CPU.ExecThen), and next
@@ -235,7 +240,7 @@ func prepCycles(txn *objstore.Transaction) int64 { return prepCyclesPerOp * int6
 // Submit. It reports whether next was registered; if not, there was nothing
 // to charge and the caller goes on at once.
 func (s *Store) Prep(th *sim.Thread, txn *objstore.Transaction, busy *sim.Duration, next sim.Task) bool {
-	return s.cpu.ExecThen(th, prepCycles(txn), busy, next)
+	return s.cpu.ExecThen(th, PrepCycles(txn), busy, next)
 }
 
 // Submit is the rest of QueueTransaction, after the preparation charge whose
@@ -680,7 +685,13 @@ func (s *Store) Read(p *sim.Proc, coll, obj string, off, length uint64) (*wire.B
 
 // Stat implements objstore.Store.
 func (s *Store) Stat(p *sim.Proc, coll, obj string) (objstore.StatInfo, error) {
-	o, err := s.lookup(p, coll, obj)
+	s.cpu.ExecSelf(p, LookupCycles)
+	return s.Lookup(coll, obj)
+}
+
+// Lookup is Stat after its LookupCycles charge.
+func (s *Store) Lookup(coll, obj string) (objstore.StatInfo, error) {
+	o, err := s.find(coll, obj)
 	if err != nil {
 		return objstore.StatInfo{}, err
 	}
@@ -695,7 +706,12 @@ func (s *Store) Exists(p *sim.Proc, coll, obj string) bool {
 
 // List implements objstore.Store.
 func (s *Store) List(p *sim.Proc, coll string) ([]string, error) {
-	s.cpu.ExecSelf(p, readCyclesPerOp)
+	s.cpu.ExecSelf(p, LookupCycles)
+	return s.Names(coll)
+}
+
+// Names is List after its LookupCycles charge.
+func (s *Store) Names(coll string) ([]string, error) {
 	c, ok := s.colls[coll]
 	if !ok {
 		return nil, objstore.ErrNoCollection
@@ -709,7 +725,12 @@ func (s *Store) List(p *sim.Proc, coll string) ([]string, error) {
 }
 
 func (s *Store) lookup(p *sim.Proc, coll, obj string) (*onode, error) {
-	s.cpu.ExecSelf(p, readCyclesPerOp)
+	s.cpu.ExecSelf(p, LookupCycles)
+	return s.find(coll, obj)
+}
+
+// find is the metadata lookup, uncharged.
+func (s *Store) find(coll, obj string) (*onode, error) {
 	c, ok := s.colls[coll]
 	if !ok {
 		return nil, objstore.ErrNoCollection

@@ -134,51 +134,72 @@ func shutdownLeak(cl *Cluster, before int) int {
 // poller —, the write path's per-transaction ones — the proxy's shipment of
 // each transaction (proxy-tx:), BlueStore's bstore_aio and bstore_kv — and the
 // messenger plane's — the msgr-worker threads, the wire: lanes and the OSDs'
-// completers (completer:, rep-completer:, push-completer:) — are task chains,
-// so on a small run (4 MiB writes, two DMA segments each in DoCeph, and reads
-// of them back) no proc of theirs is ever spawned, on either deployment, and
-// the coroutine resumes per op are pinned with the events: a server turned
-// back into a proc, or a new proc on the path, moves the resumes while the
-// events stay put.
+// completers (completer:, rep-completer:, push-completer:) —, the batched-frame
+// path's — the proxy's batcher (proxy-batch), each frame's settling
+// (proxy-batch-dma:) and the host's notify shards (host-notify-batch) — and
+// every control-plane endpoint's server (rpc-server:) with its responses
+// (rpc-resp:) are task chains, so on a small run (4 MiB writes, two DMA
+// segments each in DoCeph, and reads of them back; 64 KiB ones through batched
+// frames on four DMA queues) no proc of theirs is ever spawned, on either
+// deployment, and the coroutine resumes per op are pinned with the events: a
+// server turned back into a proc, or a new proc on the path, moves the resumes
+// while the events stay put.
 func TestDMAPlaneServersAreTaskChains(t *testing.T) {
+	batched := Config{Mode: DoCeph}
+	batched.Bridge.Batch.Enable = true
+	batched.Bridge.Engine.Queues = 4
+	batched.OSD.OpShards = 4
+	batched.Messenger.Lanes = 4
 	for _, c := range []struct {
-		mode            Mode
+		name            string
+		cfg             Config
+		objectBytes     int64
 		events, resumes uint64
 	}{
 		// With every server a proc, DoCeph fires the same 5,007 events and
 		// resumes 2,285 times (47.60 per op); with the write path's three as
 		// procs, 1,439 times (29.98 per op); with the messenger plane's,
-		// 749 times (15.60 per op). Baseline, with the messenger plane's as
-		// procs, resumes 645 times (13.44 per op).
-		{DoCeph, 5007, 324},
-		{Baseline, 2044, 209},
+		// 749 times (15.60 per op); with rpc-server's, 324 (6.75 per op).
+		// Baseline, with the messenger plane's as procs, resumes 645 times
+		// (13.44 per op). Batched, with the batched-frame path's servers and
+		// rpc-server as procs, fires the same 4,145 events and resumes 774
+		// times (16.12 per op).
+		{"doceph", Config{Mode: DoCeph}, 4 << 20, 5007, 285},
+		{"baseline", Config{Mode: Baseline}, 4 << 20, 2044, 209},
+		{"batched", batched, 64 << 10, 4145, 291},
 	} {
-		cl := New(Config{Mode: c.mode, Seed: 7})
+		c.cfg.Seed = 7
+		cl := New(c.cfg)
 		var procs []string
 		cl.Env.WatchSpawns(func(name string) {
 			for _, server := range []string{"dma-engine:", "host-dma-poll", "host-notify:", "dpu-dma-poll",
 				"proxy-tx:", "bstore_aio", "bstore_kv", "msgr-worker", "wire:", "completer:", "rep-completer:",
-				"push-completer:"} {
+				"push-completer:", "proxy-batch", "host-notify-batch", "rpc-server:", "rpc-resp:"} {
 				if strings.HasPrefix(name, server) {
 					procs = append(procs, name)
 				}
 			}
 		})
-		res, err := radosbench.Run(cl.Env, cl.Client, radosbench.Config{Threads: 4, ObjectBytes: 4 << 20,
+		res, err := radosbench.Run(cl.Env, cl.Client, radosbench.Config{Threads: 4, ObjectBytes: c.objectBytes,
 			OpsPerThread: 12, Op: radosbench.Mixed, ReadPercent: 50, PrepopulateObjects: 8})
 		if err != nil {
-			t.Fatalf("%v: %v", c.mode, err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
 		if procs != nil {
-			t.Errorf("%v: server procs spawned: %v", c.mode, procs)
+			t.Errorf("%s: server procs spawned: %v", c.name, procs)
 		}
 		st := cl.Env.Stats()
 		resumes := st.Switches / 2
-		t.Logf("%v: %d ops: %d events, %d resumes (%.2f per op), %d task runs", c.mode, res.Ops, st.Events, resumes,
+		t.Logf("%s: %d ops: %d events, %d resumes (%.2f per op), %d task runs", c.name, res.Ops, st.Events, resumes,
 			float64(resumes)/float64(res.Ops), st.TaskRuns)
 		if res.Ops != 48 || st.Events != c.events || resumes != c.resumes {
-			t.Errorf("%v: %d ops, %d events, %d resumes; pinned: 48 ops, %d events, %d resumes (%.2f per op)",
-				c.mode, res.Ops, st.Events, resumes, c.events, c.resumes, float64(c.resumes)/48)
+			t.Errorf("%s: %d ops, %d events, %d resumes; pinned: 48 ops, %d events, %d resumes (%.2f per op)",
+				c.name, res.Ops, st.Events, resumes, c.events, c.resumes, float64(c.resumes)/48)
+		}
+		if c.cfg.Bridge.Batch.Enable {
+			if n := cl.Nodes[0].Bridge.Proxy.Stats().BatchedTxns; n == 0 {
+				t.Errorf("%s: batching did not engage", c.name)
+			}
 		}
 		cl.Shutdown()
 	}

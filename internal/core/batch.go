@@ -19,7 +19,7 @@ import (
 // transfer (one staging pass, one doorbell) and the host coalesces commit
 // notifications into batched RPCs.
 //
-// Off by default: with Enable false no daemon is spawned and no code path
+// Off by default: with Enable false no chain is started and no code path
 // changes, so existing golden runs stay bit-identical.
 type BatchConfig struct {
 	// Enable turns batching on. All other fields take defaults when zero.
@@ -75,10 +75,10 @@ func (c BatchConfig) withDefaults() BatchConfig {
 	return c
 }
 
-// enqueueBatch files an eligible transaction with the batcher; the batch
-// daemon ships it. Completion still arrives per op via pendingTxns.
-func (px *Proxy) enqueueBatch(p *sim.Proc, op *pendingTxn) {
-	op.enq = p.Now()
+// enqueueBatch files an eligible transaction with the batcher; the batcher's
+// chain ships it. Completion still arrives per op via pendingTxns.
+func (px *Proxy) enqueueBatch(op *pendingTxn) {
+	op.enq = px.env.Now()
 	px.batchQ = append(px.batchQ, op)
 	px.batchBytes += int64(op.frame.Length())
 	px.batchSeq++
@@ -89,66 +89,234 @@ func (px *Proxy) enqueueBatch(p *sim.Proc, op *pendingTxn) {
 // decoder's own bound, maxBatchOps, is four times it).
 const maxOpsPerFrame = 256
 
-// batchLoop is the adaptive flush daemon (spawned only when batching is
-// enabled). It accumulates queued ops and flushes on the first of: the byte
-// threshold is reached, an IdleDelay gap passes with no new arrival, or the
-// oldest op has waited MaxDelay.
-func (px *Proxy) batchLoop(p *sim.Proc) {
-	p.SetThread(px.thBatch)
+// batcher is the adaptive flush thread (started only when batching is
+// enabled) as a task chain on the proxy-batch thread. It accumulates queued
+// ops and flushes on the first of: the byte threshold is reached, an
+// IdleDelay gap passes with no new arrival, or the oldest op has waited
+// MaxDelay. A flush ships the head of the batch queue as one frame: a single
+// staging pass into one DMA buffer and a single engine doorbell, with per-op
+// batch.stage/batch.dma spans for attribution. During cooldown (or after a
+// DMA error) the whole frame rides ONE control-plane call instead of per-op
+// RPCs — the batched-submit half of the control-plane coalescing. Its steps
+// are joined where the proc form blocked, each by the task form of that wait,
+// so it runs the proc's events in the same order.
+type batcher struct {
+	px   *Proxy
+	step batchStep
+	// deadline bounds the accumulation under way, before is the arrival count
+	// when an idle wait began, and reason the counter of the flush's cause.
+	deadline sim.Time
+	before   uint64
+	reason   *int64
+	// fr is the frame being flushed; i is the op its staging is at, sp that
+	// op's span and busy its memcpy's charge. after is the step the region
+	// negotiations go on to.
+	fr    *batchFrame
+	i     int
+	sp    trace.SpanID
+	busy  sim.Duration
+	after batchStep
+	// probe is the health check in flight and probeErr its refusal; frame and
+	// reply are the fallback call's frame and its reply.
+	probe    *doca.Transfer
+	probeErr error
+	frame    *wire.Bufferlist
+	reply    *rpcchan.Reply
+}
+
+// batchStep is what the batcher's next step does.
+type batchStep uint8
+
+const (
+	batchIdle         batchStep = iota // wait for a queued op
+	batchGather                        // accumulate: wait out an idle gap, or flush
+	batchWaited                        // the idle gap is over: did anything arrive?
+	batchBackpressure                  // wait for a free DMA queue, then take the frame
+	batchGate                          // the cooldown gate, or the breaker
+	batchProbeSubmit                   // the regions are usable: submit the probe
+	batchProbeCharged                  // the probe's submit cost is paid: enqueue it
+	batchProbed                        // the probe is done: decide
+	batchAcquire                       // take a staging buffer
+	batchBuffered                      // a buffer is held: make the regions usable
+	batchRegions                       // negotiate the DPU region, if need be
+	batchHostRegion                    // the DPU region is negotiated: the host's next
+	batchStage                         // the staging memcpy of op i
+	batchStaged                        // op i's memcpy is paid for
+	batchSubmit                        // frame and submit the transfer
+	batchSubmitted                     // the submit cost is paid: enqueue the transfer
+	batchFallback                      // send the frame over the control plane
+	batchSent                          // the host has received the frame
+)
+
+// Run is the batcher's next step.
+func (b *batcher) Run() {
+	px := b.px
 	cfg := px.batch
 	for {
-		for len(px.batchQ) == 0 {
-			px.batchCond.Wait(p)
-		}
-		deadline := px.batchQ[0].enq.Add(cfg.MaxDelay)
-		reason := &px.stats.BatchFlushBytes
-		for px.batchBytes < cfg.MaxBatchBytes && len(px.batchQ) < maxOpsPerFrame {
-			rem := deadline.Sub(p.Now())
+		switch b.step {
+		case batchIdle:
+			if len(px.batchQ) == 0 {
+				px.batchCond.WaitThen(px.env, b)
+				return
+			}
+			b.deadline = px.batchQ[0].enq.Add(cfg.MaxDelay)
+			b.reason, b.step = &px.stats.BatchFlushBytes, batchGather
+		case batchGather:
+			b.step = batchBackpressure
+			if px.batchBytes >= cfg.MaxBatchBytes || len(px.batchQ) >= maxOpsPerFrame {
+				continue
+			}
+			rem := b.deadline.Sub(px.env.Now())
 			if rem <= 0 {
-				reason = &px.stats.BatchFlushDelay
-				break
+				b.reason = &px.stats.BatchFlushDelay
+				continue
 			}
-			wait := cfg.IdleDelay
-			if rem < wait {
-				wait = rem
+			b.before, b.step = px.batchSeq, batchWaited
+			if px.env.WaitThen(min(cfg.IdleDelay, rem), b) {
+				return
 			}
-			before := px.batchSeq
-			p.Wait(wait)
-			if px.batchSeq == before {
-				reason = &px.stats.BatchFlushIdle
-				break
+		case batchWaited:
+			b.step = batchGather
+			if px.batchSeq == b.before {
+				b.reason, b.step = &px.stats.BatchFlushIdle, batchBackpressure
 			}
+		case batchBackpressure:
+			// With every DMA queue already serving a frame the engine could
+			// not start another anyway, so keep accumulating instead of
+			// queueing single-op frames behind them. This is what makes the
+			// batch size track the instantaneous queue depth under load; with
+			// a multi-queue engine, up to NumQueues frames overlap.
+			if px.batchInflight >= px.engUp.NumQueues() {
+				px.batchCond.WaitThen(px.env, b)
+				return
+			}
+			*b.reason++
+			b.take()
+			b.step = batchGate
+		case batchGate:
+			switch px.gate(px.env.Now()) {
+			case gateAllow:
+				b.step = batchAcquire
+			case gateDeny:
+				b.deny()
+			default:
+				b.probe = px.newProbe()
+				b.after, b.step = batchProbeSubmit, batchRegions
+			}
+		case batchProbeSubmit:
+			b.step = batchProbed
+			if b.probeErr = px.engUp.Validate(b.probe); b.probeErr != nil {
+				continue
+			}
+			b.step = batchProbeCharged
+			if px.engUp.ChargeSubmit(px.dev.CPU, px.thBatch, b) {
+				return
+			}
+		case batchProbeCharged:
+			px.engUp.Enqueue(b.probe)
+			b.step = batchProbed
+			if b.probe.Done.WaitThen(px.env, b) {
+				return
+			}
+		case batchProbed:
+			err := b.probeErr
+			if err == nil {
+				err = b.probe.Err
+			}
+			b.probe, b.probeErr = nil, nil
+			if px.probed(px.env.Now(), err) {
+				b.step = batchAcquire
+			} else {
+				b.deny()
+			}
+		case batchAcquire:
+			px.stats.DataPlaneTxns += int64(len(b.fr.ops))
+			// One staging pass: the whole frame is memcpy'd into a single
+			// DMA-capable buffer. The per-op copy cost is unchanged (staging
+			// is linear in bytes); what the batch removes is the per-op setup.
+			b.step = batchBuffered
+			if px.dev.Buffers.AcquireThen(b) {
+				return
+			}
+		case batchBuffered:
+			px.noteStage(b.fr.bytes)
+			b.i, b.after, b.step = 0, batchStage, batchRegions
+		case batchRegions:
+			b.step = b.after
+			if px.regionsReady() {
+				continue
+			}
+			b.step = batchHostRegion
+			if px.cc.NegotiateThen(px.thBatch, px.dpuMR, b) {
+				return
+			}
+		case batchHostRegion:
+			b.step = b.after
+			if px.cc.NegotiateThen(px.thBatch, px.hostMR, b) {
+				return
+			}
+		case batchStage:
+			if b.i == len(b.fr.ops) {
+				b.step = batchSubmit
+				continue
+			}
+			op := b.fr.ops[b.i]
+			n := int64(op.frame.Length())
+			b.sp = 0
+			if op.ctx != 0 {
+				b.sp = px.tr.Start(op.ctx, 0, trace.StageBatchStage, px.dev.Name)
+				// Queue wait covers batch-queue residency plus the staging-
+				// buffer wait, both inherited from the flush instant.
+				px.tr.AddQueueWait(b.sp, px.env.Now().Sub(op.enq))
+				px.tr.AddBytes(b.sp, n)
+			}
+			b.step = batchStaged
+			if px.dev.CPU.ExecThen(px.thBatch, int64(float64(n)*proxyStageCyclesPerByte), &b.busy, b) {
+				return
+			}
+		case batchStaged:
+			px.tr.AddCPU(b.sp, px.dev.CPU.Name(), b.busy)
+			px.tr.Finish(b.sp)
+			b.sp, b.i, b.step = 0, b.i+1, batchStage
+		case batchSubmit:
+			if b.submit() {
+				return
+			}
+		case batchSubmitted:
+			// Settle accounting when the engine finishes; the batcher keeps
+			// accumulating the next batch meanwhile (staging/transfer
+			// overlap).
+			fr := b.fr
+			px.engUp.Enqueue(&fr.t)
+			b.fr, b.step = nil, batchIdle
+			px.env.Delay(0, fr) // the chain starts in an event of its own, as a thread spawned now would
+		case batchFallback:
+			b.step = batchSent
+			b.reply = px.rpc.CallTask(opBatchFallback, b.frame, b)
+			return
+		case batchSent:
+			if _, err := b.reply.Result(); err != nil {
+				panic(fmt.Sprintf("core: batch RPC fallback failed: %v", err))
+			}
+			b.frame, b.reply, b.step = nil, nil, batchIdle
 		}
-		// Backpressure: with every DMA queue already serving a frame the
-		// engine could not start another anyway, so keep accumulating
-		// instead of queueing single-op frames behind them. This is what
-		// makes the batch size track the instantaneous queue depth under
-		// load; with a multi-queue engine, up to NumQueues frames overlap.
-		for px.batchInflight >= px.engUp.NumQueues() {
-			px.batchCond.Wait(p)
-		}
-		*reason++
-		px.flushBatch(p)
 	}
 }
 
-// flushBatch ships the head of the batch queue as one frame: a single
-// staging pass into one DMA buffer and a single engine doorbell, with
-// per-op batch.stage/batch.dma spans for attribution. During cooldown (or
-// after a DMA error) the whole frame rides ONE control-plane call instead
-// of per-op RPCs — the batched-submit half of the control-plane coalescing.
-func (px *Proxy) flushBatch(p *sim.Proc) {
-	cfg := px.batch
+// take takes the head of the batch queue as the frame to flush.
+func (b *batcher) take() {
+	px := b.px
 	k, bytes := 0, int64(0)
 	for ; k < len(px.batchQ); k++ {
 		n := int64(px.batchQ[k].frame.Length())
-		if k > 0 && (bytes+n > cfg.MaxBatchBytes || k >= maxOpsPerFrame) {
+		if k > 0 && (bytes+n > px.batch.MaxBatchBytes || k >= maxOpsPerFrame) {
 			break
 		}
 		bytes += n
 	}
-	fr := newBatchFrame(k)
-	copy(fr.ops, px.batchQ)
+	b.fr = newBatchFrame(k)
+	b.fr.px, b.fr.bytes = px, bytes
+	copy(b.fr.ops, px.batchQ)
 	// Copy the rest down and clear the tail: the queue keeps its array, and
 	// the array keeps no shipped op reachable.
 	rest := copy(px.batchQ, px.batchQ[k:])
@@ -157,34 +325,21 @@ func (px *Proxy) flushBatch(p *sim.Proc) {
 	px.batchBytes -= bytes
 	px.stats.BatchFlushes++
 	px.stats.BatchedTxns += int64(k)
+}
 
-	if !px.dmaAllowed(p) {
-		px.stats.FallbackTxns += int64(k)
-		px.shipBatchViaRPC(p, fr.encode())
-		return
-	}
-	px.stats.DataPlaneTxns += int64(k)
+// deny sends the whole frame over the control plane: DMA is cooling down, or
+// the breaker holds it off.
+func (b *batcher) deny() {
+	b.px.stats.FallbackTxns += int64(len(b.fr.ops))
+	b.frame, b.fr, b.step = b.fr.encode(), nil, batchFallback
+}
 
-	// One staging pass: the whole frame is memcpy'd into a single
-	// DMA-capable buffer. The per-op copy cost is unchanged (staging is
-	// linear in bytes); what the batch removes is the per-op setup.
-	px.dev.Buffers.Acquire(p)
-	px.noteStage(bytes)
-	px.ensureRegions(p)
-	for _, op := range fr.ops {
-		n := int64(op.frame.Length())
-		var sp trace.SpanID
-		if op.ctx != 0 {
-			sp = px.tr.Start(op.ctx, 0, trace.StageBatchStage, px.dev.Name)
-			// Queue wait covers batch-queue residency plus the staging-
-			// buffer wait, both inherited from the flush instant.
-			px.tr.AddQueueWait(sp, p.Now().Sub(op.enq))
-			px.tr.AddBytes(sp, n)
-		}
-		px.tr.AddCPU(sp, px.dev.CPU.Name(),
-			px.dev.CPU.Exec(p, px.thBatch, int64(float64(n)*proxyStageCyclesPerByte)))
-		px.tr.Finish(sp)
-	}
+// submit frames the staged ops and hands the frame to the engine; it reports
+// whether the chain goes on in an event. A frame the engine refuses gives its
+// buffer back, cools DMA down and goes over the control plane.
+func (b *batcher) submit() bool {
+	px, fr := b.px, b.fr
+	k := len(fr.ops)
 	px.nextReq++
 	batchID := px.nextReq
 	dmaStage := trace.StageBatchDMA
@@ -215,34 +370,41 @@ func (px *Proxy) flushBatch(p *sim.Proc) {
 		ReqID: batchID, TotalSegs: 1, Bytes: int64(frame.Length()), Data: frame, Ops: k,
 		Src: px.dpuMR, Dst: px.hostMR, ReuseSetup: true, Queue: qpin, Tag: &fr.hdr,
 	}
-	fr.bytes, fr.start = bytes, p.Now()
+	fr.start = px.env.Now()
 	px.batchInflight++
-	if err := px.engUp.Submit(p, px.dev.CPU, t); err != nil {
+	if err := px.engUp.Validate(t); err != nil {
 		px.batchInflight--
 		for _, sp := range fr.spans {
 			px.tr.Finish(sp)
 		}
 		px.dev.Buffers.Release()
-		px.noteUnstage(bytes)
-		px.enterCooldown(p.Now())
+		px.noteUnstage(fr.bytes)
+		px.enterCooldown(px.env.Now())
 		px.stats.FallbackSegments += int64(k)
-		px.shipBatchViaRPC(p, frame)
-		return
+		b.frame, b.fr, b.step = frame, nil, batchFallback
+		return false
 	}
-	// Settle accounting when the engine finishes; the batcher keeps
-	// accumulating the next batch meanwhile (staging/transfer overlap).
-	px.batchFrames[batchID] = fr
-	px.env.SpawnID("proxy-batch-dma:", batchID, px.batchBody)
+	b.step = batchSubmitted
+	return px.engUp.ChargeSubmit(px.dev.CPU, px.thBatch, b)
 }
+
+// String names the batcher in deadlock reports.
+func (b *batcher) String() string { return b.px.thBatch.Name }
+
+// Daemon marks the batcher as a service loop that waits for work forever
+// once the system goes idle.
+func (b *batcher) Daemon() {}
 
 // batchFrame is one batch frame in flight, in one allocation: the ops it
 // carries with their trace contexts and spans, the encoded frame — its list,
 // header bytes and segment table — the engine transfer and its tag, and what
-// the frame's proxy-batch-dma proc, which finds the record by its id,
-// settles. A one-op frame, the usual one, has all its tables in the slots;
-// a larger one allocates each once, at its size.
+// the frame's settle chain settles. A one-op frame, the usual one, has all its
+// tables in the slots; a larger one allocates each once, at its size.
 type batchFrame struct {
-	t        doca.Transfer
+	px *Proxy
+	t  doca.Transfer
+	// reply is the fallback call of a frame the engine failed.
+	reply    *rpcchan.Reply
 	hdr      segHeader
 	ops      []*pendingTxn
 	spans    []trace.SpanID
@@ -290,15 +452,22 @@ func (fr *batchFrame) encode() *wire.Bufferlist {
 	return frame
 }
 
-// settleBatch is the body of every proxy-batch-dma proc: once the engine is
-// done with the frame its id names, free the staging buffer, account the DMA
-// time and, after an error, resend the frame over the control plane.
-func (px *Proxy) settleBatch(sp *sim.Proc) {
-	fr := px.batchFrames[sp.ID()]
-	delete(px.batchFrames, sp.ID())
-	sp.SetThread(px.thBatch)
-	t := &fr.t
-	t.Done.Wait(sp)
+// Run is the frame's settle chain, started where a proxy-batch-dma proc would
+// have been: once the engine is done with the frame, free the staging buffer,
+// account the DMA time and, after an error, resend the frame over the control
+// plane. Before the resend, the engine's completion is waited for (a no-op
+// once it has fired); after it, the call's reply is checked.
+func (fr *batchFrame) Run() {
+	px, t := fr.px, &fr.t
+	if fr.reply != nil {
+		if _, err := fr.reply.Result(); err != nil {
+			panic(fmt.Sprintf("core: batch RPC fallback failed: %v", err))
+		}
+		return
+	}
+	if t.Done.WaitThen(px.env, fr) {
+		return
+	}
 	px.batchInflight--
 	px.batchCond.Broadcast()
 	for _, s := range fr.spans {
@@ -310,28 +479,22 @@ func (px *Proxy) settleBatch(sp *sim.Proc) {
 	if w := t.CompletedAt.Sub(fr.start) - t.CopyTime(); w > 0 {
 		px.breakdown.DMAWait += w
 		if t.Err == nil {
-			px.noteDMAWait(sp.Now(), w)
+			px.noteDMAWait(px.env.Now(), w)
 		}
 	}
 	if t.Err != nil {
-		px.enterCooldown(sp.Now())
+		px.enterCooldown(px.env.Now())
 		px.stats.FallbackSegments += int64(len(fr.ops))
-		px.shipBatchViaRPC(sp, t.Data)
+		fr.reply = px.rpc.CallTask(opBatchFallback, t.Data, fr)
 	}
 }
 
-// shipBatchViaRPC sends a whole batch frame over the control plane as one
-// call (cooldown and post-error fallback).
-func (px *Proxy) shipBatchViaRPC(p *sim.Proc, frame *wire.Bufferlist) {
-	if _, err := px.rpc.Call(p, opBatchFallback, frame); err != nil {
-		panic(fmt.Sprintf("core: batch RPC fallback failed: %v", err))
-	}
-}
+// String names the frame's chain in deadlock reports.
+func (fr *batchFrame) String() string { return fmt.Sprintf("proxy-batch-dma:%d", fr.t.ReqID) }
 
 // onTxnDoneBatch handles a coalesced host commit notification: one RPC
 // completing many transactions.
-func (px *Proxy) onTxnDoneBatch(p *sim.Proc, req rpcchan.Request,
-	respond func(*wire.Bufferlist, uint16)) {
+func (px *Proxy) onTxnDoneBatch(req rpcchan.Request, respond func(*wire.Bufferlist, uint16)) {
 	respond(nil, 0) // notify: no-op
 	entries, err := decodeTxnDoneBatch(req.Payload, px.doneEntries)
 	if err != nil {
@@ -351,47 +514,93 @@ func (px *Proxy) onTxnDoneBatch(p *sim.Proc, req rpcchan.Request,
 // opTxnDoneBatch RPC.
 const notifyMax = 32
 
-// notifyLoop is one host-side completion batcher shard (spawned only when
-// batching is enabled, one per DMA queue): it drains queued commit
-// notifications into opTxnDoneBatch RPCs using the same adaptive
-// idle/max-delay policy as the proxy batcher.
-func (hs *HostServer) notifyLoop(p *sim.Proc, sh *notifyShard) {
-	p.SetThread(hs.thPoll)
-	cfg := hs.batch
+// notifyShard is one host-side commit-notification coalescer (started only
+// when batching is enabled, one per DMA queue) as a task chain: it drains
+// queued commit notifications into opTxnDoneBatch RPCs using the same
+// adaptive idle/max-delay policy as the proxy batcher. Its steps are joined
+// where the proc form blocked, so it runs the proc's events in the same
+// order.
+type notifyShard struct {
+	hs   *HostServer
+	cond *sim.Cond
+	q    []txnDoneEntry
 	// lastN is the size of the previous coalesced RPC. When it was a single
 	// entry the shard is in a low-rate regime: waiting IdleDelay for a
 	// companion almost never finds one and just adds latency to the commit
 	// ack, so flush immediately. The first multi-entry flush (completions
 	// arrived back-to-back during the RPC) switches back to accumulating.
-	lastN := 0
+	// deadline bounds the accumulation under way, before is len(q) when an
+	// idle wait began.
+	lastN, before int32
+	step          notifyStep
+	deadline      sim.Time
+}
+
+// notifyStep is what a notify shard's next step does.
+type notifyStep uint8
+
+const (
+	notifyIdle   notifyStep = iota // wait for a queued notification
+	notifyGather                   // accumulate: wait out an idle gap, or flush
+	notifyWaited                   // the idle gap is over: did anything arrive?
+	notifyFlush                    // send what is queued, up to notifyMax
+)
+
+// Run is the shard's next step.
+func (sh *notifyShard) Run() {
+	hs := sh.hs
+	cfg := hs.batch
 	for {
-		for len(sh.q) == 0 {
-			sh.cond.Wait(p)
-		}
-		deadline := p.Now().Add(cfg.MaxDelay)
-		for lastN > 1 && len(sh.q) < notifyMax {
-			rem := deadline.Sub(p.Now())
+		switch sh.step {
+		case notifyIdle:
+			if len(sh.q) == 0 {
+				sh.cond.WaitThen(hs.env, sh)
+				return
+			}
+			sh.deadline, sh.step = hs.env.Now().Add(cfg.MaxDelay), notifyGather
+		case notifyGather:
+			sh.step = notifyFlush
+			if sh.lastN <= 1 || len(sh.q) >= notifyMax {
+				continue
+			}
+			rem := sh.deadline.Sub(hs.env.Now())
 			if rem <= 0 {
-				break
+				continue
 			}
-			wait := cfg.IdleDelay
-			if rem < wait {
-				wait = rem
+			sh.before, sh.step = int32(len(sh.q)), notifyWaited
+			if hs.env.WaitThen(min(cfg.IdleDelay, rem), sh) {
+				return
 			}
-			before := len(sh.q)
-			p.Wait(wait)
-			if len(sh.q) == before {
-				break
+		case notifyWaited:
+			sh.step = notifyGather
+			if len(sh.q) == int(sh.before) {
+				sh.step = notifyFlush
 			}
+		case notifyFlush:
+			n := min(len(sh.q), notifyMax)
+			sh.lastN = int32(n)
+			frame := encodeTxnDoneBatch(sh.q[:n])
+			sh.q = sh.q[:copy(sh.q, sh.q[n:])] // the shard keeps its array
+			hs.stats.NotifyBatches++
+			sh.step = notifyIdle
+			hs.rpc.NotifyTask(opTxnDoneBatch, frame, nil, sh)
+			return
 		}
-		n := len(sh.q)
-		if n > notifyMax {
-			n = notifyMax
-		}
-		lastN = n
-		frame := encodeTxnDoneBatch(sh.q[:n])
-		sh.q = sh.q[:copy(sh.q, sh.q[n:])] // the shard keeps its array
-		hs.stats.NotifyBatches++
-		hs.rpc.Notify(p, opTxnDoneBatch, frame)
 	}
+}
+
+// Daemon marks the shard as a service loop that waits for work forever once
+// the system goes idle.
+func (sh *notifyShard) Daemon() {}
+
+// String names the shard in deadlock reports, as its proc form was named.
+func (sh *notifyShard) String() string {
+	if n := len(sh.hs.notify); n > 1 {
+		for i, o := range sh.hs.notify {
+			if o == sh {
+				return fmt.Sprintf("host-notify-batch:q%d", i)
+			}
+		}
+	}
+	return "host-notify-batch"
 }

@@ -269,7 +269,7 @@ func TestFlushBatchReleasesShippedOps(t *testing.T) {
 			op := newBatchOp(px.nextReq, px.nextTxnSeq,
 				(&objstore.Transaction{}).Write("pg", "o", 0, seeded(4<<10, byte(i))).EncodeBL())
 			runtime.SetFinalizer(op, func(op *pendingTxn) { freed <- op.reqID })
-			px.enqueueBatch(p, op)
+			px.enqueueBatch(op)
 		}
 		p.Wait(sim.Second)
 		if len(px.batchQ) != 0 || r.bridge.Host.Stats().TxnsCommitted != 3 {

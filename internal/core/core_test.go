@@ -23,13 +23,16 @@ type coreRig struct {
 	bridge  *Bridge
 }
 
-func newCoreRig(cfg BridgeConfig) *coreRig {
+func newCoreRig(cfg BridgeConfig) *coreRig { return newCoreRigDPU(dpu.Config{}, cfg) }
+
+// newCoreRigDPU is newCoreRig with a DPU configured by devCfg.
+func newCoreRigDPU(devCfg dpu.Config, cfg BridgeConfig) *coreRig {
 	env := sim.NewEnv(11)
 	r := &coreRig{env: env}
 	r.hostCPU = sim.NewCPU(env, "host", 48, 3.7, 2000)
 	disk := sim.NewDisk(env, "ssd", 530e6, 560e6, 30*sim.Microsecond)
 	r.store = bluestore.New(env, "bs", r.hostCPU, disk, bluestore.Config{})
-	r.dev = dpu.New(env, "bf3", dpu.Config{})
+	r.dev = dpu.New(env, "bf3", devCfg)
 	r.bridge = NewBridge(env, r.dev, r.hostCPU, r.store, cfg)
 	return r
 }
@@ -589,9 +592,9 @@ func TestFallbackSegmentHeaderValidated(t *testing.T) {
 	r := newCoreRig(BridgeConfig{})
 	r.run(t, func(p *sim.Proc) {
 		hs := r.bridge.Host
-		hs.addSegment(p, 900, 1, 0, 3, payload, 0, 0)
-		hs.addSegment(p, 900, 1, 1, 2, payload, 0, 0) // count changed
-		hs.addSegment(p, 900, 1, 3, 3, payload, 0, 0) // index out of range
+		hs.fileSegment(900, 0, 3, payload, 0, 0)
+		hs.fileSegment(900, 1, 2, payload, 0, 0) // count changed
+		hs.fileSegment(900, 3, 3, payload, 0, 0) // index out of range
 		if a := hs.asm[900]; a == nil || a.have != 1 || hs.stats.FrameErrors != 2 {
 			t.Fatalf("assembly %+v, frame errors %d; want one filed segment and two rejects", a, hs.stats.FrameErrors)
 		}

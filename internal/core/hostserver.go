@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"doceph/internal/bluestore"
 	"doceph/internal/doca"
 	"doceph/internal/dpu"
@@ -134,12 +132,6 @@ type HostServer struct {
 	notify []*notifyShard
 }
 
-// notifyShard is one commit-notification coalescer (per DMA queue).
-type notifyShard struct {
-	cond *sim.Cond
-	q    []txnDoneEntry
-}
-
 // hostTxn is one transaction on the host, a record from the partition's free
 // list: its segments while they arrive (hs.asm), the transaction they decode
 // into, its turn in the ordered commit queue (hs.readyTxns), the tasks that
@@ -249,15 +241,10 @@ func NewHostServer(env *sim.Env, hostCPU *sim.CPU, store *bluestore.Store,
 	rpcEnd.Handle(opReadFallback, hs.onReadFallback)
 	rpcEnd.Handle(opBatchFallback, hs.onBatchFallback)
 	if hs.batch.Enable {
-		n := engUp.NumQueues()
-		for i := 0; i < n; i++ {
-			sh := &notifyShard{cond: sim.NewCond()}
+		for range engUp.NumQueues() {
+			sh := &notifyShard{hs: hs, cond: sim.NewCond()}
 			hs.notify = append(hs.notify, sh)
-			name := "host-notify-batch"
-			if n > 1 {
-				name = fmt.Sprintf("host-notify-batch:q%d", i)
-			}
-			env.SpawnDaemon(name, func(p *sim.Proc) { hs.notifyLoop(p, sh) })
+			env.Delay(0, sh) // the chain starts in an event of its own, as a thread spawned now would
 		}
 	}
 	// The polling thread's idle burn (PollIdleCycles every PollInterval) is
@@ -450,21 +437,38 @@ func (hp *hostPoll) end() {
 	hp.done.Run()
 }
 
-// addSegment is the proc form of the poller's filing, for the segments the
-// RPC-fallback handlers receive on their proc: the same filing, decode and
-// commit, with the CPU charged to p's thread.
-func (hs *HostServer) addSegment(p *sim.Proc, reqID, txnSeq uint64, seg, total int, data *wire.Bufferlist, traceCtx uint64, queue int) {
-	a, payload := hs.fileSegment(reqID, seg, total, data, traceCtx, queue)
+// fileViaRPC is the poller's filing, assembly charge, decode, Prep and Submit
+// steps for a segment an RPC-fallback handler received, charged to the RPC
+// thread: the same pieces, each charge a Charge of the endpoint (the store
+// runs on the host CPU, as the endpoint does). next runs once the segment and
+// the commits it released are submitted.
+func (hs *HostServer) fileViaRPC(reqID, txnSeq uint64, seg, total int, data *wire.Bufferlist, next func()) {
+	a, payload := hs.fileSegment(reqID, seg, total, data, 0, hs.engUp.QueueFor(reqID))
 	if a == nil {
+		next()
 		return
 	}
-	hs.tr.AddCPU(a.span, hs.cpu.Name(), hs.cpu.ExecSelf(p, assembleCycles(payload)))
-	hs.decode(a, txnSeq, payload)
-	for rt := hs.nextReady(); rt != nil; rt = hs.nextReady() {
-		hs.queued(rt)
-		rt.res = hs.store.QueueTransaction(p, &rt.dec)
-		hs.env.After(&rt.res.Done, rt)
+	hs.rpc.Charge(assembleCycles(payload), func(busy sim.Duration) {
+		hs.tr.AddCPU(a.span, hs.cpu.Name(), busy)
+		hs.decode(a, txnSeq, payload)
+		hs.commitViaRPC(next)
+	})
+}
+
+// commitViaRPC submits the transactions whose turn it is, each after its
+// preparation charge on the RPC thread, then runs next.
+func (hs *HostServer) commitViaRPC(next func()) {
+	rt := hs.nextReady()
+	if rt == nil {
+		next()
+		return
 	}
+	hs.queued(rt)
+	hs.rpc.Charge(bluestore.PrepCycles(&rt.dec), func(busy sim.Duration) {
+		rt.res = hs.store.Submit(&rt.dec, busy)
+		hs.env.After(&rt.res.Done, rt)
+		hs.commitViaRPC(next)
+	})
 }
 
 // fileSegment files one transaction segment (from either plane). Once the
@@ -602,16 +606,15 @@ func (n *txnNotify) Run() {
 	if rt.silent {
 		// A decode error's report: the record still has its commit to
 		// finish, so it is left to the GC.
-		rt.hs.rpc.NotifyTask(opTxnDone, &rt.done.bl.Bufferlist, nil)
+		rt.hs.rpc.NotifyTask(opTxnDone, &rt.done.bl.Bufferlist, nil, nil)
 		return
 	}
-	rt.hs.rpc.NotifyTask(opTxnDone, &rt.done.bl.Bufferlist, (*txnNotified)(rt))
+	rt.hs.rpc.NotifyTask(opTxnDone, &rt.done.bl.Bufferlist, (*txnNotified)(rt), nil)
 }
 
 // onBatchFallback files a whole batch frame arriving over the control plane
 // (the batched submit used during cooldown / after a batch DMA error).
-func (hs *HostServer) onBatchFallback(p *sim.Proc, req rpcchan.Request,
-	respond func(*wire.Bufferlist, uint16)) {
+func (hs *HostServer) onBatchFallback(req rpcchan.Request, respond func(*wire.Bufferlist, uint16)) {
 	entries, err := decodeBatchFrame(req.Payload, nil)
 	if err != nil {
 		hs.stats.FrameErrors++
@@ -621,10 +624,17 @@ func (hs *HostServer) onBatchFallback(p *sim.Proc, req rpcchan.Request,
 	respond(nil, rcOK) // receipt ack; durability is signalled per op
 	hs.stats.SegmentsViaRPC += int64(len(entries))
 	hs.stats.BatchedOps += int64(len(entries))
-	for _, en := range entries {
-		hs.addSegment(p, en.reqID, en.txnSeq, 0, 1, en.payload, 0,
-			hs.engUp.QueueFor(en.reqID))
+	hs.fileEntriesViaRPC(entries)
+}
+
+// fileEntriesViaRPC files a fallback batch frame's entries in order, each as
+// its own single-segment request.
+func (hs *HostServer) fileEntriesViaRPC(entries []batchEntry) {
+	if len(entries) == 0 {
+		return
 	}
+	en := &entries[0]
+	hs.fileViaRPC(en.reqID, en.txnSeq, 0, 1, en.payload, func() { hs.fileEntriesViaRPC(entries[1:]) })
 }
 
 // fileRead decodes a read descriptor into hr, files the record under its
@@ -695,59 +705,62 @@ func (hs *HostServer) serveRead(p *sim.Proc) {
 }
 
 // Control-plane handlers: quick metadata services on the event-driven RPC
-// loop (§3.2).
+// loop (§3.2). Each pays BlueStore's lookup charge as an Endpoint.Charge (the
+// store runs on the host CPU, as the endpoint does) before it looks.
 
-func (hs *HostServer) onStat(p *sim.Proc, req rpcchan.Request,
-	respond func(*wire.Bufferlist, uint16)) {
+func (hs *HostServer) onStat(req rpcchan.Request, respond func(*wire.Bufferlist, uint16)) {
 	hs.stats.ControlRequests++
 	coll, obj, err := decodeObjRef(req.Payload)
 	if err != nil {
 		respond(nil, rcIO)
 		return
 	}
-	st, serr := hs.store.Stat(p, coll, obj)
-	if serr != nil {
-		respond(nil, errToCode(serr))
-		return
-	}
-	respond(encodeStatResp(st), rcOK)
+	hs.rpc.Charge(bluestore.LookupCycles, func(sim.Duration) {
+		st, serr := hs.store.Lookup(coll, obj)
+		if serr != nil {
+			respond(nil, errToCode(serr))
+			return
+		}
+		respond(encodeStatResp(st), rcOK)
+	})
 }
 
-func (hs *HostServer) onExists(p *sim.Proc, req rpcchan.Request,
-	respond func(*wire.Bufferlist, uint16)) {
+func (hs *HostServer) onExists(req rpcchan.Request, respond func(*wire.Bufferlist, uint16)) {
 	hs.stats.ControlRequests++
 	coll, obj, err := decodeObjRef(req.Payload)
 	if err != nil {
 		respond(nil, rcIO)
 		return
 	}
-	v := byte(0)
-	if hs.store.Exists(p, coll, obj) {
-		v = 1
-	}
-	respond(wire.FromBytes([]byte{v}), rcOK)
+	hs.rpc.Charge(bluestore.LookupCycles, func(sim.Duration) {
+		v := byte(0)
+		if _, err := hs.store.Lookup(coll, obj); err == nil {
+			v = 1
+		}
+		respond(wire.FromBytes([]byte{v}), rcOK)
+	})
 }
 
-func (hs *HostServer) onList(p *sim.Proc, req rpcchan.Request,
-	respond func(*wire.Bufferlist, uint16)) {
+func (hs *HostServer) onList(req rpcchan.Request, respond func(*wire.Bufferlist, uint16)) {
 	hs.stats.ControlRequests++
 	coll, _, err := decodeObjRef(req.Payload)
 	if err != nil {
 		respond(nil, rcIO)
 		return
 	}
-	names, lerr := hs.store.List(p, coll)
-	if lerr != nil {
-		respond(nil, errToCode(lerr))
-		return
-	}
-	respond(encodeList(names), rcOK)
+	hs.rpc.Charge(bluestore.LookupCycles, func(sim.Duration) {
+		names, lerr := hs.store.Names(coll)
+		if lerr != nil {
+			respond(nil, errToCode(lerr))
+			return
+		}
+		respond(encodeList(names), rcOK)
+	})
 }
 
 // onSegFallback files a transaction segment arriving over the RPC path
 // (cooldown or post-error fallback).
-func (hs *HostServer) onSegFallback(p *sim.Proc, req rpcchan.Request,
-	respond func(*wire.Bufferlist, uint16)) {
+func (hs *HostServer) onSegFallback(req rpcchan.Request, respond func(*wire.Bufferlist, uint16)) {
 	reqID, txnSeq, seg, total, payload, err := decodeSegFallback(req.Payload)
 	if err != nil {
 		respond(nil, rcIO)
@@ -755,13 +768,11 @@ func (hs *HostServer) onSegFallback(p *sim.Proc, req rpcchan.Request,
 	}
 	hs.stats.SegmentsViaRPC++
 	respond(nil, rcOK) // receipt ack; durability is signalled via opTxnDone
-	hs.addSegment(p, reqID, txnSeq, seg, total, payload, 0,
-		hs.engUp.QueueFor(reqID))
+	hs.fileViaRPC(reqID, txnSeq, seg, total, payload, func() {})
 }
 
 // onReadFallback serves a whole read over RPC (cooldown path).
-func (hs *HostServer) onReadFallback(p *sim.Proc, req rpcchan.Request,
-	respond func(*wire.Bufferlist, uint16)) {
+func (hs *HostServer) onReadFallback(req rpcchan.Request, respond func(*wire.Bufferlist, uint16)) {
 	if hs.fileRead("host-read-rpc:", &hostRead{respond: respond}, req.Payload) != nil {
 		respond(nil, rcIO)
 	}

@@ -136,16 +136,11 @@ type Proxy struct {
 	batchCond  *sim.Cond
 	batchQ     []*pendingTxn
 	batchBytes int64
-	// batchFrames holds a frame on the engine until its proxy-batch-dma proc,
-	// which finds it by id, takes it; batchBody is settleBatch as a func
-	// value, made once.
-	batchFrames map[uint64]*batchFrame
-	batchBody   func(*sim.Proc)
-	// batchSeq counts arrivals; the flush loop compares it across an
-	// IdleDelay sleep to detect a quiet queue.
+	// batchSeq counts arrivals; the batcher compares it across an IdleDelay
+	// wait to detect a quiet queue.
 	batchSeq uint64
-	// batchInflight counts batch frames currently on the engine; the flush
-	// loop accumulates while it is non-zero (backpressure).
+	// batchInflight counts batch frames currently on the engine; the batcher
+	// accumulates while every DMA queue has one (backpressure).
 	batchInflight int
 	// doneEntries is the array coalesced commit notifications are unpacked
 	// into (plain values, so nothing is kept reachable through it).
@@ -298,9 +293,7 @@ func NewProxy(env *sim.Env, dev *dpu.DPU, rpcEnd *rpcchan.Endpoint,
 		}
 		px.thBatch = sim.NewThread("proxy-batch@"+dev.Name, ProxyThreadCat)
 		px.batchCond = sim.NewCond()
-		px.batchFrames = make(map[uint64]*batchFrame)
-		px.batchBody = px.settleBatch
-		env.SpawnDaemon("proxy-batch@"+dev.Name, func(p *sim.Proc) { px.batchLoop(p) })
+		env.Delay(0, &batcher{px: px}) // the chain starts in an event of its own, as a thread spawned now would
 	}
 	return px
 }
@@ -357,47 +350,95 @@ func (px *Proxy) ensureRegions(p *sim.Proc) {
 	px.cc.Negotiate(p, px.hostMR)
 }
 
-// dmaAllowed implements the cooldown gate: healthy -> yes; in cooldown ->
-// no; cooldown expired -> run a probe transfer and decide. With the circuit
-// breaker enabled the decision is delegated to its state machine instead.
+// dmaAllowed implements the cooldown gate for a proc: healthy -> yes; in
+// cooldown -> no; cooldown expired -> run a probe transfer and decide. With
+// the circuit breaker enabled the decision is delegated to its state machine
+// instead. The batcher's chain runs the same pieces: gate, newProbe, probed.
 func (px *Proxy) dmaAllowed(p *sim.Proc) bool {
-	if px.br != nil {
-		return px.breakerAllowed(p)
-	}
-	if px.dmaHealthy {
+	switch px.gate(p.Now()) {
+	case gateAllow:
 		return true
-	}
-	if p.Now() < px.cooldownUntil {
+	case gateDeny:
 		return false
 	}
-	if px.probe(p) != nil {
-		px.enterCooldown(p.Now())
-		return false
+	err := px.probe(p)
+	return px.probed(p.Now(), err)
+}
+
+// gateVerdict is the gate's answer before any probe.
+type gateVerdict uint8
+
+const (
+	gateAllow gateVerdict = iota // DMA
+	gateDeny                     // the control plane
+	gateProbe                    // probe, then decide with probed
+)
+
+// gate asks the breaker, or the cooldown state, what to do with a request.
+func (px *Proxy) gate(now sim.Time) gateVerdict {
+	if px.br != nil {
+		switch px.br.Decide(now) {
+		case dpu.BreakerAllow:
+			return gateAllow
+		case dpu.BreakerProbe:
+			return gateProbe // half-open re-enrollment
+		}
+		return gateDeny
 	}
-	px.dmaHealthy = true
-	return true
+	switch {
+	case px.dmaHealthy:
+		return gateAllow
+	case now < px.cooldownUntil:
+		return gateDeny
+	}
+	return gateProbe
 }
 
 // probeBytes is the size of the post-cooldown health-check transfer.
 const probeBytes int64 = 64 << 10
 
-// probe is the health check of paper §4: "a small test DMA transfer to
-// determine whether the DMA path can be safely reactivated". A probe the
-// engine refuses and one that fails in flight both count as failed.
-func (px *Proxy) probe(p *sim.Proc) error {
+// newProbe counts a probe — the health check of paper §4: "a small test DMA
+// transfer to determine whether the DMA path can be safely reactivated" — and
+// makes its transfer, to be submitted once the regions are usable.
+func (px *Proxy) newProbe() *doca.Transfer {
 	px.stats.Probes++
-	px.ensureRegions(p)
-	t := &doca.Transfer{Bytes: probeBytes, Src: px.dpuMR, Dst: px.hostMR,
+	return &doca.Transfer{Bytes: probeBytes, Src: px.dpuMR, Dst: px.hostMR,
 		Tag: &segHeader{kind: segProbe}}
+}
+
+// probe runs a probe on p and returns its error: the engine's refusal, or
+// the transfer's failure in flight.
+func (px *Proxy) probe(p *sim.Proc) error {
+	t := px.newProbe()
+	px.ensureRegions(p)
 	err := px.engUp.Submit(p, px.dev.CPU, t)
 	if err == nil {
 		t.Done.Wait(p)
 		err = t.Err
 	}
+	return err
+}
+
+// probed settles a probe that ended with err and reports whether the request
+// it gated rides DMA. Without the breaker a failed probe restarts the
+// cooldown and a good one re-enables DMA; with it, the probe that completes
+// the success streak closes the breaker and its request rides DMA, earlier
+// probes stay on the fallback.
+func (px *Proxy) probed(now sim.Time, err error) bool {
 	if err != nil {
 		px.stats.ProbeFailures++
 	}
-	return err
+	if px.br != nil {
+		ok := err == nil
+		px.br.RecordProbe(now, ok)
+		return ok && px.br.State() == dpu.BreakerClosed
+	}
+	if err != nil {
+		px.enterCooldown(now)
+		return false
+	}
+	px.dmaHealthy = true
+	return true
 }
 
 func (px *Proxy) enterCooldown(now sim.Time) {
@@ -412,23 +453,6 @@ func (px *Proxy) enterCooldown(now sim.Time) {
 	}
 	px.dmaHealthy = false
 	px.cooldownUntil = now.Add(px.cfg.CooldownPeriod)
-}
-
-// breakerAllowed asks the breaker what to do with this request, running the
-// probe transfer itself when one is admitted (half-open re-enrollment).
-func (px *Proxy) breakerAllowed(p *sim.Proc) bool {
-	switch px.br.Decide(p.Now()) {
-	case dpu.BreakerAllow:
-		return true
-	case dpu.BreakerProbe:
-		ok := px.probe(p) == nil
-		px.br.RecordProbe(p.Now(), ok)
-		// The probe that completes the success streak closes the breaker
-		// and its request rides DMA; earlier probes stay on the fallback.
-		return ok && px.br.State() == dpu.BreakerClosed
-	default:
-		return false
-	}
 }
 
 // noteDMAWait feeds stall detection: a request whose non-copy wait exceeds
@@ -477,7 +501,7 @@ func (px *Proxy) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objst
 	if px.batch.Enable && int64(payload.Length()) <= px.batch.MaxOpBytes {
 		// Small op: hand it to the batcher, which ships it coalesced with
 		// its neighbours; completion still arrives per op.
-		px.enqueueBatch(p, pt)
+		px.enqueueBatch(pt)
 		px.env.After(&pt.done, pt)
 		return &pt.res
 	}
@@ -837,8 +861,7 @@ func (sh *shipment) fallback() bool {
 func (sh *shipment) String() string { return fmt.Sprintf("proxy-tx:%d", sh.pt.reqID) }
 
 // onTxnDone handles the host's commit notification.
-func (px *Proxy) onTxnDone(p *sim.Proc, req rpcchan.Request,
-	respond func(*wire.Bufferlist, uint16)) {
+func (px *Proxy) onTxnDone(req rpcchan.Request, respond func(*wire.Bufferlist, uint16)) {
 	respond(nil, 0) // notify: no-op
 	reqID, code, hostNanos, err := decodeTxnDone(req.Payload)
 	if err != nil {
@@ -1004,8 +1027,7 @@ func (px *Proxy) fillRead(pr *pendingRead, hdr *segHeader, data *wire.Bufferlist
 
 // onReadDone handles the host's read-completion notification (errors and
 // zero-length reads, which produce no data segments).
-func (px *Proxy) onReadDone(p *sim.Proc, req rpcchan.Request,
-	respond func(*wire.Bufferlist, uint16)) {
+func (px *Proxy) onReadDone(req rpcchan.Request, respond func(*wire.Bufferlist, uint16)) {
 	respond(nil, 0)
 	reqID, code, total, err := decodeReadDone(req.Payload)
 	if err != nil {

@@ -44,10 +44,11 @@ type Request struct {
 	Payload *wire.Bufferlist
 }
 
-// Handler services one request on the endpoint's server loop. Respond may
-// be called inline or later from a spawned process (for handlers that block
-// on storage); it must be called exactly once per request.
-type Handler func(p *sim.Proc, req Request, respond func(payload *wire.Bufferlist, errCode uint16))
+// Handler services one request on the endpoint's server chain. It must not
+// block: CPU time it spends is an Endpoint.Charge. respond may be called
+// inline, from a Charge's then, or later from another process (for work that
+// blocks on storage); it must be called exactly once per request.
+type Handler func(req Request, respond func(payload *wire.Bufferlist, errCode uint16))
 
 // noResponse is the respond function of every Notify.
 func noResponse(*wire.Bufferlist, uint16) {}
@@ -64,17 +65,16 @@ type Stats struct {
 type Endpoint struct {
 	env  *sim.Env
 	name string
-	// respPrefix names the per-response procs ("rpc-resp:<name>/<reqID>");
-	// built once, not per message.
-	respPrefix string
 
 	cpu *sim.CPU
 	th  *sim.Thread
 	cfg Config
 
-	peer     *Endpoint
-	inq      *sim.Queue[envelope]
-	handlers map[uint16]Handler
+	peer *Endpoint
+	inq  *sim.Queue[envelope]
+	srv  server
+	// handlers is indexed by op: op codes are small.
+	handlers []Handler
 	pending  map[uint64]*Reply
 	nextID   uint64
 	// sendFree is the busy-until time of this endpoint's outbound socket
@@ -85,42 +85,75 @@ type Endpoint struct {
 }
 
 // envelope is one message on the wire and, on the heap, the courier task
-// that delivers it to endpoint to at its arrival instant.
+// that delivers it to endpoint to at its arrival instant. Before that, the
+// envelope of NotifyTask, CallTask or a response is the continuation of the
+// sender's CPU burst, and a response's also the task its sending starts on.
+// Its size is computed from the payload, which nothing changes in flight;
+// that keeps the envelope, sent included, in the 64-byte size class.
 type envelope struct {
-	to     *Endpoint
-	req    bool
-	notify bool
-	// onWire is set once the sender has paid for the message and booked it.
-	// Before that, the envelope of NotifyTask or CallTask is the continuation
-	// of the sender's CPU burst. (It fits in padding: the envelope stays 64
-	// bytes.)
-	onWire  bool
-	op      uint16
-	reqID   uint64
-	errCode uint16
+	to      *Endpoint
 	payload *wire.Bufferlist
-	bytes   int64
-	// consumed is NotifyThen's task.
-	consumed sim.Task
+	reqID   uint64
+	// consumed is NotifyThen's task, sent NotifyTask's.
+	consumed, sent sim.Task
+	op, errCode    uint16
+	req, notify    bool
+	step           envStep
 }
 
-// Run books a NotifyTask's or CallTask's message once its sender's CPU burst
-// has ended — a call then waits for its response, as Call does — and delivers
-// a booked message into the peer's input queue at its arrival.
-func (env *envelope) Run() {
-	if !env.onWire {
-		from := env.to.peer
-		from.env.At(from.book(env), env)
-		if !env.notify {
-			from.stats.CallsSent++
-			r := from.pending[env.reqID]
-			if !r.done.WaitThen(from.env, r.then) {
-				r.then.Run()
-			}
-		}
-		return
+// envStep is what an envelope's next step does.
+type envStep uint8
+
+const (
+	envBook    envStep = iota // the sender has paid for the message: book it on the socket
+	envRespond                // a response's first step: the sender pays for it
+	envDeliver                // the message has arrived: into the peer's input queue
+)
+
+// size is the message's length on the wire.
+func (env *envelope) size() int64 {
+	if env.payload == nil {
+		return HeaderBytes
 	}
-	env.to.inq.Push(*env)
+	return HeaderBytes + int64(env.payload.Length())
+}
+
+// Run is the envelope's next step. A booked NotifyTask message goes on to
+// sent and a CallTask one waits for its response, as Call does; each is
+// delivered by the envelope at its arrival. A response waits out its flight
+// and delivers itself, as the response proc of a proc-form server did.
+func (env *envelope) Run() {
+	from := env.to.peer
+	switch env.step {
+	case envRespond:
+		env.step = envBook
+		if from.cpu.ExecThen(from.th, from.cost(env), nil, env) {
+			return
+		}
+		fallthrough
+	case envBook:
+		arrival := from.book(env)
+		if !env.req {
+			if d := arrival.Sub(from.env.Now()); d <= 0 || !from.env.WaitThen(d, env) {
+				env.to.inq.Push(*env)
+			}
+			return
+		}
+		from.env.At(arrival, env)
+		if env.notify {
+			if env.sent != nil {
+				env.sent.Run()
+			}
+			return
+		}
+		from.stats.CallsSent++
+		r := from.pending[env.reqID]
+		if !r.done.WaitThen(from.env, r.then) {
+			r.then.Run()
+		}
+	case envDeliver:
+		env.to.inq.Push(*env)
+	}
 }
 
 // Reply is a call awaiting its response, which the endpoint's server loop
@@ -162,12 +195,11 @@ func New(env *sim.Env, nameA string, cpuA *sim.CPU, thA *sim.Thread,
 func newEndpoint(env *sim.Env, name string, cpu *sim.CPU, th *sim.Thread, cfg Config) *Endpoint {
 	e := &Endpoint{
 		env: env, name: name, cpu: cpu, th: th, cfg: cfg,
-		respPrefix: "rpc-resp:" + name + "/",
-		inq:        sim.NewQueue[envelope](env),
-		handlers:   make(map[uint16]Handler),
-		pending:    make(map[uint64]*Reply),
+		inq:     sim.NewQueue[envelope](env),
+		pending: make(map[uint64]*Reply),
 	}
-	e.inq.Serve("rpc-server:"+name, th, e.serve)
+	e.srv.e = e
+	e.srv.done = e.inq.ServeTask("rpc-server:"+name, e.srv.serve)
 	return e
 }
 
@@ -175,7 +207,12 @@ func newEndpoint(env *sim.Env, name string, cpu *sim.CPU, th *sim.Thread, cfg Co
 func (e *Endpoint) Stats() Stats { return e.stats }
 
 // Handle registers a handler for op.
-func (e *Endpoint) Handle(op uint16, h Handler) { e.handlers[op] = h }
+func (e *Endpoint) Handle(op uint16, h Handler) {
+	if n := int(op) + 1; n > len(e.handlers) {
+		e.handlers = append(e.handlers, make([]Handler, n-len(e.handlers))...)
+	}
+	e.handlers[op] = h
+}
 
 // Call sends a request and blocks p until the response arrives, returning
 // the response payload.
@@ -200,11 +237,16 @@ func (e *Endpoint) CallTask(op uint16, payload *wire.Bufferlist, next sim.Task) 
 	id := e.nextID
 	r := &Reply{done: sim.NewEvent(), then: next}
 	e.pending[id] = r
-	env := &envelope{req: true, op: op, reqID: id, payload: payload}
+	e.sendTask(&envelope{req: true, op: op, reqID: id, payload: payload})
+	return r
+}
+
+// sendTask charges env's cost to the endpoint's thread with the envelope as
+// the burst's continuation.
+func (e *Endpoint) sendTask(env *envelope) {
 	if !e.cpu.ExecThen(e.th, e.cost(env), nil, env) {
 		env.Run()
 	}
-	return r
 }
 
 // Notify sends a one-way message (no response) processed by the peer's
@@ -224,13 +266,11 @@ func (e *Endpoint) NotifyThen(p *sim.Proc, op uint16, payload *wire.Bufferlist, 
 
 // NotifyTask is the task form of NotifyThen, for a sender with no proc: the
 // sender's cost is a CPU burst of the endpoint's thread (CPU.ExecThen), and
-// the message is booked on the socket when it ends, where NotifyThen returns.
-func (e *Endpoint) NotifyTask(op uint16, payload *wire.Bufferlist, consumed sim.Task) {
+// the message is booked on the socket when it ends, where NotifyThen returns;
+// sent, when not nil, runs right after, where the sender would go on.
+func (e *Endpoint) NotifyTask(op uint16, payload *wire.Bufferlist, consumed, sent sim.Task) {
 	e.nextID++
-	env := &envelope{req: true, notify: true, op: op, reqID: e.nextID, payload: payload, consumed: consumed}
-	if !e.cpu.ExecThen(e.th, e.cost(env), nil, env) {
-		env.Run()
-	}
+	e.sendTask(&envelope{req: true, notify: true, op: op, reqID: e.nextID, payload: payload, consumed: consumed, sent: sent})
 }
 
 const (
@@ -253,15 +293,16 @@ func (e *Endpoint) transmit(p *sim.Proc, env *envelope) sim.Time {
 	return e.book(env)
 }
 
-// cost addresses env to the peer, sizes it and returns the sender-side CPU
-// cost of sending it.
+// cost addresses env to the peer and returns the sender-side CPU cost of
+// sending it.
 func (e *Endpoint) cost(env *envelope) int64 {
 	env.to = e.peer
-	env.bytes = HeaderBytes
-	if env.payload != nil {
-		env.bytes += int64(env.payload.Length())
-	}
-	return fixedCycles + int64(float64(env.bytes)*perByteCycles)
+	return msgCycles(env)
+}
+
+// msgCycles is the CPU cost of a message on either side.
+func msgCycles(env *envelope) int64 {
+	return fixedCycles + int64(float64(env.size())*perByteCycles)
 }
 
 // book puts env, whose cost has been paid, on the outbound socket direction
@@ -269,10 +310,11 @@ func (e *Endpoint) cost(env *envelope) int64 {
 // instant at the peer.
 func (e *Endpoint) book(env *envelope) sim.Time {
 	e.cpu.NoteSwitches(e.th, switchesPerMsg)
-	e.stats.BytesSent += env.bytes
-	env.onWire = true
+	bytes := env.size()
+	e.stats.BytesSent += bytes
+	env.step = envDeliver
 
-	ser := sim.Duration(float64(env.bytes) / bytesPerSec * float64(sim.Second))
+	ser := sim.Duration(float64(bytes) / bytesPerSec * float64(sim.Second))
 	start := e.env.Now()
 	if e.sendFree > start {
 		start = e.sendFree
@@ -288,58 +330,147 @@ func (e *Endpoint) send(p *sim.Proc, env envelope) {
 	e.env.At(e.transmit(p, &env), &env)
 }
 
-// serve is one turn of the endpoint's event-driven receive loop.
-func (e *Endpoint) serve(p *sim.Proc, env envelope) {
-	e.cpu.Exec(p, e.th, fixedCycles+int64(float64(env.bytes)*perByteCycles))
-	e.cpu.NoteSwitches(e.th, switchesPerMsg)
-	e.stats.BytesRecv += env.bytes
-	if env.req {
-		e.stats.CallsServed++
-		h, ok := e.handlers[env.op]
-		if !ok {
-			if !env.notify {
-				e.send(p, envelope{reqID: env.reqID, errCode: 0xFFFF})
-			}
-			return
-		}
-		req := Request{Op: env.op, ReqID: env.reqID, Payload: env.payload}
-		if env.notify {
-			h(p, req, noResponse)
-			if env.consumed != nil {
-				env.consumed.Run()
-			}
-			return
-		}
-		id := env.reqID
-		responded := false
-		h(p, req, func(payload *wire.Bufferlist, errCode uint16) {
-			if responded {
-				panic("rpcchan: respond called twice for req " + fmt.Sprint(id))
-			}
-			responded = true
-			// The responder may be a spawned completion process;
-			// charge the response send to the server thread via the
-			// current proc.
-			e.sendFromAny(payload, errCode, id)
-		})
-		return
+// server is the endpoint's event-driven receive loop as a task chain over
+// its input queue: a turn is one CPU burst (CPU.ExecThen), then the handler,
+// or the response filed for its call — and the handler's Charges, burst then
+// action, before the turn ends.
+type server struct {
+	e *Endpoint
+	// done is the served identity, run when a turn is over; env is the
+	// message of the turn under way, step what its next step does, charge
+	// the handler's pending Charge and busy the time its burst charged.
+	done   sim.Task
+	env    envelope
+	step   serveStep
+	charge charge
+	busy   sim.Duration
+}
+
+// serveStep is what the server's next step does.
+type serveStep uint8
+
+const (
+	serveIdle     serveStep = iota // between turns
+	serveReceived                  // the receive burst is over: dispatch
+	serveHandled                   // inside the handler or a Charge's then: run the next Charge
+	serveCharged                   // a Charge's burst is over: its then
+)
+
+// charge is a handler's Charge: cycles of the endpoint's thread, then the
+// action.
+type charge struct {
+	cycles int64
+	then   func(busy sim.Duration)
+}
+
+// Charge is how a handler spends CPU time without blocking: once the handler
+// returns, the server runs cycles of the endpoint's thread on its CPU
+// (CPU.ExecThen), then then with the busy time charged, and takes its next
+// message only after that — busy exactly as long as an Exec inside the
+// handler would have kept it. Work that must follow the charge goes in then,
+// which may Charge again. Call it from a handler or a then, at most once
+// before it returns.
+func (e *Endpoint) Charge(cycles int64, then func(busy sim.Duration)) {
+	s := &e.srv
+	if s.step != serveHandled || s.charge.then != nil {
+		panic(fmt.Sprintf("rpcchan %s: Charge outside a handler, or twice before it returned", e.name))
 	}
-	// Response path.
-	if pc, ok := e.pending[env.reqID]; ok {
-		pc.payload = env.payload
-		pc.errCode = env.errCode
-		pc.done.Fire()
-		delete(e.pending, env.reqID)
+	s.charge = charge{cycles: cycles, then: then}
+}
+
+// serve starts a turn on env, the served identity's body.
+func (s *server) serve(env envelope) {
+	s.env, s.step = env, serveReceived
+	if !s.e.cpu.ExecThen(s.e.th, msgCycles(&env), nil, s) {
+		s.Run()
 	}
 }
 
-// sendFromAny sends a response envelope on behalf of whatever process is
-// running; a courier proc on the endpoint's thread pays the CPU cost and
-// delivers it.
-func (e *Endpoint) sendFromAny(payload *wire.Bufferlist, errCode uint16, reqID uint64) {
-	env := envelope{reqID: reqID, errCode: errCode, payload: payload}
-	e.env.SpawnID(e.respPrefix, reqID, func(cp *sim.Proc) {
-		cp.WaitUntil(e.transmit(cp, &env))
-		env.Run()
+// Run is the server's next step.
+func (s *server) Run() {
+	e := s.e
+	for {
+		switch s.step {
+		case serveReceived:
+			s.step = serveHandled
+			s.dispatch()
+		case serveHandled:
+			c := s.charge
+			if c.then == nil {
+				s.end()
+				return
+			}
+			s.charge, s.step = charge{then: c.then}, serveCharged
+			if e.cpu.ExecThen(e.th, c.cycles, &s.busy, s) {
+				return
+			}
+		case serveCharged:
+			then := s.charge.then
+			s.charge, s.step = charge{}, serveHandled
+			then(s.busy)
+		}
+	}
+}
+
+// dispatch accounts the received message and hands a request to its handler,
+// or files a response for its call.
+func (s *server) dispatch() {
+	e, env := s.e, &s.env
+	e.cpu.NoteSwitches(e.th, switchesPerMsg)
+	e.stats.BytesRecv += env.size()
+	if !env.req {
+		if pc, ok := e.pending[env.reqID]; ok {
+			pc.payload = env.payload
+			pc.errCode = env.errCode
+			pc.done.Fire()
+			delete(e.pending, env.reqID)
+		}
+		return
+	}
+	e.stats.CallsServed++
+	var h Handler
+	if int(env.op) < len(e.handlers) {
+		h = e.handlers[env.op]
+	}
+	if h == nil {
+		env.consumed = nil // no handler takes it: never consumed
+		if !env.notify {
+			rej := &envelope{reqID: env.reqID, errCode: 0xFFFF}
+			e.Charge(e.cost(rej), func(sim.Duration) { e.env.At(e.book(rej), rej) })
+		}
+		return
+	}
+	req := Request{Op: env.op, ReqID: env.reqID, Payload: env.payload}
+	if env.notify {
+		h(req, noResponse)
+		return
+	}
+	id := env.reqID
+	responded := false
+	h(req, func(payload *wire.Bufferlist, errCode uint16) {
+		if responded {
+			panic("rpcchan: respond called twice for req " + fmt.Sprint(id))
+		}
+		responded = true
+		e.respond(payload, errCode, id)
 	})
+}
+
+// end finishes the turn — a notification the handler took is consumed — and
+// hands the identity back; nothing of s may be touched after it, as the next
+// turn may already have begun.
+func (s *server) end() {
+	consumed := s.env.consumed
+	s.env, s.step = envelope{}, serveIdle
+	if consumed != nil {
+		consumed.Run()
+	}
+	s.done.Run()
+}
+
+// respond sends a response on behalf of whatever is running: the envelope,
+// started in an event of its own, pays the cost on the endpoint's thread and
+// delivers itself.
+func (e *Endpoint) respond(payload *wire.Bufferlist, errCode uint16, reqID uint64) {
+	e.env.Delay(0, &envelope{to: e.peer, reqID: reqID, errCode: errCode, payload: payload, step: envRespond})
 }

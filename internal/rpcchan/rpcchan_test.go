@@ -50,7 +50,7 @@ func (r *rpcRig) run(t *testing.T, body func(p *sim.Proc)) {
 
 func TestCallRoundTrip(t *testing.T) {
 	r := newRPCRig(Config{})
-	r.host.Handle(1, func(p *sim.Proc, req Request, respond func(*wire.Bufferlist, uint16)) {
+	r.host.Handle(1, func(req Request, respond func(*wire.Bufferlist, uint16)) {
 		respond(wire.FromBytes(append([]byte("echo:"), req.Payload.Bytes()...)), 0)
 	})
 	r.run(t, func(p *sim.Proc) {
@@ -66,12 +66,12 @@ func TestCallRoundTrip(t *testing.T) {
 
 func TestCallsMatchConcurrently(t *testing.T) {
 	r := newRPCRig(Config{})
-	r.host.Handle(2, func(p *sim.Proc, req Request, respond func(*wire.Bufferlist, uint16)) {
+	r.host.Handle(2, func(req Request, respond func(*wire.Bufferlist, uint16)) {
 		// Respond asynchronously with a delay inversely ordered to arrival,
 		// forcing out-of-order responses.
 		payload := req.Payload.Clone()
 		d := sim.Duration(100-payload.Bytes()[0]) * sim.Millisecond
-		p.Env().Spawn("responder", func(cp *sim.Proc) {
+		r.env.Spawn("responder", func(cp *sim.Proc) {
 			cp.Wait(d)
 			respond(payload, 0)
 		})
@@ -102,7 +102,7 @@ func TestCallsMatchConcurrently(t *testing.T) {
 
 func TestRemoteErrorCode(t *testing.T) {
 	r := newRPCRig(Config{})
-	r.host.Handle(3, func(p *sim.Proc, req Request, respond func(*wire.Bufferlist, uint16)) {
+	r.host.Handle(3, func(req Request, respond func(*wire.Bufferlist, uint16)) {
 		respond(nil, 42)
 	})
 	r.run(t, func(p *sim.Proc) {
@@ -128,7 +128,7 @@ func TestUnknownOpReturnsError(t *testing.T) {
 func TestNotifyDelivered(t *testing.T) {
 	r := newRPCRig(Config{})
 	var got []byte
-	r.host.Handle(4, func(p *sim.Proc, req Request, respond func(*wire.Bufferlist, uint16)) {
+	r.host.Handle(4, func(req Request, respond func(*wire.Bufferlist, uint16)) {
 		got = req.Payload.Bytes()
 		respond(nil, 0) // no-op for notify
 	})
@@ -153,7 +153,7 @@ func (l logTask) Run() { *l.log = append(*l.log, l.name) }
 func TestNotifyThenRunsAfterHandler(t *testing.T) {
 	r := newRPCRig(Config{})
 	var log []string
-	r.host.Handle(4, func(p *sim.Proc, req Request, respond func(*wire.Bufferlist, uint16)) {
+	r.host.Handle(4, func(req Request, respond func(*wire.Bufferlist, uint16)) {
 		log = append(log, "handled "+string(req.Payload.Bytes()))
 	})
 	r.run(t, func(p *sim.Proc) {
@@ -191,14 +191,14 @@ func TestNotifyTaskMatchesNotifyThen(t *testing.T) {
 		dpuCPU := sim.NewCPU(env, "arm", 1, 2.0, 2000)
 		dpu, host := New(env, "dpu", dpuCPU, sim.NewThread("proxy-rpc", "proxy"),
 			"host", sim.NewCPU(env, "host", 8, 3.7, 2000), sim.NewThread("host-rpc", "rpc-server"), Config{})
-		host.Handle(4, func(p *sim.Proc, req Request, _ func(*wire.Bufferlist, uint16)) {
-			o.log = append(o.log, fmt.Sprintf("%v handled %s", p.Now(), req.Payload.Bytes()))
+		host.Handle(4, func(req Request, _ func(*wire.Bufferlist, uint16)) {
+			o.log = append(o.log, fmt.Sprintf("%v handled %s", env.Now(), req.Payload.Bytes()))
 		})
 		for _, msg := range []string{"a", "bb", "ccc"} {
 			payload := wire.FromBytes([]byte(strings.Repeat(msg, 1000)))
 			consumed := logTask{&o.log, "consumed " + msg}
 			if task {
-				env.Delay(0, taskFunc(func() { dpu.NotifyTask(4, payload, consumed) }))
+				env.Delay(0, taskFunc(func() { dpu.NotifyTask(4, payload, consumed, nil) }))
 			} else {
 				env.Spawn("notify", func(p *sim.Proc) { dpu.NotifyThen(p, 4, payload, consumed) })
 			}
@@ -218,7 +218,7 @@ func TestNotifyTaskMatchesNotifyThen(t *testing.T) {
 
 func TestCPUChargedBothSides(t *testing.T) {
 	r := newRPCRig(Config{})
-	r.host.Handle(5, func(p *sim.Proc, req Request, respond func(*wire.Bufferlist, uint16)) {
+	r.host.Handle(5, func(req Request, respond func(*wire.Bufferlist, uint16)) {
 		respond(nil, 0)
 	})
 	r.run(t, func(p *sim.Proc) {
@@ -236,7 +236,7 @@ func TestCPUChargedBothSides(t *testing.T) {
 
 func TestLatencyPaidOnWire(t *testing.T) {
 	r := newRPCRig(Config{Latency: 100 * sim.Microsecond})
-	r.host.Handle(6, func(p *sim.Proc, req Request, respond func(*wire.Bufferlist, uint16)) {
+	r.host.Handle(6, func(req Request, respond func(*wire.Bufferlist, uint16)) {
 		respond(nil, 0)
 	})
 	r.run(t, func(p *sim.Proc) {
@@ -252,7 +252,7 @@ func TestLatencyPaidOnWire(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	r := newRPCRig(Config{})
-	r.host.Handle(7, func(p *sim.Proc, req Request, respond func(*wire.Bufferlist, uint16)) {
+	r.host.Handle(7, func(req Request, respond func(*wire.Bufferlist, uint16)) {
 		respond(nil, 0)
 	})
 	r.run(t, func(p *sim.Proc) {
@@ -289,10 +289,10 @@ func TestCallTaskMatchesCall(t *testing.T) {
 		dpuCPU := sim.NewCPU(env, "arm", 1, 2.0, 2000)
 		dpu, host := New(env, "dpu", dpuCPU, sim.NewThread("proxy-rpc", "proxy"),
 			"host", sim.NewCPU(env, "host", 8, 3.7, 2000), sim.NewThread("host-rpc", "rpc-server"), Config{})
-		host.Handle(1, func(p *sim.Proc, req Request, respond func(*wire.Bufferlist, uint16)) {
+		host.Handle(1, func(req Request, respond func(*wire.Bufferlist, uint16)) {
 			respond(wire.FromBytes(append([]byte("echo:"), req.Payload.Bytes()[:3]...)), 0)
 		})
-		host.Handle(2, func(p *sim.Proc, req Request, respond func(*wire.Bufferlist, uint16)) {
+		host.Handle(2, func(req Request, respond func(*wire.Bufferlist, uint16)) {
 			respond(nil, 42)
 		})
 		done := func(op uint16, resp *wire.Bufferlist, err error) {
@@ -330,4 +330,52 @@ func TestCallTaskMatchesCall(t *testing.T) {
 	if len(want.log) != 3 || fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("CallTask: %+v\nCall: %+v", got, want)
 	}
+}
+
+// TestChargeHoldsTheServer: a handler's Charge, and one its then makes, run
+// on the endpoint's thread once the handler has returned, each then handed the
+// busy time its burst charged, and the server takes its next message only
+// after them; a Charge outside a handler panics.
+func TestChargeHoldsTheServer(t *testing.T) {
+	r := newRPCRig(Config{})
+	const cycles = 37_000 // 10us at 3.7 GHz
+	var log []string
+	var doneAt sim.Time
+	r.host.Handle(1, func(req Request, respond func(*wire.Bufferlist, uint16)) {
+		log = append(log, "handle "+string(req.Payload.Bytes()))
+		if len(log) > 1 && r.env.Now() < doneAt {
+			t.Errorf("second message handled at %v, before the first's charges ended at %v", r.env.Now(), doneAt)
+		}
+		r.host.Charge(cycles, func(busy sim.Duration) {
+			log = append(log, "charged "+string(req.Payload.Bytes()))
+			r.host.Charge(cycles, func(busy2 sim.Duration) {
+				if busy < 10*sim.Microsecond || busy2 < 10*sim.Microsecond {
+					t.Errorf("bursts charged %v and %v, want at least 10us each", busy, busy2)
+				}
+				doneAt = r.env.Now()
+				respond(nil, 0)
+			})
+		})
+	})
+	for _, msg := range []string{"a", "b"} {
+		r.env.Spawn("call", func(p *sim.Proc) {
+			p.SetThread(sim.NewThread("c", "proxy"))
+			if _, err := r.dpu.Call(p, 1, wire.FromBytes([]byte(msg))); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	if err := r.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(log, ", "); got != "handle a, charged a, handle b, charged b" {
+		t.Fatalf("log: %s", got)
+	}
+	r.env.Shutdown()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Charge outside a handler did not panic")
+		}
+	}()
+	r.host.Charge(cycles, func(sim.Duration) {})
 }

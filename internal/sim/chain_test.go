@@ -12,7 +12,9 @@ import (
 // shared CPU, 2 takes a permit of the shared semaphore (given back when the
 // body ends), 3 pushes arg onto queue q, 4 waits for event ev, which a rival
 // proc fires, 5 writes cycles bytes to the shared disk, 6 waits for event ev
-// for at most d, 7 sends a frame of cycles bytes over the shared lossy fabric.
+// for at most d, 7 sends a frame of cycles bytes over the shared lossy fabric,
+// 8 (a kind 4 of events 6 and 7) waits on cond ev%2, which the rival procs
+// broadcast.
 type chainOp struct {
 	kind   int
 	d      Duration
@@ -24,12 +26,13 @@ type chainOp struct {
 // chainProg is a seeded program of server threads over served queues, whose
 // bodies contend for a one- or two-core CPU, a one- or two-permit semaphore
 // and a disk with each other and with plain procs, and wait for events those
-// procs fire, and send frames over a fabric they share with the rivals. Its
-// servers are written once as procs (Serve, Wait, Exec, Acquire, Event.Wait,
-// Disk.Write, Event.WaitTimeout, Fabric.TransferFrame) and once as task chains
-// (ServeTask, Delay, ExecThen, AcquireThen, Event.WaitThen, Disk.WriteThen,
-// Event.WaitTimeoutThen, Fabric.TransferFrameThen). A timed wait logs its
-// outcome and a frame whether it arrived.
+// procs fire, and send frames over a fabric they share with the rivals, and
+// wait on conditions the rivals broadcast. Its servers are written once as
+// procs (Serve, Wait, Exec, Acquire, Event.Wait, Disk.Write, Event.WaitTimeout,
+// Fabric.TransferFrame, Cond.Wait) and once as task chains (ServeTask, Delay,
+// ExecThen, AcquireThen, Event.WaitThen, Disk.WriteThen, Event.WaitTimeoutThen,
+// Fabric.TransferFrameThen, Cond.WaitThen). A timed wait logs its outcome and a
+// frame whether it arrived.
 type chainProg struct {
 	env    *Env
 	cpu    *CPU
@@ -37,17 +40,21 @@ type chainProg struct {
 	disk   *Disk
 	fabric *Fabric
 	evs    []*Event
+	conds  [2]Cond
 	// firedAt is when each event fired.
 	firedAt []Time
 	queues  []*Queue[int]
 	plans   map[int][]chainOp
 	log     []string
+	// ended counts the bodies that have ended: the rivals broadcast until
+	// all of them have.
+	ended int
 	// queued counts the task forms' calls that had to wait: a burst behind
 	// a busy CPU, an acquire behind a drained semaphore, a wait for an event
 	// not yet fired, a write that did not complete in place, a timed wait, a
-	// frame that did not arrive in place.
+	// frame that did not arrive in place, a wait on a condition.
 	queuedBursts, queuedAcquires, queuedWaits, queuedWrites int
-	queuedTimed, queuedFrames                               int
+	queuedTimed, queuedFrames, queuedConds                  int
 	// The timed waits' outcomes in the chain form — the event fired before
 	// the deadline, at its instant, or not in time — and the frames lost.
 	firedEarly, firedAtDeadline, timedOut, dropped int
@@ -93,12 +100,15 @@ func (pg *chainProg) procBody(p *Proc, item int) {
 		case 7:
 			_, ok := pg.fabric.TransferFrame(p, "srv", "rival", op.cycles)
 			outcome = fmt.Sprint(":delivered=", ok)
+		case 8:
+			pg.conds[op.ev%2].Wait(p)
 		}
 		pg.note("%s:%d:%d%s", name, item, i, outcome)
 	}
 	if held {
 		pg.sem.Release(1)
 	}
+	pg.ended++
 	pg.note("%s:%d:end", name, item)
 }
 
@@ -190,6 +200,10 @@ func (c *chainServer) Run() {
 			if _, c.delivered, c.waiting = pg.fabric.TransferFrameThen("srv", "rival", op.cycles, c); c.waiting {
 				pg.queuedFrames++
 			}
+		case 8:
+			pg.conds[op.ev%2].WaitThen(pg.env, c)
+			c.waiting = true
+			pg.queuedConds++
 		}
 		if c.waiting {
 			return
@@ -199,6 +213,7 @@ func (c *chainServer) Run() {
 	if c.held {
 		pg.sem.Release(1)
 	}
+	pg.ended++
 	pg.note("%s:%d:end", c.th.Name, c.item)
 	c.done.Run()
 }
@@ -241,8 +256,10 @@ func chainProgram(t *testing.T, seed int64, chains, heapOnly bool) (pg *chainPro
 			switch {
 			case op.kind == 2 && acquired, op.kind == 4 && acquired:
 				// One permit per body; none held while waiting for a rival,
-				// which may need it to fire the event.
+				// which may need it to fire the event or broadcast.
 				op.kind = 0
+			case op.kind == 4 && op.ev >= 6:
+				op.kind = 8 // the conditions take the last two events' draws
 			case op.kind == 2:
 				acquired = true
 			case op.kind == 3 && depth < 2:
@@ -270,7 +287,9 @@ func chainProgram(t *testing.T, seed int64, chains, heapOnly bool) (pg *chainPro
 	}
 	// Plain procs contend with the servers for the CPU, the semaphore, the
 	// disk and the fabric, and fire the events, rival i the ones of its
-	// index's parity after its step of that index.
+	// index's parity after its step of that index; rival i broadcasts cond i
+	// after every step, and every microsecond after its last until every body
+	// has ended.
 	for i := 0; i < 2; i++ {
 		name := fmt.Sprint("rival", i)
 		th := NewThread(name, "r")
@@ -295,7 +314,12 @@ func chainProgram(t *testing.T, seed int64, chains, heapOnly bool) (pg *chainPro
 				if k%2 == i {
 					pg.fire(k)
 				}
+				pg.conds[i].Broadcast()
 				pg.note("%s#%d", name, k)
+			}
+			for pg.ended < len(pg.plans) {
+				p.Wait(Microsecond)
+				pg.conds[i].Broadcast()
 			}
 		})
 	}
@@ -330,12 +354,12 @@ func chainProgram(t *testing.T, seed int64, chains, heapOnly bool) (pg *chainPro
 // Event.WaitThen for Event.Wait, Disk.WriteThen for Disk.Write,
 // Event.WaitTimeoutThen for Event.WaitTimeout (whose outcome the continuation
 // reads from Fired), Fabric.TransferFrameThen for Fabric.TransferFrame,
-// ServeTask for Serve — changes nothing in the (t, seq, owner, outcome) log and
+// Cond.WaitThen for Cond.Wait, ServeTask for Serve — changes nothing in the (t, seq, owner, outcome) log and
 // not the event count, in the classic loop as in the kernel as shipped; the
 // chains resume no coroutine. The timed waits see all three outcomes: the
 // event fired before the deadline, at its instant, or not in time.
 func TestChainServersMatchProcServers(t *testing.T) {
-	bursts, acquires, waits, writes := 0, 0, 0, 0
+	bursts, acquires, waits, writes, conds := 0, 0, 0, 0, 0
 	var timed, frames, early, atDeadline, timedOut, dropped int
 	for seed := int64(1); seed <= 24; seed++ {
 		want, wantSt := chainProgram(t, seed, false, false)
@@ -360,6 +384,7 @@ func TestChainServersMatchProcServers(t *testing.T) {
 					writes += got.queuedWrites
 					timed += got.queuedTimed
 					frames += got.queuedFrames
+					conds += got.queuedConds
 					early += got.firedEarly
 					atDeadline += got.firedAtDeadline
 					timedOut += got.timedOut
@@ -371,26 +396,27 @@ func TestChainServersMatchProcServers(t *testing.T) {
 			}
 		}
 	}
-	if bursts == 0 || acquires == 0 || waits == 0 || writes == 0 {
-		t.Fatalf("%d bursts queued for a core, %d acquires for a permit, %d waits for an event, %d writes for the disk: the programs never contended",
-			bursts, acquires, waits, writes)
+	if bursts == 0 || acquires == 0 || waits == 0 || writes == 0 || conds == 0 {
+		t.Fatalf("%d bursts queued for a core, %d acquires for a permit, %d waits for an event, %d writes for the disk, %d waits on a condition: the programs never contended",
+			bursts, acquires, waits, writes, conds)
 	}
 	if timed == 0 || frames == 0 || early == 0 || atDeadline == 0 || timedOut == 0 || dropped == 0 {
 		t.Fatalf("%d timed waits queued (%d fired early, %d at the deadline instant, %d timed out), %d frames queued, %d lost: an outcome was never reached",
 			timed, early, atDeadline, timedOut, frames, dropped)
 	}
-	t.Logf("queued: %d bursts, %d acquires, %d event waits, %d disk writes, %d timed waits (%d fired early, %d at the deadline, %d timed out), %d frames (%d lost)",
-		bursts, acquires, waits, writes, timed, early, atDeadline, timedOut, frames, dropped)
+	t.Logf("queued: %d bursts, %d acquires, %d event waits, %d disk writes, %d timed waits (%d fired early, %d at the deadline, %d timed out), %d frames (%d lost), %d condition waits",
+		bursts, acquires, waits, writes, timed, early, atDeadline, timedOut, frames, dropped, conds)
 }
 
 // TestShutdownDropsQueuedTaskForms: a burst queued behind a busy one-core CPU
 // and a task queued on a drained semaphore wait in those FIFOs, not in the
 // event queue or an event's waiter list; a chain parked in Event.WaitThen
-// waits in the event's waiter list, one in Disk.WriteThen in the event queue,
-// and one in Event.WaitTimeoutThen in both. Shutdown drops them all — nothing
-// of them runs, the FIFOs skip their spent tokens later, the events' waiter
-// lists are emptied, the deadline is compacted away and the tokens go back to
-// the pool — and leaves nothing live. Before that, a timed wait whose event
+// waits in the event's waiter list, one in Cond.WaitThen in the condition's,
+// one in Disk.WriteThen in the event queue, and one in Event.WaitTimeoutThen
+// in both. Shutdown drops them all — nothing of them runs, the FIFOs skip
+// their spent tokens later, the waiter lists are emptied, the deadline is
+// compacted away and the tokens go back to the pool — and leaves nothing
+// live. Before that, a timed wait whose event
 // fires first leaves its deadline behind as a dead entry: the record of its
 // continuation, reused by the next task, is not reached by it.
 func TestShutdownDropsQueuedTaskForms(t *testing.T) {
@@ -399,6 +425,7 @@ func TestShutdownDropsQueuedTaskForms(t *testing.T) {
 	sem := NewSemaphore(env, 0)
 	disk := NewDisk(env, "d", 1e9, 1e9, Second)
 	var ev, timed, early Event
+	var cond Cond
 	th := NewThread("t", "t")
 	var runs []string
 	log := func(what string) Task {
@@ -432,6 +459,7 @@ func TestShutdownDropsQueuedTaskForms(t *testing.T) {
 		if !ev.WaitThen(env, count) {
 			t.Error("a wait for an unfired event did not queue")
 		}
+		cond.WaitThen(env, count)
 		if _, queued := disk.WriteThen(1000, count); !queued {
 			t.Error("a one-second write completed at once")
 		}
@@ -446,11 +474,12 @@ func TestShutdownDropsQueuedTaskForms(t *testing.T) {
 		t.Fatalf("the early timed wait's continuation and the task after it ran %q, want %q (record reused: %v)",
 			runs, want, reused == first)
 	}
-	if live := env.LiveProcs(); live != 6 || cpu.waiters.len() != 1 || sem.waiters.len() != 1 || ev.waiters.inline[0] == nil || timed.waiters.inline[0] == nil {
-		t.Fatalf("live=%d, %d waiting for a core, %d for a permit, event waiters %v and %v: want the holder and five queued tasks",
-			live, cpu.waiters.len(), sem.waiters.len(), ev.waiters.inline[0], timed.waiters.inline[0])
+	if live := env.LiveProcs(); live != 7 || cpu.waiters.len() != 1 || sem.waiters.len() != 1 ||
+		ev.waiters.inline[0] == nil || timed.waiters.inline[0] == nil || cond.waiters.inline[0] == nil {
+		t.Fatalf("live=%d, %d waiting for a core, %d for a permit, event waiters %v and %v, condition waiter %v: want the holder and six queued tasks",
+			live, cpu.waiters.len(), sem.waiters.len(), ev.waiters.inline[0], timed.waiters.inline[0], cond.waiters.inline[0])
 	}
-	tok, timedTok := ev.waiters.inline[0], timed.waiters.inline[0]
+	tok, timedTok, condTok := ev.waiters.inline[0], timed.waiters.inline[0], cond.waiters.inline[0]
 	if timedTok.queued != 1 || timedTok.refs != 2 {
 		t.Fatalf("the timed wait's token has %d queued entries and %d refs, want its deadline and its waiter-list entry", timedTok.queued, timedTok.refs)
 	}
@@ -459,19 +488,20 @@ func TestShutdownDropsQueuedTaskForms(t *testing.T) {
 		t.Fatalf("after Shutdown: live=%d tasks=%d", live, len(env.tasks))
 	}
 	for _, c := range []struct {
-		name string
-		ev   *Event
-		tok  *wakeToken
-	}{{"event", &ev, tok}, {"timed event", &timed, timedTok}} {
-		if c.ev.waiters.inline[0] != nil || c.tok.refs != 0 || c.tok.queued != 0 || !slices.Contains(env.tokFree, c.tok) {
+		name    string
+		waiters *waitList
+		tok     *wakeToken
+	}{{"event", &ev.waiters, tok}, {"timed event", &timed.waiters, timedTok}, {"condition", &cond.waiters, condTok}} {
+		if c.waiters.inline[0] != nil || c.tok.refs != 0 || c.tok.queued != 0 || !slices.Contains(env.tokFree, c.tok) {
 			t.Fatalf("after Shutdown the %s still lists %v; its continuation's token has %d refs, %d queued entries",
-				c.name, c.ev.waiters.inline[0], c.tok.refs, c.tok.queued)
+				c.name, c.waiters.inline[0], c.tok.refs, c.tok.queued)
 		}
 	}
 	queued := env.pending()
 	sem.Release(1)
 	ev.Fire()
 	timed.Fire()
+	cond.Broadcast()
 	if ran != 0 || env.pending() != queued || sem.waiters.len() != 0 || sem.Available() != 1 {
 		t.Fatalf("ran=%d, %d events queued after %d: a dropped task was granted the permit or woken by the event", ran, env.pending(), queued)
 	}

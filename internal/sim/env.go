@@ -747,7 +747,7 @@ func (e *Env) runWindow(limit Time) (drained bool) {
 }
 
 // blockedState is the partition's deadlock snapshot: the sorted names of procs
-// (daemons only counted) and tasks that cannot run, and the starved queues.
+// and tasks that cannot run (daemons' only counted), and the starved queues.
 func (e *Env) blockedState(name string) PartitionState {
 	ps := PartitionState{Name: name, Now: e.now}
 	for _, p := range e.procs {
@@ -761,6 +761,10 @@ func (e *Env) blockedState(name string) PartitionState {
 		ps.Parked = append(ps.Parked, p.Name())
 	}
 	for _, pt := range e.tasks {
+		if _, ok := pt.run.(Daemon); ok {
+			ps.Daemons++
+			continue
+		}
 		ps.Parked = append(ps.Parked, taskName(pt.run))
 	}
 	sort.Strings(ps.Parked)
@@ -800,10 +804,11 @@ func (e *Env) advanceTo(t Time) {
 // Shutdown force-terminates every process that is still parked and stops the
 // pooled coroutines, releasing their goroutines; procs that never started own
 // no coroutine and are only accounted for. It drops every pending task: the
-// tokens in the event queue or an event's waiter list (an After task's, an
-// Event.WaitThen continuation's, or an Event.WaitTimeoutThen one's, which is in
-// both) return to the pool, and one in a CPU's or Semaphore's waiter FIFO is
-// left there, spent. The environment must not be used afterwards.
+// tokens in the event queue or a waiter list (an After task's, an
+// Event.WaitThen or Cond.WaitThen continuation's, or an Event.WaitTimeoutThen
+// one's, which is in both) return to the pool, and one in a CPU's or
+// Semaphore's waiter FIFO is left there, spent. The environment must not be
+// used afterwards.
 func (e *Env) Shutdown() {
 	for _, p := range e.procs {
 		switch p.state {
@@ -829,6 +834,10 @@ func (e *Env) Shutdown() {
 			// Event.WaitTimeoutThen one (whose deadline compact drops): the
 			// token is in the event's waiter list until the event fires.
 			pt.ev.waiters.remove(tok)
+			e.dropRef(tok)
+		}
+		if pt.cond != nil && pt.cond.waiters.remove(tok) {
+			// A Cond.WaitThen continuation no Broadcast has woken yet.
 			e.dropRef(tok)
 		}
 		// A token in neither waits in a CPU's or a Semaphore's FIFO, which

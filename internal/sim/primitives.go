@@ -396,17 +396,21 @@ func (l *waitList) add(tok *wakeToken) {
 	}
 }
 
-// remove takes tok out of the list, keeping the others in order; the caller
-// drops the registration. Only Shutdown removes a waiter.
-func (l *waitList) remove(tok *wakeToken) {
+// remove takes tok out of the list, keeping the others in order, and reports
+// whether it was there; the caller drops the registration. Only Shutdown
+// removes a waiter.
+func (l *waitList) remove(tok *wakeToken) (found bool) {
 	rest := append([]*wakeToken{l.inline[0], l.inline[1]}, l.more...)
 	*l = waitList{}
 	for _, w := range rest {
-		if w != nil && w != tok {
+		if w == tok {
+			found = true
+		} else if w != nil {
 			w.refs--
 			l.add(w)
 		}
 	}
+	return found
 }
 
 // wakeAll wakes, in registration order, every waiter still parked, marking
@@ -540,6 +544,18 @@ func NewCond() *Cond { return new(Cond) }
 func (c *Cond) Wait(p *Proc) {
 	c.waiters.add(p.newToken())
 	p.park()
+}
+
+// WaitThen is the task form of Wait: t joins the waiters, to run when the
+// next Broadcast wakes it — the wake-up draws its sequence number where the
+// parked proc's would be drawn, and nothing is scheduled before. Unlike the
+// other task forms it never goes on at once, as Wait never returns at once.
+// The continuation records the condition, so Shutdown takes it off the
+// waiter list.
+func (c *Cond) WaitThen(e *Env, t Task) {
+	tok := e.continuation(t)
+	tok.task.cond = c
+	c.waiters.add(tok)
 }
 
 // Broadcast wakes every process currently in Wait.

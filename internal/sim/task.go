@@ -17,10 +17,10 @@ import "fmt"
 //
 // A step that must wait again continues with a task form of the wait instead
 // of a proc's blocking call: Delay or WaitThen for Wait, Event.WaitThen for
-// Event.Wait, Event.WaitTimeoutThen for Event.WaitTimeout, CPU.ExecThen for
-// Exec, Semaphore.AcquireThen for Acquire, Disk.WriteThen for Disk.Write,
-// Fabric.TransferFrameThen for Fabric.TransferFrame, and a ServeTask identity
-// for a served proc.
+// Event.Wait, Event.WaitTimeoutThen for Event.WaitTimeout, Cond.WaitThen for
+// Cond.Wait, CPU.ExecThen for Exec, Semaphore.AcquireThen for Acquire,
+// Disk.WriteThen for Disk.Write, Fabric.TransferFrameThen for
+// Fabric.TransferFrame, and a ServeTask identity for a served proc.
 // Each draws its sequence number where the proc form parks or fires in place
 // and has no registration entry, so a chain of steps fires its proc form's
 // events, in the same order.
@@ -28,6 +28,15 @@ import "fmt"
 // A task that implements fmt.Stringer is listed under that name in deadlock
 // reports; others are listed by their type.
 type Task interface{ Run() }
+
+// Daemon is implemented by the tasks of a service loop written as a task
+// chain that is expected to wait forever once the system goes idle, as a
+// SpawnDaemon proc is: such a task waiting at the end of a run is excluded
+// from deadlock detection, as a parked daemon proc is. The method is a marker.
+type Daemon interface {
+	Task
+	Daemon()
+}
 
 // pendingTask is the kernel's record of a registered task until it runs.
 // Records are pooled, like procs.
@@ -39,6 +48,9 @@ type pendingTask struct {
 	// (zero otherwise).
 	ev *Event
 	at Time
+	// cond is the condition a Cond.WaitThen continuation waits on (nil
+	// otherwise).
+	cond *Cond
 	// tok is the task's token: its one live registration, a heap entry or a
 	// place in ev's waiter list, or both for a WaitTimeoutThen continuation.
 	tok *wakeToken
@@ -72,7 +84,7 @@ func (e *Env) listTask(t Task) *pendingTask {
 	} else {
 		pt = &pendingTask{env: e}
 	}
-	pt.run, pt.ev, pt.at, pt.started = t, nil, 0, false
+	pt.run, pt.ev, pt.at, pt.cond, pt.started = t, nil, 0, nil, false
 	pt.idx = int32(len(e.tasks))
 	e.tasks = append(e.tasks, pt)
 	e.live++
@@ -139,7 +151,7 @@ func (e *Env) advance(pt *pendingTask) {
 	e.tasks[pt.idx], last.idx = last, pt.idx
 	e.tasks[len(e.tasks)-1] = nil
 	e.tasks = e.tasks[:len(e.tasks)-1]
-	pt.run, pt.ev, pt.tok = nil, nil, nil
+	pt.run, pt.ev, pt.cond, pt.tok = nil, nil, nil, nil
 	e.taskFree = append(e.taskFree, pt)
 	e.live--
 	e.stats.TaskRuns++

@@ -389,10 +389,17 @@ func TestTaskPanicSurfacesFromRun(t *testing.T) {
 	}
 }
 
+// daemonTask is a funcTask that marks itself a daemon's.
+type daemonTask func()
+
+func (d daemonTask) Run()  { d() }
+func (daemonTask) Daemon() {}
+
 // TestTaskStuckIsReportedAndShutdownDropsIt: a task whose event never fires
 // counts as live, is named in the deadlock report (by its String method, or
-// by its type), and Shutdown drops it — in whichever of its three states it
-// is — returning every token the tasks held to the pool.
+// by its type) unless it is a Daemon's, which is only counted, and Shutdown
+// drops it — in whichever of its three states it is — returning every token
+// the tasks held to the pool.
 func TestTaskStuckIsReportedAndShutdownDropsIt(t *testing.T) {
 	env := NewEnv(1)
 	var never Event
@@ -401,8 +408,9 @@ func TestTaskStuckIsReportedAndShutdownDropsIt(t *testing.T) {
 	env.After(&never, funcTask(func() { ran++ }))
 	env.After(&never, funcTask(func() { ran++ })) // third waiter: past the inline slots
 	env.At(Time(Microsecond), funcTask(func() { ran++ }))
-	if env.LiveProcs() != 4 {
-		t.Fatalf("live=%d with four tasks registered", env.LiveProcs())
+	env.After(&never, daemonTask(func() { ran++ }))
+	if env.LiveProcs() != 5 {
+		t.Fatalf("live=%d with five tasks registered", env.LiveProcs())
 	}
 	de, ok := env.Run().(DeadlockError)
 	if !ok {
@@ -411,10 +419,10 @@ func TestTaskStuckIsReportedAndShutdownDropsIt(t *testing.T) {
 	if got, want := strings.Join(de.Blocked, " "), "commit:7 sim.funcTask sim.funcTask"; got != want {
 		t.Fatalf("blocked = %q, want %q", got, want)
 	}
-	if got := de.Partitions[0].Parked; !reflect.DeepEqual(got, de.Blocked) {
-		t.Fatalf("parked = %q, blocked = %q", got, de.Blocked)
+	if got := de.Partitions[0].Parked; !reflect.DeepEqual(got, de.Blocked) || de.Partitions[0].Daemons != 1 {
+		t.Fatalf("parked = %q, blocked = %q, %d daemons", got, de.Blocked, de.Partitions[0].Daemons)
 	}
-	if ran != 1 || env.LiveProcs() != 3 {
+	if ran != 1 || env.LiveProcs() != 4 {
 		t.Fatalf("ran=%d live=%d after the run; the deadline task alone should have run", ran, env.LiveProcs())
 	}
 	// One more in each state a pending task can be in: registration entry
