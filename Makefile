@@ -27,14 +27,15 @@ test:
 # on both sides of the bridge, the transaction shipments whose fallback
 # paths take them out of order, the batched-frame path's chains on their
 # fallback, probe, flush and backpressure paths with the control plane's
-# server, and the OSD finishers' fault paths (replica watchdog, map-change
-# drop, session resets) with their free list. CI's race step runs all four
-# lines.
+# server, the read path's chains on every way a read goes (cooldown, probe,
+# DMA errors, staging waits), the OSD finishers' fault paths (replica
+# watchdog, map-change drop, session resets) with their free list, and the op
+# workers on every kind of item. CI's race step runs all four lines.
 test-race:
 	go test -race ./...
 	go test -race -count=10 -run 'TestGroup|TestShutdown|TestProcPanic|TestTask|TestChainServers|TestNowQueue|TestServe|TestWaitInPlace|TestSleeperParked|TestHandoff' ./internal/sim
-	go test -race -count=10 -run 'TestRecycled|TestReadReturnDMAError|TestShipmentPaths|TestBatchPaths' ./internal/core
-	go test -race -count=10 -run 'TestFaultPaths|TestMonitorFailureReport' ./internal/osd
+	go test -race -count=10 -run 'TestRecycled|TestReadReturnDMAError|TestShipmentPaths|TestBatchPaths|TestReadPaths' ./internal/core
+	go test -race -count=10 -run 'TestFaultPaths|TestMonitorFailureReport|TestOpWorkerPaths|TestStoreError' ./internal/osd
 
 race: test-race
 

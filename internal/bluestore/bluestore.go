@@ -139,6 +139,9 @@ type Store struct {
 	slowIO       sim.Duration
 	writeErrProb float64
 
+	// calls is the free list of the task forms' records.
+	calls []*call
+
 	stats Stats
 	tr    *trace.Tracer
 }
@@ -674,10 +677,8 @@ func (s *Store) Read(p *sim.Proc, coll, obj string, off, length uint64) (*wire.B
 	if off >= o.size {
 		return &wire.Bufferlist{}, nil
 	}
-	if length == 0 || off+length > o.size {
-		length = o.size - off
-	}
-	s.cpu.ExecSelf(p, int64(float64(length)*readCyclesPerByte))
+	length = readLength(o, off, length)
+	s.cpu.ExecSelf(p, readCycles(length))
 	s.disk.Read(p, int64(length))
 	s.stats.BytesRead += int64(length)
 	return o.readRange(off, length), nil
@@ -741,6 +742,149 @@ func (s *Store) find(coll, obj string) (*onode, error) {
 	}
 	return o, nil
 }
+
+// call is one task-form call in flight (QueueTransactionThen, ReadThen,
+// StatThen, ExistsThen), from the store's free list: the caller's record, its
+// thread and continuation, and what a step hands the next. Its steps are the
+// proc forms' waits, each its task form, so it fires their events in the same
+// order.
+type call struct {
+	s    *Store
+	th   *sim.Thread
+	c    *objstore.Call
+	next sim.Task
+	step callStep
+	// o and length are the object a read found and the bytes it reads; busy
+	// is the preparation charge of a transaction.
+	o      *onode
+	length uint64
+	busy   sim.Duration
+}
+
+// callStep is what a call's next step does.
+type callStep uint8
+
+const (
+	callPrepped  callStep = iota + 1 // the preparation is paid for: submit
+	callLookedUp                     // a read's lookup is paid for: find the object
+	callCopied                       // the read's CPU is paid for: read the device
+	callRead                         // the device read is done: the data
+	callStat                         // the stat's lookup is paid for: answer
+	callExists                       // the lookup is paid for: answer
+)
+
+// start runs a call of c on th from its first step, which charges cycles on
+// th and goes on to step; it reports whether next was registered, as the task
+// forms do.
+func (s *Store) start(th *sim.Thread, c *objstore.Call, next sim.Task, cycles int64, step callStep) bool {
+	var r *call
+	if n := len(s.calls); n > 0 {
+		r = s.calls[n-1]
+		s.calls = s.calls[:n-1]
+	} else {
+		r = &call{s: s}
+	}
+	r.th, r.c, r.next, r.step = th, c, next, step
+	if s.cpu.ExecThen(th, cycles, &r.busy, r) || r.advance() {
+		return true
+	}
+	r.put()
+	return false
+}
+
+// put zeroes r and lists it for the next call.
+func (r *call) put() {
+	s := r.s
+	*r = call{s: s}
+	s.calls = append(s.calls, r)
+}
+
+// Run goes on after the step that waited; once the call is done, its
+// continuation runs.
+func (r *call) Run() {
+	if r.advance() {
+		return
+	}
+	next := r.next
+	r.put()
+	next.Run()
+}
+
+// advance takes the call through its steps until one waits, reporting true,
+// or the results are in c.
+func (r *call) advance() bool {
+	s, c := r.s, r.c
+	for {
+		switch r.step {
+		case callPrepped:
+			c.Result = s.Submit(c.Txn, r.busy)
+			return false
+		case callLookedUp:
+			o, err := s.find(c.Coll, c.Object)
+			switch {
+			case err != nil:
+				c.Data, c.Err = nil, err
+				return false
+			case c.Off >= o.size:
+				c.Data, c.Err = &wire.Bufferlist{}, nil
+				return false
+			}
+			r.o, r.length = o, readLength(o, c.Off, c.Length)
+			r.step = callCopied
+			if s.cpu.ExecThen(r.th, readCycles(r.length), nil, r) {
+				return true
+			}
+		case callCopied:
+			r.step = callRead
+			if _, queued := s.disk.ReadThen(int64(r.length), r); queued {
+				return true
+			}
+		case callRead:
+			s.stats.BytesRead += int64(r.length)
+			c.Data, c.Err = r.o.readRange(c.Off, r.length), nil
+			return false
+		case callStat:
+			c.Stat, c.Err = s.Lookup(c.Coll, c.Object)
+			return false
+		case callExists:
+			_, err := s.find(c.Coll, c.Object)
+			c.Exists = err == nil
+			return false
+		}
+	}
+}
+
+// QueueTransactionThen implements objstore.Store: Prep, then Submit.
+func (s *Store) QueueTransactionThen(th *sim.Thread, c *objstore.Call, next sim.Task) bool {
+	return s.start(th, c, next, PrepCycles(c.Txn), callPrepped)
+}
+
+// ReadThen implements objstore.Store.
+func (s *Store) ReadThen(th *sim.Thread, c *objstore.Call, next sim.Task) bool {
+	return s.start(th, c, next, LookupCycles, callLookedUp)
+}
+
+// StatThen implements objstore.Store.
+func (s *Store) StatThen(th *sim.Thread, c *objstore.Call, next sim.Task) bool {
+	return s.start(th, c, next, LookupCycles, callStat)
+}
+
+// ExistsThen implements objstore.Store.
+func (s *Store) ExistsThen(th *sim.Thread, c *objstore.Call, next sim.Task) bool {
+	return s.start(th, c, next, LookupCycles, callExists)
+}
+
+// readLength is the length of a read of length bytes (0 = to EOF) at off of
+// o, which holds off.
+func readLength(o *onode, off, length uint64) uint64 {
+	if length == 0 || off+length > o.size {
+		return o.size - off
+	}
+	return length
+}
+
+// readCycles is the CPU a read of length bytes charges the reading thread.
+func readCycles(length uint64) int64 { return int64(float64(length) * readCyclesPerByte) }
 
 // DataObject names one stored object that holds byte extents.
 type DataObject struct {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -16,14 +15,13 @@ import (
 // TestIdleClusterIsQueuesAndBodies: once a run has completed, the threads
 // that only ever wait on one queue (tp_osd_tp, msgr-worker, the wire: lanes,
 // bstore_aio, bstore_kv, rpc-server, the two DMA pollers) are idle identities
-// on empty queues holding no coroutine — the DMA pollers, BlueStore's two
-// threads, the msgr-workers and the wire: lanes, task chains, have none even
-// while they work — and the live procs
-// are exactly the loops that stayed daemons because they carry state across
-// iterations: per OSD hb, and mgr-poll. An idle DMA engine queue is a task chain waiting for a
-// Submit, not live. A daemon added per OSD shows up here (and, times 128, in
-// the scale-out pin). No OSD holds a mutation, replica apply or replica wait
-// record any more.
+// on empty queues, task chains holding no coroutine, and the live procs are
+// exactly the loops that stayed daemons because they carry state across
+// iterations: per OSD hb, and mgr-poll. An idle DMA engine queue is a task
+// chain waiting for a Submit, not live. A daemon added per OSD shows up here
+// (and, times 128, in the scale-out pin). The cluster is quiescent: no OSD
+// holds a mutation, replica apply or replica wait record any more, every
+// record and buffer is back, and Shutdown leaves no goroutine.
 func TestIdleClusterIsQueuesAndBodies(t *testing.T) {
 	for _, c := range []struct {
 		mode        Mode
@@ -34,10 +32,9 @@ func TestIdleClusterIsQueuesAndBodies(t *testing.T) {
 		{Baseline, 2*1 + 1, 41, "hb"},
 		{DoCeph, 2*1 + 1, 49, "hb"},
 	} {
-		before := runtime.NumGoroutine()
 		cl := New(Config{Mode: c.mode, Seed: 7})
 		_, err := radosbench.Run(cl.Env, cl.Client, radosbench.Config{
-			Threads: 4, ObjectBytes: 1 << 20, OpsPerThread: 6})
+			Threads: 4, ObjectBytes: 1 << 20, OpsPerThread: 6, Op: radosbench.Mixed, ReadPercent: 50})
 		if err != nil {
 			t.Fatalf("%v: %v", c.mode, err)
 		}
@@ -45,16 +42,7 @@ func TestIdleClusterIsQueuesAndBodies(t *testing.T) {
 		if err := cl.Env.RunUntil(cl.Env.Now().Add(sim.Second)); err != nil {
 			t.Fatalf("%v: %v", c.mode, err)
 		}
-		for _, n := range cl.Nodes {
-			if mu, ra, w := n.OSD.InFlight(); mu+ra+w != 0 {
-				t.Errorf("%v: %s still holds %d mutations, %d replica applies, %d replica waits after the run",
-					c.mode, osd.Name(n.OSD.ID()), mu, ra, w)
-			}
-		}
 		st := cl.Env.Stats()
-		if left := cl.Env.Backlog(); left != nil {
-			t.Errorf("%v: served queues still hold values after the run: %v", c.mode, left)
-		}
 		if live := cl.Env.LiveProcs(); live != c.daemons {
 			t.Errorf("%v: %d procs live after the run, want %d (per OSD %s; mgr-poll): an identity is still in its body, or a new daemon loop",
 				c.mode, live, c.daemons, c.perOSDLoops)
@@ -63,8 +51,8 @@ func TestIdleClusterIsQueuesAndBodies(t *testing.T) {
 			t.Errorf("%v: %d identities on %d coroutines, want %d identities and fewer coroutines than the %d threads",
 				c.mode, st.Identities, st.CoroutinesPeak, c.identities, c.daemons+c.identities)
 		}
-		if leaked := shutdownLeak(cl, before); leaked != 0 {
-			t.Errorf("%v: Shutdown left %d of the run's goroutines", c.mode, leaked)
+		if err := Quiescent(cl); err != nil {
+			t.Errorf("%v: not quiescent after the run: %v", c.mode, err)
 		}
 	}
 }
@@ -77,7 +65,6 @@ func TestIdleClusterIsQueuesAndBodies(t *testing.T) {
 // three back up at once: a 4 Gb/s link, one slow host core, one op worker,
 // 2 MiB writes (DMA segments) mixed with 16 KiB ones (ops).
 func TestShutdownMidFlightReleasesServedProcs(t *testing.T) {
-	before := runtime.NumGoroutine()
 	cl := New(Config{Mode: DoCeph, Seed: 7, LinkBytesPerSec: 4 * Link1G,
 		HostCores: 1, HostFreqGHz: 0.2, OSD: osd.Config{OpWorkers: 1}})
 	big, small := wire.FromBytes(make([]byte, 2<<20)), wire.FromBytes(make([]byte, 16<<10))
@@ -113,20 +100,12 @@ func TestShutdownMidFlightReleasesServedProcs(t *testing.T) {
 		}
 	}
 	t.Logf("stopped at %v with %d procs live, backlog %v", cl.Env.Now(), cl.Env.LiveProcs(), backlog)
-	if leaked := shutdownLeak(cl, before); leaked != 0 || cl.Env.LiveProcs() != 0 {
-		t.Fatalf("after Shutdown: %d procs live, %d of the run's goroutines left", cl.Env.LiveProcs(), leaked)
+	err := Quiescent(cl)
+	if err == nil || !strings.Contains(err.Error(), "served queues hold values") ||
+		strings.Contains(err.Error(), "goroutines left") || cl.Env.LiveProcs() != 0 {
+		t.Fatalf("Quiescent mid-flight: %v; %d procs live after its Shutdown: want the backlog reported and every goroutine released",
+			err, cl.Env.LiveProcs())
 	}
-}
-
-// shutdownLeak shuts cl down and returns how many of its goroutines are still
-// there: every coroutine the kernel made must go, and the count may not end
-// above before, taken ahead of New. (It can end below: a goroutine some earlier
-// test left winding down is not this cluster's.)
-func shutdownLeak(cl *Cluster, before int) int {
-	made, running := cl.Env.Stats().CoroutinesPeak, runtime.NumGoroutine()
-	cl.Shutdown()
-	after := runtime.NumGoroutine()
-	return max(made-(running-after), after-before, 0)
 }
 
 // TestDMAPlaneServersAreTaskChains: the DMA plane's servers — the engines'
@@ -136,9 +115,11 @@ func shutdownLeak(cl *Cluster, before int) int {
 // messenger plane's — the msgr-worker threads, the wire: lanes and the OSDs'
 // completers (completer:, rep-completer:, push-completer:) —, the batched-frame
 // path's — the proxy's batcher (proxy-batch), each frame's settling
-// (proxy-batch-dma:) and the host's notify shards (host-notify-batch) — and
+// (proxy-batch-dma:) and the host's notify shards (host-notify-batch) —,
 // every control-plane endpoint's server (rpc-server:) with its responses
-// (rpc-resp:) are task chains, so on a small run (4 MiB writes, two DMA
+// (rpc-resp:), and the op path's last — the OSDs' tp_osd_tp workers and the
+// host's reads (host-read:, host-read-rpc:) — are task chains, so on a small
+// run (4 MiB writes, two DMA
 // segments each in DoCeph, and reads of them back; 64 KiB ones through batched
 // frames on four DMA queues) no proc of theirs is ever spawned, on either
 // deployment, and the coroutine resumes per op are pinned with the events: a
@@ -159,14 +140,17 @@ func TestDMAPlaneServersAreTaskChains(t *testing.T) {
 		// With every server a proc, DoCeph fires the same 5,007 events and
 		// resumes 2,285 times (47.60 per op); with the write path's three as
 		// procs, 1,439 times (29.98 per op); with the messenger plane's,
-		// 749 times (15.60 per op); with rpc-server's, 324 (6.75 per op).
-		// Baseline, with the messenger plane's as procs, resumes 645 times
-		// (13.44 per op). Batched, with the batched-frame path's servers and
-		// rpc-server as procs, fires the same 4,145 events and resumes 774
-		// times (16.12 per op).
-		{"doceph", Config{Mode: DoCeph}, 4 << 20, 5007, 285},
-		{"baseline", Config{Mode: Baseline}, 4 << 20, 2044, 209},
-		{"batched", batched, 64 << 10, 4145, 291},
+		// 749 times (15.60 per op); with rpc-server's, 324 (6.75 per op);
+		// with tp_osd_tp and host-read:, 285 (5.94 per op). Baseline, with
+		// the messenger plane's as procs, resumes 645 times (13.44 per op);
+		// with tp_osd_tp, 209 (4.35 per op). Batched, with the batched-frame
+		// path's servers and rpc-server as procs, fires the same 4,145
+		// events and resumes 774 times (16.12 per op); with tp_osd_tp and
+		// host-read:, 291 (6.06 per op). What still resumes is the clients, the
+		// PG creation and the loops that stayed procs.
+		{"doceph", Config{Mode: DoCeph}, 4 << 20, 5007, 76},
+		{"baseline", Config{Mode: Baseline}, 4 << 20, 2044, 73},
+		{"batched", batched, 64 << 10, 4145, 76},
 	} {
 		c.cfg.Seed = 7
 		cl := New(c.cfg)
@@ -174,7 +158,8 @@ func TestDMAPlaneServersAreTaskChains(t *testing.T) {
 		cl.Env.WatchSpawns(func(name string) {
 			for _, server := range []string{"dma-engine:", "host-dma-poll", "host-notify:", "dpu-dma-poll",
 				"proxy-tx:", "bstore_aio", "bstore_kv", "msgr-worker", "wire:", "completer:", "rep-completer:",
-				"push-completer:", "proxy-batch", "host-notify-batch", "rpc-server:", "rpc-resp:"} {
+				"push-completer:", "proxy-batch", "host-notify-batch", "rpc-server:", "rpc-resp:",
+				"tp_osd_tp", "host-read:", "host-read-rpc:"} {
 				if strings.HasPrefix(name, server) {
 					procs = append(procs, name)
 				}

@@ -116,12 +116,11 @@ type batcher struct {
 	sp    trace.SpanID
 	busy  sim.Duration
 	after batchStep
-	// probe is the health check in flight and probeErr its refusal; frame and
-	// reply are the fallback call's frame and its reply.
-	probe    *doca.Transfer
-	probeErr error
-	frame    *wire.Bufferlist
-	reply    *rpcchan.Reply
+	// probeOK is the verdict of the gate's probe; frame and reply are the
+	// fallback call's frame and its reply.
+	probeOK bool
+	frame   *wire.Bufferlist
+	reply   *rpcchan.Reply
 }
 
 // batchStep is what the batcher's next step does.
@@ -133,9 +132,7 @@ const (
 	batchWaited                        // the idle gap is over: did anything arrive?
 	batchBackpressure                  // wait for a free DMA queue, then take the frame
 	batchGate                          // the cooldown gate, or the breaker
-	batchProbeSubmit                   // the regions are usable: submit the probe
-	batchProbeCharged                  // the probe's submit cost is paid: enqueue it
-	batchProbed                        // the probe is done: decide
+	batchProbed                        // the gate's probe is done: decide
 	batchAcquire                       // take a staging buffer
 	batchBuffered                      // a buffer is held: make the regions usable
 	batchRegions                       // negotiate the DPU region, if need be
@@ -200,31 +197,13 @@ func (b *batcher) Run() {
 			case gateDeny:
 				b.deny()
 			default:
-				b.probe = px.newProbe()
-				b.after, b.step = batchProbeSubmit, batchRegions
-			}
-		case batchProbeSubmit:
-			b.step = batchProbed
-			if b.probeErr = px.engUp.Validate(b.probe); b.probeErr != nil {
-				continue
-			}
-			b.step = batchProbeCharged
-			if px.engUp.ChargeSubmit(px.dev.CPU, px.thBatch, b) {
-				return
-			}
-		case batchProbeCharged:
-			px.engUp.Enqueue(b.probe)
-			b.step = batchProbed
-			if b.probe.Done.WaitThen(px.env, b) {
-				return
+				b.step = batchProbed
+				if px.probeThen(px.thBatch, &b.probeOK, b) {
+					return
+				}
 			}
 		case batchProbed:
-			err := b.probeErr
-			if err == nil {
-				err = b.probe.Err
-			}
-			b.probe, b.probeErr = nil, nil
-			if px.probed(px.env.Now(), err) {
+			if b.probeOK {
 				b.step = batchAcquire
 			} else {
 				b.deny()

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+
 	"doceph/internal/bluestore"
 	"doceph/internal/doca"
 	"doceph/internal/dpu"
@@ -72,6 +75,43 @@ func NewBridge(env *sim.Env, dev *dpu.DPU, hostCPU *sim.CPU,
 		EngUp: engUp, EngDown: engDown, CC: cc,
 		RPCDPU: rpcDPU, RPCHost: rpcHost,
 	}
+}
+
+// Quiescent reports, joined, every way the bridge is not at rest: a staging
+// buffer or byte still held on either side, a transaction or read still
+// filed on the proxy or in assembly on the host, a crossing record of the
+// partition's free lists (one set per partition, shared by its bridges) not
+// back. A record left to the GC on an error path counts as not back, so a run
+// with DMA errors is not quiescent by this measure.
+func (b *Bridge) Quiescent() error {
+	px, hs := b.Proxy, b.Host
+	var errs []error
+	check := func(ok bool, format string, args ...any) {
+		if !ok {
+			errs = append(errs, fmt.Errorf("%s: "+format, append([]any{px.dev.Name}, args...)...))
+		}
+	}
+	check(px.dev.Buffers.Available() == px.dev.Buffers.Capacity(), "%d of %d DPU staging buffers free",
+		px.dev.Buffers.Available(), px.dev.Buffers.Capacity())
+	check(hs.readBuf.Available() == hs.readBuf.Capacity(), "%d of %d host read buffers free",
+		hs.readBuf.Available(), hs.readBuf.Capacity())
+	check(px.stagingBytes == 0, "%d staging bytes held", px.stagingBytes)
+	check(len(px.pendingTxns)+len(px.pendingReads) == 0, "%d transactions and %d reads pending",
+		len(px.pendingTxns), len(px.pendingReads))
+	check(len(hs.asm)+len(hs.readyTxns) == 0, "%d transactions assembling and %d waiting to commit on the host",
+		len(hs.asm), len(hs.readyTxns))
+	r := px.recs
+	for _, l := range []struct {
+		name       string
+		made, free int
+	}{
+		{"pendingRead", r.reads.made, len(r.reads.free)}, {"storeCall", r.calls.made, len(r.calls.free)},
+		{"hostRead", r.hostReads.made, len(r.hostReads.free)}, {"hostTxn", r.hostTxns.made, len(r.hostTxns.free)},
+		{"shipment", r.ships.made, len(r.ships.free)}, {"segment table", r.segs.made, len(r.segs.free)},
+	} {
+		check(l.made == l.free, "%d of %d %s records back on the free list", l.free, l.made, l.name)
+	}
+	return errors.Join(errs...)
 }
 
 // compile-time check: the proxy is a drop-in ObjectStore backend.

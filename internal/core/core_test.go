@@ -657,10 +657,11 @@ func TestReadSegmentTagsValidated(t *testing.T) {
 
 // TestTeardownReturnsBuffersTasksAndProcs is the data plane's teardown
 // assertion. After a completed run — segmented writes, plain and batched, and
-// a segmented read — every staging buffer on both sides is back in its pool,
-// the staging gauge is back to zero and nothing but the daemons is live. A
-// Shutdown with transfers in flight drops the pending completion tasks along
-// with the procs.
+// a segmented read — the bridge is at rest (Bridge.Quiescent: every staging
+// buffer on both sides back in its pool, the staging gauge back to zero,
+// nothing filed, every crossing record back) and nothing but the daemons is
+// live. A Shutdown with transfers in flight drops the pending completion
+// tasks along with the procs.
 func TestTeardownReturnsBuffersTasksAndProcs(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -673,7 +674,7 @@ func TestTeardownReturnsBuffersTasksAndProcs(t *testing.T) {
 	} {
 		name := c.name
 		r := newCoreRig(c.cfg)
-		px, hs := r.bridge.Proxy, r.bridge.Host
+		px := r.bridge.Proxy
 		// The daemons reach their first waits; the DMA queues' first steps
 		// find nothing to do, and an idle queue is not live.
 		if err := r.env.RunUntil(0); err != nil {
@@ -712,17 +713,8 @@ func TestTeardownReturnsBuffersTasksAndProcs(t *testing.T) {
 		if err := r.env.RunUntil(sim.Time(60 * sim.Second)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if free, all := r.dev.Buffers.Available(), r.dev.Buffers.Capacity(); free != all {
-			t.Errorf("%s: %d of %d DPU staging buffers free after the run", name, free, all)
-		}
-		if free, all := hs.readBuf.Available(), hs.readBuf.Capacity(); free != all {
-			t.Errorf("%s: %d of %d host read buffers free after the run", name, free, all)
-		}
-		if px.stagingBytes != 0 || len(px.pendingTxns) != 0 || len(px.pendingReads) != 0 ||
-			len(hs.asm) != 0 || len(hs.readyTxns) != 0 || len(hs.reads) != 0 {
-			t.Errorf("%s: staging=%d pendingTxns=%d pendingReads=%d assembling=%d ready=%d reads=%d after the run",
-				name, px.stagingBytes, len(px.pendingTxns), len(px.pendingReads),
-				len(hs.asm), len(hs.readyTxns), len(hs.reads))
+		if err := r.bridge.Quiescent(); err != nil {
+			t.Errorf("%s: not at rest after the run: %v", name, err)
 		}
 		if live := r.env.LiveProcs(); live != daemons {
 			t.Errorf("%s: %d procs and tasks live after the run, %d daemons before it", name, live, daemons)
@@ -853,10 +845,12 @@ func TestCrossingAllocationBudget(t *testing.T) {
 }
 
 // readAllocCeiling is one above what a 4 KiB read crossing allocates today (2:
-// the decoded object name and BlueStore's view of the extent; the pendingRead
-// and the hostRead come from the partition's free lists), and readBytesCeiling
-// its bytes (80) plus 32. The next record somebody adds to the read path fails
-// here, not in a benchmark.
+// the decoded object name and BlueStore's view of the extent; the pendingRead,
+// the hostRead and BlueStore's call record come from free lists), and
+// readBytesCeiling its bytes (80) plus 32, in either form of the read: Read
+// from a proc, ReadThen from a task chain, as the OSD's op workers call it.
+// The next record somebody adds to the read path fails here, not in a
+// benchmark.
 const (
 	readAllocCeiling = 3
 	readBytesCeiling = 112
@@ -866,41 +860,65 @@ const (
 // the host, BlueStore read, data DMA back, reassembly on the proxy — to its
 // allocation budget, on the 4 KiB shape mix70-4K-doceph reads.
 func TestReadCrossingAllocationBudget(t *testing.T) {
-	r := newCoreRig(BridgeConfig{})
-	r.run(t, func(p *sim.Proc) {
-		px := r.bridge.Proxy
-		txn := objstore.NewTransaction().MkColl("pg.0")
-		for i, obj := range objNames {
-			txn.Write("pg.0", obj, 0, seeded(4096, byte(i)))
-		}
-		if err := commitP(t, p, px, txn); err != nil {
-			t.Fatal(err)
-		}
-		read := func(first, n int) {
-			for i := first; i < first+n; i++ {
-				if bl, err := px.Read(p, "pg.0", objNames[i%len(objNames)], 0, 4096); err != nil || bl.Length() != 4096 {
-					t.Fatalf("read %d: err=%v", i, err)
+	for _, chains := range []bool{false, true} {
+		r := newCoreRig(BridgeConfig{})
+		r.run(t, func(p *sim.Proc) {
+			px := r.bridge.Proxy
+			txn := objstore.NewTransaction().MkColl("pg.0")
+			for i, obj := range objNames {
+				txn.Write("pg.0", obj, 0, seeded(4096, byte(i)))
+			}
+			if err := commitP(t, p, px, txn); err != nil {
+				t.Fatal(err)
+			}
+			steps := make([]scriptStep, 16+crossingReads)
+			for i := range steps {
+				steps[i] = scriptStep{coll: "pg.0", obj: objNames[i%len(objNames)], n: 4096}
+			}
+			check := func(s scriptStep, bl *wire.Bufferlist, err error) {
+				if err != nil || bl.Length() != 4096 {
+					t.Errorf("read of %s: err=%v", s.obj, err)
 				}
 			}
-		}
-		read(0, 16) // pools, maps and queues reach their size
-		const crossings = 64
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		read(16, crossings)
-		runtime.ReadMemStats(&after)
-		per := float64(after.Mallocs-before.Mallocs) / crossings
-		bytes := float64(after.TotalAlloc-before.TotalAlloc) / crossings
-		t.Logf("%.2f allocations, %.0f B per read crossing", per, bytes)
-		if per > readAllocCeiling || bytes > readBytesCeiling {
-			t.Fatalf("%.2f allocations, %.0f B per read crossing; want at most %d and %d B",
-				per, bytes, readAllocCeiling, readBytesCeiling)
-		}
-		if n := r.bridge.EngDown.Stats().Transfers; n != 16+crossings {
-			t.Fatalf("%d transfers to the DPU; want one per read", n)
-		}
-	})
+			// The chain readers and their completions are made ahead of the
+			// measurement.
+			var warmed, measured sim.Event
+			readers := []*chainReader{
+				{r: r, th: p.Thread(), steps: steps[:16], check: check, done: warmed.Fire},
+				{r: r, th: p.Thread(), steps: steps[16:], check: check, done: measured.Fire},
+			}
+			read := func(k int, done *sim.Event) {
+				if chains {
+					r.env.Delay(0, readers[k])
+					done.Wait(p)
+					return
+				}
+				for _, s := range readers[k].steps {
+					bl, err := px.Read(p, s.coll, s.obj, s.off, s.n)
+					check(s, bl, err)
+				}
+			}
+			read(0, &warmed) // pools, maps and queues reach their size
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			read(1, &measured)
+			runtime.ReadMemStats(&after)
+			per := float64(after.Mallocs-before.Mallocs) / crossingReads
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / crossingReads
+			t.Logf("chains=%v: %.2f allocations, %.0f B per read crossing", chains, per, bytes)
+			if per > readAllocCeiling || bytes > readBytesCeiling {
+				t.Fatalf("chains=%v: %.2f allocations, %.0f B per read crossing; want at most %d and %d B",
+					chains, per, bytes, readAllocCeiling, readBytesCeiling)
+			}
+			if n := r.bridge.EngDown.Stats().Transfers; n != int64(len(steps)) {
+				t.Fatalf("chains=%v: %d transfers to the DPU; want one per read", chains, n)
+			}
+		})
+	}
 }
+
+// crossingReads is how many reads TestReadCrossingAllocationBudget measures.
+const crossingReads = 64
 
 // TestResultReadableLongAfterDone: the caller keeps reading a Result after
 // Done — a stream's barrier holds every chunk's to the end — so the record it

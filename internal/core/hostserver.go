@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"doceph/internal/bluestore"
 	"doceph/internal/doca"
 	"doceph/internal/dpu"
@@ -112,12 +114,8 @@ type HostServer struct {
 	// DMA and RPC-fallback deliveries race.
 	nextCommit uint64
 	readyTxns  map[uint64]*hostTxn
-	// reads holds a read until its host-read proc, which finds it by id,
-	// takes it; readBody is serveRead as a func value, made once. names are
-	// the last ones decoded.
-	reads    map[uint64]*hostRead
-	readBody func(*sim.Proc)
-	names    objstore.Names
+	// names are the last ones decoded.
+	names objstore.Names
 	// unpacked is the poller's array for the entries of the batch frame it is
 	// dispatching, cleared after each.
 	unpacked []batchEntry
@@ -172,25 +170,43 @@ type hostTxn struct {
 	done  txnDoneFrame
 }
 
-// hostRead is one read on the host, in one allocation: the request its
-// descriptor carried, respond when that came over RPC (nil over DMA), and the
-// segments of the return DMA (in slot for one). One whose descriptor came by
-// DMA is from the partition's free list.
+// hostRead is one read on the host, in one allocation, and the task chain
+// that serves it: the request its descriptor carried, respond when that came
+// over RPC (nil over DMA), the store call, and the segments of the return DMA
+// (in slot for one). One whose descriptor came by DMA is from the partition's
+// free list.
 type hostRead struct {
 	hs      *HostServer
 	req     readReq
 	respond func(*wire.Bufferlist, uint16)
-	segs    []readSeg
-	slot    [1]readSeg
-	// refs counts the readers still to come of a reply sent by DMA:
-	// serveRead, and per return segment the task that frees its staging
-	// buffer and the DPU poller that consumes it — the transfer is the tag
-	// the poller receives, so the record lives until the other side is done,
-	// as a DOCA task does until its completion is consumed. The last reader
-	// puts the record back; a failed segment's never comes, which leaves the
-	// record to the GC.
+	call    objstore.Call
+	step    hostReadStep
+	// c cuts the data for the return DMA; i is the segment the chain is at.
+	c    cut
+	i    int
+	segs []readSeg
+	slot [1]readSeg
+	// refs counts the readers still to come of a reply sent by DMA: the
+	// chain, and per return segment the task that frees its staging buffer
+	// and the DPU poller that consumes it — the transfer is the tag the
+	// poller receives, so the record lives until the other side is done, as a
+	// DOCA task does until its completion is consumed. The last reader puts
+	// the record back; a failed segment's never comes, which leaves the record
+	// to the GC.
 	refs int
 }
+
+// hostReadStep is what a host read's next step does.
+type hostReadStep uint8
+
+const (
+	hostReadStart     hostReadStep = iota // read the object from BlueStore
+	hostReadDone                          // the data is in: answer, or cut it for the return DMA
+	hostReadStage                         // take a staging buffer for segment i
+	hostReadBuffered                      // a buffer is held: the staging memcpy
+	hostReadStaged                        // the memcpy is paid for: submit segment i
+	hostReadSubmitted                     // the submit cost is paid: enqueue segment i
+)
 
 // unref ends one reader's use of hr.
 func (hr *hostRead) unref() {
@@ -228,10 +244,8 @@ func NewHostServer(env *sim.Env, hostCPU *sim.CPU, store *bluestore.Store,
 		asm:        make(map[uint64]*hostTxn),
 		nextCommit: 1,
 		readyTxns:  make(map[uint64]*hostTxn),
-		reads:      make(map[uint64]*hostRead),
 		recs:       sim.Local[records](env),
 	}
-	hs.readBody = hs.serveRead
 	hs.readBuf = dpu.NewBufferPool(env, "host-read-staging",
 		readStagingBuffers, readStagingBufferBytes)
 	rpcEnd.Handle(opStat, hs.onStat)
@@ -346,7 +360,7 @@ func (hp *hostPoll) Run() {
 				hs.stats.BatchedOps += int64(len(entries))
 				hp.batch, hp.next, hp.step = true, 0, pollEntry
 			case segReadReq:
-				if hs.fileRead("host-read:", hs.recs.hostReads.get(), t.Data) != nil {
+				if hs.fileRead(hs.recs.hostReads.get(), t.Data) != nil {
 					panic("core: corrupt read request over DMA")
 				}
 				hp.end()
@@ -637,71 +651,106 @@ func (hs *HostServer) fileEntriesViaRPC(entries []batchEntry) {
 	hs.fileViaRPC(en.reqID, en.txnSeq, 0, 1, en.payload, func() { hs.fileEntriesViaRPC(entries[1:]) })
 }
 
-// fileRead decodes a read descriptor into hr, files the record under its
-// request id and spawns the proc, named prefix and the id, that serves it.
-func (hs *HostServer) fileRead(prefix string, hr *hostRead, desc *wire.Bufferlist) error {
+// fileRead decodes a read descriptor into hr and starts the chain that serves
+// it, in an event of its own, as a proc spawned now would start.
+func (hs *HostServer) fileRead(hr *hostRead, desc *wire.Bufferlist) error {
 	if err := hr.req.decode(desc, hs.names.Collection); err != nil {
 		return err
 	}
 	hr.hs = hs
 	hs.names.Collection = hr.req.Coll
-	hs.reads[hr.req.ReqID] = hr
-	hs.env.SpawnID(prefix, hr.req.ReqID, hs.readBody)
+	hs.env.Delay(0, hr)
 	return nil
 }
 
-// serveRead is the body of every host-read proc: it executes the read its id
-// names and answers through respond when the request came over RPC, or DMAs
-// the data back to the DPU in <=2 MB segments through host-side staging
-// buffers.
-func (hs *HostServer) serveRead(p *sim.Proc) {
-	hr := hs.reads[p.ID()]
-	delete(hs.reads, p.ID())
-	p.SetThread(hs.thPoll)
-	req := &hr.req
-	bl, err := hs.store.Read(p, req.Coll, req.Object, req.Off, req.Length)
+// Run is the read's next step, on the polling thread: it executes the read
+// and answers through respond when the request came over RPC, or DMAs the
+// data back to the DPU in <=2 MB segments through host-side staging buffers.
+// Its steps are joined where a proc doing the same blocked, each by the task
+// form of that wait, so it runs the proc's events in the same order.
+func (hr *hostRead) Run() {
+	hs, req := hr.hs, &hr.req
+	for {
+		switch hr.step {
+		case hostReadStart:
+			hr.call = objstore.Call{Coll: req.Coll, Object: req.Object, Off: req.Off, Length: req.Length}
+			hr.step = hostReadDone
+			if hs.store.ReadThen(hs.thPoll, &hr.call, hr) {
+				return
+			}
+		case hostReadDone:
+			bl, err := hr.call.Data, hr.call.Err
+			hr.call = objstore.Call{}
+			if hr.respond != nil {
+				if err != nil {
+					hr.respond(nil, errToCode(err))
+				} else {
+					hr.respond(bl, rcOK)
+				}
+				return
+			}
+			if err != nil || bl.Length() == 0 {
+				hs.rpc.NotifyTask(opReadDone, encodeReadDone(req.ReqID, errToCode(err), 0), nil, nil)
+				hs.recs.hostReads.put(hr)
+				return
+			}
+			hr.c = newCut(bl, hs.readBuf.BufferBytes(), hs.engDown)
+			if hr.segs = hr.slot[:]; hr.c.total > len(hr.slot) {
+				hr.segs = make([]readSeg, hr.c.total)
+			}
+			hr.refs, hr.step = 1, hostReadStage
+		case hostReadStage:
+			if hr.i == len(hr.segs) {
+				hr.unref()
+				return
+			}
+			hr.step = hostReadBuffered
+			if hs.readBuf.AcquireThen(hr) {
+				return
+			}
+		case hostReadBuffered:
+			hr.step = hostReadStaged
+			if hs.cpu.ExecThen(hs.thPoll, int64(float64(hr.c.size(hr.i))*hostStageCyclesPerByte), nil, hr) {
+				return
+			}
+		case hostReadStaged:
+			i := hr.i
+			data := hr.c.payload // a one-segment reply is the store's list itself
+			if hr.c.total > 1 {
+				data = hr.c.view(i)
+			}
+			rs := &hr.segs[i]
+			rs.hr = hr
+			rs.hdr = segHeader{kind: segReadData, reqID: req.ReqID, seg: i, total: hr.c.total}
+			rs.t = doca.Transfer{
+				ReqID: req.ReqID, Seg: i, TotalSegs: hr.c.total, Bytes: hr.c.size(i), Data: data,
+				Src: hs.hostMR, Dst: hs.dpuMR, Tag: rs,
+			}
+			if err := hs.engDown.Validate(&rs.t); err != nil {
+				hs.readBuf.Release()
+				hs.rpc.NotifyTask(opReadDone, encodeReadDone(req.ReqID, rcIO, 0), nil, nil)
+				return // the segments already sent may still be read: left to the GC
+			}
+			hr.step = hostReadSubmitted
+			if hs.engDown.ChargeSubmit(hs.cpu, hs.thPoll, hr) {
+				return
+			}
+		case hostReadSubmitted:
+			rs := &hr.segs[hr.i]
+			hs.engDown.Enqueue(&rs.t)
+			hr.refs += 2 // the staging task and the DPU poller
+			hs.env.After(&rs.t.Done, rs)
+			hr.i, hr.step = hr.i+1, hostReadStage
+		}
+	}
+}
+
+// String names the read in deadlock reports, as its proc was named.
+func (hr *hostRead) String() string {
 	if hr.respond != nil {
-		if err != nil {
-			hr.respond(nil, errToCode(err))
-		} else {
-			hr.respond(bl, rcOK)
-		}
-		return
+		return fmt.Sprintf("host-read-rpc:%d", hr.req.ReqID)
 	}
-	if err != nil || bl.Length() == 0 {
-		hs.rpc.Notify(p, opReadDone, encodeReadDone(req.ReqID, errToCode(err), 0))
-		hs.recs.hostReads.put(hr)
-		return
-	}
-	c := newCut(bl, hs.readBuf.BufferBytes(), hs.engDown)
-	if hr.segs = hr.slot[:]; c.total > len(hr.slot) {
-		hr.segs = make([]readSeg, c.total)
-	}
-	hr.refs = 1
-	for i := range hr.segs {
-		n := c.size(i)
-		hs.readBuf.Acquire(p)
-		hs.cpu.Exec(p, hs.thPoll, int64(float64(n)*hostStageCyclesPerByte))
-		data := bl // a one-segment reply is the store's list itself
-		if c.total > 1 {
-			data = c.view(i)
-		}
-		rs := &hr.segs[i]
-		rs.hr = hr
-		rs.hdr = segHeader{kind: segReadData, reqID: req.ReqID, seg: i, total: c.total}
-		rs.t = doca.Transfer{
-			ReqID: req.ReqID, Seg: i, TotalSegs: c.total, Bytes: n, Data: data,
-			Src: hs.hostMR, Dst: hs.dpuMR, Tag: rs,
-		}
-		if err := hs.engDown.Submit(p, hs.cpu, &rs.t); err != nil {
-			hs.readBuf.Release()
-			hs.rpc.Notify(p, opReadDone, encodeReadDone(req.ReqID, rcIO, 0))
-			return // the segments already sent may still be read: left to the GC
-		}
-		hr.refs += 2 // the staging task and the DPU poller
-		hs.env.After(&rs.t.Done, rs)
-	}
-	hr.unref()
+	return fmt.Sprintf("host-read:%d", hr.req.ReqID)
 }
 
 // Control-plane handlers: quick metadata services on the event-driven RPC
@@ -773,7 +822,7 @@ func (hs *HostServer) onSegFallback(req rpcchan.Request, respond func(*wire.Buff
 
 // onReadFallback serves a whole read over RPC (cooldown path).
 func (hs *HostServer) onReadFallback(req rpcchan.Request, respond func(*wire.Bufferlist, uint16)) {
-	if hs.fileRead("host-read-rpc:", &hostRead{respond: respond}, req.Payload) != nil {
+	if hs.fileRead(&hostRead{respond: respond}, req.Payload) != nil {
 		respond(nil, rcIO)
 	}
 }

@@ -163,7 +163,7 @@ type Proxy struct {
 }
 
 // noteStage/noteUnstage maintain the staging-buffer high-water mark around
-// every Buffers.Acquire/Release pair. Single-threaded per proxy event, so
+// every Buffers.AcquireThen/Release pair. Single-threaded per proxy event, so
 // plain arithmetic suffices.
 func (px *Proxy) noteStage(n int64) {
 	px.stagingBytes += n
@@ -234,23 +234,53 @@ func (sg *segment) Run() {
 
 // pendingRead is everything one in-flight read owns on the proxy, in one
 // record from the partition's free list: the transfer that carries its
-// descriptor to the host, with the tag and the frame, and the table the
-// reply's data segments fill.
+// descriptor to the host, with the tag and the frame, the table the reply's
+// data segments fill, and the state of the task chain that runs the read
+// (ReadThen).
 type pendingRead struct {
 	done sim.Event
 	t    doca.Transfer
 	hdr  segHeader
 	desc readReqFrame
 	// segs is sized by the first data segment's total (slot when that is
-	// one); have counts the filled slots. have, code and dmaErr share a word,
-	// which keeps the record in the 480-byte size class.
+	// one); have counts the filled slots.
 	segs []*wire.Bufferlist
 	slot [1]*wire.Bufferlist
 	have int32
 	code uint16
 	// dmaErr reports a failed return segment: the read goes again over RPC.
 	dmaErr bool
+	// The chain: the caller's record, its thread and continuation, the step,
+	// the read's request id (zero for a cache hit), the gate's probe verdict,
+	// whether a good answer from the RPC fills the read cache, and the RPC's
+	// reply.
+	px    *Proxy
+	th    *sim.Thread
+	c     *objstore.Call
+	next  sim.Task
+	step  readStep
+	ok    bool
+	cache bool
+	reqID uint64
+	reply *rpcchan.Reply
 }
+
+// readStep is what a read's next step does.
+type readStep uint8
+
+const (
+	readStart      readStep = iota // the cache, then the gate
+	readHit                        // the cache hit's charge is paid
+	readProbed                     // the gate's probe is done: DMA or RPC by its verdict
+	readDMA                        // negotiate the DPU region, if need be
+	readHostRegion                 // the DPU region is negotiated: the host's next
+	readSubmit                     // the regions are usable: submit the descriptor
+	readCharged                    // the submit cost is paid: enqueue the descriptor
+	readSent                       // the descriptor's transfer is done
+	readFilled                     // the reply is in, or a data segment failed
+	readRPC                        // read over the control plane
+	readReplied                    // the RPC's answer is in
+)
 
 // NewProxy builds the DPU-side proxy. rpcEnd is the DPU endpoint of the
 // control channel; engUp/engDown are the DMA engines for the two
@@ -353,7 +383,8 @@ func (px *Proxy) ensureRegions(p *sim.Proc) {
 // dmaAllowed implements the cooldown gate for a proc: healthy -> yes; in
 // cooldown -> no; cooldown expired -> run a probe transfer and decide. With
 // the circuit breaker enabled the decision is delegated to its state machine
-// instead. The batcher's chain runs the same pieces: gate, newProbe, probed.
+// instead. The task chains (the batcher, QueueTransactionThen, ReadThen) run
+// the same pieces: gate, then probeThen.
 func (px *Proxy) dmaAllowed(p *sim.Proc) bool {
 	switch px.gate(p.Now()) {
 	case gateAllow:
@@ -419,6 +450,88 @@ func (px *Proxy) probe(p *sim.Proc) error {
 	return err
 }
 
+// prober is a probe in flight for a task chain, what probe is for a proc: the
+// regions made usable, the probe transfer submitted on th and awaited, each
+// by the task form of probe's wait, and the verdict of probed stored through
+// ok before next runs.
+type prober struct {
+	px   *Proxy
+	th   *sim.Thread
+	t    *doca.Transfer
+	ok   *bool
+	next sim.Task
+	step probeStep
+}
+
+// probeStep is what a prober's next step does.
+type probeStep uint8
+
+const (
+	probeRegions    probeStep = iota // negotiate the DPU region, if need be
+	probeHostRegion                  // the DPU region is negotiated: the host's next
+	probeSubmit                      // the regions are usable: submit the probe
+	probeCharged                     // the submit cost is paid: enqueue it
+	probeDone                        // the probe is done: decide
+)
+
+// probeThen runs a probe on th for a task chain that the gate told to probe.
+// It reports whether next was registered; if not, the verdict is in *ok and
+// the caller goes on at once.
+func (px *Proxy) probeThen(th *sim.Thread, ok *bool, next sim.Task) bool {
+	return (&prober{px: px, th: th, t: px.newProbe(), ok: ok, next: next}).advance()
+}
+
+// advance takes the probe through its steps until one waits, reporting true,
+// or the verdict is in.
+func (pb *prober) advance() bool {
+	px := pb.px
+	for {
+		switch pb.step {
+		case probeRegions:
+			pb.step = probeSubmit
+			if !px.regionsReady() {
+				pb.step = probeHostRegion
+				if px.cc.NegotiateThen(pb.th, px.dpuMR, pb) {
+					return true
+				}
+			}
+		case probeHostRegion:
+			pb.step = probeSubmit
+			if px.cc.NegotiateThen(pb.th, px.hostMR, pb) {
+				return true
+			}
+		case probeSubmit:
+			if err := px.engUp.Validate(pb.t); err != nil {
+				*pb.ok = px.probed(px.env.Now(), err)
+				return false
+			}
+			pb.step = probeCharged
+			if px.engUp.ChargeSubmit(px.dev.CPU, pb.th, pb) {
+				return true
+			}
+		case probeCharged:
+			px.engUp.Enqueue(pb.t)
+			pb.step = probeDone
+			if pb.t.Done.WaitThen(px.env, pb) {
+				return true
+			}
+		case probeDone:
+			*pb.ok = px.probed(px.env.Now(), pb.t.Err)
+			return false
+		}
+	}
+}
+
+// Run goes on after the step that waited.
+func (pb *prober) Run() {
+	if !pb.advance() {
+		pb.next.Run()
+	}
+}
+
+// String names the probe in deadlock reports.
+func (pb *prober) String() string { return "probe@" + pb.px.dev.Name }
+
 // probed settles a probe that ended with err and reports whether the request
 // it gated rides DMA. Without the breaker a failed probe restarts the
 // cooldown and a good one re-enables DMA; with it, the probe that completes
@@ -472,24 +585,46 @@ func (px *Proxy) noteDMAWait(now sim.Time, wait sim.Duration) {
 // it; Done fires only after the host acknowledges durability (preserving
 // write-through semantics).
 func (px *Proxy) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objstore.Result {
+	pt, serSp := px.encodeTxn(txn)
+	if px.serialized(pt, serSp, px.dev.CPU.ExecSelf(p, serializeCycles(pt))) {
+		px.launch(pt, px.dmaAllowed(p))
+	}
+	return &pt.res
+}
+
+// encodeTxn is the first step of QueueTransaction and its task form: the
+// transaction's cached reads are dropped, and it is encoded into a new
+// pendingTxn, under a serialize span (zero when untraced). The frame
+// references payload segments zero-copy; the CPU cost of the memcpy a real
+// implementation would do is still charged, on the submitting DPU thread
+// (tp_osd_tp on the DPU), before serialized.
+func (px *Proxy) encodeTxn(txn *objstore.Transaction) (*pendingTxn, trace.SpanID) {
 	px.invalidateCached(txn)
 	ctx := trace.SpanID(txn.TraceCtx)
 	if !px.tr.Enabled() {
 		ctx = 0
 	}
-	// Serialize on the submitting DPU thread (tp_osd_tp on the DPU). The
-	// frame references payload segments zero-copy; the CPU cost of the
-	// memcpy a real implementation would do is still charged below.
 	var serSp trace.SpanID
 	if ctx != 0 {
 		serSp = px.tr.Start(ctx, 0, trace.StageSerialize, px.dev.Name)
 	}
 	pt := &pendingTxn{px: px, ctx: ctx, streamReuse: txn.StreamReuse}
-	payload := pt.frame.Init()
-	txn.EncodeBLInto(pt.meta[:], payload)
-	serBusy := px.dev.CPU.ExecSelf(p, int64(float64(payload.Length())*serializeCyclesPerByte))
-	px.tr.AddCPU(serSp, px.dev.CPU.Name(), serBusy)
-	px.tr.AddBytes(serSp, int64(payload.Length()))
+	txn.EncodeBLInto(pt.meta[:], pt.frame.Init())
+	return pt, serSp
+}
+
+// serializeCycles is the serialize charge of pt's frame.
+func serializeCycles(pt *pendingTxn) int64 {
+	return int64(float64(pt.frame.Length()) * serializeCyclesPerByte)
+}
+
+// serialized files pt once its serialize charge, busy, is paid. A small op
+// goes to the batcher, which ships it coalesced with its neighbours
+// (completion still arrives per op); serialized reports whether pt ships on
+// its own instead, once the gate has decided how (launch).
+func (px *Proxy) serialized(pt *pendingTxn, serSp trace.SpanID, busy sim.Duration) bool {
+	px.tr.AddCPU(serSp, px.dev.CPU.Name(), busy)
+	px.tr.AddBytes(serSp, int64(pt.frame.Length()))
 	px.tr.Finish(serSp)
 
 	px.nextReq++
@@ -498,16 +633,18 @@ func (px *Proxy) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objst
 	pt.txnSeq = px.nextTxnSeq
 	px.pendingTxns[pt.reqID] = pt
 
-	if px.batch.Enable && int64(payload.Length()) <= px.batch.MaxOpBytes {
-		// Small op: hand it to the batcher, which ships it coalesced with
-		// its neighbours; completion still arrives per op.
+	if px.batch.Enable && int64(pt.frame.Length()) <= px.batch.MaxOpBytes {
 		px.enqueueBatch(pt)
 		px.env.After(&pt.done, pt)
-		return &pt.res
+		return false
 	}
+	return true
+}
 
-	pt.useDMA = px.dmaAllowed(p)
-	if pt.useDMA {
+// launch starts pt's shipment, by DMA or, when the gate said no, over RPC.
+func (px *Proxy) launch(pt *pendingTxn, useDMA bool) {
+	pt.useDMA = useDMA
+	if useDMA {
 		px.stats.DataPlaneTxns++
 	} else {
 		px.stats.FallbackTxns++
@@ -515,7 +652,134 @@ func (px *Proxy) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objst
 	sh := px.recs.ships.get()
 	sh.px, sh.pt = px, pt
 	px.env.Delay(0, sh) // the chain starts in an event of its own, as a thread spawned now would
-	return &pt.res
+}
+
+// QueueTransactionThen implements objstore.Store: QueueTransaction as a task
+// chain on th — the serialize charge, then, for a transaction that ships on
+// its own, the gate and its probe.
+func (px *Proxy) QueueTransactionThen(th *sim.Thread, c *objstore.Call, next sim.Task) bool {
+	r := px.newCall(th, c, next, callSerialized)
+	r.pt, r.serSp = px.encodeTxn(c.Txn)
+	return r.charge(serializeCycles(r.pt), &r.busy)
+}
+
+// StatThen implements objstore.Store over the control plane.
+func (px *Proxy) StatThen(th *sim.Thread, c *objstore.Call, next sim.Task) bool {
+	return px.controlThen(th, c, next, opStat)
+}
+
+// ExistsThen implements objstore.Store over the control plane.
+func (px *Proxy) ExistsThen(th *sim.Thread, c *objstore.Call, next sim.Task) bool {
+	return px.controlThen(th, c, next, opExists)
+}
+
+// controlThen is control as a task chain on th: the DPU-side cost of the
+// call, then the call (CallTask), whose answer lands in c.
+func (px *Proxy) controlThen(th *sim.Thread, c *objstore.Call, next sim.Task, op uint16) bool {
+	r := px.newCall(th, c, next, callCharged)
+	r.op, r.req = op, encodeObjRef(c.Coll, c.Object)
+	px.stats.ControlCalls++
+	return r.charge(controlCallCycles, nil)
+}
+
+// storeCall is one of the proxy's QueueTransactionThen, StatThen and
+// ExistsThen calls in flight, a record from the partition's free list put back
+// as the call ends: the caller's record, its thread and continuation, and what
+// a step hands the next. Its steps are the proc forms' waits, each its task
+// form, so it fires their events in the same order.
+type storeCall struct {
+	px   *Proxy
+	th   *sim.Thread
+	c    *objstore.Call
+	next sim.Task
+	step callStep
+	// ok is the gate's probe verdict, busy the serialize charge.
+	ok   bool
+	busy sim.Duration
+	// QueueTransactionThen's transaction and its serialize span.
+	pt    *pendingTxn
+	serSp trace.SpanID
+	// The control-plane call: its op and request, then its reply.
+	op    uint16
+	req   *wire.Bufferlist
+	reply *rpcchan.Reply
+}
+
+// callStep is what a storeCall's next step does.
+type callStep uint8
+
+const (
+	callSerialized callStep = iota // the serialize charge is paid: file the transaction, gate it
+	callProbed                     // the gate's probe is done: launch by its verdict
+	callCharged                    // the control call's cost is paid: send it
+	callAnswered                   // the control call's answer is in
+)
+
+// newCall takes a record for a call of c on th that goes on to step.
+func (px *Proxy) newCall(th *sim.Thread, c *objstore.Call, next sim.Task, step callStep) *storeCall {
+	r := px.recs.calls.get()
+	r.px, r.th, r.c, r.next, r.step = px, th, c, next, step
+	return r
+}
+
+// charge runs the call's first charge on th and its steps after it; it
+// reports whether next was registered, as the task forms do.
+func (r *storeCall) charge(cycles int64, busy *sim.Duration) bool {
+	if r.px.dev.CPU.ExecThen(r.th, cycles, busy, r) || r.advance() {
+		return true
+	}
+	r.px.recs.calls.put(r)
+	return false
+}
+
+// Run goes on after the step that waited; once the call is done, its
+// continuation runs.
+func (r *storeCall) Run() {
+	if r.advance() {
+		return
+	}
+	next := r.next
+	r.px.recs.calls.put(r)
+	next.Run()
+}
+
+// advance takes the call through its steps until one waits, reporting true,
+// or the results are in c.
+func (r *storeCall) advance() bool {
+	px, c := r.px, r.c
+	switch r.step {
+	case callSerialized:
+		if px.serialized(r.pt, r.serSp, r.busy) {
+			switch px.gate(px.env.Now()) {
+			case gateAllow:
+				px.launch(r.pt, true)
+			case gateDeny:
+				px.launch(r.pt, false)
+			default:
+				r.step = callProbed
+				if px.probeThen(r.th, &r.ok, r) {
+					return true
+				}
+				px.launch(r.pt, r.ok)
+			}
+		}
+		c.Result = &r.pt.res
+	case callProbed:
+		px.launch(r.pt, r.ok)
+		c.Result = &r.pt.res
+	case callCharged:
+		r.step = callAnswered
+		r.reply = px.rpc.CallTask(r.op, r.req, r)
+		return true
+	case callAnswered:
+		resp, err := callResult(r.reply.Result())
+		if r.op == opExists {
+			c.Exists = err == nil && resp.Length() == 1 && resp.Bytes()[0] == 1
+		} else if c.Stat, c.Err = (objstore.StatInfo{}), err; err == nil {
+			c.Stat, c.Err = decodeStatResp(resp)
+		}
+	}
+	return false
 }
 
 // invalidateCached drops read-cache entries for every object txn mutates,
@@ -879,52 +1143,31 @@ func (px *Proxy) onTxnDone(req rpcchan.Request, respond func(*wire.Bufferlist, u
 // object data and DMAs it back in <=2 MB segments which the DPU-side
 // poller reassembles.
 func (px *Proxy) Read(p *sim.Proc, coll, obj string, off, length uint64) (*wire.Bufferlist, error) {
-	if px.rcache != nil {
-		if bl, ok := px.rcache.Lookup(coll, obj, off, length); ok {
-			// Served entirely from DPU DDR: DPU CPU for the lookup and
-			// copy-out, no DMA descriptor, no host involvement at all.
-			px.dev.CPU.ExecSelf(p, px.rcache.HitCost(int64(bl.Length())))
-			return bl, nil
-		}
+	if bl, ok := px.cached(coll, obj, off, length); ok {
+		// Served entirely from DPU DDR: DPU CPU for the lookup and
+		// copy-out, no DMA descriptor, no host involvement at all.
+		px.dev.CPU.ExecSelf(p, px.rcache.HitCost(int64(bl.Length())))
+		return bl, nil
 	}
-	px.nextReq++
-	reqID := px.nextReq
 	pr := px.recs.reads.get()
-	px.pendingReads[reqID] = pr
-	defer delete(px.pendingReads, reqID)
-
-	desc := pr.desc.encode(&readReq{ReqID: reqID, Coll: coll, Object: obj, Off: off, Length: length})
+	desc := px.fileRead(pr, coll, obj, off, length)
+	defer px.endRead(pr)
 	if px.dmaAllowed(p) {
 		px.stats.Reads++
 		px.ensureRegions(p)
-		pr.hdr = segHeader{kind: segReadReq, reqID: reqID, total: 1}
-		t := &pr.t
-		*t = doca.Transfer{
-			ReqID: reqID, TotalSegs: 1, Bytes: int64(desc.Length()), Data: desc,
-			Src: px.dpuMR, Dst: px.hostMR, Tag: &pr.hdr,
-		}
-		if err := px.engUp.Submit(p, px.dev.CPU, t); err != nil {
+		if err := px.engUp.Submit(p, px.dev.CPU, px.readReq(pr, desc)); err != nil {
 			return nil, err
 		}
-		t.Done.Wait(p)
-		if t.Err == nil {
+		pr.t.Done.Wait(p)
+		if pr.t.Err == nil {
 			pr.done.Wait(p)
 		}
-		if t.Err != nil || pr.dmaErr {
+		if pr.t.Err != nil || pr.dmaErr {
 			// The descriptor or a data segment failed on its way.
 			px.enterCooldown(p.Now())
 			return px.readViaRPC(p, desc)
 		}
-		// The host has read the descriptor and every data segment is in: no
-		// one reads the record after this.
-		var out *wire.Bufferlist
-		err := codeToErr(pr.code)
-		if err == nil {
-			out = wire.Concat(pr.segs)
-			px.cacheRead(coll, obj, off, length, out)
-		}
-		px.recs.reads.put(pr)
-		return out, err
+		return px.readDone(pr, coll, obj, off, length)
 	}
 	bl, err := px.readViaRPC(p, desc)
 	if err == nil {
@@ -932,6 +1175,186 @@ func (px *Proxy) Read(p *sim.Proc, coll, obj string, off, length uint64) (*wire.
 	}
 	return bl, err
 }
+
+// cached looks a read up in the read cache, when there is one.
+func (px *Proxy) cached(coll, obj string, off, length uint64) (*wire.Bufferlist, bool) {
+	if px.rcache == nil {
+		return nil, false
+	}
+	return px.rcache.Lookup(coll, obj, off, length)
+}
+
+// fileRead files the read of pr under a new request id and encodes its
+// descriptor.
+func (px *Proxy) fileRead(pr *pendingRead, coll, obj string, off, length uint64) *wire.Bufferlist {
+	px.nextReq++
+	pr.reqID = px.nextReq
+	px.pendingReads[pr.reqID] = pr
+	return pr.desc.encode(&readReq{ReqID: pr.reqID, Coll: coll, Object: obj, Off: off, Length: length})
+}
+
+// readReq makes the transfer that carries pr's descriptor desc to the host.
+func (px *Proxy) readReq(pr *pendingRead, desc *wire.Bufferlist) *doca.Transfer {
+	pr.hdr = segHeader{kind: segReadReq, reqID: pr.reqID, total: 1}
+	pr.t = doca.Transfer{
+		ReqID: pr.reqID, TotalSegs: 1, Bytes: int64(desc.Length()), Data: desc,
+		Src: px.dpuMR, Dst: px.hostMR, Tag: &pr.hdr,
+	}
+	return &pr.t
+}
+
+// readDone is the answer of a read whose reply came in by DMA: the host has
+// read the descriptor and every data segment is in.
+func (px *Proxy) readDone(pr *pendingRead, coll, obj string, off, length uint64) (*wire.Bufferlist, error) {
+	var out *wire.Bufferlist
+	err := codeToErr(pr.code)
+	if err == nil {
+		out = wire.Concat(pr.segs)
+		px.cacheRead(coll, obj, off, length, out)
+	}
+	return out, err
+}
+
+// endRead retires a read that has returned. Its record goes back unless its
+// descriptor's transfer failed: the host's poller may still be about to read
+// that one's tag, so the record is left to the GC. On every other path no
+// transfer reaches the record any more — a failed data segment took the read
+// out of pendingReads, and the ones after it find nothing.
+func (px *Proxy) endRead(pr *pendingRead) {
+	delete(px.pendingReads, pr.reqID)
+	if pr.t.Err == nil {
+		px.recs.reads.put(pr)
+	}
+}
+
+// ReadThen implements objstore.Store: Read as a task chain on pr, on the
+// caller's thread th.
+func (px *Proxy) ReadThen(th *sim.Thread, c *objstore.Call, next sim.Task) bool {
+	pr := px.recs.reads.get()
+	pr.px, pr.th, pr.c, pr.next = px, th, c, next
+	if pr.advance() {
+		return true
+	}
+	pr.end()
+	return false
+}
+
+// Run goes on after the step that waited; once the read is done, its
+// continuation runs.
+func (pr *pendingRead) Run() {
+	if pr.advance() {
+		return
+	}
+	next := pr.next
+	pr.end()
+	next.Run()
+}
+
+// end retires the read, as endRead does, once its answer is in c.
+func (pr *pendingRead) end() {
+	px := pr.px
+	if pr.reqID == 0 { // a cache hit: nothing was filed
+		px.recs.reads.put(pr)
+		return
+	}
+	px.endRead(pr)
+}
+
+// advance takes the read through its steps until one waits, reporting true,
+// or the answer is in c. The steps are Read's waits, each its task form, so
+// the chain fires Read's events in the same order.
+func (pr *pendingRead) advance() bool {
+	px, c := pr.px, pr.c
+	for {
+		switch pr.step {
+		case readStart:
+			if bl, ok := px.cached(c.Coll, c.Object, c.Off, c.Length); ok {
+				c.Data, c.Err = bl, nil
+				pr.step = readHit
+				if px.dev.CPU.ExecThen(pr.th, px.rcache.HitCost(int64(bl.Length())), nil, pr) {
+					return true
+				}
+				continue
+			}
+			px.fileRead(pr, c.Coll, c.Object, c.Off, c.Length)
+			switch px.gate(px.env.Now()) {
+			case gateAllow:
+				pr.step = readDMA
+			case gateDeny:
+				pr.step, pr.cache = readRPC, true
+			default:
+				pr.step = readProbed
+				if px.probeThen(pr.th, &pr.ok, pr) {
+					return true
+				}
+			}
+		case readHit:
+			return false
+		case readProbed:
+			pr.step = readDMA
+			if !pr.ok {
+				pr.step, pr.cache = readRPC, true
+			}
+		case readDMA:
+			px.stats.Reads++
+			pr.step = readSubmit
+			if !px.regionsReady() {
+				pr.step = readHostRegion
+				if px.cc.NegotiateThen(pr.th, px.dpuMR, pr) {
+					return true
+				}
+			}
+		case readHostRegion:
+			pr.step = readSubmit
+			if px.cc.NegotiateThen(pr.th, px.hostMR, pr) {
+				return true
+			}
+		case readSubmit:
+			t := px.readReq(pr, &pr.desc.bl.Bufferlist)
+			if err := px.engUp.Validate(t); err != nil {
+				c.Data, c.Err = nil, err
+				return false
+			}
+			pr.step = readCharged
+			if px.engUp.ChargeSubmit(px.dev.CPU, pr.th, pr) {
+				return true
+			}
+		case readCharged:
+			px.engUp.Enqueue(&pr.t)
+			pr.step = readSent
+			if pr.t.Done.WaitThen(px.env, pr) {
+				return true
+			}
+		case readSent:
+			pr.step = readFilled
+			if pr.t.Err == nil && pr.done.WaitThen(px.env, pr) {
+				return true
+			}
+		case readFilled:
+			if pr.t.Err != nil || pr.dmaErr {
+				// The descriptor or a data segment failed on its way.
+				px.enterCooldown(px.env.Now())
+				pr.step = readRPC
+				continue
+			}
+			c.Data, c.Err = px.readDone(pr, c.Coll, c.Object, c.Off, c.Length)
+			return false
+		case readRPC:
+			pr.step = readReplied
+			pr.reply = px.rpc.CallTask(opReadFallback, &pr.desc.bl.Bufferlist, pr)
+			return true
+		case readReplied:
+			c.Data, c.Err = callResult(pr.reply.Result())
+			if c.Err == nil && pr.cache {
+				px.cacheRead(c.Coll, c.Object, c.Off, c.Length, c.Data)
+			}
+			return false
+		}
+	}
+}
+
+// String names the read in deadlock reports.
+func (pr *pendingRead) String() string { return fmt.Sprintf("proxy-read:%d", pr.reqID) }
 
 // cacheRead populates the read cache after a successful read. Only
 // full-object reads (offset 0, length 0 = to EOF) reveal the object's
@@ -1044,11 +1467,15 @@ func (px *Proxy) onReadDone(req rpcchan.Request, respond func(*wire.Bufferlist, 
 	}
 }
 
-// call is one RPC to the host; a failure the host reported by code comes
-// back as the objstore error that code stands for.
+// call is one RPC to the host.
 func (px *Proxy) call(p *sim.Proc, op uint16, req *wire.Bufferlist) (*wire.Bufferlist, error) {
-	resp, err := px.rpc.Call(p, op, req)
-	if ce, ok := err.(rpcchan.CallError); ok { // the only error Call returns, bare
+	return callResult(px.rpc.Call(p, op, req))
+}
+
+// callResult is the answer of an RPC to the host: a failure the host reported
+// by code comes back as the objstore error that code stands for.
+func callResult(resp *wire.Bufferlist, err error) (*wire.Bufferlist, error) {
+	if ce, ok := err.(rpcchan.CallError); ok { // the only error a call returns, bare
 		return nil, codeToErr(ce.Code)
 	}
 	return resp, err

@@ -12,7 +12,8 @@ package core
 // fallback path is never put back: some reader of it may still be to come, and
 // the GC takes it once none is left.
 type records struct {
-	reads     freeList[pendingRead] // put by Proxy.Read as it returns the data
+	reads     freeList[pendingRead] // put by the read as it returns, unless its descriptor's transfer failed
+	calls     freeList[storeCall]   // put by the call as it ends
 	hostReads freeList[hostRead]    // put by its last reader (hostRead.unref)
 	hostTxns  freeList[hostTxn]     // put once the proxy has decoded its notification
 	ships     freeList[shipment]    // put by the shipment as it ends

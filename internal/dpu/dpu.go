@@ -79,8 +79,8 @@ func New(env *sim.Env, name string, cfg Config) *DPU {
 // Config returns the device configuration (post-defaulting).
 func (d *DPU) Config() Config { return d.cfg }
 
-// BufferPool is a fixed pool of equally sized DMA-capable buffers. Acquire
-// blocks when the pool is drained, which is exactly the backpressure that
+// BufferPool is a fixed pool of equally sized DMA-capable buffers. An acquire
+// waits when the pool is drained, which is exactly the backpressure that
 // bounds the DMA pipeline depth.
 type BufferPool struct {
 	name string
@@ -103,16 +103,9 @@ func (b *BufferPool) Capacity() int { return b.cap }
 // Available returns the number of free buffers.
 func (b *BufferPool) Available() int { return b.sem.Available() }
 
-// Acquire blocks p until a buffer is free and returns the acquisition
-// instant (used to measure staging-wait).
-func (b *BufferPool) Acquire(p *sim.Proc) sim.Time {
-	b.sem.Acquire(p, 1)
-	return p.Now()
-}
-
-// AcquireThen is the task form of Acquire: it takes a buffer now if one is
-// free and nobody waits ahead, reporting false, and otherwise queues t behind
-// the waiters, to run once a buffer is granted.
+// AcquireThen takes a buffer now if one is free and nobody waits ahead,
+// reporting false, and otherwise queues t behind the waiters, to run once a
+// buffer is granted.
 func (b *BufferPool) AcquireThen(t sim.Task) bool { return b.sem.AcquireThen(1, t) }
 
 // Release returns one buffer to the pool.

@@ -29,6 +29,24 @@ func TestConfigOverrides(t *testing.T) {
 	}
 }
 
+// holder takes a buffer, notes when, and gives it back a millisecond later.
+type holder struct {
+	env  *sim.Env
+	pool *BufferPool
+	at   *[]sim.Time
+	held bool
+}
+
+func (h *holder) Run() {
+	if h.held {
+		h.pool.Release()
+		return
+	}
+	h.held = true
+	*h.at = append(*h.at, h.env.Now())
+	h.env.Delay(sim.Millisecond, h)
+}
+
 func TestBufferPoolBackpressure(t *testing.T) {
 	env := sim.NewEnv(1)
 	pool := NewBufferPool(env, "p", 2, 1<<20)
@@ -37,12 +55,10 @@ func TestBufferPoolBackpressure(t *testing.T) {
 	}
 	var acquiredAt []sim.Time
 	for i := 0; i < 3; i++ {
-		env.Spawn("w", func(p *sim.Proc) {
-			at := pool.Acquire(p)
-			acquiredAt = append(acquiredAt, at)
-			p.Wait(sim.Millisecond)
-			pool.Release()
-		})
+		h := &holder{env: env, pool: pool, at: &acquiredAt}
+		if !pool.AcquireThen(h) {
+			h.Run()
+		}
 	}
 	if err := env.RunUntil(sim.Time(sim.Second)); err != nil {
 		t.Fatal(err)

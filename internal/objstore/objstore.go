@@ -315,9 +315,36 @@ type Result struct {
 	ServiceTime sim.Duration
 }
 
-// Store is the pluggable object-store backend interface. Every method takes
-// the calling simulation process because each consumes virtual time. Method
+// Call is one call of a Store's task forms, owned by the caller: the inputs
+// it sets and the results the store sets before the call's continuation runs.
+// A thread keeps one and reuses it call after call, so a call allocates
+// nothing of its own; it must not be reused while a call on it is under way.
+type Call struct {
+	// Txn is QueueTransactionThen's transaction. Coll and Object name the
+	// object of the other calls; Off and Length are ReadThen's range (Length
+	// 0 = to EOF).
+	Txn          *Transaction
+	Coll, Object string
+	Off, Length  uint64
+	// Result is QueueTransactionThen's, Data ReadThen's, Stat StatThen's and
+	// Exists ExistsThen's answer; Err is ReadThen's and StatThen's error.
+	Result *Result
+	Data   *wire.Bufferlist
+	Stat   StatInfo
+	Exists bool
+	Err    error
+}
+
+// Store is the pluggable object-store backend interface. Every call consumes
+// virtual time, so a proc form takes the calling simulation process. Method
 // names follow the Ceph originals (queue_transactions, stat, exists, ...).
+//
+// The four calls an OSD op worker makes also have task forms, for a thread
+// written as a task chain: th pays what the proc form charges to the calling
+// proc's thread, the results land in c, and next runs where the proc form
+// would return. Each reports whether next was registered; if not, the call
+// completed at once, its results are in c, and the caller goes on. A task form
+// fires its proc form's events, in the same order.
 type Store interface {
 	// QueueTransaction submits txn for asynchronous, atomic, durable
 	// application. The returned Result's Done event fires at commit time.
@@ -330,4 +357,13 @@ type Store interface {
 	Exists(p *sim.Proc, coll, obj string) bool
 	// List returns the sorted object names in coll.
 	List(p *sim.Proc, coll string) ([]string, error)
+
+	// QueueTransactionThen is QueueTransaction of c.Txn into c.Result.
+	QueueTransactionThen(th *sim.Thread, c *Call, next sim.Task) bool
+	// ReadThen is Read of c's range into c.Data and c.Err.
+	ReadThen(th *sim.Thread, c *Call, next sim.Task) bool
+	// StatThen is Stat of c's object into c.Stat and c.Err.
+	StatThen(th *sim.Thread, c *Call, next sim.Task) bool
+	// ExistsThen is Exists of c's object into c.Exists.
+	ExistsThen(th *sim.Thread, c *Call, next sim.Task) bool
 }

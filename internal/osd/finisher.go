@@ -52,7 +52,7 @@ const (
 // finish starts the chain of a finisher like f on a record from the free list,
 // in an event of its own, as a thread spawned now would start.
 func (o *OSD) finish(f finisher) {
-	r := o.fins.get()
+	r := o.pools.fins.get()
 	*r = f
 	r.o = o
 	o.env.Delay(0, r)
@@ -103,7 +103,7 @@ func (f *finisher) Run() {
 			}
 		case finishCharged:
 			f.answer()
-			o.fins.put(f)
+			o.pools.fins.put(f)
 			return
 		}
 	}
@@ -157,23 +157,34 @@ func (f *finisher) String() string {
 	return fmt.Sprintf("push-completer:%s/%d", f.o.name, f.push.Tid)
 }
 
-// finishers is a partition's free list of finisher records, shared by its
-// OSDs (sim.Local).
-type finishers struct{ free []*finisher }
-
-func (l *finishers) get() *finisher {
-	n := len(l.free)
-	if n == 0 {
-		return new(finisher)
-	}
-	f := l.free[n-1]
-	l.free[n-1] = nil
-	l.free = l.free[:n-1]
-	return f
+// pools are a partition's free lists of the op path's records, shared by its
+// OSDs (sim.Local): the finishers and the workers' turns.
+type pools struct {
+	fins  pool[finisher]
+	turns pool[turn]
 }
 
-// put zeroes f and keeps it for the next op.
-func (l *finishers) put(f *finisher) {
-	*f = finisher{}
-	l.free = append(l.free, f)
+// pool is a free list of records of one type; made counts the records
+// allocated, for Quiescent.
+type pool[T any] struct {
+	free []*T
+	made int
+}
+
+func (l *pool[T]) get() *T {
+	n := len(l.free)
+	if n == 0 {
+		l.made++
+		return new(T)
+	}
+	r := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return r
+}
+
+// put zeroes r and keeps it for the next get.
+func (l *pool[T]) put(r *T) {
+	*r = *new(T)
+	l.free = append(l.free, r)
 }

@@ -13,6 +13,7 @@
 package osd
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -167,9 +168,9 @@ type OSD struct {
 	cfg  Config
 	id   int32
 	name string
-	// fins is the partition's free list of finishers, the chains that complete
-	// ops on fn_osd.
-	fins *finishers
+	// pools are the partition's free lists of finishers, the chains that
+	// complete ops on fn_osd, and of the op workers' turns.
+	pools *pools
 	// ingestBody is ingestStream as a func value, made with streams at the
 	// first stream: every stream's ingest proc shares it and finds its record
 	// in streams under its proc id.
@@ -313,8 +314,8 @@ func Name(id int32) string {
 }
 
 // New creates an OSD with the given identity, messenger and backing store,
-// spawns its tp_osd_tp workers and heartbeat loop, and installs its
-// dispatcher on msgr.
+// spawns its heartbeat loop and the PG creation that opens its tp_osd_tp
+// workers' shards, and installs its dispatcher on msgr.
 func New(env *sim.Env, cpu *sim.CPU, id int32, msgr *messenger.Messenger,
 	store objstore.Store, m *osdmap.Map, cfg Config) *OSD {
 	o := &OSD{
@@ -333,7 +334,7 @@ func New(env *sim.Env, cpu *sim.CPU, id int32, msgr *messenger.Messenger,
 		reported:     make(map[int32]bool),
 		pgOps:        make(map[uint32]int64),
 	}
-	o.fins = sim.Local[finishers](env)
+	o.pools = sim.Local[pools](env)
 	if o.cfg.RecoveryMaxPGs > 0 {
 		o.recovSem = sim.NewSemaphore(env, o.cfg.RecoveryMaxPGs)
 	}
@@ -378,10 +379,9 @@ func (o *OSD) createPGs(p *sim.Proc) {
 	}
 	// The tp_osd_tp workers open their shards here, in index order: registered
 	// in New they would take the ops that came early in arrival order instead.
-	body := o.handleOp
 	for i := 0; i < o.cfg.OpWorkers; i++ {
-		th := sim.NewThread(fmt.Sprintf("tp_osd_tp-%d@%s", i, o.name), ThreadCat)
-		o.opqs[i%len(o.opqs)].Serve(th.Name, th, body)
+		w := &worker{o: o, th: sim.NewThread(fmt.Sprintf("tp_osd_tp-%d@%s", i, o.name), ThreadCat)}
+		w.done = o.opqs[i%len(o.opqs)].ServeTask(w.th.Name, w.serve)
 	}
 	o.ready.Fire()
 }
@@ -444,6 +444,23 @@ func (o *OSD) QueueDepth() int {
 // all zero once the cluster is quiescent.
 func (o *OSD) InFlight() (mutations, repApplies, repWaits int) {
 	return len(o.mutations), len(o.repApplies), len(o.pending)
+}
+
+// Quiescent reports, joined, every way the OSD is not at rest: a client
+// mutation, sub-op or replica wait still in flight (InFlight), or a finisher
+// or a worker's turn of the partition's free lists not back.
+func (o *OSD) Quiescent() error {
+	var errs []error
+	if mu, ra, w := o.InFlight(); mu+ra+w != 0 {
+		errs = append(errs, fmt.Errorf("%s: %d mutations, %d replica applies and %d replica waits in flight", o.name, mu, ra, w))
+	}
+	if f := &o.pools.fins; f.made != len(f.free) {
+		errs = append(errs, fmt.Errorf("%s: %d of %d finishers back on the free list", o.name, len(f.free), f.made))
+	}
+	if t := &o.pools.turns; t.made != len(t.free) {
+		errs = append(errs, fmt.Errorf("%s: %d of %d worker turns back on the free list", o.name, len(t.free), t.made))
+	}
+	return errors.Join(errs...)
 }
 
 // Map returns the OSD's current cluster map.
@@ -511,25 +528,6 @@ func (o *OSD) opShard(m cephmsg.Message) int {
 	return int(pg % uint32(len(o.opqs)))
 }
 
-// handleOp is what a tp_osd_tp thread does with one item of its queue shard.
-// Workers start serving once the PG collections exist (Ceph: a PG serves I/O
-// only after creation/peering).
-func (o *OSD) handleOp(p *sim.Proc, it opItem) {
-	if it.span != 0 {
-		o.tr.AddQueueWait(it.span, p.Now().Sub(it.enq))
-	}
-	switch m := it.msg.(type) {
-	case *cephmsg.MOSDOp:
-		o.handleClientOp(p, it.src, m, it.span)
-	case *cephmsg.MRepOp:
-		o.handleRepOp(p, it.src, m, it.span)
-	case *cephmsg.MPGPush:
-		o.handlePGPush(p, it.src, m)
-	case *cephmsg.MScrub:
-		o.handleScrub(p, it.src, m)
-	}
-}
-
 // completeRep counts one replica acknowledgment (or abandonment). The tid
 // is retired immediately so a late reply from a falsely-reported replica
 // cannot be counted twice.
@@ -552,6 +550,11 @@ func (o *OSD) completeRep(tid uint64) {
 // which the watchdog does not resend (see awaitReplicas).
 func (o *OSD) registerRep(p *sim.Proc, mu *mutation, sec int32, sub cephmsg.MRepOp, stream bool) *cephmsg.MRepOp {
 	o.tr.AddCPU(mu.repSp, o.cpu.Name(), o.cpu.ExecSelf(p, o.cfg.RepPrepCycles))
+	return o.stampRep(mu, sec, sub, stream)
+}
+
+// stampRep is registerRep once the sub-op's prep is paid.
+func (o *OSD) stampRep(mu *mutation, sec int32, sub cephmsg.MRepOp, stream bool) *cephmsg.MRepOp {
 	o.nextTid++
 	sub.Tid, sub.Epoch = o.nextTid, o.curMap.Epoch
 	w := &mu.rep
@@ -672,23 +675,6 @@ func (o *OSD) ensureColl(pg uint32, txn *objstore.Transaction) {
 	}
 }
 
-func (o *OSD) handleClientOp(p *sim.Proc, src string, m *cephmsg.MOSDOp, sp trace.SpanID) {
-	o.tr.AddCPU(sp, o.cpu.Name(), o.cpu.ExecSelf(p, o.cfg.OpPrepCycles))
-	pg, acting, res := o.admit(m)
-	if res != cephmsg.ResOK {
-		o.reject(src, m, sp, res)
-		return
-	}
-	switch m.Op {
-	case cephmsg.OpWrite, cephmsg.OpDelete:
-		o.handleMutation(p, src, m, pg, acting, sp)
-	case cephmsg.OpRead:
-		o.handleRead(p, src, m, pg, sp)
-	case cephmsg.OpStat:
-		o.handleStat(p, src, m, pg, sp)
-	}
-}
-
 // admit is the gate every client op passes, whole or streamed. It returns
 // the result to bounce the op with, or ResOK with the op counted against its
 // PG and — a mutation below full replication — ledgered as a degraded write.
@@ -748,46 +734,6 @@ func mutationTxn(txn *objstore.Transaction, coll string, op cephmsg.Op, object s
 	txn.Write(coll, object, off, data)
 }
 
-// handleMutation is the replicated write path of every mutating op (write,
-// delete): local commit via the ObjectStore plus one MRepOp per
-// secondary; the client ack is withheld until every part is durable.
-func (o *OSD) handleMutation(p *sim.Proc, src string, m *cephmsg.MOSDOp, pg uint32, acting []int32, sp trace.SpanID) {
-	lock := o.pgLock(pg)
-	lock.Acquire(p, 1)
-	mu := newMutation(src, m, sp, len(acting)-1)
-	mutationTxn(&mu.txn, pgColl(pg), m.Op, m.Object, m.Offset, m.Data)
-	if m.Op != cephmsg.OpDelete {
-		// A delete creates nothing: in a PG with no collection yet it has to
-		// find nothing, not make one.
-		o.ensureColl(pg, &mu.txn)
-	}
-	if sp != 0 {
-		mu.commitSp = o.tr.Start(sp, 0, trace.StageCommit, m.Object)
-		mu.txn.TraceCtx = uint64(mu.commitSp)
-		o.tr.AddBytes(mu.commitSp, mu.txn.DataBytes())
-	}
-	mu.res = o.store.QueueTransaction(p, &mu.txn)
-	if sp != 0 {
-		mu.repSp = o.tr.Start(sp, 0, trace.StageReplication, m.Object)
-	}
-	sub := subOp(m, pg, mu.repSp)
-	for _, sec := range acting[1:] {
-		o.msgr.Send(Name(sec), o.registerRep(p, mu, sec, sub, false))
-	}
-	lock.Release(1)
-	if m.Op == cephmsg.OpDelete {
-		o.stats.ClientDeletes++
-	} else {
-		o.stats.ClientWrites++
-	}
-	if m.Op == cephmsg.OpWrite {
-		o.stats.BytesWritten += int64(m.Data.Length())
-	}
-	o.nextRec++
-	o.mutations[o.nextRec] = mu
-	o.finish(finisher{id: o.nextRec, res: mu.res, mu: mu})
-}
-
 // completeMutation is the tail of a streamed client mutation, at the end of
 // its ingest proc, once the local commit is durable (commitErr: it failed):
 // wait out the replicas, charge the finish, answer the client. A whole one's
@@ -816,70 +762,6 @@ func (o *OSD) replyMutation(mu *mutation, commitErr, repOK bool) {
 	}
 	o.msgr.Send(mu.src, &mu.reply)
 	o.tr.Finish(mu.sp)
-}
-
-func (o *OSD) handleRead(p *sim.Proc, src string, m *cephmsg.MOSDOp, pg uint32, sp trace.SpanID) {
-	lock := o.pgLock(pg)
-	lock.Acquire(p, 1)
-	var commitSp trace.SpanID
-	if sp != 0 {
-		commitSp = o.tr.Start(sp, 0, trace.StageCommit, m.Object)
-	}
-	bl, err := o.store.Read(p, pgColl(pg), m.Object, m.Offset, m.Length)
-	o.tr.Finish(commitSp)
-	lock.Release(1)
-	reply := &cephmsg.MOSDOpReply{Tid: m.Tid, Object: m.Object, Op: m.Op, TraceCtx: m.TraceCtx}
-	if err != nil {
-		reply.Result = cephmsg.ResNotFound
-	} else {
-		reply.Data = bl
-		o.stats.BytesRead += int64(bl.Length())
-		o.tr.AddBytes(commitSp, int64(bl.Length()))
-	}
-	o.stats.ClientReads++
-	o.tr.AddCPU(sp, o.cpu.Name(), o.cpu.ExecSelf(p, o.cfg.FinishCycles))
-	o.msgr.Send(src, reply)
-	o.tr.Finish(sp)
-}
-
-func (o *OSD) handleStat(p *sim.Proc, src string, m *cephmsg.MOSDOp, pg uint32, sp trace.SpanID) {
-	st, err := o.store.Stat(p, pgColl(pg), m.Object)
-	reply := &cephmsg.MOSDOpReply{Tid: m.Tid, Object: m.Object, Op: m.Op, TraceCtx: m.TraceCtx}
-	if err != nil {
-		reply.Result = cephmsg.ResNotFound
-	} else {
-		reply.Size = st.Size
-		reply.Version = st.Version
-	}
-	o.stats.ClientStats++
-	o.msgr.Send(src, reply)
-	o.tr.Finish(sp)
-}
-
-// handleRepOp applies a replicated sub-op on a secondary and acks once
-// durable.
-func (o *OSD) handleRepOp(p *sim.Proc, src string, m *cephmsg.MRepOp, sp trace.SpanID) {
-	o.tr.AddCPU(sp, o.cpu.Name(), o.cpu.ExecSelf(p, o.cfg.OpPrepCycles))
-	lock := o.pgLock(m.PGID)
-	lock.Acquire(p, 1)
-	ra := &repApply{src: src, m: m, sp: sp}
-	ra.txn.Ops = ra.ops[:0]
-	mutationTxn(&ra.txn, pgColl(m.PGID), m.Op, m.Object, m.Offset, m.Data)
-	o.ensureColl(m.PGID, &ra.txn)
-	if sp != 0 {
-		ra.commitSp = o.tr.Start(sp, 0, trace.StageCommit, m.Object)
-		ra.txn.TraceCtx = uint64(ra.commitSp)
-		o.tr.AddBytes(ra.commitSp, ra.txn.DataBytes())
-	}
-	ra.res = o.store.QueueTransaction(p, &ra.txn)
-	lock.Release(1)
-	o.stats.RepOpsServed++
-	if m.Data != nil {
-		o.stats.BytesWritten += int64(m.Data.Length())
-	}
-	o.nextRec++
-	o.repApplies[o.nextRec] = ra
-	o.finish(finisher{id: o.nextRec, res: ra.res, ra: ra})
 }
 
 // heartbeatGrace is the silence threshold after which a peer is reported

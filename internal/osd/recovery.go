@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"doceph/internal/cephmsg"
-	"doceph/internal/objstore"
 	"doceph/internal/osdmap"
 	"doceph/internal/sim"
 	"doceph/internal/trace"
@@ -189,26 +188,6 @@ func (o *OSD) backfillPG(p *sim.Proc, pg uint32, targets []int32) {
 		}
 		p.Wait(o.cfg.RecoveryDelay)
 	}
-}
-
-// handlePGPush applies a pushed object on the backfill target (tp_osd_tp
-// worker context).
-func (o *OSD) handlePGPush(p *sim.Proc, src string, m *cephmsg.MPGPush) {
-	o.cpu.ExecSelf(p, o.cfg.OpPrepCycles)
-	lock := o.pgLock(m.PGID)
-	lock.Acquire(p, 1)
-	if !m.Force && o.store.Exists(p, pgColl(m.PGID), m.Object) {
-		// A newer copy arrived through the client replication path.
-		lock.Release(1)
-		o.msgr.Send(src, &cephmsg.MPGPushAck{Tid: m.Tid, PGID: m.PGID, Object: m.Object})
-		return
-	}
-	txn := objstore.NewTransaction().Write(pgColl(m.PGID), m.Object, 0, m.Data)
-	o.ensureColl(m.PGID, txn)
-	res := o.store.QueueTransaction(p, txn)
-	lock.Release(1)
-	o.stats.PushesServed++
-	o.finish(finisher{res: res, push: m, src: src})
 }
 
 // handlePGPushAck completes one in-flight push (msgr-worker context).

@@ -92,23 +92,6 @@ type scrubCall struct {
 	reply *cephmsg.MScrubReply
 }
 
-// handleScrub serves a digest request on a replica (tp_osd_tp context: it
-// reads the object from the backing store).
-func (o *OSD) handleScrub(p *sim.Proc, src string, m *cephmsg.MScrub) {
-	reply := &cephmsg.MScrubReply{Tid: m.Tid, PGID: m.PGID, Object: m.Object}
-	lock := o.pgLock(m.PGID)
-	lock.Acquire(p, 1)
-	bl, err := o.store.Read(p, pgColl(m.PGID), m.Object, 0, 0)
-	lock.Release(1)
-	if err == nil {
-		reply.Exists = true
-		reply.CRC = bl.CRC32C()
-		reply.Size = uint64(bl.Length())
-	}
-	o.stats.ScrubsServed++
-	o.msgr.Send(src, reply)
-}
-
 // handleScrubReply completes a pending digest request (msgr-worker context).
 func (o *OSD) handleScrubReply(m *cephmsg.MScrubReply) {
 	if sc, ok := o.scrubPending[m.Tid]; ok {

@@ -50,7 +50,7 @@ type Request struct {
 // blocks on storage); it must be called exactly once per request.
 type Handler func(req Request, respond func(payload *wire.Bufferlist, errCode uint16))
 
-// noResponse is the respond function of every Notify.
+// noResponse is the respond function of every NotifyTask message.
 func noResponse(*wire.Bufferlist, uint16) {}
 
 // Stats counts endpoint traffic.
@@ -94,7 +94,7 @@ type envelope struct {
 	to      *Endpoint
 	payload *wire.Bufferlist
 	reqID   uint64
-	// consumed is NotifyThen's task, sent NotifyTask's.
+	// consumed and sent are NotifyTask's tasks.
 	consumed, sent sim.Task
 	op, errCode    uint16
 	req, notify    bool
@@ -249,25 +249,13 @@ func (e *Endpoint) sendTask(env *envelope) {
 	}
 }
 
-// Notify sends a one-way message (no response) processed by the peer's
-// handler for op; the handler's respond function becomes a no-op.
-func (e *Endpoint) Notify(p *sim.Proc, op uint16, payload *wire.Bufferlist) {
-	e.NotifyThen(p, op, payload, nil)
-}
-
-// NotifyThen is Notify for a payload its sender wants back: consumed, when
-// not nil, runs on the peer's server loop as soon as the handler has returned
-// — the point after which nothing reads the payload — or never, if no handler
-// takes the message.
-func (e *Endpoint) NotifyThen(p *sim.Proc, op uint16, payload *wire.Bufferlist, consumed sim.Task) {
-	e.nextID++
-	e.send(p, envelope{req: true, notify: true, op: op, reqID: e.nextID, payload: payload, consumed: consumed})
-}
-
-// NotifyTask is the task form of NotifyThen, for a sender with no proc: the
-// sender's cost is a CPU burst of the endpoint's thread (CPU.ExecThen), and
-// the message is booked on the socket when it ends, where NotifyThen returns;
-// sent, when not nil, runs right after, where the sender would go on.
+// NotifyTask sends a one-way message (no response) processed by the peer's
+// handler for op, whose respond function becomes a no-op. The sender's cost is
+// a CPU burst of the endpoint's thread (CPU.ExecThen), and the message is
+// booked on the socket when it ends; sent, when not nil, runs right after,
+// where the sender goes on. consumed, when not nil, runs on the peer's server
+// loop as soon as the handler has returned — the point after which nothing
+// reads the payload — or never, if no handler takes the message.
 func (e *Endpoint) NotifyTask(op uint16, payload *wire.Bufferlist, consumed, sent sim.Task) {
 	e.nextID++
 	e.sendTask(&envelope{req: true, notify: true, op: op, reqID: e.nextID, payload: payload, consumed: consumed, sent: sent})

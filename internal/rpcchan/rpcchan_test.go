@@ -133,7 +133,7 @@ func TestNotifyDelivered(t *testing.T) {
 		respond(nil, 0) // no-op for notify
 	})
 	r.run(t, func(p *sim.Proc) {
-		r.dpu.Notify(p, 4, wire.FromBytes([]byte("fire-and-forget")))
+		r.dpu.NotifyTask(4, wire.FromBytes([]byte("fire-and-forget")), nil, nil)
 		p.Wait(sim.Second)
 		if string(got) != "fire-and-forget" {
 			t.Fatalf("got=%q", got)
@@ -148,17 +148,18 @@ type logTask struct {
 
 func (l logTask) Run() { *l.log = append(*l.log, l.name) }
 
-// TestNotifyThenRunsAfterHandler: a NotifyThen's task runs once, right after
-// the peer's handler has returned, and never for a message no handler takes.
-func TestNotifyThenRunsAfterHandler(t *testing.T) {
+// TestNotifyConsumedRunsAfterHandler: a notification's consumed task runs
+// once, right after the peer's handler has returned, and never for a message
+// no handler takes.
+func TestNotifyConsumedRunsAfterHandler(t *testing.T) {
 	r := newRPCRig(Config{})
 	var log []string
 	r.host.Handle(4, func(req Request, respond func(*wire.Bufferlist, uint16)) {
 		log = append(log, "handled "+string(req.Payload.Bytes()))
 	})
 	r.run(t, func(p *sim.Proc) {
-		r.dpu.NotifyThen(p, 4, wire.FromBytes([]byte("a")), logTask{&log, "consumed a"})
-		r.dpu.NotifyThen(p, 98, wire.FromBytes([]byte("b")), logTask{&log, "consumed b"})
+		r.dpu.NotifyTask(4, wire.FromBytes([]byte("a")), logTask{&log, "consumed a"}, nil)
+		r.dpu.NotifyTask(98, wire.FromBytes([]byte("b")), logTask{&log, "consumed b"}, nil)
 		p.Wait(sim.Second)
 	})
 	if got := strings.Join(log, ", "); got != "handled a, consumed a" {
@@ -170,12 +171,19 @@ type taskFunc func()
 
 func (f taskFunc) Run() { f() }
 
+// notifyThen is the proc form of NotifyTask, the oracle: the sender's cost
+// blocks p, as Call's does, and a courier delivers the message.
+func notifyThen(p *sim.Proc, e *Endpoint, op uint16, payload *wire.Bufferlist, consumed sim.Task) {
+	e.nextID++
+	e.send(p, envelope{req: true, notify: true, op: op, reqID: e.nextID, payload: payload, consumed: consumed})
+}
+
 // TestNotifyTaskMatchesNotifyThen: notifications sent from tasks with
 // NotifyTask — three at one instant, queueing for the sender's one core and
 // the socket — reach the peer's handler at the instants, with the CPU charge,
-// the bytes and the event count of the same notifications sent with
-// NotifyThen from procs spawned at the same slots; and the envelope, which
-// carries the task form's state, stays in its 64-byte size class.
+// the bytes and the event count of the same notifications sent by their proc
+// form (notifyThen) from procs spawned at the same slots; and the envelope,
+// which carries the task form's state, stays in its 64-byte size class.
 func TestNotifyTaskMatchesNotifyThen(t *testing.T) {
 	if size := unsafe.Sizeof(envelope{}); size != 64 {
 		t.Fatalf("envelope is %d bytes, want 64", size)
@@ -200,7 +208,7 @@ func TestNotifyTaskMatchesNotifyThen(t *testing.T) {
 			if task {
 				env.Delay(0, taskFunc(func() { dpu.NotifyTask(4, payload, consumed, nil) }))
 			} else {
-				env.Spawn("notify", func(p *sim.Proc) { dpu.NotifyThen(p, 4, payload, consumed) })
+				env.Spawn("notify", func(p *sim.Proc) { notifyThen(p, dpu, 4, payload, consumed) })
 			}
 		}
 		if err := env.Run(); err != nil {

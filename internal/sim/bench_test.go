@@ -178,24 +178,25 @@ func BenchmarkCPUExec(b *testing.B) {
 	env.Shutdown()
 }
 
-// BenchmarkServeChain measures the hand-off shape: three served queues, each
-// body ending with a push to the next stage's idle identity. One iteration is
-// four events — the feeder's timer and three identity starts — of which the
-// second and third stage start on the coroutine of the stage before them, so
-// only two pay a resume from the scheduler (all four do in the classic loop).
+// BenchmarkServeChain measures a pipeline of identities: three served
+// queues, each turn ending with a push to the next stage's idle identity. One
+// iteration is four events — the feeder's timer and three identity starts —
+// of which only the feeder's pays a resume from the scheduler.
 func BenchmarkServeChain(b *testing.B) {
 	env := NewEnv(1)
 	var stages [3]Queue[int]
-	done := 0
+	var done [3]Task
+	through := 0
 	for i := range stages {
 		stages[i].Init(env)
 		next := i + 1
-		stages[i].Serve(fmt.Sprint("stage", i), nil, func(p *Proc, v int) {
+		done[i] = stages[i].ServeTask(fmt.Sprint("stage", i), func(v int) {
 			if next < len(stages) {
 				stages[next].Push(v)
 			} else {
-				done++
+				through++
 			}
+			done[next-1].Run()
 		})
 	}
 	env.Spawn("feeder", func(p *Proc) {
@@ -209,8 +210,8 @@ func BenchmarkServeChain(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.StopTimer()
-	if st := env.Stats(); done != b.N || st.Handoffs != 2*uint64(b.N) || st.Switches != 4*uint64(b.N)+2 {
-		b.Fatalf("%d values through, %+v: want two hand-offs and two resumes per value", done, st)
+	if st := env.Stats(); through != b.N || st.TaskRuns != 3*uint64(b.N) || st.Switches > 2*uint64(b.N)+2 {
+		b.Fatalf("%d values through, %+v: want three turns and one resume per value", through, st)
 	}
 	env.Shutdown()
 }

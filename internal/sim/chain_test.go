@@ -14,7 +14,7 @@ import (
 // proc fires, 5 writes cycles bytes to the shared disk, 6 waits for event ev
 // for at most d, 7 sends a frame of cycles bytes over the shared lossy fabric,
 // 8 (a kind 4 of events 6 and 7) waits on cond ev%2, which the rival procs
-// broadcast.
+// broadcast, 9 reads cycles bytes from the shared disk.
 type chainOp struct {
 	kind   int
 	d      Duration
@@ -28,11 +28,12 @@ type chainOp struct {
 // and a disk with each other and with plain procs, and wait for events those
 // procs fire, and send frames over a fabric they share with the rivals, and
 // wait on conditions the rivals broadcast. Its servers are written once as
-// procs (Serve, Wait, Exec, Acquire, Event.Wait, Disk.Write, Event.WaitTimeout,
-// Fabric.TransferFrame, Cond.Wait) and once as task chains (ServeTask, Delay,
-// ExecThen, AcquireThen, Event.WaitThen, Disk.WriteThen, Event.WaitTimeoutThen,
-// Fabric.TransferFrameThen, Cond.WaitThen). A timed wait logs its outcome and a
-// frame whether it arrived.
+// daemon procs popping their queue (Pop, Wait, Exec, Acquire, Event.Wait,
+// writeDisk, Event.WaitTimeout, transferFrame, Cond.Wait, Disk.Read) and once
+// as task chains (ServeTask, Delay, ExecThen, AcquireThen, Event.WaitThen,
+// Disk.WriteThen, Event.WaitTimeoutThen, Fabric.TransferFrameThen,
+// Cond.WaitThen, Disk.ReadThen). A timed wait logs its outcome and a frame
+// whether it arrived.
 type chainProg struct {
 	env    *Env
 	cpu    *CPU
@@ -51,10 +52,16 @@ type chainProg struct {
 	ended int
 	// queued counts the task forms' calls that had to wait: a burst behind
 	// a busy CPU, an acquire behind a drained semaphore, a wait for an event
-	// not yet fired, a write that did not complete in place, a timed wait, a
-	// frame that did not arrive in place, a wait on a condition.
-	queuedBursts, queuedAcquires, queuedWaits, queuedWrites int
-	queuedTimed, queuedFrames, queuedConds                  int
+	// not yet fired, a write or a read that did not complete in place, a
+	// timed wait, a frame that did not arrive in place, a wait on a
+	// condition.
+	queuedBursts, queuedAcquires, queuedWaits, queuedWrites, queuedReads int
+	queuedTimed, queuedFrames, queuedConds                               int
+	// daemons is the number of daemon procs the proc form's servers are:
+	// their start events, drawn at construction ahead of every other, are
+	// all that differs from the chains, so the log counts sequence numbers
+	// from there.
+	daemons int
 	// The timed waits' outcomes in the chain form — the event fired before
 	// the deadline, at its instant, or not in time — and the frames lost.
 	firedEarly, firedAtDeadline, timedOut, dropped int
@@ -71,7 +78,7 @@ func (pg *chainProg) fire(k int) {
 // note logs (t, seq, owner): equal logs mean every sequence number was drawn
 // at the same point of the program.
 func (pg *chainProg) note(format string, args ...any) {
-	pg.log = append(pg.log, fmt.Sprintf("%d/%d/", pg.env.now, pg.env.seq)+fmt.Sprintf(format, args...))
+	pg.log = append(pg.log, fmt.Sprintf("%d/%d/", pg.env.now, pg.env.seq-uint64(pg.daemons))+fmt.Sprintf(format, args...))
 }
 
 // procBody is a server's body in proc form.
@@ -94,14 +101,15 @@ func (pg *chainProg) procBody(p *Proc, item int) {
 		case 4:
 			pg.evs[op.ev].Wait(p)
 		case 5:
-			pg.disk.Write(p, op.cycles)
+			writeDisk(p, pg.disk, op.cycles)
 		case 6:
 			outcome = fmt.Sprint(":fired=", pg.evs[op.ev].WaitTimeout(p, op.d))
 		case 7:
-			_, ok := pg.fabric.TransferFrame(p, "srv", "rival", op.cycles)
-			outcome = fmt.Sprint(":delivered=", ok)
+			outcome = fmt.Sprint(":delivered=", transferFrame(p, pg.fabric, "srv", "rival", op.cycles))
 		case 8:
 			pg.conds[op.ev%2].Wait(p)
+		case 9:
+			pg.disk.Read(p, op.cycles)
 		}
 		pg.note("%s:%d:%d%s", name, item, i, outcome)
 	}
@@ -204,6 +212,10 @@ func (c *chainServer) Run() {
 			pg.conds[op.ev%2].WaitThen(pg.env, c)
 			c.waiting = true
 			pg.queuedConds++
+		case 9:
+			if _, c.waiting = pg.disk.ReadThen(op.cycles, c); c.waiting {
+				pg.queuedReads++
+			}
 		}
 		if c.waiting {
 			return
@@ -251,13 +263,15 @@ func chainProgram(t *testing.T, seed int64, chains, heapOnly bool) (pg *chainPro
 		var ops []chainOp
 		acquired := false
 		for k := rng.Intn(6); k > 0; k-- {
-			op := chainOp{kind: rng.Intn(8), d: Duration(rng.Intn(4)) * Microsecond,
+			op := chainOp{kind: rng.Intn(9), d: Duration(rng.Intn(4)) * Microsecond,
 				cycles: int64(rng.Intn(4)) * 1000, q: rng.Intn(len(pg.queues)), ev: rng.Intn(len(pg.evs))}
 			switch {
 			case op.kind == 2 && acquired, op.kind == 4 && acquired:
 				// One permit per body; none held while waiting for a rival,
 				// which may need it to fire the event or broadcast.
 				op.kind = 0
+			case op.kind == 8:
+				op.kind = 9 // a disk read
 			case op.kind == 4 && op.ev >= 6:
 				op.kind = 8 // the conditions take the last two events' draws
 			case op.kind == 2:
@@ -282,7 +296,13 @@ func chainProgram(t *testing.T, seed int64, chains, heapOnly bool) (pg *chainPro
 			c := &chainServer{pg: pg, th: th}
 			c.done = q.ServeTask(th.Name, c.serve)
 		} else {
-			q.Serve(th.Name, th, pg.procBody)
+			pg.daemons++
+			env.SpawnDaemon(th.Name, func(p *Proc) {
+				p.SetThread(th)
+				for {
+					pg.procBody(p, q.Pop(p))
+				}
+			})
 		}
 	}
 	// Plain procs contend with the servers for the CPU, the semaphore, the
@@ -308,7 +328,8 @@ func chainProgram(t *testing.T, seed int64, chains, heapOnly bool) (pg *chainPro
 					p.Wait(Microsecond)
 					pg.sem.Release(1)
 				case 2:
-					pg.disk.Write(p, 3000)
+					writeDisk(p, pg.disk, 3000)
+					pg.disk.Read(p, 1000)
 					pg.fabric.Transfer(p, "rival", "srv", 2000)
 				}
 				if k%2 == i {
@@ -342,24 +363,44 @@ func chainProgram(t *testing.T, seed int64, chains, heapOnly bool) (pg *chainPro
 	if err := env.Run(); err != nil {
 		t.Fatalf("seed=%d chains=%v heapOnly=%v: %v", seed, chains, heapOnly, err)
 	}
-	if left, live := env.Backlog(), env.LiveProcs(); left != nil || live != 0 {
+	if left, live := env.Backlog(), env.LiveProcs(); left != nil || live != pg.daemons {
 		t.Fatalf("seed=%d chains=%v: values waiting on %v and %d procs or tasks live after the run", seed, chains, left, live)
 	}
 	return pg, env.Stats()
 }
 
+// writeDisk is the proc form of Disk.WriteThen, the oracle: the write is
+// booked, and p waits until it completes.
+func writeDisk(p *Proc, d *Disk, bytes int64) {
+	d.bytesWritten += bytes
+	d.writes++
+	_, at := d.book(bytes, d.WriteBytesPerSec)
+	p.WaitUntil(at)
+}
+
+// transferFrame is the proc form of Fabric.TransferFrameThen, the oracle: the
+// frame is booked and its loss drawn, and p waits until its arrival instant.
+// It reports whether the frame was delivered.
+func transferFrame(p *Proc, f *Fabric, src, dst string, bytes int64) bool {
+	arrive, delivered := f.book(src, dst, bytes, true)
+	p.WaitUntil(arrive)
+	return delivered
+}
+
 // TestChainServersMatchProcServers is the task forms' contract as a property:
 // over seeded random programs, writing every server as a task chain instead of
-// a proc — Delay for Wait, ExecThen for Exec, AcquireThen for Acquire,
-// Event.WaitThen for Event.Wait, Disk.WriteThen for Disk.Write,
-// Event.WaitTimeoutThen for Event.WaitTimeout (whose outcome the continuation
-// reads from Fired), Fabric.TransferFrameThen for Fabric.TransferFrame,
-// Cond.WaitThen for Cond.Wait, ServeTask for Serve — changes nothing in the (t, seq, owner, outcome) log and
-// not the event count, in the classic loop as in the kernel as shipped; the
-// chains resume no coroutine. The timed waits see all three outcomes: the
-// event fired before the deadline, at its instant, or not in time.
+// a daemon proc popping its queue — Delay for Wait, ExecThen for Exec,
+// AcquireThen for Acquire, Event.WaitThen for Event.Wait, Disk.WriteThen for a
+// blocking write, Event.WaitTimeoutThen for Event.WaitTimeout (whose outcome
+// the continuation reads from Fired), Fabric.TransferFrameThen for a blocking
+// frame, Cond.WaitThen for Cond.Wait, Disk.ReadThen for Disk.Read, ServeTask
+// for the daemon's Pop loop — changes nothing in the (t, seq, owner, outcome)
+// log and takes exactly the daemons' start events out of the event count, in
+// the classic loop as in the kernel as shipped; the chains resume no
+// coroutine. The timed waits see all three outcomes: the event fired before
+// the deadline, at its instant, or not in time.
 func TestChainServersMatchProcServers(t *testing.T) {
-	bursts, acquires, waits, writes, conds := 0, 0, 0, 0, 0
+	bursts, acquires, waits, writes, reads, conds := 0, 0, 0, 0, 0, 0
 	var timed, frames, early, atDeadline, timedOut, dropped int
 	for seed := int64(1); seed <= 24; seed++ {
 		want, wantSt := chainProgram(t, seed, false, false)
@@ -373,15 +414,16 @@ func TestChainServersMatchProcServers(t *testing.T) {
 					t.Fatalf("seed=%d chains=%v heapOnly=%v: logs differ:\n got %q\nwant %q",
 						seed, chains, heapOnly, got.log, want.log)
 				}
-				if st.Events != wantSt.Events {
-					t.Fatalf("seed=%d chains=%v heapOnly=%v: %d events, %d with proc servers",
-						seed, chains, heapOnly, st.Events, wantSt.Events)
+				if st.Events+uint64(want.daemons) != wantSt.Events+uint64(got.daemons) {
+					t.Fatalf("seed=%d chains=%v heapOnly=%v: %d events, %d with %d daemon servers",
+						seed, chains, heapOnly, st.Events, wantSt.Events, want.daemons)
 				}
 				if chains && !heapOnly {
 					bursts += got.queuedBursts
 					acquires += got.queuedAcquires
 					waits += got.queuedWaits
 					writes += got.queuedWrites
+					reads += got.queuedReads
 					timed += got.queuedTimed
 					frames += got.queuedFrames
 					conds += got.queuedConds
@@ -396,16 +438,16 @@ func TestChainServersMatchProcServers(t *testing.T) {
 			}
 		}
 	}
-	if bursts == 0 || acquires == 0 || waits == 0 || writes == 0 || conds == 0 {
-		t.Fatalf("%d bursts queued for a core, %d acquires for a permit, %d waits for an event, %d writes for the disk, %d waits on a condition: the programs never contended",
-			bursts, acquires, waits, writes, conds)
+	if bursts == 0 || acquires == 0 || waits == 0 || writes == 0 || reads == 0 || conds == 0 {
+		t.Fatalf("%d bursts queued for a core, %d acquires for a permit, %d waits for an event, %d writes and %d reads for the disk, %d waits on a condition: the programs never contended",
+			bursts, acquires, waits, writes, reads, conds)
 	}
 	if timed == 0 || frames == 0 || early == 0 || atDeadline == 0 || timedOut == 0 || dropped == 0 {
 		t.Fatalf("%d timed waits queued (%d fired early, %d at the deadline instant, %d timed out), %d frames queued, %d lost: an outcome was never reached",
 			timed, early, atDeadline, timedOut, frames, dropped)
 	}
-	t.Logf("queued: %d bursts, %d acquires, %d event waits, %d disk writes, %d timed waits (%d fired early, %d at the deadline, %d timed out), %d frames (%d lost), %d condition waits",
-		bursts, acquires, waits, writes, timed, early, atDeadline, timedOut, frames, dropped, conds)
+	t.Logf("queued: %d bursts, %d acquires, %d event waits, %d disk writes, %d disk reads, %d timed waits (%d fired early, %d at the deadline, %d timed out), %d frames (%d lost), %d condition waits",
+		bursts, acquires, waits, writes, reads, timed, early, atDeadline, timedOut, frames, dropped, conds)
 }
 
 // TestShutdownDropsQueuedTaskForms: a burst queued behind a busy one-core CPU

@@ -5,7 +5,7 @@
 // work to do (a Ceph messenger worker, an OSD op thread, a DMA polling loop,
 // a benchmark client) is a runtime coroutine (iter.Pull) wrapped in a Proc; a
 // thread that only ever waits on one queue is an identity on that queue
-// (Queue.Serve) and holds a coroutine only while it has a value to handle.
+// (Queue.ServeTask) and holds no coroutine at all.
 // Exactly one Proc executes at any moment; the kernel resumes the owner of
 // the next pending wakeup with a coroutine switch and the process switches
 // back when it blocks, and pending wakeups are ordered by (virtual time,
@@ -15,7 +15,7 @@
 // needs no Proc: it is a Task (Env.After, Env.At), which the kernel runs
 // inline when its wakeup fires. A server whose waits all have a task form
 // (Env.Delay, Env.WaitThen, CPU.ExecThen, Semaphore.AcquireThen,
-// Event.WaitThen, Event.WaitTimeoutThen, Disk.WriteThen,
+// Event.WaitThen, Event.WaitTimeoutThen, Disk.ReadThen, Disk.WriteThen,
 // Fabric.TransferFrameThen, Queue.ServeTask) is a chain of Task steps, with
 // the events and event order of its proc form.
 //

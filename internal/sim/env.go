@@ -259,7 +259,7 @@ type Env struct {
 	procs []*Proc
 	// tasks lists the registered tasks that have not run yet.
 	tasks []*pendingTask
-	// served lists the queues consumed through Serve, for Backlog.
+	// served lists the queues consumed through ServeTask, for Backlog.
 	served []interface{ backlog() (string, int) }
 	stats  EnvStats
 
@@ -498,7 +498,7 @@ func (e *Env) WatchSpawns(f func(name string)) {
 	e.spawned = f
 }
 
-// SpawnID is Spawn for per-operation procs named prefix+id ("host-read:42").
+// SpawnID is Spawn for per-operation procs named prefix+id ("stream-ingest:42").
 // The name exists only for diagnostics, so it is stored in parts and
 // formatted by Name when a deadlock report asks for it.
 func (e *Env) SpawnID(prefix string, id uint64, fn func(*Proc)) *Proc {
@@ -519,15 +519,14 @@ func (e *Env) bind(p *Proc) {
 
 // loop is the body of a coroutine: run the bound proc's function, recycle the
 // proc, and then either run the next body or yield until the next bind. One
-// coroutine, and one deferred exit path, serve many Spawns (a served queue
-// starts a body per wake-up). The body that follows a finished one on the
-// same coroutine is a hand-off: when the next event is the start of a proc
-// that has not run yet, the finishing coroutine pops it and runs that body
-// itself, where runWindow would have popped the same event, found the same
-// proc and resumed a pooled coroutine for it. It returns — ending the
-// coroutine — only when Shutdown stops it; any other panic in a body, or in a
-// task run between two bodies, propagates out of resume on the goroutine
-// driving the env.
+// coroutine, and one deferred exit path, serve many Spawns. The body that
+// follows a finished one on the same coroutine is a hand-off: when the next
+// event is the start of a proc that has not run yet, the finishing coroutine
+// pops it and runs that body itself, where runWindow would have popped the
+// same event, found the same proc and resumed a pooled coroutine for it. It
+// returns — ending the coroutine — only when Shutdown stops it; any other
+// panic in a body, or in a task run between two bodies, propagates out of
+// resume on the goroutine driving the env.
 func (c *coro) loop(yield func(struct{}) bool) {
 	c.yield = yield
 	e := c.env
@@ -852,6 +851,11 @@ func (e *Env) Shutdown() {
 // number of registered tasks that have not run.
 func (e *Env) LiveProcs() int { return e.live }
 
+// Busy lists, sorted, the live procs and tasks that are not daemons: the work
+// still under way. A drained run leaves it empty. It must not be called while
+// the environment is running.
+func (e *Env) Busy() []string { return e.blockedState("").Parked }
+
 // Events returns the total number of events fired since the environment was
 // created (spent tokens skipped by the kernel are not counted). It is the
 // numerator of the simulator's events/sec throughput metric.
@@ -882,7 +886,7 @@ type EnvStats struct {
 	// Spawns counts the procs started, CoroutinesPeak the coroutines made to
 	// run them (bound + pooled; the pool never shrinks and keeps one per
 	// unstarted proc, so at most the peak concurrency of procs), Identities
-	// the threads registered with Queue.Serve.
+	// the threads registered with Queue.ServeTask.
 	Spawns                     uint64
 	CoroutinesPeak, Identities int
 }

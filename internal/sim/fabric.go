@@ -115,30 +115,23 @@ func (n *nic) effectiveRate() float64 {
 // Transfer blocks p while bytes move from src to dst and returns the arrival
 // instant. It panics if either endpoint is unknown (wiring bug). Injected
 // faults are ignored: the frame is always delivered (legacy lossless path;
-// transports that can recover use TransferFrame).
+// transports that can recover use TransferFrameThen).
 func (f *Fabric) Transfer(p *Proc, src, dst string, bytes int64) Time {
 	arrive, _ := f.book(src, dst, bytes, false)
 	p.WaitUntil(arrive)
 	return arrive
 }
 
-// TransferFrame is Transfer under the fault model: the frame still occupies
-// the NICs (a lost frame burns wire time before the loss is detected), but
-// delivered reports whether it actually arrived. Drops come from the
-// per-node drop probability (evaluated on the env's seeded random stream)
-// and from partition groups, so runs are reproducible.
-func (f *Fabric) TransferFrame(p *Proc, src, dst string, bytes int64) (arrive Time, delivered bool) {
-	arrive, delivered = f.book(src, dst, bytes, true)
-	p.WaitUntil(arrive)
-	return arrive, delivered
-}
-
-// TransferFrameThen is the task form of TransferFrame: the frame books the
-// NICs and its loss is drawn now, and t runs at the arrival instant, reached
-// as WaitUntil reaches it (Env.WaitThen). It returns the arrival, whether the
-// frame was delivered and whether t was registered; if not — the arrival is
-// not after now, so nothing is scheduled, or it fired in place — the caller
-// goes on at once, as after TransferFrame.
+// TransferFrameThen is Transfer under the fault model, for a sender with no
+// proc: the frame still occupies the NICs (a lost frame burns wire time before
+// the loss is detected), but delivered reports whether it actually arrived.
+// Drops come from the per-node drop probability (evaluated on the env's
+// seeded random stream) and from partition groups, so runs are reproducible.
+// The frame books the NICs and its loss is drawn now, and t runs at the
+// arrival instant, reached as WaitUntil reaches it (Env.WaitThen). It returns
+// the arrival, whether the frame was delivered and whether t was registered;
+// if not — the arrival is not after now, so nothing is scheduled, or it fired
+// in place — the caller goes on at once.
 func (f *Fabric) TransferFrameThen(src, dst string, bytes int64, t Task) (arrive Time, delivered, queued bool) {
 	arrive, delivered = f.book(src, dst, bytes, true)
 	if arrive <= f.env.now {

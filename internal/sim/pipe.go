@@ -32,41 +32,46 @@ func NewDisk(env *Env, name string, writeBPS, readBPS float64, perIOLat Duration
 // Name returns the disk's name.
 func (d *Disk) Name() string { return d.name }
 
-// Write blocks p while a write of the given size queues, seeks and streams,
-// returning the pure service time (excluding queueing).
-func (d *Disk) Write(p *Proc, bytes int64) Duration {
-	svc, at := d.bookWrite(bytes)
-	p.WaitUntil(at)
-	return svc
-}
-
-// WriteThen is the task form of Write: the write is booked now and t runs
-// when it completes, the wake-up drawn where Write's would be. It returns the
-// service time and reports whether t was registered; if not, the write was
-// already done or its completion fired in place, and the caller goes on at
-// once, as after Write.
+// WriteThen books a write of the given size, which queues, seeks and streams,
+// and t runs when it completes, the wake-up drawn where a proc waiting until
+// then would draw it (Env.WaitThen). It returns the pure service time
+// (excluding queueing) and reports whether t was registered; if not, the
+// write was already done or its completion fired in place, and the caller
+// goes on at once.
 func (d *Disk) WriteThen(bytes int64, t Task) (Duration, bool) {
-	svc, at := d.bookWrite(bytes)
-	if at <= d.env.now {
-		return svc, false
-	}
-	return svc, d.env.WaitThen(at.Sub(d.env.now), t)
-}
-
-func (d *Disk) bookWrite(bytes int64) (Duration, Time) {
 	d.bytesWritten += bytes
 	d.writes++
-	return d.book(bytes, d.WriteBytesPerSec)
+	svc, at := d.book(bytes, d.WriteBytesPerSec)
+	return svc, d.until(at, t)
 }
 
 // Read blocks p while a read of the given size queues, seeks and streams,
 // returning the pure service time (excluding queueing).
 func (d *Disk) Read(p *Proc, bytes int64) Duration {
-	svc, at := d.book(bytes, d.ReadBytesPerSec)
-	d.bytesRead += bytes
-	d.reads++
+	svc, at := d.bookRead(bytes)
 	p.WaitUntil(at)
 	return svc
+}
+
+// ReadThen is the task form of Read, the twin of WriteThen: the read is
+// booked now and t runs when it completes, the wake-up drawn where Read's
+// would be. It returns the service time and reports whether t was
+// registered; if not, the caller goes on at once, as after Read.
+func (d *Disk) ReadThen(bytes int64, t Task) (Duration, bool) {
+	svc, at := d.bookRead(bytes)
+	return svc, d.until(at, t)
+}
+
+// until registers t to run at the completion instant at, reached as WaitUntil
+// reaches it, and reports whether it did.
+func (d *Disk) until(at Time, t Task) bool {
+	return at > d.env.now && d.env.WaitThen(at.Sub(d.env.now), t)
+}
+
+func (d *Disk) bookRead(bytes int64) (Duration, Time) {
+	d.bytesRead += bytes
+	d.reads++
+	return d.book(bytes, d.ReadBytesPerSec)
 }
 
 // book queues an IO of the given size behind the ones booked before it and

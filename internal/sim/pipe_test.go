@@ -7,8 +7,8 @@ func TestDiskWriteReadAccounting(t *testing.T) {
 	// 100 MB/s write, 200 MB/s read, 10us per IO.
 	d := NewDisk(env, "ssd", 100e6, 200e6, 10*Microsecond)
 	env.Spawn("p", func(p *Proc) {
-		d.Write(p, 1_000_000) // 10ms stream + 10us
-		d.Read(p, 1_000_000)  // 5ms stream + 10us
+		writeDisk(p, d, 1_000_000) // 10ms stream + 10us
+		d.Read(p, 1_000_000)       // 5ms stream + 10us
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -31,7 +31,7 @@ func TestDiskSerializesConcurrentIO(t *testing.T) {
 	var done []Time
 	for i := 0; i < 2; i++ {
 		env.Spawn("p", func(p *Proc) {
-			d.Write(p, 1000)
+			writeDisk(p, d, 1000)
 			done = append(done, p.Now())
 		})
 	}

@@ -46,7 +46,7 @@ type Queue[T any] struct {
 	// head..tail is the FIFO of blocked Pops and free the stack of idle
 	// waiter nodes, both linked through queueWaiter.next.
 	head, tail, free *queueWaiter[T]
-	// srv is set once the queue is consumed through Serve instead of Pop.
+	// srv is set once the queue is consumed through ServeTask instead of Pop.
 	srv *served[T]
 }
 
@@ -57,16 +57,12 @@ type served[T any] struct {
 	idle fifo[*identity[T]]
 }
 
-// identity is a thread that only ever waits on one queue, kept as data: a
-// coroutine exists for it only while it has work. A Push hands it a value
-// through v; run is serve as a func value, made once. An identity of
-// ServeTask has chain instead of body and run, and no coroutine at all.
+// identity is a thread that only ever waits on one queue, written as a task
+// chain and kept as data: no proc or coroutine exists for it. A Push hands it
+// a value through v.
 type identity[T any] struct {
 	q      *Queue[T]
 	name   string
-	thread *Thread
-	body   func(*Proc, T)
-	run    func(*Proc)
 	chain  func(T)
 	v      T
 	handed bool
@@ -75,24 +71,20 @@ type identity[T any] struct {
 	inChain, ended bool
 }
 
-// Serve registers a serving identity on q: what a daemon proc called name
-// running p.SetThread(thread); for { body(p, q.Pop(p)) } is, without the parked
-// coroutine. Idle identities take pushed values oldest-idle first, as blocked
-// Pops do; a Push that finds one schedules the event it would schedule for
-// the woken Pop, and the identity runs on a pooled daemon proc until the
-// buffer is empty. Only the loop's start event is gone: an identity is idle
-// from the call on (or starts at once when values already wait), so register
-// identities where, and in the order, their daemons would first have Popped.
-func (q *Queue[T]) Serve(name string, thread *Thread, body func(*Proc, T)) {
-	id := &identity[T]{q: q, name: name, thread: thread, body: body}
-	id.run = id.serve
-	q.serve(id)
-}
-
-// serve registers id on q: idle, or started at once when values wait.
-func (q *Queue[T]) serve(id *identity[T]) {
+// ServeTask registers a serving identity on q: what a daemon proc called name
+// running for { body(p, q.Pop(p)) } is, for a thread whose body is written as
+// a task chain. chain(v) starts the body on v, and the chain runs the returned
+// Task where the proc body would have returned. Idle identities take pushed
+// values oldest-idle first, as blocked Pops do; a Push that finds one
+// schedules the event it would schedule for the woken Pop, and the identity
+// runs until the buffer is empty. Only the loop's start event is gone: an
+// identity is idle from the call on (or starts at once when values already
+// wait), so register identities where, and in the order, their daemons would
+// first have Popped.
+func (q *Queue[T]) ServeTask(name string, chain func(T)) Task {
+	id := &identity[T]{q: q, name: name, chain: chain}
 	if q.srv == nil {
-		q.srv = &served[T]{name: id.name}
+		q.srv = &served[T]{name: name}
 		q.env.served = append(q.env.served, q)
 	}
 	q.env.stats.Identities++
@@ -101,27 +93,11 @@ func (q *Queue[T]) serve(id *identity[T]) {
 	} else {
 		q.srv.idle.push(id)
 	}
-}
-
-// ServeTask is Serve for a thread whose body is written as a task chain:
-// chain(v) starts the body on v, and the chain runs the returned Task where the
-// proc body would have returned. A Push that finds the identity idle schedules
-// the event Serve's would spawn the proc for, so replacing one form by the
-// other moves no event; no proc or coroutine exists for the identity at all.
-func (q *Queue[T]) ServeTask(name string, chain func(T)) Task {
-	id := &identity[T]{q: q, name: name, chain: chain}
-	q.serve(id)
 	return id
 }
 
-func (id *identity[T]) start() {
-	if id.chain != nil {
-		id.q.env.Delay(0, id)
-		return
-	}
-	p := id.q.env.Spawn(id.name, id.run)
-	p.thread, p.daemon = id.thread, true
-}
+// start begins a turn in an event of its own, the woken Pop's.
+func (id *identity[T]) start() { id.q.env.Delay(0, id) }
 
 // Run is a task identity's turn, on its start event and whenever a chain
 // ends: the value handed, then the buffer's, then idle. A chain that waits
@@ -154,19 +130,6 @@ func (id *identity[T]) Run() {
 
 // String names a task identity in deadlock reports.
 func (id *identity[T]) String() string { return id.name }
-
-// serve is a started identity's proc body: the value handed, the buffer, idle.
-func (id *identity[T]) serve(p *Proc) {
-	if id.handed {
-		v := id.v
-		id.v, id.handed = *new(T), false
-		id.body(p, v)
-	}
-	for id.q.buf.len() > 0 {
-		id.body(p, id.q.buf.pop())
-	}
-	id.q.srv.idle.push(id)
-}
 
 // backlog reports the served queue's name and its buffered values.
 func (q *Queue[T]) backlog() (string, int) { return q.srv.name, q.buf.len() }

@@ -19,8 +19,9 @@ import "fmt"
 // of a proc's blocking call: Delay or WaitThen for Wait, Event.WaitThen for
 // Event.Wait, Event.WaitTimeoutThen for Event.WaitTimeout, Cond.WaitThen for
 // Cond.Wait, CPU.ExecThen for Exec, Semaphore.AcquireThen for Acquire,
-// Disk.WriteThen for Disk.Write, Fabric.TransferFrameThen for
-// Fabric.TransferFrame, and a ServeTask identity for a served proc.
+// Disk.ReadThen for Disk.Read, Disk.WriteThen for a disk write,
+// Fabric.TransferFrameThen for a frame under the fault model, and a ServeTask
+// identity for a daemon popping one queue.
 // Each draws its sequence number where the proc form parks or fires in place
 // and has no registration entry, so a chain of steps fires its proc form's
 // events, in the same order.
