@@ -19,6 +19,8 @@ test:
 # One goroutine runs at a time per cluster by design; the race run guards
 # the places control changes goroutines: every coroutine switch between the
 # kernel and a proc, tasks run inline by whichever of them holds control, a
+# proc suspended on a task form resumed by the chain that ends it (and unwound
+# by Shutdown when it never ends), a
 # coroutine running several procs' bodies in a row, and Group workers
 # resuming the same partition's procs — and draining its now-queue, which the
 # barrier filled — from different goroutines in successive windows (repeated,

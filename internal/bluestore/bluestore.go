@@ -48,9 +48,9 @@ type Config struct {
 	CsumCyclesPerByte float64
 }
 
-// LookupCycles is charged on the calling thread per Read, Stat, Exists or
-// List call, for the metadata lookup. A caller with no proc pays it another
-// way (a task chain's CPU burst) and then calls Lookup or Names.
+// LookupCycles is charged on the calling thread per read, stat, exists or
+// list call, for the metadata lookup. A caller that pays it another way (an
+// RPC handler's Charge) then calls Lookup or Names.
 const LookupCycles int64 = 8_000
 
 // The rest of the CPU cost model: values no experiment varies.
@@ -139,8 +139,9 @@ type Store struct {
 	slowIO       sim.Duration
 	writeErrProb float64
 
-	// calls is the free list of the task forms' records.
-	calls []*call
+	// calls is the partition's free list of the task forms' records
+	// (sim.Local), shared by its stores.
+	calls *calls
 
 	stats Stats
 	tr    *trace.Tracer
@@ -200,6 +201,7 @@ func New(env *sim.Env, name string, cpu *sim.CPU, disk *sim.Disk, cfg Config) *S
 		colls: make(map[string]*collection),
 		aioq:  sim.NewQueue[*txc](env),
 		kvq:   sim.NewQueue[*txc](env),
+		calls: sim.Local[calls](env),
 	}
 	aio := &aioServer{s: s}
 	aio.done = s.aioq.ServeTask(s.thAIO.Name, aio.serve)
@@ -668,29 +670,7 @@ func (o *onode) readRange(off, length uint64) *wire.Bufferlist {
 	return out
 }
 
-// Read implements objstore.Store.
-func (s *Store) Read(p *sim.Proc, coll, obj string, off, length uint64) (*wire.Bufferlist, error) {
-	o, err := s.lookup(p, coll, obj)
-	if err != nil {
-		return nil, err
-	}
-	if off >= o.size {
-		return &wire.Bufferlist{}, nil
-	}
-	length = readLength(o, off, length)
-	s.cpu.ExecSelf(p, readCycles(length))
-	s.disk.Read(p, int64(length))
-	s.stats.BytesRead += int64(length)
-	return o.readRange(off, length), nil
-}
-
-// Stat implements objstore.Store.
-func (s *Store) Stat(p *sim.Proc, coll, obj string) (objstore.StatInfo, error) {
-	s.cpu.ExecSelf(p, LookupCycles)
-	return s.Lookup(coll, obj)
-}
-
-// Lookup is Stat after its LookupCycles charge.
+// Lookup is a stat after its LookupCycles charge.
 func (s *Store) Lookup(coll, obj string) (objstore.StatInfo, error) {
 	o, err := s.find(coll, obj)
 	if err != nil {
@@ -699,19 +679,7 @@ func (s *Store) Lookup(coll, obj string) (objstore.StatInfo, error) {
 	return objstore.StatInfo{Size: o.size, Version: o.version, Mtime: o.mtime}, nil
 }
 
-// Exists implements objstore.Store.
-func (s *Store) Exists(p *sim.Proc, coll, obj string) bool {
-	_, err := s.lookup(p, coll, obj)
-	return err == nil
-}
-
-// List implements objstore.Store.
-func (s *Store) List(p *sim.Proc, coll string) ([]string, error) {
-	s.cpu.ExecSelf(p, LookupCycles)
-	return s.Names(coll)
-}
-
-// Names is List after its LookupCycles charge.
+// Names is a list after its LookupCycles charge.
 func (s *Store) Names(coll string) ([]string, error) {
 	c, ok := s.colls[coll]
 	if !ok {
@@ -723,11 +691,6 @@ func (s *Store) Names(coll string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-func (s *Store) lookup(p *sim.Proc, coll, obj string) (*onode, error) {
-	s.cpu.ExecSelf(p, LookupCycles)
-	return s.find(coll, obj)
 }
 
 // find is the metadata lookup, uncharged.
@@ -744,10 +707,8 @@ func (s *Store) find(coll, obj string) (*onode, error) {
 }
 
 // call is one task-form call in flight (QueueTransactionThen, ReadThen,
-// StatThen, ExistsThen), from the store's free list: the caller's record, its
-// thread and continuation, and what a step hands the next. Its steps are the
-// proc forms' waits, each its task form, so it fires their events in the same
-// order.
+// StatThen, ExistsThen, ListThen), from the partition's free list: the caller's
+// record, its thread and continuation, and what a step hands the next.
 type call struct {
 	s    *Store
 	th   *sim.Thread
@@ -761,6 +722,9 @@ type call struct {
 	busy   sim.Duration
 }
 
+// calls is a free list of call records.
+type calls []*call
+
 // callStep is what a call's next step does.
 type callStep uint8
 
@@ -771,6 +735,7 @@ const (
 	callRead                         // the device read is done: the data
 	callStat                         // the stat's lookup is paid for: answer
 	callExists                       // the lookup is paid for: answer
+	callList                         // the list's lookup is paid for: answer
 )
 
 // start runs a call of c on th from its first step, which charges cycles on
@@ -778,13 +743,13 @@ const (
 // forms do.
 func (s *Store) start(th *sim.Thread, c *objstore.Call, next sim.Task, cycles int64, step callStep) bool {
 	var r *call
-	if n := len(s.calls); n > 0 {
-		r = s.calls[n-1]
-		s.calls = s.calls[:n-1]
+	if l := s.calls; len(*l) > 0 {
+		r = (*l)[len(*l)-1]
+		*l = (*l)[:len(*l)-1]
 	} else {
-		r = &call{s: s}
+		r = new(call)
 	}
-	r.th, r.c, r.next, r.step = th, c, next, step
+	r.s, r.th, r.c, r.next, r.step = s, th, c, next, step
 	if s.cpu.ExecThen(th, cycles, &r.busy, r) || r.advance() {
 		return true
 	}
@@ -794,9 +759,9 @@ func (s *Store) start(th *sim.Thread, c *objstore.Call, next sim.Task, cycles in
 
 // put zeroes r and lists it for the next call.
 func (r *call) put() {
-	s := r.s
-	*r = call{s: s}
-	s.calls = append(s.calls, r)
+	l := r.s.calls
+	*r = call{}
+	*l = append(*l, r)
 }
 
 // Run goes on after the step that waited; once the call is done, its
@@ -850,6 +815,9 @@ func (r *call) advance() bool {
 			_, err := s.find(c.Coll, c.Object)
 			c.Exists = err == nil
 			return false
+		case callList:
+			c.Names, c.Err = s.Names(c.Coll)
+			return false
 		}
 	}
 }
@@ -872,6 +840,11 @@ func (s *Store) StatThen(th *sim.Thread, c *objstore.Call, next sim.Task) bool {
 // ExistsThen implements objstore.Store.
 func (s *Store) ExistsThen(th *sim.Thread, c *objstore.Call, next sim.Task) bool {
 	return s.start(th, c, next, LookupCycles, callExists)
+}
+
+// ListThen implements objstore.Store.
+func (s *Store) ListThen(th *sim.Thread, c *objstore.Call, next sim.Task) bool {
+	return s.start(th, c, next, LookupCycles, callList)
 }
 
 // readLength is the length of a read of length bytes (0 = to EOF) at off of

@@ -64,7 +64,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		if err := commit(t, p, s, txn); err != nil {
 			t.Fatalf("commit: %v", err)
 		}
-		got, err := s.Read(p, "pg1", "obj1", 0, 0)
+		got, err := objstore.Read(p, s, "pg1", "obj1", 0, 0)
 		if err != nil {
 			t.Fatalf("read: %v", err)
 		}
@@ -82,7 +82,7 @@ func TestWriteAtOffsetZeroFillsHole(t *testing.T) {
 		if err := commit(t, p, s, txn); err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.Read(p, "c", "o", 0, 0)
+		got, err := objstore.Read(p, s, "c", "o", 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestWriteAtOffsetZeroFillsHole(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("got %v want %v", got.Bytes(), want)
 		}
-		st, err := s.Stat(p, "c", "o")
+		st, err := objstore.Stat(p, s, "c", "o")
 		if err != nil || st.Size != 13 {
 			t.Fatalf("stat=%+v err=%v", st, err)
 		}
@@ -111,7 +111,7 @@ func TestZeroLengthWriteDecodedFromAFrame(t *testing.T) {
 		if err := commit(t, p, s, txn); err != nil {
 			t.Fatal(err)
 		}
-		if st, err := s.Stat(p, "c", "empty"); err != nil || st.Size != 0 || st.Version != 1 {
+		if st, err := objstore.Stat(p, s, "c", "empty"); err != nil || st.Size != 0 || st.Version != 1 {
 			t.Fatalf("stat=%+v err=%v", st, err)
 		}
 	})
@@ -129,7 +129,7 @@ func TestPartialOverwrite(t *testing.T) {
 			(&objstore.Transaction{}).Write("c", "o", 3, wire.FromBytes([]byte("BBBB")))); err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.Read(p, "c", "o", 0, 0)
+		got, err := objstore.Read(p, s, "c", "o", 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,16 +147,16 @@ func TestRangedRead(t *testing.T) {
 			(&objstore.Transaction{}).Write("c", "o", 0, wire.FromBytes([]byte("0123456789")))); err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.Read(p, "c", "o", 2, 5)
+		got, err := objstore.Read(p, s, "c", "o", 2, 5)
 		if err != nil || string(got.Bytes()) != "23456" {
 			t.Fatalf("got %q err=%v", got.Bytes(), err)
 		}
 		// Past EOF reads clamp.
-		got, err = s.Read(p, "c", "o", 8, 100)
+		got, err = objstore.Read(p, s, "c", "o", 8, 100)
 		if err != nil || string(got.Bytes()) != "89" {
 			t.Fatalf("got %q err=%v", got.Bytes(), err)
 		}
-		got, err = s.Read(p, "c", "o", 50, 10)
+		got, err = objstore.Read(p, s, "c", "o", 50, 10)
 		if err != nil || got.Length() != 0 {
 			t.Fatalf("past-EOF read len=%d err=%v", got.Length(), err)
 		}
@@ -181,7 +181,7 @@ func TestRemoveFreesSpace(t *testing.T) {
 		if s.FreeBytes() != before {
 			t.Fatalf("free=%d want %d", s.FreeBytes(), before)
 		}
-		if s.Exists(p, "c", "o") {
+		if objstore.Exists(p, s, "c", "o") {
 			t.Fatal("object still exists")
 		}
 	})
@@ -266,7 +266,7 @@ func TestRetiredOpCodesRejected(t *testing.T) {
 				t.Errorf("code %d: err=%v, want unknown op code", code, err)
 			}
 		}
-		if got, err := s.Read(p, "c", "o", 0, 0); err != nil {
+		if got, err := objstore.Read(p, s, "c", "o", 0, 0); err != nil {
 			t.Fatal(err)
 		} else if string(got.Bytes()) != "x" {
 			t.Fatalf("object after rejected ops: %q", got.Bytes())
@@ -281,11 +281,11 @@ func TestWriteBumpsVersion(t *testing.T) {
 		if err := commit(t, p, s, (&objstore.Transaction{}).Write("c", "o", 0, &wire.Bufferlist{})); err != nil {
 			t.Fatal(err)
 		}
-		st0, _ := s.Stat(p, "c", "o")
+		st0, _ := objstore.Stat(p, s, "c", "o")
 		if err := commit(t, p, s, (&objstore.Transaction{}).Write("c", "o", 0, wire.FromBytes([]byte("v")))); err != nil {
 			t.Fatal(err)
 		}
-		st1, _ := s.Stat(p, "c", "o")
+		st1, _ := objstore.Stat(p, s, "c", "o")
 		if st1.Version <= st0.Version {
 			t.Fatalf("version did not advance: %d -> %d", st0.Version, st1.Version)
 		}
@@ -301,7 +301,7 @@ func TestListSorted(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		names, err := s.List(p, "c")
+		names, err := objstore.List(p, s, "c")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func TestListSorted(t *testing.T) {
 				t.Fatalf("names=%v", names)
 			}
 		}
-		if _, err := s.List(p, "ghost"); !errors.Is(err, objstore.ErrNoCollection) {
+		if _, err := objstore.List(p, s, "ghost"); !errors.Is(err, objstore.ErrNoCollection) {
 			t.Fatalf("err=%v", err)
 		}
 	})
@@ -338,7 +338,7 @@ func TestMultiSegmentPayloadIntegrity(t *testing.T) {
 		if err := commit(t, p, s, (&objstore.Transaction{}).Write("c", "o", 0, bl)); err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.Read(p, "c", "o", 0, 0)
+		got, err := objstore.Read(p, s, "c", "o", 0, 0)
 		if err != nil || got.CRC32C() != wantCRC {
 			t.Fatalf("crc %08x want %08x err=%v", got.CRC32C(), wantCRC, err)
 		}
@@ -383,7 +383,7 @@ func TestQuickRandomOpsMatchReference(t *testing.T) {
 			}
 			grow(off + n)
 			copy(ref[off:], data)
-			got, err := s.Read(p, "c", "o", 0, 0)
+			got, err := objstore.Read(p, s, "c", "o", 0, 0)
 			if err != nil {
 				if errors.Is(err, objstore.ErrNotFound) && len(ref) == 0 {
 					continue
@@ -402,7 +402,7 @@ func TestQuickRandomOpsMatchReference(t *testing.T) {
 				if n > 0 && n < len(want) {
 					want = want[:n]
 				}
-				if got, err := s.Read(p, "c", "o", uint64(off), uint64(n)); err != nil || !bytes.Equal(got.Bytes(), want) {
+				if got, err := objstore.Read(p, s, "c", "o", uint64(off), uint64(n)); err != nil || !bytes.Equal(got.Bytes(), want) {
 					t.Fatalf("iteration %d: [%d,+%d) diverged from reference: err=%v", i, off, n, err)
 				}
 			}

@@ -11,10 +11,10 @@ import (
 )
 
 // storeStep is one call of a client's script: a transaction it waits to see
-// committed, or a read, a stat or an exists of coll/obj.
+// committed, a read, a stat or an exists of coll/obj, or a list of coll.
 type storeStep struct {
 	txn       *objstore.Transaction
-	op        string // "read", "stat", "exists"
+	op        string // "read", "stat", "exists", "list"
 	coll, obj string
 	off, n    uint64
 }
@@ -33,6 +33,8 @@ func outcome(now sim.Time, s storeStep, c *objstore.Call) string {
 			wire.FromBytes(data).CRC32C(), len(data))
 	case s.op == "stat":
 		return fmt.Sprintf("%d stat %s/%s %+v err=%v", now, s.coll, s.obj, c.Stat, c.Err)
+	case s.op == "list":
+		return fmt.Sprintf("%d list %s %q err=%v", now, s.coll, c.Names, c.Err)
 	}
 	return fmt.Sprintf("%d exists %s/%s %v", now, s.coll, s.obj, c.Exists)
 }
@@ -53,28 +55,62 @@ func storeScripts() [2][]storeStep {
 		{txn: objstore.NewTransaction().Write("c", "small", 2048, small)},
 		{op: "stat", coll: "c", obj: "small"}, read("c", "small", 0, 0),
 		{txn: objstore.NewTransaction().Remove("c", "big")},
-		read("c", "big", 0, 0), {op: "exists", coll: "c", obj: "big"},
+		read("c", "big", 0, 0), {op: "exists", coll: "c", obj: "big"}, {op: "list", coll: "c"},
 	}, {
 		read("c", "small", 0, 0), {op: "exists", coll: "c", obj: "small"}, {op: "stat", coll: "c", obj: "big"},
 		read("c", "big", 0, 4096), read("c", "small", 1<<20, 10), read("nowhere", "small", 0, 0),
 		{op: "stat", coll: "nowhere", obj: "x"}, {op: "exists", coll: "c", obj: "small"},
-		read("c", "big", 0, 0), read("c", "small", 0, 0),
+		{op: "list", coll: "c"}, read("c", "big", 0, 0), {op: "list", coll: "nowhere"}, read("c", "small", 0, 0),
 	}}
 }
 
+// procCall makes st's call as the store's proc forms did before its task
+// forms were its only implementation, the oracle: the lookup charged to p's
+// thread (CPU.ExecSelf), then, for a read, its copy and the device read.
+func procCall(p *sim.Proc, s *Store, st storeStep) (c objstore.Call) {
+	s.cpu.ExecSelf(p, LookupCycles)
+	switch st.op {
+	case "stat":
+		c.Stat, c.Err = s.Lookup(st.coll, st.obj)
+	case "exists":
+		_, err := s.find(st.coll, st.obj)
+		c.Exists = err == nil
+	case "list":
+		c.Names, c.Err = s.Names(st.coll)
+	default:
+		o, err := s.find(st.coll, st.obj)
+		switch {
+		case err != nil:
+			c.Err = err
+		case st.off >= o.size:
+			c.Data = &wire.Bufferlist{}
+		default:
+			length := readLength(o, st.off, st.n)
+			s.cpu.ExecSelf(p, readCycles(length))
+			if _, registered := s.disk.ReadThen(int64(length), p); registered {
+				p.Suspend() // sim's chain test holds the awaited Disk.ReadThen to its proc form
+			}
+			s.stats.BytesRead += int64(length)
+			c.Data = o.readRange(st.off, length)
+		}
+	}
+	return c
+}
+
 // TestTaskFormsMatchProcForms: two clients running the same scripts on a
-// store with one contended core — once as procs calling QueueTransaction,
-// Read, Stat and Exists, once as task chains calling their task forms on a
-// reused objstore.Call — get the same answers at the same instants, fire the
-// same events, and the chains' call records all go back to the free list.
+// store with one contended core — as procs making each call by the proc form
+// it had (procCall), as procs awaiting the task forms (objstore.Read, Stat,
+// Exists and List), and as task chains calling the task forms on a reused
+// objstore.Call — get the same answers at the same instants and fire the same
+// events, and the call records all go back to the free list.
 func TestTaskFormsMatchProcForms(t *testing.T) {
-	run := func(chains bool) (log [2][]string, events uint64) {
+	run := func(form string) (log [2][]string, events uint64) {
 		env := sim.NewEnv(1)
 		cpu := sim.NewCPU(env, "host", 1, 3.0, 2000)
 		s := New(env, "s0", cpu, sim.NewDisk(env, "ssd", 500e6, 1000e6, 20*sim.Microsecond), Config{})
 		for i, script := range storeScripts() {
 			th := sim.NewThread(fmt.Sprint("client", i), "test")
-			if chains {
+			if form == "chain" {
 				env.Delay(0, &storeClient{s: s, th: th, script: script, log: &log[i]})
 				continue
 			}
@@ -86,12 +122,16 @@ func TestTaskFormsMatchProcForms(t *testing.T) {
 					case st.txn != nil:
 						c.Result = s.QueueTransaction(p, st.txn)
 						c.Result.Done.Wait(p)
+					case form == "proc":
+						c = procCall(p, s, st)
 					case st.op == "read":
-						c.Data, c.Err = s.Read(p, st.coll, st.obj, st.off, st.n)
+						c.Data, c.Err = objstore.Read(p, s, st.coll, st.obj, st.off, st.n)
 					case st.op == "stat":
-						c.Stat, c.Err = s.Stat(p, st.coll, st.obj)
+						c.Stat, c.Err = objstore.Stat(p, s, st.coll, st.obj)
+					case st.op == "list":
+						c.Names, c.Err = objstore.List(p, s, st.coll)
 					default:
-						c.Exists = s.Exists(p, st.coll, st.obj)
+						c.Exists = objstore.Exists(p, s, st.coll, st.obj)
 					}
 					log[i] = append(log[i], outcome(p.Now(), st, &c))
 				}
@@ -100,19 +140,21 @@ func TestTaskFormsMatchProcForms(t *testing.T) {
 		if err := env.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if chains && len(s.calls) == 0 {
-			t.Error("no call record went back to the free list")
+		if form != "proc" && len(*s.calls) == 0 {
+			t.Errorf("%s: no call record went back to the free list", form)
 		}
 		events = env.Events()
 		env.Shutdown()
 		return log, events
 	}
-	want, wantEvents := run(false)
-	got, gotEvents := run(true)
-	if !reflect.DeepEqual(got, want) || gotEvents != wantEvents {
-		t.Fatalf("task forms: %d events\n%q\nproc forms: %d events\n%q", gotEvents, got, wantEvents, want)
+	want, wantEvents := run("proc")
+	for _, form := range []string{"await", "chain"} {
+		got, gotEvents := run(form)
+		if !reflect.DeepEqual(got, want) || gotEvents != wantEvents {
+			t.Fatalf("%s: %d events\n%q\nproc forms: %d events\n%q", form, gotEvents, got, wantEvents, want)
+		}
 	}
-	t.Logf("%d events; %s", gotEvents, want[0][2])
+	t.Logf("%d events; %s", wantEvents, want[0][2])
 }
 
 // storeClient runs a script as a task chain: each call by its task form on
@@ -144,6 +186,8 @@ func (sc *storeClient) Run() {
 				waits = sc.s.ReadThen(sc.th, &sc.c, sc)
 			case st.op == "stat":
 				waits = sc.s.StatThen(sc.th, &sc.c, sc)
+			case st.op == "list":
+				waits = sc.s.ListThen(sc.th, &sc.c, sc)
 			default:
 				waits = sc.s.ExistsThen(sc.th, &sc.c, sc)
 			}

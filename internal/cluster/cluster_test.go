@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"doceph/internal/messenger"
+	"doceph/internal/objstore"
 	"doceph/internal/radosbench"
 	"doceph/internal/sim"
 	"doceph/internal/wire"
@@ -90,7 +91,7 @@ func TestDoCephClusterEndToEnd(t *testing.T) {
 		pg := cl.Client.Map().PGForObject("obj")
 		coll := fmt.Sprintf("pg.%d", pg)
 		for i, n := range cl.Nodes {
-			blh, err := n.Store.Read(p, coll, "obj", 0, 0)
+			blh, err := objstore.Read(p, n.Store, coll, "obj", 0, 0)
 			if err != nil || blh.CRC32C() != bl.CRC32C() {
 				t.Fatalf("node %d host store mismatch: %v", i, err)
 			}

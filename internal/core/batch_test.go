@@ -60,7 +60,7 @@ func TestBatchedSmallWritesCoalesce(t *testing.T) {
 		// Every payload landed intact on the host.
 		for i := 0; i < n; i++ {
 			obj := string(rune('a' + i))
-			got, err := r.store.Read(p, "pg", obj, 0, 0)
+			got, err := objstore.Read(p, r.store, "pg", obj, 0, 0)
 			if err != nil || got.CRC32C() != seeded(16<<10, byte(i)).CRC32C() {
 				t.Fatalf("%s corrupted: %v", obj, err)
 			}
@@ -89,7 +89,7 @@ func TestBatchLargeOpsBypassAndOrderingHolds(t *testing.T) {
 		if small.Err != nil || large.Err != nil {
 			t.Fatalf("errs: %v %v", small.Err, large.Err)
 		}
-		got, err := r.store.Read(p, "pg", "o", 0, 0)
+		got, err := objstore.Read(p, r.store, "pg", "o", 0, 0)
 		if err != nil || got.Length() != 5<<20 || got.CRC32C() != big.CRC32C() {
 			t.Fatalf("commit order violated: len=%d err=%v", got.Length(), err)
 		}
@@ -222,7 +222,7 @@ func TestBatchDMAErrorFallsBackToBatchedRPC(t *testing.T) {
 		}
 		// All five objects intact.
 		for _, obj := range []string{"a", "b", "c", "d", "z"} {
-			if _, err := r.store.Stat(p, "pg", obj); err != nil {
+			if _, err := objstore.Stat(p, r.store, "pg", obj); err != nil {
 				t.Fatalf("%s: %v", obj, err)
 			}
 		}

@@ -114,24 +114,24 @@ func TestBatchPathsKeepTheirEvents(t *testing.T) {
 		{"control-plane", nil, 0, func(t *testing.T, r *coreRig, p *sim.Proc, write writeFn) {
 			px := r.bridge.Proxy
 			waitAll(t, p, write(p, "meta", 16<<10, 7))
-			if st, err := px.Stat(p, "pg.0", "meta"); err != nil || st.Size != 16<<10 {
+			if st, err := objstore.Stat(p, px, "pg.0", "meta"); err != nil || st.Size != 16<<10 {
 				t.Errorf("stat: %+v, %v", st, err)
 			}
-			if _, err := px.Stat(p, "pg.0", "missing"); err != objstore.ErrNotFound {
+			if _, err := objstore.Stat(p, px, "pg.0", "missing"); err != objstore.ErrNotFound {
 				t.Errorf("stat of a missing object: %v", err)
 			}
-			if !px.Exists(p, "pg.0", "meta") || px.Exists(p, "pg.0", "missing") {
+			if !objstore.Exists(p, px, "pg.0", "meta") || objstore.Exists(p, px, "pg.0", "missing") {
 				t.Error("exists answers wrong")
 			}
-			if names, err := px.List(p, "pg.0"); err != nil || len(names) != 1 || names[0] != "meta" {
+			if names, err := objstore.List(p, px, "pg.0"); err != nil || len(names) != 1 || names[0] != "meta" {
 				t.Errorf("list: %v, %v", names, err)
 			}
-			if _, err := px.List(p, "pg.none"); err != objstore.ErrNoCollection {
+			if _, err := objstore.List(p, px, "pg.none"); err != objstore.ErrNoCollection {
 				t.Errorf("list of a missing collection: %v", err)
 			}
 			r.bridge.EngUp.FailNext(1)
 			waitAll(t, p, write(p, "fails", 16<<10, 8))
-			if got, err := px.Read(p, "pg.0", "meta", 0, 0); err != nil || !got.Equal(seeded(16<<10, 7)) {
+			if got, err := objstore.Read(p, px, "pg.0", "meta", 0, 0); err != nil || !got.Equal(seeded(16<<10, 7)) {
 				t.Errorf("read over RPC in cooldown: err=%v, %d bytes", err, lenOf(got))
 			}
 		}, 208, 3_230_234, batchCounters{fallbackSegs: 1, flushes: 3, flushIdle: 3}},
@@ -155,7 +155,7 @@ func TestBatchPathsKeepTheirEvents(t *testing.T) {
 			c.body(t, r, p, write)
 			end = p.Now()
 			for obj, w := range objects {
-				if got, err := r.store.Read(p, "pg.0", obj, 0, 0); err != nil || !got.Equal(seeded(w[0], byte(w[1]))) {
+				if got, err := objstore.Read(p, r.store, "pg.0", obj, 0, 0); err != nil || !got.Equal(seeded(w[0], byte(w[1]))) {
 					t.Errorf("%s: %s reads back err=%v, %d bytes", c.name, obj, err, lenOf(got))
 				}
 			}

@@ -108,7 +108,7 @@ func TestBreakerOpensFailsOverAndReEnrolls(t *testing.T) {
 		// All objects written through every phase must be intact on the host.
 		for i := 0; i < 4; i++ {
 			for _, pfx := range []string{"f", "r"} {
-				if _, err := r.store.Stat(p, "pg.0", fmt.Sprintf("%s-%d", pfx, i)); err != nil {
+				if _, err := objstore.Stat(p, r.store, "pg.0", fmt.Sprintf("%s-%d", pfx, i)); err != nil {
 					t.Fatalf("%s-%d lost across failover: %v", pfx, i, err)
 				}
 			}

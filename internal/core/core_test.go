@@ -77,7 +77,7 @@ func TestProxyWriteThroughDMA(t *testing.T) {
 			t.Fatalf("commit: %v", err)
 		}
 		// Verify the data really landed in the host BlueStore.
-		got, err := r.store.Read(p, "pg.0", "obj", 0, 0)
+		got, err := objstore.Read(p, r.store, "pg.0", "obj", 0, 0)
 		if err != nil || got.CRC32C() != data.CRC32C() {
 			t.Fatalf("host content mismatch err=%v", err)
 		}
@@ -103,7 +103,7 @@ func TestProxyLargeWriteSegmentedAt2MB(t *testing.T) {
 		if n := r.bridge.Host.Stats().SegmentsViaDMA; n != 3 {
 			t.Fatalf("host segments=%d", n)
 		}
-		got, err := r.store.Read(p, "pg.1", "big", 0, 0)
+		got, err := objstore.Read(p, r.store, "pg.1", "big", 0, 0)
 		if err != nil || got.Length() != size || got.CRC32C() != data.CRC32C() {
 			t.Fatalf("content mismatch err=%v len=%d", err, got.Length())
 		}
@@ -118,7 +118,7 @@ func TestWriteThroughSemantics(t *testing.T) {
 		res := px.QueueTransaction(p, txn)
 		res.Done.Wait(p)
 		// At Done time the host BlueStore must already be durable.
-		if _, err := r.store.Stat(p, "pg.2", "o"); err != nil {
+		if _, err := objstore.Stat(p, r.store, "pg.2", "o"); err != nil {
 			t.Fatalf("not durable at ack: %v", err)
 		}
 		if r.bridge.Host.Stats().TxnsCommitted != 1 {
@@ -137,21 +137,21 @@ func TestControlPlaneStatExistsList(t *testing.T) {
 		if err := commitP(t, p, px, txn); err != nil {
 			t.Fatal(err)
 		}
-		st, err := px.Stat(p, "pg.3", "a")
+		st, err := objstore.Stat(p, px, "pg.3", "a")
 		if err != nil || st.Size != 12_000 {
 			t.Fatalf("stat=%+v err=%v", st, err)
 		}
-		if !px.Exists(p, "pg.3", "b") || px.Exists(p, "pg.3", "ghost") {
+		if !objstore.Exists(p, px, "pg.3", "b") || objstore.Exists(p, px, "pg.3", "ghost") {
 			t.Fatal("exists wrong")
 		}
-		names, err := px.List(p, "pg.3")
+		names, err := objstore.List(p, px, "pg.3")
 		if err != nil || len(names) != 2 || names[0] != "a" || names[1] != "b" {
 			t.Fatalf("list=%v err=%v", names, err)
 		}
-		if _, err := px.Stat(p, "pg.3", "ghost"); !errors.Is(err, objstore.ErrNotFound) {
+		if _, err := objstore.Stat(p, px, "pg.3", "ghost"); !errors.Is(err, objstore.ErrNotFound) {
 			t.Fatalf("err=%v", err)
 		}
-		if _, err := px.List(p, "nocoll"); !errors.Is(err, objstore.ErrNoCollection) {
+		if _, err := objstore.List(p, px, "nocoll"); !errors.Is(err, objstore.ErrNoCollection) {
 			t.Fatalf("err=%v", err)
 		}
 		if px.Stats().ControlCalls < 5 {
@@ -174,7 +174,7 @@ func TestReadPathViaDMA(t *testing.T) {
 			(&objstore.Transaction{}).MkColl("pg.4").Write("pg.4", "r", 0, data)); err != nil {
 			t.Fatal(err)
 		}
-		got, err := px.Read(p, "pg.4", "r", 0, 0)
+		got, err := objstore.Read(p, px, "pg.4", "r", 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,11 +186,11 @@ func TestReadPathViaDMA(t *testing.T) {
 			t.Fatalf("down transfers=%d want 3", n)
 		}
 		// Ranged read.
-		part, err := px.Read(p, "pg.4", "r", 100, 500)
+		part, err := objstore.Read(p, px, "pg.4", "r", 100, 500)
 		if err != nil || !part.Equal(data.SubList(100, 500)) {
 			t.Fatalf("ranged read err=%v", err)
 		}
-		if _, err := px.Read(p, "pg.4", "ghost", 0, 0); !errors.Is(err, objstore.ErrNotFound) {
+		if _, err := objstore.Read(p, px, "pg.4", "ghost", 0, 0); !errors.Is(err, objstore.ErrNotFound) {
 			t.Fatalf("err=%v", err)
 		}
 	})
@@ -248,8 +248,8 @@ func TestReadShapesMatchTheStore(t *testing.T) {
 				r.bridge.EngUp.FailNext(1) // the first descriptor: every read goes over RPC
 			}
 			for _, rd := range reads {
-				want, werr := r.store.Read(p, rd.coll, rd.obj, rd.off, rd.length)
-				got, gerr := px.Read(p, rd.coll, rd.obj, rd.off, rd.length)
+				want, werr := objstore.Read(p, r.store, rd.coll, rd.obj, rd.off, rd.length)
+				got, gerr := objstore.Read(p, px, rd.coll, rd.obj, rd.off, rd.length)
 				if errToCode(gerr) != errToCode(werr) || werr == nil && !got.Equal(want) {
 					t.Errorf("%s: %s/%.12s [%d,+%d): err=%v, want %v (%d bytes, want %d)",
 						plane, rd.coll, rd.obj, rd.off, rd.length, gerr, werr, lenOf(got), lenOf(want))
@@ -287,7 +287,7 @@ func TestDMAFailureFallsBackAndPreservesSegments(t *testing.T) {
 		if err != nil {
 			t.Fatalf("write should succeed via fallback: %v", err)
 		}
-		got, rerr := r.store.Read(p, "pg.5", "f", 0, 0)
+		got, rerr := objstore.Read(p, r.store, "pg.5", "f", 0, 0)
 		if rerr != nil || got.CRC32C() != data.CRC32C() {
 			t.Fatalf("data corrupted after fallback: %v", rerr)
 		}
@@ -323,7 +323,7 @@ func TestEveryPathCutsTheSameSegments(t *testing.T) {
 			if err := commitP(t, p, px, (&objstore.Transaction{}).Write("pg", obj, 0, data)); err != nil {
 				t.Fatal(err)
 			}
-			if got, err := r.store.Read(p, "pg", obj, 0, 0); err != nil || got.CRC32C() != data.CRC32C() {
+			if got, err := objstore.Read(p, r.store, "pg", obj, 0, 0); err != nil || got.CRC32C() != data.CRC32C() {
 				t.Fatalf("%s corrupted: %v", obj, err)
 			}
 			after := r.bridge.Host.Stats()
@@ -387,7 +387,7 @@ func TestCooldownRoutesToRPCAndProbeRecovers(t *testing.T) {
 		}
 		// All three objects intact.
 		for _, obj := range []string{"a", "b", "c"} {
-			if _, err := r.store.Stat(p, "pg.6", obj); err != nil {
+			if _, err := objstore.Stat(p, r.store, "pg.6", obj); err != nil {
 				t.Fatalf("%s: %v", obj, err)
 			}
 		}
@@ -525,7 +525,7 @@ func TestConcurrentProxyWrites(t *testing.T) {
 				t.Fatal(res.Err)
 			}
 		}
-		names, err := r.store.List(p, "pg")
+		names, err := objstore.List(p, r.store, "pg")
 		if err != nil || len(names) != 16 {
 			t.Fatalf("names=%d err=%v", len(names), err)
 		}
@@ -706,7 +706,7 @@ func TestTeardownReturnsBuffersTasksAndProcs(t *testing.T) {
 					t.Errorf("%s: commit: %v", name, res.Err)
 				}
 			}
-			if bl, err := px.Read(p, "pg.0", "big", 0, size); err != nil || bl.Length() != size {
+			if bl, err := objstore.Read(p, px, "pg.0", "big", 0, size); err != nil || bl.Length() != size {
 				t.Errorf("%s: read back: %v", name, err)
 			}
 		})
@@ -846,9 +846,10 @@ func TestCrossingAllocationBudget(t *testing.T) {
 
 // readAllocCeiling is one above what a 4 KiB read crossing allocates today (2:
 // the decoded object name and BlueStore's view of the extent; the pendingRead,
-// the hostRead and BlueStore's call record come from free lists), and
-// readBytesCeiling its bytes (80) plus 32, in either form of the read: Read
-// from a proc, ReadThen from a task chain, as the OSD's op workers call it.
+// the hostRead, BlueStore's call record and a proc's objstore.Call come from
+// free lists), and readBytesCeiling its bytes (80) plus 32, whoever reads:
+// objstore.Read from a proc, ReadThen from a task chain, as the OSD's op
+// workers call it.
 // The next record somebody adds to the read path fails here, not in a
 // benchmark.
 const (
@@ -894,7 +895,7 @@ func TestReadCrossingAllocationBudget(t *testing.T) {
 					return
 				}
 				for _, s := range readers[k].steps {
-					bl, err := px.Read(p, s.coll, s.obj, s.off, s.n)
+					bl, err := objstore.Read(p, px, s.coll, s.obj, s.off, s.n)
 					check(s, bl, err)
 				}
 			}

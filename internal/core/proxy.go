@@ -370,32 +370,6 @@ func (px *Proxy) regionsReady() bool {
 	return !px.cfg.DisableMRCache && px.dpuMR.Exported() && px.hostMR.Exported()
 }
 
-// ensureRegions makes both regions usable for DMA: once per lifetime with
-// the MR cache, per call without it.
-func (px *Proxy) ensureRegions(p *sim.Proc) {
-	if px.regionsReady() {
-		return
-	}
-	px.cc.Negotiate(p, px.dpuMR)
-	px.cc.Negotiate(p, px.hostMR)
-}
-
-// dmaAllowed implements the cooldown gate for a proc: healthy -> yes; in
-// cooldown -> no; cooldown expired -> run a probe transfer and decide. With
-// the circuit breaker enabled the decision is delegated to its state machine
-// instead. The task chains (the batcher, QueueTransactionThen, ReadThen) run
-// the same pieces: gate, then probeThen.
-func (px *Proxy) dmaAllowed(p *sim.Proc) bool {
-	switch px.gate(p.Now()) {
-	case gateAllow:
-		return true
-	case gateDeny:
-		return false
-	}
-	err := px.probe(p)
-	return px.probed(p.Now(), err)
-}
-
 // gateVerdict is the gate's answer before any probe.
 type gateVerdict uint8
 
@@ -405,7 +379,9 @@ const (
 	gateProbe                    // probe, then decide with probed
 )
 
-// gate asks the breaker, or the cooldown state, what to do with a request.
+// gate is the cooldown gate: healthy -> DMA; in cooldown -> the control plane;
+// cooldown expired -> probe (probeThen) and decide. With the circuit breaker
+// enabled the decision is delegated to its state machine instead.
 func (px *Proxy) gate(now sim.Time) gateVerdict {
 	if px.br != nil {
 		switch px.br.Decide(now) {
@@ -437,23 +413,10 @@ func (px *Proxy) newProbe() *doca.Transfer {
 		Tag: &segHeader{kind: segProbe}}
 }
 
-// probe runs a probe on p and returns its error: the engine's refusal, or
-// the transfer's failure in flight.
-func (px *Proxy) probe(p *sim.Proc) error {
-	t := px.newProbe()
-	px.ensureRegions(p)
-	err := px.engUp.Submit(p, px.dev.CPU, t)
-	if err == nil {
-		t.Done.Wait(p)
-		err = t.Err
-	}
-	return err
-}
-
-// prober is a probe in flight for a task chain, what probe is for a proc: the
-// regions made usable, the probe transfer submitted on th and awaited, each
-// by the task form of probe's wait, and the verdict of probed stored through
-// ok before next runs.
+// prober is a probe in flight: both regions made usable for DMA (once per
+// lifetime with the MR cache, per probe without it), the probe transfer
+// submitted on th and waited for, and the verdict of probed stored through ok
+// before next runs.
 type prober struct {
 	px   *Proxy
 	th   *sim.Thread
@@ -579,21 +542,14 @@ func (px *Proxy) noteDMAWait(now sim.Time, wait sim.Duration) {
 	}
 }
 
-// QueueTransaction implements objstore.Store: the write data plane. The
-// payload is serialized on the DPU, cut into <=2 MB segments, staged into
-// DMA buffers and shipped to the host, where the BlueStore server commits
-// it; Done fires only after the host acknowledges durability (preserving
-// write-through semantics).
+// QueueTransaction implements objstore.Store: QueueTransactionThen awaited
+// by p.
 func (px *Proxy) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objstore.Result {
-	pt, serSp := px.encodeTxn(txn)
-	if px.serialized(pt, serSp, px.dev.CPU.ExecSelf(p, serializeCycles(pt))) {
-		px.launch(pt, px.dmaAllowed(p))
-	}
-	return &pt.res
+	return objstore.Queue(p, px, txn)
 }
 
-// encodeTxn is the first step of QueueTransaction and its task form: the
-// transaction's cached reads are dropped, and it is encoded into a new
+// encodeTxn is the first step of QueueTransactionThen: the transaction's
+// cached reads are dropped, and it is encoded into a new
 // pendingTxn, under a serialize span (zero when untraced). The frame
 // references payload segments zero-copy; the CPU cost of the memcpy a real
 // implementation would do is still charged, on the submitting DPU thread
@@ -654,9 +610,12 @@ func (px *Proxy) launch(pt *pendingTxn, useDMA bool) {
 	px.env.Delay(0, sh) // the chain starts in an event of its own, as a thread spawned now would
 }
 
-// QueueTransactionThen implements objstore.Store: QueueTransaction as a task
-// chain on th — the serialize charge, then, for a transaction that ships on
-// its own, the gate and its probe.
+// QueueTransactionThen implements objstore.Store: the write data plane, a
+// task chain on th. The payload is serialized on the DPU, then, for a
+// transaction that ships on its own, gated (and probed), cut into <=2 MB
+// segments, staged into DMA buffers and shipped to the host, where the
+// BlueStore server commits it; Done fires only after the host acknowledges
+// durability (preserving write-through semantics).
 func (px *Proxy) QueueTransactionThen(th *sim.Thread, c *objstore.Call, next sim.Task) bool {
 	r := px.newCall(th, c, next, callSerialized)
 	r.pt, r.serSp = px.encodeTxn(c.Txn)
@@ -673,8 +632,14 @@ func (px *Proxy) ExistsThen(th *sim.Thread, c *objstore.Call, next sim.Task) boo
 	return px.controlThen(th, c, next, opExists)
 }
 
-// controlThen is control as a task chain on th: the DPU-side cost of the
-// call, then the call (CallTask), whose answer lands in c.
+// ListThen implements objstore.Store over the control plane.
+func (px *Proxy) ListThen(th *sim.Thread, c *objstore.Call, next sim.Task) bool {
+	return px.controlThen(th, c, next, opList)
+}
+
+// controlThen is a metadata call on the control plane, a task chain on th: the
+// DPU-side cost of issuing it, then the call (CallTask), whose answer lands in
+// c.
 func (px *Proxy) controlThen(th *sim.Thread, c *objstore.Call, next sim.Task, op uint16) bool {
 	r := px.newCall(th, c, next, callCharged)
 	r.op, r.req = op, encodeObjRef(c.Coll, c.Object)
@@ -682,11 +647,10 @@ func (px *Proxy) controlThen(th *sim.Thread, c *objstore.Call, next sim.Task, op
 	return r.charge(controlCallCycles, nil)
 }
 
-// storeCall is one of the proxy's QueueTransactionThen, StatThen and
-// ExistsThen calls in flight, a record from the partition's free list put back
-// as the call ends: the caller's record, its thread and continuation, and what
-// a step hands the next. Its steps are the proc forms' waits, each its task
-// form, so it fires their events in the same order.
+// storeCall is one of the proxy's QueueTransactionThen, StatThen, ExistsThen
+// and ListThen calls in flight, a record from the partition's free list put
+// back as the call ends: the caller's record, its thread and continuation, and
+// what a step hands the next.
 type storeCall struct {
 	px   *Proxy
 	th   *sim.Thread
@@ -773,9 +737,14 @@ func (r *storeCall) advance() bool {
 		return true
 	case callAnswered:
 		resp, err := callResult(r.reply.Result())
-		if r.op == opExists {
+		switch {
+		case r.op == opExists:
 			c.Exists = err == nil && resp.Length() == 1 && resp.Bytes()[0] == 1
-		} else if c.Stat, c.Err = (objstore.StatInfo{}), err; err == nil {
+		case err != nil:
+			c.Stat, c.Names, c.Err = objstore.StatInfo{}, nil, err
+		case r.op == opList:
+			c.Names, c.Err = decodeList(resp)
+		default:
 			c.Stat, c.Err = decodeStatResp(resp)
 		}
 	}
@@ -1138,44 +1107,6 @@ func (px *Proxy) onTxnDone(req rpcchan.Request, respond func(*wire.Bufferlist, u
 	}
 }
 
-// Read implements objstore.Store: the symmetric read data plane (§5.5).
-// The request descriptor travels to the host via DMA; the host stages the
-// object data and DMAs it back in <=2 MB segments which the DPU-side
-// poller reassembles.
-func (px *Proxy) Read(p *sim.Proc, coll, obj string, off, length uint64) (*wire.Bufferlist, error) {
-	if bl, ok := px.cached(coll, obj, off, length); ok {
-		// Served entirely from DPU DDR: DPU CPU for the lookup and
-		// copy-out, no DMA descriptor, no host involvement at all.
-		px.dev.CPU.ExecSelf(p, px.rcache.HitCost(int64(bl.Length())))
-		return bl, nil
-	}
-	pr := px.recs.reads.get()
-	desc := px.fileRead(pr, coll, obj, off, length)
-	defer px.endRead(pr)
-	if px.dmaAllowed(p) {
-		px.stats.Reads++
-		px.ensureRegions(p)
-		if err := px.engUp.Submit(p, px.dev.CPU, px.readReq(pr, desc)); err != nil {
-			return nil, err
-		}
-		pr.t.Done.Wait(p)
-		if pr.t.Err == nil {
-			pr.done.Wait(p)
-		}
-		if pr.t.Err != nil || pr.dmaErr {
-			// The descriptor or a data segment failed on its way.
-			px.enterCooldown(p.Now())
-			return px.readViaRPC(p, desc)
-		}
-		return px.readDone(pr, coll, obj, off, length)
-	}
-	bl, err := px.readViaRPC(p, desc)
-	if err == nil {
-		px.cacheRead(coll, obj, off, length, bl)
-	}
-	return bl, err
-}
-
 // cached looks a read up in the read cache, when there is one.
 func (px *Proxy) cached(coll, obj string, off, length uint64) (*wire.Bufferlist, bool) {
 	if px.rcache == nil {
@@ -1186,15 +1117,16 @@ func (px *Proxy) cached(coll, obj string, off, length uint64) (*wire.Bufferlist,
 
 // fileRead files the read of pr under a new request id and encodes its
 // descriptor.
-func (px *Proxy) fileRead(pr *pendingRead, coll, obj string, off, length uint64) *wire.Bufferlist {
+func (px *Proxy) fileRead(pr *pendingRead, coll, obj string, off, length uint64) {
 	px.nextReq++
 	pr.reqID = px.nextReq
 	px.pendingReads[pr.reqID] = pr
-	return pr.desc.encode(&readReq{ReqID: pr.reqID, Coll: coll, Object: obj, Off: off, Length: length})
+	pr.desc.encode(&readReq{ReqID: pr.reqID, Coll: coll, Object: obj, Off: off, Length: length})
 }
 
-// readReq makes the transfer that carries pr's descriptor desc to the host.
-func (px *Proxy) readReq(pr *pendingRead, desc *wire.Bufferlist) *doca.Transfer {
+// readReq makes the transfer that carries pr's descriptor to the host.
+func (px *Proxy) readReq(pr *pendingRead) *doca.Transfer {
+	desc := &pr.desc.bl.Bufferlist
 	pr.hdr = segHeader{kind: segReadReq, reqID: pr.reqID, total: 1}
 	pr.t = doca.Transfer{
 		ReqID: pr.reqID, TotalSegs: 1, Bytes: int64(desc.Length()), Data: desc,
@@ -1203,32 +1135,10 @@ func (px *Proxy) readReq(pr *pendingRead, desc *wire.Bufferlist) *doca.Transfer 
 	return &pr.t
 }
 
-// readDone is the answer of a read whose reply came in by DMA: the host has
-// read the descriptor and every data segment is in.
-func (px *Proxy) readDone(pr *pendingRead, coll, obj string, off, length uint64) (*wire.Bufferlist, error) {
-	var out *wire.Bufferlist
-	err := codeToErr(pr.code)
-	if err == nil {
-		out = wire.Concat(pr.segs)
-		px.cacheRead(coll, obj, off, length, out)
-	}
-	return out, err
-}
-
-// endRead retires a read that has returned. Its record goes back unless its
-// descriptor's transfer failed: the host's poller may still be about to read
-// that one's tag, so the record is left to the GC. On every other path no
-// transfer reaches the record any more — a failed data segment took the read
-// out of pendingReads, and the ones after it find nothing.
-func (px *Proxy) endRead(pr *pendingRead) {
-	delete(px.pendingReads, pr.reqID)
-	if pr.t.Err == nil {
-		px.recs.reads.put(pr)
-	}
-}
-
-// ReadThen implements objstore.Store: Read as a task chain on pr, on the
-// caller's thread th.
+// ReadThen implements objstore.Store: the symmetric read data plane (§5.5),
+// a task chain on pr, on the caller's thread th. The request descriptor
+// travels to the host via DMA; the host stages the object data and DMAs it
+// back in <=2 MB segments which the DPU-side poller reassembles.
 func (px *Proxy) ReadThen(th *sim.Thread, c *objstore.Call, next sim.Task) bool {
 	pr := px.recs.reads.get()
 	pr.px, pr.th, pr.c, pr.next = px, th, c, next
@@ -1250,19 +1160,21 @@ func (pr *pendingRead) Run() {
 	next.Run()
 }
 
-// end retires the read, as endRead does, once its answer is in c.
+// end retires the read once its answer is in c. Its record goes back unless
+// its descriptor's transfer failed: the host's poller may still be about to
+// read that one's tag, so the record is left to the GC. On every other path no
+// transfer reaches the record any more — a failed data segment took the read
+// out of pendingReads, and the ones after it find nothing. A cache hit filed
+// nothing.
 func (pr *pendingRead) end() {
-	px := pr.px
-	if pr.reqID == 0 { // a cache hit: nothing was filed
-		px.recs.reads.put(pr)
-		return
+	delete(pr.px.pendingReads, pr.reqID)
+	if pr.t.Err == nil {
+		pr.px.recs.reads.put(pr)
 	}
-	px.endRead(pr)
 }
 
 // advance takes the read through its steps until one waits, reporting true,
-// or the answer is in c. The steps are Read's waits, each its task form, so
-// the chain fires Read's events in the same order.
+// or the answer is in c.
 func (pr *pendingRead) advance() bool {
 	px, c := pr.px, pr.c
 	for {
@@ -1310,7 +1222,7 @@ func (pr *pendingRead) advance() bool {
 				return true
 			}
 		case readSubmit:
-			t := px.readReq(pr, &pr.desc.bl.Bufferlist)
+			t := px.readReq(pr)
 			if err := px.engUp.Validate(t); err != nil {
 				c.Data, c.Err = nil, err
 				return false
@@ -1337,7 +1249,12 @@ func (pr *pendingRead) advance() bool {
 				pr.step = readRPC
 				continue
 			}
-			c.Data, c.Err = px.readDone(pr, c.Coll, c.Object, c.Off, c.Length)
+			// The host has read the descriptor and every data segment is in.
+			c.Data, c.Err = nil, codeToErr(pr.code)
+			if c.Err == nil {
+				c.Data = wire.Concat(pr.segs)
+				px.cacheRead(c.Coll, c.Object, c.Off, c.Length, c.Data)
+			}
 			return false
 		case readRPC:
 			pr.step = readReplied
@@ -1365,10 +1282,6 @@ func (px *Proxy) cacheRead(coll, obj string, off, length uint64, data *wire.Buff
 		return
 	}
 	px.rcache.Insert(coll, obj, data)
-}
-
-func (px *Proxy) readViaRPC(p *sim.Proc, desc *wire.Bufferlist) (*wire.Bufferlist, error) {
-	return px.call(p, opReadFallback, desc)
 }
 
 // readPoll is the DPU-side poller consuming host->DPU DMA completions (read
@@ -1467,11 +1380,6 @@ func (px *Proxy) onReadDone(req rpcchan.Request, respond func(*wire.Bufferlist, 
 	}
 }
 
-// call is one RPC to the host.
-func (px *Proxy) call(p *sim.Proc, op uint16, req *wire.Bufferlist) (*wire.Bufferlist, error) {
-	return callResult(px.rpc.Call(p, op, req))
-}
-
 // callResult is the answer of an RPC to the host: a failure the host reported
 // by code comes back as the objstore error that code stands for.
 func callResult(resp *wire.Bufferlist, err error) (*wire.Bufferlist, error) {
@@ -1483,35 +1391,3 @@ func callResult(resp *wire.Bufferlist, err error) (*wire.Bufferlist, error) {
 
 // controlCallCycles is the DPU-side cost of issuing a control RPC.
 const controlCallCycles int64 = 10_000
-
-// control is a metadata call on the control plane: the DPU-side cost of
-// issuing it, then the call.
-func (px *Proxy) control(p *sim.Proc, op uint16, req *wire.Bufferlist) (*wire.Bufferlist, error) {
-	px.stats.ControlCalls++
-	px.dev.CPU.ExecSelf(p, controlCallCycles)
-	return px.call(p, op, req)
-}
-
-// Stat implements objstore.Store over the control plane.
-func (px *Proxy) Stat(p *sim.Proc, coll, obj string) (objstore.StatInfo, error) {
-	resp, err := px.control(p, opStat, encodeObjRef(coll, obj))
-	if err != nil {
-		return objstore.StatInfo{}, err
-	}
-	return decodeStatResp(resp)
-}
-
-// Exists implements objstore.Store over the control plane.
-func (px *Proxy) Exists(p *sim.Proc, coll, obj string) bool {
-	resp, err := px.control(p, opExists, encodeObjRef(coll, obj))
-	return err == nil && resp.Length() == 1 && resp.Bytes()[0] == 1
-}
-
-// List implements objstore.Store over the control plane.
-func (px *Proxy) List(p *sim.Proc, coll string) ([]string, error) {
-	resp, err := px.control(p, opList, encodeObjRef(coll, ""))
-	if err != nil {
-		return nil, err
-	}
-	return decodeList(resp)
-}

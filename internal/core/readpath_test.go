@@ -50,10 +50,10 @@ type readPathCase struct {
 // descriptor or a data segment failing (the read goes again over RPC), a
 // missing object, collection or zero-length object answered through
 // opReadDone, readers waiting for the host's staging buffers, and no MR cache.
-// Each case runs its readers as procs calling Read and as task chains calling
-// ReadThen, and both pin the events the run fires and the proxy's counters as
-// the proc form fired and counted them, and read every range back byte for
-// byte.
+// Each case runs its readers as procs awaiting ReadThen (objstore.Read) and
+// as task chains calling it, and both pin the events the run fires and the
+// proxy's counters as a proc-form Read fired and counted them, and read every
+// range back byte for byte.
 func TestReadPathsKeepTheirEvents(t *testing.T) {
 	small, big, empty := seeded(4096, 1), seeded(5<<20, 2), seeded(0, 3)
 	read := func(obj string, off, n uint64, want *wire.Bufferlist) scriptStep {
@@ -147,7 +147,7 @@ func TestReadPathsKeepTheirEvents(t *testing.T) {
 								if s.fault != nil {
 									s.fault(r)
 								}
-								got, err := px.Read(p, s.coll, s.obj, s.off, s.n)
+								got, err := objstore.Read(p, px, s.coll, s.obj, s.off, s.n)
 								check(s, got, err)
 							}
 							done()
@@ -189,7 +189,7 @@ func TestReadPathsKeepTheirEvents(t *testing.T) {
 }
 
 // chainReader is a reader as a task chain: its script's waits by Delay, its
-// reads by ReadThen, started as its proc form would be spawned.
+// reads by ReadThen, started as a proc reader would be spawned.
 type chainReader struct {
 	r       *coreRig
 	th      *sim.Thread

@@ -24,7 +24,7 @@ func TestReadReturnDMAErrorFallsBackToRPC(t *testing.T) {
 				t.Fatal(err)
 			}
 			r.bridge.EngDown.SetFailProb(1)
-			got, err := px.Read(p, "pg.0", "o", 0, 0)
+			got, err := objstore.Read(p, px, "pg.0", "o", 0, 0)
 			r.bridge.EngDown.SetFailProb(0)
 			if err != nil || !got.Equal(data) {
 				t.Fatalf("%d B: read err=%v, %d bytes; want the object", size, err, lenOf(got))
@@ -41,7 +41,7 @@ func TestReadReturnDMAErrorFallsBackToRPC(t *testing.T) {
 			if errs := px.Stats().ReadFrameErrors; errs != 0 || len(px.pendingReads) != 0 {
 				t.Fatalf("%d B: %d frame errors, %d reads pending", size, errs, len(px.pendingReads))
 			}
-			if got, err := px.Read(p, "pg.0", "o", 0, 0); err != nil || !got.Equal(data) || px.Stats().Reads != 2 {
+			if got, err := objstore.Read(p, px, "pg.0", "o", 0, 0); err != nil || !got.Equal(data) || px.Stats().Reads != 2 {
 				t.Fatalf("%d B: read after the cooldown err=%v, %d reads by DMA", size, err, px.Stats().Reads)
 			}
 		})
@@ -69,7 +69,7 @@ func TestRecycledRecordsHoldNothing(t *testing.T) {
 		small, big := seeded(4<<10, 1), seeded(5<<20, 2)
 		objects := map[string]*wire.Bufferlist{"small": small, "big": big}
 		read := func(p *sim.Proc, obj string) {
-			if got, err := px.Read(p, "pg.0", obj, 0, 0); err != nil || !got.Equal(objects[obj]) {
+			if got, err := objstore.Read(p, px, "pg.0", obj, 0, 0); err != nil || !got.Equal(objects[obj]) {
 				t.Errorf("%s: read %s: err=%v, %d bytes", c.name, obj, err, lenOf(got))
 			}
 		}

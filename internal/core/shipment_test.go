@@ -61,7 +61,7 @@ func TestShipmentPathsKeepTheirEvents(t *testing.T) {
 			p.Wait(10 * sim.Second) // past any cooldown
 			write(p, "after", 99)
 			for obj, seed := range objects {
-				if got, err := r.store.Read(p, "pg.0", obj, 0, 0); err != nil || !got.Equal(seeded(5<<20, seed)) {
+				if got, err := objstore.Read(p, r.store, "pg.0", obj, 0, 0); err != nil || !got.Equal(seeded(5<<20, seed)) {
 					t.Errorf("%s: %s reads back err=%v, %d bytes", c.name, obj, err, lenOf(got))
 				}
 			}

@@ -89,22 +89,19 @@ func NewCommChannel(env *sim.Env, dpuCPU, hostCPU *sim.CPU, hostTh *sim.Thread,
 	return &CommChannel{env: env, cfg: cfg, dpuCPU: dpuCPU, hostCPU: hostCPU, hostTh: hostTh}
 }
 
-// Negotiate exports region, blocking p (a DPU thread) for the negotiation
-// round trip. Re-negotiating an exported region is permitted (and counted:
-// the MR-cache ablation measures exactly this waste).
+// Negotiate is NegotiateThen awaited by p, a DPU thread.
 func (cc *CommChannel) Negotiate(p *sim.Proc, region *MemRegion) {
-	cc.negotiations++
-	cc.dpuCPU.ExecSelf(p, cc.cfg.LocalCycles)
-	cc.hostCPU.Exec(p, cc.hostTh, cc.cfg.HostCycles)
-	p.Wait(cc.cfg.RTT + cc.stall)
-	region.exported = true
+	if cc.NegotiateThen(p.Thread(), region, p) {
+		p.Suspend()
+	}
 }
 
-// NegotiateThen is the task form of Negotiate, for a DPU thread th with no
-// proc: the same charges and round trip, each a task form of Negotiate's wait
-// (CPU.ExecThen, Env.WaitThen), and next runs once region is exported. It
-// reports whether next was registered; if not, every step completed in place
-// and the caller goes on at once.
+// NegotiateThen exports region for th, a DPU thread: th pays LocalCycles on
+// the DPU CPU, the host thread HostCycles on the host CPU, the round trip
+// passes, and next runs once region is exported. Re-negotiating an exported
+// region is permitted (and counted: the MR-cache ablation measures exactly
+// this waste). It reports whether next was registered; if not, every step
+// completed in place and the caller goes on at once.
 func (cc *CommChannel) NegotiateThen(th *sim.Thread, region *MemRegion, next sim.Task) bool {
 	cc.negotiations++
 	return (&negotiation{cc: cc, th: th, region: region, next: next}).advance()
@@ -457,18 +454,21 @@ func (e *Engine) FailNext(n int) { e.failNext += n }
 func (e *Engine) SetFailProb(prob float64) { e.failProb = prob }
 
 // Submit validates and enqueues t, charging the submit cost to p's thread
-// on cpu. It returns immediately; wait on t.Done or consume Completions.
+// on cpu (Validate, then ChargeSubmit awaited, then Enqueue). It returns once
+// the charge is paid; wait on t.Done or consume Completions.
 func (e *Engine) Submit(p *sim.Proc, cpu *sim.CPU, t *Transfer) error {
 	if err := e.Validate(t); err != nil {
 		return err
 	}
-	cpu.ExecSelf(p, submitCycles)
+	if e.ChargeSubmit(cpu, p.Thread(), p) {
+		p.Suspend()
+	}
 	e.Enqueue(t)
 	return nil
 }
 
-// Validate is the first part of Submit, and of its task form: the checks,
-// before anything is charged. A transfer that fails them gives back the queue
+// Validate is the first part of a submission: the checks, before anything is
+// charged. A transfer that fails them gives back the queue
 // slot it reserved and goes no further.
 func (e *Engine) Validate(t *Transfer) error {
 	if t.Bytes > e.cfg.MaxTransferBytes {
@@ -482,15 +482,15 @@ func (e *Engine) Validate(t *Transfer) error {
 	return nil
 }
 
-// ChargeSubmit is the task form of Submit's charge, for a validated transfer:
-// th pays the submit cost on cpu (CPU.ExecThen), and next runs when it has,
-// to Enqueue the transfer. It reports whether next was registered; if not,
+// ChargeSubmit is a submission's charge, for a validated transfer: th pays
+// the submit cost on cpu (CPU.ExecThen), and next runs when it has, to
+// Enqueue the transfer. It reports whether next was registered; if not,
 // the caller enqueues at once.
 func (e *Engine) ChargeSubmit(cpu *sim.CPU, th *sim.Thread, next sim.Task) bool {
 	return cpu.ExecThen(th, submitCycles, nil, next)
 }
 
-// Enqueue is the rest of Submit, once the charge is paid: t is stamped, the
+// Enqueue is the rest of a submission, once the charge is paid: t is stamped, the
 // injected faults are drawn for it and it joins its queue, waking the queue
 // if idle.
 func (e *Engine) Enqueue(t *Transfer) {

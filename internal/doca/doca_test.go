@@ -490,14 +490,34 @@ func (c *submitChain) Run() {
 	}
 }
 
+// negotiate and submit are Negotiate and Submit written with a proc's
+// blocking calls (CPU.Exec, Proc.Wait), the oracle of their task forms.
+func negotiate(p *sim.Proc, cc *CommChannel, region *MemRegion) {
+	cc.negotiations++
+	cc.dpuCPU.ExecSelf(p, cc.cfg.LocalCycles)
+	cc.hostCPU.Exec(p, cc.hostTh, cc.cfg.HostCycles)
+	p.Wait(cc.cfg.RTT + cc.stall)
+	region.exported = true
+}
+
+func submit(p *sim.Proc, e *Engine, cpu *sim.CPU, t *Transfer) error {
+	if err := e.Validate(t); err != nil {
+		return err
+	}
+	cpu.ExecSelf(p, submitCycles)
+	e.Enqueue(t)
+	return nil
+}
+
 // TestSubmitTaskFormsMatchProcForms: three submitters at one instant on a
 // one-core DPU, each renegotiating both regions and then submitting a
 // transfer — the third too large — and waiting for it, reach each point at
 // the same instant, with the same outcome, CPU charge, negotiation count and
-// event count, whether they are procs (Negotiate, Submit, Event.Wait) or task
-// chains (NegotiateThen, Validate/ChargeSubmit/Enqueue, Event.WaitThen).
+// event count, whether they are procs making blocking calls (negotiate,
+// submit, Event.Wait), procs awaiting the task forms (Negotiate, Submit) or
+// task chains (NegotiateThen, Validate/ChargeSubmit/Enqueue, Event.WaitThen).
 func TestSubmitTaskFormsMatchProcForms(t *testing.T) {
-	run := func(task bool) []string {
+	run := func(form string) []string {
 		r := newDMARig(EngineConfig{JitterPct: -1})
 		r.dpuCPU = sim.NewCPU(r.env, "arm1", 1, 2.0, 2000)
 		r.cc = NewCommChannel(r.env, r.dpuCPU, r.hostCPU, r.hostTh, CommChannelConfig{})
@@ -506,16 +526,25 @@ func TestSubmitTaskFormsMatchProcForms(t *testing.T) {
 			th := sim.NewThread("proxy", "proxy")
 			note := func(what string) { log = append(log, fmt.Sprintf("%v %d %s", r.env.Now(), i, what)) }
 			tr := &Transfer{ReqID: uint64(i + 1), TotalSegs: 1, Bytes: size, Src: r.src, Dst: r.dst}
-			if task {
+			if form == "chain" {
 				r.env.Delay(0, &submitChain{r: r, th: th, t: tr, log: note})
 				continue
 			}
 			r.env.Spawn("submitter", func(p *sim.Proc) {
 				p.SetThread(th)
-				r.cc.Negotiate(p, r.src)
-				r.cc.Negotiate(p, r.dst)
-				note("negotiated")
-				if err := r.eng.Submit(p, r.dpuCPU, tr); err != nil {
+				var err error
+				if form == "await" {
+					r.cc.Negotiate(p, r.src)
+					r.cc.Negotiate(p, r.dst)
+					note("negotiated")
+					err = r.eng.Submit(p, r.dpuCPU, tr)
+				} else {
+					negotiate(p, r.cc, r.src)
+					negotiate(p, r.cc, r.dst)
+					note("negotiated")
+					err = submit(p, r.eng, r.dpuCPU, tr)
+				}
+				if err != nil {
 					note(err.Error())
 					return
 				}
@@ -532,8 +561,10 @@ func TestSubmitTaskFormsMatchProcForms(t *testing.T) {
 		r.env.Shutdown()
 		return log
 	}
-	want, got := run(false), run(true)
-	if len(want) != 9 || fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("task forms:\n%q\nproc forms:\n%q", got, want)
+	want := run("proc")
+	for _, form := range []string{"await", "chain"} {
+		if got := run(form); len(want) != 9 || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s:\n%q\nproc forms:\n%q", form, got, want)
+		}
 	}
 }

@@ -140,8 +140,9 @@ type Stats struct {
 // block (queue slow work to a worker pool instead), mirroring Ceph's
 // fast-dispatch contract. A handler that spends CPU time on the worker says so
 // with Messenger.Charge. p is always nil: a worker is a task chain with no
-// proc to hand over. The parameter stays so that dispatchers written against
-// the proc-form signature keep compiling.
+// proc to hand over. The parameter stays only because the benchmark's
+// isolated messenger round (benchmark/isolated.go) passes handlers of this
+// type; it goes together with that file's use of it.
 type Dispatcher func(p *sim.Proc, src string, m cephmsg.Message)
 
 // Registry resolves entity names ("osd.0", "client.3", "mon.0") to their

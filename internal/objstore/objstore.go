@@ -321,49 +321,114 @@ type Result struct {
 // nothing of its own; it must not be reused while a call on it is under way.
 type Call struct {
 	// Txn is QueueTransactionThen's transaction. Coll and Object name the
-	// object of the other calls; Off and Length are ReadThen's range (Length
-	// 0 = to EOF).
+	// object of the other calls (ListThen's collection is Coll); Off and
+	// Length are ReadThen's range (Length 0 = to EOF).
 	Txn          *Transaction
 	Coll, Object string
 	Off, Length  uint64
-	// Result is QueueTransactionThen's, Data ReadThen's, Stat StatThen's and
-	// Exists ExistsThen's answer; Err is ReadThen's and StatThen's error.
+	// Result is QueueTransactionThen's, Data ReadThen's, Stat StatThen's,
+	// Exists ExistsThen's and Names ListThen's answer; Err is ReadThen's,
+	// StatThen's and ListThen's error.
 	Result *Result
 	Data   *wire.Bufferlist
 	Stat   StatInfo
 	Exists bool
+	Names  []string
 	Err    error
 }
 
 // Store is the pluggable object-store backend interface. Every call consumes
-// virtual time, so a proc form takes the calling simulation process. Method
-// names follow the Ceph originals (queue_transactions, stat, exists, ...).
+// virtual time. Method names follow the Ceph originals (queue_transactions,
+// read, stat, exists, list).
 //
-// The four calls an OSD op worker makes also have task forms, for a thread
-// written as a task chain: th pays what the proc form charges to the calling
-// proc's thread, the results land in c, and next runs where the proc form
-// would return. Each reports whether next was registered; if not, the call
-// completed at once, its results are in c, and the caller goes on. A task form
-// fires its proc form's events, in the same order.
+// Each call has one implementation, its task form: th pays what the call
+// charges to the calling thread, the results land in c, and next runs where
+// the call returns. Each reports whether next was registered; if not, the
+// call completed at once, its results are in c, and the caller goes on. A
+// simulation process makes a call by awaiting its task form — the package
+// functions Queue, Read, Stat, Exists and List — at the same events. The one
+// proc method, QueueTransaction, stays for the callers that hold a Store and
+// a proc; a store whose submission is more than one charge implements it as
+// Queue.
 type Store interface {
 	// QueueTransaction submits txn for asynchronous, atomic, durable
 	// application. The returned Result's Done event fires at commit time.
 	QueueTransaction(p *sim.Proc, txn *Transaction) *Result
-	// Read returns length bytes at offset off of obj (length 0 = to EOF).
-	Read(p *sim.Proc, coll, obj string, off, length uint64) (*wire.Bufferlist, error)
-	// Stat returns object metadata.
-	Stat(p *sim.Proc, coll, obj string) (StatInfo, error)
-	// Exists reports whether obj exists in coll.
-	Exists(p *sim.Proc, coll, obj string) bool
-	// List returns the sorted object names in coll.
-	List(p *sim.Proc, coll string) ([]string, error)
 
 	// QueueTransactionThen is QueueTransaction of c.Txn into c.Result.
 	QueueTransactionThen(th *sim.Thread, c *Call, next sim.Task) bool
-	// ReadThen is Read of c's range into c.Data and c.Err.
+	// ReadThen reads c's range of its object into c.Data and c.Err.
 	ReadThen(th *sim.Thread, c *Call, next sim.Task) bool
-	// StatThen is Stat of c's object into c.Stat and c.Err.
+	// StatThen puts the object's metadata in c.Stat and c.Err.
 	StatThen(th *sim.Thread, c *Call, next sim.Task) bool
-	// ExistsThen is Exists of c's object into c.Exists.
+	// ExistsThen puts whether the object exists in c.Exists.
 	ExistsThen(th *sim.Thread, c *Call, next sim.Task) bool
+	// ListThen puts the sorted object names of c.Coll in c.Names and c.Err.
+	ListThen(th *sim.Thread, c *Call, next sim.Task) bool
+}
+
+// calls is a partition's free list of the Calls the package functions await
+// (sim.Local, looked up per call: a package function has no construction to
+// keep the pointer from), so a proc's call allocates nothing.
+type calls []*Call
+
+// start takes a Call from p's partition's free list and sets it to in.
+func start(p *sim.Proc, in Call) *Call {
+	l := sim.Local[calls](p.Env())
+	n := len(*l)
+	if n == 0 {
+		c := in
+		return &c
+	}
+	c := (*l)[n-1]
+	*l = (*l)[:n-1]
+	*c = in
+	return c
+}
+
+// await suspends p until the call on c is done, if the call registered p as
+// its continuation, and returns c's answer, putting c back zeroed.
+func await(p *sim.Proc, c *Call, registered bool) Call {
+	if registered {
+		p.Suspend()
+	}
+	r := *c
+	*c = Call{}
+	l := sim.Local[calls](p.Env())
+	*l = append(*l, c)
+	return r
+}
+
+// Queue is st's QueueTransactionThen awaited by p, on p's thread.
+func Queue(p *sim.Proc, st Store, txn *Transaction) *Result {
+	c := start(p, Call{Txn: txn})
+	return await(p, c, st.QueueTransactionThen(p.Thread(), c, p)).Result
+}
+
+// Read is st's ReadThen of length bytes at off of obj (length 0 = to EOF),
+// awaited by p, on p's thread.
+func Read(p *sim.Proc, st Store, coll, obj string, off, length uint64) (*wire.Bufferlist, error) {
+	c := start(p, Call{Coll: coll, Object: obj, Off: off, Length: length})
+	r := await(p, c, st.ReadThen(p.Thread(), c, p))
+	return r.Data, r.Err
+}
+
+// Stat is st's StatThen awaited by p, on p's thread.
+func Stat(p *sim.Proc, st Store, coll, obj string) (StatInfo, error) {
+	c := start(p, Call{Coll: coll, Object: obj})
+	r := await(p, c, st.StatThen(p.Thread(), c, p))
+	return r.Stat, r.Err
+}
+
+// Exists is st's ExistsThen awaited by p, on p's thread.
+func Exists(p *sim.Proc, st Store, coll, obj string) bool {
+	c := start(p, Call{Coll: coll, Object: obj})
+	return await(p, c, st.ExistsThen(p.Thread(), c, p)).Exists
+}
+
+// List is st's ListThen awaited by p, on p's thread.
+func List(p *sim.Proc, st Store, coll string) ([]string, error) {
+	c := start(p, Call{Coll: coll})
+	r := await(p, c, st.ListThen(p.Thread(), c, p))
+	return r.Names, r.Err
 }

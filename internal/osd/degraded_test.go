@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"doceph/internal/objstore"
 	"doceph/internal/rados"
 	"doceph/internal/sim"
 )
@@ -70,7 +71,7 @@ func TestDegradedWritesAcceptedAtMinSize(t *testing.T) {
 		m := tc.client.Map()
 		for i, obj := range objs {
 			pg := m.PGForObject(obj)
-			bl, err := tc.stores[1].Read(p, fmt.Sprintf("pg.%d", pg), obj, 0, 0)
+			bl, err := objstore.Read(p, tc.stores[1], fmt.Sprintf("pg.%d", pg), obj, 0, 0)
 			if err != nil {
 				t.Fatalf("%s not recovered onto osd.1: %v", obj, err)
 			}
@@ -119,7 +120,7 @@ func TestWritesRejectedBelowMinSize(t *testing.T) {
 		m := tc.client.Map()
 		pg := m.PGForObject("obj")
 		for _, id := range m.ActingSet(pg) {
-			bl, err := tc.stores[id].Read(p, fmt.Sprintf("pg.%d", pg), "obj", 0, 0)
+			bl, err := objstore.Read(p, tc.stores[id], fmt.Sprintf("pg.%d", pg), "obj", 0, 0)
 			if err != nil {
 				t.Fatalf("osd.%d: %v", id, err)
 			}

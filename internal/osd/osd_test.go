@@ -11,6 +11,7 @@ import (
 	"doceph/internal/crush"
 	"doceph/internal/messenger"
 	"doceph/internal/mon"
+	"doceph/internal/objstore"
 	"doceph/internal/osdmap"
 	"doceph/internal/rados"
 	"doceph/internal/sim"
@@ -151,7 +152,7 @@ func TestReplicationToAllActingOSDs(t *testing.T) {
 		pg := tc.client.Map().PGForObject("obj-rep")
 		coll := fmt.Sprintf("pg.%d", pg)
 		for i, st := range tc.stores {
-			bl, err := st.Read(p, coll, "obj-rep", 0, 0)
+			bl, err := objstore.Read(p, st, coll, "obj-rep", 0, 0)
 			if err != nil {
 				t.Fatalf("store %d: %v", i, err)
 			}
@@ -180,7 +181,7 @@ func TestWriteAckWaitsForReplicaDurability(t *testing.T) {
 		pg := tc.client.Map().PGForObject("obj-ack")
 		coll := fmt.Sprintf("pg.%d", pg)
 		for i, st := range tc.stores {
-			if _, err := st.Stat(p, coll, "obj-ack"); err != nil {
+			if _, err := objstore.Stat(p, st, coll, "obj-ack"); err != nil {
 				t.Fatalf("store %d not durable at ack: %v", i, err)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 
 	"doceph/internal/cephmsg"
 	"doceph/internal/messenger"
+	"doceph/internal/objstore"
 	"doceph/internal/sim"
 	"doceph/internal/wire"
 )
@@ -141,7 +142,7 @@ func TestMutationKindsThroughOnePipeline(t *testing.T) {
 				var crcs [2]uint32
 				var found [2]bool
 				for i, id := range acting {
-					bl, err := tc.stores[id].Read(p, pgColl(pg), obj, 0, 0)
+					bl, err := objstore.Read(p, tc.stores[id], pgColl(pg), obj, 0, 0)
 					if found[i] = err == nil; found[i] {
 						crcs[i] = bl.CRC32C()
 					}
@@ -225,7 +226,7 @@ func TestAdmissionGateSameFromBothFeeders(t *testing.T) {
 					if streamed && target.msgr.Stats().StreamsRecv == 0 {
 						t.Fatal("the large write did not arrive as a stream")
 					}
-					if _, err := tc.stores[target.id].Read(p, pgColl(pg), obj, 0, 0); (err == nil) != c.mustCommit {
+					if _, err := objstore.Read(p, tc.stores[target.id], pgColl(pg), obj, 0, 0); (err == nil) != c.mustCommit {
 						t.Fatalf("object present = %v, want %v", err == nil, c.mustCommit)
 					}
 				})

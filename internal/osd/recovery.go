@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"doceph/internal/cephmsg"
+	"doceph/internal/objstore"
 	"doceph/internal/osdmap"
 	"doceph/internal/sim"
 	"doceph/internal/trace"
@@ -139,7 +140,7 @@ func (o *OSD) backfillPG(p *sim.Proc, pg uint32, targets []int32) {
 	o.stats.PGsBackfilled++
 	sp := o.tr.Start(0, 0, trace.StageRecovery, pgColl(pg))
 	defer o.tr.Finish(sp)
-	names, err := o.store.List(p, pgColl(pg))
+	names, err := objstore.List(p, o.store, pgColl(pg))
 	if err != nil {
 		return // nothing local for this PG
 	}
@@ -153,8 +154,8 @@ func (o *OSD) backfillPG(p *sim.Proc, pg uint32, targets []int32) {
 		}
 		lock := o.pgLock(pg)
 		lock.Acquire(p, 1)
-		bl, rerr := o.store.Read(p, pgColl(pg), obj, 0, 0)
-		st, serr := o.store.Stat(p, pgColl(pg), obj)
+		bl, rerr := objstore.Read(p, o.store, pgColl(pg), obj, 0, 0)
+		st, serr := objstore.Stat(p, o.store, pgColl(pg), obj)
 		lock.Release(1)
 		if rerr != nil || serr != nil {
 			continue // deleted while we were backfilling

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"doceph/internal/objstore"
 	"doceph/internal/sim"
 )
 
@@ -56,7 +57,7 @@ func TestBackfillAfterRejoin(t *testing.T) {
 				continue
 			}
 			checked++
-			bl, err := tc.stores[2].Read(p, fmt.Sprintf("pg.%d", pg), obj, 0, 0)
+			bl, err := objstore.Read(p, tc.stores[2], fmt.Sprintf("pg.%d", pg), obj, 0, 0)
 			if err != nil {
 				t.Fatalf("%s missing on rejoined osd: %v", obj, err)
 			}
@@ -104,7 +105,7 @@ func TestBackfillSkipsNewerObjects(t *testing.T) {
 		m := tc.client.Map()
 		pg := m.PGForObject("contested")
 		for _, id := range m.ActingSet(pg) {
-			bl, err := tc.stores[id].Read(p, fmt.Sprintf("pg.%d", pg), "contested", 0, 0)
+			bl, err := objstore.Read(p, tc.stores[id], fmt.Sprintf("pg.%d", pg), "contested", 0, 0)
 			if err != nil {
 				t.Fatalf("osd.%d: %v", id, err)
 			}
@@ -183,7 +184,7 @@ func TestBackfillPusherCrashMidRecovery(t *testing.T) {
 		for i, obj := range objs {
 			pg := m.PGForObject(obj)
 			for _, id := range m.ActingSet(pg) {
-				bl, err := tc.stores[id].Read(p, fmt.Sprintf("pg.%d", pg), obj, 0, 0)
+				bl, err := objstore.Read(p, tc.stores[id], fmt.Sprintf("pg.%d", pg), obj, 0, 0)
 				if err != nil {
 					t.Fatalf("%s missing on osd.%d after pusher crash: %v", obj, id, err)
 				}
@@ -277,7 +278,7 @@ func TestRecoveryQoSPacesAndYields(t *testing.T) {
 				continue
 			}
 			checked++
-			bl, err := tc.stores[2].Read(p, fmt.Sprintf("pg.%d", pg), obj, 0, 0)
+			bl, err := objstore.Read(p, tc.stores[2], fmt.Sprintf("pg.%d", pg), obj, 0, 0)
 			if err != nil {
 				t.Fatalf("%s missing on rejoined osd under QoS: %v", obj, err)
 			}

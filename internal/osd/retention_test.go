@@ -10,6 +10,7 @@ import (
 
 	"doceph/internal/cephmsg"
 	"doceph/internal/messenger"
+	"doceph/internal/objstore"
 	"doceph/internal/rados"
 	"doceph/internal/sim"
 )
@@ -79,7 +80,7 @@ func TestStreamRecordsFreedAfterAck(t *testing.T) {
 		m := tc.client.Map()
 		pg := m.PGForObject(watchedObject)
 		for _, id := range m.ActingSet(pg) {
-			bl, err := tc.stores[id].Read(p, pgColl(pg), watchedObject, 0, 0)
+			bl, err := objstore.Read(p, tc.stores[id], pgColl(pg), watchedObject, 0, 0)
 			if err != nil || bl.CRC32C() != payload(16<<20, 7).CRC32C() {
 				t.Errorf("osd.%d: read back err=%v", id, err)
 			}

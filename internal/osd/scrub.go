@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"doceph/internal/cephmsg"
+	"doceph/internal/objstore"
 	"doceph/internal/sim"
 )
 
@@ -36,7 +37,7 @@ func (o *OSD) scrubLoop(p *sim.Proc) {
 
 // scrubPG deep-scrubs one placement group against its replicas.
 func (o *OSD) scrubPG(p *sim.Proc, pg uint32, replicas []int32) {
-	names, err := o.store.List(p, pgColl(pg))
+	names, err := objstore.List(p, o.store, pgColl(pg))
 	if err != nil {
 		return
 	}
@@ -46,7 +47,7 @@ func (o *OSD) scrubPG(p *sim.Proc, pg uint32, replicas []int32) {
 		}
 		lock := o.pgLock(pg)
 		lock.Acquire(p, 1)
-		bl, rerr := o.store.Read(p, pgColl(pg), obj, 0, 0)
+		bl, rerr := objstore.Read(p, o.store, pgColl(pg), obj, 0, 0)
 		lock.Release(1)
 		if rerr != nil {
 			continue // deleted under us

@@ -27,12 +27,12 @@ func TestScrubDetectsAndRepairsBitRot(t *testing.T) {
 		if err := tc.stores[secondary].CorruptObject(coll, "victim"); err != nil {
 			t.Fatal(err)
 		}
-		bad, _ := tc.stores[secondary].Read(p, coll, "victim", 0, 0)
+		bad, _ := objstore.Read(p, tc.stores[secondary], coll, "victim", 0, 0)
 		if bad.CRC32C() == data.CRC32C() {
 			t.Fatal("corruption did not take")
 		}
 		// Primary's copy must be unharmed (clone-before-corrupt).
-		good, _ := tc.stores[primary].Read(p, coll, "victim", 0, 0)
+		good, _ := objstore.Read(p, tc.stores[primary], coll, "victim", 0, 0)
 		if good.CRC32C() != data.CRC32C() {
 			t.Fatal("corruption leaked into the primary's shared buffers")
 		}
@@ -44,7 +44,7 @@ func TestScrubDetectsAndRepairsBitRot(t *testing.T) {
 		if st.ScrubErrors != 1 || st.ScrubRepairs != 1 {
 			t.Fatalf("scrub stats=%+v", st)
 		}
-		repaired, err := tc.stores[secondary].Read(p, coll, "victim", 0, 0)
+		repaired, err := objstore.Read(p, tc.stores[secondary], coll, "victim", 0, 0)
 		if err != nil || repaired.CRC32C() != data.CRC32C() {
 			t.Fatalf("replica not repaired: %v", err)
 		}
@@ -125,7 +125,7 @@ func TestScrubMissingReplicaObjectRepaired(t *testing.T) {
 
 		tc.osds[primary].ScrubNow()
 		p.Wait(30 * sim.Second)
-		got, err := tc.stores[secondary].Read(p, coll, "lost", 0, 0)
+		got, err := objstore.Read(p, tc.stores[secondary], coll, "lost", 0, 0)
 		if err != nil || got.CRC32C() != data.CRC32C() {
 			t.Fatalf("lost object not restored: %v", err)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"doceph/internal/messenger"
+	"doceph/internal/objstore"
 	"doceph/internal/rados"
 	"doceph/internal/sim"
 )
@@ -47,7 +48,7 @@ func TestStreamedWriteReplicatesAndReadsBack(t *testing.T) {
 					m := tc.client.Map()
 					pg := m.PGForObject(obj)
 					for _, id := range m.ActingSet(pg) {
-						bl, err := tc.stores[id].Read(p, fmt.Sprintf("pg.%d", pg), obj, 0, 0)
+						bl, err := objstore.Read(p, tc.stores[id], fmt.Sprintf("pg.%d", pg), obj, 0, 0)
 						if err != nil || bl.CRC32C() != data.CRC32C() {
 							t.Fatalf("osd.%d %s: err=%v", id, obj, err)
 						}
@@ -86,7 +87,7 @@ func TestStreamedOverwriteLastWins(t *testing.T) {
 		m := tc.client.Map()
 		pg := m.PGForObject("hot")
 		for _, id := range m.ActingSet(pg) {
-			bl, err := tc.stores[id].Read(p, fmt.Sprintf("pg.%d", pg), "hot", 0, 0)
+			bl, err := objstore.Read(p, tc.stores[id], fmt.Sprintf("pg.%d", pg), "hot", 0, 0)
 			if err != nil || bl.CRC32C() != want.CRC32C() {
 				t.Fatalf("osd.%d: stale content after overwrites (err=%v)", id, err)
 			}
@@ -118,7 +119,7 @@ func TestStreamedWriteBelowMinSizeRejected(t *testing.T) {
 		// The rejected stream must not have mutated the object.
 		m := tc.client.Map()
 		pg := m.PGForObject("obj")
-		bl, err := tc.stores[0].Read(p, fmt.Sprintf("pg.%d", pg), "obj", 0, 0)
+		bl, err := objstore.Read(p, tc.stores[0], fmt.Sprintf("pg.%d", pg), "obj", 0, 0)
 		if err != nil || bl.CRC32C() != payload(200_000, 3).CRC32C() {
 			t.Fatalf("rejected stream left partial content (err=%v)", err)
 		}

@@ -5,6 +5,7 @@ import (
 
 	"doceph/internal/cephmsg"
 	"doceph/internal/messenger"
+	"doceph/internal/objstore"
 	"doceph/internal/sim"
 	"doceph/internal/wire"
 )
@@ -61,7 +62,7 @@ func TestOpWorkerPathsKeepTheirEvents(t *testing.T) {
 			tc.run(t, func(p *sim.Proc) {
 				for _, h := range c.body(t, tc, rc, rp, p) {
 					for _, id := range h.on {
-						got, err := tc.stores[id].Read(p, pgColl(tc.client.Map().PGForObject(h.name)), h.name, 0, 0)
+						got, err := objstore.Read(p, tc.stores[id], pgColl(tc.client.Map().PGForObject(h.name)), h.name, 0, 0)
 						if err != nil || !got.Equal(h.data) {
 							t.Errorf("%s on osd.%d reads back err=%v", h.name, id, err)
 						}

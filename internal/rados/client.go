@@ -156,7 +156,7 @@ func (c *Client) Map() *osdmap.Map { return c.curMap }
 // Stats returns a copy of the robustness counters.
 func (c *Client) Stats() Stats { return c.stats }
 
-func (c *Client) dispatch(p *sim.Proc, src string, m cephmsg.Message) {
+func (c *Client) dispatch(_ *sim.Proc, src string, m cephmsg.Message) {
 	switch msg := m.(type) {
 	case *cephmsg.MOSDOpReply:
 		call, ok := c.inflight[msg.Tid]

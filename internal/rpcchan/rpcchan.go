@@ -119,7 +119,7 @@ func (env *envelope) size() int64 {
 }
 
 // Run is the envelope's next step. A booked NotifyTask message goes on to
-// sent and a CallTask one waits for its response, as Call does; each is
+// sent and a CallTask one waits for its response; each is
 // delivered by the envelope at its arrival. A response waits out its flight
 // and delivers itself, as the response proc of a proc-form server did.
 func (env *envelope) Run() {
@@ -214,24 +214,12 @@ func (e *Endpoint) Handle(op uint16, h Handler) {
 	e.handlers[op] = h
 }
 
-// Call sends a request and blocks p until the response arrives, returning
-// the response payload.
-func (e *Endpoint) Call(p *sim.Proc, op uint16, payload *wire.Bufferlist) (*wire.Bufferlist, error) {
-	e.nextID++
-	id := e.nextID
-	r := &Reply{done: sim.NewEvent()}
-	e.pending[id] = r
-	e.send(p, envelope{req: true, op: op, reqID: id, payload: payload})
-	e.stats.CallsSent++
-	r.done.Wait(p)
-	return r.Result()
-}
-
-// CallTask is the task form of Call, for a caller with no proc: the sender's
-// cost is a CPU burst of the endpoint's thread whose continuation is the
-// envelope, as with NotifyTask; once the request is booked the call waits for
-// its response where Call does, and next runs when it is in. The Reply holds
-// the response from then on.
+// CallTask sends a request and runs next once its response is in: the
+// sender's cost is a CPU burst of the endpoint's thread whose continuation is
+// the envelope, as with NotifyTask; the request is booked when it ends, and
+// next is always registered, for the response's arrival. The Reply holds the
+// response from then on. A proc calls by passing itself as next and
+// suspending (sim.Proc.Suspend).
 func (e *Endpoint) CallTask(op uint16, payload *wire.Bufferlist, next sim.Task) *Reply {
 	e.nextID++
 	id := e.nextID
@@ -273,14 +261,6 @@ const (
 	switchesPerMsg int64 = 2
 )
 
-// transmit pays the sender-side CPU cost of env on p and books the message
-// on the outbound socket direction; it returns the arrival instant at the
-// peer.
-func (e *Endpoint) transmit(p *sim.Proc, env *envelope) sim.Time {
-	e.cpu.Exec(p, e.th, e.cost(env))
-	return e.book(env)
-}
-
 // cost addresses env to the peer and returns the sender-side CPU cost of
 // sending it.
 func (e *Endpoint) cost(env *envelope) int64 {
@@ -309,13 +289,6 @@ func (e *Endpoint) book(env *envelope) sim.Time {
 	}
 	e.sendFree = start.Add(ser)
 	return start.Add(ser + e.cfg.Latency)
-}
-
-// send transmits env and leaves its delivery into the peer's input queue to
-// a courier task (non-blocking for the caller beyond the CPU cost, like a
-// buffered socket write).
-func (e *Endpoint) send(p *sim.Proc, env envelope) {
-	e.env.At(e.transmit(p, &env), &env)
 }
 
 // server is the endpoint's event-driven receive loop as a task chain over

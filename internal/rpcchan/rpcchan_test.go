@@ -54,7 +54,7 @@ func TestCallRoundTrip(t *testing.T) {
 		respond(wire.FromBytes(append([]byte("echo:"), req.Payload.Bytes()...)), 0)
 	})
 	r.run(t, func(p *sim.Proc) {
-		resp, err := r.dpu.Call(p, 1, wire.FromBytes([]byte("hello")))
+		resp, err := call(p, r.dpu, 1, wire.FromBytes([]byte("hello")))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestCallsMatchConcurrently(t *testing.T) {
 		idx := i
 		r.env.Spawn("caller", func(p *sim.Proc) {
 			p.SetThread(sim.NewThread("c", "proxy"))
-			resp, err := r.dpu.Call(p, 2, wire.FromBytes([]byte{byte(idx)}))
+			resp, err := call(p, r.dpu, 2, wire.FromBytes([]byte{byte(idx)}))
 			if err != nil {
 				t.Errorf("call %d: %v", idx, err)
 				return
@@ -106,7 +106,7 @@ func TestRemoteErrorCode(t *testing.T) {
 		respond(nil, 42)
 	})
 	r.run(t, func(p *sim.Proc) {
-		_, err := r.dpu.Call(p, 3, nil)
+		_, err := call(p, r.dpu, 3, nil)
 		var ce CallError
 		if !errors.As(err, &ce) || ce.Code != 42 {
 			t.Fatalf("err=%v", err)
@@ -117,7 +117,7 @@ func TestRemoteErrorCode(t *testing.T) {
 func TestUnknownOpReturnsError(t *testing.T) {
 	r := newRPCRig(Config{})
 	r.run(t, func(p *sim.Proc) {
-		_, err := r.dpu.Call(p, 99, nil)
+		_, err := call(p, r.dpu, 99, nil)
 		var ce CallError
 		if !errors.As(err, &ce) || ce.Code != 0xFFFF {
 			t.Fatalf("err=%v", err)
@@ -171,11 +171,36 @@ type taskFunc func()
 
 func (f taskFunc) Run() { f() }
 
-// notifyThen is the proc form of NotifyTask, the oracle: the sender's cost
-// blocks p, as Call's does, and a courier delivers the message.
+// call is a call from p: CallTask awaited.
+func call(p *sim.Proc, e *Endpoint, op uint16, payload *wire.Bufferlist) (*wire.Bufferlist, error) {
+	r := e.CallTask(op, payload, p)
+	p.Suspend()
+	return r.Result()
+}
+
+// transmit is the proc form of sending a message, the oracle's: the sender's
+// cost blocks p, and a courier delivers the message at its arrival.
+func transmit(p *sim.Proc, e *Endpoint, env *envelope) {
+	e.cpu.Exec(p, e.th, e.cost(env))
+	e.env.At(e.book(env), env)
+}
+
+// notifyThen is the proc form of NotifyTask, the oracle.
 func notifyThen(p *sim.Proc, e *Endpoint, op uint16, payload *wire.Bufferlist, consumed sim.Task) {
 	e.nextID++
-	e.send(p, envelope{req: true, notify: true, op: op, reqID: e.nextID, payload: payload, consumed: consumed})
+	transmit(p, e, &envelope{req: true, notify: true, op: op, reqID: e.nextID, payload: payload, consumed: consumed})
+}
+
+// callProc is the proc form of CallTask, the oracle: the request is
+// transmitted, and p waits for its response.
+func callProc(p *sim.Proc, e *Endpoint, op uint16, payload *wire.Bufferlist) (*wire.Bufferlist, error) {
+	e.nextID++
+	r := &Reply{done: sim.NewEvent()}
+	e.pending[e.nextID] = r
+	transmit(p, e, &envelope{req: true, op: op, reqID: e.nextID, payload: payload})
+	e.stats.CallsSent++
+	r.done.Wait(p)
+	return r.Result()
 }
 
 // TestNotifyTaskMatchesNotifyThen: notifications sent from tasks with
@@ -230,7 +255,7 @@ func TestCPUChargedBothSides(t *testing.T) {
 		respond(nil, 0)
 	})
 	r.run(t, func(p *sim.Proc) {
-		if _, err := r.dpu.Call(p, 5, wire.FromBytes(make([]byte, 10_000))); err != nil {
+		if _, err := call(p, r.dpu, 5, wire.FromBytes(make([]byte, 10_000))); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -249,7 +274,7 @@ func TestLatencyPaidOnWire(t *testing.T) {
 	})
 	r.run(t, func(p *sim.Proc) {
 		start := p.Now()
-		if _, err := r.dpu.Call(p, 6, nil); err != nil {
+		if _, err := call(p, r.dpu, 6, nil); err != nil {
 			t.Fatal(err)
 		}
 		if p.Now().Sub(start) < 200*sim.Microsecond {
@@ -265,7 +290,7 @@ func TestStatsCounters(t *testing.T) {
 	})
 	r.run(t, func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
-			if _, err := r.dpu.Call(p, 7, wire.FromBytes(make([]byte, 100))); err != nil {
+			if _, err := call(p, r.dpu, 7, wire.FromBytes(make([]byte, 100))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -282,8 +307,8 @@ func TestStatsCounters(t *testing.T) {
 // instant, queueing for the caller's one core and the socket; one answered,
 // one answered with an error code, one that no handler takes — get their
 // responses at the instants, with the results, the CPU charge, the bytes and
-// the event count of the same calls made with Call from procs spawned at the
-// same slots.
+// the event count of the same calls made by its proc form (callProc) from
+// procs spawned at the same slots; so do procs awaiting CallTask.
 func TestCallTaskMatchesCall(t *testing.T) {
 	type outcome struct {
 		log    []string
@@ -292,7 +317,7 @@ func TestCallTaskMatchesCall(t *testing.T) {
 		sent   int64
 		calls  int64
 	}
-	call := func(task bool) (o outcome) {
+	calls := func(form string) (o outcome) {
 		env := sim.NewEnv(1)
 		dpuCPU := sim.NewCPU(env, "arm", 1, 2.0, 2000)
 		dpu, host := New(env, "dpu", dpuCPU, sim.NewThread("proxy-rpc", "proxy"),
@@ -312,7 +337,7 @@ func TestCallTaskMatchesCall(t *testing.T) {
 		}
 		for i, op := range []uint16{1, 2, 99} {
 			payload := wire.FromBytes([]byte(strings.Repeat(fmt.Sprint(i), 1000)))
-			if task {
+			if form == "task" {
 				env.Delay(0, taskFunc(func() {
 					var r *Reply
 					r = dpu.CallTask(op, payload, taskFunc(func() {
@@ -322,7 +347,11 @@ func TestCallTaskMatchesCall(t *testing.T) {
 				}))
 			} else {
 				env.Spawn("call", func(p *sim.Proc) {
-					resp, err := dpu.Call(p, op, payload)
+					f := callProc
+					if form == "await" {
+						f = call
+					}
+					resp, err := f(p, dpu, op, payload)
 					done(op, resp, err)
 				})
 			}
@@ -334,9 +363,11 @@ func TestCallTaskMatchesCall(t *testing.T) {
 		env.Shutdown()
 		return o
 	}
-	want, got := call(false), call(true)
-	if len(want.log) != 3 || fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("CallTask: %+v\nCall: %+v", got, want)
+	want := calls("proc")
+	for _, form := range []string{"task", "await"} {
+		if got := calls(form); len(want.log) != 3 || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("CallTask (%s): %+v\ncallProc: %+v", form, got, want)
+		}
 	}
 }
 
@@ -368,7 +399,7 @@ func TestChargeHoldsTheServer(t *testing.T) {
 	for _, msg := range []string{"a", "b"} {
 		r.env.Spawn("call", func(p *sim.Proc) {
 			p.SetThread(sim.NewThread("c", "proxy"))
-			if _, err := r.dpu.Call(p, 1, wire.FromBytes([]byte(msg))); err != nil {
+			if _, err := call(p, r.dpu, 1, wire.FromBytes([]byte(msg))); err != nil {
 				t.Error(err)
 			}
 		})

@@ -29,10 +29,11 @@ type chainOp struct {
 // procs fire, and send frames over a fabric they share with the rivals, and
 // wait on conditions the rivals broadcast. Its servers are written once as
 // daemon procs popping their queue (Pop, Wait, Exec, Acquire, Event.Wait,
-// writeDisk, Event.WaitTimeout, transferFrame, Cond.Wait, Disk.Read) and once
-// as task chains (ServeTask, Delay, ExecThen, AcquireThen, Event.WaitThen,
+// writeDisk, Event.WaitTimeout, transferFrame, Cond.Wait, readDisk), once as
+// task chains (ServeTask, Delay, ExecThen, AcquireThen, Event.WaitThen,
 // Disk.WriteThen, Event.WaitTimeoutThen, Fabric.TransferFrameThen,
-// Cond.WaitThen, Disk.ReadThen). A timed wait logs its outcome and a frame
+// Cond.WaitThen, Disk.ReadThen), and once as the same daemon procs awaiting
+// those task forms (Suspend). A timed wait logs its outcome and a frame
 // whether it arrived.
 type chainProg struct {
 	env    *Env
@@ -81,6 +82,13 @@ func (pg *chainProg) note(format string, args ...any) {
 	pg.log = append(pg.log, fmt.Sprintf("%d/%d/", pg.env.now, pg.env.seq-uint64(pg.daemons))+fmt.Sprintf(format, args...))
 }
 
+// The forms a program's servers are written in.
+const (
+	procForm  = iota // daemon procs making the blocking calls
+	chainForm        // task chains on ServeTask identities
+	awaitForm        // daemon procs awaiting the task forms
+)
+
 // procBody is a server's body in proc form.
 func (pg *chainProg) procBody(p *Proc, item int) {
 	name := p.Thread().Name
@@ -109,7 +117,59 @@ func (pg *chainProg) procBody(p *Proc, item int) {
 		case 8:
 			pg.conds[op.ev%2].Wait(p)
 		case 9:
-			pg.disk.Read(p, op.cycles)
+			readDisk(p, pg.disk, op.cycles)
+		}
+		pg.note("%s:%d:%d%s", name, item, i, outcome)
+	}
+	if held {
+		pg.sem.Release(1)
+	}
+	pg.ended++
+	pg.note("%s:%d:end", name, item)
+}
+
+// awaitBody is a server's body as a proc that makes each call through its
+// task form, passing itself as the continuation and suspending when the call
+// registered it.
+func (pg *chainProg) awaitBody(p *Proc, item int) {
+	name := p.Thread().Name
+	pg.note("%s:%d:start", name, item)
+	await := func(registered bool) {
+		if registered {
+			p.Suspend()
+		}
+	}
+	held := false
+	for i, op := range pg.plans[item] {
+		outcome := ""
+		switch op.kind {
+		case 0:
+			await(pg.env.WaitThen(op.d, p))
+		case 1:
+			await(pg.cpu.ExecThen(p.Thread(), op.cycles, nil, p))
+		case 2:
+			await(pg.sem.AcquireThen(1, p))
+			held = true
+		case 3:
+			pg.queues[op.q].Push(op.arg)
+		case 4:
+			await(pg.evs[op.ev].WaitThen(pg.env, p))
+		case 5:
+			_, registered := pg.disk.WriteThen(op.cycles, p)
+			await(registered)
+		case 6:
+			await(pg.evs[op.ev].WaitTimeoutThen(pg.env, op.d, p))
+			outcome = fmt.Sprint(":fired=", pg.evs[op.ev].Fired())
+		case 7:
+			_, delivered, registered := pg.fabric.TransferFrameThen("srv", "rival", op.cycles, p)
+			await(registered)
+			outcome = fmt.Sprint(":delivered=", delivered)
+		case 8:
+			pg.conds[op.ev%2].WaitThen(pg.env, p)
+			p.Suspend()
+		case 9:
+			_, registered := pg.disk.ReadThen(op.cycles, p)
+			await(registered)
 		}
 		pg.note("%s:%d:%d%s", name, item, i, outcome)
 	}
@@ -232,7 +292,7 @@ func (c *chainServer) Run() {
 
 // chainProgram builds the seeded program and runs it to completion in the
 // form chosen, with the kernel as shipped or as the classic loop (heapOnly).
-func chainProgram(t *testing.T, seed int64, chains, heapOnly bool) (pg *chainProg, st EnvStats) {
+func chainProgram(t *testing.T, seed int64, form int, heapOnly bool) (pg *chainProg, st EnvStats) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	env := NewEnv(seed)
@@ -292,18 +352,22 @@ func chainProgram(t *testing.T, seed int64, chains, heapOnly bool) (pg *chainPro
 			q = pg.queues[rng.Intn(len(pg.queues))]
 		}
 		th := NewThread(fmt.Sprint("srv", i), "t")
-		if chains {
+		if form == chainForm {
 			c := &chainServer{pg: pg, th: th}
 			c.done = q.ServeTask(th.Name, c.serve)
-		} else {
-			pg.daemons++
-			env.SpawnDaemon(th.Name, func(p *Proc) {
-				p.SetThread(th)
-				for {
-					pg.procBody(p, q.Pop(p))
-				}
-			})
+			continue
 		}
+		body := pg.procBody
+		if form == awaitForm {
+			body = pg.awaitBody
+		}
+		pg.daemons++
+		env.SpawnDaemon(th.Name, func(p *Proc) {
+			p.SetThread(th)
+			for {
+				body(p, q.Pop(p))
+			}
+		})
 	}
 	// Plain procs contend with the servers for the CPU, the semaphore, the
 	// disk and the fabric, and fire the events, rival i the ones of its
@@ -329,8 +393,9 @@ func chainProgram(t *testing.T, seed int64, chains, heapOnly bool) (pg *chainPro
 					pg.sem.Release(1)
 				case 2:
 					writeDisk(p, pg.disk, 3000)
-					pg.disk.Read(p, 1000)
-					pg.fabric.Transfer(p, "rival", "srv", 2000)
+					readDisk(p, pg.disk, 1000)
+					arrive, _ := pg.fabric.book("rival", "srv", 2000, false) // lossless
+					p.WaitUntil(arrive)
 				}
 				if k%2 == i {
 					pg.fire(k)
@@ -361,10 +426,10 @@ func chainProgram(t *testing.T, seed int64, chains, heapOnly bool) (pg *chainPro
 		})
 	}
 	if err := env.Run(); err != nil {
-		t.Fatalf("seed=%d chains=%v heapOnly=%v: %v", seed, chains, heapOnly, err)
+		t.Fatalf("seed=%d form=%d heapOnly=%v: %v", seed, form, heapOnly, err)
 	}
 	if left, live := env.Backlog(), env.LiveProcs(); left != nil || live != pg.daemons {
-		t.Fatalf("seed=%d chains=%v: values waiting on %v and %d procs or tasks live after the run", seed, chains, left, live)
+		t.Fatalf("seed=%d form=%d: values waiting on %v and %d procs or tasks live after the run", seed, form, left, live)
 	}
 	return pg, env.Stats()
 }
@@ -375,6 +440,15 @@ func writeDisk(p *Proc, d *Disk, bytes int64) {
 	d.bytesWritten += bytes
 	d.writes++
 	_, at := d.book(bytes, d.WriteBytesPerSec)
+	p.WaitUntil(at)
+}
+
+// readDisk is the proc form of Disk.ReadThen, the oracle: the read is booked,
+// and p waits until it completes.
+func readDisk(p *Proc, d *Disk, bytes int64) {
+	d.bytesRead += bytes
+	d.reads++
+	_, at := d.book(bytes, d.ReadBytesPerSec)
 	p.WaitUntil(at)
 }
 
@@ -393,32 +467,37 @@ func transferFrame(p *Proc, f *Fabric, src, dst string, bytes int64) bool {
 // AcquireThen for Acquire, Event.WaitThen for Event.Wait, Disk.WriteThen for a
 // blocking write, Event.WaitTimeoutThen for Event.WaitTimeout (whose outcome
 // the continuation reads from Fired), Fabric.TransferFrameThen for a blocking
-// frame, Cond.WaitThen for Cond.Wait, Disk.ReadThen for Disk.Read, ServeTask
-// for the daemon's Pop loop — changes nothing in the (t, seq, owner, outcome)
-// log and takes exactly the daemons' start events out of the event count, in
-// the classic loop as in the kernel as shipped; the chains resume no
-// coroutine. The timed waits see all three outcomes: the event fired before
-// the deadline, at its instant, or not in time.
+// frame, Cond.WaitThen for Cond.Wait, Disk.ReadThen for a disk read,
+// ServeTask for the daemon's Pop loop — changes nothing in the (t, seq,
+// owner, outcome) log and takes exactly the daemons' start events out of the
+// event count, in the classic loop as in the kernel as shipped; the chains
+// resume no coroutine. Daemon procs that await those task forms (Suspend)
+// instead of making the blocking calls log the same and fire the same events
+// as the native procs. The timed waits see all three outcomes: the event
+// fired before the deadline, at its instant, or not in time.
 func TestChainServersMatchProcServers(t *testing.T) {
 	bursts, acquires, waits, writes, reads, conds := 0, 0, 0, 0, 0, 0
 	var timed, frames, early, atDeadline, timedOut, dropped int
 	for seed := int64(1); seed <= 24; seed++ {
-		want, wantSt := chainProgram(t, seed, false, false)
+		want, wantSt := chainProgram(t, seed, procForm, false)
 		if len(want.log) < 40 {
 			t.Fatalf("seed=%d: only %d log entries; the program did nothing", seed, len(want.log))
 		}
 		for _, heapOnly := range []bool{false, true} {
-			for _, chains := range []bool{false, true} {
-				got, st := chainProgram(t, seed, chains, heapOnly)
+			for _, form := range []int{procForm, chainForm, awaitForm} {
+				got, st := chainProgram(t, seed, form, heapOnly)
 				if !reflect.DeepEqual(got.log, want.log) {
-					t.Fatalf("seed=%d chains=%v heapOnly=%v: logs differ:\n got %q\nwant %q",
-						seed, chains, heapOnly, got.log, want.log)
+					t.Fatalf("seed=%d form=%d heapOnly=%v: logs differ:\n got %q\nwant %q",
+						seed, form, heapOnly, got.log, want.log)
 				}
 				if st.Events+uint64(want.daemons) != wantSt.Events+uint64(got.daemons) {
-					t.Fatalf("seed=%d chains=%v heapOnly=%v: %d events, %d with %d daemon servers",
-						seed, chains, heapOnly, st.Events, wantSt.Events, want.daemons)
+					t.Fatalf("seed=%d form=%d heapOnly=%v: %d events, %d with %d daemon servers",
+						seed, form, heapOnly, st.Events, wantSt.Events, want.daemons)
 				}
-				if chains && !heapOnly {
+				if form == awaitForm && st.TaskRuns == 0 {
+					t.Fatalf("seed=%d heapOnly=%v: the awaiting procs ran no task form's continuation", seed, heapOnly)
+				}
+				if form == chainForm && !heapOnly {
 					bursts += got.queuedBursts
 					acquires += got.queuedAcquires
 					waits += got.queuedWaits

@@ -277,12 +277,6 @@ func (c *CPU) ExecSelf(p *Proc, cycles int64) Duration {
 	return c.Exec(p, th, cycles)
 }
 
-// ExecDuration is Exec with the work expressed directly as time at this
-// clock (cycles = d * FreqGHz).
-func (c *CPU) ExecDuration(p *Proc, th *Thread, d Duration) Duration {
-	return c.Exec(p, th, int64(float64(d)*c.FreqGHz))
-}
-
 // NoteSwitches records n voluntary context switches (e.g. blocking syscall
 // boundaries) for th's category without consuming core time.
 func (c *CPU) NoteSwitches(th *Thread, n int64) {

@@ -124,21 +124,6 @@ func TestCPUResetStats(t *testing.T) {
 	}
 }
 
-func TestCPUExecDuration(t *testing.T) {
-	env := NewEnv(1)
-	cpu := NewCPU(env, "host", 1, 4.0, 0)
-	th := NewThread("w", "work")
-	env.Spawn("p", func(p *Proc) {
-		cpu.ExecDuration(p, th, 250) // 250ns at 4GHz = 1000 cycles
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if env.Now() != Time(250) {
-		t.Fatalf("now=%v", env.Now())
-	}
-}
-
 func TestCPUZeroCyclesNoop(t *testing.T) {
 	env := NewEnv(1)
 	cpu := NewCPU(env, "host", 1, 1.0, 50)

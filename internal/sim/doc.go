@@ -17,7 +17,8 @@
 // (Env.Delay, Env.WaitThen, CPU.ExecThen, Semaphore.AcquireThen,
 // Event.WaitThen, Event.WaitTimeoutThen, Disk.ReadThen, Disk.WriteThen,
 // Fabric.TransferFrameThen, Queue.ServeTask) is a chain of Task steps, with
-// the events and event order of its proc form.
+// the events and event order of its proc form. A Proc makes a call through
+// its task form by passing itself as the continuation (Proc.Suspend).
 //
 // On top of the kernel the package provides the contended resource models the
 // experiments are measured against:

@@ -190,6 +190,8 @@ type Proc struct {
 	// queue push, an event fire) and stays false when only a timeout fired.
 	// A proc parks in one place at a time, so one flag serves them all.
 	granted bool
+	// suspended is set while the proc is parked in Suspend.
+	suspended bool
 }
 
 // Name returns the name the process was spawned with.
@@ -199,6 +201,10 @@ func (p *Proc) Name() string {
 	}
 	return p.name
 }
+
+// String names the proc, in deadlock reports too when it is the continuation
+// of a task-form call it awaits.
+func (p *Proc) String() string { return p.Name() }
 
 // ID returns the id SpawnID gave the proc. A per-operation body finds its
 // record under it, so every spawn shares one func value: no closure per op.
@@ -254,9 +260,12 @@ type Env struct {
 	// ready is the proc a parking proc found next in the queue; runWindow
 	// resumes it instead of popping again.
 	ready *Proc
-	rng   *rand.Rand
-	live  int
-	procs []*Proc
+	// resumed is the suspended proc a task ran (Proc.Run) in the event being
+	// fired; next returns it once the task is done.
+	resumed *Proc
+	rng     *rand.Rand
+	live    int
+	procs   []*Proc
 	// tasks lists the registered tasks that have not run yet.
 	tasks []*pendingTask
 	// served lists the queues consumed through ServeTask, for Backlog.
@@ -378,8 +387,9 @@ func (e *Env) peek() (ev event, inNowq, ok bool) {
 	return e.nowq.front(), true, true
 }
 
-// next pops live events until one belongs to a proc and returns that proc;
-// the events of tasks on the way are run right here, on the caller's stack.
+// next pops live events until one belongs to a proc, or runs a task that
+// resumes a suspended proc, and returns that proc; the events of tasks on the
+// way are run right here, on the caller's stack.
 // It returns nil when the queue is exhausted or the next live event lies
 // beyond the run limit (the event is left queued). Must only be called by the
 // goroutine currently holding control.
@@ -413,6 +423,10 @@ func (e *Env) next() *Proc {
 			return p
 		}
 		e.advance(pt)
+		if p := e.resumed; p != nil {
+			e.resumed = nil
+			return p
+		}
 	}
 }
 
@@ -589,6 +603,36 @@ func (p *Proc) park() {
 		e.stats.FastPath++
 	}
 	p.state = stateRunning
+}
+
+// Suspend parks p with no wake-up of its own, after p passed itself as next
+// to a task-form call that reported it registered next: the call's chain
+// resumes p by running it (Run), in the event whose task it is, where the
+// proc form of the call would have resumed p. So a proc makes any call through
+// its task form — at the same events, and drawing no sequence number of its
+// own:
+//
+//	if cpu.ExecThen(p.Thread(), cycles, nil, p) {
+//		p.Suspend()
+//	}
+func (p *Proc) Suspend() {
+	p.suspended = true
+	p.park()
+}
+
+// Run resumes p, parked in Suspend: the kernel returns to p as soon as the
+// task that runs it is done, in that task's event. It makes a *Proc a Task,
+// the continuation it hands a task-form call. Run panics unless p is parked in
+// Suspend with no resume already pending: a task form that runs its next
+// inline after reporting that it registered it, or runs it twice, is a wiring
+// bug.
+func (p *Proc) Run() {
+	e := p.env
+	if !p.suspended || e.resumed != nil {
+		panic("sim: " + p.Name() + " run while not parked in Suspend, or with a resume pending")
+	}
+	p.suspended = false
+	e.resumed = p
 }
 
 // newToken creates a fresh single-use wake token for this proc.
@@ -873,7 +917,8 @@ type EnvStats struct {
 	// fresh proc, run on the same coroutine (Handoffs); or by running a task
 	// inline (TaskRuns counts the tasks run; an After or At task that had to
 	// wait consumed a second event to get there, a task form's continuation
-	// one).
+	// one). A task that resumes a suspended proc (Proc.Run) does both: its
+	// event is a task event, and the resume a switch or fast-path wake.
 	Events, Switches, FastPath, Handoffs, TaskRuns uint64
 	// NowQueued counts the events scheduled for the instant they were
 	// scheduled at, which waited in the now-queue and never entered the heap.

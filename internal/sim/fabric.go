@@ -112,19 +112,10 @@ func (n *nic) effectiveRate() float64 {
 	return n.bytesPerSec
 }
 
-// Transfer blocks p while bytes move from src to dst and returns the arrival
-// instant. It panics if either endpoint is unknown (wiring bug). Injected
-// faults are ignored: the frame is always delivered (legacy lossless path;
-// transports that can recover use TransferFrameThen).
-func (f *Fabric) Transfer(p *Proc, src, dst string, bytes int64) Time {
-	arrive, _ := f.book(src, dst, bytes, false)
-	p.WaitUntil(arrive)
-	return arrive
-}
-
-// TransferFrameThen is Transfer under the fault model, for a sender with no
-// proc: the frame still occupies the NICs (a lost frame burns wire time before
-// the loss is detected), but delivered reports whether it actually arrived.
+// TransferFrameThen moves a frame of bytes from src to dst under the fault
+// model; it panics if either endpoint is unknown (wiring bug). The frame
+// occupies the NICs even when lost (a lost frame burns wire time before the
+// loss is detected); delivered reports whether it actually arrived.
 // Drops come from the per-node drop probability (evaluated on the env's
 // seeded random stream) and from partition groups, so runs are reproducible.
 // The frame books the NICs and its loss is drawn now, and t runs at the

@@ -2,13 +2,20 @@ package sim
 
 import "testing"
 
+// transfer sends a frame by awaiting Fabric.TransferFrameThen.
+func transfer(p *Proc, f *Fabric, src, dst string, bytes int64) {
+	if _, _, registered := f.TransferFrameThen(src, dst, bytes, p); registered {
+		p.Suspend()
+	}
+}
+
 func TestFabricBasicTransfer(t *testing.T) {
 	env := NewEnv(1)
 	f := NewFabric(env, "eth", Microsecond)
 	f.AddNode("a", 1e9)
 	f.AddNode("b", 1e9)
 	env.Spawn("p", func(p *Proc) {
-		f.Transfer(p, "a", "b", 1000) // 1us ser + 1us lat
+		transfer(p, f, "a", "b", 1000) // 1us ser + 1us lat
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -27,7 +34,7 @@ func TestFabricSlowerNICBounds(t *testing.T) {
 	f.AddNode("fast", 1e9)
 	f.AddNode("slow", 1e8) // 10x slower
 	env.Spawn("p", func(p *Proc) {
-		f.Transfer(p, "fast", "slow", 1000)
+		transfer(p, f, "fast", "slow", 1000)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -47,7 +54,7 @@ func TestFabricTxContention(t *testing.T) {
 	for _, dst := range []string{"d1", "d2"} {
 		d := dst
 		env.Spawn("p", func(p *Proc) {
-			f.Transfer(p, "src", d, 1000)
+			transfer(p, f, "src", d, 1000)
 			done = append(done, p.Now())
 		})
 	}
@@ -70,7 +77,7 @@ func TestFabricRxIncast(t *testing.T) {
 	for _, src := range []string{"s1", "s2"} {
 		s := src
 		env.Spawn("p", func(p *Proc) {
-			f.Transfer(p, s, "dst", 1000)
+			transfer(p, f, s, "dst", 1000)
 			done = append(done, p.Now())
 		})
 	}
@@ -90,11 +97,11 @@ func TestFabricDisjointPairsParallel(t *testing.T) {
 	}
 	var done []Time
 	env.Spawn("p1", func(p *Proc) {
-		f.Transfer(p, "a", "b", 1000)
+		transfer(p, f, "a", "b", 1000)
 		done = append(done, p.Now())
 	})
 	env.Spawn("p2", func(p *Proc) {
-		f.Transfer(p, "c", "d", 1000)
+		transfer(p, f, "c", "d", 1000)
 		done = append(done, p.Now())
 	})
 	if err := env.Run(); err != nil {
@@ -116,7 +123,7 @@ func TestFabricUnknownNodePanics(t *testing.T) {
 				t.Error("expected panic")
 			}
 		}()
-		f.Transfer(p, "a", "ghost", 10)
+		transfer(p, f, "a", "ghost", 10)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -254,6 +256,61 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 		if env.LiveProcs() != 0 {
 			t.Fatalf("%s: live=%d after shutdown", name, env.LiveProcs())
 		}
+	}
+}
+
+// TestProcPanicOnStrayRun: running a proc (Proc.Run) that is not parked in
+// Suspend, or a second time before it resumed, is a wiring bug, and the panic
+// names the proc — the first from the proc's own body, the second from the
+// task that ran it twice, surfacing from Run.
+func TestProcPanicOnStrayRun(t *testing.T) {
+	recovered := func(f func()) (r any) {
+		defer func() { r = recover() }()
+		f()
+		return nil
+	}
+	env := NewEnv(1)
+	env.Spawn("runner", func(p *Proc) {
+		if r := recovered(p.Run); !strings.Contains(fmt.Sprint(r), "runner") {
+			t.Errorf("running a proc that is not suspended: recovered %v", r)
+		}
+		env.Delay(Microsecond, funcTask(func() { p.Run(); p.Run() }))
+		p.Suspend()
+		t.Error("resumed by a task that ran it twice")
+	})
+	if r := recovered(func() { env.Run() }); !strings.Contains(fmt.Sprint(r), "runner") {
+		t.Fatalf("a task that runs a suspended proc twice: recovered %v", r)
+	}
+	env.Shutdown()
+}
+
+// TestShutdownUnwindsSuspendedProc: a proc suspended on a chain that never
+// completes — an Event.WaitThen on an event nobody fires — is parked like
+// any blocked proc: the deadlock report and Busy name it, and Shutdown
+// unwinds its body and releases its goroutine.
+func TestShutdownUnwindsSuspendedProc(t *testing.T) {
+	before := runtime.NumGoroutine()
+	env := NewEnv(1)
+	var never Event
+	unwound := false
+	env.Spawn("awaiter", func(p *Proc) {
+		defer func() { unwound = true }()
+		if never.WaitThen(env, p) {
+			p.Suspend()
+		}
+		t.Error("suspended proc resumed")
+	})
+	var dl DeadlockError
+	if err := env.Run(); !errors.As(err, &dl) || !slices.Contains(dl.Blocked, "awaiter") {
+		t.Fatalf("Run = %v, want a deadlock naming the awaiter", err)
+	}
+	if busy := env.Busy(); !slices.Contains(busy, "awaiter") {
+		t.Fatalf("Busy = %q, want the awaiter listed", busy)
+	}
+	env.Shutdown()
+	if !unwound || env.LiveProcs() != 0 || runtime.NumGoroutine() != before {
+		t.Fatalf("after Shutdown: unwound=%v live=%d, %d goroutines (%d before)",
+			unwound, env.LiveProcs(), runtime.NumGoroutine(), before)
 	}
 }
 

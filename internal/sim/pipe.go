@@ -45,20 +45,13 @@ func (d *Disk) WriteThen(bytes int64, t Task) (Duration, bool) {
 	return svc, d.until(at, t)
 }
 
-// Read blocks p while a read of the given size queues, seeks and streams,
-// returning the pure service time (excluding queueing).
-func (d *Disk) Read(p *Proc, bytes int64) Duration {
-	svc, at := d.bookRead(bytes)
-	p.WaitUntil(at)
-	return svc
-}
-
-// ReadThen is the task form of Read, the twin of WriteThen: the read is
-// booked now and t runs when it completes, the wake-up drawn where Read's
-// would be. It returns the service time and reports whether t was
-// registered; if not, the caller goes on at once, as after Read.
+// ReadThen is the twin of WriteThen for a read of the given size: the read
+// is booked now and t runs when it completes. It returns the service time
+// and reports whether t was registered; if not, the caller goes on at once.
 func (d *Disk) ReadThen(bytes int64, t Task) (Duration, bool) {
-	svc, at := d.bookRead(bytes)
+	d.bytesRead += bytes
+	d.reads++
+	svc, at := d.book(bytes, d.ReadBytesPerSec)
 	return svc, d.until(at, t)
 }
 
@@ -66,12 +59,6 @@ func (d *Disk) ReadThen(bytes int64, t Task) (Duration, bool) {
 // reaches it, and reports whether it did.
 func (d *Disk) until(at Time, t Task) bool {
 	return at > d.env.now && d.env.WaitThen(at.Sub(d.env.now), t)
-}
-
-func (d *Disk) bookRead(bytes int64) (Duration, Time) {
-	d.bytesRead += bytes
-	d.reads++
-	return d.book(bytes, d.ReadBytesPerSec)
 }
 
 // book queues an IO of the given size behind the ones booked before it and

@@ -8,7 +8,7 @@ func TestDiskWriteReadAccounting(t *testing.T) {
 	d := NewDisk(env, "ssd", 100e6, 200e6, 10*Microsecond)
 	env.Spawn("p", func(p *Proc) {
 		writeDisk(p, d, 1_000_000) // 10ms stream + 10us
-		d.Read(p, 1_000_000)       // 5ms stream + 10us
+		readDisk(p, d, 1_000_000)  // 5ms stream + 10us
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)

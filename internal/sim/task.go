@@ -19,12 +19,13 @@ import "fmt"
 // of a proc's blocking call: Delay or WaitThen for Wait, Event.WaitThen for
 // Event.Wait, Event.WaitTimeoutThen for Event.WaitTimeout, Cond.WaitThen for
 // Cond.Wait, CPU.ExecThen for Exec, Semaphore.AcquireThen for Acquire,
-// Disk.ReadThen for Disk.Read, Disk.WriteThen for a disk write,
+// Disk.ReadThen and Disk.WriteThen for a disk read or write,
 // Fabric.TransferFrameThen for a frame under the fault model, and a ServeTask
 // identity for a daemon popping one queue.
 // Each draws its sequence number where the proc form parks or fires in place
 // and has no registration entry, so a chain of steps fires its proc form's
-// events, in the same order.
+// events, in the same order. A *Proc is a Task too: a proc awaits a task form
+// by passing itself as the continuation and calling Suspend (Proc.Suspend).
 //
 // A task that implements fmt.Stringer is listed under that name in deadlock
 // reports; others are listed by their type.
