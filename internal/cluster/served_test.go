@@ -136,6 +136,10 @@ func TestDMAPlaneServersAreTaskChains(t *testing.T) {
 		cfg             Config
 		objectBytes     int64
 		events, resumes uint64
+		// tokens and records are the wake tokens and pending-task records
+		// the kernel took (EnvStats): a Delay step, or a continuation
+		// granted without a deadline, takes neither.
+		tokens, records uint64
 	}{
 		// With every server a proc, DoCeph fires the same 5,007 events and
 		// resumes 2,285 times (47.60 per op); with the write path's three as
@@ -147,10 +151,12 @@ func TestDMAPlaneServersAreTaskChains(t *testing.T) {
 		// path's servers and rpc-server as procs, fires the same 4,145
 		// events and resumes 774 times (16.12 per op); with tp_osd_tp and
 		// host-read:, 291 (6.06 per op). What still resumes is the clients, the
-		// PG creation and the loops that stayed procs.
-		{"doceph", Config{Mode: DoCeph}, 4 << 20, 5007, 76},
-		{"baseline", Config{Mode: Baseline}, 4 << 20, 2044, 73},
-		{"batched", batched, 64 << 10, 4145, 76},
+		// PG creation and the loops that stayed procs. With every task event
+		// on a token and a record, the three took 3,868 / 3,416, 1,424 /
+		// 1,332 and 3,175 / 2,863.
+		{"doceph", Config{Mode: DoCeph}, 4 << 20, 5007, 76, 1211, 759},
+		{"baseline", Config{Mode: Baseline}, 4 << 20, 2044, 73, 174, 82},
+		{"batched", batched, 64 << 10, 4145, 76, 931, 619},
 	} {
 		c.cfg.Seed = 7
 		cl := New(c.cfg)
@@ -175,11 +181,14 @@ func TestDMAPlaneServersAreTaskChains(t *testing.T) {
 		}
 		st := cl.Env.Stats()
 		resumes := st.Switches / 2
-		t.Logf("%s: %d ops: %d events, %d resumes (%.2f per op), %d task runs", c.name, res.Ops, st.Events, resumes,
-			float64(resumes)/float64(res.Ops), st.TaskRuns)
+		t.Logf("%s: %d ops: %d events, %d resumes (%.2f per op), %d task runs, %d tokens, %d records", c.name, res.Ops,
+			st.Events, resumes, float64(resumes)/float64(res.Ops), st.TaskRuns, st.Tokens, st.Records)
 		if res.Ops != 48 || st.Events != c.events || resumes != c.resumes {
 			t.Errorf("%s: %d ops, %d events, %d resumes; pinned: 48 ops, %d events, %d resumes (%.2f per op)",
 				c.name, res.Ops, st.Events, resumes, c.events, c.resumes, float64(c.resumes)/48)
+		}
+		if st.Tokens != c.tokens || st.Records != c.records {
+			t.Errorf("%s: %d tokens, %d records taken; pinned: %d tokens, %d records", c.name, st.Tokens, st.Records, c.tokens, c.records)
 		}
 		if c.cfg.Bridge.Batch.Enable {
 			if n := cl.Nodes[0].Bridge.Proxy.Stats().BatchedTxns; n == 0 {

@@ -215,3 +215,37 @@ func BenchmarkServeChain(b *testing.B) {
 	}
 	env.Shutdown()
 }
+
+// BenchmarkDelayChains is BenchmarkTimerHeap with the forty timers as task
+// chains joined by Delay: one event per iteration through the heap, each run
+// inline, queued as itself — no token, no record, no resume.
+func BenchmarkDelayChains(b *testing.B) {
+	env := NewEnv(1)
+	const chains = 40
+	for i := 0; i < chains; i++ {
+		env.Delay(0, &timerChain{env: env, d: Duration(100+i) * Nanosecond, n: (b.N + i) / chains})
+	}
+	b.ResetTimer()
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	if st := env.Stats(); st.Events != uint64(b.N)+chains || st.Tokens != 0 || st.Records != 0 || st.Switches != 0 {
+		b.Fatalf("%+v: want %d task events and no token, record or resume", st, b.N)
+	}
+	env.Shutdown()
+}
+
+// timerChain delays itself n times by d.
+type timerChain struct {
+	env *Env
+	d   Duration
+	n   int
+}
+
+func (c *timerChain) Run() {
+	if c.n > 0 {
+		c.n--
+		c.env.Delay(c.d, c)
+	}
+}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -474,12 +475,15 @@ func transferFrame(p *Proc, f *Fabric, src, dst string, bytes int64) bool {
 // resume no coroutine. Daemon procs that await those task forms (Suspend)
 // instead of making the blocking calls log the same and fire the same events
 // as the native procs. The timed waits see all three outcomes: the event
-// fired before the deadline, at its instant, or not in time.
+// fired before the deadline, at its instant, or not in time. The logs are
+// pinned by their hash.
 func TestChainServersMatchProcServers(t *testing.T) {
 	bursts, acquires, waits, writes, reads, conds := 0, 0, 0, 0, 0, 0
 	var timed, frames, early, atDeadline, timedOut, dropped int
+	h := fnv.New64a()
 	for seed := int64(1); seed <= 24; seed++ {
 		want, wantSt := chainProgram(t, seed, procForm, false)
+		hashLogs(h, want.log)
 		if len(want.log) < 40 {
 			t.Fatalf("seed=%d: only %d log entries; the program did nothing", seed, len(want.log))
 		}
@@ -527,24 +531,29 @@ func TestChainServersMatchProcServers(t *testing.T) {
 	}
 	t.Logf("queued: %d bursts, %d acquires, %d event waits, %d disk writes, %d disk reads, %d timed waits (%d fired early, %d at the deadline, %d timed out), %d frames (%d lost), %d condition waits",
 		bursts, acquires, waits, writes, reads, timed, early, atDeadline, timedOut, frames, dropped, conds)
+	if got := h.Sum64(); got != chainLogHash {
+		t.Fatalf("the logs hash to %#x, pinned %#x: an event moved", got, chainLogHash)
+	}
 }
 
 // TestShutdownDropsQueuedTaskForms: a burst queued behind a busy one-core CPU
 // and a task queued on a drained semaphore wait in those FIFOs, not in the
 // event queue or an event's waiter list; a chain parked in Event.WaitThen
 // waits in the event's waiter list, one in Cond.WaitThen in the condition's,
-// one in Disk.WriteThen in the event queue, and one in Event.WaitTimeoutThen
-// in both. Shutdown drops them all — nothing of them runs, the FIFOs skip
-// their spent tokens later, the waiter lists are emptied, the deadline is
-// compacted away and the tokens go back to the pool — and leaves nothing
-// live. Before that, a timed wait whose event
-// fires first leaves its deadline behind as a dead entry: the record of its
-// continuation, reused by the next task, is not reached by it.
+// one in Disk.WriteThen in the event queue (as itself: no token, no record),
+// and one in Event.WaitTimeoutThen in both. Shutdown drops them all — nothing
+// of them runs, the FIFOs skip their spent tokens later, the waiter lists are
+// emptied, the deadline and the write are taken off the event queue and the
+// tokens and records go back to the pools — and leaves nothing live. Before
+// that, a timed wait whose event fires first leaves its deadline behind as a
+// dead entry: the record of its continuation, reused by the next task to wait
+// on a FIFO (AcquireThen), is not reached by it.
 func TestShutdownDropsQueuedTaskForms(t *testing.T) {
 	env := NewEnv(1)
 	cpu := NewCPU(env, "c", 1, 1.0, 0)
 	sem := NewSemaphore(env, 0)
 	disk := NewDisk(env, "d", 1e9, 1e9, Second)
+	gate := NewSemaphore(env, 0)
 	var ev, timed, early Event
 	var cond Cond
 	th := NewThread("t", "t")
@@ -557,8 +566,11 @@ func TestShutdownDropsQueuedTaskForms(t *testing.T) {
 		if !early.WaitTimeoutThen(env, 5*Microsecond, funcTask(func() {
 			runs = append(runs, fmt.Sprintf("fired=%v@%d", early.Fired(), env.Now()))
 			// The continuation's record is back on the free list, its token
-			// spent with the deadline still queued: the next task takes it.
-			env.Delay(10*Microsecond, log("later"))
+			// spent with the deadline still queued: the next task to wait on
+			// a FIFO takes it.
+			if !gate.AcquireThen(1, log("later")) {
+				t.Error("an acquire on a drained semaphore did not queue")
+			}
 			reused = env.tasks[len(env.tasks)-1]
 		})) {
 			t.Error("a timed wait for an unfired event did not queue")
@@ -566,6 +578,8 @@ func TestShutdownDropsQueuedTaskForms(t *testing.T) {
 		first = env.tasks[len(env.tasks)-1]
 		p.Wait(Microsecond)
 		early.Fire()
+		p.Wait(10 * Microsecond)
+		gate.Release(1)
 	})
 	ran := 0
 	count := funcTask(func() { ran++ })
@@ -605,8 +619,8 @@ func TestShutdownDropsQueuedTaskForms(t *testing.T) {
 		t.Fatalf("the timed wait's token has %d queued entries and %d refs, want its deadline and its waiter-list entry", timedTok.queued, timedTok.refs)
 	}
 	env.Shutdown()
-	if live := env.LiveProcs(); live != 0 || len(env.tasks) != 0 {
-		t.Fatalf("after Shutdown: live=%d tasks=%d", live, len(env.tasks))
+	if live := env.LiveProcs(); live != 0 || len(env.tasks) != 0 || len(env.taskFree) != env.taskMade {
+		t.Fatalf("after Shutdown: live=%d tasks=%d, %d records pooled of %d", live, len(env.tasks), len(env.taskFree), env.taskMade)
 	}
 	for _, c := range []struct {
 		name    string

@@ -309,7 +309,7 @@ func (c *CPU) release(core int) {
 			} else {
 				tok.task.run.(*burst).core = int32(core)
 			}
-			c.env.schedule(tok, c.env.now)
+			c.env.grant(tok)
 			c.env.dropRef(tok)
 			return
 		}

@@ -32,6 +32,8 @@ import (
 //
 // A token belongs either to a proc (p) or to a pending task (task), never
 // both; the event queue, the waiter lists and the pool treat the two alike.
+// A task has one only for a registration, or in a waiter list or FIFO until
+// its grant (its wake-up, if a WaitTimeoutThen deadline is queued).
 type wakeToken struct {
 	p      *Proc
 	task   *pendingTask
@@ -39,6 +41,10 @@ type wakeToken struct {
 	refs   int16
 	queued int16
 }
+
+// Run makes a token one kind of an event's run. The kernel type-switches on
+// it and never calls it.
+func (*wakeToken) Run() { panic("sim: a wake token was run as a task") }
 
 // env returns the environment of the token's owner.
 func (tok *wakeToken) env() *Env {
@@ -48,10 +54,13 @@ func (tok *wakeToken) env() *Env {
 	return tok.task.env
 }
 
+// event is an entry of the event queue. A *wakeToken run wakes its owner, or
+// is dead once spent; any other run is a task queued as itself (by Delay or a
+// grant), run inline: no token, no record, never dead.
 type event struct {
 	t   Time
 	seq uint64
-	tok *wakeToken
+	run Task
 }
 
 func (a event) before(b event) bool {
@@ -59,6 +68,12 @@ func (a event) before(b event) bool {
 		return a.t < b.t
 	}
 	return a.seq < b.seq
+}
+
+// spent reports whether ev is a dead entry: a token already used.
+func (ev event) spent() bool {
+	tok, ok := ev.run.(*wakeToken)
+	return ok && tok.spent
 }
 
 // eventHeap is a 4-ary array-indexed min-heap ordered by (t, seq). It stores
@@ -93,7 +108,7 @@ func (h *eventHeap) pop() event {
 	min := a[0]
 	last := len(a) - 1
 	ev := a[last]
-	a[last] = event{} // release the token pointer
+	a[last] = event{} // release the token or task
 	h.a = a[:last]
 	if last > 0 {
 		h.down(0, ev)
@@ -266,7 +281,8 @@ type Env struct {
 	rng     *rand.Rand
 	live    int
 	procs   []*Proc
-	// tasks lists the registered tasks that have not run yet.
+	// tasks lists the records of the tasks that have not run; a task queued
+	// as itself is in the event queue alone.
 	tasks []*pendingTask
 	// served lists the queues consumed through ServeTask, for Backlog.
 	served []interface{ backlog() (string, int) }
@@ -282,6 +298,8 @@ type Env struct {
 	procFree []*Proc
 	tokFree  []*wakeToken
 	taskFree []*pendingTask
+	// tokMade and taskMade count the tokens and records ever allocated.
+	tokMade, taskMade int
 	// coroFree holds at least one coroutine per unstarted proc (spawned, start
 	// event not fired yet), so that procs spawned during set-up make their
 	// coroutines there and not in the measured run.
@@ -312,12 +330,14 @@ func (e *Env) Rand() *rand.Rand { return e.rng }
 
 // getToken takes a token from the pool (or allocates one) for p.
 func (e *Env) getToken(p *Proc) *wakeToken {
+	e.stats.Tokens++
 	if n := len(e.tokFree); n > 0 {
 		tok := e.tokFree[n-1]
 		e.tokFree = e.tokFree[:n-1]
 		tok.p, tok.spent = p, false
 		return tok
 	}
+	e.tokMade++
 	return &wakeToken{p: p}
 }
 
@@ -334,13 +354,18 @@ func (e *Env) dropRef(tok *wakeToken) {
 
 // schedule enqueues tok to fire at time at (>= now).
 func (e *Env) schedule(tok *wakeToken, at Time) {
+	tok.refs++
+	tok.queued++
+	e.queue(at, tok)
+}
+
+// queue enqueues run at time at (>= now), at the next sequence number.
+func (e *Env) queue(at Time, run Task) {
 	if at < e.now {
 		at = e.now
 	}
 	e.seq++
-	tok.refs++
-	tok.queued++
-	ev := event{t: at, seq: e.seq, tok: tok}
+	ev := event{t: at, seq: e.seq, run: run}
 	if at == e.now && !e.heapOnly {
 		e.nowq.push(ev)
 		e.stats.NowQueued++
@@ -366,20 +391,20 @@ func (e *Env) unqueue(tok *wakeToken) {
 // The heap's top comes first only when it is due at this same instant and was
 // scheduled before the now-queue's front; otherwise it waits unexamined.
 func (e *Env) peek() (ev event, inNowq, ok bool) {
-	for e.nowq.len() > 0 && e.nowq.front().tok.spent {
+	for e.nowq.len() > 0 && e.nowq.front().spent() {
 		e.dead--
-		e.unqueue(e.nowq.pop().tok)
+		e.unqueue(e.nowq.pop().run.(*wakeToken))
 	}
 	for e.heap.len() > 0 {
 		top := e.heap.a[0]
 		if e.nowq.len() > 0 && !top.before(e.nowq.front()) {
 			break
 		}
-		if !top.tok.spent {
+		if !top.spent() {
 			return top, false, true
 		}
 		e.dead--
-		e.unqueue(e.heap.pop().tok)
+		e.unqueue(e.heap.pop().run.(*wakeToken))
 	}
 	if e.nowq.len() == 0 {
 		return ev, false, false
@@ -404,25 +429,32 @@ func (e *Env) next() *Proc {
 		} else {
 			e.heap.pop()
 		}
-		tok := ev.tok
-		p, pt := tok.p, tok.task
 		e.now = ev.t
 		e.stats.Events++
-		tok.spent = true
-		if tok.queued > 1 {
-			e.dead += int(tok.queued) - 1
-			if e.dead > e.stats.DeadPeak {
-				e.stats.DeadPeak = e.dead
+		run := ev.run
+		if tok, ok := run.(*wakeToken); ok {
+			p, pt := tok.p, tok.task
+			tok.spent = true
+			if tok.queued > 1 {
+				e.dead += int(tok.queued) - 1
+				if e.dead > e.stats.DeadPeak {
+					e.stats.DeadPeak = e.dead
+				}
+				if e.dead*e.compactDen > e.pending() {
+					e.compact(false)
+				}
 			}
-			if e.dead*e.compactDen > e.pending() {
-				e.compact()
+			e.unqueue(tok)
+			if pt == nil {
+				return p
+			}
+			if run = e.advance(pt); run == nil {
+				continue
 			}
 		}
-		e.unqueue(tok)
-		if pt == nil {
-			return p
-		}
-		e.advance(pt)
+		e.live--
+		e.stats.TaskRuns++
+		run.Run()
 		if p := e.resumed; p != nil {
 			e.resumed = nil
 			return p
@@ -431,27 +463,24 @@ func (e *Env) next() *Proc {
 }
 
 // compact removes every dead entry from the now-queue, in place, and from the
-// heap, restoring the heap property bottom-up. (t, seq) is a total order, so
+// heap, restoring the heap property bottom-up; with tasks set (Shutdown) it
+// drops the tasks queued as themselves too. (t, seq) is a total order, so
 // the order in which the surviving entries pop — and with it every simulated
 // value — does not depend on the array layout. It runs when more than half
 // the queued events are dead, so its cost is amortized over the entries it
 // removes; the backing arrays are kept.
-func (e *Env) compact() {
+func (e *Env) compact(tasks bool) {
 	for n := e.nowq.len(); n > 0; n-- {
-		if ev := e.nowq.pop(); ev.tok.spent {
-			e.unqueue(ev.tok)
-		} else {
+		if ev := e.nowq.pop(); !e.drop(ev, tasks) {
 			e.nowq.push(ev)
 		}
 	}
 	a := e.heap.a
 	live := a[:0]
 	for _, ev := range a {
-		if ev.tok.spent {
-			e.unqueue(ev.tok)
-			continue
+		if !e.drop(ev, tasks) {
+			live = append(live, ev)
 		}
-		live = append(live, ev)
 	}
 	clear(a[len(live):])
 	e.heap.a = live
@@ -460,6 +489,21 @@ func (e *Env) compact() {
 	for i := (len(live) - 2) >> 2; i >= 0; i-- {
 		e.heap.down(i, live[i])
 	}
+}
+
+// drop accounts for ev leaving the queue unfired and reports whether it goes:
+// a dead entry always, a task queued as itself when tasks is set.
+func (e *Env) drop(ev event, tasks bool) bool {
+	tok, isTok := ev.run.(*wakeToken)
+	switch {
+	case isTok && tok.spent:
+		e.unqueue(tok)
+	case !isTok && tasks:
+		e.live--
+	default:
+		return false
+	}
+	return true
 }
 
 // SpawnDaemon creates a service-loop process that is expected to block
@@ -790,7 +834,8 @@ func (e *Env) runWindow(limit Time) (drained bool) {
 }
 
 // blockedState is the partition's deadlock snapshot: the sorted names of procs
-// and tasks that cannot run (daemons' only counted), and the starved queues.
+// and tasks that have not run (daemons' only counted), and the starved queues.
+// Tasks queued as themselves are in the event queue, which a deadlock drained.
 func (e *Env) blockedState(name string) PartitionState {
 	ps := PartitionState{Name: name, Now: e.now}
 	for _, p := range e.procs {
@@ -803,12 +848,23 @@ func (e *Env) blockedState(name string) PartitionState {
 		}
 		ps.Parked = append(ps.Parked, p.Name())
 	}
-	for _, pt := range e.tasks {
-		if _, ok := pt.run.(Daemon); ok {
+	task := func(t Task) {
+		switch t.(type) {
+		case *wakeToken: // a proc's or a listed task's
+		case Daemon:
 			ps.Daemons++
-			continue
+		default:
+			ps.Parked = append(ps.Parked, taskName(t))
 		}
-		ps.Parked = append(ps.Parked, taskName(pt.run))
+	}
+	for _, pt := range e.tasks {
+		task(pt.run)
+	}
+	for i := 0; i < e.nowq.len(); i++ {
+		task(e.nowq.at(i).run)
+	}
+	for _, ev := range e.heap.a {
+		task(ev.run)
 	}
 	sort.Strings(ps.Parked)
 	ps.Starved = e.Backlog()
@@ -846,12 +902,13 @@ func (e *Env) advanceTo(t Time) {
 
 // Shutdown force-terminates every process that is still parked and stops the
 // pooled coroutines, releasing their goroutines; procs that never started own
-// no coroutine and are only accounted for. It drops every pending task: the
-// tokens in the event queue or a waiter list (an After task's, an
-// Event.WaitThen or Cond.WaitThen continuation's, or an Event.WaitTimeoutThen
-// one's, which is in both) return to the pool, and one in a CPU's or
-// Semaphore's waiter FIFO is left there, spent. The environment must not be
-// used afterwards.
+// no coroutine and are only accounted for. It drops every task that has not
+// run: one queued as itself leaves the event queue; a pending one's record
+// returns to the pool, and so does its token if it is in the event queue or a
+// waiter list (an After task's, an Event.WaitThen or Cond.WaitThen
+// continuation's, or an Event.WaitTimeoutThen one's, which is in both), while
+// one in a CPU's or Semaphore's waiter FIFO is left there, spent. The
+// environment must not be used afterwards.
 func (e *Env) Shutdown() {
 	for _, p := range e.procs {
 		switch p.state {
@@ -886,13 +943,15 @@ func (e *Env) Shutdown() {
 		// A token in neither waits in a CPU's or a Semaphore's FIFO, which
 		// drops a spent token when it reaches it, as it does a timed-out one.
 		e.live--
+		*pt = pendingTask{env: e}
+		e.taskFree = append(e.taskFree, pt)
 	}
-	e.tasks, e.taskFree = nil, nil
-	e.compact()
+	e.tasks = nil
+	e.compact(true)
 }
 
 // LiveProcs returns the number of processes that have not finished plus the
-// number of registered tasks that have not run.
+// number of tasks — pending or queued as themselves — that have not run.
 func (e *Env) LiveProcs() int { return e.live }
 
 // Busy lists, sorted, the live procs and tasks that are not daemons: the work
@@ -920,6 +979,11 @@ type EnvStats struct {
 	// one). A task that resumes a suspended proc (Proc.Run) does both: its
 	// event is a task event, and the resume a switch or fast-path wake.
 	Events, Switches, FastPath, Handoffs, TaskRuns uint64
+	// Tokens and Records count the wake tokens and pending-task records taken:
+	// a token per proc start, proc park with a wake-up of its own, task
+	// registration and wait in a waiter list or FIFO, a record per task
+	// registration and wait. A task queued as itself takes neither.
+	Tokens, Records uint64
 	// NowQueued counts the events scheduled for the instant they were
 	// scheduled at, which waited in the now-queue and never entered the heap.
 	NowQueued uint64
@@ -944,6 +1008,8 @@ func (s *EnvStats) add(o EnvStats) {
 	s.FastPath += o.FastPath
 	s.Handoffs += o.Handoffs
 	s.TaskRuns += o.TaskRuns
+	s.Tokens += o.Tokens
+	s.Records += o.Records
 	s.NowQueued += o.NowQueued
 	s.HeapPeak = max(s.HeapPeak, o.HeapPeak)
 	s.DeadPeak = max(s.DeadPeak, o.DeadPeak)

@@ -89,7 +89,7 @@ func popTrace(t *testing.T, seed int64, den int) (log []string, peak int) {
 		}
 		inHeap := 0
 		for _, ev := range e.heap.a {
-			if ev.tok.spent {
+			if ev.spent() {
 				inHeap++
 			}
 		}

@@ -26,6 +26,9 @@ func (f *fifo[T]) push(v T) {
 // front returns the oldest element; the fifo must not be empty.
 func (f *fifo[T]) front() T { return f.buf[f.head] }
 
+// at returns the i-th oldest element, i < len().
+func (f *fifo[T]) at(i int) T { return f.buf[(f.head+uint32(i))&uint32(len(f.buf)-1)] }
+
 // pop removes and returns the oldest element. The vacated slot is zeroed so
 // the ring does not keep a popped value or token reachable.
 func (f *fifo[T]) pop() T {
@@ -333,7 +336,7 @@ func (s *Semaphore) Release(n int) {
 		s.waiters.pop()
 		if !w.tok.spent {
 			s.avail -= w.n
-			s.env.schedule(w.tok, s.env.now)
+			s.env.grant(w.tok)
 		}
 		s.env.dropRef(w.tok)
 	}
@@ -403,9 +406,22 @@ func (e *Env) wake(tok *wakeToken) {
 		if tok.p != nil {
 			tok.p.granted = true
 		}
-		e.schedule(tok, e.now)
+		e.grant(tok)
 	}
 	e.dropRef(tok)
+}
+
+// grant queues the wake-up of tok, taken off a waiter list or FIFO, now. A
+// task's continuation with no entry queued (no WaitTimeoutThen deadline) races
+// nothing any more: its record and token retire, and the task is queued as
+// itself at the sequence number the token would have drawn.
+func (e *Env) grant(tok *wakeToken) {
+	if pt := tok.task; pt != nil && tok.queued == 0 {
+		tok.spent = true
+		e.queue(e.now, e.unlist(pt))
+		return
+	}
+	e.schedule(tok, e.now)
 }
 
 // Event is a one-shot broadcast: processes Wait until Fire is called, after

@@ -40,8 +40,9 @@ type Daemon interface {
 	Daemon()
 }
 
-// pendingTask is the kernel's record of a registered task until it runs.
-// Records are pooled, like procs.
+// pendingTask is the kernel's record of a registered task, or of one waiting
+// in a waiter list or FIFO, until it runs or is granted. Records are pooled,
+// like procs.
 type pendingTask struct {
 	env *Env
 	run Task
@@ -79,11 +80,13 @@ func (e *Env) register(t Task, ev *Event, at Time) {
 
 // listTask lists a fresh record for t.
 func (e *Env) listTask(t Task) *pendingTask {
+	e.stats.Records++
 	var pt *pendingTask
 	if n := len(e.taskFree); n > 0 {
 		pt = e.taskFree[n-1]
 		e.taskFree = e.taskFree[:n-1]
 	} else {
+		e.taskMade++
 		pt = &pendingTask{env: e}
 	}
 	pt.run, pt.ev, pt.at, pt.cond, pt.started = t, nil, 0, nil, false
@@ -93,9 +96,9 @@ func (e *Env) listTask(t Task) *pendingTask {
 	return pt
 }
 
-// continuation returns the token of a task form's blocking call: the next
-// entry of it to fire runs t, as the parked proc would have been resumed.
-// The caller schedules it or adds it to a waiter FIFO.
+// continuation returns the token of a task form's call that waits in a waiter
+// list or FIFO: the grant, or the next entry of it to fire, runs t, as the
+// parked proc would have been resumed. The caller adds it to the list.
 func (e *Env) continuation(t Task) *wakeToken {
 	pt := e.listTask(t)
 	pt.started = true // no registration entry: the call is made from a running step
@@ -105,12 +108,14 @@ func (e *Env) continuation(t Task) *wakeToken {
 // Delay runs t after d of virtual time: the task form of a proc's Wait(d). Its
 // one event takes its sequence number here, where the Wait would have drawn
 // one whether it fired in place or parked, so a chain of steps joined by
-// Delay fires the events its proc form would, in the same order.
+// Delay fires the events its proc form would, in the same order. Nothing can
+// race it, so t is queued as itself: no token, no record.
 func (e *Env) Delay(d Duration, t Task) {
 	if d < 0 {
 		d = 0
 	}
-	e.schedule(e.continuation(t), e.now.Add(d))
+	e.live++
+	e.queue(e.now.Add(d), t)
 }
 
 // WaitThen is the task form of a proc's Wait(d), for a step that goes on
@@ -134,20 +139,26 @@ func (e *Env) taskToken(pt *pendingTask) *wakeToken {
 
 // advance handles a fired heap entry of pt. The registration entry checks the
 // condition once, like a proc body reaching its Wait, and waits for the event
-// or the deadline if it is still ahead; otherwise, and on the wake-up, the
-// task runs.
-func (e *Env) advance(pt *pendingTask) {
+// or the deadline if it is still ahead, returning nil; otherwise, and on the
+// wake-up, it retires pt and returns the task to run.
+func (e *Env) advance(pt *pendingTask) Task {
 	if !pt.started {
 		pt.started = true
 		switch {
 		case pt.ev != nil && !pt.ev.fired:
 			pt.ev.waiters.add(e.taskToken(pt))
-			return
+			return nil
 		case pt.at > e.now:
 			e.schedule(e.taskToken(pt), pt.at)
-			return
+			return nil
 		}
 	}
+	return e.unlist(pt)
+}
+
+// unlist retires pt, whose task is about to run or be queued as itself, and
+// returns the task.
+func (e *Env) unlist(pt *pendingTask) Task {
 	t := pt.run
 	last := e.tasks[len(e.tasks)-1]
 	e.tasks[pt.idx], last.idx = last, pt.idx
@@ -155,9 +166,7 @@ func (e *Env) advance(pt *pendingTask) {
 	e.tasks = e.tasks[:len(e.tasks)-1]
 	pt.run, pt.ev, pt.cond, pt.tok = nil, nil, nil, nil
 	e.taskFree = append(e.taskFree, pt)
-	e.live--
-	e.stats.TaskRuns++
-	t.Run()
+	return t
 }
 
 func taskName(t Task) string {

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -253,10 +255,14 @@ func taskProgram(t *testing.T, seed int64, useTasks, heapOnly bool, workers int)
 // over seeded random programs of procs, events, timeouts, semaphores, queues
 // and cross-partition messages, turning every "spawn, wait once, run a
 // non-blocking tail" proc into a task changes neither the (t, seq, owner) log
-// of any partition nor its event count, at any worker count.
+// of any partition nor its event count, at any worker count. The logs
+// themselves are pinned by their hash: a kernel change that moved both forms
+// alike fails there.
 func TestTaskReplacesWatcherProcOneForOne(t *testing.T) {
+	h := fnv.New64a()
 	for seed := int64(1); seed <= 16; seed++ {
 		wantLogs, want := taskProgram(t, seed, false, false, 1)
+		hashLogs(h, wantLogs...)
 		wantEvents := eventCounts(want)
 		entries := 0
 		for _, l := range wantLogs {
@@ -278,6 +284,27 @@ func TestTaskReplacesWatcherProcOneForOne(t *testing.T) {
 				}
 			}
 		}
+	}
+	if got := h.Sum64(); got != watcherLogHash {
+		t.Fatalf("the logs hash to %#x, pinned %#x: an event moved", got, watcherLogHash)
+	}
+}
+
+// watcherLogHash and chainLogHash pin the logs of the two property tests at
+// their seeds (hashLogs).
+const (
+	watcherLogHash uint64 = 0xcdaeac60bab947c3
+	chainLogHash   uint64 = 0x304226ad6d858679
+)
+
+// hashLogs folds logs, entry by entry, into h.
+func hashLogs(h hash.Hash64, logs ...[]string) {
+	for _, l := range logs {
+		for _, entry := range l {
+			h.Write([]byte(entry))
+			h.Write([]byte{'\n'})
+		}
+		h.Write([]byte{0})
 	}
 }
 
@@ -351,6 +378,16 @@ func TestTaskRegistrationDoesNotAllocate(t *testing.T) {
 				}
 			})
 		},
+		"Delay chain, zero and timed": func(env *Env) {
+			env.Delay(0, &delayChain{env: env, ran: &ran})
+		},
+		"AcquireThen granted": func(env *Env) {
+			sem := NewSemaphore(env, 1)
+			for i := 0; i < 3; i++ {
+				h := &permitHolder{sem: sem, ran: &ran}
+				h.Run()
+			}
+		},
 	}
 	for name, build := range cases {
 		if allocs := steadyAllocs(t, build); allocs != 0 {
@@ -359,6 +396,45 @@ func TestTaskRegistrationDoesNotAllocate(t *testing.T) {
 	}
 	if ran == 0 {
 		t.Fatal("no task ever ran")
+	}
+}
+
+// delayChain is a task chain joined by Delay alone, zero and timed by turns.
+type delayChain struct {
+	env *Env
+	ran *int
+}
+
+func (c *delayChain) Run() {
+	*c.ran++
+	c.env.Delay(Duration(*c.ran%2)*Microsecond, c)
+}
+
+// permitHolder takes a permit through AcquireThen, holds it a microsecond
+// and gives it back, over and over, while others wait in the FIFO.
+type permitHolder struct {
+	sem *Semaphore
+	ran *int
+	// phase is 0 before the first acquire, 1 while the acquire waits, 2
+	// while the permit is held.
+	phase int
+}
+
+func (h *permitHolder) Run() {
+	switch h.phase {
+	case 2:
+		h.sem.Release(1)
+		fallthrough
+	case 0:
+		h.phase = 1
+		if h.sem.AcquireThen(1, h) {
+			return
+		}
+		fallthrough
+	case 1:
+		*h.ran++
+		h.phase = 2
+		h.sem.env.Delay(Microsecond, h)
 	}
 }
 
@@ -462,7 +538,8 @@ func TestTaskStuckIsReportedAndShutdownDropsIt(t *testing.T) {
 // TestTaskStatsAccountForEveryEvent: each fired event was consumed by a
 // resume from the scheduler (two switches), by the waiting proc itself, by a
 // finishing body that handed its coroutine on, or by a task, and had waited
-// in the now-queue, in the heap or in neither (a wait fired in place); a
+// in the now-queue, in the heap or in neither (a wait fired in place); the
+// tokens and records taken are exactly the registrations that can race; a
 // group adds its partitions up at any worker count.
 func TestTaskStatsAccountForEveryEvent(t *testing.T) {
 	build := func(seed int64) *Env {
@@ -514,6 +591,15 @@ func TestTaskStatsAccountForEveryEvent(t *testing.T) {
 		}
 		if st.FastPath < 50 || st.Switches == 0 || st.HeapPeak < 3 || st.DeadPeak == 0 || st.Compactions == 0 {
 			t.Fatalf("%+v: a counter that should have moved did not", st)
+		}
+		// Tokens: a hundred and three proc starts, fifty PopTimeouts, the
+		// fifty-one registrations and the After task's waiter-list entry, and
+		// fifty-two parked timed waits (solo's first; all the producer's but
+		// the first of its loop, which fires in place). Records: one per
+		// registration. The After task's wake-up, granted by Fire, is queued
+		// as itself and takes neither.
+		if st.Tokens != 257*envs || st.Records != 51*envs {
+			t.Fatalf("%+v: want %d tokens and %d records", st, 257*envs, 51*envs)
 		}
 	}
 	env := build(1)
