@@ -7,7 +7,7 @@ package radosbench
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -152,22 +152,59 @@ func (c ClassStats) ThroughputBps(window sim.Duration) float64 {
 	return float64(c.Bytes) / window.Seconds()
 }
 
+// classStats summarizes one class's latencies, sorted.
 func classStats(lats []sim.Duration, ops, bytes int64) ClassStats {
 	cs := ClassStats{Ops: ops, Bytes: bytes}
 	if len(lats) == 0 {
 		return cs
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	var sum sim.Duration
-	for _, l := range lats {
-		sum += l
-	}
-	cs.AvgLatency = sum / sim.Duration(len(lats))
+	cs.AvgLatency = total(lats) / sim.Duration(len(lats))
 	cs.MinLatency = lats[0]
 	cs.MaxLatency = lats[len(lats)-1]
 	cs.P50 = lats[len(lats)/2]
 	cs.P99 = lats[len(lats)*99/100]
 	return cs
+}
+
+// summarize sorts each class's latencies and fills in res's latency figures:
+// each class's from its own, the overall ones from the merge of the two
+// sorted classes, so no third list is kept or sorted.
+func summarize(res *Result, readLats, writeLats []sim.Duration) {
+	slices.Sort(readLats)
+	slices.Sort(writeLats)
+	res.ReadStats = classStats(readLats, res.ReadStats.Ops, res.ReadStats.Bytes)
+	res.WriteStats = classStats(writeLats, res.WriteStats.Ops, res.WriteStats.Bytes)
+	n := len(readLats) + len(writeLats)
+	if n == 0 {
+		return
+	}
+	res.AvgLatency = (total(readLats) + total(writeLats)) / sim.Duration(n)
+	res.MinLatency = mergedAt(readLats, writeLats, 0)
+	res.MaxLatency = mergedAt(readLats, writeLats, n-1)
+	res.P50 = mergedAt(readLats, writeLats, n/2)
+	res.P99 = mergedAt(readLats, writeLats, n*99/100)
+}
+
+func total(lats []sim.Duration) (sum sim.Duration) {
+	for _, l := range lats {
+		sum += l
+	}
+	return sum
+}
+
+// mergedAt returns element k of the merge of the sorted a and b.
+func mergedAt(a, b []sim.Duration, k int) sim.Duration {
+	for ; k > 0; k-- {
+		if len(b) == 0 || len(a) > 0 && a[0] <= b[0] {
+			a = a[1:]
+		} else {
+			b = b[1:]
+		}
+	}
+	if len(b) == 0 || len(a) > 0 && a[0] <= b[0] {
+		return a[0]
+	}
+	return b[0]
 }
 
 // SecondSample is one per-second instrumentation row.
@@ -260,7 +297,6 @@ func Run(env *sim.Env, client *rados.Client, cfg Config) (Result, error) {
 		measuring    bool
 		stopped      bool
 		measureStart sim.Time
-		lats         []sim.Duration
 		readLats     []sim.Duration
 		writeLats    []sim.Duration
 		perSecOps    []int64
@@ -275,7 +311,6 @@ func Run(env *sim.Env, client *rados.Client, cfg Config) (Result, error) {
 			return
 		}
 		lat := end.Sub(start)
-		lats = append(lats, lat)
 		res.Ops++
 		res.Bytes += bytes
 		if read {
@@ -429,20 +464,7 @@ func Run(env *sim.Env, client *rados.Client, cfg Config) (Result, error) {
 	} else {
 		res.Window = cfg.Duration
 	}
-	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		var sum sim.Duration
-		for _, l := range lats {
-			sum += l
-		}
-		res.AvgLatency = sum / sim.Duration(len(lats))
-		res.MinLatency = lats[0]
-		res.MaxLatency = lats[len(lats)-1]
-		res.P50 = lats[len(lats)/2]
-		res.P99 = lats[len(lats)*99/100]
-	}
-	res.ReadStats = classStats(readLats, res.ReadStats.Ops, res.ReadStats.Bytes)
-	res.WriteStats = classStats(writeLats, res.WriteStats.Ops, res.WriteStats.Bytes)
+	summarize(&res, readLats, writeLats)
 	for s := range perSecOps {
 		smp := SecondSample{Second: s, Ops: perSecOps[s], Bytes: perSecBy[s]}
 		if perSecOps[s] > 0 {

@@ -1,6 +1,10 @@
 package radosbench
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"doceph/internal/sim"
@@ -41,6 +45,79 @@ func TestResultDerivedRates(t *testing.T) {
 		r.Window = w
 		if r.IOPS() != 0 || r.ThroughputBps() != 0 {
 			t.Errorf("window %v: rates must be 0", w)
+		}
+	}
+}
+
+// oracleSummary is the latency summary as Run used to compute it, the oracle
+// of TestSummaryMatchesOneSortPerList: one list of every latency plus one per
+// class, each sorted with sort.Slice.
+func oracleSummary(res *Result, readLats, writeLats []sim.Duration) {
+	lats := append(append([]sim.Duration(nil), readLats...), writeLats...)
+	rand.New(rand.NewSource(int64(len(lats)))).Shuffle(len(lats), func(i, j int) { lats[i], lats[j] = lats[j], lats[i] })
+	if len(lats) > 0 {
+		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+		var sum sim.Duration
+		for _, l := range lats {
+			sum += l
+		}
+		res.AvgLatency = sum / sim.Duration(len(lats))
+		res.MinLatency = lats[0]
+		res.MaxLatency = lats[len(lats)-1]
+		res.P50 = lats[len(lats)/2]
+		res.P99 = lats[len(lats)*99/100]
+	}
+	class := func(lats []sim.Duration, ops, bytes int64) ClassStats {
+		cs := ClassStats{Ops: ops, Bytes: bytes}
+		if len(lats) == 0 {
+			return cs
+		}
+		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+		var sum sim.Duration
+		for _, l := range lats {
+			sum += l
+		}
+		cs.AvgLatency = sum / sim.Duration(len(lats))
+		cs.MinLatency = lats[0]
+		cs.MaxLatency = lats[len(lats)-1]
+		cs.P50 = lats[len(lats)/2]
+		cs.P99 = lats[len(lats)*99/100]
+		return cs
+	}
+	res.ReadStats = class(readLats, res.ReadStats.Ops, res.ReadStats.Bytes)
+	res.WriteStats = class(writeLats, res.WriteStats.Ops, res.WriteStats.Bytes)
+}
+
+// TestSummaryMatchesOneSortPerList: deriving the overall figures by merging
+// the two sorted classes gives every Result field the one sorted list of all
+// latencies gave — on random inputs with an empty class, one latency in all,
+// and ties within and across the classes.
+func TestSummaryMatchesOneSortPerList(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	sizes := [][2]int{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {0, 57}, {230, 0}, {2, 3}, {99, 1}, {1, 100}, {700, 300}, {10500, 4500}}
+	for i := 0; i < 200; i++ {
+		sizes = append(sizes, [2]int{rng.Intn(300), rng.Intn(300)})
+	}
+	for _, n := range sizes {
+		// A narrow range makes ties common; a wide one, rare.
+		span := []int64{1, 5, 1000, 1e9}[rng.Intn(4)]
+		draw := func(k int) []sim.Duration {
+			lats := make([]sim.Duration, k)
+			for i := range lats {
+				lats[i] = sim.Duration(1 + rng.Int63n(span))
+			}
+			return lats
+		}
+		reads, writes := draw(n[0]), draw(n[1])
+		base := Result{Ops: int64(n[0] + n[1]), Bytes: 7,
+			ReadStats: ClassStats{Ops: int64(n[0]), Bytes: 3}, WriteStats: ClassStats{Ops: int64(n[1]), Bytes: 4}}
+		want, got := base, base
+		oracleSummary(&want, slices.Clone(reads), slices.Clone(writes))
+		summarize(&got, reads, writes)
+		if !reflect.DeepEqual(got, want) {
+			// fields drops Result's String method, so every field is printed.
+			type fields Result
+			t.Fatalf("%d reads, %d writes in [1, %d]:\n got %+v\nwant %+v", n[0], n[1], span, fields(got), fields(want))
 		}
 	}
 }
