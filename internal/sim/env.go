@@ -259,7 +259,8 @@ func (p *Proc) Now() Time { return p.env.now }
 type Env struct {
 	now Time
 	seq uint64
-	// The event queue is a heap behind a FIFO: an event scheduled for the
+	// The event queue is a heap behind a FIFO of entries that carry what they
+	// run: a wake token, or a task queued as itself. An event scheduled for the
 	// current instant — a wake-up handed from one proc to the next, about half
 	// of all events — is appended to nowq, every other one is pushed to heap.
 	// All of nowq is at t == now with ascending seq, and the clock cannot move
