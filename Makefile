@@ -20,7 +20,7 @@ test:
 # the places control changes goroutines: every coroutine switch between the
 # kernel and a proc, tasks run inline by whichever of them holds control
 # (queued as themselves or on a token, and dropped by Shutdown at any point
-# of a seeded program), a
+# of a seeded program), timed waits through each outcome of their deadline, a
 # proc suspended on a task form resumed by the chain that ends it (and unwound
 # by Shutdown when it never ends), a
 # coroutine running several procs' bodies in a row, and Group workers
@@ -37,7 +37,7 @@ test:
 # workers on every kind of item. CI's race step runs all four lines.
 test-race:
 	go test -race ./...
-	go test -race -count=10 -run 'TestGroup|TestShutdown|TestProcPanic|TestTask|TestChainServers|TestNowQueue|TestServe|TestWaitInPlace|TestSleeperParked|TestHandoff|TestQueued|FuzzEventQueue' ./internal/sim
+	go test -race -count=10 -run 'TestGroup|TestShutdown|TestProcPanic|TestTask|TestChainServers|TestNowQueue|TestServe|TestWaitInPlace|TestSleeperParked|TestHandoff|TestQueued|TestDeadline|FuzzEventQueue' ./internal/sim
 	go test -race -count=10 -run 'TestRecycled|TestReadReturnDMAError|TestShipmentPaths|TestBatchPaths|TestReadPaths' ./internal/core
 	go test -race -count=10 -run 'TestFaultPaths|TestMonitorFailureReport|TestOpWorkerPaths|TestStoreError' ./internal/osd
 

@@ -140,6 +140,9 @@ func TestDMAPlaneServersAreTaskChains(t *testing.T) {
 		// the kernel took (EnvStats): a Delay step, or a continuation
 		// granted without a deadline, takes neither.
 		tokens, records uint64
+		// deadlines are the timed waits' timeouts registered, cancelled the
+		// ones a wake-up took out before they were due.
+		deadlines, cancelled uint64
 	}{
 		// With every server a proc, DoCeph fires the same 5,007 events and
 		// resumes 2,285 times (47.60 per op); with the write path's three as
@@ -154,9 +157,9 @@ func TestDMAPlaneServersAreTaskChains(t *testing.T) {
 		// PG creation and the loops that stayed procs. With every task event
 		// on a token and a record, the three took 3,868 / 3,416, 1,424 /
 		// 1,332 and 3,175 / 2,863.
-		{"doceph", Config{Mode: DoCeph}, 4 << 20, 5007, 76, 1211, 759},
-		{"baseline", Config{Mode: Baseline}, 4 << 20, 2044, 73, 174, 82},
-		{"batched", batched, 64 << 10, 4145, 76, 931, 619},
+		{"doceph", Config{Mode: DoCeph}, 4 << 20, 5007, 76, 1211, 759, 84, 84},
+		{"baseline", Config{Mode: Baseline}, 4 << 20, 2044, 73, 174, 82, 75, 75},
+		{"batched", batched, 64 << 10, 4145, 76, 931, 619, 80, 80},
 	} {
 		c.cfg.Seed = 7
 		cl := New(c.cfg)
@@ -181,14 +184,19 @@ func TestDMAPlaneServersAreTaskChains(t *testing.T) {
 		}
 		st := cl.Env.Stats()
 		resumes := st.Switches / 2
-		t.Logf("%s: %d ops: %d events, %d resumes (%.2f per op), %d task runs, %d tokens, %d records", c.name, res.Ops,
-			st.Events, resumes, float64(resumes)/float64(res.Ops), st.TaskRuns, st.Tokens, st.Records)
+		t.Logf("%s: %d ops: %d events, %d resumes (%.2f per op), %d task runs, %d tokens, %d records, %d deadlines, %d cancelled",
+			c.name, res.Ops, st.Events, resumes, float64(resumes)/float64(res.Ops), st.TaskRuns, st.Tokens, st.Records,
+			st.Deadlines, st.Cancelled)
 		if res.Ops != 48 || st.Events != c.events || resumes != c.resumes {
 			t.Errorf("%s: %d ops, %d events, %d resumes; pinned: 48 ops, %d events, %d resumes (%.2f per op)",
 				c.name, res.Ops, st.Events, resumes, c.events, c.resumes, float64(c.resumes)/48)
 		}
 		if st.Tokens != c.tokens || st.Records != c.records {
 			t.Errorf("%s: %d tokens, %d records taken; pinned: %d tokens, %d records", c.name, st.Tokens, st.Records, c.tokens, c.records)
+		}
+		if st.Deadlines != c.deadlines || st.Cancelled != c.cancelled {
+			t.Errorf("%s: %d deadlines, %d cancelled; pinned: %d deadlines, %d cancelled", c.name, st.Deadlines, st.Cancelled,
+				c.deadlines, c.cancelled)
 		}
 		if c.cfg.Bridge.Batch.Enable {
 			if n := cl.Nodes[0].Bridge.Proxy.Stats().BatchedTxns; n == 0 {

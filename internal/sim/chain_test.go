@@ -545,9 +545,9 @@ func TestChainServersMatchProcServers(t *testing.T) {
 // of them runs, the FIFOs skip their spent tokens later, the waiter lists are
 // emptied, the deadline and the write are taken off the event queue and the
 // tokens and records go back to the pools — and leaves nothing live. Before
-// that, a timed wait whose event fires first leaves its deadline behind as a
-// dead entry: the record of its continuation, reused by the next task to wait
-// on a FIFO (AcquireThen), is not reached by it.
+// that, a timed wait whose event fires first loses its deadline at the Fire:
+// the record of its continuation, reused by the next task to wait on a FIFO
+// (AcquireThen), is not reached by it.
 func TestShutdownDropsQueuedTaskForms(t *testing.T) {
 	env := NewEnv(1)
 	cpu := NewCPU(env, "c", 1, 1.0, 0)
@@ -565,9 +565,8 @@ func TestShutdownDropsQueuedTaskForms(t *testing.T) {
 	env.Spawn("early", func(p *Proc) {
 		if !early.WaitTimeoutThen(env, 5*Microsecond, funcTask(func() {
 			runs = append(runs, fmt.Sprintf("fired=%v@%d", early.Fired(), env.Now()))
-			// The continuation's record is back on the free list, its token
-			// spent with the deadline still queued: the next task to wait on
-			// a FIFO takes it.
+			// The continuation's record is back on the free list and its
+			// deadline gone with it: the next task to wait on a FIFO takes it.
 			if !gate.AcquireThen(1, log("later")) {
 				t.Error("an acquire on a drained semaphore did not queue")
 			}
@@ -615,8 +614,9 @@ func TestShutdownDropsQueuedTaskForms(t *testing.T) {
 			live, cpu.waiters.len(), sem.waiters.len(), ev.waiters.inline[0], timed.waiters.inline[0], cond.waiters.inline[0])
 	}
 	tok, timedTok, condTok := ev.waiters.inline[0], timed.waiters.inline[0], cond.waiters.inline[0]
-	if timedTok.queued != 1 || timedTok.refs != 2 {
-		t.Fatalf("the timed wait's token has %d queued entries and %d refs, want its deadline and its waiter-list entry", timedTok.queued, timedTok.refs)
+	if len(env.deadlines.a) != 1 || timedTok.dl != 1 || env.deadlines.a[0].tok != timedTok || timedTok.refs != 2 {
+		t.Fatalf("%d deadlines, the timed wait's token in slot %d with %d refs: want its deadline alone and its waiter-list entry",
+			len(env.deadlines.a), timedTok.dl-1, timedTok.refs)
 	}
 	env.Shutdown()
 	if live := env.LiveProcs(); live != 0 || len(env.tasks) != 0 || len(env.taskFree) != env.taskMade {
@@ -627,9 +627,9 @@ func TestShutdownDropsQueuedTaskForms(t *testing.T) {
 		waiters *waitList
 		tok     *wakeToken
 	}{{"event", &ev.waiters, tok}, {"timed event", &timed.waiters, timedTok}, {"condition", &cond.waiters, condTok}} {
-		if c.waiters.inline[0] != nil || c.tok.refs != 0 || c.tok.queued != 0 || !slices.Contains(env.tokFree, c.tok) {
-			t.Fatalf("after Shutdown the %s still lists %v; its continuation's token has %d refs, %d queued entries",
-				c.name, c.waiters.inline[0], c.tok.refs, c.tok.queued)
+		if c.waiters.inline[0] != nil || c.tok.refs != 0 || c.tok.dl != 0 || !slices.Contains(env.tokFree, c.tok) {
+			t.Fatalf("after Shutdown the %s still lists %v; its continuation's token has %d refs, deadline slot %d",
+				c.name, c.waiters.inline[0], c.tok.refs, c.tok.dl-1)
 		}
 	}
 	queued := env.pending()

@@ -17,29 +17,29 @@ import (
 // wins; the rest find the token spent and are ignored. This is what makes
 // timeouts composable with every blocking primitive.
 //
-// Tokens are pooled: refs counts live registrations (scheduled events plus
-// waiter-list entries). Every registration site increments refs and every
-// site that drops a registration calls Env.dropRef; a spent token whose last
-// registration is dropped returns to the free list. A token may therefore
-// never be recycled while any waiter list can still observe it.
+// Tokens are pooled: refs counts live registrations (scheduled events, a
+// deadline and waiter-list entries). Every registration site increments refs
+// and every site that drops a registration calls Env.dropRef; a spent token
+// whose last registration is dropped returns to the free list. A token may
+// therefore never be recycled while any waiter list can still observe it.
 //
-// queued counts the scheduled events alone, in the heap or the now-queue.
-// When a token is spent its remaining events are dead (typically the timeout
-// that lost the race against a push or a fire); Env.dead totals them so they
-// can be compacted away instead of being carried until their virtual
-// deadline. A token has at most a handful of registrations, so the counts
-// are 16-bit to keep it in the 24-byte size class.
+// A timed wait's timeout is a deadline, kept apart from the events in
+// Env.deadlines; dl is one more than its slot there (0: none), so the wake-up
+// that beats it takes it out on the spot (Env.grant). A token is thus never
+// in the event queue twice, nor there and in the deadline heap at once, and
+// neither ever holds a spent token. refs is 16-bit and dl 32-bit to keep the
+// token in the 24-byte size class.
 //
 // A token belongs either to a proc (p) or to a pending task (task), never
 // both; the event queue, the waiter lists and the pool treat the two alike.
 // A task has one only for a registration, or in a waiter list or FIFO until
-// its grant (its wake-up, if a WaitTimeoutThen deadline is queued).
+// its grant (or its deadline, for WaitTimeoutThen).
 type wakeToken struct {
-	p      *Proc
-	task   *pendingTask
-	spent  bool
-	refs   int16
-	queued int16
+	p     *Proc
+	task  *pendingTask
+	spent bool
+	refs  int16
+	dl    int32
 }
 
 // Run makes a token one kind of an event's run. The kernel type-switches on
@@ -54,26 +54,26 @@ func (tok *wakeToken) env() *Env {
 	return tok.task.env
 }
 
-// event is an entry of the event queue. A *wakeToken run wakes its owner, or
-// is dead once spent; any other run is a task queued as itself (by Delay or a
-// grant), run inline: no token, no record, never dead.
-type event struct {
+// when orders events and deadlines: by time, then by the sequence number
+// drawn when they were scheduled, a total order.
+type when struct {
 	t   Time
 	seq uint64
-	run Task
 }
 
-func (a event) before(b event) bool {
+func (a when) before(b when) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
 	return a.seq < b.seq
 }
 
-// spent reports whether ev is a dead entry: a token already used.
-func (ev event) spent() bool {
-	tok, ok := ev.run.(*wakeToken)
-	return ok && tok.spent
+// event is an entry of the event queue. A *wakeToken run wakes its owner; any
+// other run is a task queued as itself (by Delay or a grant), run inline: no
+// token, no record.
+type event struct {
+	when
+	run Task
 }
 
 // eventHeap is a 4-ary array-indexed min-heap ordered by (t, seq). It stores
@@ -94,7 +94,7 @@ func (h *eventHeap) push(ev event) {
 	i := len(a) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !ev.before(a[parent]) {
+		if !ev.before(a[parent].when) {
 			break
 		}
 		a[i] = a[parent]
@@ -127,22 +127,92 @@ func (h *eventHeap) down(i int, ev event) {
 			break
 		}
 		m := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if a[c].before(a[m]) {
+		for c := first + 1; c < min(first+4, n); c++ {
+			if a[c].before(a[m].when) {
 				m = c
 			}
 		}
-		if !a[m].before(ev) {
+		if !a[m].before(ev.when) {
 			break
 		}
 		a[i] = a[m]
 		i = m
 	}
 	a[i] = ev
+}
+
+// deadline is a timed wait's timeout: the (t, seq) its event would have, and
+// the token it fires.
+type deadline struct {
+	when
+	tok *wakeToken
+}
+
+// deadlineHeap is eventHeap for deadlines, whose entries keep their slots in
+// their tokens (dl) so that one can be taken out from anywhere.
+type deadlineHeap struct {
+	a []deadline
+}
+
+func (h *deadlineHeap) set(i int, d deadline) {
+	h.a[i] = d
+	d.tok.dl = int32(i) + 1
+}
+
+func (h *deadlineHeap) push(d deadline) {
+	h.a = append(h.a, d)
+	h.up(len(h.a)-1, d)
+}
+
+// remove takes out the entry in slot i and returns its token. The last entry
+// fills the hole, sifting up or, if it stays, down.
+func (h *deadlineHeap) remove(i int) *wakeToken {
+	tok := h.a[i].tok
+	tok.dl = 0
+	last := len(h.a) - 1
+	d := h.a[last]
+	h.a[last] = deadline{}
+	h.a = h.a[:last]
+	if i < last {
+		h.up(i, d)
+		h.down(int(d.tok.dl-1), d)
+	}
+	return tok
+}
+
+func (h *deadlineHeap) up(i int, d deadline) {
+	for i > 0 {
+		parent := (i - 1) >> 2
+		if !d.before(h.a[parent].when) {
+			break
+		}
+		h.set(i, h.a[parent])
+		i = parent
+	}
+	h.set(i, d)
+}
+
+func (h *deadlineHeap) down(i int, d deadline) {
+	a := h.a
+	n := len(a)
+	for {
+		first := i<<2 + 1
+		if first >= n {
+			break
+		}
+		m := first
+		for c := first + 1; c < min(first+4, n); c++ {
+			if a[c].before(a[m].when) {
+				m = c
+			}
+		}
+		if !a[m].before(d.when) {
+			break
+		}
+		h.set(i, a[m])
+		i = m
+	}
+	h.set(i, d)
 }
 
 type procState uint8
@@ -266,13 +336,17 @@ type Env struct {
 	// All of nowq is at t == now with ascending seq, and the clock cannot move
 	// while a live entry waits there, so the ring is already in (t, seq) order
 	// and taking the earlier of its front and the heap's top pops exactly what
-	// one heap holding everything would. heapOnly, set only by the tests that
-	// check this, is the classic loop: every event goes through the heap,
-	// every Wait parks, and every finished body yields to runWindow.
-	heap     eventHeap
-	nowq     fifo[event]
-	heapOnly bool
-	limit    Time
+	// one heap holding everything would. A timed wait's timeout waits in
+	// deadlines, the third front, until it fires or the wake-up that beats it
+	// takes it out, so no front ever holds a dead entry. heapOnly, set only by
+	// the tests that check this, is the classic loop: every event goes through
+	// the heap (the timeouts still through deadlines), every Wait parks, and
+	// every finished body yields to runWindow.
+	heap      eventHeap
+	nowq      fifo[event]
+	deadlines deadlineHeap
+	heapOnly  bool
+	limit     Time
 	// ready is the proc a parking proc found next in the queue; runWindow
 	// resumes it instead of popping again.
 	ready *Proc
@@ -288,13 +362,6 @@ type Env struct {
 	// served lists the queues consumed through ServeTask, for Backlog.
 	served []interface{ backlog() (string, int) }
 	stats  EnvStats
-
-	// dead counts queued events whose token is already spent; once
-	// dead*compactDen exceeds the number of queued events they are compacted
-	// away. compactDen is 2 outside tests (0 never compacts, a huge value
-	// compacts on every dead entry).
-	dead       int
-	compactDen int
 
 	procFree []*Proc
 	tokFree  []*wakeToken
@@ -316,9 +383,8 @@ type Env struct {
 // NewEnv returns an environment whose random stream is seeded with seed.
 func NewEnv(seed int64) *Env {
 	return &Env{
-		rng:        rand.New(rand.NewSource(seed)),
-		limit:      MaxTime,
-		compactDen: 2,
+		rng:   rand.New(rand.NewSource(seed)),
+		limit: MaxTime,
 	}
 }
 
@@ -356,7 +422,6 @@ func (e *Env) dropRef(tok *wakeToken) {
 // schedule enqueues tok to fire at time at (>= now).
 func (e *Env) schedule(tok *wakeToken, at Time) {
 	tok.refs++
-	tok.queued++
 	e.queue(at, tok)
 }
 
@@ -366,7 +431,7 @@ func (e *Env) queue(at Time, run Task) {
 		at = e.now
 	}
 	e.seq++
-	ev := event{t: at, seq: e.seq, run: run}
+	ev := event{when{at, e.seq}, run}
 	if at == e.now && !e.heapOnly {
 		e.nowq.push(ev)
 		e.stats.NowQueued++
@@ -378,74 +443,76 @@ func (e *Env) queue(at Time, run Task) {
 	}
 }
 
-// pending returns the number of events waiting, dead ones included.
-func (e *Env) pending() int { return e.heap.len() + e.nowq.len() }
-
-// unqueue accounts for an event of tok that left the queue.
-func (e *Env) unqueue(tok *wakeToken) {
-	tok.queued--
-	e.dropRef(tok)
+// timeout registers tok's deadline d from now, at the next sequence number:
+// the entry a timed wait's timeout would take in the event queue.
+func (e *Env) timeout(tok *wakeToken, d Duration) {
+	tok.refs++
+	e.seq++
+	e.deadlines.push(deadline{when{max(e.now.Add(d), e.now), e.seq}, tok})
+	e.stats.Deadlines++
+	e.stats.DeadlinePeak = max(e.stats.DeadlinePeak, len(e.deadlines.a))
 }
 
-// peek returns the earliest live event, whether it is the now-queue's, and
-// whether there is one at all, dropping the dead entries it finds in the way.
-// The heap's top comes first only when it is due at this same instant and was
-// scheduled before the now-queue's front; otherwise it waits unexamined.
-func (e *Env) peek() (ev event, inNowq, ok bool) {
-	for e.nowq.len() > 0 && e.nowq.front().spent() {
-		e.dead--
-		e.unqueue(e.nowq.pop().run.(*wakeToken))
+// pending returns the number of events and deadlines waiting.
+func (e *Env) pending() int { return e.heap.len() + e.nowq.len() + len(e.deadlines.a) }
+
+// Where peek finds the earliest entry.
+const (
+	inNone = iota
+	inNowq
+	inHeap
+	inDeadlines
+)
+
+// peek reports which front holds the earliest entry, and its time, comparing
+// the now-queue's front, the heap's top and the earliest deadline in place.
+// None of them holds a dead entry. A heap's top comes before the now-queue's
+// front only when it is due at this same instant and was drawn before it.
+func (e *Env) peek() (in int, t Time) {
+	var seq uint64
+	if e.nowq.n > 0 {
+		in, t, seq = inNowq, e.now, e.nowq.buf[e.nowq.head].seq
 	}
-	for e.heap.len() > 0 {
-		top := e.heap.a[0]
-		if e.nowq.len() > 0 && !top.before(e.nowq.front()) {
-			break
+	if len(e.heap.a) > 0 {
+		if top := &e.heap.a[0]; in == inNone || top.t < t || top.t == t && top.seq < seq {
+			in, t, seq = inHeap, top.t, top.seq
 		}
-		if !top.spent() {
-			return top, false, true
+	}
+	if len(e.deadlines.a) > 0 {
+		if top := &e.deadlines.a[0]; in == inNone || top.t < t || top.t == t && top.seq < seq {
+			in, t = inDeadlines, top.t
 		}
-		e.dead--
-		e.unqueue(e.heap.pop().run.(*wakeToken))
 	}
-	if e.nowq.len() == 0 {
-		return ev, false, false
-	}
-	return e.nowq.front(), true, true
+	return in, t
 }
 
-// next pops live events until one belongs to a proc, or runs a task that
-// resumes a suspended proc, and returns that proc; the events of tasks on the
-// way are run right here, on the caller's stack.
-// It returns nil when the queue is exhausted or the next live event lies
-// beyond the run limit (the event is left queued). Must only be called by the
+// next pops events until one belongs to a proc, or runs a task that resumes
+// a suspended proc, and returns that proc; the events of tasks on the way are
+// run right here, on the caller's stack.
+// It returns nil when the queue is exhausted or the next event lies beyond
+// the run limit (the event is left queued). Must only be called by the
 // goroutine currently holding control.
 func (e *Env) next() *Proc {
 	for {
-		ev, inNowq, ok := e.peek()
-		if !ok || ev.t > e.limit {
+		in, t := e.peek()
+		if in == inNone || t > e.limit {
 			return nil
 		}
-		if inNowq {
-			e.nowq.pop()
-		} else {
-			e.heap.pop()
-		}
-		e.now = ev.t
+		e.now = t
 		e.stats.Events++
-		run := ev.run
+		var run Task
+		switch in {
+		case inNowq:
+			run = e.nowq.pop().run
+		case inHeap:
+			run = e.heap.pop().run
+		default:
+			run = e.deadlines.remove(0)
+		}
 		if tok, ok := run.(*wakeToken); ok {
 			p, pt := tok.p, tok.task
 			tok.spent = true
-			if tok.queued > 1 {
-				e.dead += int(tok.queued) - 1
-				if e.dead > e.stats.DeadPeak {
-					e.stats.DeadPeak = e.dead
-				}
-				if e.dead*e.compactDen > e.pending() {
-					e.compact(false)
-				}
-			}
-			e.unqueue(tok)
+			e.dropRef(tok)
 			if pt == nil {
 				return p
 			}
@@ -463,44 +530,39 @@ func (e *Env) next() *Proc {
 	}
 }
 
-// compact removes every dead entry from the now-queue, in place, and from the
-// heap, restoring the heap property bottom-up; with tasks set (Shutdown) it
-// drops the tasks queued as themselves too. (t, seq) is a total order, so
-// the order in which the surviving entries pop — and with it every simulated
-// value — does not depend on the array layout. It runs when more than half
-// the queued events are dead, so its cost is amortized over the entries it
-// removes; the backing arrays are kept.
-func (e *Env) compact(tasks bool) {
+// purge drops, for Shutdown, the tasks queued as themselves and the spent
+// tokens from the now-queue, in place, and from the heap, restoring the heap
+// property bottom-up. (t, seq) is a total order, so the order in which the
+// surviving entries pop does not depend on the array layout.
+func (e *Env) purge() {
 	for n := e.nowq.len(); n > 0; n-- {
-		if ev := e.nowq.pop(); !e.drop(ev, tasks) {
+		if ev := e.nowq.pop(); !e.drop(ev) {
 			e.nowq.push(ev)
 		}
 	}
 	a := e.heap.a
 	live := a[:0]
 	for _, ev := range a {
-		if !e.drop(ev, tasks) {
+		if !e.drop(ev) {
 			live = append(live, ev)
 		}
 	}
 	clear(a[len(live):])
 	e.heap.a = live
-	e.dead = 0
-	e.stats.Compactions++
 	for i := (len(live) - 2) >> 2; i >= 0; i-- {
 		e.heap.down(i, live[i])
 	}
 }
 
 // drop accounts for ev leaving the queue unfired and reports whether it goes:
-// a dead entry always, a task queued as itself when tasks is set.
-func (e *Env) drop(ev event, tasks bool) bool {
+// a task queued as itself, or a spent token.
+func (e *Env) drop(ev event) bool {
 	tok, isTok := ev.run.(*wakeToken)
 	switch {
-	case isTok && tok.spent:
-		e.unqueue(tok)
-	case !isTok && tasks:
+	case !isTok:
 		e.live--
+	case tok.spent:
+		e.dropRef(tok)
 	default:
 		return false
 	}
@@ -684,11 +746,11 @@ func (p *Proc) Run() {
 func (p *Proc) newToken() *wakeToken { return p.env.getToken(p) }
 
 // Wait blocks the process for duration d of virtual time. A wake-up due
-// within the run limit and strictly before every other live event fires in
-// place: the sequence number its entry would have drawn is drawn, the clock
-// moves, and the proc runs on with no token, no heap entry and no park. An
-// event due at the same instant was scheduled earlier, so on a tie the wait
-// takes the classic path and fires after it.
+// within the run limit and strictly before every other event and deadline
+// fires in place: the sequence number its entry would have drawn is drawn,
+// the clock moves, and the proc runs on with no token, no heap entry and no
+// park. An event or deadline due at the same instant was scheduled earlier,
+// so on a tie the wait takes the classic path and fires after it.
 func (p *Proc) Wait(d Duration) {
 	e := p.env
 	if d < 0 {
@@ -702,15 +764,15 @@ func (p *Proc) Wait(d Duration) {
 }
 
 // inPlace fires a wake-up d from now in place when it is due within the run
-// limit and strictly before every other live event: the sequence number its
-// entry would have drawn is drawn, the clock moves and the caller runs on. It
-// reports whether it did.
+// limit and strictly before every other event and deadline: the sequence
+// number its entry would have drawn is drawn, the clock moves and the caller
+// runs on. It reports whether it did.
 func (e *Env) inPlace(d Duration) bool {
+	// The now-queue's front is due now, and a heap's top due at at was drawn
+	// before this wake-up.
 	at := e.now.Add(d)
-	if d <= 0 || at > e.limit || e.heapOnly {
-		return false
-	}
-	if next, _, ok := e.peek(); ok && at >= next.t {
+	if d <= 0 || at > e.limit || e.heapOnly || e.nowq.n > 0 ||
+		len(e.heap.a) > 0 && at >= e.heap.a[0].t || len(e.deadlines.a) > 0 && at >= e.deadlines.a[0].t {
 		return false
 	}
 	e.seq++
@@ -825,7 +887,7 @@ func (e *Env) runWindow(limit Time) (drained bool) {
 		}
 	}
 	if e.pending() > 0 {
-		// Next live event is beyond the limit; leave it queued. The clock
+		// Next event is beyond the limit; leave it queued. The clock
 		// never moves back (a limit behind it): the now-queue's order rests
 		// on that.
 		e.advanceTo(limit)
@@ -884,13 +946,12 @@ func (e *Env) Backlog() (out []string) {
 	return out
 }
 
-// NextEventTime returns the timestamp of the earliest live event, popping
-// any dead entries it skims past. ok is false when no live event remains.
-// It must only be called while the environment is not running (between
-// windows or before Run).
+// NextEventTime returns the timestamp of the earliest event or deadline. ok
+// is false when none remains. It must only be called while the environment
+// is not running (between windows or before Run).
 func (e *Env) NextEventTime() (t Time, ok bool) {
-	ev, _, ok := e.peek()
-	return ev.t, ok
+	in, t := e.peek()
+	return t, in != inNone
 }
 
 // advanceTo moves the clock forward to t without executing anything. The
@@ -905,11 +966,12 @@ func (e *Env) advanceTo(t Time) {
 // pooled coroutines, releasing their goroutines; procs that never started own
 // no coroutine and are only accounted for. It drops every task that has not
 // run: one queued as itself leaves the event queue; a pending one's record
-// returns to the pool, and so does its token if it is in the event queue or a
-// waiter list (an After task's, an Event.WaitThen or Cond.WaitThen
-// continuation's, or an Event.WaitTimeoutThen one's, which is in both), while
-// one in a CPU's or Semaphore's waiter FIFO is left there, spent. The
-// environment must not be used afterwards.
+// returns to the pool, and so does its token if it is in the event queue, the
+// deadline heap or a waiter list (an After task's, an Event.WaitThen or
+// Cond.WaitThen continuation's, or an Event.WaitTimeoutThen one's, which has
+// a deadline and a waiter-list entry), while one in a CPU's or Semaphore's
+// waiter FIFO is left there, spent. The environment must not be used
+// afterwards.
 func (e *Env) Shutdown() {
 	for _, p := range e.procs {
 		switch p.state {
@@ -926,14 +988,15 @@ func (e *Env) Shutdown() {
 	e.coroFree = nil
 	for _, pt := range e.tasks {
 		tok := pt.tok
-		tok.spent = true
-		if tok.queued > 0 {
-			e.dead += int(tok.queued) // compact drops the entries below
+		tok.spent = true // purge drops its event-queue entry below
+		if tok.dl != 0 { // an Event.WaitTimeoutThen continuation's deadline
+			e.deadlines.remove(int(tok.dl - 1))
+			e.dropRef(tok)
 		}
 		if pt.ev != nil && pt.started && !pt.ev.fired {
 			// A started After task, an Event.WaitThen continuation or an
-			// Event.WaitTimeoutThen one (whose deadline compact drops): the
-			// token is in the event's waiter list until the event fires.
+			// Event.WaitTimeoutThen one: the token is in the event's waiter
+			// list until the event fires.
 			pt.ev.waiters.remove(tok)
 			e.dropRef(tok)
 		}
@@ -948,7 +1011,7 @@ func (e *Env) Shutdown() {
 		e.taskFree = append(e.taskFree, pt)
 	}
 	e.tasks = nil
-	e.compact(true)
+	e.purge()
 }
 
 // LiveProcs returns the number of processes that have not finished plus the
@@ -988,11 +1051,12 @@ type EnvStats struct {
 	// NowQueued counts the events scheduled for the instant they were
 	// scheduled at, which waited in the now-queue and never entered the heap.
 	NowQueued uint64
-	// HeapPeak is the high-water mark of the event heap's length, DeadPeak
-	// that of the spent entries the heap and the now-queue carried.
-	HeapPeak, DeadPeak int
-	// Compactions counts the purges of spent entries from the two.
-	Compactions uint64
+	// Deadlines counts the timeouts registered by timed waits, Cancelled the
+	// ones a wake-up took out before they were due.
+	Deadlines, Cancelled uint64
+	// HeapPeak is the high-water mark of the event heap's length alone,
+	// DeadlinePeak that of the deadline heap's.
+	HeapPeak, DeadlinePeak int
 	// Spawns counts the procs started, CoroutinesPeak the coroutines made to
 	// run them (bound + pooled; the pool never shrinks and keeps one per
 	// unstarted proc, so at most the peak concurrency of procs), Identities
@@ -1001,8 +1065,8 @@ type EnvStats struct {
 	CoroutinesPeak, Identities int
 }
 
-// add folds another partition's account into s: counters add, the heap's
-// peaks take the larger (each partition has a heap of its own).
+// add folds another partition's account into s: counters add, the heaps'
+// peaks take the larger (each partition has heaps of its own).
 func (s *EnvStats) add(o EnvStats) {
 	s.Events += o.Events
 	s.Switches += o.Switches
@@ -1012,9 +1076,10 @@ func (s *EnvStats) add(o EnvStats) {
 	s.Tokens += o.Tokens
 	s.Records += o.Records
 	s.NowQueued += o.NowQueued
+	s.Deadlines += o.Deadlines
+	s.Cancelled += o.Cancelled
 	s.HeapPeak = max(s.HeapPeak, o.HeapPeak)
-	s.DeadPeak = max(s.DeadPeak, o.DeadPeak)
-	s.Compactions += o.Compactions
+	s.DeadlinePeak = max(s.DeadlinePeak, o.DeadlinePeak)
 	s.Spawns += o.Spawns
 	s.CoroutinesPeak += o.CoroutinesPeak // each partition has a pool of its own
 	s.Identities += o.Identities

@@ -36,12 +36,39 @@ type queueProg struct {
 	th    *Thread
 	plans [][]queueOp
 	log   []string
+	fault string // the first queueFault a step found
 }
 
 // note logs (t, seq, owner): equal logs mean every sequence number was drawn
-// at the same point of the program.
+// at the same point of the program. It also checks the queues' invariants.
 func (qp *queueProg) note(format string, args ...any) {
 	qp.log = append(qp.log, fmt.Sprintf("%d/%d/", qp.env.now, qp.env.seq)+fmt.Sprintf(format, args...))
+	if qp.fault == "" {
+		qp.fault = queueFault(qp.env)
+	}
+}
+
+// queueFault names a broken invariant of e's queues, or returns "": no entry
+// of the heap or the now-queue is a spent token (a wake-up takes out the
+// deadline it beats, so nothing is left behind to die there), and every
+// token in the deadline heap names its own slot.
+func queueFault(e *Env) string {
+	for i := 0; i < e.nowq.len(); i++ {
+		if tok, ok := e.nowq.at(i).run.(*wakeToken); ok && tok.spent {
+			return fmt.Sprintf("spent token in the now-queue at %d", i)
+		}
+	}
+	for i, ev := range e.heap.a {
+		if tok, ok := ev.run.(*wakeToken); ok && tok.spent {
+			return fmt.Sprintf("spent token in the heap at %d", i)
+		}
+	}
+	for i, d := range e.deadlines.a {
+		if int(d.tok.dl) != i+1 {
+			return fmt.Sprintf("deadline in slot %d names slot %d", i, d.tok.dl-1)
+		}
+	}
+	return ""
 }
 
 // newQueueProg plans the program of seed: three to five actors, each
@@ -90,7 +117,7 @@ func (qp *queueProg) build(chains, heapOnly bool) {
 	qp.sem = NewSemaphore(qp.env, 1)
 	qp.th = NewThread("actor", "a")
 	qp.evs = make([]Event, len(qp.evs))
-	qp.log = nil
+	qp.log, qp.fault = nil, ""
 	for i := range qp.plans {
 		name := fmt.Sprint("actor", i)
 		if chains {
@@ -210,6 +237,9 @@ func (qp *queueProg) heldTokens() []*wakeToken {
 			add(tok)
 		}
 	}
+	for _, d := range e.deadlines.a {
+		add(d.tok)
+	}
 	for i := range qp.evs {
 		l := &qp.evs[i].waiters
 		add(l.inline[0])
@@ -234,7 +264,7 @@ func (qp *queueProg) checkBalance(t *testing.T, when string) {
 	e := qp.env
 	held := qp.heldTokens()
 	for _, tok := range e.tokFree {
-		if slices.Contains(held, tok) || tok.refs != 0 || tok.queued != 0 || tok.p != nil || tok.task != nil {
+		if slices.Contains(held, tok) || tok.refs != 0 || tok.dl != 0 || tok.p != nil || tok.task != nil {
 			t.Fatalf("%s: pooled token %+v (held: %v)", when, *tok, slices.Contains(held, tok))
 		}
 	}
@@ -248,11 +278,14 @@ func (qp *queueProg) checkBalance(t *testing.T, when string) {
 // Event.WaitThen and WaitTimeoutThen, ExecThen and AcquireThen under
 // contention, After and At, cut by a Shutdown at an arbitrary instant, logs
 // the (t, seq, owner) entries of the same program written with procs, in
-// the kernel as shipped and in the classic loop. After the Shutdown nothing
-// is live in either form, and every token and record the chains took is back
-// in its free list once the FIFOs have skipped their spent tokens — but for
-// the waiter-list entries of timed waits that timed out on an event that
-// never fired, which stay there, spent, until a Fire that never comes.
+// the kernel as shipped and in the classic loop; at every step it logs, the
+// heap and the now-queue hold no spent token and every deadline names its
+// slot (queueFault), at the cut too. After the Shutdown nothing is live in
+// either form, no task is left in the deadline heap, and every token and
+// record the chains took is back in its free list once the FIFOs have skipped
+// their spent tokens — but for the waiter-list entries of timed waits that
+// timed out on an event that never fired, which stay there, spent, until a
+// Fire that never comes.
 func FuzzEventQueue(f *testing.F) {
 	for seed := int64(1); seed <= 12; seed++ {
 		f.Add(seed, uint16(seed*7))
@@ -268,6 +301,12 @@ func FuzzEventQueue(f *testing.F) {
 				if err := qp.env.RunUntil(limit); err != nil {
 					t.Fatalf("seed=%d chains=%v heapOnly=%v: %v", seed, chains, heapOnly, err)
 				}
+				if qp.fault == "" {
+					qp.fault = queueFault(qp.env)
+				}
+				if qp.fault != "" {
+					t.Fatalf("seed=%d chains=%v heapOnly=%v: %s", seed, chains, heapOnly, qp.fault)
+				}
 				if want == nil {
 					want = qp.log
 				} else if !reflect.DeepEqual(qp.log, want) {
@@ -279,6 +318,11 @@ func FuzzEventQueue(f *testing.F) {
 				qp.env.Shutdown()
 				if live := qp.env.LiveProcs(); live != 0 {
 					t.Fatalf("seed=%d chains=%v heapOnly=%v: %d live after Shutdown", seed, chains, heapOnly, live)
+				}
+				for _, d := range qp.env.deadlines.a {
+					if d.tok.task != nil {
+						t.Fatalf("seed=%d chains=%v heapOnly=%v: a task's deadline is left after Shutdown", seed, chains, heapOnly)
+					}
 				}
 				if !chains {
 					continue

@@ -82,7 +82,7 @@ func (q *sliceQueue[T]) Push(v T) {
 		}
 		*w.slot = v
 		w.tok.p.granted = true
-		q.env.schedule(w.tok, q.env.now)
+		q.env.grant(w.tok)
 		q.env.dropRef(w.tok)
 		return
 	}
@@ -106,7 +106,7 @@ func (q *sliceQueue[T]) PopTimeout(p *Proc, timeout Duration) (v T, ok bool) {
 	p.granted = false
 	q.waiters = append(q.waiters, sliceWaiter[T]{tok: tok, slot: &v})
 	if timeout >= 0 {
-		q.env.schedule(tok, q.env.now.Add(timeout))
+		q.env.timeout(tok, timeout)
 	}
 	p.park()
 	return v, p.granted

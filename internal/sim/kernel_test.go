@@ -11,141 +11,111 @@ import (
 	"time"
 )
 
-// compactDen values for the two extremes of the compaction policy: purge on
-// every dead entry (any dead count times this exceeds any heap these tests
-// build) and never purge.
-const (
-	compactAlways = 1 << 20
-	compactNever  = 0
-)
-
-// popTrace drives the kernel's token/queue machinery directly with a seeded
-// mix of plain timers, blocking calls with a timeout (short ones fire first,
-// long ones lose the race against the wake and stay dead in the heap, zero
-// ones race the wake within one instant and leave the loser dead in the
-// now-queue), wakes and pops, and returns the order in which the logical
-// calls fired. Pops look at most 50 ticks ahead so the clock never jumps to
-// the long deadlines. Every call gets its own Proc so the log is independent
-// of how tokens are recycled.
-func popTrace(t *testing.T, seed int64, den int) (log []string, peak int) {
-	t.Helper()
-	e := NewEnv(seed)
-	e.compactDen = den
-	r := rand.New(rand.NewSource(seed))
-	calls := 0
-	allocated := map[*wakeToken]bool{}
-	newCall := func() *wakeToken {
-		calls++
-		tok := e.getToken(&Proc{env: e, name: fmt.Sprint("c", calls)})
-		allocated[tok] = true
-		return tok
-	}
-	pop := func(limit Time) bool {
-		e.limit = limit
-		p := e.next()
-		if p == nil {
-			return false
-		}
-		log = append(log, fmt.Sprintf("%s@%d", p.name, e.now))
-		return true
-	}
-	var waiting []*wakeToken // registered in a "waiter list" (one ref each)
-	deadInBoth := false
-	for step := 0; step < 4000; step++ {
-		switch r.Intn(7) {
-		case 0: // Wait
-			e.schedule(newCall(), e.now.Add(Duration(r.Intn(50))))
-		case 1: // PopTimeout / WaitTimeout: waiter-list entry plus a timer
-			tok := newCall()
-			tok.refs++
-			d := Duration(r.Intn(50))
-			if r.Intn(4) > 0 {
-				d += 100000
-			}
-			e.schedule(tok, e.now.Add(d))
-			waiting = append(waiting, tok)
-		case 2: // Push / Fire: wake a waiter now; its timer loses the race
-			if len(waiting) == 0 {
-				continue
-			}
-			i := r.Intn(len(waiting))
-			tok := waiting[i]
-			waiting = append(waiting[:i], waiting[i+1:]...)
-			if !tok.spent {
-				e.schedule(tok, e.now)
-			}
-			e.dropRef(tok)
-		case 3: // WaitTimeout(0) and the Fire in the same instant
-			tok := newCall()
-			tok.refs++
-			e.schedule(tok, e.now)
-			e.schedule(tok, e.now)
-			e.dropRef(tok)
-		default:
-			pop(e.now.Add(50))
-		}
-		if n := e.heap.len(); n > peak {
-			peak = n
-		}
-		inHeap := 0
-		for _, ev := range e.heap.a {
-			if ev.spent() {
-				inHeap++
-			}
-		}
-		if inHeap > 0 && e.dead > inHeap { // the rest are in the now-queue
-			deadInBoth = true
-		}
-	}
-	if den == compactNever && !deadInBoth {
-		t.Fatalf("seed %d: the now-queue and the heap never held dead entries at once", seed)
-	}
-	for pop(MaxTime) {
-	}
-	for _, tok := range waiting {
-		e.dropRef(tok)
-	}
-	if e.pending() != 0 || e.dead != 0 {
-		t.Fatalf("den=%d: drained queue holds %d entries, dead=%d", den, e.pending(), e.dead)
-	}
-	if len(e.tokFree) != len(allocated) {
-		t.Fatalf("den=%d: %d tokens allocated, %d back in the pool", den, len(allocated), len(e.tokFree))
-	}
-	for _, tok := range e.tokFree {
-		if tok.refs != 0 || tok.queued != 0 || !tok.spent || tok.p != nil || tok.task != nil {
-			t.Fatalf("den=%d: pooled token %+v", den, *tok)
-		}
-	}
-	return log, peak
-}
-
-// TestCompactionPreservesPopOrder: purging dead entries, from the heap and
-// from inside the now-queue, never changes which event fires next — (t, seq)
-// is a total order — and token registrations balance back to the pool
-// whichever way the entries leave the queue.
-func TestCompactionPreservesPopOrder(t *testing.T) {
+// TestTimeoutsPopInModelOrder drives the kernel's token machinery directly
+// with a seeded mix of plain timers, blocking calls with a timeout (short ones
+// fire first, long ones lose the race against the wake, which takes them out
+// of the deadline heap, zero ones race the wake within one instant and
+// deliver it themselves), wakes and pops. Every pop is checked against a
+// model: one sorted set of the (t, seq) each waiting call fires at — its
+// timer, its deadline, or its wake-up if that beat the deadline. Pops look at
+// most 50 ticks ahead so the clock never jumps to the long deadlines. After
+// every step the queues hold no dead entry (queueFault), and once drained
+// every token is back in the pool.
+func TestTimeoutsPopInModelOrder(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		want, peakNever := popTrace(t, seed, compactNever)
-		for _, den := range []int{compactAlways, 2} {
-			got, peak := popTrace(t, seed, den)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d den %d: %d events fired, want %d", seed, den, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d den %d: event %d is %s, want %s", seed, den, i, got[i], want[i])
+		e := NewEnv(seed)
+		r := rand.New(rand.NewSource(seed))
+		model := map[*Proc]when{}
+		newCall := func() *wakeToken {
+			return e.getToken(&Proc{env: e, name: fmt.Sprint("c", e.stats.Tokens+1)})
+		}
+		pop := func(limit Time) bool {
+			var want *Proc
+			for p, k := range model {
+				if k.t <= limit && (want == nil || k.before(model[want])) {
+					want = p
 				}
 			}
-			if peak >= peakNever {
-				t.Fatalf("seed %d den %d: heap peaked at %d entries, %d without compaction", seed, den, peak, peakNever)
+			e.limit = limit
+			p := e.next()
+			if p != want || p != nil && e.now != model[p].t {
+				t.Fatalf("seed %d: popped %v at %v, want %v at %v", seed, p, e.now, want, model[want].t)
 			}
+			delete(model, p)
+			return p != nil
+		}
+		var waiting []*wakeToken // registered in a "waiter list" (one ref each)
+		for step := 0; step < 4000; step++ {
+			switch r.Intn(7) {
+			case 0: // Wait
+				tok := newCall()
+				at := e.now.Add(Duration(r.Intn(50)))
+				e.schedule(tok, at)
+				model[tok.p] = when{at, e.seq}
+			case 1: // PopTimeout / WaitTimeout: waiter-list entry plus a deadline
+				tok := newCall()
+				tok.refs++
+				d := Duration(r.Intn(50))
+				if r.Intn(4) > 0 {
+					d += 100000
+				}
+				e.timeout(tok, d)
+				model[tok.p] = when{e.now.Add(d), e.seq}
+				waiting = append(waiting, tok)
+			case 2: // Push / Fire: wake a waiter now
+				if len(waiting) == 0 {
+					continue
+				}
+				i := r.Intn(len(waiting))
+				tok := waiting[i]
+				waiting = append(waiting[:i], waiting[i+1:]...)
+				if !tok.spent {
+					p := tok.p
+					e.grant(tok)
+					if model[p].t > e.now { // the deadline was ahead: the wake-up fires
+						model[p] = when{e.now, e.seq}
+					}
+				}
+				e.dropRef(tok)
+			case 3: // WaitTimeout(0) and the Fire in the same instant
+				tok := newCall()
+				tok.refs++
+				e.timeout(tok, 0)
+				model[tok.p] = when{e.now, e.seq}
+				e.grant(tok)
+				e.dropRef(tok)
+			default:
+				pop(e.now.Add(50))
+			}
+			if fault := queueFault(e); fault != "" {
+				t.Fatalf("seed %d step %d: %s", seed, step, fault)
+			}
+		}
+		for pop(MaxTime) {
+		}
+		for _, tok := range waiting {
+			e.dropRef(tok)
+		}
+		if e.pending() != 0 || len(model) != 0 {
+			t.Fatalf("seed %d: drained queue holds %d entries, the model %d", seed, e.pending(), len(model))
+		}
+		if len(e.tokFree) != e.tokMade {
+			t.Fatalf("seed %d: %d tokens allocated, %d back in the pool", seed, e.tokMade, len(e.tokFree))
+		}
+		for _, tok := range e.tokFree {
+			if tok.refs != 0 || tok.dl != 0 || !tok.spent || tok.p != nil || tok.task != nil {
+				t.Fatalf("seed %d: pooled token %+v", seed, *tok)
+			}
+		}
+		if st := e.Stats(); st.Cancelled == 0 || st.Cancelled == st.Deadlines {
+			t.Fatalf("seed %d: %+v: no deadline cancelled, or none fired", seed, st)
 		}
 	}
 }
 
 // TestLostTimeoutsDoNotAccumulate: a consumer whose long PopTimeout always
-// loses against the producer leaves one dead timer per message; the heap
-// must stay bounded instead of holding them until their deadline.
+// loses against the producer registers one deadline per message; each must
+// leave at the push instead of being held until it is due.
 func TestLostTimeoutsDoNotAccumulate(t *testing.T) {
 	env := NewEnv(1)
 	q := NewQueue[int](env)
@@ -155,7 +125,7 @@ func TestLostTimeoutsDoNotAccumulate(t *testing.T) {
 			if _, ok := q.PopTimeout(p, 3600*Second); !ok {
 				t.Errorf("pop %d timed out", i)
 			}
-			if n := env.heap.len(); n > peak {
+			if n := env.heap.len() + len(env.deadlines.a); n > peak {
 				peak = n
 			}
 		}
@@ -169,8 +139,8 @@ func TestLostTimeoutsDoNotAccumulate(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if peak > 8 {
-		t.Fatalf("heap peaked at %d entries with two live procs", peak)
+	if st := env.Stats(); peak > 8 || st.DeadlinePeak != 1 || st.Cancelled != 2000 {
+		t.Fatalf("heaps peaked at %d entries with two live procs; %+v", peak, st)
 	}
 	if n := len(env.tokFree); n > 8 {
 		t.Fatalf("token pool grew to %d for two procs: lost timeouts pin their tokens", n)

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 )
@@ -73,85 +72,6 @@ func TestNowQueueYieldsToEarlierTimer(t *testing.T) {
 	want := []string{"first", "second", "woken by first", "woken by second", "first again", "second again"}
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("order %q\nwant  %q", order, want)
-	}
-}
-
-// TestNowQueueSpentEntries: a zero timeout and the fire or push it races are
-// two entries of one token in the now-queue, with a bystander's between them.
-// The first to pop spends the token; the other sits dead inside the ring,
-// counted, until the kernel skips it at the front or a compaction takes it
-// out from behind the live entry. Shutdown then sweeps what tasks left there,
-// and every token is back in the pool.
-func TestNowQueueSpentEntries(t *testing.T) {
-	type race struct {
-		block func(p *Proc) bool // blocks with a zero timeout; reports whether it was granted
-		grant func()
-	}
-	for name, build := range map[string]func(env *Env) race{
-		"WaitTimeout": func(env *Env) race {
-			var ev Event
-			return race{func(p *Proc) bool { return ev.WaitTimeout(p, 0) }, ev.Fire}
-		},
-		"PopTimeout": func(env *Env) race {
-			q := NewQueue[int](env)
-			return race{func(p *Proc) bool { _, ok := q.PopTimeout(p, 0); return ok }, func() { q.Push(7) }}
-		},
-	} {
-		for _, den := range []int{compactNever, compactAlways} {
-			env := NewEnv(1)
-			env.compactDen = den
-			r := build(env)
-			var order []string
-			env.Spawn("waiter", func(p *Proc) {
-				granted := r.block(p)
-				order = append(order, fmt.Sprint("waiter:", granted))
-				// The timer popped; the wake is dead behind the bystander.
-				want := [3]int{2, 1, 0} // ring length, dead, compactions
-				if den == compactAlways {
-					want = [3]int{1, 0, 1}
-				}
-				if got := [3]int{env.nowq.len(), env.dead, int(env.stats.Compactions)}; got != want {
-					t.Errorf("%s den=%d: ring, dead, compactions = %v, want %v", name, den, got, want)
-				}
-			})
-			env.Spawn("granter", func(p *Proc) {
-				env.Spawn("bystander", func(*Proc) { order = append(order, "bystander") })
-				r.grant()
-			})
-			if err := env.Run(); err != nil {
-				t.Fatal(err)
-			}
-			// The wake was issued before the timer popped, so the waiter has
-			// its result; the dead entry fired nothing.
-			if want := []string{"waiter:true", "bystander"}; !reflect.DeepEqual(order, want) {
-				t.Fatalf("%s den=%d: order %q, want %q", name, den, order, want)
-			}
-			st := env.Stats()
-			if st.Events != 4 || st.NowQueued != 5 || st.HeapPeak != 0 || st.DeadPeak != 1 {
-				t.Fatalf("%s den=%d: %+v: want 4 events fired of 5 in the now-queue, none in the heap", name, den, st)
-			}
-			if env.pending() != 0 || env.dead != 0 {
-				t.Fatalf("%s den=%d: drained queue holds %d entries, dead=%d", name, den, env.pending(), env.dead)
-			}
-
-			var never Event
-			env.After(&never, funcTask(func() { t.Error("dropped task ran") }))
-			env.After(&never, funcTask(func() { t.Error("dropped task ran") }))
-			tokens := len(env.tokFree) + len(env.tasks)
-			if env.nowq.len() != 2 {
-				t.Fatalf("%s den=%d: %d registration entries in the now-queue, want 2", name, den, env.nowq.len())
-			}
-			env.Shutdown()
-			if env.pending() != 0 || env.dead != 0 || len(env.tokFree) != tokens {
-				t.Fatalf("%s den=%d: after shutdown: queued=%d dead=%d, %d tokens pooled of %d",
-					name, den, env.pending(), env.dead, len(env.tokFree), tokens)
-			}
-			for _, tok := range env.tokFree {
-				if tok.refs != 0 || tok.queued != 0 || !tok.spent || tok.p != nil || tok.task != nil {
-					t.Fatalf("%s den=%d: pooled token %+v", name, den, *tok)
-				}
-			}
-		}
 	}
 }
 

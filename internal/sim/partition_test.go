@@ -265,7 +265,7 @@ func TestNextEventTimeSkipsSpentTokens(t *testing.T) {
 	env := NewEnv(1)
 	q := NewQueue[int](env)
 	env.Spawn("w", func(p *Proc) {
-		// A timed-out pop leaves a spent token in the heap.
+		// A timed-out pop leaves a spent token in the queue's waiter list.
 		if _, ok := q.PopTimeout(p, Microsecond); ok {
 			t.Error("unexpected value")
 		}

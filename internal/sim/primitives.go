@@ -179,7 +179,7 @@ func (q *Queue[T]) Push(v T) {
 	w := q.unlink()
 	w.v = v
 	w.tok.p.granted = true
-	q.env.schedule(w.tok, q.env.now)
+	q.env.grant(w.tok)
 	q.env.dropRef(w.tok)
 }
 
@@ -251,7 +251,7 @@ func (q *Queue[T]) pop(p *Proc, timeout Duration) (v T, ok bool) {
 	}
 	q.tail = w
 	if timeout >= 0 {
-		q.env.schedule(w.tok, q.env.now.Add(timeout))
+		q.env.timeout(w.tok, timeout)
 	}
 	p.park()
 	if !p.granted {
@@ -412,11 +412,23 @@ func (e *Env) wake(tok *wakeToken) {
 }
 
 // grant queues the wake-up of tok, taken off a waiter list or FIFO, now. A
-// task's continuation with no entry queued (no WaitTimeoutThen deadline) races
-// nothing any more: its record and token retire, and the task is queued as
-// itself at the sequence number the token would have drawn.
+// deadline of tok's that is still ahead is taken out; one due at this instant
+// was drawn before the wake-up and fires first, so it stays and delivers the
+// wake-up itself, and the wake-up's sequence number is drawn for nothing.
+// A task's continuation then races nothing: its record and token retire, and
+// the task is queued as itself at the sequence number the token would have
+// drawn.
 func (e *Env) grant(tok *wakeToken) {
-	if pt := tok.task; pt != nil && tok.queued == 0 {
+	if tok.dl != 0 {
+		if e.deadlines.a[tok.dl-1].t == e.now {
+			e.seq++
+			return
+		}
+		e.deadlines.remove(int(tok.dl - 1))
+		e.dropRef(tok)
+		e.stats.Cancelled++
+	}
+	if pt := tok.task; pt != nil {
 		tok.spent = true
 		e.queue(e.now, e.unlist(pt))
 		return
@@ -480,7 +492,7 @@ func (ev *Event) WaitTimeout(p *Proc, d Duration) bool {
 	p.granted = false
 	tok := p.newToken()
 	ev.waiters.add(tok)
-	p.env.schedule(tok, p.env.now.Add(d))
+	p.env.timeout(tok, d)
 	p.park()
 	return p.granted
 }
@@ -493,7 +505,7 @@ func (ev *Event) WaitTimeout(p *Proc, d Duration) bool {
 // the parked proc's resume, so t reads the outcome WaitTimeout would have
 // returned from Fired: true if the event fired before the deadline or at its
 // instant ahead of it. The losing registration is dropped where the proc's
-// would be: the deadline as a dead entry, the waiter-list entry at Fire.
+// would be: the deadline at the wake-up, the waiter-list entry at Fire.
 func (ev *Event) WaitTimeoutThen(e *Env, d Duration, t Task) bool {
 	if ev.fired {
 		return false
@@ -501,7 +513,7 @@ func (ev *Event) WaitTimeoutThen(e *Env, d Duration, t Task) bool {
 	tok := e.continuation(t)
 	tok.task.ev = ev
 	ev.waiters.add(tok)
-	e.schedule(tok, e.now.Add(d))
+	e.timeout(tok, d)
 	return true
 }
 

@@ -54,8 +54,9 @@ type pendingTask struct {
 	// cond is the condition a Cond.WaitThen continuation waits on (nil
 	// otherwise).
 	cond *Cond
-	// tok is the task's token: its one live registration, a heap entry or a
-	// place in ev's waiter list, or both for a WaitTimeoutThen continuation.
+	// tok is the task's token: its one live registration, an event-queue
+	// entry or a place in ev's waiter list, or a deadline and that place for
+	// a WaitTimeoutThen continuation.
 	tok *wakeToken
 	// idx is the record's position in env.tasks (swap-removed when it runs).
 	idx int32

@@ -517,15 +517,15 @@ func TestTaskStuckIsReportedAndShutdownDropsIt(t *testing.T) {
 		tokens++
 	}
 	env.Shutdown()
-	if env.LiveProcs() != 0 || len(env.tasks) != 0 || env.pending() != 0 || env.dead != 0 {
-		t.Fatalf("after shutdown: live=%d tasks=%d queued=%d dead=%d",
-			env.LiveProcs(), len(env.tasks), env.pending(), env.dead)
+	if env.LiveProcs() != 0 || len(env.tasks) != 0 || env.pending() != 0 {
+		t.Fatalf("after shutdown: live=%d tasks=%d queued=%d",
+			env.LiveProcs(), len(env.tasks), env.pending())
 	}
 	if len(env.tokFree) != tokens {
 		t.Fatalf("%d tokens in the pool after shutdown, want %d", len(env.tokFree), tokens)
 	}
 	for _, tok := range env.tokFree {
-		if tok.refs != 0 || tok.queued != 0 || tok.task != nil {
+		if tok.refs != 0 || tok.dl != 0 || tok.task != nil {
 			t.Fatalf("pooled token %+v", *tok)
 		}
 	}
@@ -568,7 +568,7 @@ func TestTaskStatsAccountForEveryEvent(t *testing.T) {
 		})
 		env.Spawn("consumer", func(p *Proc) {
 			for i := 0; i < 50; i++ {
-				q.PopTimeout(p, Second) // the timeout loses every race: dead entries
+				q.PopTimeout(p, Second) // the push beats every timeout: cancelled
 			}
 		})
 		return env
@@ -585,12 +585,15 @@ func TestTaskStatsAccountForEveryEvent(t *testing.T) {
 		// the parked consumer, fifty-one task registrations, a hundred relay
 		// and leaf spawns, one fire. Popped from the heap or fired in place:
 		// the fifty timers of solo and the fifty-two of the producer; the
-		// consumer's fifty timeouts die in the heap unfired.
+		// consumer's fifty timeouts leave the deadline heap at their pushes.
 		if st.NowQueued != 205*envs || st.Events != st.NowQueued+102*envs {
 			t.Fatalf("%+v: events != now-queued + %d timers", st, 102*envs)
 		}
-		if st.FastPath < 50 || st.Switches == 0 || st.HeapPeak < 3 || st.DeadPeak == 0 || st.Compactions == 0 {
+		if st.FastPath < 50 || st.Switches == 0 || st.HeapPeak < 2 || st.DeadlinePeak != 1 {
 			t.Fatalf("%+v: a counter that should have moved did not", st)
+		}
+		if st.Deadlines != 50*envs || st.Cancelled != 50*envs {
+			t.Fatalf("%+v: want %d deadlines registered, all cancelled", st, 50*envs)
 		}
 		// Tokens: a hundred and three proc starts, fifty PopTimeouts, the
 		// fifty-one registrations and the After task's waiter-list entry, and
