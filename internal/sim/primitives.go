@@ -414,7 +414,8 @@ func (e *Env) wake(tok *wakeToken) {
 // grant queues the wake-up of tok, taken off a waiter list or FIFO, now. A
 // deadline of tok's that is still ahead is taken out; one due at this instant
 // was drawn before the wake-up and fires first, so it stays and delivers the
-// wake-up itself, and the wake-up's sequence number is drawn for nothing.
+// wake-up itself; the sequence number the wake-up's entry would have taken is
+// drawn all the same, so every later number is what it was.
 // A task's continuation then races nothing: its record and token retire, and
 // the task is queued as itself at the sequence number the token would have
 // drawn.
