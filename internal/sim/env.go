@@ -354,7 +354,6 @@ type Env struct {
 	// fired; next returns it once the task is done.
 	resumed *Proc
 	rng     *rand.Rand
-	live    int
 	procs   []*Proc
 	// tasks lists the records of the tasks that have not run; a task queued
 	// as itself is in the event queue alone.
@@ -520,7 +519,6 @@ func (e *Env) next() *Proc {
 				continue
 			}
 		}
-		e.live--
 		e.stats.TaskRuns++
 		run.Run()
 		if p := e.resumed; p != nil {
@@ -560,7 +558,6 @@ func (e *Env) drop(ev event) bool {
 	tok, isTok := ev.run.(*wakeToken)
 	switch {
 	case !isTok:
-		e.live--
 	case tok.spent:
 		e.dropRef(tok)
 	default:
@@ -603,7 +600,6 @@ func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
 	p.name, p.hasID, p.fn, p.state = name, false, fn, stateNew
 	p.idx = int32(len(e.procs))
 	e.procs = append(e.procs, p)
-	e.live++
 	e.schedule(e.getToken(p), e.now)
 	return p
 }
@@ -655,7 +651,6 @@ func (c *coro) loop(yield func(struct{}) bool) {
 		// A panic with a proc bound is a body cut short.
 		if r := recover(); r != nil {
 			if p := c.p; p != nil {
-				e.live--
 				p.state = stateDone
 			}
 			if _, ok := r.(killSignal); !ok {
@@ -667,7 +662,6 @@ func (c *coro) loop(yield func(struct{}) bool) {
 		p := c.p
 		p.state = stateRunning
 		p.fn(p)
-		e.live--
 		p.state = stateDone
 		// Swap-remove from the live list and recycle.
 		n := len(e.procs) - 1
@@ -896,39 +890,51 @@ func (e *Env) runWindow(limit Time) (drained bool) {
 	return true
 }
 
+// work calls proc for every proc that has not finished and task for every
+// task that has not run, listed or queued as itself, once each: a task that
+// is a proc's own await (procOf) is that proc's.
+func (e *Env) work(proc func(*Proc), task func(Task)) {
+	for _, p := range e.procs {
+		if p.state != stateDone {
+			proc(p)
+		}
+	}
+	each := func(t Task) {
+		if _, tok := t.(*wakeToken); !tok && procOf(t) == nil { // a token is a proc's or a listed task's
+			task(t)
+		}
+	}
+	for _, pt := range e.tasks {
+		each(pt.run)
+	}
+	for i := 0; i < e.nowq.len(); i++ {
+		each(e.nowq.at(i).run)
+	}
+	for _, ev := range e.heap.a {
+		each(ev.run)
+	}
+}
+
 // blockedState is the partition's deadlock snapshot: the sorted names of procs
 // and tasks that have not run (daemons' only counted), and the starved queues.
 // Tasks queued as themselves are in the event queue, which a deadlock drained.
 func (e *Env) blockedState(name string) PartitionState {
 	ps := PartitionState{Name: name, Now: e.now}
-	for _, p := range e.procs {
-		if p.state != stateBlocked && p.state != stateNew {
-			continue
-		}
-		if p.daemon {
-			ps.Daemons++
-			continue
-		}
-		ps.Parked = append(ps.Parked, p.Name())
-	}
-	task := func(t Task) {
-		switch t.(type) {
-		case *wakeToken: // a proc's or a listed task's
-		case Daemon:
+	e.work(func(p *Proc) {
+		switch {
+		case p.state == stateRunning:
+		case p.daemon:
 			ps.Daemons++
 		default:
+			ps.Parked = append(ps.Parked, p.Name())
+		}
+	}, func(t Task) {
+		if _, ok := t.(Daemon); ok {
+			ps.Daemons++
+		} else {
 			ps.Parked = append(ps.Parked, taskName(t))
 		}
-	}
-	for _, pt := range e.tasks {
-		task(pt.run)
-	}
-	for i := 0; i < e.nowq.len(); i++ {
-		task(e.nowq.at(i).run)
-	}
-	for _, ev := range e.heap.a {
-		task(ev.run)
-	}
+	})
 	sort.Strings(ps.Parked)
 	ps.Starved = e.Backlog()
 	return ps
@@ -978,7 +984,6 @@ func (e *Env) Shutdown() {
 		case stateBlocked:
 			p.co.stop() // unwinds the body; loop's deferred exit does the accounting
 		case stateNew:
-			e.live--
 			p.state = stateDone
 		}
 	}
@@ -1006,7 +1011,6 @@ func (e *Env) Shutdown() {
 		}
 		// A token in neither waits in a CPU's or a Semaphore's FIFO, which
 		// drops a spent token when it reaches it, as it does a timed-out one.
-		e.live--
 		*pt = pendingTask{env: e}
 		e.taskFree = append(e.taskFree, pt)
 	}
@@ -1015,8 +1019,12 @@ func (e *Env) Shutdown() {
 }
 
 // LiveProcs returns the number of processes that have not finished plus the
-// number of tasks — pending or queued as themselves — that have not run.
-func (e *Env) LiveProcs() int { return e.live }
+// number of tasks — pending or queued as themselves — that have not run. A
+// proc awaiting a task form counts once, as itself.
+func (e *Env) LiveProcs() (n int) {
+	e.work(func(*Proc) { n++ }, func(Task) { n++ })
+	return n
+}
 
 // Busy lists, sorted, the live procs and tasks that are not daemons: the work
 // still under way. A drained run leaves it empty. It must not be called while

@@ -392,3 +392,79 @@ func TestQueuedTaskIsLiveNamedAndDropped(t *testing.T) {
 		t.Fatalf("a dropped task ran: ran=%d", ran)
 	}
 }
+
+// TestAwaitingProcCountsOnce: a proc awaiting a task form — passed as the
+// continuation of Delay, WaitThen, Event.WaitThen or WaitTimeoutThen,
+// AcquireThen, Cond.WaitThen or Queue.Pop's waiter node, or of a burst queued
+// behind a busy core — and a proc in the proc form of the same call are one
+// piece of live work each: LiveProcs counts it once, and Busy and a deadlock
+// report list it once, under its own name, unless it is a daemon, which they
+// only count. A daemon waiting for good ends the run cleanly; another proc
+// is a deadlock that names it once.
+func TestAwaitingProcCountsOnce(t *testing.T) {
+	await := func(p *Proc, registered bool) {
+		if registered {
+			p.Suspend()
+		}
+	}
+	// hog keeps the one core of a new CPU busy for a second, a burst named
+	// after its continuation.
+	hog := func(env *Env) (*CPU, *Thread) {
+		cpu, th := NewCPU(env, "c", 1, 1, 0), NewThread("t", "t")
+		cpu.ExecThen(th, int64(Second), nil, &namedTask{"hog", func() {}})
+		return cpu, th
+	}
+	for _, c := range []struct {
+		name string
+		// idle is set when the proc waits for good: Run ends at once.
+		idle   bool
+		others []string
+		body   func(env *Env, p *Proc)
+	}{
+		{"Delay", false, nil, func(env *Env, p *Proc) { env.Delay(Second, p); p.Suspend() }},
+		{"WaitThen", false, nil, func(env *Env, p *Proc) { await(p, env.WaitThen(Second, p)) }},
+		{"Wait", false, nil, func(env *Env, p *Proc) { p.Wait(Second) }},
+		{"Event.WaitThen", true, nil, func(env *Env, p *Proc) { await(p, new(Event).WaitThen(env, p)) }},
+		{"Event.Wait", true, nil, func(env *Env, p *Proc) { new(Event).Wait(p) }},
+		{"Event.WaitTimeoutThen", false, nil, func(env *Env, p *Proc) { await(p, new(Event).WaitTimeoutThen(env, Second, p)) }},
+		{"Event.WaitTimeout", false, nil, func(env *Env, p *Proc) { new(Event).WaitTimeout(p, Second) }},
+		{"AcquireThen", true, nil, func(env *Env, p *Proc) { await(p, NewSemaphore(env, 0).AcquireThen(1, p)) }},
+		{"Acquire", true, nil, func(env *Env, p *Proc) { NewSemaphore(env, 0).Acquire(p, 1) }},
+		{"Cond.WaitThen", true, nil, func(env *Env, p *Proc) { new(Cond).WaitThen(env, p); p.Suspend() }},
+		{"Cond.Wait", true, nil, func(env *Env, p *Proc) { new(Cond).Wait(p) }},
+		{"queued ExecThen", false, []string{"hog"}, func(env *Env, p *Proc) {
+			cpu, th := hog(env)
+			await(p, cpu.ExecThen(th, 1000, nil, p))
+		}},
+		{"queued Exec", false, []string{"hog"}, func(env *Env, p *Proc) {
+			cpu, th := hog(env)
+			cpu.Exec(p, th, 1000)
+		}},
+		{"Pop", true, nil, func(env *Env, p *Proc) { NewQueue[int](env).Pop(p) }},
+		{"PopTimeout", false, nil, func(env *Env, p *Proc) { NewQueue[int](env).PopTimeout(p, Second) }},
+	} {
+		for _, daemon := range []bool{false, true} {
+			env := NewEnv(1)
+			spawn, busy := env.Spawn, []string{"a"}
+			if daemon {
+				spawn, busy = env.SpawnDaemon, nil
+			}
+			busy = append(busy, c.others...)
+			spawn("a", func(p *Proc) { c.body(env, p) })
+			// An idle non-daemon is a deadlock once the queue drains.
+			err := env.RunUntil(Time(Millisecond))
+			if dl, ok := err.(DeadlockError); c.idle && !daemon && (!ok || !slices.Equal(dl.Blocked, busy)) ||
+				(!c.idle || daemon) && err != nil {
+				t.Errorf("%s daemon=%v: the run returned %v", c.name, daemon, err)
+			}
+			if live, got := env.LiveProcs(), env.Busy(); live != 1+len(c.others) || !slices.Equal(got, busy) {
+				t.Errorf("%s daemon=%v: live=%d busy=%q, want %d live and busy %q",
+					c.name, daemon, live, got, 1+len(c.others), busy)
+			}
+			env.Shutdown()
+			if live := env.LiveProcs(); live != 0 {
+				t.Errorf("%s daemon=%v: live=%d after Shutdown", c.name, daemon, live)
+			}
+		}
+	}
+}

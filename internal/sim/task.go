@@ -93,7 +93,6 @@ func (e *Env) listTask(t Task) *pendingTask {
 	pt.run, pt.ev, pt.at, pt.cond, pt.started = t, nil, 0, nil, false
 	pt.idx = int32(len(e.tasks))
 	e.tasks = append(e.tasks, pt)
-	e.live++
 	return pt
 }
 
@@ -115,7 +114,6 @@ func (e *Env) Delay(d Duration, t Task) {
 	if d < 0 {
 		d = 0
 	}
-	e.live++
 	e.queue(e.now.Add(d), t)
 }
 
@@ -168,6 +166,17 @@ func (e *Env) unlist(pt *pendingTask) Task {
 	pt.run, pt.ev, pt.cond, pt.tok = nil, nil, nil, nil
 	e.taskFree = append(e.taskFree, pt)
 	return t
+}
+
+// procOf returns the proc a task is the await of — the proc itself, passed as
+// the continuation of a task form, or an ExecThen burst that ends in it — or
+// nil: the proc stands for such a task in LiveProcs and deadlock reports.
+func procOf(t Task) *Proc {
+	if b, ok := t.(*burst); ok {
+		t = b.next
+	}
+	p, _ := t.(*Proc)
+	return p
 }
 
 func taskName(t Task) string {
