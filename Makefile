@@ -21,8 +21,9 @@ test:
 # kernel and a proc, tasks run inline by whichever of them holds control
 # (queued as themselves or on a token, and dropped by Shutdown at any point
 # of a seeded program), timed waits through each outcome of their deadline, a
-# proc suspended on a task form resumed by the chain that ends it (and unwound
-# by Shutdown when it never ends), a
+# proc suspended on a task form — every blocking call of a proc is one —
+# resumed by the chain that ends it (and unwound by Shutdown when it never
+# ends, counted once in LiveProcs and deadlock reports until then), a
 # coroutine running several procs' bodies in a row, and Group workers
 # resuming the same partition's procs — and draining its now-queue, which the
 # barrier filled — from different goroutines in successive windows (repeated,
@@ -37,7 +38,7 @@ test:
 # workers on every kind of item. CI's race step runs all four lines.
 test-race:
 	go test -race ./...
-	go test -race -count=10 -run 'TestGroup|TestShutdown|TestProcPanic|TestTask|TestChainServers|TestNowQueue|TestServe|TestWaitInPlace|TestSleeperParked|TestHandoff|TestQueued|TestDeadline|FuzzEventQueue' ./internal/sim
+	go test -race -count=10 -run 'TestGroup|TestShutdown|TestProcPanic|TestTask|TestChainServers|TestNowQueue|TestServe|TestWaitInPlace|TestSleeperParked|TestHandoff|TestQueued|TestDeadline|TestAwaitingProcCountsOnce|FuzzEventQueue' ./internal/sim
 	go test -race -count=10 -run 'TestRecycled|TestReadReturnDMAError|TestShipmentPaths|TestBatchPaths|TestReadPaths' ./internal/core
 	go test -race -count=10 -run 'TestFaultPaths|TestMonitorFailureReport|TestOpWorkerPaths|TestStoreError' ./internal/osd
 

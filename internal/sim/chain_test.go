@@ -33,8 +33,7 @@ type chainOp struct {
 // writeDisk, Event.WaitTimeout, transferFrame, Cond.Wait, readDisk), once as
 // task chains (ServeTask, Delay, ExecThen, AcquireThen, Event.WaitThen,
 // Disk.WriteThen, Event.WaitTimeoutThen, Fabric.TransferFrameThen,
-// Cond.WaitThen, Disk.ReadThen), and once as the same daemon procs awaiting
-// those task forms (Suspend). A timed wait logs its outcome and a frame
+// Cond.WaitThen, Disk.ReadThen). A timed wait logs its outcome and a frame
 // whether it arrived.
 type chainProg struct {
 	env    *Env
@@ -87,7 +86,6 @@ func (pg *chainProg) note(format string, args ...any) {
 const (
 	procForm  = iota // daemon procs making the blocking calls
 	chainForm        // task chains on ServeTask identities
-	awaitForm        // daemon procs awaiting the task forms
 )
 
 // procBody is a server's body in proc form.
@@ -119,58 +117,6 @@ func (pg *chainProg) procBody(p *Proc, item int) {
 			pg.conds[op.ev%2].Wait(p)
 		case 9:
 			readDisk(p, pg.disk, op.cycles)
-		}
-		pg.note("%s:%d:%d%s", name, item, i, outcome)
-	}
-	if held {
-		pg.sem.Release(1)
-	}
-	pg.ended++
-	pg.note("%s:%d:end", name, item)
-}
-
-// awaitBody is a server's body as a proc that makes each call through its
-// task form, passing itself as the continuation and suspending when the call
-// registered it.
-func (pg *chainProg) awaitBody(p *Proc, item int) {
-	name := p.Thread().Name
-	pg.note("%s:%d:start", name, item)
-	await := func(registered bool) {
-		if registered {
-			p.Suspend()
-		}
-	}
-	held := false
-	for i, op := range pg.plans[item] {
-		outcome := ""
-		switch op.kind {
-		case 0:
-			await(pg.env.WaitThen(op.d, p))
-		case 1:
-			await(pg.cpu.ExecThen(p.Thread(), op.cycles, nil, p))
-		case 2:
-			await(pg.sem.AcquireThen(1, p))
-			held = true
-		case 3:
-			pg.queues[op.q].Push(op.arg)
-		case 4:
-			await(pg.evs[op.ev].WaitThen(pg.env, p))
-		case 5:
-			_, registered := pg.disk.WriteThen(op.cycles, p)
-			await(registered)
-		case 6:
-			await(pg.evs[op.ev].WaitTimeoutThen(pg.env, op.d, p))
-			outcome = fmt.Sprint(":fired=", pg.evs[op.ev].Fired())
-		case 7:
-			_, delivered, registered := pg.fabric.TransferFrameThen("srv", "rival", op.cycles, p)
-			await(registered)
-			outcome = fmt.Sprint(":delivered=", delivered)
-		case 8:
-			pg.conds[op.ev%2].WaitThen(pg.env, p)
-			p.Suspend()
-		case 9:
-			_, registered := pg.disk.ReadThen(op.cycles, p)
-			await(registered)
 		}
 		pg.note("%s:%d:%d%s", name, item, i, outcome)
 	}
@@ -358,15 +304,11 @@ func chainProgram(t *testing.T, seed int64, form int, heapOnly bool) (pg *chainP
 			c.done = q.ServeTask(th.Name, c.serve)
 			continue
 		}
-		body := pg.procBody
-		if form == awaitForm {
-			body = pg.awaitBody
-		}
 		pg.daemons++
 		env.SpawnDaemon(th.Name, func(p *Proc) {
 			p.SetThread(th)
 			for {
-				body(p, q.Pop(p))
+				pg.procBody(p, q.Pop(p))
 			}
 		})
 	}
@@ -472,11 +414,12 @@ func transferFrame(p *Proc, f *Fabric, src, dst string, bytes int64) bool {
 // ServeTask for the daemon's Pop loop — changes nothing in the (t, seq,
 // owner, outcome) log and takes exactly the daemons' start events out of the
 // event count, in the classic loop as in the kernel as shipped; the chains
-// resume no coroutine. Daemon procs that await those task forms (Suspend)
-// instead of making the blocking calls log the same and fire the same events
-// as the native procs. The timed waits see all three outcomes: the event
+// resume no coroutine. The timed waits see all three outcomes: the event
 // fired before the deadline, at its instant, or not in time. The logs are
-// pinned by their hash.
+// pinned by their hash. The kernel's proc forms are themselves awaits of the
+// task forms (Suspend), so the two forms are no independent check of each
+// other there; the hash, recorded while the proc forms had their own native
+// paths, is the oracle both are held to.
 func TestChainServersMatchProcServers(t *testing.T) {
 	bursts, acquires, waits, writes, reads, conds := 0, 0, 0, 0, 0, 0
 	var timed, frames, early, atDeadline, timedOut, dropped int
@@ -488,7 +431,7 @@ func TestChainServersMatchProcServers(t *testing.T) {
 			t.Fatalf("seed=%d: only %d log entries; the program did nothing", seed, len(want.log))
 		}
 		for _, heapOnly := range []bool{false, true} {
-			for _, form := range []int{procForm, chainForm, awaitForm} {
+			for _, form := range []int{procForm, chainForm} {
 				got, st := chainProgram(t, seed, form, heapOnly)
 				if !reflect.DeepEqual(got.log, want.log) {
 					t.Fatalf("seed=%d form=%d heapOnly=%v: logs differ:\n got %q\nwant %q",
@@ -497,9 +440,6 @@ func TestChainServersMatchProcServers(t *testing.T) {
 				if st.Events+uint64(want.daemons) != wantSt.Events+uint64(got.daemons) {
 					t.Fatalf("seed=%d form=%d heapOnly=%v: %d events, %d with %d daemon servers",
 						seed, form, heapOnly, st.Events, wantSt.Events, want.daemons)
-				}
-				if form == awaitForm && st.TaskRuns == 0 {
-					t.Fatalf("seed=%d heapOnly=%v: the awaiting procs ran no task form's continuation", seed, heapOnly)
 				}
 				if form == chainForm && !heapOnly {
 					bursts += got.queuedBursts

@@ -144,18 +144,14 @@ func (c *CPU) CyclesToDuration(cycles int64) Duration {
 }
 
 // Exec runs th on this CPU for the given number of cycles, blocking p for
-// queueing (if all cores are busy) plus execution time. It returns the busy
-// time charged (including any context-switch overhead) so callers can
-// attribute the occupancy, e.g. to a trace span.
+// queueing (if all cores are busy) plus execution time: it awaits ExecThen.
+// It returns the busy time charged (including any context-switch overhead)
+// so callers can attribute the occupancy, e.g. to a trace span.
 func (c *CPU) Exec(p *Proc, th *Thread, cycles int64) Duration {
-	if cycles <= 0 {
-		return 0
+	if c.ExecThen(th, cycles, &p.busy, p) {
+		p.Suspend()
 	}
-	core := c.acquire(p)
-	d := c.charge(core, th, cycles)
-	p.Wait(d)
-	c.release(core)
-	return d
+	return p.busy
 }
 
 // charge accounts cycles of th on core, plus a context switch if the core last
@@ -179,13 +175,13 @@ func (c *CPU) charge(core int, th *Thread, cycles int64) Duration {
 }
 
 // ExecThen is the task form of Exec: th runs cycles on this CPU, queueing for
-// a core behind the procs and bursts already waiting, and next runs when the
-// burst ends, after the core is released — where Exec would return. The busy
-// time charged is stored through busy (when not nil) first. The core is taken,
-// the wait for one is queued and the burst's end is scheduled, or fires in
-// place, at exactly the points Exec does each. It reports whether next was
-// registered; if not — no cycles to run, or the burst ran on a free core and
-// its end was the next event — the caller goes on at once, as after Exec.
+// a core behind the bursts already waiting, and next runs when the burst
+// ends, after the core is released. The busy time charged is stored through
+// busy (when not nil) first. The core is taken on the spot or granted in
+// arrival order, and the burst's end is scheduled, or fires in place as a
+// Wait would. It reports whether next was registered; if not — no cycles to
+// run, or the burst ran on a free core and its end was the next event — the
+// caller goes on at once.
 func (c *CPU) ExecThen(th *Thread, cycles int64, busy *Duration, next Task) bool {
 	if cycles <= 0 {
 		if busy != nil {
@@ -285,30 +281,12 @@ func (c *CPU) NoteSwitches(th *Thread, n int64) {
 	a.hasSwitch = true
 }
 
-func (c *CPU) acquire(p *Proc) int {
-	if n := len(c.freeCores); n > 0 {
-		core := c.freeCores[n-1]
-		c.freeCores = c.freeCores[:n-1]
-		return core
-	}
-	tok := p.newToken()
-	tok.refs++
-	c.waiters.push(tok)
-	p.park()
-	return int(p.core)
-}
-
-// release hands core to the oldest waiter (through Proc.core, or the waiting
-// burst) or frees it.
+// release hands core to the oldest waiting burst or frees it.
 func (c *CPU) release(core int) {
 	for c.waiters.len() > 0 {
 		tok := c.waiters.pop()
 		if !tok.spent {
-			if tok.p != nil {
-				tok.p.core = int32(core)
-			} else {
-				tok.task.run.(*burst).core = int32(core)
-			}
+			tok.task.run.(*burst).core = int32(core)
 			c.env.grant(tok)
 			c.env.dropRef(tok)
 			return

@@ -87,16 +87,13 @@ func TestDeadlineLeavesAtTheWake(t *testing.T) {
 					got := [4]int{len(env.deadlines.a), int(st.Cancelled), w.listed(), env.tokMade - len(env.tokFree)}
 					// Left after the wake: the deadline, cancellations, the
 					// waiter's list entry, tokens out of the pool (the
-					// granter's own is in the pool again).
+					// deadline's is the waiter's continuation's).
 					want := map[string][4]int{
-						"early":                    {0, 1, 0, 1}, // the waiter's wake-up is queued (a task's as itself)
+						"early":                    {0, 1, 0, 0}, // the waiter's wake-up is queued as itself
 						"at the deadline":          {1, 0, 0, 1},
 						"zero, within the instant": {1, 0, 0, 1},
 						"timed out":                {0, 0, 0, 0},
 					}[outcome.name]
-					if form.name == "WaitTimeoutThen" && outcome.name == "early" {
-						want[3] = 0
-					}
 					if got != want {
 						t.Errorf("%s: after the wake: deadlines, cancelled, listed, tokens out = %v, want %v", name, got, want)
 					}

@@ -11,11 +11,13 @@ import (
 	"strings"
 )
 
-// wakeToken is a single-use wakeup permit for a parked Proc. A Proc about to
-// block creates one token and registers it with every path that may resume it
-// (a timer, a queue push, an event fire). The first path to reach the kernel
-// wins; the rest find the token spent and are ignored. This is what makes
-// timeouts composable with every blocking primitive.
+// wakeToken is a single-use wakeup permit for a pending task (pendingTask):
+// a task registered with After or At, or a task form's continuation waiting in
+// a waiter list or FIFO — a proc's own among them, when the proc awaits the
+// call. It is registered with every path that may run the task (a timer, a
+// deadline, a queue push, an event fire, a grant). The first path to reach the
+// kernel wins; the rest find the token spent and are ignored. This is what
+// makes timeouts composable with every blocking primitive.
 //
 // Tokens are pooled: refs counts live registrations (scheduled events, a
 // deadline and waiter-list entries). Every registration site increments refs
@@ -28,14 +30,13 @@ import (
 // that beats it takes it out on the spot (Env.grant). A token is thus never
 // in the event queue twice, nor there and in the deadline heap at once, and
 // neither ever holds a spent token. refs is 16-bit and dl 32-bit to keep the
-// token in the 24-byte size class.
+// token in the 16-byte size class.
 //
-// A token belongs either to a proc (p) or to a pending task (task), never
-// both; the event queue, the waiter lists and the pool treat the two alike.
-// A task has one only for a registration, or in a waiter list or FIFO until
-// its grant (or its deadline, for WaitTimeoutThen).
+// A task has a token only for a registration, or in a waiter list or FIFO
+// until its grant (or its deadline, for a timed wait). Nothing else races,
+// so nothing else takes one: a proc's start and a Delay are queued as
+// themselves.
 type wakeToken struct {
-	p     *Proc
 	task  *pendingTask
 	spent bool
 	refs  int16
@@ -45,14 +46,6 @@ type wakeToken struct {
 // Run makes a token one kind of an event's run. The kernel type-switches on
 // it and never calls it.
 func (*wakeToken) Run() { panic("sim: a wake token was run as a task") }
-
-// env returns the environment of the token's owner.
-func (tok *wakeToken) env() *Env {
-	if tok.p != nil {
-		return tok.p.env
-	}
-	return tok.task.env
-}
 
 // when orders events and deadlines: by time, then by the sequence number
 // drawn when they were scheduled, a total order.
@@ -68,9 +61,9 @@ func (a when) before(b when) bool {
 	return a.seq < b.seq
 }
 
-// event is an entry of the event queue. A *wakeToken run wakes its owner; any
-// other run is a task queued as itself (by Delay or a grant), run inline: no
-// token, no record.
+// event is an entry of the event queue. A *wakeToken run advances its pending
+// task; a *Proc whose body has not started is started; any other run is a task
+// queued as itself (by Delay or a grant), run inline: no token, no record.
 type event struct {
 	when
 	run Task
@@ -249,6 +242,8 @@ type coro struct {
 // Proc is a simulated thread of control. All blocking operations on the
 // simulation (Wait, queue pops, CPU execution, transfers) take the Proc as
 // the identity of the caller; a Proc must only be used from its own body.
+// Each is a task-form call awaited: the proc passes itself as the
+// continuation and parks in Suspend, so a proc takes no wake token of its own.
 //
 // Procs are pooled: when a body returns, the proc parks in a free list and
 // the next Spawn reuses it. A *Proc must therefore not be retained past the
@@ -263,20 +258,14 @@ type Proc struct {
 	// co is the coroutine running the body, from the proc's start to its end.
 	co     *coro
 	thread *Thread
-	// idx is the proc's position in env.procs (swap-removed on completion).
-	// It and core are 32-bit so that Proc stays in the 80-byte size class.
-	idx int32
-	// core is the core a CPU granted the proc while it was parked in acquire.
-	core   int32
+	// busy is where the ExecThen that Exec awaits stores the busy time.
+	busy Duration
+	// idx is the proc's position in env.procs (swap-removed on completion),
+	// 32-bit so that Proc stays in the 80-byte size class.
+	idx    int32
 	hasID  bool
 	state  procState
 	daemon bool
-	// granted is set by the primitive that wakes the proc with a result (a
-	// queue push, an event fire) and stays false when only a timeout fired.
-	// A proc parks in one place at a time, so one flag serves them all.
-	granted bool
-	// suspended is set while the proc is parked in Suspend.
-	suspended bool
 }
 
 // Name returns the name the process was spawned with.
@@ -394,31 +383,19 @@ func (e *Env) Now() Time { return e.now }
 // be used from simulation processes (or before Run), never concurrently.
 func (e *Env) Rand() *rand.Rand { return e.rng }
 
-// getToken takes a token from the pool (or allocates one) for p.
-func (e *Env) getToken(p *Proc) *wakeToken {
-	e.stats.Tokens++
-	if n := len(e.tokFree); n > 0 {
-		tok := e.tokFree[n-1]
-		e.tokFree = e.tokFree[:n-1]
-		tok.p, tok.spent = p, false
-		return tok
-	}
-	e.tokMade++
-	return &wakeToken{p: p}
-}
-
 // dropRef releases one registration of tok (heap entry or waiter-list
 // entry). A spent token with no registrations left can never be observed
 // again and returns to the pool.
 func (e *Env) dropRef(tok *wakeToken) {
 	tok.refs--
 	if tok.refs == 0 && tok.spent {
-		tok.p, tok.task = nil, nil
+		tok.task = nil
 		e.tokFree = append(e.tokFree, tok)
 	}
 }
 
-// schedule enqueues tok to fire at time at (>= now).
+// schedule enqueues tok, a pending task's registration, to fire at time at
+// (>= now).
 func (e *Env) schedule(tok *wakeToken, at Time) {
 	tok.refs++
 	e.queue(at, tok)
@@ -485,8 +462,8 @@ func (e *Env) peek() (in int, t Time) {
 	return in, t
 }
 
-// next pops events until one belongs to a proc, or runs a task that resumes
-// a suspended proc, and returns that proc; the events of tasks on the way are
+// next pops events until one starts a proc, or runs a task that resumes a
+// suspended proc, and returns that proc; the events of tasks on the way are
 // run right here, on the caller's stack.
 // It returns nil when the queue is exhausted or the next event lies beyond
 // the run limit (the event is left queued). Must only be called by the
@@ -508,62 +485,45 @@ func (e *Env) next() *Proc {
 		default:
 			run = e.deadlines.remove(0)
 		}
-		if tok, ok := run.(*wakeToken); ok {
-			p, pt := tok.p, tok.task
-			tok.spent = true
-			e.dropRef(tok)
-			if pt == nil {
-				return p
-			}
+		switch r := run.(type) {
+		case *wakeToken:
+			pt := r.task // dropRef may pool r
+			r.spent = true
+			e.dropRef(r)
 			if run = e.advance(pt); run == nil {
 				continue
 			}
+		case *Proc:
+			if r.state == stateNew {
+				return r // its start
+			}
 		}
-		e.stats.TaskRuns++
 		run.Run()
 		if p := e.resumed; p != nil {
 			e.resumed = nil
 			return p
 		}
+		e.stats.TaskRuns++
 	}
 }
 
-// purge drops, for Shutdown, the tasks queued as themselves and the spent
-// tokens from the now-queue, in place, and from the heap, restoring the heap
-// property bottom-up. (t, seq) is a total order, so the order in which the
-// surviving entries pop does not depend on the array layout.
+// purge empties, for Shutdown, the now-queue and the heap. Every entry left
+// there is a task queued as itself (a proc's start or awaited wake-up among
+// them) or the token of a record Shutdown dropped, which it spent.
 func (e *Env) purge() {
-	for n := e.nowq.len(); n > 0; n-- {
-		if ev := e.nowq.pop(); !e.drop(ev) {
-			e.nowq.push(ev)
+	drop := func(ev event) {
+		if tok, ok := ev.run.(*wakeToken); ok {
+			e.dropRef(tok)
 		}
 	}
-	a := e.heap.a
-	live := a[:0]
-	for _, ev := range a {
-		if !e.drop(ev) {
-			live = append(live, ev)
-		}
+	for e.nowq.len() > 0 {
+		drop(e.nowq.pop())
 	}
-	clear(a[len(live):])
-	e.heap.a = live
-	for i := (len(live) - 2) >> 2; i >= 0; i-- {
-		e.heap.down(i, live[i])
+	for _, ev := range e.heap.a {
+		drop(ev)
 	}
-}
-
-// drop accounts for ev leaving the queue unfired and reports whether it goes:
-// a task queued as itself, or a spent token.
-func (e *Env) drop(ev event) bool {
-	tok, isTok := ev.run.(*wakeToken)
-	switch {
-	case !isTok:
-	case tok.spent:
-		e.dropRef(tok)
-	default:
-		return false
-	}
-	return true
+	clear(e.heap.a)
+	e.heap.a = e.heap.a[:0]
 }
 
 // SpawnDaemon creates a service-loop process that is expected to block
@@ -600,7 +560,7 @@ func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
 	p.name, p.hasID, p.fn, p.state = name, false, fn, stateNew
 	p.idx = int32(len(e.procs))
 	e.procs = append(e.procs, p)
-	e.schedule(e.getToken(p), e.now)
+	e.queue(e.now, p)
 	return p
 }
 
@@ -689,10 +649,20 @@ func (c *coro) loop(yield func(struct{}) bool) {
 	}
 }
 
-// park yields control to the kernel until one of the proc's registered wake
-// tokens fires. Fast path: when the next event in the heap is the proc's
-// own (typical for plain Waits), park pops it and returns without a switch.
-func (p *Proc) park() {
+// Suspend parks p with no wake-up of its own, after p passed itself as next
+// to a task-form call that reported it registered next: the call's chain
+// resumes p by running it (Run), in the event whose task it is. So a proc
+// makes any call through its task form — at the same events, and drawing no
+// sequence number of its own — and every blocking primitive's proc form is
+// such an await:
+//
+//	if cpu.ExecThen(p.Thread(), cycles, nil, p) {
+//		p.Suspend()
+//	}
+//
+// Fast path: when the event that resumes p is the next one, Suspend runs it
+// and returns without a switch.
+func (p *Proc) Suspend() {
 	p.state = stateBlocked
 	e := p.env
 	if next := e.next(); next != p {
@@ -706,21 +676,6 @@ func (p *Proc) park() {
 	p.state = stateRunning
 }
 
-// Suspend parks p with no wake-up of its own, after p passed itself as next
-// to a task-form call that reported it registered next: the call's chain
-// resumes p by running it (Run), in the event whose task it is, where the
-// proc form of the call would have resumed p. So a proc makes any call through
-// its task form — at the same events, and drawing no sequence number of its
-// own:
-//
-//	if cpu.ExecThen(p.Thread(), cycles, nil, p) {
-//		p.Suspend()
-//	}
-func (p *Proc) Suspend() {
-	p.suspended = true
-	p.park()
-}
-
 // Run resumes p, parked in Suspend: the kernel returns to p as soon as the
 // task that runs it is done, in that task's event. It makes a *Proc a Task,
 // the continuation it hands a task-form call. Run panics unless p is parked in
@@ -729,32 +684,20 @@ func (p *Proc) Suspend() {
 // bug.
 func (p *Proc) Run() {
 	e := p.env
-	if !p.suspended || e.resumed != nil {
+	if p.state != stateBlocked || e.resumed != nil {
 		panic("sim: " + p.Name() + " run while not parked in Suspend, or with a resume pending")
 	}
-	p.suspended = false
 	e.resumed = p
 }
 
-// newToken creates a fresh single-use wake token for this proc.
-func (p *Proc) newToken() *wakeToken { return p.env.getToken(p) }
-
-// Wait blocks the process for duration d of virtual time. A wake-up due
-// within the run limit and strictly before every other event and deadline
-// fires in place: the sequence number its entry would have drawn is drawn,
-// the clock moves, and the proc runs on with no token, no heap entry and no
-// park. An event or deadline due at the same instant was scheduled earlier,
-// so on a tie the wait takes the classic path and fires after it.
+// Wait blocks the process for duration d of virtual time: it awaits WaitThen,
+// so a wake-up due within the run limit and strictly before every other
+// event and deadline fires in place, and any other is queued as the proc
+// itself.
 func (p *Proc) Wait(d Duration) {
-	e := p.env
-	if d < 0 {
-		d = 0
+	if p.env.WaitThen(d, p) {
+		p.Suspend()
 	}
-	if e.inPlace(d) {
-		return
-	}
-	e.schedule(p.newToken(), e.now.Add(d))
-	p.park()
 }
 
 // inPlace fires a wake-up d from now in place when it is due within the run
@@ -892,7 +835,7 @@ func (e *Env) runWindow(limit Time) (drained bool) {
 
 // work calls proc for every proc that has not finished and task for every
 // task that has not run, listed or queued as itself, once each: a task that
-// is a proc's own await (procOf) is that proc's.
+// is a proc's own await (awaited) is that proc's.
 func (e *Env) work(proc func(*Proc), task func(Task)) {
 	for _, p := range e.procs {
 		if p.state != stateDone {
@@ -900,7 +843,7 @@ func (e *Env) work(proc func(*Proc), task func(Task)) {
 		}
 	}
 	each := func(t Task) {
-		if _, tok := t.(*wakeToken); !tok && procOf(t) == nil { // a token is a proc's or a listed task's
+		if _, tok := t.(*wakeToken); !tok && !awaited(t) { // a token is a listed task's
 			task(t)
 		}
 	}
@@ -975,9 +918,9 @@ func (e *Env) advanceTo(t Time) {
 // returns to the pool, and so does its token if it is in the event queue, the
 // deadline heap or a waiter list (an After task's, an Event.WaitThen or
 // Cond.WaitThen continuation's, or an Event.WaitTimeoutThen one's, which has
-// a deadline and a waiter-list entry), while one in a CPU's or Semaphore's
-// waiter FIFO is left there, spent. The environment must not be used
-// afterwards.
+// a deadline and a waiter-list entry), while one in a CPU's, Semaphore's or
+// Queue's waiter FIFO is left there, spent. The event queue is left empty.
+// The environment must not be used afterwards.
 func (e *Env) Shutdown() {
 	for _, p := range e.procs {
 		switch p.state {
@@ -1009,8 +952,9 @@ func (e *Env) Shutdown() {
 			// A Cond.WaitThen continuation no Broadcast has woken yet.
 			e.dropRef(tok)
 		}
-		// A token in neither waits in a CPU's or a Semaphore's FIFO, which
-		// drops a spent token when it reaches it, as it does a timed-out one.
+		// A token in neither waits in a CPU's, a Semaphore's or a Queue's
+		// FIFO, which drops a spent token when it reaches it, as it does a
+		// timed-out one.
 		*pt = pendingTask{env: e}
 		e.taskFree = append(e.taskFree, pt)
 	}
@@ -1041,20 +985,21 @@ func (e *Env) Events() uint64 { return e.stats.Events }
 type EnvStats struct {
 	// Events is the number of events fired. Each was consumed one of four
 	// ways, so Events = Switches/2 + FastPath + Handoffs + task events: by
-	// resuming its proc from the scheduler (two coroutine switches, counted
-	// in Switches); by the waiting proc itself because its own wake-up was
-	// next (FastPath: a timed Wait fired in place, or a parking proc that
-	// popped its own event); by a finishing body whose next event started a
-	// fresh proc, run on the same coroutine (Handoffs); or by running a task
-	// inline (TaskRuns counts the tasks run; an After or At task that had to
-	// wait consumed a second event to get there, a task form's continuation
-	// one). A task that resumes a suspended proc (Proc.Run) does both: its
-	// event is a task event, and the resume a switch or fast-path wake.
+	// starting or resuming its proc from the scheduler (two coroutine
+	// switches, counted in Switches); by the suspending proc itself because
+	// the event that resumes it was next (FastPath: a timed wait fired in
+	// place, or a proc that ran its own resume); by a finishing body whose
+	// next event started a fresh proc, run on the same coroutine (Handoffs);
+	// or by running a task inline that resumed no proc (TaskRuns counts these
+	// runs; an After or At task that had to wait consumed a second event to
+	// get there, a task form's continuation one). An event whose task resumes
+	// a suspended proc (Proc.Run) is that resume's: a switch or a fast-path
+	// wake, not a task run.
 	Events, Switches, FastPath, Handoffs, TaskRuns uint64
 	// Tokens and Records count the wake tokens and pending-task records taken:
-	// a token per proc start, proc park with a wake-up of its own, task
-	// registration and wait in a waiter list or FIFO, a record per task
-	// registration and wait. A task queued as itself takes neither.
+	// one of each per task registration (After, At) and per wait in a waiter
+	// list or FIFO, a proc's awaited ones included. A proc's start and a task
+	// queued as itself (a Delay, a granted continuation) take neither.
 	Tokens, Records uint64
 	// NowQueued counts the events scheduled for the instant they were
 	// scheduled at, which waited in the now-queue and never entered the heap.

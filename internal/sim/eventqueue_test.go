@@ -25,9 +25,8 @@ type queueOp struct {
 
 // queueProg is a seeded program of actors contending for a one-core CPU and
 // a one-permit semaphore and waiting for events a clock actor fires. It is
-// written once with procs making the blocking calls — the oracle, whose
-// procs keep their tokens — and once with task chains, whose Delays and
-// granted continuations are queued as themselves.
+// written once with procs making the blocking calls, which await the task
+// forms, and once with task chains.
 type queueProg struct {
 	env   *Env
 	cpu   *CPU
@@ -257,14 +256,14 @@ func (qp *queueProg) heldTokens() []*wakeToken {
 	return held
 }
 
-// checkBalance: every token and record the chains' kernel made is in its
+// checkBalance: every token and record the program's kernel made is in its
 // free list or held by a registration, never both.
 func (qp *queueProg) checkBalance(t *testing.T, when string) {
 	t.Helper()
 	e := qp.env
 	held := qp.heldTokens()
 	for _, tok := range e.tokFree {
-		if slices.Contains(held, tok) || tok.refs != 0 || tok.dl != 0 || tok.p != nil || tok.task != nil {
+		if slices.Contains(held, tok) || tok.refs != 0 || tok.dl != 0 || tok.task != nil {
 			t.Fatalf("%s: pooled token %+v (held: %v)", when, *tok, slices.Contains(held, tok))
 		}
 	}
@@ -277,15 +276,16 @@ func (qp *queueProg) checkBalance(t *testing.T, when string) {
 // FuzzEventQueue: a program of Delays (zero and timed), WaitThen,
 // Event.WaitThen and WaitTimeoutThen, ExecThen and AcquireThen under
 // contention, After and At, cut by a Shutdown at an arbitrary instant, logs
-// the (t, seq, owner) entries of the same program written with procs, in
-// the kernel as shipped and in the classic loop; at every step it logs, the
-// heap and the now-queue hold no spent token and every deadline names its
-// slot (queueFault), at the cut too. After the Shutdown nothing is live in
-// either form, no task is left in the deadline heap, and every token and
-// record the chains took is back in its free list once the FIFOs have skipped
-// their spent tokens — but for the waiter-list entries of timed waits that
-// timed out on an event that never fired, which stay there, spent, until a
-// Fire that never comes.
+// the (t, seq, owner) entries of the same program written with procs, which
+// await those task forms, in the kernel as shipped and in the classic loop;
+// at every step it logs, the heap and the now-queue hold no spent token and
+// every deadline names its slot (queueFault), at the cut too, where every
+// token and record either form took is pooled or held by a registration.
+// After the Shutdown nothing is live in either form, the deadline heap is
+// empty, and every token and record is back in its free list once the FIFOs
+// have skipped their spent tokens — but for the waiter-list entries of timed
+// waits that timed out on an event that never fired, which stay there, spent,
+// until a Fire that never comes.
 func FuzzEventQueue(f *testing.F) {
 	for seed := int64(1); seed <= 12; seed++ {
 		f.Add(seed, uint16(seed*7))
@@ -312,20 +312,13 @@ func FuzzEventQueue(f *testing.F) {
 				} else if !reflect.DeepEqual(qp.log, want) {
 					t.Fatalf("seed=%d chains=%v heapOnly=%v: logs differ:\n got %q\nwant %q", seed, chains, heapOnly, qp.log, want)
 				}
-				if chains {
-					qp.checkBalance(t, "at the cut")
-				}
+				qp.checkBalance(t, "at the cut")
 				qp.env.Shutdown()
 				if live := qp.env.LiveProcs(); live != 0 {
 					t.Fatalf("seed=%d chains=%v heapOnly=%v: %d live after Shutdown", seed, chains, heapOnly, live)
 				}
-				for _, d := range qp.env.deadlines.a {
-					if d.tok.task != nil {
-						t.Fatalf("seed=%d chains=%v heapOnly=%v: a task's deadline is left after Shutdown", seed, chains, heapOnly)
-					}
-				}
-				if !chains {
-					continue
+				if n := len(qp.env.deadlines.a); n != 0 {
+					t.Fatalf("seed=%d chains=%v heapOnly=%v: %d deadlines left after Shutdown", seed, chains, heapOnly, n)
 				}
 				qp.sem.Release(0)
 				if n := len(qp.cpu.freeCores); n == 0 {
@@ -333,13 +326,13 @@ func FuzzEventQueue(f *testing.F) {
 				}
 				qp.checkBalance(t, "after Shutdown")
 				if qp.env.pending() != 0 {
-					t.Fatalf("seed=%d heapOnly=%v: %d events queued after Shutdown", seed, heapOnly, qp.env.pending())
+					t.Fatalf("seed=%d chains=%v heapOnly=%v: %d events queued after Shutdown", seed, chains, heapOnly, qp.env.pending())
 				}
 				// What is still held is the waiter-list entry of a timed wait
 				// that timed out on an event that never fired: dead until Fire.
 				for _, tok := range qp.heldTokens() {
 					if !tok.spent {
-						t.Fatalf("seed=%d heapOnly=%v: a live token %+v is held after Shutdown", seed, heapOnly, *tok)
+						t.Fatalf("seed=%d chains=%v heapOnly=%v: a live token %+v is held after Shutdown", seed, chains, heapOnly, *tok)
 					}
 				}
 			}

@@ -58,9 +58,10 @@ func TestFifoMatchesSliceModel(t *testing.T) {
 }
 
 // sliceQueue is the queue this package had before the ring: value buffer and
-// waiter list are slices consumed by reslicing, and a blocked Pop receives
-// its value through a pointer to its own result variable. It stays here as
-// the model the ring-based Queue is compared against.
+// waiter list are slices consumed by reslicing, and a blocked Pop, awaiting
+// its continuation as Queue's does, receives its value and its outcome
+// through pointers to its own result variables. It stays here as the model
+// the ring-based Queue is compared against.
 type sliceQueue[T any] struct {
 	env     *Env
 	buf     []T
@@ -70,6 +71,7 @@ type sliceQueue[T any] struct {
 type sliceWaiter[T any] struct {
 	tok  *wakeToken
 	slot *T
+	ok   *bool
 }
 
 func (q *sliceQueue[T]) Push(v T) {
@@ -80,8 +82,7 @@ func (q *sliceQueue[T]) Push(v T) {
 			q.env.dropRef(w.tok)
 			continue
 		}
-		*w.slot = v
-		w.tok.p.granted = true
+		*w.slot, *w.ok = v, true
 		q.env.grant(w.tok)
 		q.env.dropRef(w.tok)
 		return
@@ -101,15 +102,14 @@ func (q *sliceQueue[T]) PopTimeout(p *Proc, timeout Duration) (v T, ok bool) {
 	if v, ok := q.TryPop(); ok {
 		return v, true
 	}
-	tok := p.newToken()
+	tok := q.env.continuation(p)
 	tok.refs++
-	p.granted = false
-	q.waiters = append(q.waiters, sliceWaiter[T]{tok: tok, slot: &v})
+	q.waiters = append(q.waiters, sliceWaiter[T]{tok: tok, slot: &v, ok: &ok})
 	if timeout >= 0 {
 		q.env.timeout(tok, timeout)
 	}
-	p.park()
-	return v, p.granted
+	p.Suspend()
+	return v, ok
 }
 
 // popper is what the two queues have in common for the comparison below; a

@@ -11,8 +11,9 @@ import (
 	"time"
 )
 
-// TestTimeoutsPopInModelOrder drives the kernel's token machinery directly
-// with a seeded mix of plain timers, blocking calls with a timeout (short ones
+// TestTimeoutsPopInModelOrder drives the kernel's token machinery directly,
+// each call a continuation that resumes a parked proc of its own, with a
+// seeded mix of plain timers, blocking calls with a timeout (short ones
 // fire first, long ones lose the race against the wake, which takes them out
 // of the deadline heap, zero ones race the wake within one instant and
 // deliver it themselves), wakes and pops. Every pop is checked against a
@@ -26,8 +27,9 @@ func TestTimeoutsPopInModelOrder(t *testing.T) {
 		e := NewEnv(seed)
 		r := rand.New(rand.NewSource(seed))
 		model := map[*Proc]when{}
-		newCall := func() *wakeToken {
-			return e.getToken(&Proc{env: e, name: fmt.Sprint("c", e.stats.Tokens+1)})
+		newCall := func() (*wakeToken, *Proc) {
+			p := &Proc{env: e, name: fmt.Sprint("c", e.stats.Tokens+1), state: stateBlocked}
+			return e.continuation(p), p
 		}
 		pop := func(limit Time) bool {
 			var want *Proc
@@ -47,20 +49,20 @@ func TestTimeoutsPopInModelOrder(t *testing.T) {
 		var waiting []*wakeToken // registered in a "waiter list" (one ref each)
 		for step := 0; step < 4000; step++ {
 			switch r.Intn(7) {
-			case 0: // Wait
-				tok := newCall()
+			case 0: // a timer
+				tok, p := newCall()
 				at := e.now.Add(Duration(r.Intn(50)))
 				e.schedule(tok, at)
-				model[tok.p] = when{at, e.seq}
+				model[p] = when{at, e.seq}
 			case 1: // PopTimeout / WaitTimeout: waiter-list entry plus a deadline
-				tok := newCall()
+				tok, p := newCall()
 				tok.refs++
 				d := Duration(r.Intn(50))
 				if r.Intn(4) > 0 {
 					d += 100000
 				}
 				e.timeout(tok, d)
-				model[tok.p] = when{e.now.Add(d), e.seq}
+				model[p] = when{e.now.Add(d), e.seq}
 				waiting = append(waiting, tok)
 			case 2: // Push / Fire: wake a waiter now
 				if len(waiting) == 0 {
@@ -70,7 +72,7 @@ func TestTimeoutsPopInModelOrder(t *testing.T) {
 				tok := waiting[i]
 				waiting = append(waiting[:i], waiting[i+1:]...)
 				if !tok.spent {
-					p := tok.p
+					p := tok.task.run.(*Proc)
 					e.grant(tok)
 					if model[p].t > e.now { // the deadline was ahead: the wake-up fires
 						model[p] = when{e.now, e.seq}
@@ -78,10 +80,10 @@ func TestTimeoutsPopInModelOrder(t *testing.T) {
 				}
 				e.dropRef(tok)
 			case 3: // WaitTimeout(0) and the Fire in the same instant
-				tok := newCall()
+				tok, p := newCall()
 				tok.refs++
 				e.timeout(tok, 0)
-				model[tok.p] = when{e.now, e.seq}
+				model[p] = when{e.now, e.seq}
 				e.grant(tok)
 				e.dropRef(tok)
 			default:
@@ -103,7 +105,7 @@ func TestTimeoutsPopInModelOrder(t *testing.T) {
 			t.Fatalf("seed %d: %d tokens allocated, %d back in the pool", seed, e.tokMade, len(e.tokFree))
 		}
 		for _, tok := range e.tokFree {
-			if tok.refs != 0 || tok.dl != 0 || !tok.spent || tok.p != nil || tok.task != nil {
+			if tok.refs != 0 || tok.dl != 0 || !tok.spent || tok.task != nil {
 				t.Fatalf("seed %d: pooled token %+v", seed, *tok)
 			}
 		}

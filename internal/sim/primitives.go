@@ -137,15 +137,17 @@ func (id *identity[T]) String() string { return id.name }
 // backlog reports the served queue's name and its buffered values.
 func (q *Queue[T]) backlog() (string, int) { return q.srv.name, q.buf.len() }
 
-// queueWaiter is the slot a blocked Pop receives its value through. A
-// primitive never stores a pointer to a parked proc's stack variable (the
-// variable, a whole T, would move to the heap on every blocking call); the
-// queue recycles these nodes instead. Whoever unlinks a node disposes of it:
-// Push hands it to the Pop it wakes, dropSpent frees it.
+// queueWaiter is the slot a blocked Pop receives its value through, got
+// telling a value from a timeout. A primitive never stores a pointer to a
+// parked proc's stack variable (the variable, a whole T, would move to the
+// heap on every blocking call); the queue recycles these nodes instead.
+// Whoever unlinks a node disposes of it: Push hands it to the Pop it wakes,
+// dropSpent frees it.
 type queueWaiter[T any] struct {
 	tok  *wakeToken
 	next *queueWaiter[T]
 	v    T
+	got  bool
 }
 
 // NewQueue returns an empty queue bound to env.
@@ -177,8 +179,7 @@ func (q *Queue[T]) Push(v T) {
 		return
 	}
 	w := q.unlink()
-	w.v = v
-	w.tok.p.granted = true
+	w.v, w.got = v, true
 	q.env.grant(w.tok)
 	q.env.dropRef(w.tok)
 }
@@ -204,7 +205,7 @@ func (q *Queue[T]) dropSpent() {
 // release puts an unlinked waiter node on the free stack.
 func (q *Queue[T]) release(w *queueWaiter[T]) {
 	var zero T
-	w.tok, w.v = nil, zero
+	w.tok, w.v, w.got = nil, zero, false
 	w.next, q.free = q.free, w
 }
 
@@ -228,6 +229,8 @@ func (q *Queue[T]) TryPop() (v T, ok bool) {
 	return q.buf.pop(), true
 }
 
+// pop awaits the waiter node's continuation: p, resumed by the Push that hands
+// it a value or by the deadline.
 func (q *Queue[T]) pop(p *Proc, timeout Duration) (v T, ok bool) {
 	if q.srv != nil {
 		panic("sim: Pop on a served queue")
@@ -241,9 +244,8 @@ func (q *Queue[T]) pop(p *Proc, timeout Duration) (v T, ok bool) {
 	} else {
 		q.free, w.next = w.next, nil
 	}
-	w.tok = p.newToken()
+	w.tok = q.env.continuation(p)
 	w.tok.refs++
-	p.granted = false
 	if q.tail == nil {
 		q.head = w
 	} else {
@@ -253,8 +255,8 @@ func (q *Queue[T]) pop(p *Proc, timeout Duration) (v T, ok bool) {
 	if timeout >= 0 {
 		q.env.timeout(w.tok, timeout)
 	}
-	p.park()
-	if !p.granted {
+	p.Suspend()
+	if !w.got {
 		q.dropSpent() // timed out: w leaves the list once it is at its front
 		return v, false
 	}
@@ -290,22 +292,19 @@ func (s *Semaphore) Init(env *Env, n int) { *s = Semaphore{env: env, avail: n} }
 // Available returns the current number of free permits.
 func (s *Semaphore) Available() int { return s.avail }
 
-// Acquire blocks p until n permits are available and takes them. Waiters are
-// served strictly in arrival order (no barging past a blocked head-of-line).
+// Acquire blocks p until n permits are available and takes them: it awaits
+// AcquireThen.
 func (s *Semaphore) Acquire(p *Proc, n int) {
-	if s.TryAcquire(n) {
-		return
+	if s.AcquireThen(n, p) {
+		p.Suspend()
 	}
-	tok := p.newToken()
-	tok.refs++
-	s.waiters.push(semWaiter{tok: tok, n: n})
-	p.park()
 }
 
-// AcquireThen is the task form of Acquire: it takes n permits now if Acquire
-// would not block, and otherwise queues t in Acquire's FIFO, to run when the
-// permits are granted. It reports whether t was queued; if not, the caller
-// holds the permits and goes on at once.
+// AcquireThen is the task form of Acquire: it takes n permits now if none
+// wait before it, and otherwise queues t in the FIFO, to run when the permits
+// are granted. Waiters are served strictly in arrival order (no barging past
+// a blocked head-of-line). It reports whether t was queued; if not, the
+// caller holds the permits and goes on at once.
 func (s *Semaphore) AcquireThen(n int, t Task) bool {
 	if s.TryAcquire(n) {
 		return false
@@ -349,7 +348,7 @@ type waitList struct {
 	more   []*wakeToken
 }
 
-// add registers tok, a fresh wake token of the waiting proc or task.
+// add registers tok, a fresh wake token of the waiting task.
 func (l *waitList) add(tok *wakeToken) {
 	tok.refs++
 	switch {
@@ -379,14 +378,14 @@ func (l *waitList) remove(tok *wakeToken) (found bool) {
 	return found
 }
 
-// wakeAll wakes, in registration order, every waiter still parked, marking
-// the wake as granted (as opposed to timed out), and empties the list. The
-// kernel is reached through the waiters: the zero list is ready for use.
+// wakeAll wakes, in registration order, every waiter whose timeout has not
+// beaten it, and empties the list. The kernel is reached through the waiters:
+// the zero list is ready for use.
 func (l *waitList) wakeAll() {
 	if l.inline[0] == nil {
 		return
 	}
-	e := l.inline[0].env()
+	e := l.inline[0].task.env
 	e.wake(l.inline[0])
 	if l.inline[1] != nil {
 		e.wake(l.inline[1])
@@ -399,13 +398,10 @@ func (l *waitList) wakeAll() {
 	l.more = l.more[:0]
 }
 
-// wake resumes tok's owner — a proc with a granted result — unless a timeout
-// beat it.
+// wake grants tok's task unless a timeout beat it, and drops the waiter-list
+// entry.
 func (e *Env) wake(tok *wakeToken) {
 	if !tok.spent {
-		if tok.p != nil {
-			tok.p.granted = true
-		}
 		e.grant(tok)
 	}
 	e.dropRef(tok)
@@ -416,9 +412,8 @@ func (e *Env) wake(tok *wakeToken) {
 // was drawn before the wake-up and fires first, so it stays and delivers the
 // wake-up itself; the sequence number the wake-up's entry would have taken is
 // drawn all the same, so every later number is what it was.
-// A task's continuation then races nothing: its record and token retire, and
-// the task is queued as itself at the sequence number the token would have
-// drawn.
+// Otherwise the continuation races nothing: its record and token retire, and
+// the task is queued as itself.
 func (e *Env) grant(tok *wakeToken) {
 	if tok.dl != 0 {
 		if e.deadlines.a[tok.dl-1].t == e.now {
@@ -429,12 +424,8 @@ func (e *Env) grant(tok *wakeToken) {
 		e.dropRef(tok)
 		e.stats.Cancelled++
 	}
-	if pt := tok.task; pt != nil {
-		tok.spent = true
-		e.queue(e.now, e.unlist(pt))
-		return
-	}
-	e.schedule(tok, e.now)
+	tok.spent = true
+	e.queue(e.now, e.unlist(tok.task))
 }
 
 // Event is a one-shot broadcast: processes Wait until Fire is called, after
@@ -460,20 +451,17 @@ func (ev *Event) Fire() {
 	ev.waiters.wakeAll()
 }
 
-// Wait blocks p until the event fires.
+// Wait blocks p until the event fires: it awaits WaitThen.
 func (ev *Event) Wait(p *Proc) {
-	if ev.fired {
-		return
+	if ev.WaitThen(p.env, p) {
+		p.Suspend()
 	}
-	ev.waiters.add(p.newToken())
-	p.park()
 }
 
 // WaitThen is the task form of Wait: it reports false when the event has
-// fired, and the caller goes on at once, as Wait returns; otherwise t joins the
-// waiters, to run when Fire wakes it — the wake-up draws its sequence number
-// where the parked proc's would be drawn, and nothing is scheduled before. The
-// continuation records the event, so Shutdown takes it off the waiter list.
+// fired, and the caller goes on at once; otherwise t joins the waiters, to run
+// when Fire wakes it, and nothing is scheduled before. The continuation
+// records the event, so Shutdown takes it off the waiter list.
 func (ev *Event) WaitThen(e *Env, t Task) bool {
 	if ev.fired {
 		return false
@@ -485,28 +473,23 @@ func (ev *Event) WaitThen(e *Env, t Task) bool {
 }
 
 // WaitTimeout blocks p until the event fires or d elapses; it reports
-// whether the event fired (before or at the wakeup instant).
+// whether the event fired (before or at the wakeup instant). It awaits
+// WaitTimeoutThen and reads the outcome from Fired.
 func (ev *Event) WaitTimeout(p *Proc, d Duration) bool {
-	if ev.fired {
-		return true
+	if ev.WaitTimeoutThen(p.env, d, p) {
+		p.Suspend()
 	}
-	p.granted = false
-	tok := p.newToken()
-	ev.waiters.add(tok)
-	p.env.timeout(tok, d)
-	p.park()
-	return p.granted
+	return ev.fired
 }
 
 // WaitTimeoutThen is the task form of WaitTimeout: it reports false when the
 // event has fired, and the caller goes on at once, as WaitTimeout returns true;
-// otherwise t joins the waiters and its deadline d from now is scheduled, the
-// two registrations WaitTimeout makes, and t runs on whichever fires first.
-// Nothing runs between that entry's pop and t, as nothing runs between it and
-// the parked proc's resume, so t reads the outcome WaitTimeout would have
-// returned from Fired: true if the event fired before the deadline or at its
-// instant ahead of it. The losing registration is dropped where the proc's
-// would be: the deadline at the wake-up, the waiter-list entry at Fire.
+// otherwise t joins the waiters and its deadline d from now is registered, and
+// t runs on whichever fires first. Nothing runs between that entry's pop and
+// t, so t reads the outcome from Fired: true if the event fired before the
+// deadline or at its instant ahead of it. The losing registration is dropped
+// as soon as it loses: the deadline at the wake-up, the waiter-list entry at
+// Fire.
 func (ev *Event) WaitTimeoutThen(e *Env, d Duration, t Task) bool {
 	if ev.fired {
 		return false
@@ -532,16 +515,15 @@ type Cond struct {
 // NewCond returns a condition variable.
 func NewCond() *Cond { return new(Cond) }
 
-// Wait parks p until the next Broadcast.
+// Wait parks p until the next Broadcast: it awaits WaitThen.
 func (c *Cond) Wait(p *Proc) {
-	c.waiters.add(p.newToken())
-	p.park()
+	c.WaitThen(p.env, p)
+	p.Suspend()
 }
 
 // WaitThen is the task form of Wait: t joins the waiters, to run when the
-// next Broadcast wakes it — the wake-up draws its sequence number where the
-// parked proc's would be drawn, and nothing is scheduled before. Unlike the
-// other task forms it never goes on at once, as Wait never returns at once.
+// next Broadcast wakes it, and nothing is scheduled before. Unlike the other
+// task forms it never goes on at once.
 // The continuation records the condition, so Shutdown takes it off the
 // waiter list.
 func (c *Cond) WaitThen(e *Env, t Task) {

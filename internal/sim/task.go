@@ -25,7 +25,9 @@ import "fmt"
 // Each draws its sequence number where the proc form parks or fires in place
 // and has no registration entry, so a chain of steps fires its proc form's
 // events, in the same order. A *Proc is a Task too: a proc awaits a task form
-// by passing itself as the continuation and calling Suspend (Proc.Suspend).
+// by passing itself as the continuation and calling Suspend (Proc.Suspend),
+// and every proc form of a blocking primitive is that await of its task form,
+// so each primitive has one implementation.
 //
 // A task that implements fmt.Stringer is listed under that name in deadlock
 // reports; others are listed by their type.
@@ -129,9 +131,19 @@ func (e *Env) WaitThen(d Duration, t Task) bool {
 	return true
 }
 
-// taskToken takes a fresh token for pt's next registration.
+// taskToken takes a fresh token for pt's next registration from the pool (or
+// allocates one).
 func (e *Env) taskToken(pt *pendingTask) *wakeToken {
-	tok := e.getToken(nil)
+	e.stats.Tokens++
+	var tok *wakeToken
+	if n := len(e.tokFree); n > 0 {
+		tok = e.tokFree[n-1]
+		e.tokFree = e.tokFree[:n-1]
+		tok.spent = false
+	} else {
+		e.tokMade++
+		tok = new(wakeToken)
+	}
 	tok.task, pt.tok = pt, tok
 	return tok
 }
@@ -168,15 +180,15 @@ func (e *Env) unlist(pt *pendingTask) Task {
 	return t
 }
 
-// procOf returns the proc a task is the await of — the proc itself, passed as
-// the continuation of a task form, or an ExecThen burst that ends in it — or
-// nil: the proc stands for such a task in LiveProcs and deadlock reports.
-func procOf(t Task) *Proc {
+// awaited reports whether t is a proc's own await — the proc itself, passed as
+// the continuation of a task form, or an ExecThen burst that ends in it: the
+// proc stands for such a task in LiveProcs and deadlock reports.
+func awaited(t Task) bool {
 	if b, ok := t.(*burst); ok {
 		t = b.next
 	}
-	p, _ := t.(*Proc)
-	return p
+	_, ok := t.(*Proc)
+	return ok
 }
 
 func taskName(t Task) string {

@@ -595,14 +595,14 @@ func TestTaskStatsAccountForEveryEvent(t *testing.T) {
 		if st.Deadlines != 50*envs || st.Cancelled != 50*envs {
 			t.Fatalf("%+v: want %d deadlines registered, all cancelled", st, 50*envs)
 		}
-		// Tokens: a hundred and three proc starts, fifty PopTimeouts, the
-		// fifty-one registrations and the After task's waiter-list entry, and
-		// fifty-two parked timed waits (solo's first; all the producer's but
-		// the first of its loop, which fires in place). Records: one per
-		// registration. The After task's wake-up, granted by Fire, is queued
-		// as itself and takes neither.
-		if st.Tokens != 257*envs || st.Records != 51*envs {
-			t.Fatalf("%+v: want %d tokens and %d records", st, 257*envs, 51*envs)
+		// Tokens: the fifty PopTimeouts' continuations, the fifty-one
+		// registrations and the After task's waiter-list entry. Records: one
+		// per registration and per PopTimeout. A proc's start and a parked
+		// Wait are queued as the proc itself, and the After task's wake-up,
+		// granted by Fire, and the consumer's, by a push, as themselves: none
+		// takes either.
+		if st.Tokens != 102*envs || st.Records != 101*envs {
+			t.Fatalf("%+v: want %d tokens and %d records", st, 102*envs, 101*envs)
 		}
 	}
 	env := build(1)
