@@ -304,22 +304,23 @@ func (p *Proc) Now() Time { return p.env.now }
 // safe for concurrent use from multiple host goroutines.
 //
 // Every proc body runs on a runtime coroutine (iter.Pull). The goroutine that
-// called RunUntil is the only scheduler: runWindow pops the next event and
-// resumes its owner, and a parking or finishing proc yields straight back to
-// it. A coroutine switch hands the running thread from one goroutine to the
-// other without passing through the Go scheduler, so no run queue, idle-P
-// wake-up or futex is involved. A wake-up that is already next needs no
-// switch at all: a timed Wait whose deadline comes before every other event
-// fires in place, a parking proc whose own event is next keeps running, and a
-// finishing body whose next event starts a fresh proc runs that proc's body
-// on the same coroutine. Exactly one goroutine runs at a time and events fire
-// in (t, seq) order whichever way control travels, so every simulated result
-// is that of the classic kernel-centric loop.
+// called RunUntil is the only scheduler: runWindow pops events until one
+// starts or resumes a proc and switches to it, and a suspending or finishing
+// proc yields straight back to it. A coroutine switch hands the running thread
+// from one goroutine to the other without passing through the Go scheduler, so
+// no run queue, idle-P wake-up or futex is involved. A wake-up that is already
+// next needs no switch at all: a timed Wait whose deadline comes before every
+// other event fires in place, a suspending proc whose own resume is next keeps
+// running, and a finishing body whose next event starts a fresh proc runs that
+// proc's body on the same coroutine. Exactly one goroutine runs at a time and
+// events fire in (t, seq) order whichever way control travels, so every
+// simulated result is that of the classic kernel-centric loop.
 type Env struct {
 	now Time
 	seq uint64
 	// The event queue is a heap behind a FIFO of entries that carry what they
-	// run: a wake token, or a task queued as itself. An event scheduled for the
+	// run: a pending task's wake token, or a task queued as itself (a proc's
+	// start and its awaited wake-ups among them). An event scheduled for the
 	// current instant — a wake-up handed from one proc to the next, about half
 	// of all events — is appended to nowq, every other one is pushed to heap.
 	// All of nowq is at t == now with ascending seq, and the clock cannot move
