@@ -34,13 +34,19 @@ test:
 # fallback, probe, flush and backpressure paths with the control plane's
 # server, the read path's chains on every way a read goes (cooldown, probe,
 # DMA errors, staging waits), the OSD finishers' fault paths (replica
-# watchdog, map-change drop, session resets) with their free list, and the op
-# workers on every kind of item. CI's race step runs all four lines.
+# watchdog, map-change drop, session resets) with their free list, the op
+# workers on every kind of item, the stream ingest's chunk tables past their
+# first, BlueStore's txcs (TestTxcRecycled) and call records (TestTaskForms)
+# and the control plane's envelopes (TestNotify), each put back as its last
+# reader is done and handed to the next caller. CI's race step runs all six
+# lines.
 test-race:
 	go test -race ./...
 	go test -race -count=10 -run 'TestGroup|TestShutdown|TestProcPanic|TestTask|TestChainServers|TestNowQueue|TestServe|TestWaitInPlace|TestSleeperParked|TestHandoff|TestQueued|TestDeadline|TestAwaitingProcCountsOnce|FuzzEventQueue' ./internal/sim
 	go test -race -count=10 -run 'TestRecycled|TestReadReturnDMAError|TestShipmentPaths|TestBatchPaths|TestReadPaths' ./internal/core
-	go test -race -count=10 -run 'TestFaultPaths|TestMonitorFailureReport|TestOpWorkerPaths|TestStoreError' ./internal/osd
+	go test -race -count=10 -run 'TestFaultPaths|TestMonitorFailureReport|TestOpWorkerPaths|TestStoreError|TestStreamChunks' ./internal/osd
+	go test -race -count=10 -run 'TestTxcRecycled|TestTaskForms' ./internal/bluestore
+	go test -race -count=10 -run 'TestNotify' ./internal/rpcchan
 
 race: test-race
 

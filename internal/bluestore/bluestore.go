@@ -139,9 +139,9 @@ type Store struct {
 	slowIO       sim.Duration
 	writeErrProb float64
 
-	// calls is the partition's free list of the task forms' records
-	// (sim.Local), shared by its stores.
-	calls *calls
+	// recs are the partition's free lists of the task forms' call records
+	// and of txcs (sim.Local), shared by its stores.
+	recs *records
 
 	stats Stats
 	tr    *trace.Tracer
@@ -175,11 +175,13 @@ type blockExtent struct {
 	length int64
 }
 
-// txc is an in-flight transaction context walking the aio -> kv pipeline; the
-// caller's Result lives in it.
+// txc is an in-flight transaction context walking the aio -> kv pipeline, a
+// record from the partition's free list put back once it has completed the
+// caller's Result, which lives in a record of the caller's and which the txc
+// only points at.
 type txc struct {
 	txn *objstore.Transaction
-	res objstore.Result
+	res *objstore.Result
 	// span/enq carry the current pipeline stage's trace span and its
 	// enqueue instant (zero when the transaction is untraced).
 	span trace.SpanID
@@ -201,7 +203,7 @@ func New(env *sim.Env, name string, cpu *sim.CPU, disk *sim.Disk, cfg Config) *S
 		colls: make(map[string]*collection),
 		aioq:  sim.NewQueue[*txc](env),
 		kvq:   sim.NewQueue[*txc](env),
-		calls: sim.Local[calls](env),
+		recs:  sim.Local[records](env),
 	}
 	aio := &aioServer{s: s}
 	aio.done = s.aioq.ServeTask(s.thAIO.Name, aio.serve)
@@ -232,7 +234,9 @@ func (s *Store) FreeBytes() int64 { return s.alloc.free() }
 // server in DoCeph); data and metadata persistence proceed asynchronously on
 // the bstore threads.
 func (s *Store) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objstore.Result {
-	return s.Submit(txn, s.cpu.ExecSelf(p, PrepCycles(txn)))
+	res := new(objstore.Result)
+	s.Submit(txn, res, s.cpu.ExecSelf(p, PrepCycles(txn)))
+	return res
 }
 
 // PrepCycles is the preparation charge of txn, which QueueTransaction and Prep
@@ -249,11 +253,14 @@ func (s *Store) Prep(th *sim.Thread, txn *objstore.Transaction, busy *sim.Durati
 }
 
 // Submit is the rest of QueueTransaction, after the preparation charge whose
-// busy time was prep: the transaction enters the bstore_aio queue.
-func (s *Store) Submit(txn *objstore.Transaction, prep sim.Duration) *objstore.Result {
+// busy time was prep: the transaction enters the bstore_aio queue, and res,
+// the caller's, is completed at commit. The store keeps no pointer to res once
+// its Done has fired.
+func (s *Store) Submit(txn *objstore.Transaction, res *objstore.Result, prep sim.Duration) {
 	s.stats.Transactions++
 	s.stats.Ops += int64(len(txn.Ops))
-	t := &txc{txn: txn}
+	t := s.recs.txcs.Get()
+	t.txn, t.res = txn, res
 	if s.tr.Enabled() && txn.TraceCtx != 0 {
 		// Submission prep runs on the caller's thread but belongs to the
 		// commit stage the caller opened.
@@ -262,7 +269,6 @@ func (s *Store) Submit(txn *objstore.Transaction, prep sim.Duration) *objstore.R
 		t.enq = s.env.Now()
 	}
 	s.aioq.Push(t)
-	return &t.res
 }
 
 // aioServer is the bstore_aio thread as a task chain over aioq: a turn waits
@@ -476,7 +482,9 @@ func (k *kvServer) Run() {
 	s.stats.BytesWritten += k.walBytes
 	for _, t := range batch {
 		s.tr.Finish(t.span)
-		t.res.Done.Fire()
+		res := t.res
+		s.recs.txcs.Put(t)
+		res.Done.Fire()
 	}
 	clear(batch)
 	k.batch = batch[:0]
@@ -722,8 +730,18 @@ type call struct {
 	busy   sim.Duration
 }
 
-// calls is a free list of call records.
-type calls []*call
+// records are a partition's free lists of call records and txcs, shared by
+// its stores (sim.Local).
+type records struct {
+	calls sim.FreeList[call]
+	txcs  sim.FreeList[txc]
+}
+
+// Quiescent reports, joined, the records of the partition's free lists that
+// are not back: a call or a transaction still in flight.
+func (s *Store) Quiescent() error {
+	return errors.Join(s.recs.calls.AllBack(s.name+": call records"), s.recs.txcs.AllBack(s.name+": txcs"))
+}
 
 // callStep is what a call's next step does.
 type callStep uint8
@@ -742,13 +760,7 @@ const (
 // th and goes on to step; it reports whether next was registered, as the task
 // forms do.
 func (s *Store) start(th *sim.Thread, c *objstore.Call, next sim.Task, cycles int64, step callStep) bool {
-	var r *call
-	if l := s.calls; len(*l) > 0 {
-		r = (*l)[len(*l)-1]
-		*l = (*l)[:len(*l)-1]
-	} else {
-		r = new(call)
-	}
+	r := s.recs.calls.Get()
 	r.s, r.th, r.c, r.next, r.step = s, th, c, next, step
 	if s.cpu.ExecThen(th, cycles, &r.busy, r) || r.advance() {
 		return true
@@ -758,11 +770,7 @@ func (s *Store) start(th *sim.Thread, c *objstore.Call, next sim.Task, cycles in
 }
 
 // put zeroes r and lists it for the next call.
-func (r *call) put() {
-	l := r.s.calls
-	*r = call{}
-	*l = append(*l, r)
-}
+func (r *call) put() { r.s.recs.calls.Put(r) }
 
 // Run goes on after the step that waited; once the call is done, its
 // continuation runs.
@@ -782,7 +790,7 @@ func (r *call) advance() bool {
 	for {
 		switch r.step {
 		case callPrepped:
-			c.Result = s.Submit(c.Txn, r.busy)
+			s.Submit(c.Txn, c.Result, r.busy)
 			return false
 		case callLookedUp:
 			o, err := s.find(c.Coll, c.Object)

@@ -462,10 +462,11 @@ func TestAllocatorExhaustion(t *testing.T) {
 }
 
 // TestNewObjectWriteAllocations is the ceiling on what queueing and applying a
-// one-write transaction to a new object may allocate: the transaction context
-// (the caller's Result inside it) and the onode (its first extent and block
-// inside it); the object map's growth averages below one. A Result, extent
-// slice, block slice or metadata key of their own would each show here.
+// one-write transaction to a new object, into a Result the caller keeps, may
+// allocate: the onode (its first extent and block inside it); the object map's
+// growth averages below one, and the transaction context comes from the free
+// list. A txc, extent slice, block slice or metadata key of their own would
+// each show here.
 func TestNewObjectWriteAllocations(t *testing.T) {
 	env, s := newTestStore(Config{})
 	data := wire.FromBytes(make([]byte, 128<<10))
@@ -475,10 +476,13 @@ func TestNewObjectWriteAllocations(t *testing.T) {
 	}
 	th := sim.NewThread("tester", "test")
 	done := 0
+	var res objstore.Result
 	body := func(p *sim.Proc) {
 		p.SetThread(th)
-		if err := commit(t, p, s, txns[done]); err != nil {
-			t.Error(err)
+		res = objstore.Result{}
+		objstore.Queue(p, s, txns[done], &res)
+		if res.Done.Wait(p); res.Err != nil {
+			t.Error(res.Err)
 		}
 		done++
 	}
@@ -493,8 +497,8 @@ func TestNewObjectWriteAllocations(t *testing.T) {
 	for i := 0; i < 100; i++ { // size the rings, the pools and the event queue
 		write()
 	}
-	if allocs := testing.AllocsPerRun(200, write); allocs > 2 {
-		t.Fatalf("%.0f allocations per new-object write transaction, want at most 2", allocs)
+	if allocs := testing.AllocsPerRun(200, write); allocs > 1 {
+		t.Fatalf("%.0f allocations per new-object write transaction, want at most 1", allocs)
 	}
 	if n := len(s.colls["c"].objects); n != done-1 || n < 300 {
 		t.Fatalf("%d objects after %d transactions", n, done)
@@ -626,6 +630,80 @@ func TestPunchInsertMatchesSortSliceVersion(t *testing.T) {
 					t.Fatalf("seed %d write %d: a dropped extent is still referenced past the end", seed, w)
 				}
 			}
+		}
+	}
+}
+
+// TestTxcRecycled: four writers, each with two transactions in flight and
+// kv batches of several writers, commit into Results of their own — every
+// third into a missing collection, every other one small enough for the
+// deferred path — and keep all of them to the end. Each Result still reports
+// the outcome and service time it had when its Done fired, after hundreds of
+// later commits that the txcs which completed it served: only as many were
+// made as were ever in flight, and each is back on the free list, zeroed.
+func TestTxcRecycled(t *testing.T) {
+	env, s := newTestStore(Config{})
+	const writers, per = 4, 60
+	type kept struct {
+		res  objstore.Result
+		want error
+		seen objstore.Result // Err and ServiceTime once Done fired
+	}
+	results := make([]kept, writers*per)
+	big, small := wire.FromBytes(make([]byte, 96<<10)), wire.FromBytes(make([]byte, 4<<10))
+	left := writers
+	var finished sim.Event
+	runStore(t, env, func(p *sim.Proc) {
+		mkColl(t, p, s, "c")
+		for w := 0; w < writers; w++ {
+			env.Spawn(fmt.Sprint("writer", w), func(p *sim.Proc) {
+				p.SetThread(sim.NewThread(fmt.Sprint("writer", w), "test"))
+				for i := 0; i < per; i++ {
+					k := &results[w*per+i]
+					coll, data := "c", big
+					if i%3 == 0 {
+						coll, k.want = "missing", objstore.ErrNoCollection
+					}
+					if i%2 == 0 {
+						data = small
+					}
+					objstore.Queue(p, s, objstore.NewTransaction().Write(coll, fmt.Sprint("o", w, "-", i), 0, data), &k.res)
+					if i%2 == 1 { // two in flight per writer
+						for j := w*per + i - 1; j <= w*per+i; j++ {
+							k := &results[j]
+							k.res.Done.Wait(p)
+							k.seen.Err, k.seen.ServiceTime = k.res.Err, k.res.ServiceTime
+						}
+					}
+				}
+				if left--; left == 0 {
+					finished.Fire()
+				}
+			})
+		}
+		finished.Wait(p)
+	})
+	for i := range results {
+		k := &results[i]
+		if !k.res.Done.Fired() || !errors.Is(k.res.Err, k.want) || (k.want == nil) != (k.res.Err == nil) {
+			t.Fatalf("write %d: fired %v, err %v; want %v", i, k.res.Done.Fired(), k.res.Err, k.want)
+		}
+		if k.res.ServiceTime <= 0 || k.res.Err != k.seen.Err || k.res.ServiceTime != k.seen.ServiceTime {
+			t.Fatalf("write %d: now err %v, service time %v; at Done %v, %v", i, k.res.Err, k.res.ServiceTime,
+				k.seen.Err, k.seen.ServiceTime)
+		}
+	}
+	if err := s.Quiescent(); err != nil {
+		t.Fatal(err)
+	}
+	l := &s.recs.txcs
+	t.Logf("%d txcs made for %d transactions", l.Made(), s.Stats().Transactions)
+	if made := l.Made(); made > 2*writers+1 || made < 2 {
+		t.Fatalf("%d txcs made with at most %d transactions in flight", made, 2*writers+1)
+	}
+	for range l.Listed() {
+		if tx := l.Get(); *tx != (txc{}) {
+			t.Fatalf("a listed txc holds %+v", *tx)
 		}
 	}
 }

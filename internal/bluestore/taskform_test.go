@@ -99,10 +99,11 @@ func procCall(p *sim.Proc, s *Store, st storeStep) (c objstore.Call) {
 
 // TestTaskFormsMatchProcForms: two clients running the same scripts on a
 // store with one contended core — as procs making each call by the proc form
-// it had (procCall), as procs awaiting the task forms (objstore.Read, Stat,
-// Exists and List), and as task chains calling the task forms on a reused
-// objstore.Call — get the same answers at the same instants and fire the same
-// events, and the call records all go back to the free list.
+// it had (procCall, and QueueTransaction), as procs awaiting the task forms
+// (objstore.Queue into a Result of their own, Read, Stat, Exists and List),
+// and as task chains calling the task forms on a reused objstore.Call — get
+// the same answers at the same instants and fire the same events, and the
+// call records and txcs all go back to the free lists.
 func TestTaskFormsMatchProcForms(t *testing.T) {
 	run := func(form string) (log [2][]string, events uint64) {
 		env := sim.NewEnv(1)
@@ -119,6 +120,10 @@ func TestTaskFormsMatchProcForms(t *testing.T) {
 				for _, st := range script {
 					var c objstore.Call
 					switch {
+					case st.txn != nil && form == "await":
+						c.Result = new(objstore.Result)
+						objstore.Queue(p, s, st.txn, c.Result)
+						c.Result.Done.Wait(p)
 					case st.txn != nil:
 						c.Result = s.QueueTransaction(p, st.txn)
 						c.Result.Done.Wait(p)
@@ -140,8 +145,11 @@ func TestTaskFormsMatchProcForms(t *testing.T) {
 		if err := env.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if form != "proc" && len(*s.calls) == 0 {
+		if form != "proc" && s.recs.calls.Listed() == 0 {
 			t.Errorf("%s: no call record went back to the free list", form)
+		}
+		if err := s.Quiescent(); err != nil || s.recs.txcs.Listed() == 0 {
+			t.Errorf("%s: %d txcs listed; %v", form, s.recs.txcs.Listed(), err)
 		}
 		events = env.Events()
 		env.Shutdown()
@@ -166,6 +174,7 @@ type storeClient struct {
 	log    *[]string
 	i      int
 	c      objstore.Call
+	res    objstore.Result
 	// phase is 0 to make the step's call, 1 once it has answered, 2 once a
 	// transaction has committed too.
 	phase int
@@ -176,7 +185,8 @@ func (sc *storeClient) Run() {
 		st := sc.script[sc.i]
 		switch sc.phase {
 		case 0:
-			sc.c = objstore.Call{Txn: st.txn, Coll: st.coll, Object: st.obj, Off: st.off, Length: st.n}
+			sc.res = objstore.Result{}
+			sc.c = objstore.Call{Txn: st.txn, Result: &sc.res, Coll: st.coll, Object: st.obj, Off: st.off, Length: st.n}
 			sc.phase = 1
 			var waits bool
 			switch {

@@ -11,9 +11,11 @@ import (
 // it down: the served queues hold no value; the live procs are exactly the
 // daemons and every pending task is a sim.Daemon; on every node the bridge
 // holds no staging buffer or byte and no transaction or read in flight and
-// its partition's crossing records are all back (core.Bridge.Quiescent), and
-// the OSD has nothing in flight and its finishers are all back
-// (osd.OSD.Quiescent). Last it shuts cl down, after which every coroutine its
+// its partition's crossing records and control-plane envelopes are all back
+// (core.Bridge.Quiescent), the OSD has nothing in flight and its finishers
+// are all back (osd.OSD.Quiescent), and BlueStore's call records and txcs
+// are all back (bluestore.Store.Quiescent); the client's call records are all
+// back (rados.Client.Quiescent). Last it shuts cl down, after which every coroutine its
 // kernel made must be gone and the goroutine count may not be above its value
 // before New. It returns every violation found, joined; nil means quiescent.
 // cl is unusable afterwards.
@@ -29,8 +31,9 @@ func Quiescent(cl *Cluster) error {
 		if n.Bridge != nil {
 			errs = append(errs, n.Bridge.Quiescent())
 		}
-		errs = append(errs, n.OSD.Quiescent())
+		errs = append(errs, n.OSD.Quiescent(), n.Store.Quiescent())
 	}
+	errs = append(errs, cl.Client.Quiescent())
 	made, running := cl.Env.Stats().CoroutinesPeak, runtime.NumGoroutine()
 	cl.Shutdown()
 	after := runtime.NumGoroutine()

@@ -57,6 +57,48 @@ func TestIdleClusterIsQueuesAndBodies(t *testing.T) {
 	}
 }
 
+// TestQuiescentAfterBatchedAndStreamedRuns: the paths the default runs do not
+// take end at rest too — batched frames on four DMA queues with four op
+// shards and lanes, and 8 MiB writes streamed chunk by chunk — with every
+// pendingTxn, batch frame, txc, envelope and client call back on its free list.
+func TestQuiescentAfterBatchedAndStreamedRuns(t *testing.T) {
+	batched := Config{Mode: DoCeph, Seed: 7}
+	batched.Bridge.Batch.Enable = true
+	batched.Bridge.Engine.Queues = 4
+	batched.OSD.OpShards = 4
+	batched.Messenger.Lanes = 4
+	streamed := Config{Mode: DoCeph, Seed: 7}
+	streamed.Messenger.Stream.Enable = true
+	for _, c := range []struct {
+		name        string
+		cfg         Config
+		objectBytes int64
+	}{
+		{"batched", batched, 64 << 10},
+		{"streamed", streamed, 8 << 20},
+	} {
+		cl := New(c.cfg)
+		_, err := radosbench.Run(cl.Env, cl.Client, radosbench.Config{
+			Threads: 4, ObjectBytes: c.objectBytes, OpsPerThread: 8, Op: radosbench.Mixed, ReadPercent: 50})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := cl.Env.RunUntil(cl.Env.Now().Add(sim.Second)); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var engaged int64
+		for _, n := range cl.Nodes {
+			engaged += n.Bridge.Proxy.Stats().BatchedTxns + n.OSD.Stats().StreamWrites
+		}
+		if engaged == 0 {
+			t.Fatalf("%s: the path did not engage", c.name)
+		}
+		if err := Quiescent(cl); err != nil {
+			t.Errorf("%s: not quiescent after the run: %v", c.name, err)
+		}
+	}
+}
+
 // TestShutdownMidFlightReleasesServedProcs stops a loaded DoCeph cluster at an
 // instant when frames wait on a wire: lane behind the one in transfer, ops
 // wait in an op shard behind a busy worker and a DMA completion waits for the

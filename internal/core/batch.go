@@ -293,9 +293,12 @@ func (b *batcher) take() {
 		}
 		bytes += n
 	}
-	b.fr = newBatchFrame(k)
+	b.fr = px.recs.frames.get(k)
 	b.fr.px, b.fr.bytes = px, bytes
 	copy(b.fr.ops, px.batchQ)
+	for _, op := range b.fr.ops {
+		op.fr = b.fr
+	}
 	// Copy the rest down and clear the tail: the queue keeps its array, and
 	// the array keeps no shipped op reachable.
 	rest := copy(px.batchQ, px.batchQ[k:])
@@ -374,18 +377,26 @@ func (b *batcher) String() string { return b.px.thBatch.Name }
 // once the system goes idle.
 func (b *batcher) Daemon() {}
 
-// batchFrame is one batch frame in flight, in one allocation: the ops it
-// carries with their trace contexts and spans, the encoded frame — its list,
-// header bytes and segment table — the engine transfer and its tag, and what
-// the frame's settle chain settles. A one-op frame, the usual one, has all its
-// tables in the slots; a larger one allocates each once, at its size.
+// batchFrame is one batch frame in flight, in one record from the
+// partition's free list: the ops it carries until it is encoded, with their
+// trace contexts and spans, the encoded frame — its list, header bytes and
+// segment table — the engine transfer and its tag, and what the frame's
+// settle chain settles. A one-op frame, the usual one, has all its tables in
+// the slots; a larger one has them in tabs, sized once and kept when the
+// record is recycled. The host poller reads the frame and its tag after the
+// settle chain is done with them, up to its last op, so the record goes back
+// once it has settled and every op it carried has completed; a frame whose
+// transfer failed, or that went over the control plane, is left to the GC.
 type batchFrame struct {
 	px *Proxy
 	t  doca.Transfer
 	// reply is the fallback call of a frame the engine failed.
-	reply    *rpcchan.Reply
-	hdr      segHeader
+	reply *rpcchan.Reply
+	hdr   segHeader
+	// ops are the frame's ops until encode; n counts them, and refs the
+	// readers still to come: the settle chain, and each op until it completes.
 	ops      []*pendingTxn
+	n, refs  int
 	spans    []trace.SpanID
 	bytes    int64
 	start    sim.Time
@@ -397,37 +408,84 @@ type batchFrame struct {
 	// segSlot holds a one-op frame's segments: its header and the op's
 	// metadata and payload.
 	segSlot [3][]byte
+	tabs    frameTables
 }
 
-func newBatchFrame(n int) *batchFrame {
-	fr := &batchFrame{}
+// frameTables are the tables of a frame of more ops than the slots hold.
+type frameTables struct {
+	ops   []*pendingTxn
+	ctxs  []uint64
+	spans []trace.SpanID
+	hdr   []byte
+	segs  [][]byte
+}
+
+// frames is the free list of batch frames; a listed frame keeps its tables,
+// cleared.
+type frames struct{ sim.FreeList[batchFrame] }
+
+// get returns a frame for n ops, its settle chain's reference and one per op
+// taken.
+func (l *frames) get(n int) *batchFrame {
+	fr := l.Get()
+	fr.n, fr.refs = n, 1+n
 	if n == 1 {
 		fr.ops, fr.hdr.batchCtxs, fr.spans = fr.opSlot[:], fr.ctxSlot[:], fr.spanSlot[:]
-	} else {
-		fr.ops, fr.hdr.batchCtxs, fr.spans = make([]*pendingTxn, n), make([]uint64, n), make([]trace.SpanID, n)
+		return fr
 	}
+	if t := &fr.tabs; cap(t.ops) < n {
+		t.ops, t.ctxs, t.spans = make([]*pendingTxn, n), make([]uint64, n), make([]trace.SpanID, n)
+	}
+	fr.ops, fr.hdr.batchCtxs, fr.spans = fr.tabs.ops[:n], fr.tabs.ctxs[:n], fr.tabs.spans[:n]
 	return fr
+}
+
+// put zeroes fr but for its tables, which it clears, and lists it.
+func (l *frames) put(fr *batchFrame) {
+	t := fr.tabs
+	clear(t.ops[:cap(t.ops)])
+	clear(t.ctxs[:cap(t.ctxs)])
+	clear(t.spans[:cap(t.spans)])
+	clear(t.segs[:cap(t.segs)])
+	l.Put(fr)
+	fr.tabs = t
+}
+
+// release ends one reader's use of fr; the last puts it back.
+func (fr *batchFrame) release() {
+	if fr.refs--; fr.refs == 0 {
+		fr.px.recs.frames.put(fr)
+	}
 }
 
 // encode frames the ops into the record and drops their own frames: the batch
 // frame shares their segments from here on (an RPC fallback resends it), and
-// each op's caller keeps its pendingTxn long after.
+// keeps a count of its ops, not the ops.
 func (fr *batchFrame) encode() *wire.Bufferlist {
 	hdr, table := fr.hdrSlot[:], fr.segSlot[:]
 	if n := batchFrameOverhead(len(fr.ops)); n > int64(len(hdr)) {
-		hdr = make([]byte, 0, n)
+		if int64(cap(fr.tabs.hdr)) < n {
+			fr.tabs.hdr = make([]byte, 0, n)
+		}
+		hdr = fr.tabs.hdr
 	}
 	segs := 0
 	for _, op := range fr.ops {
 		segs += 1 + op.frame.Segments()
 	}
 	if segs > len(table) {
-		table = make([][]byte, 0, segs)
+		if cap(fr.tabs.segs) < segs {
+			fr.tabs.segs = make([][]byte, segs)
+		}
+		table = fr.tabs.segs
 	}
 	frame := encodeBatchFrame(fr.ops, hdr, fr.frame.InitOn(table))
 	for _, op := range fr.ops {
 		op.frame.Init()
+		op.release()
 	}
+	clear(fr.ops)
+	fr.ops = nil
 	return frame
 }
 
@@ -463,9 +521,11 @@ func (fr *batchFrame) Run() {
 	}
 	if t.Err != nil {
 		px.enterCooldown(px.env.Now())
-		px.stats.FallbackSegments += int64(len(fr.ops))
+		px.stats.FallbackSegments += int64(fr.n)
 		fr.reply = px.rpc.CallTask(opBatchFallback, t.Data, fr)
+		return
 	}
+	fr.release()
 }
 
 // String names the frame's chain in deadlock reports.

@@ -766,27 +766,23 @@ var objNames = [...]string{"stream_obj_0", "stream_obj_1", "stream_obj_2", "stre
 // engine, host assembly, BlueStore commit, completion RPC — to its allocation
 // budget: one above each shape's count today, and its bytes today plus 48, so
 // that the next record somebody adds to the path, or one that moves up a size
-// class, fails here, not in a benchmark. The segment table and the hostTxn
-// come from the partition's free lists and cost nothing:
+// class, fails here, not in a benchmark. The pendingTxn, the segment table,
+// the hostTxn with the joined payload, BlueStore's txc, the batch frame and
+// the commit notification's envelope come from free lists and cost nothing:
 //
-//   - "stream chunk" (7.05, 959 B): the 2 MiB write the streamed 16 MiB op
+//   - "stream chunk" (4.05, 383 B): the 2 MiB write the streamed 16 MiB op
 //     submits sixteen times, into an object eight chunks share, in two DMA
-//     segments. The caller's transaction; the pendingTxn, which holds the
-//     encoded frame and its metadata; the joined payload; the decoded data
-//     view; BlueStore's txc; the commit notification's envelope; and, once per
-//     eight chunks, the object's onode and decoded name and its extent table's
-//     growth.
-//   - "4 MiB new object" (8.06, 1,147 B): the shape paper-4M-doceph crosses
-//     with, in three segments. The same records, the joined list still one
-//     object (four slices), and the new object's onode and name every time.
-//   - "batched 64 KiB new object" (11.06, 1,651 B; 18.06 before the frame was
-//     encoded into its record): one op per frame, as batch-64K-mq4 mostly
-//     ships. The caller's transaction and the pendingTxn; the batchFrame,
-//     which holds the transfer, its tag, the op's trace slots and the encoded
-//     frame — header bytes, list and segment table; the payload's view of the
-//     frame, unpacked into the host poller's array; the data view, the name,
-//     the txc and the onode; the coalesced notification's bytes, list and
-//     envelope, unpacked into the proxy's array.
+//     segments. The caller's transaction and its Result; the decoded data
+//     view; and, once per eight chunks, the object's onode and decoded name
+//     and the growth of its extent and block tables (0.75).
+//   - "4 MiB new object" (5.06, 555 B): the shape paper-4M-doceph crosses
+//     with, in three segments. The caller's transaction and Result, the data
+//     view, and the new object's onode and name.
+//   - "batched 64 KiB new object" (8.06, 675 B): one op per frame, as
+//     batch-64K-mq4 mostly ships. The caller's transaction and Result; the
+//     payload's view of the frame, unpacked into the host poller's array; the
+//     data view, the name and the onode; the coalesced notification's bytes
+//     and list, unpacked into the proxy's array.
 func TestCrossingAllocationBudget(t *testing.T) {
 	chunk, big, small := seeded(2<<20, 5), seeded(4<<20, 6), seeded(64<<10, 7)
 	var names [80]string
@@ -808,11 +804,11 @@ func TestCrossingAllocationBudget(t *testing.T) {
 		transfers int     // per crossing
 		cross     func(t *testing.T, p *sim.Proc, px *Proxy, i int)
 	}{
-		{"stream chunk", BridgeConfig{}, 8, 1007, 2, func(t *testing.T, p *sim.Proc, px *Proxy, i int) {
+		{"stream chunk", BridgeConfig{}, 5, 431, 2, func(t *testing.T, p *sim.Proc, px *Proxy, i int) {
 			streamChunks(t, p, px, chunk, i, 1)
 		}},
-		{"4 MiB new object", BridgeConfig{}, 9, 1195, 3, newObject(big)},
-		{"batched 64 KiB new object", BridgeConfig{Batch: BatchConfig{Enable: true}}, 12, 1699, 1, newObject(small)},
+		{"4 MiB new object", BridgeConfig{}, 6, 603, 3, newObject(big)},
+		{"batched 64 KiB new object", BridgeConfig{Batch: BatchConfig{Enable: true}}, 9, 723, 1, newObject(small)},
 	} {
 		r := newCoreRig(c.cfg)
 		r.run(t, func(p *sim.Proc) {

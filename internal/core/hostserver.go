@@ -114,7 +114,8 @@ type HostServer struct {
 	// DMA and RPC-fallback deliveries race.
 	nextCommit uint64
 	readyTxns  map[uint64]*hostTxn
-	// names are the last ones decoded.
+	// names are the last ones decoded, and the collections the partition's
+	// hosts have seen.
 	names objstore.Names
 	// unpacked is the poller's array for the entries of the batch frame it is
 	// dispatching, cleared after each.
@@ -164,10 +165,16 @@ type hostTxn struct {
 	// that instant, so the commit-ordering delay lands as queue wait.
 	span  trace.SpanID
 	ready sim.Time
-	// start is the instant the commit was submitted, res its result.
+	// start is the instant the commit was submitted, res its result, which
+	// BlueStore completes.
 	start sim.Time
-	res   *objstore.Result
+	res   objstore.Result
 	done  txnDoneFrame
+	// joined is the assembled payload of a transaction of more than one
+	// segment, over joinSlot for up to four pieces, until decode: the ops'
+	// data are views of their own.
+	joined   wire.Bufferlist
+	joinSlot [4][]byte
 }
 
 // hostRead is one read on the host, in one allocation, and the task chain
@@ -211,7 +218,7 @@ const (
 // unref ends one reader's use of hr.
 func (hr *hostRead) unref() {
 	if hr.refs--; hr.refs == 0 {
-		hr.hs.recs.hostReads.put(hr)
+		hr.hs.recs.hostReads.Put(hr)
 	}
 }
 
@@ -244,6 +251,7 @@ func NewHostServer(env *sim.Env, hostCPU *sim.CPU, store *bluestore.Store,
 		asm:        make(map[uint64]*hostTxn),
 		nextCommit: 1,
 		readyTxns:  make(map[uint64]*hostTxn),
+		names:      objstore.Names{Colls: sim.Local[objstore.Colls](env)},
 		recs:       sim.Local[records](env),
 	}
 	hs.readBuf = dpu.NewBufferPool(env, "host-read-staging",
@@ -360,7 +368,7 @@ func (hp *hostPoll) Run() {
 				hs.stats.BatchedOps += int64(len(entries))
 				hp.batch, hp.next, hp.step = true, 0, pollEntry
 			case segReadReq:
-				if hs.fileRead(hs.recs.hostReads.get(), t.Data) != nil {
+				if hs.fileRead(hs.recs.hostReads.Get(), t.Data) != nil {
 					panic("core: corrupt read request over DMA")
 				}
 				hp.end()
@@ -412,7 +420,7 @@ func (hp *hostPoll) Run() {
 		case pollPrepped:
 			rt := hp.rt
 			hp.rt, hp.step = nil, pollCommit
-			rt.res = hs.store.Submit(&rt.dec, hp.busy)
+			hs.store.Submit(&rt.dec, &rt.res, hp.busy)
 			hs.env.After(&rt.res.Done, rt)
 		}
 	}
@@ -479,7 +487,7 @@ func (hs *HostServer) commitViaRPC(next func()) {
 	}
 	hs.queued(rt)
 	hs.rpc.Charge(bluestore.PrepCycles(&rt.dec), func(busy sim.Duration) {
-		rt.res = hs.store.Submit(&rt.dec, busy)
+		hs.store.Submit(&rt.dec, &rt.res, busy)
 		hs.env.After(&rt.res.Done, rt)
 		hs.commitViaRPC(next)
 	})
@@ -491,7 +499,7 @@ func (hs *HostServer) commitViaRPC(next func()) {
 func (hs *HostServer) fileSegment(reqID uint64, seg, total int, data *wire.Bufferlist, traceCtx uint64, queue int) (*hostTxn, *wire.Bufferlist) {
 	a := hs.asm[reqID]
 	if a == nil {
-		a = hs.recs.hostTxns.get()
+		a = hs.recs.hostTxns.Get()
 		a.hs, a.reqID, a.queue = hs, reqID, queue
 		if total <= len(a.slot) {
 			a.segs = a.slot[:total]
@@ -515,13 +523,34 @@ func (hs *HostServer) fileSegment(reqID uint64, seg, total int, data *wire.Buffe
 		return nil, nil
 	}
 	delete(hs.asm, reqID)
-	payload := wire.Concat(a.segs)
+	payload := a.join()
 	a.segs = nil
 	if hs.tr.Enabled() && a.traceCtx != 0 {
 		a.span = hs.tr.Start(trace.SpanID(a.traceCtx), 0, trace.StageHostCommit, hs.cpu.Name())
 		hs.tr.AddBytes(a.span, int64(payload.Length()))
 	}
 	return a, payload
+}
+
+// join returns one list over a's segments, in order (shared storage): the one
+// segment itself, or a's joined list over them.
+func (a *hostTxn) join() *wire.Bufferlist {
+	if len(a.segs) == 1 {
+		return a.segs[0]
+	}
+	n := 0
+	for _, s := range a.segs {
+		n += s.Segments()
+	}
+	table := a.joinSlot[:]
+	if n > len(table) {
+		table = make([][]byte, n)
+	}
+	bl := a.joined.InitOn(table)
+	for _, s := range a.segs {
+		bl.AppendBufferlist(s)
+	}
+	return bl
 }
 
 // assembleCycles is the charge for decoding an assembled payload.
@@ -533,7 +562,9 @@ func assembleCycles(payload *wire.Bufferlist) int64 {
 // the ordered commit queue.
 func (hs *HostServer) decode(a *hostTxn, txnSeq uint64, payload *wire.Bufferlist) {
 	a.dec.Ops = a.op[:0]
-	if err := a.dec.DecodeBL(payload, &hs.names); err != nil {
+	err := a.dec.DecodeBL(payload, &hs.names)
+	a.joined, a.joinSlot = wire.Bufferlist{}, [4][]byte{} // the joined payload dies here
+	if err != nil {
 		// Report the failure but keep the commit sequence moving with the
 		// empty transaction in this slot.
 		hs.notifyTxnDone(a, rcIO, 0)
@@ -580,7 +611,7 @@ func (rt *hostTxn) Run() {
 	}
 	hs.notifyTxnDone(rt, errToCode(rt.res.Err), int64(hostWrite))
 	if len(hs.notify) > 0 {
-		hs.recs.hostTxns.put(rt) // the coalescer queued a copy
+		hs.recs.hostTxns.Put(rt) // the coalescer queued a copy
 	}
 }
 
@@ -590,7 +621,7 @@ type txnNotified hostTxn
 
 func (n *txnNotified) Run() {
 	rt := (*hostTxn)(n)
-	rt.hs.recs.hostTxns.put(rt)
+	rt.hs.recs.hostTxns.Put(rt)
 }
 
 func (hs *HostServer) notifyTxnDone(rt *hostTxn, code uint16, hostWriteNanos int64) {
@@ -654,11 +685,10 @@ func (hs *HostServer) fileEntriesViaRPC(entries []batchEntry) {
 // fileRead decodes a read descriptor into hr and starts the chain that serves
 // it, in an event of its own, as a proc spawned now would start.
 func (hs *HostServer) fileRead(hr *hostRead, desc *wire.Bufferlist) error {
-	if err := hr.req.decode(desc, hs.names.Collection); err != nil {
+	if err := hr.req.decode(desc, &hs.names); err != nil {
 		return err
 	}
 	hr.hs = hs
-	hs.names.Collection = hr.req.Coll
 	hs.env.Delay(0, hr)
 	return nil
 }
@@ -691,7 +721,7 @@ func (hr *hostRead) Run() {
 			}
 			if err != nil || bl.Length() == 0 {
 				hs.rpc.NotifyTask(opReadDone, encodeReadDone(req.ReqID, errToCode(err), 0), nil, nil)
-				hs.recs.hostReads.put(hr)
+				hs.recs.hostReads.Put(hr)
 				return
 			}
 			hr.c = newCut(bl, hs.readBuf.BufferBytes(), hs.engDown)

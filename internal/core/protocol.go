@@ -149,11 +149,12 @@ func appendString(b []byte, s string) []byte {
 }
 
 // decode reads a descriptor into r. Reads tend to repeat their collection, so
-// it is decoded against prevColl and costs no allocation when it matches.
-func (r *readReq) decode(bl *wire.Bufferlist, prevColl string) error {
+// it is decoded against the receiver's names and costs no allocation when it
+// is one of them.
+func (r *readReq) decode(bl *wire.Bufferlist, names *objstore.Names) error {
 	d := wire.NewDecoderBL(bl)
 	r.ReqID = d.U64()
-	r.Coll = d.StringLike(prevColl)
+	r.Coll = names.Coll(d)
 	r.Object = d.String()
 	r.Off = d.U64()
 	r.Length = d.U64()

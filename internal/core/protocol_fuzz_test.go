@@ -22,7 +22,7 @@ var controlCodecs = map[string]func(*wire.Bufferlist) (*wire.Bufferlist, error){
 	},
 	"readReq": func(bl *wire.Bufferlist) (*wire.Bufferlist, error) {
 		var r readReq
-		if err := r.decode(bl, fuzzPrevColl); err != nil {
+		if err := r.decode(bl, &objstore.Names{Collection: fuzzPrevColl}); err != nil {
 			return nil, err
 		}
 		var f readReqFrame
@@ -75,7 +75,7 @@ var controlCodecs = map[string]func(*wire.Bufferlist) (*wire.Bufferlist, error){
 }
 
 // fuzzPrevColl is the collection a read descriptor is decoded against: the
-// seed's own, so the corpus takes StringLike's hit and its mutants the miss.
+// seed's own, so the corpus takes Names.Coll's hit and its mutants the miss.
 const fuzzPrevColl = "pg.3"
 
 // FuzzControlFrames holds the control-plane decoders to the batch-frame
@@ -125,7 +125,7 @@ func FuzzControlFrames(f *testing.F) {
 			}
 		}
 		var r readReq
-		if r.decode(segmentedBL(raw, 7), fuzzPrevColl) == nil {
+		if r.decode(segmentedBL(raw, 7), &objstore.Names{Collection: fuzzPrevColl}) == nil {
 			room := make([]byte, len(raw))
 			fit, grown := r.encodeInto(room), r.encodeInto(make([]byte, 1))
 			if &fit[0] != &room[0] || !bytes.Equal(fit, grown) {

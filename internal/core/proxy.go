@@ -177,40 +177,57 @@ func (px *Proxy) noteUnstage(n int64) { px.stagingBytes -= n }
 // txnMetaBytes is the encoded-transaction metadata a pendingTxn carries
 // inline: 45 bytes of fixed fields and length prefixes for a one-op write, and
 // 75 of names ("pg.123" and "benchmark_data_w15_12345" fit), which fills the
-// record's 384-byte size class. A longer frame grows by append.
+// record's 320-byte size class. A longer frame grows by append.
 const txnMetaBytes = 120
 
 // pendingTxn is everything one in-flight transaction owns on the proxy, in
-// one allocation: the Result handed back to the caller, the encoded
-// transaction its shipment (or the batcher) ships, and the host's commit
-// notification that completes it. The caller reads res long after Done: never
-// recycle one.
+// one record from the partition's free list: a pointer to the caller's Result,
+// the encoded transaction its shipment (or the batcher) ships, and the host's
+// commit notification that completes it. The Result lives in a record of the
+// caller's, so pt goes back once it has completed it (Run) and, for a batched
+// op, once its frame has been encoded, whichever is later.
 type pendingTxn struct {
 	px            *Proxy
 	reqID, txnSeq uint64
-	res           objstore.Result
+	res           *objstore.Result
 	done          sim.Event
 	code          uint16
+	useDMA        bool
+	streamReuse   bool
+	// refs counts the readers still to come: Run, and the encode of a batched
+	// op's frame. fr is that frame, which Run tells the op has completed.
+	refs          int8
+	fr            *batchFrame
 	hostWriteNano int64
 	// frame is the encoded transaction, its metadata written over meta and
 	// its payload segments shared, until it has shipped: then Init drops
-	// what the slots referenced, since the caller keeps pt much longer.
-	frame       wire.Inline2
-	meta        [txnMetaBytes]byte
-	ctx         trace.SpanID
-	enq         sim.Time // when the batcher queued it
-	useDMA      bool
-	streamReuse bool
+	// what the slots referenced.
+	frame wire.Inline2
+	meta  [txnMetaBytes]byte
+	ctx   trace.SpanID
+	enq   sim.Time // when the batcher queued it
 }
 
 // Run completes the caller's Result; the host's commit notification is in.
+// Nothing of pt may be touched after it.
 func (pt *pendingTxn) Run() {
-	px := pt.px
-	pt.res.Err = codeToErr(pt.code)
+	px, res, fr := pt.px, pt.res, pt.fr
+	res.Err = codeToErr(pt.code)
 	px.breakdown.Requests++
 	px.breakdown.HostWrite += sim.Duration(pt.hostWriteNano)
 	delete(px.pendingTxns, pt.reqID)
-	pt.res.Done.Fire()
+	pt.release()
+	if fr != nil {
+		fr.release()
+	}
+	res.Done.Fire()
+}
+
+// release ends one reader's use of pt; the last puts it back.
+func (pt *pendingTxn) release() {
+	if pt.refs--; pt.refs == 0 {
+		pt.px.recs.txns.Put(pt)
+	}
 }
 
 // segment is one in-flight DMA segment of a transaction: the engine
@@ -543,18 +560,20 @@ func (px *Proxy) noteDMAWait(now sim.Time, wait sim.Duration) {
 }
 
 // QueueTransaction implements objstore.Store: QueueTransactionThen awaited
-// by p.
+// by p, into a new Result the caller owns.
 func (px *Proxy) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objstore.Result {
-	return objstore.Queue(p, px, txn)
+	res := new(objstore.Result)
+	objstore.Queue(p, px, txn, res)
+	return res
 }
 
 // encodeTxn is the first step of QueueTransactionThen: the transaction's
-// cached reads are dropped, and it is encoded into a new
-// pendingTxn, under a serialize span (zero when untraced). The frame
-// references payload segments zero-copy; the CPU cost of the memcpy a real
-// implementation would do is still charged, on the submitting DPU thread
-// (tp_osd_tp on the DPU), before serialized.
-func (px *Proxy) encodeTxn(txn *objstore.Transaction) (*pendingTxn, trace.SpanID) {
+// cached reads are dropped, and it is encoded into a pendingTxn from the free
+// list that will complete res, under a serialize span (zero when untraced).
+// The frame references payload segments zero-copy; the CPU cost of the memcpy
+// a real implementation would do is still charged, on the submitting DPU
+// thread (tp_osd_tp on the DPU), before serialized.
+func (px *Proxy) encodeTxn(txn *objstore.Transaction, res *objstore.Result) (*pendingTxn, trace.SpanID) {
 	px.invalidateCached(txn)
 	ctx := trace.SpanID(txn.TraceCtx)
 	if !px.tr.Enabled() {
@@ -564,7 +583,8 @@ func (px *Proxy) encodeTxn(txn *objstore.Transaction) (*pendingTxn, trace.SpanID
 	if ctx != 0 {
 		serSp = px.tr.Start(ctx, 0, trace.StageSerialize, px.dev.Name)
 	}
-	pt := &pendingTxn{px: px, ctx: ctx, streamReuse: txn.StreamReuse}
+	pt := px.recs.txns.Get()
+	pt.px, pt.res, pt.ctx, pt.streamReuse, pt.refs = px, res, ctx, txn.StreamReuse, 1
 	txn.EncodeBLInto(pt.meta[:], pt.frame.Init())
 	return pt, serSp
 }
@@ -590,6 +610,7 @@ func (px *Proxy) serialized(pt *pendingTxn, serSp trace.SpanID, busy sim.Duratio
 	px.pendingTxns[pt.reqID] = pt
 
 	if px.batch.Enable && int64(pt.frame.Length()) <= px.batch.MaxOpBytes {
+		pt.refs++ // the frame's encode
 		px.enqueueBatch(pt)
 		px.env.After(&pt.done, pt)
 		return false
@@ -605,7 +626,7 @@ func (px *Proxy) launch(pt *pendingTxn, useDMA bool) {
 	} else {
 		px.stats.FallbackTxns++
 	}
-	sh := px.recs.ships.get()
+	sh := px.recs.ships.Get()
 	sh.px, sh.pt = px, pt
 	px.env.Delay(0, sh) // the chain starts in an event of its own, as a thread spawned now would
 }
@@ -614,11 +635,11 @@ func (px *Proxy) launch(pt *pendingTxn, useDMA bool) {
 // task chain on th. The payload is serialized on the DPU, then, for a
 // transaction that ships on its own, gated (and probed), cut into <=2 MB
 // segments, staged into DMA buffers and shipped to the host, where the
-// BlueStore server commits it; Done fires only after the host acknowledges
-// durability (preserving write-through semantics).
+// BlueStore server commits it; c.Result's Done fires only after the host
+// acknowledges durability (preserving write-through semantics).
 func (px *Proxy) QueueTransactionThen(th *sim.Thread, c *objstore.Call, next sim.Task) bool {
 	r := px.newCall(th, c, next, callSerialized)
-	r.pt, r.serSp = px.encodeTxn(c.Txn)
+	r.pt, r.serSp = px.encodeTxn(c.Txn, c.Result)
 	return r.charge(serializeCycles(r.pt), &r.busy)
 }
 
@@ -681,7 +702,7 @@ const (
 
 // newCall takes a record for a call of c on th that goes on to step.
 func (px *Proxy) newCall(th *sim.Thread, c *objstore.Call, next sim.Task, step callStep) *storeCall {
-	r := px.recs.calls.get()
+	r := px.recs.calls.Get()
 	r.px, r.th, r.c, r.next, r.step = px, th, c, next, step
 	return r
 }
@@ -692,7 +713,7 @@ func (r *storeCall) charge(cycles int64, busy *sim.Duration) bool {
 	if r.px.dev.CPU.ExecThen(r.th, cycles, busy, r) || r.advance() {
 		return true
 	}
-	r.px.recs.calls.put(r)
+	r.px.recs.calls.Put(r)
 	return false
 }
 
@@ -703,7 +724,7 @@ func (r *storeCall) Run() {
 		return
 	}
 	next := r.next
-	r.px.recs.calls.put(r)
+	r.px.recs.calls.Put(r)
 	next.Run()
 }
 
@@ -727,10 +748,8 @@ func (r *storeCall) advance() bool {
 				px.launch(r.pt, r.ok)
 			}
 		}
-		c.Result = &r.pt.res
 	case callProbed:
 		px.launch(r.pt, r.ok)
-		c.Result = &r.pt.res
 	case callCharged:
 		r.step = callAnswered
 		r.reply = px.rpc.CallTask(r.op, r.req, r)
@@ -985,19 +1004,19 @@ func (sh *shipment) Run() {
 			sh.reply = nil
 			sh.i, sh.step = sh.i+1, shipFallback
 		case shipShipped:
-			pt.frame.Init() // shipped; the caller keeps pt, through res, much longer
+			pt.frame.Init() // shipped: the slots keep no payload while the commit is awaited
 			sh.step = shipCommitted
 			if pt.done.WaitThen(px.env, sh) {
 				return
 			}
 		case shipCommitted:
-			pt.Run()
+			pt.Run() // puts pt back
 			if sh.segs != nil {
 				// The host has assembled and committed: no poller reads a tag
 				// or a view of the table any more.
 				px.recs.segs.put(sh.segs)
 			}
-			px.recs.ships.put(sh)
+			px.recs.ships.Put(sh)
 			return
 		}
 	}
@@ -1140,7 +1159,7 @@ func (px *Proxy) readReq(pr *pendingRead) *doca.Transfer {
 // travels to the host via DMA; the host stages the object data and DMAs it
 // back in <=2 MB segments which the DPU-side poller reassembles.
 func (px *Proxy) ReadThen(th *sim.Thread, c *objstore.Call, next sim.Task) bool {
-	pr := px.recs.reads.get()
+	pr := px.recs.reads.Get()
 	pr.px, pr.th, pr.c, pr.next = px, th, c, next
 	if pr.advance() {
 		return true
@@ -1169,7 +1188,7 @@ func (pr *pendingRead) Run() {
 func (pr *pendingRead) end() {
 	delete(pr.px.pendingReads, pr.reqID)
 	if pr.t.Err == nil {
-		pr.px.recs.reads.put(pr)
+		pr.px.recs.reads.Put(pr)
 	}
 }
 

@@ -180,7 +180,7 @@ func TestReadPathsKeepTheirEvents(t *testing.T) {
 					t.Errorf("not at rest after the run: %v", err)
 				}
 				recs := px.recs
-				if got := [2]int{recs.reads.made - len(recs.reads.free), recs.hostReads.made - len(recs.hostReads.free)}; got != c.leaked {
+				if got := [2]int{recs.reads.Made() - recs.reads.Listed(), recs.hostReads.Made() - recs.hostReads.Listed()}; got != c.leaked {
 					t.Errorf("%v pendingRead and hostRead records not back; want %v", got, c.leaked)
 				}
 			})

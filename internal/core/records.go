@@ -1,5 +1,7 @@
 package core
 
+import "doceph/internal/sim"
+
 // records holds the free lists of the per-crossing records whose lifetime
 // ends inside this package, like the staging buffers and memory regions a
 // real data plane registers once and reuses (§3.3). There is one set per
@@ -12,37 +14,14 @@ package core
 // fallback path is never put back: some reader of it may still be to come, and
 // the GC takes it once none is left.
 type records struct {
-	reads     freeList[pendingRead] // put by the read as it returns, unless its descriptor's transfer failed
-	calls     freeList[storeCall]   // put by the call as it ends
-	hostReads freeList[hostRead]    // put by its last reader (hostRead.unref)
-	hostTxns  freeList[hostTxn]     // put once the proxy has decoded its notification
-	ships     freeList[shipment]    // put by the shipment as it ends
-	segs      segTables             // put by the shipment once the host has committed
-}
-
-// freeList is a LIFO of zeroed records of one type.
-type freeList[T any] struct {
-	free []*T
-	made int // records allocated so far, for the balance check of the tests
-}
-
-func (l *freeList[T]) get() *T {
-	n := len(l.free)
-	if n == 0 {
-		l.made++
-		return new(T)
-	}
-	r := l.free[n-1]
-	l.free[n-1] = nil // a record then left to the GC is not kept by the array
-	l.free = l.free[:n-1]
-	return r
-}
-
-// put zeroes r and keeps it for the next get. Only r's last reader calls it.
-func (l *freeList[T]) put(r *T) {
-	var zero T
-	*r = zero
-	l.free = append(l.free, r)
+	reads     sim.FreeList[pendingRead] // put by the read as it returns, unless its descriptor's transfer failed
+	calls     sim.FreeList[storeCall]   // put by the call as it ends
+	hostReads sim.FreeList[hostRead]    // put by its last reader (hostRead.unref)
+	hostTxns  sim.FreeList[hostTxn]     // put once the proxy has decoded its notification
+	ships     sim.FreeList[shipment]    // put by the shipment as it ends
+	txns      sim.FreeList[pendingTxn]  // put once it has completed the caller's Result and, if batched, been framed
+	frames    frames                    // put once settled and every op it carried has completed
+	segs      segTables                 // put by the shipment once the host has committed
 }
 
 // segTables is the free list of the proxy's per-transaction segment tables.

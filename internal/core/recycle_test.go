@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"doceph/internal/objstore"
 	"doceph/internal/sim"
+	"doceph/internal/trace"
 	"doceph/internal/wire"
 )
 
@@ -135,11 +137,18 @@ func TestRecycledRecordsHoldNothing(t *testing.T) {
 		// segments did (EngUp), and on the host both reads whose replies
 		// failed (EngDown). The proxy's records of those two go back once
 		// their RPC fallback has answered.
-		checkList(t, c.name+": pendingRead", recs.reads.free, recs.reads.made, 1)
-		checkList(t, c.name+": hostRead", recs.hostReads.free, recs.hostReads.made, 2)
-		checkList(t, c.name+": hostTxn", recs.hostTxns.free, recs.hostTxns.made, 0)
-		// A shipment ends, and is put back, on every path: its fallbacks too.
-		checkList(t, c.name+": shipment", recs.ships.free, recs.ships.made, 0)
+		checkList(t, c.name+": pendingRead", &recs.reads, 1)
+		checkList(t, c.name+": hostRead", &recs.hostReads, 2)
+		checkList(t, c.name+": hostTxn", &recs.hostTxns, 0)
+		// A shipment ends, and is put back, on every path: its fallbacks too;
+		// so does the pendingTxn it ships, once the commit is in.
+		checkList(t, c.name+": shipment", &recs.ships, 0)
+		checkList(t, c.name+": pendingTxn", &recs.txns, 0)
+		// Every batch frame settled without a failure: the windows' writes
+		// are too big for a frame.
+		if c.cfg.Batch.Enable {
+			checkFrames(t, c.name, &recs.frames)
+		}
 		if got, want := len(recs.segs.free), recs.segs.made-1; got != want {
 			t.Errorf("%s: segment tables: %d listed, want %d made less 1", c.name, got, want)
 		}
@@ -150,23 +159,49 @@ func TestRecycledRecordsHoldNothing(t *testing.T) {
 				}
 			}
 		}
-		if reads := px.Stats().Reads; int64(recs.reads.made) >= reads {
-			t.Errorf("%s: %d pendingReads made for %d reads by DMA: none reused", c.name, recs.reads.made, reads)
+		if reads := px.Stats().Reads; int64(recs.reads.Made()) >= reads {
+			t.Errorf("%s: %d pendingReads made for %d reads by DMA: none reused", c.name, recs.reads.Made(), reads)
 		}
 	}
 }
 
-// checkList fails unless free holds made records less the leaked ones, every
-// one of them the zero value.
-func checkList[T any](t *testing.T, what string, free []*T, made, leaked int) {
+// checkList fails unless l lists the records it made less the leaked ones,
+// every one of them the zero value. It takes them off the list to look.
+func checkList[T any](t *testing.T, what string, l *sim.FreeList[T], leaked int) {
 	t.Helper()
-	t.Logf("%s: %d made, %d listed", what, made, len(free))
-	if made <= leaked || len(free) != made-leaked {
-		t.Errorf("%s: %d listed of %d made; want all but %d", what, len(free), made, leaked)
+	made, listed := l.Made(), l.Listed()
+	t.Logf("%s: %d made, %d listed", what, made, listed)
+	if made <= leaked || listed != made-leaked {
+		t.Errorf("%s: %d listed of %d made; want all but %d", what, listed, made, leaked)
 	}
-	for _, r := range free {
-		if !reflect.ValueOf(*r).IsZero() {
+	for range listed {
+		if r := l.Get(); !reflect.ValueOf(*r).IsZero() {
 			t.Errorf("%s: a listed record holds %+v", what, *r)
+		}
+	}
+}
+
+// checkFrames fails unless l lists every batch frame it made, each the zero
+// value but for its tables, which hold nothing.
+func checkFrames(t *testing.T, what string, l *frames) {
+	t.Helper()
+	made, listed := l.Made(), l.Listed()
+	t.Logf("%s: batchFrame: %d made, %d listed", what, made, listed)
+	if made == 0 || listed != made {
+		t.Errorf("%s: %d batch frames listed of %d made; want all", what, listed, made)
+	}
+	for range listed {
+		fr := l.Get()
+		tabs := fr.tabs
+		fr.tabs = frameTables{}
+		if !reflect.ValueOf(*fr).IsZero() {
+			t.Errorf("%s: a listed batch frame holds %+v", what, *fr)
+		}
+		if slices.ContainsFunc(tabs.ops[:cap(tabs.ops)], func(op *pendingTxn) bool { return op != nil }) ||
+			slices.ContainsFunc(tabs.ctxs[:cap(tabs.ctxs)], func(c uint64) bool { return c != 0 }) ||
+			slices.ContainsFunc(tabs.spans[:cap(tabs.spans)], func(s trace.SpanID) bool { return s != 0 }) ||
+			slices.ContainsFunc(tabs.segs[:cap(tabs.segs)], func(b []byte) bool { return b != nil }) {
+			t.Errorf("%s: a listed batch frame's tables hold %+v", what, tabs)
 		}
 	}
 }

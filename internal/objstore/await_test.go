@@ -41,10 +41,14 @@ func found(obj string) error {
 	return nil
 }
 
-func (s *echoStore) QueueTransaction(p *sim.Proc, txn *Transaction) *Result { return Queue(p, s, txn) }
+func (s *echoStore) QueueTransaction(p *sim.Proc, txn *Transaction) *Result {
+	res := new(Result)
+	Queue(p, s, txn, res)
+	return res
+}
 
 func (s *echoStore) QueueTransactionThen(th *sim.Thread, c *Call, next sim.Task) bool {
-	return s.answer(c, next, func() { c.Result = &Result{ServiceTime: sim.Duration(len(c.Txn.Ops))} })
+	return s.answer(c, next, func() { c.Result.ServiceTime = sim.Duration(len(c.Txn.Ops)) })
 }
 
 func (s *echoStore) ReadThen(th *sim.Thread, c *Call, next sim.Task) bool {
@@ -105,8 +109,8 @@ func TestProcCallsAwaitTaskForms(t *testing.T) {
 		if err := env.Run(); err != nil || !done {
 			t.Fatalf("delay %v: run ended with %v, caller done: %v", delay, err, done)
 		}
-		if free := *sim.Local[calls](env); len(free) != 1 || !reflect.DeepEqual(*free[0], Call{}) {
-			t.Fatalf("delay %v: free list %v after the calls, want one zeroed Call", delay, free)
+		if l := sim.Local[calls](env); l.Made() != 1 || l.Listed() != 1 || !reflect.DeepEqual(*l.Get(), Call{}) {
+			t.Fatalf("delay %v: %d Calls made, %d listed after the calls, want one, zeroed", delay, l.Made(), l.Listed())
 		}
 	}
 }

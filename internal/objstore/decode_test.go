@@ -3,7 +3,9 @@ package objstore
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"doceph/internal/wire"
 )
@@ -202,7 +204,8 @@ func FuzzDecodeTransactionBL(f *testing.F) {
 // TestDecodeTransactionBLAllocs pins the allocation budget of the decode every
 // DMA'd chunk goes through on the host: the transaction with its one op, the
 // two names, and the payload view with its segment table — and without the
-// names when the frame before it carried the same ones.
+// names when the frame before it carried the same ones, or, for the
+// collection, when the receiver has read it before.
 func TestDecodeTransactionBLAllocs(t *testing.T) {
 	frame := NewTransaction().Write("pg.17", "bench_w3_117", 0, wire.FromBytes(make([]byte, 2<<20))).EncodeBL()
 	var txn *Transaction
@@ -239,6 +242,24 @@ func TestDecodeTransactionBLAllocs(t *testing.T) {
 	if len(rec.txn.Ops) != 1 || &rec.txn.Ops[0] != &rec.op[0] || rec.txn.Ops[0].Data.Length() != 2<<20 {
 		t.Fatalf("decoded into the record: %+v", rec.txn.Ops)
 	}
+	// Frames that alternate between collections, as a host's writes to its
+	// placement groups do: with the receiver's Colls, each name is allocated
+	// once, and a frame costs its payload view alone.
+	other := NewTransaction().Write("pg.18", "bench_w3_117", 0, wire.FromBytes(make([]byte, 2<<20))).EncodeBL()
+	seen := Names{Colls: &Colls{}}
+	alternate := func() {
+		for _, f := range []*wire.Bufferlist{frame, other} {
+			if err := rec.txn.DecodeBL(f, &seen); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, alternate); allocs > 2 {
+		t.Fatalf("DecodeBL: %.0f allocations for two frames into alternating collections, want at most 2", allocs)
+	}
+	if rec.txn.Ops[0].Collection != "pg.18" || seen.Collection != "pg.18" || len(seen.Colls.names) != 2 {
+		t.Fatalf("decoded %q, last %q, %d collections seen", rec.txn.Ops[0].Collection, seen.Collection, len(seen.Colls.names))
+	}
 	// The frame itself: the metadata buffer and the list with its segment
 	// table — or nothing, into a list and bytes the caller holds.
 	txn = NewTransaction().Write("pg.17", "bench_w3_117", 0, wire.FromBytes(make([]byte, 2<<20)))
@@ -263,5 +284,32 @@ func TestDecodeTransactionBLAllocs(t *testing.T) {
 	txn.MkColl("pg.17")
 	if len(txn.Ops) != 2 || txn.Ops[0].Code != OpRemove || txn.Ops[1].Code != OpMkColl {
 		t.Fatalf("ops after growing past the slot: %+v", txn.Ops)
+	}
+}
+
+// TestCollsInternsEachNameOnce: Colls keeps the names it has read sorted, hands
+// back the string it listed for bytes that spell it again, and stops listing
+// new names at its bound, still returning them.
+func TestCollsInternsEachNameOnce(t *testing.T) {
+	var c Colls
+	first := map[string]string{}
+	for _, n := range []string{"pg.7", "pg.12", "pg.1", "pg.7", "pg.30", "pg.12"} {
+		s := c.intern([]byte(n))
+		if s != n {
+			t.Fatalf("intern(%q) = %q", n, s)
+		}
+		if f, ok := first[n]; ok && unsafe.StringData(f) != unsafe.StringData(s) {
+			t.Fatalf("%q read again is a new string", n)
+		}
+		first[n] = s
+	}
+	if want := []string{"pg.1", "pg.12", "pg.30", "pg.7"}; !slices.Equal(c.names, want) {
+		t.Fatalf("listed %q, want %q", c.names, want)
+	}
+	for i := len(c.names); i < maxColls; i++ {
+		c.intern([]byte(fmt.Sprint("coll.", i)))
+	}
+	if s := c.intern([]byte("one.more")); s != "one.more" || len(c.names) != maxColls {
+		t.Fatalf("past the bound: intern = %q, %d listed", s, len(c.names))
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"doceph/internal/sim"
 	"doceph/internal/wire"
@@ -219,10 +220,62 @@ func (t *Transaction) EncodeBLInto(meta []byte, dst *wire.Bufferlist) {
 	}
 }
 
-// Names is the collection and object of the last op a decoder read. A
-// receiver sees one collection over and over and one object for a run of
-// stream chunks, so the decoder shares equal names instead of allocating them.
-type Names struct{ Collection, Object string }
+// Names is the collection and object of the last op a decoder read and, in
+// Colls when it is not nil, the collection names its receiver has read. A
+// receiver sees one collection over and over, the others of its placement
+// groups in turn, and one object for a run of stream chunks, so the decoder
+// shares equal names instead of allocating them.
+type Names struct {
+	Collection, Object string
+	Colls              *Colls
+}
+
+// Colls is the set of collection names a receiver has decoded, sorted, and
+// looked up by their bytes: a name is allocated the first time it is read, and
+// shared from then on. A partition's receivers can share one (sim.Local): they
+// serve the same few hundred placement groups.
+type Colls struct{ names []string }
+
+// maxColls bounds Colls: a malformed stream of names must not grow it
+// without end.
+const maxColls = 1 << 12
+
+// intern returns the name b spells: the one listed, or a new string, which is
+// then listed.
+func (c *Colls) intern(b []byte) string {
+	lo, hi := 0, len(c.names)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); c.names[m] < string(b) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(c.names) && c.names[lo] == string(b) {
+		return c.names[lo]
+	}
+	s := string(b)
+	if len(c.names) < maxColls {
+		c.names = slices.Insert(c.names, lo, s)
+	}
+	return s
+}
+
+// Coll reads a collection name from d and makes it the last one: the last
+// one, or one of Colls, is shared when its bytes match.
+func (n *Names) Coll(d *wire.Decoder) string {
+	b := d.StringBytes()
+	s := n.Collection
+	switch {
+	case string(b) == s:
+	case n.Colls != nil:
+		s = n.Colls.intern(b)
+	default:
+		s = string(b)
+	}
+	n.Collection = s
+	return s
+}
 
 // DecodeTransactionBL parses a frame produced by EncodeBL into a new
 // transaction. Data payloads are zero-copy views into bl. It reads and
@@ -267,12 +320,12 @@ func (t *Transaction) decodeOps(bl *wire.Bufferlist, last *Names) error {
 	for i := uint32(0); i < n && d.Err() == nil; i++ {
 		op := Op{
 			Code:       OpCode(d.U8()),
-			Collection: d.StringLike(last.Collection),
+			Collection: last.Coll(d),
 			Object:     d.StringLike(last.Object),
 			Offset:     d.U64(),
 			Length:     d.U64(),
 		}
-		last.Collection, last.Object = op.Collection, op.Object
+		last.Object = op.Object
 		dataLen := int(d.U32())
 		op.AttrName = d.String()
 		op.AttrValue = d.Blob()
@@ -308,7 +361,10 @@ type StatInfo struct {
 // ServiceTime, when the backend fills it, is the pure commit service time
 // (checksum CPU + device streaming + KV share) excluding queueing — the
 // paper's Table 3 "Host write" metric. Done lives in the Result, so a Result
-// is handled by pointer only.
+// is handled by pointer only. A Result belongs to the caller: it lives in a
+// record the caller already has, a submission names it, and the store only
+// sets it, so the caller may read it for as long as it keeps that record while
+// the store recycles its own.
 type Result struct {
 	Done        sim.Event
 	Err         error
@@ -317,19 +373,21 @@ type Result struct {
 
 // Call is one call of a Store's task forms, owned by the caller: the inputs
 // it sets and the results the store sets before the call's continuation runs.
+// QueueTransactionThen's Result is an input: the caller's, which the store
+// completes.
 // A thread keeps one and reuses it call after call, so a call allocates
 // nothing of its own; it must not be reused while a call on it is under way.
 type Call struct {
-	// Txn is QueueTransactionThen's transaction. Coll and Object name the
-	// object of the other calls (ListThen's collection is Coll); Off and
-	// Length are ReadThen's range (Length 0 = to EOF).
+	// Txn is QueueTransactionThen's transaction and Result the caller's
+	// Result it completes. Coll and Object name the object of the other
+	// calls (ListThen's collection is Coll); Off and Length are ReadThen's
+	// range (Length 0 = to EOF).
 	Txn          *Transaction
+	Result       *Result
 	Coll, Object string
 	Off, Length  uint64
-	// Result is QueueTransactionThen's, Data ReadThen's, Stat StatThen's,
-	// Exists ExistsThen's and Names ListThen's answer; Err is ReadThen's,
-	// StatThen's and ListThen's error.
-	Result *Result
+	// Data is ReadThen's, Stat StatThen's, Exists ExistsThen's and Names
+	// ListThen's answer; Err is ReadThen's, StatThen's and ListThen's error.
 	Data   *wire.Bufferlist
 	Stat   StatInfo
 	Exists bool
@@ -348,14 +406,16 @@ type Call struct {
 // simulation process makes a call by awaiting its task form — the package
 // functions Queue, Read, Stat, Exists and List — at the same events. The one
 // proc method, QueueTransaction, stays for the callers that hold a Store and
-// a proc; a store whose submission is more than one charge implements it as
-// Queue.
+// a proc, with a Result the store makes for the caller to own; a store whose
+// submission is more than one charge implements it as Queue.
 type Store interface {
 	// QueueTransaction submits txn for asynchronous, atomic, durable
-	// application. The returned Result's Done event fires at commit time.
+	// application. The returned Result, new and the caller's, has its Done
+	// event fire at commit time.
 	QueueTransaction(p *sim.Proc, txn *Transaction) *Result
 
-	// QueueTransactionThen is QueueTransaction of c.Txn into c.Result.
+	// QueueTransactionThen is QueueTransaction of c.Txn into the caller's
+	// c.Result, which it completes.
 	QueueTransactionThen(th *sim.Thread, c *Call, next sim.Task) bool
 	// ReadThen reads c's range of its object into c.Data and c.Err.
 	ReadThen(th *sim.Thread, c *Call, next sim.Task) bool
@@ -370,18 +430,11 @@ type Store interface {
 // calls is a partition's free list of the Calls the package functions await
 // (sim.Local, looked up per call: a package function has no construction to
 // keep the pointer from), so a proc's call allocates nothing.
-type calls []*Call
+type calls struct{ sim.FreeList[Call] }
 
 // start takes a Call from p's partition's free list and sets it to in.
 func start(p *sim.Proc, in Call) *Call {
-	l := sim.Local[calls](p.Env())
-	n := len(*l)
-	if n == 0 {
-		c := in
-		return &c
-	}
-	c := (*l)[n-1]
-	*l = (*l)[:n-1]
+	c := sim.Local[calls](p.Env()).Get()
 	*c = in
 	return c
 }
@@ -393,16 +446,15 @@ func await(p *sim.Proc, c *Call, registered bool) Call {
 		p.Suspend()
 	}
 	r := *c
-	*c = Call{}
-	l := sim.Local[calls](p.Env())
-	*l = append(*l, c)
+	sim.Local[calls](p.Env()).Put(c)
 	return r
 }
 
-// Queue is st's QueueTransactionThen awaited by p, on p's thread.
-func Queue(p *sim.Proc, st Store, txn *Transaction) *Result {
-	c := start(p, Call{Txn: txn})
-	return await(p, c, st.QueueTransactionThen(p.Thread(), c, p)).Result
+// Queue is st's QueueTransactionThen of txn into res, the caller's, awaited
+// by p, on p's thread.
+func Queue(p *sim.Proc, st Store, txn *Transaction, res *Result) {
+	c := start(p, Call{Txn: txn, Result: res})
+	await(p, c, st.QueueTransactionThen(p.Thread(), c, p))
 }
 
 // Read is st's ReadThen of length bytes at off of obj (length 0 = to EOF),

@@ -23,9 +23,11 @@ import (
 type finisher struct {
 	o *OSD
 	// id is the op's key in mutations or repApplies (none for a push); res its
-	// local commit.
-	id  uint64
-	res *objstore.Result
+	// local commit: the mutation's or the sub-op's Result, or for a push
+	// pushRes, which the push's store call names before the finisher starts.
+	id      uint64
+	res     *objstore.Result
+	pushRes objstore.Result
 	// Exactly one of mu, ra and push is set; src is the push's sender.
 	mu   *mutation
 	ra   *repApply
@@ -52,10 +54,15 @@ const (
 // finish starts the chain of a finisher like f on a record from the free list,
 // in an event of its own, as a thread spawned now would start.
 func (o *OSD) finish(f finisher) {
-	r := o.pools.fins.get()
+	r := o.pools.fins.Get()
 	*r = f
-	r.o = o
-	o.env.Delay(0, r)
+	r.start(o)
+}
+
+// start runs f's chain on o, in an event of its own.
+func (f *finisher) start(o *OSD) {
+	f.o = o
+	o.env.Delay(0, f)
 }
 
 // Run is the finisher's next step.
@@ -103,7 +110,7 @@ func (f *finisher) Run() {
 			}
 		case finishCharged:
 			f.answer()
-			o.pools.fins.put(f)
+			o.pools.fins.Put(f)
 			return
 		}
 	}
@@ -160,31 +167,6 @@ func (f *finisher) String() string {
 // pools are a partition's free lists of the op path's records, shared by its
 // OSDs (sim.Local): the finishers and the workers' turns.
 type pools struct {
-	fins  pool[finisher]
-	turns pool[turn]
-}
-
-// pool is a free list of records of one type; made counts the records
-// allocated, for Quiescent.
-type pool[T any] struct {
-	free []*T
-	made int
-}
-
-func (l *pool[T]) get() *T {
-	n := len(l.free)
-	if n == 0 {
-		l.made++
-		return new(T)
-	}
-	r := l.free[n-1]
-	l.free[n-1] = nil
-	l.free = l.free[:n-1]
-	return r
-}
-
-// put zeroes r and keeps it for the next get.
-func (l *pool[T]) put(r *T) {
-	*r = *new(T)
-	l.free = append(l.free, r)
+	fins  sim.FreeList[finisher]
+	turns sim.FreeList[turn]
 }

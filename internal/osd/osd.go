@@ -260,7 +260,7 @@ type mutation struct {
 	src                 string
 	m                   *cephmsg.MOSDOp
 	sp, commitSp, repSp trace.SpanID
-	res                 *objstore.Result
+	res                 objstore.Result
 	txn                 objstore.Transaction
 	ops                 [1]objstore.Op
 	pend                pendingRep
@@ -289,7 +289,7 @@ type repApply struct {
 	src          string
 	m            *cephmsg.MRepOp
 	sp, commitSp trace.SpanID
-	res          *objstore.Result
+	res          objstore.Result
 	txn          objstore.Transaction
 	ops          [1]objstore.Op
 	reply        cephmsg.MRepOpReply
@@ -454,12 +454,7 @@ func (o *OSD) Quiescent() error {
 	if mu, ra, w := o.InFlight(); mu+ra+w != 0 {
 		errs = append(errs, fmt.Errorf("%s: %d mutations, %d replica applies and %d replica waits in flight", o.name, mu, ra, w))
 	}
-	if f := &o.pools.fins; f.made != len(f.free) {
-		errs = append(errs, fmt.Errorf("%s: %d of %d finishers back on the free list", o.name, len(f.free), f.made))
-	}
-	if t := &o.pools.turns; t.made != len(t.free) {
-		errs = append(errs, fmt.Errorf("%s: %d of %d worker turns back on the free list", o.name, len(t.free), t.made))
-	}
+	errs = append(errs, o.pools.fins.AllBack(o.name+": finishers"), o.pools.turns.AllBack(o.name+": worker turns"))
 	return errors.Join(errs...)
 }
 

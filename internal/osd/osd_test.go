@@ -439,20 +439,21 @@ func TestShardedDispatchPreservesSemantics(t *testing.T) {
 }
 
 // writeAllocCeiling is one above what a replicated write of a new object
-// allocates today (8.91: the primary's mutation record and the replica's
-// repApply; BlueStore's txc on each side; the new object's onode on each side,
-// plus about 0.9 for the collections' object maps growing to hold them; the
-// client's call and its MOSDOp). The next record somebody adds to the write
-// path fails here, not in a benchmark.
-const writeAllocCeiling = 10
+// allocates today (5.91: the primary's mutation record and the replica's
+// repApply, each holding the Result its BlueStore completes; the new object's
+// onode on each side, plus about 0.9 for the collections' object maps growing
+// to hold them; the client's MOSDOp). BlueStore's txcs and the client's call
+// come from free lists. The next record somebody adds to the write path fails
+// here, not in a benchmark.
+const writeAllocCeiling = 6
 
 // writeAllocBytesCeiling is 8 B above what those allocations come to today
-// (1,421 B per write, the same under -race), less than the 16 B of the
+// (1,293 B per write, the same under -race), less than the 16 B of the
 // smallest size-class step either OSD record could take. So a record that
 // moves up a class fails here even when the count stays: chain state added to
-// mutation (432 B of a 448 B class) or repApply (216 B of 224 B) does. The
+// mutation (496 B of a 512 B class) or repApply (280 B of 288 B) does. The
 // finishers' chain state lives on a free list instead.
-const writeAllocBytesCeiling = 1_429
+const writeAllocBytesCeiling = 1_301
 
 // TestReplicatedWriteAllocationBudget holds one replicated write of a new
 // object — client call, primary commit, one sub-op, replica commit, both acks

@@ -27,24 +27,26 @@ import (
 // with the messenger's half of it: the InStream and its queue, the chunk
 // table, the forwarding streams (in a slot for the one secondary of a
 // two-replica write) and a replica's ack. The table is sized from the open
-// frame; a stream cut finer than that grows it by append, which leaves the
-// entries already handed to the store and the kernel where they are.
+// frame and never grows: the store completes each chunk's Result where it
+// is, so an entry may not move. A stream cut finer than that goes on in
+// another table of the same size, and the full ones wait in full.
 type streamIngest struct {
 	in      messenger.InStream
 	o       *OSD
 	chunks  []streamChunk
+	full    [][]streamChunk
 	reps    []*messenger.OutStream
 	repSlot [1]*messenger.OutStream
 	reply   cephmsg.MRepOpReply
 }
 
 // streamChunk is one chunk of a stream on its OSD: its store transaction over
-// its op slot, the result and the credit frame. It is also the task that
-// sends that credit once the commit is durable.
+// its op slot, the Result the store completes and the credit frame. It is
+// also the task that sends that credit once the commit is durable.
 type streamChunk struct {
 	st     *streamIngest
 	span   trace.SpanID
-	res    *objstore.Result
+	res    objstore.Result
 	txn    objstore.Transaction
 	ops    [1]objstore.Op
 	credit cephmsg.MStreamCredit
@@ -56,8 +58,15 @@ func (c *streamChunk) Run() {
 	c.st.in.Credit(&c.credit)
 }
 
-// next appends a table entry and returns it.
+// next appends a table entry and returns it, starting a table of the same
+// size when the one under way is full.
 func (st *streamIngest) next() *streamChunk {
+	if n := cap(st.chunks); len(st.chunks) == n {
+		if n > 0 {
+			st.full = append(st.full, st.chunks)
+		}
+		st.chunks = make([]streamChunk, 0, max(n, 1))
+	}
 	st.chunks = append(st.chunks, streamChunk{st: st})
 	return &st.chunks[len(st.chunks)-1]
 }
@@ -144,7 +153,7 @@ func (st *streamIngest) ingestChunk(p *sim.Proc, sp trace.SpanID,
 	c.txn.StreamReuse = true
 	o.ensureColl(pg, &c.txn)
 	c.txn.TraceCtx = uint64(c.span)
-	c.res = o.store.QueueTransaction(p, &c.txn)
+	objstore.Queue(p, o.store, &c.txn, &c.res)
 	lock.Release(1)
 	o.env.After(&c.res.Done, c)
 }
@@ -175,8 +184,17 @@ func (st *streamIngest) ingestChunks(p *sim.Proc, sp trace.SpanID, pg uint32,
 // awaitCommits is the end-of-stream barrier: every chunk durable. It reports
 // whether any chunk's commit failed.
 func (st *streamIngest) awaitCommits(p *sim.Proc) (anyErr bool) {
-	for i := range st.chunks {
-		res := st.chunks[i].res
+	for _, table := range st.full {
+		anyErr = awaitTable(p, table) || anyErr
+	}
+	return awaitTable(p, st.chunks) || anyErr
+}
+
+// awaitTable waits for the commit of every chunk of table, in order, and
+// reports whether any failed.
+func awaitTable(p *sim.Proc, table []streamChunk) (anyErr bool) {
+	for i := range table {
+		res := &table[i].res
 		res.Done.Wait(p)
 		if res.Err != nil {
 			anyErr = true

@@ -6,10 +6,12 @@ import (
 	"runtime"
 	"testing"
 
+	"doceph/internal/cephmsg"
 	"doceph/internal/messenger"
 	"doceph/internal/objstore"
 	"doceph/internal/rados"
 	"doceph/internal/sim"
+	"doceph/internal/trace"
 )
 
 // streamMsgrCfg enables the chunk-pipelined transport with a test-sized
@@ -142,22 +144,22 @@ func TestStreamedSmallWriteBypasses(t *testing.T) {
 	})
 }
 
-// streamAllocCeiling is one above what a streamed write of a new 16 MiB object
-// allocates today, rounded up (55.94; 141.94 when every chunk was a frame, a
-// credit, a commit task and a transaction of its own). Per write: BlueStore's
-// txc per chunk on each side (16); the client's eight chunk views of the
-// payload (8; the primary forwards each chunk it received as it is); the new
-// object's extent and block tables growing three times each on each side (12)
-// and its onode on each side (2); the client's pump and the primary's forward,
-// each an OutStream and its chunk-frame table (4); the primary's and the
-// replica's ingest, each a streamIngest and its chunk table (4); their threads
-// (2, one per stream: the CPU tells threads apart by pointer); the first
-// blocking Next on each InStream's queue (2); the client's call, MOSDOp and
-// the stream's copy of it without the data (3); the primary's mutation (1); a
+// streamAllocCeiling is one above what a streamed write of a new 16 MiB
+// object allocates today, rounded up (38.94). Per write: the client's eight
+// chunk views of the payload (8; the primary forwards each chunk it received
+// as it is); the new object's extent and block tables growing three times
+// each on each side (12) and its onode on each side (2); the client's pump and
+// the primary's forward, each an OutStream and its chunk-frame table (4); the
+// primary's and the replica's ingest, each a streamIngest and its chunk
+// table, whose entries hold the Results their commits complete (4); their
+// threads (2, one per stream: the CPU tells threads apart by pointer); the
+// first blocking Next on each InStream's queue (2); the client's MOSDOp and
+// the stream's copy of it without the data (2); the primary's mutation (1); a
 // credit window's waiter ring (1); and about 0.9 for the collections' object
-// maps growing. The next record somebody adds to the streamed write fails
-// here, not in a benchmark.
-const streamAllocCeiling = 57
+// maps growing. BlueStore's txcs and the client's call come from free lists.
+// The next record somebody adds to the streamed write fails here, not in a
+// benchmark.
+const streamAllocCeiling = 39
 
 // TestStreamedWriteAllocationBudget holds one streamed write — the client's
 // pump, the primary's ingest and forward, the replica's ingest, both acks — of
@@ -204,4 +206,80 @@ func TestStreamedWriteAllocationBudget(t *testing.T) {
 			t.Fatalf("%d of %d writes streamed", streamed, warm+writes)
 		}
 	})
+}
+
+// TestStreamChunksPastTheFirstTable streams twelve chunks of 25,000 bytes — a
+// sender cutting finer than the 64 KiB chunk size — into ingests whose chunk
+// tables the open frame sized for five, on the primary and, forwarded chunk
+// for chunk, on the replica. The store completes each chunk's Result where the
+// chunk's entry is, so the entries may not move as the ingest goes on in
+// further tables: every chunk's stream.stage span, which ends as its credit
+// goes back, ends at the instant its own BlueStore commit did, and, with every
+// commit on the primary failing, the error reaches the end of the ingest and
+// the client's reply.
+func TestStreamChunksPastTheFirstTable(t *testing.T) {
+	const pieces, piece = 12, 25_000
+	for _, failing := range []bool{false, true} {
+		tc := newTestClusterMsgr(t, 2, 2, 0, streamMsgrCfg(false, 64<<10, 2), Config{})
+		tr := trace.New(tc.env)
+		for i, o := range tc.osds {
+			o.SetTracer(tr)
+			tc.stores[i].SetTracer(tr)
+		}
+		m := tc.addClient("client.9")
+		var reply *cephmsg.MOSDOpReply
+		var replied sim.Event
+		m.SetDispatcher(func(_ *sim.Proc, _ string, msg cephmsg.Message) {
+			if r, ok := msg.(*cephmsg.MOSDOpReply); ok {
+				reply = r
+				replied.Fire()
+			}
+		})
+		data := payload(pieces*piece, 5)
+		tc.run(t, func(p *sim.Proc) {
+			pg := tc.client.Map().PGForObject("fine")
+			primary := tc.client.Map().Primary(pg)
+			if failing {
+				tc.osds[primary].ready.Wait(p) // the PG collections exist
+				tc.stores[primary].SetWriteErrorProb(1)
+			}
+			root := tr.Start(0, 1, trace.StageOp, "fine")
+			out := m.OpenStream(Name(primary), &cephmsg.MOSDOp{Tid: 1, Src: "client.9", Pool: "rbd", Object: "fine",
+				Op: cephmsg.OpWrite, Length: uint64(data.Length()), TraceCtx: uint64(root)}, int64(data.Length()))
+			for i := 0; i < pieces; i++ {
+				out.Write(p, data.SubList(i*piece, piece))
+			}
+			out.Close(p)
+			replied.Wait(p)
+			p.Wait(sim.Second) // the replica's last commits land
+		})
+		if want := map[bool]int32{false: cephmsg.ResOK, true: cephmsg.ResError}[failing]; reply == nil || reply.Result != want {
+			t.Fatalf("failing %v: reply %+v, want result %d", failing, reply, want)
+		}
+		spans := tr.Spans()
+		kvEnd := map[trace.SpanID]sim.Time{} // each chunk's commit, by its stage span
+		for _, sp := range spans {
+			if sp.Stage == trace.StageKV {
+				kvEnd[sp.Parent] = sp.End
+			}
+		}
+		stages := 0
+		for _, sp := range spans {
+			if sp.Stage != trace.StageStreamStage {
+				continue
+			}
+			stages++
+			if end, ok := kvEnd[sp.ID]; !ok || end != sp.End {
+				t.Fatalf("failing %v: chunk span %d ended at %v, its commit at %v (found %v)", failing, sp.ID, sp.End, end, ok)
+			}
+		}
+		if stages != 2*pieces {
+			t.Fatalf("failing %v: %d chunk spans ended, want %d on each OSD", failing, stages, pieces)
+		}
+		for _, o := range tc.osds {
+			if n := o.Stats().StreamWrites + o.Stats().RepOpsServed; n != 1 {
+				t.Fatalf("failing %v: %s ingested %d streams, want 1", failing, o.name, n)
+			}
+		}
+	}
 }

@@ -30,7 +30,7 @@ type worker struct {
 // serve starts a turn on it, the served identity's body, on a record from the
 // partition's free list: a worker holds none between turns.
 func (w *worker) serve(it opItem) {
-	t := w.o.pools.turns.get()
+	t := w.o.pools.turns.Get()
 	t.w, t.it = w, it
 	t.Run()
 }
@@ -56,6 +56,8 @@ type turn struct {
 	ra       *repApply
 	reply    *cephmsg.MOSDOpReply
 	commitSp trace.SpanID
+	// fin is a push's finisher, taken before its store call.
+	fin *finisher
 }
 
 // workStep is what a worker's next step does.
@@ -160,13 +162,12 @@ func (t *turn) Run() {
 				mu.txn.TraceCtx = uint64(mu.commitSp)
 				o.tr.AddBytes(mu.commitSp, mu.txn.DataBytes())
 			}
-			t.mu, t.call.Txn, t.step = mu, &mu.txn, workMutationQueued
+			t.mu, t.call.Txn, t.call.Result, t.step = mu, &mu.txn, &mu.res, workMutationQueued
 			if o.store.QueueTransactionThen(th, &t.call, t) {
 				return
 			}
 		case workMutationQueued:
 			mu, m := t.mu, t.it.msg.(*cephmsg.MOSDOp)
-			mu.res = t.call.Result
 			if t.it.span != 0 {
 				mu.repSp = o.tr.Start(t.it.span, 0, trace.StageReplication, m.Object)
 			}
@@ -191,7 +192,7 @@ func (t *turn) Run() {
 			}
 			o.nextRec++
 			o.mutations[o.nextRec] = mu
-			o.finish(finisher{id: o.nextRec, res: mu.res, mu: mu})
+			o.finish(finisher{id: o.nextRec, res: &mu.res, mu: mu})
 			t.end()
 			return
 		case workRepCharged:
@@ -264,13 +265,12 @@ func (t *turn) Run() {
 				ra.txn.TraceCtx = uint64(ra.commitSp)
 				o.tr.AddBytes(ra.commitSp, ra.txn.DataBytes())
 			}
-			t.ra, t.call.Txn, t.step = ra, &ra.txn, workSubQueued
+			t.ra, t.call.Txn, t.call.Result, t.step = ra, &ra.txn, &ra.res, workSubQueued
 			if o.store.QueueTransactionThen(th, &t.call, t) {
 				return
 			}
 		case workSubQueued:
 			ra := t.ra
-			ra.res = t.call.Result
 			t.lock.Release(1)
 			o.stats.RepOpsServed++
 			if ra.m.Data != nil {
@@ -278,7 +278,7 @@ func (t *turn) Run() {
 			}
 			o.nextRec++
 			o.repApplies[o.nextRec] = ra
-			o.finish(finisher{id: o.nextRec, res: ra.res, ra: ra})
+			o.finish(finisher{id: o.nextRec, res: &ra.res, ra: ra})
 			t.end()
 			return
 		case workPushPrepped:
@@ -309,14 +309,19 @@ func (t *turn) Run() {
 			m := t.it.msg.(*cephmsg.MPGPush)
 			txn := objstore.NewTransaction().Write(pgColl(m.PGID), m.Object, 0, m.Data)
 			o.ensureColl(m.PGID, txn)
-			t.call.Txn, t.step = txn, workPushQueued
+			// The push's finisher is taken now: its Result is the one the
+			// store completes.
+			t.fin = o.pools.fins.Get()
+			t.fin.res = &t.fin.pushRes
+			t.call.Txn, t.call.Result, t.step = txn, t.fin.res, workPushQueued
 			if o.store.QueueTransactionThen(th, &t.call, t) {
 				return
 			}
 		case workPushQueued:
 			t.lock.Release(1)
 			o.stats.PushesServed++
-			o.finish(finisher{res: t.call.Result, push: t.it.msg.(*cephmsg.MPGPush), src: t.it.src})
+			t.fin.push, t.fin.src = t.it.msg.(*cephmsg.MPGPush), t.it.src
+			t.fin.start(o)
 			t.end()
 			return
 		case workScrubLocked:
@@ -355,7 +360,7 @@ func (t *turn) acquire(pg uint32, step workStep) bool {
 // turn may be touched after it, as the next may already have begun on it.
 func (t *turn) end() {
 	wk := t.w
-	wk.o.pools.turns.put(t)
+	wk.o.pools.turns.Put(t)
 	wk.done.Run()
 }
 

@@ -121,12 +121,17 @@ type Client struct {
 	curMap   *osdmap.Map
 	nextTid  uint64
 	inflight map[uint64]*call
+	// calls is the free list of call records.
+	calls sim.FreeList[call]
 
 	stats Stats
 	tr    *trace.Tracer
 }
 
-// call is one attempt of an op in flight: done fires when its reply lands.
+// call is one attempt of an op in flight: done fires when its reply lands. It
+// is a record from the client's free list, put back once do has taken the
+// reply; one that timed out keeps a spent wake-up on its event and is left to
+// the GC.
 type call struct {
 	done  sim.Event
 	reply *cephmsg.MOSDOpReply
@@ -274,7 +279,7 @@ func (c *Client) do(p *sim.Proc, op *cephmsg.MOSDOp) (*cephmsg.MOSDOpReply, erro
 		}
 		c.tr.AddCPU(sp, c.cpu.Name(), c.cpu.Exec(p, c.th, prepCycles))
 		op.Epoch = c.curMap.Epoch
-		call := new(call)
+		call := c.calls.Get()
 		c.inflight[op.Tid] = call
 		c.msgr.Send(osdName(target), op)
 		if !call.done.WaitTimeout(p, c.cfg.OpTimeout) {
@@ -283,13 +288,15 @@ func (c *Client) do(p *sim.Proc, op *cephmsg.MOSDOp) (*cephmsg.MOSDOpReply, erro
 			wait()
 			continue
 		}
-		if call.reply.Result == cephmsg.ResNotPrimary {
+		reply := call.reply
+		c.calls.Put(call)
+		if reply.Result == cephmsg.ResNotPrimary {
 			c.stats.Redirects++
 			c.refreshMap()
 			wait()
 			continue
 		}
-		if call.reply.Result == cephmsg.ResNoQuorum {
+		if reply.Result == cephmsg.ResNoQuorum {
 			// The PG is below min_size: real Ceph blocks such writes until
 			// the acting set regrows. Back off and retry against a fresher
 			// map; surface a typed error only once retries exhaust.
@@ -299,7 +306,7 @@ func (c *Client) do(p *sim.Proc, op *cephmsg.MOSDOp) (*cephmsg.MOSDOpReply, erro
 			wait()
 			continue
 		}
-		return call.reply, nil
+		return reply, nil
 	}
 	if sawNoQuorum {
 		return nil, ErrNoQuorum
@@ -317,13 +324,13 @@ func (c *Client) do(p *sim.Proc, op *cephmsg.MOSDOp) (*cephmsg.MOSDOpReply, erro
 // member is up.
 func (c *Client) balancedTarget(pg uint32, object string) int32 {
 	acting := c.curMap.ActingSet(pg)
-	up := make([]int32, 0, len(acting))
+	up := 0
 	for _, id := range acting {
 		if c.curMap.IsUp(id) {
-			up = append(up, id)
+			up++
 		}
 	}
-	if len(up) == 0 {
+	if up == 0 {
 		return -1
 	}
 	// Decorrelate from PGForObject's fnv%PGCount with an avalanche mix.
@@ -331,8 +338,22 @@ func (c *Client) balancedTarget(pg uint32, object string) int32 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
-	return up[h%uint64(len(up))]
+	// The pick is the k-th up member, in acting order.
+	k := int(h % uint64(up))
+	for _, id := range acting {
+		if c.curMap.IsUp(id) {
+			if k == 0 {
+				return id
+			}
+			k--
+		}
+	}
+	return -1 // not reached: k < up
 }
+
+// Quiescent reports the call records not back on the client's free list: an
+// op still in flight, or one that timed out.
+func (c *Client) Quiescent() error { return c.calls.AllBack(c.msgr.Name() + ": calls") }
 
 func fnv64(s string) uint64 {
 	h := uint64(14695981039346656037)

@@ -259,3 +259,43 @@ func TestClientNoOSDError(t *testing.T) {
 		}
 	})
 }
+
+// TestBalancedTargetPicksWithoutASlice: a balanced read's target is the
+// member the object's hash picks among the acting set's up members, in acting
+// order — the slice of up members the pick once built, checked here for every
+// PG with all members up and with one down — and picking allocates nothing.
+func TestBalancedTargetPicksWithoutASlice(t *testing.T) {
+	m := osdmap.New(crush.BuildUniform(5, 1, 1.0), 32, 3)
+	c := &Client{curMap: m}
+	want := func(pg uint32, object string) int32 {
+		var up []int32
+		for _, id := range m.ActingSet(pg) {
+			if m.IsUp(id) {
+				up = append(up, id)
+			}
+		}
+		if len(up) == 0 {
+			return -1
+		}
+		h := fnv64(object)
+		h ^= h >> 33
+		h *= 0xff51afd7ed558ccd
+		h ^= h >> 33
+		return up[h%uint64(len(up))]
+	}
+	for _, down := range []int32{-1, 2} {
+		if down >= 0 {
+			m.MarkDown(down)
+		}
+		for i := 0; i < 400; i++ {
+			obj := "benchmark_data_prepop_" + string(rune('a'+i%26)) + string(rune('a'+i/26))
+			pg := m.PGForObject(obj)
+			if got, w := c.balancedTarget(pg, obj), want(pg, obj); got != w {
+				t.Fatalf("osd %d down: %s in pg %d (acting %v) goes to %d, want %d", down, obj, pg, m.ActingSet(pg), got, w)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { c.balancedTarget(7, "benchmark_data_prepop_17") }); n != 0 {
+		t.Fatalf("%.1f allocations per pick, want 0", n)
+	}
+}

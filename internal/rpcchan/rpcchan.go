@@ -73,6 +73,9 @@ type Endpoint struct {
 	peer *Endpoint
 	inq  *sim.Queue[envelope]
 	srv  server
+	// envs is the partition's free list of envelopes (sim.Local), shared by
+	// its endpoints.
+	envs *envelopes
 	// handlers is indexed by op: op codes are small.
 	handlers []Handler
 	pending  map[uint64]*Reply
@@ -89,7 +92,9 @@ type Endpoint struct {
 // envelope of NotifyTask, CallTask or a response is the continuation of the
 // sender's CPU burst, and a response's also the task its sending starts on.
 // Its size is computed from the payload, which nothing changes in flight;
-// that keeps the envelope, sent included, in the 64-byte size class.
+// that keeps the envelope, sent included, in the 64-byte size class. It is a
+// record from the partition's free list, put back as it is delivered: the
+// peer's input queue takes a copy.
 type envelope struct {
 	to      *Endpoint
 	payload *wire.Bufferlist
@@ -135,7 +140,7 @@ func (env *envelope) Run() {
 		arrival := from.book(env)
 		if !env.req {
 			if d := arrival.Sub(from.env.Now()); d <= 0 || !from.env.WaitThen(d, env) {
-				env.to.inq.Push(*env)
+				env.deliver()
 			}
 			return
 		}
@@ -152,9 +157,31 @@ func (env *envelope) Run() {
 			r.then.Run()
 		}
 	case envDeliver:
-		env.to.inq.Push(*env)
+		env.deliver()
 	}
 }
+
+// deliver pushes a copy of env into the peer's input queue and puts env back:
+// nothing reads it after.
+func (env *envelope) deliver() {
+	to := env.to
+	to.inq.Push(*env)
+	to.envs.Put(env)
+}
+
+// envelopes is a partition's free list of envelopes.
+type envelopes struct{ sim.FreeList[envelope] }
+
+// newEnvelope takes an envelope from the free list and sets it to v.
+func (e *Endpoint) newEnvelope(v envelope) *envelope {
+	env := e.envs.Get()
+	*env = v
+	return env
+}
+
+// Quiescent reports the envelopes of the endpoint's partition that are not
+// back on the free list: a message still in flight.
+func (e *Endpoint) Quiescent() error { return e.envs.AllBack(e.name + ": envelopes") }
 
 // Reply is a call awaiting its response, which the endpoint's server loop
 // fills in when it arrives.
@@ -197,6 +224,7 @@ func newEndpoint(env *sim.Env, name string, cpu *sim.CPU, th *sim.Thread, cfg Co
 		env: env, name: name, cpu: cpu, th: th, cfg: cfg,
 		inq:     sim.NewQueue[envelope](env),
 		pending: make(map[uint64]*Reply),
+		envs:    sim.Local[envelopes](env),
 	}
 	e.srv.e = e
 	e.srv.done = e.inq.ServeTask("rpc-server:"+name, e.srv.serve)
@@ -225,7 +253,7 @@ func (e *Endpoint) CallTask(op uint16, payload *wire.Bufferlist, next sim.Task) 
 	id := e.nextID
 	r := &Reply{done: sim.NewEvent(), then: next}
 	e.pending[id] = r
-	e.sendTask(&envelope{req: true, op: op, reqID: id, payload: payload})
+	e.sendTask(e.newEnvelope(envelope{req: true, op: op, reqID: id, payload: payload}))
 	return r
 }
 
@@ -246,7 +274,7 @@ func (e *Endpoint) sendTask(env *envelope) {
 // reads the payload — or never, if no handler takes the message.
 func (e *Endpoint) NotifyTask(op uint16, payload *wire.Bufferlist, consumed, sent sim.Task) {
 	e.nextID++
-	e.sendTask(&envelope{req: true, notify: true, op: op, reqID: e.nextID, payload: payload, consumed: consumed, sent: sent})
+	e.sendTask(e.newEnvelope(envelope{req: true, notify: true, op: op, reqID: e.nextID, payload: payload, consumed: consumed, sent: sent}))
 }
 
 const (
@@ -396,7 +424,7 @@ func (s *server) dispatch() {
 	if h == nil {
 		env.consumed = nil // no handler takes it: never consumed
 		if !env.notify {
-			rej := &envelope{reqID: env.reqID, errCode: 0xFFFF}
+			rej := e.newEnvelope(envelope{reqID: env.reqID, errCode: 0xFFFF})
 			e.Charge(e.cost(rej), func(sim.Duration) { e.env.At(e.book(rej), rej) })
 		}
 		return
@@ -433,5 +461,5 @@ func (s *server) end() {
 // started in an event of its own, pays the cost on the endpoint's thread and
 // delivers itself.
 func (e *Endpoint) respond(payload *wire.Bufferlist, errCode uint16, reqID uint64) {
-	e.env.Delay(0, &envelope{to: e.peer, reqID: reqID, errCode: errCode, payload: payload, step: envRespond})
+	e.env.Delay(0, e.newEnvelope(envelope{to: e.peer, reqID: reqID, errCode: errCode, payload: payload, step: envRespond}))
 }

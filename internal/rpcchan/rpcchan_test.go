@@ -188,7 +188,7 @@ func transmit(p *sim.Proc, e *Endpoint, env *envelope) {
 // notifyThen is the proc form of NotifyTask, the oracle.
 func notifyThen(p *sim.Proc, e *Endpoint, op uint16, payload *wire.Bufferlist, consumed sim.Task) {
 	e.nextID++
-	transmit(p, e, &envelope{req: true, notify: true, op: op, reqID: e.nextID, payload: payload, consumed: consumed})
+	transmit(p, e, e.newEnvelope(envelope{req: true, notify: true, op: op, reqID: e.nextID, payload: payload, consumed: consumed}))
 }
 
 // callProc is the proc form of CallTask, the oracle: the request is
@@ -197,7 +197,7 @@ func callProc(p *sim.Proc, e *Endpoint, op uint16, payload *wire.Bufferlist) (*w
 	e.nextID++
 	r := &Reply{done: sim.NewEvent()}
 	e.pending[e.nextID] = r
-	transmit(p, e, &envelope{req: true, op: op, reqID: e.nextID, payload: payload})
+	transmit(p, e, e.newEnvelope(envelope{req: true, op: op, reqID: e.nextID, payload: payload}))
 	e.stats.CallsSent++
 	r.done.Wait(p)
 	return r.Result()
@@ -417,4 +417,39 @@ func TestChargeHoldsTheServer(t *testing.T) {
 		}
 	}()
 	r.host.Charge(cycles, func(sim.Duration) {})
+}
+
+// TestNotifyTaskRecyclesEnvelope: once the free lists, queues and the
+// kernel's pools have their size, a NotifyTask — the sender's burst, the
+// booking, the delivery into the peer's queue, the handler and the consumed
+// task — allocates nothing: the envelope goes back as it is delivered. Every
+// envelope made is back once the channel is idle.
+func TestNotifyTaskRecyclesEnvelope(t *testing.T) {
+	r := newRPCRig(Config{})
+	defer r.env.Shutdown()
+	handled := 0
+	r.host.Handle(4, func(Request, func(*wire.Bufferlist, uint16)) { handled++ })
+	payload := wire.FromBytes(make([]byte, 18))
+	var consumed taskFunc = func() {}
+	notify := func() {
+		r.dpu.NotifyTask(4, payload, consumed, nil)
+		if err := r.env.RunUntil(r.env.Now().Add(sim.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		notify()
+	}
+	if allocs := testing.AllocsPerRun(100, notify); allocs != 0 {
+		t.Fatalf("%.1f allocations per steady-state NotifyTask, want 0", allocs)
+	}
+	if handled != 111 {
+		t.Fatalf("%d notifications handled, want 111", handled)
+	}
+	if err := r.dpu.Quiescent(); err != nil {
+		t.Fatal(err)
+	}
+	if made := r.dpu.envs.Made(); made != 1 {
+		t.Fatalf("%d envelopes made for notifications sent one at a time, want 1", made)
+	}
 }

@@ -287,12 +287,17 @@ func (d *Decoder) String() string {
 // StringLike is String for a field that tends to repeat: when the bytes
 // equal prev it returns prev and allocates nothing.
 func (d *Decoder) StringLike(prev string) string {
-	b := d.take(int(d.U32()))
+	b := d.StringBytes()
 	if string(b) == prev {
 		return prev
 	}
 	return string(b)
 }
+
+// StringBytes reads a u32-length-prefixed string's bytes without making the
+// string: a view of the decoder's storage (a gathered copy when it straddles
+// segments), for a caller that looks the name up before it allocates one.
+func (d *Decoder) StringBytes() []byte { return d.take(int(d.U32())) }
 
 // Blob reads a u32-length-prefixed byte slice (copied).
 func (d *Decoder) Blob() []byte {
