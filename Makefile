@@ -36,17 +36,20 @@ test:
 # DMA errors, staging waits), the OSD finishers' fault paths (replica
 # watchdog, map-change drop, session resets) with their free list, the op
 # workers on every kind of item, the stream ingest's chunk tables past their
-# first, BlueStore's txcs (TestTxcRecycled) and call records (TestTaskForms)
-# and the control plane's envelopes (TestNotify), each put back as its last
-# reader is done and handed to the next caller. CI's race step runs all six
-# lines.
+# first, BlueStore's txcs (TestTxcRecycled) and call records (TestTaskForms),
+# the control plane's envelopes (TestNotify), the coalesced commit
+# notifications' frames and the host's batch-entry table (TestNotifyFrames,
+# TestBatchFrameDecodes) and the client's requests (TestClientOp), each put
+# back as its last reader is done and handed to the next caller. CI's race
+# step runs all seven lines.
 test-race:
 	go test -race ./...
 	go test -race -count=10 -run 'TestGroup|TestShutdown|TestProcPanic|TestTask|TestChainServers|TestNowQueue|TestServe|TestWaitInPlace|TestSleeperParked|TestHandoff|TestQueued|TestDeadline|TestAwaitingProcCountsOnce|FuzzEventQueue' ./internal/sim
-	go test -race -count=10 -run 'TestRecycled|TestReadReturnDMAError|TestShipmentPaths|TestBatchPaths|TestReadPaths' ./internal/core
+	go test -race -count=10 -run 'TestRecycled|TestReadReturnDMAError|TestShipmentPaths|TestBatchPaths|TestReadPaths|TestNotifyFrames|TestBatchFrameDecodes' ./internal/core
 	go test -race -count=10 -run 'TestFaultPaths|TestMonitorFailureReport|TestOpWorkerPaths|TestStoreError|TestStreamChunks' ./internal/osd
 	go test -race -count=10 -run 'TestTxcRecycled|TestTaskForms' ./internal/bluestore
 	go test -race -count=10 -run 'TestNotify' ./internal/rpcchan
+	go test -race -count=10 -run 'TestClientOp' ./internal/rados
 
 race: test-race
 

@@ -14,10 +14,10 @@ import (
 // its partition's crossing records and control-plane envelopes are all back
 // (core.Bridge.Quiescent), the OSD has nothing in flight and its finishers
 // are all back (osd.OSD.Quiescent), and BlueStore's call records and txcs
-// are all back (bluestore.Store.Quiescent); the client's call records are all
-// back (rados.Client.Quiescent). Last it shuts cl down, after which every coroutine its
-// kernel made must be gone and the goroutine count may not be above its value
-// before New. It returns every violation found, joined; nil means quiescent.
+// are all back (bluestore.Store.Quiescent); the client's call records and
+// requests are all back (rados.Client.Quiescent). Last it shuts cl down, after
+// which every coroutine its kernel made must be gone and the goroutine count
+// may not be above its value before New. It returns every violation found, joined; nil means quiescent.
 // cl is unusable afterwards.
 func Quiescent(cl *Cluster) error {
 	var errs []error

@@ -60,7 +60,8 @@ func TestIdleClusterIsQueuesAndBodies(t *testing.T) {
 // TestQuiescentAfterBatchedAndStreamedRuns: the paths the default runs do not
 // take end at rest too — batched frames on four DMA queues with four op
 // shards and lanes, and 8 MiB writes streamed chunk by chunk — with every
-// pendingTxn, batch frame, txc, envelope and client call back on its free list.
+// pendingTxn, batch frame, coalesced commit notification's frame, txc,
+// envelope, client call and client request back on its free list.
 func TestQuiescentAfterBatchedAndStreamedRuns(t *testing.T) {
 	batched := Config{Mode: DoCeph, Seed: 7}
 	batched.Bridge.Batch.Enable = true
@@ -86,12 +87,13 @@ func TestQuiescentAfterBatchedAndStreamedRuns(t *testing.T) {
 		if err := cl.Env.RunUntil(cl.Env.Now().Add(sim.Second)); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		var engaged int64
+		var engaged, notified int64
 		for _, n := range cl.Nodes {
 			engaged += n.Bridge.Proxy.Stats().BatchedTxns + n.OSD.Stats().StreamWrites
+			notified += n.Bridge.Host.Stats().NotifyBatches
 		}
-		if engaged == 0 {
-			t.Fatalf("%s: the path did not engage", c.name)
+		if engaged == 0 || (notified == 0) == c.cfg.Bridge.Batch.Enable {
+			t.Fatalf("%s: the path did not engage (%d ops, %d coalesced notifications)", c.name, engaged, notified)
 		}
 		if err := Quiescent(cl); err != nil {
 			t.Errorf("%s: not quiescent after the run: %v", c.name, err)

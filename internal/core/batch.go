@@ -618,15 +618,30 @@ func (sh *notifyShard) Run() {
 		case notifyFlush:
 			n := min(len(sh.q), notifyMax)
 			sh.lastN = int32(n)
-			frame := encodeTxnDoneBatch(sh.q[:n])
+			f := hs.recs.notifies.Get()
+			f.recs = hs.recs
+			f.bl.Init().Append(encodeTxnDoneBatch(sh.q[:n], f.buf[:0]))
 			sh.q = sh.q[:copy(sh.q, sh.q[n:])] // the shard keeps its array
 			hs.stats.NotifyBatches++
 			sh.step = notifyIdle
-			hs.rpc.NotifyTask(opTxnDoneBatch, frame, nil, sh)
+			hs.rpc.NotifyTask(opTxnDoneBatch, &f.bl.Bufferlist, f, sh)
 			return
 		}
 	}
 }
+
+// notifyFrame is one coalesced commit notification on its way to the proxy, a
+// record from the partition's free list: the frame's bytes and the list over
+// them. It is its own consumed task: once onTxnDoneBatch has decoded it, it
+// goes back. One that no handler takes is never consumed, and the GC takes it.
+type notifyFrame struct {
+	recs *records
+	bl   wire.Inline1
+	buf  [4 + notifyMax*18]byte
+}
+
+// Run puts the frame back: the proxy has decoded it.
+func (f *notifyFrame) Run() { f.recs.notifies.Put(f) }
 
 // Daemon marks the shard as a service loop that waits for work forever once
 // the system goes idle.

@@ -42,11 +42,15 @@ func batchFrameOverhead(n int) int64 {
 // frame's record holds.
 const oneOpFrameOverhead = 8 + batchEntryHeaderBytes
 
-// batchEntry is one unpacked transaction of a batch frame.
+// batchEntry is one unpacked transaction of a batch frame. Its payload is a
+// view of the frame over the entry's own slots, which hold a transaction
+// frame's two segments (metadata and payload), so an entry must not move
+// while its payload is in use.
 type batchEntry struct {
 	reqID   uint64
 	txnSeq  uint64
-	payload *wire.Bufferlist
+	payload wire.Bufferlist
+	slot    [2][]byte
 }
 
 // encodeBatchFrame frames the ops into out, the fixed headers written over
@@ -65,10 +69,11 @@ func encodeBatchFrame(ops []*pendingTxn, hdr []byte, out *wire.Bufferlist) *wire
 	return e.Bufferlist()
 }
 
-// decodeBatchFrame unpacks a batch frame into into's array (grown if it is
-// short), validating magic, count and every entry bound. Payloads are
-// zero-copy views of bl's storage. On an error it leaves into's array holding
-// none of them.
+// decodeBatchFrame unpacks a batch frame into into's array, validating magic,
+// count and every entry bound. An array too short for the frame is replaced
+// by one of the frame's size before any entry is filled, so no entry moves
+// once its payload points into its slots. Payloads are zero-copy views of bl's
+// storage. On an error it leaves the array holding none of them.
 func decodeBatchFrame(bl *wire.Bufferlist, into []batchEntry) ([]batchEntry, error) {
 	if bl == nil {
 		return nil, ErrFrame
@@ -84,15 +89,18 @@ func decodeBatchFrame(bl *wire.Bufferlist, into []batchEntry) ([]batchEntry, err
 	if int64(d.Remaining()) < int64(n)*batchEntryHeaderBytes {
 		return nil, ErrFrame
 	}
-	out := into[:0]
-	for i := 0; i < n; i++ {
-		en := batchEntry{reqID: d.U64(), txnSeq: d.U64()}
-		en.payload = d.BufferlistField()
+	if cap(into) < n {
+		into = make([]batchEntry, n)
+	}
+	out := into[:n]
+	for i := range out {
+		en := &out[i]
+		en.reqID, en.txnSeq = d.U64(), d.U64()
+		d.BufferlistFieldInto(en.payload.InitOn(en.slot[:]))
 		if d.Err() != nil {
 			clear(out)
 			return nil, ErrFrame
 		}
-		out = append(out, en)
 	}
 	if d.Remaining() != 0 {
 		clear(out)
@@ -108,16 +116,17 @@ type txnDoneEntry struct {
 	hostNanos int64
 }
 
-// encodeTxnDoneBatch frames coalesced host -> DPU commit notifications.
-func encodeTxnDoneBatch(entries []txnDoneEntry) *wire.Bufferlist {
-	e := wire.NewEncoder(4 + len(entries)*18)
+// encodeTxnDoneBatch frames coalesced host -> DPU commit notifications over
+// buf's array (grown if it is short) and returns the frame.
+func encodeTxnDoneBatch(entries []txnDoneEntry, buf []byte) []byte {
+	e := wire.EncoderOn(buf)
 	e.U32(uint32(len(entries)))
 	for _, en := range entries {
 		e.U64(en.reqID)
 		e.U16(en.code)
 		e.I64(en.hostNanos)
 	}
-	return e.Bufferlist()
+	return e.Bytes()
 }
 
 // decodeTxnDoneBatch unpacks coalesced commit notifications into into's

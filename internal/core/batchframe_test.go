@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"doceph/internal/wire"
@@ -157,9 +158,48 @@ func TestDecodeBatchFrameIntoCallerArray(t *testing.T) {
 		t.Fatal("truncated frame decoded without error")
 	}
 	for i, en := range arr[:cap(arr)] {
-		if en.payload != nil {
+		if !reflect.ValueOf(en).IsZero() {
 			t.Fatalf("entry %d of the caller's array still holds a payload after a failed decode", i)
 		}
+	}
+}
+
+// TestBatchFrameDecodesWithoutAllocating: the host's poller unpacks a frame
+// into the table it keeps without allocating, each entry's payload a view over
+// the entry's own slots, even one of two segments (a transaction frame's
+// metadata and payload). A frame of more entries than the table holds
+// replaces the table once, with one of the frame's size, before any entry is
+// filled.
+func TestBatchFrameDecodesWithoutAllocating(t *testing.T) {
+	ops := make([]*pendingTxn, 3)
+	for i := range ops {
+		ops[i] = newBatchOp(uint64(100+i), uint64(200+i),
+			wire.NewBufferlist(seeded(40, byte(i)).Bytes(), seeded(4096, byte(10+i)).Bytes()))
+	}
+	frame := frameOf(ops)
+	short := []batchEntry{{reqID: 99}}
+	entries, err := decodeBatchFrame(frame, short[:0])
+	if err != nil || len(entries) != 3 || cap(entries) != 3 {
+		t.Fatalf("decoded %d entries into a table of %d (err %v), want 3 into one of 3", len(entries), cap(entries), err)
+	}
+	if short[0].reqID != 99 {
+		t.Fatal("an entry was filled in the short table before it was replaced")
+	}
+	for i := range entries {
+		if en := &entries[i]; en.reqID != ops[i].reqID || en.txnSeq != ops[i].txnSeq ||
+			en.payload.Segments() != 2 || !en.payload.Equal(&ops[i].frame.Bufferlist) {
+			t.Fatalf("entry %d: %d/%d, %d segments; want op %d/%d and its frame", i, en.reqID, en.txnSeq,
+				en.payload.Segments(), ops[i].reqID, ops[i].txnSeq)
+		}
+	}
+	decode := func() {
+		if _, err := decodeBatchFrame(frame, entries); err != nil {
+			t.Fatal(err)
+		}
+		clear(entries) // as the poller does once it has dispatched them
+	}
+	if allocs := testing.AllocsPerRun(100, decode); allocs != 0 {
+		t.Fatalf("%.1f allocations per frame decoded into a table that holds it, want 0", allocs)
 	}
 }
 
@@ -169,7 +209,7 @@ func TestTxnDoneBatchRoundTrip(t *testing.T) {
 		{reqID: 99, code: rcIO, hostNanos: 0},
 		{reqID: 7, code: rcNotFound, hostNanos: -1},
 	}
-	out, err := decodeTxnDoneBatch(encodeTxnDoneBatch(in), nil)
+	out, err := decodeTxnDoneBatch(wire.FromBytes(encodeTxnDoneBatch(in, nil)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +222,7 @@ func TestTxnDoneBatchRoundTrip(t *testing.T) {
 		}
 	}
 	// Malformed variants error.
-	raw := encodeTxnDoneBatch(in).Bytes()
+	raw := encodeTxnDoneBatch(in, nil)
 	for name, bad := range map[string][]byte{
 		"truncated": raw[:len(raw)-3],
 		"empty":     {},
@@ -245,9 +285,10 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 			// Re-encode what decoded and check it decodes identically.
 			ops := make([]*pendingTxn, 0, len(entries))
 			var total int
-			for _, en := range entries {
+			for i := range entries {
+				en := &entries[i]
 				total += en.payload.Length()
-				ops = append(ops, newBatchOp(en.reqID, en.txnSeq, en.payload))
+				ops = append(ops, newBatchOp(en.reqID, en.txnSeq, &en.payload))
 			}
 			if total > len(raw) {
 				t.Fatalf("payload bytes %d exceed input %d", total, len(raw))

@@ -202,15 +202,16 @@ func waitAll(t *testing.T, p *sim.Proc, results ...*objstore.Result) {
 // batchedWriteAllocCeiling and batchedWriteAllocBytesCeiling are the next
 // integer and 8 B above what a batched 64 KiB write of a new object allocates
 // today, sixteen writers at once on four DMA queues and four notify shards
-// (8.09 allocations, 709 B per write): the caller's transaction and its
-// Result; the payload's view of the frame, the data view, the name and the
-// onode on the host; and the coalesced notification's bytes and list. The
-// pendingTxn, the batchFrame, the hostTxn, the txc and the envelopes come
-// from free lists, so a record added to the path fails here, and so does one
-// that starts to allocate again, even when the count stays.
+// (5.09 allocations, 541 B per write): the caller's transaction and its
+// Result; the data view, the name and the onode on the host. The pendingTxn,
+// the batchFrame, the hostTxn, the txc, the envelopes and the coalesced
+// notification's frame come from free lists, and the payload's view of the
+// frame lives in the poller's table, so a record added to the path fails
+// here, and so does one that starts to allocate again, even when the count
+// stays.
 const (
-	batchedWriteAllocCeiling      = 9
-	batchedWriteAllocBytesCeiling = 717
+	batchedWriteAllocCeiling      = 6
+	batchedWriteAllocBytesCeiling = 549
 )
 
 // TestBatchedWriteAllocationBudget holds batched 64 KiB writes — the proxy's

@@ -104,7 +104,8 @@ func (b *Bridge) Quiescent() error {
 	for _, err := range []error{r.reads.AllBack("pendingRead records"), r.calls.AllBack("storeCall records"),
 		r.hostReads.AllBack("hostRead records"), r.hostTxns.AllBack("hostTxn records"),
 		r.ships.AllBack("shipment records"), r.txns.AllBack("pendingTxn records"),
-		r.frames.AllBack("batchFrame records"), b.RPCDPU.Quiescent()} {
+		r.frames.AllBack("batchFrame records"), r.notifies.AllBack("notifyFrame records"),
+		b.RPCDPU.Quiescent()} {
 		check(err == nil, "%v", err)
 	}
 	check(r.segs.made == len(r.segs.free), "%d of %d segment table records back on the free list", len(r.segs.free), r.segs.made)

@@ -767,8 +767,9 @@ var objNames = [...]string{"stream_obj_0", "stream_obj_1", "stream_obj_2", "stre
 // budget: one above each shape's count today, and its bytes today plus 48, so
 // that the next record somebody adds to the path, or one that moves up a size
 // class, fails here, not in a benchmark. The pendingTxn, the segment table,
-// the hostTxn with the joined payload, BlueStore's txc, the batch frame and
-// the commit notification's envelope come from free lists and cost nothing:
+// the hostTxn with the joined payload, BlueStore's txc, the batch frame, the
+// commit notification's envelope and a coalesced one's frame come from free
+// lists and cost nothing:
 //
 //   - "stream chunk" (4.05, 383 B): the 2 MiB write the streamed 16 MiB op
 //     submits sixteen times, into an object eight chunks share, in two DMA
@@ -778,11 +779,11 @@ var objNames = [...]string{"stream_obj_0", "stream_obj_1", "stream_obj_2", "stre
 //   - "4 MiB new object" (5.06, 555 B): the shape paper-4M-doceph crosses
 //     with, in three segments. The caller's transaction and Result, the data
 //     view, and the new object's onode and name.
-//   - "batched 64 KiB new object" (8.06, 675 B): one op per frame, as
+//   - "batched 64 KiB new object" (5.06, 507 B): one op per frame, as
 //     batch-64K-mq4 mostly ships. The caller's transaction and Result; the
-//     payload's view of the frame, unpacked into the host poller's array; the
-//     data view, the name and the onode; the coalesced notification's bytes
-//     and list, unpacked into the proxy's array.
+//     data view, the name and the onode. The payload's view of the frame is
+//     unpacked into the host poller's table, the coalesced notification into
+//     the proxy's.
 func TestCrossingAllocationBudget(t *testing.T) {
 	chunk, big, small := seeded(2<<20, 5), seeded(4<<20, 6), seeded(64<<10, 7)
 	var names [80]string
@@ -808,7 +809,7 @@ func TestCrossingAllocationBudget(t *testing.T) {
 			streamChunks(t, p, px, chunk, i, 1)
 		}},
 		{"4 MiB new object", BridgeConfig{}, 6, 603, 3, newObject(big)},
-		{"batched 64 KiB new object", BridgeConfig{Batch: BatchConfig{Enable: true}}, 9, 723, 1, newObject(small)},
+		{"batched 64 KiB new object", BridgeConfig{Batch: BatchConfig{Enable: true}}, 6, 555, 1, newObject(small)},
 	} {
 		r := newCoreRig(c.cfg)
 		r.run(t, func(p *sim.Proc) {

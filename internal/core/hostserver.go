@@ -397,7 +397,7 @@ func (hp *hostPoll) Run() {
 			}
 			hp.next++
 			en := &entries[i]
-			if hp.file(en.reqID, en.txnSeq, 0, 1, en.payload, ctx, qidx) {
+			if hp.file(en.reqID, en.txnSeq, 0, 1, &en.payload, ctx, qidx) {
 				return
 			}
 		case pollAssembled:
@@ -679,7 +679,7 @@ func (hs *HostServer) fileEntriesViaRPC(entries []batchEntry) {
 		return
 	}
 	en := &entries[0]
-	hs.fileViaRPC(en.reqID, en.txnSeq, 0, 1, en.payload, func() { hs.fileEntriesViaRPC(entries[1:]) })
+	hs.fileViaRPC(en.reqID, en.txnSeq, 0, 1, &en.payload, func() { hs.fileEntriesViaRPC(entries[1:]) })
 }
 
 // fileRead decodes a read descriptor into hr and starts the chain that serves

@@ -49,7 +49,7 @@ var controlCodecs = map[string]func(*wire.Bufferlist) (*wire.Bufferlist, error){
 		if err != nil {
 			return nil, err
 		}
-		return encodeTxnDoneBatch(entries), nil
+		return wire.FromBytes(encodeTxnDoneBatch(entries, nil)), nil
 	},
 	"objRef": func(bl *wire.Bufferlist) (*wire.Bufferlist, error) {
 		coll, obj, err := decodeObjRef(bl)
@@ -96,7 +96,7 @@ func FuzzControlFrames(f *testing.F) {
 		wire.FromBytes((&readReq{ReqID: 10, Coll: "pg.1023", Object: long}).encodeInto(nil)),
 		&done.bl.Bufferlist,
 		encodeReadDone(5, rcOK, 2),
-		encodeTxnDoneBatch([]txnDoneEntry{{1, rcOK, 10}, {2, rcIO, -1}}),
+		wire.FromBytes(encodeTxnDoneBatch([]txnDoneEntry{{1, rcOK, 10}, {2, rcIO, -1}}, nil)),
 		encodeObjRef("pg.1", "benchmark_data_w0_0"),
 		encodeObjRef("pg.7", ""), // a List request
 		encodeStatResp(objstore.StatInfo{Size: 4 << 20, Version: 3, Mtime: 99}),

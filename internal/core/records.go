@@ -21,6 +21,7 @@ type records struct {
 	ships     sim.FreeList[shipment]    // put by the shipment as it ends
 	txns      sim.FreeList[pendingTxn]  // put once it has completed the caller's Result and, if batched, been framed
 	frames    frames                    // put once settled and every op it carried has completed
+	notifies  sim.FreeList[notifyFrame] // put once the proxy has decoded it
 	segs      segTables                 // put by the shipment once the host has committed
 }
 

@@ -165,6 +165,40 @@ func TestRecycledRecordsHoldNothing(t *testing.T) {
 	}
 }
 
+// TestNotifyFramesRecycled: once the lists and arrays have their size, a
+// coalesced commit notification — the shard's flush, the frame encoded into a
+// record, the crossing and the proxy's decode — allocates nothing, the proxy
+// decodes what the shard queued, and the frame is back, zeroed, after the
+// handler.
+func TestNotifyFramesRecycled(t *testing.T) {
+	r := newCoreRig(BridgeConfig{Batch: BatchConfig{Enable: true}})
+	defer r.env.Shutdown()
+	hs, px := r.bridge.Host, r.bridge.Proxy
+	sh := hs.notify[0]
+	reqID := uint64(1 << 40) // no transaction of the proxy's: the handler completes nothing
+	notify := func() {
+		reqID++
+		sh.q = append(sh.q, txnDoneEntry{reqID: reqID, code: rcOK, hostNanos: int64(reqID)})
+		sh.cond.Broadcast()
+		if err := r.env.RunUntil(r.env.Now().Add(sim.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		if got := px.doneEntries; len(got) != 1 || got[0] != (txnDoneEntry{reqID, rcOK, int64(reqID)}) {
+			t.Fatalf("the proxy decoded %+v, want notification %d", got, reqID)
+		}
+	}
+	for range 10 {
+		notify()
+	}
+	if allocs := testing.AllocsPerRun(100, notify); allocs != 0 {
+		t.Fatalf("%.1f allocations per steady-state commit notification, want 0", allocs)
+	}
+	if made := hs.recs.notifies.Made(); made != 1 {
+		t.Fatalf("%d notify frames made for notifications sent one at a time, want 1", made)
+	}
+	checkList(t, "notifyFrame", &hs.recs.notifies, 0)
+}
+
 // checkList fails unless l lists the records it made less the leaked ones,
 // every one of them the zero value. It takes them off the list to look.
 func checkList[T any](t *testing.T, what string, l *sim.FreeList[T], leaked int) {

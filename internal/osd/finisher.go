@@ -15,7 +15,8 @@ import (
 //     repOpTimeout (Event.WaitTimeoutThen), with repTimedOut between them,
 //     charges FinishCycles and answers the client (replyMutation);
 //   - a replica's sub-op (ra) and a backfill push (push) charge FinishCycles
-//     and ack, to the primary or to the pusher.
+//     and ack, to the primary or to the pusher, with an error if the commit
+//     failed (a sub-op's delete that found nothing: ResNotFound).
 //
 // Finishers come from the partition's free list (sim.Local) and go back
 // zeroed once the reply is sent, so the chain allocates nothing per op and
@@ -138,6 +139,9 @@ func (f *finisher) answer() {
 		// open until every replica has answered.
 		m := ra.m
 		ra.reply = cephmsg.MRepOpReply{Tid: m.Tid, PGID: m.PGID, TraceCtx: m.TraceCtx}
+		if f.res.Err != nil {
+			ra.reply.Result = missingOrError(f.res.Err)
+		}
 		o.msgr.Send(ra.src, &ra.reply)
 		o.tr.Finish(ra.sp)
 		delete(o.repApplies, f.id)

@@ -236,10 +236,13 @@ type opItem struct {
 }
 
 // pendingRep is a mutation's replica-ack barrier: ev fires once needed acks
-// have landed (or been abandoned).
+// have landed (or been abandoned). failed is set by an ack of a replica whose
+// commit failed, which fails the write; a delete the replica found nothing to
+// do for leaves it unset.
 type pendingRep struct {
 	needed int
 	ev     sim.Event
+	failed bool
 }
 
 // repWait is one outstanding replica acknowledgment. msg is the sub-op sent
@@ -489,6 +492,9 @@ func (o *OSD) dispatch(_ *sim.Proc, src string, m cephmsg.Message) {
 	case *cephmsg.MScrubReply:
 		o.handleScrubReply(msg)
 	case *cephmsg.MRepOpReply:
+		if w := o.pending[msg.Tid]; msg.Result == cephmsg.ResError && w != nil {
+			w.pend.failed = true // the replica's commit failed: so does the write
+		}
 		o.completeRep(msg.Tid)
 	case *cephmsg.MPing:
 		o.msgr.Send(src, &cephmsg.MPingReply{Src: o.name, Stamp: msg.Stamp})
@@ -741,15 +747,15 @@ func (o *OSD) completeMutation(p *sim.Proc, mu *mutation, commitErr bool) {
 }
 
 // replyMutation answers the client of mu once its finish is paid: an error if
-// the local commit failed (commitErr; a delete that found nothing) or the
-// replicas aborted (!repOK).
+// the local commit failed (commitErr; a delete that found nothing), a
+// replica's did or the replicas aborted (!repOK).
 func (o *OSD) replyMutation(mu *mutation, commitErr, repOK bool) {
 	m := mu.m
 	mu.reply = cephmsg.MOSDOpReply{Tid: m.Tid, Object: m.Object, Op: m.Op, TraceCtx: m.TraceCtx}
 	switch {
 	case commitErr && m.Op == cephmsg.OpDelete:
 		mu.reply.Result = cephmsg.ResNotFound
-	case commitErr || !repOK:
+	case commitErr || !repOK || mu.pend.failed:
 		mu.reply.Result = cephmsg.ResError
 	}
 	if m.Op == cephmsg.OpWrite {

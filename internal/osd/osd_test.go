@@ -3,6 +3,7 @@ package osd
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -439,27 +440,51 @@ func TestShardedDispatchPreservesSemantics(t *testing.T) {
 }
 
 // writeAllocCeiling is one above what a replicated write of a new object
-// allocates today (5.91: the primary's mutation record and the replica's
+// allocates today (4.91: the primary's mutation record and the replica's
 // repApply, each holding the Result its BlueStore completes; the new object's
 // onode on each side, plus about 0.9 for the collections' object maps growing
-// to hold them; the client's MOSDOp). BlueStore's txcs and the client's call
-// come from free lists. The next record somebody adds to the write path fails
+// to hold them). BlueStore's txcs, the client's call and its request come
+// from free lists. The next record somebody adds to the write path fails
 // here, not in a benchmark.
-const writeAllocCeiling = 6
+const writeAllocCeiling = 5
 
 // writeAllocBytesCeiling is 8 B above what those allocations come to today
-// (1,293 B per write, the same under -race), less than the 16 B of the
+// (1,181 B per write, the same under -race), less than the 16 B of the
 // smallest size-class step either OSD record could take. So a record that
 // moves up a class fails here even when the count stays: chain state added to
 // mutation (496 B of a 512 B class) or repApply (280 B of 288 B) does. The
 // finishers' chain state lives on a free list instead.
-const writeAllocBytesCeiling = 1_301
+const writeAllocBytesCeiling = 1_189
 
 // TestReplicatedWriteAllocationBudget holds one replicated write of a new
 // object — client call, primary commit, one sub-op, replica commit, both acks
 // — to its allocation budget on the two-OSD rig, heartbeats off so that only
-// writes run in the measured window.
+// writes run in the measured window. runtime.ReadMemStats counts the whole
+// process, and the runtime allocates on its own now and then: a new OS thread
+// (runtime.allocm, the g0 and signal stacks' records from malg, two profiling
+// stacks from mProfStackInit: five allocations, about 5.4 KiB), a sudog for
+// the GC's mark termination, the scavenger's timer heap. A loaded machine lands
+// those in a window now and then, so the test takes the least of three
+// windows, each a run of its own, in which the model's count is the same.
 func TestReplicatedWriteAllocationBudget(t *testing.T) {
+	per, bytes := math.Inf(1), math.Inf(1)
+	for range 3 {
+		a, b := replicatedWriteWindow(t)
+		per, bytes = min(per, a), min(bytes, b)
+	}
+	t.Logf("%.2f allocations, %.0f B per replicated write", per, bytes)
+	if per > writeAllocCeiling {
+		t.Fatalf("%.2f allocations per replicated write, want at most %d", per, writeAllocCeiling)
+	}
+	if bytes > writeAllocBytesCeiling {
+		t.Fatalf("%.0f B allocated per replicated write, want at most %d", bytes, writeAllocBytesCeiling)
+	}
+}
+
+// replicatedWriteWindow writes new objects on a fresh rig until its pools,
+// maps, queues and PG locks have their size, then returns the allocations and
+// bytes per write of the next writes.
+func replicatedWriteWindow(t *testing.T) (per, bytes float64) {
 	tc := newTestClusterCfg(t, 2, 2, Config{})
 	const warm, writes = 512, 256
 	names := make([]string, warm+writes)
@@ -485,16 +510,11 @@ func TestReplicatedWriteAllocationBudget(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		write(warm, writes)
 		runtime.ReadMemStats(&after)
-		per := float64(after.Mallocs-before.Mallocs) / writes
-		bytes := float64(after.TotalAlloc-before.TotalAlloc) / writes
-		t.Logf("%.2f allocations, %.0f B per replicated write", per, bytes)
-		if per > writeAllocCeiling {
-			t.Fatalf("%.2f allocations per replicated write, want at most %d", per, writeAllocCeiling)
-		}
-		if bytes > writeAllocBytesCeiling {
-			t.Fatalf("%.0f B allocated per replicated write, want at most %d", bytes, writeAllocBytesCeiling)
-		}
+		per = float64(after.Mallocs-before.Mallocs) / writes
+		bytes = float64(after.TotalAlloc-before.TotalAlloc) / writes
+		t.Logf("window: %.2f allocations, %.0f B per replicated write", per, bytes)
 	})
+	return per, bytes
 }
 
 // TestParseOSD: the names Name gives parse back to their ids; other entities

@@ -256,7 +256,8 @@ func (o *OSD) ingestClientStream(p *sim.Proc, st *streamIngest, m *cephmsg.MOSDO
 }
 
 // ingestRepStream is the replica's per-stream ingest: chunk-granular
-// commit, one ack once the whole stream is durable.
+// commit, one ack once the whole stream is durable, an error if a chunk's
+// commit failed.
 func (o *OSD) ingestRepStream(p *sim.Proc, st *streamIngest, m *cephmsg.MRepOp) {
 	o.ready.Wait(p)
 	var sp trace.SpanID
@@ -265,13 +266,16 @@ func (o *OSD) ingestRepStream(p *sim.Proc, st *streamIngest, m *cephmsg.MRepOp) 
 	}
 	o.tr.AddCPU(sp, o.cpu.Name(), o.cpu.ExecSelf(p, o.cfg.OpPrepCycles))
 	total, aborted := st.ingestChunks(p, sp, m.PGID, m.Object, m.Offset)
-	st.awaitCommits(p)
+	failed := st.awaitCommits(p)
 	o.stats.RepOpsServed++
 	o.stats.BytesWritten += total
 	o.tr.AddCPU(sp, o.cpu.Name(), o.cpu.ExecSelf(p, o.cfg.FinishCycles))
 	if !aborted {
 		// The primary aborts its wait on its own timeout if we never ack.
 		st.reply = cephmsg.MRepOpReply{Tid: m.Tid, PGID: m.PGID, TraceCtx: m.TraceCtx}
+		if failed {
+			st.reply.Result = cephmsg.ResError
+		}
 		o.msgr.Send(st.in.Src(), &st.reply)
 	}
 	o.tr.Finish(sp)

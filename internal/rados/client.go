@@ -121,8 +121,9 @@ type Client struct {
 	curMap   *osdmap.Map
 	nextTid  uint64
 	inflight map[uint64]*call
-	// calls is the free list of call records.
+	// calls and ops are the free lists of call records and of requests.
 	calls sim.FreeList[call]
+	ops   sim.FreeList[cephmsg.MOSDOp]
 
 	stats Stats
 	tr    *trace.Tracer
@@ -219,13 +220,28 @@ const (
 	prepCycles int64 = 15_000
 )
 
-// do sends one op to the current primary and waits for the reply, resending
-// on timeouts and redirects with capped exponential backoff. The tid is
-// assigned once per op, so resends are idempotent: whichever attempt's reply
-// arrives first completes the op, and later duplicates are counted as stale.
-// Every op resolves within a bounded virtual-time deadline — success or a
-// typed error (ErrTimeout, ErrNoOSD), never a hang.
-func (c *Client) do(p *sim.Proc, op *cephmsg.MOSDOp) (*cephmsg.MOSDOpReply, error) {
+// do runs the op req on a request record from the client's free list and puts
+// the record back once the reply is taken, unless an attempt of the op timed
+// out: an OSD may still hold that attempt's request, so the record is left to
+// the GC. A redirect or a no-quorum answer is a reply, not a timeout.
+func (c *Client) do(p *sim.Proc, req cephmsg.MOSDOp) (*cephmsg.MOSDOpReply, error) {
+	op := c.ops.Get()
+	*op = req
+	reply, timedOut, err := c.send(p, op)
+	if !timedOut {
+		c.ops.Put(op)
+	}
+	return reply, err
+}
+
+// send sends op to the current primary and waits for the reply, resending on
+// timeouts and redirects with capped exponential backoff, and reports whether
+// an attempt timed out. The tid is assigned once per op, so resends are
+// idempotent: whichever attempt's reply arrives first completes the op, and
+// later duplicates are counted as stale. Every op resolves within a bounded
+// virtual-time deadline — success or a typed error (ErrTimeout, ErrNoOSD),
+// never a hang.
+func (c *Client) send(p *sim.Proc, op *cephmsg.MOSDOp) (reply *cephmsg.MOSDOpReply, timedOut bool, err error) {
 	c.stats.Ops++
 	c.nextTid++
 	op.Tid = c.nextTid
@@ -284,11 +300,12 @@ func (c *Client) do(p *sim.Proc, op *cephmsg.MOSDOp) (*cephmsg.MOSDOpReply, erro
 		c.msgr.Send(osdName(target), op)
 		if !call.done.WaitTimeout(p, c.cfg.OpTimeout) {
 			c.stats.Timeouts++
+			timedOut = true
 			c.refreshMap()
 			wait()
 			continue
 		}
-		reply := call.reply
+		reply = call.reply
 		c.calls.Put(call)
 		if reply.Result == cephmsg.ResNotPrimary {
 			c.stats.Redirects++
@@ -306,15 +323,15 @@ func (c *Client) do(p *sim.Proc, op *cephmsg.MOSDOp) (*cephmsg.MOSDOpReply, erro
 			wait()
 			continue
 		}
-		return reply, nil
+		return reply, timedOut, nil
 	}
 	if sawNoQuorum {
-		return nil, ErrNoQuorum
+		return nil, timedOut, ErrNoQuorum
 	}
 	if sawNoOSD {
-		return nil, ErrNoOSD
+		return nil, timedOut, ErrNoOSD
 	}
-	return nil, ErrTimeout
+	return nil, timedOut, ErrTimeout
 }
 
 // balancedTarget picks the acting-set member a flagged read goes to: a
@@ -351,9 +368,11 @@ func (c *Client) balancedTarget(pg uint32, object string) int32 {
 	return -1 // not reached: k < up
 }
 
-// Quiescent reports the call records not back on the client's free list: an
-// op still in flight, or one that timed out.
-func (c *Client) Quiescent() error { return c.calls.AllBack(c.msgr.Name() + ": calls") }
+// Quiescent reports, joined, the call records and the requests not back on
+// the client's free lists: an op still in flight, or one that timed out.
+func (c *Client) Quiescent() error {
+	return errors.Join(c.calls.AllBack(c.msgr.Name()+": calls"), c.ops.AllBack(c.msgr.Name()+": requests"))
+}
 
 func fnv64(s string) uint64 {
 	h := uint64(14695981039346656037)
@@ -377,7 +396,7 @@ func resultErr(r int32) error {
 
 // Write stores data at offset 0 of object.
 func (c *Client) Write(p *sim.Proc, object string, data *wire.Bufferlist) error {
-	reply, err := c.do(p, &cephmsg.MOSDOp{
+	reply, err := c.do(p, cephmsg.MOSDOp{
 		Pool: "rbd", Object: object, Op: cephmsg.OpWrite,
 		Length: uint64(data.Length()), Data: data,
 	})
@@ -389,7 +408,7 @@ func (c *Client) Write(p *sim.Proc, object string, data *wire.Bufferlist) error 
 
 // Read returns length bytes at offset off of object (length 0 = to EOF).
 func (c *Client) Read(p *sim.Proc, object string, off, length uint64) (*wire.Bufferlist, error) {
-	reply, err := c.do(p, &cephmsg.MOSDOp{
+	reply, err := c.do(p, cephmsg.MOSDOp{
 		Pool: "rbd", Object: object, Op: cephmsg.OpRead, Offset: off, Length: length,
 	})
 	if err != nil {
@@ -403,7 +422,7 @@ func (c *Client) Read(p *sim.Proc, object string, off, length uint64) (*wire.Buf
 
 // Stat returns object size and version.
 func (c *Client) Stat(p *sim.Proc, object string) (size, version uint64, err error) {
-	reply, err := c.do(p, &cephmsg.MOSDOp{Pool: "rbd", Object: object, Op: cephmsg.OpStat})
+	reply, err := c.do(p, cephmsg.MOSDOp{Pool: "rbd", Object: object, Op: cephmsg.OpStat})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -415,7 +434,7 @@ func (c *Client) Stat(p *sim.Proc, object string) (size, version uint64, err err
 
 // Delete removes object.
 func (c *Client) Delete(p *sim.Proc, object string) error {
-	reply, err := c.do(p, &cephmsg.MOSDOp{Pool: "rbd", Object: object, Op: cephmsg.OpDelete})
+	reply, err := c.do(p, cephmsg.MOSDOp{Pool: "rbd", Object: object, Op: cephmsg.OpDelete})
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package rados
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"doceph/internal/cephmsg"
@@ -193,6 +194,58 @@ func TestClientResendIsIdempotentAndLateReplyIsStale(t *testing.T) {
 	if total := r.osds[0].served + r.osds[1].served; total != 2 {
 		t.Fatalf("served=%d want 2", total)
 	}
+}
+
+// TestClientOpRecycled: every op runs on a request from the client's free
+// list, put back once the reply is taken, so steady-state writes and reads
+// allocate no request, and neither does a redirect, which is a reply. An op
+// one of whose attempts timed out leaves its request to the GC — the OSD may
+// still hold that attempt's — and Quiescent names it.
+func TestClientOpRecycled(t *testing.T) {
+	r := newClientRig(Config{OpTimeout: 2 * sim.Second, MaxRetries: 2, RetryBackoff: 500 * sim.Millisecond})
+	ops := &r.client.ops
+	want := func(what string, made, listed int) {
+		t.Helper()
+		if ops.Made() != made || ops.Listed() != listed {
+			t.Fatalf("%s: %d requests listed of %d made, want %d of %d", what, ops.Listed(), ops.Made(), listed, made)
+		}
+	}
+	r.run(t, func(p *sim.Proc) {
+		for i := 0; i < 8; i++ {
+			if err := r.client.Write(p, "obj", wire.FromBytes([]byte("data"))); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.client.Read(p, "obj", 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want("steady state", 1, 1)
+		for _, f := range r.osds {
+			f.mode = "wrongPrimary"
+		}
+		if err := r.client.Write(p, "obj", wire.FromBytes([]byte("x"))); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("redirected write: err=%v", err)
+		}
+		want("redirects", 1, 1)
+		if err := r.client.Quiescent(); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range r.osds {
+			f.mode, f.served = "slowOnce", 0
+		}
+		if err := r.client.Write(p, "obj", wire.FromBytes([]byte("x"))); err != nil {
+			t.Fatal(err)
+		}
+		p.Wait(10 * sim.Second) // the timed-out attempt's late reply lands
+		want("a timed-out attempt", 1, 0)
+		if err := r.client.Write(p, "obj", wire.FromBytes([]byte("y"))); err != nil {
+			t.Fatal(err)
+		}
+		want("after it", 2, 1)
+		if err := r.client.Quiescent(); err == nil || !strings.Contains(err.Error(), "1 of 2 client.0: requests back") {
+			t.Fatalf("Quiescent = %v, want the request left to the GC named", err)
+		}
+	})
 }
 
 func TestClientRetriesOnWrongPrimary(t *testing.T) {

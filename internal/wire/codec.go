@@ -315,22 +315,49 @@ func (d *Decoder) Blob() []byte {
 // Bufferlist view of the decoder's backing storage — even when the field
 // spans segments.
 func (d *Decoder) BufferlistField() *Bufferlist {
-	n := int(d.U32())
-	if d.err != nil || n == 0 {
+	b, off, n := d.field()
+	switch {
+	case b != nil:
+		return FromBytes(b)
+	case n == 0:
 		return &Bufferlist{}
+	}
+	return d.bl.SubList(off, n)
+}
+
+// BufferlistFieldInto is BufferlistField appending the view to dst, a list
+// the caller owns (ViewInto's counterpart): a record whose list is over slots
+// it holds takes the field without allocating.
+func (d *Decoder) BufferlistFieldInto(dst *Bufferlist) {
+	b, off, n := d.field()
+	switch {
+	case b != nil:
+		dst.Append(b)
+	case n != 0:
+		d.bl.ViewInto(dst, off, n)
+	}
+}
+
+// field reads a u32-length-prefixed field and moves past it: it returns the
+// field's bytes when they lie in one segment, and otherwise their offset and
+// length in d.bl (n is 0 for an empty field or after an error).
+func (d *Decoder) field() (b []byte, off, n int) {
+	n = int(d.U32())
+	if d.err != nil || n == 0 {
+		return nil, 0, 0
 	}
 	for d.off == len(d.buf) && d.nextSeg() {
 	}
 	if d.off+n <= len(d.buf) {
-		b := d.buf[d.off : d.off+n]
+		b = d.buf[d.off : d.off+n]
 		d.off += n
-		return FromBytes(b)
+		return b, 0, n
 	}
 	if d.bl == nil || d.Remaining() < n {
 		d.err = ErrShortBuffer
-		return &Bufferlist{}
+		return nil, 0, 0
 	}
-	out := d.bl.SubList(d.base+d.off, n)
+	off = d.base + d.off
 	d.skip(n)
-	return out
+	return nil, off, n
 }

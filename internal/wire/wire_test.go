@@ -347,6 +347,41 @@ func TestViewInto(t *testing.T) {
 	bl.ViewInto(w.Init(), 10, 3)
 }
 
+// TestBufferlistFieldInto: a field appended to a list the caller holds is
+// BufferlistField's view — within one segment, across segments and empty —
+// and a list with room for it takes it without allocating; a short field
+// sets the decoder's error and appends nothing.
+func TestBufferlistFieldInto(t *testing.T) {
+	e := NewEncoderBL(nil)
+	e.BufferlistField(FromBytes([]byte("abc")))
+	e.BufferlistField(NewBufferlist([]byte("defg"), []byte("hi")))
+	e.BufferlistField(&Bufferlist{})
+	frame := e.Bufferlist()
+	var w Inline2
+	for i := 0; i < 3; i++ {
+		into, want := NewDecoderBL(frame), NewDecoderBL(frame)
+		for range i {
+			into.BufferlistFieldInto(w.Init())
+			want.BufferlistField()
+		}
+		into.BufferlistFieldInto(w.Init())
+		if got, exp := &w.Bufferlist, want.BufferlistField(); !got.Equal(exp) || got.Segments() != exp.Segments() {
+			t.Fatalf("field %d: %q in %d segments, want %q in %d", i, got.Bytes(), got.Segments(), exp.Bytes(), exp.Segments())
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		d := NewDecoderBL(frame)
+		d.BufferlistFieldInto(w.Init())
+		d.BufferlistFieldInto(w.Init())
+	}); allocs != 0 {
+		t.Fatalf("%.0f allocations into an Inline2, want 0", allocs)
+	}
+	d := NewDecoder([]byte{9, 0, 0, 0, 'x'})
+	if d.BufferlistFieldInto(w.Init()); d.Err() != ErrShortBuffer || w.Length() != 0 {
+		t.Fatalf("short field: err %v, %d bytes appended", d.Err(), w.Length())
+	}
+}
+
 var sink *Bufferlist
 
 func TestPrefix(t *testing.T) {
