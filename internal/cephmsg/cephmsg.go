@@ -8,6 +8,7 @@ package cephmsg
 import (
 	"fmt"
 
+	"doceph/internal/sim"
 	"doceph/internal/wire"
 )
 
@@ -197,6 +198,9 @@ type MOSDOpReply struct {
 	Data    *wire.Bufferlist // read payload
 	// TraceCtx carries the trace span context out-of-band (see MOSDOp).
 	TraceCtx uint64
+	// Owner is the record the reply lives in, out-of-band like TraceCtx
+	// (nil: the GC's).
+	Owner Owner
 }
 
 // MsgType implements Message.
@@ -257,6 +261,9 @@ type MRepOpReply struct {
 	Result int32
 	// TraceCtx carries the trace span context out-of-band (see MOSDOp).
 	TraceCtx uint64
+	// Owner is the record the ack lives in, out-of-band like TraceCtx (nil:
+	// the GC's).
+	Owner Owner
 }
 
 // MsgType implements Message.
@@ -577,6 +584,30 @@ func TraceContext(m Message) uint64 {
 		return m.TraceCtx
 	}
 	return 0
+}
+
+// Owner is the record a reply lives in when its sender recycles it (Ceph's
+// refcounted Message, put back by the dispatcher once it is done). The
+// receiving messenger calls Release once the reply's dispatcher, and any
+// charge it made, is done — and only when the record belongs to its own Env —
+// so a dispatcher that keeps a reply past its return keeps a copy. It is never
+// encoded: a decoded copy has none, and the GC takes the record.
+type Owner interface {
+	// Env is the Env the record belongs to.
+	Env() *sim.Env
+	// Release puts the record back; nothing reads the reply after it.
+	Release()
+}
+
+// OwnerOf returns the record m lives in, if its sender recycles it.
+func OwnerOf(m Message) Owner {
+	switch m := m.(type) {
+	case *MOSDOpReply:
+		return m.Owner
+	case *MRepOpReply:
+		return m.Owner
+	}
+	return nil
 }
 
 // LaneKey returns a stable ordering key for multi-lane transports and

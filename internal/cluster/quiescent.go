@@ -12,8 +12,9 @@ import (
 // daemons and every pending task is a sim.Daemon; on every node the bridge
 // holds no staging buffer or byte and no transaction or read in flight and
 // its partition's crossing records and control-plane envelopes are all back
-// (core.Bridge.Quiescent), the OSD has nothing in flight and its finishers
-// are all back (osd.OSD.Quiescent), and BlueStore's call records and txcs
+// (core.Bridge.Quiescent), the OSD has nothing in flight and its finishers,
+// worker turns, mutations, replica applies and op replies are all back
+// (osd.OSD.Quiescent), and BlueStore's call records and txcs
 // are all back (bluestore.Store.Quiescent); the client's call records and
 // requests are all back (rados.Client.Quiescent). Last it shuts cl down, after
 // which every coroutine its kernel made must be gone and the goroutine count

@@ -61,7 +61,9 @@ func TestIdleClusterIsQueuesAndBodies(t *testing.T) {
 // take end at rest too — batched frames on four DMA queues with four op
 // shards and lanes, and 8 MiB writes streamed chunk by chunk — with every
 // pendingTxn, batch frame, coalesced commit notification's frame, txc,
-// envelope, client call and client request back on its free list.
+// envelope, client call and client request, and every OSD mutation, replica
+// apply and op reply (the streamed run's whole reads and its replies; its
+// streamed mutations are left to the GC) back on its free list.
 func TestQuiescentAfterBatchedAndStreamedRuns(t *testing.T) {
 	batched := Config{Mode: DoCeph, Seed: 7}
 	batched.Bridge.Batch.Enable = true

@@ -139,7 +139,9 @@ type Stats struct {
 // Dispatcher receives decoded messages on a msgr-worker thread; it must not
 // block (queue slow work to a worker pool instead), mirroring Ceph's
 // fast-dispatch contract. A handler that spends CPU time on the worker says so
-// with Messenger.Charge. p is always nil: a worker is a task chain with no
+// with Messenger.Charge. A reply whose sender recycles it (cephmsg.Owner) is
+// released once the dispatcher and its Charge are done: a handler that keeps
+// one past that keeps a copy. p is always nil: a worker is a task chain with no
 // proc to hand over. The parameter stays only because the benchmark's
 // isolated messenger round (benchmark/isolated.go) passes handlers of this
 // type; it goes together with that file's use of it.
@@ -211,19 +213,22 @@ type Messenger struct {
 // worker is one msgr-worker thread as a task chain over its queue: a turn is
 // one CPU burst (CPU.ExecThen), then on the send side the push to the lane's
 // wire queue, on the receive side the decode and the dispatch — and the
-// dispatcher's Charge, if it made one, before the turn ends.
+// dispatcher's Charge, if it made one, and the message's release, before the
+// turn ends.
 type worker struct {
 	m  *Messenger
 	th *sim.Thread
 	q  *sim.Queue[workItem]
 	// done is the served identity, run when a turn is over; it is the item of
 	// the turn under way, step what its next step does, busy the charge of its
-	// burst, and charge the dispatcher's, if it made one.
+	// burst, and charge the dispatcher's, if it made one. owner is the
+	// dispatched message's record, released as the turn ends.
 	done   sim.Task
 	it     workItem
 	step   workStep
 	busy   sim.Duration
 	charge charge
+	owner  cephmsg.Owner
 }
 
 // workStep is what a worker's next step does.
@@ -232,7 +237,7 @@ type workStep uint8
 const (
 	workSent     workStep = iota // the send-side burst is over: hand the frame to the wire
 	workReceived                 // the receive-side burst is over: decode and dispatch
-	workCharged                  // the dispatcher's charge is paid: act, finish the frame
+	workCharged                  // the dispatcher's charge is paid: act, release the message, finish the frame
 )
 
 // charge is a dispatcher's Charge: cycles of th on cpu, then the action.
@@ -614,6 +619,10 @@ func (w *worker) Run() {
 				w.charge = charge{}
 				then()
 			}
+			if o := w.owner; o != nil {
+				w.owner = nil
+				o.Release()
+			}
 			if f.span != 0 {
 				m.tr.AddBytes(f.span, f.bytes)
 				m.tr.Finish(f.span)
@@ -631,7 +640,9 @@ func (w *worker) Run() {
 }
 
 // receive accounts an arrived frame's burst, checks and decodes it, and hands
-// the message to the stream layer or the dispatcher.
+// the message to the stream layer or the dispatcher. A dispatched message
+// whose record belongs to this Env is released as the turn ends; one from
+// another partition, or the decoded copy of a WireEncode frame, is not.
 func (w *worker) receive() {
 	m, peer := w.m, w.it.peer
 	f := &w.it.frame
@@ -660,6 +671,9 @@ func (w *worker) receive() {
 			panic(fmt.Sprintf("messenger %s: message from %s with no dispatcher", m.name, peer))
 		}
 		m.dispatch(nil, peer, msg)
+		if o := cephmsg.OwnerOf(msg); o != nil && o.Env() == m.env {
+			w.owner = o
+		}
 	}
 	m.dispatching = nil
 }

@@ -19,11 +19,10 @@ import (
 //     failed (a sub-op's delete that found nothing: ResNotFound).
 //
 // Finishers come from the partition's free list (sim.Local) and go back
-// zeroed once the reply is sent, so the chain allocates nothing per op and
-// leaves the op records in their size class.
+// zeroed once the reply is sent, so the chain allocates nothing per op.
 type finisher struct {
 	o *OSD
-	// id is the op's key in mutations or repApplies (none for a push); res its
+	// id numbers the op in deadlock reports (none for a push); res is its
 	// local commit: the mutation's or the sub-op's Result, or for a push
 	// pushRes, which the push's store call names before the finisher starts.
 	id      uint64
@@ -131,7 +130,8 @@ func (f *finisher) answer() {
 	case f.mu != nil:
 		o.tr.AddCPU(f.mu.sp, o.cpu.Name(), f.busy)
 		o.replyMutation(f.mu, f.res.Err != nil, !f.aborted)
-		delete(o.mutations, f.id)
+		o.retire(f.mu)
+		o.mutations--
 	case f.ra != nil:
 		ra := f.ra
 		o.tr.AddCPU(ra.sp, o.cpu.Name(), f.busy)
@@ -142,9 +142,10 @@ func (f *finisher) answer() {
 		if f.res.Err != nil {
 			ra.reply.Result = missingOrError(f.res.Err)
 		}
+		ra.reply.Owner = o.lend(ra)
 		o.msgr.Send(ra.src, &ra.reply)
 		o.tr.Finish(ra.sp)
-		delete(o.repApplies, f.id)
+		o.repApplies--
 	default:
 		m := f.push
 		result := cephmsg.ResOK
@@ -169,8 +170,13 @@ func (f *finisher) String() string {
 }
 
 // pools are a partition's free lists of the op path's records, shared by its
-// OSDs (sim.Local): the finishers and the workers' turns.
+// OSDs (sim.Local): the finishers, the workers' turns and whole mutations, and
+// the records a reply is sent from — sub-ops' repApplies and client ops'
+// replies —, which the receiving messenger puts back (cephmsg.Owner).
 type pools struct {
-	fins  sim.FreeList[finisher]
-	turns sim.FreeList[turn]
+	fins    sim.FreeList[finisher]
+	turns   sim.FreeList[turn]
+	muts    sim.FreeList[mutation]
+	applies sim.FreeList[repApply]
+	replies sim.FreeList[opReply]
 }

@@ -168,16 +168,17 @@ type OSD struct {
 	cfg  Config
 	id   int32
 	name string
-	// pools are the partition's free lists of finishers, the chains that
-	// complete ops on fn_osd, and of the op workers' turns.
+	// pools are the partition's free lists of the op path's records.
 	pools *pools
 	// ingestBody is ingestStream as a func value, made with streams at the
 	// first stream: every stream's ingest proc shares it and finds its record
 	// in streams under its proc id.
 	ingestBody func(*sim.Proc)
+	// nextRec numbers the finishers; mutations and repApplies count the
+	// client mutations (streamed ones aside) and the sub-ops not yet answered.
 	nextRec    uint64
-	mutations  map[uint64]*mutation
-	repApplies map[uint64]*repApply
+	mutations  int
+	repApplies int
 	streams    map[uint64]*streamIngest
 	msgr       *messenger.Messenger
 	store      objstore.Store
@@ -238,11 +239,13 @@ type opItem struct {
 // pendingRep is a mutation's replica-ack barrier: ev fires once needed acks
 // have landed (or been abandoned). failed is set by an ack of a replica whose
 // commit failed, which fails the write; a delete the replica found nothing to
-// do for leaves it unset.
+// do for leaves it unset. stray is set once a sub-op was resent or its ack
+// abandoned: a replica may then read the sub-op after the client is answered.
 type pendingRep struct {
 	needed int
 	ev     sim.Event
 	failed bool
+	stray  bool
 }
 
 // repWait is one outstanding replica acknowledgment. msg is the sub-op sent
@@ -257,8 +260,10 @@ type repWait struct {
 
 // mutation is one client mutation on its primary, whole or streamed: the
 // store transaction and its op slot, the ack barrier, the first secondary's
-// repWait, the tid table and the reply, in one allocation. A further
-// secondary costs one repWait of its own.
+// repWait and the tid table, in one record. A further secondary costs one
+// repWait of its own. A whole one comes from the partition's pools and its
+// finisher puts it back once the client is answered (retire); a streamed one
+// is left to the GC.
 type mutation struct {
 	src                 string
 	m                   *cephmsg.MOSDOp
@@ -270,13 +275,13 @@ type mutation struct {
 	rep                 repWait
 	tids                []uint64
 	tidSlot             [1]uint64
-	reply               cephmsg.MOSDOpReply
 }
 
-// newMutation is the record of client op m, whose reply waits for the acks
-// of that many secondaries (for none, the barrier is already passed).
-func newMutation(src string, m *cephmsg.MOSDOp, sp trace.SpanID, secondaries int) *mutation {
-	mu := &mutation{src: src, m: m, sp: sp}
+// newMutation makes the zero record mu that of client op m, whose reply waits
+// for the acks of that many secondaries (for none, the barrier is already
+// passed), and returns it.
+func newMutation(mu *mutation, src string, m *cephmsg.MOSDOp, sp trace.SpanID, secondaries int) *mutation {
+	mu.src, mu.m, mu.sp = src, m, sp
 	mu.txn.Ops = mu.ops[:0]
 	mu.tids = mu.tidSlot[:0]
 	mu.pend.needed = secondaries
@@ -286,9 +291,23 @@ func newMutation(src string, m *cephmsg.MOSDOp, sp trace.SpanID, secondaries int
 	return mu
 }
 
+// retire puts whole mutation mu back once its client is answered: every
+// replica has acked, so nothing reads the sub-op inside it. One whose sub-op
+// was resent or whose ack was abandoned (stray; every round of the replicas'
+// wait that timed out did one or the other, and left a spent wake-up on the
+// barrier's event) is left to the GC, since the replica may still read the
+// sub-op; so is a failed OSD's (see lend).
+func (o *OSD) retire(mu *mutation) {
+	if !mu.pend.stray && !o.failed {
+		o.pools.muts.Put(mu)
+	}
+}
+
 // repApply is one sub-op on a replica: its store transaction and op slot and
-// the ack, in one allocation.
+// the ack, in one record from the partition's pools of its OSD o, put back by
+// the primary's messenger once the ack is dispatched.
 type repApply struct {
+	o            *OSD
 	src          string
 	m            *cephmsg.MRepOp
 	sp, commitSp trace.SpanID
@@ -296,6 +315,34 @@ type repApply struct {
 	txn          objstore.Transaction
 	ops          [1]objstore.Op
 	reply        cephmsg.MRepOpReply
+}
+
+// Env is the Env ra's pools belong to (cephmsg.Owner).
+func (ra *repApply) Env() *sim.Env { return ra.o.env }
+
+// Release puts ra back once the primary's messenger has dispatched its ack.
+func (ra *repApply) Release() { ra.o.pools.applies.Put(ra) }
+
+// opReply is the reply to a client op, in a record from the partition's pools
+// of its OSD o, put back by the client's messenger once dispatched.
+type opReply struct {
+	o     *OSD
+	reply cephmsg.MOSDOpReply
+}
+
+// Env is the Env r's pools belong to (cephmsg.Owner).
+func (r *opReply) Env() *sim.Env { return r.o.env }
+
+// Release puts r back once the client's messenger has dispatched it.
+func (r *opReply) Release() { r.o.pools.replies.Put(r) }
+
+// lend is owner, the record a reply is sent from, unless the OSD has failed:
+// a crashed daemon's records are not handed to the ops that come after it.
+func (o *OSD) lend(owner cephmsg.Owner) cephmsg.Owner {
+	if o.failed {
+		return nil
+	}
+	return owner
 }
 
 // osdNames caches entity names for the small OSD ids every realistic
@@ -328,8 +375,6 @@ func New(env *sim.Env, cpu *sim.CPU, id int32, msgr *messenger.Messenger,
 		created:      make(map[uint32]bool),
 		degraded:     make(map[uint32]int64),
 		pending:      make(map[uint64]*repWait),
-		mutations:    make(map[uint64]*mutation),
-		repApplies:   make(map[uint64]*repApply),
 		pushPending:  make(map[uint64]*sim.Event),
 		scrubPending: make(map[uint64]*scrubCall),
 		thFin:        sim.NewThread(fmt.Sprintf("fn_osd-%d", id), ThreadCat),
@@ -446,18 +491,21 @@ func (o *OSD) QueueDepth() int {
 // sub-ops this OSD has yet to answer, and how many replica acks it waits on:
 // all zero once the cluster is quiescent.
 func (o *OSD) InFlight() (mutations, repApplies, repWaits int) {
-	return len(o.mutations), len(o.repApplies), len(o.pending)
+	return o.mutations, o.repApplies, len(o.pending)
 }
 
 // Quiescent reports, joined, every way the OSD is not at rest: a client
-// mutation, sub-op or replica wait still in flight (InFlight), or a finisher
-// or a worker's turn of the partition's free lists not back.
+// mutation, sub-op or replica wait still in flight (InFlight), or a record of
+// the partition's free lists not back — a finisher, a worker's turn, a
+// mutation, a sub-op's repApply or a client op's reply.
 func (o *OSD) Quiescent() error {
 	var errs []error
 	if mu, ra, w := o.InFlight(); mu+ra+w != 0 {
 		errs = append(errs, fmt.Errorf("%s: %d mutations, %d replica applies and %d replica waits in flight", o.name, mu, ra, w))
 	}
-	errs = append(errs, o.pools.fins.AllBack(o.name+": finishers"), o.pools.turns.AllBack(o.name+": worker turns"))
+	errs = append(errs, o.pools.fins.AllBack(o.name+": finishers"), o.pools.turns.AllBack(o.name+": worker turns"),
+		o.pools.muts.AllBack(o.name+": mutations"), o.pools.applies.AllBack(o.name+": replica applies"),
+		o.pools.replies.AllBack(o.name+": op replies"))
 	return errors.Join(errs...)
 }
 
@@ -544,6 +592,15 @@ func (o *OSD) completeRep(tid uint64) {
 	}
 }
 
+// abandonRep completes the wait for tid's ack without it: the replica may
+// still read the sub-op, so its mutation is left to the GC.
+func (o *OSD) abandonRep(tid uint64) {
+	if w, ok := o.pending[tid]; ok {
+		w.pend.stray = true
+		o.completeRep(tid)
+	}
+}
+
 // registerRep makes sec's copy of mu's sub-op sub: it charges the sub-op's
 // prep, stamps the copy with a fresh tid and the epoch it leaves under (the
 // charge took time), and records the ack to wait for. The first secondary's
@@ -612,7 +669,7 @@ func (o *OSD) repTimedOut(mu *mutation, try int) bool {
 	if try >= maxRepRetries {
 		o.stats.RepAborts++
 		for _, tid := range mu.tids {
-			o.completeRep(tid)
+			o.abandonRep(tid)
 		}
 		return false
 	}
@@ -625,7 +682,7 @@ func (o *OSD) repTimedOut(mu *mutation, try int) bool {
 		if !o.curMap.IsUp(w.target) {
 			// The map already dropped this replica but the abandon path
 			// raced with us; finish the wait degraded.
-			o.completeRep(tid)
+			o.abandonRep(tid)
 			continue
 		}
 		if w.stream {
@@ -633,6 +690,7 @@ func (o *OSD) repTimedOut(mu *mutation, try int) bool {
 			// verbatim, so timeout rounds only bound the wait.
 			continue
 		}
+		w.pend.stray = true
 		o.msgr.Send(Name(w.target), &w.msg)
 	}
 	return true
@@ -711,9 +769,9 @@ func (o *OSD) admit(m *cephmsg.MOSDOp) (pg uint32, acting []int32, res int32) {
 
 // reject answers an op that will not run and closes its span.
 func (o *OSD) reject(src string, m *cephmsg.MOSDOp, sp trace.SpanID, res int32) {
-	o.msgr.Send(src, &cephmsg.MOSDOpReply{
-		Tid: m.Tid, Object: m.Object, Op: m.Op, Result: res, TraceCtx: m.TraceCtx,
-	})
+	r := o.newReply(m)
+	r.reply.Result = res
+	o.sendReply(src, r)
 	o.tr.Finish(sp)
 }
 
@@ -751,18 +809,33 @@ func (o *OSD) completeMutation(p *sim.Proc, mu *mutation, commitErr bool) {
 // replica's did or the replicas aborted (!repOK).
 func (o *OSD) replyMutation(mu *mutation, commitErr, repOK bool) {
 	m := mu.m
-	mu.reply = cephmsg.MOSDOpReply{Tid: m.Tid, Object: m.Object, Op: m.Op, TraceCtx: m.TraceCtx}
+	r := o.newReply(m)
 	switch {
 	case commitErr && m.Op == cephmsg.OpDelete:
-		mu.reply.Result = cephmsg.ResNotFound
+		r.reply.Result = cephmsg.ResNotFound
 	case commitErr || !repOK || mu.pend.failed:
-		mu.reply.Result = cephmsg.ResError
+		r.reply.Result = cephmsg.ResError
 	}
 	if m.Op == cephmsg.OpWrite {
-		mu.reply.Version = uint64(o.env.Now())
+		r.reply.Version = uint64(o.env.Now())
 	}
-	o.msgr.Send(mu.src, &mu.reply)
+	o.sendReply(mu.src, r)
 	o.tr.Finish(mu.sp)
+}
+
+// newReply is the reply to client op m, on a record from the partition's
+// pools.
+func (o *OSD) newReply(m *cephmsg.MOSDOp) *opReply {
+	r := o.pools.replies.Get()
+	r.o = o
+	r.reply = cephmsg.MOSDOpReply{Tid: m.Tid, Object: m.Object, Op: m.Op, TraceCtx: m.TraceCtx}
+	return r
+}
+
+// sendReply sends r's reply to dst, whose messenger puts r back.
+func (o *OSD) sendReply(dst string, r *opReply) {
+	r.reply.Owner = o.lend(r)
+	o.msgr.Send(dst, &r.reply)
 }
 
 // heartbeatGrace is the silence threshold after which a peer is reported
@@ -854,7 +927,7 @@ func (o *OSD) applyMap(now sim.Time, m *cephmsg.MOSDMap) {
 	}
 	sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
 	for _, tid := range stale {
-		o.completeRep(tid)
+		o.abandonRep(tid)
 	}
 	// Retire degraded-write ledger entries for PGs whose acting set is whole
 	// again: recovery (startRecovery below) pushes the missing objects, so

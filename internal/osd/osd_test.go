@@ -439,22 +439,19 @@ func TestShardedDispatchPreservesSemantics(t *testing.T) {
 	})
 }
 
-// writeAllocCeiling is one above what a replicated write of a new object
-// allocates today (4.91: the primary's mutation record and the replica's
-// repApply, each holding the Result its BlueStore completes; the new object's
-// onode on each side, plus about 0.9 for the collections' object maps growing
-// to hold them). BlueStore's txcs, the client's call and its request come
-// from free lists. The next record somebody adds to the write path fails
-// here, not in a benchmark.
-const writeAllocCeiling = 5
+// writeAllocCeiling is the next integer above what a replicated write of a new
+// object allocates today (2.91: the new object's onode on each side, plus
+// about 0.9 for the collections' object maps growing to hold them). The
+// primary's mutation, the replica's repApply, BlueStore's txcs, the client's
+// call and its request come from free lists. The next record somebody adds to
+// the write path fails here, not in a benchmark.
+const writeAllocCeiling = 3
 
 // writeAllocBytesCeiling is 8 B above what those allocations come to today
-// (1,181 B per write, the same under -race), less than the 16 B of the
-// smallest size-class step either OSD record could take. So a record that
-// moves up a class fails here even when the count stays: chain state added to
-// mutation (496 B of a 512 B class) or repApply (280 B of 288 B) does. The
-// finishers' chain state lives on a free list instead.
-const writeAllocBytesCeiling = 1_189
+// (381 B per write), less than the 16 B of the smallest size-class step a
+// record could take, so a record that moves up a class fails here even when
+// the count stays. The op records' chain state lives on free lists.
+const writeAllocBytesCeiling = 389
 
 // TestReplicatedWriteAllocationBudget holds one replicated write of a new
 // object — client call, primary commit, one sub-op, replica commit, both acks

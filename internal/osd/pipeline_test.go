@@ -28,7 +28,8 @@ func newRawClient(tc *testCluster) *rawClient {
 	rc := &rawClient{msgr: tc.addClient("client.1"), replies: sim.NewQueue[*cephmsg.MOSDOpReply](tc.env)}
 	rc.msgr.SetDispatcher(func(p *sim.Proc, src string, m cephmsg.Message) {
 		if r, ok := m.(*cephmsg.MOSDOpReply); ok {
-			rc.replies.Push(r)
+			c := *r // the OSD puts its record back once this returns
+			rc.replies.Push(&c)
 		}
 	})
 	return rc

@@ -66,8 +66,8 @@ func TestRepWatchdogResendsThenAborts(t *testing.T) {
 		if s.RepRetries != maxRepRetries || s.RepAborts != 1 {
 			t.Fatalf("RepRetries=%d RepAborts=%d, want %d and 1", s.RepRetries, s.RepAborts, maxRepRetries)
 		}
-		if len(prim.pending) != 0 || len(prim.mutations) != 0 {
-			t.Fatalf("after the abort: %d rep waits, %d mutations left", len(prim.pending), len(prim.mutations))
+		if mu, _, w := prim.InFlight(); w != 0 || mu != 0 {
+			t.Fatalf("after the abort: %d rep waits, %d mutations left", w, mu)
 		}
 
 		// The secondary's ack arrives at last: there is nothing to complete.
@@ -109,8 +109,8 @@ func TestRepWaitDroppedByMapChange(t *testing.T) {
 			t.Fatalf("RepRetries=%d RepAborts=%d, %d MRepOps: the map change, not the watchdog, must end the wait",
 				s.RepRetries, s.RepAborts, len(*swallowed))
 		}
-		if len(prim.pending) != 0 || len(prim.mutations) != 0 {
-			t.Fatalf("%d rep waits, %d mutations left", len(prim.pending), len(prim.mutations))
+		if mu, _, w := prim.InFlight(); w != 0 || mu != 0 {
+			t.Fatalf("%d rep waits, %d mutations left", w, mu)
 		}
 	})
 }

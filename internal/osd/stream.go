@@ -225,7 +225,7 @@ func (o *OSD) ingestClientStream(p *sim.Proc, st *streamIngest, m *cephmsg.MOSDO
 
 	// Open one forwarding stream per secondary before the first chunk, so
 	// replica ingest overlaps the client transfer.
-	mu := newMutation(src, m, sp, len(acting)-1)
+	mu := newMutation(new(mutation), src, m, sp, len(acting)-1)
 	if sp != 0 {
 		mu.repSp = o.tr.Start(sp, 0, trace.StageReplication, m.Object)
 	}

@@ -231,7 +231,8 @@ func TestStreamChunksPastTheFirstTable(t *testing.T) {
 		var replied sim.Event
 		m.SetDispatcher(func(_ *sim.Proc, _ string, msg cephmsg.Message) {
 			if r, ok := msg.(*cephmsg.MOSDOpReply); ok {
-				reply = r
+				c := *r // the OSD puts its record back once this returns
+				reply = &c
 				replied.Fire()
 			}
 		})

@@ -54,7 +54,7 @@ type turn struct {
 	mu       *mutation
 	rep      int
 	ra       *repApply
-	reply    *cephmsg.MOSDOpReply
+	reply    *opReply
 	commitSp trace.SpanID
 	// fin is a push's finisher, taken before its store call.
 	fin *finisher
@@ -150,7 +150,7 @@ func (t *turn) Run() {
 			// local commit via the ObjectStore plus one MRepOp per secondary;
 			// the client ack is withheld until every part is durable.
 			m, sp := t.it.msg.(*cephmsg.MOSDOp), t.it.span
-			mu := newMutation(t.it.src, m, sp, len(t.acting)-1)
+			mu := newMutation(o.pools.muts.Get(), t.it.src, m, sp, len(t.acting)-1)
 			mutationTxn(&mu.txn, pgColl(t.pg), m.Op, m.Object, m.Offset, m.Data)
 			if m.Op != cephmsg.OpDelete {
 				// A delete creates nothing: in a PG with no collection yet it
@@ -191,7 +191,7 @@ func (t *turn) Run() {
 				o.stats.BytesWritten += int64(m.Data.Length())
 			}
 			o.nextRec++
-			o.mutations[o.nextRec] = mu
+			o.mutations++
 			o.finish(finisher{id: o.nextRec, res: &mu.res, mu: mu})
 			t.end()
 			return
@@ -214,11 +214,11 @@ func (t *turn) Run() {
 			m := t.it.msg.(*cephmsg.MOSDOp)
 			o.tr.Finish(t.commitSp)
 			t.lock.Release(1)
-			t.reply = &cephmsg.MOSDOpReply{Tid: m.Tid, Object: m.Object, Op: m.Op, TraceCtx: m.TraceCtx}
+			t.reply = o.newReply(m)
 			if bl, err := t.call.Data, t.call.Err; err != nil {
-				t.reply.Result = missingOrError(err)
+				t.reply.reply.Result = missingOrError(err)
 			} else {
-				t.reply.Data = bl
+				t.reply.reply.Data = bl
 				o.stats.BytesRead += int64(bl.Length())
 				o.tr.AddBytes(t.commitSp, int64(bl.Length()))
 			}
@@ -229,21 +229,21 @@ func (t *turn) Run() {
 			}
 		case workReadCharged:
 			o.tr.AddCPU(t.it.span, o.cpu.Name(), t.busy)
-			o.msgr.Send(t.it.src, t.reply)
+			o.sendReply(t.it.src, t.reply)
 			o.tr.Finish(t.it.span)
 			t.end()
 			return
 		case workStat:
 			m := t.it.msg.(*cephmsg.MOSDOp)
-			reply := &cephmsg.MOSDOpReply{Tid: m.Tid, Object: m.Object, Op: m.Op, TraceCtx: m.TraceCtx}
+			r := o.newReply(m)
 			if err := t.call.Err; err != nil {
-				reply.Result = missingOrError(err)
+				r.reply.Result = missingOrError(err)
 			} else {
-				reply.Size = t.call.Stat.Size
-				reply.Version = t.call.Stat.Version
+				r.reply.Size = t.call.Stat.Size
+				r.reply.Version = t.call.Stat.Version
 			}
 			o.stats.ClientStats++
-			o.msgr.Send(t.it.src, reply)
+			o.sendReply(t.it.src, r)
 			o.tr.Finish(t.it.span)
 			t.end()
 			return
@@ -256,7 +256,8 @@ func (t *turn) Run() {
 			}
 		case workSubLocked:
 			m, sp := t.it.msg.(*cephmsg.MRepOp), t.it.span
-			ra := &repApply{src: t.it.src, m: m, sp: sp}
+			ra := o.pools.applies.Get()
+			ra.o, ra.src, ra.m, ra.sp = o, t.it.src, m, sp
 			ra.txn.Ops = ra.ops[:0]
 			mutationTxn(&ra.txn, pgColl(m.PGID), m.Op, m.Object, m.Offset, m.Data)
 			o.ensureColl(m.PGID, &ra.txn)
@@ -277,7 +278,7 @@ func (t *turn) Run() {
 				o.stats.BytesWritten += int64(ra.m.Data.Length())
 			}
 			o.nextRec++
-			o.repApplies[o.nextRec] = ra
+			o.repApplies++
 			o.finish(finisher{id: o.nextRec, res: &ra.res, ra: ra})
 			t.end()
 			return

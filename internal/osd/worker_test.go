@@ -19,7 +19,18 @@ type rawPeer struct {
 
 func newRawPeer(tc *testCluster) *rawPeer {
 	rp := &rawPeer{msgr: tc.addClient("client.2"), replies: sim.NewQueue[cephmsg.Message](tc.env)}
-	rp.msgr.SetDispatcher(func(_ *sim.Proc, _ string, m cephmsg.Message) { rp.replies.Push(m) })
+	rp.msgr.SetDispatcher(func(_ *sim.Proc, _ string, m cephmsg.Message) {
+		// The OSD puts the record of a reply back once this returns.
+		switch r := m.(type) {
+		case *cephmsg.MOSDOpReply:
+			c := *r
+			m = &c
+		case *cephmsg.MRepOpReply:
+			c := *r
+			m = &c
+		}
+		rp.replies.Push(m)
+	})
 	return rp
 }
 

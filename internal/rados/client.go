@@ -129,13 +129,14 @@ type Client struct {
 	tr    *trace.Tracer
 }
 
-// call is one attempt of an op in flight: done fires when its reply lands. It
-// is a record from the client's free list, put back once do has taken the
-// reply; one that timed out keeps a spent wake-up on its event and is left to
-// the GC.
+// call is one attempt of an op in flight: done fires when its reply lands,
+// copied in by value, since the OSD may put the message back once dispatch
+// returns. It is a record from the client's free list, put back once do has
+// taken the reply; one that timed out keeps a spent wake-up on its event and
+// is left to the GC.
 type call struct {
 	done  sim.Event
-	reply *cephmsg.MOSDOpReply
+	reply cephmsg.MOSDOpReply
 }
 
 // New creates a client using msgr, charging client-side CPU to cpu, with an
@@ -174,7 +175,8 @@ func (c *Client) dispatch(_ *sim.Proc, src string, m cephmsg.Message) {
 			c.stats.StaleReplies++
 			return
 		}
-		call.reply = msg
+		call.reply = *msg
+		call.reply.Owner = nil // the copy is the client's, not the sender's record
 		call.done.Fire()
 		delete(c.inflight, msg.Tid)
 	case *cephmsg.MOSDMap:
@@ -224,7 +226,7 @@ const (
 // the record back once the reply is taken, unless an attempt of the op timed
 // out: an OSD may still hold that attempt's request, so the record is left to
 // the GC. A redirect or a no-quorum answer is a reply, not a timeout.
-func (c *Client) do(p *sim.Proc, req cephmsg.MOSDOp) (*cephmsg.MOSDOpReply, error) {
+func (c *Client) do(p *sim.Proc, req cephmsg.MOSDOp) (cephmsg.MOSDOpReply, error) {
 	op := c.ops.Get()
 	*op = req
 	reply, timedOut, err := c.send(p, op)
@@ -241,7 +243,7 @@ func (c *Client) do(p *sim.Proc, req cephmsg.MOSDOp) (*cephmsg.MOSDOpReply, erro
 // later duplicates are counted as stale. Every op resolves within a bounded
 // virtual-time deadline — success or a typed error (ErrTimeout, ErrNoOSD),
 // never a hang.
-func (c *Client) send(p *sim.Proc, op *cephmsg.MOSDOp) (reply *cephmsg.MOSDOpReply, timedOut bool, err error) {
+func (c *Client) send(p *sim.Proc, op *cephmsg.MOSDOp) (reply cephmsg.MOSDOpReply, timedOut bool, err error) {
 	c.stats.Ops++
 	c.nextTid++
 	op.Tid = c.nextTid
@@ -326,12 +328,12 @@ func (c *Client) send(p *sim.Proc, op *cephmsg.MOSDOp) (reply *cephmsg.MOSDOpRep
 		return reply, timedOut, nil
 	}
 	if sawNoQuorum {
-		return nil, timedOut, ErrNoQuorum
+		return cephmsg.MOSDOpReply{}, timedOut, ErrNoQuorum
 	}
 	if sawNoOSD {
-		return nil, timedOut, ErrNoOSD
+		return cephmsg.MOSDOpReply{}, timedOut, ErrNoOSD
 	}
-	return nil, timedOut, ErrTimeout
+	return cephmsg.MOSDOpReply{}, timedOut, ErrTimeout
 }
 
 // balancedTarget picks the acting-set member a flagged read goes to: a

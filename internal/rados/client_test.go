@@ -18,8 +18,25 @@ import (
 type fakeOSD struct {
 	env    *sim.Env
 	msgr   *messenger.Messenger
-	mode   string // "ok", "drop", "wrongPrimary", "notfound", "dup", "slowOnce"
+	mode   string // "ok", "drop", "wrongPrimary", "notfound", "dup", "slowOnce", "recycled"
 	served int
+	// released counts the replies of mode "recycled" the client's messenger
+	// put back.
+	released int
+}
+
+// recycledReply is a reply in a record of the fake's, which zeroes it when
+// the client's messenger releases it, as an OSD's free list does.
+type recycledReply struct {
+	f     *fakeOSD
+	reply cephmsg.MOSDOpReply
+}
+
+func (r *recycledReply) Env() *sim.Env { return r.f.env }
+
+func (r *recycledReply) Release() {
+	r.reply = cephmsg.MOSDOpReply{}
+	r.f.released++
 }
 
 func (f *fakeOSD) dispatch(p *sim.Proc, src string, m cephmsg.Message) {
@@ -53,6 +70,14 @@ func (f *fakeOSD) dispatch(p *sim.Proc, src string, m cephmsg.Message) {
 	case "wrongPrimary":
 		f.msgr.Send(src, &cephmsg.MOSDOpReply{Tid: op.Tid, Object: op.Object,
 			Op: op.Op, Result: cephmsg.ResNotPrimary})
+	case "recycled":
+		r := &recycledReply{f: f, reply: cephmsg.MOSDOpReply{Tid: op.Tid, Object: op.Object,
+			Op: op.Op, Result: cephmsg.ResOK, Version: 1, Size: 42}}
+		if op.Op == cephmsg.OpRead {
+			r.reply.Data = wire.FromBytes([]byte("fake-object-content"))
+		}
+		r.reply.Owner = r
+		f.msgr.Send(src, &r.reply)
 	case "notfound":
 		f.msgr.Send(src, &cephmsg.MOSDOpReply{Tid: op.Tid, Object: op.Object,
 			Op: op.Op, Result: cephmsg.ResNotFound})
@@ -246,6 +271,43 @@ func TestClientOpRecycled(t *testing.T) {
 			t.Fatalf("Quiescent = %v, want the request left to the GC named", err)
 		}
 	})
+}
+
+// TestReplyZeroedAfterDispatch: an OSD puts the record its reply lives in back
+// once the client's messenger has dispatched it, and the next op overwrites
+// it; the client copies the reply during dispatch, so every op's result is
+// what was sent — a write's success, a read's data, a stat's size and version
+// — although each reply is zeroed right after. A release before the dispatch
+// leaves the client a reply it does not recognise, and the op times out.
+func TestReplyZeroedAfterDispatch(t *testing.T) {
+	r := newClientRig(Config{OpTimeout: 2 * sim.Second, MaxRetries: 1})
+	for _, f := range r.osds {
+		f.mode = "recycled"
+	}
+	r.run(t, func(p *sim.Proc) {
+		for i := 0; i < 4; i++ {
+			if err := r.client.Write(p, "obj", wire.FromBytes([]byte("data"))); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			got, err := r.client.Read(p, "obj", 0, 0)
+			if err != nil {
+				t.Fatalf("read: %v", err)
+			}
+			if s := string(got.Bytes()); s != "fake-object-content" {
+				t.Fatalf("read %q", s)
+			}
+			size, ver, err := r.client.Stat(p, "obj")
+			if err != nil || size != 42 || ver != 1 {
+				t.Fatalf("stat: size=%d ver=%d err=%v", size, ver, err)
+			}
+		}
+	})
+	if st := r.client.Stats(); st.Retries != 0 || st.StaleReplies != 0 {
+		t.Fatalf("%d retries, %d stale replies; want none", st.Retries, st.StaleReplies)
+	}
+	if served, released := r.osds[0].served+r.osds[1].served, r.osds[0].released+r.osds[1].released; served != 12 || released != served {
+		t.Fatalf("%d replies released of %d ops; want all 12", released, served)
+	}
 }
 
 func TestClientRetriesOnWrongPrimary(t *testing.T) {
