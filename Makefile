@@ -37,22 +37,27 @@ test:
 # watchdog, map-change drop, session resets) with their free list, the op
 # workers on every kind of item, the stream ingest's chunk tables past their
 # first, BlueStore's txcs (TestTxcRecycled) and call records (TestTaskForms),
-# the control plane's envelopes (TestNotify), the coalesced commit
-# notifications' frames and the host's batch-entry table (TestNotifyFrames,
-# TestBatchFrameDecodes), the client's requests (TestClientOp) and the OSD's
+# the control plane's envelopes, put back as the server's turn on them ends
+# (TestNotify, TestChargeThenReadsItsRequest), the messengers' frames, each
+# one record from Send to the end of its receiver's turn, through lanes and
+# session resets (TestFramesRecycled, TestSessionReset, TestLanes), the
+# coalesced commit notifications' frames and the host's batch-entry table
+# (TestNotifyFrames, TestBatchFrameDecodes), the client's requests
+# (TestClientOp) and the OSD's
 # mutations, replica applies and op replies, which the receiving messenger
 # puts back once the reply is dispatched (TestOpRecordsRecycled,
 # TestReplyZeroedAfterDispatch), each put back as its last reader is done and
 # handed to the next caller — and, on the partitioned kernel, that none of
 # them goes back to a free list of another partition (the scale-out line).
-# CI's race step runs all eight lines.
+# CI's race step runs all nine lines.
 test-race:
 	go test -race ./...
 	go test -race -count=10 -run 'TestGroup|TestShutdown|TestProcPanic|TestTask|TestChainServers|TestNowQueue|TestServe|TestWaitInPlace|TestSleeperParked|TestHandoff|TestQueued|TestDeadline|TestAwaitingProcCountsOnce|FuzzEventQueue' ./internal/sim
 	go test -race -count=10 -run 'TestRecycled|TestReadReturnDMAError|TestShipmentPaths|TestBatchPaths|TestReadPaths|TestNotifyFrames|TestBatchFrameDecodes' ./internal/core
 	go test -race -count=10 -run 'TestFaultPaths|TestMonitorFailureReport|TestOpWorkerPaths|TestStoreError|TestStreamChunks|TestOpRecordsRecycled' ./internal/osd
 	go test -race -count=10 -run 'TestTxcRecycled|TestTaskForms' ./internal/bluestore
-	go test -race -count=10 -run 'TestNotify' ./internal/rpcchan
+	go test -race -count=10 -run 'TestNotify|TestChargeThenReadsItsRequest' ./internal/rpcchan
+	go test -race -count=10 -run 'TestFramesRecycled|TestSessionReset|TestLanes' ./internal/messenger
 	go test -race -count=10 -run 'TestClientOp|TestReplyZeroedAfterDispatch' ./internal/rados
 	go test -race -count=3 -run 'TestScaleOutMixedRead|TestScaleOutBitIdentical' ./internal/cluster
 

@@ -8,7 +8,6 @@ package cephmsg
 import (
 	"fmt"
 
-	"doceph/internal/sim"
 	"doceph/internal/wire"
 )
 
@@ -588,13 +587,11 @@ func TraceContext(m Message) uint64 {
 
 // Owner is the record a reply lives in when its sender recycles it (Ceph's
 // refcounted Message, put back by the dispatcher once it is done). The
-// receiving messenger calls Release once the reply's dispatcher, and any
-// charge it made, is done — and only when the record belongs to its own Env —
-// so a dispatcher that keeps a reply past its return keeps a copy. It is never
-// encoded: a decoded copy has none, and the GC takes the record.
+// receiving messenger, which shares the sender's Env, calls Release once the
+// reply's dispatcher, and any charge it made, is done, so a dispatcher that
+// keeps a reply past its return keeps a copy. It is never encoded: a decoded
+// copy has none, and the GC takes the record.
 type Owner interface {
-	// Env is the Env the record belongs to.
-	Env() *sim.Env
 	// Release puts the record back; nothing reads the reply after it.
 	Release()
 }

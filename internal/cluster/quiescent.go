@@ -16,10 +16,12 @@ import (
 // worker turns, mutations, replica applies and op replies are all back
 // (osd.OSD.Quiescent), and BlueStore's call records and txcs
 // are all back (bluestore.Store.Quiescent); the client's call records and
-// requests are all back (rados.Client.Quiescent). Last it shuts cl down, after
-// which every coroutine its kernel made must be gone and the goroutine count
-// may not be above its value before New. It returns every violation found, joined; nil means quiescent.
-// cl is unusable afterwards.
+// requests are all back (rados.Client.Quiescent); the messengers' frames are
+// all back (messenger.Messenger.Quiescent, once for the cluster's one Env).
+// Last it shuts cl down, after which every coroutine its kernel made must be
+// gone and the goroutine count may not be above its value before New. It
+// returns every violation found, joined; nil means quiescent. cl is unusable
+// afterwards.
 func Quiescent(cl *Cluster) error {
 	var errs []error
 	if left := cl.Env.Backlog(); left != nil {
@@ -34,7 +36,7 @@ func Quiescent(cl *Cluster) error {
 		}
 		errs = append(errs, n.OSD.Quiescent(), n.Store.Quiescent())
 	}
-	errs = append(errs, cl.Client.Quiescent())
+	errs = append(errs, cl.Client.Quiescent(), cl.Registry.Lookup("client.0").Quiescent())
 	made, running := cl.Env.Stats().CoroutinesPeak, runtime.NumGoroutine()
 	cl.Shutdown()
 	after := runtime.NumGoroutine()

@@ -189,6 +189,7 @@ type Messenger struct {
 
 	workers    []*worker
 	nextWorker int
+	frames     *sim.FreeList[frame] // the Env's (sim.Local): its messengers share one list
 	// conns maps peer entity -> owning worker and outbound wire queue.
 	conns    map[string]*conn
 	dispatch Dispatcher
@@ -210,21 +211,21 @@ type Messenger struct {
 	streamSink   StreamSink
 }
 
-// worker is one msgr-worker thread as a task chain over its queue: a turn is
-// one CPU burst (CPU.ExecThen), then on the send side the push to the lane's
-// wire queue, on the receive side the decode and the dispatch — and the
-// dispatcher's Charge, if it made one, and the message's release, before the
-// turn ends.
+// worker is one msgr-worker thread as a task chain over its queue of frames: a
+// turn is one CPU burst (CPU.ExecThen), then on the send side the push of the
+// frame to the lane's wire queue, on the receive side the decode and the
+// dispatch — and the dispatcher's Charge, if it made one, the message's
+// release and the frame's return to the free list, before the turn ends.
 type worker struct {
 	m  *Messenger
 	th *sim.Thread
-	q  *sim.Queue[workItem]
-	// done is the served identity, run when a turn is over; it is the item of
+	q  *sim.Queue[*frame]
+	// done is the served identity, run when a turn is over; f is the frame of
 	// the turn under way, step what its next step does, busy the charge of its
 	// burst, and charge the dispatcher's, if it made one. owner is the
 	// dispatched message's record, released as the turn ends.
 	done   sim.Task
-	it     workItem
+	f      *frame
 	step   workStep
 	busy   sim.Duration
 	charge charge
@@ -237,7 +238,7 @@ type workStep uint8
 const (
 	workSent     workStep = iota // the send-side burst is over: hand the frame to the wire
 	workReceived                 // the receive-side burst is over: decode and dispatch
-	workCharged                  // the dispatcher's charge is paid: act, release the message, finish the frame
+	workCharged                  // the dispatcher's charge is paid: act, release the message, put the frame back
 )
 
 // charge is a dispatcher's Charge: cycles of th on cpu, then the action.
@@ -262,7 +263,7 @@ type conn struct {
 // connLane is one ordered lane of a connection.
 type connLane struct {
 	worker *worker
-	wireq  *sim.Queue[frame]
+	wireq  *sim.Queue[*frame]
 	// sendSeq stamps outbound frames; recvSeq verifies inbound order.
 	// Packet loss is handled below the sequence layer: a frame the fabric
 	// drops triggers a session reset on the sending wire process, which
@@ -274,14 +275,16 @@ type connLane struct {
 	recvSeq uint64
 }
 
-type workItem struct {
-	recv  bool
-	peer  string
-	frame frame
-}
-
+// frame is one message from Send to the end of its receiver's turn, by pointer
+// the item of every queue it passes. It is a record of the partition's free
+// list, put back by the receiving worker, so it never leaves the partition; a
+// session reset redelivers the same record.
 type frame struct {
-	src   string
+	// ln is the sender's lane; peer is the destination until the frame
+	// arrives (recv), the source after.
+	ln    *connLane
+	peer  string
+	recv  bool
 	lane  int
 	seq   uint64
 	msg   cephmsg.Message
@@ -310,13 +313,14 @@ func New(env *sim.Env, registry *Registry, fabric *sim.Fabric, cpu *sim.CPU,
 	m := &Messenger{
 		env: env, cpu: cpu, fabric: fabric, registry: registry,
 		cfg: cfg.withDefaults(), name: name, node: node,
-		conns: make(map[string]*conn),
+		conns:  make(map[string]*conn),
+		frames: sim.Local[sim.FreeList[frame]](env),
 	}
 	for i := 0; i < m.cfg.Workers; i++ {
 		w := &worker{
 			m:  m,
 			th: sim.NewThread(fmt.Sprintf("msgr-worker-%d@%s", i, name), ThreadCat),
-			q:  sim.NewQueue[workItem](env),
+			q:  sim.NewQueue[*frame](env),
 		}
 		m.workers = append(m.workers, w)
 		w.done = w.q.ServeTask(w.th.Name, w.serve)
@@ -333,6 +337,10 @@ func (m *Messenger) Node() string { return m.node }
 
 // Stats returns a copy of the traffic counters.
 func (m *Messenger) Stats() Stats { return m.stats }
+
+// Quiescent reports the frames of the messenger's Env not back on its free
+// list: messages between their Send and the end of their receiver's turn.
+func (m *Messenger) Quiescent() error { return m.frames.AllBack("messenger frames") }
 
 // SetDispatcher installs the message handler. It must be set before any
 // peer sends to this messenger.
@@ -371,7 +379,13 @@ func (m *Messenger) Send(dst string, msg cephmsg.Message) {
 		}
 	}
 	c := m.connTo(dst)
-	f := m.makeFrame(msg)
+	f := m.frames.Get()
+	f.peer, f.msg, f.bytes = dst, msg, EnvelopeBytes+msg.PayloadBytes()
+	if m.cfg.WireEncode {
+		f.wire = cephmsg.Encode(msg)
+		f.crc = f.wire.CRC32C()
+		f.bytes = EnvelopeBytes + int64(f.wire.Length())
+	}
 	if m.tr.Enabled() {
 		if f.traceCtx = cephmsg.TraceContext(msg); f.traceCtx != 0 {
 			f.span = m.tr.Start(trace.SpanID(f.traceCtx), 0, trace.StageMsgrSend, dst)
@@ -385,18 +399,8 @@ func (m *Messenger) Send(dst string, msg cephmsg.Message) {
 	}
 	ln := c.lanes[f.lane]
 	ln.sendSeq++
-	f.seq = ln.sendSeq
-	ln.worker.q.Push(workItem{peer: dst, frame: f})
-}
-
-func (m *Messenger) makeFrame(msg cephmsg.Message) frame {
-	f := frame{src: m.name, msg: msg, bytes: EnvelopeBytes + msg.PayloadBytes()}
-	if m.cfg.WireEncode {
-		f.wire = cephmsg.Encode(msg)
-		f.crc = f.wire.CRC32C()
-		f.bytes = EnvelopeBytes + int64(f.wire.Length())
-	}
-	return f
+	f.ln, f.seq = ln, ln.sendSeq
+	ln.worker.q.Push(f)
 }
 
 // connTo lazily creates the connection state (owning workers + one wire
@@ -426,7 +430,7 @@ func (m *Messenger) addLane(c *conn) *connLane {
 	lane := len(c.lanes)
 	ln := &connLane{
 		worker: m.workers[(c.base+lane)%len(m.workers)],
-		wireq:  sim.NewQueue[frame](m.env),
+		wireq:  sim.NewQueue[*frame](m.env),
 	}
 	c.lanes = append(c.lanes, ln)
 	name := fmt.Sprintf("wire:%s->%s", m.name, c.peer)
@@ -438,11 +442,11 @@ func (m *Messenger) addLane(c *conn) *connLane {
 	return ln
 }
 
-// wireLane is a lane's wire process as a task chain over its queue: a turn
-// moves one frame over the fabric (Fabric.TransferFrameThen) and delivers it
-// to the peer. A frame the fabric drops resets the session: the lane backs
-// off, reconnects and redelivers that same frame, so the per-lane FIFO order
-// survives the loss.
+// wireLane is a lane's wire process as a task chain over its queue of frames:
+// a turn moves one frame over the fabric (Fabric.TransferFrameThen) and hands
+// the record on to the peer. A frame the fabric drops resets the session: the
+// lane backs off, reconnects and redelivers that same record, so the per-lane
+// FIFO order survives the loss.
 type wireLane struct {
 	m, peer *Messenger
 	name    string
@@ -450,7 +454,7 @@ type wireLane struct {
 	// frame, step what its next step does, delivered whether the transfer
 	// under way arrives, and backoff the next reset's.
 	done      sim.Task
-	f         frame
+	f         *frame
 	step      wireStep
 	delivered bool
 	backoff   sim.Duration
@@ -466,7 +470,7 @@ const (
 )
 
 // serve starts a turn on f, the served identity's body.
-func (w *wireLane) serve(f frame) {
+func (w *wireLane) serve(f *frame) {
 	if f.span != 0 {
 		w.m.tr.AddQueueWait(f.span, w.m.env.Now().Sub(f.enq))
 	}
@@ -493,8 +497,8 @@ func (w *wireLane) Run() {
 					m.tr.Finish(f.span)
 					f.span = 0
 				}
-				w.f = frame{}
-				w.peer.deliver(f)
+				w.f = nil
+				w.peer.deliver(m, f)
 				w.done.Run() // the next turn may begin in here: touch nothing after
 				return
 			}
@@ -516,26 +520,30 @@ func (w *wireLane) Run() {
 // String names the wire lane in deadlock reports.
 func (w *wireLane) String() string { return w.name }
 
-// deliver hands an arrived frame to the owning worker of the reverse
-// connection's lane, enforcing the per-lane sequence invariant. A peer
-// running more lanes than we do grows our side on demand, so asymmetric
-// lane configurations interoperate.
-func (m *Messenger) deliver(f frame) {
-	c := m.connTo(f.src)
+// deliver hands an arrived frame from from to the owning worker of the reverse
+// connection's lane, enforcing the per-lane sequence invariant. A peer running
+// more lanes than we do grows our side on demand, so asymmetric lane
+// configurations interoperate. A frame from another Env panics.
+func (m *Messenger) deliver(from *Messenger, f *frame) {
+	if from.env != m.env {
+		panic(fmt.Sprintf("messenger %s: frame from %s crosses partitions (they meet over sim.XLink)", m.name, from.name))
+	}
+	f.peer, f.recv = from.name, true
+	c := m.connTo(f.peer)
 	for f.lane >= len(c.lanes) {
 		m.addLane(c)
 	}
 	ln := c.lanes[f.lane]
 	if f.seq != ln.recvSeq+1 {
 		panic(fmt.Sprintf("messenger %s: frame from %s out of order: lane %d seq %d after %d",
-			m.name, f.src, f.lane, f.seq, ln.recvSeq))
+			m.name, f.peer, f.lane, f.seq, ln.recvSeq))
 	}
 	ln.recvSeq = f.seq
 	if m.tr.Enabled() && f.traceCtx != 0 {
 		f.span = m.tr.Start(trace.SpanID(f.traceCtx), 0, trace.StageMsgrRecv, m.name)
 		f.enq = m.env.Now()
 	}
-	ln.worker.q.Push(workItem{recv: true, peer: f.src, frame: f})
+	ln.worker.q.Push(f)
 }
 
 // The socket model under a worker's per-message charges.
@@ -554,16 +562,15 @@ const (
 	bytesPerSwitch int64 = 288 << 10
 )
 
-// serve starts a turn on it, the served identity's body: the send-side encode
+// serve starts a turn on f, the served identity's body: the send-side encode
 // + TCP costs before the frame goes to the wire, or the receive-side TCP +
 // decode + dispatch costs after a frame arrived, as one burst.
-func (w *worker) serve(it workItem) {
+func (w *worker) serve(f *frame) {
 	m := w.m
-	w.it = it
-	f := &w.it.frame
+	w.f = f
 	segments := (f.bytes + tcpSegmentBytes - 1) / tcpSegmentBytes
 	var cycles int64
-	if it.recv {
+	if f.recv {
 		if f.span != 0 {
 			m.tr.AddQueueWait(f.span, m.env.Now().Sub(f.enq))
 		}
@@ -588,8 +595,7 @@ func (w *worker) serve(it workItem) {
 
 // Run is the worker's next step.
 func (w *worker) Run() {
-	m := w.m
-	f := &w.it.frame
+	m, f := w.m, w.f
 	for {
 		switch w.step {
 		case workSent:
@@ -599,13 +605,13 @@ func (w *worker) Run() {
 				// Hand the frame to the wire stage under a fresh span covering
 				// the outbound queue plus fabric occupancy (including any
 				// session-reset redeliveries).
-				f.span = m.tr.Start(trace.SpanID(f.traceCtx), 0, trace.StageWire, w.it.peer)
+				f.span = m.tr.Start(trace.SpanID(f.traceCtx), 0, trace.StageWire, f.peer)
 				f.enq = m.env.Now()
 			}
 			m.cpu.NoteSwitches(w.th, switchesPerSend+f.bytes/bytesPerSwitch)
 			m.stats.Sent++
 			m.stats.BytesSent += f.bytes
-			m.conns[w.it.peer].lanes[f.lane].wireq.Push(*f)
+			f.ln.wireq.Push(f)
 			w.end()
 			return
 		case workReceived:
@@ -633,6 +639,7 @@ func (w *worker) Run() {
 				// pooled header scratch can go back.
 				wire.PutBuffer(f.wire.FirstSegment())
 			}
+			m.frames.Put(f)
 			w.end()
 			return
 		}
@@ -641,11 +648,10 @@ func (w *worker) Run() {
 
 // receive accounts an arrived frame's burst, checks and decodes it, and hands
 // the message to the stream layer or the dispatcher. A dispatched message
-// whose record belongs to this Env is released as the turn ends; one from
-// another partition, or the decoded copy of a WireEncode frame, is not.
+// whose sender recycles its record is released as the turn ends; the decoded
+// copy of a WireEncode frame has no record.
 func (w *worker) receive() {
-	m, peer := w.m, w.it.peer
-	f := &w.it.frame
+	m, f := w.m, w.f
 	m.tr.AddCPU(f.span, m.cpu.Name(), w.busy)
 	m.cpu.NoteSwitches(w.th, switchesPerRecv+f.bytes/bytesPerSwitch)
 	m.stats.Received++
@@ -654,11 +660,11 @@ func (w *worker) receive() {
 	if f.wire != nil {
 		if got := f.wire.CRC32C(); got != f.crc {
 			panic(fmt.Sprintf("messenger %s: frame from %s CRC mismatch: %#x != %#x",
-				m.name, peer, got, f.crc))
+				m.name, f.peer, got, f.crc))
 		}
 		decoded, err := cephmsg.Decode(f.wire)
 		if err != nil {
-			panic(fmt.Sprintf("messenger %s: corrupt frame from %s: %v", m.name, peer, err))
+			panic(fmt.Sprintf("messenger %s: corrupt frame from %s: %v", m.name, f.peer, err))
 		}
 		msg = decoded
 	}
@@ -666,12 +672,12 @@ func (w *worker) receive() {
 	// messages (including reassembled stream payloads dispatched from
 	// handleStream) need a dispatcher.
 	m.dispatching = w
-	if !m.handleStream(peer, msg) {
+	if !m.handleStream(f.peer, msg) {
 		if m.dispatch == nil {
-			panic(fmt.Sprintf("messenger %s: message from %s with no dispatcher", m.name, peer))
+			panic(fmt.Sprintf("messenger %s: message from %s with no dispatcher", m.name, f.peer))
 		}
-		m.dispatch(nil, peer, msg)
-		if o := cephmsg.OwnerOf(msg); o != nil && o.Env() == m.env {
+		m.dispatch(nil, f.peer, msg)
+		if o := cephmsg.OwnerOf(msg); o != nil {
 			w.owner = o
 		}
 	}
@@ -680,7 +686,7 @@ func (w *worker) receive() {
 
 // end closes the turn and lets the identity take the next item.
 func (w *worker) end() {
-	w.it = workItem{}
+	w.f = nil
 	w.done.Run() // the next turn may begin in here: touch nothing after
 }
 

@@ -2,6 +2,7 @@ package messenger
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"doceph/internal/cephmsg"
@@ -475,4 +476,134 @@ func TestLaneKeyGroupsByOrderingDomain(t *testing.T) {
 	if _, ok := cephmsg.LaneKey(&cephmsg.MOSDMap{}); ok {
 		t.Fatal("MOSDMap reported a lane key")
 	}
+}
+
+// TestFramesRecycled: a message is one frame record from its Send to the end
+// of its receiver's turn — the item of the sending worker's queue, the lane's
+// wire queue and the receiving worker's queue — and goes back to the
+// partition's free list once the dispatcher is done. Once the lists, queues
+// and the kernel's pools have their size, a ping-pong round trip allocates
+// nothing, over plain frames, over four lanes (four pings in flight, one per
+// object) and through a session reset's redelivery of the same record; under
+// WireEncode it allocates what the codec does and no more. After a drain every
+// frame made is back on the list, the zero value. A frame put back before its
+// receiver is done hands the next step a zeroed record.
+func TestFramesRecycled(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		cfg   Config
+		pings int
+		reset bool
+	}{
+		{"plain", Config{}, 1, false},
+		{"wire-encode", Config{WireEncode: true}, 1, false},
+		{"lanes", Config{Lanes: 4}, 4, false},
+		{"session-reset", Config{ReconnectBackoff: sim.Millisecond}, 1, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRig(c.cfg)
+			defer r.env.Shutdown()
+			ops := make([]*cephmsg.MOSDOp, c.pings)
+			replies := make([]*cephmsg.MOSDOpReply, c.pings)
+			for i := range ops {
+				obj := fmt.Sprintf("obj-%d", i)
+				ops[i] = &cephmsg.MOSDOp{Tid: uint64(i), Object: obj, Op: cephmsg.OpWrite, Data: wire.FromBytes(make([]byte, 4096))}
+				replies[i] = &cephmsg.MOSDOpReply{Tid: uint64(i), Object: obj, Op: cephmsg.OpWrite}
+			}
+			pongs := 0
+			r.b.SetDispatcher(func(_ *sim.Proc, src string, m cephmsg.Message) {
+				r.b.Send(src, replies[m.(*cephmsg.MOSDOp).Tid])
+			})
+			r.a.SetDispatcher(func(_ *sim.Proc, _ string, m cephmsg.Message) {
+				if m.(*cephmsg.MOSDOpReply).Tid < uint64(c.pings) {
+					pongs++
+				}
+			})
+			run := func(d sim.Duration) {
+				if err := r.env.RunUntil(r.env.Now().Add(d)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			round := func() {
+				if c.reset {
+					r.fabric.SetDropProb("nodeB", 1.0)
+				}
+				for _, op := range ops {
+					r.a.Send("ent.b", op)
+				}
+				if c.reset {
+					run(10 * sim.Millisecond)
+					r.fabric.SetDropProb("nodeB", 0)
+				}
+				run(20 * sim.Millisecond)
+			}
+			for range 10 {
+				round()
+			}
+			var want float64
+			if c.cfg.WireEncode {
+				// The codec's own: the encoding of the ping and the pong, and
+				// the decoded copy of each.
+				want = testing.AllocsPerRun(100, func() {
+					for _, m := range []cephmsg.Message{ops[0], replies[0]} {
+						bl := cephmsg.Encode(m)
+						if _, err := cephmsg.Decode(bl); err != nil {
+							t.Fatal(err)
+						}
+						wire.PutBuffer(bl.FirstSegment())
+					}
+				})
+			}
+			allocs := testing.AllocsPerRun(100, round)
+			t.Logf("%.1f allocations per round trip, the codec %.1f", allocs, want)
+			if allocs != want {
+				t.Errorf("%.1f allocations per steady-state round trip, want %.0f", allocs, want)
+			}
+			if pongs != 111*c.pings {
+				t.Fatalf("%d pongs, want %d", pongs, 111*c.pings)
+			}
+			if c.reset && r.a.Stats().Redeliveries < 111 {
+				t.Fatalf("%d redeliveries over 111 rounds with a session reset each", r.a.Stats().Redeliveries)
+			}
+			run(sim.Second)
+			if err := r.a.Quiescent(); err != nil {
+				t.Fatal(err)
+			}
+			l := r.a.frames
+			made := l.Made()
+			t.Logf("%d frames made", made)
+			if made == 0 || made > 2*c.pings {
+				t.Fatalf("%d frames made for %d pings in flight, want at most %d", made, c.pings, 2*c.pings)
+			}
+			for range made {
+				if f := l.Get(); *f != (frame{}) {
+					t.Fatalf("a listed frame holds %+v", *f)
+				}
+			}
+		})
+	}
+}
+
+// TestFrameAcrossPartitionsPanics: a frame is a record of its sender's
+// partition, so two messengers of different Envs cannot exchange one — the
+// delivery panics, naming both — and meet only over a sim.XLink.
+func TestFrameAcrossPartitionsPanics(t *testing.T) {
+	envA, envB := sim.NewEnv(1), sim.NewEnv(2)
+	defer envA.Shutdown()
+	defer envB.Shutdown()
+	fabric := sim.NewFabric(envA, "eth", 5*sim.Microsecond)
+	fabric.AddNode("nodeA", 12.5e9)
+	fabric.AddNode("nodeB", 12.5e9)
+	reg := NewRegistry()
+	a := New(envA, reg, fabric, sim.NewCPU(envA, "cpuA", 8, 3.0, 2000), "ent.a", "nodeA", Config{})
+	New(envB, reg, fabric, sim.NewCPU(envB, "cpuB", 8, 3.0, 2000), "ent.b", "nodeB", Config{})
+	a.Send("ent.b", &cephmsg.MPing{Src: "ent.a"})
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "messenger ent.b: frame from ent.a crosses partitions") {
+			t.Fatalf("panic %q, want the cross-partition delivery named", msg)
+		}
+	}()
+	envA.RunUntil(sim.Time(sim.Second))
+	t.Fatal("a frame crossed partitions")
 }

@@ -317,9 +317,6 @@ type repApply struct {
 	reply        cephmsg.MRepOpReply
 }
 
-// Env is the Env ra's pools belong to (cephmsg.Owner).
-func (ra *repApply) Env() *sim.Env { return ra.o.env }
-
 // Release puts ra back once the primary's messenger has dispatched its ack.
 func (ra *repApply) Release() { ra.o.pools.applies.Put(ra) }
 
@@ -329,9 +326,6 @@ type opReply struct {
 	o     *OSD
 	reply cephmsg.MOSDOpReply
 }
-
-// Env is the Env r's pools belong to (cephmsg.Owner).
-func (r *opReply) Env() *sim.Env { return r.o.env }
 
 // Release puts r back once the client's messenger has dispatched it.
 func (r *opReply) Release() { r.o.pools.replies.Put(r) }

@@ -32,8 +32,6 @@ type recycledReply struct {
 	reply cephmsg.MOSDOpReply
 }
 
-func (r *recycledReply) Env() *sim.Env { return r.f.env }
-
 func (r *recycledReply) Release() {
 	r.reply = cephmsg.MOSDOpReply{}
 	r.f.released++

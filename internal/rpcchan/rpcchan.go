@@ -71,7 +71,7 @@ type Endpoint struct {
 	cfg Config
 
 	peer *Endpoint
-	inq  *sim.Queue[envelope]
+	inq  *sim.Queue[*envelope]
 	srv  server
 	// envs is the partition's free list of envelopes (sim.Local), shared by
 	// its endpoints.
@@ -93,8 +93,8 @@ type Endpoint struct {
 // sender's CPU burst, and a response's also the task its sending starts on.
 // Its size is computed from the payload, which nothing changes in flight;
 // that keeps the envelope, sent included, in the 64-byte size class. It is a
-// record from the partition's free list, put back as it is delivered: the
-// peer's input queue takes a copy.
+// record from the partition's free list and, by pointer, the item of the peer's
+// input queue; the peer's server puts it back as its turn on the message ends.
 type envelope struct {
 	to      *Endpoint
 	payload *wire.Bufferlist
@@ -140,7 +140,7 @@ func (env *envelope) Run() {
 		arrival := from.book(env)
 		if !env.req {
 			if d := arrival.Sub(from.env.Now()); d <= 0 || !from.env.WaitThen(d, env) {
-				env.deliver()
+				env.to.inq.Push(env)
 			}
 			return
 		}
@@ -157,16 +157,8 @@ func (env *envelope) Run() {
 			r.then.Run()
 		}
 	case envDeliver:
-		env.deliver()
+		env.to.inq.Push(env)
 	}
-}
-
-// deliver pushes a copy of env into the peer's input queue and puts env back:
-// nothing reads it after.
-func (env *envelope) deliver() {
-	to := env.to
-	to.inq.Push(*env)
-	to.envs.Put(env)
 }
 
 // envelopes is a partition's free list of envelopes.
@@ -222,7 +214,7 @@ func New(env *sim.Env, nameA string, cpuA *sim.CPU, thA *sim.Thread,
 func newEndpoint(env *sim.Env, name string, cpu *sim.CPU, th *sim.Thread, cfg Config) *Endpoint {
 	e := &Endpoint{
 		env: env, name: name, cpu: cpu, th: th, cfg: cfg,
-		inq:     sim.NewQueue[envelope](env),
+		inq:     sim.NewQueue[*envelope](env),
 		pending: make(map[uint64]*Reply),
 		envs:    sim.Local[envelopes](env),
 	}
@@ -329,7 +321,7 @@ type server struct {
 	// message of the turn under way, step what its next step does, charge
 	// the handler's pending Charge and busy the time its burst charged.
 	done   sim.Task
-	env    envelope
+	env    *envelope
 	step   serveStep
 	charge charge
 	busy   sim.Duration
@@ -368,9 +360,9 @@ func (e *Endpoint) Charge(cycles int64, then func(busy sim.Duration)) {
 }
 
 // serve starts a turn on env, the served identity's body.
-func (s *server) serve(env envelope) {
+func (s *server) serve(env *envelope) {
 	s.env, s.step = env, serveReceived
-	if !s.e.cpu.ExecThen(s.e.th, msgCycles(&env), nil, s) {
+	if !s.e.cpu.ExecThen(s.e.th, msgCycles(env), nil, s) {
 		s.Run()
 	}
 }
@@ -404,7 +396,7 @@ func (s *server) Run() {
 // dispatch accounts the received message and hands a request to its handler,
 // or files a response for its call.
 func (s *server) dispatch() {
-	e, env := s.e, &s.env
+	e, env := s.e, s.env
 	e.cpu.NoteSwitches(e.th, switchesPerMsg)
 	e.stats.BytesRecv += env.size()
 	if !env.req {
@@ -445,12 +437,14 @@ func (s *server) dispatch() {
 	})
 }
 
-// end finishes the turn — a notification the handler took is consumed — and
-// hands the identity back; nothing of s may be touched after it, as the next
-// turn may already have begun.
+// end finishes the turn — the envelope goes back to the free list and a
+// notification the handler took is consumed — and hands the identity back;
+// nothing of s may be touched after it, as the next turn may already have
+// begun.
 func (s *server) end() {
 	consumed := s.env.consumed
-	s.env, s.step = envelope{}, serveIdle
+	s.e.envs.Put(s.env)
+	s.env, s.step = nil, serveIdle
 	if consumed != nil {
 		consumed.Run()
 	}

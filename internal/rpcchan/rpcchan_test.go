@@ -419,11 +419,53 @@ func TestChargeHoldsTheServer(t *testing.T) {
 	r.host.Charge(cycles, func(sim.Duration) {})
 }
 
+// TestChargeThenReadsItsRequest: a handler's Charge continuation, run after
+// the charge's burst, still reads the request it was handed — payload and
+// request id — while the calls behind it wait in the input queue and their
+// envelopes come and go on the free list. The envelope of the message being
+// handled is the server's until its turn ends; one put back as it is
+// delivered hands the server a zeroed record, and no handler runs.
+func TestChargeThenReadsItsRequest(t *testing.T) {
+	r := newRPCRig(Config{})
+	ids := map[uint64]string{}
+	r.host.Handle(1, func(req Request, respond func(*wire.Bufferlist, uint16)) {
+		ids[req.ReqID] = string(req.Payload.Bytes())
+		r.host.Charge(37_000, func(sim.Duration) {
+			if got := string(req.Payload.Bytes()); got != ids[req.ReqID] {
+				t.Errorf("request %d reads %q after its charge, was %q", req.ReqID, got, ids[req.ReqID])
+			}
+			respond(wire.FromBytes([]byte(fmt.Sprintf("%d:%s", req.ReqID, req.Payload.Bytes()))), 0)
+		})
+	})
+	got := map[string]string{}
+	for _, msg := range []string{"a", "b", "c"} {
+		r.env.Spawn("call", func(p *sim.Proc) {
+			p.SetThread(sim.NewThread("c", "proxy"))
+			resp, err := call(p, r.dpu, 1, wire.FromBytes([]byte(msg)))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[msg] = string(resp.Bytes())
+		})
+	}
+	if err := r.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	r.env.Shutdown()
+	if len(ids) != 3 || got["a"] != "1:a" || got["b"] != "2:b" || got["c"] != "3:c" {
+		t.Fatalf("handled %v, responses %v: want requests 1, 2 and 3 echoed by their own continuations", ids, got)
+	}
+	if err := r.dpu.Quiescent(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestNotifyTaskRecyclesEnvelope: once the free lists, queues and the
 // kernel's pools have their size, a NotifyTask — the sender's burst, the
 // booking, the delivery into the peer's queue, the handler and the consumed
-// task — allocates nothing: the envelope goes back as it is delivered. Every
-// envelope made is back once the channel is idle.
+// task — allocates nothing: the envelope goes back as the peer's server ends
+// its turn on it. Every envelope made is back once the channel is idle.
 func TestNotifyTaskRecyclesEnvelope(t *testing.T) {
 	r := newRPCRig(Config{})
 	defer r.env.Shutdown()
