@@ -48,14 +48,16 @@ test:
 # puts back once the reply is dispatched (TestOpRecordsRecycled,
 # TestReplyZeroedAfterDispatch), each put back as its last reader is done and
 # handed to the next caller — and, on the partitioned kernel, that none of
-# them goes back to a free list of another partition (the scale-out line).
-# CI's race step runs all nine lines.
+# them goes back to a free list of another partition (the scale-out line) —
+# and the object index's collision chains (TestIndex) and the fabric's
+# resolved links (TestLink, TestAddNodeTwice). CI's "Test (race)" step runs
+# this target.
 test-race:
 	go test -race ./...
-	go test -race -count=10 -run 'TestGroup|TestShutdown|TestProcPanic|TestTask|TestChainServers|TestNowQueue|TestServe|TestWaitInPlace|TestSleeperParked|TestHandoff|TestQueued|TestDeadline|TestAwaitingProcCountsOnce|FuzzEventQueue' ./internal/sim
+	go test -race -count=10 -run 'TestGroup|TestShutdown|TestProcPanic|TestTask|TestChainServers|TestNowQueue|TestServe|TestWaitInPlace|TestSleeperParked|TestHandoff|TestQueued|TestDeadline|TestAwaitingProcCountsOnce|FuzzEventQueue|TestLink|TestAddNodeTwice' ./internal/sim
 	go test -race -count=10 -run 'TestRecycled|TestReadReturnDMAError|TestShipmentPaths|TestBatchPaths|TestReadPaths|TestNotifyFrames|TestBatchFrameDecodes' ./internal/core
 	go test -race -count=10 -run 'TestFaultPaths|TestMonitorFailureReport|TestOpWorkerPaths|TestStoreError|TestStreamChunks|TestOpRecordsRecycled' ./internal/osd
-	go test -race -count=10 -run 'TestTxcRecycled|TestTaskForms' ./internal/bluestore
+	go test -race -count=10 -run 'TestTxcRecycled|TestTaskForms|TestIndex' ./internal/bluestore
 	go test -race -count=10 -run 'TestNotify|TestChargeThenReadsItsRequest' ./internal/rpcchan
 	go test -race -count=10 -run 'TestFramesRecycled|TestSessionReset|TestLanes' ./internal/messenger
 	go test -race -count=10 -run 'TestClientOp|TestReplyZeroedAfterDispatch' ./internal/rados

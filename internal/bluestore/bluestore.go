@@ -147,11 +147,11 @@ type Store struct {
 	tr    *trace.Tracer
 }
 
-type collection struct {
-	objects map[string]*onode
-}
-
 type onode struct {
+	// name is the object's name and next the object after it in its
+	// collection's chain of names whose keys are equal (index.go).
+	name    string
+	next    *onode
 	size    uint64
 	version uint64
 	mtime   sim.Time
@@ -512,7 +512,7 @@ func (s *Store) applyOp(op *objstore.Op) error {
 		if _, dup := s.colls[op.Collection]; dup {
 			return fmt.Errorf("collection %q exists", op.Collection)
 		}
-		s.colls[op.Collection] = &collection{objects: make(map[string]*onode)}
+		s.colls[op.Collection] = &collection{}
 		return nil
 	}
 
@@ -525,26 +525,16 @@ func (s *Store) applyOp(op *objstore.Op) error {
 		o := c.getOrCreate(op.Object)
 		return s.writeExtent(o, op.Offset, op.Data)
 	case objstore.OpRemove:
-		o, ok := c.objects[op.Object]
-		if !ok {
+		o := c.remove(op.Object)
+		if o == nil {
 			return objstore.ErrNotFound
 		}
 		for _, b := range o.blocks {
 			s.alloc.release(b.dev, b.length)
 		}
-		delete(c.objects, op.Object)
 		return nil
 	}
 	return fmt.Errorf("unknown op code %d", op.Code)
-}
-
-func (c *collection) getOrCreate(obj string) *onode {
-	o, ok := c.objects[obj]
-	if !ok {
-		o = newOnode()
-		c.objects[obj] = o
-	}
-	return o
 }
 
 func newOnode() *onode {
@@ -693,10 +683,8 @@ func (s *Store) Names(coll string) ([]string, error) {
 	if !ok {
 		return nil, objstore.ErrNoCollection
 	}
-	names := make([]string, 0, len(c.objects))
-	for n := range c.objects {
-		names = append(names, n)
-	}
+	names := make([]string, 0, c.count)
+	c.each(func(o *onode) { names = append(names, o.name) })
 	sort.Strings(names)
 	return names, nil
 }
@@ -707,8 +695,8 @@ func (s *Store) find(coll, obj string) (*onode, error) {
 	if !ok {
 		return nil, objstore.ErrNoCollection
 	}
-	o, ok := c.objects[obj]
-	if !ok {
+	o := c.get(obj)
+	if o == nil {
 		return nil, objstore.ErrNotFound
 	}
 	return o, nil
@@ -880,11 +868,11 @@ type DataObject struct {
 func (s *Store) DataObjects() []DataObject {
 	var out []DataObject
 	for cname, c := range s.colls {
-		for oname, o := range c.objects {
+		c.each(func(o *onode) {
 			if len(o.extents) > 0 {
-				out = append(out, DataObject{Collection: cname, Object: oname})
+				out = append(out, DataObject{Collection: cname, Object: o.name})
 			}
-		}
+		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Collection != out[j].Collection {
@@ -903,8 +891,8 @@ func (s *Store) CorruptObject(coll, obj string) error {
 	if !ok {
 		return objstore.ErrNoCollection
 	}
-	o, ok := c.objects[obj]
-	if !ok {
+	o := c.get(obj)
+	if o == nil {
 		return objstore.ErrNotFound
 	}
 	if len(o.extents) == 0 {

@@ -463,7 +463,7 @@ func TestAllocatorExhaustion(t *testing.T) {
 
 // TestNewObjectWriteAllocations is the ceiling on what queueing and applying a
 // one-write transaction to a new object, into a Result the caller keeps, may
-// allocate: the onode (its first extent and block inside it); the object map's
+// allocate: the onode (its first extent and block inside it); the object index's
 // growth averages below one, and the transaction context comes from the free
 // list. A txc, extent slice, block slice or metadata key of their own would
 // each show here.
@@ -500,7 +500,7 @@ func TestNewObjectWriteAllocations(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, write); allocs > 1 {
 		t.Fatalf("%.0f allocations per new-object write transaction, want at most 1", allocs)
 	}
-	if n := len(s.colls["c"].objects); n != done-1 || n < 300 {
+	if n := s.colls["c"].count; n != done-1 || n < 300 {
 		t.Fatalf("%d objects after %d transactions", n, done)
 	}
 	env.Shutdown()

@@ -437,19 +437,24 @@ func (m *Messenger) addLane(c *conn) *connLane {
 	if lane > 0 {
 		name = fmt.Sprintf("wire:%s->%s#%d", m.name, c.peer, lane)
 	}
-	w := &wireLane{m: m, peer: m.registry.Lookup(c.peer), name: name}
+	peer := m.registry.Lookup(c.peer)
+	w := &wireLane{m: m, peer: peer, link: m.fabric.Link(m.node, peer.node), name: name}
 	w.done = ln.wireq.ServeTask(name, w.serve)
 	return ln
 }
 
 // wireLane is a lane's wire process as a task chain over its queue of frames:
-// a turn moves one frame over the fabric (Fabric.TransferFrameThen) and hands
+// a turn moves one frame over the fabric (Link.TransferFrameThen) and hands
 // the record on to the peer. A frame the fabric drops resets the session: the
 // lane backs off, reconnects and redelivers that same record, so the per-lane
 // FIFO order survives the loss.
 type wireLane struct {
 	m, peer *Messenger
-	name    string
+	// link is the path to the peer's node, resolved as the lane is made; rev
+	// is the peer's connection back to m, resolved at the first delivery.
+	link sim.Link
+	rev  *conn
+	name string
 	// done is the served identity, run when a turn is over; f is the turn's
 	// frame, step what its next step does, delivered whether the transfer
 	// under way arrives, and backoff the next reset's.
@@ -486,7 +491,7 @@ func (w *wireLane) Run() {
 		case wireSend:
 			w.step = wireArrived
 			var queued bool
-			if _, w.delivered, queued = m.fabric.TransferFrameThen(m.node, w.peer.node, w.f.bytes, w); queued {
+			if _, w.delivered, queued = w.link.TransferFrameThen(w.f.bytes, w); queued {
 				return
 			}
 		case wireArrived:
@@ -498,7 +503,10 @@ func (w *wireLane) Run() {
 					f.span = 0
 				}
 				w.f = nil
-				w.peer.deliver(m, f)
+				if w.rev == nil {
+					w.rev = w.peer.reverse(m)
+				}
+				w.peer.deliver(w.rev, f)
 				w.done.Run() // the next turn may begin in here: touch nothing after
 				return
 			}
@@ -520,16 +528,22 @@ func (w *wireLane) Run() {
 // String names the wire lane in deadlock reports.
 func (w *wireLane) String() string { return w.name }
 
-// deliver hands an arrived frame from from to the owning worker of the reverse
-// connection's lane, enforcing the per-lane sequence invariant. A peer running
-// more lanes than we do grows our side on demand, so asymmetric lane
-// configurations interoperate. A frame from another Env panics.
-func (m *Messenger) deliver(from *Messenger, f *frame) {
+// reverse resolves the connection back to from, over which deliver hands on
+// what from sends: a wire lane calls it once, at its first delivery. A frame
+// from another Env panics.
+func (m *Messenger) reverse(from *Messenger) *conn {
 	if from.env != m.env {
 		panic(fmt.Sprintf("messenger %s: frame from %s crosses partitions (they meet over sim.XLink)", m.name, from.name))
 	}
-	f.peer, f.recv = from.name, true
-	c := m.connTo(f.peer)
+	return m.connTo(from.name)
+}
+
+// deliver hands a frame arrived over c, the connection back to its sender, to
+// the owning worker of the lane, enforcing the per-lane sequence invariant. A
+// peer running more lanes than we do grows our side on demand, so asymmetric
+// lane configurations interoperate.
+func (m *Messenger) deliver(c *conn, f *frame) {
+	f.peer, f.recv = c.peer, true
 	for f.lane >= len(c.lanes) {
 		m.addLane(c)
 	}

@@ -440,18 +440,18 @@ func TestShardedDispatchPreservesSemantics(t *testing.T) {
 }
 
 // writeAllocCeiling is the next integer above what a replicated write of a new
-// object allocates today (2.91: the new object's onode on each side, plus
-// about 0.9 for the collections' object maps growing to hold them). The
+// object allocates today (2.47: the new object's onode on each side, plus
+// about 0.5 for the collections' object indexes growing to hold them). The
 // primary's mutation, the replica's repApply, BlueStore's txcs, the client's
 // call and its request come from free lists. The next record somebody adds to
 // the write path fails here, not in a benchmark.
 const writeAllocCeiling = 3
 
 // writeAllocBytesCeiling is 8 B above what those allocations come to today
-// (381 B per write), less than the 16 B of the smallest size-class step a
+// (328 B per write), less than the 16 B of the smallest size-class step a
 // record could take, so a record that moves up a class fails here even when
 // the count stays. The op records' chain state lives on free lists.
-const writeAllocBytesCeiling = 389
+const writeAllocBytesCeiling = 336
 
 // TestReplicatedWriteAllocationBudget holds one replicated write of a new
 // object — client call, primary commit, one sub-op, replica commit, both acks

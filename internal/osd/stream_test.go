@@ -145,7 +145,7 @@ func TestStreamedSmallWriteBypasses(t *testing.T) {
 }
 
 // streamAllocCeiling is one above what a streamed write of a new 16 MiB
-// object allocates today, rounded up (38.94). Per write: the client's eight
+// object allocates today, rounded up (37.88). Per write: the client's eight
 // chunk views of the payload (8; the primary forwards each chunk it received
 // as it is); the new object's extent and block tables growing three times
 // each on each side (12) and its onode on each side (2); the client's pump and
@@ -156,7 +156,7 @@ func TestStreamedSmallWriteBypasses(t *testing.T) {
 // first blocking Next on each InStream's queue (2); the client's MOSDOp and
 // the stream's copy of it without the data (2); the primary's mutation (1); a
 // credit window's waiter ring (1); and about 0.9 for the collections' object
-// maps growing. BlueStore's txcs and the client's call come from free lists.
+// indexes growing. BlueStore's txcs and the client's call come from free lists.
 // The next record somebody adds to the streamed write fails here, not in a
 // benchmark.
 const streamAllocCeiling = 39

@@ -32,7 +32,7 @@ type chainOp struct {
 // daemon procs popping their queue (Pop, Wait, Exec, Acquire, Event.Wait,
 // writeDisk, Event.WaitTimeout, transferFrame, Cond.Wait, readDisk), once as
 // task chains (ServeTask, Delay, ExecThen, AcquireThen, Event.WaitThen,
-// Disk.WriteThen, Event.WaitTimeoutThen, Fabric.TransferFrameThen,
+// Disk.WriteThen, Event.WaitTimeoutThen, Link.TransferFrameThen,
 // Cond.WaitThen, Disk.ReadThen). A timed wait logs its outcome and a frame
 // whether it arrived.
 type chainProg struct {
@@ -41,8 +41,10 @@ type chainProg struct {
 	sem    *Semaphore
 	disk   *Disk
 	fabric *Fabric
-	evs    []*Event
-	conds  [2]Cond
+	// out and back are the fabric's two directions, srv to rival and back.
+	out, back Link
+	evs       []*Event
+	conds     [2]Cond
 	// firedAt is when each event fired.
 	firedAt []Time
 	queues  []*Queue[int]
@@ -112,7 +114,7 @@ func (pg *chainProg) procBody(p *Proc, item int) {
 		case 6:
 			outcome = fmt.Sprint(":fired=", pg.evs[op.ev].WaitTimeout(p, op.d))
 		case 7:
-			outcome = fmt.Sprint(":delivered=", transferFrame(p, pg.fabric, "srv", "rival", op.cycles))
+			outcome = fmt.Sprint(":delivered=", transferFrame(p, pg.out, op.cycles))
 		case 8:
 			pg.conds[op.ev%2].Wait(p)
 		case 9:
@@ -212,7 +214,7 @@ func (c *chainServer) Run() {
 				pg.queuedTimed++
 			}
 		case 7:
-			if _, c.delivered, c.waiting = pg.fabric.TransferFrameThen("srv", "rival", op.cycles, c); c.waiting {
+			if _, c.delivered, c.waiting = pg.out.TransferFrameThen(op.cycles, c); c.waiting {
 				pg.queuedFrames++
 			}
 		case 8:
@@ -252,6 +254,7 @@ func chainProgram(t *testing.T, seed int64, form int, heapOnly bool) (pg *chainP
 	pg.fabric.AddNode("srv", 1e9)
 	pg.fabric.AddNode("rival", 1e9)
 	pg.fabric.SetDropProb("rival", 0.3)
+	pg.out, pg.back = pg.fabric.Link("srv", "rival"), pg.fabric.Link("rival", "srv")
 	for range 8 {
 		pg.evs = append(pg.evs, NewEvent())
 	}
@@ -337,7 +340,7 @@ func chainProgram(t *testing.T, seed int64, form int, heapOnly bool) (pg *chainP
 				case 2:
 					writeDisk(p, pg.disk, 3000)
 					readDisk(p, pg.disk, 1000)
-					arrive, _ := pg.fabric.book("rival", "srv", 2000, false) // lossless
+					arrive, _ := pg.back.book(2000, false) // lossless
 					p.WaitUntil(arrive)
 				}
 				if k%2 == i {
@@ -395,11 +398,11 @@ func readDisk(p *Proc, d *Disk, bytes int64) {
 	p.WaitUntil(at)
 }
 
-// transferFrame is the proc form of Fabric.TransferFrameThen, the oracle: the
+// transferFrame is the proc form of Link.TransferFrameThen, the oracle: the
 // frame is booked and its loss drawn, and p waits until its arrival instant.
 // It reports whether the frame was delivered.
-func transferFrame(p *Proc, f *Fabric, src, dst string, bytes int64) bool {
-	arrive, delivered := f.book(src, dst, bytes, true)
+func transferFrame(p *Proc, l Link, bytes int64) bool {
+	arrive, delivered := l.book(bytes, true)
 	p.WaitUntil(arrive)
 	return delivered
 }
@@ -409,7 +412,7 @@ func transferFrame(p *Proc, f *Fabric, src, dst string, bytes int64) bool {
 // a daemon proc popping its queue — Delay for Wait, ExecThen for Exec,
 // AcquireThen for Acquire, Event.WaitThen for Event.Wait, Disk.WriteThen for a
 // blocking write, Event.WaitTimeoutThen for Event.WaitTimeout (whose outcome
-// the continuation reads from Fired), Fabric.TransferFrameThen for a blocking
+// the continuation reads from Fired), Link.TransferFrameThen for a blocking
 // frame, Cond.WaitThen for Cond.Wait, Disk.ReadThen for a disk read,
 // ServeTask for the daemon's Pop loop — changes nothing in the (t, seq,
 // owner, outcome) log and takes exactly the daemons' start events out of the

@@ -16,7 +16,7 @@
 // inline when its wakeup fires. A server whose waits all have a task form
 // (Env.Delay, Env.WaitThen, CPU.ExecThen, Semaphore.AcquireThen,
 // Event.WaitThen, Event.WaitTimeoutThen, Disk.ReadThen, Disk.WriteThen,
-// Fabric.TransferFrameThen, Queue.ServeTask) is a chain of Task steps, with
+// Link.TransferFrameThen, Queue.ServeTask) is a chain of Task steps, with
 // the events and event order of its proc form. A Proc makes a call through
 // its task form by passing itself as the continuation (Proc.Suspend).
 //

@@ -44,8 +44,12 @@ func NewFabric(env *Env, name string, latency Duration) *Fabric {
 }
 
 // AddNode attaches a node with a NIC of the given line rate (bytes/second).
-// Adding the same node twice replaces its NIC.
+// A node is attached once: adding it again panics, since every Link resolved
+// to its NIC would go on booking the one no longer attached.
 func (f *Fabric) AddNode(node string, bytesPerSec float64) {
+	if f.HasNode(node) {
+		panic(fmt.Sprintf("sim: fabric %q: node %q attached twice", f.name, node))
+	}
 	f.nodes[node] = &nic{bytesPerSec: bytesPerSec}
 }
 
@@ -112,31 +116,44 @@ func (n *nic) effectiveRate() float64 {
 	return n.bytesPerSec
 }
 
-// TransferFrameThen moves a frame of bytes from src to dst under the fault
-// model; it panics if either endpoint is unknown (wiring bug). The frame
-// occupies the NICs even when lost (a lost frame burns wire time before the
-// loss is detected); delivered reports whether it actually arrived.
-// Drops come from the per-node drop probability (evaluated on the env's
-// seeded random stream) and from partition groups, so runs are reproducible.
-// The frame books the NICs and its loss is drawn now, and t runs at the
-// arrival instant, reached as WaitUntil reaches it (Env.WaitThen). It returns
-// the arrival, whether the frame was delivered and whether t was registered;
-// if not — the arrival is not after now, so nothing is scheduled, or it fired
-// in place — the caller goes on at once.
-func (f *Fabric) TransferFrameThen(src, dst string, bytes int64, t Task) (arrive Time, delivered, queued bool) {
-	arrive, delivered = f.book(src, dst, bytes, true)
+// Link is the path from one node to another with both NICs resolved, so a
+// transfer looks no name up; holders keep it by value. The fault state lives
+// on the NICs, so a fault set after the Link was made applies to it.
+type Link struct {
+	f        *Fabric
+	src, dst *nic
+}
+
+// Link resolves the path from src to dst; it panics if either endpoint is
+// unknown (wiring bug).
+func (f *Fabric) Link(src, dst string) Link {
+	return Link{f: f, src: f.mustNode("src", src), dst: f.mustNode("dst", dst)}
+}
+
+// TransferFrameThen moves a frame of bytes over the link under the fault
+// model. The frame occupies the NICs even when lost (a lost frame burns wire
+// time before the loss is detected); delivered reports whether it actually
+// arrived. Drops come from the per-node drop probability (evaluated on the
+// env's seeded random stream) and from partition groups, so runs are
+// reproducible. The frame books the NICs and its loss is drawn now, and t runs
+// at the arrival instant, reached as WaitUntil reaches it (Env.WaitThen). It
+// returns the arrival, whether the frame was delivered and whether t was
+// registered; if not — the arrival is not after now, so nothing is scheduled,
+// or it fired in place — the caller goes on at once.
+func (l Link) TransferFrameThen(bytes int64, t Task) (arrive Time, delivered, queued bool) {
+	f := l.f
+	arrive, delivered = l.book(bytes, true)
 	if arrive <= f.env.now {
 		return arrive, delivered, false
 	}
 	return arrive, delivered, f.env.WaitThen(arrive.Sub(f.env.now), t)
 }
 
-// book occupies both NICs for a transfer of bytes and returns its arrival
-// instant; under the fault model (faulty) it also draws whether the frame is
-// lost.
-func (f *Fabric) book(src, dst string, bytes int64, faulty bool) (Time, bool) {
-	s := f.mustNode("src", src)
-	d := f.mustNode("dst", dst)
+// book occupies the link's two NICs for a transfer of bytes and returns its
+// arrival instant; under the fault model (faulty) it also draws whether the
+// frame is lost.
+func (l Link) book(bytes int64, faulty bool) (Time, bool) {
+	f, s, d := l.f, l.src, l.dst
 	bw := s.effectiveRate()
 	if r := d.effectiveRate(); r < bw {
 		bw = r

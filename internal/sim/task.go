@@ -20,7 +20,7 @@ import "fmt"
 // Event.Wait, Event.WaitTimeoutThen for Event.WaitTimeout, Cond.WaitThen for
 // Cond.Wait, CPU.ExecThen for Exec, Semaphore.AcquireThen for Acquire,
 // Disk.ReadThen and Disk.WriteThen for a disk read or write,
-// Fabric.TransferFrameThen for a frame under the fault model, and a ServeTask
+// Link.TransferFrameThen for a frame under the fault model, and a ServeTask
 // identity for a daemon popping one queue.
 // Each draws its sequence number where the proc form parks or fires in place
 // and has no registration entry, so a chain of steps fires its proc form's
