@@ -16,42 +16,11 @@ fmt:
 test:
 	go test ./...
 
-# One goroutine runs at a time per cluster by design; the race run guards
-# the places control changes goroutines: every coroutine switch between the
-# kernel and a proc, tasks run inline by whichever of them holds control
-# (queued as themselves or on a token, and dropped by Shutdown at any point
-# of a seeded program), timed waits through each outcome of their deadline, a
-# proc suspended on a task form — every blocking call of a proc is one —
-# resumed by the chain that ends it (and unwound by Shutdown when it never
-# ends, counted once in LiveProcs and deadlock reports until then), a
-# coroutine running several procs' bodies in a row, and Group workers
-# resuming the same partition's procs — and draining its now-queue, which the
-# barrier filled — from different goroutines in successive windows (repeated,
-# since which worker picks up which partition varies from run to run) — and
-# the crossing records the per-partition free lists hand out and take back
-# on both sides of the bridge, the transaction shipments whose fallback
-# paths take them out of order, the batched-frame path's chains on their
-# fallback, probe, flush and backpressure paths with the control plane's
-# server, the read path's chains on every way a read goes (cooldown, probe,
-# DMA errors, staging waits), the OSD finishers' fault paths (replica
-# watchdog, map-change drop, session resets) with their free list, the op
-# workers on every kind of item, the stream ingest's chunk tables past their
-# first, BlueStore's txcs (TestTxcRecycled) and call records (TestTaskForms),
-# the control plane's envelopes, put back as the server's turn on them ends
-# (TestNotify, TestChargeThenReadsItsRequest), the messengers' frames, each
-# one record from Send to the end of its receiver's turn, through lanes and
-# session resets (TestFramesRecycled, TestSessionReset, TestLanes), the
-# coalesced commit notifications' frames and the host's batch-entry table
-# (TestNotifyFrames, TestBatchFrameDecodes), the client's requests
-# (TestClientOp) and the OSD's
-# mutations, replica applies and op replies, which the receiving messenger
-# puts back once the reply is dispatched (TestOpRecordsRecycled,
-# TestReplyZeroedAfterDispatch), each put back as its last reader is done and
-# handed to the next caller — and, on the partitioned kernel, that none of
-# them goes back to a free list of another partition (the scale-out line) —
-# and the object index's collision chains (TestIndex) and the fabric's
-# resolved links (TestLink, TestAddNodeTwice). CI's "Test (race)" step runs
-# this target.
+# The whole tree once under the race detector, then, repeated, the tests
+# whose outcome depends on what varies from run to run: which worker resumes
+# which partition's coroutines, which procs a coroutine runs in a row, and
+# which records the free lists hand out and take back. A new such test joins
+# a selection here; CI's "Test (race)" step runs this target.
 test-race:
 	go test -race ./...
 	go test -race -count=10 -run 'TestGroup|TestShutdown|TestProcPanic|TestTask|TestChainServers|TestNowQueue|TestServe|TestWaitInPlace|TestSleeperParked|TestHandoff|TestQueued|TestDeadline|TestAwaitingProcCountsOnce|FuzzEventQueue|TestLink|TestAddNodeTwice' ./internal/sim

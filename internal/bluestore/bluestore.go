@@ -139,9 +139,10 @@ type Store struct {
 	slowIO       sim.Duration
 	writeErrProb float64
 
-	// recs are the partition's free lists of the task forms' call records
-	// and of txcs (sim.Local), shared by its stores.
-	recs *records
+	// calls and txcs are the partition's free lists of the task forms' call
+	// records and of txcs (sim.Local), shared by its stores.
+	calls *sim.FreeList[call]
+	txcs  *sim.FreeList[txc]
 
 	stats Stats
 	tr    *trace.Tracer
@@ -203,7 +204,8 @@ func New(env *sim.Env, name string, cpu *sim.CPU, disk *sim.Disk, cfg Config) *S
 		colls: make(map[string]*collection),
 		aioq:  sim.NewQueue[*txc](env),
 		kvq:   sim.NewQueue[*txc](env),
-		recs:  sim.Local[records](env),
+		calls: sim.Local[sim.FreeList[call]](env),
+		txcs:  sim.Local[sim.FreeList[txc]](env),
 	}
 	aio := &aioServer{s: s}
 	aio.done = s.aioq.ServeTask(s.thAIO.Name, aio.serve)
@@ -259,7 +261,7 @@ func (s *Store) Prep(th *sim.Thread, txn *objstore.Transaction, busy *sim.Durati
 func (s *Store) Submit(txn *objstore.Transaction, res *objstore.Result, prep sim.Duration) {
 	s.stats.Transactions++
 	s.stats.Ops += int64(len(txn.Ops))
-	t := s.recs.txcs.Get()
+	t := s.txcs.Get()
 	t.txn, t.res = txn, res
 	if s.tr.Enabled() && txn.TraceCtx != 0 {
 		// Submission prep runs on the caller's thread but belongs to the
@@ -483,7 +485,7 @@ func (k *kvServer) Run() {
 	for _, t := range batch {
 		s.tr.Finish(t.span)
 		res := t.res
-		s.recs.txcs.Put(t)
+		s.txcs.Put(t)
 		res.Done.Fire()
 	}
 	clear(batch)
@@ -718,19 +720,6 @@ type call struct {
 	busy   sim.Duration
 }
 
-// records are a partition's free lists of call records and txcs, shared by
-// its stores (sim.Local).
-type records struct {
-	calls sim.FreeList[call]
-	txcs  sim.FreeList[txc]
-}
-
-// Quiescent reports, joined, the records of the partition's free lists that
-// are not back: a call or a transaction still in flight.
-func (s *Store) Quiescent() error {
-	return errors.Join(s.recs.calls.AllBack(s.name+": call records"), s.recs.txcs.AllBack(s.name+": txcs"))
-}
-
 // callStep is what a call's next step does.
 type callStep uint8
 
@@ -748,7 +737,7 @@ const (
 // th and goes on to step; it reports whether next was registered, as the task
 // forms do.
 func (s *Store) start(th *sim.Thread, c *objstore.Call, next sim.Task, cycles int64, step callStep) bool {
-	r := s.recs.calls.Get()
+	r := s.calls.Get()
 	r.s, r.th, r.c, r.next, r.step = s, th, c, next, step
 	if s.cpu.ExecThen(th, cycles, &r.busy, r) || r.advance() {
 		return true
@@ -758,7 +747,7 @@ func (s *Store) start(th *sim.Thread, c *objstore.Call, next sim.Task, cycles in
 }
 
 // put zeroes r and lists it for the next call.
-func (r *call) put() { r.s.recs.calls.Put(r) }
+func (r *call) put() { r.s.calls.Put(r) }
 
 // Run goes on after the step that waited; once the call is done, its
 // continuation runs.

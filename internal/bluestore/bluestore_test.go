@@ -693,10 +693,10 @@ func TestTxcRecycled(t *testing.T) {
 				k.seen.Err, k.seen.ServiceTime)
 		}
 	}
-	if err := s.Quiescent(); err != nil {
-		t.Fatal(err)
+	if out := env.RecordsOut(); out != nil {
+		t.Fatalf("records out: %v", out)
 	}
-	l := &s.recs.txcs
+	l := s.txcs
 	t.Logf("%d txcs made for %d transactions", l.Made(), s.Stats().Transactions)
 	if made := l.Made(); made > 2*writers+1 || made < 2 {
 		t.Fatalf("%d txcs made with at most %d transactions in flight", made, 2*writers+1)

@@ -145,11 +145,11 @@ func TestTaskFormsMatchProcForms(t *testing.T) {
 		if err := env.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if form != "proc" && s.recs.calls.Listed() == 0 {
+		if form != "proc" && s.calls.Listed() == 0 {
 			t.Errorf("%s: no call record went back to the free list", form)
 		}
-		if err := s.Quiescent(); err != nil || s.recs.txcs.Listed() == 0 {
-			t.Errorf("%s: %d txcs listed; %v", form, s.recs.txcs.Listed(), err)
+		if out := env.RecordsOut(); out != nil || s.txcs.Listed() == 0 {
+			t.Errorf("%s: %d txcs listed; records out: %v", form, s.txcs.Listed(), out)
 		}
 		events = env.Events()
 		env.Shutdown()

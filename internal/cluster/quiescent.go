@@ -7,21 +7,16 @@ import (
 	"strings"
 )
 
-// Quiescent checks that cl is at rest once a run has drained, and then tears
-// it down: the served queues hold no value; the live procs are exactly the
-// daemons and every pending task is a sim.Daemon; on every node the bridge
-// holds no staging buffer or byte and no transaction or read in flight and
-// its partition's crossing records and control-plane envelopes are all back
-// (core.Bridge.Quiescent), the OSD has nothing in flight and its finishers,
-// worker turns, mutations, replica applies and op replies are all back
-// (osd.OSD.Quiescent), and BlueStore's call records and txcs
-// are all back (bluestore.Store.Quiescent); the client's call records and
-// requests are all back (rados.Client.Quiescent); the messengers' frames are
-// all back (messenger.Messenger.Quiescent, once for the cluster's one Env).
-// Last it shuts cl down, after which every coroutine its kernel made must be
-// gone and the goroutine count may not be above its value before New. It
-// returns every violation found, joined; nil means quiescent. cl is unusable
-// afterwards.
+// Quiescent checks that cl is at rest once a run has drained, faulted or
+// not, and then tears it down: the served queues hold no value; the live
+// procs are exactly the daemons and every pending task is a sim.Daemon; on
+// every node the bridge holds no staging buffer or byte and no transaction or
+// read in flight (core.Bridge.Quiescent) and the OSD no mutation, sub-op or
+// replica wait (osd.OSD.InFlight); every record of the Env's free lists is
+// back or was abandoned for a named reason (sim.Env.RecordsOut). Last it
+// shuts cl down, after which every coroutine its kernel made must be gone and
+// the goroutine count may not be above its value before New. It returns every
+// violation found, joined; nil means quiescent. cl is unusable afterwards.
 func Quiescent(cl *Cluster) error {
 	var errs []error
 	if left := cl.Env.Backlog(); left != nil {
@@ -34,9 +29,14 @@ func Quiescent(cl *Cluster) error {
 		if n.Bridge != nil {
 			errs = append(errs, n.Bridge.Quiescent())
 		}
-		errs = append(errs, n.OSD.Quiescent(), n.Store.Quiescent())
+		if mu, ra, w := n.OSD.InFlight(); mu+ra+w != 0 {
+			errs = append(errs, fmt.Errorf("%s: %d mutations, %d replica applies and %d replica waits in flight",
+				n.Name, mu, ra, w))
+		}
 	}
-	errs = append(errs, cl.Client.Quiescent(), cl.Registry.Lookup("client.0").Quiescent())
+	if out := cl.Env.RecordsOut(); out != nil {
+		errs = append(errs, fmt.Errorf("records not back: %s", strings.Join(out, "; ")))
+	}
 	made, running := cl.Env.Stats().CoroutinesPeak, runtime.NumGoroutine()
 	cl.Shutdown()
 	after := runtime.NumGoroutine()

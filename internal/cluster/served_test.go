@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"doceph/internal/faultinject"
 	"doceph/internal/osd"
 	"doceph/internal/radosbench"
 	"doceph/internal/sim"
@@ -101,6 +102,47 @@ func TestQuiescentAfterBatchedAndStreamedRuns(t *testing.T) {
 		}
 		if err := Quiescent(cl); err != nil {
 			t.Errorf("%s: not quiescent after the run: %v", c.name, err)
+		}
+	}
+}
+
+// TestQuiescentAfterFaultWindows: a DoCeph run with one fault window on
+// node0 while ops are in flight — DMA errors, packet drops or a stalled
+// comm channel — ends at rest once it has settled. A record an error path
+// leaves to the GC counts as abandoned for its reason, not as not back: the
+// DMA-error window abandons at least one shipment, for the segment table a
+// failed transfer used, as a fallback, and the windows without DMA errors
+// abandon nothing.
+func TestQuiescentAfterFaultWindows(t *testing.T) {
+	for _, ev := range []faultinject.Event{
+		{Kind: faultinject.DMAError, Prob: 0.2},
+		{Kind: faultinject.Drop, Prob: 0.2},
+		{Kind: faultinject.CommStall, Extra: sim.Millisecond},
+	} {
+		ev.Node, ev.Duration = "node0", 2*sim.Second
+		cl := New(Config{Mode: DoCeph, Seed: 7})
+		inj := faultinject.New(cl.Env, cl.FaultTargets())
+		if err := inj.Run(faultinject.Plan{Name: ev.Kind.String(), Events: []faultinject.Event{ev}}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := radosbench.Run(cl.Env, cl.Client, radosbench.Config{
+			Threads: 4, ObjectBytes: 1 << 20, OpsPerThread: 60, Op: radosbench.Mixed, ReadPercent: 50})
+		if err != nil {
+			t.Fatalf("%v: %v", ev.Kind, err)
+		}
+		if err := cl.Env.RunUntil(cl.Env.Now().Add(60 * sim.Second)); err != nil {
+			t.Fatalf("%v: %v", ev.Kind, err)
+		}
+		abandoned := cl.Env.Abandoned()
+		t.Logf("%v: abandoned %v", ev.Kind, abandoned)
+		tables := slices.ContainsFunc(abandoned, func(s string) bool {
+			return strings.HasPrefix(s, "core.shipment: ") && strings.Contains(s, "abandoned (fallback)")
+		})
+		if tables != (ev.Kind == faultinject.DMAError) {
+			t.Errorf("%v: abandoned %v; want shipments abandoned as fallbacks after DMA errors alone", ev.Kind, abandoned)
+		}
+		if err := Quiescent(cl); err != nil {
+			t.Errorf("%v: not quiescent after the window: %v", ev.Kind, err)
 		}
 	}
 }

@@ -270,6 +270,7 @@ func (b *batcher) Run() {
 			b.fr, b.step = nil, batchIdle
 			px.env.Delay(0, fr) // the chain starts in an event of its own, as a thread spawned now would
 		case batchFallback:
+			px.frames.Abandon(sim.Fallback) // the call reads the frame's encoding
 			b.step = batchSent
 			b.reply = px.rpc.CallTask(opBatchFallback, b.frame, b)
 			return
@@ -293,7 +294,7 @@ func (b *batcher) take() {
 		}
 		bytes += n
 	}
-	b.fr = px.recs.frames.get(k)
+	b.fr = px.frames.get(k)
 	b.fr.px, b.fr.bytes = px, bytes
 	copy(b.fr.ops, px.batchQ)
 	for _, op := range b.fr.ops {
@@ -386,7 +387,7 @@ func (b *batcher) Daemon() {}
 // record is recycled. The host poller reads the frame and its tag after the
 // settle chain is done with them, up to its last op, so the record goes back
 // once it has settled and every op it carried has completed; a frame whose
-// transfer failed, or that went over the control plane, is left to the GC.
+// transfer failed, or that went over the control plane, is abandoned.
 type batchFrame struct {
 	px *Proxy
 	t  doca.Transfer
@@ -454,7 +455,7 @@ func (l *frames) put(fr *batchFrame) {
 // release ends one reader's use of fr; the last puts it back.
 func (fr *batchFrame) release() {
 	if fr.refs--; fr.refs == 0 {
-		fr.px.recs.frames.put(fr)
+		fr.px.frames.put(fr)
 	}
 }
 
@@ -522,6 +523,7 @@ func (fr *batchFrame) Run() {
 	if t.Err != nil {
 		px.enterCooldown(px.env.Now())
 		px.stats.FallbackSegments += int64(fr.n)
+		px.frames.Abandon(sim.Fallback)
 		fr.reply = px.rpc.CallTask(opBatchFallback, t.Data, fr)
 		return
 	}
@@ -618,8 +620,8 @@ func (sh *notifyShard) Run() {
 		case notifyFlush:
 			n := min(len(sh.q), notifyMax)
 			sh.lastN = int32(n)
-			f := hs.recs.notifies.Get()
-			f.recs = hs.recs
+			f := hs.notifies.Get()
+			f.list = hs.notifies
 			f.bl.Init().Append(encodeTxnDoneBatch(sh.q[:n], f.buf[:0]))
 			sh.q = sh.q[:copy(sh.q, sh.q[n:])] // the shard keeps its array
 			hs.stats.NotifyBatches++
@@ -635,13 +637,13 @@ func (sh *notifyShard) Run() {
 // them. It is its own consumed task: once onTxnDoneBatch has decoded it, it
 // goes back. One that no handler takes is never consumed, and the GC takes it.
 type notifyFrame struct {
-	recs *records
+	list *sim.FreeList[notifyFrame]
 	bl   wire.Inline1
 	buf  [4 + notifyMax*18]byte
 }
 
 // Run puts the frame back: the proxy has decoded it.
-func (f *notifyFrame) Run() { f.recs.notifies.Put(f) }
+func (f *notifyFrame) Run() { f.list.Put(f) }
 
 // Daemon marks the shard as a service loop that waits for work forever once
 // the system goes idle.

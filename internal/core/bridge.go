@@ -78,11 +78,9 @@ func NewBridge(env *sim.Env, dev *dpu.DPU, hostCPU *sim.CPU,
 }
 
 // Quiescent reports, joined, every way the bridge is not at rest: a staging
-// buffer or byte still held on either side, a transaction or read still
-// filed on the proxy or in assembly on the host, a crossing record or a
-// control-plane envelope of the partition's free lists (one set per
-// partition, shared by its bridges) not back. A record left to the GC on an error path counts as not back, so a run
-// with DMA errors is not quiescent by this measure.
+// buffer or byte still held on either side, or a transaction or read still
+// filed on the proxy or in assembly on the host. Its records are the Env's
+// to check (sim.Env.RecordsOut).
 func (b *Bridge) Quiescent() error {
 	px, hs := b.Proxy, b.Host
 	var errs []error
@@ -100,15 +98,6 @@ func (b *Bridge) Quiescent() error {
 		len(px.pendingTxns), len(px.pendingReads))
 	check(len(hs.asm)+len(hs.readyTxns) == 0, "%d transactions assembling and %d waiting to commit on the host",
 		len(hs.asm), len(hs.readyTxns))
-	r := px.recs
-	for _, err := range []error{r.reads.AllBack("pendingRead records"), r.calls.AllBack("storeCall records"),
-		r.hostReads.AllBack("hostRead records"), r.hostTxns.AllBack("hostTxn records"),
-		r.ships.AllBack("shipment records"), r.txns.AllBack("pendingTxn records"),
-		r.frames.AllBack("batchFrame records"), r.notifies.AllBack("notifyFrame records"),
-		b.RPCDPU.Quiescent()} {
-		check(err == nil, "%v", err)
-	}
-	check(r.segs.made == len(r.segs.free), "%d of %d segment table records back on the free list", len(r.segs.free), r.segs.made)
 	return errors.Join(errs...)
 }
 

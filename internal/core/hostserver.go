@@ -121,8 +121,11 @@ type HostServer struct {
 	// dispatching, cleared after each.
 	unpacked []batchEntry
 	stats    HostStats
-	// recs are the partition's free lists of crossing records.
-	recs *records
+	// hostReads, hostTxns and notifies are the partition's free lists
+	// (sim.Local) of the crossing records the host makes.
+	hostReads *sim.FreeList[hostRead]
+	hostTxns  *sim.FreeList[hostTxn]
+	notifies  *sim.FreeList[notifyFrame]
 
 	// Notify coalescers (live only when batch.Enable; see batch.go):
 	// queued commit notifications awaiting a coalesced opTxnDoneBatch RPC,
@@ -218,7 +221,7 @@ const (
 // unref ends one reader's use of hr.
 func (hr *hostRead) unref() {
 	if hr.refs--; hr.refs == 0 {
-		hr.hs.recs.hostReads.Put(hr)
+		hr.hs.hostReads.Put(hr)
 	}
 }
 
@@ -252,7 +255,9 @@ func NewHostServer(env *sim.Env, hostCPU *sim.CPU, store *bluestore.Store,
 		nextCommit: 1,
 		readyTxns:  make(map[uint64]*hostTxn),
 		names:      objstore.Names{Colls: sim.Local[objstore.Colls](env)},
-		recs:       sim.Local[records](env),
+		hostReads:  sim.Local[sim.FreeList[hostRead]](env),
+		hostTxns:   sim.Local[sim.FreeList[hostTxn]](env),
+		notifies:   sim.Local[sim.FreeList[notifyFrame]](env),
 	}
 	hs.readBuf = dpu.NewBufferPool(env, "host-read-staging",
 		readStagingBuffers, readStagingBufferBytes)
@@ -368,7 +373,7 @@ func (hp *hostPoll) Run() {
 				hs.stats.BatchedOps += int64(len(entries))
 				hp.batch, hp.next, hp.step = true, 0, pollEntry
 			case segReadReq:
-				if hs.fileRead(hs.recs.hostReads.Get(), t.Data) != nil {
+				if hs.fileRead(hs.hostReads.Get(), t.Data) != nil {
 					panic("core: corrupt read request over DMA")
 				}
 				hp.end()
@@ -499,7 +504,7 @@ func (hs *HostServer) commitViaRPC(next func()) {
 func (hs *HostServer) fileSegment(reqID uint64, seg, total int, data *wire.Bufferlist, traceCtx uint64, queue int) (*hostTxn, *wire.Bufferlist) {
 	a := hs.asm[reqID]
 	if a == nil {
-		a = hs.recs.hostTxns.Get()
+		a = hs.hostTxns.Get()
 		a.hs, a.reqID, a.queue = hs, reqID, queue
 		if total <= len(a.slot) {
 			a.segs = a.slot[:total]
@@ -600,6 +605,8 @@ func (rt *hostTxn) Run() {
 	hs := rt.hs
 	hs.tr.Finish(rt.span)
 	if rt.silent {
+		// A decode error's report may still read the record.
+		hs.hostTxns.Abandon(sim.Corrupt)
 		return
 	}
 	hs.stats.TxnsCommitted++
@@ -611,7 +618,7 @@ func (rt *hostTxn) Run() {
 	}
 	hs.notifyTxnDone(rt, errToCode(rt.res.Err), int64(hostWrite))
 	if len(hs.notify) > 0 {
-		hs.recs.hostTxns.Put(rt) // the coalescer queued a copy
+		hs.hostTxns.Put(rt) // the coalescer queued a copy
 	}
 }
 
@@ -621,7 +628,7 @@ type txnNotified hostTxn
 
 func (n *txnNotified) Run() {
 	rt := (*hostTxn)(n)
-	rt.hs.recs.hostTxns.Put(rt)
+	rt.hs.hostTxns.Put(rt)
 }
 
 func (hs *HostServer) notifyTxnDone(rt *hostTxn, code uint16, hostWriteNanos int64) {
@@ -648,13 +655,11 @@ type txnNotify hostTxn
 
 func (n *txnNotify) Run() {
 	rt := (*hostTxn)(n)
+	var consumed sim.Task = (*txnNotified)(rt)
 	if rt.silent {
-		// A decode error's report: the record still has its commit to
-		// finish, so it is left to the GC.
-		rt.hs.rpc.NotifyTask(opTxnDone, &rt.done.bl.Bufferlist, nil, nil)
-		return
+		consumed = nil // a decode error's report: the record has its commit to finish (Run)
 	}
-	rt.hs.rpc.NotifyTask(opTxnDone, &rt.done.bl.Bufferlist, (*txnNotified)(rt), nil)
+	rt.hs.rpc.NotifyTask(opTxnDone, &rt.done.bl.Bufferlist, consumed, nil)
 }
 
 // onBatchFallback files a whole batch frame arriving over the control plane
@@ -721,7 +726,7 @@ func (hr *hostRead) Run() {
 			}
 			if err != nil || bl.Length() == 0 {
 				hs.rpc.NotifyTask(opReadDone, encodeReadDone(req.ReqID, errToCode(err), 0), nil, nil)
-				hs.recs.hostReads.Put(hr)
+				hs.hostReads.Put(hr)
 				return
 			}
 			hr.c = newCut(bl, hs.readBuf.BufferBytes(), hs.engDown)
@@ -759,7 +764,8 @@ func (hr *hostRead) Run() {
 			if err := hs.engDown.Validate(&rs.t); err != nil {
 				hs.readBuf.Release()
 				hs.rpc.NotifyTask(opReadDone, encodeReadDone(req.ReqID, rcIO, 0), nil, nil)
-				return // the segments already sent may still be read: left to the GC
+				hs.hostReads.Abandon(sim.Fallback) // the segments already sent may still be read
+				return
 			}
 			hr.step = hostReadSubmitted
 			if hs.engDown.ChargeSubmit(hs.cpu, hs.thPoll, hr) {

@@ -128,8 +128,14 @@ type Proxy struct {
 	nextTxnSeq   uint64
 	pendingTxns  map[uint64]*pendingTxn
 	pendingReads map[uint64]*pendingRead
-	// recs are the partition's free lists of crossing records.
-	recs *records
+	// The partition's free lists (sim.Local) of the crossing records the
+	// proxy makes. A record goes back at the one point after which nothing
+	// reads it, zeroed, so a listed one holds no payload, view or Result.
+	reads  *sim.FreeList[pendingRead]
+	calls  *sim.FreeList[storeCall]
+	ships  *ships
+	txns   *sim.FreeList[pendingTxn]
+	frames *frames
 
 	// Batcher state (live only when batch.Enable; see batch.go).
 	thBatch    *sim.Thread
@@ -226,7 +232,7 @@ func (pt *pendingTxn) Run() {
 // release ends one reader's use of pt; the last puts it back.
 func (pt *pendingTxn) release() {
 	if pt.refs--; pt.refs == 0 {
-		pt.px.recs.txns.Put(pt)
+		pt.px.txns.Put(pt)
 	}
 }
 
@@ -314,7 +320,11 @@ func NewProxy(env *sim.Env, dev *dpu.DPU, rpcEnd *rpcchan.Endpoint,
 		thProxy:      sim.NewThread("proxy@"+dev.Name, ProxyThreadCat),
 		pendingTxns:  make(map[uint64]*pendingTxn),
 		pendingReads: make(map[uint64]*pendingRead),
-		recs:         sim.Local[records](env),
+		reads:        sim.Local[sim.FreeList[pendingRead]](env),
+		calls:        sim.Local[sim.FreeList[storeCall]](env),
+		ships:        sim.Local[ships](env),
+		txns:         sim.Local[sim.FreeList[pendingTxn]](env),
+		frames:       sim.Local[frames](env),
 		dmaHealthy:   true,
 	}
 	if cfg.Breaker.Enable {
@@ -583,7 +593,7 @@ func (px *Proxy) encodeTxn(txn *objstore.Transaction, res *objstore.Result) (*pe
 	if ctx != 0 {
 		serSp = px.tr.Start(ctx, 0, trace.StageSerialize, px.dev.Name)
 	}
-	pt := px.recs.txns.Get()
+	pt := px.txns.Get()
 	pt.px, pt.res, pt.ctx, pt.streamReuse, pt.refs = px, res, ctx, txn.StreamReuse, 1
 	txn.EncodeBLInto(pt.meta[:], pt.frame.Init())
 	return pt, serSp
@@ -626,7 +636,7 @@ func (px *Proxy) launch(pt *pendingTxn, useDMA bool) {
 	} else {
 		px.stats.FallbackTxns++
 	}
-	sh := px.recs.ships.Get()
+	sh := px.ships.Get()
 	sh.px, sh.pt = px, pt
 	px.env.Delay(0, sh) // the chain starts in an event of its own, as a thread spawned now would
 }
@@ -702,7 +712,7 @@ const (
 
 // newCall takes a record for a call of c on th that goes on to step.
 func (px *Proxy) newCall(th *sim.Thread, c *objstore.Call, next sim.Task, step callStep) *storeCall {
-	r := px.recs.calls.Get()
+	r := px.calls.Get()
 	r.px, r.th, r.c, r.next, r.step = px, th, c, next, step
 	return r
 }
@@ -713,7 +723,7 @@ func (r *storeCall) charge(cycles int64, busy *sim.Duration) bool {
 	if r.px.dev.CPU.ExecThen(r.th, cycles, busy, r) || r.advance() {
 		return true
 	}
-	r.px.recs.calls.Put(r)
+	r.px.calls.Put(r)
 	return false
 }
 
@@ -724,7 +734,7 @@ func (r *storeCall) Run() {
 		return
 	}
 	next := r.next
-	r.px.recs.calls.Put(r)
+	r.px.calls.Put(r)
 	next.Run()
 }
 
@@ -843,21 +853,22 @@ func (c cut) viewInto(dst *wire.Bufferlist, i int) {
 // and completes the caller's Result. Its steps are joined where a proc doing
 // the same blocked, each by the task form of that wait, so it runs the proc's
 // events in the same order. It is a record from the partition's free list,
-// put back as the chain ends; the pendingTxn it ships is the caller's.
+// put back as the chain ends, with its segment table; the pendingTxn it ships
+// is the caller's.
 type shipment struct {
 	px   *Proxy
 	pt   *pendingTxn
 	step shipStep
 	c    cut
-	// segs is the segment table (nil in cooldown, and once a failed transfer
-	// has left it to the GC); i is the segment the step is at, submitted the
-	// number that went to the engine.
+	// segs is the segment table, kept with the record (ships); i is the
+	// segment the step is at, submitted the number that went to the engine.
 	segs         []segment
 	i, submitted int
 	// dmaStart..dmaEnd bounds the request's DMA phase on the wall clock;
 	// DMA-wait is that span minus the actual copy time, copySum (Table 3's
 	// "waiting time that occurs due to serial DMA transfers", including
-	// staging-buffer waits). failed is set by a transfer that failed.
+	// staging-buffer waits). failed is set once a transfer failed or was
+	// refused.
 	dmaStart, dmaEnd sim.Time
 	copySum          sim.Duration
 	failed           bool
@@ -868,6 +879,18 @@ type shipment struct {
 	busy    sim.Duration
 	// reply is the fallback call in flight.
 	reply *rpcchan.Reply
+}
+
+// ships is the free list of shipments: a listed one keeps its segment table's
+// array, cleared. One whose transfer failed or was refused is left to the GC.
+type ships struct{ sim.FreeList[shipment] }
+
+// put clears sh's segment table and lists sh, with the table's array.
+func (l *ships) put(sh *shipment) {
+	segs := sh.segs[:cap(sh.segs)]
+	clear(segs)
+	l.Put(sh)
+	sh.segs = segs[:0]
 }
 
 // shipStep is what a shipment's next step does.
@@ -919,7 +942,10 @@ func (sh *shipment) Run() {
 				return
 			}
 		case shipRegions:
-			sh.segs = px.recs.segs.get(sh.c.total)
+			if cap(sh.segs) < sh.c.total {
+				sh.segs = make([]segment, sh.c.total)
+			}
+			sh.segs = sh.segs[:sh.c.total]
 			sh.dmaStart = px.env.Now()
 			sh.step = shipStage
 		case shipStage:
@@ -1011,12 +1037,14 @@ func (sh *shipment) Run() {
 			}
 		case shipCommitted:
 			pt.Run() // puts pt back
-			if sh.segs != nil {
-				// The host has assembled and committed: no poller reads a tag
-				// or a view of the table any more.
-				px.recs.segs.put(sh.segs)
+			if sh.failed {
+				// The host's poller may still read a tag in the table.
+				px.ships.Abandon(sim.Fallback)
+				return
 			}
-			px.recs.ships.Put(sh)
+			// The host has assembled and committed: no poller reads a tag or
+			// a view of the table any more.
+			px.ships.put(sh)
 			return
 		}
 	}
@@ -1080,6 +1108,7 @@ func (sh *shipment) account() {
 		sh.step = shipShipped
 		return
 	}
+	sh.failed = true
 	px.enterCooldown(now)
 	sh.i, sh.step = 0, shipFallback
 }
@@ -1087,8 +1116,7 @@ func (sh *shipment) account() {
 // fallback sends the next segment due over the control channel: in cooldown
 // every one, after a DMA error the failed and never-attempted ones. It
 // reports whether the chain goes on in an event. Once none is left it goes on
-// to the wait for the commit; a table a failed transfer used is left to the
-// GC.
+// to the wait for the commit.
 func (sh *shipment) fallback() bool {
 	px, pt := sh.px, sh.pt
 	if pt.useDMA {
@@ -1097,7 +1125,7 @@ func (sh *shipment) fallback() bool {
 		}
 	}
 	if sh.i == sh.c.total {
-		sh.segs, sh.step = nil, shipShipped
+		sh.step = shipShipped
 		return false
 	}
 	if pt.useDMA {
@@ -1159,7 +1187,7 @@ func (px *Proxy) readReq(pr *pendingRead) *doca.Transfer {
 // travels to the host via DMA; the host stages the object data and DMAs it
 // back in <=2 MB segments which the DPU-side poller reassembles.
 func (px *Proxy) ReadThen(th *sim.Thread, c *objstore.Call, next sim.Task) bool {
-	pr := px.recs.reads.Get()
+	pr := px.reads.Get()
 	pr.px, pr.th, pr.c, pr.next = px, th, c, next
 	if pr.advance() {
 		return true
@@ -1188,7 +1216,9 @@ func (pr *pendingRead) Run() {
 func (pr *pendingRead) end() {
 	delete(pr.px.pendingReads, pr.reqID)
 	if pr.t.Err == nil {
-		pr.px.recs.reads.Put(pr)
+		pr.px.reads.Put(pr)
+	} else {
+		pr.px.reads.Abandon(sim.Fallback)
 	}
 }
 
@@ -1340,7 +1370,8 @@ func (rp *readPoll) Run() {
 
 // harvestRead files one read-data segment the engine completed. A consumed
 // segment drops its reference to the host's record; a failed one keeps it,
-// leaving the record to the GC.
+// leaving the record to the GC. The first failed segment of a read, the one
+// that finds it filed, abandons the record: the read's later ones find none.
 func (px *Proxy) harvestRead(t *doca.Transfer) {
 	rs := t.Tag.(*readSeg)
 	hdr := &rs.hdr
@@ -1351,6 +1382,7 @@ func (px *Proxy) harvestRead(t *doca.Transfer) {
 			delete(px.pendingReads, hdr.reqID)
 			pr.dmaErr = true
 			pr.done.Fire()
+			rs.hr.hs.hostReads.Abandon(sim.Fallback)
 		}
 		return
 	}

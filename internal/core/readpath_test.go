@@ -30,11 +30,10 @@ type readPathCase struct {
 	name    string
 	cfg     BridgeConfig
 	readers [][]scriptStep
-	clean   bool // no record is left to the GC: the bridge ends at rest
-	// leaked is how many pendingRead and hostRead records an error path
-	// leaves to the GC: a failed descriptor's, which the host's poller may
-	// still look at, and on the host a failed reply's.
-	leaked [2]int
+	// abandoned is how many pendingRead and hostRead records an error path
+	// leaves to the GC, as a fallback: a failed descriptor's, which the
+	// host's poller may still look at, and on the host a failed reply's.
+	abandoned [2]int
 	// sample has the body watch the host's staging buffers every
 	// millisecond: some reader must find none free.
 	sample bool
@@ -72,36 +71,36 @@ func TestReadPathsKeepTheirEvents(t *testing.T) {
 	}
 	cooldown := BridgeConfig{Proxy: ProxyConfig{CooldownPeriod: 2 * sim.Second}}
 	cases := []readPathCase{
-		{name: "dma", clean: true, events: 114, stats: [6]int64{3, 0, 0, 0, 0, 2},
+		{name: "dma", events: 114, stats: [6]int64{3, 0, 0, 0, 0, 2},
 			readers: [][]scriptStep{{read("small", 0, 4096, small), read("small", 0, 0, small),
 				read("small", 1000, 500, small)}}},
-		{name: "multi-segment", clean: true, events: 116, stats: [6]int64{2, 0, 0, 0, 0, 2},
+		{name: "multi-segment", events: 116, stats: [6]int64{2, 0, 0, 0, 0, 2},
 			readers: [][]scriptStep{{read("big", 0, 0, big), read("big", 1<<20, 3<<20, big)}}},
-		{name: "read-cache", clean: true, events: 112, stats: [6]int64{2, 0, 0, 0, 3, 2},
+		{name: "read-cache", events: 112, stats: [6]int64{2, 0, 0, 0, 3, 2},
 			cfg: BridgeConfig{ReadCache: dpu.ReadCacheConfig{Enable: true}},
 			readers: [][]scriptStep{{read("small", 0, 0, small), read("small", 0, 0, small),
 				read("small", 100, 200, small), read("big", 0, 0, big), read("big", 0, 0, big)}}},
-		{name: "cooldown-rpc", leaked: [2]int{1, 0}, events: 108, stats: [6]int64{1, 0, 0, 1, 0, 2}, cfg: cooldown,
+		{name: "cooldown-rpc", abandoned: [2]int{1, 0}, events: 108, stats: [6]int64{1, 0, 0, 1, 0, 2}, cfg: cooldown,
 			readers: [][]scriptStep{{failing(read("small", 0, 0, small), func(r *coreRig) { r.bridge.EngUp.FailNext(1) }),
 				read("small", 0, 0, small), read("big", 0, 0, big)}}},
-		{name: "probe", leaked: [2]int{1, 0}, events: 159, stats: [6]int64{3, 2, 1, 1, 0, 2}, cfg: cooldown,
+		{name: "probe", abandoned: [2]int{1, 0}, events: 159, stats: [6]int64{3, 2, 1, 1, 0, 2}, cfg: cooldown,
 			readers: [][]scriptStep{{failing(read("small", 0, 0, small), func(r *coreRig) { r.bridge.EngUp.FailNext(1) }),
 				after(3*sim.Second, failing(read("small", 0, 0, small), func(r *coreRig) { r.bridge.EngUp.FailNext(1) })),
 				after(3*sim.Second, read("big", 0, 0, big)), read("small", 0, 0, small)}}},
-		{name: "data-segment-error", leaked: [2]int{0, 2}, events: 186, stats: [6]int64{3, 2, 0, 2, 0, 2},
+		{name: "data-segment-error", abandoned: [2]int{0, 2}, events: 186, stats: [6]int64{3, 2, 0, 2, 0, 2},
 			readers: [][]scriptStep{{failing(read("small", 0, 0, small), func(r *coreRig) { r.bridge.EngDown.FailNext(1) }),
 				failing(after(6*sim.Second, read("big", 0, 0, big)), func(r *coreRig) { r.bridge.EngDown.SetFailProb(1) }),
 				failing(after(6*sim.Second, read("big", 0, 0, big)), func(r *coreRig) { r.bridge.EngDown.SetFailProb(0) })}}},
-		{name: "missing", clean: true, events: 113, stats: [6]int64{4, 0, 0, 0, 0, 2},
+		{name: "missing", events: 113, stats: [6]int64{4, 0, 0, 0, 0, 2},
 			readers: [][]scriptStep{{{coll: "pg.0", obj: "nothing", err: objstore.ErrNotFound},
 				{coll: "pg.9", obj: "small", err: objstore.ErrNoCollection},
 				read("empty", 0, 0, empty), read("small", 8192, 100, nil)}}},
 		// 64 KiB transfers: the host stages a reply's eighty segments, a
 		// staging buffer each, faster than the engine drains them.
-		{name: "staging-wait", clean: true, sample: true, events: 2013, stats: [6]int64{2, 0, 0, 0, 0, 2},
+		{name: "staging-wait", sample: true, events: 2013, stats: [6]int64{2, 0, 0, 0, 0, 2},
 			cfg:     BridgeConfig{Engine: doca.EngineConfig{MaxTransferBytes: 64 << 10}},
 			readers: [][]scriptStep{{read("big", 0, 0, big)}, {read("big", 0, 0, big)}}},
-		{name: "no-mr-cache", clean: true, events: 168, stats: [6]int64{3, 0, 0, 0, 0, 11},
+		{name: "no-mr-cache", events: 168, stats: [6]int64{3, 0, 0, 0, 0, 11},
 			cfg:     BridgeConfig{Proxy: ProxyConfig{DisableMRCache: true}},
 			readers: [][]scriptStep{{read("small", 0, 0, small), read("big", 0, 0, big)}, {read("big", 0, 0, big)}}},
 	}
@@ -176,12 +175,15 @@ func TestReadPathsKeepTheirEvents(t *testing.T) {
 				if r.env.Events() != c.events || got != c.stats {
 					t.Errorf("%d events, counters %v; pinned %d, %v", r.env.Events(), got, c.events, c.stats)
 				}
-				if err := r.bridge.Quiescent(); c.clean && err != nil {
+				if err := r.bridge.Quiescent(); err != nil {
 					t.Errorf("not at rest after the run: %v", err)
 				}
-				recs := px.recs
-				if got := [2]int{recs.reads.Made() - recs.reads.Listed(), recs.hostReads.Made() - recs.hostReads.Listed()}; got != c.leaked {
-					t.Errorf("%v pendingRead and hostRead records not back; want %v", got, c.leaked)
+				if out := r.env.RecordsOut(); out != nil {
+					t.Errorf("records out after the run: %v", out)
+				}
+				ab := [2]int{px.reads.Abandoned(sim.Fallback), r.bridge.Host.hostReads.Abandoned(sim.Fallback)}
+				if ab != c.abandoned {
+					t.Errorf("%v pendingRead and hostRead records abandoned as fallbacks; want %v", ab, c.abandoned)
 				}
 			})
 		}

@@ -54,10 +54,10 @@ func TestReadReturnDMAErrorFallsBackToRPC(t *testing.T) {
 // 5 MiB reads, one- and three-segment writes, a write into a missing
 // collection, four clients at once, then one failure window on each engine —
 // per-op and batched. Afterwards each free list holds every record it made
-// but those knowingly left to the GC on an error path, and every record it
-// holds is the zero value: a release point that comes too early shows up as
-// corrupt data or a stuck op, one that never comes as a short list, and a
-// release that does not zero as a record holding something.
+// but those an error path abandoned, which are pinned by reason, and every
+// record it holds is the zero value: a release point that comes too early
+// shows up as corrupt data or a stuck op, one that never comes as a short
+// list, and a release that does not zero as a record holding something.
 func TestRecycledRecordsHoldNothing(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -128,39 +128,46 @@ func TestRecycledRecordsHoldNothing(t *testing.T) {
 		if !px.DMAHealthy() || px.Stats().CooldownEntries != 2 {
 			t.Fatalf("%s: %d cooldowns, healthy %v; want one per window, then healthy", c.name, px.Stats().CooldownEntries, px.DMAHealthy())
 		}
-		recs := px.recs
-		if recs != r.bridge.Host.recs {
-			t.Fatalf("%s: the proxy and the host of one partition use different lists", c.name)
+		if out := r.env.RecordsOut(); out != nil {
+			t.Errorf("%s: records out: %v", c.name, out)
 		}
-		// Left to the GC: the read whose descriptor failed, which the host's
-		// poller may still be about to look at, and the write table whose
-		// segments did (EngUp), and on the host both reads whose replies
-		// failed (EngDown). The proxy's records of those two go back once
-		// their RPC fallback has answered.
-		checkList(t, c.name+": pendingRead", &recs.reads, 1)
-		checkList(t, c.name+": hostRead", &recs.hostReads, 2)
-		checkList(t, c.name+": hostTxn", &recs.hostTxns, 0)
-		// A shipment ends, and is put back, on every path: its fallbacks too;
-		// so does the pendingTxn it ships, once the commit is in.
-		checkList(t, c.name+": shipment", &recs.ships, 0)
-		checkList(t, c.name+": pendingTxn", &recs.txns, 0)
+		hs := r.bridge.Host
+		// Abandoned as fallbacks: the read whose descriptor failed, which the
+		// host's poller may still be about to look at, and the shipment whose
+		// segments did, for its table (EngUp), and on the host both reads
+		// whose replies failed (EngDown). The proxy's records of those two go
+		// back once their RPC fallback has answered, and so does every other
+		// shipment, its fallbacks too, with its table, and the pendingTxn it
+		// ships, once the commit is in.
+		checkList(t, c.name+": pendingRead", px.reads, 1)
+		checkList(t, c.name+": hostRead", hs.hostReads, 2)
+		checkList(t, c.name+": hostTxn", hs.hostTxns, 0)
+		checkList(t, c.name+": pendingTxn", px.txns, 0)
 		// Every batch frame settled without a failure: the windows' writes
 		// are too big for a frame.
 		if c.cfg.Batch.Enable {
-			checkFrames(t, c.name, &recs.frames)
+			checkFrames(t, c.name, px.frames)
 		}
-		if got, want := len(recs.segs.free), recs.segs.made-1; got != want {
-			t.Errorf("%s: segment tables: %d listed, want %d made less 1", c.name, got, want)
+		ships := &px.ships.FreeList
+		if listed, made := ships.Listed(), ships.Made(); ships.Abandoned(sim.Fallback) != 1 || listed != made-1 {
+			t.Errorf("%s: shipments: %d listed of %d made, %d abandoned; want all but the one abandoned",
+				c.name, listed, made, ships.Abandoned(sim.Fallback))
 		}
-		for _, tab := range recs.segs.free {
-			for i, sg := range tab[:cap(tab)] {
+		for range ships.Listed() {
+			sh := ships.Get()
+			segs := sh.segs[:cap(sh.segs)]
+			sh.segs = nil
+			if !reflect.ValueOf(*sh).IsZero() {
+				t.Errorf("%s: a listed shipment holds %+v", c.name, *sh)
+			}
+			for i, sg := range segs {
 				if !reflect.ValueOf(sg).IsZero() {
-					t.Errorf("%s: a listed segment table holds segment %d: %+v", c.name, i, sg)
+					t.Errorf("%s: a listed shipment's table holds segment %d: %+v", c.name, i, sg)
 				}
 			}
 		}
-		if reads := px.Stats().Reads; int64(recs.reads.Made()) >= reads {
-			t.Errorf("%s: %d pendingReads made for %d reads by DMA: none reused", c.name, recs.reads.Made(), reads)
+		if reads := px.Stats().Reads; int64(px.reads.Made()) >= reads {
+			t.Errorf("%s: %d pendingReads made for %d reads by DMA: none reused", c.name, px.reads.Made(), reads)
 		}
 	}
 }
@@ -193,20 +200,22 @@ func TestNotifyFramesRecycled(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, notify); allocs != 0 {
 		t.Fatalf("%.1f allocations per steady-state commit notification, want 0", allocs)
 	}
-	if made := hs.recs.notifies.Made(); made != 1 {
+	if made := hs.notifies.Made(); made != 1 {
 		t.Fatalf("%d notify frames made for notifications sent one at a time, want 1", made)
 	}
-	checkList(t, "notifyFrame", &hs.recs.notifies, 0)
+	checkList(t, "notifyFrame", hs.notifies, 0)
 }
 
-// checkList fails unless l lists the records it made less the leaked ones,
-// every one of them the zero value. It takes them off the list to look.
-func checkList[T any](t *testing.T, what string, l *sim.FreeList[T], leaked int) {
+// checkList fails unless l abandoned that many records as fallbacks and
+// lists every other one it made, each the zero value. It takes them off the
+// list to look.
+func checkList[T any](t *testing.T, what string, l *sim.FreeList[T], abandoned int) {
 	t.Helper()
 	made, listed := l.Made(), l.Listed()
 	t.Logf("%s: %d made, %d listed", what, made, listed)
-	if made <= leaked || listed != made-leaked {
-		t.Errorf("%s: %d listed of %d made; want all but %d", what, listed, made, leaked)
+	if made <= abandoned || listed != made-abandoned || l.Abandoned(sim.Fallback) != abandoned {
+		t.Errorf("%s: %d listed of %d made, %d abandoned; want all but %d, abandoned", what, listed, made,
+			l.Abandoned(sim.Fallback), abandoned)
 	}
 	for range listed {
 		if r := l.Get(); !reflect.ValueOf(*r).IsZero() {

@@ -338,10 +338,6 @@ func (m *Messenger) Node() string { return m.node }
 // Stats returns a copy of the traffic counters.
 func (m *Messenger) Stats() Stats { return m.stats }
 
-// Quiescent reports the frames of the messenger's Env not back on its free
-// list: messages between their Send and the end of their receiver's turn.
-func (m *Messenger) Quiescent() error { return m.frames.AllBack("messenger frames") }
-
 // SetDispatcher installs the message handler. It must be set before any
 // peer sends to this messenger.
 func (m *Messenger) SetDispatcher(d Dispatcher) { m.dispatch = d }

@@ -566,8 +566,8 @@ func TestFramesRecycled(t *testing.T) {
 				t.Fatalf("%d redeliveries over 111 rounds with a session reset each", r.a.Stats().Redeliveries)
 			}
 			run(sim.Second)
-			if err := r.a.Quiescent(); err != nil {
-				t.Fatal(err)
+			if out := r.env.RecordsOut(); out != nil {
+				t.Fatalf("records out: %v", out)
 			}
 			l := r.a.frames
 			made := l.Made()

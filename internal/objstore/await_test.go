@@ -109,7 +109,7 @@ func TestProcCallsAwaitTaskForms(t *testing.T) {
 		if err := env.Run(); err != nil || !done {
 			t.Fatalf("delay %v: run ended with %v, caller done: %v", delay, err, done)
 		}
-		if l := sim.Local[calls](env); l.Made() != 1 || l.Listed() != 1 || !reflect.DeepEqual(*l.Get(), Call{}) {
+		if l := sim.Local[sim.FreeList[Call]](env); l.Made() != 1 || l.Listed() != 1 || !reflect.DeepEqual(*l.Get(), Call{}) {
 			t.Fatalf("delay %v: %d Calls made, %d listed after the calls, want one, zeroed", delay, l.Made(), l.Listed())
 		}
 	}

@@ -427,14 +427,11 @@ type Store interface {
 	ListThen(th *sim.Thread, c *Call, next sim.Task) bool
 }
 
-// calls is a partition's free list of the Calls the package functions await
-// (sim.Local, looked up per call: a package function has no construction to
-// keep the pointer from), so a proc's call allocates nothing.
-type calls struct{ sim.FreeList[Call] }
-
-// start takes a Call from p's partition's free list and sets it to in.
+// start takes a Call from p's partition's free list and sets it to in, so a
+// proc's call allocates nothing. The list is looked up per call (sim.Local):
+// a package function has no construction to keep the pointer from.
 func start(p *sim.Proc, in Call) *Call {
-	c := sim.Local[calls](p.Env()).Get()
+	c := sim.Local[sim.FreeList[Call]](p.Env()).Get()
 	*c = in
 	return c
 }
@@ -446,7 +443,7 @@ func await(p *sim.Proc, c *Call, registered bool) Call {
 		p.Suspend()
 	}
 	r := *c
-	sim.Local[calls](p.Env()).Put(c)
+	sim.Local[sim.FreeList[Call]](p.Env()).Put(c)
 	return r
 }
 

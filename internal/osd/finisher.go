@@ -54,7 +54,7 @@ const (
 // finish starts the chain of a finisher like f on a record from the free list,
 // in an event of its own, as a thread spawned now would start.
 func (o *OSD) finish(f finisher) {
-	r := o.pools.fins.Get()
+	r := o.fins.Get()
 	*r = f
 	r.start(o)
 }
@@ -110,7 +110,7 @@ func (f *finisher) Run() {
 			}
 		case finishCharged:
 			f.answer()
-			o.pools.fins.Put(f)
+			o.fins.Put(f)
 			return
 		}
 	}
@@ -142,7 +142,7 @@ func (f *finisher) answer() {
 		if f.res.Err != nil {
 			ra.reply.Result = missingOrError(f.res.Err)
 		}
-		ra.reply.Owner = o.lend(ra)
+		ra.reply.Owner = o.lend(ra, o.applies)
 		o.msgr.Send(ra.src, &ra.reply)
 		o.tr.Finish(ra.sp)
 		o.repApplies--
@@ -167,16 +167,4 @@ func (f *finisher) String() string {
 		return fmt.Sprintf("rep-completer:%s/%d", f.o.name, f.id)
 	}
 	return fmt.Sprintf("push-completer:%s/%d", f.o.name, f.push.Tid)
-}
-
-// pools are a partition's free lists of the op path's records, shared by its
-// OSDs (sim.Local): the finishers, the workers' turns and whole mutations, and
-// the records a reply is sent from — sub-ops' repApplies and client ops'
-// replies —, which the receiving messenger puts back (cephmsg.Owner).
-type pools struct {
-	fins    sim.FreeList[finisher]
-	turns   sim.FreeList[turn]
-	muts    sim.FreeList[mutation]
-	applies sim.FreeList[repApply]
-	replies sim.FreeList[opReply]
 }

@@ -13,7 +13,6 @@
 package osd
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -168,8 +167,13 @@ type OSD struct {
 	cfg  Config
 	id   int32
 	name string
-	// pools are the partition's free lists of the op path's records.
-	pools *pools
+	// The partition's free lists (sim.Local) of the op path's records; the
+	// receiving messenger puts a reply's back (cephmsg.Owner).
+	fins    *sim.FreeList[finisher]
+	turns   *sim.FreeList[turn]
+	muts    *sim.FreeList[mutation]
+	applies *sim.FreeList[repApply]
+	replies *sim.FreeList[opReply]
 	// ingestBody is ingestStream as a func value, made with streams at the
 	// first stream: every stream's ingest proc shares it and finds its record
 	// in streams under its proc id.
@@ -261,9 +265,9 @@ type repWait struct {
 // mutation is one client mutation on its primary, whole or streamed: the
 // store transaction and its op slot, the ack barrier, the first secondary's
 // repWait and the tid table, in one record. A further secondary costs one
-// repWait of its own. A whole one comes from the partition's pools and its
-// finisher puts it back once the client is answered (retire); a streamed one
-// is left to the GC.
+// repWait of its own. A whole one comes from the partition's free list and
+// its finisher puts it back once the client is answered (retire); a streamed
+// one is not a listed record, and the GC takes it.
 type mutation struct {
 	src                 string
 	m                   *cephmsg.MOSDOp
@@ -298,13 +302,18 @@ func newMutation(mu *mutation, src string, m *cephmsg.MOSDOp, sp trace.SpanID, s
 // barrier's event) is left to the GC, since the replica may still read the
 // sub-op; so is a failed OSD's (see lend).
 func (o *OSD) retire(mu *mutation) {
-	if !mu.pend.stray && !o.failed {
-		o.pools.muts.Put(mu)
+	switch {
+	case mu.pend.stray:
+		o.muts.Abandon(sim.TimedOut)
+	case o.failed:
+		o.muts.Abandon(sim.Crashed)
+	default:
+		o.muts.Put(mu)
 	}
 }
 
 // repApply is one sub-op on a replica: its store transaction and op slot and
-// the ack, in one record from the partition's pools of its OSD o, put back by
+// the ack, in one record from the partition's free list of its OSD o, put back by
 // the primary's messenger once the ack is dispatched.
 type repApply struct {
 	o            *OSD
@@ -318,22 +327,24 @@ type repApply struct {
 }
 
 // Release puts ra back once the primary's messenger has dispatched its ack.
-func (ra *repApply) Release() { ra.o.pools.applies.Put(ra) }
+func (ra *repApply) Release() { ra.o.applies.Put(ra) }
 
-// opReply is the reply to a client op, in a record from the partition's pools
-// of its OSD o, put back by the client's messenger once dispatched.
+// opReply is the reply to a client op, in a record from the partition's free
+// list of its OSD o, put back by the client's messenger once dispatched.
 type opReply struct {
 	o     *OSD
 	reply cephmsg.MOSDOpReply
 }
 
 // Release puts r back once the client's messenger has dispatched it.
-func (r *opReply) Release() { r.o.pools.replies.Put(r) }
+func (r *opReply) Release() { r.o.replies.Put(r) }
 
 // lend is owner, the record a reply is sent from, unless the OSD has failed:
-// a crashed daemon's records are not handed to the ops that come after it.
-func (o *OSD) lend(owner cephmsg.Owner) cephmsg.Owner {
+// a crashed daemon's records are not handed to the ops that come after it, so
+// its free list from abandons it.
+func (o *OSD) lend(owner cephmsg.Owner, from interface{ Abandon(sim.Reason) }) cephmsg.Owner {
 	if o.failed {
+		from.Abandon(sim.Crashed)
 		return nil
 	}
 	return owner
@@ -376,7 +387,9 @@ func New(env *sim.Env, cpu *sim.CPU, id int32, msgr *messenger.Messenger,
 		reported:     make(map[int32]bool),
 		pgOps:        make(map[uint32]int64),
 	}
-	o.pools = sim.Local[pools](env)
+	o.fins, o.turns, o.muts = sim.Local[sim.FreeList[finisher]](env), sim.Local[sim.FreeList[turn]](env),
+		sim.Local[sim.FreeList[mutation]](env)
+	o.applies, o.replies = sim.Local[sim.FreeList[repApply]](env), sim.Local[sim.FreeList[opReply]](env)
 	if o.cfg.RecoveryMaxPGs > 0 {
 		o.recovSem = sim.NewSemaphore(env, o.cfg.RecoveryMaxPGs)
 	}
@@ -486,21 +499,6 @@ func (o *OSD) QueueDepth() int {
 // all zero once the cluster is quiescent.
 func (o *OSD) InFlight() (mutations, repApplies, repWaits int) {
 	return o.mutations, o.repApplies, len(o.pending)
-}
-
-// Quiescent reports, joined, every way the OSD is not at rest: a client
-// mutation, sub-op or replica wait still in flight (InFlight), or a record of
-// the partition's free lists not back — a finisher, a worker's turn, a
-// mutation, a sub-op's repApply or a client op's reply.
-func (o *OSD) Quiescent() error {
-	var errs []error
-	if mu, ra, w := o.InFlight(); mu+ra+w != 0 {
-		errs = append(errs, fmt.Errorf("%s: %d mutations, %d replica applies and %d replica waits in flight", o.name, mu, ra, w))
-	}
-	errs = append(errs, o.pools.fins.AllBack(o.name+": finishers"), o.pools.turns.AllBack(o.name+": worker turns"),
-		o.pools.muts.AllBack(o.name+": mutations"), o.pools.applies.AllBack(o.name+": replica applies"),
-		o.pools.replies.AllBack(o.name+": op replies"))
-	return errors.Join(errs...)
 }
 
 // Map returns the OSD's current cluster map.
@@ -818,9 +816,9 @@ func (o *OSD) replyMutation(mu *mutation, commitErr, repOK bool) {
 }
 
 // newReply is the reply to client op m, on a record from the partition's
-// pools.
+// free list.
 func (o *OSD) newReply(m *cephmsg.MOSDOp) *opReply {
-	r := o.pools.replies.Get()
+	r := o.replies.Get()
 	r.o = o
 	r.reply = cephmsg.MOSDOpReply{Tid: m.Tid, Object: m.Object, Op: m.Op, TraceCtx: m.TraceCtx}
 	return r
@@ -828,7 +826,7 @@ func (o *OSD) newReply(m *cephmsg.MOSDOp) *opReply {
 
 // sendReply sends r's reply to dst, whose messenger puts r back.
 func (o *OSD) sendReply(dst string, r *opReply) {
-	r.reply.Owner = o.lend(r)
+	r.reply.Owner = o.lend(r, o.replies)
 	o.msgr.Send(dst, &r.reply)
 }
 

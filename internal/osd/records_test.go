@@ -12,16 +12,17 @@ import (
 
 // TestOpRecordsRecycled: the records an OSD sends a reply from — a whole
 // mutation, a sub-op's repApply, a read's or a stat's reply — come from the
-// partition's pools and go back, zeroed, once the receiving messenger has
-// dispatched the reply. One client writing, reading, stating and deleting one
-// op at a time therefore makes one of each. A mutation one of whose sub-ops
-// the watchdog resent, or whose ack was abandoned (the watchdog's abort, a map
-// change), is left to the GC: the replica may still read the sub-op inside it.
+// partition's free lists and go back, zeroed, once the receiving messenger
+// has dispatched the reply. One client writing, reading, stating and deleting
+// one op at a time therefore makes one of each. A mutation one of whose
+// sub-ops the watchdog resent, or whose ack was abandoned (the watchdog's
+// abort, a map change), is abandoned as timed out: the replica may still read
+// the sub-op inside it.
 func TestOpRecordsRecycled(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		// body runs after the steady ops; strays is how many mutations it
-		// leaves to the GC.
+		// abandons.
 		body   func(t *testing.T, tc *testCluster, rc *rawClient, p *sim.Proc) []heldObject
 		strays int
 	}{
@@ -38,13 +39,16 @@ func TestOpRecordsRecycled(t *testing.T) {
 					c.body(t, tc, rc, p)
 				}
 			})
-			pl := tc.osds[0].pools
-			if pl != tc.osds[1].pools {
-				t.Fatal("the OSDs of one partition have pools of their own")
+			o := tc.osds[0]
+			if o.muts != tc.osds[1].muts {
+				t.Fatal("the OSDs of one partition have free lists of their own")
 			}
-			checkRecords(t, "mutations", &pl.muts, c.strays)
-			checkRecords(t, "replica applies", &pl.applies, 0)
-			checkRecords(t, "op replies", &pl.replies, 0)
+			if out := tc.env.RecordsOut(); out != nil {
+				t.Errorf("records out: %v", out)
+			}
+			checkRecords(t, "mutations", o.muts, c.strays)
+			checkRecords(t, "replica applies", o.applies, 0)
+			checkRecords(t, "op replies", o.replies, 0)
 		})
 	}
 }
@@ -80,15 +84,16 @@ func steadyOps(t *testing.T, tc *testCluster, p *sim.Proc) {
 	}
 }
 
-// checkRecords fails unless l made one record more than the strays and lists
-// all but the strays, every one of them the zero value. It takes them off the
-// list to look.
+// checkRecords fails unless l made one record more than the strays, lists
+// all but the strays, which it abandoned as timed out, and every listed one is
+// the zero value. It takes them off the list to look.
 func checkRecords[T any](t *testing.T, what string, l *sim.FreeList[T], strays int) {
 	t.Helper()
-	made, listed := l.Made(), l.Listed()
-	t.Logf("%s: %d made, %d listed", what, made, listed)
-	if made != 1+strays || listed != made-strays {
-		t.Errorf("%s: %d listed of %d made; want 1 of %d", what, listed, made, 1+strays)
+	made, listed, abandoned := l.Made(), l.Listed(), l.Abandoned(sim.TimedOut)
+	t.Logf("%s: %d made, %d listed, %d abandoned", what, made, listed, abandoned)
+	if made != 1+strays || listed != made-strays || abandoned != strays {
+		t.Errorf("%s: %d listed of %d made, %d abandoned; want 1 of %d, %d abandoned", what, listed, made, abandoned,
+			1+strays, strays)
 	}
 	for range listed {
 		if r := l.Get(); !reflect.ValueOf(*r).IsZero() {

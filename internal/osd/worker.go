@@ -30,7 +30,7 @@ type worker struct {
 // serve starts a turn on it, the served identity's body, on a record from the
 // partition's free list: a worker holds none between turns.
 func (w *worker) serve(it opItem) {
-	t := w.o.pools.turns.Get()
+	t := w.o.turns.Get()
 	t.w, t.it = w, it
 	t.Run()
 }
@@ -150,7 +150,7 @@ func (t *turn) Run() {
 			// local commit via the ObjectStore plus one MRepOp per secondary;
 			// the client ack is withheld until every part is durable.
 			m, sp := t.it.msg.(*cephmsg.MOSDOp), t.it.span
-			mu := newMutation(o.pools.muts.Get(), t.it.src, m, sp, len(t.acting)-1)
+			mu := newMutation(o.muts.Get(), t.it.src, m, sp, len(t.acting)-1)
 			mutationTxn(&mu.txn, pgColl(t.pg), m.Op, m.Object, m.Offset, m.Data)
 			if m.Op != cephmsg.OpDelete {
 				// A delete creates nothing: in a PG with no collection yet it
@@ -256,7 +256,7 @@ func (t *turn) Run() {
 			}
 		case workSubLocked:
 			m, sp := t.it.msg.(*cephmsg.MRepOp), t.it.span
-			ra := o.pools.applies.Get()
+			ra := o.applies.Get()
 			ra.o, ra.src, ra.m, ra.sp = o, t.it.src, m, sp
 			ra.txn.Ops = ra.ops[:0]
 			mutationTxn(&ra.txn, pgColl(m.PGID), m.Op, m.Object, m.Offset, m.Data)
@@ -312,7 +312,7 @@ func (t *turn) Run() {
 			o.ensureColl(m.PGID, txn)
 			// The push's finisher is taken now: its Result is the one the
 			// store completes.
-			t.fin = o.pools.fins.Get()
+			t.fin = o.fins.Get()
 			t.fin.res = &t.fin.pushRes
 			t.call.Txn, t.call.Result, t.step = txn, t.fin.res, workPushQueued
 			if o.store.QueueTransactionThen(th, &t.call, t) {
@@ -361,7 +361,7 @@ func (t *turn) acquire(pg uint32, step workStep) bool {
 // turn may be touched after it, as the next may already have begun on it.
 func (t *turn) end() {
 	wk := t.w
-	wk.o.pools.turns.Put(t)
+	wk.o.turns.Put(t)
 	wk.done.Run()
 }
 

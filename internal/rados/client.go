@@ -121,9 +121,10 @@ type Client struct {
 	curMap   *osdmap.Map
 	nextTid  uint64
 	inflight map[uint64]*call
-	// calls and ops are the free lists of call records and of requests.
-	calls sim.FreeList[call]
-	ops   sim.FreeList[cephmsg.MOSDOp]
+	// calls and ops are the partition's free lists (sim.Local) of call
+	// records and of requests.
+	calls *sim.FreeList[call]
+	ops   *sim.FreeList[cephmsg.MOSDOp]
 
 	stats Stats
 	tr    *trace.Tracer
@@ -131,9 +132,9 @@ type Client struct {
 
 // call is one attempt of an op in flight: done fires when its reply lands,
 // copied in by value, since the OSD may put the message back once dispatch
-// returns. It is a record from the client's free list, put back once do has
-// taken the reply; one that timed out keeps a spent wake-up on its event and
-// is left to the GC.
+// returns. It is a record from the partition's free list, put back once do
+// has taken the reply; one that timed out keeps a spent wake-up on its event
+// and is left to the GC.
 type call struct {
 	done  sim.Event
 	reply cephmsg.MOSDOpReply
@@ -148,6 +149,8 @@ func New(env *sim.Env, cpu *sim.CPU, msgr *messenger.Messenger,
 		th:       sim.NewThread(msgr.Name(), ThreadCat),
 		curMap:   m,
 		inflight: make(map[uint64]*call),
+		calls:    sim.Local[sim.FreeList[call]](env),
+		ops:      sim.Local[sim.FreeList[cephmsg.MOSDOp]](env),
 	}
 	msgr.SetDispatcher(c.dispatch)
 	return c
@@ -222,15 +225,17 @@ const (
 	prepCycles int64 = 15_000
 )
 
-// do runs the op req on a request record from the client's free list and puts
-// the record back once the reply is taken, unless an attempt of the op timed
-// out: an OSD may still hold that attempt's request, so the record is left to
-// the GC. A redirect or a no-quorum answer is a reply, not a timeout.
+// do runs the op req on a request record from the partition's free list and
+// puts the record back once the reply is taken, unless an attempt of the op
+// timed out: an OSD may still hold that attempt's request, so the record is
+// left to the GC. A redirect or a no-quorum answer is a reply, not a timeout.
 func (c *Client) do(p *sim.Proc, req cephmsg.MOSDOp) (cephmsg.MOSDOpReply, error) {
 	op := c.ops.Get()
 	*op = req
 	reply, timedOut, err := c.send(p, op)
-	if !timedOut {
+	if timedOut {
+		c.ops.Abandon(sim.TimedOut)
+	} else {
 		c.ops.Put(op)
 	}
 	return reply, err
@@ -301,6 +306,7 @@ func (c *Client) send(p *sim.Proc, op *cephmsg.MOSDOp) (reply cephmsg.MOSDOpRepl
 		c.inflight[op.Tid] = call
 		c.msgr.Send(osdName(target), op)
 		if !call.done.WaitTimeout(p, c.cfg.OpTimeout) {
+			c.calls.Abandon(sim.TimedOut)
 			c.stats.Timeouts++
 			timedOut = true
 			c.refreshMap()
@@ -368,12 +374,6 @@ func (c *Client) balancedTarget(pg uint32, object string) int32 {
 		}
 	}
 	return -1 // not reached: k < up
-}
-
-// Quiescent reports, joined, the call records and the requests not back on
-// the client's free lists: an op still in flight, or one that timed out.
-func (c *Client) Quiescent() error {
-	return errors.Join(c.calls.AllBack(c.msgr.Name()+": calls"), c.ops.AllBack(c.msgr.Name()+": requests"))
 }
 
 func fnv64(s string) uint64 {

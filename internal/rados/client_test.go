@@ -2,7 +2,6 @@ package rados
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"doceph/internal/cephmsg"
@@ -223,14 +222,16 @@ func TestClientResendIsIdempotentAndLateReplyIsStale(t *testing.T) {
 // list, put back once the reply is taken, so steady-state writes and reads
 // allocate no request, and neither does a redirect, which is a reply. An op
 // one of whose attempts timed out leaves its request to the GC — the OSD may
-// still hold that attempt's — and Quiescent names it.
+// still hold that attempt's — and so does the attempt's call record, both
+// abandoned as timed out.
 func TestClientOpRecycled(t *testing.T) {
 	r := newClientRig(Config{OpTimeout: 2 * sim.Second, MaxRetries: 2, RetryBackoff: 500 * sim.Millisecond})
-	ops := &r.client.ops
+	ops := r.client.ops
 	want := func(what string, made, listed int) {
 		t.Helper()
-		if ops.Made() != made || ops.Listed() != listed {
-			t.Fatalf("%s: %d requests listed of %d made, want %d of %d", what, ops.Listed(), ops.Made(), listed, made)
+		if ops.Made() != made || ops.Listed() != listed || ops.Abandoned(sim.TimedOut) != made-listed {
+			t.Fatalf("%s: %d requests listed of %d made, %d abandoned; want %d of %d, the rest abandoned",
+				what, ops.Listed(), ops.Made(), ops.Abandoned(sim.TimedOut), listed, made)
 		}
 	}
 	r.run(t, func(p *sim.Proc) {
@@ -250,9 +251,6 @@ func TestClientOpRecycled(t *testing.T) {
 			t.Fatalf("redirected write: err=%v", err)
 		}
 		want("redirects", 1, 1)
-		if err := r.client.Quiescent(); err != nil {
-			t.Fatal(err)
-		}
 		for _, f := range r.osds {
 			f.mode, f.served = "slowOnce", 0
 		}
@@ -265,10 +263,13 @@ func TestClientOpRecycled(t *testing.T) {
 			t.Fatal(err)
 		}
 		want("after it", 2, 1)
-		if err := r.client.Quiescent(); err == nil || !strings.Contains(err.Error(), "1 of 2 client.0: requests back") {
-			t.Fatalf("Quiescent = %v, want the request left to the GC named", err)
-		}
 	})
+	if out := r.env.RecordsOut(); out != nil {
+		t.Fatalf("records out: %v", out)
+	}
+	if got := r.client.calls.Abandoned(sim.TimedOut); got != 1 {
+		t.Fatalf("%d call records abandoned as timed out, want the one attempt's", got)
+	}
 }
 
 // TestReplyZeroedAfterDispatch: an OSD puts the record its reply lives in back

@@ -75,7 +75,7 @@ type Endpoint struct {
 	srv  server
 	// envs is the partition's free list of envelopes (sim.Local), shared by
 	// its endpoints.
-	envs *envelopes
+	envs *sim.FreeList[envelope]
 	// handlers is indexed by op: op codes are small.
 	handlers []Handler
 	pending  map[uint64]*Reply
@@ -161,19 +161,12 @@ func (env *envelope) Run() {
 	}
 }
 
-// envelopes is a partition's free list of envelopes.
-type envelopes struct{ sim.FreeList[envelope] }
-
 // newEnvelope takes an envelope from the free list and sets it to v.
 func (e *Endpoint) newEnvelope(v envelope) *envelope {
 	env := e.envs.Get()
 	*env = v
 	return env
 }
-
-// Quiescent reports the envelopes of the endpoint's partition that are not
-// back on the free list: a message still in flight.
-func (e *Endpoint) Quiescent() error { return e.envs.AllBack(e.name + ": envelopes") }
 
 // Reply is a call awaiting its response, which the endpoint's server loop
 // fills in when it arrives.
@@ -216,7 +209,7 @@ func newEndpoint(env *sim.Env, name string, cpu *sim.CPU, th *sim.Thread, cfg Co
 		env: env, name: name, cpu: cpu, th: th, cfg: cfg,
 		inq:     sim.NewQueue[*envelope](env),
 		pending: make(map[uint64]*Reply),
-		envs:    sim.Local[envelopes](env),
+		envs:    sim.Local[sim.FreeList[envelope]](env),
 	}
 	e.srv.e = e
 	e.srv.done = e.inq.ServeTask("rpc-server:"+name, e.srv.serve)

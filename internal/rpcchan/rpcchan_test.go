@@ -456,8 +456,8 @@ func TestChargeThenReadsItsRequest(t *testing.T) {
 	if len(ids) != 3 || got["a"] != "1:a" || got["b"] != "2:b" || got["c"] != "3:c" {
 		t.Fatalf("handled %v, responses %v: want requests 1, 2 and 3 echoed by their own continuations", ids, got)
 	}
-	if err := r.dpu.Quiescent(); err != nil {
-		t.Fatal(err)
+	if out := r.env.RecordsOut(); out != nil {
+		t.Fatalf("records out: %v", out)
 	}
 }
 
@@ -488,8 +488,8 @@ func TestNotifyTaskRecyclesEnvelope(t *testing.T) {
 	if handled != 111 {
 		t.Fatalf("%d notifications handled, want 111", handled)
 	}
-	if err := r.dpu.Quiescent(); err != nil {
-		t.Fatal(err)
+	if out := r.env.RecordsOut(); out != nil {
+		t.Fatalf("records out: %v", out)
 	}
 	if made := r.dpu.envs.Made(); made != 1 {
 		t.Fatalf("%d envelopes made for notifications sent one at a time, want 1", made)

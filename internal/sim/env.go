@@ -363,8 +363,10 @@ type Env struct {
 	coroFree  []*coro
 	unstarted int
 
-	// locals holds the values Local made, one per type.
-	locals map[any]any
+	// locals holds the values Local made, one per type; ledgers are the
+	// free lists among them, in the order they were made.
+	locals  map[any]any
+	ledgers []ledger
 	// spawned is WatchSpawns' function, nil when nobody watches.
 	spawned func(name string)
 }

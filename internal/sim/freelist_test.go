@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 type freeRec struct {
 	n   int
@@ -8,17 +11,13 @@ type freeRec struct {
 }
 
 // TestFreeListRecyclesZeroed: Get makes a record only when none is listed,
-// Put zeroes what it lists, the record listed last comes back first, AllBack
-// names the records out, and a Get/Put pair allocates nothing once the list
-// holds a record.
+// Put zeroes what it lists, the record listed last comes back first, and a
+// Get/Put pair allocates nothing once the list holds a record.
 func TestFreeListRecyclesZeroed(t *testing.T) {
 	var l FreeList[freeRec]
 	a, b := l.Get(), l.Get()
 	if a == b || l.Made() != 2 || l.Listed() != 0 {
 		t.Fatalf("two Gets on an empty list: same record %v, made %d, listed %d", a == b, l.Made(), l.Listed())
-	}
-	if err := l.AllBack("listed records"); err == nil || err.Error() != "0 of 2 listed records back on the free list" {
-		t.Fatalf("AllBack with two out: %v", err)
 	}
 	a.n, a.buf = 7, make([]byte, 3)
 	l.Put(a)
@@ -34,10 +33,55 @@ func TestFreeListRecyclesZeroed(t *testing.T) {
 	}
 	l.Put(a)
 	l.Put(b)
-	if err := l.AllBack("listed records"); err != nil {
-		t.Fatalf("AllBack with every record listed: %v", err)
-	}
 	if n := testing.AllocsPerRun(100, func() { l.Put(l.Get()) }); n != 0 {
 		t.Fatalf("%.1f allocations per Get/Put pair", n)
+	}
+}
+
+// tableRec is a record whose list is a type of its own, as a package wraps a
+// FreeList to give it methods.
+type tableRec struct{ n int }
+
+type tables struct{ FreeList[tableRec] }
+
+// TestLocalRegistersFreeLists: Local registers a FreeList, and a type that
+// embeds one, with its Env and nothing else; RecordsOut walks the lists in the
+// order Local made them, names each by its record type, and reports exactly
+// those whose records made are not listed plus abandoned, with the abandoned
+// ones by reason, which Abandoned lists alone.
+func TestLocalRegistersFreeLists(t *testing.T) {
+	env := NewEnv(1)
+	tabs := Local[tables](env)
+	Local[map[string]int](env) // not a list
+	recs := Local[FreeList[freeRec]](env)
+	if Local[tables](env) != tabs || len(env.ledgers) != 2 {
+		t.Fatalf("%d lists registered, want the two made once each", len(env.ledgers))
+	}
+	if out := env.RecordsOut(); out != nil {
+		t.Fatalf("RecordsOut of two empty lists: %v", out)
+	}
+	tab, r := tabs.Get(), recs.Get()
+	recs.Get()
+	recs.Get()
+	tabs.Put(tab)
+	recs.Put(r)
+	recs.Abandon(TimedOut)
+	recs.Abandon(Fallback)
+	if out := env.RecordsOut(); out != nil {
+		t.Fatalf("RecordsOut with every record listed or abandoned: %v", out)
+	}
+	want := []string{"sim.freeRec: 1 of 3 back, 1 abandoned (fallback), 1 abandoned (timed out)"}
+	if got := env.Abandoned(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Abandoned = %q, want %q", got, want)
+	}
+	if recs.Abandoned(Fallback) != 1 || recs.Abandoned(TimedOut) != 1 || recs.Abandoned(Crashed) != 0 {
+		t.Fatal("Abandoned(why) does not count by reason")
+	}
+	tabs.Get()
+	recs.Abandon(Corrupt) // an abandon too many: both records out were already counted
+	want = []string{"sim.tableRec: 0 of 1 back", "sim.freeRec: 1 of 3 back, 1 abandoned (fallback), " +
+		"1 abandoned (timed out), 1 abandoned (corrupt)"}
+	if got := env.RecordsOut(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("RecordsOut = %q, want %q", got, want)
 	}
 }
