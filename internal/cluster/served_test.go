@@ -109,10 +109,10 @@ func TestQuiescentAfterBatchedAndStreamedRuns(t *testing.T) {
 // TestQuiescentAfterFaultWindows: a DoCeph run with one fault window on
 // node0 while ops are in flight — DMA errors, packet drops or a stalled
 // comm channel — ends at rest once it has settled. A record an error path
-// leaves to the GC counts as abandoned for its reason, not as not back: the
-// DMA-error window abandons at least one shipment, for the segment table a
-// failed transfer used, as a fallback, and the windows without DMA errors
-// abandon nothing.
+// leaves to the GC counts as abandoned, not as not back: the DMA-error
+// window resends segments over RPC, and each shipment that did so leaves its
+// segment table to the GC (core's TestRecycledRecordsHoldNothing pins the
+// count by reason).
 func TestQuiescentAfterFaultWindows(t *testing.T) {
 	for _, ev := range []faultinject.Event{
 		{Kind: faultinject.DMAError, Prob: 0.2},
@@ -133,13 +133,12 @@ func TestQuiescentAfterFaultWindows(t *testing.T) {
 		if err := cl.Env.RunUntil(cl.Env.Now().Add(60 * sim.Second)); err != nil {
 			t.Fatalf("%v: %v", ev.Kind, err)
 		}
-		abandoned := cl.Env.Abandoned()
-		t.Logf("%v: abandoned %v", ev.Kind, abandoned)
-		tables := slices.ContainsFunc(abandoned, func(s string) bool {
-			return strings.HasPrefix(s, "core.shipment: ") && strings.Contains(s, "abandoned (fallback)")
-		})
-		if tables != (ev.Kind == faultinject.DMAError) {
-			t.Errorf("%v: abandoned %v; want shipments abandoned as fallbacks after DMA errors alone", ev.Kind, abandoned)
+		var resent int64
+		for _, n := range cl.Nodes {
+			resent += n.Bridge.Proxy.Stats().FallbackSegments
+		}
+		if (resent > 0) != (ev.Kind == faultinject.DMAError) {
+			t.Errorf("%v: %d segments resent over RPC; want some after DMA errors alone", ev.Kind, resent)
 		}
 		if err := Quiescent(cl); err != nil {
 			t.Errorf("%v: not quiescent after the window: %v", ev.Kind, err)

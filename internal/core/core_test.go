@@ -659,8 +659,8 @@ func TestReadSegmentTagsValidated(t *testing.T) {
 // assertion. After a completed run — segmented writes, plain and batched, and
 // a segmented read — the bridge is at rest (Bridge.Quiescent: every staging
 // buffer on both sides back in its pool, the staging gauge back to zero,
-// nothing filed, every crossing record back) and nothing but the daemons is
-// live. A Shutdown with transfers in flight drops the pending completion
+// nothing filed), every crossing record is back (sim.Env.RecordsOut) and
+// nothing but the daemons is live. A Shutdown with transfers in flight drops the pending completion
 // tasks along with the procs.
 func TestTeardownReturnsBuffersTasksAndProcs(t *testing.T) {
 	for _, c := range []struct {
@@ -715,6 +715,9 @@ func TestTeardownReturnsBuffersTasksAndProcs(t *testing.T) {
 		}
 		if err := r.bridge.Quiescent(); err != nil {
 			t.Errorf("%s: not at rest after the run: %v", name, err)
+		}
+		if out := r.env.RecordsOut(); out != nil {
+			t.Errorf("%s: records out: %v", name, out)
 		}
 		if live := r.env.LiveProcs(); live != daemons {
 			t.Errorf("%s: %d procs and tasks live after the run, %d daemons before it", name, live, daemons)

@@ -142,7 +142,10 @@ func (f *finisher) answer() {
 		if f.res.Err != nil {
 			ra.reply.Result = missingOrError(f.res.Err)
 		}
-		ra.reply.Owner = o.lend(ra, o.applies)
+		if o.failed {
+			o.applies.Abandon(sim.Crashed)
+		}
+		ra.reply.Owner = o.lend(ra)
 		o.msgr.Send(ra.src, &ra.reply)
 		o.tr.Finish(ra.sp)
 		o.repApplies--

@@ -340,11 +340,9 @@ type opReply struct {
 func (r *opReply) Release() { r.o.replies.Put(r) }
 
 // lend is owner, the record a reply is sent from, unless the OSD has failed:
-// a crashed daemon's records are not handed to the ops that come after it, so
-// its free list from abandons it.
-func (o *OSD) lend(owner cephmsg.Owner, from interface{ Abandon(sim.Reason) }) cephmsg.Owner {
+// a crashed daemon's records are not handed to the ops that come after it.
+func (o *OSD) lend(owner cephmsg.Owner) cephmsg.Owner {
 	if o.failed {
-		from.Abandon(sim.Crashed)
 		return nil
 	}
 	return owner
@@ -824,9 +822,13 @@ func (o *OSD) newReply(m *cephmsg.MOSDOp) *opReply {
 	return r
 }
 
-// sendReply sends r's reply to dst, whose messenger puts r back.
+// sendReply sends r's reply to dst, whose messenger puts r back; a failed
+// OSD's is abandoned (lend).
 func (o *OSD) sendReply(dst string, r *opReply) {
-	r.reply.Owner = o.lend(r, o.replies)
+	if o.failed {
+		o.replies.Abandon(sim.Crashed)
+	}
+	r.reply.Owner = o.lend(r)
 	o.msgr.Send(dst, &r.reply)
 }
 

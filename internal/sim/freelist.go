@@ -67,15 +67,15 @@ func (l *FreeList[T]) Listed() int { return len(l.free) }
 func (l *FreeList[T]) Abandoned(why Reason) int { return l.abandoned[why] }
 
 // tally is the list's account, "type: L of M back", then its abandoned
-// records by reason, with how many records are neither listed nor abandoned
-// and how many are abandoned.
-func (l *FreeList[T]) tally() (account string, out, abandoned int) {
+// records by reason, with how many records are neither listed nor abandoned.
+func (l *FreeList[T]) tally() (account string, out int) {
 	account = fmt.Sprintf("%v: %d of %d back", reflect.TypeFor[T](), len(l.free), l.made)
+	out = l.made - len(l.free)
 	for why, n := range l.abandoned {
 		if n > 0 {
 			account += fmt.Sprintf(", %d abandoned (%s)", n, reasonNames[why])
-			abandoned += n
+			out -= n
 		}
 	}
-	return account, l.made - len(l.free) - abandoned, abandoned
+	return account, out
 }

@@ -48,7 +48,7 @@ type tables struct{ FreeList[tableRec] }
 // embeds one, with its Env and nothing else; RecordsOut walks the lists in the
 // order Local made them, names each by its record type, and reports exactly
 // those whose records made are not listed plus abandoned, with the abandoned
-// ones by reason, which Abandoned lists alone.
+// ones by reason.
 func TestLocalRegistersFreeLists(t *testing.T) {
 	env := NewEnv(1)
 	tabs := Local[tables](env)
@@ -70,16 +70,16 @@ func TestLocalRegistersFreeLists(t *testing.T) {
 	if out := env.RecordsOut(); out != nil {
 		t.Fatalf("RecordsOut with every record listed or abandoned: %v", out)
 	}
-	want := []string{"sim.freeRec: 1 of 3 back, 1 abandoned (fallback), 1 abandoned (timed out)"}
-	if got := env.Abandoned(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Abandoned = %q, want %q", got, want)
+	const account = "sim.freeRec: 1 of 3 back, 1 abandoned (fallback), 1 abandoned (timed out)"
+	if got, out := recs.tally(); got != account || out != 0 {
+		t.Fatalf("tally = %q, %d out; want %q, 0 out", got, out, account)
 	}
 	if recs.Abandoned(Fallback) != 1 || recs.Abandoned(TimedOut) != 1 || recs.Abandoned(Crashed) != 0 {
 		t.Fatal("Abandoned(why) does not count by reason")
 	}
 	tabs.Get()
 	recs.Abandon(Corrupt) // an abandon too many: both records out were already counted
-	want = []string{"sim.tableRec: 0 of 1 back", "sim.freeRec: 1 of 3 back, 1 abandoned (fallback), " +
+	want := []string{"sim.tableRec: 0 of 1 back", "sim.freeRec: 1 of 3 back, 1 abandoned (fallback), " +
 		"1 abandoned (timed out), 1 abandoned (corrupt)"}
 	if got := env.RecordsOut(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("RecordsOut = %q, want %q", got, want)

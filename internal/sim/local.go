@@ -7,7 +7,7 @@ type localKey[T any] struct{}
 
 // ledger is what Local registers: a FreeList, or a type that embeds one.
 type ledger interface {
-	tally() (account string, out, abandoned int)
+	tally() (account string, out int)
 }
 
 // Local returns e's value of type T, a zero T made on first use. Everything
@@ -35,15 +35,9 @@ func Local[T any](e *Env) *T {
 // RecordsOut lists, in the order Local made them, the accounts of the
 // registered free lists whose records are not all back: made is not listed
 // plus abandoned. A drained run leaves it empty.
-func (e *Env) RecordsOut() []string { return e.accounts(false) }
-
-// Abandoned lists, as RecordsOut does, the registered free lists that left
-// records to the GC.
-func (e *Env) Abandoned() []string { return e.accounts(true) }
-
-func (e *Env) accounts(abandoned bool) (list []string) {
+func (e *Env) RecordsOut() (list []string) {
 	for _, l := range e.ledgers {
-		if account, out, n := l.tally(); abandoned && n > 0 || !abandoned && out != 0 {
+		if account, out := l.tally(); out != 0 {
 			list = append(list, account)
 		}
 	}
