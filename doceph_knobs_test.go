@@ -53,7 +53,6 @@ var (
 
 func streamOn(c *ClusterConfig)  { c.Messenger.Stream.Enable = true }
 func balanceOn(c *ClusterConfig) { c.Client.BalanceReads = true }
-func cacheOn(c *ClusterConfig)   { c.Bridge.ReadCache.Enable = true }
 
 // counted adapts one of grid.go's engagement predicates to an arm; staged
 // also wants the trace stages the knob's path records.
@@ -81,8 +80,6 @@ var knobs = []knob{
 		}},
 	{name: "balance-reads", mut: balanceOn, modes: bothModes, sizes: knobSizes,
 		live: everywhere, engaged: counted(balanceEngaged)},
-	{name: "read-cache", mut: cacheOn, modes: bothModes, sizes: knobSizes,
-		live: onDoCeph, engaged: counted(cacheEngaged), inert: onBaseline},
 	{name: "breaker", mut: func(c *ClusterConfig) {
 		c.Bridge.Breaker = dpu.DefaultBreakerConfig()
 		c.Bridge.Breaker.Enable = true
@@ -249,7 +246,6 @@ func runArm(p point) arm {
 		{"batched txns", cfg.Bridge.Batch.Enable, a.batchedTxns},
 		{"streamed writes", cfg.Messenger.Stream.Enable, a.streamWrites},
 		{"balanced reads", cfg.Client.BalanceReads, a.balancedReads},
-		{"read-cache lookups", cfg.Bridge.ReadCache.Enable, a.cacheHits + a.cacheMisses},
 	} {
 		if !c.on && c.n != 0 {
 			fail("%d %s with the knob off", c.n, c.what)
@@ -362,7 +358,7 @@ func TestMetamorphicBatchingPreservesSemantics(t *testing.T)   { singles(t, "bat
 func TestMetamorphicMultiQueuePreservesSemantics(t *testing.T) { singles(t, "multi-queue") }
 func TestMetamorphicStreamingPreservesSemantics(t *testing.T)  { singles(t, "streaming") }
 func TestMetamorphicReadPathKnobsPreserveSemantics(t *testing.T) {
-	singles(t, "balance-reads", "read-cache")
+	singles(t, "balance-reads")
 }
 func TestMetamorphicFaultKnobsInertWhenFaultFree(t *testing.T) { singles(t, "breaker", "min_size+qos") }
 
@@ -400,7 +396,7 @@ var seedRows = map[string]struct {
 	"mixed read path": {knobSeeds, tracedCell(cell{size: 64 << 10, engaged: func(r runResult) error {
 		rs, ws := r.bench.ReadStats.Ops, r.bench.WriteStats.Ops
 		return expect(rs > 0 && ws > 0, "mix collapsed: %d reads, %d writes", rs, ws)
-	}, bench: BenchConfig{Op: MixedWorkload, ReadPercent: 70, QueueDepth: 2}}, 0, "balance-reads", "read-cache")},
+	}, bench: BenchConfig{Op: MixedWorkload, ReadPercent: 70, QueueDepth: 2}}, 0, "balance-reads")},
 }
 
 var knobSeeds = []int64{1, 2, 3, 5, 8, 13, 21, 42}

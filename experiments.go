@@ -414,32 +414,24 @@ func streamingTables(rs []runResult) []*report.Table {
 }
 
 // ---------------------------------------------------------------------------
-// Read-path ablation: op mix x replica reads x DPU read cache x deployment,
-// on 64 KB objects — small enough that per-op overheads (the DPU read
-// cache's target) dominate. Every knob defaults off; the first row of each
-// deployment is the unmodified configuration.
+// Read-path ablation: op mix x replica reads x deployment, on 64 KB
+// objects — small enough that per-op overheads dominate. Every knob defaults
+// off; the first row of each deployment is the unmodified configuration.
 
 func readPathCells() []cell {
 	var cells []cell
 	for _, mode := range []Mode{Baseline, DoCeph} {
-		// add appends one arm; balance / cache flip the knob and declare the
-		// matching engagement check.
-		add := func(mix string, bench BenchConfig, balance, cache bool) {
-			var checks []func(runResult) error
-			if balance {
-				checks = append(checks, balanceEngaged)
-			}
-			if cache {
-				checks = append(checks, cacheEngaged)
-			}
-			cells = append(cells, cell{
+		// add appends one arm; balance flips replica-read balancing and
+		// declares its engagement check.
+		add := func(mix string, bench BenchConfig, balance bool) {
+			c := cell{
 				name: mode.String() + " " + mix, mode: mode, size: 64 << 10, bench: bench,
-				mut: func(cfg *ClusterConfig) {
-					cfg.Client.BalanceReads = balance
-					cfg.Bridge.ReadCache.Enable = cache
-				},
-				engaged: allOf(checks...),
-			})
+				mut: func(cfg *ClusterConfig) { cfg.Client.BalanceReads = balance },
+			}
+			if balance {
+				c.engaged = balanceEngaged
+			}
+			cells = append(cells, c)
 		}
 		for _, pct := range []int{100, 70, 50} {
 			mix := fmt.Sprintf("%dR/%dW", pct, 100-pct)
@@ -447,26 +439,18 @@ func readPathCells() []cell {
 			if pct < 100 {
 				bench = BenchConfig{Op: MixedWorkload, ReadPercent: pct}
 			}
-			add(mix, bench, false, false)
-			add(mix+" +balance", bench, true, false)
-			if mode == DoCeph {
-				add(mix+" +cache", bench, false, true)
-				add(mix+" +balance+cache", bench, true, true)
-			}
+			add(mix, bench, false)
+			add(mix+" +balance", bench, true)
 		}
 		// Queue-depth arm: the closed loop widened to 4 slots per worker.
-		add("100R/0W qd=4", BenchConfig{Op: ReadWorkload, QueueDepth: 4}, false, false)
+		add("100R/0W qd=4", BenchConfig{Op: ReadWorkload, QueueDepth: 4}, false)
 		// Popularity arms: pure reads under Zipf and hotspot skew, with
-		// replica-read balancing as the mitigation and (DoCeph) the read
-		// cache — a hot set is exactly what DPU-side DDR can absorb.
+		// replica-read balancing as the mitigation.
 		zipf := BenchConfig{Op: ReadWorkload, Popularity: radosbench.Popularity{Kind: radosbench.PopZipf}}
 		hot := BenchConfig{Op: ReadWorkload, Popularity: radosbench.Popularity{Kind: radosbench.PopHotspot}}
-		add("100R/0W zipf", zipf, false, false)
-		add("100R/0W zipf+balance", zipf, true, false)
-		add("100R/0W hotspot", hot, false, false)
-		if mode == DoCeph {
-			add("100R/0W zipf+cache", zipf, false, true)
-		}
+		add("100R/0W zipf", zipf, false)
+		add("100R/0W zipf+balance", zipf, true)
+		add("100R/0W hotspot", hot, false)
 	}
 	return cells
 }
@@ -480,7 +464,7 @@ func readPathTables(rs []runResult) []*report.Table {
 			return report.F2(f(r))
 		})
 	}
-	return []*report.Table{table("Read path: op mix x replica reads x DPU read cache x deployment", []column{
+	return []*report.Table{table("Read path: op mix x replica reads x deployment", []column{
 		colName,
 		col("read IOPS", func(r runResult) string { return report.F2(r.bench.ReadStats.IOPS(r.bench.Window)) }),
 		col("read p99 (ms)", func(r runResult) string { return report.F2(r.bench.ReadStats.P99.Seconds() * 1e3) }),
@@ -488,11 +472,5 @@ func readPathTables(rs []runResult) []*report.Table {
 		writes("write p99 (ms)", func(r runResult) float64 { return r.bench.WriteStats.P99.Seconds() * 1e3 }),
 		colCPU,
 		col("balanced", func(r runResult) string { return fmt.Sprint(r.balancedReads) }),
-		col("cache hit", func(r runResult) string {
-			if r.cacheHits+r.cacheMisses == 0 {
-				return "-"
-			}
-			return report.Pct(float64(r.cacheHits) / float64(r.cacheHits+r.cacheMisses))
-		}),
-	}, groups(rs, 1), "64KB objects; balance = read-from-secondary hashing, cache = DPU-side object read cache (both default off); zipf/hotspot = skewed read popularity over the prepopulated set (uniform otherwise)")}
+	}, groups(rs, 1), "64KB objects; balance = read-from-secondary hashing (default off); zipf/hotspot = skewed read popularity over the prepopulated set (uniform otherwise)")}
 }

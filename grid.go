@@ -66,8 +66,6 @@ type runResult struct {
 	dmaErrors    int64
 	batchedTxns  int64
 	batchFlushes int64
-	cacheHits    int64
-	cacheMisses  int64
 	breakers     int // proxies running a circuit breaker
 	// engQueues is the upstream engines' per-node queue count; engBusy their
 	// summed busy time over the whole run, warm-up included.
@@ -223,8 +221,6 @@ func measure(cl *Cluster, bench BenchResult) runResult {
 		r.dmaErrors += n.Bridge.EngUp.Stats().Errors
 		r.batchedTxns += st.BatchedTxns
 		r.batchFlushes += st.BatchFlushes
-		r.cacheHits += st.ReadCacheHits
-		r.cacheMisses += st.ReadCacheMisses
 		if st.PeakStagingBytes > r.peakStaging {
 			r.peakStaging = st.PeakStagingBytes
 		}
@@ -317,10 +313,6 @@ func expect(ok bool, format string, args ...any) error {
 
 func batchedEngaged(r runResult) error {
 	return expect(r.batchedTxns > 0, "batching enabled but no transaction was batched")
-}
-
-func cacheEngaged(r runResult) error {
-	return expect(r.cacheHits > 0, "DPU read cache enabled but never hit")
 }
 
 func balanceEngaged(r runResult) error {

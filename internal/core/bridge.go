@@ -45,11 +45,6 @@ type BridgeConfig struct {
 	// the session over to the host RPC path, and probe successes re-enroll
 	// it.
 	Breaker dpu.BreakerConfig
-	// ReadCache enables the DPU-side object read cache on the proxy. Off
-	// by default. Hot full-object reads are answered from DPU DDR with DPU
-	// CPU only; every mutation the proxy ships invalidates its object's
-	// entry first, so cached content never goes stale.
-	ReadCache dpu.ReadCacheConfig
 }
 
 // NewBridge wires a DPU to a host CPU + local BlueStore and returns the

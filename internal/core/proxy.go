@@ -90,11 +90,6 @@ type ProxyStats struct {
 	BatchFlushIdle  int64
 	BatchFlushDelay int64
 
-	// Read-cache counters (all zero with the cache disabled).
-	ReadCacheHits          int64
-	ReadCacheMisses        int64
-	ReadCacheInvalidations int64
-
 	// PeakStagingBytes is the high-water mark of payload bytes held in DMA
 	// staging buffers at any one instant (per-segment buffers and batch
 	// frames alike). With flow-controlled streaming the ceiling tracks
@@ -158,9 +153,6 @@ type Proxy struct {
 	dmaHealthy    bool
 	cooldownUntil sim.Time
 	br            *dpu.Breaker
-
-	// rcache serves hot reads from DPU DDR (nil with the cache disabled).
-	rcache *dpu.ReadCache
 
 	breakdown Breakdown
 	stats     ProxyStats
@@ -274,16 +266,13 @@ type pendingRead struct {
 	// dmaErr reports a failed return segment: the read goes again over RPC.
 	dmaErr bool
 	// The chain: the caller's record, its thread and continuation, the step,
-	// the read's request id (zero for a cache hit), the gate's probe verdict,
-	// whether a good answer from the RPC fills the read cache, and the RPC's
-	// reply.
+	// the read's request id, the gate's probe verdict, and the RPC's reply.
 	px    *Proxy
 	th    *sim.Thread
 	c     *objstore.Call
 	next  sim.Task
 	step  readStep
 	ok    bool
-	cache bool
 	reqID uint64
 	reply *rpcchan.Reply
 }
@@ -292,8 +281,7 @@ type pendingRead struct {
 type readStep uint8
 
 const (
-	readStart      readStep = iota // the cache, then the gate
-	readHit                        // the cache hit's charge is paid
+	readStart      readStep = iota // file the read, then the gate
 	readProbed                     // the gate's probe is done: DMA or RPC by its verdict
 	readDMA                        // negotiate the DPU region, if need be
 	readHostRegion                 // the DPU region is negotiated: the host's next
@@ -309,7 +297,7 @@ const (
 // control channel; engUp/engDown are the DMA engines for the two
 // directions; dpuMR/hostMR are the staging regions (negotiated lazily via
 // cc, or per-segment when the MR cache is disabled). Of cfg it reads Proxy
-// and the three off-by-default mechanisms: Batch, Breaker and ReadCache.
+// and the two off-by-default mechanisms: Batch and Breaker.
 func NewProxy(env *sim.Env, dev *dpu.DPU, rpcEnd *rpcchan.Endpoint,
 	cc *doca.CommChannel, engUp, engDown *doca.Engine,
 	dpuMR, hostMR *doca.MemRegion, cfg BridgeConfig) *Proxy {
@@ -329,9 +317,6 @@ func NewProxy(env *sim.Env, dev *dpu.DPU, rpcEnd *rpcchan.Endpoint,
 	}
 	if cfg.Breaker.Enable {
 		px.br = dpu.NewBreaker(cfg.Breaker)
-	}
-	if cfg.ReadCache.Enable {
-		px.rcache = dpu.NewReadCache()
 	}
 	rpcEnd.Handle(opTxnDone, px.onTxnDone)
 	rpcEnd.Handle(opReadDone, px.onReadDone)
@@ -360,19 +345,7 @@ func NewProxy(env *sim.Env, dev *dpu.DPU, rpcEnd *rpcchan.Endpoint,
 func (px *Proxy) SetTracer(tr *trace.Tracer) { px.tr = tr }
 
 // Stats returns a copy of the proxy counters.
-func (px *Proxy) Stats() ProxyStats {
-	s := px.stats
-	if px.rcache != nil {
-		rs := px.rcache.Stats()
-		s.ReadCacheHits = rs.Hits
-		s.ReadCacheMisses = rs.Misses
-		s.ReadCacheInvalidations = rs.Invalidations
-	}
-	return s
-}
-
-// ReadCache returns the DPU-side read cache, or nil when it is disabled.
-func (px *Proxy) ReadCache() *dpu.ReadCache { return px.rcache }
+func (px *Proxy) Stats() ProxyStats { return px.stats }
 
 // BreakdownSnapshot returns the accumulated latency breakdown.
 func (px *Proxy) BreakdownSnapshot() Breakdown { return px.breakdown }
@@ -577,14 +550,13 @@ func (px *Proxy) QueueTransaction(p *sim.Proc, txn *objstore.Transaction) *objst
 	return res
 }
 
-// encodeTxn is the first step of QueueTransactionThen: the transaction's
-// cached reads are dropped, and it is encoded into a pendingTxn from the free
-// list that will complete res, under a serialize span (zero when untraced).
-// The frame references payload segments zero-copy; the CPU cost of the memcpy
-// a real implementation would do is still charged, on the submitting DPU
-// thread (tp_osd_tp on the DPU), before serialized.
+// encodeTxn is the first step of QueueTransactionThen: the transaction is
+// encoded into a pendingTxn from the free list that will complete res, under
+// a serialize span (zero when untraced). The frame references payload
+// segments zero-copy; the CPU cost of the memcpy a real implementation would
+// do is still charged, on the submitting DPU thread (tp_osd_tp on the DPU),
+// before serialized.
 func (px *Proxy) encodeTxn(txn *objstore.Transaction, res *objstore.Result) (*pendingTxn, trace.SpanID) {
-	px.invalidateCached(txn)
 	ctx := trace.SpanID(txn.TraceCtx)
 	if !px.tr.Enabled() {
 		ctx = 0
@@ -778,20 +750,6 @@ func (r *storeCall) advance() bool {
 		}
 	}
 	return false
-}
-
-// invalidateCached drops read-cache entries for every object txn mutates,
-// before the transaction ships — both the per-op and batched paths funnel
-// through QueueTransaction, so no mutation can race a stale hit.
-func (px *Proxy) invalidateCached(txn *objstore.Transaction) {
-	if px.rcache == nil {
-		return
-	}
-	for i := range txn.Ops {
-		if op := &txn.Ops[i]; op.Code == objstore.OpWrite || op.Code == objstore.OpRemove {
-			px.rcache.Invalidate(op.Collection, op.Object)
-		}
-	}
 }
 
 // segLimit is the largest segment one transfer on eng may carry through a
@@ -1154,14 +1112,6 @@ func (px *Proxy) onTxnDone(req rpcchan.Request, respond func(*wire.Bufferlist, u
 	}
 }
 
-// cached looks a read up in the read cache, when there is one.
-func (px *Proxy) cached(coll, obj string, off, length uint64) (*wire.Bufferlist, bool) {
-	if px.rcache == nil {
-		return nil, false
-	}
-	return px.rcache.Lookup(coll, obj, off, length)
-}
-
 // fileRead files the read of pr under a new request id and encodes its
 // descriptor.
 func (px *Proxy) fileRead(pr *pendingRead, coll, obj string, off, length uint64) {
@@ -1211,8 +1161,7 @@ func (pr *pendingRead) Run() {
 // its descriptor's transfer failed: the host's poller may still be about to
 // read that one's tag, so the record is left to the GC. On every other path no
 // transfer reaches the record any more — a failed data segment took the read
-// out of pendingReads, and the ones after it find nothing. A cache hit filed
-// nothing.
+// out of pendingReads, and the ones after it find nothing.
 func (pr *pendingRead) end() {
 	delete(pr.px.pendingReads, pr.reqID)
 	if pr.t.Err == nil {
@@ -1229,32 +1178,22 @@ func (pr *pendingRead) advance() bool {
 	for {
 		switch pr.step {
 		case readStart:
-			if bl, ok := px.cached(c.Coll, c.Object, c.Off, c.Length); ok {
-				c.Data, c.Err = bl, nil
-				pr.step = readHit
-				if px.dev.CPU.ExecThen(pr.th, px.rcache.HitCost(int64(bl.Length())), nil, pr) {
-					return true
-				}
-				continue
-			}
 			px.fileRead(pr, c.Coll, c.Object, c.Off, c.Length)
 			switch px.gate(px.env.Now()) {
 			case gateAllow:
 				pr.step = readDMA
 			case gateDeny:
-				pr.step, pr.cache = readRPC, true
+				pr.step = readRPC
 			default:
 				pr.step = readProbed
 				if px.probeThen(pr.th, &pr.ok, pr) {
 					return true
 				}
 			}
-		case readHit:
-			return false
 		case readProbed:
 			pr.step = readDMA
 			if !pr.ok {
-				pr.step, pr.cache = readRPC, true
+				pr.step = readRPC
 			}
 		case readDMA:
 			px.stats.Reads++
@@ -1302,7 +1241,6 @@ func (pr *pendingRead) advance() bool {
 			c.Data, c.Err = nil, codeToErr(pr.code)
 			if c.Err == nil {
 				c.Data = wire.Concat(pr.segs)
-				px.cacheRead(c.Coll, c.Object, c.Off, c.Length, c.Data)
 			}
 			return false
 		case readRPC:
@@ -1311,9 +1249,6 @@ func (pr *pendingRead) advance() bool {
 			return true
 		case readReplied:
 			c.Data, c.Err = callResult(pr.reply.Result())
-			if c.Err == nil && pr.cache {
-				px.cacheRead(c.Coll, c.Object, c.Off, c.Length, c.Data)
-			}
 			return false
 		}
 	}
@@ -1321,17 +1256,6 @@ func (pr *pendingRead) advance() bool {
 
 // String names the read in deadlock reports.
 func (pr *pendingRead) String() string { return fmt.Sprintf("proxy-read:%d", pr.reqID) }
-
-// cacheRead populates the read cache after a successful read. Only
-// full-object reads (offset 0, length 0 = to EOF) reveal the object's
-// complete content, so only those insert; ranged reads still hit against
-// a previously cached full object.
-func (px *Proxy) cacheRead(coll, obj string, off, length uint64, data *wire.Bufferlist) {
-	if px.rcache == nil || off != 0 || length != 0 {
-		return
-	}
-	px.rcache.Insert(coll, obj, data)
-}
 
 // readPoll is the DPU-side poller consuming host->DPU DMA completions (read
 // data segments), a task chain: a turn pays for the completion on the DPU CPU,

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"doceph/internal/doca"
-	"doceph/internal/dpu"
 	"doceph/internal/objstore"
 	"doceph/internal/sim"
 	"doceph/internal/wire"
@@ -38,14 +37,13 @@ type readPathCase struct {
 	// millisecond: some reader must find none free.
 	sample bool
 	events uint64
-	// reads by DMA, probes, failed probes, cooldowns, cache hits and
-	// negotiations
-	stats [6]int64
+	// reads by DMA, probes, failed probes, cooldowns and negotiations
+	stats [5]int64
 }
 
 // TestReadPathsKeepTheirEvents runs the read path through each of its ways on
-// one bridge — a DMA read of one segment and of several, a read-cache hit, a
-// read over RPC in cooldown, a probe that re-enables DMA and one that fails, a
+// one bridge — a DMA read of one segment and of several, a read over RPC in
+// cooldown, a probe that re-enables DMA and one that fails, a
 // descriptor or a data segment failing (the read goes again over RPC), a
 // missing object, collection or zero-length object answered through
 // opReadDone, readers waiting for the host's staging buffers, and no MR cache.
@@ -71,36 +69,32 @@ func TestReadPathsKeepTheirEvents(t *testing.T) {
 	}
 	cooldown := BridgeConfig{Proxy: ProxyConfig{CooldownPeriod: 2 * sim.Second}}
 	cases := []readPathCase{
-		{name: "dma", events: 114, stats: [6]int64{3, 0, 0, 0, 0, 2},
+		{name: "dma", events: 114, stats: [5]int64{3, 0, 0, 0, 2},
 			readers: [][]scriptStep{{read("small", 0, 4096, small), read("small", 0, 0, small),
 				read("small", 1000, 500, small)}}},
-		{name: "multi-segment", events: 116, stats: [6]int64{2, 0, 0, 0, 0, 2},
+		{name: "multi-segment", events: 116, stats: [5]int64{2, 0, 0, 0, 2},
 			readers: [][]scriptStep{{read("big", 0, 0, big), read("big", 1<<20, 3<<20, big)}}},
-		{name: "read-cache", events: 112, stats: [6]int64{2, 0, 0, 0, 3, 2},
-			cfg: BridgeConfig{ReadCache: dpu.ReadCacheConfig{Enable: true}},
-			readers: [][]scriptStep{{read("small", 0, 0, small), read("small", 0, 0, small),
-				read("small", 100, 200, small), read("big", 0, 0, big), read("big", 0, 0, big)}}},
-		{name: "cooldown-rpc", abandoned: [2]int{1, 0}, events: 108, stats: [6]int64{1, 0, 0, 1, 0, 2}, cfg: cooldown,
+		{name: "cooldown-rpc", abandoned: [2]int{1, 0}, events: 108, stats: [5]int64{1, 0, 0, 1, 2}, cfg: cooldown,
 			readers: [][]scriptStep{{failing(read("small", 0, 0, small), func(r *coreRig) { r.bridge.EngUp.FailNext(1) }),
 				read("small", 0, 0, small), read("big", 0, 0, big)}}},
-		{name: "probe", abandoned: [2]int{1, 0}, events: 159, stats: [6]int64{3, 2, 1, 1, 0, 2}, cfg: cooldown,
+		{name: "probe", abandoned: [2]int{1, 0}, events: 159, stats: [5]int64{3, 2, 1, 1, 2}, cfg: cooldown,
 			readers: [][]scriptStep{{failing(read("small", 0, 0, small), func(r *coreRig) { r.bridge.EngUp.FailNext(1) }),
 				after(3*sim.Second, failing(read("small", 0, 0, small), func(r *coreRig) { r.bridge.EngUp.FailNext(1) })),
 				after(3*sim.Second, read("big", 0, 0, big)), read("small", 0, 0, small)}}},
-		{name: "data-segment-error", abandoned: [2]int{0, 2}, events: 186, stats: [6]int64{3, 2, 0, 2, 0, 2},
+		{name: "data-segment-error", abandoned: [2]int{0, 2}, events: 186, stats: [5]int64{3, 2, 0, 2, 2},
 			readers: [][]scriptStep{{failing(read("small", 0, 0, small), func(r *coreRig) { r.bridge.EngDown.FailNext(1) }),
 				failing(after(6*sim.Second, read("big", 0, 0, big)), func(r *coreRig) { r.bridge.EngDown.SetFailProb(1) }),
 				failing(after(6*sim.Second, read("big", 0, 0, big)), func(r *coreRig) { r.bridge.EngDown.SetFailProb(0) })}}},
-		{name: "missing", events: 113, stats: [6]int64{4, 0, 0, 0, 0, 2},
+		{name: "missing", events: 113, stats: [5]int64{4, 0, 0, 0, 2},
 			readers: [][]scriptStep{{{coll: "pg.0", obj: "nothing", err: objstore.ErrNotFound},
 				{coll: "pg.9", obj: "small", err: objstore.ErrNoCollection},
 				read("empty", 0, 0, empty), read("small", 8192, 100, nil)}}},
 		// 64 KiB transfers: the host stages a reply's eighty segments, a
 		// staging buffer each, faster than the engine drains them.
-		{name: "staging-wait", sample: true, events: 2013, stats: [6]int64{2, 0, 0, 0, 0, 2},
+		{name: "staging-wait", sample: true, events: 2013, stats: [5]int64{2, 0, 0, 0, 2},
 			cfg:     BridgeConfig{Engine: doca.EngineConfig{MaxTransferBytes: 64 << 10}},
 			readers: [][]scriptStep{{read("big", 0, 0, big)}, {read("big", 0, 0, big)}}},
-		{name: "no-mr-cache", events: 168, stats: [6]int64{3, 0, 0, 0, 0, 11},
+		{name: "no-mr-cache", events: 168, stats: [5]int64{3, 0, 0, 0, 11},
 			cfg:     BridgeConfig{Proxy: ProxyConfig{DisableMRCache: true}},
 			readers: [][]scriptStep{{read("small", 0, 0, small), read("big", 0, 0, big)}, {read("big", 0, 0, big)}}},
 	}
@@ -166,12 +160,8 @@ func TestReadPathsKeepTheirEvents(t *testing.T) {
 					}
 				})
 				st := px.Stats()
-				var hits int64
-				if rc := px.ReadCache(); rc != nil {
-					hits = rc.Stats().Hits
-				}
-				got := [6]int64{st.Reads, st.Probes, st.ProbeFailures, st.CooldownEntries, hits, r.bridge.CC.Negotiations()}
-				t.Logf("%d events; reads by DMA, probes, failed probes, cooldowns, cache hits, negotiations: %v", r.env.Events(), got)
+				got := [5]int64{st.Reads, st.Probes, st.ProbeFailures, st.CooldownEntries, r.bridge.CC.Negotiations()}
+				t.Logf("%d events; reads by DMA, probes, failed probes, cooldowns, negotiations: %v", r.env.Events(), got)
 				if r.env.Events() != c.events || got != c.stats {
 					t.Errorf("%d events, counters %v; pinned %d, %v", r.env.Events(), got, c.events, c.stats)
 				}

@@ -160,7 +160,7 @@ var registry = []Experiment{
 		Doc: "store-and-forward vs credit-windowed chunk pipelining, 4-64MB writes, both deployments",
 		Run: grid(func(o Options) []cell { return streamingCells(o.Threads) }, streamingTables)},
 	{Name: "readpath",
-		Doc:   "op mix x replica-read balancing x DPU read cache x deployment",
+		Doc:   "op mix x replica-read balancing x deployment",
 		Smoke: smallOpSmoke,
 		Run:   grid(func(Options) []cell { return readPathCells() }, readPathTables)},
 	// The scale-out experiments keep the short windows they have always run:

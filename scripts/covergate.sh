@@ -44,7 +44,10 @@
 # gained its self-metrics (messenger 82.2% from 81.5%, osd 87.4% from 87.0%,
 # sim 93.7% from 93.5%, wire 88.2% from 87.7% with the encoder that frames
 # into a record's own list: floors 75 -> 77.2, 82 -> 82.4, 83 -> 88.7,
-# 82.7 -> 83.2);
+# 82.7 -> 83.2), and dpu was added at 93.0% when the DPU read cache was
+# deleted (66.0% before: readcache.go's 0%-covered lines left the ratio;
+# core 91.9% from 92.2%, the cache's covered lines leaving with it — no
+# floor moved down);
 # each is set ~5 points below to absorb small refactors. Raise floors when
 # coverage improves, never lower them to make a PR pass.
 set -eu
@@ -84,5 +87,6 @@ gate ./internal/bluestore 80
 gate ./internal/rpcchan 92
 gate ./internal/wire 83.2
 gate ./internal/objstore 94.2
+gate ./internal/dpu 88
 
 exit $fail
