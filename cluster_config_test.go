@@ -59,7 +59,7 @@ func TestNewRejectsUnbuildableConfig(t *testing.T) {
 		{},
 		{MinSize: 2}, {StorageNodes: 3, Replicas: 3, MinSize: 3}, // the limits themselves are fine
 		{Mode: DoCeph, Seed: o.Seed, Trace: true},
-		selfHealConfig(Baseline, o, true, true), selfHealConfig(DoCeph, o, true, true),
+		selfHealConfig(Baseline, o, true), selfHealConfig(DoCeph, o, true),
 		// A rack of scaleOut32 and of scaleOut128 / the benchmark's
 		// scaleout-128osd-zipf (ScaleOutConfig.rackConfig).
 		{Mode: DoCeph, StorageNodes: 4, Replicas: 2, PGs: 64}, {Mode: DoCeph, StorageNodes: 8, Replicas: 2, PGs: 64},

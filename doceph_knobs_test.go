@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"doceph/internal/dpu"
 	"doceph/internal/radosbench"
 	"doceph/internal/sim"
 	"doceph/internal/trace"
@@ -47,7 +46,6 @@ var (
 	always     = func(Mode) bool { return true }
 	onBaseline = func(m Mode) bool { return m == Baseline }
 	everywhere = func(Mode, int64) bool { return true }
-	onDoCeph   = func(m Mode, _ int64) bool { return m == DoCeph }
 	smallOnDPU = func(m Mode, size int64) bool { return m == DoCeph && size <= 64<<10 }
 )
 
@@ -80,12 +78,6 @@ var knobs = []knob{
 		}},
 	{name: "balance-reads", mut: balanceOn, modes: bothModes, sizes: knobSizes,
 		live: everywhere, engaged: counted(balanceEngaged)},
-	{name: "breaker", mut: func(c *ClusterConfig) {
-		c.Bridge.Breaker = dpu.DefaultBreakerConfig()
-		c.Bridge.Breaker.Enable = true
-	}, modes: bothModes, sizes: pairSizes, live: onDoCeph, inert: always, engaged: func(a arm) error {
-		return expect(a.breakers == a.nodes, "%d of %d proxies have a breaker", a.breakers, a.nodes)
-	}},
 	{name: "min_size+qos", mut: func(c *ClusterConfig) { c.MinSize = 1; recoveryQoS(c) },
 		modes: bothModes, sizes: pairSizes, live: everywhere, inert: always, engaged: func(a arm) error {
 			return expect(a.minSize == 1 && a.degradedWrites == 0,
@@ -332,23 +324,21 @@ func knobNamed(name string) int {
 	panic("no knob " + name)
 }
 
-// singles checks each named row alone at the first row's deployments and
-// sizes (one deployment: the subtest is named by size only).
-func singles(t *testing.T, names ...string) {
-	first := knobs[knobNamed(names[0])]
-	for _, mode := range first.modes {
-		for _, size := range first.sizes {
-			p := point{mode: mode, size: size}
+// singles checks the named row alone at its deployments and sizes (one
+// deployment: the subtest is named by size only).
+func singles(t *testing.T, knob string) {
+	i := knobNamed(knob)
+	k := knobs[i]
+	for _, mode := range k.modes {
+		for _, size := range k.sizes {
+			p := point{mode: mode, size: size, set: 1 << i}
 			name := p.String()
-			if len(first.modes) == 1 {
+			if len(k.modes) == 1 {
 				name = fmt.Sprintf("%dKB", size>>10)
 			}
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				for _, n := range names {
-					p.set = 1 << knobNamed(n)
-					check(t, p)
-				}
+				check(t, p)
 			})
 		}
 	}
@@ -360,7 +350,7 @@ func TestMetamorphicStreamingPreservesSemantics(t *testing.T)  { singles(t, "str
 func TestMetamorphicReadPathKnobsPreserveSemantics(t *testing.T) {
 	singles(t, "balance-reads")
 }
-func TestMetamorphicFaultKnobsInertWhenFaultFree(t *testing.T) { singles(t, "breaker", "min_size+qos") }
+func TestMetamorphicFaultKnobsInertWhenFaultFree(t *testing.T) { singles(t, "min_size+qos") }
 
 // TestMetamorphicKnobPairs runs every pair of rows on both deployments.
 func TestMetamorphicKnobPairs(t *testing.T) {

@@ -3,7 +3,7 @@ package doceph
 import (
 	"fmt"
 
-	"doceph/internal/dpu"
+	"doceph/internal/cluster"
 	"doceph/internal/faultinject"
 	"doceph/internal/radosbench"
 	"doceph/internal/report"
@@ -15,10 +15,12 @@ import (
 // the mixed plan (network, storage backend, DPU data path, an OSD crash) at
 // the robustness machinery — messenger session resets, client timeout/resend,
 // replication retry/abort, scrub repair. Selfheal drives a compound failure —
-// an OSD crash, then a sustained DPU DMA fault — through the circuit breaker,
-// min_size degraded writes and recovery QoS. Everything runs on virtual time
-// from one seed, so a (seed, plan) pair reproduces bit-identical results
-// (asserted by TestChaosDeterminism / TestSelfHealDeterminism).
+// an OSD crash, then a sustained DPU DMA fault — through the proxy's DMA
+// cooldown and probe (paper §4), min_size degraded writes and recovery QoS.
+// Everything runs on virtual time from one seed, so a (seed, plan) pair
+// reproduces bit-identical results (asserted by TestChaosDeterminism /
+// TestSelfHealDeterminism). Each run ends at rest: cluster.Quiescent holds it
+// to no work left, no record out and no goroutine behind.
 
 // verifyEvery makes each worker read back one of its own objects after every
 // verifyEvery writes (inline integrity checking under faults).
@@ -47,11 +49,11 @@ func DefaultChaosPlan(d Duration) faultinject.Plan {
 // SelfHealPlan is the compound failure schedule: an OSD crash-and-restart
 // early (degraded writes once the heartbeat grace expires and the monitor
 // publishes the failure, then recovery on rejoin), and a sustained total DMA
-// fault on node0 later (the breaker must open, fail traffic over to the host
-// path, and re-enroll once the window closes). The crash window must
-// comfortably exceed the 5 s heartbeat grace or the failure is never
-// detected; the final ~25% of the run is fault-free so the breaker can walk
-// open -> half-open -> closed and the backfill can proceed under QoS.
+// fault on node0 later (the proxy must cool DMA down, fail traffic over to
+// the host path, and re-enable DMA by a probe once the window closes). The
+// crash window must comfortably exceed the 5 s heartbeat grace or the failure
+// is never detected; the final ~25% of the run is fault-free so a probe after
+// the last cooldown finds DMA working and the backfill can proceed under QoS.
 func SelfHealPlan(d Duration) faultinject.Plan {
 	frac := func(f float64) Duration { return Duration(float64(d) * f) }
 	return faultinject.Plan{Name: "selfheal", Events: []faultinject.Event{
@@ -91,13 +93,15 @@ type FaultRun struct {
 	ObjectsRecovered, PGsBackfilled, RecoveryBytes, RecoveryBackoffs int64
 	RecoveryThrottle                                                 Duration
 
-	// Circuit breaker (all-node sums; zero on Baseline, which has no DPU).
-	BreakerOpens, BreakerHalfOpens, BreakerCloses, ProbeSuccesses int64
+	// DMA failover (all-node sums; zero on Baseline, which has no DPU):
+	// cooldowns entered, and probes that found DMA working and re-enabled it.
+	CooldownEntries, ProbeSuccesses int64
 	// FallbackTxns counts transactions the proxy shipped over the host RPC
 	// path; DataPlaneTxns went over DMA.
 	FallbackTxns, DataPlaneTxns int64
-	// BreakerFinal is node0's breaker state at run end ("" without one).
-	BreakerFinal string
+	// DMAFinal is node0's DMA state when the counters are read: "healthy",
+	// "cooling down", or "" without a DPU.
+	DMAFinal string
 
 	// MBps is the per-second write throughput; CleanMBps averages the
 	// seconds outside every fault window; DipPct is the worst in-window
@@ -158,22 +162,13 @@ func RunChaos(o Options) (FaultComparison, error) {
 // selfHealConfig is the selfheal testbed: a min_size floor of 1 (a PG keeps
 // accepting degraded writes down to a single surviving replica), and, when
 // switched on, the recovery QoS knobs (2 backfill reservations, a 64 MB/s
-// budget — ~1/8 disk — and a backoff depth of 4 per OSD) and the DPU circuit
-// breaker with its clock scaled to the run so the re-enroll arc (open timeout
-// + CloseProbes probes) completes inside the clean tail. At the full 60 s the
-// breaker timeouts come out to the dpu package defaults.
-func selfHealConfig(mode Mode, o Options, breaker, qos bool) ClusterConfig {
+// budget — ~1/8 disk — and a backoff depth of 4 per OSD). The proxy keeps its
+// default 5 s DMA cooldown, which ends well inside the clean tail of any run
+// at or above selfHealFloor.
+func selfHealConfig(mode Mode, o Options, qos bool) ClusterConfig {
 	cfg := ClusterConfig{Mode: mode, Seed: o.Seed, MinSize: 1}
 	if qos {
 		recoveryQoS(&cfg)
-	}
-	if breaker {
-		b := dpu.DefaultBreakerConfig()
-		b.Enable = true
-		b.Window = o.Duration / 6
-		b.OpenTimeout = o.Duration / 12
-		b.ProbeInterval = o.Duration / 60
-		cfg.Bridge.Breaker = b
 	}
 	return cfg
 }
@@ -199,26 +194,56 @@ func selfHealOptions(o Options) (Options, error) {
 }
 
 // RunSelfHeal executes the self-healing workload on both deployments under
-// SelfHealPlan, breaker and recovery QoS on.
+// SelfHealPlan, recovery QoS on.
 func RunSelfHeal(o Options) (FaultComparison, error) {
 	o, err := selfHealOptions(o)
 	if err != nil {
 		return FaultComparison{}, err
 	}
 	return compareFaulted("selfheal", o, SelfHealPlan(o.Duration),
-		func(mode Mode) ClusterConfig { return selfHealConfig(mode, o, true, true) },
+		func(mode Mode) ClusterConfig { return selfHealConfig(mode, o, true) },
 		selfHealSettle(o.Duration))
 }
 
+// restStep and restSteps bound the wait for a faulted run to come to rest
+// once its counters are read: a backfill paced by recovery QoS can go on for
+// minutes of virtual time after the workload stops.
+const (
+	restStep  = 10 * sim.Second
+	restSteps = 360
+)
+
 // runFaulted drives one cluster through plan under the closed-loop
-// write/verify workload: o.Threads workers write o.ObjectBytes objects for
-// o.Duration, reading one back every verifyEvery writes; then settle runs
-// (scrub, or a recovery drain) and every surviving object is verified.
+// write/verify workload (driveFaulted), then runs it until no work is left,
+// checked every restStep, and holds it to cluster.Quiescent, which shuts it
+// down.
 func runFaulted(kind string, cfg ClusterConfig, plan faultinject.Plan, o Options,
 	settle func(*sim.Proc, *Cluster)) (FaultRun, error) {
 	cl := NewCluster(cfg)
-	defer cl.Shutdown()
-	res := FaultRun{Mode: cfg.Mode.String()}
+	res, err := driveFaulted(cl, kind, plan, o, settle)
+	if err != nil {
+		cl.Shutdown()
+		return res, err
+	}
+	for i := 0; i < restSteps && cl.Env.Busy() != nil; i++ {
+		if err := cl.Env.RunUntil(cl.Env.Now().Add(restStep)); err != nil {
+			cl.Shutdown()
+			return res, err
+		}
+	}
+	if err := cluster.Quiescent(cl); err != nil {
+		return res, fmt.Errorf("not at rest after the run: %w", err)
+	}
+	return res, nil
+}
+
+// driveFaulted runs the workload on cl: o.Threads workers write
+// o.ObjectBytes objects for o.Duration, reading one back every verifyEvery
+// writes; then settle runs (scrub, or a recovery drain), every surviving
+// object is verified and the counters are read.
+func driveFaulted(cl *Cluster, kind string, plan faultinject.Plan, o Options,
+	settle func(*sim.Proc, *Cluster)) (FaultRun, error) {
+	res := FaultRun{Mode: cl.Config().Mode.String()}
 
 	inj := faultinject.New(cl.Env, cl.FaultTargets())
 	if err := inj.Run(plan); err != nil {
@@ -336,17 +361,13 @@ func runFaulted(kind string, cfg ClusterConfig, plan faultinject.Plan, o Options
 		res.FallbackTxns += ps.FallbackTxns
 		res.DataPlaneTxns += ps.DataPlaneTxns
 		res.DMAErrors += n.Bridge.EngUp.Stats().Errors + n.Bridge.EngDown.Stats().Errors
-		if br := n.Bridge.Proxy.Breaker(); br != nil {
-			bs := br.Stats()
-			res.BreakerOpens += bs.Opens
-			res.BreakerHalfOpens += bs.HalfOpens
-			res.BreakerCloses += bs.Closes
-			res.ProbeSuccesses += bs.ProbeSuccesses
-		}
+		res.CooldownEntries += ps.CooldownEntries
+		res.ProbeSuccesses += ps.Probes - ps.ProbeFailures
 	}
 	if len(cl.Nodes) > 0 && cl.Nodes[0].Bridge != nil {
-		if br := cl.Nodes[0].Bridge.Proxy.Breaker(); br != nil {
-			res.BreakerFinal = br.State().String()
+		res.DMAFinal = "cooling down"
+		if cl.Nodes[0].Bridge.Proxy.DMAHealthy() {
+			res.DMAFinal = "healthy"
 		}
 	}
 	for _, m := range cl.Registry.All() {
@@ -502,23 +523,21 @@ func selfHealTable(r FaultComparison) *report.Table {
 	row("recovery backoffs", func(m FaultRun) int64 { return m.RecoveryBackoffs })
 	row("recovery throttle (ms)", func(m FaultRun) int64 { return int64(m.RecoveryThrottle) / 1e6 })
 	row("DMA errors", func(m FaultRun) int64 { return m.DMAErrors })
-	row("breaker opens", func(m FaultRun) int64 { return m.BreakerOpens })
-	row("breaker half-opens", func(m FaultRun) int64 { return m.BreakerHalfOpens })
-	row("breaker closes", func(m FaultRun) int64 { return m.BreakerCloses })
+	row("DMA cooldowns", func(m FaultRun) int64 { return m.CooldownEntries })
 	row("probe successes", func(m FaultRun) int64 { return m.ProbeSuccesses })
 	row("host-path fallback txns", func(m FaultRun) int64 { return m.FallbackTxns })
-	t.AddRow("breaker final state", orDash(r.Baseline.BreakerFinal), orDash(r.DoCeph.BreakerFinal))
+	t.AddRow("DMA at run end", orDash(r.Baseline.DMAFinal), orDash(r.DoCeph.DMAFinal))
 	notes := []string{"identical fault schedule on both deployments: OSD crash + sustained DMA fault"}
-	if r.DoCeph.BreakerOpens > 0 && r.DoCeph.BreakerFinal == "closed" {
-		notes = append(notes, "breaker completed the open -> half-open -> closed arc and re-enrolled DMA")
+	if r.DoCeph.CooldownEntries > 0 && r.DoCeph.DMAFinal == "healthy" {
+		notes = append(notes, "DMA cooled down on the fault, writes failed over to the host path, and a probe re-enabled DMA")
 	}
 	faultTableTail(t, r, notes...)
 	return t
 }
 
-// runSelfHeal is the comparison, then DoCeph through the same plan with each
-// combination of breaker and recovery QoS plus a fault-free reference row —
-// the marginal value of each mechanism under the identical failure schedule.
+// runSelfHeal is the comparison, then DoCeph through the same plan with
+// recovery QoS off and on plus a fault-free reference row — the marginal
+// value of QoS under the identical failure schedule.
 func runSelfHeal(o Options) ([]*report.Table, error) {
 	o, err := selfHealOptions(o)
 	if err != nil {
@@ -532,21 +551,19 @@ func runSelfHeal(o Options) ([]*report.Table, error) {
 	t := &report.Table{
 		Title: "Self-healing ablation (DoCeph, identical fault schedule)",
 		Header: []string{"variant", "clean MB/s", "dip %", "recovery s",
-			"errors", "fallback txns", "backoffs", "integrity", "breaker"},
+			"errors", "fallback txns", "backoffs", "integrity", "DMA at end"},
 		Notes: []string{"dip % is the worst in-fault-window second relative to the clean mean (100 = no dip)"},
 	}
 	for _, v := range []struct {
-		name         string
-		breaker, qos bool
-		plan         faultinject.Plan
+		name string
+		qos  bool
+		plan faultinject.Plan
 	}{
-		{"no faults (reference)", true, true, faultinject.Plan{Name: "none"}},
-		{"breaker off, QoS off", false, false, plan},
-		{"breaker on,  QoS off", true, false, plan},
-		{"breaker off, QoS on", false, true, plan},
-		{"breaker on,  QoS on", true, true, plan},
+		{"no faults (reference)", true, faultinject.Plan{Name: "none"}},
+		{"QoS off", false, plan},
+		{"QoS on", true, plan},
 	} {
-		r, err := runFaulted("selfheal", selfHealConfig(DoCeph, o, v.breaker, v.qos), v.plan, o,
+		r, err := runFaulted("selfheal", selfHealConfig(DoCeph, o, v.qos), v.plan, o,
 			selfHealSettle(o.Duration))
 		if err != nil {
 			return nil, fmt.Errorf("ablation %q: %w", v.name, err)
@@ -555,7 +572,7 @@ func runSelfHeal(o Options) ([]*report.Table, error) {
 			report.F2(r.RecoverySeconds), fmt.Sprint(r.Errors),
 			fmt.Sprint(r.FallbackTxns), fmt.Sprint(r.RecoveryBackoffs),
 			fmt.Sprintf("%d/%d", r.IntegrityOK, r.IntegrityChecked),
-			orDash(r.BreakerFinal))
+			orDash(r.DMAFinal))
 	}
 	return []*report.Table{selfHealTable(cmp), t}, nil
 }

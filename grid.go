@@ -66,7 +66,6 @@ type runResult struct {
 	dmaErrors    int64
 	batchedTxns  int64
 	batchFlushes int64
-	breakers     int // proxies running a circuit breaker
 	// engQueues is the upstream engines' per-node queue count; engBusy their
 	// summed busy time over the whole run, warm-up included.
 	engQueues int
@@ -223,9 +222,6 @@ func measure(cl *Cluster, bench BenchResult) runResult {
 		r.batchFlushes += st.BatchFlushes
 		if st.PeakStagingBytes > r.peakStaging {
 			r.peakStaging = st.PeakStagingBytes
-		}
-		if n.Bridge.Proxy.Breaker() != nil {
-			r.breakers++
 		}
 		r.engBusy += n.Bridge.EngUp.Stats().Busy
 		r.engQueues = n.Bridge.EngUp.NumQueues()

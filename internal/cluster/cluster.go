@@ -14,7 +14,6 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
 
 	"doceph/internal/bluestore"
 	"doceph/internal/core"
@@ -166,8 +165,6 @@ type Cluster struct {
 	Tracer *trace.Tracer
 
 	cfg Config
-	// goroutines is the goroutine count New began with, for Quiescent.
-	goroutines int
 }
 
 // validate panics on a defaulted configuration no cluster can be built
@@ -204,7 +201,6 @@ func (c Config) validate() {
 // New assembles a cluster per cfg; a configuration that cannot be built
 // panics (see validate).
 func New(cfg Config) *Cluster {
-	goroutines := runtime.NumGoroutine()
 	cfg = cfg.withDefaults()
 	cfg.validate()
 	cfg = calibrate(cfg)
@@ -216,7 +212,7 @@ func New(cfg Config) *Cluster {
 	baseMap := osdmap.New(crushMap, cfg.PGs, cfg.Replicas)
 	baseMap.MinSize = cfg.MinSize
 
-	cl := &Cluster{Env: env, Fabric: fabric, Registry: reg, cfg: cfg, goroutines: goroutines}
+	cl := &Cluster{Env: env, Fabric: fabric, Registry: reg, cfg: cfg}
 	if cfg.Trace {
 		cl.Tracer = trace.New(env)
 	}

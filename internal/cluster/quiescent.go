@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 )
 
@@ -14,9 +13,11 @@ import (
 // read in flight (core.Bridge.Quiescent) and the OSD no mutation, sub-op or
 // replica wait (osd.OSD.InFlight); every record of the Env's free lists is
 // back or was abandoned for a named reason (sim.Env.RecordsOut). Last it
-// shuts cl down, after which every coroutine its kernel made must be gone and
-// the goroutine count may not be above its value before New. It returns every
-// violation found, joined; nil means quiescent. cl is unusable afterwards.
+// shuts cl down, after which the goroutine of every coroutine its kernel made
+// must have exited (sim.EnvStats.CoroutinesEnded: the Env's own count, so
+// other clusters running in the process meanwhile do not disturb it). It
+// returns every violation found, joined; nil means quiescent. cl is unusable
+// afterwards.
 func Quiescent(cl *Cluster) error {
 	var errs []error
 	if left := cl.Env.Backlog(); left != nil {
@@ -37,13 +38,10 @@ func Quiescent(cl *Cluster) error {
 	if out := cl.Env.RecordsOut(); out != nil {
 		errs = append(errs, fmt.Errorf("records not back: %s", strings.Join(out, "; ")))
 	}
-	made, running := cl.Env.Stats().CoroutinesPeak, runtime.NumGoroutine()
 	cl.Shutdown()
-	after := runtime.NumGoroutine()
-	// The count can end below the one before New: a goroutine some earlier
-	// run left winding down is not this cluster's.
-	if left := max(made-(running-after), after-cl.goroutines); left > 0 {
-		errs = append(errs, fmt.Errorf("%d goroutines left after Shutdown (%d before New, %d after)", left, cl.goroutines, after))
+	if st := cl.Env.Stats(); st.CoroutinesEnded != st.CoroutinesPeak {
+		errs = append(errs, fmt.Errorf("%d goroutines left after Shutdown (%d coroutines made)",
+			st.CoroutinesPeak-st.CoroutinesEnded, st.CoroutinesPeak))
 	}
 	return errors.Join(errs...)
 }

@@ -131,7 +131,7 @@ const (
 	batchGather                        // accumulate: wait out an idle gap, or flush
 	batchWaited                        // the idle gap is over: did anything arrive?
 	batchBackpressure                  // wait for a free DMA queue, then take the frame
-	batchGate                          // the cooldown gate, or the breaker
+	batchGate                          // the cooldown gate
 	batchProbed                        // the gate's probe is done: decide
 	batchAcquire                       // take a staging buffer
 	batchBuffered                      // a buffer is held: make the regions usable
@@ -310,8 +310,7 @@ func (b *batcher) take() {
 	px.stats.BatchedTxns += int64(k)
 }
 
-// deny sends the whole frame over the control plane: DMA is cooling down, or
-// the breaker holds it off.
+// deny sends the whole frame over the control plane: DMA is cooling down.
 func (b *batcher) deny() {
 	b.px.stats.FallbackTxns += int64(len(b.fr.ops))
 	b.frame, b.fr, b.step = b.fr.encode(), nil, batchFallback
@@ -516,9 +515,6 @@ func (fr *batchFrame) Run() {
 	px.breakdown.DMA += t.CopyTime()
 	if w := t.CompletedAt.Sub(fr.start) - t.CopyTime(); w > 0 {
 		px.breakdown.DMAWait += w
-		if t.Err == nil {
-			px.noteDMAWait(px.env.Now(), w)
-		}
 	}
 	if t.Err != nil {
 		px.enterCooldown(px.env.Now())

@@ -30,15 +30,16 @@ func batchCountersOf(st ProxyStats) batchCounters {
 // batched-frame path's ways off the fast one, and through the host's control
 // plane, which no golden run reaches: batch frames the engine fails (resent
 // over RPC as one call each, then whole frames over RPC in cooldown), the
-// cooldown's expiry with a failed and then a good probe, the breaker opening
-// and closing on half-open probes (the batcher's, and the proc form's of
-// segmented writes), flushes on MaxDelay under a trickle of
-// arrivals, the batcher's backpressure wait with the one DMA queue busy, and
-// Stat, Exists and List — of a missing object too — and a read over RPC in
-// cooldown. Each case pins the events the run fires, the instant it ends and
-// the proxy's fallback, probe and flush counters, as procs running the same
-// steps fired and counted them, and reads every object back from the host's
-// BlueStore byte for byte.
+// cooldown's expiry with a failed and then a good probe (the batcher's, and
+// the proc form's of segmented writes from concurrent writers, two of which
+// meet the expired cooldown at once and probe side by side), flushes on
+// MaxDelay under a trickle of arrivals, the batcher's backpressure wait with
+// the one DMA queue busy, and Stat, Exists and List — of a missing object
+// too — and a read over RPC in cooldown. Each case pins the events the run
+// fires, the instant it ends and the proxy's fallback, probe and flush
+// counters, as procs running the same steps fired and counted them
+// (cooldown-segmented, added after the chains, as they fire them), and reads
+// every object back from the host's BlueStore byte for byte.
 func TestBatchPathsKeepTheirEvents(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -69,23 +70,12 @@ func TestBatchPathsKeepTheirEvents(t *testing.T) {
 			waitAll(t, p, write(p, "probe-ok", 16<<10, 4))
 			waitAll(t, p, write(p, "healthy", 16<<10, 5))
 		}, 229, 12_007_588_242, batchCounters{fallbackTxns: 2, fallbackSegs: 1, probes: 2, probeFailures: 1, flushes: 6, flushIdle: 6}},
-		{"breaker", func(cfg *BridgeConfig) {
-			cfg.Breaker = dpu.BreakerConfig{Enable: true, FailureThreshold: 2, OpenTimeout: 50 * sim.Millisecond,
-				ProbeInterval: 10 * sim.Millisecond, CloseProbes: 2}
-		}, 0, func(t *testing.T, r *coreRig, p *sim.Proc, write writeFn) {
-			r.bridge.EngUp.FailNext(2)
-			for i := 0; i < 16; i++ {
-				waitAll(t, p, write(p, fmt.Sprint("b", i), 16<<10, byte(i)))
-				p.Wait(8 * sim.Millisecond)
-			}
-		}, 618, 140_170_124, batchCounters{fallbackTxns: 8, fallbackSegs: 2, probes: 2, flushes: 17, flushIdle: 17}},
-		{"breaker-segmented", func(cfg *BridgeConfig) {
-			cfg.Breaker = dpu.BreakerConfig{Enable: true, FailureThreshold: 1, OpenTimeout: 5 * sim.Millisecond,
-				ProbeInterval: sim.Millisecond, CloseProbes: 3}
+		{"cooldown-segmented", func(cfg *BridgeConfig) {
+			cfg.Proxy.CooldownPeriod = 5 * sim.Millisecond
 		}, 0, func(t *testing.T, r *coreRig, p *sim.Proc, write writeFn) {
 			r.bridge.EngUp.FailNext(1)
 			writers(r, p, 4, 6, 1<<20, write)
-		}, 831, 77_105_076, batchCounters{fallbackTxns: 4, fallbackSegs: 1, probes: 4, flushes: 1, flushIdle: 1}},
+		}, 810, 82_688_378, batchCounters{fallbackTxns: 1, fallbackSegs: 1, probes: 2, flushes: 1, flushIdle: 1}},
 		{"max-delay", nil, 0, func(t *testing.T, r *coreRig, p *sim.Proc, write writeFn) {
 			var results []*objstore.Result
 			for i := 0; i < 40; i++ {

@@ -38,13 +38,6 @@ type BridgeConfig struct {
 	// Batch enables adaptive small-op batching on both sides of the bridge
 	// (proxy coalescing + host notify coalescing). Off by default.
 	Batch BatchConfig
-	// Breaker enables the per-bridge DPU health circuit breaker with
-	// host-path failover. Off by default. It replaces the proxy's
-	// single-failure cooldown gate: isolated DMA errors below the threshold
-	// keep the data plane on, a failure burst opens the breaker and fails
-	// the session over to the host RPC path, and probe successes re-enroll
-	// it.
-	Breaker dpu.BreakerConfig
 }
 
 // NewBridge wires a DPU to a host CPU + local BlueStore and returns the

@@ -394,6 +394,26 @@ func TestCooldownRoutesToRPCAndProbeRecovers(t *testing.T) {
 	})
 }
 
+// TestFirstDMAFailureEntersCooldown: the first DMA error turns DMA off for
+// the cooldown (paper §4); no failure count or threshold stands between them.
+func TestFirstDMAFailureEntersCooldown(t *testing.T) {
+	r := newCoreRig(BridgeConfig{})
+	r.run(t, func(p *sim.Proc) {
+		px := r.bridge.Proxy
+		r.bridge.EngUp.FailNext(1)
+		txn := (&objstore.Transaction{}).MkColl("pg.0").Write("pg.0", "o", 0, seeded(60_000, 1))
+		if err := commitP(t, p, px, txn); err != nil {
+			t.Fatal(err)
+		}
+		if px.DMAHealthy() {
+			t.Fatal("cooldown not entered on the first failure")
+		}
+		if px.Stats().CooldownEntries != 1 {
+			t.Fatalf("cooldown entries = %d, want 1", px.Stats().CooldownEntries)
+		}
+	})
+}
+
 func TestFailedProbeExtendsCooldown(t *testing.T) {
 	cfg := BridgeConfig{}
 	cfg.Proxy.CooldownPeriod = sim.Second

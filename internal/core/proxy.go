@@ -149,10 +149,8 @@ type Proxy struct {
 
 	// cooldown state (paper §4): dmaHealthy gates the data plane; after
 	// cooldownUntil passes, the next request probes before re-enabling.
-	// With the circuit breaker enabled, br supersedes both fields.
 	dmaHealthy    bool
 	cooldownUntil sim.Time
-	br            *dpu.Breaker
 
 	breakdown Breakdown
 	stats     ProxyStats
@@ -297,7 +295,7 @@ const (
 // control channel; engUp/engDown are the DMA engines for the two
 // directions; dpuMR/hostMR are the staging regions (negotiated lazily via
 // cc, or per-segment when the MR cache is disabled). Of cfg it reads Proxy
-// and the two off-by-default mechanisms: Batch and Breaker.
+// and the off-by-default mechanism: Batch.
 func NewProxy(env *sim.Env, dev *dpu.DPU, rpcEnd *rpcchan.Endpoint,
 	cc *doca.CommChannel, engUp, engDown *doca.Engine,
 	dpuMR, hostMR *doca.MemRegion, cfg BridgeConfig) *Proxy {
@@ -314,9 +312,6 @@ func NewProxy(env *sim.Env, dev *dpu.DPU, rpcEnd *rpcchan.Endpoint,
 		txns:         sim.Local[sim.FreeList[pendingTxn]](env),
 		frames:       sim.Local[frames](env),
 		dmaHealthy:   true,
-	}
-	if cfg.Breaker.Enable {
-		px.br = dpu.NewBreaker(cfg.Breaker)
 	}
 	rpcEnd.Handle(opTxnDone, px.onTxnDone)
 	rpcEnd.Handle(opReadDone, px.onReadDone)
@@ -354,15 +349,7 @@ func (px *Proxy) BreakdownSnapshot() Breakdown { return px.breakdown }
 func (px *Proxy) ResetBreakdown() { px.breakdown = Breakdown{} }
 
 // DMAHealthy reports whether the data plane currently uses DMA.
-func (px *Proxy) DMAHealthy() bool {
-	if px.br != nil {
-		return px.br.State() == dpu.BreakerClosed
-	}
-	return px.dmaHealthy
-}
-
-// Breaker returns the circuit breaker, or nil when it is disabled.
-func (px *Proxy) Breaker() *dpu.Breaker { return px.br }
+func (px *Proxy) DMAHealthy() bool { return px.dmaHealthy }
 
 // regionsReady reports whether both regions are usable for DMA without a
 // negotiation: after the first with the MR cache, never without it.
@@ -380,18 +367,8 @@ const (
 )
 
 // gate is the cooldown gate: healthy -> DMA; in cooldown -> the control plane;
-// cooldown expired -> probe (probeThen) and decide. With the circuit breaker
-// enabled the decision is delegated to its state machine instead.
+// cooldown expired -> probe (probeThen) and decide.
 func (px *Proxy) gate(now sim.Time) gateVerdict {
-	if px.br != nil {
-		switch px.br.Decide(now) {
-		case dpu.BreakerAllow:
-			return gateAllow
-		case dpu.BreakerProbe:
-			return gateProbe // half-open re-enrollment
-		}
-		return gateDeny
-	}
 	switch {
 	case px.dmaHealthy:
 		return gateAllow
@@ -496,20 +473,11 @@ func (pb *prober) Run() {
 func (pb *prober) String() string { return "probe@" + pb.px.dev.Name }
 
 // probed settles a probe that ended with err and reports whether the request
-// it gated rides DMA. Without the breaker a failed probe restarts the
-// cooldown and a good one re-enables DMA; with it, the probe that completes
-// the success streak closes the breaker and its request rides DMA, earlier
-// probes stay on the fallback.
+// it gated rides DMA: a failed probe restarts the cooldown and a good one
+// re-enables DMA.
 func (px *Proxy) probed(now sim.Time, err error) bool {
 	if err != nil {
 		px.stats.ProbeFailures++
-	}
-	if px.br != nil {
-		ok := err == nil
-		px.br.RecordProbe(now, ok)
-		return ok && px.br.State() == dpu.BreakerClosed
-	}
-	if err != nil {
 		px.enterCooldown(now)
 		return false
 	}
@@ -517,29 +485,13 @@ func (px *Proxy) probed(now sim.Time, err error) bool {
 	return true
 }
 
+// enterCooldown turns DMA off for CooldownPeriod from now (paper §4).
 func (px *Proxy) enterCooldown(now sim.Time) {
-	if px.br != nil {
-		// Breaker mode: a single error is a data point, not a verdict —
-		// DMA stays on until the failure rate crosses the threshold.
-		px.br.RecordFailure(now)
-		return
-	}
 	if px.dmaHealthy {
 		px.stats.CooldownEntries++
 	}
 	px.dmaHealthy = false
 	px.cooldownUntil = now.Add(px.cfg.CooldownPeriod)
-}
-
-// noteDMAWait feeds stall detection: a request whose non-copy wait exceeds
-// the breaker's StallThreshold counts toward opening like an error.
-func (px *Proxy) noteDMAWait(now sim.Time, wait sim.Duration) {
-	if px.br == nil {
-		return
-	}
-	if st := px.br.Config().StallThreshold; st > 0 && wait > st {
-		px.br.RecordStall(now)
-	}
 }
 
 // QueueTransaction implements objstore.Store: QueueTransactionThen awaited
@@ -1054,20 +1006,16 @@ func (sh *shipment) submit() bool {
 func (sh *shipment) account() {
 	px := sh.px
 	anyErr := sh.failed || sh.submitted < sh.c.total
-	now := px.env.Now()
 	px.breakdown.DMA += sh.copySum
 	if wait := sh.dmaEnd.Sub(sh.dmaStart) - sh.copySum; wait > 0 {
 		px.breakdown.DMAWait += wait
-		if !anyErr {
-			px.noteDMAWait(now, wait)
-		}
 	}
 	if !anyErr {
 		sh.step = shipShipped
 		return
 	}
 	sh.failed = true
-	px.enterCooldown(now)
+	px.enterCooldown(px.env.Now())
 	sh.i, sh.step = 0, shipFallback
 }
 

@@ -611,6 +611,7 @@ func (c *coro) loop(yield func(struct{}) bool) {
 	c.yield = yield
 	e := c.env
 	defer func() {
+		e.stats.CoroutinesEnded++ // the goroutine exits as loop returns
 		// A panic with a proc bound is a body cut short.
 		if r := recover(); r != nil {
 			if p := c.p; p != nil {
@@ -934,6 +935,10 @@ func (e *Env) Shutdown() {
 		}
 	}
 	for _, c := range e.coroFree {
+		if c.yield == nil {
+			// Never resumed: stop ends its goroutine without running loop.
+			e.stats.CoroutinesEnded++
+		}
 		c.stop()
 	}
 	e.coroFree = nil
@@ -1015,10 +1020,11 @@ type EnvStats struct {
 	HeapPeak, DeadlinePeak int
 	// Spawns counts the procs started, CoroutinesPeak the coroutines made to
 	// run them (bound + pooled; the pool never shrinks and keeps one per
-	// unstarted proc, so at most the peak concurrency of procs), Identities
-	// the threads registered with Queue.ServeTask.
-	Spawns                     uint64
-	CoroutinesPeak, Identities int
+	// unstarted proc, so at most the peak concurrency of procs),
+	// CoroutinesEnded those whose goroutine has exited (Shutdown ends them
+	// all), Identities the threads registered with Queue.ServeTask.
+	Spawns                                      uint64
+	CoroutinesPeak, CoroutinesEnded, Identities int
 }
 
 // add folds another partition's account into s: counters add, the heaps'
@@ -1038,6 +1044,7 @@ func (s *EnvStats) add(o EnvStats) {
 	s.DeadlinePeak = max(s.DeadlinePeak, o.DeadlinePeak)
 	s.Spawns += o.Spawns
 	s.CoroutinesPeak += o.CoroutinesPeak // each partition has a pool of its own
+	s.CoroutinesEnded += o.CoroutinesEnded
 	s.Identities += o.Identities
 }
 

@@ -198,6 +198,10 @@ func TestShutdownReleasesEveryCoroutine(t *testing.T) {
 	if got := runtime.NumGoroutine(); got != before {
 		t.Fatalf("%d goroutines after shutdown, %d before NewEnv", got, before)
 	}
+	// The Env's own count agrees, the fresh coroutine never resumed included.
+	if st := env.Stats(); st.CoroutinesEnded != st.CoroutinesPeak {
+		t.Fatalf("%d of %d coroutines counted as ended", st.CoroutinesEnded, st.CoroutinesPeak)
+	}
 }
 
 // TestProcPanicSurfacesFromRun: a panic in a proc body that is not the

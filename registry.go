@@ -188,7 +188,7 @@ var registry = []Experiment{
 	// 30 s is selfheal's floor: the crash window must outlast the 5 s
 	// heartbeat grace or the failure is never detected.
 	{Name: "selfheal",
-		Doc:   "OSD crash + sustained DPU fault through breaker, degraded writes and recovery QoS, then breaker x QoS",
+		Doc:   "OSD crash + sustained DPU fault through DMA cooldown, degraded writes and recovery QoS, then QoS off vs on",
 		Quick: Options{Duration: selfHealFloor},
 		Smoke: Options{Duration: selfHealFloor},
 		Run:   runSelfHeal},

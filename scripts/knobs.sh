@@ -14,7 +14,7 @@
 # needs a second caller outside _test.go files (Example walkthroughs
 # included), named in the commit (DESIGN.md §4.12).
 set -eu
-CEILING=125
+CEILING=117
 cd "${1:-$(dirname "$0")/..}"
 # shellcheck disable=SC2046 # Go file names hold no spaces
 awk -v ceiling="$CEILING" '

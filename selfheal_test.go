@@ -8,17 +8,18 @@ import (
 	"doceph/internal/faultinject"
 )
 
-// selfHealOpts keeps the runs CI-sized; the plan and the breaker clock both
-// scale with the duration, so the open -> half-open -> closed arc still fits.
+// selfHealOpts keeps the runs CI-sized; the plan scales with the duration,
+// and the proxy's 5 s DMA cooldown ends well inside its clean tail.
 func selfHealOpts() Options {
 	return Options{Duration: 30 * Second, Threads: 4, ObjectBytes: 256 << 10, Seed: 42}
 }
 
 // TestSelfHealRunCompletes is the headline self-healing check: through an
 // OSD crash and a sustained DPU DMA fault, both deployments keep serving
-// writes with zero integrity violations; DoCeph's breaker must trip to the
-// host path and re-enroll DMA by run end, degraded writes must flow (and the
-// ledger heal), and the crash-triggered backfill must complete under QoS.
+// writes with zero integrity violations; DoCeph's proxy must cool DMA down,
+// fail over to the host path and re-enable DMA by a probe before run end,
+// degraded writes must flow (and the ledger heal), and the crash-triggered
+// backfill must complete under QoS.
 func TestSelfHealRunCompletes(t *testing.T) {
 	r, err := RunSelfHeal(selfHealOpts())
 	if err != nil {
@@ -53,20 +54,20 @@ func TestSelfHealRunCompletes(t *testing.T) {
 		}
 	}
 	// Baseline has no DPU: the DMA fault is a no-op there and there is no
-	// breaker to trip.
-	if r.Baseline.BreakerOpens != 0 || r.Baseline.FallbackTxns != 0 {
-		t.Errorf("Baseline reported breaker activity: opens=%d fallback=%d",
-			r.Baseline.BreakerOpens, r.Baseline.FallbackTxns)
+	// DMA to cool down.
+	if r.Baseline.CooldownEntries != 0 || r.Baseline.FallbackTxns != 0 {
+		t.Errorf("Baseline reported DMA failover: cooldowns=%d fallback=%d",
+			r.Baseline.CooldownEntries, r.Baseline.FallbackTxns)
 	}
-	// DoCeph must complete the full failover arc: DMA errors observed, the
-	// breaker opened, traffic moved to the host path, probes succeeded once
-	// the fault cleared, and the breaker closed again.
+	// DoCeph must complete the full failover arc: DMA errors observed, DMA
+	// cooled down, traffic moved to the host path, a probe succeeded once
+	// the fault cleared, and DMA is back on at run end.
 	d := r.DoCeph
 	if d.DMAErrors == 0 {
 		t.Error("DoCeph: DMA fault window injected no errors")
 	}
-	if d.BreakerOpens == 0 {
-		t.Error("DoCeph: breaker never opened under a total DMA fault")
+	if d.CooldownEntries == 0 {
+		t.Error("DoCeph: DMA never cooled down under a total DMA fault")
 	}
 	if d.FallbackTxns == 0 {
 		t.Error("DoCeph: no transactions failed over to the host path")
@@ -74,9 +75,8 @@ func TestSelfHealRunCompletes(t *testing.T) {
 	if d.ProbeSuccesses == 0 {
 		t.Error("DoCeph: no probe ever succeeded after the fault cleared")
 	}
-	if d.BreakerCloses == 0 || d.BreakerFinal != "closed" {
-		t.Errorf("DoCeph: breaker did not re-close (closes=%d final=%q)",
-			d.BreakerCloses, d.BreakerFinal)
+	if d.DMAFinal != "healthy" {
+		t.Errorf("DoCeph: DMA not re-enabled by run end (%q)", d.DMAFinal)
 	}
 	if d.DataPlaneTxns == 0 {
 		t.Error("DoCeph: DMA path never used")
@@ -105,7 +105,7 @@ func TestSelfHealRecoveryQoSProtectsForeground(t *testing.T) {
 	}
 	run := func(qosOff bool) FaultRun {
 		opts := selfHealOpts().withDefaults()
-		cfg := selfHealConfig(DoCeph, opts, true, !qosOff)
+		cfg := selfHealConfig(DoCeph, opts, !qosOff)
 		if !qosOff {
 			// A deliberately tight budget so the bucket saturates under this
 			// small 4-thread workload and pacing provably engages.
