@@ -1,8 +1,9 @@
 package bluestore
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"slices"
 )
 
 // ErrNoSpace is returned when the virtual device is exhausted.
@@ -57,20 +58,25 @@ func (a *allocator) allocate(length int64) (int64, error) {
 	return off, nil
 }
 
-// release returns an extent to the free list, coalescing neighbours.
+// release returns an extent to the free list, coalescing neighbours. The
+// list stays sorted and coalesced, so the extent goes in at its place,
+// merged with the runs it touches.
 func (a *allocator) release(off, length int64) {
-	a.freeList = append(a.freeList, devExtent{off: off, length: length})
-	sort.Slice(a.freeList, func(i, j int) bool { return a.freeList[i].off < a.freeList[j].off })
-	var out []devExtent
-	for _, e := range a.freeList {
-		if n := len(out); n > 0 && out[n-1].off+out[n-1].length == e.off {
-			out[n-1].length += e.length
-			continue
-		}
-		out = append(out, e)
-	}
-	a.freeList = out
 	a.freeSum += length
+	i, _ := slices.BinarySearchFunc(a.freeList, off, func(e devExtent, off int64) int { return cmp.Compare(e.off, off) })
+	prev := i > 0 && a.freeList[i-1].off+a.freeList[i-1].length == off
+	next := i < len(a.freeList) && off+length == a.freeList[i].off
+	switch {
+	case prev && next:
+		a.freeList[i-1].length += length + a.freeList[i].length
+		a.freeList = slices.Delete(a.freeList, i, i+1)
+	case prev:
+		a.freeList[i-1].length += length
+	case next:
+		a.freeList[i] = devExtent{off: off, length: a.freeList[i].length + length}
+	default:
+		a.freeList = slices.Insert(a.freeList, i, devExtent{off: off, length: length})
+	}
 	// Fold a tail run back into the bump pointer.
 	if n := len(a.freeList); n > 0 {
 		tail := a.freeList[n-1]

@@ -15,6 +15,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -156,24 +157,24 @@ type onode struct {
 	size    uint64
 	version uint64
 	mtime   sim.Time
-	extents []extent // sorted by off, non-overlapping
-	// blocks are device extents backing the object, tracked for free-space
-	// accounting.
-	blocks []blockExtent
-	// extents and blocks start on these arrays, so an object written once —
-	// the usual one — has no side allocations.
+	// extents are sorted by off and non-overlapping; past len(extents) lie
+	// the slots of extents punched out, zeroed, for the next ones. They
+	// start on extent0, so an object written once — the usual one — has no
+	// side allocations.
+	extents []extent
 	extent0 [1]extent
-	block0  [1]blockExtent
 }
 
+// extent is a range of the object's bytes, a view of the buffer that wrote
+// them the store holds itself (the writer's list is only read), and the block
+// of device space the write took at dev. The extents of one write — its
+// pieces not contiguous in memory, and the two a later write splits one into
+// — share its block, which is released with the last extent on it.
 type extent struct {
-	off  uint64
-	data *wire.Bufferlist
-}
-
-type blockExtent struct {
+	off    uint64
+	seg    []byte
 	dev    int64
-	length int64
+	devLen uint32
 }
 
 // txc is an in-flight transaction context walking the aio -> kv pipeline, a
@@ -531,9 +532,7 @@ func (s *Store) applyOp(op *objstore.Op) error {
 		if o == nil {
 			return objstore.ErrNotFound
 		}
-		for _, b := range o.blocks {
-			s.alloc.release(b.dev, b.length)
-		}
+		o.release(s.alloc)
 		return nil
 	}
 	return fmt.Errorf("unknown op code %d", op.Code)
@@ -541,7 +540,7 @@ func (s *Store) applyOp(op *objstore.Op) error {
 
 func newOnode() *onode {
 	o := &onode{}
-	o.extents, o.blocks = o.extent0[:0], o.block0[:0]
+	o.extents = o.extent0[:0]
 	return o
 }
 
@@ -555,13 +554,14 @@ func (s *Store) writeExtent(o *onode, off uint64, data *wire.Bufferlist) error {
 	n := int64(data.Length())
 	// Allocate device space rounded to min_alloc_size.
 	allocLen := (n + s.cfg.MinAllocSize - 1) / s.cfg.MinAllocSize * s.cfg.MinAllocSize
+	if allocLen > math.MaxUint32 {
+		return fmt.Errorf("write of %d bytes: a block is at most 4 GiB", n)
+	}
 	dev, err := s.alloc.allocate(allocLen)
 	if err != nil {
 		return err
 	}
-	o.blocks = append(o.blocks, blockExtent{dev: dev, length: allocLen})
-	o.punch(off, uint64(n))
-	o.insert(extent{off: off, data: data})
+	o.write(s.alloc, off, data, dev, uint32(allocLen))
 	if off+uint64(n) > o.size {
 		o.size = off + uint64(n)
 	}
@@ -574,42 +574,86 @@ func (o *onode) bump(now sim.Time) {
 	o.mtime = now
 }
 
+// write replaces [off, off+data.Length()) with views of data, backed by the
+// block at dev: the range is punched out of the extents first, so that the
+// extents that take it reuse the slots of ones punched out. Each run of
+// data's segments that is contiguous in memory is one extent.
+func (o *onode) write(a *allocator, off uint64, data *wire.Bufferlist, dev int64, devLen uint32) {
+	o.punch(a, off, uint64(data.Length()))
+	for i := 0; i < data.Segments(); {
+		var run []byte
+		run, i = data.Run(i)
+		o.grow(off, dev, devLen).seg = run
+		off += uint64(len(run))
+	}
+	o.sortExtents()
+}
+
+// grow appends an empty extent at off on the block at dev, in the slot past
+// the last when the array has one, and returns it. The extents may move.
+func (o *onode) grow(off uint64, dev int64, devLen uint32) *extent {
+	o.extents = append(o.extents, extent{off: off, dev: dev, devLen: devLen})
+	return &o.extents[len(o.extents)-1]
+}
+
 // punch removes [off, off+length) from the extent list, trimming partial
-// overlaps.
-func (o *onode) punch(off, length uint64) {
+// overlaps in place. An extent punched out whole is dropped, and its block
+// released unless an extent is left on it.
+func (o *onode) punch(a *allocator, off, length uint64) {
 	if length == 0 {
 		return
 	}
 	end := off + length
-	// Filter in place. Extents do not overlap, so at most one spans the whole
-	// hole and leaves two pieces; its right piece waits in tail so that the
-	// kept prefix never overtakes the extent being read.
-	kept := o.extents[:0]
-	var tail extent
-	for _, e := range o.extents {
-		eEnd := e.off + uint64(e.data.Length())
-		if eEnd <= off || e.off >= end {
-			kept = append(kept, e)
-			continue
+	for i := 0; i < len(o.extents); {
+		e := &o.extents[i]
+		eEnd := e.off + uint64(len(e.seg))
+		switch {
+		case eEnd <= off || e.off >= end: // clear of the hole
+		case e.off < off && eEnd > end:
+			// The hole is inside e: its tail becomes an extent of its own on
+			// the same block. Extents do not overlap, so e was the only one.
+			tail := e.seg[end-e.off:]
+			e.seg = e.seg[:off-e.off]
+			o.grow(end, e.dev, e.devLen).seg = tail
+			return
+		case e.off < off:
+			e.seg = e.seg[:off-e.off]
+		case eEnd > end:
+			e.seg = e.seg[end-e.off:]
+			e.off = end
+		default:
+			// Swallowed: the last extent takes its slot.
+			last := len(o.extents) - 1
+			dev, devLen := e.dev, e.devLen
+			o.extents[i] = o.extents[last]
+			o.extents[last] = extent{} // a dropped extent must not pin its data
+			o.extents = o.extents[:last]
+			if o.firstOn(dev) < 0 {
+				a.release(dev, int64(devLen))
+			}
+			continue // the extent moved in is looked at next
 		}
-		if eEnd > end {
-			skip := int(end - e.off)
-			tail = extent{off: end, data: e.data.SubList(skip, e.data.Length()-skip)}
-		}
-		if e.off < off {
-			kept = append(kept, extent{off: e.off, data: e.data.SubList(0, int(off-e.off))})
-		}
-	}
-	clear(o.extents[len(kept):]) // dropped extents must not pin their data
-	o.extents = kept
-	if tail.data != nil {
-		o.insert(tail)
+		i++
 	}
 }
 
-func (o *onode) insert(e extent) {
-	o.extents = append(o.extents, e)
-	o.sortExtents()
+// firstOn is the index of the first extent on the block at dev, or -1.
+func (o *onode) firstOn(dev int64) int {
+	for i := range o.extents {
+		if o.extents[i].dev == dev {
+			return i
+		}
+	}
+	return -1
+}
+
+// release gives back the device space of every block the object holds.
+func (o *onode) release(a *allocator) {
+	for i := range o.extents {
+		if e := &o.extents[i]; o.firstOn(e.dev) == i {
+			a.release(e.dev, int64(e.devLen))
+		}
+	}
 }
 
 func (o *onode) sortExtents() {
@@ -633,41 +677,32 @@ func appendZeros(out *wire.Bufferlist, n uint64) {
 	}
 }
 
-// readRange assembles [off, off+length) from extents, zero-filling holes. A
-// range inside one extent is a view of that extent's data.
-func (o *onode) readRange(off, length uint64) *wire.Bufferlist {
+// readRange appends [off, off+length) of the object to dst as views of its
+// extents, zero-filling holes, and returns dst. A nil dst is a new list.
+func (o *onode) readRange(dst *wire.Bufferlist, off, length uint64) *wire.Bufferlist {
 	end := off + length
-	for _, e := range o.extents { // sorted and disjoint: the first to end past off decides
-		if eEnd := e.off + uint64(e.data.Length()); eEnd > off {
-			if e.off <= off && end <= eEnd {
-				return e.data.SubList(int(off-e.off), int(length))
-			}
-			break
-		}
+	if dst == nil {
+		dst = wire.Sized(1)
 	}
-	out := &wire.Bufferlist{}
 	pos := off
-	for _, e := range o.extents {
-		eEnd := e.off + uint64(e.data.Length())
+	for i := range o.extents {
+		e := &o.extents[i]
+		eEnd := e.off + uint64(len(e.seg))
 		if eEnd <= pos || e.off >= end {
 			continue
 		}
 		if e.off > pos {
-			appendZeros(out, e.off-pos)
+			appendZeros(dst, e.off-pos)
 			pos = e.off
 		}
-		start := pos - e.off
-		stop := eEnd
-		if stop > end {
-			stop = end
-		}
-		out.AppendBufferlist(e.data.SubList(int(start), int(stop-pos)))
+		stop := min(eEnd, end)
+		dst.Append(e.seg[pos-e.off : stop-e.off])
 		pos = stop
 	}
 	if pos < end {
-		appendZeros(out, end-pos)
+		appendZeros(dst, end-pos)
 	}
-	return out
+	return dst
 }
 
 // Lookup is a stat after its LookupCycles charge.
@@ -689,6 +724,17 @@ func (s *Store) Names(coll string) ([]string, error) {
 	c.each(func(o *onode) { names = append(names, o.name) })
 	sort.Strings(names)
 	return names, nil
+}
+
+// ObjectName implements objstore.ObjectIndex: a receiver that decodes the
+// names of ops for the store shares the name of an object it holds.
+func (s *Store) ObjectName(coll string, b []byte) (string, bool) {
+	if c, ok := s.colls[coll]; ok {
+		if o := c.getBytes(b); o != nil {
+			return o.name, true
+		}
+	}
+	return "", false
 }
 
 // find is the metadata lookup, uncharged.
@@ -776,7 +822,10 @@ func (r *call) advance() bool {
 				c.Data, c.Err = nil, err
 				return false
 			case c.Off >= o.size:
-				c.Data, c.Err = &wire.Bufferlist{}, nil
+				if c.Data == nil {
+					c.Data = &wire.Bufferlist{}
+				}
+				c.Err = nil
 				return false
 			}
 			r.o, r.length = o, readLength(o, c.Off, c.Length)
@@ -791,7 +840,7 @@ func (r *call) advance() bool {
 			}
 		case callRead:
 			s.stats.BytesRead += int64(r.length)
-			c.Data, c.Err = r.o.readRange(c.Off, r.length), nil
+			c.Data, c.Err = r.o.readRange(c.Data, c.Off, r.length), nil
 			return false
 		case callStat:
 			c.Stat, c.Err = s.Lookup(c.Coll, c.Object)
@@ -887,8 +936,9 @@ func (s *Store) CorruptObject(coll, obj string) error {
 	if len(o.extents) == 0 {
 		return fmt.Errorf("bluestore %s: %s/%s has no data to corrupt", s.name, coll, obj)
 	}
-	clone := o.extents[0].data.Bytes()
+	e := &o.extents[0]
+	clone := append([]byte(nil), e.seg...)
 	clone[len(clone)/2] ^= 0xFF
-	o.extents[0].data = wire.FromBytes(clone)
+	e.seg = clone
 	return nil
 }

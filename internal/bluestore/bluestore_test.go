@@ -576,12 +576,18 @@ func TestQuickAllocatorNoOverlapConservation(t *testing.T) {
 	}
 }
 
+// refExtent is an extent of refPunchInsert's map.
+type refExtent struct {
+	off  uint64
+	data *wire.Bufferlist
+}
+
 // refPunchInsert is the extent-map update as it was with a fresh output slice
 // per punch and a reflection-based sort.Slice after every change; the
 // in-place version must leave the same extents in the same order.
-func refPunchInsert(extents []extent, off uint64, data *wire.Bufferlist) []extent {
+func refPunchInsert(extents []refExtent, off uint64, data *wire.Bufferlist) []refExtent {
 	end := off + uint64(data.Length())
-	var out []extent
+	var out []refExtent
 	for _, e := range extents {
 		eEnd := e.off + uint64(e.data.Length())
 		if eEnd <= off || e.off >= end {
@@ -589,14 +595,14 @@ func refPunchInsert(extents []extent, off uint64, data *wire.Bufferlist) []exten
 			continue
 		}
 		if e.off < off {
-			out = append(out, extent{off: e.off, data: e.data.SubList(0, int(off-e.off))})
+			out = append(out, refExtent{off: e.off, data: e.data.SubList(0, int(off-e.off))})
 		}
 		if eEnd > end {
 			skip := int(end - e.off)
-			out = append(out, extent{off: end, data: e.data.SubList(skip, e.data.Length()-skip)})
+			out = append(out, refExtent{off: end, data: e.data.SubList(skip, e.data.Length()-skip)})
 		}
 	}
-	out = append(out, extent{off: off, data: data})
+	out = append(out, refExtent{off: off, data: data})
 	sort.Slice(out, func(i, j int) bool { return out[i].off < out[j].off })
 	return out
 }
@@ -604,8 +610,9 @@ func refPunchInsert(extents []extent, off uint64, data *wire.Bufferlist) []exten
 func TestPunchInsertMatchesSortSliceVersion(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		a := newAllocator(1<<30, 1)
 		o := newOnode() // the first extent sits in the onode, later ones move out
-		var ref []extent
+		var ref []refExtent
 		for w := 0; w < 200; w++ {
 			// Overlapping writes over a small range: splits (a write inside
 			// an extent), swallowed extents, trimmed heads and tails, gaps.
@@ -613,24 +620,122 @@ func TestPunchInsertMatchesSortSliceVersion(t *testing.T) {
 			data := make([]byte, 1+rng.Intn(600))
 			rng.Read(data)
 			bl := wire.FromBytes(data)
-			o.punch(off, uint64(bl.Length()))
-			o.insert(extent{off: off, data: bl})
+			dev, err := a.allocate(int64(len(data)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.write(a, off, bl, dev, uint32(len(data)))
 			ref = refPunchInsert(ref, off, bl)
 			if len(o.extents) != len(ref) {
 				t.Fatalf("seed %d write %d: %d extents, reference %d", seed, w, len(o.extents), len(ref))
 			}
 			for i := range ref {
-				if o.extents[i].off != ref[i].off || !o.extents[i].data.Equal(ref[i].data) {
+				e := &o.extents[i]
+				if e.off != ref[i].off || !wire.FromBytes(e.seg).Equal(ref[i].data) {
 					t.Fatalf("seed %d write %d: extent %d at %d (%d bytes), reference at %d (%d bytes)",
-						seed, w, i, o.extents[i].off, o.extents[i].data.Length(), ref[i].off, ref[i].data.Length())
+						seed, w, i, e.off, len(e.seg), ref[i].off, ref[i].data.Length())
 				}
 			}
+			// The blocks the extents are on are held, and the device space
+			// of the others is back.
+			var held int64
+			for i := range o.extents {
+				if e := &o.extents[i]; o.firstOn(e.dev) == i {
+					held += int64(e.devLen)
+				}
+			}
+			if a.free()+held != 1<<30 {
+				t.Fatalf("seed %d write %d: %d bytes free and %d held of %d", seed, w, a.free(), held, 1<<30)
+			}
 			for _, e := range o.extents[len(o.extents):cap(o.extents)] {
-				if e.data != nil {
+				if e.seg != nil {
 					t.Fatalf("seed %d write %d: a dropped extent is still referenced past the end", seed, w)
 				}
 			}
 		}
+	}
+}
+
+// TestOverwriteFreesSpace: overwriting an object, whole or in part, holds the
+// device space of what the object holds and no more — the space of a block is
+// back once no extent is on it — and removing the object gives all of it back.
+// An overwrite of the whole object allocates nothing.
+func TestOverwriteFreesSpace(t *testing.T) {
+	const mib = 1 << 20
+	env, s := newTestStore(Config{})
+	free0 := s.FreeBytes()
+	var overwriteAllocs float64
+	runStore(t, env, func(p *sim.Proc) {
+		mkColl(t, p, s, "c")
+		write := func(off, n int) {
+			t.Helper()
+			if err := commit(t, p, s, objstore.NewTransaction().Write("c", "o", uint64(off), wire.FromBytes(make([]byte, n)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		held := func(want int64, what string) {
+			t.Helper()
+			if got := free0 - s.FreeBytes(); got != want {
+				t.Fatalf("%s: %d bytes held, want %d", what, got, want)
+			}
+		}
+		for i := 0; i < 5; i++ {
+			write(0, mib)
+			held(mib, fmt.Sprintf("after %d whole writes", i+1))
+		}
+		// Half over the object's tail: the first block still backs the
+		// head, so both are held; the whole object over both frees both.
+		write(mib/2, mib)
+		held(2*mib, "a write over the tail")
+		write(0, mib)
+		held(2*mib, "a whole write over a split object") // [mib, 1.5mib) stays on the second block
+		write(mib/4, mib/4)                              // a hole inside the first extent: two extents, one block
+		held(2*mib+mib/4, "a write inside an extent")
+		o, _ := s.find("c", "o")
+		if len(o.extents) != 4 {
+			t.Fatalf("%d extents, want 4", len(o.extents))
+		}
+		write(0, 3*mib/2)
+		held(3*mib/2, "a whole write over a split extent")
+		if len(o.extents) != 1 {
+			t.Fatalf("%d extents after a write over all of them", len(o.extents))
+		}
+		// A write in pieces: those of one buffer are one extent, those of
+		// two are two on the write's one block, which goes back with both.
+		one, two := make([]byte, mib), make([]byte, mib/2)
+		for _, c := range []struct {
+			data    *wire.Bufferlist
+			extents int
+		}{
+			{wire.NewBufferlist(one[:mib/3], one[mib/3:], two), 2},
+			{wire.NewBufferlist(one[:mib/2], one[mib/2:]), 2}, // the tail of the one before stays
+		} {
+			if err := commit(t, p, s, objstore.NewTransaction().Write("c", "o", 0, c.data)); err != nil {
+				t.Fatal(err)
+			}
+			if len(o.extents) != c.extents {
+				t.Fatalf("a write of %d pieces: %d extents, want %d", c.data.Segments(), len(o.extents), c.extents)
+			}
+		}
+		held(3*mib/2+mib, "a write in pieces over part of one in pieces")
+		write(0, 3*mib/2)
+		held(3*mib/2, "a whole write over one in pieces")
+		// The whole-object overwrite, measured around the store's own step.
+		data := wire.FromBytes(make([]byte, 3*mib/2))
+		c := s.colls["c"]
+		overwriteAllocs = testing.AllocsPerRun(50, func() {
+			if err := s.writeExtent(c.get("o"), 0, data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		txn := objstore.NewTransaction().Remove("c", "o")
+		if err := commit(t, p, s, txn); err != nil {
+			t.Fatal(err)
+		}
+		held(0, "after the remove")
+	})
+	if overwriteAllocs != 0 {
+		t.Fatalf("an overwrite of a whole object: %.0f allocations, want 0", overwriteAllocs)
 	}
 }
 

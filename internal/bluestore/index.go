@@ -34,6 +34,15 @@ func nameKey(name string) uint32 {
 	return h | 1
 }
 
+// bytesKey is nameKey of the name b spells (maphash hashes equal bytes and
+// strings alike).
+func bytesKey(b []byte) uint32 {
+	if keyHook != nil {
+		return keyHook(string(b)) | 1
+	}
+	return uint32(maphash.Bytes(nameSeed, b)>>32) | 1
+}
+
 // home is the slot a key's probe run starts at.
 func (c *collection) home(k uint32) int { return int(k>>1) & (len(c.keys) - 1) }
 
@@ -54,6 +63,19 @@ func (c *collection) get(name string) *onode {
 	}
 	for o := c.heads[c.slot(nameKey(name))]; o != nil; o = o.next {
 		if o.name == name {
+			return o
+		}
+	}
+	return nil
+}
+
+// getBytes returns the object whose name b spells, or nil.
+func (c *collection) getBytes(b []byte) *onode {
+	if len(c.keys) == 0 {
+		return nil
+	}
+	for o := c.heads[c.slot(bytesKey(b))]; o != nil; o = o.next {
+		if o.name == string(b) {
 			return o
 		}
 	}

@@ -91,7 +91,7 @@ func procCall(p *sim.Proc, s *Store, st storeStep) (c objstore.Call) {
 				p.Suspend() // sim's chain test holds the awaited Disk.ReadThen to its proc form
 			}
 			s.stats.BytesRead += int64(length)
-			c.Data = o.readRange(st.off, length)
+			c.Data = o.readRange(nil, st.off, length)
 		}
 	}
 	return c

@@ -193,8 +193,10 @@ type MOSDOpReply struct {
 	Op      Op
 	Result  int32
 	Version uint64
-	Size    uint64           // stat result
-	Data    *wire.Bufferlist // read payload
+	Size    uint64 // stat result
+	// Data is the read payload. With an Owner, the list is the record's
+	// too: a dispatcher that keeps the data views it into a list of its own.
+	Data *wire.Bufferlist
 	// TraceCtx carries the trace span context out-of-band (see MOSDOp).
 	TraceCtx uint64
 	// Owner is the record the reply lives in, out-of-band like TraceCtx
@@ -283,6 +285,8 @@ func (m *MRepOpReply) PayloadBytes() int64 { return 16 }
 type MPing struct {
 	Src   string
 	Stamp int64
+	// Owner is the record the probe lives in, out-of-band (nil: the GC's).
+	Owner Owner
 }
 
 // MsgType implements Message.
@@ -301,6 +305,8 @@ func (m *MPing) PayloadBytes() int64 { return 16 + int64(len(m.Src)) }
 type MPingReply struct {
 	Src   string
 	Stamp int64
+	// Owner is the record the answer lives in, out-of-band (nil: the GC's).
+	Owner Owner
 }
 
 // MsgType implements Message.
@@ -602,6 +608,10 @@ func OwnerOf(m Message) Owner {
 	case *MOSDOpReply:
 		return m.Owner
 	case *MRepOpReply:
+		return m.Owner
+	case *MPing:
+		return m.Owner
+	case *MPingReply:
 		return m.Owner
 	}
 	return nil

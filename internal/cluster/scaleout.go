@@ -418,6 +418,8 @@ func NewScaleOut(cfg ScaleOutConfig) *ScaleOut {
 				if prepopDone != nil {
 					prepopDone.Wait(p)
 				}
+				// A read's data is viewed into read, emptied per read.
+				var read wire.Inline2
 				for i := 0; pod.err == nil && p.Now() < deadline; i++ {
 					start := p.Now()
 					var err error
@@ -433,8 +435,8 @@ func NewScaleOut(cfg ScaleOutConfig) *ScaleOut {
 						stream := uint64(pod.ID)<<48 ^ uint64(t)<<32 ^ uint64(uint32(i))
 						obj := catalog[gen.Pick(cfg.Seed, stream)]
 						if doRead {
-							var bl *wire.Bufferlist
-							if bl, err = pod.Cluster.Client.Read(p, obj, 0, 0); err == nil {
+							bl := read.Init()
+							if err = pod.Cluster.Client.ReadInto(p, obj, 0, 0, bl); err == nil {
 								bytes = int64(bl.Length())
 							}
 						} else {
@@ -442,8 +444,8 @@ func NewScaleOut(cfg ScaleOutConfig) *ScaleOut {
 						}
 					} else if doRead {
 						obj := fmt.Sprintf("so_p%d_prepop_%d", pod.ID, (t*7919+i)%nPrepop)
-						var bl *wire.Bufferlist
-						if bl, err = pod.Cluster.Client.Read(p, obj, 0, 0); err == nil {
+						bl := read.Init()
+						if err = pod.Cluster.Client.ReadInto(p, obj, 0, 0, bl); err == nil {
 							bytes = int64(bl.Length())
 						}
 					} else {

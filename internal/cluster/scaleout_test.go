@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -183,5 +184,48 @@ func TestCrossRackLookaheadIsPositiveAndModelDerived(t *testing.T) {
 		if reflect.DeepEqual(got, home(uint32(3*pods*2), min(3, pods))) {
 			t.Fatalf("%d pods: homing does not depend on the PG count", pods)
 		}
+	}
+}
+
+// TestScaleOutSteadyStateAllocations: a small scale-out (2 racks x 4 OSDs,
+// the benchmark's Zipf 70 % read mix) run 6 s and 1.5 s of virtual time
+// allocates at most half an object per op the longer run adds. Set-up, PG
+// creation, sessions and lanes, prepopulation and the pools' growth cost the
+// same in both runs, so the difference is the steady state's: reads view the
+// data through lists their records own, names are shared with the stores'
+// indexes, overwrites reuse their extents' slots and heartbeats their
+// records. The least of three pairs, as the runtime's own allocations (a new
+// OS thread, a GC sudog) land in a run now and then.
+func TestScaleOutSteadyStateAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two 8-OSD runs per pair")
+	}
+	run := func(d sim.Duration) (allocs uint64, ops int64) {
+		so := NewScaleOut(ScaleOutConfig{Pods: 2, OSDsPerPod: 4, Mode: DoCeph, Seed: 42,
+			Threads: 2, ObjectBytes: 64 << 10, ReadPercent: 70,
+			Popularity:   radosbench.Popularity{Kind: radosbench.PopZipf},
+			BalanceReads: true, Duration: d, Warmup: 500 * sim.Millisecond})
+		defer so.Shutdown()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := so.Run(2)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.Mallocs - before.Mallocs, res.TotalOps
+	}
+	per := math.Inf(1)
+	for range 3 {
+		shortAllocs, shortOps := run(1500 * sim.Millisecond)
+		longAllocs, longOps := run(6 * sim.Second)
+		if longOps <= shortOps {
+			t.Fatalf("%d ops in the long run, %d in the short", longOps, shortOps)
+		}
+		per = min(per, (float64(longAllocs)-float64(shortAllocs))/float64(longOps-shortOps))
+	}
+	t.Logf("%.3f allocations per op of the steady state", per)
+	if per > 0.5 {
+		t.Fatalf("%.3f allocations per op of the steady state, want at most 0.5", per)
 	}
 }

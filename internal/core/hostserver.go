@@ -114,8 +114,8 @@ type HostServer struct {
 	// DMA and RPC-fallback deliveries race.
 	nextCommit uint64
 	readyTxns  map[uint64]*hostTxn
-	// names are the last ones decoded, and the collections the partition's
-	// hosts have seen.
+	// names are the last ones decoded, the collections the partition's
+	// hosts have seen, and the store whose object names are shared.
 	names objstore.Names
 	// unpacked is the poller's array for the entries of the batch frame it is
 	// dispatching, cleared after each.
@@ -156,11 +156,13 @@ type hostTxn struct {
 	// notification goes to the matching notify shard.
 	queue int
 	// dec is the decoded transaction, over op for a one-op frame (empty after
-	// a decode error). The data views its ops hold are separate objects:
-	// BlueStore's extents keep them for the object's life, and must not pin
-	// the record.
-	dec objstore.Transaction
-	op  [1]objstore.Op
+	// a decode error), and view its first op's data views, over viewSlot for
+	// up to four pieces: BlueStore reads them as it applies the transaction,
+	// before its commit, and its extents keep views of their own.
+	dec      objstore.Transaction
+	op       [1]objstore.Op
+	view     wire.Bufferlist
+	viewSlot [4][]byte
 	// silent suppresses the commit notification (the error was already
 	// reported; the entry only keeps the sequence moving).
 	silent bool
@@ -182,14 +184,15 @@ type hostTxn struct {
 
 // hostRead is one read on the host, in one allocation, and the task chain
 // that serves it: the request its descriptor carried, respond when that came
-// over RPC (nil over DMA), the store call, and the segments of the return DMA
-// (in slot for one). One whose descriptor came by DMA is from the partition's
-// free list.
+// over RPC (nil over DMA), the store call and the list it reads into, and the
+// segments of the return DMA (in slot for one). One whose descriptor came by
+// DMA is from the partition's free list.
 type hostRead struct {
 	hs      *HostServer
 	req     readReq
 	respond func(*wire.Bufferlist, uint16)
 	call    objstore.Call
+	data    wire.Inline2
 	step    hostReadStep
 	// c cuts the data for the return DMA; i is the segment the chain is at.
 	c    cut
@@ -225,13 +228,14 @@ func (hr *hostRead) unref() {
 	}
 }
 
-// readSeg is one in-flight segment of a read's return DMA, the tag the DPU
-// poller receives with it, and the task that frees its staging buffer when
-// the engine is done with it.
+// readSeg is one in-flight segment of a read's return DMA, its view of the
+// read's data, the tag the DPU poller receives with it, and the task that
+// frees its staging buffer when the engine is done with it.
 type readSeg struct {
-	t   doca.Transfer
-	hdr segHeader
-	hr  *hostRead
+	t    doca.Transfer
+	hdr  segHeader
+	hr   *hostRead
+	view wire.Inline2
 }
 
 func (rs *readSeg) Run() {
@@ -254,7 +258,7 @@ func NewHostServer(env *sim.Env, hostCPU *sim.CPU, store *bluestore.Store,
 		asm:        make(map[uint64]*hostTxn),
 		nextCommit: 1,
 		readyTxns:  make(map[uint64]*hostTxn),
-		names:      objstore.Names{Colls: sim.Local[objstore.Colls](env)},
+		names:      objstore.Names{Colls: sim.Local[objstore.Colls](env), Objects: store},
 		hostReads:  sim.Local[sim.FreeList[hostRead]](env),
 		hostTxns:   sim.Local[sim.FreeList[hostTxn]](env),
 		notifies:   sim.Local[sim.FreeList[notifyFrame]](env),
@@ -567,7 +571,7 @@ func assembleCycles(payload *wire.Bufferlist) int64 {
 // the ordered commit queue.
 func (hs *HostServer) decode(a *hostTxn, txnSeq uint64, payload *wire.Bufferlist) {
 	a.dec.Ops = a.op[:0]
-	err := a.dec.DecodeBL(payload, &hs.names)
+	err := a.dec.DecodeBLInto(payload, &hs.names, a.view.InitOn(a.viewSlot[:]))
 	a.joined, a.joinSlot = wire.Bufferlist{}, [4][]byte{} // the joined payload dies here
 	if err != nil {
 		// Report the failure but keep the commit sequence moving with the
@@ -708,7 +712,8 @@ func (hr *hostRead) Run() {
 	for {
 		switch hr.step {
 		case hostReadStart:
-			hr.call = objstore.Call{Coll: req.Coll, Object: req.Object, Off: req.Off, Length: req.Length}
+			hr.call = objstore.Call{Coll: req.Coll, Object: req.Object, Off: req.Off, Length: req.Length,
+				Data: hr.data.Init()}
 			hr.step = hostReadDone
 			if hs.store.ReadThen(hs.thPoll, &hr.call, hr) {
 				return
@@ -750,11 +755,9 @@ func (hr *hostRead) Run() {
 			}
 		case hostReadStaged:
 			i := hr.i
-			data := hr.c.payload // a one-segment reply is the store's list itself
-			if hr.c.total > 1 {
-				data = hr.c.view(i)
-			}
 			rs := &hr.segs[i]
+			data := rs.view.Init()
+			hr.c.viewInto(data, i)
 			rs.hr = hr
 			rs.hdr = segHeader{kind: segReadData, reqID: req.ReqID, seg: i, total: hr.c.total}
 			rs.t = doca.Transfer{

@@ -148,14 +148,14 @@ func appendString(b []byte, s string) []byte {
 	return append(binary.LittleEndian.AppendUint32(b, uint32(len(s))), s...)
 }
 
-// decode reads a descriptor into r. Reads tend to repeat their collection, so
-// it is decoded against the receiver's names and costs no allocation when it
-// is one of them.
+// decode reads a descriptor into r. Its names are decoded against the
+// receiver's: a collection it has read before and an object its store holds
+// cost no allocation.
 func (r *readReq) decode(bl *wire.Bufferlist, names *objstore.Names) error {
 	d := wire.NewDecoderBL(bl)
 	r.ReqID = d.U64()
 	r.Coll = names.Coll(d)
-	r.Object = d.String()
+	r.Object = names.Obj(d)
 	r.Off = d.U64()
 	r.Length = d.U64()
 	return d.Err()

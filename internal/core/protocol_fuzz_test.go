@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
+	"doceph/internal/bluestore"
 	"doceph/internal/objstore"
+	"doceph/internal/sim"
 	"doceph/internal/wire"
 )
 
@@ -21,12 +25,12 @@ var controlCodecs = map[string]func(*wire.Bufferlist) (*wire.Bufferlist, error){
 		return encodeSegFallback(reqID, txnSeq, seg, total, payload), nil
 	},
 	"readReq": func(bl *wire.Bufferlist) (*wire.Bufferlist, error) {
-		var r readReq
-		if err := r.decode(bl, &objstore.Names{Collection: fuzzPrevColl}); err != nil {
+		r, names := reusedReadReq()
+		if err := r.decode(bl, names); err != nil {
 			return nil, err
 		}
 		var f readReqFrame
-		return f.encode(&r), nil
+		return f.encode(r), nil
 	},
 	"txnDone": func(bl *wire.Bufferlist) (*wire.Bufferlist, error) {
 		reqID, code, nanos, err := decodeTxnDone(bl)
@@ -78,6 +82,52 @@ var controlCodecs = map[string]func(*wire.Bufferlist) (*wire.Bufferlist, error){
 // seed's own, so the corpus takes Names.Coll's hit and its mutants the miss.
 const fuzzPrevColl = "pg.3"
 
+// fuzzLongObject is an object name longer than a descriptor's inline bytes.
+var fuzzLongObject = strings.Repeat("benchmark_data_prepop_", 4)
+
+// fuzzReads is the record read descriptors decode into, reused call after
+// call as a host's read record is, and the names a host decodes them
+// against: the collections it has read, and a BlueStore that holds the seed
+// corpus' objects, whose names are shared.
+var fuzzReads struct {
+	once  sync.Once
+	req   readReq
+	names objstore.Names
+}
+
+func reusedReadReq() (*readReq, *objstore.Names) {
+	fuzzReads.once.Do(func() {
+		fuzzReads.names = objstore.Names{Collection: fuzzPrevColl, Colls: &objstore.Colls{}, Objects: populatedStore()}
+	})
+	return &fuzzReads.req, &fuzzReads.names
+}
+
+// populatedStore returns a BlueStore holding the seed corpus' objects.
+func populatedStore() *bluestore.Store {
+	env := sim.NewEnv(1)
+	cpu := sim.NewCPU(env, "host", 4, 3.7, 2000)
+	disk := sim.NewDisk(env, "ssd", 530e6, 560e6, 30*sim.Microsecond)
+	st := bluestore.New(env, "bs", cpu, disk, bluestore.Config{})
+	txn := objstore.NewTransaction().MkColl(fuzzPrevColl).MkColl("pg.1023")
+	for _, coll := range []string{fuzzPrevColl, "pg.1023"} {
+		for _, obj := range []string{"obj", fuzzLongObject, "", "benchmark_data_w0_0"} {
+			txn.Write(coll, obj, 0, seeded(64, 3))
+		}
+	}
+	var err error
+	env.Spawn("populate", func(p *sim.Proc) {
+		p.SetThread(sim.NewThread("populate", "test"))
+		res := st.QueueTransaction(p, txn)
+		res.Done.Wait(p)
+		err = res.Err
+	})
+	if rerr := env.RunUntil(sim.Time(sim.Second)); rerr != nil || err != nil {
+		panic(fmt.Sprint("populating the store: ", rerr, err))
+	}
+	env.Shutdown()
+	return st
+}
+
 // FuzzControlFrames holds the control-plane decoders to the batch-frame
 // decoder's contract: arbitrary, truncated or scattered input never panics,
 // and a frame a decoder accepts re-encodes to the bytes it read (decoders
@@ -89,7 +139,7 @@ func FuzzControlFrames(f *testing.F) {
 	var done txnDoneFrame
 	done.encode(7, rcNotFound, 12345)
 	var desc readReqFrame
-	long := strings.Repeat("benchmark_data_prepop_", 4)
+	long := fuzzLongObject
 	for _, bl := range []*wire.Bufferlist{
 		encodeSegFallback(1, 2, 0, 3, seeded(64, 1)),
 		desc.encode(&readReq{ReqID: 9, Coll: fuzzPrevColl, Object: "obj", Off: 4096, Length: 1 << 20}),
@@ -124,8 +174,16 @@ func FuzzControlFrames(f *testing.F) {
 				}
 			}
 		}
-		var r readReq
-		if r.decode(segmentedBL(raw, 7), &objstore.Names{Collection: fuzzPrevColl}) == nil {
+		// The reused record, sharing names with the populated store, accepts
+		// exactly what a fresh one decoding against no names accepts, and
+		// reads the same descriptor.
+		var fresh readReq
+		freshErr := fresh.decode(segmentedBL(raw, 7), &objstore.Names{Collection: fuzzPrevColl})
+		r, names := reusedReadReq()
+		if err := r.decode(segmentedBL(raw, 7), names); (err == nil) != (freshErr == nil) || err == nil && *r != fresh {
+			t.Fatalf("readReq %x: reused record %+v (err %v), fresh %+v (err %v)", raw, *r, err, fresh, freshErr)
+		}
+		if freshErr == nil {
 			room := make([]byte, len(raw))
 			fit, grown := r.encodeInto(room), r.encodeInto(make([]byte, 1))
 			if &fit[0] != &room[0] || !bytes.Equal(fit, grown) {

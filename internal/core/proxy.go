@@ -256,9 +256,12 @@ type pendingRead struct {
 	hdr  segHeader
 	desc readReqFrame
 	// segs is sized by the first data segment's total (slot when that is
-	// one); have counts the filled slots.
+	// one), each a view of a data segment in a list of the read's (one when
+	// there is one) made before the host's record goes back; have counts the
+	// filled slots.
 	segs []*wire.Bufferlist
 	slot [1]*wire.Bufferlist
+	one  wire.Inline2
 	have int32
 	code uint16
 	// dmaErr reports a failed return segment: the read goes again over RPC.
@@ -1186,17 +1189,23 @@ func (pr *pendingRead) advance() bool {
 				continue
 			}
 			// The host has read the descriptor and every data segment is in.
-			c.Data, c.Err = nil, codeToErr(pr.code)
-			if c.Err == nil {
-				c.Data = wire.Concat(pr.segs)
+			if c.Err = codeToErr(pr.code); c.Err != nil {
+				c.Data = nil
+				return false
 			}
+			answer(c, pr.segs...)
 			return false
 		case readRPC:
 			pr.step = readReplied
 			pr.reply = px.rpc.CallTask(opReadFallback, &pr.desc.bl.Bufferlist, pr)
 			return true
 		case readReplied:
-			c.Data, c.Err = callResult(pr.reply.Result())
+			data, err := callResult(pr.reply.Result())
+			if c.Err = err; err != nil || data == nil {
+				c.Data = data
+				return false
+			}
+			answer(c, data)
 			return false
 		}
 	}
@@ -1204,6 +1213,22 @@ func (pr *pendingRead) advance() bool {
 
 // String names the read in deadlock reports.
 func (pr *pendingRead) String() string { return fmt.Sprintf("proxy-read:%d", pr.reqID) }
+
+// answer views a read's data, in lists that go back with the read's record,
+// into c.Data, in order: the caller's list, or a new one when the caller has
+// none.
+func answer(c *objstore.Call, lists ...*wire.Bufferlist) {
+	if c.Data == nil {
+		n := 0
+		for _, l := range lists {
+			n += l.Segments()
+		}
+		c.Data = wire.Sized(n)
+	}
+	for _, l := range lists {
+		c.Data.AppendBufferlist(l)
+	}
+}
 
 // readPoll is the DPU-side poller consuming host->DPU DMA completions (read
 // data segments), a task chain: a turn pays for the completion on the DPU CPU,
@@ -1264,7 +1289,9 @@ func (px *Proxy) harvestRead(t *doca.Transfer) {
 	rs.hr.unref()
 }
 
-// fillRead files one data segment of a read's reply.
+// fillRead files one data segment of a read's reply, viewing it into a list
+// of pr's: the host's record, whose the segment's list is, goes back once it
+// is filed.
 func (px *Proxy) fillRead(pr *pendingRead, hdr *segHeader, data *wire.Bufferlist) {
 	if hdr.seg < 0 || hdr.seg >= hdr.total || pr.segs != nil && hdr.total != len(pr.segs) {
 		px.stats.ReadFrameErrors++ // disagrees with itself or the reply's first segment
@@ -1275,10 +1302,20 @@ func (px *Proxy) fillRead(pr *pendingRead, hdr *segHeader, data *wire.Bufferlist
 			pr.segs = make([]*wire.Bufferlist, hdr.total)
 		}
 	}
+	v := pr.segs[hdr.seg]
+	switch {
+	case v != nil:
+		v.Reset() // a segment again: its view is replaced
+	case len(pr.segs) == 1:
+		v = pr.one.Init()
+	default:
+		v = wire.Sized(data.Segments())
+	}
 	if pr.segs[hdr.seg] == nil {
 		pr.have++
+		pr.segs[hdr.seg] = v
 	}
-	pr.segs[hdr.seg] = data
+	v.AppendBufferlist(data)
 	if int(pr.have) == len(pr.segs) {
 		pr.done.Fire()
 	}

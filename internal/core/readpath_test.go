@@ -192,6 +192,8 @@ type chainReader struct {
 	waited  bool
 	reading bool
 	call    objstore.Call
+	// into, when set, is the caller's list each read is viewed into.
+	into *wire.Bufferlist
 }
 
 func (c *chainReader) Run() {
@@ -215,6 +217,10 @@ func (c *chainReader) Run() {
 			s.fault(c.r)
 		}
 		c.call = objstore.Call{Coll: s.coll, Object: s.obj, Off: s.off, Length: s.n}
+		if c.into != nil {
+			c.into.Reset()
+			c.call.Data = c.into
+		}
 		c.reading = true
 		if c.r.bridge.Proxy.ReadThen(c.th, &c.call, c) {
 			return

@@ -135,21 +135,71 @@ func transactionFrames() [][]byte {
 	return corpus
 }
 
+// objectSet is an ObjectIndex over fixed names: per collection, each name to
+// the string it is held as.
+type objectSet map[string]map[string]string
+
+func (s objectSet) ObjectName(coll string, b []byte) (string, bool) {
+	n, ok := s[coll][string(b)]
+	return n, ok
+}
+
+// populated is a store's index holding the sample transactions' objects, and
+// the collections a receiver has read before: the names a decode shares.
+func populated() Names {
+	objs := objectSet{}
+	colls := &Colls{}
+	for _, txn := range sampleTxns() {
+		for _, op := range txn.Ops {
+			colls.intern([]byte(op.Collection))
+			if op.Object == "" {
+				continue
+			}
+			if objs[op.Collection] == nil {
+				objs[op.Collection] = map[string]string{}
+			}
+			objs[op.Collection][op.Object] = op.Object
+		}
+	}
+	return Names{Colls: colls, Objects: objs}
+}
+
+// decodeRecord is a receiver's record that transactions decode into, as the
+// host's does: the transaction over a one-op slot, the first op's data view,
+// and the names of the frames before, shared with a populated store.
+type decodeRecord struct {
+	txn   Transaction
+	op    [1]Op
+	view  wire.Inline2
+	names Names
+}
+
+func newDecodeRecord() *decodeRecord {
+	r := &decodeRecord{names: populated()}
+	r.txn.Ops = r.op[:0]
+	return r
+}
+
+func (r *decodeRecord) decode(bl *wire.Bufferlist) error {
+	return r.txn.DecodeBLInto(bl, &r.names, r.view.Init())
+}
+
 // checkAgainstReference decodes raw, delivered in segLen-byte segments, with
-// the reference decoder, with DecodeTransactionBL and with DecodeBL into
-// reused — a record that has decoded other frames before — and requires the
-// same transaction from all three, or an error from all three with the same
-// message (and no ops left in reused).
-func checkAgainstReference(t *testing.T, raw []byte, segLen int, reused *Transaction) {
+// the reference decoder, with DecodeTransactionBL and with DecodeBLInto into
+// reused — a record that has decoded other frames before, with names shared
+// against a populated store — and requires the same transaction from all
+// three, or an error from all three with the same message (and no ops left in
+// reused).
+func checkAgainstReference(t *testing.T, raw []byte, segLen int, reused *decodeRecord) {
 	t.Helper()
 	want, wantErr := decodeTransactionBLRef(segmented(raw, segLen))
 	got, gotErr := DecodeTransactionBL(segmented(raw, segLen), &Names{})
-	reused.TraceCtx, reused.StreamReuse = 1, true // outside the encoded form: cleared
-	intoErr := reused.DecodeBL(segmented(raw, segLen), &Names{})
-	into := reused
+	reused.txn.TraceCtx, reused.txn.StreamReuse = 1, true // outside the encoded form: cleared
+	intoErr := reused.decode(segmented(raw, segLen))
+	into := &reused.txn
 	if intoErr != nil {
-		if len(reused.Ops) != 0 {
-			t.Fatalf("%d-byte frame %x in %d-byte segments: %d ops left after %v", len(raw), raw, segLen, len(reused.Ops), intoErr)
+		if len(reused.txn.Ops) != 0 {
+			t.Fatalf("%d-byte frame %x in %d-byte segments: %d ops left after %v", len(raw), raw, segLen, len(reused.txn.Ops), intoErr)
 		}
 		into = nil
 	}
@@ -157,7 +207,7 @@ func checkAgainstReference(t *testing.T, raw []byte, segLen int, reused *Transac
 		name string
 		txn  *Transaction
 		err  error
-	}{{"DecodeTransactionBL", got, gotErr}, {"DecodeBL into a reused transaction", into, intoErr}} {
+	}{{"DecodeTransactionBL", got, gotErr}, {"DecodeBLInto a reused record", into, intoErr}} {
 		if (d.err == nil) != (wantErr == nil) || (d.err != nil && d.err.Error() != wantErr.Error()) {
 			t.Fatalf("%s: %d-byte frame %x in %d-byte segments: err %v, reference %v", d.name, len(raw), raw, segLen, d.err, wantErr)
 		}
@@ -169,9 +219,9 @@ func checkAgainstReference(t *testing.T, raw []byte, segLen int, reused *Transac
 
 // TestDecodeTransactionBLMatchesReference runs the decoders over the frame
 // corpus, delivered contiguous and scattered across small segments, decoding
-// into one transaction throughout.
+// into one record throughout.
 func TestDecodeTransactionBLMatchesReference(t *testing.T) {
-	reused := NewTransaction()
+	reused := newDecodeRecord()
 	for _, raw := range transactionFrames() {
 		for _, segLen := range []int{len(raw) + 1, 7, 1} {
 			checkAgainstReference(t, raw, segLen, reused)
@@ -183,8 +233,9 @@ func TestDecodeTransactionBLMatchesReference(t *testing.T) {
 // frame goes through on the host never panics, whatever the bytes and however
 // they are cut into segments, and accepts exactly what the reference decoder
 // accepts, with the same result. The decode-into form runs twice in a row on
-// one transaction that first held a seven-op frame, so a reused record never
-// carries ops from the frame before.
+// one record that first held a seven-op frame, so a reused record never
+// carries ops or data views from the frame before, and shares the names a
+// populated store holds.
 func FuzzDecodeTransactionBL(f *testing.F) {
 	for i, raw := range transactionFrames() {
 		f.Add(raw, uint16(i%9))
@@ -192,9 +243,9 @@ func FuzzDecodeTransactionBL(f *testing.F) {
 	txns := sampleTxns()
 	rich := txns[len(txns)-1].EncodeBL()
 	f.Fuzz(func(t *testing.T, raw []byte, segLen uint16) {
-		reused := NewTransaction()
-		if err := reused.DecodeBL(rich, &Names{}); err != nil || len(reused.Ops) != 7 {
-			t.Fatalf("seven-op frame: %d ops, err %v", len(reused.Ops), err)
+		reused := newDecodeRecord()
+		if err := reused.decode(rich); err != nil || len(reused.txn.Ops) != 7 {
+			t.Fatalf("seven-op frame: %d ops, err %v", len(reused.txn.Ops), err)
 		}
 		checkAgainstReference(t, raw, int(segLen)+1, reused)
 		checkAgainstReference(t, raw, len(raw)+1, reused)
@@ -204,8 +255,9 @@ func FuzzDecodeTransactionBL(f *testing.F) {
 // TestDecodeTransactionBLAllocs pins the allocation budget of the decode every
 // DMA'd chunk goes through on the host: the transaction with its one op, the
 // two names, and the payload view with its segment table — and without the
-// names when the frame before it carried the same ones, or, for the
-// collection, when the receiver has read it before.
+// names when the frame before it carried the same ones, or when the receiver
+// has read the collection before and its store holds the object; into a
+// record that holds the transaction and the view, nothing.
 func TestDecodeTransactionBLAllocs(t *testing.T) {
 	frame := NewTransaction().Write("pg.17", "bench_w3_117", 0, wire.FromBytes(make([]byte, 2<<20))).EncodeBL()
 	var txn *Transaction
@@ -225,37 +277,53 @@ func TestDecodeTransactionBLAllocs(t *testing.T) {
 	if len(txn.Ops) != 1 || txn.Ops[0].Data.Length() != 2<<20 || txn.Ops[0].Object != "bench_w3_117" {
 		t.Fatalf("decoded %+v", txn.Ops)
 	}
-	// Into a record that holds the transaction and its op slot, as the host's
-	// does: the payload view alone.
+	// Into a record that holds the transaction, its op slot and the data
+	// view, as the host's does: nothing, with the names of the frame before,
+	// or with none but those a populated store and the receiver's Colls hold.
 	rec := &struct {
-		txn Transaction
-		op  [1]Op
+		txn  Transaction
+		op   [1]Op
+		view wire.Inline2
 	}{}
 	rec.txn.Ops = rec.op[:0]
-	if allocs := testing.AllocsPerRun(100, func() {
-		if err := rec.txn.DecodeBL(frame, &last); err != nil {
-			t.Fatal(err)
+	held := Names{Colls: &Colls{}, Objects: objectSet{"pg.17": {"bench_w3_117": "bench_w3_117"}}}
+	held.Colls.intern([]byte("pg.17"))
+	for _, c := range []struct {
+		what  string
+		names func() *Names
+	}{
+		{"the names of the frame before", func() *Names { return &last }},
+		{"names the store holds", func() *Names { held.Collection, held.Object = "", ""; return &held }},
+	} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := rec.txn.DecodeBLInto(frame, c.names(), rec.view.Init()); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > 0 {
+			t.Fatalf("DecodeBLInto: %.0f allocations into a one-op record with %s, want 0", allocs, c.what)
 		}
-	}); allocs > 1 {
-		t.Fatalf("DecodeBL: %.0f allocations into a one-op record with the names of the frame before, want at most 1", allocs)
 	}
-	if len(rec.txn.Ops) != 1 || &rec.txn.Ops[0] != &rec.op[0] || rec.txn.Ops[0].Data.Length() != 2<<20 {
+	if len(rec.txn.Ops) != 1 || &rec.txn.Ops[0] != &rec.op[0] || rec.txn.Ops[0].Data != &rec.view.Bufferlist ||
+		rec.txn.Ops[0].Data.Length() != 2<<20 {
 		t.Fatalf("decoded into the record: %+v", rec.txn.Ops)
+	}
+	if obj := rec.txn.Ops[0].Object; unsafe.StringData(obj) != unsafe.StringData(held.Objects.(objectSet)["pg.17"]["bench_w3_117"]) {
+		t.Fatal("the object name the store holds was not shared")
 	}
 	// Frames that alternate between collections, as a host's writes to its
 	// placement groups do: with the receiver's Colls, each name is allocated
-	// once, and a frame costs its payload view alone.
+	// once, and a frame into the record costs nothing.
 	other := NewTransaction().Write("pg.18", "bench_w3_117", 0, wire.FromBytes(make([]byte, 2<<20))).EncodeBL()
 	seen := Names{Colls: &Colls{}}
 	alternate := func() {
 		for _, f := range []*wire.Bufferlist{frame, other} {
-			if err := rec.txn.DecodeBL(f, &seen); err != nil {
+			if err := rec.txn.DecodeBLInto(f, &seen, rec.view.Init()); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if allocs := testing.AllocsPerRun(100, alternate); allocs > 2 {
-		t.Fatalf("DecodeBL: %.0f allocations for two frames into alternating collections, want at most 2", allocs)
+	if allocs := testing.AllocsPerRun(100, alternate); allocs > 0 {
+		t.Fatalf("DecodeBLInto: %.0f allocations for two frames into alternating collections, want 0", allocs)
 	}
 	if rec.txn.Ops[0].Collection != "pg.18" || seen.Collection != "pg.18" || len(seen.Colls.names) != 2 {
 		t.Fatalf("decoded %q, last %q, %d collections seen", rec.txn.Ops[0].Collection, seen.Collection, len(seen.Colls.names))

@@ -224,10 +224,22 @@ func (t *Transaction) EncodeBLInto(meta []byte, dst *wire.Bufferlist) {
 // Colls when it is not nil, the collection names its receiver has read. A
 // receiver sees one collection over and over, the others of its placement
 // groups in turn, and one object for a run of stream chunks, so the decoder
-// shares equal names instead of allocating them.
+// shares equal names instead of allocating them. Objects, when it is not
+// nil, is the store the receiver applies what it decodes to: an object name
+// the store holds is shared with it, so a name is allocated once, for the
+// op that creates the object.
 type Names struct {
 	Collection, Object string
 	Colls              *Colls
+	Objects            ObjectIndex
+}
+
+// ObjectIndex is a store's index of the objects it holds, looked up by the
+// bytes of a name.
+type ObjectIndex interface {
+	// ObjectName returns the name of the object of coll that b spells, if
+	// the store holds one.
+	ObjectName(coll string, b []byte) (string, bool)
 }
 
 // Colls is the set of collection names a receiver has decoded, sorted, and
@@ -277,6 +289,25 @@ func (n *Names) Coll(d *wire.Decoder) string {
 	return s
 }
 
+// Obj reads an object name of the last collection from d and makes it the
+// last one: the last one, or the one Objects holds, is shared when its bytes
+// match.
+func (n *Names) Obj(d *wire.Decoder) string {
+	b := d.StringBytes()
+	if string(b) == n.Object {
+		return n.Object
+	}
+	s, ok := "", false
+	if n.Objects != nil {
+		s, ok = n.Objects.ObjectName(n.Collection, b)
+	}
+	if !ok {
+		s = string(b)
+	}
+	n.Object = s
+	return s
+}
+
 // DecodeTransactionBL parses a frame produced by EncodeBL into a new
 // transaction. Data payloads are zero-copy views into bl. It reads and
 // updates last.
@@ -293,15 +324,24 @@ func DecodeTransactionBL(bl *wire.Bufferlist, last *Names) (*Transaction, error)
 // one-op slot decodes a one-op frame without allocating), and clears the
 // fields outside the encoded form. On error t holds no ops.
 func (t *Transaction) DecodeBL(bl *wire.Bufferlist, last *Names) error {
+	return t.DecodeBLInto(bl, last, nil)
+}
+
+// DecodeBLInto is DecodeBL with the first op's data views in view, a list the
+// caller owns, emptied first (when it is not nil): a record that holds the
+// list as well decodes a one-op frame without allocating. The views are read
+// until the store has applied the transaction, so the record keeps the list
+// until then.
+func (t *Transaction) DecodeBLInto(bl *wire.Bufferlist, last *Names, view *wire.Bufferlist) error {
 	*t = Transaction{Ops: t.Ops[:0]}
-	if err := t.decodeOps(bl, last); err != nil {
+	if err := t.decodeOps(bl, last, view); err != nil {
 		t.Ops = t.Ops[:0]
 		return err
 	}
 	return nil
 }
 
-func (t *Transaction) decodeOps(bl *wire.Bufferlist, last *Names) error {
+func (t *Transaction) decodeOps(bl *wire.Bufferlist, last *Names, view *wire.Bufferlist) error {
 	if bl.Length() < 4 {
 		return fmt.Errorf("objstore: frame too short (%d bytes)", bl.Length())
 	}
@@ -316,16 +356,18 @@ func (t *Transaction) decodeOps(bl *wire.Bufferlist, last *Names) error {
 	if k := min(int(n), metaLen/minOpMeta); k > cap(t.Ops) {
 		t.Ops = make([]Op, 0, k)
 	}
+	if view != nil {
+		view.Reset()
+	}
 	dataOff := 4 + metaLen
 	for i := uint32(0); i < n && d.Err() == nil; i++ {
 		op := Op{
 			Code:       OpCode(d.U8()),
 			Collection: last.Coll(d),
-			Object:     d.StringLike(last.Object),
+			Object:     last.Obj(d),
 			Offset:     d.U64(),
 			Length:     d.U64(),
 		}
-		last.Object = op.Object
 		dataLen := int(d.U32())
 		op.AttrName = d.String()
 		op.AttrValue = d.Blob()
@@ -333,7 +375,12 @@ func (t *Transaction) decodeOps(bl *wire.Bufferlist, last *Names) error {
 			if dataOff+dataLen > bl.Length() {
 				return fmt.Errorf("objstore: data overruns frame")
 			}
-			op.Data = bl.SubList(dataOff, dataLen)
+			if view != nil && i == 0 {
+				bl.ViewInto(view, dataOff, dataLen)
+				op.Data = view
+			} else {
+				op.Data = bl.SubList(dataOff, dataLen)
+			}
 			dataOff += dataLen
 		}
 		t.Ops = append(t.Ops, op)

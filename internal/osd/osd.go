@@ -174,6 +174,8 @@ type OSD struct {
 	muts    *sim.FreeList[mutation]
 	applies *sim.FreeList[repApply]
 	replies *sim.FreeList[opReply]
+	pings   *sim.FreeList[ping]
+	pongs   *sim.FreeList[pong]
 	// ingestBody is ingestStream as a func value, made with streams at the
 	// first stream: every stream's ingest proc shares it and finds its record
 	// in streams under its proc id.
@@ -330,14 +332,33 @@ type repApply struct {
 func (ra *repApply) Release() { ra.o.applies.Put(ra) }
 
 // opReply is the reply to a client op, in a record from the partition's free
-// list of its OSD o, put back by the client's messenger once dispatched.
+// list of its OSD o, put back by the client's messenger once dispatched. A
+// read's data is in data, the list its store call read into.
 type opReply struct {
 	o     *OSD
 	reply cephmsg.MOSDOpReply
+	data  wire.Inline2
 }
 
 // Release puts r back once the client's messenger has dispatched it.
 func (r *opReply) Release() { r.o.replies.Put(r) }
+
+// ping is a heartbeat probe, and pong its answer, each in a record from the
+// partition's free list of its OSD o, put back by the peer's messenger once
+// dispatched.
+type ping struct {
+	o   *OSD
+	msg cephmsg.MPing
+}
+
+func (r *ping) Release() { r.o.pings.Put(r) }
+
+type pong struct {
+	o   *OSD
+	msg cephmsg.MPingReply
+}
+
+func (r *pong) Release() { r.o.pongs.Put(r) }
 
 // lend is owner, the record a reply is sent from, unless the OSD has failed:
 // a crashed daemon's records are not handed to the ops that come after it.
@@ -388,6 +409,7 @@ func New(env *sim.Env, cpu *sim.CPU, id int32, msgr *messenger.Messenger,
 	o.fins, o.turns, o.muts = sim.Local[sim.FreeList[finisher]](env), sim.Local[sim.FreeList[turn]](env),
 		sim.Local[sim.FreeList[mutation]](env)
 	o.applies, o.replies = sim.Local[sim.FreeList[repApply]](env), sim.Local[sim.FreeList[opReply]](env)
+	o.pings, o.pongs = sim.Local[sim.FreeList[ping]](env), sim.Local[sim.FreeList[pong]](env)
 	if o.cfg.RecoveryMaxPGs > 0 {
 		o.recovSem = sim.NewSemaphore(env, o.cfg.RecoveryMaxPGs)
 	}
@@ -535,7 +557,10 @@ func (o *OSD) dispatch(_ *sim.Proc, src string, m cephmsg.Message) {
 		}
 		o.completeRep(msg.Tid)
 	case *cephmsg.MPing:
-		o.msgr.Send(src, &cephmsg.MPingReply{Src: o.name, Stamp: msg.Stamp})
+		r := o.pongs.Get()
+		r.o, r.msg = o, cephmsg.MPingReply{Src: o.name, Stamp: msg.Stamp}
+		r.msg.Owner = r
+		o.msgr.Send(src, &r.msg)
 	case *cephmsg.MGetStats:
 		o.msgr.Send(src, o.statsReply(msg.Tid))
 	case *cephmsg.MPingReply:
@@ -855,7 +880,10 @@ func (o *OSD) heartbeatLoop(p *sim.Proc) {
 			if _, seen := o.lastSeen[peer]; !seen {
 				o.lastSeen[peer] = now
 			}
-			o.msgr.Send(Name(peer), &cephmsg.MPing{Src: o.name, Stamp: int64(now)})
+			r := o.pings.Get()
+			r.o, r.msg = o, cephmsg.MPing{Src: o.name, Stamp: int64(now)}
+			r.msg.Owner = r
+			o.msgr.Send(Name(peer), &r.msg)
 			if o.cfg.Monitor != "" && !o.reported[peer] &&
 				now.Sub(o.lastSeen[peer]) > heartbeatGrace {
 				o.reported[peer] = true

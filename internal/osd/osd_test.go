@@ -528,3 +528,33 @@ func TestParseOSD(t *testing.T) {
 		}
 	}
 }
+
+// TestHeartbeatTickAllocatesNothing: an idle cluster's heartbeats — each
+// OSD's tick, its pings to every peer and their answers — allocate nothing
+// once running: the probes and answers are records the peers' messengers put
+// back, and the map keeps its list of up OSDs. Fewer than one allocation in
+// twenty ticks leaves room for the runtime's own.
+func TestHeartbeatTickAllocatesNothing(t *testing.T) {
+	const osds, seconds = 3, 60
+	tc := newTestClusterCfg(t, osds, 2, Config{HeartbeatInterval: sim.Second})
+	var per float64
+	tc.run(t, func(p *sim.Proc) {
+		p.Wait(5 * sim.Second) // sessions, lanes and free lists reach their size
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p.Wait(seconds * sim.Second)
+		runtime.ReadMemStats(&after)
+		per = float64(after.Mallocs-before.Mallocs) / (osds * seconds)
+	})
+	var pings int64
+	for _, o := range tc.osds {
+		pings += o.msgr.Stats().Sent
+	}
+	t.Logf("%.3f allocations per tick; %d messages sent", per, pings)
+	if pings < 2*(osds-1)*osds*seconds {
+		t.Fatalf("%d messages sent: the OSDs did not ping each other", pings)
+	}
+	if per > 0.05 {
+		t.Fatalf("%.3f allocations per heartbeat tick, want 0", per)
+	}
+}

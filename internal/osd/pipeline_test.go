@@ -28,11 +28,22 @@ func newRawClient(tc *testCluster) *rawClient {
 	rc := &rawClient{msgr: tc.addClient("client.1"), replies: sim.NewQueue[*cephmsg.MOSDOpReply](tc.env)}
 	rc.msgr.SetDispatcher(func(p *sim.Proc, src string, m cephmsg.Message) {
 		if r, ok := m.(*cephmsg.MOSDOpReply); ok {
-			c := *r // the OSD puts its record back once this returns
-			rc.replies.Push(&c)
+			rc.replies.Push(keepReply(r))
 		}
 	})
 	return rc
+}
+
+// keepReply is a copy of r that outlives its record, which the OSD puts back
+// once the dispatcher returns: the data's list is the record's too, so the
+// copy views the data from a list of its own.
+func keepReply(r *cephmsg.MOSDOpReply) *cephmsg.MOSDOpReply {
+	c := *r
+	if r.Data != nil {
+		c.Data = &wire.Bufferlist{}
+		c.Data.AppendBufferlist(r.Data)
+	}
+	return &c
 }
 
 func (rc *rawClient) do(p *sim.Proc, target int32, op *cephmsg.MOSDOp) *cephmsg.MOSDOpReply {

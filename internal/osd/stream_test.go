@@ -145,21 +145,22 @@ func TestStreamedSmallWriteBypasses(t *testing.T) {
 }
 
 // streamAllocCeiling is one above what a streamed write of a new 16 MiB
-// object allocates today, rounded up (37.88). Per write: the client's eight
+// object allocates today, rounded up (31.88). Per write: the client's eight
 // chunk views of the payload (8; the primary forwards each chunk it received
-// as it is); the new object's extent and block tables growing three times
-// each on each side (12) and its onode on each side (2); the client's pump and
-// the primary's forward, each an OutStream and its chunk-frame table (4); the
-// primary's and the replica's ingest, each a streamIngest and its chunk
-// table, whose entries hold the Results their commits complete (4); their
-// threads (2, one per stream: the CPU tells threads apart by pointer); the
-// first blocking Next on each InStream's queue (2); the client's MOSDOp and
-// the stream's copy of it without the data (2); the primary's mutation (1); a
-// credit window's waiter ring (1); and about 0.9 for the collections' object
-// indexes growing. BlueStore's txcs and the client's call come from free lists.
+// as it is); the new object's extent table growing three times on each side
+// (6) and its onode on each side (2); the client's pump and the primary's
+// forward, each an OutStream and its chunk-frame table (4); the primary's and
+// the replica's ingest, each a streamIngest and its chunk table, whose entries
+// hold the Results their commits complete (4); their threads (2, one per
+// stream: the CPU tells threads apart by pointer); the first blocking Next on
+// each InStream's queue (2); the client's MOSDOp and the stream's copy of it
+// without the data (2); the primary's mutation (1); a credit window's waiter
+// ring (1); and about 0.9 for the collections' object indexes growing.
+// BlueStore's txcs and the client's call come from free lists, and its extents
+// view the chunks from the table the object holds.
 // The next record somebody adds to the streamed write fails here, not in a
 // benchmark.
-const streamAllocCeiling = 39
+const streamAllocCeiling = 33
 
 // TestStreamedWriteAllocationBudget holds one streamed write — the client's
 // pump, the primary's ingest and forward, the replica's ingest, both acks — of
@@ -231,8 +232,7 @@ func TestStreamChunksPastTheFirstTable(t *testing.T) {
 		var replied sim.Event
 		m.SetDispatcher(func(_ *sim.Proc, _ string, msg cephmsg.Message) {
 			if r, ok := msg.(*cephmsg.MOSDOpReply); ok {
-				c := *r // the OSD puts its record back once this returns
-				reply = &c
+				reply = keepReply(r)
 				replied.Fire()
 			}
 		})

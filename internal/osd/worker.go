@@ -205,16 +205,17 @@ func (t *turn) Run() {
 			if t.it.span != 0 {
 				t.commitSp = o.tr.Start(t.it.span, 0, trace.StageCommit, m.Object)
 			}
+			// The reply is taken now: the store reads into its list.
+			t.reply = o.newReply(m)
 			t.call.Coll, t.call.Object, t.call.Off, t.call.Length = pgColl(t.pg), m.Object, m.Offset, m.Length
+			t.call.Data = t.reply.data.Init()
 			t.step = workRead
 			if o.store.ReadThen(th, &t.call, t) {
 				return
 			}
 		case workRead:
-			m := t.it.msg.(*cephmsg.MOSDOp)
 			o.tr.Finish(t.commitSp)
 			t.lock.Release(1)
-			t.reply = o.newReply(m)
 			if bl, err := t.call.Data, t.call.Err; err != nil {
 				t.reply.reply.Result = missingOrError(err)
 			} else {

@@ -23,8 +23,7 @@ func newRawPeer(tc *testCluster) *rawPeer {
 		// The OSD puts the record of a reply back once this returns.
 		switch r := m.(type) {
 		case *cephmsg.MOSDOpReply:
-			c := *r
-			m = &c
+			m = keepReply(r)
 		case *cephmsg.MRepOpReply:
 			c := *r
 			m = &c

@@ -32,6 +32,8 @@ type Map struct {
 	// environment, so the memo needs no lock.
 	acting    []int32 // PGCount rows of Replicas ids
 	actingLen []uint8
+	// up is UpOSDs' answer, memoized alike (nil: not computed yet).
+	up []int32
 }
 
 // New returns an epoch-1 map over the given hierarchy.
@@ -67,28 +69,31 @@ func (m *Map) Next() *Map {
 func (m *Map) MarkDown(osd int32) {
 	m.Down[osd] = true
 	_ = m.Crush.MarkOut(crush.ItemID(osd))
-	m.acting, m.actingLen = nil, nil
+	m.acting, m.actingLen, m.up = nil, nil, nil
 }
 
 // MarkUp restores an OSD.
 func (m *Map) MarkUp(osd int32) {
 	delete(m.Down, osd)
 	_ = m.Crush.MarkIn(crush.ItemID(osd))
-	m.acting, m.actingLen = nil, nil
+	m.acting, m.actingLen, m.up = nil, nil, nil
 }
 
 // IsUp reports whether osd participates in this epoch.
 func (m *Map) IsUp(osd int32) bool { return !m.Down[osd] }
 
-// UpOSDs returns the ids of all up devices in ascending order.
+// UpOSDs returns the ids of all up devices in ascending order. The slice is
+// the map's, computed once per change: callers only read it.
 func (m *Map) UpOSDs() []int32 {
-	var out []int32
-	for _, id := range m.Crush.Devices() {
-		if !m.Down[int32(id)] {
-			out = append(out, int32(id))
+	if m.up == nil {
+		m.up = []int32{}
+		for _, id := range m.Crush.Devices() {
+			if !m.Down[int32(id)] {
+				m.up = append(m.up, int32(id))
+			}
 		}
 	}
-	return out
+	return m.up
 }
 
 // PGForObject hashes an object name to its placement group, mirroring

@@ -138,6 +138,8 @@ type Client struct {
 type call struct {
 	done  sim.Event
 	reply cephmsg.MOSDOpReply
+	// data holds the views of a read reply's data, taken at dispatch.
+	data wire.Inline2
 }
 
 // New creates a client using msgr, charging client-side CPU to cpu, with an
@@ -180,6 +182,12 @@ func (c *Client) dispatch(_ *sim.Proc, src string, m cephmsg.Message) {
 		}
 		call.reply = *msg
 		call.reply.Owner = nil // the copy is the client's, not the sender's record
+		if msg.Data != nil {
+			// The data's list is the sender's record's too: its views are
+			// the call's.
+			call.reply.Data = call.data.Init()
+			call.reply.Data.AppendBufferlist(msg.Data)
+		}
 		call.done.Fire()
 		delete(c.inflight, msg.Tid)
 	case *cephmsg.MOSDMap:
@@ -229,10 +237,12 @@ const (
 // puts the record back once the reply is taken, unless an attempt of the op
 // timed out: an OSD may still hold that attempt's request, so the record is
 // left to the GC. A redirect or a no-quorum answer is a reply, not a timeout.
-func (c *Client) do(p *sim.Proc, req cephmsg.MOSDOp) (cephmsg.MOSDOpReply, error) {
+// A read reply's data is viewed into dst, the caller's list, or into a new
+// list when dst is nil: the call record that took it at dispatch goes back.
+func (c *Client) do(p *sim.Proc, req cephmsg.MOSDOp, dst *wire.Bufferlist) (cephmsg.MOSDOpReply, error) {
 	op := c.ops.Get()
 	*op = req
-	reply, timedOut, err := c.send(p, op)
+	reply, timedOut, err := c.send(p, op, dst)
 	if timedOut {
 		c.ops.Abandon(sim.TimedOut)
 	} else {
@@ -248,7 +258,7 @@ func (c *Client) do(p *sim.Proc, req cephmsg.MOSDOp) (cephmsg.MOSDOpReply, error
 // later duplicates are counted as stale. Every op resolves within a bounded
 // virtual-time deadline — success or a typed error (ErrTimeout, ErrNoOSD),
 // never a hang.
-func (c *Client) send(p *sim.Proc, op *cephmsg.MOSDOp) (reply cephmsg.MOSDOpReply, timedOut bool, err error) {
+func (c *Client) send(p *sim.Proc, op *cephmsg.MOSDOp, dst *wire.Bufferlist) (reply cephmsg.MOSDOpReply, timedOut bool, err error) {
 	c.stats.Ops++
 	c.nextTid++
 	op.Tid = c.nextTid
@@ -314,6 +324,12 @@ func (c *Client) send(p *sim.Proc, op *cephmsg.MOSDOp) (reply cephmsg.MOSDOpRepl
 			continue
 		}
 		reply = call.reply
+		if data := reply.Data; data != nil {
+			if reply.Data = dst; dst == nil {
+				reply.Data = wire.Sized(data.Segments())
+			}
+			reply.Data.AppendBufferlist(data)
+		}
 		c.calls.Put(call)
 		if reply.Result == cephmsg.ResNotPrimary {
 			c.stats.Redirects++
@@ -401,18 +417,19 @@ func (c *Client) Write(p *sim.Proc, object string, data *wire.Bufferlist) error 
 	reply, err := c.do(p, cephmsg.MOSDOp{
 		Pool: "rbd", Object: object, Op: cephmsg.OpWrite,
 		Length: uint64(data.Length()), Data: data,
-	})
+	}, nil)
 	if err != nil {
 		return err
 	}
 	return resultErr(reply.Result)
 }
 
-// Read returns length bytes at offset off of object (length 0 = to EOF).
+// Read returns length bytes at offset off of object (length 0 = to EOF), in
+// a new list.
 func (c *Client) Read(p *sim.Proc, object string, off, length uint64) (*wire.Bufferlist, error) {
 	reply, err := c.do(p, cephmsg.MOSDOp{
 		Pool: "rbd", Object: object, Op: cephmsg.OpRead, Offset: off, Length: length,
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -422,9 +439,21 @@ func (c *Client) Read(p *sim.Proc, object string, off, length uint64) (*wire.Buf
 	return reply.Data, nil
 }
 
+// ReadInto is Read into dst, a list the caller owns: the data's views are
+// appended to it, so a caller that reuses one reads without allocating.
+func (c *Client) ReadInto(p *sim.Proc, object string, off, length uint64, dst *wire.Bufferlist) error {
+	reply, err := c.do(p, cephmsg.MOSDOp{
+		Pool: "rbd", Object: object, Op: cephmsg.OpRead, Offset: off, Length: length,
+	}, dst)
+	if err != nil {
+		return err
+	}
+	return resultErr(reply.Result)
+}
+
 // Stat returns object size and version.
 func (c *Client) Stat(p *sim.Proc, object string) (size, version uint64, err error) {
-	reply, err := c.do(p, cephmsg.MOSDOp{Pool: "rbd", Object: object, Op: cephmsg.OpStat})
+	reply, err := c.do(p, cephmsg.MOSDOp{Pool: "rbd", Object: object, Op: cephmsg.OpStat}, nil)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -436,7 +465,7 @@ func (c *Client) Stat(p *sim.Proc, object string) (size, version uint64, err err
 
 // Delete removes object.
 func (c *Client) Delete(p *sim.Proc, object string) error {
-	reply, err := c.do(p, cephmsg.MOSDOp{Pool: "rbd", Object: object, Op: cephmsg.OpDelete})
+	reply, err := c.do(p, cephmsg.MOSDOp{Pool: "rbd", Object: object, Op: cephmsg.OpDelete}, nil)
 	if err != nil {
 		return err
 	}

@@ -375,6 +375,8 @@ func Run(env *sim.Env, client *rados.Client, cfg Config) (Result, error) {
 				// A write's name is this prefix and its index ("<prefix>_w3_17").
 				name := []byte(cfg.Prefix + "_w" + strconv.Itoa(worker) + "_")
 				namePrefix := len(name)
+				// A read's data is viewed into read, emptied per read.
+				var read wire.Inline2
 				for benchErr == nil {
 					i := next
 					if cfg.OpsPerThread > 0 {
@@ -409,9 +411,8 @@ func Run(env *sim.Env, client *rados.Client, cfg Config) (Result, error) {
 							idx = popGen.Pick(popSeed,
 								uint64(worker)<<32|uint64(uint32(i)))
 						}
-						var bl *wire.Bufferlist
-						bl, err = client.Read(p, prepopNames[idx], 0, 0)
-						if err == nil {
+						bl := read.Init()
+						if err = client.ReadInto(p, prepopNames[idx], 0, 0, bl); err == nil {
 							bytes = int64(bl.Length())
 						}
 					}

@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -32,7 +35,9 @@ import (
 //  3. Run, in parallel on worker goroutines, every partition whose next
 //     event lies before min(H_i, limit+1). Each partition executes its
 //     window serially with the unchanged serial kernel, so all existing
-//     model code runs unmodified and data-race-free.
+//     model code runs unmodified and data-race-free. The goroutine that
+//     called Run is a worker too; helpers are woken once per round, not
+//     once per window.
 //  4. At the next barrier, deliver the cross-partition messages staged by
 //     Send during the window. Lookahead guarantees every arrival timestamp
 //     is still in each receiver's future; deliver panics if one is not.
@@ -53,6 +58,11 @@ type Group struct {
 	links   []*XLink
 	stats   GroupStats
 	started bool
+	// batches[i] gathers a barrier's messages for partition i, and idle[i]
+	// holds i's deliveries that have pushed their whole batch; both keep
+	// their arrays from round to round.
+	batches [][]XMsg
+	idle    [][]*delivery
 }
 
 // GroupStats counts the synchronization work a Run performed.
@@ -308,52 +318,93 @@ func (g *Group) horizons(next []Time, has []bool, act, hor []Time) {
 // rather than deliver at the wrong instant. Called only at barriers, with
 // no partition running.
 func (g *Group) deliver() {
-	n := len(g.envs)
-	batches := make([][]XMsg, n)
+	if len(g.batches) < len(g.envs) {
+		g.batches = make([][]XMsg, len(g.envs))
+		g.idle = make([][]*delivery, len(g.envs))
+	}
 	for _, l := range g.links {
 		if len(l.staged) == 0 {
 			continue
 		}
-		batches[l.dst] = append(batches[l.dst], l.staged...)
+		g.batches[l.dst] = append(g.batches[l.dst], l.staged...)
+		clear(l.staged) // the payloads are the batch's now
 		l.staged = l.staged[:0]
 	}
-	for dst, batch := range batches {
+	for dst, batch := range g.batches {
 		if len(batch) == 0 {
 			continue
 		}
 		g.stats.Delivered += uint64(len(batch))
-		sort.Slice(batch, func(i, j int) bool {
-			a, b := batch[i], batch[j]
+		slices.SortFunc(batch, func(a, b XMsg) int {
 			if a.At != b.At {
-				return a.At < b.At
+				return cmp.Compare(a.At, b.At)
 			}
 			if a.Link != b.Link {
-				return a.Link < b.Link
+				return cmp.Compare(a.Link, b.Link)
 			}
-			return a.Seq < b.Seq
+			return cmp.Compare(a.Seq, b.Seq)
 		})
 		if m, now := batch[0], g.envs[dst].now; m.At < now {
 			panic(fmt.Sprintf("sim: link %q: message arrives at %v, behind partition %q's clock %v",
 				g.links[m.Link].name, m.At, g.names[dst], now))
 		}
-		batch := batch
-		g.envs[dst].Spawn("xpart-deliver", func(p *Proc) {
-			for _, m := range batch {
-				p.WaitUntil(m.At)
-				g.links[m.Link].Inbox.Push(m)
-			}
-		})
+		// A delivery of an earlier round may still be waiting for its
+		// arrivals: each round's batch has a delivery of its own, taken from
+		// the destination's idle ones, which only the destination's window
+		// (a delivery finishing) and the barrier touch.
+		var d *delivery
+		if free := g.idle[dst]; len(free) > 0 {
+			d = free[len(free)-1]
+			g.idle[dst] = free[:len(free)-1]
+		} else {
+			d = &delivery{g: g, dst: PartitionID(dst)}
+			d.body = d.run
+		}
+		d.batch = append(d.batch, batch...)
+		clear(batch)
+		g.batches[dst] = batch[:0]
+		g.envs[dst].Spawn("xpart-deliver", d.body)
 	}
 }
+
+// delivery is one round's batch for one destination partition and the body
+// of the proc that walks it, waiting until each arrival instant before
+// pushing the message into its link's inbox. Once the batch is out, the
+// delivery goes back to the destination's idle ones; body is its run method,
+// bound once.
+type delivery struct {
+	g     *Group
+	dst   PartitionID
+	batch []XMsg
+	body  func(*Proc)
+}
+
+func (d *delivery) run(p *Proc) {
+	for i := range d.batch {
+		m := &d.batch[i]
+		p.WaitUntil(m.At)
+		d.g.links[m.Link].Inbox.Push(*m)
+	}
+	clear(d.batch)
+	d.batch = d.batch[:0]
+	d.g.idle[d.dst] = append(d.g.idle[d.dst], d)
+}
+
+// helperSpin is how long a helper spins for the next round before it parks:
+// longer than the barrier's own work between two rounds.
+const helperSpin = 50 * time.Microsecond
 
 // Run executes the group until every partition's heap is empty or every
 // remaining event lies beyond limit, using up to workers goroutines to run
 // partition windows concurrently (workers <= 0 means one per partition).
-// On a clean end with events left beyond the limit, every partition clock
-// is advanced to limit, mirroring the serial RunUntil contract. A
-// DeadlockError carrying per-partition state is returned when, before the
-// limit, live non-daemon procs remain with no event or message that could
-// ever wake them.
+// The calling goroutine is one of them: it computes each round's windows,
+// starts the round for the helpers, which wait for it, and runs windows
+// itself; every worker claims the round's windows through one atomic index
+// until none is left. On a clean end with events left
+// beyond the limit, every partition clock is advanced to limit, mirroring
+// the serial RunUntil contract. A DeadlockError carrying per-partition state
+// is returned when, before the limit, live non-daemon procs remain with no
+// event or message that could ever wake them.
 func (g *Group) Run(workers int, limit Time) error {
 	if g.started {
 		panic("sim: Group.Run called twice")
@@ -389,31 +440,85 @@ func (g *Group) Run(workers int, limit Time) error {
 	}()
 
 	type job struct {
-		env    *Env
+		part   int
 		target Time
 	}
-	// window runs one partition window on worker w and times it, as two
-	// offsets from start: Since reads only the monotonic clock, half the
-	// cost of a Now.
-	window := func(w int, j job) {
-		t0 := time.Since(start)
-		j.env.runWindow(j.target)
-		busy[w].d += time.Since(start) - t0
-	}
-	var wg sync.WaitGroup
-	var jobs chan job
-	if workers > 1 {
-		jobs = make(chan job)
-		defer close(jobs)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				for j := range jobs {
-					window(w, j)
-					wg.Done()
-				}
-			}(w)
+	// round is the windows of the round under way, claim the index of the
+	// next one to run. Both are written between rounds, when no helper is in
+	// one.
+	// last[i] is the events partition i fired in its last window, the guess
+	// at its next one's cost: the round runs its windows longest first, so
+	// the ones left for the end, when the other workers may be idle, are the
+	// short ones.
+	var (
+		round []job
+		claim atomic.Int64
+		wg    sync.WaitGroup
+		last  = make([]uint64, n)
+	)
+	// drain runs the round's unclaimed windows on worker w, timing each as
+	// two offsets from start (Since reads only the monotonic clock, half the
+	// cost of a Now), until none is left.
+	drain := func(w int) {
+		for {
+			i := int(claim.Add(1) - 1)
+			if i >= len(round) {
+				return
+			}
+			j := round[i]
+			e := g.envs[j.part]
+			events := e.stats.Events
+			t0 := time.Since(start)
+			e.runWindow(j.target)
+			busy[w].d += time.Since(start) - t0
+			last[j.part] = e.stats.Events - events
 		}
 	}
+	// Helpers (workers 1..) wait for a round past the one they last served:
+	// gen counts the rounds begun, and a helper spins on it for helperSpin,
+	// yielding its P each turn, before it parks on cond, so most rounds find
+	// it awake. stop ends them.
+	var (
+		gen  atomic.Uint64
+		stop bool
+		mu   sync.Mutex
+		cond = sync.NewCond(&mu)
+	)
+	begin := func() {
+		mu.Lock()
+		gen.Add(1)
+		cond.Broadcast()
+		mu.Unlock()
+	}
+	helpers := workers - 1
+	for w := 1; w < workers; w++ {
+		go func(w int) {
+			for seen := uint64(0); ; {
+				t0 := time.Now()
+				for k := 0; gen.Load() == seen && (k&63 != 63 || time.Since(t0) < helperSpin); k++ {
+					runtime.Gosched()
+				}
+				mu.Lock()
+				for gen.Load() == seen {
+					cond.Wait()
+				}
+				seen = gen.Load()
+				done := stop
+				mu.Unlock()
+				if done {
+					return
+				}
+				drain(w)
+				wg.Done()
+			}
+		}(w)
+	}
+	defer func() {
+		mu.Lock()
+		stop = true
+		mu.Unlock()
+		begin()
+	}()
 
 	next := make([]Time, n)
 	has := make([]bool, n)
@@ -432,9 +537,8 @@ func (g *Group) Run(workers int, limit Time) error {
 		}
 		g.stats.Rounds++
 		g.horizons(next, has, act, hor)
-		ran := 0
-		p0 := time.Since(start)
-		for i, e := range g.envs {
+		round = round[:0]
+		for i := range g.envs {
 			if !has[i] {
 				continue
 			}
@@ -447,24 +551,24 @@ func (g *Group) Run(workers int, limit Time) error {
 			}
 			g.stats.Windows++
 			g.windows[i]++
-			ran++
-			if workers > 1 {
-				wg.Add(1)
-				jobs <- job{e, target}
-			} else {
-				window(0, job{e, target})
-			}
+			round = append(round, job{i, target})
 		}
-		if workers > 1 {
-			wg.Wait()
-		}
-		phases += time.Since(start) - p0
-		if ran == 0 {
+		if len(round) == 0 {
 			// Unreachable: the partition holding the globally earliest
 			// event always has a horizon strictly beyond it (links have
 			// positive latency). Kept as a livelock guard.
 			break
 		}
+		if helpers > 0 {
+			slices.SortFunc(round, func(a, b job) int { return cmp.Compare(last[b.part], last[a.part]) })
+		}
+		p0 := time.Since(start)
+		claim.Store(0)
+		wg.Add(helpers)
+		begin()
+		drain(0)
+		wg.Wait()
+		phases += time.Since(start) - p0
 		g.deliver()
 	}
 

@@ -620,3 +620,109 @@ func TestGroupStatsAccountHostTime(t *testing.T) {
 		t.Fatalf("efficiency of an unrun group = %v", eff)
 	}
 }
+
+// windowedGroup runs a ring of six partitions, each with dense local work, a
+// ticker that sends to its successor and a daemon that forwards what it
+// receives one hop further while it has hops left, on workers, and returns
+// each partition's log of what it received and when, and the group's
+// account. A window that runs twice, or never, shows in the logs or hangs
+// Run, which the caller detects.
+func windowedGroup(t *testing.T, workers int) ([]string, GroupStats) {
+	t.Helper()
+	const parts = 6
+	const span = 3 * Millisecond
+	g := NewGroup()
+	envs := make([]*Env, parts)
+	for i := range envs {
+		envs[i] = NewEnv(int64(10 + i))
+		g.Add(fmt.Sprintf("p%d", i), envs[i])
+	}
+	next := make([]*XLink, parts)
+	for i := range envs {
+		next[i] = g.Connect(fmt.Sprintf("p%d->p%d", i, (i+1)%parts), PartitionID(i), PartitionID((i+1)%parts),
+			Duration(20+7*i)*Microsecond)
+	}
+	logs := make([]string, parts)
+	for i, e := range envs {
+		i, e := i, e
+		e.Spawn("dense", func(p *Proc) {
+			for p.Now() < Time(span) {
+				p.Wait(Duration(1+i%3) * Microsecond)
+			}
+		})
+		e.Spawn("ticker", func(p *Proc) {
+			for k := 0; p.Now() < Time(span); k++ {
+				p.Wait(Duration(50+13*i) * Microsecond)
+				next[i].Send(p, [2]int{i*1000 + k, 3})
+			}
+		})
+	}
+	for i := range envs {
+		i := i
+		in := next[(i+parts-1)%parts]
+		envs[i].SpawnDaemon("rx", func(p *Proc) {
+			for {
+				m := in.Recv(p)
+				h := m.Payload.([2]int)
+				logs[i] += fmt.Sprintf("%d/%d@%d ", h[0], h[1], p.Now())
+				if h[1] > 0 {
+					p.Wait(Duration(envs[i].Rand().Intn(5)) * Microsecond)
+					next[i].Send(p, [2]int{h[0], h[1] - 1})
+				}
+			}
+		})
+	}
+	done := make(chan error, 1)
+	go func() { done <- g.Run(workers, MaxTime) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatalf("workers=%d: Run did not return: a round's windows never all ran", workers)
+	}
+	st := g.Stats()
+	g.Shutdown()
+	return logs, st
+}
+
+// TestGroupRunsEveryWindowOnce: however many workers claim a round's windows —
+// the calling goroutine among them — each window runs once: every partition
+// logs the same receptions at the same instants, fires the same events in
+// the same windows, over the same rounds, as with one worker. Each worker's
+// busy time and barrier wait fit in the run's wall time, and the calling
+// goroutine runs windows of its own.
+func TestGroupRunsEveryWindowOnce(t *testing.T) {
+	wantLogs, want := windowedGroup(t, 1)
+	traffic := 0
+	for _, l := range wantLogs {
+		traffic += len(l)
+	}
+	if traffic == 0 || want.Rounds < 10 {
+		t.Fatalf("the ring did nothing: %d bytes of logs over %d rounds", traffic, want.Rounds)
+	}
+	for _, workers := range []int{1, 2, 3, 6} {
+		logs, st := windowedGroup(t, workers)
+		if !reflect.DeepEqual(logs, wantLogs) {
+			t.Fatalf("workers=%d: receive logs differ:\n got %q\nwant %q", workers, logs, wantLogs)
+		}
+		if !reflect.DeepEqual(st.PartWindows, want.PartWindows) || !reflect.DeepEqual(st.PartEvents, want.PartEvents) ||
+			st.Rounds != want.Rounds {
+			t.Fatalf("workers=%d: windows %v, events %v over %d rounds; one worker: %v, %v over %d",
+				workers, st.PartWindows, st.PartEvents, st.Rounds, want.PartWindows, want.PartEvents, want.Rounds)
+		}
+		if len(st.Busy) != workers || len(st.BarrierWait) != workers {
+			t.Fatalf("workers=%d: %d busy and %d barrier-wait slots", workers, len(st.Busy), len(st.BarrierWait))
+		}
+		for w := range st.Busy {
+			if st.BarrierWait[w] < 0 || st.Busy[w]+st.BarrierWait[w] > st.Wall {
+				t.Fatalf("workers=%d: worker %d busy %v + barrier wait %v outside wall %v",
+					workers, w, st.Busy[w], st.BarrierWait[w], st.Wall)
+			}
+		}
+		if st.Busy[0] <= 0 {
+			t.Fatalf("workers=%d: the calling goroutine ran no window", workers)
+		}
+	}
+}

@@ -231,6 +231,28 @@ func (bl *Bufferlist) ViewInto(dst *Bufferlist, off, n int) {
 	}
 }
 
+// Run returns segment i and the segments after it that continue it in
+// memory (the pieces of one buffer that crossed in parts) as one view, and
+// the index of the segment after them.
+func (bl *Bufferlist) Run(i int) (run []byte, next int) {
+	run = bl.segs[i]
+	for i++; i < len(bl.segs); i++ {
+		s := bl.segs[i]
+		if len(run)+len(s) > cap(run) || &run[:len(run)+1][len(run)] != &s[0] {
+			break
+		}
+		run = run[:len(run)+len(s)]
+	}
+	return run, i
+}
+
+// Reset empties bl, keeping its segment table for the next views and
+// dropping what the table referenced.
+func (bl *Bufferlist) Reset() {
+	clear(bl.segs)
+	bl.segs, bl.length = bl.segs[:0], 0
+}
+
 // span locates n bytes at off: the first and last segments they touch and
 // the offset into the first. An empty range touches none (last < first).
 func (bl *Bufferlist) span(off, n int) (first, last, skip int) {

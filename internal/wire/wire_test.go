@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"hash/crc32"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -401,4 +402,23 @@ func TestPrefix(t *testing.T) {
 		}
 	}()
 	bl.Prefix(9)
+}
+
+// TestRunJoinsContiguousSegments: Run joins the segments that continue one
+// another in memory — the pieces of one buffer — and stops at a segment of
+// another buffer, at a gap, and at a piece its predecessor's capacity does not
+// reach.
+func TestRunJoinsContiguousSegments(t *testing.T) {
+	a, b := []byte("0123456789"), []byte("abcdef")
+	bl := NewBufferlist(a[:3], a[3:7], a[7:], b[:2], b[3:], a[:2:2], a[2:4])
+	var runs []string
+	for i := 0; i < bl.Segments(); {
+		var run []byte
+		run, i = bl.Run(i)
+		runs = append(runs, string(run))
+	}
+	want := []string{"0123456789", "ab", "def", "01", "23"}
+	if !reflect.DeepEqual(runs, want) {
+		t.Fatalf("runs %q, want %q", runs, want)
+	}
 }
